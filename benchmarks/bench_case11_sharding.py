@@ -26,20 +26,13 @@ I/O.  Every scenario asserts answer equivalence with the naive semantics.
 
 from __future__ import annotations
 
-import pytest
-
 import statistics
 import time
 
 from conftest import bench_size, format_table
 
 from repro.catalog import build_query_engine, build_registry
-from repro.service import ArtifactStore, QueryRequest
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.service import ArtifactStore
 
 SEED = 20130826
 SHARDS = 8
@@ -81,7 +74,7 @@ def test_c11_sharded_vs_monolithic(benchmark, experiment_report, bench_json, tmp
             data, queries = workload(kind)
             with _engine(fresh_root(), shards) as engine:
                 started = time.perf_counter()
-                engine.execute(QueryRequest(kind, data, queries[0]))
+                engine.attach("d", data, kinds=[kind]).query(kind, queries[0])
                 return time.perf_counter() - started
 
         return _min_over(repetitions, run)
@@ -94,7 +87,7 @@ def test_c11_sharded_vs_monolithic(benchmark, experiment_report, bench_json, tmp
             data, _queries = workload(REBUILD_KIND)
             with _engine(fresh_root(), shards) as engine:
                 started = time.perf_counter()
-                engine.warm(REBUILD_KIND, data)
+                engine.attach("before", data, kinds=[REBUILD_KIND]).warm()
                 builds.append(time.perf_counter() - started)
 
                 changed = list(data)
@@ -102,7 +95,7 @@ def test_c11_sharded_vs_monolithic(benchmark, experiment_report, bench_json, tmp
                 changed = tuple(changed)
                 before = engine.stats().per_kind[REBUILD_KIND]
                 started = time.perf_counter()
-                engine.warm(REBUILD_KIND, changed)
+                engine.attach("after", changed, kinds=[REBUILD_KIND]).warm()
                 rebuilds.append(time.perf_counter() - started)
                 after = engine.stats().per_kind[REBUILD_KIND]
                 rebuilt_shards = (after.shard_builds - before.shard_builds) or (
@@ -115,12 +108,12 @@ def test_c11_sharded_vs_monolithic(benchmark, experiment_report, bench_json, tmp
         data, queries = workload(kind)
         with _engine(fresh_root(), shards) as engine:
             query_class, _ = engine.registration(kind)
-            engine.warm(kind, data)
+            ds = engine.attach("d", data, kinds=[kind]).warm()
             expected = [query_class.pair_in_language(data, q) for q in queries]
             latencies, answers = [], []
             for query in queries:
                 started = time.perf_counter()
-                answers.append(engine.execute(QueryRequest(kind, data, query)))
+                answers.append(ds.query(kind, query))
                 latencies.append(time.perf_counter() - started)
             assert answers == expected, f"{kind}: sharded != naive"
         return statistics.median(latencies)

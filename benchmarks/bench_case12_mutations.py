@@ -1,9 +1,10 @@
 """C12 -- mutable datasets: delta-apply vs shard rebuild vs monolithic rebuild
 (ISSUE 3).
 
-Measures the point-update latency of the three write paths a
-:class:`~repro.service.mutable.DatasetHandle` can take, end to end through
-the serving stack (latch, structure maintenance, version bump):
+Measures the point-update latency of the three write paths a mutable
+:class:`~repro.service.dataset.Dataset` session can take, end to end
+through the serving stack (writer mutex, structure maintenance, version
+publication):
 
 * **delta-apply** -- the scheme's ``apply_delta`` hook folds the change into
   the live structure in O(|CHANGED| * polylog): no re-fingerprint, no
@@ -53,16 +54,16 @@ def test_c12_point_update_latency(benchmark, experiment_report, bench_json):
 
     def measure(shards: int, delta: bool):
         with _engine(shards, delta) as engine:
-            handle = engine.open_dataset("membership", data)
-            handle.query(data[0])  # warm the resolve path
+            ds = engine.attach("live", data, mutable=True)
+            ds.query("membership", data[0])  # materialize the structure
             latencies = []
             for step in range(UPDATES):
                 value = 10**7 + step  # outside the generated domain
                 started = time.perf_counter()
-                handle.apply_changes([TupleChange(ChangeKind.INSERT, (value,))])
+                ds.apply_changes([TupleChange(ChangeKind.INSERT, (value,))])
                 latencies.append(time.perf_counter() - started)
-                assert handle.query(value) is True
-                assert handle.query(value + UPDATES) is False
+                assert ds.query("membership", value) is True
+                assert ds.query("membership", value + UPDATES) is False
             stats = engine.stats().per_kind["membership"]
             return statistics.median(latencies), stats.delta_batches, stats.fallback_rebuilds
 

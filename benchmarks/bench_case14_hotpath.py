@@ -4,12 +4,12 @@ The paper's query step is polylog; what users feel is polylog *times a
 constant*.  This benchmark takes the constant apart on a warm engine:
 
 * **tracked dispatch** (``Dataset.query_tracked``) -- the analytic path:
-  per-request registration lookup, cache probe, and the cost-charging
-  evaluator (every comparison pays a ``CostTracker.tick``);
+  liveness check, plan lookup, and the cost-charging evaluator (every
+  comparison pays a ``CostTracker.tick``);
 * **fast path** (``Dataset.query``) -- the serve plan: one dict hit plus
   one untracked kernel call (C ``bisect``);
-* **bare kernel** (``scheme.answer_fast`` on the resolved structure) -- the
-  floor Python allows, isolating what dispatch still costs;
+* **bare kernel** (``scheme.answer_fast`` on a structure preprocessed here)
+  -- the floor Python allows, isolating what dispatch still costs;
 * **batches** -- the PR-4 baseline (one pool task per query through the
   tracked path) vs the vectorized ``query_batch`` (group by kind, one
   ``answer_many`` per group, fan-out chunked to pool width).
@@ -28,6 +28,7 @@ import time
 from conftest import bench_size, format_table
 
 from repro.catalog import build_query_engine
+from repro.core.cost import NULL_TRACKER
 
 SEED = 20130826
 KIND = "list-membership"
@@ -67,7 +68,7 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
 
         tracked_p50 = _p50(lambda q: ds.query_tracked(KIND, q), queries)
         fast_p50 = _p50(lambda q: ds.query(KIND, q), queries)
-        structure = engine.resolve(KIND, data)
+        structure = scheme.preprocess(data, NULL_TRACKER)
         kernel_p50 = _p50(lambda q: scheme.answer_fast(structure, q), queries)
 
         pairs = [(KIND, query) for query in queries] * BATCH_REPEAT
@@ -105,7 +106,7 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
                     "tracked dispatch",
                     f"{tracked_p50 * 1e6:.2f}",
                     "1.0x",
-                    "registration + cache probe + cost-charging evaluate",
+                    "plan lookup + cost-charging evaluate",
                 ),
                 (
                     "serve-plan fast path",
@@ -117,7 +118,7 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
                     "bare kernel",
                     f"{kernel_p50 * 1e6:.2f}",
                     f"{tracked_p50 / kernel_p50:.1f}x",
-                    "answer_fast on the resolved structure (floor)",
+                    "answer_fast on a preprocessed structure (floor)",
                 ),
             ],
         )

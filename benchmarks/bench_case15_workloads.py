@@ -15,9 +15,9 @@ experiments over 2^16-element sessions, all recorded to
   measured delta, not a guess.  This section is also a *gate*: readers are
   lock-free against the published version record, so the mixed read p999
   must stay within ``P999_RATIO_LIMIT`` of the pure-read control (an
-  absolute-gap guard absorbs smoke-size noise).  Under the old
-  ``SnapshotLatch`` read path the ratio sat around 3x; a regression back
-  to reader/writer blocking fails here and in CI's shape check.
+  absolute-gap guard absorbs smoke-size noise).  Under a reader--writer
+  latch on the read path the ratio sat around 3x; a regression back to
+  reader/writer blocking fails here and in CI's shape check.
 * ``open_loop_curve`` -- offered-vs-achieved qps phases; latency measured
   from scheduled arrival, so the saturated phase shows queueing honestly.
 

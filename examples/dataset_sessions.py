@@ -8,20 +8,18 @@ This example walks the `Dataset` session surface:
 1. attach a payload once under a stable name; serve several query kinds
    (including a sharded one) through the one session, synchronously and
    asynchronously;
-2. the memo cliff the redesign eliminates: cycle more payload-style
-   datasets than the engine's identity memo holds and watch the O(|D|)
-   re-hash counters climb, while the same traffic through named sessions
-   stays at zero;
+2. many datasets on one engine: request records address each session by
+   name, every payload is hashed and built exactly once, and the request
+   path stays at microseconds however many datasets are live;
 3. a mutable session: one change batch maintains every served structure
-   behind a single snapshot latch (delta hook for RMQ point writes,
-   touched-shards rebuild for the sharded membership kind).
+   behind a single published version pointer (delta hook for RMQ point
+   writes, touched-shards rebuild for the sharded membership kind).
 
 Run:  python examples/dataset_sessions.py
 """
 
 import random
 import time
-import warnings
 
 from repro.catalog import build_query_engine
 from repro.incremental.changes import PointWrite
@@ -35,8 +33,8 @@ from repro.service import QueryEngine, QueryRequest
 
 SEED = 20130826
 SIZE = 2**14
-CLIFF_DATASETS = 48  # more live payloads than the default 32-entry memo
-CLIFF_ROUNDS = 4
+LIVE_DATASETS = 48
+ROUNDS = 4
 
 
 def section(title):
@@ -64,62 +62,34 @@ def main() -> None:
     membership_stats = ds.stats()["kinds"]["list-membership"]
     print(
         f"shard_builds={membership_stats['shard_builds']} "
-        f"builds={membership_stats['builds']} "
-        f"fingerprint_rehashes={engine.stats().fingerprint_rehashes}"
+        f"builds={membership_stats['builds']}"
     )
-    assert engine.stats().fingerprint_rehashes == 0
     engine.close()
 
-    section("2. The memo cliff, measured")
+    section("2. Many datasets, one engine: requests address sessions by name")
     workloads = [
         membership_class().sample_workload(256, SEED + i, 1)
-        for i in range(CLIFF_DATASETS)
+        for i in range(LIVE_DATASETS)
     ]
-
-    payload_engine = build_query_engine()  # default fingerprint_memo_size=32
-    started = time.perf_counter()
-    with warnings.catch_warnings():
-        # The payload form is deprecated; this section exercises it on
-        # purpose to measure the memo cliff the named form eliminates.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for _ in range(CLIFF_ROUNDS):
-            for data, queries in workloads:
-                payload_engine.execute(
-                    QueryRequest("list-membership", data, queries[0])
-                )
-    payload_seconds = time.perf_counter() - started
-    payload_stats = payload_engine.stats()
-    payload_engine.close()
-
-    named_engine = build_query_engine()
+    engine = build_query_engine()
     for i, (data, _) in enumerate(workloads):
-        named_engine.attach(f"d{i}", data, kinds=["list-membership"])
+        engine.attach(f"d{i}", data, kinds=["list-membership"])
     started = time.perf_counter()
-    for _ in range(CLIFF_ROUNDS):
-        for i, (_, queries) in enumerate(workloads):
-            named_engine.execute(
-                QueryRequest("list-membership", dataset=f"d{i}", query=queries[0])
-            )
-    named_seconds = time.perf_counter() - started
-    named_stats = named_engine.stats()
-    named_engine.close()
+    for _ in range(ROUNDS):
+        for i, (data, queries) in enumerate(workloads):
+            request = QueryRequest("list-membership", dataset=f"d{i}", query=queries[0])
+            assert engine.execute(request) == (queries[0] in data)
+    seconds = time.perf_counter() - started
+    stats = engine.stats().per_kind["list-membership"]
+    engine.close()
 
-    requests = CLIFF_DATASETS * CLIFF_ROUNDS
+    requests = LIVE_DATASETS * ROUNDS
     print(
-        f"{CLIFF_DATASETS} live datasets through a 32-entry memo, "
-        f"{requests} requests each way:"
+        f"{LIVE_DATASETS} live datasets, {requests} named requests: "
+        f"{seconds / requests * 1e6:.1f} us/request, "
+        f"builds={stats.builds} (one per dataset), queries={stats.queries}"
     )
-    print(
-        f"  payload requests : {payload_seconds / requests * 1e6:7.1f} us/request  "
-        f"re-hashes={payload_stats.fingerprint_rehashes} "
-        f"evictions={payload_stats.fingerprint_evictions}"
-    )
-    print(
-        f"  named requests   : {named_seconds / requests * 1e6:7.1f} us/request  "
-        f"re-hashes={named_stats.fingerprint_rehashes}"
-    )
-    assert payload_stats.fingerprint_rehashes >= requests  # every request re-hashed
-    assert named_stats.fingerprint_rehashes == 0
+    assert stats.builds == LIVE_DATASETS and stats.queries == requests
 
     section("3. A mutable session: one batch, every kind")
     engine = QueryEngine()

@@ -8,7 +8,8 @@ the service stack:
 1. the anti-pattern every earlier example quietly committed: rebuild the
    index for every query (what "no preprocessing infrastructure" costs);
 2. the QueryEngine over an ArtifactStore: one cold build, then warm
-   batches served from the LRU cache at microseconds per query;
+   batches served through the sessions' serve plans at microseconds per
+   query;
 3. a process "restart": a fresh engine over the same store deserializes
    the persisted artifact instead of rebuilding.
 
@@ -18,7 +19,6 @@ Run:  python examples/query_service.py
 import statistics
 import tempfile
 import time
-import warnings
 
 from repro.core.cost import CostTracker
 from repro.queries import (
@@ -36,10 +36,14 @@ BATCH_PER_KIND = 128
 REBUILD_SAMPLE = 12  # rebuilding per query is so slow we only sample it
 
 
-def build_engine(store):
+def build_engine(store, kinds):
+    """An engine over ``store`` with each workload's dataset attached once,
+    under its kind's name -- requests then address it by that name."""
     engine = QueryEngine(store=store, cache_entries=16, max_workers=4)
     engine.register("list-membership", membership_class(), sorted_run_scheme())
     engine.register("minimum-range-query", rmq_class(), fischer_heun_scheme())
+    for kind, (data, _queries) in kinds:
+        engine.attach(kind, data, kinds=[kind])
     return engine
 
 
@@ -59,16 +63,11 @@ def main() -> None:
     )
 
     kinds = workloads()
-    with warnings.catch_warnings():
-        # This example predates named sessions and demonstrates the raw
-        # payload form on purpose; see examples/dataset_sessions.py for
-        # the supported engine.attach(...) surface.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        requests = [
-            QueryRequest(kind, data, query)
-            for kind, (data, queries) in kinds
-            for query in queries
-        ]
+    requests = [
+        QueryRequest(kind, dataset=kind, query=query)
+        for kind, (_data, queries) in kinds
+        for query in queries
+    ]
 
     # 1. The rebuild-per-query anti-pattern, sampled.
     rebuild_schemes = {
@@ -92,7 +91,7 @@ def main() -> None:
         store = ArtifactStore(root)
 
         # 2. Cold batch (pays each build once), then warm batch.
-        with build_engine(store) as engine:
+        with build_engine(store, kinds) as engine:
             started = time.perf_counter()
             cold_answers = engine.execute_batch(requests)
             cold_seconds = time.perf_counter() - started
@@ -106,7 +105,7 @@ def main() -> None:
         print(f"warm batch        : {warm_per_query * 1e3:9.2f} ms/query  ({len(requests) / warm_seconds:,.0f} queries/s)")
 
         # 3. Restart: fresh process image, same store.
-        with build_engine(store) as engine:
+        with build_engine(store, kinds) as engine:
             started = time.perf_counter()
             restart_answers = engine.execute_batch(requests)
             restart_seconds = time.perf_counter() - started

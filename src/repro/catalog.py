@@ -294,12 +294,10 @@ def build_query_engine(*, shards: int = 1, **engine_kwargs):
         ds.query("list-membership", 17)             # any registered kind
         ds.query_batch([("point-selection", q1), ("list-membership", q2)])
 
-    (payload-style ``QueryRequest(kind, data, query)`` requests keep
-    working through the engine's compatibility adapter).  Keyword arguments
+    (or address the session by name from a request record:
+    ``QueryRequest(kind, dataset="events", query=q)``).  Keyword arguments
     are forwarded to the engine constructor -- pass
-    ``store=ArtifactStore(path)`` to persist artifacts across processes, or
-    ``fingerprint_memo_size=N`` to size the identity memo backing the
-    payload-request adapter.
+    ``store=ArtifactStore(path)`` to persist artifacts across processes.
 
     Parameters
     ----------

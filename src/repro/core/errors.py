@@ -180,6 +180,7 @@ class DeltaError(ReproError):
     or a batch that would leave the structure unbuildable).
 
     The hook must raise *before* mutating the structure, so the caller --
-    :class:`repro.service.mutable.DatasetHandle` -- can fall back to a
-    rebuild of the whole batch without observing a half-applied structure.
+    a mutable :class:`repro.service.dataset.Dataset` session -- can fall
+    back to a rebuild of the whole batch without observing a half-applied
+    structure.
     """

@@ -106,7 +106,7 @@ def _apply_list_delta(index: SortedRunIndex, changes, tracker: CostTracker) -> S
     """Fold a TupleChange batch into the sorted run: O(log n) locate each.
 
     Elements travel as one-tuples (``TupleChange(kind, (value,))``), the row
-    shape :class:`~repro.service.mutable.DatasetHandle` uses for flat value
+    shape :class:`~repro.service.mutable.MutableContent` uses for flat value
     lists.  Deleting an absent element is a no-op (bag semantics).
     """
     for change in changes:

@@ -176,7 +176,7 @@ def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
     :mod:`repro.incremental.inc_selection`, applied to the serving structure.
     The per-attribute indexes store one payload per row occurrence, so the
     caller must only send DELETE changes for rows that are actually live
-    (the :class:`~repro.service.mutable.DatasetHandle` screens deletes
+    (:class:`~repro.service.mutable.MutableContent` screens deletes
     against its working dataset); a delete of a phantom row would strip a
     payload that another live row still accounts for.
     """

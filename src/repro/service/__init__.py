@@ -22,7 +22,8 @@ This package persists built structures and serves query batches against them:
     :class:`Dataset` -- the dataset-first serving surface:
     ``engine.attach(name, data)`` fingerprints a payload once and returns
     one named session serving every registered kind (monolithic, sharded
-    and mutable paths unified), addressable from requests via
+    and mutable storage shapes behind one serve-plan protocol;
+    ``mutable=True`` enables ``apply_changes``), addressable from requests via
     ``QueryRequest(kind, dataset=name, query=...)``.
 
 :mod:`repro.service.merge`
@@ -43,9 +44,10 @@ This package persists built structures and serves query batches against them:
     the workload drivers.
 
 :mod:`repro.service.mutable`
-    :class:`DatasetHandle` -- versioned, snapshot-consistent serving of
-    *mutable* datasets: lock-free readers pin atomically published version
-    records (:class:`VersionedStructures`) while change batches fold into
+    The write machinery behind ``attach(..., mutable=True)``: a private
+    working copy (:class:`MutableContent`) and versioned, snapshot-consistent
+    publication (:class:`VersionedStructures`) -- lock-free readers pin
+    atomically published version records while change batches fold into
     the offline structure set through per-scheme ``apply_delta`` hooks in
     O(|CHANGED| * polylog) (falling back to touched-shard or full
     rebuilds), with write-behind persistence of dirty artifacts.
@@ -96,12 +98,7 @@ from repro.service.faults import (
 from repro.service.cache import LRUArtifactCache
 from repro.service.dataset import Dataset
 from repro.service.engine import EngineStats, QueryEngine, QueryRequest, SchemeStats
-from repro.service.mutable import (
-    DatasetHandle,
-    MutableContent,
-    SnapshotLatch,
-    VersionedStructures,
-)
+from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.merge import (
     MergeOperator,
     ShardPiece,
@@ -142,9 +139,7 @@ __all__ = [
     "ArtifactStore",
     "LRUArtifactCache",
     "Dataset",
-    "DatasetHandle",
     "MutableContent",
-    "SnapshotLatch",
     "VersionedStructures",
     "EngineStats",
     "QueryEngine",

@@ -8,15 +8,14 @@ fingerprints a payload **once**, registers a stable name, and returns a
 
 * ``ds.query(kind, q)`` / ``ds.query_batch(requests)`` -- the serving hot
   path: the first query per kind resolves through cache -> store -> build
-  (with the content identity precomputed: no per-request fingerprint memo
-  lookup, no O(|D|) re-hash past the memo cliff, ever) and captures a
-  *serve plan* -- registration, resolved structure, and the scheme's
-  untracked fast kernel bound into one callable -- so steady state is one
-  dict hit plus one kernel call, and batches vectorize through one
-  ``answer_many`` per kind group;
-* ``ds.query_tracked(kind, q, tracker)`` -- the analytic twin: per-request
-  resolution plus the cost-charging ``evaluate`` (the tractability API the
-  certifier measures), always answer-identical to the fast path;
+  (with the content identity precomputed: no per-request O(|D|) hash,
+  ever) and captures a *serve plan* -- registration, resolved structure,
+  and the scheme's untracked fast kernel bound into one callable -- so
+  steady state is one dict hit plus one kernel call, and batches vectorize
+  through one ``answer_many`` per kind group;
+* ``ds.query_tracked(kind, q, tracker)`` -- the analytic twin: the same
+  plan's structure through the cost-charging ``evaluate`` (the tractability
+  API the certifier measures), always answer-identical to the fast path;
 * ``ds.submit(kind, q)`` -- the same answer as a future on the engine pool;
 * ``ds.warm(kinds=...)`` -- pre-build (and persist) structures per kind;
 * ``ds.apply_changes(batch)`` -- for sessions attached ``mutable=True``,
@@ -24,17 +23,17 @@ fingerprints a payload **once**, registers a stable name, and returns a
   writer mutex and one atomically published version pointer (readers are
   lock-free; see :class:`~repro.service.mutable.VersionedStructures`),
   routing each kind to its ``PiScheme.apply_delta`` hook (falling back to
-  touched-shard or full rebuilds), replacing the one-kind-per-handle
-  restriction of :class:`~repro.service.mutable.DatasetHandle`;
+  touched-shard or full rebuilds);
 * ``ds.detach()`` -- flushes dirty state and releases the name; further use
   raises :class:`~repro.core.errors.UnknownDatasetError`.
 
-One session dispatches to all three resolution paths from its attach-time
+One session dispatches to all three storage shapes from its attach-time
 options: monolithic, sharded (``shards=K`` overrides the registration
-default per dataset), and mutable.  Requests can address a session by name
-(``QueryRequest(kind, dataset="events", query=q)``); the old
-payload-per-request form keeps working through an anonymous attach inside
-the engine (see :meth:`~repro.service.engine.QueryEngine.execute`).
+default per dataset), and mutable -- :meth:`Dataset._build_plan` picks the
+plan class, and nothing outside the three plan classes knows the shape.
+Requests can also address a session by name
+(``QueryRequest(kind, dataset="events", query=q)``; see
+:meth:`~repro.service.engine.QueryEngine.execute`).
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -43,8 +42,6 @@ the engine (see :meth:`~repro.service.engine.QueryEngine.execute`).
     >>> ds = engine.attach("events", (3, 1, 4), shards=2)
     >>> ds.query("membership", 4), ds.query("membership", 9)
     (True, False)
-    >>> engine.stats().per_kind["membership"].fingerprint_rehashes
-    0
     >>> ds.detach(); engine.close()
 """
 
@@ -67,7 +64,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.cost import CostTracker
+from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import (
     DeltaError,
     ServiceError,
@@ -149,23 +146,26 @@ class _ServePlan:
     resolved structure; :meth:`serve`/:meth:`serve_many` time *only* the
     kernel call (resolution was paid at plan build and is accounted as
     build/hit, never serve) and record on the engine's lock-free counters.
-    The engine's keyed plan watchers drop the plan if its structure is ever
-    evicted, so a plan cannot pin or outlive a dropped structure.
+    :meth:`serve_tracked` runs the analytic evaluator over the same
+    structure.  The engine's keyed plan watchers drop the plan if its
+    structure is ever evicted, so a plan cannot pin or outlive a dropped
+    structure.
     """
 
-    __slots__ = ("_engine", "_kind", "answer", "answer_many")
+    __slots__ = ("_engine", "_kind", "_scheme", "_structure", "answer", "answer_many")
 
     def __init__(
-        self,
-        engine: "QueryEngine",
-        kind: str,
-        answer: Callable,
-        answer_many: Callable,
+        self, engine: "QueryEngine", kind: str, scheme: PiScheme, structure: Any
     ) -> None:
         self._engine = engine
         self._kind = kind
-        self.answer = answer
-        self.answer_many = answer_many
+        self._scheme = scheme
+        self._structure = structure
+        self.answer, self.answer_many = _bind_fast(scheme, structure)
+
+    def resolve(self) -> Any:
+        """The structure this plan captured at build."""
+        return self._structure
 
     def serve(self, query: Any) -> bool:
         started = time.perf_counter()
@@ -196,6 +196,18 @@ class _ServePlan:
         )
         return answers
 
+    def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
+        started = time.perf_counter()
+        try:
+            answer = self._scheme.answer(self._structure, query, tracker)
+        except Exception:
+            self._engine._bump(self._kind, serve_errors=1)
+            raise
+        self._engine._count_serve(
+            self._kind, queries=1, serve_seconds=time.perf_counter() - started
+        )
+        return answer
+
 
 class _ShardedServe:
     """The serve plan of a sharded kind: plan + lazily captured structures.
@@ -207,7 +219,9 @@ class _ShardedServe:
     timer), after which the steady-state path is route + untracked
     :func:`~repro.service.sharding.gather_fast`, with no cache probes and
     no locks.  Each captured shard key is registered with the engine's plan
-    watchers; evicting any of them drops this plan.
+    watchers; evicting any of them drops this plan.  The tracked path
+    (:meth:`serve_tracked`) and :meth:`resolve` go through the planner's
+    accounted per-request resolution instead.
     """
 
     __slots__ = ("_engine", "_ds", "_kind", "_registration", "_spec",
@@ -284,6 +298,27 @@ class _ShardedServe:
         serve = self.serve
         return [serve(query) for query in queries]
 
+    def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
+        # Route-aware scatter-gather: the query is rewritten and routed
+        # once, and only the shards it scatters to are resolved (cold
+        # shards build lazily, in parallel).
+        try:
+            answer, serve_seconds = self._engine._planner.serve(
+                self._kind, self._registration, self._ds._data, query, tracker,
+                fingerprint=self._ds._fingerprint,
+            )
+        except Exception:
+            self._engine._bump(self._kind, serve_errors=1)
+            raise
+        self._engine._count_serve(self._kind, queries=1, serve_seconds=serve_seconds)
+        return answer
+
+    def resolve(self) -> Any:
+        """Every shard structure, building misses in parallel."""
+        return self._engine._planner.resolve(
+            self._kind, self._registration, self._ds._data, self._ds._fingerprint
+        )
+
 
 class _MutableServe:
     """The serve plan of a mutable session's kind: lock-free versioned reads.
@@ -298,6 +333,11 @@ class _MutableServe:
     ``_MutableState.query_batch`` (one pin across every kind group).
     First-touch materialization happens before the serve timer starts, so
     build cost never leaks into ``serve_seconds``.
+
+    Without a ``tracker`` the untracked production kernels answer
+    (``answer_fast`` / the planner's fast scatter); with one, the analytic
+    cost-charging evaluator runs over the same pinned structure -- the
+    tracked path of :meth:`Dataset.query_tracked`.
     """
 
     __slots__ = ("_engine", "_state", "_kind", "_registration", "_sharded")
@@ -315,7 +355,7 @@ class _MutableServe:
         self._registration = registration
         self._sharded = registration.shards > 1
 
-    def serve(self, query: Any) -> bool:
+    def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
         state = self._state
         versions = state._versions
         slot = versions.slot()
@@ -333,12 +373,19 @@ class _MutableServe:
                 structure = version.structures.get(self._kind)
             started = time.perf_counter()
             try:
-                if self._sharded:
-                    answer = self._engine._planner.answer_fast(
-                        self._registration, structure, query, kind=self._kind
+                if tracker is None:
+                    if self._sharded:
+                        answer = self._engine._planner.answer_fast(
+                            self._registration, structure, query, kind=self._kind
+                        )
+                    else:
+                        answer = self._registration.scheme.answer_fast(structure, query)
+                elif self._sharded:
+                    answer = self._engine._planner.answer(
+                        self._kind, self._registration, structure, query, tracker
                     )
                 else:
-                    answer = self._registration.scheme.answer_fast(structure, query)
+                    answer = self._registration.scheme.answer(structure, query, tracker)
             except Exception:
                 self._engine._bump(self._kind, serve_errors=1)
                 raise
@@ -347,6 +394,22 @@ class _MutableServe:
             versions.release(slot)
         self._engine._count_serve(self._kind, queries=1, serve_seconds=elapsed)
         return answer
+
+    serve_tracked = serve
+
+    def resolve(self) -> Any:
+        """The structure serving the kind at the current version.
+
+        Pins the published version like any reader; first touch goes idle
+        and materializes under the writer mutex.
+        """
+        state = self._state
+        with state._versions.pinned() as version:
+            state._ds._check_attached()
+            structure = version.structures.get(self._kind)
+            if structure is not None:
+                return structure
+        return state._materialize(self._kind)
 
     # No serve_many here: mutable batches never reach the per-kind plans --
     # Dataset.query_batch routes the whole batch to _MutableState.query_batch,
@@ -357,12 +420,11 @@ class _MutableServe:
 class Dataset:
     """One attached dataset, addressable by name, serving every kind.
 
-    Created by :meth:`repro.service.engine.QueryEngine.attach` (or, without
-    a name, by the engine's payload-request adapter); not meant to be
-    constructed directly.  The session owns the dataset's content identity
-    -- computed exactly once at attach -- and the per-kind artifact keys
-    derived from it, which is what makes the warm serving path one
-    dictionary probe instead of a fingerprint-memo lookup per request.
+    Created by :meth:`repro.service.engine.QueryEngine.attach`; not meant
+    to be constructed directly.  The session owns the dataset's content
+    identity -- computed exactly once at attach -- and the per-kind artifact
+    keys derived from it, which is what makes the warm serving path one
+    dictionary probe instead of an O(|D|) hash per request.
 
     Attach-time options fix how each kind resolves:
 
@@ -384,7 +446,7 @@ class Dataset:
     def __init__(
         self,
         engine: "QueryEngine",
-        name: Optional[str],
+        name: str,
         data: Any,
         fingerprint: str,
         *,
@@ -399,40 +461,33 @@ class Dataset:
         self._shards = shards
         self._detached = False
         self._keys: Dict[str, ArtifactKey] = {}
-        #: Per-kind serve plans (named sessions only): registration,
-        #: resolved structure reference and bound kernel captured once, so
-        #: the steady-state query path is one dict hit plus one kernel call.
+        #: Per-kind serve plans: registration, resolved structure reference
+        #: and bound kernel captured once, so the steady-state query path is
+        #: one dict hit plus one kernel call.
         self._plans: Dict[str, Any] = {}
         self._plans_lock = threading.Lock()
-        if name is None and kinds is None:
-            # Anonymous adapter session: defer to the engine's registrations
-            # so later register() calls are visible, exactly like the legacy
-            # payload path.
-            self._registrations: Optional[Dict[str, "_Registration"]] = None
-        else:
-            served = tuple(kinds) if kinds is not None else tuple(engine.kinds())
-            if not served:
-                raise ServiceError(
-                    "attach() found no kinds to serve; register at least one "
-                    "query kind first (or pass kinds=...)"
-                )
-            registrations: Dict[str, "_Registration"] = {}
-            for kind in served:
-                registration = engine._registration(kind)
-                effective = registration.shards
-                if shards > 1 and registration.scheme.sharding is not None:
-                    effective = shards
-                if effective != registration.shards:
-                    registration = replace(registration, shards=effective)
-                registrations[kind] = registration
-            self._registrations = registrations
+        served = tuple(kinds) if kinds is not None else tuple(engine.kinds())
+        if not served:
+            raise ServiceError(
+                "attach() found no kinds to serve; register at least one "
+                "query kind first (or pass kinds=...)"
+            )
+        self._registrations: Dict[str, "_Registration"] = {}
+        for kind in served:
+            registration = engine._registration(kind)
+            effective = registration.shards
+            if shards > 1 and registration.scheme.sharding is not None:
+                effective = shards
+            if effective != registration.shards:
+                registration = replace(registration, shards=effective)
+            self._registrations[kind] = registration
         self._mutable = _MutableState(self) if mutable else None
 
     # -- identity --------------------------------------------------------------
 
     @property
-    def name(self) -> Optional[str]:
-        """The attach name; ``None`` for anonymous adapter sessions."""
+    def name(self) -> str:
+        """The attach name requests address this session by."""
         return self._name
 
     @property
@@ -450,8 +505,6 @@ class Dataset:
     @property
     def kinds(self) -> List[str]:
         """Sorted kinds this session serves."""
-        if self._registrations is None:
-            return self._engine.kinds()
         return sorted(self._registrations)
 
     @property
@@ -496,8 +549,6 @@ class Dataset:
 
     def registration_for(self, kind: str) -> "_Registration":
         """The (possibly shard-overridden) registration serving ``kind``."""
-        if self._registrations is None:
-            return self._engine._registration(kind)
         try:
             return self._registrations[kind]
         except KeyError:
@@ -532,20 +583,18 @@ class Dataset:
     def query(self, kind: str, query: Any) -> bool:
         """Answer one query of ``kind`` over this dataset.
 
-        Steady state for a named session is the hot path: one serve-plan
-        dict hit plus one untracked kernel call (the plan captured the
-        registration and the resolved structure at first use).  The first
-        query per kind -- and any query after a plan invalidation -- walks
-        the engine's ordinary artifact layers (cache -> store -> build) with
-        the precomputed identity; mutable sessions answer lock-free against
-        the latest published (fully-applied) version.
+        Steady state is the hot path: one serve-plan dict hit plus one
+        untracked kernel call (the plan captured the registration and the
+        resolved structure at first use).  The first query per kind -- and
+        any query after a plan invalidation -- walks the engine's ordinary
+        artifact layers (cache -> store -> build) with the precomputed
+        identity; mutable sessions answer lock-free against the latest
+        published (fully-applied) version.
         """
         plan = self._plans.get(kind)
         if plan is None:
             self._check_attached()
             plan = self._build_plan(kind)
-            if plan is None:
-                return self._engine._serve_for(self, kind, query)
         return plan.serve(query)
 
     def query_tracked(
@@ -553,32 +602,37 @@ class Dataset:
     ) -> bool:
         """Answer one query through the *analytic* (tracked) serving path.
 
-        Bypasses the serve-plan fast path: resolution walks the engine's
-        artifact layers per request and evaluation runs the scheme's cost-
-        charging ``evaluate`` against ``tracker`` (the shared no-op tracker
-        when omitted) -- the tractability API the certifier measures, kept
-        byte-for-byte intact next to the untracked production path.  Answers
-        are always identical to :meth:`query`; the hot-path property suite
-        pins the equality.
+        Bypasses the untracked kernels: the same serve plan evaluates
+        through the scheme's cost-charging ``evaluate`` against ``tracker``
+        (the shared no-op tracker when omitted) -- the tractability API the
+        certifier measures, kept byte-for-byte intact next to the untracked
+        production path.  Answers are always identical to :meth:`query`; the
+        hot-path property suite pins the equality.
         """
-        from repro.core.cost import ensure_tracker
-
         self._check_attached()
         # Coerce None to the shared no-op tracker *here*: further down the
         # stack a None tracker selects the untracked kernels (the fast
         # path), and this method's contract is the analytic evaluator even
         # when the caller does not care about the charges.
-        return self._engine._serve_for(self, kind, query, ensure_tracker(tracker))
+        return self._plan(kind).serve_tracked(query, ensure_tracker(tracker))
 
-    def _build_plan(self, kind: str) -> Optional[Any]:
-        """Capture the serve plan for ``kind`` (named sessions only).
+    def _plan(self, kind: str) -> Any:
+        """The cached serve plan for ``kind``, captured on first use.
+        (:meth:`query` inlines this lookup: it is the hot path.)"""
+        plan = self._plans.get(kind)
+        if plan is None:
+            self._check_attached()
+            plan = self._build_plan(kind)
+        return plan
 
-        Resolution happens exactly once, through the same accounted engine
-        layers as the general path; anonymous adapter sessions return
-        ``None`` and keep the legacy per-request probing semantics.
+    def _build_plan(self, kind: str) -> Any:
+        """Capture the serve plan for ``kind`` -- the one place that knows
+        the three storage shapes.
+
+        Monolithic resolution happens exactly once, here, through the
+        accounted engine layers (cache -> store -> build); sharded and
+        mutable plans capture structures lazily as queries touch them.
         """
-        if self._name is None:
-            return None
         engine = self._engine
         registration = self.registration_for(kind)
         watch_key: Optional[ArtifactKey] = None
@@ -590,10 +644,9 @@ class Dataset:
             )
             plan = _ShardedServe(engine, self, kind, registration, shard_plan)
         else:
-            structure = engine._resolve_for(self, kind)
-            answer_one, answer_many = _bind_fast(registration.scheme, structure)
-            plan = _ServePlan(engine, kind, answer_one, answer_many)
             watch_key = self.artifact_key(kind)
+            structure = engine._resolve_by_key(kind, registration, watch_key, self._data)
+            plan = _ServePlan(engine, kind, registration.scheme, structure)
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
             # release path cleared the dict under this lock *after* setting
@@ -610,14 +663,7 @@ class Dataset:
 
     def _answer_group(self, kind: str, queries: Sequence[Any]) -> List[bool]:
         """Answer one same-kind group through the plan's batch kernel."""
-        plan = self._plans.get(kind)
-        if plan is None:
-            self._check_attached()
-            plan = self._build_plan(kind)
-            if plan is None:
-                engine = self._engine
-                return [engine._serve_for(self, kind, query) for query in queries]
-        return plan.serve_many(queries)
+        return self._plan(kind).serve_many(queries)
 
     def query_batch(
         self,
@@ -629,7 +675,7 @@ class Dataset:
 
         Items may be plain ``(kind, query)`` tuples or
         :class:`~repro.service.engine.QueryRequest` records (their
-        ``dataset``/``data`` fields, if set, must address this session).
+        ``dataset`` field, if set, must address this session).
 
         The batch is **vectorized**: queries are grouped by kind and each
         group runs through one ``answer_many`` kernel call instead of one
@@ -702,7 +748,7 @@ class Dataset:
         """
         self._check_attached()
         for kind in self.kinds if kinds is None else kinds:
-            self._engine._resolve_for(self, kind)
+            self._plan(kind).resolve()
         return self
 
     def _as_pair(self, item: Any) -> Tuple[str, Any]:
@@ -714,11 +760,6 @@ class Dataset:
             if named is not None and named != self._name:
                 raise ServiceError(
                     f"request addresses dataset {named!r}, not {self._name!r}"
-                )
-            payload = getattr(item, "data", None)
-            if payload is not None and payload is not self._data:
-                raise ServiceError(
-                    "request carries a payload that is not this session's data"
                 )
             return kind, item.query
         raise ServiceError(
@@ -807,11 +848,6 @@ class Dataset:
         """
         if self._detached:
             return
-        if self._name is None:
-            # Anonymous adapter sessions are owned by the engine memo.
-            self._engine.invalidate(self._data)
-            self._detached = True
-            return
         self._engine.detach(self._name)
 
     def __enter__(self) -> "Dataset":
@@ -821,22 +857,20 @@ class Dataset:
         self.detach()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        label = self._name if self._name is not None else "<anonymous>"
         tags = []
         if self._mutable is not None:
             tags.append(f"mutable v{self.version}")
         if self._shards > 1:
             tags.append(f"shards={self._shards}")
         suffix = f" ({', '.join(tags)})" if tags else ""
-        return f"Dataset({label!r}, kinds={self.kinds}{suffix})"
+        return f"Dataset({self._name!r}, kinds={self.kinds}{suffix})"
 
 
 class _MutableState:
     """Multi-kind mutable serving state behind one published version pointer.
 
-    The generalization of :class:`~repro.service.mutable.DatasetHandle` to a
-    whole session: one :class:`~repro.service.mutable.MutableContent`
-    working copy, one :class:`~repro.service.mutable.VersionedStructures`
+    One :class:`~repro.service.mutable.MutableContent` working copy, one
+    :class:`~repro.service.mutable.VersionedStructures`
     (left-right versioned publication: lock-free readers, writer-only
     mutex), and one lazily materialized structure **per served kind, per
     left-right side**.  A change batch validates once, screens once, then
@@ -882,20 +916,6 @@ class _MutableState:
 
     # -- structures ------------------------------------------------------------
 
-    def resolve(self, kind: str) -> Any:
-        """The structure serving ``kind`` at the current version.
-
-        Pins the published version like any reader; first touch goes idle
-        and materializes under the writer mutex (see :meth:`_materialize`).
-        """
-        versions = self._versions
-        with versions.pinned() as version:
-            self._ds._check_attached()
-            structure = version.structures.get(kind)
-            if structure is not None:
-                return structure
-        return self._materialize(kind)
-
     def _materialize(self, kind: str) -> Any:
         """First-touch build of ``kind`` from the *current* content.
 
@@ -911,9 +931,8 @@ class _MutableState:
         ordinary content-addressed artifacts, so warm cache/store resolution
         applies; later versions snapshot the working copy (one O(|D|) hash,
         paid at materialization, not per request).  Delta-capable monolithic
-        kinds are privatized exactly like
-        :meth:`~repro.service.mutable.DatasetHandle._private_structure`, so
-        in-place maintenance never corrupts cache-shared structures.
+        kinds are privatized (see :meth:`_build`), so in-place maintenance
+        never corrupts cache-shared structures.
         """
         versions = self._versions
         with versions.writer_mutex:
@@ -955,7 +974,7 @@ class _MutableState:
                 fingerprint = dataset_fingerprint(content)
             if registration.shards > 1:
                 return engine._planner.resolve(
-                    kind, registration, content, fingerprint=fingerprint
+                    kind, registration, content, fingerprint
                 )
             key = ArtifactKey(
                 fingerprint=fingerprint,
@@ -974,65 +993,6 @@ class _MutableState:
         return structure
 
     # -- serving ---------------------------------------------------------------
-
-    def _answer(
-        self,
-        kind: str,
-        structure: Any,
-        query: Any,
-        tracker: Optional[CostTracker] = None,
-    ) -> bool:
-        """Evaluate one query over a pinned structure.
-
-        Without a ``tracker`` the untracked production kernels answer
-        (``answer_fast`` / the planner's fast scatter); with one, the
-        analytic cost-charging evaluator runs -- the tracked path of
-        :meth:`Dataset.query_tracked`.  A kernel exception bumps
-        ``serve_errors`` before propagating, so failed serves are never
-        invisible to health accounting.
-        """
-        registration = self._ds.registration_for(kind)
-        started = time.perf_counter()
-        try:
-            if registration.shards > 1:
-                if tracker is None:
-                    answer = self._engine._planner.answer_fast(
-                        registration, structure, query, kind=kind
-                    )
-                else:
-                    answer = self._engine._planner.answer(
-                        kind, registration, structure, query, tracker
-                    )
-            elif tracker is None:
-                answer = registration.scheme.answer_fast(structure, query)
-            else:
-                answer = registration.scheme.answer(structure, query, tracker)
-        except Exception:
-            self._engine._bump(kind, serve_errors=1)
-            raise
-        self._engine._count_serve(
-            kind, queries=1, serve_seconds=time.perf_counter() - started
-        )
-        # Preserve an explicit DegradedAnswer marker; plain bool otherwise.
-        return answer if isinstance(answer, faults.DegradedAnswer) else bool(answer)
-
-    def query(
-        self, kind: str, query: Any, tracker: Optional[CostTracker] = None
-    ) -> bool:
-        versions = self._versions
-        slot = versions.slot()
-        version = versions.pin(slot)
-        try:
-            self._ds._check_attached()
-            structure = version.structures.get(kind)
-            while structure is None:
-                versions.release(slot)
-                self._materialize(kind)
-                version = versions.pin(slot)
-                structure = version.structures.get(kind)
-            return self._answer(kind, structure, query, tracker)
-        finally:
-            versions.release(slot)
 
     def query_batch(self, pairs: Sequence[Tuple[str, Any]]) -> List[bool]:
         """All pairs against one pinned version: every answer sees one state.
@@ -1245,8 +1205,7 @@ class _MutableState:
     def _persist(self, kind: str, target: int) -> None:
         """Dump ``kind``'s structure at version ``target`` if still current.
 
-        Mirrors the handle path: the dump runs with the version pinned
-        exactly like a reader (writers drain pinned readers before
+        The dump runs with the version pinned exactly like a reader (writers drain pinned readers before
         re-folding a retired structure, so the bytes are a consistent
         snapshot), and the store write runs unpinned; a stale target is
         skipped because the newer batch queued its own task.

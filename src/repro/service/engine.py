@@ -10,16 +10,11 @@ to a Pi-structure through three layers:
    scheme is serializable (warm: pay deserialization, skip the build);
 3. ``scheme.preprocess`` (cold: pay the PTIME build, then persist + cache).
 
-The dataset-first surface is :meth:`QueryEngine.attach`: fingerprint a
-payload once, register a stable name, and serve every kind through the
+The one way to address a dataset is :meth:`QueryEngine.attach`: fingerprint
+a payload once, register a stable name, and serve every kind through the
 returned :class:`~repro.service.dataset.Dataset` session -- queries address
 the session (or name it via ``QueryRequest(kind, dataset=..., query=...)``)
-and never pay a per-request fingerprint lookup.  The older
-payload-per-request form (``QueryRequest(kind, data, query)``) keeps
-working through a thin adapter that performs an *anonymous attach* behind a
-bounded identity memo; it is deprecated in favor of named sessions --
-constructing a payload request emits a :class:`DeprecationWarning` with the
-migration hint, while the behavior stays identical.
+and never pay a per-request fingerprint.
 
 Batches run on a thread pool, with large fan-outs chunked to the pool width
 (one task per worker, never one per microsecond-scale query).  Pure-Python
@@ -30,9 +25,10 @@ misses; rare-event counters (builds, hits, deltas) are lock-protected while
 the per-query counters ride lock-free thread-local shards folded on
 ``stats()`` read.  Per-scheme statistics separate build time from serve
 time, which is exactly the cost split (PTIME once vs. polylog each) the
-paper's Definition 1 is about.  Named sessions additionally cache per-kind
-*serve plans* (see :mod:`repro.service.dataset`), so their steady-state
-queries bypass this module's general path entirely.
+paper's Definition 1 is about.  Sessions cache per-kind *serve plans* (see
+:mod:`repro.service.dataset`) -- the only code that knows whether a kind is
+served monolithic, sharded or mutable -- so steady-state queries never
+reach this module's resolution layers.
 
 Registering a kind with ``shards=K`` (for schemes that declare a
 :class:`~repro.service.merge.ShardSpec`) swaps the monolithic path for the
@@ -40,13 +36,11 @@ Registering a kind with ``shards=K`` (for schemes that declare a
 in parallel, persisted independently, and served by scatter-gather.
 ``attach(..., shards=K)`` applies the same override per dataset.
 
-Datasets that *mutate* are served either through
-``attach(..., mutable=True)`` (one session, every kind, single latch) or
-through the single-kind
-:meth:`QueryEngine.open_dataset` -> :class:`~repro.service.mutable.DatasetHandle`:
-change batches fold into the live structure via per-scheme ``apply_delta``
-hooks (falling back to touched-shard or full rebuilds), behind a versioned
-snapshot latch with write-behind persistence.
+Datasets that *mutate* are served through ``attach(..., mutable=True)``
+(one session, every kind, one published version pointer): change batches
+fold into the live structures via per-scheme ``apply_delta`` hooks (falling
+back to touched-shard or full rebuilds), with lock-free versioned reads and
+write-behind persistence.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine, QueryRequest
@@ -57,13 +51,7 @@ snapshot latch with write-behind persistence.
     True
     >>> engine.execute(QueryRequest("membership", dataset="readings", query=9))
     False
-    >>> import warnings
-    >>> with warnings.catch_warnings():  # legacy payload form: deprecated
-    ...     warnings.simplefilter("ignore", DeprecationWarning)
-    ...     legacy = QueryRequest("membership", (3, 1, 4), 9)
-    >>> engine.execute(legacy)
-    False
-    >>> engine.stats().per_kind["membership"].builds  # built once, served thrice
+    >>> engine.stats().per_kind["membership"].builds  # built once, served twice
     1
 """
 
@@ -71,12 +59,10 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 import weakref
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import KW_ONLY, asdict, dataclass, replace
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import (
@@ -93,51 +79,25 @@ from repro.service.dataset import Dataset, _width_chunks
 from repro.service.sharding import ShardPlanner
 from repro.storage.fingerprint import dataset_fingerprint
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.service.mutable import DatasetHandle
-
 __all__ = ["QueryRequest", "SchemeStats", "EngineStats", "QueryEngine"]
 
 
 @dataclass(frozen=True)
 class QueryRequest:
-    """One query under a registered kind, addressing a dataset two ways.
+    """One query under a registered kind, addressing an attached dataset.
 
-    **Named (preferred)** -- ``QueryRequest(kind, dataset=name, query=q)``
-    addresses a session attached via :meth:`QueryEngine.attach`.  The
-    payload stays server-side; the request is resolved against the
-    session's precomputed content identity, so the warm path never touches
-    the fingerprint memo.
-
-    **Payload (deprecated)** -- ``QueryRequest(kind, data, query)`` ships
-    the dataset inside the request.  The engine adapts it by performing an
-    anonymous attach keyed on object identity: the engine treats ``data``
-    as **immutable while served**, repeated requests for the *same object*
-    reuse the memoized identity, and once more than ``fingerprint_memo_size``
-    distinct payloads are live every additional one costs an O(|D|) re-hash
-    per request (counted in ``SchemeStats.fingerprint_rehashes``).  After
-    mutating a payload in place, call :meth:`QueryEngine.invalidate` (or
-    pass a fresh object) so the next request re-fingerprints and rebuilds.
-    The form is kept for compatibility; constructing one emits a
-    :class:`DeprecationWarning` pointing at the named migration.
+    ``QueryRequest(kind, dataset=name, query=q)`` addresses a session
+    attached via :meth:`QueryEngine.attach`.  The payload stays server-side;
+    the request is resolved against the session's precomputed content
+    identity.  ``query`` and ``dataset`` are keyword-only, so a positional
+    payload (the removed ``QueryRequest(kind, data, query)`` form) raises
+    :class:`TypeError` instead of silently binding to the wrong field.
     """
 
     kind: str
-    data: Any = None
+    _: KW_ONLY
     query: Any = None
     dataset: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.data is not None and self.dataset is None:
-            warnings.warn(
-                "QueryRequest(kind, data, query) payload requests are "
-                "deprecated; attach the dataset once and address it by "
-                "name: engine.attach(name, data) then "
-                "QueryRequest(kind, dataset=name, query=...) or "
-                "Dataset.query(kind, query)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
 
 
 @dataclass
@@ -158,15 +118,6 @@ class SchemeStats:
     write path (:mod:`repro.service.mutable`): batches folded in place by the
     scheme's ``apply_delta`` hook versus ``fallback_rebuilds`` that resolved
     the post-batch content from scratch.
-
-    The ``fingerprint_*`` counters expose the payload-request adapter's memo
-    economics: ``fingerprint_rehashes`` counts every O(|D|) content hash
-    paid while resolving a payload-style request of this kind (a memo miss
-    -- first sight of the object or an earlier eviction), and
-    ``fingerprint_evictions`` counts memo entries evicted by this kind's
-    inserts.  Named :class:`~repro.service.dataset.Dataset` sessions hash
-    once at attach and never touch the memo, so at steady state both stay
-    zero -- which is what ``benchmarks/bench_case13_api.py`` verifies.
     """
 
     scheme: str = ""
@@ -186,8 +137,6 @@ class SchemeStats:
     delta_changes: int = 0
     delta_seconds: float = 0.0
     fallback_rebuilds: int = 0
-    fingerprint_rehashes: int = 0
-    fingerprint_evictions: int = 0
     # -- health counters (the failure model; see docs/architecture.md).
     # Zero on every happy path; each one is an observable recovery event.
     #: Store reads that failed integrity checks (bad checksum, truncation).
@@ -249,20 +198,6 @@ class EngineStats:
         """Queries answered across every registered kind since the last reset."""
         return sum(stats.queries for stats in self.per_kind.values())
 
-    @property
-    def fingerprint_rehashes(self) -> int:
-        """O(|D|) content hashes paid on the request path, across kinds.
-
-        Named dataset sessions keep this at zero at steady state; growth
-        here means payload-style requests are thrashing the identity memo
-        (raise ``fingerprint_memo_size`` or attach the datasets)."""
-        return sum(stats.fingerprint_rehashes for stats in self.per_kind.values())
-
-    @property
-    def fingerprint_evictions(self) -> int:
-        """Identity-memo evictions across kinds (the memo-cliff signal)."""
-        return sum(stats.fingerprint_evictions for stats in self.per_kind.values())
-
     #: The SchemeStats fields folded into the ``health`` rollup.
     HEALTH_FIELDS = (
         "checksum_failures",
@@ -311,8 +246,6 @@ class EngineStats:
             },
             "cache": self.cache.stats_snapshot(),
             "total_queries": self.total_queries(),
-            "fingerprint_rehashes": self.fingerprint_rehashes,
-            "fingerprint_evictions": self.fingerprint_evictions,
             "health": self.health(),
         }
 
@@ -447,14 +380,6 @@ class QueryEngine:
     max_workers:
         Thread-pool width for :meth:`execute_batch` and for parallel shard
         builds.
-    fingerprint_memo_size:
-        Capacity of the identity memo backing the payload-request adapter
-        (anonymous :class:`~repro.service.dataset.Dataset` sessions).  Past
-        this many live payload objects, every additional one degrades to an
-        O(|D|) re-hash per request -- counted in
-        ``SchemeStats.fingerprint_rehashes`` / ``fingerprint_evictions`` so
-        the cliff is observable instead of silent.  Named sessions
-        (:meth:`attach`) bypass the memo entirely.
     """
 
     def __init__(
@@ -463,12 +388,7 @@ class QueryEngine:
         store: Optional[ArtifactStore] = None,
         cache_entries: int = 64,
         max_workers: int = 4,
-        fingerprint_memo_size: int = 32,
     ):
-        if fingerprint_memo_size < 0:
-            raise ServiceError(
-                f"fingerprint_memo_size must be >= 0, got {fingerprint_memo_size}"
-            )
         self._store = store
         self._cache = LRUArtifactCache(cache_entries)
         self._cache.set_eviction_listener(self._on_cache_eviction)
@@ -485,9 +405,6 @@ class QueryEngine:
         self._plan_watchers_lock = threading.Lock()
         self._build_locks: Dict[ArtifactKey, threading.Lock] = {}
         self._build_locks_guard = threading.Lock()
-        self._fingerprint_memo_size = fingerprint_memo_size
-        self._sessions: "OrderedDict[int, Dataset]" = OrderedDict()
-        self._sessions_lock = threading.Lock()
         self._datasets: Dict[str, Dataset] = {}
         self._datasets_guard = threading.Lock()
         self._max_workers = max(1, max_workers)
@@ -495,8 +412,6 @@ class QueryEngine:
         self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_guard = threading.Lock()
         self._persist_pool: Optional[ThreadPoolExecutor] = None
-        self._handles: List[Any] = []
-        self._handles_guard = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -614,8 +529,8 @@ class QueryEngine:
         The payload is fingerprinted **once**, here -- every later request
         against the returned :class:`~repro.service.dataset.Dataset` (or
         naming it via ``QueryRequest(kind, dataset=name, query=...)``)
-        reuses that identity, so the steady-state serving path performs zero
-        fingerprint-memo lookups and zero re-hashes.
+        reuses that identity, so the steady-state serving path never hashes
+        the payload again.
 
         Parameters
         ----------
@@ -633,8 +548,8 @@ class QueryEngine:
         mutable:
             Enable :meth:`~repro.service.dataset.Dataset.apply_changes`:
             change batches fold into every served structure behind one
-            snapshot latch (per-kind ``apply_delta`` hooks, with
-            touched-shard or full rebuild fallbacks).
+            atomically published version pointer (per-kind ``apply_delta``
+            hooks, with touched-shard or full rebuild fallbacks).
         """
         if self._closed:
             raise ServiceError("engine is closed")
@@ -695,58 +610,6 @@ class QueryEngine:
 
     # -- artifact resolution ---------------------------------------------------
 
-    def _anonymous_attach(self, data: Any, *, kind: Optional[str] = None) -> Dataset:
-        """The payload-request adapter: an anonymous session per live object.
-
-        The bounded memo pins a strong reference to each payload (an
-        ``id()`` can never be recycled while its entry is alive) and maps it
-        to an unnamed :class:`~repro.service.dataset.Dataset`.  It is what
-        keeps the legacy warm path O(polylog): without it every payload
-        request would pay an O(|D|) re-hash.  The costs are the immutability
-        contract spelled out on :class:`QueryRequest` and the capacity
-        cliff: past ``fingerprint_memo_size`` live payloads, the hashes come
-        back -- counted per kind as ``fingerprint_rehashes`` (hashes paid
-        here) and ``fingerprint_evictions`` (entries this kind pushed out).
-        """
-        key = id(data)
-        with self._sessions_lock:
-            session = self._sessions.get(key)
-            if session is not None and session.data is data:
-                self._sessions.move_to_end(key)
-                return session
-        fingerprint = dataset_fingerprint(data)
-        if kind is not None:
-            self._bump(kind, fingerprint_rehashes=1)
-        session = Dataset(self, None, data, fingerprint)
-        evicted = 0
-        with self._sessions_lock:
-            self._sessions[key] = session
-            self._sessions.move_to_end(key)
-            while len(self._sessions) > self._fingerprint_memo_size:
-                self._sessions.popitem(last=False)
-                evicted += 1
-        if evicted and kind is not None:
-            self._bump(kind, fingerprint_evictions=evicted)
-        return session
-
-    def _fingerprint(self, data: Any, *, kind: Optional[str] = None) -> str:
-        """Memoized content fingerprint (see :meth:`_anonymous_attach`)."""
-        return self._anonymous_attach(data, kind=kind).fingerprint
-
-    def artifact_key(self, kind: str, data: Any) -> ArtifactKey:
-        """The monolithic artifact identity of ``(kind, data)``.
-
-        For sharded kinds this is still the *dataset-level* identity (useful
-        as a stable handle); the per-shard keys derive from it via
-        :meth:`~repro.service.sharding.ShardPlanner.shard_key`.
-        """
-        registration = self._registration(kind)
-        return ArtifactKey(
-            fingerprint=self._fingerprint(data, kind=kind),
-            scheme=registration.scheme.name,
-            params=registration.params,
-        )
-
     def _build_lock(self, key: ArtifactKey) -> threading.Lock:
         with self._build_locks_guard:
             lock = self._build_locks.get(key)
@@ -754,98 +617,20 @@ class QueryEngine:
                 lock = self._build_locks[key] = threading.Lock()
             return lock
 
-    def resolve(self, kind: str, data: Any) -> Any:
-        """The Pi-structure for ``(kind, data)``: cache, then store, then build.
-
-        Returns the scheme's preprocessed structure -- or, for a kind
-        registered with ``shards=K``, a
-        :class:`~repro.service.sharding.ShardedStructure` bundling the plan
-        with every per-shard structure (missing shards built in parallel).
-
-        Payload-form resolution: the dataset is adapted through an anonymous
-        attach.  Named sessions resolve via
-        :meth:`~repro.service.dataset.Dataset.warm`.
-        """
-        if self._closed:
-            raise ServiceError("engine is closed")
-        self._registration(kind)  # unknown-kind error before hashing the payload
-        return self._resolve_for(self._anonymous_attach(data, kind=kind), kind)
-
-    def _resolve_for(self, ds: Dataset, kind: str) -> Any:
-        """The structure serving ``kind`` for an attached dataset session.
-
-        The single dispatch point behind every resolution surface: mutable
-        sessions materialize under their writer mutex, shard-overridden
-        kinds go through the planner, and monolithic kinds walk
-        cache -> store -> build -- always with the session's precomputed
-        content identity, never a fingerprint-memo lookup.
-        """
-        if self._closed:
-            raise ServiceError("engine is closed")
-        registration = ds.registration_for(kind)
-        if ds._mutable is not None:
-            return ds._mutable.resolve(kind)
-        if registration.shards > 1:
-            return self._planner.resolve(
-                kind, registration, ds.data, fingerprint=ds.fingerprint
-            )
-        return self._resolve_by_key(kind, registration, ds.artifact_key(kind), ds.data)
-
     def _resolve_by_key(
         self, kind: str, registration: _Registration, key: ArtifactKey, content: Any
     ) -> Any:
         """Monolithic cache -> store -> build resolution for a known key.
 
-        Shared by the session dispatch above and by mutable-session
-        materialization (:mod:`repro.service.dataset`), so the probe /
-        stat-bump / miss sequence exists exactly once.
+        Shared by serve-plan capture and by mutable-session materialization
+        (:mod:`repro.service.dataset`), so the probe / stat-bump / miss
+        sequence exists exactly once.
         """
         structure = self._cache.get(key)
         if structure is not None:
             self._bump(kind, cache_hits=1)
             return structure
         return self._resolve_miss(kind, registration, key, content)
-
-    def _serve_for(
-        self, ds: Dataset, kind: str, query: Any, tracker: Any = None
-    ) -> bool:
-        """Answer one query for an attached session (all three paths).
-
-        This is the *general* serving path: per-request registration lookup,
-        cache-probing resolution, and -- when ``tracker`` is given -- the
-        analytic evaluator charging every comparison to it.  Named sessions
-        bypass it at steady state through their cached serve plans
-        (:mod:`repro.service.dataset`); anonymous adapter sessions and
-        first-touch/tracked requests land here.
-        """
-        if self._closed:
-            raise ServiceError("engine is closed")
-        registration = ds.registration_for(kind)
-        if ds._mutable is not None:
-            return ds._mutable.query(kind, query, tracker)
-        if registration.shards > 1:
-            # Route-aware scatter-gather: the query is rewritten and routed
-            # once, and only the shards it scatters to are resolved (cold
-            # shards build lazily, in parallel).
-            try:
-                answer, serve_seconds = self._planner.serve(
-                    kind, registration, ds.data, query, tracker,
-                    fingerprint=ds.fingerprint,
-                )
-            except Exception:
-                self._bump(kind, serve_errors=1)
-                raise
-            self._count_serve(kind, queries=1, serve_seconds=serve_seconds)
-            return answer
-        structure = self._resolve_for(ds, kind)
-        started = time.perf_counter()
-        try:
-            answer = registration.scheme.answer(structure, query, tracker)
-        except Exception:
-            self._bump(kind, serve_errors=1)
-            raise
-        self._count_serve(kind, queries=1, serve_seconds=time.perf_counter() - started)
-        return answer
 
     def _resolve_miss(
         self,
@@ -950,15 +735,6 @@ class QueryEngine:
             return structure
         return None
 
-    def warm(self, kind: str, data: Any) -> ArtifactKey:
-        """Pre-build (and persist) the artifact(s) for ``(kind, data)``.
-
-        For sharded kinds this builds every shard; the returned key is the
-        dataset-level identity (see :meth:`artifact_key`).
-        """
-        self.resolve(kind, data)
-        return self.artifact_key(kind, data)
-
     # -- serve-plan invalidation -------------------------------------------------
 
     def _watch_plan_key(self, key: ArtifactKey, dataset: Dataset, kind: str) -> None:
@@ -1008,44 +784,19 @@ class QueryEngine:
 
         The hot-path replacement for ``_bump(kind, queries=..., ...)``:
         every per-query statistic goes through here; ``_bump`` (lock-held)
-        remains for rare events -- builds, hits, deltas, memo accounting.
+        remains for rare events -- builds, hits, deltas, health counters.
         """
         slot = self._query_counters.slot(kind)
         slot[0] += queries
         slot[1] += serve_seconds
         slot[2] += shard_serve_seconds
 
-    def invalidate(self, data: Any) -> None:
-        """Forget a payload dataset after in-place mutation.
-
-        Drops the anonymous session memoized for this object, the cached
-        monolithic structures built from its old content (for every
-        registered kind), any memoized shard plans, and any idle per-key
-        build-lock entries for the old content -- so the next request
-        re-fingerprints the new content and builds or loads the matching
-        artifacts, and a long-lived engine cannot accumulate lock entries
-        for keys that will never be resolved again.  Shard artifacts are
-        content-addressed, so shards whose content survived the mutation
-        still resolve warm; artifacts for the *old* content stay in the
-        store -- they are still correct for that content.
-
-        Named sessions have no in-place-mutation contract: mutate them
-        through :meth:`~repro.service.dataset.Dataset.apply_changes`, or
-        detach and re-attach.
-        """
-        with self._sessions_lock:
-            session = self._sessions.pop(id(data), None)
-        if session is None:
-            return
-        if not self._fingerprint_in_use(session.fingerprint):
-            self._evict_content(session.fingerprint)
-
     def _fingerprint_in_use(self, fingerprint: str) -> bool:
         """True while an *attached* session still serves this content.
 
         Cached structures are content-addressed, so equal-content datasets
-        share them; eviction (on detach or invalidate) must not pull a
-        structure out from under a surviving session of the same content.
+        share them; eviction on detach must not pull a structure out from
+        under a surviving session of the same content.
         """
         with self._datasets_guard:
             return any(
@@ -1073,37 +824,6 @@ class QueryEngine:
             with self._build_locks_guard:
                 self._build_locks.pop(key, None)
 
-    # -- mutable datasets --------------------------------------------------------
-
-    def open_dataset(self, kind: str, data: Any) -> "DatasetHandle":
-        """A mutable, versioned handle on ``(kind, data)`` -- one kind only.
-
-        The returned :class:`~repro.service.mutable.DatasetHandle` owns a
-        private working copy of ``data`` (the caller's object is never
-        touched) and serves snapshot-consistent answers while
-        ``apply_changes`` batches mutate the underlying Pi-structure in
-        place -- or, for sharded kinds and schemes without an
-        ``apply_delta`` hook, rebuild through the ordinary artifact layers.
-        Close the handle (or the engine) to flush write-behind state.
-
-        To serve one mutable dataset under *several* kinds behind a single
-        snapshot latch, use :meth:`attach` with ``mutable=True`` instead.
-        """
-        if self._closed:
-            raise ServiceError("engine is closed")
-        from repro.service.mutable import DatasetHandle
-
-        registration = self._registration(kind)
-        handle = DatasetHandle(self, kind, registration, data)
-        with self._handles_guard:
-            self._handles.append(handle)
-        return handle
-
-    def _forget_handle(self, handle: Any) -> None:
-        with self._handles_guard:
-            if handle in self._handles:
-                self._handles.remove(handle)
-
     def _ensure_persist_pool(self) -> ThreadPoolExecutor:
         """The single-worker pool draining write-behind persists in order."""
         with self._pool_guard:
@@ -1118,29 +838,19 @@ class QueryEngine:
     # -- execution -------------------------------------------------------------
 
     def execute(self, request: QueryRequest) -> bool:
-        """Answer one request through the artifact layers.
+        """Answer one request through the attached session it names.
 
-        Named requests (``dataset=...``) serve through the attached session;
-        payload requests (``data=...``) are adapted via an anonymous attach
-        (the deprecated compatibility path -- see :class:`QueryRequest`).
         Returns the Boolean answer; serve time (including scatter-gather for
         sharded kinds) is recorded per kind.
         """
         if self._closed:
             raise ServiceError("engine is closed")
-        if request.dataset is not None:
-            if request.data is not None:
-                raise ServiceError(
-                    "request names both a dataset and a payload; pass exactly one"
-                )
-            return self.dataset(request.dataset).query(request.kind, request.query)
-        if request.data is None:
+        if request.dataset is None:
             raise ServiceError(
-                "request carries neither a dataset name nor a payload"
+                "request names no dataset; attach the payload once with "
+                "engine.attach(name, data) and pass dataset=name"
             )
-        self._registration(request.kind)  # unknown-kind error before hashing
-        session = self._anonymous_attach(request.data, kind=request.kind)
-        return self._serve_for(session, request.kind, request.query)
+        return self.dataset(request.dataset).query(request.kind, request.query)
 
     def execute_batch(
         self,
@@ -1221,9 +931,8 @@ class QueryEngine:
         self._query_counters.reset()
 
     def close(self) -> None:
-        """Detach attached datasets and close open dataset handles (flushing
-        write-behind state), then shut down the serving, shard-build and
-        persist pools; further work errors.
+        """Detach attached datasets (flushing write-behind state), then shut
+        down the serving, shard-build and persist pools; further work errors.
 
         A session whose final flush fails (e.g.
         :class:`~repro.core.errors.WriteBehindError` after a disk-full
@@ -1249,13 +958,6 @@ class QueryEngine:
                     self.detach(name)
                 except UnknownDatasetError:  # pragma: no cover - concurrent detach
                     pass
-                except Exception as exc:
-                    errors.append(exc)
-            with self._handles_guard:
-                handles = list(self._handles)
-            for handle in handles:
-                try:
-                    handle.close()
                 except Exception as exc:
                     errors.append(exc)
             self._closed = True

@@ -33,7 +33,7 @@ Injection sites and their recovery policies (see ``docs/architecture.md``,
     An eviction storm: every cache insert force-evicts ``storm_size``
     entries, racing the serve-plan invalidation watchers.
 ``mutable.delta``
-    ``apply_delta`` raises mid-batch.  Recovery: the handle commits the
+    ``apply_delta`` raises mid-batch.  Recovery: the session commits the
     batch to content and repairs the structure by rebuild, so no torn
     snapshot is ever published.
 ``worker.serve``

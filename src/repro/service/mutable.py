@@ -1,17 +1,15 @@
-"""Mutable datasets: delta-maintained Pi-structures behind versioned handles.
+"""Mutable datasets: the write machinery behind ``attach(..., mutable=True)``.
 
 The paper's amortization argument (preprocess once in PTIME, serve many
 polylog queries) meets production traffic here: datasets *mutate*.  Section
 4(7) analyses incremental evaluation against |CHANGED| = |dD| + |dO| -- the
 payoff of preprocessing survives updates only if maintaining Pi(D) costs a
-function of the change, not of |D|.  This module provides the shared write
-machinery:
+function of the change, not of |D|.  This module provides the write
+machinery the mutable :class:`~repro.service.dataset.Dataset` sessions are
+built on:
 
 * :class:`MutableContent` -- the private working copy of a dataset plus the
-  bag bookkeeping (validation, no-op screening, change application) shared
-  by every mutable serving surface: the single-kind :class:`DatasetHandle`
-  below and the multi-kind :class:`~repro.service.dataset.Dataset` sessions
-  created by ``QueryEngine.attach(..., mutable=True)``;
+  bag bookkeeping (validation, no-op screening, change application);
 * :class:`VersionedStructures` -- left-right versioned snapshot publication:
   readers pin the current :class:`_Version` record with a single attribute
   load and serve **lock-free** (no latch, no Condition -- a writer can never
@@ -19,44 +17,34 @@ machinery:
   into an offline twin set, publish the new version pointer atomically, and
   re-apply the batch to the retired set -- delta cost is paid twice
   (O(|CHANGED|) each), never an O(|D|) clone;
-* :class:`SnapshotLatch` -- the writer-preferring reader--writer latch the
-  serve path used before versioned publication.  No longer on any hot path;
-  kept exported for external callers that built on it (see the migration
-  note in ``docs/architecture.md``);
 * :func:`advance_lineage` -- the O(|CHANGED|) versioned-fingerprint chain
   that gives every applied batch a distinct artifact identity without an
   O(|D|) re-hash, over the canonical change encoding of
   :func:`canonical_change_bytes` (stable across processes, unlike ``repr``).
 
-``QueryEngine.open_dataset(kind, data)`` returns a :class:`DatasetHandle`
-serving **one** kind; ``handle.apply_changes(batch)`` routes a batch of
-:mod:`repro.incremental.changes` records to the scheme's
+``ds.apply_changes(batch)`` routes a batch of
+:mod:`repro.incremental.changes` records to each served kind's
 ``PiScheme.apply_delta`` hook, mutating the offline structure in place in
 O(|CHANGED| * polylog).  Schemes without a hook -- and sharded registrations
 -- fall back automatically to a rebuild through the engine, where
 content-addressed shard artifacts turn the rebuild into a
 touched-shards-only build.  Dirty structures are re-persisted
-asynchronously (write-behind); ``flush()``/``close()`` force the write.
-
-For datasets served under *several* kinds at once, prefer the dataset-first
-surface: ``engine.attach(name, data, mutable=True)`` (see
-:mod:`repro.service.dataset`), which folds each batch into every served
-structure behind one writer mutex and one published version pointer.
+asynchronously (write-behind); ``flush()``/``detach()`` force the write.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
     >>> from repro.incremental.changes import ChangeKind, TupleChange
     >>> engine = QueryEngine()
     >>> engine.register("membership", membership_class(), sorted_run_scheme())
-    >>> handle = engine.open_dataset("membership", (3, 1, 4))
-    >>> handle.query(9)
+    >>> ds = engine.attach("readings", (3, 1, 4), mutable=True)
+    >>> ds.query("membership", 9)
     False
-    >>> _ = handle.apply_changes([TupleChange(ChangeKind.INSERT, (9,))])
-    >>> handle.query(9), handle.version
+    >>> _ = ds.apply_changes([TupleChange(ChangeKind.INSERT, (9,))])
+    >>> ds.query("membership", 9), ds.version
     (True, 1)
     >>> engine.stats().per_kind["membership"].delta_batches
     1
-    >>> handle.close(); engine.close()
+    >>> engine.close()
 """
 
 from __future__ import annotations
@@ -67,26 +55,10 @@ import time
 import weakref
 from collections import Counter
 from contextlib import contextmanager
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
-from repro.core.errors import (
-    DeltaError,
-    SchemaError,
-    ServiceError,
-    WriteBehindError,
-)
-from repro.service import faults
+from repro.core.errors import DeltaError, SchemaError, ServiceError
 from repro.incremental.changes import (
     ChangeKind,
     ChangeLog,
@@ -94,99 +66,13 @@ from repro.incremental.changes import (
     PointWrite,
     TupleChange,
 )
-from repro.service.artifacts import ArtifactKey
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.service.engine import QueryEngine, _Registration
 
 __all__ = [
-    "SnapshotLatch",
     "MutableContent",
-    "DatasetHandle",
     "VersionedStructures",
     "advance_lineage",
     "canonical_change_bytes",
 ]
-
-
-class SnapshotLatch:
-    """A writer-preferring reader--writer latch for snapshot serving.
-
-    Readers share the latch, so queries run concurrently; a writer excludes
-    everyone, so a change batch is applied atomically with respect to every
-    reader -- a query observes the version before the batch or the version
-    after it, never the middle.  Writer preference (new readers queue behind
-    a waiting writer) bounds writer latency under heavy read traffic.
-
-    The mutable serving surfaces no longer read under this latch -- they
-    publish immutable version records through :class:`VersionedStructures`,
-    so readers never block on writers at all.  The latch stays exported for
-    external callers that coordinate their own snapshot steps with it.
-    """
-
-    def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
-
-    def acquire_read(self) -> None:
-        """Shared acquisition, plain-call form.
-
-        A ``@contextmanager`` generator costs a couple of microseconds per
-        entry/exit, so latency-sensitive callers pair this with
-        :meth:`release_read` in a ``try/finally`` instead of entering
-        :meth:`read`.
-        """
-        with self._condition:
-            while self._writer_active or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        """Release one shared acquisition taken by :meth:`acquire_read`.
-
-        An unmatched release raises instead of driving the reader count
-        negative -- a silent underflow would admit a writer while another
-        reader is still inside its critical section, turning a caller bug
-        into a torn snapshot.
-        """
-        with self._condition:
-            if self._readers <= 0:
-                raise RuntimeError(
-                    "SnapshotLatch.release_read() without a matching "
-                    "acquire_read(): the latch is not read-held"
-                )
-            self._readers -= 1
-            if not self._readers:
-                self._condition.notify_all()
-
-    @contextmanager
-    def read(self):
-        """Shared acquisition: any number of concurrent readers."""
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write(self):
-        """Exclusive acquisition: waits out readers, blocks new ones."""
-        with self._condition:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._condition.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
-        try:
-            yield
-        finally:
-            with self._condition:
-                self._writer_active = False
-                self._condition.notify_all()
 
 
 # -- versioned snapshot publication (the lock-free read protocol) --------------
@@ -310,10 +196,10 @@ class _Version:
 class VersionedStructures:
     """Left-right versioned snapshot publication for mutable serving.
 
-    The mutable read path used to take a shared :class:`SnapshotLatch` per
-    query; under a 90/10 read/write mix the writer-preferring queueing
-    inflated read p999 ~3x (see ``BENCH_workloads.json``).  This class
-    removes readers from the lock protocol entirely:
+    A reader--writer latch on the read path inflates read p999 ~3x under a
+    90/10 read/write mix (writer-preferring queueing; see
+    ``BENCH_workloads.json``).  This class keeps readers out of the lock
+    protocol entirely:
 
     * **Readers** pin the current :class:`_Version` record lock-free: load
       :attr:`current`, announce its number in a per-thread slot, re-check
@@ -506,8 +392,7 @@ class MutableContent:
     Owns a private mutable copy of the dataset (list / relation / graph) --
     the caller's object is never touched, and a fallback rebuild always has
     the post-batch content -- plus the bag bookkeeping that makes batch
-    validation and no-op screening O(1) per change.  Both the single-kind
-    :class:`DatasetHandle` and the multi-kind mutable
+    validation and no-op screening O(1) per change.  The mutable
     :class:`~repro.service.dataset.Dataset` sessions delegate here, so the
     change semantics (atomic validation, phantom-delete screening, working
     application order) are defined exactly once.
@@ -578,8 +463,8 @@ class MutableContent:
     def canonical(self) -> Any:
         """A fresh snapshot of the working data, typed like the original.
 
-        Always a new object, so the engine's identity-memoized fingerprints
-        can never alias a mutated working copy.
+        Always a new object, so a rebuilt structure can never alias the
+        mutated working copy.
         """
         if _is_relation(self.working):
             copy = type(self.working)(self.working.schema)
@@ -702,494 +587,3 @@ class MutableContent:
                 self.working.remove_edge(change.source, change.target)
         else:  # PointWrite
             self.working[change.position] = change.value
-
-
-class DatasetHandle:
-    """One mutable dataset served under snapshot isolation, for one kind.
-
-    Created by :meth:`repro.service.engine.QueryEngine.open_dataset`; not
-    meant to be constructed directly.  The handle owns
-
-    * a **working copy** of the dataset (a :class:`MutableContent`), so the
-      caller's object is never mutated and a fallback rebuild always has the
-      post-batch content;
-    * **twin private structures** behind a :class:`VersionedStructures` --
-      for delta-capable monolithic schemes the resolved structure is
-      re-privatized through the scheme codec (twice: one instance per
-      left-right side), so in-place maintenance can never corrupt structures
-      shared through the engine cache;
-    * the **version records** and the write-behind persistence state.
-
-    Thread safety: readers are lock-free.  Any number of threads may call
-    :meth:`query`/:meth:`query_batch` concurrently with writers calling
-    :meth:`apply_changes` and never block on them -- each read pins the
-    current published version (one attribute load plus a per-thread
-    announce slot) and always observes a fully-applied batch, never the
-    middle of one.  Writers serialize among themselves on the writer mutex;
-    concurrent batches apply in mutex-acquisition order.
-
-    The handle serves exactly the kind it was opened for.  To serve one
-    mutable dataset under several kinds behind a single version pointer,
-    use the dataset-first surface (``engine.attach(..., mutable=True)``;
-    see :mod:`repro.service.dataset`).
-    """
-
-    def __init__(
-        self,
-        engine: "QueryEngine",
-        kind: str,
-        registration: "_Registration",
-        data: Any,
-    ) -> None:
-        self._engine = engine
-        self._kind = kind
-        self._registration = registration
-        self._persist_guard = threading.Lock()
-        self._persist_future = None
-        # Terminal write-behind store failure, surfaced by the next flush()
-        # (a newer batch replacing the future must not drop it).
-        self._persist_error: Optional[BaseException] = None
-        self._persisted_version = 0
-        self._closed = False
-        self.tracker = CostTracker()
-        self.log = ChangeLog()
-
-        self._content = MutableContent(data, self.tracker, self.log)
-        self._base_fingerprint = engine._fingerprint(data, kind=kind)
-        self._versions = VersionedStructures(self._base_fingerprint)
-        published = self._private_structure(data)
-        self._versions.install(
-            kind, published, self._twin_structure(published, data)
-        )
-
-    # -- structure ownership ---------------------------------------------------
-
-    def _private_structure(self, data: Any) -> Any:
-        """Resolve ``(kind, data)`` and privatize when maintenance mutates.
-
-        Sharded registrations and schemes without ``apply_delta`` never
-        mutate structures, so the engine-shared resolution is safe to hold.
-        Delta-capable monolithic schemes get a private copy: a codec
-        round-trip when serializable (keeps warm cache/store resolution),
-        else a fresh private build.
-        """
-        scheme = self._registration.scheme
-        if self._registration.shards > 1 or scheme.apply_delta is None:
-            return self._engine.resolve(self._kind, data)
-        if scheme.serializable:
-            return scheme.load(scheme.dump(self._engine.resolve(self._kind, data)))
-        started = time.perf_counter()
-        structure = scheme.preprocess(data, self.tracker)
-        self._engine._bump(
-            self._kind, builds=1, build_seconds=time.perf_counter() - started
-        )
-        return structure
-
-    def _twin_structure(self, structure: Any, content: Any) -> Any:
-        """The offline-side twin of a published structure.
-
-        Only delta-capable monolithic kinds are mutated in place, so only
-        they need a second instance -- a codec round-trip when serializable,
-        else a second private build (privatization, not a cache miss: it is
-        not counted as a build).  Everything else shares one instance across
-        both left-right sides.
-        """
-        scheme = self._registration.scheme
-        if self._registration.shards > 1 or scheme.apply_delta is None:
-            return structure
-        if scheme.serializable:
-            return scheme.load(scheme.dump(structure))
-        return scheme.preprocess(content, self.tracker)
-
-    def _rematerialize(self) -> None:
-        """Re-install structures after a failed repair-rebuild dropped them.
-
-        Callers must be idle (no announced slot): an announced reader
-        blocking on the writer mutex would deadlock a draining writer.
-        Benign to race -- every contender builds from the same post-batch
-        content under the mutex, and only the first installs.
-        """
-        versions = self._versions
-        with versions.writer_mutex:
-            if versions.current.structures.get(self._kind) is not None:
-                return
-            content = self._content.canonical()
-            published = self._private_structure(content)
-            versions.install(
-                self._kind, published, self._twin_structure(published, content)
-            )
-
-    # -- identity and versions -------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def version(self) -> int:
-        """Monotonic count of applied (non-empty) change batches."""
-        return self._versions.current.number
-
-    @property
-    def dirty(self) -> bool:
-        """True while a delta-maintained version awaits persistence."""
-        return self._persisted_version < self._versions.current.number
-
-    def fingerprint(self) -> str:
-        """The versioned content identity: a lineage hash of the history.
-
-        Version 0 is the plain dataset fingerprint (the handle aliases the
-        engine's ordinary artifact); later versions chain batches through
-        :func:`advance_lineage`.
-        """
-        return self._versions.current.lineage
-
-    def artifact_key(self) -> ArtifactKey:
-        """Identity of this version's artifact in cache/store terms."""
-        return ArtifactKey(
-            fingerprint=self.fingerprint(),
-            scheme=self._registration.scheme.name,
-            params=self._registration.params,
-        )
-
-    def dataset(self) -> Any:
-        """A consistent snapshot of the current dataset content."""
-        with self._versions.writer_mutex:
-            return self._content.canonical()
-
-    # -- serving ---------------------------------------------------------------
-
-    def _answer(self, query: Any, structure: Any) -> bool:
-        """Evaluate one query over a pinned structure.
-
-        The handle is the *analytic* mutable surface: evaluation charges the
-        handle's own cost tracker (the |CHANGED|-vs-|D| accounting of the
-        Section 4(7) experiments).  Untracked production serving goes
-        through mutable :class:`~repro.service.dataset.Dataset` sessions.
-        A kernel exception bumps ``serve_errors`` before propagating, so
-        failed serves are never invisible to health accounting.
-        """
-        registration = self._registration
-        started = time.perf_counter()
-        try:
-            if registration.shards > 1:
-                answer = self._engine._planner.answer(
-                    self._kind, registration, structure, query, self.tracker
-                )
-            else:
-                answer = registration.scheme.answer(structure, query, self.tracker)
-        except Exception:
-            self._engine._bump(self._kind, serve_errors=1)
-            raise
-        self._engine._count_serve(
-            self._kind, queries=1, serve_seconds=time.perf_counter() - started
-        )
-        # Preserve an explicit DegradedAnswer marker; plain bool otherwise.
-        return answer if isinstance(answer, faults.DegradedAnswer) else bool(answer)
-
-    def query(self, query: Any) -> bool:
-        """Answer one query against the current version (snapshot-consistent).
-
-        Lock-free: pins the published version record and serves from it --
-        concurrent with other readers *and* with writers, which can never
-        block a read.  The answer always reflects a fully-applied version.
-        """
-        versions = self._versions
-        slot = versions.slot()
-        version = versions.pin(slot)
-        try:
-            self._check_open()
-            structure = version.structures.get(self._kind)
-            if structure is None:
-                # A failed repair-rebuild dropped the structure (see
-                # apply_changes); go idle, re-materialize from current
-                # content under the writer mutex, and re-pin.
-                versions.release(slot)
-                self._rematerialize()
-                version = versions.pin(slot)
-                structure = version.structures[self._kind]
-            return self._answer(query, structure)
-        finally:
-            versions.release(slot)
-
-    def query_batch(self, queries: Iterable[Any]) -> List[bool]:
-        """Answer several queries against **one** version (batch-atomic).
-
-        One version record is pinned across the whole batch, so every
-        answer reflects the same fully-applied version -- the multi-probe
-        counterpart of :meth:`query`'s snapshot guarantee (and what the
-        torn-snapshot stress test in ``tests/unit/test_mutable_engine.py``
-        pins down).  Batch atomicity is one pointer read, not a lock.
-        """
-        batch = list(queries)
-        versions = self._versions
-        slot = versions.slot()
-        version = versions.pin(slot)
-        try:
-            self._check_open()
-            structure = version.structures.get(self._kind)
-            if structure is None:
-                versions.release(slot)
-                self._rematerialize()
-                version = versions.pin(slot)
-                structure = version.structures[self._kind]
-            return [self._answer(query, structure) for query in batch]
-        finally:
-            versions.release(slot)
-
-    # -- mutation --------------------------------------------------------------
-
-    def apply_changes(self, changes: Iterable[Any]) -> ChangeLog:
-        """Apply one change batch atomically; returns the cumulative log.
-
-        The batch is validated up front (malformed changes raise
-        :class:`~repro.core.errors.DeltaError` with nothing applied), no-op
-        deletes are screened out, and the remainder goes to the scheme's
-        ``apply_delta`` hook -- O(|CHANGED| * polylog) in-place maintenance
-        against the *offline* twin, which readers cannot see.  The new
-        version is then published with one atomic pointer store, readers
-        still pinned to the retired version are drained, and the batch is
-        re-applied to the retired twin (the next offline side) -- the
-        left-right double-apply, so delta cost is paid twice but an O(|D|)
-        clone is never paid at all.
-
-        When the scheme has no hook, the hook refuses the batch, or the
-        kind is sharded, the handle falls back to resolving the post-batch
-        content through the engine: sharded kinds rebuild only the touched
-        shards (content-addressed artifacts), monolithic kinds rebuild in
-        full.  Either way readers never observe an intermediate state, and
-        a torn fold can never be published.
-        """
-        batch = list(changes)
-        versions = self._versions
-        with versions.writer_mutex:
-            self._check_open()
-            self._content.validate(batch)
-            effective = self._content.screen(batch)
-            if not effective:
-                # Every screened change was already logged by screen().
-                self.log.record(0, 0, "batch screened to no-ops")
-                return self.log
-            registration = self._registration
-            scheme = registration.scheme
-            offline = versions.offline
-            applied_by_delta = False
-            torn = False
-            started = time.perf_counter()
-            if (
-                registration.shards == 1
-                and scheme.apply_delta is not None
-                and offline.get(self._kind) is not None
-            ):
-                try:
-                    if faults._PLAN is not None:
-                        faults.on_delta_apply(self._kind)
-                    offline[self._kind] = scheme.apply_delta(
-                        offline[self._kind], effective, self.tracker
-                    )
-                    applied_by_delta = True
-                except DeltaError:
-                    # Contract: raised *before* mutating -- plain fallback.
-                    applied_by_delta = False
-                except Exception:
-                    # Crashed mid-fold: only the offline twin may be torn;
-                    # the published side was never touched, so no reader
-                    # can see the tear.  The batch still commits (content
-                    # is the source of truth) and the rebuild below
-                    # replaces the torn twin before anything is published.
-                    torn = True
-            for change in effective:
-                self._content.apply(change)
-            current = versions.current
-            number = current.number + 1
-            lineage = advance_lineage(current.lineage, number, effective)
-            canonical = None
-            fresh = None
-            if not applied_by_delta:
-                canonical = self._content.canonical()
-                try:
-                    fresh = self._private_structure(canonical)
-                except BaseException:
-                    # Never publish (or retain) a possibly-torn structure:
-                    # drop the kind from both sides, still commit the
-                    # version, and let the next query re-materialize from
-                    # the post-batch content -- degraded-and-loud, never
-                    # silently wrong.
-                    offline.pop(self._kind, None)
-                    versions.publish(number, lineage)
-                    versions.drain()
-                    versions.offline.pop(self._kind, None)
-                    raise
-                offline[self._kind] = fresh
-            versions.publish(number, lineage)
-            elapsed = time.perf_counter() - started
-            if applied_by_delta:
-                self._engine._bump(
-                    self._kind,
-                    delta_batches=1,
-                    delta_changes=len(effective),
-                    delta_seconds=elapsed,
-                )
-            else:
-                self._engine._bump(self._kind, fallback_rebuilds=1)
-                if torn:
-                    self._engine._bump(self._kind, write_rollbacks=1)
-            # Second apply: once readers drain off the retired side, bring
-            # it up to this version so it can serve as the next offline set.
-            versions.drain()
-            retired = versions.offline
-            if applied_by_delta:
-                try:
-                    retired[self._kind] = scheme.apply_delta(
-                        retired[self._kind], effective, self.tracker
-                    )
-                except Exception:
-                    # The published side is intact and current; repair the
-                    # mirror from it so the next batch folds into a correct
-                    # twin.  Loud in the counters, invisible to readers.
-                    retired[self._kind] = self._twin_structure(
-                        versions.current.structures[self._kind],
-                        self._content.canonical(),
-                    )
-                    self._engine._bump(self._kind, write_rollbacks=1)
-            else:
-                retired[self._kind] = self._twin_structure(fresh, canonical)
-            if applied_by_delta:
-                self._schedule_persist()
-            elif self._store_ready():
-                # Uniform durability: the rebuilt structure also lands
-                # under this version's key (the resolve above already
-                # persisted it content-addressed).
-                self._schedule_persist()
-            else:
-                self._persisted_version = number
-            self.log.record(
-                len(effective),
-                0,
-                f"v{number}: {len(effective)} change(s) via "
-                f"{'delta' if applied_by_delta else 'rebuild'}"
-                + (f", {len(batch) - len(effective)} screened" if len(batch) != len(effective) else ""),
-            )
-            return self.log
-
-    # -- write-behind persistence ----------------------------------------------
-
-    def _store_ready(self) -> bool:
-        return (
-            self._engine._store is not None
-            and self._registration.shards == 1
-            and self._registration.scheme.dump is not None
-        )
-
-    def _schedule_persist(self) -> None:
-        """Queue an asynchronous re-persist of the current dirty version."""
-        if not self._store_ready():
-            return
-        target = self._versions.current.number
-        pool = self._engine._ensure_persist_pool()
-        with self._persist_guard:
-            self._persist_future = pool.submit(self._persist, target)
-
-    def _persist(self, target: int) -> None:
-        """Dump version ``target`` if still current and write it through.
-
-        The dump runs with the version pinned exactly like a reader --
-        writers drain pinned readers before re-folding a retired structure,
-        so the bytes are a consistent snapshot -- and the store write runs
-        unpinned.  A stale target (a newer batch already published) is
-        skipped; the newer batch queued its own task.
-
-        Store failures (disk full, unwritable root) are retried with
-        backoff per the recovery policy; a terminal failure is recorded and
-        raised by the next :meth:`flush` -- even if a newer batch replaces
-        this task's future, the error is never silently dropped.  The
-        in-memory structure stays current either way; only durability lags.
-        """
-        with self._versions.pinned() as version:
-            if version.number != target or self._persisted_version >= target:
-                return
-            structure = version.structures.get(self._kind)
-            if structure is None:
-                return
-            payload = self._registration.scheme.dump(structure)
-            key = ArtifactKey(
-                fingerprint=version.lineage,
-                scheme=self._registration.scheme.name,
-                params=self._registration.params,
-            )
-        recovery = faults.policy()
-        backoff = recovery.writebehind_backoff_seconds
-        attempts = max(1, recovery.writebehind_attempts)
-        for attempt in range(attempts):
-            try:
-                self._engine._store.put(key, payload)
-                break
-            except Exception as exc:
-                if attempt + 1 < attempts:
-                    self._engine._bump(self._kind, writebehind_retries=1)
-                    time.sleep(backoff)
-                    backoff *= 2
-                    continue
-                self._engine._bump(self._kind, writebehind_failures=1)
-                with self._persist_guard:
-                    self._persist_error = exc
-                return
-        with self._persist_guard:
-            self._persisted_version = max(self._persisted_version, target)
-            self._persist_error = None
-
-    def flush(self) -> None:
-        """Write-behind barrier: returns with the current version durable.
-
-        Raises :class:`~repro.core.errors.WriteBehindError` (with the store
-        failure as ``__cause__``) when write-behind exhausted its retries
-        and a final synchronous attempt here still fails -- a stale on-disk
-        artifact is surfaced, never silently dropped.
-        """
-        with self._persist_guard:
-            future = self._persist_future
-        if future is not None:
-            future.result()
-        if self._store_ready():
-            self._persist(self._versions.current.number)
-        with self._persist_guard:
-            cause = self._persist_error
-        if cause is not None:
-            raise WriteBehindError(
-                f"write-behind persistence failed for kind {self._kind!r} "
-                f"at version {self.version}; the in-memory structure is "
-                f"current but the on-disk artifact is stale"
-            ) from cause
-
-    # -- lifecycle ---------------------------------------------------------------
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise ServiceError(f"dataset handle for kind {self._kind!r} is closed")
-        if self._engine._closed:
-            raise ServiceError("engine is closed")
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Flush dirty state, then detach; further queries/batches error.
-
-        A failed final flush (:class:`~repro.core.errors.WriteBehindError`)
-        still closes the handle -- the error propagates *after* the handle
-        is detached, so shutdown cannot wedge on a dead store."""
-        if self._closed:
-            return
-        try:
-            self.flush()
-        finally:
-            with self._versions.writer_mutex:
-                self._closed = True
-            self._engine._forget_handle(self)
-
-    def __enter__(self) -> "DatasetHandle":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

@@ -374,7 +374,7 @@ class ShardPlanner:
         kind: str,
         registration: "_Registration",
         data: Any,
-        fingerprint: Optional[str] = None,
+        fingerprint: str,
     ) -> ShardedStructure:
         """All shard structures for (kind, data), building misses in parallel.
 
@@ -382,13 +382,9 @@ class ShardPlanner:
         Cold path: every missing shard build is dispatched to the planner
         pool (engine stats record per-shard build counts and seconds).
 
-        ``fingerprint`` is the dataset's content identity when the caller
-        already knows it (an attached :class:`~repro.service.dataset.Dataset`
-        computes it once at attach); without it the engine's identity memo is
-        consulted -- an O(|D|) re-hash on a memo miss.
+        ``fingerprint`` is the dataset's content identity (an attached
+        :class:`~repro.service.dataset.Dataset` computes it once at attach).
         """
-        if fingerprint is None:
-            fingerprint = self._engine._fingerprint(data, kind=kind)
         plan = self.plan(kind, registration, data, fingerprint)
         structures = self._resolve_positions(
             kind, registration, plan, range(len(plan.planned))
@@ -404,7 +400,8 @@ class ShardPlanner:
         data: Any,
         query: Any,
         tracker: Any = None,
-        fingerprint: Optional[str] = None,
+        *,
+        fingerprint: str,
     ) -> Tuple[bool, float]:
         """Answer one query end to end: route once, resolve routed shards,
         scatter-gather.
@@ -413,11 +410,9 @@ class ShardPlanner:
         shards are resolved (cold shards build lazily, in parallel).
         Returns ``(answer, scatter_seconds)`` -- the time spent evaluating
         partials and merging, which the engine records as the serve cost.
-        ``fingerprint``, when given, skips the engine's identity memo (see
+        ``fingerprint`` is the dataset's content identity (see
         :meth:`resolve`).
         """
-        if fingerprint is None:
-            fingerprint = self._engine._fingerprint(data, kind=kind)
         plan = self.plan(kind, registration, data, fingerprint)
         effective = self._rewrite(registration, query)
         positions = self._route(registration, plan, effective)

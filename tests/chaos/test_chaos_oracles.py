@@ -3,9 +3,11 @@
 The trust argument of the whole fault-injection subsystem: with a
 probability-thinned :class:`~repro.service.faults.FaultPlan` armed --
 corrupt reads, full disks, crashing ``apply_delta``, eviction storms --
-every answer a mutable handle gives over a 520-step random walk must still
-be **correct against a brute-force oracle**, explicitly marked degraded, or
-a loud :class:`~repro.core.errors.ReproError`.  Never silently wrong.
+every answer a mutable session gives over a 520-step random walk -- through
+the untracked kernels (``query``) and the analytic evaluator
+(``query_tracked``) alike -- must still be **correct against a brute-force
+oracle**, explicitly marked degraded, or a loud
+:class:`~repro.core.errors.ReproError`.  Never silently wrong.
 
 Two layers, mirroring ``tests/property/test_prop_mutable.py``:
 
@@ -117,21 +119,31 @@ def _chaos_plan(label: str) -> FaultPlan:
     )
 
 
-def _check(handle, query, expected) -> None:
-    """Correct, explicitly degraded, or loudly raised -- never silently wrong."""
-    try:
-        answer = handle.query(query)
-    except ReproError:
-        return  # a loud failure is an allowed outcome under injection
-    if getattr(answer, "partial", False):
-        return  # explicitly marked degraded
-    assert bool(answer) == bool(expected)
+def _open(engine, kind, data):
+    """A warmed single-kind mutable session (materialized before any plan
+    is armed, so the first batch already folds through the delta hook)."""
+    return engine.attach("live", data, kinds=[kind], mutable=True).warm()
 
 
-def _finish(engine, handle, plan) -> None:
+def _check(ds, kind, query, expected) -> None:
+    """Correct, explicitly degraded, or loudly raised -- never silently wrong.
+
+    Each evaluator is judged on its own: under injection one may raise
+    while the other answers."""
+    for ask in (ds.query, ds.query_tracked):
+        try:
+            answer = ask(kind, query)
+        except ReproError:
+            continue  # a loud failure is an allowed outcome under injection
+        if getattr(answer, "partial", False):
+            continue  # explicitly marked degraded
+        assert bool(answer) == bool(expected), (ask.__name__, kind, query)
+
+
+def _finish(engine, ds, plan) -> None:
     """Disarm, then prove the stack healed: flush durably, faults fired."""
     faults.clear_fault_plan()
-    handle.flush()  # clean store: any stored write-behind error must clear
+    ds.flush()  # clean store: any stored write-behind error must clear
     assert plan.fired_count() > 0  # the walk actually exercised the plan
     engine.close()
 
@@ -141,21 +153,21 @@ def test_chaos_soak_membership(tmp_path):
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
     oracle = [rng.randint(0, 30) for _ in range(16)]
-    handle = engine.open_dataset("membership", tuple(oracle))
+    ds = _open(engine, "membership", tuple(oracle))
     plan = _chaos_plan("membership")
     with plan.armed():
         for _ in range(SOAK_STEPS):
             value = rng.randint(-5, 30)
             roll = rng.random()
             if roll < 0.3:
-                handle.apply_changes([_insert(value)])
+                ds.apply_changes([_insert(value)])
                 oracle.append(value)
             elif roll < 0.5:
-                handle.apply_changes([_delete(value)])
+                ds.apply_changes([_delete(value)])
                 if value in oracle:
                     oracle.remove(value)
-            _check(handle, value, value in oracle)
-    _finish(engine, handle, plan)
+            _check(ds, "membership", value, value in oracle)
+    _finish(engine, ds, plan)
 
 
 def test_chaos_soak_selection(tmp_path):
@@ -163,28 +175,29 @@ def test_chaos_soak_selection(tmp_path):
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("point", point_selection_class(), btree_point_scheme())
     rows = [(rng.randint(0, 15), rng.randint(0, 15)) for _ in range(12)]
-    handle = engine.open_dataset("point", _relation_of(rows))
+    ds = _open(engine, "point", _relation_of(rows))
     plan = _chaos_plan("selection")
     with plan.armed():
         for _ in range(SOAK_STEPS):
             row = (rng.randint(0, 15), rng.randint(0, 15))
             roll = rng.random()
             if roll < 0.3:
-                handle.apply_changes([_insert(*row)])
+                ds.apply_changes([_insert(*row)])
                 rows.append(row)
             elif roll < 0.5 and rows:
                 victim = rng.choice(rows) if rng.random() < 0.7 else row
-                handle.apply_changes([_delete(*victim)])
+                ds.apply_changes([_delete(*victim)])
                 if victim in rows:
                     rows.remove(victim)
             attribute, position = rng.choice([("a", 0), ("b", 1)])
             constant = rng.randint(0, 15)
             _check(
-                handle,
+                ds,
+                "point",
                 (attribute, constant),
                 any(r[position] == constant for r in rows),
             )
-    _finish(engine, handle, plan)
+    _finish(engine, ds, plan)
 
 
 def test_chaos_soak_rmq(tmp_path):
@@ -192,20 +205,20 @@ def test_chaos_soak_rmq(tmp_path):
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("rmq", rmq_class(), fischer_heun_scheme())
     oracle = [rng.randint(-50, 50) for _ in range(24)]
-    handle = engine.open_dataset("rmq", tuple(oracle))
+    ds = _open(engine, "rmq", tuple(oracle))
     plan = _chaos_plan("rmq")
     with plan.armed():
         for _ in range(SOAK_STEPS):
             if rng.random() < 0.5:
                 position = rng.randrange(len(oracle))
                 value = rng.randint(-50, 50)
-                handle.apply_changes([PointWrite(position, value)])
+                ds.apply_changes([PointWrite(position, value)])
                 oracle[position] = value
             i = rng.randrange(len(oracle))
             j = rng.randrange(i, len(oracle))
             p = rng.randrange(i, j + 1)
-            _check(handle, (i, j, p), _rmq_oracle(oracle, i, j, p))
-    _finish(engine, handle, plan)
+            _check(ds, "rmq", (i, j, p), _rmq_oracle(oracle, i, j, p))
+    _finish(engine, ds, plan)
 
 
 def test_chaos_soak_topk(tmp_path):
@@ -213,24 +226,24 @@ def test_chaos_soak_topk(tmp_path):
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("topk", topk_class(), threshold_algorithm_scheme())
     rows = [(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(10)]
-    handle = engine.open_dataset("topk", tuple(rows))
+    ds = _open(engine, "topk", tuple(rows))
     plan = _chaos_plan("topk")
     with plan.armed():
         for _ in range(SOAK_STEPS):
             roll = rng.random()
             if roll < 0.3:
                 row = (rng.randint(0, 20), rng.randint(0, 20))
-                handle.apply_changes([_insert(*row)])
+                ds.apply_changes([_insert(*row)])
                 rows.append(row)
             elif roll < 0.5 and len(rows) > 1:
                 victim = rng.choice(rows)
-                handle.apply_changes([_delete(*victim)])
+                ds.apply_changes([_delete(*victim)])
                 rows.remove(victim)
             weights = (rng.randint(1, 3), rng.randint(1, 3))
             k = rng.randint(1, 8)
             theta = rng.randint(0, 120)
-            _check(handle, (weights, k, theta), _topk_oracle(rows, weights, k, theta))
-    _finish(engine, handle, plan)
+            _check(ds, "topk", (weights, k, theta), _topk_oracle(rows, weights, k, theta))
+    _finish(engine, ds, plan)
 
 
 def test_chaos_soak_reachability(tmp_path):
@@ -239,27 +252,27 @@ def test_chaos_soak_reachability(tmp_path):
     engine.register("reach", reachability_class(), closure_scheme())
     n = 12
     oracle = Digraph(n, [(0, 1), (1, 2)])
-    handle = engine.open_dataset("reach", oracle)
+    ds = _open(engine, "reach", oracle)
     plan = _chaos_plan("reachability")
     with plan.armed():
         for _ in range(SOAK_STEPS):
             u, v = rng.randrange(n), rng.randrange(n)
             roll = rng.random()
             if roll < 0.35:
-                handle.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
+                ds.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
                 oracle.add_edge(u, v)
             elif roll < 0.45:
-                handle.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
+                ds.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
                 oracle.remove_edge(u, v)
             s, t = rng.randrange(n), rng.randrange(n)
-            _check(handle, (s, t), is_reachable(oracle, s, t))
-    _finish(engine, handle, plan)
+            _check(ds, "reach", (s, t), is_reachable(oracle, s, t))
+    _finish(engine, ds, plan)
 
 
 # -- random fault plans interleaved with a stateful oracle ---------------------
 
-#: Scenarios a monolithic mutable handle can meet (shard sites never fire).
-HANDLE_SCENARIOS = (
+#: Scenarios a monolithic mutable session can meet (shard sites never fire).
+SESSION_SCENARIOS = (
     "failed-delta-apply",
     "disk-full-writebehind",
     "corrupt-artifact",
@@ -284,9 +297,9 @@ class ChaosMembershipMachine(RuleBasedStateMachine):
         self.engine = QueryEngine(store=ArtifactStore(self._tmp.name))
         self.engine.register("membership", membership_class(), sorted_run_scheme())
         self.oracle = [3, 1, 4, 1, 5]
-        self.handle = self.engine.open_dataset("membership", tuple(self.oracle))
+        self.ds = _open(self.engine, "membership", tuple(self.oracle))
 
-    @rule(name=st.sampled_from(HANDLE_SCENARIOS), seed=st.integers(0, 999))
+    @rule(name=st.sampled_from(SESSION_SCENARIOS), seed=st.integers(0, 999))
     def arm(self, name, seed):
         if faults.active_plan() is None:
             plan = scenario(
@@ -300,23 +313,23 @@ class ChaosMembershipMachine(RuleBasedStateMachine):
 
     @rule(value=values)
     def insert(self, value):
-        self.handle.apply_changes([_insert(value)])
+        self.ds.apply_changes([_insert(value)])
         self.oracle.append(value)
 
     @rule(value=values)
     def delete(self, value):
-        self.handle.apply_changes([_delete(value)])
+        self.ds.apply_changes([_delete(value)])
         if value in self.oracle:
             self.oracle.remove(value)
 
     @rule(value=values)
     def probe(self, value):
-        _check(self.handle, value, value in self.oracle)
+        _check(self.ds, "membership", value, value in self.oracle)
 
     def teardown(self):
         faults.clear_fault_plan()
         try:
-            self.handle.close()  # clean store: the final flush must succeed
+            self.ds.detach()  # clean store: the final flush must succeed
             self.engine.close()
         finally:
             self._tmp.cleanup()

@@ -62,7 +62,7 @@ def _persisted_membership(tmp_path, data):
     engine whose first query must come from the store."""
     store = ArtifactStore(tmp_path)
     with build_query_engine(store=store) as warmup:
-        warmup.warm("list-membership", data)
+        warmup.attach("d", data, kinds=["list-membership"]).warm()
     return build_query_engine(store=store)
 
 
@@ -85,7 +85,7 @@ def test_corrupt_artifact_recovers_by_bounded_retry(tmp_path):
         stats = engine.stats().per_kind["list-membership"]
         assert stats.store_hits == 1  # the retry read the clean file
         assert stats.builds == 0  # recovery never fell back to a rebuild
-        assert engine._store.contains(engine.artifact_key("list-membership", data))
+        assert engine._store.contains(ds.artifact_key("list-membership"))
 
 
 def test_corrupt_artifact_persistent_rebuilds_from_source(tmp_path):
@@ -262,17 +262,18 @@ def test_failed_delta_apply_commits_batch_and_repairs():
         assert engine.stats().per_kind["list-membership"].delta_batches == 1
 
 
-def test_failed_delta_apply_on_handle_commits_and_repairs():
-    """Same torn-batch guard on the analytic DatasetHandle surface."""
+def test_failed_delta_apply_repair_is_visible_on_the_tracked_path():
+    """Same torn-batch guard through the analytic evaluator
+    (``query_tracked``), on a session warmed instead of first-queried."""
     with build_query_engine() as engine:
-        handle = engine.open_dataset("list-membership", (1, 2, 3))
+        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
+        ds.warm()
         with scenario("failed-delta-apply", seed=CHAOS_SEED).armed():
-            handle.apply_changes([_insert(9)])
-            assert handle.query(9)
+            ds.apply_changes([_insert(9)])
+            assert ds.query_tracked("list-membership", 9)
         health = engine.stats().health()
         assert health["write_rollbacks"] == 1
         assert engine.stats().per_kind["list-membership"].fallback_rebuilds == 1
-        handle.close()
 
 
 # -- store.write ---------------------------------------------------------------
@@ -314,7 +315,7 @@ def test_disk_full_sync_build_serves_from_memory(tmp_path):
             assert not ds.query("list-membership", 99)
         health = engine.stats().health()
         assert health["persist_failures"] == 1
-        assert not store.contains(engine.artifact_key("list-membership", data))
+        assert not store.contains(ds.artifact_key("list-membership"))
         assert engine.stats().per_kind["list-membership"].builds == 1
 
 
@@ -611,7 +612,7 @@ PINNED = {
     "eviction-storm": (test_eviction_storm_never_changes_answers,),
     "failed-delta-apply": (
         test_failed_delta_apply_commits_batch_and_repairs,
-        test_failed_delta_apply_on_handle_commits_and_repairs,
+        test_failed_delta_apply_repair_is_visible_on_the_tracked_path,
     ),
     "slow-worker": (
         test_slow_worker_expired_reads_surface_typed_deadline_errors,

@@ -1,29 +1,22 @@
-"""Property test: the payload-request adapter is indistinguishable (ISSUE 4).
+"""Property test: both ways to address a session are indistinguishable (ISSUE 4).
 
-The compatibility contract of the dataset-first redesign: for any workload,
-payload-style ``QueryRequest(kind, data, query)`` and named-dataset
-``QueryRequest(kind, dataset=..., query=...)`` return **identical answers
+The contract of the dataset-first surface: for any workload, request
+records naming a session (``QueryRequest(kind, dataset=..., query=...)``
+through ``engine.execute``) and the session object itself
+(``Dataset.query_batch``) return **identical answers
 and identical build counts** across all five servable kinds, on both the
 monolithic and the ``shards=4`` paths.  Build-count equality is the strong
-half -- it pins down that the adapter's anonymous attach resolves through
-exactly the same artifact layers as a named session, never a duplicate
-build or a spurious cache split.
+half -- it pins down that every surface resolves through exactly the same
+artifact layers, never a duplicate build or a spurious cache split.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
 from repro.service.engine import QueryRequest
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 #: The five servable kinds with a ShardSpec (point/range selection, list
 #: membership, minimum range query, top-k) -- the same set the engine
@@ -53,17 +46,15 @@ def test_the_five_servable_kinds_are_served():
 )
 def test_named_requests_match_payload_requests(size, seed, shards):
     # Fresh engines per example: build counts must be attributable.
-    with build_query_engine(shards=shards) as payload_engine, build_query_engine(
+    with build_query_engine(shards=shards) as session_engine, build_query_engine(
         shards=shards
     ) as named_engine:
         for kind in _KINDS:
-            query_class, _ = payload_engine.registration(kind)
+            query_class, _ = session_engine.registration(kind)
             data, queries = query_class.sample_workload(size, seed, 5)
+            ds = session_engine.attach(f"{kind}-workload", data, kinds=[kind])
             named_engine.attach(f"{kind}-workload", data, kinds=[kind])
-            payload_answers = [
-                payload_engine.execute(QueryRequest(kind, data, query))
-                for query in queries
-            ]
+            session_answers = ds.query_batch([(kind, query) for query in queries])
             named_answers = [
                 named_engine.execute(
                     QueryRequest(kind, dataset=f"{kind}-workload", query=query)
@@ -71,17 +62,13 @@ def test_named_requests_match_payload_requests(size, seed, shards):
                 for query in queries
             ]
             naive = [query_class.pair_in_language(data, query) for query in queries]
-            assert payload_answers == named_answers == naive, (kind, shards, size, seed)
+            assert session_answers == named_answers == naive, (kind, shards, size, seed)
 
-        payload_stats = payload_engine.stats()
+        session_stats = session_engine.stats()
         named_stats = named_engine.stats()
         for kind in _KINDS:
-            payload_kind = payload_stats.per_kind[kind]
+            session_kind = session_stats.per_kind[kind]
             named_kind = named_stats.per_kind[kind]
-            assert payload_kind.builds == named_kind.builds, kind
-            assert payload_kind.shard_builds == named_kind.shard_builds, kind
-            assert payload_kind.queries == named_kind.queries, kind
-        # The split that motivates the redesign: the named path never touches
-        # the fingerprint memo, the payload path hashes once per dataset.
-        assert named_stats.fingerprint_rehashes == 0
-        assert payload_stats.fingerprint_rehashes == len(_KINDS)
+            assert session_kind.builds == named_kind.builds, kind
+            assert session_kind.shard_builds == named_kind.shard_builds, kind
+            assert session_kind.queries == named_kind.queries, kind

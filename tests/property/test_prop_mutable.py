@@ -2,11 +2,13 @@
 
 The headline trust argument of the write path: a Hypothesis
 :class:`~hypothesis.stateful.RuleBasedStateMachine` per delta-capable kind
-interleaves inserts, deletes, point writes and queries against a
-:class:`~repro.service.mutable.DatasetHandle`, and after *every* step the
-handle's answers must equal a brute-force Python oracle over the shadow
-dataset.  Machines run with ``derandomize=True`` so failures reproduce (and
-shrink) deterministically across runs.
+interleaves inserts, deletes, point writes and queries against a mutable
+:class:`~repro.service.dataset.Dataset` session
+(``engine.attach(..., mutable=True)``), and after *every* step the
+session's answers -- through the untracked kernels (``query``) **and** the
+analytic evaluator (``query_tracked``) -- must equal a brute-force Python
+oracle over the shadow dataset.  Machines run with ``derandomize=True`` so
+failures reproduce (and shrink) deterministically across runs.
 
 The ``test_soak_*`` functions complement the machines with deterministic
 500+-step random walks per kind (seeded through
@@ -65,6 +67,19 @@ def _delete(*row):
     return TupleChange(ChangeKind.DELETE, tuple(row))
 
 
+def _open(engine, data, *kinds):
+    """A warmed mutable session serving ``kinds``: structures materialize
+    up front, so the first batch already folds through the delta hooks."""
+    return engine.attach("live", data, kinds=list(kinds), mutable=True).warm()
+
+
+def _ask(ds, kind, query):
+    """One read through both evaluators; they must agree."""
+    answer = ds.query(kind, query)
+    assert ds.query_tracked(kind, query) == answer, (kind, query)
+    return answer
+
+
 # -- oracles -------------------------------------------------------------------
 
 
@@ -103,34 +118,34 @@ class MembershipMachine(RuleBasedStateMachine):
         self.engine = QueryEngine()
         self.engine.register("membership", membership_class(), sorted_run_scheme())
         self.oracle = [3, 1, 4, 1, 5]
-        self.handle = self.engine.open_dataset("membership", tuple(self.oracle))
+        self.ds = _open(self.engine, tuple(self.oracle), "membership")
 
     @rule(value=values)
     def insert(self, value):
-        self.handle.apply_changes([_insert(value)])
+        self.ds.apply_changes([_insert(value)])
         self.oracle.append(value)
 
     @rule(value=values)
     def delete(self, value):
-        self.handle.apply_changes([_delete(value)])
+        self.ds.apply_changes([_delete(value)])
         if value in self.oracle:
             self.oracle.remove(value)
 
     @rule(value=values)
     def probe(self, value):
-        assert self.handle.query(value) == (value in self.oracle)
+        assert _ask(self.ds, "membership", value) == (value in self.oracle)
 
     @invariant()
     def answers_match_oracle(self):
         for value in (self.oracle[:2] if self.oracle else []) + [-99, 7]:
-            assert self.handle.query(value) == (value in self.oracle)
+            assert _ask(self.ds, "membership", value) == (value in self.oracle)
 
     def teardown(self):
         self.engine.close()
 
 
 class SelectionMachine(RuleBasedStateMachine):
-    """Example 1 under churn: one relation, point and range handles in step."""
+    """Example 1 under churn: one relation, point and range kinds in step."""
 
     cell = st.integers(min_value=0, max_value=12)
 
@@ -140,12 +155,10 @@ class SelectionMachine(RuleBasedStateMachine):
         self.engine.register("point", point_selection_class(), btree_point_scheme())
         self.engine.register("range", range_selection_class(), btree_range_scheme())
         self.rows = [(1, 2), (3, 4), (3, 9)]
-        self.point = self.engine.open_dataset("point", _relation_of(self.rows))
-        self.range = self.engine.open_dataset("range", _relation_of(self.rows))
+        self.ds = _open(self.engine, _relation_of(self.rows), "point", "range")
 
     def _apply(self, change):
-        self.point.apply_changes([change])
-        self.range.apply_changes([change])
+        self.ds.apply_changes([change])
 
     @rule(a=cell, b=cell)
     def insert(self, a, b):
@@ -162,13 +175,13 @@ class SelectionMachine(RuleBasedStateMachine):
     def point_probe(self, attribute, constant):
         position = 0 if attribute == "a" else 1
         expected = any(row[position] == constant for row in self.rows)
-        assert self.point.query((attribute, constant)) == expected
+        assert _ask(self.ds, "point", (attribute, constant)) == expected
 
     @rule(attribute=st.sampled_from(["a", "b"]), low=cell, span=st.integers(0, 5))
     def range_probe(self, attribute, low, span):
         position = 0 if attribute == "a" else 1
         expected = any(low <= row[position] <= low + span for row in self.rows)
-        assert self.range.query((attribute, low, low + span)) == expected
+        assert _ask(self.ds, "range", (attribute, low, low + span)) == expected
 
     def teardown(self):
         self.engine.close()
@@ -182,19 +195,19 @@ class RMQMachine(RuleBasedStateMachine):
         self.engine = QueryEngine()
         self.engine.register("rmq", rmq_class(), fischer_heun_scheme())
         self.oracle = [5, -2, 8, 1, 9, 3, 3, -4, 0, 6, 2, 7]
-        self.handle = self.engine.open_dataset("rmq", tuple(self.oracle))
+        self.ds = _open(self.engine, tuple(self.oracle), "rmq")
 
     @rule(slot=st.integers(0, 10**6), value=st.integers(-20, 20))
     def write(self, slot, value):
         position = slot % len(self.oracle)
-        self.handle.apply_changes([PointWrite(position, value)])
+        self.ds.apply_changes([PointWrite(position, value)])
         self.oracle[position] = value
 
     @rule(value=st.integers(-20, 20))
     def append(self, value):
         # Length changes are outside the PointWrite vocabulary: this batch
         # must fall back to a rebuild and still agree with the oracle.
-        self.handle.apply_changes([_insert(value)])
+        self.ds.apply_changes([_insert(value)])
         self.oracle.append(value)
 
     @rule(data=st.data())
@@ -203,13 +216,13 @@ class RMQMachine(RuleBasedStateMachine):
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(i, n - 1))
         p = data.draw(st.integers(i, j))
-        assert self.handle.query((i, j, p)) == _rmq_oracle(self.oracle, i, j, p)
+        assert _ask(self.ds, "rmq", (i, j, p)) == _rmq_oracle(self.oracle, i, j, p)
 
     @invariant()
     def global_minimum_matches(self):
         n = len(self.oracle)
         p = min(range(n), key=lambda k: (self.oracle[k], k))
-        assert self.handle.query((0, n - 1, p)) is True
+        assert _ask(self.ds, "rmq", (0, n - 1, p)) is True
 
     def teardown(self):
         self.engine.close()
@@ -225,11 +238,11 @@ class TopKMachine(RuleBasedStateMachine):
         self.engine = QueryEngine()
         self.engine.register("topk", topk_class(), threshold_algorithm_scheme())
         self.rows = [(5, 5), (1, 9), (9, 1)]
-        self.handle = self.engine.open_dataset("topk", tuple(self.rows))
+        self.ds = _open(self.engine, tuple(self.rows), "topk")
 
     @rule(a=score, b=score)
     def insert(self, a, b):
-        self.handle.apply_changes([_insert(a, b)])
+        self.ds.apply_changes([_insert(a, b)])
         self.rows.append((a, b))
 
     @rule(data=st.data())
@@ -237,7 +250,7 @@ class TopKMachine(RuleBasedStateMachine):
         if len(self.rows) <= 1:
             return  # an empty table cannot be served; keep one row
         row = data.draw(st.sampled_from(self.rows))
-        self.handle.apply_changes([_delete(*row)])
+        self.ds.apply_changes([_delete(*row)])
         self.rows.remove(row)
 
     @rule(
@@ -248,11 +261,11 @@ class TopKMachine(RuleBasedStateMachine):
     )
     def probe(self, w1, w2, k, theta):
         expected = _topk_oracle(self.rows, (w1, w2), k, theta)
-        assert self.handle.query(((w1, w2), k, theta)) == expected
+        assert _ask(self.ds, "topk", ((w1, w2), k, theta)) == expected
 
     @invariant()
     def best_row_matches(self):
-        assert self.handle.query(((1, 1), 1, max(a + b for a, b in self.rows))) is True
+        assert _ask(self.ds, "topk", ((1, 1), 1, max(a + b for a, b in self.rows))) is True
 
     def teardown(self):
         self.engine.close()
@@ -269,27 +282,27 @@ class ReachabilityMachine(RuleBasedStateMachine):
         self.engine = QueryEngine()
         self.engine.register("reach", reachability_class(), closure_scheme())
         self.oracle = Digraph(10, [(0, 1), (1, 2), (4, 5)])
-        self.handle = self.engine.open_dataset("reach", self.oracle)
-        # open_dataset copies; mutate our shadow independently.
+        # A mutable attach copies; mutate our shadow independently.
+        self.ds = _open(self.engine, self.oracle, "reach")
 
     @rule(u=vertex, v=vertex)
     def add_edge(self, u, v):
-        self.handle.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
+        self.ds.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
         self.oracle.add_edge(u, v)
 
     @rule(u=vertex, v=vertex)
     def remove_edge(self, u, v):
-        self.handle.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
+        self.ds.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
         self.oracle.remove_edge(u, v)
 
     @rule(s=vertex, t=vertex)
     def probe(self, s, t):
-        assert self.handle.query((s, t)) == is_reachable(self.oracle, s, t)
+        assert _ask(self.ds, "reach", (s, t)) == is_reachable(self.oracle, s, t)
 
     @invariant()
     def reflexive_and_spot_checked(self):
-        assert self.handle.query((3, 3)) is True
-        assert self.handle.query((0, 2)) == is_reachable(self.oracle, 0, 2)
+        assert _ask(self.ds, "reach", (3, 3)) is True
+        assert _ask(self.ds, "reach", (0, 2)) == is_reachable(self.oracle, 0, 2)
 
     def teardown(self):
         self.engine.close()
@@ -319,18 +332,18 @@ def test_soak_membership():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         oracle = [rng.randint(0, 30) for _ in range(16)]
-        handle = engine.open_dataset("membership", tuple(oracle))
+        ds = _open(engine, tuple(oracle), "membership")
         for _ in range(SOAK_STEPS):
             value = rng.randint(-5, 30)
             roll = rng.random()
             if roll < 0.3:
-                handle.apply_changes([_insert(value)])
+                ds.apply_changes([_insert(value)])
                 oracle.append(value)
             elif roll < 0.5:
-                handle.apply_changes([_delete(value)])
+                ds.apply_changes([_delete(value)])
                 if value in oracle:
                     oracle.remove(value)
-            assert handle.query(value) == (value in oracle)
+            assert _ask(ds, "membership", value) == (value in oracle)
         assert engine.stats().per_kind["membership"].delta_batches > 50
 
 
@@ -339,22 +352,22 @@ def test_soak_selection():
     with QueryEngine() as engine:
         engine.register("point", point_selection_class(), btree_point_scheme())
         rows = [(rng.randint(0, 15), rng.randint(0, 15)) for _ in range(12)]
-        handle = engine.open_dataset("point", _relation_of(rows))
+        ds = _open(engine, _relation_of(rows), "point")
         for _ in range(SOAK_STEPS):
             row = (rng.randint(0, 15), rng.randint(0, 15))
             roll = rng.random()
             if roll < 0.3:
-                handle.apply_changes([_insert(*row)])
+                ds.apply_changes([_insert(*row)])
                 rows.append(row)
             elif roll < 0.5 and rows:
                 victim = rng.choice(rows) if rng.random() < 0.7 else row
-                handle.apply_changes([_delete(*victim)])
+                ds.apply_changes([_delete(*victim)])
                 if victim in rows:
                     rows.remove(victim)
             attribute, position = rng.choice([("a", 0), ("b", 1)])
             constant = rng.randint(0, 15)
             expected = any(r[position] == constant for r in rows)
-            assert handle.query((attribute, constant)) == expected
+            assert _ask(ds, "point", (attribute, constant)) == expected
         assert engine.stats().per_kind["point"].delta_batches > 50
 
 
@@ -363,17 +376,17 @@ def test_soak_rmq():
     with QueryEngine() as engine:
         engine.register("rmq", rmq_class(), fischer_heun_scheme())
         oracle = [rng.randint(-50, 50) for _ in range(24)]
-        handle = engine.open_dataset("rmq", tuple(oracle))
+        ds = _open(engine, tuple(oracle), "rmq")
         for _ in range(SOAK_STEPS):
             if rng.random() < 0.5:
                 position = rng.randrange(len(oracle))
                 value = rng.randint(-50, 50)
-                handle.apply_changes([PointWrite(position, value)])
+                ds.apply_changes([PointWrite(position, value)])
                 oracle[position] = value
             i = rng.randrange(len(oracle))
             j = rng.randrange(i, len(oracle))
             p = rng.randrange(i, j + 1)
-            assert handle.query((i, j, p)) == _rmq_oracle(oracle, i, j, p)
+            assert _ask(ds, "rmq", (i, j, p)) == _rmq_oracle(oracle, i, j, p)
         assert engine.stats().per_kind["rmq"].delta_batches > 50
         assert engine.stats().per_kind["rmq"].fallback_rebuilds == 0
 
@@ -383,22 +396,22 @@ def test_soak_topk():
     with QueryEngine() as engine:
         engine.register("topk", topk_class(), threshold_algorithm_scheme())
         rows = [(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(10)]
-        handle = engine.open_dataset("topk", tuple(rows))
+        ds = _open(engine, tuple(rows), "topk")
         for _ in range(SOAK_STEPS):
             roll = rng.random()
             if roll < 0.3:
                 row = (rng.randint(0, 20), rng.randint(0, 20))
-                handle.apply_changes([_insert(*row)])
+                ds.apply_changes([_insert(*row)])
                 rows.append(row)
             elif roll < 0.5 and len(rows) > 1:
                 victim = rng.choice(rows)
-                handle.apply_changes([_delete(*victim)])
+                ds.apply_changes([_delete(*victim)])
                 rows.remove(victim)
             weights = (rng.randint(1, 3), rng.randint(1, 3))
             k = rng.randint(1, 8)
             theta = rng.randint(0, 120)
             expected = _topk_oracle(rows, weights, k, theta)
-            assert handle.query((weights, k, theta)) == expected
+            assert _ask(ds, "topk", (weights, k, theta)) == expected
         assert engine.stats().per_kind["topk"].delta_batches > 50
 
 
@@ -408,18 +421,18 @@ def test_soak_reachability():
         engine.register("reach", reachability_class(), closure_scheme())
         n = 12
         oracle = Digraph(n, [(0, 1), (1, 2)])
-        handle = engine.open_dataset("reach", oracle)
+        ds = _open(engine, oracle, "reach")
         for _ in range(SOAK_STEPS):
             u, v = rng.randrange(n), rng.randrange(n)
             roll = rng.random()
             if roll < 0.35:
-                handle.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
+                ds.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
                 oracle.add_edge(u, v)
             elif roll < 0.45:
-                handle.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
+                ds.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
                 oracle.remove_edge(u, v)
             s, t = rng.randrange(n), rng.randrange(n)
-            assert handle.query((s, t)) == is_reachable(oracle, s, t)
+            assert _ask(ds, "reach", (s, t)) == is_reachable(oracle, s, t)
         stats = engine.stats().per_kind["reach"]
         assert stats.delta_batches > 20  # inserts maintained in place
         assert stats.fallback_rebuilds > 5  # real deletes rebuilt

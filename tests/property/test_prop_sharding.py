@@ -10,22 +10,15 @@ performance knob.
 
 from __future__ import annotations
 
-import pytest
-
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
 from repro.service.engine import QueryRequest
 
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
-#: One monolithic reference engine, and one engine per sharded K.  Engines
-#: are append-only caches, so sharing them across hypothesis examples is
-#: sound and keeps the test fast.
+#: One monolithic reference engine, and one engine per sharded K, shared
+#: across hypothesis examples to keep the test fast; each example attaches
+#: its datasets and detaches them again (``with engine.attach(...)``).
 _MONOLITHIC = build_query_engine()
 _SHARDED = {k: build_query_engine(shards=k) for k in (2, 4, 8)}
 _KINDS = _MONOLITHIC.shardable_kinds()
@@ -46,11 +39,11 @@ def test_sharded_equals_monolithic_for_every_kind(size, seed, shards):
     for kind in _KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, 6)
-        requests = [QueryRequest(kind, data, query) for query in queries]
-        got = engine.execute_batch(requests, concurrent=False)
-        reference = [
-            _MONOLITHIC.execute(QueryRequest(kind, data, query)) for query in queries
-        ]
+        requests = [QueryRequest(kind, dataset="probe", query=query) for query in queries]
+        with engine.attach("probe", data, kinds=[kind]):
+            got = engine.execute_batch(requests, concurrent=False)
+        with _MONOLITHIC.attach("reference", data, kinds=[kind]) as reference_ds:
+            reference = [reference_ds.query(kind, query) for query in queries]
         naive = [query_class.pair_in_language(data, query) for query in queries]
         assert got == reference == naive, (kind, shards, size, seed)
 
@@ -68,7 +61,12 @@ def test_concurrent_sharded_batch_equals_naive(size, seed, shards):
     for kind in _KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, 3)
+        engine.attach(kind, data, kinds=[kind])
         for query in queries:
-            requests.append(QueryRequest(kind, data, query))
+            requests.append(QueryRequest(kind, dataset=kind, query=query))
             naive.append(query_class.pair_in_language(data, query))
-    assert engine.execute_batch(requests, concurrent=True) == naive
+    try:
+        assert engine.execute_batch(requests, concurrent=True) == naive
+    finally:
+        for kind in _KINDS:
+            engine.detach(kind)

@@ -4,13 +4,13 @@ Headliners:
 
 * ``test_one_session_serves_sharded_and_mutable_delta_kinds`` -- the
   acceptance scenario: one ``Dataset`` serves a sharded kind and a
-  delta-maintained kind at once, with answers equal to the legacy paths;
+  delta-maintained kind at once, with answers equal to fresh immutable
+  sessions over the same content;
 * ``test_invalidate_evicts_every_kind_in_one_call`` -- the multi-kind
-  invalidation regression guard (cached structures, shard plans, build
+  content-eviction regression guard (cached structures, shard plans, build
   locks);
-* ``test_fingerprint_memo_cliff_is_observable`` -- the memo-cliff fix: the
-  capacity is a constructor knob and degradations are counted instead of
-  silent.
+* ``test_named_sessions_never_touch_the_memo`` -- the payload is hashed
+  exactly once, at attach.
 """
 
 from __future__ import annotations
@@ -30,11 +30,7 @@ from repro.queries import (
 )
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine, QueryRequest
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.storage.fingerprint import dataset_fingerprint
 
 
 def _flat_engine(**kwargs) -> QueryEngine:
@@ -150,11 +146,13 @@ def test_named_requests_resolve_through_the_session():
 def test_request_must_address_exactly_one_dataset_form():
     with _flat_engine() as engine:
         engine.attach("events", (1, 2))
-        with pytest.raises(ServiceError, match="exactly one"):
-            engine.execute(
-                QueryRequest("membership", data=(1, 2), query=1, dataset="events")
-            )
-        with pytest.raises(ServiceError, match="neither"):
+        # The removed payload form breaks loudly instead of misbinding the
+        # payload to ``query`` and the query to ``dataset``.
+        with pytest.raises(TypeError):
+            QueryRequest("membership", (1, 2), 1)
+        with pytest.raises(TypeError):
+            QueryRequest("membership", data=(1, 2), query=1, dataset="events")
+        with pytest.raises(ServiceError, match=r"engine\.attach"):
             engine.execute(QueryRequest("membership", query=1))
 
 
@@ -166,15 +164,13 @@ def test_query_batch_accepts_requests_and_pairs():
             [
                 ("membership", 2),
                 QueryRequest("membership", dataset="events", query=9),
-                QueryRequest("membership", data, 3),
+                QueryRequest("membership", query=3),
             ],
             concurrent=False,
         )
         assert answers == [True, False, True]
         with pytest.raises(ServiceError, match="addresses dataset"):
             ds.query_batch([QueryRequest("membership", dataset="other", query=1)])
-        with pytest.raises(ServiceError, match="payload"):
-            ds.query_batch([QueryRequest("membership", (9, 9), 1)])
         with pytest.raises(ServiceError, match="pairs or QueryRequests"):
             ds.query_batch(["membership"])
 
@@ -193,7 +189,10 @@ def test_warm_prebuilds_every_kind():
         assert stats.per_kind["membership"].builds == 1
         assert stats.per_kind["rmq"].builds == 1
         ds.query("membership", 5)
-        assert engine.stats().per_kind["membership"].cache_hits == 1
+        # warm() captured the serve plans: the query is a plan hit, with no
+        # second probe of the artifact layers.
+        membership = engine.stats().per_kind["membership"]
+        assert membership.builds == 1 and membership.cache_hits == 0
 
 
 # -- per-dataset shard override ------------------------------------------------
@@ -207,8 +206,8 @@ def test_attach_shard_override_serves_sharded_without_reregistering():
         assert ds.query("membership", 17) is True
         stats = engine.stats().per_kind["membership"]
         assert stats.builds == 0 and stats.shard_builds >= 1
-        # The same engine still serves the monolithic path for payloads.
-        assert engine.execute(QueryRequest("membership", data, 17)) is True
+        # The same engine still serves the monolithic path for other sessions.
+        assert engine.attach("mono", data).query("membership", 17) is True
         assert engine.stats().per_kind["membership"].builds == 1
 
 
@@ -225,86 +224,59 @@ def test_shard_override_ignores_unshardable_kinds():
     engine.close()
 
 
-# -- fingerprint memo: the cliff is a knob and is observable -------------------
+# -- the payload is hashed once, at attach -------------------------------------
 
 
-def test_fingerprint_memo_size_is_validated():
-    with pytest.raises(ServiceError, match="fingerprint_memo_size"):
-        QueryEngine(fingerprint_memo_size=-1)
+def test_named_sessions_never_touch_the_memo(monkeypatch):
+    """The dataset-first acceptance property: the payload is fingerprinted
+    exactly once, at attach -- never on the request path."""
+    import repro.service.engine as engine_module
 
+    hashed = []
 
-def test_fingerprint_memo_cliff_is_observable():
-    with _flat_engine(fingerprint_memo_size=2) as engine:
-        datasets = [tuple(range(i, i + 8)) for i in range(3)]
-        for _ in range(3):  # cycle 3 live payloads through a 2-entry memo
-            for data in datasets:
-                engine.execute(QueryRequest("membership", data, data[0]))
-        stats = engine.stats()
-        per_kind = stats.per_kind["membership"]
-        # Every request missed the memo: 3 first hashes + 6 re-hashes.
-        assert per_kind.fingerprint_rehashes == 9
-        assert per_kind.fingerprint_evictions >= 7
-        assert stats.fingerprint_rehashes == 9  # engine-level rollup
-        assert stats.fingerprint_evictions == per_kind.fingerprint_evictions
+    def counting_fingerprint(data):
+        hashed.append(data)
+        return dataset_fingerprint(data)
 
-
-def test_large_memo_absorbs_the_same_workload():
-    with _flat_engine(fingerprint_memo_size=64) as engine:
-        datasets = [tuple(range(i, i + 8)) for i in range(3)]
-        for _ in range(3):
-            for data in datasets:
-                engine.execute(QueryRequest("membership", data, data[0]))
-        per_kind = engine.stats().per_kind["membership"]
-        assert per_kind.fingerprint_rehashes == 3  # first sight only
-        assert per_kind.fingerprint_evictions == 0
-
-
-def test_named_sessions_never_touch_the_memo():
-    """The dataset-first acceptance property: 0 re-hashes at steady state,
-    even with a pathologically small memo."""
-    with _flat_engine(fingerprint_memo_size=0) as engine:
+    monkeypatch.setattr(engine_module, "dataset_fingerprint", counting_fingerprint)
+    with _flat_engine() as engine:
         ds = engine.attach("events", tuple(range(32)))
         for q in range(20):
             ds.query("membership", q)
             engine.execute(QueryRequest("membership", dataset="events", query=q))
-        stats = engine.stats()
-        assert stats.fingerprint_rehashes == 0
-        assert stats.fingerprint_evictions == 0
-        assert stats.per_kind["membership"].builds == 1
+        assert len(hashed) == 1
+        assert engine.stats().per_kind["membership"].builds == 1
 
 
-# -- multi-kind invalidation / detach eviction (ISSUE 4 satellite) -------------
-
-
-def _content_keys(engine, data):
-    return [engine.artifact_key(kind, data) for kind in engine.kinds()]
+# -- multi-kind detach eviction (ISSUE 4 satellite) ----------------------------
 
 
 def test_invalidate_evicts_every_kind_in_one_call():
     """A dataset served under several kinds -- one of them sharded -- loses
     *all* cached structures, shard plans, and build-lock entries in one
-    ``invalidate`` call."""
+    ``detach`` call, and re-attaching the mutated payload rebuilds."""
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme(), shards=4)
     engine.register("rmq", rmq_class(), fischer_heun_scheme())
     data = list(range(48))
-    engine.execute(QueryRequest("membership", data, 3))      # sharded resolve
-    engine.execute(QueryRequest("rmq", data, (0, 9, 0)))     # monolithic resolve
-    fingerprint = engine._fingerprint(data)
-    rmq_key = engine.artifact_key("rmq", data)
+    ds = engine.attach("events", data)
+    ds.query("membership", 3)      # sharded resolve
+    ds.query("rmq", (0, 9, 0))     # monolithic resolve
+    fingerprint = ds.fingerprint
+    rmq_key = ds.artifact_key("rmq")
     assert engine._cache.get(rmq_key, record=False) is not None
     assert any(key[1] == fingerprint for key in engine._planner._plans)
     # Park an idle build-lock entry, as an interrupted resolve would.
     engine._build_lock(rmq_key)
 
     data.append(999)
-    engine.invalidate(data)
+    ds.detach()
 
     assert engine._cache.get(rmq_key, record=False) is None
     assert not any(key[1] == fingerprint for key in engine._planner._plans)
     assert rmq_key not in engine._build_locks
-    # And the next request really rebuilds from the new content.
-    assert engine.execute(QueryRequest("membership", data, 999)) is True
+    # And the next session really rebuilds from the new content.
+    assert engine.attach("events", data).query("membership", 999) is True
     engine.close()
 
 
@@ -329,13 +301,17 @@ def test_detach_spares_content_shared_with_another_session():
 
 
 def test_invalidate_spares_content_shared_with_a_named_session():
+    """Detach evicts by the identity fixed at attach: a payload mutated in
+    place before its session detaches still counts as the *old* content,
+    which another session serves -- so nothing is evicted."""
     with _flat_engine() as engine:
         payload = [5, 1, 4]
         ds = engine.attach("a", [5, 1, 4], kinds=["membership"])
-        assert engine.execute(QueryRequest("membership", payload, 5)) is True
+        twin = engine.attach("b", payload, kinds=["membership"])
+        assert twin.query("membership", 5) is True
         assert engine.stats().per_kind["membership"].builds == 1
         payload.append(9)
-        engine.invalidate(payload)  # equal *old* content still attached as "a"
+        twin.detach()  # equal *old* content still attached as "a"
         assert ds.query("membership", 5) is True
         stats = engine.stats().per_kind["membership"]
         assert stats.builds == 1 and stats.cache_hits >= 1
@@ -379,8 +355,8 @@ def test_apply_changes_requires_mutable_attach():
 def test_one_session_serves_sharded_and_mutable_delta_kinds(tmp_path):
     """The ISSUE 4 acceptance scenario: one Dataset serves a sharded kind
     (touched-shard fallback on writes) and a monolithic delta-maintained
-    kind, with answers equal to the legacy engine paths before and after
-    mutation."""
+    kind, with answers equal to fresh immutable sessions over the same
+    content before and after mutation."""
     rng = random.Random(20130826)
     base = tuple(rng.randint(-100, 100) for _ in range(64))
     engine = QueryEngine(store=ArtifactStore(tmp_path))
@@ -395,14 +371,13 @@ def test_one_session_serves_sharded_and_mutable_delta_kinds(tmp_path):
         argmin = min(range(len(content)), key=lambda i: (content[i], i))
         probes = [content[0], content[-1], 101, -101]
         windows = [(0, len(content) - 1, argmin), (2, 10, 2), (5, 5, 5)]
-        for probe in probes:
-            assert ds.query("membership", probe) == legacy.execute(
-                QueryRequest("membership", content, probe)
-            )
-        for window in windows:
-            assert ds.query("rmq", window) == legacy.execute(
-                QueryRequest("rmq", content, window)
-            )
+        with legacy.attach("reference", content) as reference:
+            for probe in probes:
+                assert ds.query("membership", probe) == reference.query(
+                    "membership", probe
+                )
+            for window in windows:
+                assert ds.query("rmq", window) == reference.query("rmq", window)
 
     check_equivalence(base)
     ds.apply_changes([PointWrite(5, -999), PointWrite(40, 999)])
@@ -489,16 +464,17 @@ def test_mutable_delta_refusal_falls_back_to_rebuild():
 
 
 def test_mutable_session_reuses_cache_shared_structures_safely():
-    """A structure already resolved for payload requests is privatized
+    """A structure already resolved for an immutable session is privatized
     through the codec before delta maintenance ever touches it."""
     with _flat_engine() as engine:
         data = (5, 1, 4)
-        assert engine.execute(QueryRequest("membership", data, 5)) is True
+        frozen = engine.attach("frozen", data)
+        assert frozen.query("membership", 5) is True
         ds = engine.attach("events", data, kinds=["membership"], mutable=True)
         ds.apply_changes([_insert(9)])
         assert ds.query("membership", 9) is True
         # The cache-shared structure still answers for the *old* content.
-        assert engine.execute(QueryRequest("membership", data, 9)) is False
+        assert frozen.query("membership", 9) is False
 
 
 def test_mutable_session_with_non_serializable_delta_scheme():
@@ -522,18 +498,6 @@ def test_mutable_session_with_non_serializable_delta_scheme():
         assert engine.stats().per_kind["membership"].delta_batches == 1
 
 
-def test_anonymous_adapter_sessions_expose_engine_kinds_and_detach():
-    with _flat_engine() as engine:
-        data = (1, 2, 3)
-        engine.execute(QueryRequest("membership", data, 1))
-        session = engine._anonymous_attach(data)
-        assert session.name is None and session.kinds == ["membership", "rmq"]
-        session.detach()  # routes through invalidate(); memo entry dropped
-        assert session.detached
-        # The payload path still works: a fresh anonymous session is minted.
-        assert engine.execute(QueryRequest("membership", data, 2)) is True
-
-
 def test_build_query_engine_attach_round_trip():
     """The catalog glue serves named sessions for every registered kind."""
     with build_query_engine() as engine:
@@ -544,4 +508,3 @@ def test_build_query_engine_attach_round_trip():
             assert ds.query("list-membership", query) == query_class.pair_in_language(
                 data, query
             )
-        assert engine.stats().fingerprint_rehashes == 0

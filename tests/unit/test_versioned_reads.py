@@ -7,12 +7,11 @@ Headliners:
   read must be consistent with some fully-applied version (each writer
   maintains an exactly-one-of-two invariant over elements it owns, so a
   torn snapshot shows up as both-or-neither).
-* ``test_mutable_serve_path_is_latch_free`` -- the serve path acquires no
-  ``SnapshotLatch`` and never waits on a ``Condition``; readers complete
-  even while a writer holds the writer mutex.
-* Regression pins for the three satellite bugfixes: latch release
-  underflow, invisible failed serves (``serve_errors``), and the unstable
-  ``repr``-based lineage digest.
+* ``test_mutable_serve_path_is_latch_free`` -- the serve path (untracked
+  and tracked) never waits on a ``Condition``; readers complete even while
+  a writer holds the writer mutex.
+* Regression pins for two satellite bugfixes: invisible failed serves
+  (``serve_errors``) and the unstable ``repr``-based lineage digest.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from repro.core.query import PiScheme
 from repro.graphs.graph import Digraph
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
 from repro.service.engine import EngineStats, QueryEngine
-from repro.service.mutable import (
-    SnapshotLatch,
-    advance_lineage,
-    canonical_change_bytes,
-)
+from repro.service.mutable import advance_lineage, canonical_change_bytes
 from repro.queries import membership_class, sorted_run_scheme
 
 
@@ -178,20 +173,16 @@ def test_versioned_stress_never_torn(kind):
 
 
 def test_mutable_serve_path_is_latch_free(monkeypatch):
-    """No SnapshotLatch acquisition and no Condition.wait while serving."""
+    """No Condition.wait while serving, on either evaluator."""
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         ds = engine.attach("events", (1, 2, 3), mutable=True)
-        handle = engine.open_dataset("membership", (1, 2, 3))
-        # Materialize both serving surfaces before arming the tripwires.
+        # Materialize the structure before arming the tripwire.
         assert ds.query("membership", 2) is True
-        assert handle.query(2) is True
 
         def tripwire(*args, **kwargs):
             raise AssertionError("shared lock touched on the serve path")
 
-        monkeypatch.setattr(SnapshotLatch, "acquire_read", tripwire)
-        monkeypatch.setattr(SnapshotLatch, "release_read", tripwire)
         monkeypatch.setattr(threading.Condition, "wait", tripwire)
         try:
             assert ds.query("membership", 2) is True
@@ -199,11 +190,10 @@ def test_mutable_serve_path_is_latch_free(monkeypatch):
                 True,
                 False,
             ]
-            assert handle.query(3) is True
-            assert handle.query_batch([1, 9]) == [True, False]
+            assert ds.query_tracked("membership", 3) is True
+            assert ds.query_tracked("membership", 9) is False
         finally:
             monkeypatch.undo()
-        handle.close()
         ds.detach()
 
 
@@ -230,28 +220,6 @@ def test_readers_complete_while_writer_mutex_is_held():
             mutex.release()
         assert results == [[True, False]]
         ds.detach()
-
-
-# -- satellite: SnapshotLatch.release_read underflow ---------------------------
-
-
-def test_release_read_underflow_raises():
-    latch = SnapshotLatch()
-    with pytest.raises(RuntimeError, match="release_read"):
-        latch.release_read()
-    # Balanced use still works, and the latch is not poisoned ...
-    latch.acquire_read()
-    latch.release_read()
-    with latch.write():
-        pass
-    # ... but one release too many raises instead of going negative (which
-    # would admit a writer during a still-active read).
-    latch.acquire_read()
-    latch.release_read()
-    with pytest.raises(RuntimeError, match="release_read"):
-        latch.release_read()
-    with latch.write():
-        pass
 
 
 # -- satellite: failed serves are visible in stats -----------------------------
@@ -283,18 +251,22 @@ def test_serve_errors_counted_for_mutable_sessions():
 
 
 def test_serve_errors_counted_for_immutable_plans_and_handles():
+    """Immutable plans count failed serves on both evaluators, and so does
+    the tracked path of a mutable session (the path handles used to serve)."""
     with QueryEngine() as engine:
         engine.register("boom", membership_class(), _boom_scheme())
         ds = engine.attach("events", (1, 2, 3))
         with pytest.raises(RuntimeError, match="kernel boom"):
             ds.query("boom", 1)
-        handle = engine.open_dataset("boom", (4, 5))
         with pytest.raises(RuntimeError, match="kernel boom"):
-            handle.query(4)
+            ds.query_tracked("boom", 1)
+        live = engine.attach("live", (4, 5), mutable=True)
+        with pytest.raises(RuntimeError, match="kernel boom"):
+            live.query_tracked("boom", 4)
         stats = engine.stats().per_kind["boom"]
-        assert stats.serve_errors == 2
+        assert stats.serve_errors == 3
         assert stats.queries == 0
-        handle.close()
+        live.detach()
         ds.detach()
 
 
@@ -361,12 +333,12 @@ def test_unstable_change_rejected_before_anything_mutates():
 
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        handle = engine.open_dataset("membership", (1, 2, 3))
+        ds = engine.attach("events", (1, 2, 3), mutable=True).warm()
         with pytest.raises(DeltaError):
-            handle.apply_changes([PointWrite(0, Opaque())])
-        assert handle.version == 0  # batch atomicity: nothing applied
-        assert handle.query(1) is True
-        handle.close()
+            ds.apply_changes([PointWrite(0, Opaque())])
+        assert ds.version == 0  # batch atomicity: nothing applied
+        assert ds.query("membership", 1) is True
+        assert ds.query_tracked("membership", 1) is True
 
 
 def test_equal_histories_share_versioned_identity():
@@ -374,10 +346,9 @@ def test_equal_histories_share_versioned_identity():
     for _ in range(2):
         with QueryEngine() as engine:
             engine.register("membership", membership_class(), sorted_run_scheme())
-            handle = engine.open_dataset("membership", (1, 2, 3))
+            ds = engine.attach("events", (1, 2, 3), mutable=True).warm()
             # Fresh change objects each round: equal histories must share
             # the identity even though the records are distinct objects.
-            handle.apply_changes([_insert(9), _delete(1)])
-            fingerprints.append(handle.fingerprint())
-            handle.close()
+            ds.apply_changes([_insert(9), _delete(1)])
+            fingerprints.append(ds.artifact_key("membership").fingerprint)
     assert fingerprints[0] == fingerprints[1]
