@@ -11,9 +11,12 @@ share nothing in memory but everything on disk:
 * :mod:`~repro.service.frontend.server` -- :class:`Gateway` (admission
   permits per dataset, watermark backpressure, explicit ``Overloaded``
   shedding) and :class:`ServingFront`, the one-call harness.
-* :mod:`~repro.service.frontend.supervisor` -- :class:`Supervisor`:
-  per-dataset routing, crash detection, retry-once for in-flight reads,
-  journal-replay re-homing of mutable datasets, restart with backoff.
+* :mod:`~repro.service.frontend.supervisor` -- :class:`Supervisor`: the
+  processes, queues, threads and lock around two pure modules:
+  :mod:`~repro.service.frontend.tickets` (when a request is settled --
+  response, deadline, crash or close -- plus hedges and retries) and
+  :mod:`~repro.service.frontend.placement` (journals that rebuild a
+  dataset elsewhere; the router and its breakers that pick a worker).
 * :mod:`~repro.service.frontend.workers` -- the worker process: one
   full-catalog :class:`~repro.service.engine.QueryEngine` per process
   over the *shared* :class:`~repro.service.artifacts.ArtifactStore`

@@ -312,13 +312,10 @@ class ServingFront:
         host: str = "127.0.0.1",
         port: int = 0,
         store_root: Optional[str] = None,
-        engine_opts: Optional[Dict[str, Any]] = None,
         config: Optional[GatewayConfig] = None,
         policy: Optional[Any] = None,
         fault_plan: Optional[Any] = None,
         fault_workers: Optional[Any] = None,
-        start_method: str = "spawn",
-        max_queue_per_worker: int = 2048,
         hedge_delay_ms: Optional[float] = 50.0,
         journal_checkpoint_batches: Optional[int] = 64,
     ):
@@ -327,12 +324,9 @@ class ServingFront:
         self.supervisor = Supervisor(
             workers,
             store_root=store_root,
-            engine_opts=engine_opts,
             policy=policy,
             fault_plan=fault_plan,
             fault_workers=fault_workers,
-            start_method=start_method,
-            max_queue_per_worker=max_queue_per_worker,
             hedge_delay_ms=hedge_delay_ms,
             journal_checkpoint_batches=journal_checkpoint_batches,
         )

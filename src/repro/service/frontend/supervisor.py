@@ -1,75 +1,33 @@
-"""Supervision of the worker pool: routing, deadlines, hedging, breakers.
+"""Supervision of the worker pool: the glue around three pure pieces.
 
-The :class:`Supervisor` owns N worker processes (see
-:mod:`repro.service.frontend.workers`) and is the single place requests
-are routed:
+The :class:`Supervisor` owns what only a running system has -- N worker
+processes (see :mod:`repro.service.frontend.workers`), their queues, a
+collector and a monitor thread, one lock, the health counters -- and
+leaves every *decision* to a piece testable without any of those:
+:class:`~repro.service.frontend.tickets.RequestTable` (when a request is
+settled), :class:`~repro.service.frontend.placement.Journal` (what
+rebuilds a dataset elsewhere) and
+:class:`~repro.service.frontend.placement.Router` (which worker gets a
+frame).  All three are driven under ``self._lock``; the glue reads the
+clock once per entry point (a submitted request, a collected message, a
+monitor tick) and passes ``now`` down.  ``on_done`` callbacks always fire
+outside the lock.
 
-*Per-dataset routing.*  Immutable datasets are attached on **every**
-worker (the content-addressed store makes the 2nd..Nth attach a cheap
-load, not a rebuild) and reads round-robin across healthy workers.
-Mutable datasets are **homed** on exactly one worker -- versions advance
-only there, so no stale replica can ever serve a read -- and the
-supervisor keeps a journal of every *acknowledged* change batch.  The
-journal is bounded: after ``journal_checkpoint_batches`` acknowledged
-batches the supervisor snapshots the home worker's current content
-(``snapshot`` op), persists it to the shared
-:class:`~repro.service.artifacts.ArtifactStore` under the
-``frontend-journal-checkpoint`` scheme, swaps it in as the new attach
-baseline, and truncates the replayed entries.  FIFO inbox/outbox
-ordering makes the truncation exact: every batch acknowledged before the
-snapshot response is *in* the snapshot, every later batch is appended to
-the journal after the truncation.
+*Crash detection and recovery.*  The monitor thread polls worker
+liveness.  When a worker dies: its in-flight reads enter the table's
+retry path; in-flight writes surface
+:class:`~repro.core.errors.WorkerFailedError`; mutable datasets homed
+there are re-homed by replaying their journal onto a healthy worker
+(inbox FIFO ordering guarantees replay lands before any rerouted
+traffic); and the worker slot is restarted on the router's schedule.
+Restarts never re-arm a fault plan: the ``dead-worker`` scenario models
+one crash event, not a crashing binary.
 
-*Deadlines.*  Clients attach a relative ``deadline_ms`` budget to a
-frame; the gateway forwards the remaining budget and :meth:`submit`
-stamps the absolute ``deadline_mono`` instant (``time.monotonic()`` --
-CLOCK_MONOTONIC is system-wide on Linux, so worker processes share it).
-Already-expired work is refused synchronously; in-flight work that
-outlives its budget is swept by the monitor thread and answered with a
-typed :class:`~repro.core.errors.DeadlineExceededError` -- never a
-silent stall.  Workers shed frames that aged out in their inbox
-(``deadline_expired_worker``); the supervisor counts its own expiries
-under ``deadline_expired_supervisor``.
-
-*Hedged reads.*  Reads on immutable datasets are served identically by
-every worker (the paper's determinism guarantee: answers depend only on
-the dataset and the Pi-structures, which are content-addressed), so a
-read still unanswered after ``hedge_delay_ms`` is *hedged*: a duplicate
-is enqueued on a second worker and the first answer wins.  The loser's
-response is dropped, its worker neither credited nor blamed.  Counters:
-``hedged_requests``, ``hedge_wins``.
-
-*Circuit breakers.*  Each worker slot carries a breaker: consecutive
-infrastructure failures (crashes while holding work, deadline expiries)
-open it and the slot stops receiving routed traffic; after
-``breaker_reset_seconds`` a single half-open probe is admitted, and its
-outcome closes or re-opens the breaker.  Breakers deliberately survive
-restarts -- a flapping worker stays isolated between crashes instead of
-re-entering rotation at full weight.  Application errors (a bad query)
-count as *successes*: the worker answered.
-
-*Budgeted retries.*  Reads orphaned by a crash are retried up to
-``read_retry_budget`` times with jittered exponential backoff
-(``retry_backoff_seconds`` base), deferred through the monitor thread so
-a crashed pool is not hammered in lockstep.  Writes still fail loudly:
-they may or may not have applied, and answers are never silently wrong.
-
-*Graceful drain.*  :meth:`drain` marks a worker unroutable, waits for
-its in-flight work up to a deadline, then re-homes its mutable datasets
-through the same attach+journal replay path used after a crash (skipping
--- and reporting -- any dataset that still has an unacknowledged write
-on the old home).  :meth:`undrain` returns the slot to rotation.
-
-*Crash detection and recovery.*  A monitor thread polls worker liveness.
-When a worker dies: its in-flight reads enter the retry path above;
-in-flight writes surface :class:`~repro.core.errors.WorkerFailedError`;
-mutable datasets homed there are re-homed by replaying the attach frame
-plus the acknowledged journal onto a healthy worker (inbox FIFO ordering
-guarantees replay lands before any rerouted traffic); and the worker
-slot is restarted with exponential backoff bounded by
-:class:`~repro.service.faults.RecoveryPolicy`.  Restarts never re-arm a
-fault plan: the ``dead-worker`` scenario models one crash event, not a
-crashing binary.
+*Graceful drain.*  :meth:`Supervisor.drain` marks a worker unroutable,
+waits for its in-flight work up to a deadline, then re-homes its mutable
+datasets through the same replay path used after a crash (skipping --
+and reporting -- any dataset that still has an unacknowledged write on
+the old home).  :meth:`Supervisor.undrain` returns the slot to rotation.
 
 Health counters (``health()``): ``worker_restarts``, ``crashes_detected``,
 ``retried_requests``, ``failed_requests``, ``rehomed_datasets``,
@@ -82,14 +40,15 @@ plus a ``breakers`` map of per-worker breaker states.
 
 from __future__ import annotations
 
-import hashlib
-import itertools
 import multiprocessing
 import queue as queue_mod
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import (
+    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.errors import (
     DeadlineExceededError,
@@ -97,223 +56,57 @@ from repro.core.errors import (
     ServiceError,
     WorkerFailedError,
 )
-from repro.service.artifacts import ArtifactKey, ArtifactStore
+from repro.service.artifacts import ArtifactStore
 from repro.service.faults import DEFAULT_POLICY, FaultPlan, RecoveryPolicy
 from repro.service.frontend import protocol
-from repro.service.frontend.workers import worker_main
+from repro.service.frontend.placement import Journal, Router
+from repro.service.frontend.tickets import (
+    OnDone, RequestTable, Ticket, stamp_deadline,
+)
+from repro.service.frontend.workers import merge_stats, worker_main
 
 __all__ = ["Supervisor"]
 
-#: Ops safe to retry on another worker after a crash: pure reads.
-_READ_OPS = frozenset({"query", "query_batch", "ping"})
+#: Inbox depth per worker; a worker owed this many frames answers new
+#: ones with :class:`~repro.core.errors.OverloadedError`.
+MAX_QUEUE_PER_WORKER = 2048
 
-#: Reads whose answers are position-independent on immutable datasets --
-#: the only ops eligible for hedging.
-_HEDGE_OPS = frozenset({"query", "query_batch"})
+#: How long :meth:`Supervisor.start` waits for every worker's engine.
+READY_TIMEOUT_SECONDS = 120.0
 
-#: Non-counter stats keys: identity, not additive.
-_FIRST_KEYS = frozenset({"dataset", "mutable", "scheme", "shards", "hit_rate"})
-_MAX_KEYS = frozenset({"version"})
-
-#: ArtifactStore scheme name under which journal checkpoints persist.
-_CHECKPOINT_SCHEME = "frontend-journal-checkpoint"
-
-_OnDone = Callable[[Dict[str, Any], bytes, int], None]
-
-
-def _merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
-    """Fold one worker's stats snapshot into an aggregate, in place."""
-    for key, value in other.items():
-        if key not in base:
-            base[key] = value
-        elif isinstance(value, dict) and isinstance(base[key], dict):
-            _merge_stats(base[key], value)
-        elif isinstance(value, bool):
-            pass
-        elif isinstance(value, (int, float)) and isinstance(base[key], (int, float)):
-            if key in _MAX_KEYS:
-                base[key] = max(base[key], value)
-            elif key not in _FIRST_KEYS:
-                base[key] = base[key] + value
-
-
-def _strip_deadline(header: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``header`` without deadline fields, for durable frames.
-
-    Attach records and journal entries are replayed arbitrarily later (on
-    re-home, restart, or drain); a deadline frozen into them would make
-    every replay arrive already expired.
-    """
-    if "deadline_ms" in header or "deadline_mono" in header:
-        return {k: v for k, v in header.items()
-                if k not in ("deadline_ms", "deadline_mono")}
-    return header
-
-
-class _CircuitBreaker:
-    """Per-worker closed -> open -> half-open -> closed state machine.
-
-    Pure bookkeeping: the supervisor drives it under its own lock and
-    translates returned transition events into counters.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    __slots__ = ("threshold", "reset_seconds", "state", "failures",
-                 "opened_at", "probing")
-
-    def __init__(self, threshold: int, reset_seconds: float):
-        self.threshold = threshold
-        self.reset_seconds = reset_seconds
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-        self.probing = False
-
-    def allow_probe(self, now: float) -> bool:
-        """True exactly once per reset window: admit a half-open probe."""
-        if self.state == self.OPEN and now - self.opened_at >= self.reset_seconds:
-            self.state = self.HALF_OPEN
-            self.probing = True
-            return True
-        return False
-
-    def record_success(self) -> Optional[str]:
-        self.failures = 0
-        if self.state != self.CLOSED:
-            self.state = self.CLOSED
-            self.probing = False
-            return "closed"
-        return None
-
-    def record_failure(self, now: float) -> Optional[str]:
-        self.failures += 1
-        if self.state == self.HALF_OPEN:
-            self.state = self.OPEN
-            self.opened_at = now
-            self.probing = False
-            return "opened"
-        if self.state == self.CLOSED and self.failures >= self.threshold:
-            self.state = self.OPEN
-            self.opened_at = now
-            return "opened"
-        return None
-
-
-class _Hedge:
-    """Links the two racing copies of one hedged read; first answer wins."""
-
-    __slots__ = ("primary", "secondary", "done")
-
-    def __init__(self, primary: "_Pending", secondary: "_Pending"):
-        self.primary = primary
-        self.secondary = secondary
-        self.done = False
-
-    def sibling(self, pending: "_Pending") -> "_Pending":
-        return self.secondary if pending is self.primary else self.primary
-
-
-class _Pending:
-    """One request in flight on one worker."""
-
-    __slots__ = ("header", "body", "codec", "on_done", "worker_id", "op",
-                 "dataset", "retries", "no_retry", "internal", "rid",
-                 "deadline_at", "enqueued_at", "hedge", "hedge_eligible",
-                 "is_hedge")
-
-    def __init__(self, header, body, codec, on_done, worker_id, *,
-                 no_retry=False, internal=False, hedge_eligible=False,
-                 is_hedge=False):
-        self.header = header
-        self.body = body
-        self.codec = codec
-        self.on_done = on_done
-        self.worker_id = worker_id
-        self.op = header.get("op")
-        self.dataset = header.get("dataset")
-        self.retries = 0
-        self.no_retry = no_retry
-        self.internal = internal
-        self.rid = 0
-        self.deadline_at = header.get("deadline_mono")
-        self.enqueued_at = 0.0
-        self.hedge: Optional[_Hedge] = None
-        self.hedge_eligible = hedge_eligible
-        self.is_hedge = is_hedge
+_Response = Tuple[Dict[str, Any], bytes, int]
 
 
 class _Broadcast:
     """Aggregates N sub-responses into one; first error wins."""
 
-    def __init__(self, expected: int, on_done: _OnDone,
-                 combine: Optional[Callable[[List[Tuple[Dict[str, Any], bytes, int]]], Tuple[Dict[str, Any], bytes, int]]] = None):
+    def __init__(self, expected: int, on_done: OnDone,
+                 combine: Optional[Callable[[List[_Response]], _Response]] = None):
         self._expected = expected
         self._on_done = on_done
         self._combine = combine
         self._lock = threading.Lock()
-        self._responses: List[Tuple[Dict[str, Any], bytes, int]] = []
-        self._error: Optional[Tuple[Dict[str, Any], bytes, int]] = None
+        self._responses: List[_Response] = []
 
     def collect(self, header: Dict[str, Any], body: bytes, codec: int) -> None:
-        final = None
         with self._lock:
-            if header.get("ok"):
-                self._responses.append((header, body, codec))
-            elif self._error is None:
-                self._error = (header, body, codec)
-            self._expected -= 1
-            if self._expected == 0:
-                if self._error is not None:
-                    final = self._error
-                elif self._combine is not None:
-                    final = self._combine(self._responses)
-                else:
-                    final = self._responses[0]
-        if final is not None:
-            self._on_done(*final)
+            self._responses.append((header, body, codec))
+            if len(self._responses) < self._expected:
+                return
+        errors = [r for r in self._responses if not r[0].get("ok")]
+        if errors or self._combine is None:
+            final = (errors or self._responses)[0]
+        else:
+            final = self._combine(self._responses)
+        self._on_done(*final)
 
 
-class _AttachEntry:
-    """One attached dataset as the supervisor knows it."""
+class _WorkerHandle(NamedTuple):
+    """The process-side half of a worker slot; the router holds the rest."""
 
-    __slots__ = ("header", "body", "codec", "mutable", "home", "journal",
-                 "checkpointing")
-
-    def __init__(self, header, body, codec, mutable, home):
-        self.header = header
-        self.body = body
-        self.codec = codec
-        self.mutable = mutable
-        #: worker id homing a mutable dataset; None for immutable (served
-        #: everywhere) or an orphaned mutable awaiting a healthy worker.
-        self.home = home
-        #: acknowledged apply_changes frames, replayed on re-home/restart;
-        #: bounded by journal checkpointing.
-        self.journal: List[Tuple[Dict[str, Any], bytes, int]] = []
-        #: a snapshot request is outstanding; suppresses re-triggering.
-        self.checkpointing = False
-
-
-class _WorkerHandle:
-    __slots__ = ("worker_id", "generation", "process", "inbox", "healthy",
-                 "lost", "restart_count", "next_restart_at", "breaker",
-                 "draining")
-
-    def __init__(self, worker_id, generation, process, inbox, breaker):
-        self.worker_id = worker_id
-        self.generation = generation
-        self.process = process
-        self.inbox = inbox
-        self.healthy = True
-        self.lost = False
-        self.restart_count = 0
-        self.next_restart_at = 0.0
-        #: survives restarts on purpose: a flapping worker stays isolated.
-        self.breaker = breaker
-        self.draining = False
+    generation: int
+    process: Any
+    inbox: Any
 
 
 class Supervisor:
@@ -337,14 +130,10 @@ class Supervisor:
         workers: int = 2,
         *,
         store_root: Optional[str] = None,
-        engine_opts: Optional[Dict[str, Any]] = None,
         policy: Optional[RecoveryPolicy] = None,
         fault_plan: Optional[Any] = None,
         fault_workers: Optional[Sequence[int]] = None,
-        start_method: str = "spawn",
-        max_queue_per_worker: int = 2048,
         poll_seconds: float = 0.02,
-        ready_timeout: float = 120.0,
         hedge_delay_ms: Optional[float] = 50.0,
         journal_checkpoint_batches: Optional[int] = 64,
     ):
@@ -362,94 +151,74 @@ class Supervisor:
                 f"journal_checkpoint_batches must be >= 1, "
                 f"got {journal_checkpoint_batches}"
             )
+        policy = policy or DEFAULT_POLICY
         self._workers = workers
         self._store_root = store_root
-        self._engine_opts = dict(engine_opts or {})
-        self._policy = policy or DEFAULT_POLICY
         self._fault_plan = fault_plan
-        self._fault_workers: Optional[Set[int]] = (
-            None if fault_workers is None else set(fault_workers)
-        )
-        self._start_method = start_method
-        self._max_queue = max_queue_per_worker
+        self._fault_workers = fault_workers
         self._poll_seconds = poll_seconds
-        self._ready_timeout = ready_timeout
-        self._hedge_delay = (
-            None if hedge_delay_ms is None else hedge_delay_ms / 1000.0
-        )
         self._checkpoint_batches = journal_checkpoint_batches
         self._store = ArtifactStore(store_root) if store_root is not None else None
         # Retry jitter only perturbs *timing*, never answers; a fixed seed
         # keeps chaos runs reproducible.
         self._jitter = random.Random(0x5EED)
 
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         self._outbox: Optional[Any] = None
         self._handles: List[_WorkerHandle] = []
         self._lock = threading.Lock()
-        self._inflight: Dict[int, _Pending] = {}
-        self._deferred: List[Tuple[float, _Pending]] = []
-        self._rids = itertools.count(1)
-        self._rr = 0
-        self._table: Dict[str, _AttachEntry] = {}
-        self._ready: Set[Tuple[int, int]] = set()
-        self._counters: Dict[str, int] = {
-            "worker_restarts": 0,
-            "crashes_detected": 0,
-            "retried_requests": 0,
-            "failed_requests": 0,
-            "rehomed_datasets": 0,
-            "workers_lost": 0,
-            "replay_errors": 0,
-            "deadline_expired_supervisor": 0,
-            "deadline_expired_worker": 0,
-            "hedged_requests": 0,
-            "hedge_wins": 0,
-            "breaker_opened": 0,
-            "breaker_closed": 0,
-            "breaker_probes": 0,
-            "journal_checkpoints": 0,
-            "journal_checkpoint_failures": 0,
-            "drains": 0,
-        }
+        self._table = RequestTable(
+            capacity=MAX_QUEUE_PER_WORKER,
+            retry_budget=policy.read_retry_budget,
+            retry_backoff=policy.retry_backoff_seconds,
+            hedge_delay=None if hedge_delay_ms is None else hedge_delay_ms / 1000.0,
+        )
+        self._router = Router(policy)
+        self._datasets: Dict[str, Journal] = {}
+        self._counters: Dict[str, int] = dict.fromkeys((
+            "worker_restarts", "crashes_detected", "retried_requests",
+            "failed_requests", "rehomed_datasets", "replay_errors",
+            "deadline_expired_supervisor", "deadline_expired_worker",
+            "hedged_requests", "hedge_wins", "journal_checkpoints",
+            "journal_checkpoint_failures", "drains",
+        ), 0)
         self._closed = False
-        self._started = False
         self._stop = threading.Event()
-        self._collector: Optional[threading.Thread] = None
-        self._monitor: Optional[threading.Thread] = None
+        #: "ready" announcements still awaited by start(); a restarted
+        #: worker's takes it below zero, which nobody waits on.  Touched
+        #: by the collector thread only.
+        self._booting = workers
+        self._all_ready = threading.Event()
+        self._threads: List[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "Supervisor":
-        if self._started:
+        if self._outbox is not None:
             raise ServiceError("supervisor already started")
-        self._started = True
         self._outbox = self._ctx.Queue()
-        for worker_id in range(self._workers):
+        for _ in range(self._workers):
+            worker_id = self._router.add_worker()
             self._handles.append(self._spawn(worker_id, 0, with_plan=True))
-        self._collector = threading.Thread(
-            target=self._collect_loop, name="frontend-collector", daemon=True
-        )
-        self._collector.start()
-        self._monitor = threading.Thread(
-            target=self._monitor_loop, name="frontend-monitor", daemon=True
-        )
-        self._monitor.start()
-        self._wait_ready()
+        for target, name in ((self._collect_loop, "frontend-collector"),
+                             (self._monitor_loop, "frontend-monitor")):
+            thread = threading.Thread(target=target, name=name, daemon=True)
+            thread.start()
+            self._threads.append(thread)
+        if not self._all_ready.wait(READY_TIMEOUT_SECONDS):
+            self.close()
+            raise ServiceError(f"worker pool not ready within {READY_TIMEOUT_SECONDS}s")
         return self
 
     def _spawn(self, worker_id: int, generation: int, *, with_plan: bool) -> _WorkerHandle:
-        armed = (
-            with_plan
-            and self._fault_plan is not None
-            and (self._fault_workers is None or worker_id in self._fault_workers)
+        armed = with_plan and (
+            self._fault_workers is None or worker_id in self._fault_workers
         )
         settings = {
             "store_root": self._store_root,
-            "engine_opts": self._engine_opts,
             "fault_plan": self._fault_plan if armed else None,
         }
-        inbox = self._ctx.Queue(self._max_queue)
+        inbox = self._ctx.Queue(MAX_QUEUE_PER_WORKER)
         process = self._ctx.Process(
             target=worker_main,
             args=(worker_id, generation, inbox, self._outbox, settings),
@@ -457,24 +226,7 @@ class Supervisor:
             daemon=True,
         )
         process.start()
-        breaker = _CircuitBreaker(
-            self._policy.breaker_failure_threshold,
-            self._policy.breaker_reset_seconds,
-        )
-        return _WorkerHandle(worker_id, generation, process, inbox, breaker)
-
-    def _wait_ready(self) -> None:
-        deadline = time.monotonic() + self._ready_timeout
-        expected = {(h.worker_id, h.generation) for h in self._handles}
-        while time.monotonic() < deadline:
-            with self._lock:
-                if expected <= self._ready:
-                    return
-            time.sleep(0.01)
-        self.close()
-        raise ServiceError(
-            f"worker pool not ready within {self._ready_timeout}s"
-        )
+        return _WorkerHandle(generation, process, inbox)
 
     def close(self) -> None:
         """Stop threads, drain workers, fail whatever is still in flight."""
@@ -483,10 +235,8 @@ class Supervisor:
                 return
             self._closed = True
             handles = list(self._handles)
-            pending = list(self._inflight.values())
-            pending.extend(p for _, p in self._deferred)
-            self._inflight.clear()
-            self._deferred = []
+            unanswered = self._table.close()
+            self._counters["failed_requests"] += len(unanswered)
         self._stop.set()
         for handle in handles:
             try:
@@ -500,22 +250,12 @@ class Supervisor:
             if handle.process.is_alive():
                 handle.process.terminate()
                 handle.process.join(timeout=5)
-        for thread in (self._collector, self._monitor):
-            if thread is not None and thread is not threading.current_thread():
+        for thread in self._threads:
+            if thread is not threading.current_thread():
                 thread.join(timeout=5)
         closed = ServiceError("serving front is closed")
-        for p in pending:
-            if p.hedge is not None:
-                if p.hedge.done:
-                    continue
-                p.hedge.done = True
-            self._deliver_error(p, closed)
-
-    def __enter__(self) -> "Supervisor":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
+        for ticket in unanswered:
+            self._deliver_error(ticket, closed)
 
     # -- introspection ---------------------------------------------------------
 
@@ -526,18 +266,17 @@ class Supervisor:
 
     @property
     def healthy_workers(self) -> int:
-        with self._lock:
-            return sum(1 for h in self._handles if h.healthy)
+        return self.health()["healthy_workers"]
 
     def health(self) -> Dict[str, Any]:
         with self._lock:
-            snapshot: Dict[str, Any] = dict(self._counters)
-            snapshot["workers"] = self._workers
-            snapshot["healthy_workers"] = sum(1 for h in self._handles if h.healthy)
-            snapshot["breakers"] = {
-                str(h.worker_id): h.breaker.state for h in self._handles
+            return {
+                **self._counters,
+                **self._router.counters,
+                "workers": self._workers,
+                "healthy_workers": len(self._router.healthy()),
+                "breakers": self._router.breaker_states(),
             }
-        return snapshot
 
     # -- request submission ----------------------------------------------------
 
@@ -546,7 +285,7 @@ class Supervisor:
         header: Dict[str, Any],
         body: bytes,
         codec: int,
-        on_done: _OnDone,
+        on_done: OnDone,
     ) -> None:
         """Route one request; ``on_done(header, body, codec)`` fires exactly
         once, from a supervisor thread.
@@ -557,69 +296,43 @@ class Supervisor:
         :class:`~repro.core.errors.DeadlineExceededError` synchronously.
 
         Raises synchronously on conditions the caller must answer itself:
-        :class:`~repro.core.errors.OverloadedError` when the target
-        worker's queue is full, :class:`~repro.core.errors.ServiceError`
-        when closed, :class:`~repro.core.errors.WorkerFailedError` when no
-        healthy worker can take the request.
+        :class:`~repro.core.errors.OverloadedError` when a target worker's
+        queue is full, :class:`~repro.core.errors.ServiceError` when
+        closed, :class:`~repro.core.errors.WorkerFailedError` when no
+        healthy worker can take the request; nothing was enqueued then.
         """
         op = header.get("op")
         name = header.get("dataset")
-        deadline_ms = header.get("deadline_ms")
-        if isinstance(deadline_ms, (int, float)):
-            if deadline_ms <= 0:
-                with self._lock:
-                    self._counters["deadline_expired_supervisor"] += 1
-                raise DeadlineExceededError(
-                    f"request {op!r} arrived with an exhausted budget "
-                    f"({deadline_ms} ms remaining)",
-                    op=op, dataset=name,
-                    elapsed_ms=0.0, budget_ms=float(deadline_ms),
-                )
-            header["deadline_mono"] = time.monotonic() + deadline_ms / 1000.0
-        if op == "stats":
-            on_done = self._inject_health(on_done)
+        now = time.monotonic()
+        try:
+            stamp_deadline(header, now)
+        except DeadlineExceededError:
+            with self._lock:
+                self._counters["deadline_expired_supervisor"] += 1
+            raise
         with self._lock:
             if self._closed:
                 raise ServiceError("serving front is closed")
             if op == "attach":
-                self._submit_attach_locked(header, body, codec, on_done)
+                self._submit_attach_locked(header, body, codec, on_done, now)
                 return
-            entry = self._table.get(name) if name is not None else None
-            if op == "detach" and entry is not None and not entry.mutable:
-                del self._table[name]
-                self._submit_broadcast_locked(
-                    header, body, codec, self._healthy_locked(), on_done
-                )
-                return
-            if op == "stats" and (entry is None or not entry.mutable):
-                targets = self._healthy_locked()
-                if len(targets) > 1:
-                    self._submit_broadcast_locked(
-                        header, body, codec, targets, on_done,
-                        combine=self._combine_stats,
-                    )
-                    return
-            if entry is not None and entry.mutable:
-                handle = self._handle_for_locked(entry.home)
-                if handle is None:
-                    raise WorkerFailedError(
-                        f"dataset {name!r} lost its home worker and is not "
-                        "yet re-homed; retry shortly"
-                    )
-                if op == "detach":
-                    del self._table[name]
+            journal = self._datasets.get(name)
+            replicated = journal is None or not journal.mutable
+            if op == "stats" or (op == "detach" and journal is not None
+                                 and replicated):
+                targets = (self._router.healthy() if replicated
+                           else [self._router.route(journal, now)])
+                self._broadcast_locked(
+                    header, body, codec, targets, on_done, now,
+                    combine=self._combine_stats if op == "stats" else None)
             else:
-                handle = self._next_dispatch_locked()
-            no_retry = op not in _READ_OPS
-            hedge_eligible = (
-                self._hedge_delay is not None
-                and op in _HEDGE_OPS
-                and (entry is None or not entry.mutable)
-            )
-            self._enqueue_locked(
-                handle, _Pending(header, body, codec, on_done, handle.worker_id,
-                                 no_retry=no_retry, hedge_eligible=hedge_eligible)
-            )
+                ticket = self._table.open(header, body, codec, on_done, now,
+                                          replicated=replicated)
+                self._send_locked(ticket, self._router.route(journal, now), now)
+            # Only now that the detach is on its way: a refused detach must
+            # leave the dataset known -- its workers still serve it.
+            if op == "detach" and journal is not None:
+                del self._datasets[name]
 
     def call(
         self,
@@ -644,23 +357,18 @@ class Supervisor:
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
             wait = min(timeout, deadline_ms / 1000.0 + 5.0)
-        done = threading.Event()
-        box: Dict[str, Any] = {}
-
-        def on_done(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
-            box["response"] = (rheader, rbody, rcodec)
-            done.set()
-
-        self.submit(header, body, codec, on_done)
-        if not done.wait(wait):
+        responses: "queue_mod.SimpleQueue[_Response]" = queue_mod.SimpleQueue()
+        self.submit(header, body, codec, lambda *response: responses.put(response))
+        try:
+            rheader, rbody, rcodec = responses.get(timeout=wait)
+        except queue_mod.Empty:
             raise DeadlineExceededError(
                 f"no response to {op!r} within {wait}s",
                 op=op, dataset=dataset,
                 elapsed_ms=wait * 1000.0,
                 budget_ms=deadline_ms if deadline_ms is not None
                 else timeout * 1000.0,
-            )
-        rheader, rbody, rcodec = box["response"]
+            ) from None
         payload = protocol.decode_body(rbody, rcodec) if rbody else None
         if rheader.get("ok"):
             return payload
@@ -668,11 +376,19 @@ class Supervisor:
 
     # -- drain -----------------------------------------------------------------
 
+    def _set_draining(self, worker_id: int, draining: bool) -> None:
+        with self._lock:
+            if self._closed:
+                raise ServiceError("serving front is closed")
+            if not 0 <= worker_id < len(self._handles):
+                raise ServiceError(f"no worker {worker_id} in the pool")
+            self._router.set_draining(worker_id, draining)
+
     def drain(self, worker_id: int, *, timeout: float = 5.0) -> Dict[str, Any]:
         """Gracefully take ``worker_id`` out of rotation.
 
         Stops new dispatch immediately, waits up to ``timeout`` seconds
-        for its in-flight work, then re-homes mutable datasets homed
+        for the frames it still owes, then re-homes mutable datasets homed
         there via the attach+journal replay path.  Datasets with an
         unacknowledged write still on the old home are *not* re-homed
         (replaying around an unacknowledged write could diverge from what
@@ -680,54 +396,33 @@ class Supervisor:
         stay routable on the draining worker until :meth:`undrain` or a
         later :meth:`drain`.
         """
-        with self._lock:
-            if self._closed:
-                raise ServiceError("serving front is closed")
-            handle = self._handle_by_id_locked(worker_id)
-            if handle is None:
-                raise ServiceError(f"no worker {worker_id} in the pool")
-            handle.draining = True
-            self._counters["drains"] += 1
+        self._set_draining(worker_id, True)
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
-                busy = sum(1 for p in self._inflight.values()
-                           if p.worker_id == worker_id)
-            if busy == 0:
-                break
+                if self._table.load(worker_id) == 0:
+                    break
             time.sleep(min(self._poll_seconds, 0.01))
         rehomed: List[str] = []
         skipped: List[str] = []
+        now = time.monotonic()
         with self._lock:
-            remaining = sum(1 for p in self._inflight.values()
-                            if p.worker_id == worker_id)
-            busy_writes = {
-                p.dataset for p in self._inflight.values()
-                if p.worker_id == worker_id and not p.internal
-                and p.op not in _READ_OPS
-            }
-            for name, entry in list(self._table.items()):
-                if not entry.mutable or entry.home != worker_id:
+            self._counters["drains"] += 1
+            remaining = self._table.load(worker_id)
+            busy_writes = self._table.unacked_writes(worker_id)
+            for name, journal in self._datasets.items():
+                if not journal.mutable or journal.home != worker_id:
                     continue
-                if name in busy_writes:
-                    skipped.append(name)
-                    continue
-                try:
-                    self._rehome_locked(name, entry)
-                except WorkerFailedError:
+                if name in busy_writes or not self._rehome_locked(journal, now):
                     skipped.append(name)
                     continue
                 rehomed.append(name)
                 # Free the now-stale copy on the drained worker; routing
                 # already points at the new home, so this is pure cleanup.
-                detach_header = {"op": "detach", "rid": 0, "dataset": name}
                 try:
-                    self._enqueue_locked(
-                        handle,
-                        _Pending(detach_header, b"", entry.codec,
-                                 self._replay_done, worker_id,
-                                 no_retry=True, internal=True),
-                    )
+                    self._send_internal_locked(
+                        worker_id, {"op": "detach", "rid": 0, "dataset": name},
+                        b"", journal.codec, self._replay_done, now)
                 except OverloadedError:
                     pass
         return {
@@ -740,504 +435,65 @@ class Supervisor:
 
     def undrain(self, worker_id: int) -> None:
         """Return a drained worker to the dispatch rotation."""
-        with self._lock:
-            handle = self._handle_by_id_locked(worker_id)
-            if handle is None:
-                raise ServiceError(f"no worker {worker_id} in the pool")
-            handle.draining = False
+        self._set_draining(worker_id, False)
 
-    # -- locked routing helpers ------------------------------------------------
+    # -- locked dispatch helpers -----------------------------------------------
 
-    def _healthy_locked(self) -> List[_WorkerHandle]:
-        return [h for h in self._handles if h.healthy]
-
-    def _dispatchable_locked(self) -> List[_WorkerHandle]:
-        return [h for h in self._handles if h.healthy and not h.draining]
-
-    def _handle_by_id_locked(self, worker_id: int) -> Optional[_WorkerHandle]:
-        for handle in self._handles:
-            if handle.worker_id == worker_id:
-                return handle
-        return None
-
-    def _handle_for_locked(self, worker_id: Optional[int]) -> Optional[_WorkerHandle]:
-        if worker_id is None:
-            return None
-        for handle in self._handles:
-            if handle.worker_id == worker_id and handle.healthy:
-                return handle
-        return None
-
-    def _next_dispatch_locked(self) -> _WorkerHandle:
-        """Pick a worker for routed traffic: probes first, then round-robin
-        over closed breakers; if every breaker is open, fall back to all
-        dispatchable workers rather than failing the request."""
-        candidates = self._dispatchable_locked()
-        if not candidates:
-            raise WorkerFailedError("no healthy workers in the pool")
-        now = time.monotonic()
-        for handle in candidates:
-            if handle.breaker.allow_probe(now):
-                self._counters["breaker_probes"] += 1
-                return handle
-        closed = [h for h in candidates
-                  if h.breaker.state == _CircuitBreaker.CLOSED]
-        pool = closed or candidates
-        self._rr += 1
-        return pool[self._rr % len(pool)]
-
-    def _home_counts_locked(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for entry in self._table.values():
-            if entry.mutable and entry.home is not None:
-                counts[entry.home] = counts.get(entry.home, 0) + 1
-        return counts
-
-    def _least_loaded_locked(self) -> _WorkerHandle:
-        candidates = self._dispatchable_locked()
-        if not candidates:
-            raise WorkerFailedError("no healthy workers in the pool")
-        counts = self._home_counts_locked()
-        return min(candidates,
-                   key=lambda h: (counts.get(h.worker_id, 0), h.worker_id))
-
-    def _enqueue_locked(self, handle: _WorkerHandle, pending: _Pending) -> None:
-        rid = next(self._rids)
-        pending.rid = rid
-        pending.enqueued_at = time.monotonic()
-        self._inflight[rid] = pending
+    def _send_locked(self, ticket: Ticket, worker_id: int, now: float, *,
+                     is_hedge: bool = False) -> None:
+        """The one place a frame enters a worker's inbox."""
+        attempt = self._table.send(ticket, worker_id, now, is_hedge=is_hedge)
         try:
-            handle.inbox.put_nowait(("req", rid, pending.header, pending.body,
-                                     pending.codec))
+            self._handles[worker_id].inbox.put_nowait(
+                ("req", attempt.rid, ticket.header, ticket.body, ticket.codec))
         except queue_mod.Full:
-            del self._inflight[rid]
-            raise OverloadedError(
-                f"worker {handle.worker_id} queue is full "
-                f"({self._max_queue} requests deep)"
-            ) from None
+            self._table.forget(attempt)
+            raise OverloadedError(f"worker {worker_id} queue is full") from None
 
-    def _submit_attach_locked(self, header, body, codec, on_done) -> None:
+    def _send_internal_locked(self, worker_id, header, body, codec, on_done,
+                              now) -> None:
+        """A supervisor-originated frame (replay, snapshot, cleanup)."""
+        ticket = self._table.open(header, body, codec, on_done, now, internal=True)
+        self._send_locked(ticket, worker_id, now)
+
+    def _broadcast_locked(self, header, body, codec, targets, on_done, now,
+                          combine=None) -> None:
+        """All-or-nothing: every target has room before the first put, so
+        no sub-request is ever left behind a broadcast that cannot finish."""
+        if not targets:
+            raise WorkerFailedError("no healthy workers in the pool")
+        for worker_id in targets:
+            self._table.check_room(worker_id)
+        broadcast = _Broadcast(len(targets), on_done, combine)
+        for worker_id in targets:
+            ticket = self._table.open(header, body, codec, broadcast.collect, now)
+            self._send_locked(ticket, worker_id, now)
+
+    def _submit_attach_locked(self, header, body, codec, on_done, now) -> None:
         params = protocol.decode_body(body, codec)
         name = params["name"]
         mutable = bool(params.get("mutable", False))
-        if mutable:
-            targets = [self._least_loaded_locked()]
-        else:
-            targets = self._healthy_locked()
-            if not targets:
-                raise WorkerFailedError("no healthy workers in the pool")
-        entry = _AttachEntry(_strip_deadline(header), body, codec, mutable,
-                             targets[0].worker_id if mutable else None)
+        targets = ([self._router.pick_home(self._datasets.values())] if mutable
+                   else self._router.healthy())
+        journal = Journal(name, header, body, codec, mutable=mutable,
+                          home=targets[0] if mutable else None,
+                          checkpoint_every=self._checkpoint_batches)
 
         def record_then_done(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
             if rheader.get("ok"):
                 with self._lock:
-                    self._table[name] = entry
+                    self._datasets[name] = journal
             on_done(rheader, rbody, rcodec)
 
-        self._submit_broadcast_locked(header, body, codec, targets, record_then_done)
+        self._broadcast_locked(header, body, codec, targets, record_then_done, now)
 
-    def _submit_broadcast_locked(self, header, body, codec, targets, on_done,
-                                 combine=None) -> None:
-        if not targets:
-            raise WorkerFailedError("no healthy workers in the pool")
-        broadcast = _Broadcast(len(targets), on_done, combine)
-        for handle in targets:
-            self._enqueue_locked(
-                handle,
-                _Pending(header, body, codec, broadcast.collect, handle.worker_id,
-                         no_retry=True),
-            )
-
-    def _inject_health(self, on_done: _OnDone) -> _OnDone:
-        """Fold the pool's health counters into a stats response, so one
-        remote ``stats()`` shows engine counters *and* the supervision story
-        (``worker_restarts``, retries, re-homes, breakers)."""
-
-        def wrapped(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
-            if rheader.get("ok"):
-                try:
-                    payload = protocol.decode_body(rbody, rcodec)
-                    if isinstance(payload, dict):
-                        payload["frontend"] = self.health()
-                        rbody = protocol.encode_body(payload, rcodec)
-                except Exception:  # pragma: no cover - stats stay best-effort
-                    pass
-            on_done(rheader, rbody, rcodec)
-
-        return wrapped
-
-    @staticmethod
-    def _combine_stats(
-        responses: List[Tuple[Dict[str, Any], bytes, int]]
-    ) -> Tuple[Dict[str, Any], bytes, int]:
-        header, body, codec = responses[0]
-        merged = protocol.decode_body(body, codec)
-        for _, other_body, other_codec in responses[1:]:
-            _merge_stats(merged, protocol.decode_body(other_body, other_codec))
-        return header, protocol.encode_body(merged, codec), codec
-
-    # -- circuit breaker accounting (lock held) --------------------------------
-
-    def _breaker_success_locked(self, handle: _WorkerHandle) -> None:
-        if handle.breaker.record_success() == "closed":
-            self._counters["breaker_closed"] += 1
-
-    def _breaker_failure_locked(self, handle: _WorkerHandle, now: float) -> None:
-        if handle.breaker.record_failure(now) == "opened":
-            self._counters["breaker_opened"] += 1
-
-    # -- response collection ---------------------------------------------------
-
-    def _collect_loop(self) -> None:
-        while True:
-            message = self._outbox.get()
-            tag = message[0]
-            if tag == "stop":
-                return
-            if tag == "ready":
-                _, worker_id, generation = message
-                with self._lock:
-                    self._ready.add((worker_id, generation))
-                continue
-            _, worker_id, generation, rid, rheader, rbody, rcodec = message
-            deliver = False
-            with self._lock:
-                pending = self._inflight.pop(rid, None)
-                if pending is not None:
-                    deliver = True
-                    handle = self._handle_by_id_locked(worker_id)
-                    current = (
-                        handle is not None and handle.generation == generation
-                    )
-                    if (
-                        not rheader.get("ok")
-                        and rheader.get("etype") == "DeadlineExceededError"
-                    ):
-                        # The frame aged out in the worker's inbox: a
-                        # slowness signal, and an expiry the client sees.
-                        self._counters["deadline_expired_worker"] += 1
-                        if current:
-                            self._breaker_failure_locked(
-                                handle, time.monotonic()
-                            )
-                    elif current:
-                        # Any answer -- including an application error --
-                        # means the worker is alive and serving.
-                        self._breaker_success_locked(handle)
-                    if pending.hedge is not None:
-                        hedge = pending.hedge
-                        if hedge.done:  # pragma: no cover - defensive
-                            deliver = False
-                        else:
-                            hedge.done = True
-                            sibling = hedge.sibling(pending)
-                            self._inflight.pop(sibling.rid, None)
-                            if pending.is_hedge and rheader.get("ok"):
-                                self._counters["hedge_wins"] += 1
-                    if (
-                        deliver
-                        and rheader.get("ok")
-                        and pending.op == "apply_changes"
-                        and not pending.internal
-                    ):
-                        entry = self._table.get(pending.dataset)
-                        if entry is not None and entry.mutable:
-                            entry.journal.append(
-                                (_strip_deadline(pending.header), pending.body,
-                                 pending.codec)
-                            )
-                            self._maybe_checkpoint_locked(pending.dataset, entry)
-            if pending is not None and deliver:
-                pending.on_done(rheader, rbody, rcodec)
-
-    # -- journal checkpointing -------------------------------------------------
-
-    def _maybe_checkpoint_locked(self, name: str, entry: _AttachEntry) -> None:
-        if (
-            self._checkpoint_batches is None
-            or len(entry.journal) < self._checkpoint_batches
-            or entry.checkpointing
-        ):
-            return
-        home = self._handle_for_locked(entry.home)
-        if home is None:
-            return
-        entry.checkpointing = True
-        snapshot_header = {"op": "snapshot", "rid": 0, "dataset": name}
-        try:
-            self._enqueue_locked(
-                home,
-                _Pending(snapshot_header, b"", entry.codec,
-                         self._checkpoint_done(name), home.worker_id,
-                         no_retry=True, internal=True),
-            )
-        except OverloadedError:
-            entry.checkpointing = False
-            self._counters["journal_checkpoint_failures"] += 1
-
-    def _checkpoint_done(self, name: str) -> _OnDone:
-        """Completion of a snapshot request: swap the attach baseline,
-        truncate the journal, persist the checkpoint.
-
-        Runs on the collector thread, which is also the only thread that
-        appends to the journal -- so between the snapshot response and
-        this truncation no batch can sneak in, and FIFO ordering
-        guarantees the journal holds exactly the batches the snapshot
-        already contains.
-        """
-
-        def finish(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
-            store = self._store
-            new_body: Optional[bytes] = None
-            version = 0
-            with self._lock:
-                entry = self._table.get(name)
-                if entry is None or not entry.mutable:
-                    return
-                entry.checkpointing = False
-                if not rheader.get("ok"):
-                    self._counters["journal_checkpoint_failures"] += 1
-                    return
-                try:
-                    snapshot = protocol.decode_body(rbody, rcodec)
-                    params = protocol.decode_body(entry.body, entry.codec)
-                    params["data"] = snapshot["data"]
-                    version = snapshot.get("version", 0)
-                    new_body = protocol.encode_body(params, entry.codec)
-                except Exception:
-                    self._counters["journal_checkpoint_failures"] += 1
-                    return
-                entry.body = new_body
-                entry.journal.clear()
-                self._counters["journal_checkpoints"] += 1
-            if store is not None and new_body is not None:
-                key = ArtifactKey(
-                    fingerprint=hashlib.sha256(name.encode("utf-8")).hexdigest(),
-                    scheme=_CHECKPOINT_SCHEME,
-                    params=f"{name}@v{version}",
-                )
-                try:
-                    store.put(key, new_body)
-                except Exception:
-                    with self._lock:
-                        self._counters["journal_checkpoint_failures"] += 1
-
-        return finish
-
-    # -- crash detection, deadlines, hedging, retries --------------------------
-
-    def _monitor_loop(self) -> None:
-        while not self._stop.wait(self._poll_seconds):
-            deliveries: List[Tuple[_Pending, BaseException, Optional[str]]] = []
-            to_restart: List[_WorkerHandle] = []
-            now = time.monotonic()
-            with self._lock:
-                if self._closed:
-                    return
-                for handle in self._handles:
-                    if handle.healthy and not handle.process.is_alive():
-                        deliveries.extend(self._on_crash_locked(handle, now))
-                self._sweep_deadlines_locked(now, deliveries)
-                self._fire_hedges_locked(now)
-                self._process_deferred_locked(now, deliveries)
-                for handle in self._handles:
-                    if (
-                        not handle.healthy
-                        and not handle.lost
-                        and now >= handle.next_restart_at
-                    ):
-                        to_restart.append(handle)
-            for pending, error, counter in deliveries:
-                self._deliver_error(pending, error, counter=counter)
-            for handle in to_restart:
-                self._restart(handle)
-
-    def _deadline_error(self, pending: _Pending, now: float) -> DeadlineExceededError:
-        budget_ms = pending.header.get("deadline_ms")
-        elapsed_ms = (now - pending.enqueued_at) * 1000.0 if pending.enqueued_at else None
-        return DeadlineExceededError(
-            f"no response to {pending.op!r} for dataset {pending.dataset!r} "
-            f"within its {budget_ms} ms budget",
-            op=pending.op, dataset=pending.dataset,
-            elapsed_ms=elapsed_ms,
-            budget_ms=budget_ms if isinstance(budget_ms, (int, float)) else None,
-        )
-
-    def _sweep_deadlines_locked(
-        self, now: float,
-        deliveries: List[Tuple[_Pending, BaseException, Optional[str]]],
-    ) -> None:
-        """Answer every in-flight request whose budget just ran out; the
-        worker holding it is penalised on its breaker (it was too slow)."""
-        expired = [rid for rid, p in self._inflight.items()
-                   if p.deadline_at is not None and now >= p.deadline_at]
-        for rid in expired:
-            pending = self._inflight.pop(rid, None)
-            if pending is None:
-                continue
-            handle = self._handle_by_id_locked(pending.worker_id)
-            if handle is not None:
-                self._breaker_failure_locked(handle, now)
-            if pending.hedge is not None:
-                hedge = pending.hedge
-                if hedge.done:
-                    continue
-                hedge.done = True
-                sibling = hedge.sibling(pending)
-                if self._inflight.pop(sibling.rid, None) is not None:
-                    sibling_handle = self._handle_by_id_locked(sibling.worker_id)
-                    if sibling_handle is not None:
-                        self._breaker_failure_locked(sibling_handle, now)
-            self._counters["deadline_expired_supervisor"] += 1
-            deliveries.append((pending, self._deadline_error(pending, now), None))
-
-    def _fire_hedges_locked(self, now: float) -> None:
-        """Race a duplicate of any immutable read that has waited past the
-        hedge delay on a second worker; first answer wins."""
-        if self._hedge_delay is None:
-            return
-        for pending in list(self._inflight.values()):
-            if (
-                pending.hedge is not None
-                or not pending.hedge_eligible
-                or pending.is_hedge
-                or now - pending.enqueued_at < self._hedge_delay
-            ):
-                continue
-            candidates = [
-                h for h in self._handles
-                if h.healthy and not h.draining
-                and h.worker_id != pending.worker_id
-                and h.breaker.state == _CircuitBreaker.CLOSED
-            ]
-            if not candidates:
-                pending.hedge_eligible = False
-                continue
-            self._rr += 1
-            target = candidates[self._rr % len(candidates)]
-            copy = _Pending(pending.header, pending.body, pending.codec,
-                            pending.on_done, target.worker_id,
-                            no_retry=True, is_hedge=True)
+    def _replay_locked(self, journal: Journal, worker_id: int, now: float) -> None:
+        """Rebuild ``journal``'s dataset on ``worker_id``: the one place
+        attach + journal frames are enqueued for replay."""
+        for header, body, codec in journal.frames():
             try:
-                self._enqueue_locked(target, copy)
-            except OverloadedError:
-                pending.hedge_eligible = False
-                continue
-            hedge = _Hedge(pending, copy)
-            pending.hedge = hedge
-            copy.hedge = hedge
-            self._counters["hedged_requests"] += 1
-
-    def _process_deferred_locked(
-        self, now: float,
-        deliveries: List[Tuple[_Pending, BaseException, Optional[str]]],
-    ) -> None:
-        """Re-dispatch crash-orphaned reads whose backoff elapsed."""
-        still: List[Tuple[float, _Pending]] = []
-        for due_at, pending in self._deferred:
-            if pending.deadline_at is not None and now >= pending.deadline_at:
-                self._counters["deadline_expired_supervisor"] += 1
-                deliveries.append(
-                    (pending, self._deadline_error(pending, now), None)
-                )
-                continue
-            if now < due_at:
-                still.append((due_at, pending))
-                continue
-            entry = self._table.get(pending.dataset)
-            try:
-                if entry is not None and entry.mutable:
-                    target = self._handle_for_locked(entry.home)
-                    if target is None:
-                        raise WorkerFailedError(
-                            f"dataset {pending.dataset!r} has no home worker"
-                        )
-                else:
-                    target = self._next_dispatch_locked()
-                pending.worker_id = target.worker_id
-                self._enqueue_locked(target, pending)
-                self._counters["retried_requests"] += 1
-            except (WorkerFailedError, OverloadedError) as exc:
-                deliveries.append((pending, exc, "failed_requests"))
-        self._deferred = still
-
-    def _on_crash_locked(
-        self, handle: _WorkerHandle, now: float
-    ) -> List[Tuple[_Pending, BaseException, Optional[str]]]:
-        handle.healthy = False
-        self._counters["crashes_detected"] += 1
-        self._breaker_failure_locked(handle, now)
-        exitcode = handle.process.exitcode
-        dead_id = handle.worker_id
-        failures: List[Tuple[_Pending, BaseException, Optional[str]]] = []
-
-        # Re-home mutable datasets whose home just died: replay the attach
-        # frame plus the acknowledged journal onto the least-loaded healthy
-        # worker.  FIFO inboxes order the replay before any rerouted reads.
-        for name, entry in self._table.items():
-            if not entry.mutable or entry.home != dead_id:
-                continue
-            entry.checkpointing = False  # any outstanding snapshot died too
-            try:
-                self._rehome_locked(name, entry)
-            except WorkerFailedError:
-                entry.home = None  # orphaned until a worker comes back
-
-        # In-flight on the dead worker: reads enter the budgeted-backoff
-        # retry path, everything else fails loudly (a write may or may not
-        # have applied).  A hedged read whose sibling still races elsewhere
-        # is simply dropped -- the sibling covers it.
-        dead_rids = [rid for rid, p in self._inflight.items()
-                     if p.worker_id == dead_id]
-        for rid in dead_rids:
-            pending = self._inflight.pop(rid)
-            if pending.hedge is not None:
-                hedge = pending.hedge
-                if hedge.done:
-                    continue
-                sibling = hedge.sibling(pending)
-                if sibling.rid in self._inflight:
-                    sibling.hedge = None
-                    continue
-                pending.hedge = None
-            if (
-                not pending.no_retry
-                and pending.retries < self._policy.read_retry_budget
-            ):
-                pending.retries += 1
-                backoff = self._policy.retry_backoff_seconds * (
-                    2 ** (pending.retries - 1)
-                )
-                backoff *= 0.5 + self._jitter.random()
-                self._deferred.append((now + backoff, pending))
-                continue
-            failures.append((pending, WorkerFailedError(
-                f"worker {dead_id} died (exit {exitcode}) holding "
-                f"{pending.op!r} for dataset {pending.dataset!r}"
-            ), "failed_requests"))
-
-        backoff = self._policy.worker_restart_backoff_seconds * (
-            2 ** handle.restart_count
-        )
-        handle.next_restart_at = now + backoff
-        if handle.restart_count >= self._policy.worker_restart_attempts:
-            handle.lost = True
-            self._counters["workers_lost"] += 1
-        return failures
-
-    def _rehome_locked(self, name: str, entry: _AttachEntry) -> None:
-        new_home = self._least_loaded_locked()
-        entry.home = new_home.worker_id
-        self._counters["rehomed_datasets"] += 1
-        frames = [(entry.header, entry.body, entry.codec)] + list(entry.journal)
-        for fheader, fbody, fcodec in frames:
-            try:
-                self._enqueue_locked(
-                    new_home,
-                    _Pending(fheader, fbody, fcodec, self._replay_done,
-                             new_home.worker_id, no_retry=True, internal=True),
-                )
+                self._send_internal_locked(worker_id, header, body, codec,
+                                           self._replay_done, now)
             except OverloadedError:
                 self._counters["replay_errors"] += 1
 
@@ -1246,74 +502,192 @@ class Supervisor:
             with self._lock:
                 self._counters["replay_errors"] += 1
 
-    def _restart(self, handle: _WorkerHandle) -> None:
-        # Spawn outside the lock (it forks an interpreter); adopt under it.
+    def _rehome_locked(self, journal: Journal, now: float) -> bool:
+        """Move a mutable dataset to the least-loaded dispatchable worker;
+        False when there is none.  FIFO inboxes order the replay before
+        any read rerouted to the new home."""
         try:
-            replacement = self._spawn(
-                handle.worker_id, handle.generation + 1, with_plan=False
-            )
+            journal.home = self._router.pick_home(self._datasets.values())
+        except WorkerFailedError:
+            return False
+        self._counters["rehomed_datasets"] += 1
+        self._replay_locked(journal, journal.home, now)
+        return True
+
+    def _combine_stats(self, responses: List[_Response]) -> _Response:
+        """Merge the workers' stats and fold in the pool's health counters,
+        so one remote ``stats()`` shows engine counters *and* the
+        supervision story (``worker_restarts``, retries, re-homes, breakers)."""
+        header, body, codec = responses[0]
+        merged = protocol.decode_body(body, codec)
+        for _, other_body, other_codec in responses[1:]:
+            merge_stats(merged, protocol.decode_body(other_body, other_codec))
+        if isinstance(merged, dict):
+            merged["frontend"] = self.health()
+        return header, protocol.encode_body(merged, codec), codec
+
+    # -- response collection ---------------------------------------------------
+
+    def _collect_loop(self) -> None:
+        while True:
+            message = self._outbox.get()
+            if message[0] == "stop":
+                return
+            if message[0] == "ready":
+                self._booting -= 1
+                if self._booting == 0:
+                    self._all_ready.set()
+                continue
+            self._on_response(time.monotonic(), *message[1:])
+
+    def _on_response(self, now, worker_id, _generation, rid, rheader, rbody,
+                     rcodec) -> None:
+        with self._lock:
+            # Only a frame the live incarnation of its worker still owed
+            # comes back non-None: a crash forgets all the dead one held.
+            attempt = self._table.respond(rid)
+            if attempt is None:
+                return  # stale: the ticket was settled some other way
+            ticket = attempt.ticket
+            ok = rheader.get("ok")
+            if not ok and rheader.get("etype") == "DeadlineExceededError":
+                # The frame aged out in the worker's inbox: a slowness
+                # signal, and an expiry the client sees.
+                self._counters["deadline_expired_worker"] += 1
+                self._router.failure(worker_id, now)
+            else:
+                self._router.success(worker_id)
+            if ok and attempt.is_hedge:
+                self._counters["hedge_wins"] += 1
+            if ok and ticket.op == "apply_changes" and not ticket.internal:
+                self._journal_locked(ticket, now)
+        ticket.on_done(rheader, rbody, rcodec)
+
+    def _journal_locked(self, ticket: Ticket, now: float) -> None:
+        """A client write was acknowledged: record it, and ask the home
+        (which just answered, so it is up) for a snapshot when one is due."""
+        journal = self._datasets.get(ticket.dataset)
+        if journal is None or not journal.mutable:
+            return
+        snapshot_header = journal.record(ticket.header, ticket.body, ticket.codec)
+        if snapshot_header is None:
+            return
+        try:
+            self._send_internal_locked(
+                journal.home, snapshot_header, b"", journal.codec,
+                partial(self._checkpoint_done, journal.name), now)
+        except OverloadedError:
+            journal.checkpointing = False
+            self._counters["journal_checkpoint_failures"] += 1
+
+    def _checkpoint_done(self, name: str, rheader: Dict[str, Any],
+                         rbody: bytes, rcodec: int) -> None:
+        """Completion of a snapshot request: let the journal swap its
+        baseline and truncate, then persist the checkpoint.  Runs on the
+        collector thread, the only thread that records batches -- the
+        ordering :class:`~repro.service.frontend.placement.Journal` needs."""
+        with self._lock:
+            journal = self._datasets.get(name)
+            if journal is None or not journal.mutable:
+                return
+            saved = journal.finish_checkpoint(rheader.get("ok"), rbody, rcodec)
+            self._counters["journal_checkpoints" if saved
+                           else "journal_checkpoint_failures"] += 1
+        if saved is None or self._store is None:
+            return
+        try:
+            self._store.put(*saved)
         except Exception:
             with self._lock:
-                handle.restart_count += 1
-                if handle.restart_count > self._policy.worker_restart_attempts:
-                    if not handle.lost:
-                        handle.lost = True
-                        self._counters["workers_lost"] += 1
-                    return
-                backoff = self._policy.worker_restart_backoff_seconds * (
-                    2 ** handle.restart_count
-                )
-                handle.next_restart_at = time.monotonic() + backoff
+                self._counters["journal_checkpoint_failures"] += 1
+
+    # -- the monitor: crashes, deadlines, hedges, retries, restarts ------------
+
+    def _monitor_loop(self) -> None:
+        while not self._stop.wait(self._poll_seconds):
+            self._tick(time.monotonic())
+
+    def _tick(self, now: float) -> None:
+        failures: List[Tuple[Ticket, BaseException]] = []
+        with self._lock:
+            if self._closed:
+                return
+            for worker_id in self._router.healthy():
+                if not self._handles[worker_id].process.is_alive():
+                    self._on_crash_locked(worker_id, now, failures)
+            for ticket, slow_workers in self._table.expire(now):
+                # The workers holding it are penalised: they were too slow.
+                for worker_id in slow_workers:
+                    self._router.failure(worker_id, now)
+                self._counters["deadline_expired_supervisor"] += 1
+                failures.append((ticket, self._table.deadline_error(ticket, now)))
+            for attempt in self._table.hedge_due(now):
+                target = self._router.pick_hedge(exclude=attempt.worker_id)
+                if target is None:
+                    continue
+                try:
+                    self._send_locked(attempt.ticket, target, now, is_hedge=True)
+                except OverloadedError:
+                    continue
+                self._counters["hedged_requests"] += 1
+            for ticket in self._table.retries_due(now):
+                try:
+                    journal = self._datasets.get(ticket.dataset)
+                    self._send_locked(ticket, self._router.route(journal, now), now)
+                    self._counters["retried_requests"] += 1
+                except (WorkerFailedError, OverloadedError) as exc:
+                    self._table.settle(ticket)
+                    self._counters["failed_requests"] += 1
+                    failures.append((ticket, exc))
+            to_restart = self._router.restartable(now)
+        for ticket, error in failures:
+            self._deliver_error(ticket, error)
+        for worker_id in to_restart:
+            self._restart(worker_id, now)
+
+    def _on_crash_locked(self, worker_id: int, now: float,
+                         failures: List[Tuple[Ticket, BaseException]]) -> None:
+        self._counters["crashes_detected"] += 1
+        self._router.crashed(worker_id, now)
+        exitcode = self._handles[worker_id].process.exitcode
+        for journal in self._datasets.values():
+            if journal.mutable and journal.home == worker_id:
+                journal.home_lost()
+                self._rehome_locked(journal, now)  # or orphaned for now
+        for ticket in self._table.crash(worker_id):
+            if not self._table.retry_later(ticket, now, self._jitter.random()):
+                self._counters["failed_requests"] += 1
+                failures.append((ticket, WorkerFailedError(
+                    f"worker {worker_id} died (exit {exitcode}) holding "
+                    f"{ticket.op!r} for dataset {ticket.dataset!r}"
+                )))
+
+    def _restart(self, worker_id: int, now: float) -> None:
+        # Spawn outside the lock (it forks an interpreter); adopt under it.
+        generation = self._handles[worker_id].generation + 1
+        try:
+            replacement = self._spawn(worker_id, generation, with_plan=False)
+        except Exception:
+            with self._lock:
+                self._router.restarted(worker_id, now, ok=False)
             return
         with self._lock:
             if self._closed:
                 replacement.process.terminate()
                 return
-            handle.process = replacement.process
-            handle.inbox = replacement.inbox
-            handle.generation = replacement.generation
-            handle.restart_count += 1
-            # The slot's breaker survives the restart on purpose; the new
-            # process must prove itself through the half-open probe.
-            # Replay the attach table: every immutable dataset, plus any
-            # orphaned mutable home this worker can adopt (unless it is
-            # draining -- an operator is taking it out of rotation).
-            for name, entry in self._table.items():
-                if entry.mutable:
-                    if entry.home is None and not handle.draining:
-                        entry.home = handle.worker_id
-                        self._counters["rehomed_datasets"] += 1
-                        frames = [(entry.header, entry.body, entry.codec)]
-                        frames += list(entry.journal)
-                    else:
-                        continue
-                else:
-                    frames = [(entry.header, entry.body, entry.codec)]
-                for fheader, fbody, fcodec in frames:
-                    try:
-                        self._enqueue_locked(
-                            handle,
-                            _Pending(fheader, fbody, fcodec, self._replay_done,
-                                     handle.worker_id, no_retry=True,
-                                     internal=True),
-                        )
-                    except OverloadedError:
-                        self._counters["replay_errors"] += 1
-            handle.healthy = True
+            self._handles[worker_id] = replacement
+            self._router.restarted(worker_id, now, ok=True)
             self._counters["worker_restarts"] += 1
+            # Replay the attach table: every immutable dataset, then find
+            # any orphaned mutable dataset a home again (this worker,
+            # unless an operator is draining it out of rotation).
+            for journal in self._datasets.values():
+                if not journal.mutable:
+                    self._replay_locked(journal, worker_id, now)
+                elif journal.home is None:
+                    self._rehome_locked(journal, now)
 
-    # -- error delivery --------------------------------------------------------
-
-    def _deliver_error(
-        self,
-        pending: _Pending,
-        error: BaseException,
-        counter: Optional[str] = "failed_requests",
-    ) -> None:
-        if counter is not None:
-            with self._lock:
-                self._counters[counter] += 1
-        header = {"rid": pending.header.get("rid"), "ok": False,
-                  "op": pending.op}
-        body = protocol.encode_body(protocol.error_payload(error), pending.codec)
-        pending.on_done(header, body, pending.codec)
+    def _deliver_error(self, ticket: Ticket, error: BaseException) -> None:
+        header = {"rid": ticket.header.get("rid"), "ok": False, "op": ticket.op}
+        body = protocol.encode_body(protocol.error_payload(error), ticket.codec)
+        ticket.on_done(header, body, ticket.codec)

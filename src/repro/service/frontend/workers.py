@@ -38,7 +38,27 @@ from repro.service import faults
 from repro.service.faults import DegradedAnswer, FaultPlan
 from repro.service.frontend import protocol
 
-__all__ = ["handle_request", "handle_frame", "worker_main"]
+__all__ = ["handle_request", "handle_frame", "merge_stats", "worker_main"]
+
+#: Non-counter stats keys: identity, not additive.
+_FIRST_KEYS = frozenset({"dataset", "mutable", "scheme", "shards", "hit_rate"})
+_MAX_KEYS = frozenset({"version"})
+
+
+def merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
+    """Fold one worker's ``stats`` snapshot into an aggregate, in place."""
+    for key, value in other.items():
+        if key not in base:
+            base[key] = value
+        elif isinstance(value, dict) and isinstance(base[key], dict):
+            merge_stats(base[key], value)
+        elif isinstance(value, bool):
+            pass
+        elif isinstance(value, (int, float)) and isinstance(base[key], (int, float)):
+            if key in _MAX_KEYS:
+                base[key] = max(base[key], value)
+            elif key not in _FIRST_KEYS:
+                base[key] = base[key] + value
 
 
 def check_deadline(header: Dict[str, Any]) -> None:
@@ -183,11 +203,9 @@ def _build_engine(settings: Dict[str, Any]) -> Any:
     from repro.catalog import build_query_engine
     from repro.service.artifacts import ArtifactStore
 
-    opts = dict(settings.get("engine_opts") or {})
     store_root = settings.get("store_root")
-    if store_root is not None:
-        opts["store"] = ArtifactStore(store_root)
-    return build_query_engine(**opts)
+    store = ArtifactStore(store_root) if store_root is not None else None
+    return build_query_engine(store=store)
 
 
 def _install_plan(plan_spec: Optional[Tuple[Any, ...]]) -> None:
@@ -208,8 +226,8 @@ def worker_main(
 ) -> None:  # pragma: no cover - runs in a child process
     """Process entry point: build the engine, announce readiness, drain.
 
-    ``settings`` is a picklable dict: ``store_root``, ``engine_opts``, and
-    optionally ``fault_plan`` as a ``(specs, seed, policy, name)`` tuple --
+    ``settings`` is a picklable dict: ``store_root`` and optionally
+    ``fault_plan`` as a ``(specs, seed, policy, name)`` tuple --
     :class:`~repro.service.faults.FaultPlan` itself holds a lock and does
     not pickle, so it is rebuilt here, giving the worker its own seeded
     clock.

@@ -1,0 +1,261 @@
+"""Journals and the router, driven with an explicit clock and no processes.
+
+``placement.py`` is pure bookkeeping, so every policy the serving front
+states about worker choice and replay is checked here deterministically:
+the breaker cycle, who may (never) receive a routed or hedged frame, the
+restart schedule, and that a checkpoint truncates exactly the batches
+its snapshot contains.
+"""
+
+import pytest
+
+from repro.core.errors import WorkerFailedError
+from repro.service.faults import RecoveryPolicy
+from repro.service.frontend import protocol
+from repro.service.frontend.placement import Journal, Router
+
+CODEC = protocol.CODEC_JSON
+POLICY = RecoveryPolicy(
+    breaker_failure_threshold=3,
+    breaker_reset_seconds=1.0,
+    worker_restart_attempts=2,
+    worker_restart_backoff_seconds=0.5,
+)
+
+
+def make_router(workers=3, policy=POLICY):
+    router = Router(policy)
+    for _ in range(workers):
+        router.add_worker()
+    return router
+
+
+def open_breaker(router, worker_id, now):
+    for _ in range(POLICY.breaker_failure_threshold):
+        router.failure(worker_id, now)
+
+
+def picks(router, now, count=12):
+    return {router.pick_read(now) for _ in range(count)}
+
+
+# -- circuit breaker cycle -------------------------------------------------------
+
+
+def test_breaker_opens_after_threshold_consecutive_failures():
+    router = make_router()
+    router.failure(0, 0.0)
+    router.failure(0, 0.0)
+    router.success(0)            # an answer resets the streak
+    router.failure(0, 0.0)
+    router.failure(0, 0.0)
+    assert router.breaker_states()["0"] == "closed"
+    router.failure(0, 0.0)
+    assert router.breaker_states() == {"0": "open", "1": "closed", "2": "closed"}
+    assert router.counters["breaker_opened"] == 1
+    assert 0 not in picks(router, 0.5)
+
+
+def test_exactly_one_half_open_probe_per_reset_window_then_close():
+    router = make_router()
+    open_breaker(router, 0, 10.0)
+    assert 0 not in picks(router, 10.99)            # window not over
+    assert router.pick_read(11.0) == 0              # the probe goes first
+    assert router.breaker_states()["0"] == "half_open"
+    assert router.counters["breaker_probes"] == 1
+    assert 0 not in picks(router, 11.0)             # ...and only one
+    assert 0 not in picks(router, 50.0)             # until it is answered
+    router.success(0)
+    assert router.breaker_states()["0"] == "closed"
+    assert router.counters["breaker_closed"] == 1
+    assert 0 in picks(router, 50.0)
+
+
+def test_failed_probe_reopens_for_a_full_window():
+    router = make_router()
+    open_breaker(router, 0, 0.0)
+    assert router.pick_read(1.0) == 0
+    router.failure(0, 1.2)                          # the probe failed
+    assert router.breaker_states()["0"] == "open"
+    assert router.counters["breaker_opened"] == 2
+    assert 0 not in picks(router, 2.1)              # 0.9s after re-open
+    assert router.pick_read(2.2) == 0               # 1.0s after re-open
+    assert router.counters["breaker_probes"] == 2
+
+
+# -- placement -------------------------------------------------------------------
+
+
+def test_reads_round_robin_over_closed_dispatchable_workers_only():
+    router = make_router(4)
+    router.set_draining(1, True)
+    router.crashed(2, 0.0)
+    open_breaker(router, 3, 0.0)
+    assert picks(router, 0.1) == {0}
+    router.set_draining(1, False)
+    assert picks(router, 0.1) == {0, 1}
+    assert router.healthy() == [0, 1, 3]            # broadcasts reach 3 too
+
+
+def test_all_breakers_open_falls_back_instead_of_failing():
+    router = make_router(2)
+    open_breaker(router, 0, 0.0)
+    open_breaker(router, 1, 0.0)
+    assert picks(router, 0.1) == {0, 1}
+
+
+def test_no_dispatchable_worker_fails_loudly():
+    router = make_router(2)
+    router.crashed(0, 0.0)
+    router.set_draining(1, True)
+    with pytest.raises(WorkerFailedError):
+        router.pick_read(0.1)
+    with pytest.raises(WorkerFailedError):
+        router.pick_home([])
+
+
+def test_hedge_target_is_a_different_closed_dispatchable_worker_or_none():
+    router = make_router(4)
+    for _ in range(12):
+        assert router.pick_hedge(exclude=0) in {1, 2, 3}
+    router.set_draining(1, True)
+    router.crashed(2, 0.0)
+    open_breaker(router, 3, 0.0)
+    assert router.pick_hedge(exclude=0) is None     # never a suspect worker
+    assert router.pick_hedge(exclude=1) == 0
+    assert make_router(1).pick_hedge(exclude=0) is None
+
+
+def journal(name, *, home, mutable=True):
+    return Journal(name, {"op": "attach"}, b"", CODEC, mutable=mutable,
+                   home=home, checkpoint_every=None)
+
+
+def test_pick_home_takes_the_least_loaded_dispatchable_worker():
+    router = make_router(3)
+    homed = [journal("a", home=0), journal("b", home=0), journal("c", home=1),
+             journal("imm", home=None, mutable=False)]
+    assert router.pick_home(homed) == 2
+    router.set_draining(2, True)
+    assert router.pick_home(homed) == 1
+    assert router.pick_home([]) == 0                # ties go to the lowest id
+
+
+def test_route_sends_mutable_datasets_home_and_the_rest_round_robin():
+    router = make_router(3)
+    homed = journal("m", home=2)
+    assert {router.route(homed, 0.0) for _ in range(6)} == {2}
+    router.set_draining(2, True)                    # a draining home still serves
+    assert router.route(homed, 0.0) == 2
+    assert {router.route(None, 0.0) for _ in range(6)} == {0, 1}
+    assert {router.route(journal("i", home=None, mutable=False), 0.0)
+            for _ in range(6)} == {0, 1}
+    router.crashed(2, 0.0)
+    with pytest.raises(WorkerFailedError, match="lost its home"):
+        router.route(homed, 0.0)
+    homed.home_lost()
+    with pytest.raises(WorkerFailedError):
+        router.route(homed, 0.0)
+
+
+# -- restart schedule ------------------------------------------------------------
+
+
+def test_restart_backoff_doubles_and_a_spent_slot_is_lost():
+    router = make_router(2)                         # 2 attempts, 0.5s base
+    router.crashed(0, 100.0)
+    assert router.healthy() == [1]
+    assert router.restartable(100.49) == []
+    assert router.restartable(100.5) == [0]
+    router.restarted(0, 100.6, ok=False)            # spawn failed: 2nd try at 2x
+    assert router.restartable(101.59) == []
+    assert router.restartable(101.6) == [0]
+    router.restarted(0, 101.7, ok=True)
+    assert router.healthy() == [0, 1]
+    assert router.restartable(1e9) == []
+    assert router.counters["workers_lost"] == 0
+    router.crashed(0, 200.0)                        # both attempts are spent
+    assert router.counters["workers_lost"] == 1
+    assert router.restartable(1e9) == []
+    assert router.breaker_states()["0"] == "closed"  # 2 crashes < threshold 3
+
+
+def test_breaker_survives_a_restart():
+    router = make_router(2)
+    open_breaker(router, 0, 0.0)
+    router.crashed(0, 0.0)
+    router.restarted(0, 0.6, ok=True)
+    assert router.breaker_states()["0"] == "open"
+    assert 0 not in picks(router, 0.7)
+
+
+# -- journal ---------------------------------------------------------------------
+
+
+def attach_frame(data, **extra):
+    header = {"op": "attach", "rid": 7, "dataset": "d", **extra}
+    params = {"name": "d", "data": data, "kinds": ["list-membership"],
+              "mutable": True}
+    return header, protocol.encode_body(params, CODEC)
+
+
+def batch(n, **extra):
+    header = {"op": "apply_changes", "rid": n, "dataset": "d", **extra}
+    return header, protocol.encode_body({"changes": [n]}, CODEC), CODEC
+
+
+def make_journal(checkpoint_every=2, **extra):
+    header, body = attach_frame((1, 2, 3), **extra)
+    return Journal("d", header, body, CODEC, mutable=True, home=0,
+                   checkpoint_every=checkpoint_every)
+
+
+def test_replay_order_is_attach_then_batches_and_carries_no_deadline():
+    journal = make_journal(None, deadline_ms=50, deadline_mono=123.4)
+    journal.record(*batch(1, deadline_ms=20, deadline_mono=99.0))
+    journal.record(*batch(2))
+    frames = journal.frames()
+    assert [h["op"] for h, _, _ in frames] == ["attach", "apply_changes",
+                                               "apply_changes"]
+    assert [h["rid"] for h, _, _ in frames] == [7, 1, 2]
+    for header, _, _ in frames:
+        assert not any(key.startswith("deadline_") for key in header)
+
+
+def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
+    journal = make_journal(checkpoint_every=2)
+    assert journal.record(*batch(1)) is None
+    request = journal.record(*batch(2))
+    assert request == {"op": "snapshot", "rid": 0, "dataset": "d"}
+    # Acknowledged while the snapshot is outstanding: FIFO puts it *in*
+    # the snapshot, and it must not trigger a second one.
+    assert journal.record(*batch(3)) is None
+    snapshot = protocol.encode_body({"data": (1, 2, 3, 9), "version": 3}, CODEC)
+    key, new_body = journal.finish_checkpoint(True, snapshot, CODEC)
+    assert key.scheme == "frontend-journal-checkpoint" and key.params == "d@v3"
+    assert journal.frames() == [(journal.header, new_body, CODEC)]
+    params = protocol.decode_body(new_body, CODEC)
+    assert params["data"] == (1, 2, 3, 9)           # the new baseline...
+    assert params["kinds"] == ["list-membership"] and params["mutable"] is True
+    # ...and every later batch is kept, in order, behind it.
+    assert journal.record(*batch(4)) is None
+    assert journal.record(*batch(5)) is not None
+    assert [h["rid"] for h, _, _ in journal.frames()] == [7, 4, 5]
+
+
+@pytest.mark.parametrize("ok, body", [(False, b""), (True, b"not a body")])
+def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
+    journal = make_journal(checkpoint_every=2)
+    journal.record(*batch(1))
+    assert journal.record(*batch(2)) is not None
+    assert journal.finish_checkpoint(ok, body, CODEC) is None
+    assert [h["rid"] for h, _, _ in journal.frames()] == [7, 1, 2]
+    assert journal.record(*batch(3)) is not None    # next ack asks again
+
+
+def test_losing_the_home_cancels_the_outstanding_snapshot():
+    journal = make_journal(checkpoint_every=1)
+    assert journal.record(*batch(1)) is not None
+    journal.home_lost()
+    assert journal.home is None and not journal.checkpointing
+    assert journal.record(*batch(2)) is not None
