@@ -12,7 +12,7 @@ constant*.  This benchmark takes the constant apart on a warm engine:
   -- the floor Python allows, isolating what dispatch still costs;
 * **batches** -- the PR-4 baseline (one pool task per query through the
   tracked path) vs the vectorized ``query_batch`` (group by kind, one
-  ``answer_many`` per group, fan-out chunked to pool width).
+  ``answer_many`` per group, inline on the calling thread).
 
 Feeds the ``hotpath`` section of ``BENCH_engine.json`` and asserts the
 regression floor: the fast path must stay well ahead of tracked dispatch
@@ -80,22 +80,14 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
         started = time.perf_counter()
         vector_answers = ds.query_batch(pairs)
         vector_qps = len(pairs) / (time.perf_counter() - started)
-        started = time.perf_counter()
-        inline_answers = ds.query_batch(pairs, concurrent=False)
-        inline_qps = len(pairs) / (time.perf_counter() - started)
-        assert baseline_answers == vector_answers == inline_answers
+        assert baseline_answers == vector_answers
 
         engine.close()
-        return tracked_p50, fast_p50, kernel_p50, baseline_qps, vector_qps, inline_qps
+        return tracked_p50, fast_p50, kernel_p50, baseline_qps, vector_qps
 
-    (
-        tracked_p50,
-        fast_p50,
-        kernel_p50,
-        baseline_qps,
-        vector_qps,
-        inline_qps,
-    ) = benchmark.pedantic(run, rounds=1, iterations=1)
+    tracked_p50, fast_p50, kernel_p50, baseline_qps, vector_qps = benchmark.pedantic(
+        run, rounds=1, iterations=1
+    )
 
     experiment_report(
         f"C14 (hot path): dispatch-overhead breakdown, |D| = {size}",
@@ -127,14 +119,9 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
             [
                 ("pool task per query (PR-4)", f"{baseline_qps:,.0f}", "1.0x"),
                 (
-                    "vectorized, chunked fan-out",
+                    "vectorized",
                     f"{vector_qps:,.0f}",
                     f"{vector_qps / baseline_qps:.1f}x",
-                ),
-                (
-                    "vectorized, inline",
-                    f"{inline_qps:,.0f}",
-                    f"{inline_qps / baseline_qps:.1f}x",
                 ),
             ],
         ),
@@ -152,7 +139,6 @@ def test_c14_hotpath_dispatch_overhead_and_batch_qps(
             "single_query_speedup": tracked_p50 / fast_p50,
             "batch_pool_per_query_qps": baseline_qps,
             "batch_vectorized_qps": vector_qps,
-            "batch_vectorized_inline_qps": inline_qps,
             "batch_speedup": vector_qps / baseline_qps,
         },
     )

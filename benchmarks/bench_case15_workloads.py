@@ -2,8 +2,9 @@
 
 The paper's serving economics are stated in per-query asymptotics; this case
 measures what a *served mix* actually looks like at the tail.  Three
-experiments over 2^16-element sessions, all recorded to
-``BENCH_workloads.json`` (merge-with-provenance, like ``BENCH_engine.json``):
+experiments over 2^16-element sessions, all written to
+``BENCH_workloads.json`` (merge-with-provenance and untracked, like
+``BENCH_engine.json``; CI checks the file its own run just wrote):
 
 * ``zipf_read_heavy`` -- a Zipf(1.1) read-only mix over list-membership +
   minimum-range-query on an immutable session: the first tail-latency

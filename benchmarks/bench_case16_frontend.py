@@ -3,8 +3,8 @@
 The whole point of ISSUE 9 is to escape the single process: per-query work
 is GIL-bound, so a 4-worker pool over the shared artifact store should
 serve a CPU-heavy read mix at a multiple of one worker's throughput.  This
-case measures exactly that claim and records it to
-``BENCH_workloads.json`` under ``frontend_scaling``:
+case measures exactly that claim and writes it to the untracked per-run
+record ``BENCH_workloads.json`` under ``frontend_scaling``:
 
 * a Zipf(1.1) membership-only mix, pre-generated as large ``query_batch``
   frames (cheap to encode client-side, so worker-side serve CPU dominates

@@ -31,8 +31,9 @@ import pytest
 _REPORTS: List[Tuple[str, List[str]]] = []
 _JSON_SECTIONS: Dict[str, dict] = {}
 #: Sections routed to an explicit file (``record(..., path=...)``), keyed by
-#: output path.  Written on every run that produced them -- full-size local
-#: runs must land in e.g. BENCH_workloads.json without any bench flag.
+#: output path.  Written on every run that produced them, with or without
+#: a bench flag (e.g. BENCH_workloads.json -- untracked, like
+#: BENCH_engine.json; the committed record is perf/RECORD.json).
 _JSON_EXTRA: Dict[str, Dict[str, dict]] = {}
 _SMOKE = False
 _JSON_PATH: str | None = None

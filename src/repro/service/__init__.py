@@ -15,8 +15,9 @@ This package persists built structures and serves query batches against them:
 
 :mod:`repro.service.engine`
     :class:`QueryEngine` -- accepts batches of mixed queries, resolves each
-    to a cached artifact (building and persisting on miss), executes
-    batches on a thread pool, and keeps per-scheme serving statistics.
+    to a cached artifact (building and persisting on miss), answers
+    batches grouped per session and kind, and keeps per-scheme serving
+    statistics.
 
 :mod:`repro.service.dataset`
     :class:`Dataset` -- the dataset-first serving surface:
@@ -32,8 +33,9 @@ This package persists built structures and serves query batches against them:
 
 :mod:`repro.service.sharding`
     :class:`ShardPlanner` -- partitions datasets into K shards, builds
-    per-shard Pi-structures in parallel, persists each as an independent
-    content-addressed artifact, and serves queries by scatter-gather.
+    per-shard Pi-structures in parallel and persists each as an independent
+    content-addressed artifact; ``ShardedKernel`` answers over the resolved
+    shards by scatter-gather.
 
 :mod:`repro.service.frontend`
     The serving front: an asyncio TCP gateway (:class:`ServingFront`,

@@ -106,8 +106,7 @@ class ArtifactStore:
 
     def put(self, key: ArtifactKey, payload: bytes) -> Path:
         """Persist ``payload`` under ``key`` atomically; returns the path."""
-        if faults._PLAN is not None:
-            faults.on_store_write(key)
+        faults.on_store_write(key)
         header = dict(key.as_header())
         header["payload_len"] = len(payload)
         header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
@@ -149,8 +148,7 @@ class ArtifactStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             return None
-        if faults._PLAN is not None:
-            blob = faults.on_store_read(key, blob)
+        blob = faults.on_store_read(key, blob)
         header, payload = self._parse(blob, path)
         for field_name, expected in key.as_header().items():
             if header.get(field_name) != expected:

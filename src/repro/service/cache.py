@@ -128,8 +128,7 @@ class LRUArtifactCache:
             self._entries[key] = value
         if evicted is not None:
             self._notify(evicted)
-        if faults._PLAN is not None:
-            faults.on_cache_put(self, key)
+        faults.on_cache_put(self, key)
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key``; returns True when an entry was actually removed."""

@@ -12,10 +12,11 @@ fingerprints a payload **once**, registers a stable name, and returns a
   ever) and captures a *serve plan* -- registration, resolved structure,
   and the scheme's untracked fast kernel bound into one callable -- so
   steady state is one dict hit plus one kernel call, and batches vectorize
-  through one ``answer_many`` per kind group;
+  through one ``answer_many`` per kind group, inline on the calling thread;
 * ``ds.query_tracked(kind, q, tracker)`` -- the analytic twin: the same
-  plan's structure through the cost-charging ``evaluate`` (the tractability
-  API the certifier measures), always answer-identical to the fast path;
+  plan's captured structures through the cost-charging ``evaluate`` (the
+  tractability API the certifier measures), always answer-identical to the
+  fast path;
 * ``ds.submit(kind, q)`` -- the same answer as a future on the engine pool;
 * ``ds.warm(kinds=...)`` -- pre-build (and persist) structures per kind;
 * ``ds.apply_changes(batch)`` -- for sessions attached ``mutable=True``,
@@ -29,8 +30,15 @@ fingerprints a payload **once**, registers a stable name, and returns a
 
 One session dispatches to all three storage shapes from its attach-time
 options: monolithic, sharded (``shards=K`` overrides the registration
-default per dataset), and mutable -- :meth:`Dataset._build_plan` picks the
-plan class, and nothing outside the three plan classes knows the shape.
+default per dataset), and mutable.  *How* an answer is evaluated has one
+implementation per shape -- a kernel over an already-resolved structure:
+:class:`_MonolithicKernel` here,
+:class:`~repro.service.sharding.ShardedKernel` for scatter-gather.
+:meth:`Dataset._build_plan` is the only place on the read path that tests
+the shape: it picks the kernel and one of three plan classes, which differ
+only in *where the structure comes from* -- captured at plan build, captured
+per shard as routed queries touch it, or pinned per call from a mutable
+session's published version.
 Requests can also address a session by name
 (``QueryRequest(kind, dataset="events", query=q)``; see
 :meth:`~repro.service.engine.QueryEngine.execute`).
@@ -76,7 +84,7 @@ from repro.incremental.changes import ChangeLog
 from repro.service import faults
 from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures, advance_lineage
-from repro.service.sharding import ShardPlan, gather_fast
+from repro.service.sharding import ShardedKernel, ShardPlan
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -84,43 +92,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["Dataset"]
 
-#: Batches at or below this size are answered inline even when
-#: ``concurrent=True``: grouped kernel loops finish microsecond batches
-#: faster than a single pool submit/wakeup round-trip would.
-_INLINE_BATCH = 32
 
+def _group_pairs(
+    pairs: Iterable[Tuple[Any, Any]],
+) -> Dict[Any, Tuple[List[int], List[Any]]]:
+    """Group ``(key, item)`` pairs: key -> (input positions, items).
 
-def _group_by_kind(
-    pairs: Sequence[Tuple[str, Any]],
-) -> Dict[str, Tuple[List[int], List[Any]]]:
-    """Group ``(kind, query)`` pairs: kind -> (input positions, queries).
-
-    The single grouping used by every vectorized batch path, so answers can
-    be scattered back position-stable after per-kind ``answer_many`` calls.
+    The single grouping behind every batch path -- requests by session in
+    ``QueryEngine.execute_batch``, ``(kind, query)`` pairs by kind in
+    ``query_batch`` -- so answers can be scattered back position-stable
+    after one call per group.
     """
-    groups: Dict[str, Tuple[List[int], List[Any]]] = {}
-    for position, (kind, query) in enumerate(pairs):
-        group = groups.get(kind)
+    groups: Dict[Any, Tuple[List[int], List[Any]]] = {}
+    for position, (key, item) in enumerate(pairs):
+        group = groups.get(key)
         if group is None:
-            group = groups[kind] = ([], [])
+            group = groups[key] = ([], [])
         group[0].append(position)
-        group[1].append(query)
+        group[1].append(item)
     return groups
-
-
-def _chunk_length(total: int, width: int) -> int:
-    """Ceil-divided slice length so ``width`` chunks cover ``total`` items."""
-    return -(-total // max(1, width))
-
-
-def _width_chunks(items: Sequence[Any], width: int) -> List[Sequence[Any]]:
-    """Contiguous slices of ``items``, at most ``width`` of them.
-
-    The pool fan-out shape shared by ``QueryEngine.execute_batch`` and
-    ``Dataset.query_batch``: one task per worker, never one per query.
-    """
-    length = _chunk_length(len(items), width)
-    return [items[start : start + length] for start in range(0, len(items), length)]
 
 
 def _bind_fast(scheme: PiScheme, structure: Any) -> Tuple[Callable, Callable]:
@@ -139,29 +129,60 @@ def _bind_fast(scheme: PiScheme, structure: Any) -> Tuple[Callable, Callable]:
     return partial(scheme.answer_fast, structure), partial(scheme.answer_many, structure)
 
 
+class _MonolithicKernel:
+    """Evaluation of one monolithic kind over an already-resolved structure.
+
+    The kernel seam every storage shape shares
+    (:class:`~repro.service.sharding.ShardedKernel` is the sharded one): a
+    plan decides only *where the structure comes from*, then answers through
+    ``one(structure, query, tracker=None)`` / ``many(structure, queries)``.
+    Here those are the scheme's own entry points -- ``tracker is None``
+    selects the untracked ``answer_fast``, any tracker the cost-charging
+    ``answer``.  Pure evaluation: callers time the call and report it
+    through :attr:`settle`.
+    """
+
+    __slots__ = ("scheme", "many", "settle")
+
+    def __init__(
+        self, engine: "QueryEngine", kind: str, registration: "_Registration"
+    ) -> None:
+        self.scheme = registration.scheme
+        self.many = registration.scheme.answer_many
+        self.settle = partial(engine._count_serve, kind)
+
+    def one(
+        self, structure: Any, query: Any, tracker: Optional[CostTracker] = None
+    ) -> bool:
+        if tracker is None:
+            return self.scheme.answer_fast(structure, query)
+        return self.scheme.answer(structure, query, tracker)
+
+
 class _ServePlan:
     """A (session, kind) hot-path binding: resolution captured once.
 
     ``answer``/``answer_many`` are the untracked kernels bound to the
-    resolved structure; :meth:`serve`/:meth:`serve_many` time *only* the
-    kernel call (resolution was paid at plan build and is accounted as
-    build/hit, never serve) and record on the engine's lock-free counters.
-    :meth:`serve_tracked` runs the analytic evaluator over the same
+    resolved structure (binding is what capture means for a monolithic
+    kind); :meth:`serve`/:meth:`serve_many` time *only* the kernel call
+    (resolution was paid at plan build and is accounted as build/hit, never
+    serve) and record on the engine's lock-free counters.
+    :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
     structure.  The engine's keyed plan watchers drop the plan if its
     structure is ever evicted, so a plan cannot pin or outlive a dropped
     structure.
     """
 
-    __slots__ = ("_engine", "_kind", "_scheme", "_structure", "answer", "answer_many")
+    __slots__ = ("_engine", "_kind", "_kernel", "_structure", "answer", "answer_many")
 
     def __init__(
-        self, engine: "QueryEngine", kind: str, scheme: PiScheme, structure: Any
+        self, engine: "QueryEngine", kind: str, kernel: _MonolithicKernel, structure: Any
     ) -> None:
         self._engine = engine
         self._kind = kind
-        self._scheme = scheme
+        self._kernel = kernel
         self._structure = structure
-        self.answer, self.answer_many = _bind_fast(scheme, structure)
+        self.answer, self.answer_many = _bind_fast(kernel.scheme, structure)
 
     def resolve(self) -> Any:
         """The structure this plan captured at build."""
@@ -199,13 +220,11 @@ class _ServePlan:
     def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
         started = time.perf_counter()
         try:
-            answer = self._scheme.answer(self._structure, query, tracker)
+            answer = self._kernel.one(self._structure, query, tracker)
         except Exception:
             self._engine._bump(self._kind, serve_errors=1)
             raise
-        self._engine._count_serve(
-            self._kind, queries=1, serve_seconds=time.perf_counter() - started
-        )
+        self._kernel.settle(1, time.perf_counter() - started)
         return answer
 
 
@@ -216,16 +235,15 @@ class _ShardedServe:
     bucket), so structures are captured per shard *as routed queries touch
     them* -- resolution goes through the engine's ordinary per-shard layers
     exactly once per shard (accounted as shard build/hit, outside the serve
-    timer), after which the steady-state path is route + untracked
-    :func:`~repro.service.sharding.gather_fast`, with no cache probes and
-    no locks.  Each captured shard key is registered with the engine's plan
-    watchers; evicting any of them drops this plan.  The tracked path
-    (:meth:`serve_tracked`) and :meth:`resolve` go through the planner's
-    accounted per-request resolution instead.
+    timer), after which the steady-state path, tracked or not, is the
+    kernel's route + scatter over the captured list, with no cache probes
+    and no locks.  Each captured shard key is registered with the engine's
+    plan watchers; evicting any of them drops this plan.  :meth:`resolve`
+    (``warm``) goes through the planner's accounted resolution instead.
     """
 
-    __slots__ = ("_engine", "_ds", "_kind", "_registration", "_spec",
-                 "_plan", "_structures", "_pieces", "_empty")
+    __slots__ = ("_engine", "_ds", "_kind", "_registration", "_kernel",
+                 "_plan", "_structures", "_empty")
 
     def __init__(
         self,
@@ -233,28 +251,37 @@ class _ShardedServe:
         ds: "Dataset",
         kind: str,
         registration: "_Registration",
+        kernel: ShardedKernel,
         shard_plan: ShardPlan,
     ) -> None:
         self._engine = engine
         self._ds = ds
         self._kind = kind
         self._registration = registration
-        self._spec = registration.scheme.sharding
+        self._kernel = kernel
         self._plan = shard_plan
         self._structures: List[Optional[Any]] = [None] * len(shard_plan.planned)
-        self._pieces = [planned.piece for planned in shard_plan.planned]
-        self._empty = [piece.is_empty() for piece in self._pieces]
+        self._empty = [piece.is_empty() for piece in shard_plan.pieces]
 
-    def _routed(self, query: Any) -> Tuple[Any, Sequence[int]]:
-        """Rewrite + route + capture any still-missing shard structures."""
-        registration = self._registration
-        rewrite = registration.scheme.rewrite_query
-        effective = query if rewrite is None else rewrite(query)
-        spec = self._spec
-        if spec.route is None:
-            positions: Sequence[int] = range(len(self._pieces))
-        else:
-            positions = list(spec.route(effective, self._pieces))
+    def _capture(self, missing: Sequence[int]) -> None:
+        """Resolve still-missing shard structures and watch their keys."""
+        planner = self._engine._planner
+        resolved = planner._resolve_positions(
+            self._kind, self._registration, self._plan, missing
+        )
+        for position in missing:
+            self._structures[position] = resolved[position]
+            self._engine._watch_plan_key(
+                planner.shard_key(
+                    self._registration, self._plan, self._plan.planned[position]
+                ),
+                self._ds,
+                self._kind,
+            )
+
+    def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
+        kernel = self._kernel
+        effective, positions = kernel.route(self._plan, query)
         structures = self._structures
         missing = [
             position
@@ -262,56 +289,21 @@ class _ShardedServe:
             if structures[position] is None and not self._empty[position]
         ]
         if missing:
-            planner = self._engine._planner
-            resolved = planner._resolve_positions(
-                self._kind, self._registration, self._plan, missing
-            )
-            for position in missing:
-                structures[position] = resolved[position]
-                self._engine._watch_plan_key(
-                    planner.shard_key(
-                        self._registration, self._plan, self._plan.planned[position]
-                    ),
-                    self._ds,
-                    self._kind,
-                )
-        return effective, positions
-
-    def serve(self, query: Any) -> bool:
-        effective, positions = self._routed(query)
+            self._capture(missing)
         started = time.perf_counter()
         try:
-            answer = gather_fast(
-                self._registration, self._spec, self._plan, self._structures,
-                positions, effective, engine=self._engine, kind=self._kind,
-            )
+            answer = kernel.scatter(self._plan, structures, positions, effective, tracker)
         except Exception:
             self._engine._bump(self._kind, serve_errors=1)
             raise
-        elapsed = time.perf_counter() - started
-        self._engine._count_serve(
-            self._kind, queries=1, serve_seconds=elapsed, shard_serve_seconds=elapsed
-        )
+        kernel.settle(1, time.perf_counter() - started)
         return answer
+
+    serve_tracked = serve
 
     def serve_many(self, queries: Sequence[Any]) -> List[bool]:
         serve = self.serve
         return [serve(query) for query in queries]
-
-    def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
-        # Route-aware scatter-gather: the query is rewritten and routed
-        # once, and only the shards it scatters to are resolved (cold
-        # shards build lazily, in parallel).
-        try:
-            answer, serve_seconds = self._engine._planner.serve(
-                self._kind, self._registration, self._ds._data, query, tracker,
-                fingerprint=self._ds._fingerprint,
-            )
-        except Exception:
-            self._engine._bump(self._kind, serve_errors=1)
-            raise
-        self._engine._count_serve(self._kind, queries=1, serve_seconds=serve_seconds)
-        return answer
 
     def resolve(self) -> Any:
         """Every shard structure, building misses in parallel."""
@@ -323,37 +315,33 @@ class _ShardedServe:
 class _MutableServe:
     """The serve plan of a mutable session's kind: lock-free versioned reads.
 
-    The plan binds the session state and registration, **not** a structure:
-    every answer pins the state's current published
+    The plan binds the session state and the kind's kernel, **not** a
+    structure: every answer pins the state's current published
     :class:`~repro.service.mutable._Version` record -- one attribute load
     plus a per-thread announce slot, no shared lock of any kind -- and
-    serves the kind's structure out of it, so delta maintenance and
-    fallback rebuilds are picked up without any plan invalidation.  A
-    writer can never block a read; batch atomicity lives in
+    evaluates the kernel over the kind's structure out of it, so delta
+    maintenance and fallback rebuilds are picked up without any plan
+    invalidation.  A mutable answer is the immutable answer at a pinned
+    content version: the plan never looks at the storage shape.  A writer
+    can never block a read; batch atomicity lives in
     ``_MutableState.query_batch`` (one pin across every kind group).
     First-touch materialization happens before the serve timer starts, so
     build cost never leaks into ``serve_seconds``.
 
-    Without a ``tracker`` the untracked production kernels answer
-    (``answer_fast`` / the planner's fast scatter); with one, the analytic
-    cost-charging evaluator runs over the same pinned structure -- the
-    tracked path of :meth:`Dataset.query_tracked`.
+    Without a ``tracker`` the kernel's untracked production path answers;
+    with one, its analytic cost-charging evaluator runs over the same
+    pinned structure -- the tracked path of :meth:`Dataset.query_tracked`.
     """
 
-    __slots__ = ("_engine", "_state", "_kind", "_registration", "_sharded")
+    __slots__ = ("_engine", "_state", "_kind", "_kernel")
 
     def __init__(
-        self,
-        engine: "QueryEngine",
-        state: "_MutableState",
-        kind: str,
-        registration: "_Registration",
+        self, engine: "QueryEngine", state: "_MutableState", kind: str, kernel: Any
     ) -> None:
         self._engine = engine
         self._state = state
         self._kind = kind
-        self._registration = registration
-        self._sharded = registration.shards > 1
+        self._kernel = kernel
 
     def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
         state = self._state
@@ -373,26 +361,14 @@ class _MutableServe:
                 structure = version.structures.get(self._kind)
             started = time.perf_counter()
             try:
-                if tracker is None:
-                    if self._sharded:
-                        answer = self._engine._planner.answer_fast(
-                            self._registration, structure, query, kind=self._kind
-                        )
-                    else:
-                        answer = self._registration.scheme.answer_fast(structure, query)
-                elif self._sharded:
-                    answer = self._engine._planner.answer(
-                        self._kind, self._registration, structure, query, tracker
-                    )
-                else:
-                    answer = self._registration.scheme.answer(structure, query, tracker)
+                answer = self._kernel.one(structure, query, tracker)
             except Exception:
                 self._engine._bump(self._kind, serve_errors=1)
                 raise
             elapsed = time.perf_counter() - started
         finally:
             versions.release(slot)
-        self._engine._count_serve(self._kind, queries=1, serve_seconds=elapsed)
+        self._kernel.settle(1, elapsed)
         return answer
 
     serve_tracked = serve
@@ -626,8 +602,10 @@ class Dataset:
         return plan
 
     def _build_plan(self, kind: str) -> Any:
-        """Capture the serve plan for ``kind`` -- the one place that knows
-        the three storage shapes.
+        """Capture the serve plan for ``kind`` -- the one place on the read
+        path that tests the storage shape: it picks the kernel (monolithic
+        or sharded: *how* an answer is evaluated) and the plan class (*where*
+        the structure comes from).
 
         Monolithic resolution happens exactly once, here, through the
         accounted engine layers (cache -> store -> build); sharded and
@@ -635,18 +613,22 @@ class Dataset:
         """
         engine = self._engine
         registration = self.registration_for(kind)
+        sharded = registration.shards > 1
+        kernel = (ShardedKernel if sharded else _MonolithicKernel)(
+            engine, kind, registration
+        )
         watch_key: Optional[ArtifactKey] = None
         if self._mutable is not None:
-            plan: Any = _MutableServe(engine, self._mutable, kind, registration)
-        elif registration.shards > 1:
+            plan: Any = _MutableServe(engine, self._mutable, kind, kernel)
+        elif sharded:
             shard_plan = engine._planner.plan(
                 kind, registration, self._data, self._fingerprint
             )
-            plan = _ShardedServe(engine, self, kind, registration, shard_plan)
+            plan = _ShardedServe(engine, self, kind, registration, kernel, shard_plan)
         else:
             watch_key = self.artifact_key(kind)
             structure = engine._resolve_by_key(kind, registration, watch_key, self._data)
-            plan = _ServePlan(engine, kind, registration.scheme, structure)
+            plan = _ServePlan(engine, kind, kernel, structure)
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
             # release path cleared the dict under this lock *after* setting
@@ -661,16 +643,7 @@ class Dataset:
             engine._watch_plan_key(watch_key, self, kind)
         return plan
 
-    def _answer_group(self, kind: str, queries: Sequence[Any]) -> List[bool]:
-        """Answer one same-kind group through the plan's batch kernel."""
-        return self._plan(kind).serve_many(queries)
-
-    def query_batch(
-        self,
-        requests: Iterable[Any],
-        *,
-        concurrent: bool = True,
-    ) -> List[bool]:
+    def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.
 
         Items may be plain ``(kind, query)`` tuples or
@@ -679,47 +652,19 @@ class Dataset:
 
         The batch is **vectorized**: queries are grouped by kind and each
         group runs through one ``answer_many`` kernel call instead of one
-        dispatch per query.  Mutable sessions pin one published version
-        record across every group, so the whole batch reflects one version
-        (the batch-atomic snapshot guarantee -- one pointer read, not a
-        lock).  With ``concurrent=True``, large
-        batches are chunked to the engine pool's width -- one task per
-        worker, never one task per query; small batches run inline.
+        dispatch per query, inline on the calling thread.  Mutable sessions
+        pin one published version record across every group, so the whole
+        batch reflects one version (the batch-atomic snapshot guarantee --
+        one pointer read, not a lock).
         """
         pairs = [self._as_pair(item) for item in requests]
         self._check_attached()
         if self._mutable is not None:
             return self._mutable.query_batch(pairs)
-        if not pairs:
-            return []
         answers: List[bool] = [False] * len(pairs)
-        groups = _group_by_kind(pairs)
-        workers = self._engine._max_workers
-        if not concurrent or len(pairs) <= _INLINE_BATCH or workers <= 1:
-            for kind, (positions, queries) in groups.items():
-                for position, answer in zip(
-                    positions, self._answer_group(kind, queries)
-                ):
-                    answers[position] = answer
-            return answers
-        chunk_length = _chunk_length(len(pairs), workers)
-        jobs: List[Tuple[str, List[int], List[Any]]] = []
-        for kind, (positions, queries) in groups.items():
-            for start in range(0, len(queries), chunk_length):
-                jobs.append(
-                    (
-                        kind,
-                        positions[start : start + chunk_length],
-                        queries[start : start + chunk_length],
-                    )
-                )
-        pool = self._engine._ensure_pool()
-        futures = [
-            (positions, pool.submit(self._answer_group, kind, queries))
-            for kind, positions, queries in jobs
-        ]
-        for positions, future in futures:
-            for position, answer in zip(positions, future.result()):
+        for kind, (positions, queries) in _group_pairs(pairs).items():
+            group_answers = self._plan(kind).serve_many(queries)
+            for position, answer in zip(positions, group_answers):
                 answers[position] = answer
         return answers
 
@@ -827,7 +772,7 @@ class Dataset:
         """Flush dirty state and mark detached (engine-internal).
 
         The flag is set *before* the serve plans are dropped (both under the
-        plan lock a concurrent :meth:`_build_plan` re-checks), so a queued
+        plan lock a racing :meth:`_build_plan` re-checks), so a queued
         future that runs after detach can never re-install a plan and serve
         a released session -- it lands on :meth:`_check_attached` and raises
         :class:`~repro.core.errors.UnknownDatasetError` cleanly.
@@ -1006,7 +951,8 @@ class _MutableState:
         must never block on.
         """
         versions = self._versions
-        groups = _group_by_kind(pairs)
+        groups = _group_pairs(pairs)
+        kernels = {kind: self._ds._plan(kind)._kernel for kind in groups}
         slot = versions.slot()
         version = versions.pin(slot)
         try:
@@ -1019,30 +965,14 @@ class _MutableState:
                 version = versions.pin(slot)
             answers: List[bool] = [False] * len(pairs)
             for kind, (positions, queries) in groups.items():
-                registration = self._ds.registration_for(kind)
-                structure = version.structures[kind]
+                kernel = kernels[kind]
                 started = time.perf_counter()
                 try:
-                    if registration.shards > 1:
-                        planner = self._engine._planner
-                        group_answers = [
-                            planner.answer_fast(
-                                registration, structure, query, kind=kind
-                            )
-                            for query in queries
-                        ]
-                    else:
-                        group_answers = registration.scheme.answer_many(
-                            structure, queries
-                        )
+                    group_answers = kernel.many(version.structures[kind], queries)
                 except Exception:
                     self._engine._bump(kind, serve_errors=len(queries))
                     raise
-                self._engine._count_serve(
-                    kind,
-                    queries=len(queries),
-                    serve_seconds=time.perf_counter() - started,
-                )
+                kernel.settle(len(queries), time.perf_counter() - started)
                 for position, answer in zip(positions, group_answers):
                     answers[position] = answer
             return answers
@@ -1093,8 +1023,7 @@ class _MutableState:
                 if registration.shards == 1 and scheme.apply_delta is not None:
                     started = time.perf_counter()
                     try:
-                        if faults._PLAN is not None:
-                            faults.on_delta_apply(kind)
+                        faults.on_delta_apply(kind)
                         offline[kind] = scheme.apply_delta(
                             offline[kind], effective, self.tracker
                         )

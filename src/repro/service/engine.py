@@ -16,24 +16,26 @@ returned :class:`~repro.service.dataset.Dataset` session -- queries address
 the session (or name it via ``QueryRequest(kind, dataset=..., query=...)``)
 and never pay a per-request fingerprint.
 
-Batches run on a thread pool, with large fan-outs chunked to the pool width
-(one task per worker, never one per microsecond-scale query).  Pure-Python
-evaluators contend on the GIL, so the pool buys overlap rather than true
-parallelism -- but the engine is the concurrency *correctness* boundary:
-per-key build locks guarantee one build per artifact under concurrent
-misses; rare-event counters (builds, hits, deltas) are lock-protected while
-the per-query counters ride lock-free thread-local shards folded on
-``stats()`` read.  Per-scheme statistics separate build time from serve
-time, which is exactly the cost split (PTIME once vs. polylog each) the
-paper's Definition 1 is about.  Sessions cache per-kind *serve plans* (see
-:mod:`repro.service.dataset`) -- the only code that knows whether a kind is
-served monolithic, sharded or mutable -- so steady-state queries never
-reach this module's resolution layers.
+Batches are answered inline, grouped per session and per kind into
+``answer_many`` kernel calls: every kernel is pure Python under the GIL, so
+a thread fan-out only adds submit/wakeup cost.  The thread pool exists for
+:meth:`Dataset.submit <repro.service.dataset.Dataset.submit>` futures, and
+the engine stays the concurrency *correctness* boundary for any number of
+caller threads: per-key build locks guarantee one build per artifact under
+concurrent misses; rare-event counters (builds, hits, deltas) are
+lock-protected while the per-query counters ride lock-free thread-local
+shards folded on ``stats()`` read.  Per-scheme statistics separate build
+time from serve time, which is exactly the cost split (PTIME once vs.
+polylog each) the paper's Definition 1 is about.  Sessions cache per-kind
+*serve plans* (see :mod:`repro.service.dataset`) -- the only code that knows
+whether a kind is served monolithic, sharded or mutable -- so steady-state
+queries never reach this module's resolution layers.
 
 Registering a kind with ``shards=K`` (for schemes that declare a
-:class:`~repro.service.merge.ShardSpec`) swaps the monolithic path for the
-:class:`~repro.service.sharding.ShardPlanner`: K per-shard structures built
-in parallel, persisted independently, and served by scatter-gather.
+:class:`~repro.service.merge.ShardSpec`) swaps monolithic resolution for the
+:class:`~repro.service.sharding.ShardPlanner` -- K per-shard structures built
+in parallel and persisted independently -- and evaluation for the
+:class:`~repro.service.sharding.ShardedKernel`'s scatter-gather.
 ``attach(..., shards=K)`` applies the same override per dataset.
 
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
@@ -75,7 +77,7 @@ from repro.core.query import PiScheme, QueryClass
 from repro.service import faults
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from repro.service.cache import CacheStats, LRUArtifactCache
-from repro.service.dataset import Dataset, _width_chunks
+from repro.service.dataset import Dataset, _group_pairs
 from repro.service.sharding import ShardPlanner
 from repro.storage.fingerprint import dataset_fingerprint
 
@@ -378,8 +380,9 @@ class QueryEngine:
     cache_entries:
         Capacity of the in-process LRU artifact cache.
     max_workers:
-        Thread-pool width for :meth:`execute_batch` and for parallel shard
-        builds.
+        Thread-pool width for :meth:`Dataset.submit
+        <repro.service.dataset.Dataset.submit>` futures and for parallel
+        shard builds.
     """
 
     def __init__(
@@ -773,23 +776,22 @@ class QueryEngine:
     # -- hot-path statistics -----------------------------------------------------
 
     def _count_serve(
-        self,
-        kind: str,
-        *,
-        queries: int = 0,
-        serve_seconds: float = 0.0,
-        shard_serve_seconds: float = 0.0,
+        self, kind: str, queries: int, serve_seconds: float, sharded: bool = False
     ) -> None:
         """Record served queries on the lock-free thread-local counters.
 
         The hot-path replacement for ``_bump(kind, queries=..., ...)``:
         every per-query statistic goes through here; ``_bump`` (lock-held)
         remains for rare events -- builds, hits, deltas, health counters.
+        ``sharded`` books the same seconds as scatter-gather time too, so
+        ``shard_serve_seconds`` is by construction included in
+        ``serve_seconds``.
         """
         slot = self._query_counters.slot(kind)
         slot[0] += queries
         slot[1] += serve_seconds
-        slot[2] += shard_serve_seconds
+        if sharded:
+            slot[2] += serve_seconds
 
     def _fingerprint_in_use(self, fingerprint: str) -> bool:
         """True while an *attached* session still serves this content.
@@ -837,53 +839,42 @@ class QueryEngine:
 
     # -- execution -------------------------------------------------------------
 
+    def _addressed(self, name: Optional[str]) -> Dataset:
+        """The attached session a request names."""
+        if self._closed:
+            raise ServiceError("engine is closed")
+        if name is None:
+            raise ServiceError(
+                "request names no dataset; attach the payload once with "
+                "engine.attach(name, data) and pass dataset=name"
+            )
+        return self.dataset(name)
+
     def execute(self, request: QueryRequest) -> bool:
         """Answer one request through the attached session it names.
 
         Returns the Boolean answer; serve time (including scatter-gather for
         sharded kinds) is recorded per kind.
         """
-        if self._closed:
-            raise ServiceError("engine is closed")
-        if request.dataset is None:
-            raise ServiceError(
-                "request names no dataset; attach the payload once with "
-                "engine.attach(name, data) and pass dataset=name"
-            )
-        return self.dataset(request.dataset).query(request.kind, request.query)
+        return self._addressed(request.dataset).query(request.kind, request.query)
 
-    def execute_batch(
-        self,
-        requests: Sequence[QueryRequest],
-        *,
-        concurrent: bool = True,
-    ) -> List[bool]:
+    def execute_batch(self, requests: Sequence[QueryRequest]) -> List[bool]:
         """Answer a batch of mixed requests; order of answers matches input.
 
-        With ``concurrent=True`` requests are spread over the thread pool;
-        answers are identical to sequential execution because evaluators
-        never mutate the preprocessed structures and builds are serialized
-        per artifact key.  (Shard builds run on the planner's separate pool,
-        so concurrent sharded requests cannot starve the serving pool.)
+        Requests are grouped by the session they name and each group is one
+        :meth:`Dataset.query_batch <repro.service.dataset.Dataset.query_batch>`
+        (vectorized per kind; batch-atomic per mutable session), answered
+        inline on the calling thread.
         """
         requests = list(requests)
-        if not concurrent or len(requests) <= 1:
-            return [self.execute(request) for request in requests]
-        pool = self._ensure_pool()
-        if len(requests) <= self._max_workers:
-            return list(pool.map(self.execute, requests))
-        # Chunk the fan-out to pool width: one task per worker answering a
-        # contiguous slice, instead of one task per (microsecond-scale)
-        # query -- large batches no longer pay per-query submit/wakeup
-        # overhead, and answers stay position-stable.
-        chunks = _width_chunks(requests, self._max_workers)
-
-        def run_chunk(chunk: Sequence[QueryRequest]) -> List[bool]:
-            return [self.execute(request) for request in chunk]
-
-        answers: List[bool] = []
-        for chunk_answers in pool.map(run_chunk, chunks):
-            answers.extend(chunk_answers)
+        answers: List[bool] = [False] * len(requests)
+        groups = _group_pairs(
+            (request.dataset, (request.kind, request.query)) for request in requests
+        )
+        for name, (positions, pairs) in groups.items():
+            session_answers = self._addressed(name).query_batch(pairs)
+            for position, answer in zip(positions, session_answers):
+                answers[position] = answer
         return answers
 
     def _ensure_pool(self) -> ThreadPoolExecutor:

@@ -303,9 +303,12 @@ class DegradedAnswer(int):
 
 # -- the global slot + hooks ---------------------------------------------------
 #
-# Serving code guards every hook call with ``if faults._PLAN is not None``:
-# the unfaulted fast path costs one module-attribute load and a pointer
-# compare, and the hook bodies below never run.
+# Every hook below returns at once when no plan is armed, so call sites call
+# them unconditionally -- they sit on cold paths (store I/O, cache inserts,
+# delta folds, one worker request).  The one exception is the scatter loop
+# in ``sharding.ShardedKernel.scatter``, which runs per shard per query: it
+# hoists a single ``armed = faults._PLAN is not None`` out of the loop, which
+# also gates its slow-shard timer.
 
 _PLAN: Optional[FaultPlan] = None
 _PLAN_LOCK = threading.Lock()

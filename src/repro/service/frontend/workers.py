@@ -142,16 +142,12 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     ds = engine.dataset(name)
     if op == "query":
         kind = params["kind"]
-        if faults._PLAN is not None:
-            faults.on_worker_serve(kind)
+        faults.on_worker_serve(kind)
         return _coerce_answer(ds.query(kind, params["query"]))
     if op == "query_batch":
         pairs = [(kind, query) for kind, query in params["pairs"]]
-        if faults._PLAN is not None:
-            faults.on_worker_serve(pairs[0][0] if pairs else None)
-        # concurrent=False: parallelism comes from sibling worker
-        # *processes*; a thread fan-out inside one GIL buys nothing here.
-        return _coerce_answer(ds.query_batch(pairs, concurrent=False))
+        faults.on_worker_serve(pairs[0][0] if pairs else None)
+        return _coerce_answer(ds.query_batch(pairs))
     if op == "apply_changes":
         log = ds.apply_changes(params["changes"])
         return {

@@ -4,9 +4,11 @@ A monolithic Pi-structure makes build cost and memory scale with a single
 process.  The :class:`ShardPlanner` instead partitions a dataset into K
 shards (policy declared per scheme via
 :class:`~repro.service.merge.ShardSpec`), builds one small Pi-structure per
-shard *in parallel*, persists each as an independent
-:class:`~repro.service.artifacts.ArtifactStore` artifact, and serves queries
-by scatter-gather through the scheme's merge operator.
+shard *in parallel* and persists each as an independent
+:class:`~repro.service.artifacts.ArtifactStore` artifact -- it plans and
+builds, nothing else.  Answering is the :class:`ShardedKernel`'s job: rewrite
+and route a query once, then one scatter loop over whatever resolved shard
+structures the caller holds, gathered through the scheme's merge operator.
 
 Shard artifacts are **content-addressed**: each is keyed by the shard's own
 dataset fingerprint plus ``(shard id, K, scheme, params)``.  That is what
@@ -38,9 +40,10 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cost import NULL_TRACKER, ensure_tracker
+from repro.core.cost import NULL_TRACKER
 from repro.core.errors import InjectedFaultError, ShardFailedError
 from repro.service import faults
 from repro.service.artifacts import ArtifactKey
@@ -54,116 +57,11 @@ __all__ = [
     "PlannedShard",
     "ShardPlan",
     "ShardedStructure",
+    "ShardedKernel",
     "ShardPlanner",
-    "gather_fast",
     "touched_shards",
     "plan_diff",
 ]
-
-
-def _lost_shard_outcome(
-    merge: MergeOperator,
-    partials: List[Any],
-    effective_query: Any,
-    failed: List[int],
-    engine: Optional["QueryEngine"],
-    kind: Optional[str],
-):
-    """The per-kind partial-result-or-fail-fast policy, applied after a
-    scatter lost one or more shards.
-
-    Union kinds tolerate missing partials: ``any`` over the shards that
-    responded is never silently wrong (``True`` is definitely correct;
-    ``False`` means "not found in the responding shards" and is returned
-    as an explicit :class:`~repro.service.faults.DegradedAnswer` with
-    ``partial=True``).  Monoid-combine and k-way kinds need *every* shard
-    for a correct answer, so they fail fast with
-    :class:`~repro.core.errors.ShardFailedError`.
-    """
-    if merge.name == "union":
-        if engine is not None and kind is not None:
-            engine._bump(kind, degraded_answers=1)
-        return faults.DegradedAnswer(
-            bool(merge.combine(partials, effective_query)),
-            reason=f"lost shard(s) {failed} during scatter-gather",
-            failed_shards=failed,
-        )
-    if engine is not None and kind is not None:
-        engine._bump(kind, shard_failures=len(failed))
-    raise ShardFailedError(
-        f"scatter-gather for {kind or 'sharded kind'} lost shard(s) {failed}; "
-        f"merge family {merge.name!r} cannot tolerate a missing partial"
-    )
-
-
-def gather_fast(
-    registration: "_Registration",
-    spec: ShardSpec,
-    plan: ShardPlan,
-    structures: Sequence[Optional[Any]],
-    positions: Iterable[int],
-    effective_query: Any,
-    engine: Optional["QueryEngine"] = None,
-    kind: Optional[str] = None,
-) -> bool:
-    """Untracked scatter-gather over already-resolved shard structures.
-
-    The production twin of :meth:`ShardPlanner._scatter_gather`: identical
-    partial/merge semantics (``None`` structures contribute the merge
-    operator's ``empty`` partial), but partials evaluate through the
-    scheme's untracked fast kernel (or the shared no-op tracker) and nothing
-    is timed or counted.  ``effective_query`` must already be rewritten.
-
-    A shard lost to an :class:`~repro.core.errors.InjectedFaultError`
-    mid-scatter goes through :func:`_lost_shard_outcome`; every other
-    exception (genuine query errors, library bugs) keeps propagating
-    unchanged.  ``engine``/``kind`` route the health counters; without
-    them the policy still applies, uncounted.
-    """
-    scheme = registration.scheme
-    merge = spec.merge
-    partial = merge.partial
-    evaluate_fast = scheme.evaluate_fast
-    planned = plan.planned
-    armed = faults._PLAN is not None
-    partials: List[Any] = []
-    failed: List[int] = []
-    for position in positions:
-        structure = structures[position]
-        if structure is None:
-            partials.append(
-                merge.empty(effective_query) if merge.empty is not None else None
-            )
-            continue
-        try:
-            if armed:
-                shard_started = time.perf_counter()
-                faults.on_shard_partial(kind or scheme.name, position)
-            if partial is not None:
-                value = partial(
-                    structure, effective_query, planned[position].piece.meta, NULL_TRACKER
-                )
-            elif evaluate_fast is not None:
-                value = bool(evaluate_fast(structure, effective_query))
-            else:
-                value = bool(scheme.evaluate(structure, effective_query, NULL_TRACKER))
-        except InjectedFaultError:
-            # Only an injected dead shard enters the degradation policy;
-            # genuine query errors (bad parameters, library bugs) keep
-            # propagating unchanged -- misuse must stay loud, not partial.
-            failed.append(position)
-            continue
-        if armed and (
-            time.perf_counter() - shard_started >= faults.policy().slow_shard_seconds
-        ):
-            if engine is not None and kind is not None:
-                engine._bump(kind, shard_timeouts=1)
-        partials.append(value)
-    if failed:
-        return _lost_shard_outcome(
-            merge, partials, effective_query, failed, engine, kind
-        )
-    return bool(merge.combine(partials, effective_query))
 
 
 @dataclass(frozen=True)
@@ -193,6 +91,11 @@ class ShardPlan:
         """Per-shard content fingerprints, in plan order."""
         return tuple(planned.fingerprint for planned in self.planned)
 
+    @cached_property
+    def pieces(self) -> Tuple[ShardPiece, ...]:
+        """The pieces in plan order -- what merge routers and locators take."""
+        return tuple(planned.piece for planned in self.planned)
+
 
 @dataclass(frozen=True)
 class ShardedStructure:
@@ -211,14 +114,156 @@ class ShardedStructure:
         return sum(1 for structure in self.structures if structure is not None)
 
 
-class ShardPlanner:
-    """Plan, build and serve sharded Pi-structures for a :class:`QueryEngine`.
+def _lost_shard_outcome(
+    merge: MergeOperator,
+    partials: List[Any],
+    effective_query: Any,
+    failed: List[int],
+    engine: "QueryEngine",
+    kind: str,
+):
+    """The per-kind partial-result-or-fail-fast policy, applied after a
+    scatter lost one or more shards.
 
-    The planner is engine-internal (the engine constructs one and routes
+    Union kinds tolerate missing partials: ``any`` over the shards that
+    responded is never silently wrong (``True`` is definitely correct;
+    ``False`` means "not found in the responding shards" and is returned
+    as an explicit :class:`~repro.service.faults.DegradedAnswer` with
+    ``partial=True``).  Monoid-combine and k-way kinds need *every* shard
+    for a correct answer, so they fail fast with
+    :class:`~repro.core.errors.ShardFailedError`.
+    """
+    if merge.name == "union":
+        engine._bump(kind, degraded_answers=1)
+        return faults.DegradedAnswer(
+            bool(merge.combine(partials, effective_query)),
+            reason=f"lost shard(s) {failed} during scatter-gather",
+            failed_shards=failed,
+        )
+    engine._bump(kind, shard_failures=len(failed))
+    raise ShardFailedError(
+        f"scatter-gather for {kind} lost shard(s) {failed}; "
+        f"merge family {merge.name!r} cannot tolerate a missing partial"
+    )
+
+
+class ShardedKernel:
+    """Evaluation of one sharded kind over already-resolved shard structures.
+
+    The sharded counterpart of calling ``scheme.answer_fast`` / ``answer`` /
+    ``answer_many`` on a monolithic structure: an answer is a function of
+    *(structures, query)* and nothing else, so every serve plan -- lazily
+    captured shards, or a :class:`ShardedStructure` pinned from a mutable
+    version -- evaluates through this one object.  ``tracker is None``
+    selects the untracked partials (the production path); any tracker
+    selects the cost-charging evaluator the certifier measures.  Pure
+    evaluation: nothing here touches the serving counters except the health
+    counters a lost or slow shard moves; callers time the call and report
+    it through :attr:`settle`, which books scatter time as both
+    ``serve_seconds`` and ``shard_serve_seconds``.
+    """
+
+    __slots__ = ("_engine", "_kind", "_scheme", "_spec", "settle")
+
+    def __init__(self, engine: "QueryEngine", kind: str, registration: "_Registration"):
+        self._engine = engine
+        self._kind = kind
+        self._scheme = registration.scheme
+        self._spec = registration.scheme.sharding
+        self.settle = partial(engine._count_serve, kind, sharded=True)
+
+    def route(self, plan: ShardPlan, query: Any) -> Tuple[Any, Sequence[int]]:
+        """``(rewritten query, plan positions it scatters to)``."""
+        rewrite = self._scheme.rewrite_query
+        effective = query if rewrite is None else rewrite(query)
+        route = self._spec.route
+        if route is None:
+            return effective, range(len(plan.planned))
+        return effective, list(route(effective, plan.pieces))
+
+    def scatter(
+        self,
+        plan: ShardPlan,
+        structures: Sequence[Optional[Any]],
+        positions: Iterable[int],
+        effective_query: Any,
+        tracker: Any = None,
+    ) -> bool:
+        """Evaluate one partial per routed position and gather them.
+
+        ``effective_query`` must already be rewritten (see :meth:`route`).
+        ``None`` structures contribute the merge operator's ``empty``
+        partial.  A shard lost to an
+        :class:`~repro.core.errors.InjectedFaultError` mid-scatter goes
+        through :func:`_lost_shard_outcome`; every other exception (genuine
+        query errors, library bugs) keeps propagating unchanged -- misuse
+        must stay loud, not partial.
+        """
+        merge = self._spec.merge
+        merge_partial = merge.partial
+        evaluate = self._scheme.evaluate
+        evaluate_fast = self._scheme.evaluate_fast if tracker is None else None
+        charge = NULL_TRACKER if tracker is None else tracker
+        planned = plan.planned
+        # The one hoisted fault guard of the serving stack: unarmed, a
+        # partial pays neither the hook call nor the slow-shard timer.
+        armed = faults._PLAN is not None
+        partials: List[Any] = []
+        failed: List[int] = []
+        for position in positions:
+            structure = structures[position]
+            if structure is None:
+                partials.append(
+                    merge.empty(effective_query) if merge.empty is not None else None
+                )
+                continue
+            try:
+                if armed:
+                    shard_started = time.perf_counter()
+                    faults.on_shard_partial(self._kind, position)
+                if merge_partial is not None:
+                    value = merge_partial(
+                        structure, effective_query, planned[position].piece.meta, charge
+                    )
+                elif evaluate_fast is not None:
+                    value = bool(evaluate_fast(structure, effective_query))
+                else:
+                    value = bool(evaluate(structure, effective_query, charge))
+            except InjectedFaultError:
+                failed.append(position)
+                continue
+            if armed and (
+                time.perf_counter() - shard_started >= faults.policy().slow_shard_seconds
+            ):
+                self._engine._bump(self._kind, shard_timeouts=1)
+            partials.append(value)
+        if failed:
+            return _lost_shard_outcome(
+                merge, partials, effective_query, failed, self._engine, self._kind
+            )
+        return bool(merge.combine(partials, effective_query))
+
+    def one(self, sharded: ShardedStructure, query: Any, tracker: Any = None) -> bool:
+        """Answer one query: rewrite + route once, then :meth:`scatter`."""
+        plan = sharded.plan
+        effective, positions = self.route(plan, query)
+        return self.scatter(plan, sharded.structures, positions, effective, tracker)
+
+    def many(self, sharded: ShardedStructure, queries: Sequence[Any]) -> List[bool]:
+        """Untracked answers for a same-kind group, in input order."""
+        one = self.one
+        return [one(sharded, query) for query in queries]
+
+
+class ShardPlanner:
+    """Plan and build sharded Pi-structures for a :class:`QueryEngine`.
+
+    The planner is engine-internal (the engine constructs one and resolves
     every ``shards > 1`` registration through it); it reuses the engine's
     cache -> store -> build resolution per shard, so each shard artifact gets
     the same corruption handling and double-checked build locking as a
-    monolithic artifact.
+    monolithic artifact.  It never answers a query: evaluation over the
+    structures it resolves is :class:`ShardedKernel`.
 
     Shard builds run on a pool **separate from the engine's serving pool**:
     a serving worker that waited on sibling tasks in its own pool could
@@ -303,21 +348,6 @@ class ShardPlanner:
 
     # -- building --------------------------------------------------------------
 
-    def _rewrite(self, registration: "_Registration", query: Any) -> Any:
-        if registration.scheme.rewrite_query is not None:
-            return registration.scheme.rewrite_query(query)
-        return query
-
-    def _route(
-        self, registration: "_Registration", plan: ShardPlan, effective_query: Any
-    ) -> List[int]:
-        """Plan positions an (already rewritten) query scatters to."""
-        spec = self._spec(registration)
-        if spec.route is None:
-            return list(range(len(plan.planned)))
-        pieces = [planned.piece for planned in plan.planned]
-        return list(spec.route(effective_query, pieces))
-
     def _resolve_positions(
         self,
         kind: str,
@@ -391,156 +421,6 @@ class ShardPlanner:
         )
         return ShardedStructure(plan=plan, structures=tuple(structures))
 
-    # -- serving ---------------------------------------------------------------
-
-    def serve(
-        self,
-        kind: str,
-        registration: "_Registration",
-        data: Any,
-        query: Any,
-        tracker: Any = None,
-        *,
-        fingerprint: str,
-    ) -> Tuple[bool, float]:
-        """Answer one query end to end: route once, resolve routed shards,
-        scatter-gather.
-
-        The query is rewritten and routed exactly once; only the routed
-        shards are resolved (cold shards build lazily, in parallel).
-        Returns ``(answer, scatter_seconds)`` -- the time spent evaluating
-        partials and merging, which the engine records as the serve cost.
-        ``fingerprint`` is the dataset's content identity (see
-        :meth:`resolve`).
-        """
-        plan = self.plan(kind, registration, data, fingerprint)
-        effective = self._rewrite(registration, query)
-        positions = self._route(registration, plan, effective)
-        structures = self._resolve_positions(kind, registration, plan, positions)
-        answer, elapsed = self._scatter_gather(
-            registration, plan, structures, positions, effective, tracker, kind=kind
-        )
-        # Hot-path counter (thread-local shard, folded on stats() read): the
-        # per-query serve path takes no statistics lock.
-        self._engine._count_serve(kind, shard_serve_seconds=elapsed)
-        return answer, elapsed
-
-    def answer_fast(
-        self,
-        registration: "_Registration",
-        sharded: ShardedStructure,
-        query: Any,
-        kind: Optional[str] = None,
-    ) -> bool:
-        """Untracked, statistics-neutral scatter over a resolved structure.
-
-        The production serving kernel for sharded kinds: rewrite + route
-        once, then :func:`gather_fast` over the bundled per-shard structures.
-        Answer-identical to :meth:`answer` (the tracked, merge-timed twin).
-        """
-        effective = self._rewrite(registration, query)
-        positions = self._route(registration, sharded.plan, effective)
-        return gather_fast(
-            registration,
-            self._spec(registration),
-            sharded.plan,
-            sharded.structures,
-            positions,
-            effective,
-            engine=self._engine,
-            kind=kind,
-        )
-
-    def answer(
-        self,
-        kind: str,
-        registration: "_Registration",
-        sharded: ShardedStructure,
-        query: Any,
-        tracker: Any = None,
-    ) -> bool:
-        """Scatter the query over an already-resolved :class:`ShardedStructure`.
-
-        A statistics-neutral primitive (no query/serve counters are bumped;
-        :meth:`serve` is the accounted path the engine uses).  Returns the
-        Boolean answer; identical to evaluating the scheme over the
-        monolithic structure (the K-vs-1 equivalence property test in
-        ``tests/property/test_prop_sharding.py`` enforces this for every
-        shardable kind).
-        """
-        effective = self._rewrite(registration, query)
-        positions = self._route(registration, sharded.plan, effective)
-        answer, _seconds = self._scatter_gather(
-            registration,
-            sharded.plan,
-            list(sharded.structures),
-            positions,
-            effective,
-            tracker,
-            kind=kind,
-        )
-        return answer
-
-    def _scatter_gather(
-        self,
-        registration: "_Registration",
-        plan: ShardPlan,
-        structures: List[Optional[Any]],
-        positions: Iterable[int],
-        effective_query: Any,
-        tracker: Any = None,
-        kind: Optional[str] = None,
-    ) -> Tuple[bool, float]:
-        """Evaluate partials over ``positions`` and gather with the merge
-        operator; returns ``(answer, elapsed_seconds)``.  Pure with respect
-        to engine serving statistics -- callers decide what to record --
-        except the health counters: a shard lost mid-scatter applies the
-        same :func:`_lost_shard_outcome` policy as :func:`gather_fast`
-        (union degrades explicitly, monoid/k-way fail fast)."""
-        scheme = registration.scheme
-        merge = self._spec(registration).merge
-        tracker = ensure_tracker(tracker)
-        pieces = [planned.piece for planned in plan.planned]
-        armed = faults._PLAN is not None
-        started = time.perf_counter()
-        partials: List[Any] = []
-        failed: List[int] = []
-        for position in positions:
-            structure = structures[position]
-            if structure is None:
-                partials.append(
-                    merge.empty(effective_query) if merge.empty is not None else None
-                )
-                continue
-            try:
-                if armed:
-                    shard_started = time.perf_counter()
-                    faults.on_shard_partial(kind or scheme.name, position)
-                if merge.partial is not None:
-                    value = merge.partial(
-                        structure, effective_query, pieces[position].meta, tracker
-                    )
-                else:
-                    value = bool(scheme.evaluate(structure, effective_query, tracker))
-            except InjectedFaultError:
-                # Same policy as gather_fast: only injected faults degrade.
-                failed.append(position)
-                continue
-            if armed and (
-                time.perf_counter() - shard_started
-                >= faults.policy().slow_shard_seconds
-            ):
-                if kind is not None:
-                    self._engine._bump(kind, shard_timeouts=1)
-            partials.append(value)
-        if failed:
-            answer = _lost_shard_outcome(
-                merge, partials, effective_query, failed, self._engine, kind
-            )
-            return answer, time.perf_counter() - started
-        answer = bool(merge.combine(partials, effective_query))
-        return answer, time.perf_counter() - started
-
     # -- lifecycle -------------------------------------------------------------
 
     def _spec(self, registration: "_Registration") -> ShardSpec:
@@ -595,7 +475,7 @@ def touched_shards(plan: ShardPlan, changes: Iterable[Any], spec: ShardSpec) -> 
     positions whose shard must be rebuilt.  Any change the spec cannot
     locate degrades conservatively to "all shards".
     """
-    pieces = [planned.piece for planned in plan.planned]
+    pieces = plan.pieces
     everything = set(range(len(pieces)))
     if spec.locate is None:
         return everything

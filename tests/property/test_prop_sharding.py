@@ -41,7 +41,7 @@ def test_sharded_equals_monolithic_for_every_kind(size, seed, shards):
         data, queries = query_class.sample_workload(size, seed, 6)
         requests = [QueryRequest(kind, dataset="probe", query=query) for query in queries]
         with engine.attach("probe", data, kinds=[kind]):
-            got = engine.execute_batch(requests, concurrent=False)
+            got = engine.execute_batch(requests)
         with _MONOLITHIC.attach("reference", data, kinds=[kind]) as reference_ds:
             reference = [reference_ds.query(kind, query) for query in queries]
         naive = [query_class.pair_in_language(data, query) for query in queries]
@@ -66,7 +66,11 @@ def test_concurrent_sharded_batch_equals_naive(size, seed, shards):
             requests.append(QueryRequest(kind, dataset=kind, query=query))
             naive.append(query_class.pair_in_language(data, query))
     try:
-        assert engine.execute_batch(requests, concurrent=True) == naive
+        futures = [
+            engine.dataset(request.dataset).submit(request.kind, request.query)
+            for request in requests
+        ]
+        assert [future.result(timeout=60) for future in futures] == naive
     finally:
         for kind in _KINDS:
             engine.detach(kind)

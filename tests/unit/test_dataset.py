@@ -165,8 +165,7 @@ def test_query_batch_accepts_requests_and_pairs():
                 ("membership", 2),
                 QueryRequest("membership", dataset="events", query=9),
                 QueryRequest("membership", query=3),
-            ],
-            concurrent=False,
+            ]
         )
         assert answers == [True, False, True]
         with pytest.raises(ServiceError, match="addresses dataset"):

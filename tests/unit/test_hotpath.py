@@ -223,13 +223,12 @@ def test_query_batch_groups_by_kind_and_preserves_order():
         data = tuple(range(64))
         ds = engine.attach("events", data)
         pairs = []
-        for i in range(50):  # interleave two kinds, exceed the inline cutoff
+        for i in range(50):  # interleave two kinds
             pairs.append(("membership", i * 3))
             pairs.append(("rmq", (0, 63, 0)))
         answers = ds.query_batch(pairs)
         expected = [ds.query(kind, q) for kind, q in pairs]
         assert answers == expected
-        assert ds.query_batch(pairs, concurrent=False) == expected
         assert ds.query_batch([]) == []
 
 
@@ -274,15 +273,19 @@ def test_mutable_query_batch_stays_batch_atomic_under_writes():
     engine.close()
 
 
-def test_execute_batch_chunks_large_batches_and_matches_sequential():
-    with _flat_engine(max_workers=3) as engine:
-        engine.attach("events", tuple(range(96)))
-        requests = [
-            QueryRequest("membership", dataset="events", query=q) for q in range(200)
+def test_execute_batch_is_position_stable_across_sessions_and_counts_queries():
+    with _flat_engine() as engine:
+        engine.attach("low", tuple(range(96)))
+        engine.attach("high", tuple(range(96, 192)))
+        requests = [  # interleave the two sessions: grouping must un-shuffle
+            QueryRequest("membership", dataset=("low", "high")[q % 2], query=q)
+            for q in range(200)
         ]
-        concurrent = engine.execute_batch(requests)
-        sequential = engine.execute_batch(requests, concurrent=False)
-        assert concurrent == sequential
+        answers = engine.execute_batch(requests)
+        assert answers == [engine.execute(request) for request in requests]
+        assert answers == [
+            q < 96 if q % 2 == 0 else 96 <= q < 192 for q in range(200)
+        ]
         assert engine.stats().per_kind["membership"].queries == 400
 
 

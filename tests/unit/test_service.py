@@ -1,7 +1,7 @@
 """Unit tests for the serving subsystem: store, cache, engine (ISSUE 1).
 
 The headline regression guard is ``test_concurrent_batches_match_sequential``:
-the engine under concurrent mixed batches must return exactly the answers of
+the engine under concurrent mixed requests must return exactly the answers of
 sequential execution (and of the naive reference semantics), with one build
 per artifact even when many threads miss at once.
 """
@@ -55,6 +55,16 @@ def _mixed_batch(engine, *, size=128, seed=11, per_kind=6):
             requests.append(QueryRequest(kind, dataset=kind, query=query))
             expected.append(query_class.pair_in_language(data, query))
     return requests, expected
+
+
+def _race(engine, requests):
+    """Every request as its own ``Dataset.submit`` future: real threads on
+    the engine pool, so cold requests race each other on the build path."""
+    futures = [
+        engine.dataset(request.dataset).submit(request.kind, request.query)
+        for request in requests
+    ]
+    return [future.result(timeout=60) for future in futures]
 
 
 # -- LRU cache ---------------------------------------------------------------
@@ -214,13 +224,13 @@ def test_unknown_kind_raises_service_error():
 
 def test_concurrent_batches_match_sequential(tmp_path):
     """Thread-safety regression guard (ISSUE 1 satellite): concurrent mixed
-    batches return the same answers as sequential execution, starting cold so
+    requests return the same answers as sequential execution, starting cold so
     concurrent misses race on the build path."""
     store = ArtifactStore(tmp_path)
     with build_query_engine(store=store, max_workers=8) as engine:
         requests, expected = _mixed_batch(engine)
-        concurrent = engine.execute_batch(requests)  # cold: builds race
-        sequential = engine.execute_batch(requests, concurrent=False)
+        concurrent = _race(engine, requests)  # cold: builds race
+        sequential = engine.execute_batch(requests)
         assert concurrent == sequential == expected
         stats = engine.stats()
         # One build per (kind, dataset) pair despite the concurrent misses.

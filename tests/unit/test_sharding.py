@@ -8,9 +8,14 @@ invalidation: change batches must rebuild only the shards they touch.
 
 from __future__ import annotations
 
+import ast
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro.catalog import build_query_engine
+from repro.core.cost import CostTracker
 from repro.core.errors import ServiceError
 from repro.incremental.changes import ChangeKind, TupleChange
 from repro.queries import (
@@ -29,7 +34,7 @@ from repro.service.merge import (
     stable_bucket,
     union_merge,
 )
-from repro.service.sharding import plan_diff, touched_shards
+from repro.service.sharding import ShardedKernel, ShardPlanner, plan_diff, touched_shards
 from repro.storage.fingerprint import dataset_fingerprint
 
 SHARDABLE_KINDS = (
@@ -139,8 +144,12 @@ def test_concurrent_sharded_batches_match_sequential(tmp_path):
     store = ArtifactStore(tmp_path)
     with build_query_engine(store=store, shards=4, max_workers=6) as engine:
         requests, expected = _workloads(engine)
-        concurrent = engine.execute_batch(requests)
-        sequential = engine.execute_batch(requests, concurrent=False)
+        futures = [
+            engine.dataset(request.dataset).submit(request.kind, request.query)
+            for request in requests
+        ]
+        concurrent = [future.result(timeout=60) for future in futures]
+        sequential = engine.execute_batch(requests)
         assert concurrent == sequential == expected
 
 
@@ -190,8 +199,9 @@ def test_routed_membership_probes_one_shard():
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
-    """The planner's resolve()/answer() primitive pair equals execute() and
-    stays statistics-neutral (shard_serve_seconds never exceeds serve_seconds)."""
+    """The planner's resolve() plus the sharded kernel's one() equals
+    execute() and stays statistics-neutral (shard_serve_seconds never exceeds
+    serve_seconds)."""
     with build_query_engine(shards=4) as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
@@ -200,11 +210,12 @@ def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
         ds = engine.attach("d", data, kinds=[kind])
         sharded = engine._planner.resolve(kind, registration, data, ds.fingerprint)
         assert sharded.built_count() == 4  # a full ShardedStructure
+        kernel = ShardedKernel(engine, kind, registration)
         for query in queries:
-            assert engine._planner.answer(kind, registration, sharded, query) == \
-                _ask(engine, kind, data, query)
+            assert kernel.one(sharded, query) == _ask(engine, kind, data, query)
+            assert kernel.one(sharded, query, CostTracker()) == kernel.one(sharded, query)
         stats = engine.stats().per_kind[kind]
-        assert stats.queries == len(queries)  # answer() bumped nothing
+        assert stats.queries == len(queries)  # one() bumped nothing
         assert stats.serve_seconds >= stats.shard_serve_seconds
 
 
@@ -323,3 +334,95 @@ def test_invalidate_drops_shard_plans_for_mutated_lists():
         data.append(4)
         engine.detach("d")
         assert _ask(engine, kind, data, 4) is True
+
+
+# -- one kernel per storage shape (ISSUE 14) --------------------------------------
+
+
+def test_sharded_mutable_session_accrues_shard_serve_seconds():
+    """Scatter time is booked by the sharded kernel's settle, so a mutable
+    session accrues it exactly like an immutable one (it used to stay 0)."""
+    with build_query_engine(shards=4) as engine:
+        kind = "list-membership"
+        ds = engine.attach("d", tuple(range(64)), kinds=[kind], mutable=True)
+        assert ds.query(kind, 7) is True
+        assert ds.query_tracked(kind, 7, CostTracker()) is True
+        assert ds.query_batch([(kind, 7), (kind, 64)]) == [True, False]
+        stats = engine.stats().per_kind[kind]
+        assert stats.queries == 4
+        assert 0 < stats.shard_serve_seconds <= stats.serve_seconds
+
+
+def test_tracked_sharded_queries_serve_from_captured_shards():
+    """query_tracked evaluates over the plan's captured shard list: one cache
+    probe per shard on first touch, then no probes and no plan-memo lookups."""
+    with build_query_engine(shards=4) as engine:
+        kind = "list-membership"
+        data = tuple(range(0, 256, 2))
+        query_class, _ = engine.registration(kind)
+        ds = engine.attach("d", data, kinds=[kind]).warm()
+        engine.reset_stats()
+        touched = set()
+        for query in range(50):
+            expected = query_class.pair_in_language(data, query)
+            assert ds.query(kind, query) == expected
+            assert ds.query_tracked(kind, query, CostTracker()) == expected
+            touched.add(stable_bucket(query, 4))
+        stats = engine.stats().per_kind[kind]
+        assert 0 < stats.shard_cache_hits <= len(touched)
+        assert stats.shard_builds == 0
+
+
+def _service_sources():
+    import repro.service
+
+    return sorted(Path(repro.service.__file__).parent.rglob("*.py"))
+
+
+def test_one_scatter_loop_holds_the_only_hot_fault_guard():
+    """on_shard_partial has one call site, and it is the only place outside
+    faults.py that tests whether a plan is armed."""
+    hook_calls, armed_tests = [], []
+    for path in _service_sources():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "on_shard_partial"):
+                hook_calls.append(path.name)
+            if (isinstance(node, ast.Attribute) and node.attr == "_PLAN"
+                    and path.name != "faults.py"):
+                armed_tests.append(path.name)
+    assert hook_calls == armed_tests == ["sharding.py"]
+
+
+def test_planner_only_plans_and_builds():
+    public = {name for name, member in vars(ShardPlanner).items()
+              if callable(member) and not name.startswith("_")}
+    assert public == {"plan", "forget", "shard_key", "resolve", "close"}
+
+
+def test_no_public_callable_takes_a_concurrent_flag():
+    import repro.service as service
+
+    def callables():
+        for name in service.__all__:
+            exported = getattr(service, name)
+            if inspect.isclass(exported):
+                for attr, member in vars(exported).items():
+                    if not attr.startswith("_") or attr == "__init__":
+                        member = getattr(member, "__func__", member)
+                        if inspect.isfunction(member):
+                            yield f"{name}.{attr}", member
+            elif inspect.isfunction(exported):
+                yield name, exported
+
+    offenders = [name for name, function in callables()
+                 if "concurrent" in inspect.signature(function).parameters]
+    assert offenders == []
+    with build_query_engine() as engine:
+        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"])
+        request = QueryRequest("list-membership", dataset="d", query=2)
+        with pytest.raises(TypeError, match="concurrent"):
+            ds.query_batch([("list-membership", 2)], concurrent=False)
+        with pytest.raises(TypeError, match="concurrent"):
+            engine.execute_batch([request], concurrent=False)
+        assert engine.execute_batch([request]) == [True]
