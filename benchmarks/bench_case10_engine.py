@@ -6,6 +6,13 @@ and the PTIME build; every later query is answered through the session's
 serve plan in polylog time; a process restart pays only artifact
 deserialization, not the build.
 
+Artifacts are keyed by the *structure* a scheme builds, and point- and
+range-selection share one (the same B+-trees, Section 4(1)): a cold
+``range-selection`` row measures a cache hit, not a build, whenever it
+follows ``point-selection`` on the same relation.  Here each kind samples
+its own relation (``sample_workload`` seeds by class name), so both rows
+stay cold builds and the restart still takes one store hit per kind.
+
 This module also feeds the machine-readable perf record ``BENCH_engine.json``
 (via the ``bench_json`` fixture) with cold/warm/restart latency percentiles
 and the cache hit rate, so the serving-path trajectory is tracked by CI.

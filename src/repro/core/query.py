@@ -131,6 +131,13 @@ class PiScheme:
     whenever the byte layout changes, so stale artifacts are rejected
     instead of mis-loaded.
 
+    ``structure`` names *what ``preprocess`` builds* -- the scheme part of
+    the artifact identity (content fingerprint x structure x params) --
+    and defaults to ``name``.  Schemes evaluating different classes over
+    one Pi(D) (the paper's "same B+-trees", Section 4(1)) declare one value
+    and share ``preprocess``, codec and ``artifact_version`` (the engine
+    refuses otherwise), so the structure is built, stored and cached once.
+
     ``sharding`` makes the scheme *partitionable*: a
     :class:`repro.service.merge.ShardSpec` declaring how datasets split into
     shards and how per-shard answers merge (union / k-way merge / monoid
@@ -187,6 +194,11 @@ class PiScheme:
     #: Optional untracked batch kernel ``(structure, queries) -> [bool]``;
     #: must agree with ``evaluate`` element-wise.
     evaluate_many: Optional[Callable[[Any, Sequence[Any]], List[bool]]] = None
+    #: Name of the structure ``preprocess`` builds; defaults to ``name``.
+    structure: str = ""
+
+    def __post_init__(self) -> None:
+        self.structure = self.structure or self.name
 
     @property
     def serializable(self) -> bool:

@@ -1,9 +1,9 @@
 """A B+-tree, from scratch (paper, Example 1 and Section 4(1)).
 
 This is the preprocessing structure of the paper's motivating example: build
-it once over a column in PTIME (O(n log n) inserts), then answer point and
-range selection queries in O(log n) -- seconds instead of 1.9 days on the
-petabyte thought experiment.
+it once over a column in PTIME (one O(n log n) sort plus a linear bottom-up
+bulk load), then answer point and range selection queries in O(log n) --
+seconds instead of 1.9 days on the petabyte thought experiment.
 
 Design notes
 ------------
@@ -13,9 +13,10 @@ Design notes
   under one key -- and are chained left-to-right for range scans.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
-* Full deletion with borrow-from-sibling and merge rebalancing is
-  implemented; the incremental-preprocessing case study (Section 4(7))
-  exercises it.
+* One bulk loader serves :meth:`BPlusTree.build` (sort, group duplicates)
+  and :meth:`BPlusTree.from_state`; ``insert`` and full deletion with
+  borrow-from-sibling and merge rebalancing remain for the
+  incremental-preprocessing case study (Section 4(7)).
 * Every node visit charges ``1 + ceil(log2(#keys))`` cost units (binary
   search within the node), so a root-to-leaf probe costs Theta(log n) --
   the quantity the certifier fits.
@@ -25,6 +26,8 @@ from __future__ import annotations
 
 import bisect
 import math
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Any, Iterator, List, Optional, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
@@ -86,14 +89,71 @@ class BPlusTree:
         order: int = 32,
         tracker: Optional[CostTracker] = None,
     ) -> "BPlusTree":
-        """PTIME preprocessing: insert every (key, payload) pair.
+        """PTIME preprocessing: one stable sort by key (duplicates keep their
+        input order, as repeated :meth:`insert` leaves them), group, bulk-load.
 
-        Charges the comparison cost of each insert, Theta(n log n) overall.
+        Charges the sorting bound ``n * ceil(log2 n)`` plus ``n`` for the
+        linear passes: Theta(n log n) overall.
         """
         tracker = ensure_tracker(tracker)
+        ordered = sorted(entries, key=itemgetter(0))
+        size = len(ordered)
+        tracker.tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
+        keys: List[Any] = []
+        values: List[List[Any]] = []
+        for key, payload in ordered:
+            if keys and keys[-1] == key:
+                values[-1].append(payload)
+            else:
+                keys.append(key)
+                values.append([payload])
+        return cls._bulk_load(order, keys, values)
+
+    @classmethod
+    def _bulk_load(cls, order: int, keys: List[Any], values: List[List[Any]]) -> "BPlusTree":
+        """The one bulk loader: a tree over sorted distinct ``keys`` whose
+        payload lists are ``values`` (ownership passes to the tree).
+
+        O(n): leaves are cut from the run, then each internal level groups
+        the one below, using the smallest key of each right subtree as the
+        separator.  An undersized tail chunk is merged into its left
+        neighbour; the merged node stays under ``order`` because chunks are
+        cut at roughly half capacity.
+        """
         tree = cls(order=order)
-        for key, payload in entries:
-            tree.insert(key, payload, tracker)
+        if not keys:
+            return tree
+
+        def cuts(count: int, width: int, minimum: int) -> List[Tuple[int, int]]:
+            bounds = list(range(0, count, width)) + [count]
+            if len(bounds) > 2 and count - bounds[-2] < minimum:
+                del bounds[-2]
+            return list(zip(bounds, bounds[1:]))
+
+        minimum = tree._min_keys()
+        fill = max(minimum + 1, order // 2)
+        level: List[_Node] = []
+        for start, stop in cuts(len(keys), fill, minimum):
+            leaf = _Node(leaf=True)
+            leaf.keys = keys[start:stop]
+            leaf.values = values[start:stop]
+            if level:
+                level[-1].next = leaf
+            level.append(leaf)
+
+        lows: List[Any] = [node.keys[0] for node in level]
+        while len(level) > 1:
+            parents: List[_Node] = []
+            parent_lows: List[Any] = []
+            for start, stop in cuts(len(level), fill + 1, minimum + 1):
+                parent = _Node(leaf=False)
+                parent.children = level[start:stop]
+                parent.keys = lows[start + 1 : stop]
+                parents.append(parent)
+                parent_lows.append(lows[start])
+            level, lows = parents, parent_lows
+        tree._root = level[0]
+        tree._size = sum(map(len, values))
         return tree
 
     # -- point operations ---------------------------------------------------------
@@ -253,16 +313,20 @@ class BPlusTree:
         tracker.tick(1)
         return leaf.keys[position] <= high
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """All (key, payload) pairs in key order (no cost; testing helper)."""
+    def _leaves(self) -> Iterator[_Node]:
         node: Optional[_Node] = self._root
         while not node.leaf:
             node = node.children[0]
         while node is not None:
+            yield node
+            node = node.next
+
+    def items(self) -> Iterator[Tuple[Any, Any]]:
+        """All (key, payload) pairs in key order (no cost; testing helper)."""
+        for node in self._leaves():
             for key, payloads in zip(node.keys, node.values):
                 for payload in payloads:
                     yield key, payload
-            node = node.next
 
     def keys(self) -> List[Any]:
         return [key for key, _ in self.items()]
@@ -380,71 +444,28 @@ class BPlusTree:
     def to_state(self) -> dict:
         """Plain-data snapshot for artifact persistence.
 
-        Leaves are flattened into one key-ordered ``(key, payloads)`` run;
-        the internal structure is *not* stored because :meth:`from_state`
-        rebuilds it bottom-up in linear time.  A flat run also sidesteps the
-        recursion depth a naive pickle of the leaf chain would hit.
+        The leaf chain flattens into three parallel runs: the distinct
+        ``keys`` in order, the payload ``counts`` per key, and every payload
+        in key order in ``payloads``.  The internal structure is *not*
+        stored (:meth:`from_state` rebuilds it bottom-up in linear time);
+        flat lists of scalars pickle at C speed with no per-key container
+        and no recursion into the leaf chain.
         """
-        entries = []
-        node: Optional[_Node] = self._root
-        while not node.leaf:
-            node = node.children[0]
-        while node is not None:
-            for key, payloads in zip(node.keys, node.values):
-                entries.append((key, list(payloads)))
-            node = node.next
-        return {"order": self.order, "entries": entries}
+        keys: List[Any] = []
+        counts: List[int] = []
+        payloads: List[Any] = []
+        for node in self._leaves():
+            keys.extend(node.keys)
+            counts.extend(map(len, node.values))
+            payloads.extend(chain.from_iterable(node.values))
+        return {"order": self.order, "keys": keys, "counts": counts, "payloads": payloads}
 
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
-        """Rebuild from :meth:`to_state` output by bottom-up bulk loading.
-
-        O(n): leaves are cut from the sorted run, then each internal level
-        groups the one below, using the smallest key of each right subtree
-        as the separator.  An undersized tail chunk is merged into its left
-        neighbour; the merged node stays under ``order`` because chunks are
-        cut at roughly half capacity.
-        """
-        tree = cls(order=int(state["order"]))
-        entries: List[Tuple[Any, List[Any]]] = list(state["entries"])
-        if not entries:
-            return tree
-
-        def chunk(items: List[Any], size: int, minimum: int) -> List[List[Any]]:
-            chunks = [items[i : i + size] for i in range(0, len(items), size)]
-            if len(chunks) > 1 and len(chunks[-1]) < minimum:
-                tail = chunks.pop()
-                chunks[-1] = chunks[-1] + tail
-            return chunks
-
-        minimum = tree._min_keys()
-        fill = max(minimum + 1, tree.order // 2)
-        leaves: List[_Node] = []
-        for group in chunk(entries, fill, minimum):
-            leaf = _Node(leaf=True)
-            leaf.keys = [key for key, _ in group]
-            leaf.values = [list(payloads) for _, payloads in group]
-            if leaves:
-                leaves[-1].next = leaf
-            leaves.append(leaf)
-
-        level: List[_Node] = leaves
-        lows: List[Any] = [node.keys[0] for node in level]
-        while len(level) > 1:
-            parents: List[_Node] = []
-            parent_lows: List[Any] = []
-            start = 0
-            for group in chunk(level, fill + 1, minimum + 1):
-                parent = _Node(leaf=False)
-                parent.children = group
-                parent.keys = lows[start + 1 : start + len(group)]
-                parents.append(parent)
-                parent_lows.append(lows[start])
-                start += len(group)
-            level, lows = parents, parent_lows
-        tree._root = level[0]
-        tree._size = sum(len(payloads) for _, payloads in entries)
-        return tree
+        """Rebuild from :meth:`to_state` output through the bulk loader."""
+        run = iter(state["payloads"])
+        values = [list(islice(run, count)) for count in state["counts"]]
+        return cls._bulk_load(int(state["order"]), state["keys"], values)
 
     # -- invariants (used by property tests) ----------------------------------------
 

@@ -436,7 +436,6 @@ class Dataset:
         self._fingerprint = fingerprint
         self._shards = shards
         self._detached = False
-        self._keys: Dict[str, ArtifactKey] = {}
         #: Per-kind serve plans: registration, resolved structure reference
         #: and bound kernel captured once, so the steady-state query path is
         #: one dict hit plus one kernel call.
@@ -536,23 +535,15 @@ class Dataset:
     def artifact_key(self, kind: str) -> ArtifactKey:
         """The artifact identity serving ``kind`` at the current version.
 
-        Immutable sessions precompute one key per kind (the warm-path probe
-        is then a single dictionary access); mutable sessions derive the key
-        from the version lineage, so every applied batch addresses a fresh
-        artifact without an O(|D|) re-hash.
+        Immutable sessions key by the attach-time fingerprint; mutable
+        sessions by the version lineage, so every applied batch addresses a
+        fresh artifact without an O(|D|) re-hash.  Kinds whose schemes
+        declare one ``structure`` share the key.
         """
+        fingerprint = self._fingerprint
         if self._mutable is not None:
-            return self._mutable.artifact_key(kind)
-        key = self._keys.get(kind)
-        if key is None:
-            registration = self.registration_for(kind)
-            key = ArtifactKey(
-                fingerprint=self._fingerprint,
-                scheme=registration.scheme.name,
-                params=registration.params,
-            )
-            self._keys[kind] = key
-        return key
+            fingerprint = self._mutable._versions.current.lineage
+        return self.registration_for(kind).key(fingerprint)
 
     # -- serving ---------------------------------------------------------------
 
@@ -846,15 +837,6 @@ class _MutableState:
     def version(self) -> int:
         return self._versions.current.number
 
-    def artifact_key(self, kind: str) -> ArtifactKey:
-        """Identity of this version's artifact for ``kind``."""
-        registration = self._ds.registration_for(kind)
-        return ArtifactKey(
-            fingerprint=self._versions.current.lineage,
-            scheme=registration.scheme.name,
-            params=registration.params,
-        )
-
     def snapshot(self) -> Any:
         with self._versions.writer_mutex:
             return self._content.canonical()
@@ -921,12 +903,9 @@ class _MutableState:
                 return engine._planner.resolve(
                     kind, registration, content, fingerprint
                 )
-            key = ArtifactKey(
-                fingerprint=fingerprint,
-                scheme=scheme.name,
-                params=registration.params,
+            structure = engine._resolve_by_key(
+                kind, registration, registration.key(fingerprint), content
             )
-            structure = engine._resolve_by_key(kind, registration, key, content)
             if delta_capable:
                 # Privatize through the codec: in-place delta maintenance
                 # must never touch a structure shared through the cache.
@@ -1152,11 +1131,7 @@ class _MutableState:
                 return
             registration = self._ds.registration_for(kind)
             payload = registration.scheme.dump(structure)
-            key = ArtifactKey(
-                fingerprint=version.lineage,
-                scheme=registration.scheme.name,
-                params=registration.params,
-            )
+            key = registration.key(version.lineage)
         recovery = faults.policy()
         backoff = recovery.writebehind_backoff_seconds
         attempts = max(1, recovery.writebehind_attempts)

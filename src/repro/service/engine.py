@@ -259,6 +259,12 @@ class _Registration:
     params: str
     shards: int = 1
 
+    def key(self, fingerprint: str, suffix: str = "") -> ArtifactKey:
+        """The artifact identity, content fingerprint x structure x params
+        (+ a shard ``suffix``): the one constructor of Pi-structure keys.
+        Kinds whose schemes declare one ``structure`` share every artifact."""
+        return ArtifactKey(fingerprint, self.scheme.structure, self.params + suffix)
+
 
 class _ShardAnchor:
     """Thread-local sentinel whose death retires the thread's counter shard."""
@@ -459,6 +465,18 @@ class QueryEngine:
                 f"kind {kind!r} with shards=1 or add a sharding spec "
                 "(see repro.service.merge)"
             )
+        built = (scheme.preprocess, scheme.dump, scheme.load, scheme.artifact_version)
+        for other_kind, other in self._registrations.items():
+            theirs = other.scheme
+            if theirs.structure == scheme.structure and built != (
+                theirs.preprocess, theirs.dump, theirs.load, theirs.artifact_version
+            ):
+                raise ServiceError(
+                    f"schemes {scheme.name!r} (kind {kind!r}) and {theirs.name!r} "
+                    f"(kind {other_kind!r}) both claim structure "
+                    f"{scheme.structure!r} but differ in preprocess, codec or "
+                    "artifact_version; share all three or name distinct structures"
+                )
         token = f"{params}|v{scheme.artifact_version}"
         self._registrations[kind] = _Registration(query_class, scheme, token, shards)
         self._stats[kind] = SchemeStats(scheme=scheme.name, shards=shards)
@@ -813,12 +831,8 @@ class QueryEngine:
         content fall out through the cache eviction listener (keyed plan
         watchers)."""
         self._planner.forget(fingerprint)
-        for registration in self._registrations.values():
-            key = ArtifactKey(
-                fingerprint=fingerprint,
-                scheme=registration.scheme.name,
-                params=registration.params,
-            )
+        # Kinds sharing a structure share a key: invalidate each key once.
+        for key in {r.key(fingerprint) for r in self._registrations.values()}:
             self._cache.invalidate(key)
             # A lock entry whose build is still in flight is owned by the
             # builder's own finally-pop; evicting here only matters for idle

@@ -305,7 +305,7 @@ class ShardPlanner:
             if plan is not None:
                 self._plans.move_to_end(memo_key)
                 return plan
-        spec = self._spec(registration)
+        spec: ShardSpec = registration.scheme.sharding
         pieces = spec.split(data, registration.shards)
         planned = tuple(
             PlannedShard(
@@ -340,10 +340,8 @@ class ShardPlanner:
         self, registration: "_Registration", plan: ShardPlan, planned: PlannedShard
     ) -> ArtifactKey:
         """Artifact identity of one shard: content fingerprint + shard id."""
-        return ArtifactKey(
-            fingerprint=planned.fingerprint,
-            scheme=registration.scheme.name,
-            params=f"{registration.params}|s{planned.piece.index}/{plan.shards}",
+        return registration.key(
+            planned.fingerprint, f"|s{planned.piece.index}/{plan.shards}"
         )
 
     # -- building --------------------------------------------------------------
@@ -422,16 +420,6 @@ class ShardPlanner:
         return ShardedStructure(plan=plan, structures=tuple(structures))
 
     # -- lifecycle -------------------------------------------------------------
-
-    def _spec(self, registration: "_Registration") -> ShardSpec:
-        spec = registration.scheme.sharding
-        if spec is None:  # pragma: no cover - register() rejects this upfront
-            from repro.core.errors import ServiceError
-
-            raise ServiceError(
-                f"scheme {registration.scheme.name!r} declares no ShardSpec"
-            )
-        return spec
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         with self._pool_guard:

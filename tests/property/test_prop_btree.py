@@ -56,3 +56,80 @@ def test_range_queries_match_filter(key_list, low, high, order):
     expected = sorted(k for k in key_list if low <= k <= high)
     assert [k for k, _ in tree.range_iter(low, high)] == expected
     assert tree.range_nonempty(low, high) == bool(expected)
+
+
+# -- bulk loading (build and from_state share one loader) ----------------------
+
+# A narrow key domain makes heavy duplicates the common case; orders span the
+# smallest legal node up to twice the serving default.
+dup_keys = st.integers(min_value=-12, max_value=12)
+bulk_orders = st.integers(min_value=4, max_value=64)
+bulk_entries = st.one_of(
+    st.just([]),
+    st.lists(st.tuples(dup_keys, st.integers(0, 5)), min_size=1, max_size=1),
+    st.lists(st.tuples(dup_keys, st.integers(0, 5)), max_size=400),
+    st.lists(st.tuples(keys, st.integers(0, 5)), max_size=400),
+)
+
+
+def _insert_built(entries, order):
+    tree = BPlusTree(order=order)
+    for key, payload in entries:
+        tree.insert(key, payload)
+    return tree
+
+
+@given(bulk_entries, bulk_orders, st.lists(st.tuples(keys, st.integers(0, 30)), max_size=40))
+@settings(max_examples=120, deadline=None)
+def test_bulk_build_equals_insert_build(entries, order, probes):
+    bulk = BPlusTree.build(entries, order=order)
+    bulk.check_invariants()
+    inserted = _insert_built(entries, order)
+    # Same pairs in the same order: the sort is stable, so payloads under a
+    # duplicate key keep their input order exactly as repeated inserts do.
+    assert list(bulk.items()) == list(inserted.items())
+    assert len(bulk) == len(inserted) == len(entries)
+    for low, span in probes:
+        high = low + span
+        expected = inserted.contains(low)
+        assert bulk.contains(low) == bulk.contains_fast(low) == expected
+        expected = inserted.range_nonempty(low, high)
+        assert bulk.range_nonempty(low, high) == expected
+        assert bulk.range_nonempty_fast(low, high) == expected
+
+
+@given(bulk_entries, bulk_orders)
+@settings(max_examples=120, deadline=None)
+def test_bulk_built_tree_round_trips_through_flat_state(entries, order):
+    tree = BPlusTree.build(entries, order=order)
+    state = tree.to_state()
+    assert set(state) == {"order", "keys", "counts", "payloads"}
+    assert len(state["keys"]) == len(state["counts"])
+    assert sum(state["counts"]) == len(state["payloads"]) == len(entries)
+    clone = BPlusTree.from_state(state)
+    clone.check_invariants()
+    assert clone.order == tree.order
+    assert list(clone.items()) == list(tree.items())
+    assert clone.to_state() == state
+    # The clone owns its payload lists: folding into it never reaches back.
+    clone.insert(0, "private")
+    assert list(tree.items()) == list(BPlusTree.from_state(state).items())
+
+
+@given(bulk_entries, bulk_orders, operations)
+@settings(max_examples=80, deadline=None)
+def test_bulk_built_tree_survives_interleaved_maintenance(entries, order, ops):
+    tree = BPlusTree.build([(key, None) for key, _ in entries], order=order)
+    model: Counter = Counter(key for key, _ in entries)
+    for op, key in ops:
+        if op == "insert":
+            tree.insert(key, None)
+            model[key] += 1
+        else:
+            deleted = tree.delete(key)
+            assert deleted == (model[key] > 0)
+            if deleted:
+                model[key] -= 1
+    tree.check_invariants()
+    assert tree.keys() == sorted(model.elements())
+    assert len(tree) == sum(model.values())

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
@@ -322,6 +322,66 @@ TestSelectionMachine = SelectionMachine.TestCase
 TestRMQMachine = RMQMachine.TestCase
 TestTopKMachine = TopKMachine.TestCase
 TestReachabilityMachine = ReachabilityMachine.TestCase
+
+
+# -- shared structure, private copies (ISSUE 15) --------------------------------
+
+
+def _trees(ds, kind):
+    """Every B+-tree ``kind`` holds on either left-right side."""
+    versions = ds._mutable._versions
+    return [
+        tree
+        for side in (versions.current.structures, versions.offline)
+        for tree in side[kind].values()
+    ]
+
+
+selection_cell = st.integers(min_value=0, max_value=9)
+selection_batches = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(["insert", "delete"]), selection_cell, selection_cell),
+        min_size=1,
+        max_size=6,
+    ),
+    max_size=12,
+)
+
+
+@given(selection_batches)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mutable_selection_kinds_fold_into_private_structures(batches):
+    """Point and range selection share one immutable artifact, so a mutable
+    session must privatise per kind: were any tree aliased across kinds (or
+    sides), one batch would fold into it twice and the answers would drift
+    from the naive evaluation -- the double-fold hazard."""
+    with QueryEngine() as engine:
+        point_class, range_class = point_selection_class(), range_selection_class()
+        engine.register("point", point_class, btree_point_scheme())
+        engine.register("range", range_class, btree_range_scheme())
+        ds = _open(engine, _relation_of([(1, 2), (3, 4), (3, 9), (3, 9)]), "point", "range")
+        assert ds.artifact_key("point") == ds.artifact_key("range")
+        stats = engine.stats().per_kind
+        assert stats["point"].builds + stats["range"].builds == 1
+        cached = engine._cache.get(ds.artifact_key("point"), record=False)
+        for batch in [[]] + batches:
+            if batch:
+                ds.apply_changes(
+                    [(_insert if op == "insert" else _delete)(a, b) for op, a, b in batch]
+                )
+            trees = _trees(ds, "point") + _trees(ds, "range")
+            assert len({id(tree) for tree in trees}) == len(trees) == 8
+            assert all(tree is not shared for tree in trees for shared in cached.values())
+            content = ds.dataset()
+            for attribute in ("a", "b"):
+                for constant in range(0, 10):
+                    expected = point_class.pair_in_language(content, (attribute, constant))
+                    assert _ask(ds, "point", (attribute, constant)) == expected
+                    window = (attribute, constant, constant + 2)
+                    expected = range_class.pair_in_language(content, window)
+                    assert _ask(ds, "range", window) == expected
+        # The cache-shared artifact never saw a fold: it still is version 0.
+        assert sorted(cached["a"].keys()) == [1, 3, 3, 3]
 
 
 # -- deterministic 500+-step soaks ---------------------------------------------

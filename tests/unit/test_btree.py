@@ -135,3 +135,16 @@ class TestCostShape:
     def test_height_grows_slowly(self):
         tree = BPlusTree.build([(i, None) for i in range(10_000)], order=32)
         assert tree.height <= 4
+
+    def test_build_charge_is_n_log_n(self):
+        # build = one sort + a linear bulk load: quadrupling n must grow the
+        # charge like n log n (4 * 14/12 ~ 4.7), neither linear nor quadratic.
+        charges = {}
+        for exponent in (12, 14):
+            rng = random.Random(exponent)
+            n = 2**exponent
+            tracker = CostTracker()
+            BPlusTree.build([(rng.randrange(4 * n), i) for i in range(n)], tracker=tracker)
+            charges[exponent] = tracker.work
+            assert tracker.depth == tracker.work  # sequential preprocessing
+        assert 4.0 <= charges[14] / charges[12] <= 5.5

@@ -8,6 +8,10 @@ per artifact even when many threads miss at once.
 
 from __future__ import annotations
 
+import ast
+import random
+from pathlib import Path
+
 import pytest
 
 from repro.catalog import build_query_engine
@@ -166,14 +170,18 @@ def test_store_rejects_key_mismatch(tmp_path):
 
 
 def test_scheme_artifact_version_changes_artifact_identity():
-    engine = QueryEngine()
-    engine.register("m1", membership_class(), sorted_run_scheme())
-    bumped = sorted_run_scheme()
-    bumped.artifact_version = 2
-    engine.register("m2", membership_class(), bumped)
-    ds = engine.attach("d", (3, 1, 2))
-    assert ds.artifact_key("m1") != ds.artifact_key("m2")
-    assert ds.artifact_key("m1").fingerprint == ds.artifact_key("m2").fingerprint
+    # One engine per layout: two versions of one structure cannot be
+    # registered side by side (see the structure-sharing tests below).
+    keys = []
+    for version in (1, 2):
+        scheme = sorted_run_scheme()
+        scheme.artifact_version = version
+        engine = QueryEngine()
+        engine.register("m", membership_class(), scheme)
+        keys.append(engine.attach("d", (3, 1, 2)).artifact_key("m"))
+    assert keys[0] != keys[1]
+    assert keys[0].fingerprint == keys[1].fingerprint
+    assert keys[0].scheme == keys[1].scheme
 
 
 # -- query engine ------------------------------------------------------------
@@ -448,3 +456,170 @@ def test_pending_submits_resolve_with_service_error_on_close():
     # And submitting after close is an explicit error, not a pool crash.
     with pytest.raises(ServiceError):
         ds.submit("slow-membership", 1)
+
+
+# -- structure-addressed artifacts (ISSUE 15) --------------------------------
+#
+# The artifact identity names the *structure* a scheme builds, not the scheme:
+# point- and range-selection declare the same B+-trees (paper, Section 4(1)),
+# so one relation costs one build, one store file, one cache entry.
+
+SELECTION_KINDS = ("point-selection", "range-selection")
+
+
+def _selection_workload(engine, size=192, seed=7, per_kind=24):
+    """One relation plus (kind, query, naive answer) triples for both kinds."""
+    point_class, _ = engine.registration("point-selection")
+    relation, _ = point_class.sample_workload(size, seed, 0)
+    triples = []
+    for kind in SELECTION_KINDS:
+        query_class, _ = engine.registration(kind)
+        rng = random.Random(seed)
+        for query in query_class.generate_queries(relation, rng, per_kind):
+            triples.append((kind, query, query_class.pair_in_language(relation, query)))
+    return relation, triples
+
+
+def _resolutions(engine):
+    per_kind = engine.stats().per_kind
+    return {
+        name: sum(getattr(per_kind[kind], name) for kind in SELECTION_KINDS)
+        for name in ("builds", "store_hits", "cache_hits", "shard_builds", "shard_store_hits")
+    }
+
+
+def test_selection_kinds_share_one_build_and_one_artifact(tmp_path):
+    store = ArtifactStore(tmp_path)
+    with build_query_engine(store=store) as first:
+        relation, triples = _selection_workload(first)
+        ds = first.attach("rel", relation, kinds=list(SELECTION_KINDS)).warm()
+        assert ds.artifact_key("point-selection") == ds.artifact_key("range-selection")
+        counts = _resolutions(first)
+        assert (counts["builds"], counts["cache_hits"], counts["store_hits"]) == (1, 1, 0)
+        assert len(list(tmp_path.glob("*/*.pia"))) == 1
+        # One resident tree set: both serve plans captured the same object.
+        assert ds._plan("point-selection").resolve() is ds._plan("range-selection").resolve()
+        assert [ds.query(kind, query) for kind, query, _ in triples] == [
+            expected for _, _, expected in triples
+        ]
+
+    with build_query_engine(store=store) as second:
+        ds = second.attach("rel", relation, kinds=list(SELECTION_KINDS)).warm()
+        counts = _resolutions(second)
+        assert (counts["builds"], counts["store_hits"], counts["cache_hits"]) == (0, 1, 1)
+        assert ds.query_batch([(kind, query) for kind, query, _ in triples]) == [
+            expected for _, _, expected in triples
+        ]
+
+
+def test_selection_kinds_share_shard_artifacts(tmp_path):
+    store = ArtifactStore(tmp_path)
+    with build_query_engine(store=store) as engine:
+        relation, triples = _selection_workload(engine)
+        ds = engine.attach("rel", relation, kinds=list(SELECTION_KINDS), shards=4).warm()
+        counts = _resolutions(engine)
+        assert counts["builds"] == 0 and counts["shard_builds"] == 4
+        assert len(list(tmp_path.glob("*/*.pia"))) == 4
+        for kind, query, expected in triples:
+            assert ds.query(kind, query) == expected, (kind, query)
+            assert ds.query_tracked(kind, query) == expected, (kind, query)
+
+    with build_query_engine(store=store) as second:
+        second.attach("rel", relation, kinds=list(SELECTION_KINDS), shards=4).warm()
+        counts = _resolutions(second)
+        assert counts["shard_builds"] == 0 and counts["shard_store_hits"] == 4
+
+
+def test_detach_evicts_a_shared_structure_once(monkeypatch):
+    with build_query_engine() as engine:
+        relation, _ = _selection_workload(engine, size=64)
+        ds = engine.attach("rel", relation, kinds=list(SELECTION_KINDS)).warm()
+        key = ds.artifact_key("point-selection")
+        invalidated = []
+        invalidate = engine._cache.invalidate
+        monkeypatch.setattr(
+            engine._cache, "invalidate",
+            lambda key: (invalidated.append(key), invalidate(key))[1],
+        )
+        ds.detach()
+        assert engine._cache.get(key, record=False) is None
+        # Registrations legitimately collide on a key; each key goes once.
+        assert invalidated.count(key) == 1
+        assert len(invalidated) == len(set(invalidated)) < len(engine.kinds())
+
+
+def _set_scheme(name, preprocess, **overrides):
+    return PiScheme(
+        name=name,
+        preprocess=preprocess,
+        evaluate=lambda structure, query, tracker: query in structure,
+        **overrides,
+    )
+
+
+def test_register_refuses_one_structure_with_two_builders_or_layouts():
+    def build(data, tracker):
+        return set(data)
+
+    engine = QueryEngine()
+    engine.register("a", membership_class(), _set_scheme("set-a", build, structure="the-set"))
+    # Same structure, same builder, same (absent) codec, same version: shared.
+    engine.register("b", membership_class(), _set_scheme("set-b", build, structure="the-set"))
+    ds = engine.attach("d", (1, 2, 3))
+    assert ds.artifact_key("a") == ds.artifact_key("b")
+    assert ds.artifact_key("a").scheme == "the-set"
+
+    with pytest.raises(ServiceError, match="claim structure 'the-set'"):
+        engine.register(
+            "c",
+            membership_class(),
+            _set_scheme("set-c", lambda data, tracker: frozenset(data), structure="the-set"),
+        )
+    with pytest.raises(ServiceError, match="claim structure 'the-set'"):
+        engine.register(
+            "c",
+            membership_class(),
+            _set_scheme("set-c", build, structure="the-set", artifact_version=2),
+        )
+    with pytest.raises(ServiceError, match="claim structure 'the-set'"):
+        engine.register(
+            "c",
+            membership_class(),
+            _set_scheme("set-c", build, structure="the-set", dump=bytes, load=set),
+        )
+    assert "c" not in engine.kinds()
+    # The default structure is the scheme's own name: nothing is shared
+    # (or refused) unless a scheme says so.
+    assert _set_scheme("plain", build).structure == "plain"
+    engine.register("c", membership_class(), _set_scheme("set-c", build))
+    assert ds.artifact_key("a") != engine.attach("e", (1, 2, 3)).artifact_key("c")
+    engine.close()
+
+
+def test_artifact_keys_are_constructed_in_one_place():
+    """``_Registration.key`` is the only constructor of Pi-structure keys in
+    the serving layer.  The one other ``ArtifactKey(`` under ``service/`` is
+    the supervisor journal's checkpoint blob (``frontend/placement.py``): it
+    has no scheme or registration, so it is pinned here, not hidden."""
+    import repro.service
+
+    root = Path(repro.service.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "artifacts.py":
+            continue
+        tree = ast.parse(path.read_text())
+        owners = {
+            id(call): f"{cls.name}.{fn.name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            for call in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ArtifactKey"):
+                sites.append((path.relative_to(root).as_posix(), owners.get(id(node))))
+    assert sites == [
+        ("engine.py", "_Registration.key"),
+        ("frontend/placement.py", "Journal.finish_checkpoint"),
+    ]
