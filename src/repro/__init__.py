@@ -26,47 +26,35 @@ Quickstart::
 
     registry = build_registry(certify_all=False)
     print(figure2_report(registry))
+
+The framework names below are re-exported from :mod:`repro.core` and resolved
+on first access (:mod:`repro._lazy`): ``import repro`` itself loads nothing.
 """
 
-from repro.core import (
-    Certificate,
-    Cost,
-    CostTracker,
-    Factorization,
-    FReduction,
-    Membership,
-    NCFactorReduction,
-    PairLanguage,
-    PiScheme,
-    QueryClass,
-    Registry,
-    ScalingKind,
-    certify,
-    compose,
-    figure2_report,
-    transfer_scheme,
-    verify_reduction,
-)
+from repro._lazy import lazy_exports
 
-__version__ = "1.0.0"
+#: The one version literal; a test compares it with ``pyproject.toml``.
+__version__ = "0.2.0"
 
-__all__ = [
-    "__version__",
-    "Certificate",
-    "Cost",
-    "CostTracker",
-    "Factorization",
-    "FReduction",
-    "Membership",
-    "NCFactorReduction",
-    "PairLanguage",
-    "PiScheme",
-    "QueryClass",
-    "Registry",
-    "ScalingKind",
-    "certify",
-    "compose",
-    "figure2_report",
-    "transfer_scheme",
-    "verify_reduction",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core": (
+        "Certificate",
+        "Cost",
+        "CostTracker",
+        "Factorization",
+        "FReduction",
+        "Membership",
+        "NCFactorReduction",
+        "PairLanguage",
+        "PiScheme",
+        "QueryClass",
+        "Registry",
+        "ScalingKind",
+        "certify",
+        "compose",
+        "figure2_report",
+        "transfer_scheme",
+        "verify_reduction",
+    ),
+})
+__all__.append("__version__")

@@ -14,118 +14,41 @@ Layout (one concept per module):
                           Lemma 2/3/8 as executable constructions
 ``classes``               the Figure 2 registry and containment checker
 ========================  ====================================================
+
+Every name in ``__all__`` is resolved on first access (:mod:`repro._lazy`), so
+``from repro.core.errors import ...`` loads :mod:`~repro.core.errors` alone.
 """
 
-from repro.core.alphabet import decode, decode_pair, encode, encode_pair, encoded_size
-from repro.core.classes import Membership, Registry, RegistryEntry, figure2_report
-from repro.core.cost import NULL_TRACKER, Cost, CostTracker, NullTracker, ensure_tracker
-from repro.core.errors import (
-    CertificationError,
-    CircuitError,
-    EncodingError,
-    FactorizationError,
-    GraphError,
-    ReductionError,
-    ReproError,
-    SchemaError,
-    ViewError,
-)
-from repro.core.factorization import (
-    EMPTY_DATA,
-    Factorization,
-    canonical_factorization,
-    identity_factorization,
-    trivial_factorization,
-)
-from repro.core.fitting import (
-    Fit,
-    ScalingKind,
-    ScalingVerdict,
-    classify_scaling,
-    fit_polylog,
-    fit_power,
-)
-from repro.core.language import (
-    DecisionProblem,
-    PairLanguage,
-    decision_problem_of,
-    pair_language_of,
-)
-from repro.core.query import PiScheme, QueryClass, default_sizes
-from repro.core.reductions import (
-    FReduction,
-    NCFactorReduction,
-    compose,
-    compose_f,
-    padded_factorization,
-    transfer_scheme,
-    transfer_scheme_f,
-    verify_f_reduction,
-    verify_reduction,
-)
-from repro.core.tractability import Certificate, SizeSample, certify
+from repro._lazy import lazy_exports
 
-__all__ = [
-    # alphabet
-    "encode",
-    "decode",
-    "encode_pair",
-    "decode_pair",
-    "encoded_size",
-    # cost
-    "Cost",
-    "CostTracker",
-    "NullTracker",
-    "NULL_TRACKER",
-    "ensure_tracker",
-    # fitting
-    "Fit",
-    "ScalingKind",
-    "ScalingVerdict",
-    "classify_scaling",
-    "fit_power",
-    "fit_polylog",
-    # query / language
-    "QueryClass",
-    "PiScheme",
-    "default_sizes",
-    "PairLanguage",
-    "DecisionProblem",
-    "pair_language_of",
-    "decision_problem_of",
-    # factorization
-    "Factorization",
-    "EMPTY_DATA",
-    "canonical_factorization",
-    "trivial_factorization",
-    "identity_factorization",
-    # tractability
-    "Certificate",
-    "SizeSample",
-    "certify",
-    # reductions
-    "NCFactorReduction",
-    "FReduction",
-    "compose",
-    "compose_f",
-    "padded_factorization",
-    "transfer_scheme",
-    "transfer_scheme_f",
-    "verify_reduction",
-    "verify_f_reduction",
-    # registry
-    "Membership",
-    "Registry",
-    "RegistryEntry",
-    "figure2_report",
-    # errors
-    "ReproError",
-    "EncodingError",
-    "FactorizationError",
-    "ReductionError",
-    "CertificationError",
-    "SchemaError",
-    "GraphError",
-    "CircuitError",
-    "ViewError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.core.alphabet": (
+        "encode", "decode", "encode_pair", "decode_pair", "encoded_size",
+    ),
+    "repro.core.cost": (
+        "Cost", "CostTracker", "NullTracker", "NULL_TRACKER", "ensure_tracker",
+    ),
+    "repro.core.fitting": (
+        "Fit", "ScalingKind", "ScalingVerdict", "classify_scaling", "fit_power",
+        "fit_polylog",
+    ),
+    "repro.core.query": ("QueryClass", "PiScheme", "default_sizes"),
+    "repro.core.language": (
+        "PairLanguage", "DecisionProblem", "pair_language_of", "decision_problem_of",
+    ),
+    "repro.core.factorization": (
+        "Factorization", "EMPTY_DATA", "canonical_factorization",
+        "trivial_factorization", "identity_factorization",
+    ),
+    "repro.core.tractability": ("Certificate", "SizeSample", "certify"),
+    "repro.core.reductions": (
+        "NCFactorReduction", "FReduction", "compose", "compose_f",
+        "padded_factorization", "transfer_scheme", "transfer_scheme_f",
+        "verify_reduction", "verify_f_reduction",
+    ),
+    "repro.core.classes": ("Membership", "Registry", "RegistryEntry", "figure2_report"),
+    "repro.core.errors": (
+        "ReproError", "EncodingError", "FactorizationError", "ReductionError",
+        "CertificationError", "SchemaError", "GraphError", "CircuitError", "ViewError",
+    ),
+})

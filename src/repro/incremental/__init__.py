@@ -1,21 +1,16 @@
-"""Bounded incremental evaluation and preprocessing (paper, Section 4(7))."""
+"""Bounded incremental evaluation and preprocessing (paper, Section 4(7)).
 
-from repro.incremental.changes import (
-    ChangeKind,
-    ChangeLog,
-    EdgeChange,
-    PointWrite,
-    TupleChange,
-)
-from repro.incremental.inc_reachability import IncrementalTransitiveClosure
-from repro.incremental.inc_selection import IncrementalSelectionIndex
+Names are resolved on first access (:mod:`repro._lazy`): the wire protocol
+imports the change types of :mod:`~repro.incremental.changes` without loading
+the incremental indexes.
+"""
 
-__all__ = [
-    "ChangeKind",
-    "ChangeLog",
-    "EdgeChange",
-    "PointWrite",
-    "TupleChange",
-    "IncrementalSelectionIndex",
-    "IncrementalTransitiveClosure",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.incremental.changes": (
+        "ChangeKind", "ChangeLog", "EdgeChange", "PointWrite", "TupleChange",
+    ),
+    "repro.incremental.inc_selection": ("IncrementalSelectionIndex",),
+    "repro.incremental.inc_reachability": ("IncrementalTransitiveClosure",),
+})

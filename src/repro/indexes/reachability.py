@@ -17,14 +17,15 @@ cross-checking against the NC matrix-squaring evaluator in
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import GraphError
 from repro.graphs.graph import Digraph
 from repro.graphs.scc import condensation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TransitiveClosureIndex"]
 
@@ -158,6 +159,8 @@ class TransitiveClosureIndex:
 
     def as_matrix(self) -> np.ndarray:
         """The vertex-level reflexive closure as a Boolean numpy matrix."""
+        import numpy as np  # loaded by the first matrix export, not by the index
+
         matrix = np.zeros((self.n, self.n), dtype=bool)
         for source in range(self.n):
             bits = self._closure[self._component_of[source]]

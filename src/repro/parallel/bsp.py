@@ -21,10 +21,12 @@ trade-off, measured in ``benchmarks/bench_extension_models.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import TYPE_CHECKING, List, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["BSPMachine", "bsp_reachability_frontier", "bsp_reachability_squaring"]
 
@@ -80,6 +82,8 @@ def bsp_reachability_frontier(
     """Frontier-expansion BFS: one vertex per processor, one superstep per
     BFS level.  Rounds = eccentricity of the source (up to n), each round
     cheap -- many synchronisations, little work."""
+    import numpy as np
+
     n = adjacency.shape[0]
     visited = np.zeros(n, dtype=bool)
     visited[source] = True
@@ -109,7 +113,7 @@ def bsp_reachability_squaring(
     Boolean matrix product -- few synchronisations, heavy rounds.  This is
     the BSP/MapReduce rendering of the NC algorithm (cf. [28]: NC algorithms
     translate to O(t) MapReduce rounds)."""
-    import math
+    import numpy as np
 
     n = adjacency.shape[0]
     reach = adjacency.astype(bool) | np.eye(n, dtype=bool)

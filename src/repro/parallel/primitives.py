@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import List, Optional, Sequence, TypeVar
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Sequence, TypeVar
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.parallel.pram import ParallelMachine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "parallel_sum",
@@ -143,6 +144,8 @@ def transitive_closure_squaring(
 
     The value itself is computed with numpy matrix products.
     """
+    import numpy as np  # loaded by the first squaring, not by the scalar primitives
+
     n = adjacency.shape[0]
     if adjacency.shape != (n, n):
         raise ValueError("adjacency must be a square Boolean matrix")

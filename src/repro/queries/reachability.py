@@ -15,9 +15,7 @@ exposed for the Example 3 experiment:
 from __future__ import annotations
 
 import random
-from typing import List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError
@@ -28,6 +26,9 @@ from repro.graphs.traversal import is_reachable
 from repro.indexes.reachability import TransitiveClosureIndex
 from repro.parallel.pram import ParallelMachine
 from repro.parallel.primitives import reachability_query_squaring
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "reachability_class",
@@ -122,6 +123,8 @@ def closure_scheme() -> PiScheme:
 
 
 def adjacency_matrix(graph: Digraph) -> np.ndarray:
+    import numpy as np  # only the NC-squaring regime pays for numpy
+
     matrix = np.zeros((graph.n, graph.n), dtype=bool)
     for u, v in graph.edges():
         matrix[u, v] = True

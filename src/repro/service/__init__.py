@@ -61,7 +61,11 @@ hierarchy, the workload harness (:class:`~repro.workloads.WorkloadSpec`,
 and the catalog's :func:`~repro.catalog.build_query_engine` factory -- is
 importable from ``repro.service`` directly.  Deep imports
 (``from repro.service.engine import QueryEngine``) keep working; the
-curated names in ``__all__`` are the supported, stable set.
+curated names in ``__all__`` are the supported, stable set.  Each is
+resolved on first access (:mod:`repro._lazy`), so a process pays only for
+the role it plays: the front (gateway + supervisor) never loads the engine
+or an index, and an in-process user never loads ``asyncio`` or
+``multiprocessing`` (see "process roles" in ``docs/architecture.md``).
 
     >>> from repro.service import build_query_engine, WorkloadSpec
     >>> engine = build_query_engine()
@@ -71,168 +75,40 @@ curated names in ``__all__`` are the supported, stable set.
     >>> engine.close()
 """
 
-from repro.core.errors import (
-    ArtifactCorruptionError,
-    ArtifactError,
-    ArtifactVersionError,
-    DeltaError,
-    InjectedFaultError,
-    ReproError,
-    ServiceError,
-    ShardFailedError,
-    UnknownDatasetError,
-    WorkloadError,
-    WriteBehindError,
-)
-from repro.service.artifacts import ArtifactKey, ArtifactStore
-from repro.service.faults import (
-    DegradedAnswer,
-    FaultClock,
-    FaultPlan,
-    FaultSpec,
-    RecoveryPolicy,
-    SCENARIOS,
-    active_plan,
-    clear_fault_plan,
-    install_fault_plan,
-    scenario,
-)
-from repro.service.cache import LRUArtifactCache
-from repro.service.dataset import Dataset
-from repro.service.engine import EngineStats, QueryEngine, QueryRequest, SchemeStats
-from repro.service.mutable import MutableContent, VersionedStructures
-from repro.service.merge import (
-    MergeOperator,
-    ShardPiece,
-    ShardSpec,
-    kway_merge,
-    monoid_merge,
-    range_blocks,
-    stable_bucket,
-    union_merge,
-)
-from repro.service.sharding import (
-    PlannedShard,
-    ShardedStructure,
-    ShardPlan,
-    ShardPlanner,
-    plan_diff,
-    touched_shards,
-)
+from repro._lazy import lazy_exports
 
-# Workload harness entry points.  Safe to import eagerly: repro.workloads
-# depends only on repro.core and repro.incremental (datasets are
-# duck-typed), so no cycle back into this package.
-from repro.workloads import (
-    DriftKeys,
-    HotspotKeys,
-    KeyDistribution,
-    LatencyStats,
-    UniformKeys,
-    WorkloadReport,
-    WorkloadSpec,
-    ZipfKeys,
-    run_closed_loop,
-    run_open_loop,
-)
-
-__all__ = [
-    "ArtifactKey",
-    "ArtifactStore",
-    "LRUArtifactCache",
-    "Dataset",
-    "MutableContent",
-    "VersionedStructures",
-    "EngineStats",
-    "QueryEngine",
-    "QueryRequest",
-    "SchemeStats",
-    "MergeOperator",
-    "ShardPiece",
-    "ShardSpec",
-    "kway_merge",
-    "monoid_merge",
-    "range_blocks",
-    "stable_bucket",
-    "union_merge",
-    "PlannedShard",
-    "ShardedStructure",
-    "ShardPlan",
-    "ShardPlanner",
-    "plan_diff",
-    "touched_shards",
-    # error hierarchy
-    "ReproError",
-    "ServiceError",
-    "UnknownDatasetError",
-    "ArtifactError",
-    "ArtifactCorruptionError",
-    "ArtifactVersionError",
-    "DeltaError",
-    "WorkloadError",
-    "InjectedFaultError",
-    "ShardFailedError",
-    "WriteBehindError",
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.artifacts": ("ArtifactKey", "ArtifactStore"),
+    "repro.service.cache": ("LRUArtifactCache",),
+    "repro.service.dataset": ("Dataset",),
+    "repro.service.mutable": ("MutableContent", "VersionedStructures"),
+    "repro.service.engine": ("EngineStats", "QueryEngine", "QueryRequest", "SchemeStats"),
+    "repro.service.merge": (
+        "MergeOperator", "ShardPiece", "ShardSpec", "kway_merge", "monoid_merge",
+        "range_blocks", "stable_bucket", "union_merge",
+    ),
+    "repro.service.sharding": (
+        "PlannedShard", "ShardedStructure", "ShardPlan", "ShardPlanner", "plan_diff",
+        "touched_shards",
+    ),
+    "repro.core.errors": (
+        "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",
+        "ArtifactCorruptionError", "ArtifactVersionError", "DeltaError",
+        "WorkloadError", "InjectedFaultError", "ShardFailedError", "WriteBehindError",
+        "ProtocolError", "OverloadedError", "WorkerFailedError",
+    ),
     # fault injection (the failure model; see docs/architecture.md)
-    "FaultSpec",
-    "FaultClock",
-    "FaultPlan",
-    "RecoveryPolicy",
-    "DegradedAnswer",
-    "SCENARIOS",
-    "scenario",
-    "install_fault_plan",
-    "clear_fault_plan",
-    "active_plan",
-    # workload harness
-    "KeyDistribution",
-    "UniformKeys",
-    "ZipfKeys",
-    "HotspotKeys",
-    "DriftKeys",
-    "WorkloadSpec",
-    "LatencyStats",
-    "WorkloadReport",
-    "run_closed_loop",
-    "run_open_loop",
-    # catalog factory (lazy; see __getattr__)
-    "build_query_engine",
-    # serving front (lazy; see __getattr__)
-    "ServingFront",
-    "GatewayConfig",
-    "Supervisor",
-    "RemoteClient",
-    "RemoteDataset",
-    # new error types of the serving front
-    "ProtocolError",
-    "OverloadedError",
-    "WorkerFailedError",
-]
-
-from repro.core.errors import (  # noqa: E402 - grouped with the lazy block
-    OverloadedError,
-    ProtocolError,
-    WorkerFailedError,
-)
-
-#: Serving-front names resolved lazily: the frontend pulls in asyncio and
-#: multiprocessing, which pure in-process users should not pay for.
-_FRONTEND_NAMES = frozenset(
-    {"ServingFront", "GatewayConfig", "Supervisor", "RemoteClient", "RemoteDataset"}
-)
-
-
-def __getattr__(name: str):
-    # Lazy re-export: repro.catalog imports the query-class registry at
-    # module level, so an eager import here would find a partially
-    # initialized catalog on catalog-first import chains.  PEP 562 defers
-    # the lookup to first attribute access, after both modules exist.
-    if name == "build_query_engine":
-        from repro.catalog import build_query_engine
-
-        return build_query_engine
-    if name in _FRONTEND_NAMES:
-        import repro.service.frontend as frontend
-
-        return getattr(frontend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    "repro.service.faults": (
+        "FaultSpec", "FaultClock", "FaultPlan", "RecoveryPolicy", "DegradedAnswer",
+        "SCENARIOS", "scenario", "install_fault_plan", "clear_fault_plan", "active_plan",
+    ),
+    "repro.workloads": (
+        "KeyDistribution", "UniformKeys", "ZipfKeys", "HotspotKeys", "DriftKeys",
+        "WorkloadSpec", "LatencyStats", "WorkloadReport", "run_closed_loop",
+        "run_open_loop",
+    ),
+    "repro.catalog": ("build_query_engine",),
+    "repro.service.frontend": (
+        "ServingFront", "GatewayConfig", "Supervisor", "RemoteClient", "RemoteDataset",
+    ),
+})

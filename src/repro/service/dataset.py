@@ -826,12 +826,15 @@ class _MutableState:
         self.log = ChangeLog()
         self._content = MutableContent(ds._data, self.tracker, self.log)
         self._versions = VersionedStructures(ds._fingerprint)
+        # Write-behind bookkeeping is keyed by the attach-time artifact key
+        # (see _slot), not by kind: kinds that share a structure share each
+        # lineage artifact, which is dumped and put once per version.
         self._persist_guard = threading.Lock()
-        self._persist_futures: Dict[str, Any] = {}
-        self._persisted: Dict[str, int] = {}
-        # kind -> terminal store failure from write-behind; surfaced (not
-        # swallowed) by the next flush()/detach.
-        self._persist_errors: Dict[str, BaseException] = {}
+        self._persist_futures: Dict[ArtifactKey, Any] = {}
+        self._persisted: Dict[ArtifactKey, int] = {}
+        # slot -> (kind, terminal store failure) from write-behind; surfaced
+        # (not swallowed) by the next flush()/detach.
+        self._persist_errors: Dict[ArtifactKey, Tuple[str, BaseException]] = {}
 
     @property
     def version(self) -> int:
@@ -1079,8 +1082,7 @@ class _MutableState:
                 retired[kind] = self._twin(kind, fresh, canonical)
             if rebuild_error is not None:
                 raise rebuild_error
-            for kind, _seconds in delta_kinds:
-                self._schedule_persist(kind)
+            self._schedule_persist(kind for kind, _seconds in delta_kinds)
             screened = len(batch) - len(effective)
             self.log.record(
                 len(effective),
@@ -1102,13 +1104,21 @@ class _MutableState:
             and registration.scheme.dump is not None
         )
 
-    def _schedule_persist(self, kind: str) -> None:
-        if not self._store_ready(kind):
-            return
+    def _slot(self, kind: str) -> ArtifactKey:
+        """``kind``'s artifact key at attach: stable across versions, equal
+        for exactly the kinds whose lineage artifacts are one file."""
+        return self._ds.registration_for(kind).key(self._ds._fingerprint)
+
+    def _schedule_persist(self, kinds: Iterable[str]) -> None:
+        """Queue one write-behind task per distinct artifact among ``kinds``."""
         target = self._versions.current.number
+        slots = {self._slot(kind): kind for kind in kinds if self._store_ready(kind)}
+        if not slots:
+            return
         pool = self._engine._ensure_persist_pool()
         with self._persist_guard:
-            self._persist_futures[kind] = pool.submit(self._persist, kind, target)
+            for slot, kind in slots.items():
+                self._persist_futures[slot] = pool.submit(self._persist, kind, target)
 
     def _persist(self, kind: str, target: int) -> None:
         """Dump ``kind``'s structure at version ``target`` if still current.
@@ -1123,8 +1133,9 @@ class _MutableState:
         ``_persist_errors`` and raised by the next :meth:`flush` -- the
         in-memory structure stays current either way, only durability lags.
         """
+        slot = self._slot(kind)
         with self._versions.pinned() as version:
-            if version.number != target or self._persisted.get(kind, 0) >= target:
+            if version.number != target or self._persisted.get(slot, 0) >= target:
                 return
             structure = version.structures.get(kind)
             if structure is None:
@@ -1147,11 +1158,11 @@ class _MutableState:
                     continue
                 self._engine._bump(kind, writebehind_failures=1)
                 with self._persist_guard:
-                    self._persist_errors[kind] = exc
+                    self._persist_errors[slot] = (kind, exc)
                 return
         with self._persist_guard:
-            self._persisted[kind] = max(self._persisted.get(kind, 0), target)
-            self._persist_errors.pop(kind, None)
+            self._persisted[slot] = max(self._persisted.get(slot, 0), target)
+            self._persist_errors.pop(slot, None)
 
     def flush(self) -> None:
         """Barrier: every delta-maintained kind durable at the current version.
@@ -1170,7 +1181,7 @@ class _MutableState:
             if self._store_ready(kind):
                 self._persist(kind, current.number)
         with self._persist_guard:
-            errors = sorted(self._persist_errors.items())
+            errors = sorted(self._persist_errors.values(), key=lambda error: error[0])
         if errors:
             kind, cause = errors[0]
             raise WriteBehindError(

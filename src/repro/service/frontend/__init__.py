@@ -27,18 +27,17 @@ share nothing in memory but everything on disk:
   :class:`RemoteDataset`, the sync client whose sessions duck-type
   :class:`~repro.service.dataset.Dataset` so the workload drivers run
   against the front unchanged.
+
+Names are resolved on first access (:mod:`repro._lazy`), which is what keeps
+the three process roles apart: a worker importing
+:mod:`~repro.service.frontend.workers` loads neither the gateway nor the
+client, and a client loads neither ``asyncio`` nor ``multiprocessing``.
 """
 
-from repro.service.frontend.client import RemoteClient, RemoteDataset, drive_batches
-from repro.service.frontend.server import Gateway, GatewayConfig, ServingFront
-from repro.service.frontend.supervisor import Supervisor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Gateway",
-    "GatewayConfig",
-    "RemoteClient",
-    "RemoteDataset",
-    "ServingFront",
-    "Supervisor",
-    "drive_batches",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.frontend.server": ("Gateway", "GatewayConfig", "ServingFront"),
+    "repro.service.frontend.client": ("RemoteClient", "RemoteDataset", "drive_batches"),
+    "repro.service.frontend.supervisor": ("Supervisor",),
+})

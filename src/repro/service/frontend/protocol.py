@@ -3,7 +3,7 @@
 One frame on the wire::
 
     magic    2 bytes   b"PF"
-    version  u8        PROTOCOL_VERSION (any of SUPPORTED_VERSIONS accepted)
+    version  u8        PROTOCOL_VERSION (the only version accepted)
     codec    u8        0 = JSON, 1 = msgpack (msgpack only if installed)
     hlen     u16 BE    header byte length
     blen     u32 BE    body byte length
@@ -14,13 +14,15 @@ The header carries only what the gateway needs to route and admit a
 request -- the op name, the client's request id and the dataset name -- so
 the gateway never decodes the body: it relays the opaque body bytes to a
 worker process, which pays the decode cost in parallel with every other
-worker.  Protocol v2 adds one *optional* header field: ``deadline_ms``,
-the request's remaining end-to-end budget in milliseconds at send time.
-The header is a plain dict, so v1 frames (no field) decode unchanged --
-a frame without a deadline simply has none, and v1 peers keep working
-against a v2 front.  Frames whose total size exceeds ``max_frame_bytes`` are rejected
-with :class:`~repro.core.errors.ProtocolError` *before* the body is read:
-the gateway refuses to buffer what it will not serve.
+worker.  The header may carry one *optional* field, ``deadline_ms``: the
+request's remaining end-to-end budget in milliseconds at send time (a
+frame without it simply has no deadline).  Both sides speak exactly
+``PROTOCOL_VERSION``; a frame stamped with any other version -- v1
+included, which nothing emits any more -- is refused with a
+:class:`~repro.core.errors.ProtocolError` naming the version.  Frames whose
+total size exceeds ``max_frame_bytes`` are rejected with the same error
+*before* the body is read: the gateway refuses to buffer what it will not
+serve.
 
 Bodies are encoded through a small tagged codec (:func:`encode_value` /
 :func:`decode_value`) that round-trips everything the serving surface
@@ -71,7 +73,6 @@ except ImportError:  # pragma: no cover - the baked image has no msgpack
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "SUPPORTED_VERSIONS",
     "MAGIC",
     "CODEC_JSON",
     "CODEC_MSGPACK",
@@ -91,11 +92,9 @@ __all__ = [
 ]
 
 MAGIC = b"PF"
-#: The version this side *emits*: 2 (optional ``deadline_ms`` header field).
+#: The one version this side emits and accepts (2 = optional ``deadline_ms``
+#: header field).
 PROTOCOL_VERSION = 2
-#: Every version this side *accepts*.  v1 frames are identical on the wire
-#: except that their headers never carry ``deadline_ms``.
-SUPPORTED_VERSIONS = (1, 2)
 CODEC_JSON = 0
 CODEC_MSGPACK = 1
 #: 8 MiB: comfortably holds a 2^16-element attach payload or a
@@ -308,10 +307,10 @@ def _parse_prefix(
     magic, version, codec, hlen, blen = _PREFIX.unpack(prefix)
     if magic != MAGIC:
         raise ProtocolError(f"bad frame magic {magic!r}")
-    if version not in SUPPORTED_VERSIONS:
+    if version != PROTOCOL_VERSION:
         raise ProtocolError(
             f"unsupported protocol version {version}; this side speaks "
-            f"{sorted(SUPPORTED_VERSIONS)}"
+            f"{PROTOCOL_VERSION}"
         )
     if codec not in (CODEC_JSON, CODEC_MSGPACK):
         raise ProtocolError(f"unknown codec byte {codec}")

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.errors import DeadlineExceededError, ProtocolError, UnknownDatasetError
 from repro.incremental.changes import ChangeKind, TupleChange
-from repro.service.frontend import RemoteClient, ServingFront
+from repro.service.frontend import RemoteClient, ServingFront, protocol
 from repro.workloads import UniformKeys, WorkloadSpec, ZipfKeys, run_closed_loop, run_open_loop
 
 
@@ -89,11 +89,20 @@ def test_mutable_dataset_is_homed_and_versioned(client):
     ds.detach()  # idempotent client-side
 
 
-def test_remote_errors_carry_their_classes(client):
+def test_remote_errors_carry_their_classes(front, client):
     with pytest.raises(UnknownDatasetError):
         client.request("stats", dataset="never-attached")
     with pytest.raises(ProtocolError, match="unknown op"):
         client.request("reboot", dataset="x")
+    # A v1-stamped frame is refused by a structured frame naming the version.
+    ping = protocol.pack_frame({"op": "ping", "rid": 1, "dataset": ""}, None)
+    with socket.create_connection(front.address, timeout=10) as sock:
+        sock.sendall(ping[:2] + bytes([1]) + ping[3:])
+        with sock.makefile("rb") as stream:
+            header, body, codec = protocol.read_frame(stream)
+    assert header["ok"] is False
+    with pytest.raises(ProtocolError, match="unsupported protocol version 1;"):
+        protocol.raise_remote(protocol.decode_body(body, codec))
     # Structured errors do not poison the connection or count as
     # protocol errors client-side... except the unknown op above, which
     # is itself a ProtocolError raised from a *structured* frame.

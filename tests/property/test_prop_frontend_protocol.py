@@ -273,8 +273,7 @@ def test_unknown_remote_error_degrades_to_service_error():
 )
 def test_deadline_header_round_trips_in_both_codecs(codec, rid, deadline_ms):
     """``deadline_ms`` is an *optional* header field: frames that carry it
-    round-trip it exactly, frames that omit it stay byte-compatible with
-    what a v1 peer emits."""
+    round-trip it exactly, frames that omit it carry no deadline."""
     header = {"op": "query", "rid": rid, "dataset": "d", "deadline_ms": deadline_ms}
     rheader, _, rcodec = protocol.unpack_frame(
         protocol.pack_frame(header, {"kind": "k", "query": 1}, codec=codec)
@@ -288,15 +287,13 @@ def test_deadline_header_round_trips_in_both_codecs(codec, rid, deadline_ms):
 
 @settings(max_examples=40, deadline=None)
 @given(rid=st.integers(0, 2**31), value=wire_values)
-def test_v1_frames_still_decode(rid, value):
-    """A v1 peer's frames (version byte 1, no deadline field) must keep
-    parsing: the wire layout is identical, only the version byte differs."""
+def test_v1_frames_are_refused_naming_the_version(rid, value):
+    """Nothing emits v1 any more: a frame that differs from a valid one only
+    in its version byte is a ``ProtocolError`` that says which version."""
     raw = protocol.pack_frame({"op": "query", "rid": rid, "dataset": "d"}, value)
-    assert raw[2] == protocol.PROTOCOL_VERSION
-    v1_raw = raw[:2] + bytes([1]) + raw[3:]
-    header, body, codec = protocol.unpack_frame(v1_raw)
-    assert header == {"op": "query", "rid": rid, "dataset": "d"}
-    assert_wire_equal(protocol.decode_body(body, codec), value)
+    assert raw[2] == protocol.PROTOCOL_VERSION == 2
+    with pytest.raises(ProtocolError, match="unsupported protocol version 1;"):
+        protocol.unpack_frame(raw[:2] + bytes([1]) + raw[3:])
 
 
 @pytest.mark.parametrize("codec", CODECS)

@@ -159,9 +159,10 @@ def test_refused_detach_of_a_homed_dataset_keeps_its_home(pool):
 def test_broadcast_onto_a_full_inbox_enqueues_nothing_anywhere(pool):
     pool.attach("a", mutable=True)              # least-loaded: worker 0
     pool.attach("b", mutable=True)              # then worker 1
+    pings = []
     with pytest.raises(OverloadedError):        # fill worker 1's inbox
         for _ in range(100_000):
-            pool.submit("ping", "b")
+            pings.append(pool.submit("ping", "b"))
     assert pool.ctx.inboxes[0].frames == []
     with pytest.raises(OverloadedError):
         pool.submit("attach", "c", {"name": "c", "data": (1,), "mutable": False})
@@ -171,6 +172,7 @@ def test_broadcast_onto_a_full_inbox_enqueues_nothing_anywhere(pool):
     assert pool.ctx.inboxes[0].frames == []
     # Once worker 1 drains, the very same attach goes through everywhere.
     pool.answer_all()
+    assert pings[-1].wait(5)    # the collector settles in order: backlog gone
     done = pool.submit("attach", "c", {"name": "c", "data": (1,), "mutable": False})
     assert [inbox.ops() for inbox in pool.ctx.inboxes] == [["attach"], ["attach"]]
     pool.answer_all()

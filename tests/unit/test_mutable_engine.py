@@ -225,6 +225,36 @@ def test_versioned_write_behind_persistence(tmp_path):
         assert reloaded.contains(42) and not reloaded.contains(43)
 
 
+def test_shared_structure_is_persisted_once_per_version(tmp_path):
+    """Point- and range-selection over one relation are one lineage
+    artifact: write-behind dumps and ``put``s it once per version, not once
+    per kind, and a failing store is still reported by ``flush()``."""
+    from repro.core.errors import WriteBehindError
+
+    store = ArtifactStore(tmp_path)
+    with build_query_engine(store=store) as engine:
+        kinds = ["point-selection", "range-selection"]
+        data, _ = engine.registration(kinds[0])[0].sample_workload(64, 5, 10)
+        ds = engine.attach("rel", data, kinds=kinds, mutable=True).warm()
+        assert ds.artifact_key(kinds[0]) == ds.artifact_key(kinds[1])
+        puts, real_put = [], store.put
+        store.put = lambda key, payload: (puts.append(key), real_put(key, payload))[1]
+        for version in (1, 2):
+            ds.apply_changes([_insert(7, version)])
+            ds.flush()
+            assert puts == [ds.artifact_key(kinds[0])], puts
+            assert store.get(puts.pop()) is not None
+        undo = _break_store(store)
+        ds.apply_changes([_insert(7, 3)])
+        with pytest.raises(WriteBehindError, match="selection") as excinfo:
+            ds.flush()
+        assert isinstance(excinfo.value.__cause__, OSError)
+        undo()
+        store.put = real_put
+        ds.flush()  # healed: the one shared artifact lands, the error clears
+        assert store.get(ds.artifact_key(kinds[1])) is not None
+
+
 def test_close_flushes_and_detaches(tmp_path):
     store = ArtifactStore(tmp_path)
     engine = QueryEngine(store=store)
