@@ -9,6 +9,7 @@
 ``euler_lca``          tree LCA via Euler tour + RMQ (Section 4(4), [5])
 ``dag_lca``            DAG LCA via topological-rank bitsets (Section 4(4))
 ``reachability``       transitive-closure index (Example 3)
+``columns``            typed columns: the state layout of the array indexes
 =====================  ======================================================
 """
 

@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import GraphError
 from repro.graphs.graph import Graph
+from repro.indexes import columns
 from repro.indexes.sparse_table import SparseTable
 
 __all__ = ["EulerTourLCA", "naive_tree_lca", "tree_parents"]
@@ -81,8 +82,10 @@ class EulerTourLCA:
         # Re-entering a vertex after each child appends it again, so the tour
         # has 2n - 1 entries; but the pop-reappend above also appends the
         # vertex once after the *last* child returns, giving the same bound.
-        self._tour = tour
-        self._first = first
+        # tree_parents proved the tree connected, so no -1 sentinel of
+        # ``first`` outlives the walk: both tables are position columns.
+        self._tour = columns.positions(tour, tree.n)
+        self._first = columns.positions(first, len(tour))
         self._rmq = SparseTable(depths, tracker)
 
     def lca(self, u: int, v: int, tracker: Optional[CostTracker] = None) -> int:
@@ -110,12 +113,12 @@ class EulerTourLCA:
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot: tour, first occurrences and the depth RMQ."""
+        """Plain-data snapshot: parents, tour, first occurrences, depth RMQ."""
         return {
             "root": self.root,
-            "parent": list(self.parent),
-            "tour": list(self._tour),
-            "first": list(self._first),
+            "parent": columns.pack(self.parent),
+            "tour": self._tour[:],
+            "first": self._first[:],
             "rmq": self._rmq.to_state(),
         }
 
@@ -123,9 +126,9 @@ class EulerTourLCA:
     def from_state(cls, state: dict) -> "EulerTourLCA":
         index = cls.__new__(cls)
         index.root = int(state["root"])
-        index.parent = list(state["parent"])
-        index._tour = list(state["tour"])
-        index._first = list(state["first"])
+        index.parent = columns.unpack(state["parent"])
+        index._tour = columns.positions(state["tour"], len(index.parent))
+        index._first = columns.positions(state["first"], len(index._tour))
         index._rmq = SparseTable.from_state(state["rmq"])
         return index
 

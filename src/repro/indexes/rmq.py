@@ -25,6 +25,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
+from repro.indexes import columns
 from repro.indexes.sparse_table import SparseTable, check_rmq_range
 
 __all__ = ["FischerHeunRMQ"]
@@ -73,28 +74,38 @@ class FischerHeunRMQ:
         n = len(self._array)
         self._block_size = max(1, int(math.log2(n)) // 4) if n >= 2 else 1
 
-        # Per-block minima (absolute positions) and signatures.
-        self._block_argmin: List[int] = []
-        self._signatures: List[str] = []
-        self._tables: Dict[str, List[List[int]]] = {}
-        b = self._block_size
-        for start in range(0, n, b):
-            block = self._array[start : start + b]
-            tracker.tick(len(block))
-            best = 0
-            for offset in range(1, len(block)):
-                if block[offset] < block[best]:
-                    best = offset
-            self._block_argmin.append(start + best)
-            signature = _cartesian_signature(block)
-            tracker.tick(len(block))
-            self._signatures.append(signature)
-            if signature not in self._tables:
-                self._tables[signature] = _in_block_table(block)
-                tracker.tick(len(block) ** 2)
+        # Per block: the absolute position of its minimum and the id of its
+        # in-block table (at most sum(Catalan(k), k <= b) signatures, far
+        # below n); the signature -> id dict serves signing, never a query.
+        self._tables: List[List[List[int]]] = []
+        self._table_ids: Dict[str, int] = {}
+        block_argmin: List[int] = []
+        block_table: List[int] = []
+        for start in range(0, n, self._block_size):
+            argmin, table_id = self._sign_block(start, tracker)
+            block_argmin.append(argmin)
+            block_table.append(table_id)
+        self._block_argmin = columns.positions(block_argmin, n)
+        self._block_table = columns.positions(block_table, n)
+        self._summary = SparseTable([self._array[p] for p in block_argmin], tracker)
 
-        block_min_values = [self._array[p] for p in self._block_argmin]
-        self._summary = SparseTable(block_min_values, tracker)
+    def _sign_block(self, start: int, tracker: CostTracker) -> Tuple[int, int]:
+        """(absolute argmin, in-block table id) of the block at ``start``,
+        materializing the table of a signature not seen before."""
+        block = self._array[start : start + self._block_size]
+        tracker.tick(len(block))
+        best = 0
+        for offset in range(1, len(block)):
+            if block[offset] < block[best]:
+                best = offset
+        signature = _cartesian_signature(block)
+        tracker.tick(len(block))
+        table_id = self._table_ids.get(signature)
+        if table_id is None:
+            table_id = self._table_ids[signature] = len(self._tables)
+            self._tables.append(_in_block_table(block))
+            tracker.tick(len(block) ** 2)
+        return start + best, table_id
 
     def __len__(self) -> int:
         return len(self._array)
@@ -108,7 +119,7 @@ class FischerHeunRMQ:
         return len(self._tables)
 
     def _block_query(self, block_index: int, left_offset: int, right_offset: int) -> int:
-        table = self._tables[self._signatures[block_index]]
+        table = self._tables[self._block_table[block_index]]
         return (
             block_index * self._block_size
             + table[left_offset][right_offset - left_offset]
@@ -175,7 +186,8 @@ class FischerHeunRMQ:
         A point write lands in exactly one block: its Cartesian signature and
         argmin are recomputed in O(b) = O(log n), a missing lookup table is
         materialized in O(b^2) = O(log^2 n), and the block-minima summary is
-        repaired through :meth:`SparseTable.point_update` in O(n / b).
+        repaired through :meth:`SparseTable.point_update` (the windows the
+        write moved: a handful typically, O(n / b) for a new global minimum).
         Everything else -- every other block's signature and table -- is
         untouched, which is what makes this a |CHANGED|-bounded repair
         instead of the O(n) rebuild.
@@ -183,47 +195,35 @@ class FischerHeunRMQ:
         tracker = ensure_tracker(tracker)
         check_rmq_range(position, position, len(self._array))
         self._array[position] = value
-        b = self._block_size
-        block_index = position // b
-        start = block_index * b
-        block = self._array[start : start + b]
-        tracker.tick(len(block))
-        best = 0
-        for offset in range(1, len(block)):
-            if block[offset] < block[best]:
-                best = offset
-        self._block_argmin[block_index] = start + best
-        signature = _cartesian_signature(block)
-        tracker.tick(len(block))
-        self._signatures[block_index] = signature
-        if signature not in self._tables:
-            self._tables[signature] = _in_block_table(block)
-            tracker.tick(len(block) ** 2)
-        self._summary.point_update(block_index, block[best], tracker)
+        block_index = position // self._block_size
+        argmin, table_id = self._sign_block(block_index * self._block_size, tracker)
+        self._block_argmin[block_index] = argmin
+        self._block_table[block_index] = table_id
+        self._summary.point_update(block_index, self._array[argmin], tracker)
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot: blocks, signatures, shared in-block tables and
-        the summary sparse table, so load restores O(1) queries directly."""
+        """Plain-data snapshot: array, per-block columns, in-block tables by
+        signature (in id order) and the summary, so load restores O(1) queries."""
         return {
-            "array": list(self._array),
+            "array": columns.pack(self._array),
             "block_size": self._block_size,
-            "block_argmin": list(self._block_argmin),
-            "signatures": list(self._signatures),
-            "tables": {sig: [list(row) for row in table] for sig, table in self._tables.items()},
+            "block_argmin": self._block_argmin[:],
+            "block_table": self._block_table[:],
+            "tables": {sig: self._tables[i] for sig, i in self._table_ids.items()},
             "summary": self._summary.to_state(),
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "FischerHeunRMQ":
         rmq = cls.__new__(cls)
-        rmq._array = list(state["array"])
+        rmq._array = columns.unpack(state["array"])
+        n = len(rmq._array)
         rmq._block_size = int(state["block_size"])
-        rmq._block_argmin = list(state["block_argmin"])
-        rmq._signatures = list(state["signatures"])
-        rmq._tables = {
-            sig: [list(row) for row in table] for sig, table in state["tables"].items()
-        }
+        rmq._block_argmin = columns.positions(state["block_argmin"], n)
+        rmq._block_table = columns.positions(state["block_table"], n)
+        rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
+        rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
         rmq._summary = SparseTable.from_state(state["summary"])
         return rmq

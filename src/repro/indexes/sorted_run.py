@@ -8,10 +8,12 @@ index of Example 5 (a run of (vertex, position) pairs sorted by vertex).
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.cost import CostTracker, ensure_tracker
+from repro.indexes import columns
 from repro.parallel.primitives import binary_search_untracked, parallel_binary_search
 
 __all__ = ["SortedRunIndex", "KeyedRunIndex"]
@@ -84,8 +86,6 @@ class SortedRunIndex(Generic[K]):
         algorithm.  Duplicates accumulate, matching list (bag) semantics.
         """
         tracker = ensure_tracker(tracker)
-        import bisect
-
         tracker.tick(max(1, math.ceil(math.log2(max(len(self._run), 2)))))
         bisect.insort(self._run, key)
 
@@ -95,8 +95,6 @@ class SortedRunIndex(Generic[K]):
         Same O(log n) locate cost as :meth:`insert_value`.
         """
         tracker = ensure_tracker(tracker)
-        import bisect
-
         tracker.tick(max(1, math.ceil(math.log2(max(len(self._run), 2)))))
         position = bisect.bisect_left(self._run, key)
         if position < len(self._run) and self._run[position] == key:
@@ -107,13 +105,14 @@ class SortedRunIndex(Generic[K]):
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot; the run is stored sorted so load skips the sort."""
-        return {"run": list(self._run)}
+        """Plain-data snapshot; the run is stored sorted so load skips the
+        sort, and packed (see :mod:`repro.indexes.columns`) when all-int."""
+        return {"run": columns.pack(self._run)}
 
     @classmethod
     def from_state(cls, state: dict) -> "SortedRunIndex":
         index = cls.__new__(cls)
-        index._run = list(state["run"])
+        index._run = columns.unpack(state["run"])
         return index
 
 

@@ -13,10 +13,11 @@ implementation in the package agrees exactly, not just up to value.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
+from repro.indexes import columns
 
 __all__ = ["SparseTable", "check_rmq_range", "naive_range_min"]
 
@@ -32,28 +33,29 @@ def check_rmq_range(low: int, high: int, size: int) -> None:
         raise IndexError_(f"bad RMQ range [{low}, {high}] for n={size}")
 
 
+def _derive(values: Sequence, lefts: Sequence[int], rights: Sequence[int]) -> list:
+    """Leftmost argmin of each window from the argmins of its two halves."""
+    return [left if values[left] <= values[right] else right for left, right in zip(lefts, rights)]
+
+
 class SparseTable:
-    """Positions-of-minima sparse table over a static array."""
+    """Positions-of-minima sparse table over a static array: the values stay
+    a list, every level is a typed column (:mod:`repro.indexes.columns`)."""
 
     def __init__(self, array: Sequence, tracker: Optional[CostTracker] = None):
         tracker = ensure_tracker(tracker)
-        self._array = list(array)
-        n = len(self._array)
-        self._log = _floor_logs(n)
-        levels: List[List[int]] = [list(range(n))]
-        k = 1
-        while (1 << k) <= n:
-            previous = levels[k - 1]
-            width = 1 << (k - 1)
-            level = []
-            for i in range(n - (1 << k) + 1):
-                left = previous[i]
-                right = previous[i + width]
-                tracker.tick(1)
-                level.append(left if self._array[left] <= self._array[right] else right)
-            levels.append(level)
-            k += 1
-        self._levels = levels
+        self._array = values = list(array)
+        n = len(values)
+        # Derived level over level as plain lists (probing a typed column
+        # boxes an int each time), stored as columns.
+        level = list(range(n))
+        self._levels = [columns.positions(level, n)]
+        width = 1
+        while 2 * width <= n:
+            level = _derive(values, level, level[width:])
+            tracker.tick(len(level))
+            self._levels.append(columns.positions(level, n))
+            width *= 2
 
     def __len__(self) -> int:
         return len(self._array)
@@ -65,8 +67,7 @@ class SparseTable:
         """
         tracker = ensure_tracker(tracker)
         check_rmq_range(low, high, len(self._array))
-        span = high - low + 1
-        k = self._log[span]
+        k = (high - low + 1).bit_length() - 1
         left = self._levels[k][low]
         right = self._levels[k][high - (1 << k) + 1]
         tracker.tick(3)
@@ -78,7 +79,7 @@ class SparseTable:
         """Untracked :meth:`argmin`: same two probes, no charging."""
         array = self._array
         check_rmq_range(low, high, len(array))
-        k = self._log[high - low + 1]
+        k = (high - low + 1).bit_length() - 1
         level = self._levels[k]
         left = level[low]
         right = level[high - (1 << k) + 1]
@@ -94,51 +95,60 @@ class SparseTable:
     # -- delta maintenance (paper, Section 4(7)) ------------------------------
 
     def point_update(self, position: int, value, tracker: Optional[CostTracker] = None) -> None:
-        """``A[position] = value``: repair only the dyadic windows covering it.
+        """``A[position] = value``: repair only the dyadic windows it moved.
 
-        Level k holds at most ``2^(k-1)`` windows containing ``position``,
-        each repaired from its two children in O(1), so the total work is
-        O(n) -- a log-factor below the O(n log n) rebuild, and far below it
-        in wall-clock because nothing is re-allocated.
+        Only windows whose argmin was or becomes ``position`` can change,
+        and at each level they are consecutive (they reach neither the next
+        smaller-or-equal value on its left nor the next smaller one on its
+        right).  So a window is re-derived only when one of its two children
+        is in that run one level down, until a level's run is empty: a tick
+        per window re-derived -- few typically, O(n) for a new global minimum.
         """
         tracker = ensure_tracker(tracker)
-        n = len(self._array)
+        values = self._array
+        n = len(values)
         check_rmq_range(position, position, n)
-        self._array[position] = value
+        old, values[position] = values[position], value
+        if old == value:
+            return
+        low = high = position  # the run one level down
         for k in range(1, len(self._levels)):
-            previous = self._levels[k - 1]
-            level = self._levels[k]
+            previous, level = self._levels[k - 1], self._levels[k]
             width = 1 << (k - 1)
-            low = max(0, position - (1 << k) + 1)
-            high = min(position, n - (1 << k))
-            for i in range(low, high + 1):
-                left = previous[i]
-                right = previous[i + width]
-                tracker.tick(1)
-                level[i] = left if self._array[left] <= self._array[right] else right
+            # The run is at most ``width`` long, so the windows it is the
+            # right child of and those it is the left child of never overlap.
+            spans = (low - width, high - width), (low, high)
+            low, high = n, -1
+            for start, stop in spans:
+                start, stop = max(start, 0), min(stop, n - 2 * width) + 1
+                if start >= stop:
+                    continue
+                tracker.tick(stop - start)
+                stored = level[start:stop]
+                halves = previous[start:stop], previous[start + width : stop + width]
+                level[start:stop] = derived = columns.positions(_derive(values, *halves), n)
+                for column in (stored, derived):
+                    hits = column.count(position)
+                    if hits:
+                        first = start + column.index(position)
+                        low, high = min(low, first), max(high, first + hits - 1)
+            if low > high:
+                return
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
         """Plain-data snapshot: the array plus every precomputed level, so
         load restores O(1) queries without redoing the O(n log n) build."""
-        return {"array": list(self._array), "levels": [list(level) for level in self._levels]}
+        return {"array": columns.pack(self._array), "levels": [level[:] for level in self._levels]}
 
     @classmethod
     def from_state(cls, state: dict) -> "SparseTable":
         table = cls.__new__(cls)
-        table._array = list(state["array"])
-        table._levels = [list(level) for level in state["levels"]]
-        table._log = _floor_logs(len(table._array))
+        table._array = columns.unpack(state["array"])
+        n = len(table._array)
+        table._levels = [columns.positions(level, n) for level in state["levels"]]
         return table
-
-
-def _floor_logs(n: int) -> List[int]:
-    """``log[v] = floor(log2 v)`` for v in [0, n]; log[0] unused."""
-    logs = [0] * (n + 1)
-    for v in range(2, n + 1):
-        logs[v] = logs[v // 2] + 1
-    return logs
 
 
 def naive_range_min(

@@ -140,6 +140,7 @@ def sorted_run_scheme() -> PiScheme:
         description="sort M, then O(log|M|) binary search (Section 4(2))",
         dump=dump,
         load=load,
+        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
         sharding=membership_shard_spec(),
         apply_delta=_apply_list_delta,
         evaluate_fast=SortedRunIndex.contains_fast,

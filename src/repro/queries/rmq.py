@@ -150,7 +150,7 @@ def _apply_array_delta(index, changes, tracker: CostTracker):
     index space), so only :class:`~repro.incremental.changes.PointWrite`
     records are accepted; inserts/deletes fall back to a rebuild.  Both RMQ
     structures repair locally -- one block re-signature plus a summary fix
-    for Fischer--Heun, the covering dyadic windows for the sparse table.
+    for Fischer--Heun, the dyadic windows the write moved for the sparse table.
     """
     size = len(index)
     for change in changes:
@@ -188,6 +188,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
+        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,
@@ -216,6 +217,7 @@ def sparse_table_scheme() -> PiScheme:
         description="dyadic-window sparse table (O(1) query)",
         dump=dump,
         load=load,
+        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

@@ -831,7 +831,8 @@ class _MutableState:
         # lineage artifact, which is dumped and put once per version.
         self._persist_guard = threading.Lock()
         self._persist_futures: Dict[ArtifactKey, Any] = {}
-        self._persisted: Dict[ArtifactKey, int] = {}
+        # slot -> (version, lineage key) of the newest put that landed.
+        self._persisted: Dict[ArtifactKey, Tuple[int, ArtifactKey]] = {}
         # slot -> (kind, terminal store failure) from write-behind; surfaced
         # (not swallowed) by the next flush()/detach.
         self._persist_errors: Dict[ArtifactKey, Tuple[str, BaseException]] = {}
@@ -1135,7 +1136,7 @@ class _MutableState:
         """
         slot = self._slot(kind)
         with self._versions.pinned() as version:
-            if version.number != target or self._persisted.get(slot, 0) >= target:
+            if version.number != target or self._persisted.get(slot, (0,))[0] >= target:
                 return
             structure = version.structures.get(kind)
             if structure is None:
@@ -1161,8 +1162,14 @@ class _MutableState:
                     self._persist_errors[slot] = (kind, exc)
                 return
         with self._persist_guard:
-            self._persisted[slot] = max(self._persisted.get(slot, 0), target)
+            puts = (self._persisted.get(slot, (target, key)), (target, key))
+            older, newer = sorted(puts, key=lambda put: put[0])
+            self._persisted[slot] = newer
             self._persist_errors.pop(slot, None)
+        # One lineage file per slot, not one per batch: nothing reads an older
+        # version's again.  The version-0 key is never in ``_persisted``.
+        if older[1] != newer[1]:
+            self._engine._store.delete(older[1])
 
     def flush(self) -> None:
         """Barrier: every delta-maintained kind durable at the current version.

@@ -19,6 +19,7 @@ acceptance bar asks for regardless of how Hypothesis budgets its examples.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -382,6 +383,62 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
                     assert _ask(ds, "range", window) == expected
         # The cache-shared artifact never saw a fold: it still is version 0.
         assert sorted(cached["a"].keys()) == [1, 3, 3, 3]
+
+
+def _containers(structure):
+    """``id`` of every list, dict and typed column reachable from a structure."""
+    seen, stack = set(), [structure]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (list, dict, array)):
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+        if isinstance(node, dict):
+            stack.extend(node.values())
+        elif isinstance(node, list):
+            stack.extend(item for item in node if not isinstance(item, (int, str)))
+        elif hasattr(node, "__dict__"):
+            stack.extend(vars(node).values())
+    return seen
+
+
+@given(st.lists(st.tuples(st.integers(0, 39), st.integers(-5, 5)), max_size=8))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
+    """The same hazard one layer down: ``_build`` and ``_twin`` privatise
+    through ``load(dump(...))``, so no list or typed column may be shared
+    between the cache-held structure, the published one and its offline
+    twin -- an aliased sparse-table level would be repaired twice, or under
+    a pinned reader.  Fischer--Heun folds each write in place; the sorted
+    run refuses a PointWrite and takes the rebuild path through ``_build``."""
+    with QueryEngine() as engine:
+        engine.register("rmq", rmq_class(), fischer_heun_scheme())
+        engine.register("members", membership_class(), sorted_run_scheme())
+        array_data = list(range(40, 0, -1))
+        ds = _open(engine, tuple(array_data), "rmq", "members")
+        original = engine._cache.get(ds.artifact_key("rmq"), record=False)
+        for write in [None] + writes:
+            if write is not None:
+                ds.apply_changes([PointWrite(*write)])
+                array_data[write[0]] = write[1]
+            versions = ds._mutable._versions
+            held = [
+                side[kind]
+                for side in (versions.current.structures, versions.offline)
+                for kind in ("rmq", "members")
+            ] + list(engine._cache._entries.values())
+            owned = [_containers(structure) for structure in held]
+            assert all(owned) and sum(map(len, owned)) == len(set().union(*owned))
+            for low in range(0, 40, 7):
+                leftmost = min(range(low, 40), key=lambda k: (array_data[k], k))
+                assert _ask(ds, "rmq", (low, 39, leftmost)) is True
+            assert _ask(ds, "members", array_data[3]) is True
+        # The cache-shared structure never saw a fold: it still is version 0.
+        assert original.argmin_fast(0, 39) == 39 and original.value_at(0) == 40
+        stats = engine.stats().per_kind
+        assert stats["rmq"].fallback_rebuilds == 0
+        assert stats["members"].fallback_rebuilds == stats["rmq"].delta_batches
 
 
 # -- deterministic 500+-step soaks ---------------------------------------------

@@ -1,16 +1,21 @@
 """Property tests: RMQ structures and LCA indexes against their definitions."""
 
+import pickle
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cost import CostTracker
 from repro.graphs import Digraph, Graph
 from repro.indexes import (
     DagLCAIndex,
     EulerTourLCA,
     FischerHeunRMQ,
+    SortedRunIndex,
     SparseTable,
+    columns,
     naive_dag_lca,
     naive_range_min,
     naive_tree_lca,
@@ -86,3 +91,155 @@ def test_dag_lca_satisfies_paper_definition(dag, data):
         if other != w:
             assert not index.is_ancestor(w, other) or other == w
     assert w in index.all_lcas(u, v)
+
+
+# -- typed-column state (ISSUE 17) ---------------------------------------------
+
+#: Every signed/unsigned width boundary of the eight typecodes, and beyond.
+_EDGES = [
+    sign * (1 << bits) + nudge
+    for bits in (7, 8, 15, 16, 31, 32, 63, 64, 70)
+    for sign in (1, -1)
+    for nudge in (-1, 0, 1)
+]
+boundary_ints = st.lists(st.sampled_from(_EDGES) | st.integers(-300, 300), max_size=12)
+anything = st.lists(
+    st.one_of(
+        st.integers(),
+        st.booleans(),
+        st.floats(allow_nan=False),
+        st.text(max_size=3),
+        st.none(),
+    ),
+    max_size=12,
+)
+
+
+def _narrowest_width(values):
+    """Reference for pack's choice: bytes per item, None for a list."""
+    for width in (1, 2, 4, 8):
+        top = 1 << 8 * width
+        if all(0 <= v < top for v in values) or all(-top // 2 <= v < top // 2 for v in values):
+            return width
+    return None
+
+
+@given(boundary_ints | anything)
+@settings(max_examples=300)
+def test_pack_unpack_is_the_identity_with_types(values):
+    packed = columns.pack(values)
+    restored = columns.unpack(packed)
+    assert restored == values and restored is not values
+    assert list(map(type, restored)) == list(map(type, values))
+    plain = bool(values) and all(type(v) is int for v in values)
+    width = _narrowest_width(values) if plain else None
+    if width is None:
+        assert type(packed) is list
+    else:
+        assert packed.itemsize == width
+
+
+def _assert_same_state(index, cls):
+    state = index.to_state()
+    clone = cls.from_state(state)
+    assert clone.to_state() == state == index.to_state()
+    return clone
+
+
+@given(arrays | st.lists(st.sampled_from(_EDGES), min_size=1, max_size=40), st.data())
+@settings(max_examples=80)
+def test_rmq_state_round_trip_keeps_tracked_fast_and_naive_equal(array, data):
+    for cls in (SparseTable, FischerHeunRMQ):
+        clone = _assert_same_state(cls(array), cls)
+        for _ in range(4):
+            i = data.draw(st.integers(min_value=0, max_value=len(array) - 1))
+            j = data.draw(st.integers(min_value=i, max_value=len(array) - 1))
+            expected = naive_range_min(array, i, j)
+            assert clone.argmin(i, j) == clone.argmin_fast(i, j) == expected
+            assert clone.value_at(expected) == array[expected]
+            assert type(clone.value_at(expected)) is type(array[expected])
+
+
+@given(boundary_ints | st.lists(st.integers() | st.booleans() | st.floats(allow_nan=False), max_size=12))
+@settings(max_examples=80)
+def test_sorted_run_state_round_trip(values):
+    clone = _assert_same_state(SortedRunIndex(values), SortedRunIndex)
+    assert clone.values() == sorted(values)
+    assert list(map(type, clone.values())) == list(map(type, sorted(values)))
+    for key in values[:4] + [0, 1]:
+        assert clone.contains(key) == clone.contains_fast(key) == (key in values)
+
+
+@given(random_trees(), st.data())
+@settings(max_examples=40)
+def test_euler_lca_state_round_trip(tree, data):
+    index = EulerTourLCA(tree, 0)
+    clone = _assert_same_state(index, EulerTourLCA)
+    assert clone.parent == index.parent and clone.root == index.root
+    u = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
+    v = data.draw(st.integers(min_value=0, max_value=tree.n - 1))
+    assert clone.lca(u, v) == index.lca(u, v) == naive_tree_lca(tree, 0, u, v)
+
+
+@pytest.mark.parametrize("n,code", [(1 << 16, "H"), ((1 << 16) + 1, "I")])
+def test_position_columns_widen_past_65536(n, code):
+    """A descending array makes every window's argmin its right end, so the
+    last position (n - 1 = 65 536 at the wider size) must be representable."""
+    descending = range(n, 0, -1)
+    table = SparseTable(descending)
+    assert {level.typecode for level in table._levels} == {code}
+    assert table.argmin_fast(0, n - 1) == table.argmin(n - 2, n - 1) == n - 1
+    fischer = FischerHeunRMQ(descending)
+    assert fischer._block_argmin.typecode == fischer._block_table.typecode == code
+    assert fischer.argmin_fast(0, n - 1) == fischer.argmin(n - 5, n - 1) == n - 1
+    clone = FischerHeunRMQ.from_state(pickle.loads(pickle.dumps(fischer.to_state())))
+    assert clone._block_argmin.typecode == code and clone.argmin_fast(1, n - 1) == n - 1
+
+
+@pytest.mark.parametrize("vertices,code", [(1 << 15, "H"), ((1 << 15) + 1, "I")])
+def test_first_occurrence_column_widens_with_the_tour(vertices, code):
+    """A tree on m vertices has a tour of 2m - 1 slots: 65 535, then 65 537."""
+    chain = Graph(vertices)
+    for v in range(1, vertices):
+        chain.add_edge(v - 1, v)
+    index = EulerTourLCA(chain, 0)
+    assert len(index._tour) == 2 * vertices - 1
+    assert index._tour.typecode == "H" and index._first.typecode == code
+    clone = EulerTourLCA.from_state(pickle.loads(pickle.dumps(index.to_state())))
+    assert clone._first.typecode == code and clone.to_state() == index.to_state()
+    assert clone.lca(vertices - 1, vertices - 2) == vertices - 2
+
+
+updates = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(min_value=-4, max_value=4)), max_size=25
+)
+
+
+@given(st.lists(st.integers(-4, 4), min_size=1, max_size=70), updates)
+@settings(max_examples=150)
+def test_early_exit_point_update_equals_rebuild(array, writes):
+    """Heavy ties (values in [-4, 4]), every size from n = 1, and a new
+    global minimum after the random writes: after *every* update the
+    repaired levels are the levels a rebuild derives, and the tracker was
+    charged at most the windows covering the position."""
+    array = list(array)
+    n = len(array)
+    sparse, fischer = SparseTable(array), FischerHeunRMQ(array)
+    writes = [(position % n, value) for position, value in writes]
+    writes.append((n // 2, min(array) - 1))  # a new global minimum ...
+    writes.append((n // 2, max(array) + 1))  # ... then taken away again
+    for position, value in writes:
+        array[position] = value
+        tracker = CostTracker()
+        sparse.point_update(position, value, tracker)
+        fischer.point_update(position, value)
+        rebuilt = FischerHeunRMQ(array)
+        assert sparse.to_state() == SparseTable(array).to_state()
+        assert fischer._summary.to_state() == rebuilt._summary.to_state()
+        assert fischer._block_argmin == rebuilt._block_argmin
+        assert tracker.work <= sum(
+            min(position, n - (1 << k)) - max(0, position - (1 << k) + 1) + 1
+            for k in range(1, len(sparse._levels))
+        )
+        for low in range(n):
+            assert fischer.argmin_fast(low, n - 1) == naive_range_min(array, low, n - 1)

@@ -1,0 +1,188 @@
+"""Unit tests for the typed-column state layout (ISSUE 17).
+
+* ``indexes/columns.py`` picks typecodes -- and is the only module that does;
+* packing never loses to pickle on the int ranges the yardstick stores
+  (``store_bytes_per_item`` has bound 0), and the one range where a pickled
+  list wins by a fraction of a byte is pinned, not hidden;
+* layout floors: dumped bytes per item of the three array schemes at 2^14;
+* a v1-keyed artifact of each bumped scheme is a miss that rebuilds.
+
+No clocks anywhere: sizes are counts that repeat exactly.
+"""
+
+from __future__ import annotations
+
+import ast
+import pickle
+import random
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.core.cost import CostTracker
+from repro.indexes import columns
+from repro.queries import (
+    euler_tour_scheme,
+    fischer_heun_scheme,
+    membership_class,
+    rmq_class,
+    sorted_run_scheme,
+    sparse_table_scheme,
+    tree_lca_class,
+)
+from repro.service.artifacts import ArtifactKey, ArtifactStore
+from repro.service.engine import QueryEngine
+
+N = 1 << 14
+
+
+def _uniform(bound, count=N, seed=17):
+    rng = random.Random(seed)
+    return [rng.randrange(bound) for _ in range(count)]
+
+
+# -- the helper ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bound,code",
+    [(0, "H"), (1, "H"), (1 << 16, "H"), ((1 << 16) + 1, "I"), (1 << 32, "I"),
+     ((1 << 32) + 1, "Q")],
+)
+def test_position_typecode_follows_the_bound(bound, code):
+    assert columns.positions([], bound).typecode == code
+
+
+def test_positions_always_copies():
+    column = columns.positions([3, 1, 2], 4)
+    again = columns.positions(column, 4)
+    assert again == column and again is not column
+    with pytest.raises(OverflowError):
+        columns.positions([-1], 4)  # no sentinel survives in a position column
+
+
+@pytest.mark.parametrize(
+    "values,code",
+    [
+        ([0, 255], "B"), ([-1, 127], "b"), ([0, 256], "H"), ([-129, 0], "h"),
+        ([0, 65535], "H"), ([-1, 32768], "i"), ([0, 65536], "I"),
+        ([0, (1 << 32) - 1], "I"), ([-1, 1 << 31], "q"), ([0, 1 << 32], "Q"),
+        ([0, (1 << 64) - 1], "Q"), ([-(1 << 63), (1 << 63) - 1], "q"),
+    ],
+)
+def test_pack_picks_the_narrowest_code_unsigned_first(values, code):
+    packed = columns.pack(values)
+    assert packed.typecode == code
+    assert columns.unpack(packed) == values
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [True, False], [1, True], [1.0, 2.0], [1, 2.5], ["a"], [None, 1], [(1, 2)],
+     [-1, 1 << 63], [1 << 64], [-(1 << 63) - 1]],
+)
+def test_pack_falls_back_to_a_list_copy(values):
+    packed = columns.pack(values)
+    assert type(packed) is list and packed is not values
+    assert packed == values and list(map(type, packed)) == list(map(type, values))
+
+
+# -- packing against pickle ----------------------------------------------------
+
+
+@pytest.mark.parametrize("bits,width", [(8, 1), (16, 2), (18, 4), (31, 4)])
+def test_packed_run_never_loses_to_a_pickled_list(bits, width):
+    """Pickle spends 2 / 3 / 5 bytes on ints below 2^8 / 2^16 / 2^31, so a
+    signed-only choice ('i' for values below 2^16) would *grow* artifacts."""
+    values = _uniform(1 << bits)
+    scheme = sorted_run_scheme()
+    dumped = scheme.dump(scheme.preprocess(values, CostTracker()))
+    pickled = pickle.dumps({"run": sorted(values)}, protocol=4)
+    assert len(dumped) < len(pickled), (bits, len(dumped), len(pickled))
+    assert len(dumped) / N <= width + 0.02
+
+
+def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
+    """The crossover, pinned: above 2^32 the narrowest code is 8 bytes
+    while pickle's LONG1 averages just under 8 for 40-bit values."""
+    values = _uniform(1 << 40)
+    packed = len(pickle.dumps(columns.pack(values), protocol=4)) / N
+    pickled = len(pickle.dumps(values, protocol=4)) / N
+    assert 8.0 <= packed <= 8.02
+    assert 0.0 < packed - pickled < 1.0, (packed, pickled)
+
+
+# -- layout floors -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_scheme,ceiling",
+    [
+        (sorted_run_scheme, 2.1),  # parent: 3.0
+        (fischer_heun_scheme, 14.4),  # parent: 18.8
+        (sparse_table_scheme, 30.1),  # parent: 41.9
+    ],
+    ids=["sort+binary-search", "fischer-heun", "sparse-table"],
+)
+def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
+    """2^14 ints from [0, 4n): every value and position fits 'H'."""
+    scheme = make_scheme()
+    data = tuple(_uniform(4 * N))
+    dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
+    assert len(dumped) / N <= ceiling, len(dumped) / N
+
+
+# -- versioning ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "make_class,make_scheme",
+    [
+        (membership_class, sorted_run_scheme),
+        (rmq_class, fischer_heun_scheme),
+        (rmq_class, sparse_table_scheme),
+        (tree_lca_class, euler_tour_scheme),
+    ],
+    ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq"],
+)
+def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme):
+    """The four typed-column schemes bumped ``artifact_version``: a file
+    keyed by the old layout is never opened, let alone mis-loaded."""
+    query_class, scheme = make_class(), make_scheme()
+    assert scheme.artifact_version == 2
+    data, queries = query_class.sample_workload(48, 3, 8)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        assert key.params.endswith("|v2")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "1")
+        store.put(stale, pickle.dumps({"layout": "v1"}))
+        for query in queries:
+            assert ds.query("kind", query) == query_class.pair_in_language(data, query)
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+        assert pickle.loads(store.get(stale)) == {"layout": "v1"}
+        assert scheme.load(store.get(key)) is not None
+
+
+# -- structure -----------------------------------------------------------------
+
+
+def test_typecodes_are_chosen_only_in_columns():
+    """No other module under ``src/repro`` imports :mod:`array`, so none can
+    build a typed column except through ``indexes/columns.py``."""
+    root = Path(repro.__file__).parent
+    importers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if "array" in names:
+                importers.append(path.relative_to(root).as_posix())
+    assert importers == ["indexes/columns.py"]

@@ -255,6 +255,26 @@ def test_shared_structure_is_persisted_once_per_version(tmp_path):
         assert store.get(ds.artifact_key(kinds[1])) is not None
 
 
+def test_write_behind_keeps_one_lineage_artifact_per_slot(tmp_path):
+    """Twenty flushed batches used to leave twenty-one O(|D|) files nothing
+    reads; each landed put now deletes the lineage file it superseded --
+    never version 0, the content-addressed key other sessions hit."""
+    store = ArtifactStore(tmp_path)
+    with build_query_engine(store=store) as engine:
+        kind = "minimum-range-query"
+        ds = _open(engine, kind, tuple(range(64, 0, -1)))
+        base_key = ds.artifact_key(kind)
+        for version in range(1, 21):
+            ds.apply_changes([PointWrite(version, -version)])
+            ds.flush()
+            assert set(store.keys()) == {base_key, ds.artifact_key(kind)}
+        scheme = engine.registration(kind)[1]
+        current = scheme.load(store.get(ds.artifact_key(kind)))
+        assert current.argmin(0, 63) == 20
+        # Version 0 still serves a fresh session over the original content.
+        assert scheme.load(store.get(base_key)).argmin(0, 63) == 63
+
+
 def test_close_flushes_and_detaches(tmp_path):
     store = ArtifactStore(tmp_path)
     engine = QueryEngine(store=store)
