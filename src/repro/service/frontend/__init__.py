@@ -12,7 +12,7 @@ share nothing in memory but everything on disk:
   permits per dataset, watermark backpressure, explicit ``Overloaded``
   shedding) and :class:`ServingFront`, the one-call harness.
 * :mod:`~repro.service.frontend.supervisor` -- :class:`Supervisor`: the
-  processes, queues, threads and lock around two pure modules:
+  processes, their channels and the one event loop around two pure modules:
   :mod:`~repro.service.frontend.tickets` (when a request is settled --
   response, deadline, crash or close -- plus hedges and retries) and
   :mod:`~repro.service.frontend.placement` (journals that rebuild a

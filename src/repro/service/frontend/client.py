@@ -131,11 +131,11 @@ class RemoteClient:
         state = getattr(self._local, "state", None)
         if state is not None:
             self._local.state = None
-            try:
-                state[1].close()
-                state[0].close()
-            except OSError:
-                pass
+            for closable in (state[1], state[0]):  # the stream flushes first
+                try:
+                    closable.close()
+                except OSError:  # ...and raises on a dead socket: go on, or
+                    pass         # the socket's fd is never released
             with self._conns_lock:
                 if state[0] in self._conns:
                     self._conns.remove(state[0])

@@ -1,7 +1,7 @@
 """Where a dataset lives and which worker serves: journals and the router.
 
-Both pieces are pure bookkeeping the supervisor drives under its lock:
-no clock (callers pass ``now``), no process, no queue.
+Both pieces are pure bookkeeping the supervisor drives from its event
+loop: no clock (callers pass ``now``), no process, no socket.
 
 *Per-dataset placement.*  Immutable datasets are attached on **every**
 worker (the content-addressed store makes the 2nd..Nth attach a cheap
@@ -21,20 +21,15 @@ breakers, the round-robin cursor and the restart schedule.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import WorkerFailedError
-from repro.service.artifacts import ArtifactKey
 from repro.service.faults import RecoveryPolicy
 from repro.service.frontend import protocol
 
 __all__ = ["Journal", "Router"]
 
 Frame = Tuple[Dict[str, Any], bytes, int]
-
-#: ArtifactStore scheme name under which journal checkpoints persist.
-_CHECKPOINT_SCHEME = "frontend-journal-checkpoint"
 
 
 def _strip_deadline(header: Dict[str, Any]) -> Dict[str, Any]:
@@ -57,11 +52,11 @@ class Journal:
     The journal is bounded: after ``checkpoint_every`` acknowledged
     batches the supervisor snapshots the home worker's current content
     (``snapshot`` op) and :meth:`finish_checkpoint` swaps it in as the new
-    attach baseline and truncates the replayed entries.  FIFO inbox/outbox
-    ordering makes the truncation exact: every batch acknowledged before
-    the snapshot response is *in* the snapshot, every later batch is
-    recorded after the truncation -- provided one thread (the collector)
-    both records and finishes, which it does.
+    attach baseline and truncates the replayed entries.  The home worker's
+    channel is a byte stream, which makes the truncation exact: every batch
+    acknowledged before the snapshot response is *in* the snapshot, every
+    later batch is recorded after the truncation -- the channel's one
+    reader both records and finishes, in the order the worker answered.
     """
 
     __slots__ = ("name", "header", "body", "codec", "mutable", "home",
@@ -105,28 +100,22 @@ class Journal:
         self.home = None
         self.checkpointing = False
 
-    def finish_checkpoint(self, ok: bool, body: bytes,
-                          codec: int) -> Optional[Tuple[ArtifactKey, bytes]]:
+    def finish_checkpoint(self, ok: bool, body: bytes, codec: int) -> bool:
         """The snapshot came back (or failed).  On success the attach
-        baseline becomes the snapshot content, the journal is truncated
-        and the ``(store key, new attach body)`` to persist is returned."""
+        baseline becomes the snapshot content and the journal is
+        truncated; False leaves both as they were."""
         self.checkpointing = False
         if not ok:
-            return None
+            return False
         try:
             snapshot = protocol.decode_body(body, codec)
             params = protocol.decode_body(self.body, self.codec)
             params["data"] = snapshot["data"]
-            new_body = protocol.encode_body(params, self.codec)
+            self.body = protocol.encode_body(params, self.codec)
         except Exception:
-            return None
-        self.body = new_body
+            return False
         self.batches.clear()
-        return ArtifactKey(
-            fingerprint=hashlib.sha256(self.name.encode("utf-8")).hexdigest(),
-            scheme=_CHECKPOINT_SCHEME,
-            params=f"{self.name}@v{snapshot.get('version', 0)}",
-        ), new_body
+        return True
 
 
 class _CircuitBreaker:

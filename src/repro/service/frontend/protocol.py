@@ -77,6 +77,7 @@ __all__ = [
     "CODEC_JSON",
     "CODEC_MSGPACK",
     "DEFAULT_MAX_FRAME_BYTES",
+    "MAX_FRAME_BYTES",
     "REQUEST_OPS",
     "default_codec",
     "encode_value",
@@ -103,6 +104,10 @@ CODEC_MSGPACK = 1
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
 
 _PREFIX = struct.Struct(">2sBBHI")
+#: The largest frame the format can express: the ceiling between the
+#: supervisor and its own workers.  The 8 MiB limit protecting the front is
+#: the gateway's, and a stamped header is a few bytes longer than admitted.
+MAX_FRAME_BYTES = _PREFIX.size + 0xFFFF + 0xFFFFFFFF
 
 #: Every request op a frontend peer may send.  ``snapshot`` returns a
 #: dataset's current content + version; the supervisor uses it to

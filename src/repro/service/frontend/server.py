@@ -26,7 +26,8 @@ budget downstream -- so the supervisor and workers each see an honest
 number.
 
 :class:`ServingFront` assembles the whole front -- supervisor + worker
-pool + gateway thread -- behind a context manager::
+pool + a gateway on the supervisor's event loop, so a request crosses no
+thread between its socket and its worker's channel -- behind a context manager::
 
     with ServingFront(workers=2) as front:
         client = RemoteClient(*front.address)
@@ -36,7 +37,6 @@ pool + gateway thread -- behind a context manager::
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -82,9 +82,10 @@ class Gateway:
     """Frame relay with admission control over a supervisor backend.
 
     The backend contract is three methods -- ``submit(header, body, codec,
-    on_done)`` (``on_done`` may fire from any thread), ``health()`` and
-    ``close()`` -- which is exactly the :class:`Supervisor` surface, and
-    small enough that backpressure tests plug in a stub that never answers.
+    on_done)`` (called on the gateway's event loop; ``on_done`` fires on
+    it, during the call or later), ``health()`` and ``close()`` -- which is
+    exactly the :class:`Supervisor` surface, and small enough that
+    backpressure tests plug in a stub that never answers.
     """
 
     def __init__(self, backend: Any, config: Optional[GatewayConfig] = None):
@@ -183,9 +184,10 @@ class Gateway:
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
         except asyncio.CancelledError:
-            # Shutdown path: _drain() cancels connection tasks.  Finish
-            # normally so the streams machinery's done-callback does not
-            # log the cancellation as an unhandled exception.
+            # Shutdown path: the loop's owner cancels connection tasks
+            # before stopping it.  Finish normally so the streams
+            # machinery's done-callback does not log the cancellation as
+            # an unhandled exception.
             pass
         finally:
             writer.close()
@@ -265,15 +267,12 @@ class Gateway:
 
     async def _dispatch(self, header: Dict[str, Any], body: bytes,
                         codec: int) -> Tuple[Dict[str, Any], bytes, int]:
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[Tuple[Dict[str, Any], bytes, int]]" = loop.create_future()
+        future: "asyncio.Future[Tuple[Dict[str, Any], bytes, int]]" = (
+            asyncio.get_running_loop().create_future())
 
-        def on_done(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
-            loop.call_soon_threadsafe(_resolve, (rheader, rbody, rcodec))
-
-        def _resolve(result: Tuple[Dict[str, Any], bytes, int]) -> None:
-            if not future.done():
-                future.set_result(result)
+        def on_done(*response: Any) -> None:
+            if not future.done():  # the waiter may have been cancelled
+                future.set_result(response)
 
         self._backend.submit(header, body, codec, on_done)
         return await future
@@ -292,8 +291,9 @@ class Gateway:
                 pass
 
     def close(self) -> None:
+        """Stop listening; safe from any thread while the loop is alive."""
         if self._server is not None:
-            self._server.close()
+            self._server.get_loop().call_soon_threadsafe(self._server.close)
 
 
 class ServingFront:
@@ -331,10 +331,6 @@ class ServingFront:
             journal_checkpoint_batches=journal_checkpoint_batches,
         )
         self.gateway = Gateway(self.supervisor, config)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started = threading.Event()
-        self._start_error: Optional[BaseException] = None
         self._running = False
 
     @property
@@ -347,64 +343,20 @@ class ServingFront:
         if self._running:
             raise ServiceError("serving front already started")
         self.supervisor.start()
-        self._thread = threading.Thread(
-            target=self._run_loop, name="frontend-gateway", daemon=True
-        )
-        self._thread.start()
-        self._started.wait(timeout=30)
-        if self._start_error is not None:
+        try:
+            self.supervisor.run(self.gateway.start(self._host, self._port))
+        except OSError as exc:  # bind failures
             self.supervisor.close()
-            raise ServiceError(
-                f"gateway failed to start: {self._start_error}"
-            ) from self._start_error
-        if self.gateway.port is None:
-            self.supervisor.close()
-            raise ServiceError("gateway did not come up within 30s")
+            raise ServiceError(f"gateway failed to start: {exc}") from exc
         self._running = True
         return self
 
-    def _run_loop(self) -> None:
-        loop = asyncio.new_event_loop()
-        self._loop = loop
-        try:
-            loop.run_until_complete(self.gateway.start(self._host, self._port))
-        except BaseException as exc:  # pragma: no cover - bind failures
-            self._start_error = exc
-            self._started.set()
-            loop.close()
-            return
-        self._started.set()
-        try:
-            loop.run_forever()
-        finally:
-            try:
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            finally:
-                loop.close()
-
-    async def _drain(self) -> None:
-        # Stop accepting, then cancel what is mid-flight so every handler's
-        # finally runs while the loop is still alive (no destroyed-task noise).
-        self.gateway.close()
-        tasks = [task for task in asyncio.all_tasks()
-                 if task is not asyncio.current_task()]
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-
     def close(self) -> None:
-        if self._running and self._loop is not None:
-            loop = self._loop
-            try:
-                asyncio.run_coroutine_threadsafe(self._drain(), loop).result(
-                    timeout=10
-                )
-            except Exception:  # pragma: no cover - best-effort drain
-                pass
-            loop.call_soon_threadsafe(loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=10)
+        if self._running:
             self._running = False
+            self.gateway.close()
+        # Closing the supervisor answers what is in flight, then cancels the
+        # connection handlers as its loop winds down.
         self.supervisor.close()
 
     def __enter__(self) -> "ServingFront":

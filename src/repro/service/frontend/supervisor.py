@@ -1,27 +1,35 @@
 """Supervision of the worker pool: the glue around three pure pieces.
 
 The :class:`Supervisor` owns what only a running system has -- N worker
-processes (see :mod:`repro.service.frontend.workers`), their queues, a
-collector and a monitor thread, one lock, the health counters -- and
-leaves every *decision* to a piece testable without any of those:
+processes (see :mod:`repro.service.frontend.workers`), a socketpair channel
+to each, one event-loop thread (``frontend-loop``), the health counters --
+and leaves every *decision* to a piece testable without any of those:
 :class:`~repro.service.frontend.tickets.RequestTable` (when a request is
 settled), :class:`~repro.service.frontend.placement.Journal` (what
 rebuilds a dataset elsewhere) and
 :class:`~repro.service.frontend.placement.Router` (which worker gets a
-frame).  All three are driven under ``self._lock``; the glue reads the
-clock once per entry point (a submitted request, a collected message, a
-monitor tick) and passes ``now`` down.  ``on_done`` callbacks always fire
-outside the lock.
+frame).  All three are touched on the loop and nowhere else, so there is no
+lock: ``submit`` (loop-only -- the gateway listens on the same loop), one
+reader task per channel and one timer coroutine interleave only where they
+``await``, each reading the clock once and passing ``now`` down.  Every
+other thread uses ``start`` / ``call`` / ``health`` / ``drain`` /
+``undrain`` / ``close``, which block while their work runs on the loop.
 
-*Crash detection and recovery.*  The monitor thread polls worker
-liveness.  When a worker dies: its in-flight reads enter the table's
-retry path; in-flight writes surface
+*The channel.*  Both directions of a worker's ``socket.socketpair()`` carry
+the client's own wire format (:mod:`~repro.service.frontend.protocol`):
+body bytes untouched, the small header re-packed with the attempt id as
+``rid`` (the client's is restored on the way back).  "Ready" is the first
+internal ``ping`` a worker answers, "stop" is a half-close, and
+end-of-file (or a torn frame) is the crash signal.
+
+*Crash recovery.*  When a worker dies: its in-flight reads enter the
+table's retry path; in-flight writes surface
 :class:`~repro.core.errors.WorkerFailedError`; mutable datasets homed
-there are re-homed by replaying their journal onto a healthy worker
-(inbox FIFO ordering guarantees replay lands before any rerouted
-traffic); and the worker slot is restarted on the router's schedule.
-Restarts never re-arm a fault plan: the ``dead-worker`` scenario models
-one crash event, not a crashing binary.
+there are re-homed by replaying their journal onto a healthy worker (its
+channel is a byte stream, and the replay is written before any rerouted
+read); and the worker slot is restarted on the router's schedule.  Restarts
+never re-arm a fault plan: the ``dead-worker`` scenario models one crash
+event, not a crashing binary.
 
 *Graceful drain.*  :meth:`Supervisor.drain` marks a worker unroutable,
 waits for its in-flight work up to a deadline, then re-homes its mutable
@@ -40,23 +48,25 @@ plus a ``breakers`` map of per-worker breaker states.
 
 from __future__ import annotations
 
+import asyncio
+import concurrent.futures
 import multiprocessing
-import queue as queue_mod
 import random
+import socket
 import threading
 import time
 from functools import partial
 from typing import (
-    Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Coroutine, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 from repro.core.errors import (
     DeadlineExceededError,
     OverloadedError,
+    ProtocolError,
     ServiceError,
     WorkerFailedError,
 )
-from repro.service.artifacts import ArtifactStore
 from repro.service.faults import DEFAULT_POLICY, FaultPlan, RecoveryPolicy
 from repro.service.frontend import protocol
 from repro.service.frontend.placement import Journal, Router
@@ -67,14 +77,23 @@ from repro.service.frontend.workers import merge_stats, worker_main
 
 __all__ = ["Supervisor"]
 
-#: Inbox depth per worker; a worker owed this many frames answers new
-#: ones with :class:`~repro.core.errors.OverloadedError`.
+#: Frames a worker may owe at once -- the request table's capacity, so also
+#: the most a channel's transport buffers for a slow worker; past it new ones
+#: are answered with :class:`~repro.core.errors.OverloadedError`.
 MAX_QUEUE_PER_WORKER = 2048
 
 #: How long :meth:`Supervisor.start` waits for every worker's engine.
 READY_TIMEOUT_SECONDS = 120.0
 
 _Response = Tuple[Dict[str, Any], bytes, int]
+
+
+def _resolving(future: "asyncio.Future[_Response]") -> OnDone:
+    """An ``on_done`` that resolves ``future``, unless its waiter gave up."""
+    def on_done(*response: Any) -> None:
+        if not future.done():
+            future.set_result(response)
+    return on_done
 
 
 class _Broadcast:
@@ -85,14 +104,12 @@ class _Broadcast:
         self._expected = expected
         self._on_done = on_done
         self._combine = combine
-        self._lock = threading.Lock()
         self._responses: List[_Response] = []
 
     def collect(self, header: Dict[str, Any], body: bytes, codec: int) -> None:
-        with self._lock:
-            self._responses.append((header, body, codec))
-            if len(self._responses) < self._expected:
-                return
+        self._responses.append((header, body, codec))
+        if len(self._responses) < self._expected:
+            return
         errors = [r for r in self._responses if not r[0].get("ok")]
         if errors or self._combine is None:
             final = (errors or self._responses)[0]
@@ -104,9 +121,9 @@ class _Broadcast:
 class _WorkerHandle(NamedTuple):
     """The process-side half of a worker slot; the router holds the rest."""
 
-    generation: int
     process: Any
-    inbox: Any
+    writer: Any  # ``StreamWriter`` over our end of the worker's socketpair
+    reader: Any  # the task reading that end: done once the worker is gone
 
 
 class Supervisor:
@@ -122,7 +139,8 @@ class Supervisor:
     ``hedge_delay_ms`` (None disables) is how long an immutable read may
     sit unanswered before a duplicate races on a second worker;
     ``journal_checkpoint_batches`` (None disables) bounds the mutable
-    journal between checkpoints.
+    journal between checkpoints; ``poll_seconds`` paces the timer that
+    sweeps deadlines, hedges, retries and restarts.
     """
 
     def __init__(
@@ -158,15 +176,15 @@ class Supervisor:
         self._fault_workers = fault_workers
         self._poll_seconds = poll_seconds
         self._checkpoint_batches = journal_checkpoint_batches
-        self._store = ArtifactStore(store_root) if store_root is not None else None
         # Retry jitter only perturbs *timing*, never answers; a fixed seed
         # keeps chaos runs reproducible.
         self._jitter = random.Random(0x5EED)
 
         self._ctx = multiprocessing.get_context("spawn")
-        self._outbox: Optional[Any] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._thread: Optional[threading.Thread] = None
+        self._timer_task: Optional["asyncio.Task[None]"] = None
         self._handles: List[_WorkerHandle] = []
-        self._lock = threading.Lock()
         self._table = RequestTable(
             capacity=MAX_QUEUE_PER_WORKER,
             retry_budget=policy.read_retry_budget,
@@ -183,34 +201,81 @@ class Supervisor:
             "journal_checkpoint_failures", "drains",
         ), 0)
         self._closed = False
-        self._stop = threading.Event()
-        #: "ready" announcements still awaited by start(); a restarted
-        #: worker's takes it below zero, which nobody waits on.  Touched
-        #: by the collector thread only.
-        self._booting = workers
-        self._all_ready = threading.Event()
-        self._threads: List[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> "Supervisor":
-        if self._outbox is not None:
+        if self._thread is not None:
             raise ServiceError("supervisor already started")
-        self._outbox = self._ctx.Queue()
-        for _ in range(self._workers):
-            worker_id = self._router.add_worker()
-            self._handles.append(self._spawn(worker_id, 0, with_plan=True))
-        for target, name in ((self._collect_loop, "frontend-collector"),
-                             (self._monitor_loop, "frontend-monitor")):
-            thread = threading.Thread(target=target, name=name, daemon=True)
-            thread.start()
-            self._threads.append(thread)
-        if not self._all_ready.wait(READY_TIMEOUT_SECONDS):
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._run_loop, name="frontend-loop", daemon=True)
+        self._thread.start()
+        try:
+            self.run(self._boot())
+        except BaseException:
             self.close()
-            raise ServiceError(f"worker pool not ready within {READY_TIMEOUT_SECONDS}s")
+            raise
         return self
 
-    def _spawn(self, worker_id: int, generation: int, *, with_plan: bool) -> _WorkerHandle:
+    def _run_loop(self) -> None:
+        loop = self._loop
+        try:
+            loop.run_forever()
+            # What close() did not end -- the timer, the gateway's connection
+            # handlers, a hop that raced it -- is cancelled while the loop
+            # can still run it, so every ``finally`` does.
+            tasks = asyncio.all_tasks(loop)
+            for task in tasks:
+                task.cancel()
+            if tasks:
+                loop.run_until_complete(
+                    asyncio.gather(*tasks, return_exceptions=True))
+        finally:
+            loop.close()
+
+    def run(self, coro: Coroutine[Any, Any, Any]) -> Any:
+        """Run ``coro`` on the front's event loop and block for its result:
+        how every thread but the loop's own reaches the pool."""
+        loop = self._loop
+        if loop is None or loop.is_closed():
+            coro.close()
+            raise ServiceError("serving front is closed" if self._closed
+                               else "supervisor is not started")
+        try:
+            return asyncio.run_coroutine_threadsafe(coro, loop).result()
+        except concurrent.futures.CancelledError:
+            raise ServiceError("serving front is closed") from None
+
+    def _on_loop(self, function: Callable[..., Any], *args: Any) -> Any:
+        """``function(*args)`` where the loop's state may be touched: inline
+        on its thread or when it is not running, else by hopping onto it."""
+        if (self._loop is None or not self._loop.is_running()
+                or threading.current_thread() is self._thread):
+            return function(*args)
+
+        async def hop() -> Any:
+            return function(*args)
+
+        return self.run(hop())
+
+    async def _boot(self) -> None:
+        """Spawn the pool; it is ready once every worker answered a ping."""
+        for _ in range(self._workers):
+            worker_id = self._router.add_worker()
+            self._handles.append(await self._spawn(worker_id, with_plan=True))
+        self._timer_task = asyncio.ensure_future(self._timer())
+        ready = asyncio.get_running_loop().create_future()
+        self._broadcast({"op": "ping", "rid": 0, "dataset": None}, b"",
+                        protocol.CODEC_JSON, self._router.healthy(),
+                        _resolving(ready), time.monotonic())
+        try:
+            await asyncio.wait_for(ready, READY_TIMEOUT_SECONDS)
+        except asyncio.TimeoutError:
+            raise ServiceError(
+                f"worker pool not ready within {READY_TIMEOUT_SECONDS}s") from None
+
+    async def _spawn(self, worker_id: int, *, with_plan: bool) -> _WorkerHandle:
         armed = with_plan and (
             self._fault_workers is None or worker_id in self._fault_workers
         )
@@ -218,65 +283,66 @@ class Supervisor:
             "store_root": self._store_root,
             "fault_plan": self._fault_plan if armed else None,
         }
-        inbox = self._ctx.Queue(MAX_QUEUE_PER_WORKER)
-        process = self._ctx.Process(
-            target=worker_main,
-            args=(worker_id, generation, inbox, self._outbox, settings),
-            name=f"frontend-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        return _WorkerHandle(generation, process, inbox)
+        ours, theirs = socket.socketpair()
+        try:
+            process = self._ctx.Process(
+                target=worker_main,
+                args=(theirs, settings),
+                name=f"frontend-worker-{worker_id}",
+                daemon=True,
+            )
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            # The child holds its own copy now; while ours stays open,
+            # end-of-file never arrives here when the worker dies.
+            theirs.close()
+        reader, writer = await asyncio.open_connection(sock=ours)
+        return _WorkerHandle(process, writer, asyncio.ensure_future(
+            self._read_channel(worker_id, reader)))
 
     def close(self) -> None:
-        """Stop threads, drain workers, fail whatever is still in flight."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            handles = list(self._handles)
-            unanswered = self._table.close()
-            self._counters["failed_requests"] += len(unanswered)
-        self._stop.set()
-        for handle in handles:
-            try:
-                handle.inbox.put_nowait(None)
-            except Exception:
-                pass
-        if self._outbox is not None:
-            self._outbox.put(("stop",))
-        for handle in handles:
+        """Fail what is in flight, let the workers finish and exit, stop the loop."""
+        if self._loop is None or self._loop.is_closed():
+            return  # never started, or closed already
+        self.run(self._shutdown())
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=10)
+        for handle in self._handles:
             handle.process.join(timeout=5)
-            if handle.process.is_alive():
+            if handle.process.is_alive():  # it ignored the half-close
                 handle.process.terminate()
                 handle.process.join(timeout=5)
-        for thread in self._threads:
-            if thread is not threading.current_thread():
-                thread.join(timeout=5)
+
+    async def _shutdown(self) -> None:
+        self._closed = True
+        unanswered = self._table.close()
+        self._counters["failed_requests"] += len(unanswered)
         closed = ServiceError("serving front is closed")
         for ticket in unanswered:
             self._deliver_error(ticket, closed)
+        # Half-close, not close: a worker mid-frame still writes its answer,
+        # then reads end-of-file and exits 0 -- which ends our reader.
+        for handle in self._handles:
+            handle.writer.write_eof()
+        if self._handles:
+            await asyncio.wait([handle.reader for handle in self._handles],
+                               timeout=5)
+        for handle in self._handles:
+            handle.writer.close()
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def workers(self) -> int:
-        """Target pool size."""
-        return self._workers
-
-    @property
-    def healthy_workers(self) -> int:
-        return self.health()["healthy_workers"]
-
     def health(self) -> Dict[str, Any]:
-        with self._lock:
-            return {
-                **self._counters,
-                **self._router.counters,
-                "workers": self._workers,
-                "healthy_workers": len(self._router.healthy()),
-                "breakers": self._router.breaker_states(),
-            }
+        return self._on_loop(lambda: {
+            **self._counters,
+            **self._router.counters,
+            "workers": self._workers,
+            "healthy_workers": len(self._router.healthy()),
+            "breakers": self._router.breaker_states(),
+        })
 
     # -- request submission ----------------------------------------------------
 
@@ -288,7 +354,8 @@ class Supervisor:
         on_done: OnDone,
     ) -> None:
         """Route one request; ``on_done(header, body, codec)`` fires exactly
-        once, from a supervisor thread.
+        once.  Loop-only, ``on_done`` included: the gateway calls it on the
+        front's loop, other threads go through :meth:`call` or :meth:`run`.
 
         A relative ``deadline_ms`` budget in the header is converted here
         to an absolute ``deadline_mono`` instant shared with the workers;
@@ -296,10 +363,10 @@ class Supervisor:
         :class:`~repro.core.errors.DeadlineExceededError` synchronously.
 
         Raises synchronously on conditions the caller must answer itself:
-        :class:`~repro.core.errors.OverloadedError` when a target worker's
-        queue is full, :class:`~repro.core.errors.ServiceError` when
-        closed, :class:`~repro.core.errors.WorkerFailedError` when no
-        healthy worker can take the request; nothing was enqueued then.
+        :class:`~repro.core.errors.OverloadedError` when a target worker
+        already owes its capacity, :class:`~repro.core.errors.ServiceError`
+        when closed, :class:`~repro.core.errors.WorkerFailedError` when no
+        healthy worker can take the request; nothing was sent then.
         """
         op = header.get("op")
         name = header.get("dataset")
@@ -307,32 +374,30 @@ class Supervisor:
         try:
             stamp_deadline(header, now)
         except DeadlineExceededError:
-            with self._lock:
-                self._counters["deadline_expired_supervisor"] += 1
+            self._counters["deadline_expired_supervisor"] += 1
             raise
-        with self._lock:
-            if self._closed:
-                raise ServiceError("serving front is closed")
-            if op == "attach":
-                self._submit_attach_locked(header, body, codec, on_done, now)
-                return
-            journal = self._datasets.get(name)
-            replicated = journal is None or not journal.mutable
-            if op == "stats" or (op == "detach" and journal is not None
-                                 and replicated):
-                targets = (self._router.healthy() if replicated
-                           else [self._router.route(journal, now)])
-                self._broadcast_locked(
-                    header, body, codec, targets, on_done, now,
-                    combine=self._combine_stats if op == "stats" else None)
-            else:
-                ticket = self._table.open(header, body, codec, on_done, now,
-                                          replicated=replicated)
-                self._send_locked(ticket, self._router.route(journal, now), now)
-            # Only now that the detach is on its way: a refused detach must
-            # leave the dataset known -- its workers still serve it.
-            if op == "detach" and journal is not None:
-                del self._datasets[name]
+        if self._closed:
+            raise ServiceError("serving front is closed")
+        if op == "attach":
+            self._submit_attach(header, body, codec, on_done, now)
+            return
+        journal = self._datasets.get(name)
+        replicated = journal is None or not journal.mutable
+        if op == "stats" or (op == "detach" and journal is not None
+                             and replicated):
+            targets = (self._router.healthy() if replicated
+                       else [self._router.route(journal, now)])
+            self._broadcast(
+                header, body, codec, targets, on_done, now,
+                combine=self._combine_stats if op == "stats" else None)
+        else:
+            ticket = self._table.open(header, body, codec, on_done, now,
+                                      replicated=replicated)
+            self._send(ticket, self._router.route(journal, now), now)
+        # Only now that the detach is on its way: a refused detach must
+        # leave the dataset known -- its workers still serve it.
+        if op == "detach" and journal is not None:
+            del self._datasets[name]
 
     def call(
         self,
@@ -344,8 +409,9 @@ class Supervisor:
         timeout: float = 60.0,
         deadline_ms: Optional[float] = None,
     ) -> Any:
-        """Blocking convenience wrapper over :meth:`submit`: encode, wait,
-        decode, raising remote errors as their library classes.
+        """Blocking convenience wrapper over :meth:`submit` for threads
+        other than the loop's: encode, wait, decode, raising remote errors
+        as their library classes.
 
         ``deadline_ms`` rides the frame header end to end; the local wait
         is clamped to slightly past the budget so an expiry surfaces as
@@ -357,11 +423,15 @@ class Supervisor:
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
             wait = min(timeout, deadline_ms / 1000.0 + 5.0)
-        responses: "queue_mod.SimpleQueue[_Response]" = queue_mod.SimpleQueue()
-        self.submit(header, body, codec, lambda *response: responses.put(response))
+
+        async def exchange() -> _Response:
+            response = asyncio.get_running_loop().create_future()
+            self.submit(header, body, codec, _resolving(response))
+            return await asyncio.wait_for(response, wait)
+
         try:
-            rheader, rbody, rcodec = responses.get(timeout=wait)
-        except queue_mod.Empty:
+            rheader, rbody, rcodec = self.run(exchange())
+        except asyncio.TimeoutError:
             raise DeadlineExceededError(
                 f"no response to {op!r} within {wait}s",
                 op=op, dataset=dataset,
@@ -377,12 +447,11 @@ class Supervisor:
     # -- drain -----------------------------------------------------------------
 
     def _set_draining(self, worker_id: int, draining: bool) -> None:
-        with self._lock:
-            if self._closed:
-                raise ServiceError("serving front is closed")
-            if not 0 <= worker_id < len(self._handles):
-                raise ServiceError(f"no worker {worker_id} in the pool")
-            self._router.set_draining(worker_id, draining)
+        if self._closed:
+            raise ServiceError("serving front is closed")
+        if not 0 <= worker_id < len(self._handles):
+            raise ServiceError(f"no worker {worker_id} in the pool")
+        self._router.set_draining(worker_id, draining)
 
     def drain(self, worker_id: int, *, timeout: float = 5.0) -> Dict[str, Any]:
         """Gracefully take ``worker_id`` out of rotation.
@@ -396,35 +465,34 @@ class Supervisor:
         stay routable on the draining worker until :meth:`undrain` or a
         later :meth:`drain`.
         """
+        return self.run(self._drain(worker_id, timeout))
+
+    async def _drain(self, worker_id: int, timeout: float) -> Dict[str, Any]:
         self._set_draining(worker_id, True)
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            with self._lock:
-                if self._table.load(worker_id) == 0:
-                    break
-            time.sleep(min(self._poll_seconds, 0.01))
+        while self._table.load(worker_id) and time.monotonic() < deadline:
+            await asyncio.sleep(min(self._poll_seconds, 0.01))
         rehomed: List[str] = []
         skipped: List[str] = []
         now = time.monotonic()
-        with self._lock:
-            self._counters["drains"] += 1
-            remaining = self._table.load(worker_id)
-            busy_writes = self._table.unacked_writes(worker_id)
-            for name, journal in self._datasets.items():
-                if not journal.mutable or journal.home != worker_id:
-                    continue
-                if name in busy_writes or not self._rehome_locked(journal, now):
-                    skipped.append(name)
-                    continue
-                rehomed.append(name)
-                # Free the now-stale copy on the drained worker; routing
-                # already points at the new home, so this is pure cleanup.
-                try:
-                    self._send_internal_locked(
-                        worker_id, {"op": "detach", "rid": 0, "dataset": name},
-                        b"", journal.codec, self._replay_done, now)
-                except OverloadedError:
-                    pass
+        self._counters["drains"] += 1
+        remaining = self._table.load(worker_id)
+        busy_writes = self._table.unacked_writes(worker_id)
+        for name, journal in self._datasets.items():
+            if not journal.mutable or journal.home != worker_id:
+                continue
+            if name in busy_writes or not self._rehome(journal, now):
+                skipped.append(name)
+                continue
+            rehomed.append(name)
+            # Free the now-stale copy on the drained worker; routing
+            # already points at the new home, so this is pure cleanup.
+            try:
+                self._send_internal(
+                    worker_id, {"op": "detach", "rid": 0, "dataset": name},
+                    b"", journal.codec, self._replay_done, now)
+            except OverloadedError:
+                pass
         return {
             "worker_id": worker_id,
             "drained": remaining == 0,
@@ -435,30 +503,33 @@ class Supervisor:
 
     def undrain(self, worker_id: int) -> None:
         """Return a drained worker to the dispatch rotation."""
-        self._set_draining(worker_id, False)
+        self._on_loop(self._set_draining, worker_id, False)
 
-    # -- locked dispatch helpers -----------------------------------------------
+    # -- dispatch helpers (loop only) ------------------------------------------
 
-    def _send_locked(self, ticket: Ticket, worker_id: int, now: float, *,
-                     is_hedge: bool = False) -> None:
-        """The one place a frame enters a worker's inbox."""
+    def _send(self, ticket: Ticket, worker_id: int, now: float, *,
+              is_hedge: bool = False) -> None:
+        """The one place a frame enters a worker's channel: body bytes
+        untouched, the (deadline-stamped) header re-packed under the attempt id."""
         attempt = self._table.send(ticket, worker_id, now, is_hedge=is_hedge)
         try:
-            self._handles[worker_id].inbox.put_nowait(
-                ("req", attempt.rid, ticket.header, ticket.body, ticket.codec))
-        except queue_mod.Full:
+            frame = protocol.pack_frame(
+                {**ticket.header, "rid": attempt.rid}, body_bytes=ticket.body,
+                codec=ticket.codec, max_frame_bytes=protocol.MAX_FRAME_BYTES)
+        except (ProtocolError, ValueError) as exc:
+            # A header past u16 once stamped, or a NaN budget.
             self._table.forget(attempt)
-            raise OverloadedError(f"worker {worker_id} queue is full") from None
+            raise ProtocolError(f"cannot relay {ticket.op!r} frame: {exc}") from exc
+        self._handles[worker_id].writer.write(frame)
 
-    def _send_internal_locked(self, worker_id, header, body, codec, on_done,
-                              now) -> None:
-        """A supervisor-originated frame (replay, snapshot, cleanup)."""
+    def _send_internal(self, worker_id, header, body, codec, on_done, now) -> None:
+        """A supervisor-originated frame (ping, replay, snapshot, cleanup)."""
         ticket = self._table.open(header, body, codec, on_done, now, internal=True)
-        self._send_locked(ticket, worker_id, now)
+        self._send(ticket, worker_id, now)
 
-    def _broadcast_locked(self, header, body, codec, targets, on_done, now,
-                          combine=None) -> None:
-        """All-or-nothing: every target has room before the first put, so
+    def _broadcast(self, header, body, codec, targets, on_done, now,
+                   combine=None) -> None:
+        """All-or-nothing: every target has room before the first write, so
         no sub-request is ever left behind a broadcast that cannot finish."""
         if not targets:
             raise WorkerFailedError("no healthy workers in the pool")
@@ -467,9 +538,9 @@ class Supervisor:
         broadcast = _Broadcast(len(targets), on_done, combine)
         for worker_id in targets:
             ticket = self._table.open(header, body, codec, broadcast.collect, now)
-            self._send_locked(ticket, worker_id, now)
+            self._send(ticket, worker_id, now)
 
-    def _submit_attach_locked(self, header, body, codec, on_done, now) -> None:
+    def _submit_attach(self, header, body, codec, on_done, now) -> None:
         params = protocol.decode_body(body, codec)
         name = params["name"]
         mutable = bool(params.get("mutable", False))
@@ -481,37 +552,35 @@ class Supervisor:
 
         def record_then_done(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
             if rheader.get("ok"):
-                with self._lock:
-                    self._datasets[name] = journal
+                self._datasets[name] = journal
             on_done(rheader, rbody, rcodec)
 
-        self._broadcast_locked(header, body, codec, targets, record_then_done, now)
+        self._broadcast(header, body, codec, targets, record_then_done, now)
 
-    def _replay_locked(self, journal: Journal, worker_id: int, now: float) -> None:
+    def _replay(self, journal: Journal, worker_id: int, now: float) -> None:
         """Rebuild ``journal``'s dataset on ``worker_id``: the one place
-        attach + journal frames are enqueued for replay."""
+        attach + journal frames are written for replay."""
         for header, body, codec in journal.frames():
             try:
-                self._send_internal_locked(worker_id, header, body, codec,
-                                           self._replay_done, now)
+                self._send_internal(worker_id, header, body, codec,
+                                    self._replay_done, now)
             except OverloadedError:
                 self._counters["replay_errors"] += 1
 
     def _replay_done(self, rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
         if not rheader.get("ok"):
-            with self._lock:
-                self._counters["replay_errors"] += 1
+            self._counters["replay_errors"] += 1
 
-    def _rehome_locked(self, journal: Journal, now: float) -> bool:
+    def _rehome(self, journal: Journal, now: float) -> bool:
         """Move a mutable dataset to the least-loaded dispatchable worker;
-        False when there is none.  FIFO inboxes order the replay before
-        any read rerouted to the new home."""
+        False when there is none.  The replay is written to the new home's
+        channel here and now, ahead of any read rerouted to it."""
         try:
             journal.home = self._router.pick_home(self._datasets.values())
         except WorkerFailedError:
             return False
         self._counters["rehomed_datasets"] += 1
-        self._replay_locked(journal, journal.home, now)
+        self._replay(journal, journal.home, now)
         return True
 
     def _combine_stats(self, responses: List[_Response]) -> _Response:
@@ -526,44 +595,46 @@ class Supervisor:
             merged["frontend"] = self.health()
         return header, protocol.encode_body(merged, codec), codec
 
-    # -- response collection ---------------------------------------------------
+    # -- the channel readers: responses and crashes ----------------------------
 
-    def _collect_loop(self) -> None:
-        while True:
-            message = self._outbox.get()
-            if message[0] == "stop":
-                return
-            if message[0] == "ready":
-                self._booting -= 1
-                if self._booting == 0:
-                    self._all_ready.set()
-                continue
-            self._on_response(time.monotonic(), *message[1:])
+    async def _read_channel(self, worker_id: int, reader: Any) -> None:
+        """Everything one incarnation of a worker says, in the order it
+        said it; the stream ending is how its death is learnt."""
+        try:
+            while True:
+                frame = await protocol.read_frame_async(
+                    reader, max_frame_bytes=protocol.MAX_FRAME_BYTES)
+                if frame is None:
+                    break
+                self._on_response(time.monotonic(), worker_id, *frame)
+        except (ProtocolError, OSError):
+            pass  # a torn frame or a reset: it died mid-write
+        if not self._closed:
+            self._on_crash(worker_id, time.monotonic())
 
-    def _on_response(self, now, worker_id, _generation, rid, rheader, rbody,
-                     rcodec) -> None:
-        with self._lock:
-            # Only a frame the live incarnation of its worker still owed
-            # comes back non-None: a crash forgets all the dead one held.
-            attempt = self._table.respond(rid)
-            if attempt is None:
-                return  # stale: the ticket was settled some other way
-            ticket = attempt.ticket
-            ok = rheader.get("ok")
-            if not ok and rheader.get("etype") == "DeadlineExceededError":
-                # The frame aged out in the worker's inbox: a slowness
-                # signal, and an expiry the client sees.
-                self._counters["deadline_expired_worker"] += 1
-                self._router.failure(worker_id, now)
-            else:
-                self._router.success(worker_id)
-            if ok and attempt.is_hedge:
-                self._counters["hedge_wins"] += 1
-            if ok and ticket.op == "apply_changes" and not ticket.internal:
-                self._journal_locked(ticket, now)
+    def _on_response(self, now, worker_id, rheader, rbody, rcodec) -> None:
+        # Only a frame the live incarnation of its worker still owed
+        # comes back non-None: a crash forgets all the dead one held.
+        attempt = self._table.respond(rheader.get("rid"))
+        if attempt is None:
+            return  # stale: the ticket was settled some other way
+        ticket = attempt.ticket
+        rheader["rid"] = ticket.header.get("rid")  # the caller's own id back
+        ok = rheader.get("ok")
+        if not ok and rheader.get("etype") == "DeadlineExceededError":
+            # The frame aged out waiting its turn at the worker: a
+            # slowness signal, and an expiry the client sees.
+            self._counters["deadline_expired_worker"] += 1
+            self._router.failure(worker_id, now)
+        else:
+            self._router.success(worker_id)
+        if ok and attempt.is_hedge:
+            self._counters["hedge_wins"] += 1
+        if ok and ticket.op == "apply_changes" and not ticket.internal:
+            self._journal(ticket, now)
         ticket.on_done(rheader, rbody, rcodec)
 
-    def _journal_locked(self, ticket: Ticket, now: float) -> None:
+    def _journal(self, ticket: Ticket, now: float) -> None:
         """A client write was acknowledged: record it, and ask the home
         (which just answered, so it is up) for a snapshot when one is due."""
         journal = self._datasets.get(ticket.dataset)
@@ -573,7 +644,7 @@ class Supervisor:
         if snapshot_header is None:
             return
         try:
-            self._send_internal_locked(
+            self._send_internal(
                 journal.home, snapshot_header, b"", journal.codec,
                 partial(self._checkpoint_done, journal.name), now)
         except OverloadedError:
@@ -583,109 +654,91 @@ class Supervisor:
     def _checkpoint_done(self, name: str, rheader: Dict[str, Any],
                          rbody: bytes, rcodec: int) -> None:
         """Completion of a snapshot request: let the journal swap its
-        baseline and truncate, then persist the checkpoint.  Runs on the
-        collector thread, the only thread that records batches -- the
-        ordering :class:`~repro.service.frontend.placement.Journal` needs."""
-        with self._lock:
-            journal = self._datasets.get(name)
-            if journal is None or not journal.mutable:
-                return
-            saved = journal.finish_checkpoint(rheader.get("ok"), rbody, rcodec)
-            self._counters["journal_checkpoints" if saved
-                           else "journal_checkpoint_failures"] += 1
-        if saved is None or self._store is None:
+        baseline and truncate.  Runs in the home's reader task, which also
+        records its batches -- the one order the :class:`Journal` needs."""
+        journal = self._datasets.get(name)
+        if journal is None or not journal.mutable:
             return
-        try:
-            self._store.put(*saved)
-        except Exception:
-            with self._lock:
-                self._counters["journal_checkpoint_failures"] += 1
+        saved = journal.finish_checkpoint(rheader.get("ok"), rbody, rcodec)
+        self._counters["journal_checkpoints" if saved
+                       else "journal_checkpoint_failures"] += 1
 
-    # -- the monitor: crashes, deadlines, hedges, retries, restarts ------------
-
-    def _monitor_loop(self) -> None:
-        while not self._stop.wait(self._poll_seconds):
-            self._tick(time.monotonic())
-
-    def _tick(self, now: float) -> None:
-        failures: List[Tuple[Ticket, BaseException]] = []
-        with self._lock:
-            if self._closed:
-                return
-            for worker_id in self._router.healthy():
-                if not self._handles[worker_id].process.is_alive():
-                    self._on_crash_locked(worker_id, now, failures)
-            for ticket, slow_workers in self._table.expire(now):
-                # The workers holding it are penalised: they were too slow.
-                for worker_id in slow_workers:
-                    self._router.failure(worker_id, now)
-                self._counters["deadline_expired_supervisor"] += 1
-                failures.append((ticket, self._table.deadline_error(ticket, now)))
-            for attempt in self._table.hedge_due(now):
-                target = self._router.pick_hedge(exclude=attempt.worker_id)
-                if target is None:
-                    continue
-                try:
-                    self._send_locked(attempt.ticket, target, now, is_hedge=True)
-                except OverloadedError:
-                    continue
-                self._counters["hedged_requests"] += 1
-            for ticket in self._table.retries_due(now):
-                try:
-                    journal = self._datasets.get(ticket.dataset)
-                    self._send_locked(ticket, self._router.route(journal, now), now)
-                    self._counters["retried_requests"] += 1
-                except (WorkerFailedError, OverloadedError) as exc:
-                    self._table.settle(ticket)
-                    self._counters["failed_requests"] += 1
-                    failures.append((ticket, exc))
-            to_restart = self._router.restartable(now)
-        for ticket, error in failures:
-            self._deliver_error(ticket, error)
-        for worker_id in to_restart:
-            self._restart(worker_id, now)
-
-    def _on_crash_locked(self, worker_id: int, now: float,
-                         failures: List[Tuple[Ticket, BaseException]]) -> None:
+    def _on_crash(self, worker_id: int, now: float) -> None:
+        self._handles[worker_id].writer.close()
         self._counters["crashes_detected"] += 1
         self._router.crashed(worker_id, now)
-        exitcode = self._handles[worker_id].process.exitcode
         for journal in self._datasets.values():
             if journal.mutable and journal.home == worker_id:
                 journal.home_lost()
-                self._rehome_locked(journal, now)  # or orphaned for now
+                self._rehome(journal, now)  # or orphaned for now
         for ticket in self._table.crash(worker_id):
             if not self._table.retry_later(ticket, now, self._jitter.random()):
                 self._counters["failed_requests"] += 1
-                failures.append((ticket, WorkerFailedError(
-                    f"worker {worker_id} died (exit {exitcode}) holding "
-                    f"{ticket.op!r} for dataset {ticket.dataset!r}"
-                )))
+                self._deliver_error(ticket, WorkerFailedError(
+                    f"worker {worker_id} died holding {ticket.op!r} for "
+                    f"dataset {ticket.dataset!r}"
+                ))
 
-    def _restart(self, worker_id: int, now: float) -> None:
-        # Spawn outside the lock (it forks an interpreter); adopt under it.
-        generation = self._handles[worker_id].generation + 1
+    # -- the timer: deadlines, hedges, retries, restarts -----------------------
+
+    async def _timer(self) -> None:
+        """The one clock-driven task.  Restarts run here one after another:
+        a slot stays restartable until ``restarted()`` is recorded, so a
+        task per tick would spawn it twice."""
+        while not self._closed:
+            now = time.monotonic()
+            for worker_id in self._tick(now):
+                await self._restart(worker_id, now)
+            await asyncio.sleep(self._poll_seconds)
+
+    def _tick(self, now: float) -> List[int]:
+        """One sweep; returns the worker slots now due a restart."""
+        for ticket, slow_workers in self._table.expire(now):
+            # The workers holding it are penalised: they were too slow.
+            for worker_id in slow_workers:
+                self._router.failure(worker_id, now)
+            self._counters["deadline_expired_supervisor"] += 1
+            self._deliver_error(ticket, self._table.deadline_error(ticket, now))
+        for attempt in self._table.hedge_due(now):
+            target = self._router.pick_hedge(exclude=attempt.worker_id)
+            if target is None:
+                continue
+            try:
+                self._send(attempt.ticket, target, now, is_hedge=True)
+            except OverloadedError:
+                continue
+            self._counters["hedged_requests"] += 1
+        for ticket in self._table.retries_due(now):
+            try:
+                journal = self._datasets.get(ticket.dataset)
+                self._send(ticket, self._router.route(journal, now), now)
+                self._counters["retried_requests"] += 1
+            except (WorkerFailedError, OverloadedError) as exc:
+                self._table.settle(ticket)
+                self._counters["failed_requests"] += 1
+                self._deliver_error(ticket, exc)
+        return self._router.restartable(now)
+
+    async def _restart(self, worker_id: int, now: float) -> None:
         try:
-            replacement = self._spawn(worker_id, generation, with_plan=False)
+            replacement = await self._spawn(worker_id, with_plan=False)
         except Exception:
-            with self._lock:
-                self._router.restarted(worker_id, now, ok=False)
+            self._router.restarted(worker_id, now, ok=False)
             return
-        with self._lock:
-            if self._closed:
-                replacement.process.terminate()
-                return
-            self._handles[worker_id] = replacement
-            self._router.restarted(worker_id, now, ok=True)
-            self._counters["worker_restarts"] += 1
-            # Replay the attach table: every immutable dataset, then find
-            # any orphaned mutable dataset a home again (this worker,
-            # unless an operator is draining it out of rotation).
-            for journal in self._datasets.values():
-                if not journal.mutable:
-                    self._replay_locked(journal, worker_id, now)
-                elif journal.home is None:
-                    self._rehome_locked(journal, now)
+        if self._closed:  # while the channel was opening: send it home
+            replacement.writer.close()
+            return
+        self._handles[worker_id] = replacement
+        self._router.restarted(worker_id, now, ok=True)
+        self._counters["worker_restarts"] += 1
+        # Replay the attach table: every immutable dataset, then find
+        # any orphaned mutable dataset a home again (this worker,
+        # unless an operator is draining it out of rotation).
+        for journal in self._datasets.values():
+            if not journal.mutable:
+                self._replay(journal, worker_id, now)
+            elif journal.home is None:
+                self._rehome(journal, now)
 
     def _deliver_error(self, ticket: Ticket, error: BaseException) -> None:
         header = {"rid": ticket.header.get("rid"), "ok": False, "op": ticket.op}

@@ -7,7 +7,7 @@ attempt is deferred -- so "answer the caller exactly once" is a single
 flag on the ticket, flipped by :meth:`RequestTable.settle` and nowhere
 else, whichever of response, deadline expiry, crash or close gets there
 first.  Pure bookkeeping: no clock (callers pass ``now``), no queue, no
-callback; the supervisor drives it under its lock, from either thread.
+callback; the supervisor drives it from its event loop and nowhere else.
 
 *Deadlines.*  Clients attach a relative ``deadline_ms`` budget to a
 frame; the gateway forwards the remaining budget and the supervisor
@@ -34,7 +34,7 @@ and answers are never silently wrong.
 *Capacity.*  An attempt stays in the table until its worker answers it
 or dies -- even after its ticket is settled -- so :meth:`load` is exactly
 the number of frames a worker still owes, and admission is a pure
-comparison made before anything is put on an inbox.
+comparison made before anything is written to a worker's channel.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ class RequestTable:
 
     def load(self, worker_id: int) -> int:
         """Frames sent to ``worker_id`` it has neither answered nor died
-        holding -- an upper bound on its inbox depth."""
+        holding -- an upper bound on what its channel buffers."""
         return self._load.get(worker_id, 0)
 
     def check_room(self, worker_id: int) -> None:
@@ -151,8 +151,8 @@ class RequestTable:
 
     def send(self, ticket: Ticket, worker_id: int, now: float, *,
              is_hedge: bool = False) -> Attempt:
-        """Register one attempt; the caller then puts the frame under
-        ``attempt.rid`` on the worker's inbox (or calls :meth:`forget`)."""
+        """Register one attempt; the caller then writes the frame under
+        ``attempt.rid`` to the worker's channel (or calls :meth:`forget`)."""
         self.check_room(worker_id)
         attempt = Attempt(ticket, worker_id, self._next_rid, now, is_hedge)
         self._next_rid += 1
@@ -163,7 +163,7 @@ class RequestTable:
 
     def forget(self, attempt: Attempt) -> None:
         """The worker no longer owes this frame: it answered, it died, or
-        the frame never reached its inbox."""
+        the frame was never written to its channel."""
         del self._attempts[attempt.rid]
         self._load[attempt.worker_id] -= 1
         attempt.ticket.workers.remove(attempt.worker_id)

@@ -2,25 +2,26 @@
 
 A worker is a child process running :func:`worker_main`: it builds a
 full-catalog engine against the *shared* on-disk
-:class:`~repro.service.artifacts.ArtifactStore` directory, then drains its
-inbox queue -- decode a request body, serve it through the dataset-first
-engine surface, encode the response, put it on the shared outbox.  Because
-artifacts are content-addressed, workers are cache-coherent for free: the
-first worker to attach a dataset builds and persists the Pi-structures,
-every later worker (and every restarted worker) loads the same bytes by
-key.  Nothing is shared in memory; the store directory *is* the
-coherence protocol.
+:class:`~repro.service.artifacts.ArtifactStore` directory, then serves its
+channel -- read a request frame, decode its body, serve it through the
+dataset-first engine surface, encode the response, write the response
+frame back.  Because artifacts are content-addressed, workers are
+cache-coherent for free: the first worker to attach a dataset builds and
+persists the Pi-structures, every later worker (and every restarted
+worker) loads the same bytes by key.  Nothing is shared in memory; the
+store directory *is* the coherence protocol.
 
 The request-handling logic lives in :func:`handle_request` /
 :func:`handle_frame`, plain functions over an engine -- the process loop
 around them is deliberately thin, so the protocol semantics are unit
 tested in-process without spawning anything.
 
-Queue message shapes (all picklable):
-
-* inbox:  ``("req", rid, header, body_bytes, codec)`` or ``None`` to stop
-* outbox: ``("ready", worker_id, generation)`` on startup, then
-  ``("res", worker_id, generation, rid, header, body_bytes, codec)``
+The channel is one end of a ``socket.socketpair()`` carrying the client's
+own wire format (:mod:`~repro.service.frontend.protocol`) both ways; the
+``rid`` in a header is the supervisor's attempt id and the response echoes
+it.  Ready is the first ``ping`` answered and stop is end-of-file -- also
+what a worker reads when its supervisor dies, so none outlives it.  One
+thread, blocking reads, no ``asyncio``.
 """
 
 from __future__ import annotations
@@ -213,14 +214,9 @@ def _install_plan(plan_spec: Optional[Tuple[Any, ...]]) -> None:
     )
 
 
-def worker_main(
-    worker_id: int,
-    generation: int,
-    inbox: Any,
-    outbox: Any,
-    settings: Dict[str, Any],
-) -> None:  # pragma: no cover - runs in a child process
-    """Process entry point: build the engine, announce readiness, drain.
+def worker_main(channel: Any, settings: Dict[str, Any]) -> None:  # pragma: no cover
+    """Process entry point: build the engine, then serve ``channel`` (this
+    worker's end of the supervisor's socketpair) until end-of-file.
 
     ``settings`` is a picklable dict: ``store_root`` and optionally
     ``fault_plan`` as a ``(specs, seed, policy, name)`` tuple --
@@ -230,17 +226,21 @@ def worker_main(
     """
     _install_plan(settings.get("fault_plan"))
     engine = _build_engine(settings)
-    outbox.put(("ready", worker_id, generation))
     try:
-        while True:
-            message = inbox.get()
-            if message is None:
-                break
-            _tag, rid, header, body, codec = message
-            response_header, response_body = handle_frame(engine, header, body, codec)
-            outbox.put(
-                ("res", worker_id, generation, rid, response_header, response_body, codec)
-            )
+        with channel, channel.makefile("rb") as frames:
+            while True:
+                frame = protocol.read_frame(
+                    frames, max_frame_bytes=protocol.MAX_FRAME_BYTES)
+                if frame is None:
+                    break  # half-closed by close(), or the supervisor died
+                header, body, codec = frame
+                response_header, response_body = handle_frame(
+                    engine, header, body, codec)
+                channel.sendall(protocol.pack_frame(
+                    response_header, body_bytes=response_body, codec=codec,
+                    max_frame_bytes=protocol.MAX_FRAME_BYTES))
+    except (OSError, ProtocolError):
+        pass  # the supervisor died mid-frame: nobody is left to answer
     finally:
         try:
             engine.close()

@@ -231,10 +231,9 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     # the snapshot, and it must not trigger a second one.
     assert journal.record(*batch(3)) is None
     snapshot = protocol.encode_body({"data": (1, 2, 3, 9), "version": 3}, CODEC)
-    key, new_body = journal.finish_checkpoint(True, snapshot, CODEC)
-    assert key.scheme == "frontend-journal-checkpoint" and key.params == "d@v3"
-    assert journal.frames() == [(journal.header, new_body, CODEC)]
-    params = protocol.decode_body(new_body, CODEC)
+    assert journal.finish_checkpoint(True, snapshot, CODEC) is True
+    assert journal.frames() == [(journal.header, journal.body, CODEC)]
+    params = protocol.decode_body(journal.body, CODEC)
     assert params["data"] == (1, 2, 3, 9)           # the new baseline...
     assert params["kinds"] == ["list-membership"] and params["mutable"] is True
     # ...and every later batch is kept, in order, behind it.
@@ -248,7 +247,7 @@ def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
     journal = make_journal(checkpoint_every=2)
     journal.record(*batch(1))
     assert journal.record(*batch(2)) is not None
-    assert journal.finish_checkpoint(ok, body, CODEC) is None
+    assert journal.finish_checkpoint(ok, body, CODEC) is False
     assert [h["rid"] for h, _, _ in journal.frames()] == [7, 1, 2]
     assert journal.record(*batch(3)) is not None    # next ack asks again
 

@@ -597,10 +597,8 @@ def test_register_refuses_one_structure_with_two_builders_or_layouts():
 
 
 def test_artifact_keys_are_constructed_in_one_place():
-    """``_Registration.key`` is the only constructor of Pi-structure keys in
-    the serving layer.  The one other ``ArtifactKey(`` under ``service/`` is
-    the supervisor journal's checkpoint blob (``frontend/placement.py``): it
-    has no scheme or registration, so it is pinned here, not hidden."""
+    """``_Registration.key`` is the only ``ArtifactKey(`` site in the
+    serving layer: every key the store sees is a Pi-structure key."""
     import repro.service
 
     root = Path(repro.service.__file__).parent
@@ -619,7 +617,4 @@ def test_artifact_keys_are_constructed_in_one_place():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == "ArtifactKey"):
                 sites.append((path.relative_to(root).as_posix(), owners.get(id(node))))
-    assert sites == [
-        ("engine.py", "_Registration.key"),
-        ("frontend/placement.py", "Journal.finish_checkpoint"),
-    ]
+    assert sites == [("engine.py", "_Registration.key")]
