@@ -9,12 +9,16 @@ Design notes
 ------------
 * Order ``order`` bounds the number of keys per node; nodes split at
   ``order`` keys and (except the root) rebalance below ``order // 2``.
-* Leaves hold ``(key, [payloads])`` pairs -- duplicates accumulate payloads
-  under one key -- and are chained left-to-right for range scans.
+* Leaves hold runs, not a list per key: the distinct ``keys``, the payload
+  ``counts`` per key, and every payload in key order in one flat ``values``
+  list -- duplicates lengthen their key's run -- and are chained
+  left-to-right for range scans.  Maintenance moves offsets within one
+  leaf (at most ``order`` entries); the untracked kernels read ``keys`` only.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
-* One bulk loader serves :meth:`BPlusTree.build` (sort, group duplicates)
-  and :meth:`BPlusTree.from_state`; ``insert`` and full deletion with
+* One bulk loader serves :meth:`BPlusTree.from_columns` (argsort, count
+  duplicates) and :meth:`BPlusTree.from_state`, allocating per leaf, never
+  per entry or per key; ``insert`` and full deletion with
   borrow-from-sibling and merge rebalancing remain for the
   incremental-preprocessing case study (Section 4(7)).
 * Every node visit charges ``1 + ceil(log2(#keys))`` cost units (binary
@@ -26,25 +30,34 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import chain, islice
-from operator import itemgetter
-from typing import Any, Iterator, List, Optional, Tuple
+from collections import Counter
+from itertools import accumulate, chain, repeat
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
+from repro.indexes.columns import pack, unpack
 
 __all__ = ["BPlusTree"]
 
 
 class _Node:
-    __slots__ = ("leaf", "keys", "children", "values", "next")
+    """An internal node is ``keys`` + ``children``; a leaf is ``keys``, the
+    parallel ``counts`` and the flat ``values`` run (``sum(counts)`` long)."""
 
-    def __init__(self, leaf: bool) -> None:
-        self.leaf = leaf
-        self.keys: List[Any] = []
-        self.children: List["_Node"] = []  # internal only
-        self.values: List[List[Any]] = []  # leaf only; parallel to keys
+    __slots__ = ("leaf", "keys", "children", "counts", "values", "next")
+
+    def __init__(self, keys, children=None, counts=None, values=None) -> None:
+        self.leaf = children is None
+        self.keys: List[Any] = keys
+        self.children: Optional[List["_Node"]] = children
+        self.counts: Optional[List[int]] = counts
+        self.values: Optional[List[Any]] = values
         self.next: Optional["_Node"] = None  # leaf chain
+
+    def offset(self, position: int) -> int:
+        """Where the payloads of ``keys[position]`` start in ``values``."""
+        return sum(self.counts[:position])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "Leaf" if self.leaf else "Node"
@@ -64,7 +77,7 @@ class BPlusTree:
         if order < 4:
             raise IndexError_("B+-tree order must be at least 4")
         self.order = order
-        self._root: _Node = _Node(leaf=True)
+        self._root: _Node = _Node([], counts=[], values=[])
         self._size = 0  # number of (key, payload) entries
 
     def __len__(self) -> int:
@@ -84,37 +97,48 @@ class BPlusTree:
     @classmethod
     def build(
         cls,
-        entries: List[Tuple[Any, Any]],
+        entries: Iterable[Tuple[Any, Any]],
         *,
         order: int = 32,
         tracker: Optional[CostTracker] = None,
     ) -> "BPlusTree":
-        """PTIME preprocessing: one stable sort by key (duplicates keep their
-        input order, as repeated :meth:`insert` leaves them), group, bulk-load.
+        """:meth:`from_columns` over ``(key, payload)`` pairs."""
+        pairs = list(entries)
+        keys, payloads = zip(*pairs) if pairs else ((), ())
+        return cls.from_columns(keys, payloads, order=order, tracker=tracker)
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: Sequence[Any],
+        payloads: Sequence[Any],
+        *,
+        order: int = 32,
+        tracker: Optional[CostTracker] = None,
+    ) -> "BPlusTree":
+        """PTIME preprocessing over a key column and its payload column: one
+        stable argsort by key (duplicates keep their input order, as repeated
+        :meth:`insert` leaves them), count the (hashable) keys, bulk-load.
 
         Charges the sorting bound ``n * ceil(log2 n)`` plus ``n`` for the
         linear passes: Theta(n log n) overall.
         """
-        tracker = ensure_tracker(tracker)
-        ordered = sorted(entries, key=itemgetter(0))
-        size = len(ordered)
-        tracker.tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
-        keys: List[Any] = []
-        values: List[List[Any]] = []
-        for key, payload in ordered:
-            if keys and keys[-1] == key:
-                values[-1].append(payload)
-            else:
-                keys.append(key)
-                values.append([payload])
-        return cls._bulk_load(order, keys, values)
+        size = len(keys)
+        ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
+        by_key = sorted(range(size), key=keys.__getitem__)
+        # A dict keeps first-seen order, and the keys arrive sorted.
+        counts = Counter(map(keys.__getitem__, by_key))
+        values = list(map(payloads.__getitem__, by_key))
+        return cls._bulk_load(order, list(counts), list(counts.values()), values)
 
     @classmethod
-    def _bulk_load(cls, order: int, keys: List[Any], values: List[List[Any]]) -> "BPlusTree":
-        """The one bulk loader: a tree over sorted distinct ``keys`` whose
-        payload lists are ``values`` (ownership passes to the tree).
+    def _bulk_load(
+        cls, order: int, keys: List[Any], counts: List[int], values: List[Any]
+    ) -> "BPlusTree":
+        """The one bulk loader: a tree over sorted distinct ``keys`` where
+        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``.
 
-        O(n): leaves are cut from the run, then each internal level groups
+        O(n): leaves are cut from the runs, then each internal level groups
         the one below, using the smallest key of each right subtree as the
         separator.  An undersized tail chunk is merged into its left
         neighbour; the merged node stays under ``order`` because chunks are
@@ -132,11 +156,14 @@ class BPlusTree:
 
         minimum = tree._min_keys()
         fill = max(minimum + 1, order // 2)
+        offsets = list(accumulate(counts, initial=0))
         level: List[_Node] = []
         for start, stop in cuts(len(keys), fill, minimum):
-            leaf = _Node(leaf=True)
-            leaf.keys = keys[start:stop]
-            leaf.values = values[start:stop]
+            leaf = _Node(
+                keys[start:stop],
+                counts=counts[start:stop],
+                values=values[offsets[start] : offsets[stop]],
+            )
             if level:
                 level[-1].next = leaf
             level.append(leaf)
@@ -146,14 +173,11 @@ class BPlusTree:
             parents: List[_Node] = []
             parent_lows: List[Any] = []
             for start, stop in cuts(len(level), fill + 1, minimum + 1):
-                parent = _Node(leaf=False)
-                parent.children = level[start:stop]
-                parent.keys = lows[start + 1 : stop]
-                parents.append(parent)
+                parents.append(_Node(lows[start + 1 : stop], children=level[start:stop]))
                 parent_lows.append(lows[start])
             level, lows = parents, parent_lows
         tree._root = level[0]
-        tree._size = sum(map(len, values))
+        tree._size = len(values)
         return tree
 
     # -- point operations ---------------------------------------------------------
@@ -174,11 +198,14 @@ class BPlusTree:
         tracker = ensure_tracker(tracker)
         leaf, path = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
+        start = leaf.offset(position)
         if position < len(leaf.keys) and leaf.keys[position] == key:
-            leaf.values[position].append(payload)
+            leaf.values.insert(start + leaf.counts[position], payload)
+            leaf.counts[position] += 1
         else:
             leaf.keys.insert(position, key)
-            leaf.values.insert(position, [payload])
+            leaf.counts.insert(position, 1)
+            leaf.values.insert(start, payload)
         self._size += 1
         # Split back up the path while nodes overflow.
         node = leaf
@@ -191,31 +218,26 @@ class BPlusTree:
                 tracker.tick(1)
                 node = parent
             else:
-                new_root = _Node(leaf=False)
-                new_root.keys = [separator]
-                new_root.children = [node, sibling]
-                self._root = new_root
+                self._root = _Node([separator], children=[node, sibling])
                 tracker.tick(1)
                 break
 
     def _split(self, node: _Node) -> Tuple[_Node, Any]:
         """Split an overflowing node; returns (right sibling, separator key)."""
         middle = len(node.keys) // 2
-        sibling = _Node(leaf=node.leaf)
         if node.leaf:
-            sibling.keys = node.keys[middle:]
-            sibling.values = node.values[middle:]
-            node.keys = node.keys[:middle]
-            node.values = node.values[:middle]
+            cut = node.offset(middle)
+            sibling = _Node(
+                node.keys[middle:], counts=node.counts[middle:], values=node.values[cut:]
+            )
+            del node.keys[middle:], node.counts[middle:], node.values[cut:]
             sibling.next = node.next
             node.next = sibling
             separator = sibling.keys[0]
         else:
             separator = node.keys[middle]
-            sibling.keys = node.keys[middle + 1 :]
-            sibling.children = node.children[middle + 1 :]
-            node.keys = node.keys[:middle]
-            node.children = node.children[: middle + 1]
+            sibling = _Node(node.keys[middle + 1 :], children=node.children[middle + 1 :])
+            del node.keys[middle:], node.children[middle + 1 :]
         return sibling, separator
 
     def search(self, key: Any, tracker: Optional[CostTracker] = None) -> List[Any]:
@@ -224,7 +246,8 @@ class BPlusTree:
         leaf, _ = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
         if position < len(leaf.keys) and leaf.keys[position] == key:
-            return list(leaf.values[position])
+            start = leaf.offset(position)
+            return leaf.values[start : start + leaf.counts[position]]
         return []
 
     def contains(self, key: Any, tracker: Optional[CostTracker] = None) -> bool:
@@ -276,6 +299,7 @@ class BPlusTree:
         tracker = ensure_tracker(tracker)
         leaf, _ = self._descend(low, tracker)
         position = bisect.bisect_left(leaf.keys, low)
+        start = leaf.offset(position)
         node: Optional[_Node] = leaf
         while node is not None:
             while position < len(node.keys):
@@ -283,11 +307,12 @@ class BPlusTree:
                 tracker.tick(1)
                 if key > high:
                     return
-                for payload in node.values[position]:
+                stop = start + node.counts[position]
+                for payload in node.values[start:stop]:
                     yield key, payload
-                position += 1
+                position, start = position + 1, stop
             node = node.next
-            position = 0
+            position = start = 0
             if node is not None:
                 tracker.tick(1)
 
@@ -324,9 +349,8 @@ class BPlusTree:
     def items(self) -> Iterator[Tuple[Any, Any]]:
         """All (key, payload) pairs in key order (no cost; testing helper)."""
         for node in self._leaves():
-            for key, payloads in zip(node.keys, node.values):
-                for payload in payloads:
-                    yield key, payload
+            key_per_value = chain.from_iterable(map(repeat, node.keys, node.counts))
+            yield from zip(key_per_value, node.values)
 
     def keys(self) -> List[Any]:
         return [key for key, _ in self.items()]
@@ -350,19 +374,20 @@ class BPlusTree:
         position = bisect.bisect_left(leaf.keys, key)
         if position >= len(leaf.keys) or leaf.keys[position] != key:
             return False
-        payloads = leaf.values[position]
+        start = leaf.offset(position)
+        stop = start + leaf.counts[position]
         if payload is None:
-            payloads.pop()
+            del leaf.values[stop - 1]
         else:
             try:
-                payloads.remove(payload)
+                del leaf.values[leaf.values.index(payload, start, stop)]
             except ValueError:
                 return False
         self._size -= 1
-        if payloads:
+        leaf.counts[position] -= 1
+        if leaf.counts[position]:
             return True
-        leaf.keys.pop(position)
-        leaf.values.pop(position)
+        del leaf.keys[position], leaf.counts[position]
         self._rebalance(leaf, path, tracker)
         return True
 
@@ -396,8 +421,11 @@ class BPlusTree:
             left = parent.children[child_index - 1]
             if len(left.keys) > minimum:
                 if node.leaf:
+                    cut = len(left.values) - left.counts[-1]
                     node.keys.insert(0, left.keys.pop())
-                    node.values.insert(0, left.values.pop())
+                    node.counts.insert(0, left.counts.pop())
+                    node.values[:0] = left.values[cut:]
+                    del left.values[cut:]
                     parent.keys[child_index - 1] = node.keys[0]
                 else:
                     node.keys.insert(0, parent.keys[child_index - 1])
@@ -409,8 +437,11 @@ class BPlusTree:
             right = parent.children[child_index + 1]
             if len(right.keys) > minimum:
                 if node.leaf:
+                    cut = right.counts[0]
                     node.keys.append(right.keys.pop(0))
-                    node.values.append(right.values.pop(0))
+                    node.counts.append(right.counts.pop(0))
+                    node.values.extend(right.values[:cut])
+                    del right.values[:cut]
                     parent.keys[child_index] = right.keys[0]
                 else:
                     node.keys.append(parent.keys[child_index])
@@ -430,6 +461,7 @@ class BPlusTree:
         separator = parent.keys[left_index]
         if left.leaf:
             left.keys.extend(right.keys)
+            left.counts.extend(right.counts)
             left.values.extend(right.values)
             left.next = right.next
         else:
@@ -444,28 +476,32 @@ class BPlusTree:
     def to_state(self) -> dict:
         """Plain-data snapshot for artifact persistence.
 
-        The leaf chain flattens into three parallel runs: the distinct
-        ``keys`` in order, the payload ``counts`` per key, and every payload
-        in key order in ``payloads``.  The internal structure is *not*
-        stored (:meth:`from_state` rebuilds it bottom-up in linear time);
-        flat lists of scalars pickle at C speed with no per-key container
-        and no recursion into the leaf chain.
+        The leaf chain concatenates into the three columns a leaf already
+        holds a slice of: the distinct ``keys`` in order, the payload
+        ``counts`` per key, and every payload in key order in ``payloads``
+        -- each packed to machine words when it is a plain-int run.  The
+        internal structure is *not* stored (:meth:`from_state` rebuilds it
+        bottom-up in linear time).
         """
         keys: List[Any] = []
         counts: List[int] = []
         payloads: List[Any] = []
         for node in self._leaves():
             keys.extend(node.keys)
-            counts.extend(map(len, node.values))
-            payloads.extend(chain.from_iterable(node.values))
-        return {"order": self.order, "keys": keys, "counts": counts, "payloads": payloads}
+            counts.extend(node.counts)
+            payloads.extend(node.values)
+        return {
+            "order": self.order,
+            "keys": pack(keys),
+            "counts": pack(counts),
+            "payloads": pack(payloads),
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
         """Rebuild from :meth:`to_state` output through the bulk loader."""
-        run = iter(state["payloads"])
-        values = [list(islice(run, count)) for count in state["counts"]]
-        return cls._bulk_load(int(state["order"]), state["keys"], values)
+        keys, counts, payloads = (unpack(state[name]) for name in ("keys", "counts", "payloads"))
+        return cls._bulk_load(int(state["order"]), keys, counts, payloads)
 
     # -- invariants (used by property tests) ----------------------------------------
 
@@ -484,8 +520,9 @@ class BPlusTree:
                 if high is not None:
                     assert key < high, "separator invariant (high)"
             if node.leaf:
-                assert len(node.keys) == len(node.values)
-                assert all(payloads for payloads in node.values), "empty payload list"
+                assert len(node.keys) == len(node.counts)
+                assert all(count > 0 for count in node.counts), "empty payload run"
+                assert sum(node.counts) == len(node.values), "counts do not cover values"
                 return depth
             assert len(node.children) == len(node.keys) + 1
             depths = set()

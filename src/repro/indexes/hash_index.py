@@ -7,9 +7,11 @@ O(log n) tree probes and O(n) scans.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from itertools import chain, islice
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
+from repro.indexes.columns import pack, unpack
 
 __all__ = ["HashIndex"]
 
@@ -24,7 +26,7 @@ class HashIndex:
     @classmethod
     def build(
         cls,
-        entries: Sequence[Tuple[Hashable, Any]],
+        entries: Iterable[Tuple[Hashable, Any]],
         tracker: Optional[CostTracker] = None,
     ) -> "HashIndex":
         """PTIME preprocessing: one insert (O(1) expected) per entry."""
@@ -33,6 +35,18 @@ class HashIndex:
         for key, payload in entries:
             index.insert(key, payload, tracker)
         return index
+
+    @classmethod
+    def from_columns(
+        cls,
+        keys: Sequence[Hashable],
+        payloads: Sequence[Any],
+        *,
+        tracker: Optional[CostTracker] = None,
+    ) -> "HashIndex":
+        """:meth:`build` over a key column and its payload column (the
+        B+-tree's bulk signature, so per-attribute schemes treat both alike)."""
+        return cls.build(zip(keys, payloads), tracker)
 
     def insert(self, key: Hashable, payload: Any, tracker: Optional[CostTracker] = None) -> None:
         ensure_tracker(tracker).tick(1)
@@ -77,13 +91,21 @@ class HashIndex:
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot for artifact persistence."""
-        return {"buckets": [(key, list(bucket)) for key, bucket in self._buckets.items()]}
+        """Plain-data snapshot for artifact persistence: the B+-tree's three
+        columns (``keys``, payload ``counts`` per key, every payload in
+        ``payloads``), in bucket order."""
+        buckets = self._buckets.values()
+        return {
+            "keys": pack(list(self._buckets)),
+            "counts": pack(list(map(len, buckets))),
+            "payloads": pack(list(chain.from_iterable(buckets))),
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "HashIndex":
         index = cls()
-        for key, bucket in state["buckets"]:
-            index._buckets[key] = list(bucket)
-            index._size += len(bucket)
+        run = iter(unpack(state["payloads"]))
+        for key, count in zip(unpack(state["keys"]), unpack(state["counts"])):
+            index._buckets[key] = list(islice(run, count))
+        index._size = len(state["payloads"])
         return index

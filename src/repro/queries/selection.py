@@ -142,30 +142,24 @@ def selection_shard_spec() -> ShardSpec:
     )
 
 
-def _attribute_entries(relation: Relation, tracker: CostTracker):
-    """``(attribute, [(value, row_id)])`` per attribute, from one read.
-
-    The rows are scanned once and the columns cut from that read; the
-    tracker is still charged one scan per attribute, as the per-attribute
-    scans this replaces were, so certification fits do not move.
-    """
-    attributes = relation.schema.attribute_names()
-    with tracker.measure() as scan:
-        scanned = list(relation.scan(tracker))
-    for _ in attributes[1:]:
-        tracker.charge(scan.cost)
-    row_ids = [row_id for row_id, _ in scanned]
-    columns = list(zip(*(row for _, row in scanned))) or [()] * len(attributes)
-    return [(a, list(zip(column, row_ids))) for a, column in zip(attributes, columns)]
-
-
 def _per_attribute(index_class) -> tuple:
     """``(preprocess, dump, load)`` of one ``index_class`` per attribute."""
 
     def preprocess(relation: Relation, tracker: CostTracker) -> dict:
+        """One index per attribute over ``(value column, row ids)``.
+
+        The relation is read once as columns; the tracker is still charged
+        one scan per attribute, as the per-attribute scans this replaces
+        were, so certification fits do not move.
+        """
+        attributes = relation.schema.attribute_names()
+        with tracker.measure() as scan:
+            row_ids, columns = relation.columns(tracker)
+        for _ in attributes[1:]:
+            tracker.charge(scan.cost)
         return {
-            attribute: index_class.build(entries, tracker=tracker)
-            for attribute, entries in _attribute_entries(relation, tracker)
+            attribute: index_class.from_columns(column, row_ids, tracker=tracker)
+            for attribute, column in zip(attributes, columns)
         }
 
     dump, load = state_codec(
@@ -179,7 +173,7 @@ def _per_attribute(index_class) -> tuple:
 #: 4(1)): one structure name, builder, codec and layout version, so one
 #: artifact per relation serves point and range selection.
 _BTREES = _per_attribute(BPlusTree)
-_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=2)
+_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=3)
 
 
 def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
@@ -269,5 +263,5 @@ def hash_point_scheme() -> PiScheme:
     """Hash-index alternative: O(1) expected point probes."""
     return _selection_scheme(
         "hash-point", "hash index per attribute; O(1) expected probes",
-        _per_attribute(HashIndex), _point, _point_fast,
+        _per_attribute(HashIndex), _point, _point_fast, artifact_version=2,
     )

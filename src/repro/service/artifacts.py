@@ -12,7 +12,10 @@ A built Pi-structure is addressed by an :class:`ArtifactKey` --
 
 The JSON header repeats the key and carries the payload's SHA-256 and
 length, so :meth:`ArtifactStore.get` can detect truncation, bit rot and
-key collisions before a single payload byte reaches ``pickle``.  Writes go
+key collisions before a single payload byte reaches ``pickle``.  It is
+written in one canonical serialisation (sorted keys, no whitespace) and a
+file whose header bytes are not exactly that serialisation of what they
+parse to is corrupt: no flipped byte can hide in JSON's own slack.  Writes go
 through a temp file plus :func:`os.replace`, so readers never observe a
 half-written artifact even with concurrent builders.
 
@@ -52,10 +55,16 @@ __all__ = ["ArtifactKey", "ArtifactStore", "MAGIC", "FORMAT_VERSION"]
 #: File magic: never a valid pickle or JSON prefix, so foreign files fail fast.
 MAGIC = b"\x89PIART"
 
-#: Bumped whenever the container layout (not a payload) changes shape.
-FORMAT_VERSION = 1
+#: Bumped whenever the container layout (not a payload) changes shape, or
+#: every fingerprint does: v2 = canonical header bytes + column fingerprints.
+FORMAT_VERSION = 2
 
 _HEADER_STRUCT = struct.Struct(">HI")  # (format version, header length)
+
+
+def _header_bytes(header: dict) -> bytes:
+    """The one serialisation of a header that :meth:`ArtifactStore.get` accepts."""
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def _slug(text: str) -> str:
@@ -110,7 +119,7 @@ class ArtifactStore:
         header = dict(key.as_header())
         header["payload_len"] = len(payload)
         header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        header_bytes = _header_bytes(header)
 
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,10 +181,13 @@ class ArtifactStore:
         header_end = prefix_len + header_len
         if len(blob) < header_end:
             raise ArtifactCorruptionError(f"{path}: truncated inside header")
+        stored = blob[prefix_len:header_end]
         try:
-            header = json.loads(blob[prefix_len:header_end].decode("utf-8"))
+            header = json.loads(stored.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ArtifactCorruptionError(f"{path}: unreadable header") from exc
+        if not isinstance(header, dict) or _header_bytes(header) != stored:
+            raise ArtifactCorruptionError(f"{path}: header is not in canonical form")
         payload = blob[header_end:]
         if len(payload) != header.get("payload_len"):
             raise ArtifactCorruptionError(

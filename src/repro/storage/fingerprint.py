@@ -2,27 +2,42 @@
 
 The artifact store keys a persisted Pi-structure by *what data it was built
 over*, not by object identity: two processes that load the same relation must
-resolve to the same artifact.  ``dataset_fingerprint`` therefore hashes a
-canonical byte rendering of the dataset:
+resolve to the same artifact.  ``dataset_fingerprint`` therefore streams a
+canonical byte form of the dataset into SHA-256 -- the type name (so a list
+and a tuple, or a Graph and a Digraph, with equal content do not collide),
+then one form per input shape.  Every piece is a frame -- ``tag, u64
+little-endian length, body`` -- and each form has its own tags, so no two
+forms can collide:
 
-* objects with an ``encode()`` method (:class:`~repro.storage.relation.Relation`,
-  the graph classes) use their deterministic Sigma* encoding;
-* plain nested sequences of ints/strings/bools/None -- the array, list and
-  score-table datasets -- use the same Sigma* codec directly;
-* anything else falls back to ``repr``, which is deterministic for the value
-  types this library generates (``PYTHONHASHSEED`` does not affect it).
+* a flat ``list`` / ``tuple`` is one **column**: ``P`` + the typecode
+  :func:`repro.indexes.columns.pack` chose, the element count and the
+  little-endian machine words -- or, when ``pack`` declines (strings, bools,
+  ``None``, nested rows, ints beyond 64 bits, the empty run), ``S`` and the
+  Sigma* rendering *of that column*;
+* a :class:`~repro.storage.relation.Relation` is ``R`` and the schema name,
+  a ``T`` frame for each attribute's name and for its type (UTF-8), then
+  one column per attribute over the live rows (tombstones do not count: a
+  relation with deleted rows equals the compacted one);
+* anything else is ``O`` and :func:`canonical_bytes`: an object's own
+  ``encode()`` (the graph classes), raw ``bytes``, else ``repr``, which is
+  deterministic for the value types this library generates
+  (``PYTHONHASHSEED`` does not affect it).
 
-The type name is mixed in so that, e.g., a Graph and a Digraph with equal
-edge sets do not collide.
+Two datasets get one fingerprint exactly when their type names and
+:func:`canonical_bytes` -- the Sigma* reference rendering, which set-up no
+longer pays for -- agree.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from typing import Any
 
 from repro.core import alphabet
 from repro.core.errors import EncodingError
+from repro.indexes.columns import pack
+from repro.storage.relation import Relation
 
 __all__ = ["dataset_fingerprint", "canonical_bytes"]
 
@@ -43,10 +58,36 @@ def canonical_bytes(data: Any) -> bytes:
         return repr(data).encode("utf-8")
 
 
+def _frame(digest: Any, tag: bytes, body: Any) -> None:
+    """``len(body)`` counts bytes, or the machine words of a packed column."""
+    digest.update(tag + len(body).to_bytes(8, "little"))
+    digest.update(body)
+
+
+def _column(digest: Any, values: Any) -> None:
+    column = pack(values)
+    if isinstance(column, list):  # pack declined: not a run of machine words
+        _frame(digest, b"S", canonical_bytes(values))
+        return
+    if sys.byteorder == "big":
+        column.byteswap()
+    _frame(digest, b"P" + column.typecode.encode("ascii"), column)
+
+
 def dataset_fingerprint(data: Any) -> str:
     """SHA-256 hex digest identifying a dataset's content and type."""
     digest = hashlib.sha256()
-    digest.update(type(data).__name__.encode("ascii", "replace"))
-    digest.update(b"\x00")
-    digest.update(canonical_bytes(data))
+    digest.update(type(data).__name__.encode("ascii", "replace") + b"\x00")
+    if isinstance(data, Relation):
+        _frame(digest, b"R", data.schema.name.encode("utf-8"))
+        for attribute in data.schema.attributes:
+            _frame(digest, b"T", attribute.name.encode("utf-8"))
+            _frame(digest, b"T", attribute.type.value.encode("utf-8"))
+        _row_ids, columns = data.columns()
+        for column in columns:
+            _column(digest, column)
+    elif isinstance(data, (list, tuple)):
+        _column(digest, data)
+    else:
+        _frame(digest, b"O", canonical_bytes(data))
     return digest.hexdigest()

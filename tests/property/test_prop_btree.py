@@ -133,3 +133,74 @@ def test_bulk_built_tree_survives_interleaved_maintenance(entries, order, ops):
     tree.check_invariants()
     assert tree.keys() == sorted(model.elements())
     assert len(tree) == sum(model.values())
+
+
+# -- flat leaves: multi-payload runs under every maintenance path --------------
+
+# At most eight distinct keys and the smallest legal nodes: most keys own a
+# run of several payloads, and those runs are what _split, _borrow (from
+# either side) and _merge have to carry across leaves in one piece.
+run_keys = st.integers(min_value=0, max_value=7)
+run_orders = st.integers(min_value=4, max_value=6)
+run_operations = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert", "pop", "remove"]), run_keys, st.integers(0, 3)),
+    max_size=200,
+)
+
+
+def _maintained(entries, order, ops):
+    """A tree bulk-built over ``entries`` (keys folded into eight) and then
+    driven through ``ops`` beside a ``key -> [payloads]`` model; returns the
+    tree, the model and the ``items()`` the model predicts."""
+    entries = [(key % 8, payload) for key, payload in entries]
+    tree = BPlusTree.build(entries, order=order)
+    model: dict = {}
+    for key, payload in entries:
+        model.setdefault(key, []).append(payload)
+    for op, key, payload in ops:
+        run = model.setdefault(key, [])
+        if op == "insert":
+            tree.insert(key, payload)
+            run.append(payload)
+        elif op == "pop":
+            assert tree.delete(key) == bool(run)
+            if run:
+                run.pop()
+        else:
+            assert tree.delete(key, payload) == (payload in run)
+            if payload in run:
+                run.remove(payload)  # that payload and only it, first match
+    return tree, model, [(key, payload) for key in sorted(model) for payload in model[key]]
+
+
+@given(bulk_entries, run_orders, run_operations)
+@settings(max_examples=150, deadline=None)
+def test_payload_runs_survive_every_maintenance_path(entries, order, ops):
+    tree, model, expected = _maintained(entries, order, ops)
+    tree.check_invariants()
+    assert list(tree.items()) == expected
+    assert len(tree) == len(expected)
+    for key in range(-1, 9):
+        found = tree.search(key)
+        assert found == model.get(key, [])
+        found.append("mutated")  # a copy: the tree does not see this
+        assert tree.search(key) == model.get(key, [])
+        assert tree.contains(key) == tree.contains_fast(key) == bool(model.get(key))
+    assert list(tree.range_iter(2, 5)) == [pair for pair in expected if 2 <= pair[0] <= 5]
+
+
+@given(bulk_entries, run_orders, run_operations, st.lists(st.tuples(run_keys, st.integers(0, 4))))
+@settings(max_examples=100, deadline=None)
+def test_maintained_tree_round_trips_and_answers_like_a_scan(entries, order, ops, probes):
+    tree, model, expected = _maintained(entries, order, ops)
+    state = tree.to_state()
+    clone = BPlusTree.from_state(state)
+    clone.check_invariants()
+    assert clone.to_state() == state
+    assert list(clone.items()) == expected
+    present = {key for key, _ in expected}
+    for low, span in probes:
+        high = low + span
+        assert clone.contains(low) == clone.contains_fast(low) == (low in present)
+        naive = any(low <= key <= high for key in present)
+        assert clone.range_nonempty(low, high) == clone.range_nonempty_fast(low, high) == naive

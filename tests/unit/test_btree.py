@@ -119,6 +119,79 @@ class TestDeletion:
             assert sorted(tree.search(key)) == sorted(model.get(key, []))
 
 
+class _TracedTree(BPlusTree):
+    """Records which maintenance paths moved a run of several payloads."""
+
+    def __init__(self, order):
+        super().__init__(order=order)
+        self.moved = set()
+
+    def _split(self, node):
+        sibling, separator = super()._split(node)
+        if node.leaf and max(sibling.counts) > 1 and max(node.counts) > 1:
+            self.moved.add("split")
+        return sibling, separator
+
+    def _borrow(self, parent, child_index):
+        node = parent.children[child_index]
+        left = parent.children[child_index - 1] if child_index else node
+        before = len(left.keys)
+        done = super()._borrow(parent, child_index)
+        if done and node.leaf:
+            from_left = left is not node and len(left.keys) < before
+            if node.counts[0 if from_left else -1] > 1:
+                self.moved.add("borrow-left" if from_left else "borrow-right")
+        return done
+
+    def _merge(self, parent, child_index):
+        absorbed = parent.children[max(child_index, 1)]
+        if absorbed.leaf and absorbed.counts and max(absorbed.counts) > 1:
+            self.moved.add("merge")
+        super()._merge(parent, child_index)
+
+
+class TestPayloadRuns:
+    def test_runs_cross_split_borrow_and_merge_in_one_piece(self):
+        """Eight keys, tiny nodes, 4 000 steps: every maintenance path carries
+        a multi-payload run at least once, and the tree stays the model."""
+        for order in (4, 5, 6):
+            rng = random.Random(order)
+            tree, model, growing = _TracedTree(order), {}, True
+            for step in range(4000):
+                key = rng.randrange(8)
+                run = model.setdefault(key, [])
+                # Grow to 40 entries, drain to none, again: keys appear in
+                # full leaves (splits) and vanish from thin ones (borrow, merge).
+                growing = len(tree) < 40 if growing else len(tree) == 0
+                if rng.random() < (0.8 if growing else 0.2):
+                    tree.insert(key, step)
+                    run.append(step)
+                elif run and rng.random() < 0.5:
+                    victim = rng.choice(run)
+                    assert tree.delete(key, victim)
+                    run.remove(victim)
+                else:
+                    assert tree.delete(key) == bool(run)
+                    if run:
+                        run.pop()
+                if step % 97 == 0:
+                    tree.check_invariants()
+                    assert list(tree.items()) == [(k, p) for k in sorted(model) for p in model[k]]
+            tree.check_invariants()
+            assert tree.moved == {"split", "borrow-left", "borrow-right", "merge"}, (order, tree.moved)
+
+    def test_search_returns_a_copy(self):
+        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
+        tree.search(1).append("z")
+        assert tree.search(1) == ["a", "b"] and len(tree) == 3
+
+    def test_invariants_catch_counts_that_do_not_cover_values(self):
+        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
+        tree._root.values.append("orphan")
+        with pytest.raises(AssertionError, match="counts do not cover values"):
+            tree.check_invariants()
+
+
 class TestCostShape:
     def test_probe_cost_logarithmic(self):
         costs = {}

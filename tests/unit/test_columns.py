@@ -4,8 +4,12 @@
 * packing never loses to pickle on the int ranges the yardstick stores
   (``store_bytes_per_item`` has bound 0), and the one range where a pickled
   list wins by a fraction of a byte is pinned, not hidden;
-* layout floors: dumped bytes per item of the three array schemes at 2^14;
-* a v1-keyed artifact of each bumped scheme is a miss that rebuilds.
+* layout floors: dumped bytes per item of the three array schemes and of the
+  per-attribute B+-trees at 2^14;
+* flat-leaf B+-trees (ISSUE 19): build and load allocate per leaf, not per
+  entry or per key, and the trees of one relation share their row-id ints;
+* an artifact keyed by the previous layout of each bumped scheme, or written
+  in the previous store format, is a miss that rebuilds.
 
 No clocks anywhere: sizes are counts that repeat exactly.
 """
@@ -13,8 +17,12 @@ No clocks anywhere: sizes are counts that repeat exactly.
 from __future__ import annotations
 
 import ast
+import gc
+import hashlib
+import json
 import pickle
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -22,17 +30,24 @@ import pytest
 import repro
 from repro.core.cost import CostTracker
 from repro.indexes import columns
+from repro.indexes.btree import BPlusTree
 from repro.queries import (
+    btree_point_scheme,
+    btree_range_scheme,
     euler_tour_scheme,
     fischer_heun_scheme,
+    hash_point_scheme,
     membership_class,
+    point_selection_class,
+    range_selection_class,
     rmq_class,
     sorted_run_scheme,
     sparse_table_scheme,
     tree_lca_class,
 )
-from repro.service.artifacts import ArtifactKey, ArtifactStore
+from repro.service.artifacts import MAGIC, ArtifactKey, ArtifactStore
 from repro.service.engine import QueryEngine
+from repro.storage.relation import uniform_int_relation
 
 N = 1 << 14
 
@@ -133,39 +148,117 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
     assert len(dumped) / N <= ceiling, len(dumped) / N
 
 
+# -- flat-leaf B+-trees ----------------------------------------------------------
+
+
+def test_relation_artifact_bytes_per_item_floor():
+    """Two trees over 2^14 rows with values below 2^16: per tree ~0.885 n
+    distinct keys in 'H' and their counts in 'B', n row ids in 'H' (a value
+    of 2^16 or more would widen that tree's keys to 'I': 12.9 B/item)."""
+    scheme = btree_point_scheme()
+    relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
+    dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
+    assert len(dumped) / N <= 9.4, len(dumped) / N  # parent: 14.8
+
+
+def _tracked_objects_left_by(make):
+    """How many more ``gc``-tracked objects exist once ``make()`` returned
+    (and its result is alive); the collector is held off for the count only."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        kept = make()
+        return len(gc.get_objects()) - before, kept
+    finally:
+        gc.enable()
+
+
+def test_btree_build_and_load_allocate_per_leaf_not_per_key():
+    """The cyclic collector's work is the count of tracked containers a
+    build leaves behind: a node and three lists per leaf (parent: a tuple
+    per entry and a list per distinct key, 1.12 n)."""
+    keys, row_ids = _uniform(4 * N), list(range(N))
+    built, tree = _tracked_objects_left_by(lambda: BPlusTree.from_columns(keys, row_ids))
+    assert 0 < built < N / 2, built / N
+    state = tree.to_state()
+    loaded, clone = _tracked_objects_left_by(lambda: BPlusTree.from_state(state))
+    assert 0 < loaded < N / 2, loaded / N
+    assert list(clone.items()) == list(tree.items())
+
+
+def test_trees_of_one_relation_share_their_row_id_objects():
+    """One row-id list feeds every attribute's tree: a fresh ``range`` per
+    attribute would box every id above the small-int cache once per tree."""
+    relation = uniform_int_relation(1 << 10, random.Random(17))
+    first, second = btree_point_scheme().preprocess(relation, CostTracker()).values()
+    ids = [{payload: id(payload) for _, payload in tree.items()} for tree in (first, second)]
+    assert ids[0] == ids[1] and len(ids[0]) == 1 << 10
+
+
 # -- versioning ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
-    "make_class,make_scheme",
+    "make_class,make_scheme,version",
     [
-        (membership_class, sorted_run_scheme),
-        (rmq_class, fischer_heun_scheme),
-        (rmq_class, sparse_table_scheme),
-        (tree_lca_class, euler_tour_scheme),
+        (membership_class, sorted_run_scheme, 2),
+        (rmq_class, fischer_heun_scheme, 2),
+        (rmq_class, sparse_table_scheme, 2),
+        (tree_lca_class, euler_tour_scheme, 2),
+        (point_selection_class, btree_point_scheme, 3),
+        (range_selection_class, btree_range_scheme, 3),
+        (point_selection_class, hash_point_scheme, 2),
     ],
-    ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq"],
+    ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",
+         "btree-point", "btree-range", "hash-point"],
 )
-def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme):
-    """The four typed-column schemes bumped ``artifact_version``: a file
-    keyed by the old layout is never opened, let alone mis-loaded."""
+def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, version):
+    """Every scheme whose layout changed bumped ``artifact_version``: a file
+    keyed by the previous layout is never opened, let alone mis-loaded."""
     query_class, scheme = make_class(), make_scheme()
-    assert scheme.artifact_version == 2
+    assert scheme.artifact_version == version
     data, queries = query_class.sample_workload(48, 3, 8)
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v2")
-        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "1")
-        store.put(stale, pickle.dumps({"layout": "v1"}))
+        assert key.params.endswith(f"|v{version}")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version - 1))
+        store.put(stale, pickle.dumps({"layout": "previous"}))
         for query in queries:
             assert ds.query("kind", query) == query_class.pair_in_language(data, query)
         stats = engine.stats().per_kind["kind"]
         assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
-        assert pickle.loads(store.get(stale)) == {"layout": "v1"}
+        assert pickle.loads(store.get(stale)) == {"layout": "previous"}
         assert scheme.load(store.get(key)) is not None
+
+
+def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):
+    """A file in store format 1 (spaced JSON header) sitting where a key
+    resolves is a *version* miss -- rebuilt, never counted as corruption,
+    its payload never handed to the codec."""
+    query_class, scheme = membership_class(), sorted_run_scheme()
+    data, queries = query_class.sample_workload(48, 3, 8)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        payload = b"not a pickle: loading this would raise"
+        header = json.dumps(
+            {**key.as_header(), "payload_len": len(payload),
+             "payload_sha256": hashlib.sha256(payload).hexdigest()},
+            sort_keys=True,
+        ).encode()
+        path = store.put(key, b"")
+        path.write_bytes(MAGIC + struct.pack(">HI", 1, len(header)) + header + payload)
+        for query in queries:
+            assert ds.query("kind", query) == query_class.pair_in_language(data, query)
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+        assert scheme.load(store.get(key)) is not None  # replaced by a v2 file
 
 
 # -- structure -----------------------------------------------------------------

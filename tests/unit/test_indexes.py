@@ -71,6 +71,23 @@ class TestHashIndex:
         assert not index.contains(1)
         assert not index.delete(1)
 
+    def test_column_build_and_three_column_state(self):
+        """The B+-tree's build signature and state columns, so the
+        per-attribute schemes treat both index classes alike."""
+        tracker = CostTracker()
+        index = HashIndex.from_columns([5, 3, 5, 9], [0, 1, 2, 3], tracker=tracker)
+        assert tracker.work == 4  # one O(1) expected insert per entry
+        state = index.to_state()
+        assert {name: list(column) for name, column in state.items()} == {
+            "keys": [5, 3, 9], "counts": [2, 1, 1], "payloads": [0, 2, 1, 3]}
+        assert all(hasattr(column, "typecode") for column in state.values())
+        clone = HashIndex.from_state(state)
+        assert clone.to_state() == state and len(clone) == 4
+        assert clone.search(5) == [0, 2] and clone.search(4) == []
+        clone.insert(5, 7)  # private buckets: the source index is untouched
+        assert index.search(5) == [0, 2]
+        assert HashIndex.from_state(HashIndex().to_state()).to_state() == HashIndex().to_state()
+
     def test_probe_cost_constant(self):
         index = HashIndex.build([(i, None) for i in range(100_000)])
         tracker = CostTracker()

@@ -9,7 +9,9 @@ per artifact even when many threads miss at once.
 from __future__ import annotations
 
 import ast
+import json
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,36 @@ def test_store_rejects_version_mismatch(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(ArtifactVersionError):
         store.get(key)
+
+
+def test_store_rejects_a_header_that_is_not_byte_for_byte_canonical(tmp_path):
+    """JSON has slack -- whitespace between tokens, escapes, key order -- in
+    which a flipped byte parses to the same header (a separator space XOR
+    0x2D is a carriage return).  Only the serialisation ``put`` writes is
+    accepted."""
+    store = ArtifactStore(tmp_path)
+    key = _key()
+    path = store.put(key, b"payload")
+    blob = path.read_bytes()
+    prefix = len(MAGIC) + 6
+    (header_len,) = struct.unpack(">I", blob[prefix - 4 : prefix])
+    header = blob[prefix : prefix + header_len]
+    assert b" " not in header and b"\r" not in header  # compact: no slack to flip
+    for respelled in (
+        header.replace(b",", b",\r", 1),
+        header.replace(b":", b": ", 1),
+        header.replace(b"unit-scheme", b"unit\\u002dscheme"),
+        json.dumps(dict(reversed(json.loads(header).items())), separators=(",", ":")).encode(),
+    ):
+        assert json.loads(respelled) == json.loads(header) and respelled != header
+        path.write_bytes(
+            blob[: prefix - 4] + struct.pack(">I", len(respelled)) + respelled
+            + blob[prefix + header_len :]
+        )
+        with pytest.raises(ArtifactCorruptionError, match="canonical"):
+            store.get(key)
+    path.write_bytes(blob)
+    assert store.get(key) == b"payload"
 
 
 def test_store_rejects_key_mismatch(tmp_path):
