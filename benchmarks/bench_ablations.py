@@ -1,4 +1,4 @@
-"""ABL -- ablations for the design choices DESIGN.md calls out.
+"""ABL -- ablations for the implementation's own design choices.
 
 Not paper figures; these justify implementation parameters:
 

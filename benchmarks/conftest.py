@@ -13,30 +13,19 @@ printed after the run by ``pytest_terminal_summary``, so
 CI smoke mode
 -------------
 ``pytest benchmarks/ --bench-smoke`` shrinks every size sweep (see
-:func:`bench_sizes` / :func:`bench_size`) so the whole suite runs in seconds,
-and writes the machine-readable perf record ``BENCH_engine.json`` (cold vs.
-warm latency percentiles and hit rate, recorded via the ``bench_json``
-fixture by :mod:`bench_case10_engine`).  ``--bench-json PATH`` overrides the
-output path; without ``--bench-smoke`` no JSON is written unless a path is
-given explicitly.
+:func:`bench_sizes` / :func:`bench_size`) so the whole suite runs in seconds.
+Nothing here writes a record: what the serving stack costs is measured by
+``perf/run.py`` (see ``perf/README.md``), not by these modules.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import pytest
 
 _REPORTS: List[Tuple[str, List[str]]] = []
-_JSON_SECTIONS: Dict[str, dict] = {}
-#: Sections routed to an explicit file (``record(..., path=...)``), keyed by
-#: output path.  Written on every run that produced them, with or without
-#: a bench flag (e.g. BENCH_workloads.json -- untracked, like
-#: BENCH_engine.json; the committed record is perf/RECORD.json).
-_JSON_EXTRA: Dict[str, Dict[str, dict]] = {}
 _SMOKE = False
-_JSON_PATH: str | None = None
 
 #: Largest size exponent smoke mode allows (2**9 = 512 elements).
 SMOKE_CAP_EXP = 9
@@ -48,23 +37,13 @@ def pytest_addoption(parser):
         "--bench-smoke",
         action="store_true",
         default=False,
-        help="shrink benchmark sweeps to smoke-test sizes and emit BENCH_engine.json",
-    )
-    group.addoption(
-        "--bench-json",
-        default=None,
-        help="path for the machine-readable benchmark record "
-        "(default BENCH_engine.json in smoke mode)",
+        help="shrink benchmark sweeps to smoke-test sizes",
     )
 
 
 def pytest_configure(config):
-    global _SMOKE, _JSON_PATH
+    global _SMOKE
     _SMOKE = bool(config.getoption("--bench-smoke"))
-    path = config.getoption("--bench-json")
-    if path is None and _SMOKE:
-        path = "BENCH_engine.json"
-    _JSON_PATH = path
 
 
 def bench_sizes(low_exp: int, high_exp: int) -> List[int]:
@@ -104,79 +83,13 @@ def experiment_report() -> Callable[[str, Sequence[str]], None]:
     return record
 
 
-@pytest.fixture(scope="session")
-def bench_json() -> Callable[[str, dict], None]:
-    """Record a JSON section: ``bench_json(name, payload)``.
-
-    Sections end up in the machine-readable benchmark record written at the
-    end of the run (smoke mode or ``--bench-json``), so the perf trajectory
-    of the serving stack is tracked across commits.
-    """
-
-    def record(section: str, payload: dict, *, path: str | None = None) -> None:
-        # Stamp provenance per section: records are merged across runs, so
-        # a full-size re-run of one module must not let its sizes be
-        # mistaken for (or mislabel) the other sections' smoke numbers.
-        stamped = dict(payload, smoke=_SMOKE)
-        if path is None:
-            _JSON_SECTIONS[section] = stamped
-        else:
-            # Explicit-path sections (e.g. BENCH_workloads.json) are written
-            # whenever produced, smoke flag or not.
-            _JSON_EXTRA.setdefault(path, {})[section] = stamped
-
-    return record
-
-
-def _merge_record(path: str, new_sections: Dict[str, dict]) -> None:
-    """Merge ``new_sections`` into the JSON record at ``path``.
-
-    A partial run (one bench module, e.g. at full size with --bench-json)
-    refreshes only its own sections instead of clobbering the rest of the
-    perf trajectory.  Each section carries its own "smoke" stamp; the
-    top-level flag is true only when every section in the merged record is
-    smoke-sized.
-    """
-    sections: Dict[str, dict] = {}
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            existing = json.load(handle)
-        sections = dict(existing.get("sections", {}))
-        # Sections written before per-section stamping inherit the old
-        # record's top-level flag, not an optimistic default -- a stale
-        # full-size record must never be relabeled as smoke.
-        legacy_smoke = bool(existing.get("smoke", True))
-        for section in sections.values():
-            if isinstance(section, dict):
-                section.setdefault("smoke", legacy_smoke)
-    except (OSError, ValueError):
-        sections = {}
-    sections.update(new_sections)
-    record = {
-        "smoke": all(section.get("smoke", True) for section in sections.values()),
-        "sections": sections,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, indent=2, sort_keys=True)
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     write = terminalreporter.write_line
-    written = []
-    if _JSON_PATH and _JSON_SECTIONS:
-        _merge_record(_JSON_PATH, _JSON_SECTIONS)
-        written.append(_JSON_PATH)
-    for path, sections in _JSON_EXTRA.items():
-        _merge_record(path, sections)
-        written.append(path)
-    for path in written:
-        write("")
-        write(f"benchmark record written to {path}")
     if not _REPORTS:
         return
     write("")
     write("=" * 90)
-    write("EXPERIMENT SHAPE TABLES (work--depth cost model; see EXPERIMENTS.md)")
+    write("EXPERIMENT SHAPE TABLES (work--depth cost model; see docs/paper_map.md)")
     write("=" * 90)
     for title, lines in _REPORTS:
         write("")

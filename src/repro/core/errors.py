@@ -84,12 +84,6 @@ class UnknownDatasetError(ServiceError):
     ``except ServiceError`` handlers keep catching it."""
 
 
-class WorkloadError(ReproError):
-    """Raised when a :class:`repro.workloads.WorkloadSpec` cannot be bound to
-    a dataset session: a kind in the mix is unknown or not served, a write
-    ratio targets an immutable session, or the mix itself is malformed."""
-
-
 class InjectedFaultError(ReproError):
     """Raised by an armed :class:`repro.service.faults.FaultPlan` at an
     injection point whose mode is ``"raise"`` (a dead shard, a failing

@@ -14,8 +14,8 @@ decomposition:
   distinct signature suffices.
 
 We store words, not bits: the O(n)-bit succinctness of [18] buys nothing for
-Pi-tractability (preprocessing stays PTIME, queries stay O(1)), as noted in
-DESIGN.md.  Ties resolve to the leftmost minimum everywhere, matching
+Pi-tractability (preprocessing stays PTIME, queries stay O(1)).  Ties
+resolve to the leftmost minimum everywhere, matching
 :func:`repro.indexes.sparse_table.naive_range_min`.
 """
 

@@ -16,7 +16,7 @@ a MapReduce deployment would care about.
 Two reachability routes are provided as worked algorithms: frontier BFS
 (diameter-many supersteps, light rounds) and repeated matrix squaring
 (ceil(log2 n) supersteps, heavy rounds) -- the BSP rendering of Example 3's
-trade-off, measured in ``benchmarks/bench_extension_models.py``.
+trade-off, measured in ``benchmarks/bench_extensions.py``.
 """
 
 from __future__ import annotations

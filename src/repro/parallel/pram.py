@@ -6,7 +6,7 @@ so this module *simulates* one at the cost-model level: parallel constructs
 execute their branches sequentially in Python while accounting cost as a PRAM
 would -- ``work = sum`` over branches, ``depth = max`` over branches (plus
 O(1) fork/join overhead).  Measured depth is what the tractability certifier
-feeds to the scaling classifier; see DESIGN.md, "Hardware substitution".
+feeds to the scaling classifier.
 
 Two kinds of primitives exist in :mod:`repro.parallel`:
 

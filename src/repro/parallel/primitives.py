@@ -6,7 +6,7 @@ computed by an efficient sequential/numpy kernel while the textbook PRAM cost
 is charged analytically).  Charged primitives exist where honestly executing
 the PRAM schedule in pure Python would be quadratic-or-worse overhead without
 changing any measured *shape* -- the depth formula is what certification
-consumes.  See DESIGN.md, "Hardware substitution".
+consumes.
 
 A third category exists for the serving hot path: **untracked** kernels
 (:func:`binary_search_untracked`) compute the same value as their executed

@@ -42,8 +42,7 @@ This package persists built structures and serves query batches against them:
     admission control + backpressure) over a multi-process worker pool
     (:class:`Supervisor`) in which every worker hosts its own engine
     against the *shared* on-disk store, plus the sync
-    :class:`RemoteClient` whose sessions duck-type :class:`Dataset` for
-    the workload drivers.
+    :class:`RemoteClient` whose sessions duck-type :class:`Dataset`.
 
 :mod:`repro.service.mutable`
     The write machinery behind ``attach(..., mutable=True)``: a private
@@ -56,9 +55,8 @@ This package persists built structures and serves query batches against them:
 
 This module is also the *curated public surface*: everything a serving
 client needs -- the engine, the dataset-first session API, the error
-hierarchy, the workload harness (:class:`~repro.workloads.WorkloadSpec`,
-:func:`~repro.workloads.run_closed_loop`, :func:`~repro.workloads.run_open_loop`)
-and the catalog's :func:`~repro.catalog.build_query_engine` factory -- is
+hierarchy and the catalog's :func:`~repro.catalog.build_query_engine`
+factory -- is
 importable from ``repro.service`` directly.  Deep imports
 (``from repro.service.engine import QueryEngine``) keep working; the
 curated names in ``__all__`` are the supported, stable set.  Each is
@@ -67,7 +65,7 @@ the role it plays: the front (gateway + supervisor) never loads the engine
 or an index, and an in-process user never loads ``asyncio`` or
 ``multiprocessing`` (see "process roles" in ``docs/architecture.md``).
 
-    >>> from repro.service import build_query_engine, WorkloadSpec
+    >>> from repro.service import build_query_engine
     >>> engine = build_query_engine()
     >>> ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"])
     >>> ds.query("list-membership", 2)
@@ -94,18 +92,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.errors": (
         "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",
         "ArtifactCorruptionError", "ArtifactVersionError", "DeltaError",
-        "WorkloadError", "InjectedFaultError", "ShardFailedError", "WriteBehindError",
-        "ProtocolError", "OverloadedError", "WorkerFailedError",
+        "InjectedFaultError", "ShardFailedError", "WriteBehindError", "ProtocolError",
+        "OverloadedError", "WorkerFailedError",
     ),
     # fault injection (the failure model; see docs/architecture.md)
     "repro.service.faults": (
         "FaultSpec", "FaultClock", "FaultPlan", "RecoveryPolicy", "DegradedAnswer",
         "SCENARIOS", "scenario", "install_fault_plan", "clear_fault_plan", "active_plan",
-    ),
-    "repro.workloads": (
-        "KeyDistribution", "UniformKeys", "ZipfKeys", "HotspotKeys", "DriftKeys",
-        "WorkloadSpec", "LatencyStats", "WorkloadReport", "run_closed_loop",
-        "run_open_loop",
     ),
     "repro.catalog": ("build_query_engine",),
     "repro.service.frontend": (

@@ -502,8 +502,8 @@ class Dataset:
         ``version``, ``mutable``) plus ``kinds`` mapping each served kind to
         its :meth:`~repro.service.engine.SchemeStats.stats_snapshot` dict.
         The supported way to read serving counters for one session --
-        callers (examples, tests, the workload driver's per-run window)
-        never reach into ``engine.stats().per_kind`` directly.
+        callers (examples, tests, a benchmark's per-run window) never
+        reach into ``engine.stats().per_kind`` directly.
         """
         per_kind = self._engine.stats().stats_snapshot()["per_kind"]
         served = set(self.kinds)

@@ -180,8 +180,7 @@ class SchemeStats:
     def stats_snapshot(self) -> Dict[str, Any]:
         """A plain JSON-serializable dict of every counter plus ``hit_rate``.
 
-        The stable read surface for drivers and dashboards (the workload
-        harness correlates latency with these per run window); field names
+        The stable read surface for drivers and dashboards; field names
         match the dataclass attributes exactly.
         """
         snapshot = dict(asdict(self))
@@ -238,8 +237,8 @@ class EngineStats:
         ``per_kind`` maps each kind to its
         :meth:`SchemeStats.stats_snapshot`, ``cache`` carries the
         :class:`~repro.service.cache.CacheStats` counters, and the folded
-        totals ride along -- so callers (the workload driver, monitoring)
-        never reach into engine internals or dataclass attributes.
+        totals ride along -- so callers (a load driver, monitoring) never
+        reach into engine internals or dataclass attributes.
         """
         return {
             "per_kind": {

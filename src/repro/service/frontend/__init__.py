@@ -25,8 +25,8 @@ share nothing in memory but everything on disk:
   rest load the same bytes by key.
 * :mod:`~repro.service.frontend.client` -- :class:`RemoteClient` /
   :class:`RemoteDataset`, the sync client whose sessions duck-type
-  :class:`~repro.service.dataset.Dataset` so the workload drivers run
-  against the front unchanged.
+  :class:`~repro.service.dataset.Dataset` so code written against a local
+  session runs against the front unchanged.
 
 Names are resolved on first access (:mod:`repro._lazy`), which is what keeps
 the three process roles apart: a worker importing
@@ -38,6 +38,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.service.frontend.server": ("Gateway", "GatewayConfig", "ServingFront"),
-    "repro.service.frontend.client": ("RemoteClient", "RemoteDataset", "drive_batches"),
+    "repro.service.frontend.client": ("RemoteClient", "RemoteDataset"),
     "repro.service.frontend.supervisor": ("Supervisor",),
 })

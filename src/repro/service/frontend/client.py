@@ -1,19 +1,17 @@
 """Sync client for the serving front.
 
 :class:`RemoteClient` speaks the frame protocol over TCP with one
-connection *per calling thread* (thread-local sockets: the workload
-drivers run N closed-loop threads, and each gets its own pipelined-free,
-request-response stream).  :meth:`RemoteClient.attach` returns a
-:class:`RemoteDataset` that duck-types the local
-:class:`~repro.service.dataset.Dataset` session surface the workload
-harness binds against -- ``kinds`` / ``name`` / ``mutable`` /
-``dataset()`` / ``query`` / ``query_batch`` / ``apply_changes`` /
-``stats`` / ``detach`` -- so ``run_closed_loop`` / ``run_open_loop``
-drive the front end with unchanged specs and distributions::
+connection *per calling thread* (thread-local sockets: N closed-loop
+caller threads each get their own pipelined-free, request-response
+stream).  :meth:`RemoteClient.attach` returns a :class:`RemoteDataset`
+that duck-types the local :class:`~repro.service.dataset.Dataset` session
+surface -- ``kinds`` / ``name`` / ``mutable`` / ``dataset()`` / ``query`` /
+``query_batch`` / ``apply_changes`` / ``stats`` / ``detach`` -- so code
+written against a local session runs against the front unchanged::
 
     client = RemoteClient(*front.address)
     ds = client.attach("events", data, kinds=["list-membership"], mutable=True)
-    report = run_closed_loop(ds, spec, threads=4, operations=10_000)
+    ds.query("list-membership", 7)
 
 Structured error frames re-raise as their library exception classes
 (:func:`~repro.service.frontend.protocol.raise_remote`); transport
@@ -37,11 +35,6 @@ Writes (``attach`` / ``apply_changes`` / ``detach``) never retry and
 never resend after a reconnect: a lost connection mid-write may or may
 not have applied, and answers must never be silently wrong -- the
 failure surfaces as :class:`~repro.core.errors.ProtocolError`.
-
-:func:`drive_batches` is the module-level load generator used by the
-scaling benchmark and CI: importable by name, so ``multiprocessing`` can
-spawn one generator per process and the client side of the measurement
-scales past one GIL just like the worker side does.
 """
 
 from __future__ import annotations
@@ -60,7 +53,7 @@ from repro.core.errors import (
 )
 from repro.service.frontend import protocol
 
-__all__ = ["RemoteClient", "RemoteDataset", "drive_batches"]
+__all__ = ["RemoteClient", "RemoteDataset"]
 
 #: Ops safe to resend: reads with no server-side effects.
 _IDEMPOTENT_OPS = frozenset({"ping", "query", "query_batch", "stats"})
@@ -83,7 +76,7 @@ class RemoteClient:
     ):
         self._host = host
         self._port = port
-        self._codec = protocol.default_codec() if codec is None else codec
+        self._codec = protocol.CODEC_JSON if codec is None else codec
         self._timeout = timeout
         self._max_frame_bytes = max_frame_bytes
         #: Default end-to-end budget attached to every request; None means
@@ -262,14 +255,6 @@ class RemoteClient:
     def ping(self) -> bool:
         return self.request("ping", dataset="") == "pong"
 
-    def query_batch_for(self, dataset: str,
-                        pairs: Iterable[Tuple[str, Any]]) -> List[Any]:
-        """``query_batch`` without holding a :class:`RemoteDataset`."""
-        return self.request(
-            "query_batch", dataset=dataset,
-            value={"pairs": [tuple(pair) for pair in pairs]},
-        )
-
     def attach(
         self,
         name: str,
@@ -315,10 +300,8 @@ class RemoteClient:
 class RemoteDataset:
     """The remote twin of a :class:`~repro.service.dataset.Dataset` session.
 
-    ``dataset()`` returns the locally held attach payload -- the same
-    bind-time snapshot semantics the local harness has (templates bind
-    against content as of binding; later remote writes do not re-shape
-    already-bound templates).
+    ``dataset()`` returns the locally held attach payload: the content as
+    of attach time, which later remote writes do not change.
     """
 
     def __init__(self, client: RemoteClient, name: str, kinds: List[str],
@@ -387,57 +370,3 @@ class RemoteDataset:
     def __exit__(self, *exc_info: Any) -> None:
         self.detach()
 
-
-def drive_batches(
-    host: str,
-    port: int,
-    batches: Sequence[Sequence[Tuple[str, Any]]],
-    *,
-    dataset: str,
-    threads: int = 1,
-    codec: Optional[int] = None,
-) -> Dict[str, Any]:
-    """Pump pre-generated query batches through the front, full tilt.
-
-    Splits ``batches`` round-robin across ``threads`` connections and
-    sends each as one ``query_batch`` frame.  Returns aggregate counts --
-    ``queries``, ``batches``, ``errors``, ``degraded``, ``wrong`` is left
-    to the caller since only it knows expected answers.  Runs inside load
-    generator *processes* for the scaling benchmark (module-level, so
-    ``multiprocessing`` spawn can import it by name).
-    """
-    client = RemoteClient(host, port, codec=codec)
-    counts = {"queries": 0, "batches": 0, "errors": 0, "degraded": 0}
-    counts_lock = threading.Lock()
-    answers: Dict[int, List[Any]] = {}
-
-    def run(thread_index: int) -> None:
-        local = {"queries": 0, "batches": 0, "errors": 0, "degraded": 0}
-        got: List[Any] = []
-        for index in range(thread_index, len(batches), threads):
-            batch = batches[index]
-            try:
-                result = client.query_batch_for(dataset, batch)
-            except Exception:
-                local["errors"] += 1
-                got.append(None)
-                continue
-            local["batches"] += 1
-            local["queries"] += len(batch)
-            local["degraded"] += sum(
-                1 for answer in result if getattr(answer, "partial", False)
-            )
-            got.append(result)
-        with counts_lock:
-            for key, delta in local.items():
-                counts[key] += delta
-            answers[thread_index] = got
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
-    for thread in workers:
-        thread.start()
-    for thread in workers:
-        thread.join()
-    client.close()
-    counts["answers"] = [answers[i] for i in range(threads)]
-    return counts

@@ -4,7 +4,7 @@ One frame on the wire::
 
     magic    2 bytes   b"PF"
     version  u8        PROTOCOL_VERSION (the only version accepted)
-    codec    u8        0 = JSON, 1 = msgpack (msgpack only if installed)
+    codec    u8        0 = JSON (the one codec; any other byte is refused)
     hlen     u16 BE    header byte length
     blen     u32 BE    body byte length
     header   hlen bytes   codec-encoded *plain* dict (op, rid, dataset, ok)
@@ -28,10 +28,10 @@ Bodies are encoded through a small tagged codec (:func:`encode_value` /
 :func:`decode_value`) that round-trips everything the serving surface
 speaks -- tuples vs lists, sets, bytes, the change dataclasses of
 :mod:`repro.incremental.changes` and
-:class:`~repro.service.faults.DegradedAnswer` -- under both JSON and
-msgpack.  msgpack is optional: when the package is absent the codec byte
-simply never says 1, and a peer sending msgpack gets a structured
-:class:`~repro.core.errors.ProtocolError` back.
+:class:`~repro.service.faults.DegradedAnswer` -- as JSON.  The codec byte
+stays in the prefix so a second codec would not need a new frame layout,
+but exactly one is spoken: a frame or call naming any other byte gets a
+structured :class:`~repro.core.errors.ProtocolError` back that names it.
 
 Errors travel as structured frames: ``{"type": <exception class name>,
 "message": ...}`` with ``ok=False`` in the header.  :func:`raise_remote`
@@ -66,20 +66,13 @@ from repro.incremental.changes import (
 )
 from repro.service.faults import DegradedAnswer
 
-try:  # pragma: no cover - exercised only where msgpack is installed
-    import msgpack  # type: ignore[import-not-found]
-except ImportError:  # pragma: no cover - the baked image has no msgpack
-    msgpack = None
-
 __all__ = [
     "PROTOCOL_VERSION",
     "MAGIC",
     "CODEC_JSON",
-    "CODEC_MSGPACK",
     "DEFAULT_MAX_FRAME_BYTES",
     "MAX_FRAME_BYTES",
     "REQUEST_OPS",
-    "default_codec",
     "encode_value",
     "decode_value",
     "encode_body",
@@ -97,7 +90,6 @@ MAGIC = b"PF"
 #: header field).
 PROTOCOL_VERSION = 2
 CODEC_JSON = 0
-CODEC_MSGPACK = 1
 #: 8 MiB: comfortably holds a 2^16-element attach payload or a
 #: multi-thousand-query batch, small enough that one bad peer cannot make
 #: the gateway buffer unboundedly.
@@ -124,16 +116,11 @@ _CHANGE_TYPES: Dict[str, type] = {
 }
 
 
-def default_codec() -> int:
-    """msgpack when available, JSON otherwise."""
-    return CODEC_MSGPACK if msgpack is not None else CODEC_JSON
-
-
 # -- tagged value codec --------------------------------------------------------
 #
 # Scalars pass through; containers and domain types become {"$": tag, ...}
-# dicts, which both JSON and msgpack carry natively.  Decode rejects
-# unknown tags instead of guessing.
+# dicts, which JSON carries natively.  Decode rejects unknown tags instead
+# of guessing.
 
 
 def encode_value(value: Any) -> Any:
@@ -195,8 +182,7 @@ def decode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, list):
-        # msgpack may deliver arrays where JSON delivered them too; bare
-        # arrays only occur inside tags, so reject them at top level.
+        # Bare arrays only occur inside tags, so reject them at top level.
         raise ProtocolError("bare array outside a tagged container")
     if not isinstance(value, dict):
         raise ProtocolError(f"undecodable wire value of type {type(value).__name__}")
@@ -236,31 +222,27 @@ def decode_value(value: Any) -> Any:
     raise ProtocolError(f"unknown wire tag {tag!r}")
 
 
+def _check_codec(codec: int) -> None:
+    if codec != CODEC_JSON:
+        # Byte 1 once named a second codec; tell a peer that sends it which.
+        name = " (msgpack)" if codec == 1 else ""
+        raise ProtocolError(
+            f"unsupported codec byte {codec}{name}; this side speaks "
+            f"JSON (codec {CODEC_JSON}) only"
+        )
+
+
 def _dumps(obj: Any, codec: int) -> bytes:
-    if codec == CODEC_JSON:
-        return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
-    if codec == CODEC_MSGPACK:
-        if msgpack is None:
-            raise ProtocolError("msgpack codec requested but msgpack is not installed")
-        return msgpack.packb(obj, use_bin_type=True)  # pragma: no cover
-    raise ProtocolError(f"unknown codec {codec}")
+    _check_codec(codec)
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
 def _loads(raw: bytes, codec: int) -> Any:
+    _check_codec(codec)
     try:
-        if codec == CODEC_JSON:
-            return json.loads(raw.decode("utf-8"))
-        if codec == CODEC_MSGPACK:
-            if msgpack is None:
-                raise ProtocolError(
-                    "peer sent msgpack but msgpack is not installed here"
-                )
-            return msgpack.unpackb(raw, raw=False)  # pragma: no cover
-    except ProtocolError:
-        raise
+        return json.loads(raw.decode("utf-8"))
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
-    raise ProtocolError(f"unknown codec {codec}")
 
 
 def encode_body(value: Any, codec: int = CODEC_JSON) -> bytes:
@@ -317,8 +299,7 @@ def _parse_prefix(
             f"unsupported protocol version {version}; this side speaks "
             f"{PROTOCOL_VERSION}"
         )
-    if codec not in (CODEC_JSON, CODEC_MSGPACK):
-        raise ProtocolError(f"unknown codec byte {codec}")
+    _check_codec(codec)
     if _PREFIX.size + hlen + blen > max_frame_bytes:
         raise ProtocolError(
             f"frame of {_PREFIX.size + hlen + blen} bytes exceeds the "

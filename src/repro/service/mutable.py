@@ -197,10 +197,10 @@ class VersionedStructures:
     """Left-right versioned snapshot publication for mutable serving.
 
     A reader--writer latch on the read path inflates read p999 ~3x under a
-    90/10 read/write mix (writer-preferring queueing; the
-    ``read_write_90_10`` section ``benchmarks/bench_case15_workloads.py``
-    writes gates the ratio).  This class keeps readers out of the lock
-    protocol entirely:
+    90/10 read/write mix (writer-preferring queueing; the read-tail test in
+    ``tests/chaos/test_chaos_scenarios.py`` gates the ratio against a
+    pure-read control).  This class keeps readers out of the lock protocol
+    entirely:
 
     * **Readers** pin the current :class:`_Version` record lock-free: load
       :attr:`current`, announce its number in a per-thread slot, re-check

@@ -16,7 +16,9 @@ The suite is deselected from tier-1 by the ``chaos`` marker (see
 from __future__ import annotations
 
 import os
+import random
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -574,9 +576,12 @@ def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path):
         try:
             ds = client.attach("d", data, kinds=["list-membership"])
             count = 8
+            slowest = 0.0
             start = time.monotonic()
             for query in range(count):
+                began = time.monotonic()
                 assert ds.query("list-membership", query) is (query in expected)
+                slowest = max(slowest, time.monotonic() - began)
             elapsed = time.monotonic() - start
             health = front.supervisor.health()
             assert health["hedged_requests"] >= 1
@@ -585,8 +590,62 @@ def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path):
             # Round-robin parks ~half the reads on the slow worker; without
             # hedging that alone costs ~(count / 2) * slow seconds.
             assert elapsed < (count / 2) * slow
+            # And the race caps each read, not just their sum: none waits
+            # out even half the injected delay.
+            assert slowest < 0.5 * slow
         finally:
             client.close()
+
+
+# -- no plan armed: the disturbance is a writer ----------------------------------
+
+READ_TAIL_SIZE = 2**12
+READ_TAIL_OPS = 6000  # per thread: >= 10 samples beyond the pooled read p999
+
+
+def _pooled_read_p999(ds, write_every):
+    """Two threads over one mutable session; every ``write_every``-th op of
+    each is a one-row insert (0 = never).  The p999 of all read latencies."""
+
+    def loop(worker):
+        rng = random.Random(CHAOS_SEED * 2 + worker)
+        samples = []
+        for step in range(READ_TAIL_OPS):
+            if write_every and step % write_every == write_every - 1:
+                ds.apply_changes([_insert(READ_TAIL_SIZE + 2 * step + worker)])
+                continue
+            query = rng.randrange(2 * READ_TAIL_SIZE)
+            began = time.perf_counter()
+            ds.query("list-membership", query)
+            samples.append(time.perf_counter() - began)
+        return samples
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        futures = [pool.submit(loop, worker) for worker in range(2)]
+        # result() re-raises whatever its thread raised
+        samples = sorted(s for future in futures for s in future.result(timeout=120))
+    return samples[int(0.999 * (len(samples) - 1))]
+
+
+def test_writers_do_not_multiply_the_mutable_read_tail():
+    """90/10 read/write against a pure-read control on an identical mutable
+    session: readers pin published versions without a lock, so writers in
+    the mix may cost the read p999 at most 2x the control's.  A tail timing,
+    hence chaos-marked: on a 2-core host the ratio wanders 0.4-2.5x around
+    a ~25 us p999, so the absolute guard ignores gaps under 200 us (seen:
+    within +-50 us), while reads put back behind the writer mutex open a
+    0.5-4 ms gap at 14-80x."""
+    data = tuple(range(READ_TAIL_SIZE))
+    with build_query_engine() as engine:
+        control_ds = engine.attach("control", data, kinds=["list-membership"], mutable=True)
+        control = _pooled_read_p999(control_ds, write_every=0)
+        mixed_ds = engine.attach("mixed", data, kinds=["list-membership"], mutable=True)
+        mixed = _pooled_read_p999(mixed_ds, write_every=10)
+        assert mixed_ds.version == 2 * (READ_TAIL_OPS // 10)
+    assert mixed <= 2.0 * control or mixed - control <= 200e-6, (
+        f"90/10 read p999 {mixed * 1e6:.0f} us vs pure-read control "
+        f"{control * 1e6:.0f} us: the mutable read path must stay lock-free"
+    )
 
 
 # -- registry completeness -----------------------------------------------------

@@ -8,9 +8,9 @@ dataset names so order does not matter.  The headline assertions:
   apply_changes / stats / detach) with answers identical to a local
   engine's,
 * remote errors re-raise as their library classes,
-* the workload drivers (closed- and open-loop) run unchanged against a
-  :class:`RemoteDataset` with zero errors and zero client protocol
-  errors -- the satellite-f duck-typing contract.
+* a reader thread and a writer thread share one mutable
+  :class:`RemoteDataset` with zero errors, every write read back, and
+  zero client protocol errors.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -30,7 +31,6 @@ import pytest
 from repro.core.errors import DeadlineExceededError, ProtocolError, UnknownDatasetError
 from repro.incremental.changes import ChangeKind, TupleChange
 from repro.service.frontend import RemoteClient, ServingFront, protocol
-from repro.workloads import UniformKeys, WorkloadSpec, ZipfKeys, run_closed_loop, run_open_loop
 
 
 @pytest.fixture(scope="module")
@@ -155,20 +155,29 @@ def test_answers_match_a_local_reference(client):
         assert answers == [q in reference for q in queries]
 
 
-def test_closed_loop_driver_runs_unchanged_remotely(client):
-    data = tuple(range(256))
-    spec = WorkloadSpec(
-        mix={"list-membership": 1.0},
-        write_ratio=0.1,
-        distribution=ZipfKeys(1.1),
-        seed=7,
-    )
-    with client.attach("wl-closed", data, kinds=["list-membership"],
+def test_reader_and_writer_threads_share_a_mutable_remote_dataset(client):
+    """Two caller threads, each on its own connection: one only reads, the
+    other inserts and reads its own write back.  No call raises, every
+    batch is acknowledged in order, and the client saw no protocol error."""
+    writes = 12
+    with client.attach("rw-threads", tuple(range(256)), kinds=["list-membership"],
                        mutable=True) as ds:
-        report = run_closed_loop(ds, spec, threads=2, operations=120)
-    assert report.errors == {}
-    assert report.operations == 120
-    assert report.writes >= 1
+
+        def reader():
+            for value in range(120):
+                assert ds.query("list-membership", value % 256) is True
+
+        def writer():
+            for step in range(writes):
+                ack = ds.apply_changes(
+                    [TupleChange(ChangeKind.INSERT, (1000 + step,))])
+                assert ack["version"] == step + 1
+                assert ds.query("list-membership", 1000 + step) is True
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for future in [pool.submit(reader), pool.submit(writer)]:
+                future.result(timeout=60)  # re-raises what its thread raised
+        assert ds.stats()["version"] == writes
     assert client.protocol_errors == 0
 
 
@@ -257,20 +266,6 @@ def test_journal_checkpoints_and_drain_rehomes(tmp_path):
             ack = ds.apply_changes([TupleChange(ChangeKind.INSERT, (200,))])
             assert ack["version"] == 2
             assert ds.query("list-membership", 200) is True
-
-
-def test_open_loop_driver_runs_unchanged_remotely(client):
-    data = tuple(range(256))
-    spec = WorkloadSpec(
-        mix={"list-membership": 1.0},
-        distribution=UniformKeys(),
-        seed=3,
-    )
-    with client.attach("wl-open", data, kinds=["list-membership"]) as ds:
-        report = run_open_loop(ds, spec, schedule=[(150.0, 0.4)], concurrency=2)
-    assert report.errors == {}
-    assert report.operations >= 1
-    assert client.protocol_errors == 0
 
 
 _ORPHAN_FRONT = """

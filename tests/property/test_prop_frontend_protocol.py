@@ -35,10 +35,8 @@ from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleC
 from repro.service.faults import DegradedAnswer
 from repro.service.frontend import protocol
 
-#: Codecs available in this environment (msgpack only when installed).
-CODECS = [protocol.CODEC_JSON] + (
-    [protocol.CODEC_MSGPACK] if protocol.msgpack is not None else []
-)
+#: Every codec the format speaks.
+CODECS = [protocol.CODEC_JSON]
 
 scalars = (
     st.none()
@@ -223,15 +221,16 @@ def test_unencodable_value_and_unknown_tag_rejected():
         protocol.decode_value([1, 2, 3])
 
 
-@pytest.mark.skipif(protocol.msgpack is not None, reason="msgpack installed")
 def test_msgpack_codec_without_msgpack_is_a_structured_error():
-    with pytest.raises(ProtocolError, match="msgpack"):
-        protocol.encode_body(1, protocol.CODEC_MSGPACK)
+    """Codec byte 1 is refused by name, in a call and in a frame prefix."""
+    with pytest.raises(ProtocolError, match=r"codec byte 1 \(msgpack\)"):
+        protocol.encode_body(1, 1)
+    with pytest.raises(ProtocolError, match=r"codec byte 1 \(msgpack\)"):
+        protocol.decode_body(b"1", 1)
     raw = protocol.pack_frame({"op": "ping", "rid": 1, "dataset": ""}, None)
-    tampered = raw[:3] + bytes([protocol.CODEC_MSGPACK]) + raw[4:]
-    with pytest.raises(ProtocolError, match="msgpack"):
+    tampered = raw[:3] + bytes([1]) + raw[4:]
+    with pytest.raises(ProtocolError, match=r"codec byte 1 \(msgpack\)"):
         protocol.unpack_frame(tampered)
-    assert protocol.default_codec() == protocol.CODEC_JSON
 
 
 # -- structured error mapping --------------------------------------------------

@@ -50,6 +50,7 @@ def test_attach_serves_all_registered_kinds_by_default():
         ds = engine.attach("events", data)
         assert ds.kinds == ["membership", "rmq"]
         assert ds.name == "events" and not ds.mutable and ds.version == 0
+        assert ds.dataset() is data  # immutable: the snapshot is the payload
         assert ds.query("membership", 17) is True
         assert ds.query("membership", 99) is False
         assert ds.query("rmq", (4, 9, 4)) is True  # ascending: argmin is 4

@@ -37,7 +37,6 @@ ENGINE_SIDE = (
     "repro.indexes",
     "repro.queries",
     "repro.catalog",
-    "repro.workloads",
     "repro.service.engine",
     "repro.service.dataset",
     "repro.service.mutable",

@@ -230,7 +230,6 @@ def test_curated_surface_exports_resolve():
     from repro.catalog import build_query_engine as factory
 
     assert service.build_query_engine is factory
-    assert issubclass(service.WorkloadError, service.ReproError)
     with pytest.raises(AttributeError, match="no attribute"):
         service.definitely_not_exported
     # The superseded generations are gone, not wrapped.  Their names are
@@ -251,6 +250,35 @@ def test_curated_surface_exports_resolve():
         ]
     for snapshot in snapshots:
         assert not [key for key in snapshot if key.startswith("fingerprint_")]
+
+
+def test_dataset_stats_is_the_sessions_slice():
+    with build_query_engine() as engine:
+        ds = engine.attach("events", tuple(range(32)), kinds=["list-membership"])
+        other = engine.attach(
+            "arrays", tuple(range(32)), kinds=["minimum-range-query"]
+        )
+        ds.query("list-membership", 5)
+        other.query("minimum-range-query", (0, 31, 0))
+        stats = ds.stats()
+        assert stats["dataset"] == "events"
+        assert stats["mutable"] is False and stats["version"] == 0
+        assert set(stats["kinds"]) == {"list-membership"}  # no other session's kinds
+        assert stats["kinds"]["list-membership"]["queries"] >= 1
+        assert json.loads(json.dumps(stats)) == stats
+
+
+def test_engine_stats_snapshot_shape():
+    with build_query_engine() as engine:
+        ds = engine.attach("events", tuple(range(32)), kinds=["list-membership"])
+        ds.query("list-membership", 5)
+        snapshot = engine.stats().stats_snapshot()
+        assert snapshot["total_queries"] == 1
+        assert "hit_rate" in snapshot["cache"]
+        membership = snapshot["per_kind"]["list-membership"]
+        assert membership["queries"] == 1
+        assert 0.0 <= membership["hit_rate"] <= 1.0
+        assert json.loads(json.dumps(snapshot)) == snapshot
 
 
 def test_unknown_kind_raises_service_error():
