@@ -36,7 +36,7 @@ from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
-from repro.indexes.columns import pack, unpack
+from repro.indexes.columns import pack, pack_sorted, unpack
 
 __all__ = ["BPlusTree"]
 
@@ -479,7 +479,8 @@ class BPlusTree:
         The leaf chain concatenates into the three columns a leaf already
         holds a slice of: the distinct ``keys`` in order, the payload
         ``counts`` per key, and every payload in key order in ``payloads``
-        -- each packed to machine words when it is a plain-int run.  The
+        -- each packed to machine words when it is a plain-int run, the keys
+        (a sorted run) gap-coded.  The
         internal structure is *not* stored (:meth:`from_state` rebuilds it
         bottom-up in linear time).
         """
@@ -492,7 +493,7 @@ class BPlusTree:
             payloads.extend(node.values)
         return {
             "order": self.order,
-            "keys": pack(keys),
+            "keys": pack_sorted(keys),
             "counts": pack(counts),
             "payloads": pack(payloads),
         }

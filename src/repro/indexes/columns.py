@@ -5,15 +5,19 @@ indices below a bound fixed at build time, so they are ``array.array`` -- a
 machine word per entry, not a pointer to a boxed ``int`` -- in memory and in
 ``to_state`` alike.  *Value* runs hold whatever the dataset holds: lists in
 memory (``bisect`` and indexing are faster over a list), packed for
-``to_state`` only when every element is a plain ``int`` in a machine word.
+``to_state`` only when every element is a plain ``int`` in a machine word;
+a *sorted* run is stored as its first value plus its gaps when the gaps take
+a narrower word than the values do.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Any, Iterable, List, Sequence, Union
+from itertools import accumulate, islice
+from operator import sub
+from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["positions", "pack", "unpack"]
+__all__ = ["positions", "pack", "pack_sorted", "unpack"]
 
 
 def positions(entries: Iterable[int], bound: int) -> array:
@@ -25,6 +29,17 @@ def positions(entries: Iterable[int], bound: int) -> array:
     raise OverflowError(f"no machine word holds positions below {bound}")
 
 
+def _narrowest(values: Sequence[int], codes: str = "BbHhIiQq") -> Optional[array]:
+    """``values`` (plain ints, not empty) in the first of ``codes`` that
+    holds them all, or None."""
+    for code in codes:
+        try:
+            return array(code, values)  # fails at its first misfit
+        except OverflowError:
+            continue
+    return None
+
+
 def pack(values: Sequence[Any]) -> Union[array, List[Any]]:
     """``values`` in the narrowest typecode that holds them, else a list copy.
 
@@ -34,14 +49,37 @@ def pack(values: Sequence[Any]) -> Union[array, List[Any]]:
     ``'H'`` fits would *grow* the artifact.
     """
     if values and set(map(type, values)) == {int}:
-        for code in "BbHhIiQq":
-            try:
-                return array(code, values)  # fails at its first misfit
-            except OverflowError:
-                continue
+        return _narrowest(values) or list(values)
     return list(values)
 
 
-def unpack(column: Union[array, Sequence[Any]]) -> List[Any]:
-    """The value list a :func:`pack` result (or a plain list) stands for."""
+def pack_sorted(values: Sequence[Any]) -> Union[Tuple[int, array], array, List[Any]]:
+    """``(first value, gaps)`` for a non-decreasing plain-``int`` run whose
+    gaps fit a strictly narrower typecode than the values; else :func:`pack`.
+
+    The two ends of a sorted run fix :func:`pack`'s answer for all of it, and
+    a negative gap (the run was not sorted) fits no unsigned code.
+    """
+    if not values or set(map(type, values)) != {int}:
+        return list(values)
+    ends = _narrowest((values[0], values[-1]))
+    if ends is not None and ends.itemsize > 1 and len(values) > 1:
+        gaps = map(sub, islice(values, 1, None), values)
+        try:  # the dense case in one pass: ``bytes`` takes only [0, 256)
+            return values[0], array("B", bytes(gaps))
+        except ValueError:
+            gaps = list(map(sub, islice(values, 1, None), values))
+        # The unsigned codes above a byte that are narrower than the values'.
+        column = _narrowest(gaps, "HI"[: "BHIQ".index(ends.typecode.upper()) - 1])
+        if column is not None:
+            return values[0], column
+    return _narrowest(values) or list(values)
+
+
+def unpack(column: Union[Tuple[int, array], array, Sequence[Any]]) -> List[Any]:
+    """The value list a :func:`pack` / :func:`pack_sorted` result (or a plain
+    list) stands for; the gap form is one C-speed running sum."""
+    if isinstance(column, tuple):
+        first, gaps = column
+        return list(accumulate(gaps, initial=first))
     return list(column)

@@ -205,14 +205,16 @@ class FischerHeunRMQ:
 
     def to_state(self) -> dict:
         """Plain-data snapshot: array, per-block columns, in-block tables by
-        signature (in id order) and the summary, so load restores O(1) queries."""
+        signature (in id order) and the summary's levels (its values are a
+        gather of ``array`` through ``block_argmin``), so load restores O(1)
+        queries."""
         return {
             "array": columns.pack(self._array),
             "block_size": self._block_size,
             "block_argmin": self._block_argmin[:],
             "block_table": self._block_table[:],
             "tables": {sig: self._tables[i] for sig, i in self._table_ids.items()},
-            "summary": self._summary.to_state(),
+            "summary": self._summary.to_state()["levels"],
         }
 
     @classmethod
@@ -225,5 +227,6 @@ class FischerHeunRMQ:
         rmq._block_table = columns.positions(state["block_table"], n)
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
-        rmq._summary = SparseTable.from_state(state["summary"])
+        minima = list(map(rmq._array.__getitem__, rmq._block_argmin))
+        rmq._summary = SparseTable.from_state({"array": minima, "levels": state["summary"]})
         return rmq

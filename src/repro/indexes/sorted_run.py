@@ -106,8 +106,8 @@ class SortedRunIndex(Generic[K]):
 
     def to_state(self) -> dict:
         """Plain-data snapshot; the run is stored sorted so load skips the
-        sort, and packed (see :mod:`repro.indexes.columns`) when all-int."""
-        return {"run": columns.pack(self._run)}
+        sort, and gap-coded (see :mod:`repro.indexes.columns`) when all-int."""
+        return {"run": columns.pack_sorted(self._run)}
 
     @classmethod
     def from_state(cls, state: dict) -> "SortedRunIndex":

@@ -138,16 +138,19 @@ class SparseTable:
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot: the array plus every precomputed level, so
-        load restores O(1) queries without redoing the O(n log n) build."""
-        return {"array": columns.pack(self._array), "levels": [level[:] for level in self._levels]}
+        """Plain-data snapshot: the array plus every precomputed level above
+        the identity (one ``range`` at load), so load restores O(1) queries
+        without redoing the O(n log n) build."""
+        levels = [level[:] for level in self._levels[1:]]
+        return {"array": columns.pack(self._array), "levels": levels}
 
     @classmethod
     def from_state(cls, state: dict) -> "SparseTable":
         table = cls.__new__(cls)
         table._array = columns.unpack(state["array"])
         n = len(table._array)
-        table._levels = [columns.positions(level, n) for level in state["levels"]]
+        levels = (list(range(n)), *state["levels"])
+        table._levels = [columns.positions(level, n) for level in levels]
         return table
 
 

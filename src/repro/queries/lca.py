@@ -125,7 +125,7 @@ def euler_tour_scheme() -> PiScheme:
         description="Euler tour + sparse-table RMQ (O(1) LCA)",
         dump=dump,
         load=load,
-        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
+        artifact_version=3,  # v3: sparse-table level 0 derived at load
     )
 
 

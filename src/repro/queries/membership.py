@@ -18,7 +18,13 @@ from repro.core.language import DecisionProblem
 from repro.core.query import PiScheme, QueryClass, state_codec
 from repro.incremental.changes import ChangeKind, TupleChange
 from repro.indexes.sorted_run import SortedRunIndex
-from repro.service.merge import ShardPiece, ShardSpec, stable_bucket, union_merge
+from repro.service.merge import (
+    ShardPiece,
+    ShardSpec,
+    stable_bucket,
+    stable_buckets,
+    union_merge,
+)
 
 __all__ = [
     "membership_class",
@@ -69,8 +75,8 @@ def _split_list(data: ListData, shards: int) -> List[ShardPiece]:
     """Hash-partition M into ``shards`` buckets (all K pieces kept, possibly
     empty, so the element router can index by bucket)."""
     buckets: List[List[int]] = [[] for _ in range(shards)]
-    for value in data:
-        buckets[stable_bucket(value, shards)].append(value)
+    for value, bucket in zip(data, stable_buckets(data, shards)):
+        buckets[bucket].append(value)
     return [
         ShardPiece(index=i, count=shards, data=tuple(bucket))
         for i, bucket in enumerate(buckets)
@@ -140,7 +146,7 @@ def sorted_run_scheme() -> PiScheme:
         description="sort M, then O(log|M|) binary search (Section 4(2))",
         dump=dump,
         load=load,
-        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
+        artifact_version=3,  # v3: gap-coded run (indexes/columns.pack_sorted)
         sharding=membership_shard_spec(),
         apply_delta=_apply_list_delta,
         evaluate_fast=SortedRunIndex.contains_fast,

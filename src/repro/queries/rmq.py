@@ -188,7 +188,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
+        artifact_version=3,  # v3: level 0 (and the summary's values) derived at load
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,
@@ -217,7 +217,7 @@ def sparse_table_scheme() -> PiScheme:
         description="dyadic-window sparse table (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=2,  # v2: typed-column state (indexes/columns.py)
+        artifact_version=3,  # v3: level 0 derived at load
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

@@ -26,7 +26,7 @@ from repro.service.merge import (
     ShardPiece,
     ShardSpec,
     locate_by_content,
-    stable_bucket,
+    stable_buckets,
     union_merge,
 )
 from repro.storage.relation import Relation, uniform_int_relation
@@ -124,8 +124,9 @@ def _split_relation(relation: Relation, shards: int) -> List[ShardPiece]:
     route, so selection scatters to every shard.
     """
     buckets = [Relation(relation.schema) for _ in range(shards)]
-    for row in relation.rows():
-        buckets[stable_bucket(row, shards)].insert(row)
+    rows = relation.rows()
+    for row, bucket in zip(rows, stable_buckets(rows, shards)):
+        buckets[bucket].insert(row)
     return [
         ShardPiece(index=i, count=shards, data=bucket)
         for i, bucket in enumerate(buckets)
@@ -173,7 +174,7 @@ def _per_attribute(index_class) -> tuple:
 #: 4(1)): one structure name, builder, codec and layout version, so one
 #: artifact per relation serves point and range selection.
 _BTREES = _per_attribute(BPlusTree)
-_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=3)
+_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=4)
 
 
 def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:

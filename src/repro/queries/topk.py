@@ -29,13 +29,14 @@ from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
 from repro.core.query import PiScheme, QueryClass, state_codec
 from repro.incremental.changes import ChangeKind, TupleChange
+from repro.indexes.columns import pack, pack_sorted, unpack
 from repro.service.merge import (
     ShardPiece,
     ShardSpec,
     kway_merge,
     locate_by_content,
     merge_sorted_desc,
-    stable_bucket,
+    stable_buckets,
 )
 
 __all__ = ["TopKIndex", "topk_class", "topk_shard_spec", "threshold_algorithm_scheme"]
@@ -147,21 +148,30 @@ class TopKIndex:
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot: id-keyed rows plus the descending sorted lists."""
+        """Plain-data snapshot, as typed columns: the row ids (ascending --
+        ids are issued in order), one score column per attribute, and each
+        descending sorted list as its id column (load re-reads the scores
+        from the rows)."""
         return {
-            "rows": sorted((row_id, tuple(row)) for row_id, row in self.rows.items()),
+            "ids": pack_sorted(list(self.rows)),
+            "scores": [pack(column) for column in zip(*self.rows.values())],
             "next_id": self._next_id,
-            "sorted_lists": [list(entries) for entries in self.sorted_lists],
+            "sorted_lists": [
+                pack([row_id for _score, row_id in entries])
+                for entries in self.sorted_lists
+            ],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "TopKIndex":
         index = cls.__new__(cls)
-        index.rows = {row_id: tuple(row) for row_id, row in state["rows"]}
+        scores = zip(*map(unpack, state["scores"]))
+        rows = index.rows = dict(zip(unpack(state["ids"]), scores))
         index._next_id = int(state["next_id"])
-        index.arity = len(next(iter(index.rows.values())))
+        index.arity = len(state["scores"])
         index.sorted_lists = [
-            [tuple(entry) for entry in entries] for entries in state["sorted_lists"]
+            [(rows[row_id][attribute], row_id) for row_id in unpack(ids)]
+            for attribute, ids in enumerate(state["sorted_lists"])
         ]
         index._ids_by_row = index._derive_ids_by_row()
         return index
@@ -307,8 +317,8 @@ class TopKIndex:
 def _split_table(table: ScoreTable, shards: int) -> List[ShardPiece]:
     """Hash-partition score rows; duplicates co-locate but stay distinct rows."""
     buckets: List[List[Tuple[int, ...]]] = [[] for _ in range(shards)]
-    for row in table:
-        buckets[stable_bucket(row, shards)].append(row)
+    for row, bucket in zip(table, stable_buckets(table, shards)):
+        buckets[bucket].append(row)
     return [
         ShardPiece(index=i, count=shards, data=tuple(bucket))
         for i, bucket in enumerate(buckets)
@@ -458,8 +468,8 @@ def threshold_algorithm_scheme() -> PiScheme:
         description="TA with early termination over sorted score lists [14]",
         dump=dump,
         load=load,
-        # v2: rows became id-keyed (delta maintenance); v1 artifacts never alias.
-        artifact_version=2,
+        # v2: rows became id-keyed (delta maintenance); v3: typed columns.
+        artifact_version=3,
         sharding=topk_shard_spec(),
         apply_delta=_apply_table_delta,
         evaluate_fast=evaluate_fast,

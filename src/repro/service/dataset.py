@@ -495,6 +495,14 @@ class Dataset:
         """Monotonic count of applied change batches (0 when immutable)."""
         return 0 if self._mutable is None else self._mutable.version
 
+    def resume_at(self, version: int) -> None:
+        """Continue the count of the session this content was snapshotted
+        from at ``version``: a re-homed dataset never counts backwards."""
+        if self._mutable is not None:
+            versions = self._mutable._versions
+            with versions.writer_mutex:
+                versions.current.number = max(version, versions.current.number)
+
     def stats(self) -> Dict[str, Any]:
         """This session's slice of the engine's counter snapshot.
 
@@ -915,9 +923,13 @@ class _MutableState:
                 # must never touch a structure shared through the cache.
                 structure = scheme.load(scheme.dump(structure))
             return structure
+        return self._preprocess(kind, content)
+
+    def _preprocess(self, kind: str, content: Any) -> Any:
+        """A private in-memory build: no cache entry, no store artifact."""
         started = time.perf_counter()
-        structure = scheme.preprocess(content, self.tracker)
-        engine._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
+        structure = self._ds.registration_for(kind).scheme.preprocess(content, self.tracker)
+        self._engine._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
         return structure
 
     # -- serving ---------------------------------------------------------------
@@ -1032,11 +1044,19 @@ class _MutableState:
             rebuild_error: Optional[BaseException] = None
             canonical: Any = None
             if rebuild_kinds:
+                # A monolithic rebuild stays in memory and is persisted to
+                # the session's lineage slot like a delta (a content-keyed
+                # artifact per rebuilt version would never be read again);
+                # a sharded one reuses untouched shard artifacts by content.
                 canonical = self._content.canonical()
-                fingerprint = dataset_fingerprint(canonical)
+                fingerprint = None
                 for index, kind in enumerate(rebuild_kinds):
                     try:
-                        fresh = self._build(kind, canonical, fingerprint)
+                        if self._ds.registration_for(kind).shards > 1:
+                            fingerprint = fingerprint or dataset_fingerprint(canonical)
+                            fresh = self._build(kind, canonical, fingerprint)
+                        else:
+                            fresh = self._preprocess(kind, canonical)
                     except Exception as exc:
                         dropped = rebuild_kinds[index:]
                         for late in dropped:
@@ -1083,7 +1103,7 @@ class _MutableState:
                 retired[kind] = self._twin(kind, fresh, canonical)
             if rebuild_error is not None:
                 raise rebuild_error
-            self._schedule_persist(kind for kind, _seconds in delta_kinds)
+            self._schedule_persist([kind for kind, _seconds in delta_kinds] + list(rebuilt))
             screened = len(batch) - len(effective)
             self.log.record(
                 len(effective),

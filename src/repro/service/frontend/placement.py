@@ -102,15 +102,15 @@ class Journal:
 
     def finish_checkpoint(self, ok: bool, body: bytes, codec: int) -> bool:
         """The snapshot came back (or failed).  On success the attach
-        baseline becomes the snapshot content and the journal is
-        truncated; False leaves both as they were."""
+        baseline becomes the snapshot content at the snapshot's version and
+        the journal is truncated; False leaves both as they were."""
         self.checkpointing = False
         if not ok:
             return False
         try:
             snapshot = protocol.decode_body(body, codec)
             params = protocol.decode_body(self.body, self.codec)
-            params["data"] = snapshot["data"]
+            params["data"], params["version"] = snapshot["data"], snapshot["version"]
             self.body = protocol.encode_body(params, self.codec)
         except Exception:
             return False

@@ -132,6 +132,7 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
             shards=params.get("shards", 1),
             mutable=params.get("mutable", False),
         )
+        ds.resume_at(params.get("version", 0))  # a checkpointed baseline's (placement.Journal)
         return {
             "name": ds.name,
             "kinds": list(ds.kinds),

@@ -50,6 +50,7 @@ __all__ = [
     "monoid_merge",
     "kway_merge",
     "stable_bucket",
+    "stable_buckets",
     "locate_by_content",
     "range_blocks",
 ]
@@ -237,6 +238,16 @@ def stable_bucket(value: Any, buckets: int) -> int:
     if buckets < 1:
         raise ValueError("bucket count must be at least 1")
     return zlib.crc32(repr(_canonical(value)).encode("utf-8")) % buckets
+
+
+def stable_buckets(values: Sequence[Any], buckets: int) -> List[int]:
+    """:func:`stable_bucket` of every element, in order: a plain-``int`` run
+    goes through one ``map`` chain of the same function (``repr`` ->
+    ``encode`` -> ``crc32`` -> ``%``), anything else through a call each."""
+    if buckets >= 1 and set(map(type, values)) == {int}:
+        crcs = map(zlib.crc32, map(str.encode, map(repr, values)))
+        return [crc % buckets for crc in crcs]
+    return [stable_bucket(value, buckets) for value in values]
 
 
 def locate_by_content(item: Any, pieces: Sequence["ShardPiece"]) -> Optional[int]:

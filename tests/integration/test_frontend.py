@@ -258,13 +258,11 @@ def test_journal_checkpoints_and_drain_rehomes(tmp_path):
             assert serving.supervisor.health()["drains"] >= 1
 
             # Post-drain, reads see every pre-drain write and new writes
-            # land on the new home.  Note the version counter restarts
-            # from the checkpoint baseline after a re-home: batches 1-4
-            # were folded into the attach body, batch 5 replayed as v1.
+            # land on the new home, at the version the client last saw + 1.
             for value in range(100, 105):
                 assert ds.query("list-membership", value) is True
             ack = ds.apply_changes([TupleChange(ChangeKind.INSERT, (200,))])
-            assert ack["version"] == 2
+            assert ack["version"] == 6
             assert ds.query("list-membership", 200) is True
 
 

@@ -1,11 +1,12 @@
-"""Unit tests for the typed-column state layout (ISSUE 17).
+"""Unit tests for the typed-column state layout (ISSUE 17, 19, 21).
 
 * ``indexes/columns.py`` picks typecodes -- and is the only module that does;
 * packing never loses to pickle on the int ranges the yardstick stores
   (``store_bytes_per_item`` has bound 0), and the one range where a pickled
   list wins by a fraction of a byte is pinned, not hidden;
-* layout floors: dumped bytes per item of the three array schemes and of the
-  per-attribute B+-trees at 2^14;
+* layout floors: dumped bytes per item of the three array schemes, of the
+  per-attribute B+-trees and of the top-k index at 2^14 (ISSUE 21: gap-coded
+  sorted runs, no stored identity level or gathered values);
 * flat-leaf B+-trees (ISSUE 19): build and load allocate per leaf, not per
   entry or per key, and the trees of one relation share their row-id ints;
 * an artifact keyed by the previous layout of each bumped scheme, or written
@@ -43,6 +44,8 @@ from repro.queries import (
     rmq_class,
     sorted_run_scheme,
     sparse_table_scheme,
+    threshold_algorithm_scheme,
+    topk_class,
     tree_lca_class,
 )
 from repro.service.artifacts import MAGIC, ArtifactKey, ArtifactStore
@@ -134,14 +137,15 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
 @pytest.mark.parametrize(
     "make_scheme,ceiling",
     [
-        (sorted_run_scheme, 2.1),  # parent: 3.0
-        (fischer_heun_scheme, 14.4),  # parent: 18.8
-        (sparse_table_scheme, 30.1),  # parent: 41.9
+        (sorted_run_scheme, 1.02),  # parent: 2.006 (PR 16: 3.0)
+        (fischer_heun_scheme, 10.4),  # parent: 11.72 (PR 16: 18.8)
+        (sparse_table_scheme, 26.1),  # parent: 28.03 (PR 16: 41.9)
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table"],
 )
 def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
-    """2^14 ints from [0, 4n): every value and position fits 'H'."""
+    """2^14 ints from [0, 4n): every value and position fits 'H', the sorted
+    run's gaps fit 'B'; no level 0, no summary values (n/3 blocks)."""
     scheme = make_scheme()
     data = tuple(_uniform(4 * N))
     dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
@@ -153,12 +157,26 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
 
 def test_relation_artifact_bytes_per_item_floor():
     """Two trees over 2^14 rows with values below 2^16: per tree ~0.885 n
-    distinct keys in 'H' and their counts in 'B', n row ids in 'H' (a value
-    of 2^16 or more would widen that tree's keys to 'I': 12.9 B/item)."""
+    distinct keys as 'B' gaps and their counts in 'B', n row ids in 'H' (a
+    value of 2^16 or more no longer widens the stored keys)."""
     scheme = btree_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 9.4, len(dumped) / N  # parent: 14.8
+    assert len(dumped) / N <= 7.6, len(dumped) / N  # parent: 9.316 (PR 18: 14.8)
+    wide = uniform_int_relation(N, random.Random(17), value_range=(1 << 20, (1 << 20) + 4 * N))
+    dumped = scheme.dump(scheme.preprocess(wide, CostTracker()))
+    assert len(dumped) / N <= 7.6, len(dumped) / N  # parent: 12.9
+
+
+def test_topk_artifact_bytes_per_item_floor():
+    """2^14 rows of two scores in [0, 1000]: ids as 'B' gaps, two score
+    columns and two sorted id lists in 'H' (parent: a pickled (id, row)
+    list and two pickled (score, id) lists)."""
+    scheme = threshold_algorithm_scheme()
+    rng = random.Random(17)
+    table = tuple((rng.randrange(1001), rng.randrange(1001)) for _ in range(N))
+    dumped = scheme.dump(scheme.preprocess(table, CostTracker()))
+    assert len(dumped) / N <= 9.1, len(dumped) / N  # parent: 27.93
 
 
 def _tracked_objects_left_by(make):
@@ -202,16 +220,17 @@ def test_trees_of_one_relation_share_their_row_id_objects():
 @pytest.mark.parametrize(
     "make_class,make_scheme,version",
     [
-        (membership_class, sorted_run_scheme, 2),
-        (rmq_class, fischer_heun_scheme, 2),
-        (rmq_class, sparse_table_scheme, 2),
-        (tree_lca_class, euler_tour_scheme, 2),
-        (point_selection_class, btree_point_scheme, 3),
-        (range_selection_class, btree_range_scheme, 3),
+        (membership_class, sorted_run_scheme, 3),
+        (rmq_class, fischer_heun_scheme, 3),
+        (rmq_class, sparse_table_scheme, 3),
+        (tree_lca_class, euler_tour_scheme, 3),
+        (point_selection_class, btree_point_scheme, 4),
+        (range_selection_class, btree_range_scheme, 4),
         (point_selection_class, hash_point_scheme, 2),
+        (topk_class, threshold_algorithm_scheme, 3),
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",
-         "btree-point", "btree-range", "hash-point"],
+         "btree-point", "btree-range", "hash-point", "threshold-algorithm"],
 )
 def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, version):
     """Every scheme whose layout changed bumped ``artifact_version``: a file

@@ -235,6 +235,7 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     assert journal.frames() == [(journal.header, journal.body, CODEC)]
     params = protocol.decode_body(journal.body, CODEC)
     assert params["data"] == (1, 2, 3, 9)           # the new baseline...
+    assert params["version"] == 3                   # ...at the snapshot's version
     assert params["kinds"] == ["list-membership"] and params["mutable"] is True
     # ...and every later batch is kept, in order, behind it.
     assert journal.record(*batch(4)) is None

@@ -275,6 +275,48 @@ def test_write_behind_keeps_one_lineage_artifact_per_slot(tmp_path):
         assert scheme.load(store.get(base_key)).argmin(0, 63) == 63
 
 
+def test_fallback_rebuilds_leave_one_lineage_artifact(tmp_path):
+    """A fallback rebuild used to resolve by content: one artifact (and one
+    cache entry) per rebuilt version that nothing reads again.  It now builds
+    in memory and persists to the session's lineage slot like a delta, so k
+    rebuilds leave the store where one left it -- and the latest is loadable
+    by a process that never saw the session."""
+    store = ArtifactStore(tmp_path)
+    kind = "reachability"
+    with build_query_engine(store=store) as engine:
+        ds = _open(engine, kind, Digraph(8, [(0, 1), (1, 2)]))
+        base_key, counts = ds.artifact_key(kind), []
+        for vertex in range(3, 7):
+            ds.apply_changes([EdgeChange(ChangeKind.INSERT, 2, vertex)])  # delta
+            ds.apply_changes([EdgeChange(ChangeKind.DELETE, 2, vertex)])  # rebuild
+            ds.apply_changes([EdgeChange(ChangeKind.INSERT, vertex - 1, vertex)])
+            ds.flush()
+            counts.append(len(list(store.keys())))
+            assert set(store.keys()) == {base_key, ds.artifact_key(kind)}
+        assert engine.stats().per_kind[kind].fallback_rebuilds == 4
+        assert counts == [2, 2, 2, 2]
+        latest = ds.artifact_key(kind)
+        assert _ask(ds, kind, (0, 6)) is True and _ask(ds, kind, (6, 0)) is False
+    scheme = build_query_engine().registration(kind)[1]
+    restarted = scheme.load(ArtifactStore(tmp_path).get(latest))
+    assert scheme.answer(restarted, (0, 6)) is True
+    assert scheme.answer(restarted, (2, 0)) is False
+
+
+def test_resumed_session_counts_on_from_the_snapshot_version():
+    """A re-homed dataset is attached from a snapshot taken at version v:
+    its next batch is v + 1, and the count never moves backwards."""
+    with QueryEngine() as engine:
+        engine.register("membership", membership_class(), sorted_run_scheme())
+        ds = _open(engine, "membership", (1, 2, 3))
+        ds.resume_at(4)
+        assert ds.version == 4 and _ask(ds, "membership", 3) is True
+        ds.apply_changes([_insert(9)])
+        assert ds.version == 5 and _ask(ds, "membership", 9) is True
+        ds.resume_at(2)
+        assert ds.version == 5
+
+
 def test_close_flushes_and_detaches(tmp_path):
     store = ArtifactStore(tmp_path)
     engine = QueryEngine(store=store)

@@ -32,6 +32,7 @@ from repro.service.merge import (
     monoid_merge,
     range_blocks,
     stable_bucket,
+    stable_buckets,
     union_merge,
 )
 from repro.service.sharding import ShardedKernel, ShardPlanner, plan_diff, touched_shards
@@ -56,6 +57,28 @@ def test_stable_bucket_is_deterministic_and_bounded():
         assert bucket == stable_bucket(value, 8)
     with pytest.raises(ValueError):
         stable_bucket(1, 0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        tuple(range(-300, 300)) + (1 << 70, -(1 << 70)),  # plain ints: the map chain
+        (1, True, 2.0, 3.5), ((1, 2), (1.0, 2.0), [3]), ("x", None, 7), (),
+    ],
+    ids=["ints", "int-likes", "rows", "mixed", "empty"],
+)
+def test_stable_buckets_is_the_per_element_function(values):
+    """Identical pieces whichever path buckets them, for every splitter."""
+    from repro.queries.membership import _split_list
+
+    assert stable_buckets(values, 4) == [stable_bucket(value, 4) for value in values]
+    with pytest.raises(ValueError):
+        stable_buckets(values or (1,), 0)
+    if values and set(map(type, values)) == {int}:
+        pieces = [[] for _ in range(4)]
+        for value in values:
+            pieces[stable_bucket(value, 4)].append(value)
+        assert [piece.data for piece in _split_list(values, 4)] == list(map(tuple, pieces))
 
 
 def test_range_blocks_are_balanced_and_cover():
