@@ -6,10 +6,10 @@ The paper's economics -- preprocess D once, answer many queries in polylog
 This example walks the `Dataset` session surface:
 
 1. attach a payload once under a stable name; serve several query kinds
-   (including a sharded one) through the one session, synchronously and
-   asynchronously;
-2. many datasets on one engine: request records address each session by
-   name, every payload is hashed and built exactly once, and the request
+   (sharded: K is said at attach) through the one session, from the
+   calling thread and from threads the caller brings;
+2. many datasets on one engine: ``engine.dataset(name)`` addresses each
+   session, every payload is hashed and built exactly once, and the request
    path stays at microseconds however many datasets are live;
 3. a mutable session: one change batch maintains every served structure
    behind a single published version pointer (delta hook for RMQ point
@@ -20,6 +20,8 @@ Run:  python examples/dataset_sessions.py
 
 import random
 import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 from repro.catalog import build_query_engine
 from repro.incremental.changes import PointWrite
@@ -29,7 +31,7 @@ from repro.queries import (
     rmq_class,
     sorted_run_scheme,
 )
-from repro.service import QueryEngine, QueryRequest
+from repro.service import QueryEngine
 
 SEED = 20130826
 SIZE = 2**14
@@ -55,9 +57,10 @@ def main() -> None:
     print(f"membership batch  : {answers}")
     argmin = min(range(len(data)), key=lambda i: (data[i], i))
     print(f"rmq (full window) : {ds.query('minimum-range-query', (0, len(data) - 1, argmin))}")
-    futures = [ds.submit("list-membership", probe) for probe in probes]
-    print(f"async futures     : {[future.result() for future in futures]}")
-    assert [future.result() for future in futures] == answers
+    with ThreadPoolExecutor(max_workers=4) as pool:  # the engine runs no serve threads
+        threaded = list(pool.map(lambda probe: ds.query("list-membership", probe), probes))
+    print(f"caller threads    : {threaded}")
+    assert threaded == answers
 
     membership_stats = ds.stats()["kinds"]["list-membership"]
     print(
@@ -66,7 +69,7 @@ def main() -> None:
     )
     engine.close()
 
-    section("2. Many datasets, one engine: requests address sessions by name")
+    section("2. Many datasets, one engine: sessions are addressed by name")
     workloads = [
         membership_class().sample_workload(256, SEED + i, 1)
         for i in range(LIVE_DATASETS)
@@ -77,8 +80,8 @@ def main() -> None:
     started = time.perf_counter()
     for _ in range(ROUNDS):
         for i, (data, queries) in enumerate(workloads):
-            request = QueryRequest("list-membership", dataset=f"d{i}", query=queries[0])
-            assert engine.execute(request) == (queries[0] in data)
+            answer = engine.dataset(f"d{i}").query("list-membership", queries[0])
+            assert answer == (queries[0] in data)
     seconds = time.perf_counter() - started
     stats = engine.stats().per_kind["list-membership"]
     engine.close()
@@ -93,10 +96,13 @@ def main() -> None:
 
     section("3. A mutable session: one batch, every kind")
     engine = QueryEngine()
-    engine.register("membership", membership_class(), sorted_run_scheme(), shards=4)
-    engine.register("rmq", rmq_class(), fischer_heun_scheme())
+    engine.register("membership", membership_class(), sorted_run_scheme())
+    # shards=K at attach shards every kind whose scheme declares a ShardSpec;
+    # this rmq variant declares none, so the session keeps it monolithic and
+    # its delta hook applies.
+    engine.register("rmq", rmq_class(), replace(fischer_heun_scheme(), sharding=None))
     base = tuple(random.Random(SEED).randint(-1000, 1000) for _ in range(SIZE))
-    ds = engine.attach("sensor", base, mutable=True)
+    ds = engine.attach("sensor", base, shards=4, mutable=True)
     ds.warm()
 
     print(f"v{ds.version}: membership(-2000) = {ds.query('membership', -2000)}")

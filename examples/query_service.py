@@ -27,7 +27,7 @@ from repro.queries import (
     rmq_class,
     sorted_run_scheme,
 )
-from repro.service import ArtifactStore, QueryEngine, QueryRequest
+from repro.service import ArtifactStore, QueryEngine
 
 SEED = 20130826
 MEMBERSHIP_SIZE = 2**16  # the acceptance-criteria dataset
@@ -38,8 +38,8 @@ REBUILD_SAMPLE = 12  # rebuilding per query is so slow we only sample it
 
 def build_engine(store, kinds):
     """An engine over ``store`` with each workload's dataset attached once,
-    under its kind's name -- requests then address it by that name."""
-    engine = QueryEngine(store=store, cache_entries=16, max_workers=4)
+    under its kind's name -- ``engine.dataset(kind)`` then addresses it."""
+    engine = QueryEngine(store=store, cache_entries=16)
     engine.register("list-membership", membership_class(), sorted_run_scheme())
     engine.register("minimum-range-query", rmq_class(), fischer_heun_scheme())
     for kind, (data, _queries) in kinds:
@@ -53,6 +53,14 @@ def workloads():
     return [("list-membership", membership), ("minimum-range-query", rmq)]
 
 
+def serve(engine, kinds):
+    """Each workload's batch through the session named after its kind."""
+    answers = []
+    for kind, (_data, queries) in kinds:
+        answers += engine.dataset(kind).query_batch([(kind, query) for query in queries])
+    return answers
+
+
 def main() -> None:
     print("=" * 72)
     print("Preprocess once, serve many: ArtifactStore + QueryEngine")
@@ -63,11 +71,7 @@ def main() -> None:
     )
 
     kinds = workloads()
-    requests = [
-        QueryRequest(kind, dataset=kind, query=query)
-        for kind, (_data, queries) in kinds
-        for query in queries
-    ]
+    requests = [(kind, query) for kind, (_data, queries) in kinds for query in queries]
 
     # 1. The rebuild-per-query anti-pattern, sampled.
     rebuild_schemes = {
@@ -93,10 +97,10 @@ def main() -> None:
         # 2. Cold batch (pays each build once), then warm batch.
         with build_engine(store, kinds) as engine:
             started = time.perf_counter()
-            cold_answers = engine.execute_batch(requests)
+            cold_answers = serve(engine, kinds)
             cold_seconds = time.perf_counter() - started
             started = time.perf_counter()
-            warm_answers = engine.execute_batch(requests)
+            warm_answers = serve(engine, kinds)
             warm_seconds = time.perf_counter() - started
             stats = engine.stats()
 
@@ -107,7 +111,7 @@ def main() -> None:
         # 3. Restart: fresh process image, same store.
         with build_engine(store, kinds) as engine:
             started = time.perf_counter()
-            restart_answers = engine.execute_batch(requests)
+            restart_answers = serve(engine, kinds)
             restart_seconds = time.perf_counter() - started
             restart_stats = engine.stats()
         print(f"restart batch     : {restart_seconds / len(requests) * 1e3:9.2f} ms/query  (artifacts loaded, zero rebuilds)")
@@ -115,7 +119,7 @@ def main() -> None:
         # Correctness: every path agrees, including with the rebuild baseline.
         assert cold_answers == warm_answers == restart_answers
         for position, request in enumerate(requests):
-            expected = rebuild_answers.get((request.kind, request.query))
+            expected = rebuild_answers.get(request)
             if expected is not None:
                 assert cold_answers[position] == expected
         restart_snapshot = restart_stats.stats_snapshot()

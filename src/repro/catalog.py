@@ -230,7 +230,7 @@ def build_registry(
         "fail; the separation witness",
     )
     add(
-        f"vertex-cover-fixed-k",
+        "vertex-cover-fixed-k",
         set(in_pit0q),
         query_class=vc_fixed_k_class(),
         schemes=[kernel_scheme()],
@@ -280,35 +280,31 @@ def build_registry(
     return registry
 
 
-def build_query_engine(*, shards: int = 1, **engine_kwargs):
-    """A :class:`~repro.service.engine.QueryEngine` serving the full catalog.
+def build_query_engine(**engine_kwargs):
+    """A :class:`~repro.service.engine.QueryEngine` serving the catalog.
 
-    Every registry entry with a query class and a scheme becomes a query
-    kind of the engine, keyed by the entry's name (``"point-selection"``,
-    ``"reachability"``, ...).  Datasets are served dataset-first: attach a
-    payload once under a stable name and query the returned
-    :class:`~repro.service.dataset.Dataset` session across every kind ::
+    Every registry entry with a query class and a scheme whose Pi(D) can be
+    kept (``dump``/``load``) becomes a query kind of the engine, keyed by the
+    entry's name (``"point-selection"``, ``"bds-order"``, ...); the negative
+    controls ``bds-order-trivial`` and ``cvp-trivial``, whose Pi is the
+    identity, stay certified in :func:`build_registry` and are not served.
+    Attach a payload once under a stable name and ask the returned
+    :class:`~repro.service.dataset.Dataset` session (``engine.dataset(name)``
+    hands out the same one); ``shards=K`` is said at attach:
 
-        engine = build_query_engine(store=ArtifactStore(path))
-        ds = engine.attach("events", data)          # fingerprinted once
-        ds.query("list-membership", 17)             # any registered kind
-        ds.query_batch([("point-selection", q1), ("list-membership", q2)])
+        >>> engine = build_query_engine()
+        >>> len(engine.kinds())
+        12
+        >>> ds = engine.attach("events", (3, 1, 4), kinds=["list-membership"], shards=2)
+        >>> ds.query("list-membership", 4)             # fingerprinted once, at attach
+        True
+        >>> engine.dataset("events").query_batch([("list-membership", 1), ("list-membership", 9)])
+        [True, False]
+        >>> engine.close()
 
-    (or address the session by name from a request record:
-    ``QueryRequest(kind, dataset="events", query=q)``).  Keyword arguments
-    are forwarded to the engine constructor -- pass
+    Keyword arguments are forwarded to the engine constructor -- pass
     ``store=ArtifactStore(path)`` to persist artifacts across processes.
-
-    Parameters
-    ----------
-    shards:
-        With ``shards=K > 1``, every kind whose serving scheme declares a
-        :class:`~repro.service.merge.ShardSpec` (point/range selection,
-        list membership, minimum range query, top-k) is served from K
-        per-shard Pi-structures by scatter-gather; the remaining kinds keep
-        the monolithic path.  ``engine.attach(..., shards=K)`` applies the
-        same override per dataset.
     """
     from repro.service.engine import QueryEngine
 
-    return QueryEngine.from_registry(build_registry(), shards=shards, **engine_kwargs)
+    return QueryEngine.from_registry(build_registry(), **engine_kwargs)

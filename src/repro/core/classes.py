@@ -64,16 +64,11 @@ class RegistryEntry:
         return bool(self.certificates)
 
     def serving_scheme(self) -> Optional[PiScheme]:
-        """The scheme a query engine should serve this entry with.
-
-        Prefers the first *serializable* scheme (its artifacts can live in
-        the store and survive the process); falls back to the first scheme,
-        which the engine can still build and cache in memory.
+        """The scheme a query engine serves this entry with: the first
+        *serializable* one (its Pi(D) can be kept in the store and survive
+        the process), or ``None`` -- the entry is certified here, not served.
         """
-        for scheme in self.schemes:
-            if scheme.serializable:
-                return scheme
-        return self.schemes[0] if self.schemes else None
+        return next((scheme for scheme in self.schemes if scheme.serializable), None)
 
     def evidence_gaps(self) -> List[str]:
         """Claims whose supporting evidence is *failing* or contradictory.

@@ -125,9 +125,10 @@ class PiScheme:
     ``dump``/``load`` make the scheme *servable*: they round-trip the
     preprocessed structure through bytes so the artifact store
     (:mod:`repro.service.artifacts`) can persist Pi(D) once and every later
-    process can serve queries without re-running ``preprocess``.  Schemes
-    without a codec are still usable by the engine but are rebuilt per
-    process (cached in memory only).  ``artifact_version`` must be bumped
+    process can serve queries without re-running ``preprocess``.  A scheme
+    without a codec is certified, not served: the engine's ``register``
+    refuses it, and it stays in the Figure 2 registry (the right place for
+    schemes whose Pi is the identity).  ``artifact_version`` must be bumped
     whenever the byte layout changes, so stale artifacts are rejected
     instead of mis-loaded.
 
@@ -141,8 +142,8 @@ class PiScheme:
     ``sharding`` makes the scheme *partitionable*: a
     :class:`repro.service.merge.ShardSpec` declaring how datasets split into
     shards and how per-shard answers merge (union / k-way merge / monoid
-    combine).  Kinds registered with ``shards=K`` on the engine require it;
-    schemes without a spec simply cannot be sharded.  Typed ``Any`` to keep
+    combine).  ``engine.attach(..., shards=K)`` shards the kinds that have
+    one; schemes without a spec keep the monolithic path.  Typed ``Any`` to keep
     :mod:`repro.core` free of service-layer imports.
 
     ``apply_delta`` makes the scheme *delta-maintainable* (paper, Section

@@ -150,6 +150,17 @@ class AlternatingReachabilityIndex:
             raise GraphError(f"vertex out of range: {source}, {target}")
         return bool(self._winning[target] >> source & 1)
 
+    def to_state(self) -> dict:
+        """Plain-data snapshot: one winning-set bitset (an ``int``) per target."""
+        return {"n": self.n, "winning": list(self._winning)}
+
+    @classmethod
+    def from_state(cls, state: dict) -> "AlternatingReachabilityIndex":
+        index = cls.__new__(cls)
+        index.n = state["n"]
+        index._winning = list(state["winning"])
+        return index
+
 
 def random_alternating_digraph(
     n: int,

@@ -132,11 +132,12 @@ class KeyedRunIndex(Generic[K, V]):
         n = len(pairs)
         if n > 1:
             tracker.tick(n * math.ceil(math.log2(n)))
-        self._pairs: List[Tuple[K, V]] = sorted(pairs, key=lambda pair: pair[0])
-        self._keys: List[K] = [key for key, _ in self._pairs]
+        ordered = sorted(pairs, key=lambda pair: pair[0])
+        self._keys: List[K] = [key for key, _ in ordered]
+        self._values: List[V] = [value for _, value in ordered]
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self._keys)
 
     def lookup(self, key: K, tracker: Optional[CostTracker] = None) -> Optional[V]:
         """The value stored under ``key``, or None; O(log n) depth."""
@@ -144,7 +145,7 @@ class KeyedRunIndex(Generic[K, V]):
         position = parallel_binary_search(self._keys, key, tracker)
         tracker.tick(1)
         if position < len(self._keys) and self._keys[position] == key:
-            return self._pairs[position][1]
+            return self._values[position]
         return None
 
     def lookup_fast(self, key: K) -> Optional[V]:
@@ -152,20 +153,25 @@ class KeyedRunIndex(Generic[K, V]):
         keys = self._keys
         position = binary_search_untracked(keys, key)
         if position < len(keys) and keys[position] == key:
-            return self._pairs[position][1]
+            return self._values[position]
         return None
 
     def items(self) -> List[Tuple[K, V]]:
-        return list(self._pairs)
+        return list(zip(self._keys, self._values))
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        return {"pairs": [tuple(pair) for pair in self._pairs]}
+        """Two columns: the sorted keys gap-coded, the values packed (see
+        :mod:`repro.indexes.columns`)."""
+        return {
+            "keys": columns.pack_sorted(self._keys),
+            "values": columns.pack(self._values),
+        }
 
     @classmethod
     def from_state(cls, state: dict) -> "KeyedRunIndex":
         index = cls.__new__(cls)
-        index._pairs = [tuple(pair) for pair in state["pairs"]]
-        index._keys = [key for key, _ in index._pairs]
+        index._keys = columns.unpack(state["keys"])
+        index._values = columns.unpack(state["values"])
         return index

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.language import DecisionProblem
-from repro.core.query import PiScheme, QueryClass
+from repro.core.query import PiScheme, QueryClass, state_codec
 from repro.graphs.alternating import (
     AlternatingDigraph,
     AlternatingReachabilityIndex,
@@ -71,11 +71,14 @@ def winning_set_scheme() -> PiScheme:
         source, target = query
         return index.reachable(source, target, tracker)
 
+    dump, load = state_codec(AlternatingReachabilityIndex.from_state)
     return PiScheme(
         name="alternating-winning-sets",
         preprocess=preprocess,
         evaluate=evaluate,
         description="per-target attractor fixpoints; O(1) bit probes",
+        dump=dump,
+        load=load,
     )
 
 

@@ -24,7 +24,7 @@ from typing import List, Tuple
 from repro.core.cost import CostTracker
 from repro.core.factorization import EMPTY_DATA, Factorization, trivial_factorization
 from repro.core.language import DecisionProblem
-from repro.core.query import PiScheme, QueryClass
+from repro.core.query import PiScheme, QueryClass, state_codec
 from repro.graphs.generators import random_connected_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import breadth_depth_search, visit_position
@@ -200,12 +200,15 @@ def position_index_scheme() -> PiScheme:
             return False
         return pos_u < pos_v
 
+    dump, load = state_codec(KeyedRunIndex.from_state)
     return PiScheme(
         name="bds-position-run",
         preprocess=preprocess,
         evaluate=evaluate,
         factorization_name="Upsilon_BDS",
         description="binary search on the visit-order list M (Example 5)",
+        dump=dump,
+        load=load,
         evaluate_fast=evaluate_fast,
     )
 

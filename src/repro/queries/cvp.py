@@ -26,7 +26,7 @@ from repro.circuits.generators import deep_chain_circuit, random_circuit, random
 from repro.core.cost import CostTracker
 from repro.core.factorization import EMPTY_DATA, Factorization
 from repro.core.language import DecisionProblem
-from repro.core.query import PiScheme, QueryClass
+from repro.core.query import PiScheme, QueryClass, state_codec
 
 __all__ = [
     "CVPData",
@@ -84,12 +84,15 @@ def gate_table_scheme() -> PiScheme:
         tracker.tick(1)
         return values[gate]
 
+    dump, load = state_codec(from_state=list, to_state=list)  # gate values, in gate order
     return PiScheme(
         name="gate-value-table",
         preprocess=preprocess,
         evaluate=evaluate,
         factorization_name="Upsilon_CVP",
         description="evaluate every gate in preprocessing; O(1) lookups",
+        dump=dump,
+        load=load,
     )
 
 

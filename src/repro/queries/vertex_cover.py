@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from repro.core.cost import CostTracker
 from repro.core.language import DecisionProblem
-from repro.core.query import PiScheme, QueryClass
+from repro.core.query import PiScheme, QueryClass, state_codec
 from repro.graphs.generators import gnm_graph
 from repro.graphs.graph import Graph
 from repro.kernelization.vertex_cover import (
@@ -100,11 +100,28 @@ def kernel_scheme() -> PiScheme:
             return kernel.decided
         return vc_branch_decide(set(kernel.residual_edges), kernel.residual_budget, tracker)
 
+    def to_state(kernels: Dict[int, BussKernel]) -> list:
+        """One row per budget ``0..K_MAX``; the sets as sorted lists."""
+        return [
+            (kernel.decided, sorted(kernel.forced_vertices),
+             sorted(kernel.residual_edges), kernel.residual_budget)
+            for kernel in map(kernels.get, range(K_MAX + 1))
+        ]
+
+    def from_state(rows: list) -> Dict[int, BussKernel]:
+        return {
+            budget: BussKernel(decided, set(forced), set(edges), residual)
+            for budget, (decided, forced, edges, residual) in enumerate(rows)
+        }
+
+    dump, load = state_codec(from_state, to_state)
     return PiScheme(
         name="buss-kernel",
         preprocess=preprocess,
         evaluate=evaluate,
         description="Buss kernels per budget; decision cost depends on k only",
+        dump=dump,
+        load=load,
     )
 
 

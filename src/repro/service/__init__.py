@@ -14,18 +14,20 @@ This package persists built structures and serves query batches against them:
     store, so hot artifacts skip even the deserialization cost.
 
 :mod:`repro.service.engine`
-    :class:`QueryEngine` -- accepts batches of mixed queries, resolves each
-    to a cached artifact (building and persisting on miss), answers
-    batches grouped per session and kind, and keeps per-scheme serving
-    statistics.
+    :class:`QueryEngine` -- registers the kinds whose Pi(D) can be kept
+    (``dump``/``load``), resolves each to a cached artifact (building and
+    persisting on miss), hands out the named sessions, and keeps per-scheme
+    serving statistics.
 
 :mod:`repro.service.dataset`
     :class:`Dataset` -- the dataset-first serving surface:
     ``engine.attach(name, data)`` fingerprints a payload once and returns
     one named session serving every registered kind (monolithic, sharded
     and mutable storage shapes behind one serve-plan protocol;
-    ``mutable=True`` enables ``apply_changes``), addressable from requests via
-    ``QueryRequest(kind, dataset=name, query=...)``.
+    ``shards=K`` is said here, ``mutable=True`` enables ``apply_changes``).
+    The session is the one thing to ask -- ``ds.query`` / ``ds.query_batch``,
+    from as many caller threads as the caller brings -- and
+    ``engine.dataset(name)`` returns it by name.
 
 :mod:`repro.service.merge`
     :class:`ShardSpec` and the merge-operator families (union, monoid
@@ -80,7 +82,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.service.cache": ("LRUArtifactCache",),
     "repro.service.dataset": ("Dataset",),
     "repro.service.mutable": ("MutableContent", "VersionedStructures"),
-    "repro.service.engine": ("EngineStats", "QueryEngine", "QueryRequest", "SchemeStats"),
+    "repro.service.engine": ("EngineStats", "QueryEngine", "SchemeStats"),
     "repro.service.merge": (
         "MergeOperator", "ShardPiece", "ShardSpec", "kway_merge", "monoid_merge",
         "range_blocks", "stable_bucket", "union_merge",

@@ -17,7 +17,6 @@ fingerprints a payload **once**, registers a stable name, and returns a
   plan's captured structures through the cost-charging ``evaluate`` (the
   tractability API the certifier measures), always answer-identical to the
   fast path;
-* ``ds.submit(kind, q)`` -- the same answer as a future on the engine pool;
 * ``ds.warm(kinds=...)`` -- pre-build (and persist) structures per kind;
 * ``ds.apply_changes(batch)`` -- for sessions attached ``mutable=True``,
   folds one change batch into *every* served structure behind a single
@@ -29,8 +28,8 @@ fingerprints a payload **once**, registers a stable name, and returns a
   raises :class:`~repro.core.errors.UnknownDatasetError`.
 
 One session dispatches to all three storage shapes from its attach-time
-options: monolithic, sharded (``shards=K`` overrides the registration
-default per dataset), and mutable.  *How* an answer is evaluated has one
+options: monolithic, sharded (``shards=K``, said here and nowhere else),
+and mutable.  *How* an answer is evaluated has one
 implementation per shape -- a kernel over an already-resolved structure:
 :class:`_MonolithicKernel` here,
 :class:`~repro.service.sharding.ShardedKernel` for scatter-gather.
@@ -39,9 +38,8 @@ the shape: it picks the kernel and one of three plan classes, which differ
 only in *where the structure comes from* -- captured at plan build, captured
 per shard as routed queries touch it, or pinned per call from a mutable
 session's published version.
-Requests can also address a session by name
-(``QueryRequest(kind, dataset="events", query=q)``; see
-:meth:`~repro.service.engine.QueryEngine.execute`).
+The session is also the one thing to ask: ``engine.dataset(name)`` returns
+it by name, and callers who want concurrency call it from their own threads.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -57,7 +55,6 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from functools import partial
 from typing import (
@@ -88,7 +85,7 @@ from repro.service.sharding import ShardedKernel, ShardPlan
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.service.engine import QueryEngine, QueryRequest, _Registration
+    from repro.service.engine import QueryEngine, _Registration
 
 __all__ = ["Dataset"]
 
@@ -98,10 +95,9 @@ def _group_pairs(
 ) -> Dict[Any, Tuple[List[int], List[Any]]]:
     """Group ``(key, item)`` pairs: key -> (input positions, items).
 
-    The single grouping behind every batch path -- requests by session in
-    ``QueryEngine.execute_batch``, ``(kind, query)`` pairs by kind in
-    ``query_batch`` -- so answers can be scattered back position-stable
-    after one call per group.
+    The single grouping behind every batch path -- ``(kind, query)`` pairs
+    by kind, immutable or mutable -- so answers can be scattered back
+    position-stable after one call per group.
     """
     groups: Dict[Any, Tuple[List[int], List[Any]]] = {}
     for position, (key, item) in enumerate(pairs):
@@ -406,10 +402,9 @@ class Dataset:
 
     * ``kinds`` restricts the served kinds (default: every kind registered
       at attach time);
-    * ``shards=K`` overrides the registration's shard count for every
-      served kind whose scheme declares a
-      :class:`~repro.service.merge.ShardSpec` (kinds without one keep their
-      registered path);
+    * ``shards=K`` serves every kind whose scheme declares a
+      :class:`~repro.service.merge.ShardSpec` from K shards (kinds without
+      one keep the monolithic path);
     * ``mutable=True`` routes all serving through versioned snapshot
       publication and enables :meth:`apply_changes`.
 
@@ -450,11 +445,8 @@ class Dataset:
         self._registrations: Dict[str, "_Registration"] = {}
         for kind in served:
             registration = engine._registration(kind)
-            effective = registration.shards
             if shards > 1 and registration.scheme.sharding is not None:
-                effective = shards
-            if effective != registration.shards:
-                registration = replace(registration, shards=effective)
+                registration = replace(registration, shards=shards)
             self._registrations[kind] = registration
         self._mutable = _MutableState(self) if mutable else None
 
@@ -531,7 +523,7 @@ class Dataset:
         return self.registration_for(kind).shards
 
     def registration_for(self, kind: str) -> "_Registration":
-        """The (possibly shard-overridden) registration serving ``kind``."""
+        """The registration serving ``kind``, at this session's shard count."""
         try:
             return self._registrations[kind]
         except KeyError:
@@ -645,10 +637,6 @@ class Dataset:
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.
 
-        Items may be plain ``(kind, query)`` tuples or
-        :class:`~repro.service.engine.QueryRequest` records (their
-        ``dataset`` field, if set, must address this session).
-
         The batch is **vectorized**: queries are grouped by kind and each
         group runs through one ``answer_many`` kernel call instead of one
         dispatch per query, inline on the calling thread.  Mutable sessions
@@ -667,23 +655,6 @@ class Dataset:
                 answers[position] = answer
         return answers
 
-    def submit(self, kind: str, query: Any) -> "Future[bool]":
-        """Asynchronous :meth:`query`: a future resolving on the engine pool.
-
-        A future still queued when the session detaches raises
-        :class:`~repro.core.errors.UnknownDatasetError` from ``result()``
-        (the query re-checks liveness when it actually runs); a submit
-        racing :meth:`QueryEngine.close` surfaces the engine's own
-        ``ServiceError`` instead of the raw pool shutdown error.
-        """
-        self._check_attached()
-        pool = self._engine._ensure_pool()
-        try:
-            return pool.submit(self.query, kind, query)
-        except RuntimeError as exc:
-            # The pool shut down between the liveness check and the enqueue.
-            raise ServiceError("engine is closed") from exc
-
     def warm(self, kinds: Optional[Sequence[str]] = None) -> "Dataset":
         """Pre-build (and persist) the structures serving ``kinds``.
 
@@ -698,17 +669,8 @@ class Dataset:
     def _as_pair(self, item: Any) -> Tuple[str, Any]:
         if isinstance(item, tuple) and len(item) == 2:
             return item
-        kind = getattr(item, "kind", None)
-        if kind is not None and hasattr(item, "query"):
-            named = getattr(item, "dataset", None)
-            if named is not None and named != self._name:
-                raise ServiceError(
-                    f"request addresses dataset {named!r}, not {self._name!r}"
-                )
-            return kind, item.query
         raise ServiceError(
-            f"query_batch items are (kind, query) pairs or QueryRequests; "
-            f"got {type(item).__name__}"
+            f"query_batch items are (kind, query) pairs; got {type(item).__name__}"
         )
 
     # -- mutation --------------------------------------------------------------
@@ -771,8 +733,8 @@ class Dataset:
         """Flush dirty state and mark detached (engine-internal).
 
         The flag is set *before* the serve plans are dropped (both under the
-        plan lock a racing :meth:`_build_plan` re-checks), so a queued
-        future that runs after detach can never re-install a plan and serve
+        plan lock a racing :meth:`_build_plan` re-checks), so a query
+        that runs after detach can never re-install a plan and serve
         a released session -- it lands on :meth:`_check_attached` and raises
         :class:`~repro.core.errors.UnknownDatasetError` cleanly.
         """
@@ -883,47 +845,37 @@ class _MutableState:
             else:
                 content, fingerprint = self._content.canonical(), None
             structure = self._build(kind, content, fingerprint)
-            versions.install(kind, structure, self._twin(kind, structure, content))
+            versions.install(kind, structure, self._twin(kind, structure))
             return structure
 
-    def _twin(self, kind: str, structure: Any, content: Any) -> Any:
+    def _twin(self, kind: str, structure: Any) -> Any:
         """The offline-side twin of a published structure for ``kind``.
 
         Only delta-capable monolithic kinds are mutated in place, so only
-        they need a second instance -- a codec round-trip when serializable,
-        else a second private build (privatization, not a cache miss: it is
-        not counted as a build).  Everything else shares one instance
-        across both left-right sides because nothing mutates it in place.
+        they need a second instance -- a codec round trip (privatization,
+        not a cache miss: it is not counted as a build).  Everything else
+        shares one instance across both left-right sides because nothing
+        mutates it in place.
         """
         registration = self._ds.registration_for(kind)
         scheme = registration.scheme
         if registration.shards > 1 or scheme.apply_delta is None:
             return structure
-        if scheme.serializable:
-            return scheme.load(scheme.dump(structure))
-        return scheme.preprocess(content, self.tracker)
+        return scheme.load(scheme.dump(structure))
 
     def _build(self, kind: str, content: Any, fingerprint: Optional[str]) -> Any:
         engine = self._engine
         registration = self._ds.registration_for(kind)
-        scheme = registration.scheme
-        delta_capable = registration.shards == 1 and scheme.apply_delta is not None
-        if not delta_capable or scheme.serializable:
-            if fingerprint is None:
-                fingerprint = dataset_fingerprint(content)
-            if registration.shards > 1:
-                return engine._planner.resolve(
-                    kind, registration, content, fingerprint
-                )
-            structure = engine._resolve_by_key(
-                kind, registration, registration.key(fingerprint), content
-            )
-            if delta_capable:
-                # Privatize through the codec: in-place delta maintenance
-                # must never touch a structure shared through the cache.
-                structure = scheme.load(scheme.dump(structure))
-            return structure
-        return self._preprocess(kind, content)
+        if fingerprint is None:
+            fingerprint = dataset_fingerprint(content)
+        if registration.shards > 1:
+            return engine._planner.resolve(kind, registration, content, fingerprint)
+        structure = engine._resolve_by_key(
+            kind, registration, registration.key(fingerprint), content
+        )
+        # Privatize through the codec: in-place delta maintenance must never
+        # touch a structure shared through the cache.
+        return self._twin(kind, structure)
 
     def _preprocess(self, kind: str, content: Any) -> Any:
         """A private in-memory build: no cache entry, no store artifact."""
@@ -1042,7 +994,6 @@ class _MutableState:
             rebuilt: Dict[str, Any] = {}
             dropped: List[str] = []
             rebuild_error: Optional[BaseException] = None
-            canonical: Any = None
             if rebuild_kinds:
                 # A monolithic rebuild stays in memory and is persisted to
                 # the session's lineage slot like a delta (a content-keyed
@@ -1093,14 +1044,10 @@ class _MutableState:
                     # The published side is intact and current; repair the
                     # mirror from it so the next batch folds into a correct
                     # twin.  Loud in the counters, invisible to readers.
-                    if canonical is None:
-                        canonical = self._content.canonical()
-                    retired[kind] = self._twin(
-                        kind, versions.current.structures[kind], canonical
-                    )
+                    retired[kind] = self._twin(kind, versions.current.structures[kind])
                     self._engine._bump(kind, write_rollbacks=1)
             for kind, fresh in rebuilt.items():
-                retired[kind] = self._twin(kind, fresh, canonical)
+                retired[kind] = self._twin(kind, fresh)
             if rebuild_error is not None:
                 raise rebuild_error
             self._schedule_persist([kind for kind, _seconds in delta_kinds] + list(rebuilt))
@@ -1119,11 +1066,7 @@ class _MutableState:
 
     def _store_ready(self, kind: str) -> bool:
         registration = self._ds.registration_for(kind)
-        return (
-            self._engine._store is not None
-            and registration.shards == 1
-            and registration.scheme.dump is not None
-        )
+        return self._engine._store is not None and registration.shards == 1
 
     def _slot(self, kind: str) -> ArtifactKey:
         """``kind``'s artifact key at attach: stable across versions, equal

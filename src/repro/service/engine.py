@@ -12,15 +12,21 @@ to a Pi-structure through three layers:
 
 The one way to address a dataset is :meth:`QueryEngine.attach`: fingerprint
 a payload once, register a stable name, and serve every kind through the
-returned :class:`~repro.service.dataset.Dataset` session -- queries address
-the session (or name it via ``QueryRequest(kind, dataset=..., query=...)``)
+returned :class:`~repro.service.dataset.Dataset` session (or
+``engine.dataset(name)``, the same object) -- queries address the session
 and never pay a per-request fingerprint.
 
-Batches are answered inline, grouped per session and per kind into
+A served kind is a Pi(D) that can be kept: :meth:`QueryEngine.register`
+refuses a scheme without ``dump``/``load``, so "registered", "persisted"
+and "survives a restart" are one set.  Schemes whose Pi is the identity (the
+Figure 1 / Theorem 9 negative controls) stay certified in the Figure 2
+registry and are not served.
+
+Batches are answered inline on the calling thread, grouped per kind into
 ``answer_many`` kernel calls: every kernel is pure Python under the GIL, so
-a thread fan-out only adds submit/wakeup cost.  The thread pool exists for
-:meth:`Dataset.submit <repro.service.dataset.Dataset.submit>` futures, and
-the engine stays the concurrency *correctness* boundary for any number of
+a thread fan-out only adds submit/wakeup cost.  The engine runs no serve
+threads -- callers bring their own -- and stays the concurrency
+*correctness* boundary for any number of
 caller threads: per-key build locks guarantee one build per artifact under
 concurrent misses; rare-event counters (builds, hits, deltas) are
 lock-protected while the per-query counters ride lock-free thread-local
@@ -31,12 +37,12 @@ polylog each) the paper's Definition 1 is about.  Sessions cache per-kind
 whether a kind is served monolithic, sharded or mutable -- so steady-state
 queries never reach this module's resolution layers.
 
-Registering a kind with ``shards=K`` (for schemes that declare a
-:class:`~repro.service.merge.ShardSpec`) swaps monolithic resolution for the
+``attach(..., shards=K)`` is the one place K is said: for every served kind
+whose scheme declares a :class:`~repro.service.merge.ShardSpec` it swaps
+monolithic resolution for the
 :class:`~repro.service.sharding.ShardPlanner` -- K per-shard structures built
 in parallel and persisted independently -- and evaluation for the
 :class:`~repro.service.sharding.ShardedKernel`'s scatter-gather.
-``attach(..., shards=K)`` applies the same override per dataset.
 
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
 (one session, every kind, one published version pointer): change batches
@@ -45,13 +51,13 @@ back to touched-shard or full rebuilds), with lock-free versioned reads and
 write-behind persistence.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
-    >>> from repro.service.engine import QueryEngine, QueryRequest
+    >>> from repro.service.engine import QueryEngine
     >>> engine = QueryEngine()
     >>> engine.register("membership", membership_class(), sorted_run_scheme())
     >>> ds = engine.attach("readings", (3, 1, 4))
     >>> ds.query("membership", 4)
     True
-    >>> engine.execute(QueryRequest("membership", dataset="readings", query=9))
+    >>> engine.dataset("readings").query("membership", 9)
     False
     >>> engine.stats().per_kind["membership"].builds  # built once, served twice
     1
@@ -63,7 +69,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import KW_ONLY, asdict, dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
@@ -77,29 +83,11 @@ from repro.core.query import PiScheme, QueryClass
 from repro.service import faults
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from repro.service.cache import CacheStats, LRUArtifactCache
-from repro.service.dataset import Dataset, _group_pairs
+from repro.service.dataset import Dataset
 from repro.service.sharding import ShardPlanner
 from repro.storage.fingerprint import dataset_fingerprint
 
-__all__ = ["QueryRequest", "SchemeStats", "EngineStats", "QueryEngine"]
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """One query under a registered kind, addressing an attached dataset.
-
-    ``QueryRequest(kind, dataset=name, query=q)`` addresses a session
-    attached via :meth:`QueryEngine.attach`.  The payload stays server-side;
-    the request is resolved against the session's precomputed content
-    identity.  ``query`` and ``dataset`` are keyword-only, so a positional
-    payload (the removed ``QueryRequest(kind, data, query)`` form) raises
-    :class:`TypeError` instead of silently binding to the wrong field.
-    """
-
-    kind: str
-    _: KW_ONLY
-    query: Any = None
-    dataset: Optional[str] = None
+__all__ = ["SchemeStats", "EngineStats", "QueryEngine"]
 
 
 @dataclass
@@ -109,12 +97,7 @@ class SchemeStats:
     The plain counters (``builds``, ``cache_hits``, ``store_hits``) count
     monolithic artifact resolutions; the ``shard_*`` counters count
     *per-shard* resolutions for datasets served sharded (a single cold
-    sharded resolve bumps ``shard_builds`` once per non-empty shard).  The
-    ``shards`` field records the *registered* shard count only -- a
-    per-dataset ``attach(..., shards=K)`` override leaves it unchanged
-    while its requests accrue into the ``shard_*`` counters, so nonzero
-    ``shard_builds`` alongside ``shards == 1`` means attach-time overrides
-    are in play.
+    sharded resolve bumps ``shard_builds`` once per non-empty shard).
     ``shard_serve_seconds`` accumulates scatter-gather time, already included
     in ``serve_seconds``.  The ``delta_*`` counters track the mutable-dataset
     write path (:mod:`repro.service.mutable`): batches folded in place by the
@@ -129,7 +112,6 @@ class SchemeStats:
     builds: int = 0
     build_seconds: float = 0.0
     serve_seconds: float = 0.0
-    shards: int = 1
     shard_builds: int = 0
     shard_cache_hits: int = 0
     shard_store_hits: int = 0
@@ -385,9 +367,7 @@ class QueryEngine:
     cache_entries:
         Capacity of the in-process LRU artifact cache.
     max_workers:
-        Thread-pool width for :meth:`Dataset.submit
-        <repro.service.dataset.Dataset.submit>` futures and for parallel
-        shard builds.
+        Thread-pool width for parallel shard builds.
     """
 
     def __init__(
@@ -417,7 +397,6 @@ class QueryEngine:
         self._datasets_guard = threading.Lock()
         self._max_workers = max(1, max_workers)
         self._planner = ShardPlanner(self, max_workers=self._max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._pool_guard = threading.Lock()
         self._persist_pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
@@ -432,7 +411,6 @@ class QueryEngine:
         scheme: PiScheme,
         *,
         params: str = "",
-        shards: int = 1,
     ) -> None:
         """Expose ``scheme`` for serving queries of ``kind``.
 
@@ -443,26 +421,21 @@ class QueryEngine:
         query_class:
             Reference semantics (kept for workload generation and testing).
         scheme:
-            The Pi-scheme that builds and answers.
+            The Pi-scheme that builds and answers.  It must carry the
+            ``dump``/``load`` codec: a served Pi(D) is one that can be kept.
         params:
             Distinguishes variant builds of the same scheme; the scheme's
             ``artifact_version`` is appended so layout changes never alias
             old artifacts.
-        shards:
-            ``1`` (default) serves one monolithic structure per dataset;
-            ``K > 1`` partitions each dataset into K shards and serves by
-            scatter-gather -- the scheme must declare a
-            :class:`~repro.service.merge.ShardSpec` via ``scheme.sharding``.
         """
         if kind in self._registrations:
             raise ServiceError(f"kind {kind!r} is already registered")
-        if shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {shards}")
-        if shards > 1 and scheme.sharding is None:
+        if not scheme.serializable:
             raise ServiceError(
-                f"scheme {scheme.name!r} declares no ShardSpec; register "
-                f"kind {kind!r} with shards=1 or add a sharding spec "
-                "(see repro.service.merge)"
+                f"scheme {scheme.name!r} (kind {kind!r}) has no dump/load codec, "
+                "so its Pi(D) cannot be kept; give it one (see "
+                "repro.core.query.state_codec) or leave it, certified, in the "
+                "Figure 2 registry (repro.catalog.build_registry)"
             )
         built = (scheme.preprocess, scheme.dump, scheme.load, scheme.artifact_version)
         for other_kind, other in self._registrations.items():
@@ -477,34 +450,23 @@ class QueryEngine:
                     "artifact_version; share all three or name distinct structures"
                 )
         token = f"{params}|v{scheme.artifact_version}"
-        self._registrations[kind] = _Registration(query_class, scheme, token, shards)
-        self._stats[kind] = SchemeStats(scheme=scheme.name, shards=shards)
+        self._registrations[kind] = _Registration(query_class, scheme, token)
+        self._stats[kind] = SchemeStats(scheme=scheme.name)
 
     @classmethod
-    def from_registry(
-        cls, registry: Any, *, shards: int = 1, **engine_kwargs: Any
-    ) -> "QueryEngine":
+    def from_registry(cls, registry: Any, **engine_kwargs: Any) -> "QueryEngine":
         """An engine serving every servable entry of a Figure 2 registry.
 
         Each :class:`~repro.core.classes.RegistryEntry` with a query class
-        and at least one scheme is registered under the entry's name, using
-        its first *serializable* scheme when one exists (so the artifact
-        store can be used), else its first scheme (memory-cache only).
-
-        Parameters
-        ----------
-        shards:
-            Shard count applied to every kind whose serving scheme declares
-            a :class:`~repro.service.merge.ShardSpec`; kinds without one
-            keep the monolithic path.
+        and a *serializable* scheme is registered under the entry's name
+        with the first such scheme; entries without one (the negative
+        controls whose Pi is the identity) stay in the registry only.
         """
         engine = cls(**engine_kwargs)
         for entry in registry.entries():
             scheme = entry.serving_scheme()
-            if entry.query_class is None or scheme is None:
-                continue
-            kind_shards = shards if shards > 1 and scheme.sharding is not None else 1
-            engine.register(entry.name, entry.query_class, scheme, shards=kind_shards)
+            if entry.query_class is not None and scheme is not None:
+                engine.register(entry.name, entry.query_class, scheme)
         return engine
 
     def kinds(self) -> List[str]:
@@ -547,10 +509,9 @@ class QueryEngine:
         """Attach ``data`` under a stable name; returns the serving session.
 
         The payload is fingerprinted **once**, here -- every later request
-        against the returned :class:`~repro.service.dataset.Dataset` (or
-        naming it via ``QueryRequest(kind, dataset=name, query=...)``)
-        reuses that identity, so the steady-state serving path never hashes
-        the payload again.
+        against the returned :class:`~repro.service.dataset.Dataset` (which
+        ``engine.dataset(name)`` hands out again) reuses that identity, so
+        the steady-state serving path never hashes the payload again.
 
         Parameters
         ----------
@@ -563,8 +524,7 @@ class QueryEngine:
         shards:
             ``K > 1`` serves every listed kind whose scheme declares a
             :class:`~repro.service.merge.ShardSpec` from K per-shard
-            structures, overriding the registration default for this
-            dataset; kinds without a spec keep their registered path.
+            structures; kinds without a spec keep the monolithic path.
         mutable:
             Enable :meth:`~repro.service.dataset.Dataset.apply_changes`:
             change batches fold into every served structure behind one
@@ -686,7 +646,7 @@ class QueryEngine:
                         self._bump(kind, shard_builds=1, shard_build_seconds=elapsed)
                     else:
                         self._bump(kind, builds=1, build_seconds=elapsed)
-                    if self._store is not None and registration.scheme.dump is not None:
+                    if self._store is not None:
                         try:
                             self._store.put(key, registration.scheme.dump(structure))
                         except OSError:
@@ -713,14 +673,14 @@ class QueryEngine:
         *,
         shard: bool = False,
     ) -> Optional[Any]:
-        if self._store is None or registration.scheme.load is None:
+        if self._store is None:
             return None
         recovery = faults.policy()
         attempts = 1 + max(0, recovery.load_retries)
         for attempt in range(attempts):
             started = time.perf_counter()
             try:
-                payload = self._store.get(key)
+                blob = self._store.get(key)
             except ArtifactCorruptionError:
                 # Checksum mismatch or truncation.  Retry the read first: a
                 # transiently bad read (torn page, racing writer) may clear,
@@ -739,12 +699,12 @@ class QueryEngine:
                 # drop it and rebuild under the current version.
                 self._store.delete(key)
                 return None
-            if payload is None:
+            if blob is None:
                 return None
             if time.perf_counter() - started >= recovery.slow_load_seconds:
                 self._bump(kind, slow_loads=1)
             try:
-                structure = registration.scheme.load(payload)
+                structure = registration.scheme.load(blob)
             except Exception:
                 # Payload passed its checksum but does not deserialize: the
                 # file content itself is bad, so a re-read cannot help.
@@ -850,57 +810,6 @@ class QueryEngine:
                 )
             return self._persist_pool
 
-    # -- execution -------------------------------------------------------------
-
-    def _addressed(self, name: Optional[str]) -> Dataset:
-        """The attached session a request names."""
-        if self._closed:
-            raise ServiceError("engine is closed")
-        if name is None:
-            raise ServiceError(
-                "request names no dataset; attach the payload once with "
-                "engine.attach(name, data) and pass dataset=name"
-            )
-        return self.dataset(name)
-
-    def execute(self, request: QueryRequest) -> bool:
-        """Answer one request through the attached session it names.
-
-        Returns the Boolean answer; serve time (including scatter-gather for
-        sharded kinds) is recorded per kind.
-        """
-        return self._addressed(request.dataset).query(request.kind, request.query)
-
-    def execute_batch(self, requests: Sequence[QueryRequest]) -> List[bool]:
-        """Answer a batch of mixed requests; order of answers matches input.
-
-        Requests are grouped by the session they name and each group is one
-        :meth:`Dataset.query_batch <repro.service.dataset.Dataset.query_batch>`
-        (vectorized per kind; batch-atomic per mutable session), answered
-        inline on the calling thread.
-        """
-        requests = list(requests)
-        answers: List[bool] = [False] * len(requests)
-        groups = _group_pairs(
-            (request.dataset, (request.kind, request.query)) for request in requests
-        )
-        for name, (positions, pairs) in groups.items():
-            session_answers = self._addressed(name).query_batch(pairs)
-            for position, answer in zip(positions, session_answers):
-                answers[position] = answer
-        return answers
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._closed:
-            raise ServiceError("engine is closed")
-        with self._pool_guard:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-engine",
-                )
-            return self._pool
-
     # -- statistics and lifecycle ----------------------------------------------
 
     def _bump(self, kind: str, **deltas: Any) -> None:
@@ -931,12 +840,12 @@ class QueryEngine:
         """Zero the per-kind counters (cache counters are cumulative)."""
         with self._stats_lock:
             for kind, stats in self._stats.items():
-                self._stats[kind] = SchemeStats(scheme=stats.scheme, shards=stats.shards)
+                self._stats[kind] = SchemeStats(scheme=stats.scheme)
         self._query_counters.reset()
 
     def close(self) -> None:
         """Detach attached datasets (flushing write-behind state), then shut
-        down the serving, shard-build and persist pools; further work errors.
+        down the shard-build and persist pools; further work errors.
 
         A session whose final flush fails (e.g.
         :class:`~repro.core.errors.WriteBehindError` after a disk-full
@@ -946,10 +855,9 @@ class QueryEngine:
 
         Idempotent: a second ``close()`` (including a concurrent one, which
         blocks until the first finishes) is a no-op, even when the first
-        raised -- teardown completes before the error is re-raised.
-        ``submit()`` futures still queued at close time never hang: datasets
-        are detached before the pool drains, so each pending future resolves
-        with an :class:`~repro.core.errors.UnknownDatasetError` (a
+        raised -- teardown completes before the error is re-raised.  A
+        query a caller's thread starts after this lands on
+        :class:`~repro.core.errors.UnknownDatasetError` (a
         :class:`~repro.core.errors.ServiceError`)."""
         with self._close_lock:
             if self._closed:
@@ -970,9 +878,6 @@ class QueryEngine:
                 if self._persist_pool is not None:
                     self._persist_pool.shutdown(wait=True)
                     self._persist_pool = None
-                if self._pool is not None:
-                    self._pool.shutdown(wait=True)
-                    self._pool = None
             if errors:
                 raise errors[0]
 

@@ -41,13 +41,20 @@ from repro.service.frontend import protocol
 
 __all__ = ["handle_request", "handle_frame", "merge_stats", "worker_main"]
 
-#: Non-counter stats keys: identity, not additive.
-_FIRST_KEYS = frozenset({"dataset", "mutable", "scheme", "shards", "hit_rate"})
 _MAX_KEYS = frozenset({"version"})
+#: The per-kind counters ``SchemeStats.hit_rate`` is a ratio of (the front
+#: does not import the engine, so the formula is restated over the keys).
+_HIT_KEYS = ("cache_hits", "store_hits", "shard_cache_hits", "shard_store_hits")
+_BUILD_KEYS = ("builds", "shard_builds")
 
 
 def merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
-    """Fold one worker's ``stats`` snapshot into an aggregate, in place."""
+    """Fold one worker's ``stats`` snapshot into an aggregate, in place.
+
+    Counters add, ``version`` takes the maximum, identity (strings, bools)
+    keeps the first responder's value, and a per-kind ``hit_rate`` is
+    recomputed from the merged counters: a ratio of sums.
+    """
     for key, value in other.items():
         if key not in base:
             base[key] = value
@@ -58,8 +65,12 @@ def merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
         elif isinstance(value, (int, float)) and isinstance(base[key], (int, float)):
             if key in _MAX_KEYS:
                 base[key] = max(base[key], value)
-            elif key not in _FIRST_KEYS:
+            else:
                 base[key] = base[key] + value
+    if "hit_rate" in base:
+        hits = sum(base.get(key, 0) for key in _HIT_KEYS)
+        resolutions = hits + sum(base.get(key, 0) for key in _BUILD_KEYS)
+        base["hit_rate"] = hits / resolutions if resolutions else 0.0
 
 
 def check_deadline(header: Dict[str, Any]) -> None:
@@ -125,6 +136,13 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     if op == "ping":
         return "pong"
     if op == "attach":
+        # A checkpointed baseline's version (placement.Journal): validated
+        # before attaching, so a refused body leaves no session behind.
+        version = params.get("version", 0)
+        if type(version) is not int or version < 0:
+            raise ProtocolError(
+                f"attach version must be a non-negative int, got {version!r}"
+            )
         ds = engine.attach(
             params["name"],
             params["data"],
@@ -132,7 +150,7 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
             shards=params.get("shards", 1),
             mutable=params.get("mutable", False),
         )
-        ds.resume_at(params.get("version", 0))  # a checkpointed baseline's (placement.Journal)
+        ds.resume_at(version)
         return {
             "name": ds.name,
             "kinds": list(ds.kinds),

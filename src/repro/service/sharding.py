@@ -22,9 +22,8 @@ fact).
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
     >>> engine = QueryEngine()
-    >>> engine.register("membership", membership_class(), sorted_run_scheme(),
-    ...                 shards=4)
-    >>> ds = engine.attach("numbers", tuple(range(100)))
+    >>> engine.register("membership", membership_class(), sorted_run_scheme())
+    >>> ds = engine.attach("numbers", tuple(range(100)), shards=4)
     >>> _ = ds.warm()  # builds all four shards in parallel
     >>> engine.stats().per_kind["membership"].shard_builds
     4
@@ -259,15 +258,15 @@ class ShardPlanner:
     """Plan and build sharded Pi-structures for a :class:`QueryEngine`.
 
     The planner is engine-internal (the engine constructs one and resolves
-    every ``shards > 1`` registration through it); it reuses the engine's
+    every session registration with ``shards > 1`` through it); it reuses the engine's
     cache -> store -> build resolution per shard, so each shard artifact gets
     the same corruption handling and double-checked build locking as a
     monolithic artifact.  It never answers a query: evaluation over the
     structures it resolves is :class:`ShardedKernel`.
 
-    Shard builds run on a pool **separate from the engine's serving pool**:
-    a serving worker that waited on sibling tasks in its own pool could
-    deadlock once all workers wait on builds that cannot be scheduled.
+    Shard builds run on the planner's own pool, never on a caller's thread
+    pool: a caller's worker that waited on sibling tasks in its own pool
+    could deadlock once all workers wait on builds that cannot be scheduled.
     Build tasks never submit further work, so the planner pool cannot
     deadlock against itself.
     """

@@ -150,7 +150,7 @@ def test_dead_shard_union_degrades_explicitly():
     """Union-merge kinds answer from the surviving shards, but the answer
     is a :class:`DegradedAnswer` -- partial, loud, never silently wrong."""
     data = tuple(range(64))
-    with build_query_engine(shards=3) as engine:
+    with build_query_engine() as engine:
         ds = engine.attach("d", data, kinds=["list-membership"], shards=3)
         assert ds.query("list-membership", 7)  # warm all routed state
         plan = scenario("dead-shard", kind="list-membership", seed=CHAOS_SEED)
@@ -172,7 +172,7 @@ def test_dead_shard_monoid_fails_fast():
     """Monoid-combine kinds (RMQ) cannot tolerate a missing partial: a lost
     shard raises :class:`ShardFailedError` instead of guessing."""
     data = tuple(range(48))
-    with build_query_engine(shards=3) as engine:
+    with build_query_engine() as engine:
         ds = engine.attach("d", data, kinds=["minimum-range-query"], shards=3)
         assert ds.query("minimum-range-query", (0, 47, 0))  # warm
         with scenario("dead-shard", kind="minimum-range-query", seed=CHAOS_SEED).armed():
@@ -188,7 +188,7 @@ def test_dead_shard_kway_fails_fast():
     """K-way-merge kinds (top-k) are fail-fast like monoids: a global
     ranking cannot be cut down to the shards that answered."""
     data = tuple((i, 100 - i) for i in range(16))  # every row aggregates to 100
-    with build_query_engine(shards=3) as engine:
+    with build_query_engine() as engine:
         ds = engine.attach("d", data, kinds=["topk-threshold"], shards=3)
         assert ds.query("topk-threshold", ((1, 1), 3, 100))  # warm
         with scenario("dead-shard", kind="topk-threshold", seed=CHAOS_SEED).armed():
@@ -200,7 +200,7 @@ def test_dead_shard_kway_fails_fast():
 
 def test_slow_shard_counts_timeouts_and_stays_correct():
     data = tuple(range(64))
-    with build_query_engine(shards=3) as engine:
+    with build_query_engine() as engine:
         ds = engine.attach("d", data, kinds=["list-membership"], shards=3)
         assert ds.query("list-membership", 7)
         plan = scenario(

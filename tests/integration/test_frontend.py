@@ -30,6 +30,7 @@ import pytest
 
 from repro.core.errors import DeadlineExceededError, ProtocolError, UnknownDatasetError
 from repro.incremental.changes import ChangeKind, TupleChange
+from repro.service.engine import SchemeStats
 from repro.service.frontend import RemoteClient, ServingFront, protocol
 
 
@@ -98,7 +99,12 @@ def test_ping_and_full_immutable_surface(client):
         assert stats["frontend"]["workers"] == 2
         assert stats["frontend"]["healthy_workers"] == 2
         assert stats["frontend"]["worker_restarts"] == 0
-        assert stats["kinds"]["list-membership"]["queries"] >= 5
+        membership = stats["kinds"]["list-membership"]
+        assert membership["queries"] >= 5
+        # One structure, resolved once per worker: a ratio of the merged sums.
+        assert membership["hit_rate"] == SchemeStats(**{
+            key: value for key, value in membership.items() if key != "hit_rate"
+        }).hit_rate
     # context exit detached: the name is gone on every worker
     with pytest.raises(UnknownDatasetError):
         client.request("query", dataset="imm",

@@ -4,8 +4,9 @@
   the narrowest unsigned typecode, taken exactly when the run is plain-int,
   non-decreasing and the gaps are strictly narrower than ``pack``'s answer,
   otherwise ``pack``'s answer itself -- so it is never wider than ``pack``;
-* every catalog kind with ``dump``/``load``: the state is a fixed point of
-  the round trip, and tracked == fast == batched == naive afterwards.
+* every kind the catalog engine serves (each has ``dump``/``load``): the
+  state is a fixed point of the round trip, and tracked == fast == batched
+  == naive afterwards.
 
 No clocks: widths are item sizes, answers are Booleans.
 """
@@ -94,18 +95,20 @@ def test_a_negative_first_value_keeps_the_gap_form():
     assert columns.pack_sorted([-70_000, -69_999, -69_990]) == (-70_000, array("B", [1, 9]))
 
 
-# -- every persisted kind ------------------------------------------------------
+# -- every served kind is a persisted kind -------------------------------------
 
 with build_query_engine() as _engine:
-    PERSISTED = {
-        kind: _engine.registration(kind)
-        for kind in _engine.kinds()
-        if _engine.registration(kind)[1].serializable
-    }
+    PERSISTED = {kind: _engine.registration(kind) for kind in _engine.kinds()}
 
 
-def test_the_catalog_persists_eight_kinds():
-    assert len(PERSISTED) == 8, sorted(PERSISTED)
+def test_the_catalog_persists_every_served_kind():
+    assert sorted(PERSISTED) == [
+        "alternating-reachability", "bds-order", "cvp-factorized", "dag-lca",
+        "list-membership", "minimum-range-query", "point-selection",
+        "range-selection", "reachability", "topk-threshold", "tree-lca",
+        "vertex-cover-fixed-k",
+    ]
+    assert all(scheme.serializable for _, scheme in PERSISTED.values())
 
 
 @pytest.mark.parametrize("kind", sorted(PERSISTED))

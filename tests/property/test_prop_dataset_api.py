@@ -1,13 +1,13 @@
 """Property test: both ways to address a session are indistinguishable (ISSUE 4).
 
-The contract of the dataset-first surface: for any workload, request
-records naming a session (``QueryRequest(kind, dataset=..., query=...)``
-through ``engine.execute``) and the session object itself
-(``Dataset.query_batch``) return **identical answers
-and identical build counts** across all five servable kinds, on both the
-monolithic and the ``shards=4`` paths.  Build-count equality is the strong
-half -- it pins down that every surface resolves through exactly the same
-artifact layers, never a duplicate build or a spurious cache split.
+The contract of the dataset-first surface: for any workload, looking the
+session up by name per query (``engine.dataset(name).query(kind, q)``) and
+batching on the session object itself (``Dataset.query_batch``) return
+**identical answers and identical build counts** across all five shardable
+kinds, on both the monolithic and the ``attach(..., shards=4)`` paths.
+Build-count equality is the strong half -- it pins down that every surface
+resolves through exactly the same artifact layers, never a duplicate build
+or a spurious cache split.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
-from repro.service.engine import QueryRequest
 
 #: The five servable kinds with a ShardSpec (point/range selection, list
 #: membership, minimum range query, top-k) -- the same set the engine
@@ -46,20 +45,16 @@ def test_the_five_servable_kinds_are_served():
 )
 def test_named_requests_match_payload_requests(size, seed, shards):
     # Fresh engines per example: build counts must be attributable.
-    with build_query_engine(shards=shards) as session_engine, build_query_engine(
-        shards=shards
-    ) as named_engine:
+    with build_query_engine() as session_engine, build_query_engine() as named_engine:
         for kind in _KINDS:
             query_class, _ = session_engine.registration(kind)
             data, queries = query_class.sample_workload(size, seed, 5)
-            ds = session_engine.attach(f"{kind}-workload", data, kinds=[kind])
-            named_engine.attach(f"{kind}-workload", data, kinds=[kind])
+            name = f"{kind}-workload"
+            ds = session_engine.attach(name, data, kinds=[kind], shards=shards)
+            named_engine.attach(name, data, kinds=[kind], shards=shards)
             session_answers = ds.query_batch([(kind, query) for query in queries])
             named_answers = [
-                named_engine.execute(
-                    QueryRequest(kind, dataset=f"{kind}-workload", query=query)
-                )
-                for query in queries
+                named_engine.dataset(name).query(kind, query) for query in queries
             ]
             naive = [query_class.pair_in_language(data, query) for query in queries]
             assert session_answers == named_answers == naive, (kind, shards, size, seed)

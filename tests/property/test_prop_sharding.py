@@ -10,18 +10,18 @@ performance knob.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
-from repro.service.engine import QueryRequest
 
-#: One monolithic reference engine, and one engine per sharded K, shared
-#: across hypothesis examples to keep the test fast; each example attaches
-#: its datasets and detaches them again (``with engine.attach(...)``).
-_MONOLITHIC = build_query_engine()
-_SHARDED = {k: build_query_engine(shards=k) for k in (2, 4, 8)}
-_KINDS = _MONOLITHIC.shardable_kinds()
+#: One engine shared across hypothesis examples to keep the test fast --
+#: K is said per attach; each example attaches its datasets and detaches
+#: them again (``with engine.attach(...)``).
+_ENGINE = build_query_engine()
+_KINDS = _ENGINE.shardable_kinds()
 
 
 @settings(
@@ -35,14 +35,14 @@ _KINDS = _MONOLITHIC.shardable_kinds()
     shards=st.sampled_from([1, 2, 4, 8]),
 )
 def test_sharded_equals_monolithic_for_every_kind(size, seed, shards):
-    engine = _MONOLITHIC if shards == 1 else _SHARDED[shards]
     for kind in _KINDS:
-        query_class, _ = engine.registration(kind)
+        query_class, _ = _ENGINE.registration(kind)
         data, queries = query_class.sample_workload(size, seed, 6)
-        requests = [QueryRequest(kind, dataset="probe", query=query) for query in queries]
-        with engine.attach("probe", data, kinds=[kind]):
-            got = engine.execute_batch(requests)
-        with _MONOLITHIC.attach("reference", data, kinds=[kind]) as reference_ds:
+        pairs = [(kind, query) for query in queries]
+        with _ENGINE.attach("probe", data, kinds=[kind], shards=shards) as probe:
+            assert probe.shards_for(kind) == shards
+            got = probe.query_batch(pairs)
+        with _ENGINE.attach("reference", data, kinds=[kind]) as reference_ds:
             reference = [reference_ds.query(kind, query) for query in queries]
         naive = [query_class.pair_in_language(data, query) for query in queries]
         assert got == reference == naive, (kind, shards, size, seed)
@@ -55,22 +55,26 @@ def test_sharded_equals_monolithic_for_every_kind(size, seed, shards):
     shards=st.sampled_from([2, 4, 8]),
 )
 def test_concurrent_sharded_batch_equals_naive(size, seed, shards):
-    """The same equivalence holds under the thread pool (builds may race)."""
-    engine = _SHARDED[shards]
-    requests, naive = [], []
+    """The same equivalence holds under caller threads (builds may race),
+    with at most one build per shard artifact."""
+    _ENGINE.reset_stats()
+    pairs, naive = [], []
     for kind in _KINDS:
-        query_class, _ = engine.registration(kind)
+        query_class, _ = _ENGINE.registration(kind)
         data, queries = query_class.sample_workload(size, seed, 3)
-        engine.attach(kind, data, kinds=[kind])
+        _ENGINE.attach(kind, data, kinds=[kind], shards=shards)
         for query in queries:
-            requests.append(QueryRequest(kind, dataset=kind, query=query))
+            pairs.append((kind, query))
             naive.append(query_class.pair_in_language(data, query))
     try:
-        futures = [
-            engine.dataset(request.dataset).submit(request.kind, request.query)
-            for request in requests
-        ]
-        assert [future.result(timeout=60) for future in futures] == naive
+        with ThreadPoolExecutor(max_workers=4) as pool:  # test-owned threads
+            futures = [
+                pool.submit(_ENGINE.dataset(kind).query, kind, query)
+                for kind, query in pairs
+            ]
+            assert [future.result(timeout=60) for future in futures] == naive
+        for kind in _KINDS:
+            assert _ENGINE.stats().per_kind[kind].shard_builds <= shards, kind
     finally:
         for kind in _KINDS:
-            engine.detach(kind)
+            _ENGINE.detach(kind)

@@ -16,6 +16,7 @@ Headliners:
 from __future__ import annotations
 
 import random
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.queries import (
     sorted_run_scheme,
 )
 from repro.service import ArtifactStore
-from repro.service.engine import QueryEngine, QueryRequest
+from repro.service.engine import QueryEngine
 from repro.storage.fingerprint import dataset_fingerprint
 
 
@@ -38,6 +39,18 @@ def _flat_engine(**kwargs) -> QueryEngine:
     engine = QueryEngine(**kwargs)
     engine.register("membership", membership_class(), sorted_run_scheme())
     engine.register("rmq", rmq_class(), fischer_heun_scheme())
+    return engine
+
+
+def _two_shape_engine(**kwargs) -> QueryEngine:
+    """Like :func:`_flat_engine`, but rmq declares no ShardSpec: one
+    ``attach(..., shards=4)`` session serves membership sharded and rmq
+    monolithic."""
+    engine = QueryEngine(**kwargs)
+    engine.register("membership", membership_class(), sorted_run_scheme())
+    rmq = fischer_heun_scheme()
+    rmq.sharding = None
+    engine.register("rmq", rmq_class(), rmq)
     return engine
 
 
@@ -128,58 +141,43 @@ def test_restricted_kinds_reject_unlisted_queries():
 def test_named_requests_resolve_through_the_session():
     with _flat_engine() as engine:
         data = (3, 1, 4, 1, 5)
-        engine.attach("events", data)
-        assert engine.execute(QueryRequest("membership", dataset="events", query=4))
-        assert not engine.execute(
-            QueryRequest("membership", dataset="events", query=9)
-        )
-        answers = engine.execute_batch(
-            [
-                QueryRequest("membership", dataset="events", query=q)
-                for q in (1, 2, 5)
-            ]
+        ds = engine.attach("events", data)
+        assert engine.dataset("events") is ds  # the name hands out the session
+        assert engine.dataset("events").query("membership", 4)
+        assert not engine.dataset("events").query("membership", 9)
+        answers = engine.dataset("events").query_batch(
+            [("membership", q) for q in (1, 2, 5)]
         )
         assert answers == [True, False, True]
         with pytest.raises(UnknownDatasetError, match="ghost"):
-            engine.execute(QueryRequest("membership", dataset="ghost", query=1))
-
-
-def test_request_must_address_exactly_one_dataset_form():
-    with _flat_engine() as engine:
-        engine.attach("events", (1, 2))
-        # The removed payload form breaks loudly instead of misbinding the
-        # payload to ``query`` and the query to ``dataset``.
-        with pytest.raises(TypeError):
-            QueryRequest("membership", (1, 2), 1)
-        with pytest.raises(TypeError):
-            QueryRequest("membership", data=(1, 2), query=1, dataset="events")
-        with pytest.raises(ServiceError, match=r"engine\.attach"):
-            engine.execute(QueryRequest("membership", query=1))
+            engine.dataset("ghost")
 
 
 def test_query_batch_accepts_requests_and_pairs():
+    """``requests`` is any iterable of ``(kind, query)`` pairs -- a list, a
+    generator -- and nothing else: no request record, no bare kind."""
     with _flat_engine() as engine:
-        data = (1, 2, 3)
-        ds = engine.attach("events", data)
-        answers = ds.query_batch(
-            [
-                ("membership", 2),
-                QueryRequest("membership", dataset="events", query=9),
-                QueryRequest("membership", query=3),
-            ]
-        )
-        assert answers == [True, False, True]
-        with pytest.raises(ServiceError, match="addresses dataset"):
-            ds.query_batch([QueryRequest("membership", dataset="other", query=1)])
-        with pytest.raises(ServiceError, match="pairs or QueryRequests"):
-            ds.query_batch(["membership"])
+        ds = engine.attach("events", (1, 2, 3))
+        pairs = [("membership", 2), ("membership", 9), ("membership", 3)]
+        assert ds.query_batch(pairs) == [True, False, True]
+        assert ds.query_batch(pair for pair in pairs) == [True, False, True]
+
+        class Record:
+            kind, query, dataset = "membership", 2, "events"
+
+        for item in (Record(), "membership", ["membership", 2], ("membership", 2, "events")):
+            with pytest.raises(ServiceError, match=r"\(kind, query\) pairs"):
+                ds.query_batch([item])
 
 
-def test_submit_answers_on_the_engine_pool():
+def test_caller_threads_answer_through_the_session():
+    """The engine runs no serve threads: concurrency is the caller's."""
     with _flat_engine() as engine:
         ds = engine.attach("events", tuple(range(100)))
-        futures = [ds.submit("membership", q) for q in (7, 250, 99)]
-        assert [future.result() for future in futures] == [True, False, True]
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            answers = list(pool.map(lambda q: ds.query("membership", q), (7, 250, 99)))
+        assert answers == [True, False, True]
+        assert engine.stats().per_kind["membership"].queries == 3
 
 
 def test_warm_prebuilds_every_kind():
@@ -199,7 +197,7 @@ def test_warm_prebuilds_every_kind():
 
 
 def test_attach_shard_override_serves_sharded_without_reregistering():
-    with _flat_engine() as engine:  # membership registered with shards=1
+    with _flat_engine() as engine:
         data = tuple(range(64))
         ds = engine.attach("events", data, kinds=["membership"], shards=4)
         assert ds.shards_for("membership") == 4
@@ -212,11 +210,7 @@ def test_attach_shard_override_serves_sharded_without_reregistering():
 
 
 def test_shard_override_ignores_unshardable_kinds():
-    engine = QueryEngine()
-    engine.register("membership", membership_class(), sorted_run_scheme())
-    scheme = fischer_heun_scheme()
-    scheme.sharding = None  # pretend rmq cannot shard
-    engine.register("rmq", rmq_class(), scheme)
+    engine = _two_shape_engine()  # pretend rmq cannot shard
     ds = engine.attach("events", tuple(range(16)), shards=4)
     assert ds.shards_for("membership") == 4
     assert ds.shards_for("rmq") == 1
@@ -243,7 +237,7 @@ def test_named_sessions_never_touch_the_memo(monkeypatch):
         ds = engine.attach("events", tuple(range(32)))
         for q in range(20):
             ds.query("membership", q)
-            engine.execute(QueryRequest("membership", dataset="events", query=q))
+            engine.dataset("events").query("membership", q)
         assert len(hashed) == 1
         assert engine.stats().per_kind["membership"].builds == 1
 
@@ -255,11 +249,9 @@ def test_invalidate_evicts_every_kind_in_one_call():
     """A dataset served under several kinds -- one of them sharded -- loses
     *all* cached structures, shard plans, and build-lock entries in one
     ``detach`` call, and re-attaching the mutated payload rebuilds."""
-    engine = QueryEngine()
-    engine.register("membership", membership_class(), sorted_run_scheme(), shards=4)
-    engine.register("rmq", rmq_class(), fischer_heun_scheme())
+    engine = _two_shape_engine()
     data = list(range(48))
-    ds = engine.attach("events", data)
+    ds = engine.attach("events", data, shards=4)
     ds.query("membership", 3)      # sharded resolve
     ds.query("rmq", (0, 9, 0))     # monolithic resolve
     fingerprint = ds.fingerprint
@@ -318,11 +310,9 @@ def test_invalidate_spares_content_shared_with_a_named_session():
 
 
 def test_detach_evicts_cached_structures_and_plans():
-    engine = QueryEngine()
-    engine.register("membership", membership_class(), sorted_run_scheme(), shards=4)
-    engine.register("rmq", rmq_class(), fischer_heun_scheme())
+    engine = _two_shape_engine()
     data = tuple(range(48))
-    ds = engine.attach("events", data)
+    ds = engine.attach("events", data, shards=4)
     ds.warm()
     fingerprint = ds.fingerprint
     rmq_key = ds.artifact_key("rmq")
@@ -359,13 +349,11 @@ def test_one_session_serves_sharded_and_mutable_delta_kinds(tmp_path):
     content before and after mutation."""
     rng = random.Random(20130826)
     base = tuple(rng.randint(-100, 100) for _ in range(64))
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
-    engine.register("membership", membership_class(), sorted_run_scheme(), shards=4)
-    engine.register("rmq", rmq_class(), fischer_heun_scheme())
+    engine = _two_shape_engine(store=ArtifactStore(tmp_path))
     legacy = _flat_engine()
 
-    ds = engine.attach("sensor", base, mutable=True)
-    assert ds.mutable and ds.shards_for("membership") == 4
+    ds = engine.attach("sensor", base, shards=4, mutable=True)
+    assert ds.mutable and ds.shards_for("membership") == 4 and ds.shards_for("rmq") == 1
 
     def check_equivalence(content):
         argmin = min(range(len(content)), key=lambda i: (content[i], i))
@@ -478,24 +466,33 @@ def test_mutable_session_reuses_cache_shared_structures_safely():
 
 
 def test_mutable_session_with_non_serializable_delta_scheme():
-    from repro.core.query import PiScheme
+    """There is no build-it-twice arm: a delta scheme without a codec is
+    refused at ``register``; with one, the session's private copies are
+    codec round trips and the cached build is never folded into."""
+    from repro.core.query import PiScheme, state_codec
     from repro.indexes.sorted_run import SortedRunIndex
 
     base = sorted_run_scheme()
     scheme = PiScheme(
-        name="opaque-delta",
+        name="hand-built-delta",
         preprocess=base.preprocess,
         evaluate=base.evaluate,
         apply_delta=base.apply_delta,
     )
     assert scheme.supports_delta and not scheme.serializable
     with QueryEngine() as engine:
+        with pytest.raises(ServiceError, match="no dump/load codec"):
+            engine.register("membership", membership_class(), scheme)
+        scheme.dump, scheme.load = state_codec(SortedRunIndex.from_state)
         engine.register("membership", membership_class(), scheme)
         ds = engine.attach("events", (5, 1, 4), mutable=True)
-        assert ds.query("membership", 5) is True  # private build (no codec)
+        assert ds.query("membership", 5) is True
         ds.apply_changes([_insert(9)])
         assert ds.query("membership", 9) is True
-        assert engine.stats().per_kind["membership"].delta_batches == 1
+        stats = engine.stats().per_kind["membership"]
+        assert stats.delta_batches == 1 and stats.builds == 1
+        cached = engine._cache.get(ds.registration_for("membership").key(ds.fingerprint))
+        assert cached.values() == [1, 4, 5]  # privatized: the fold never reached it
 
 
 def test_build_query_engine_attach_round_trip():

@@ -1,0 +1,64 @@
+"""In-process tests of the worker's request handling (ISSUE 22 satellites).
+
+``handle_frame`` is the whole worker minus its socket loop, so the protocol
+semantics are driven here without spawning anything.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.catalog import build_query_engine
+from repro.service.engine import SchemeStats
+from repro.service.frontend import protocol
+from repro.service.frontend.workers import handle_frame, merge_stats
+
+
+def _frame(engine, op, dataset, value):
+    """One request through ``handle_frame``: ``(ok, decoded response body)``."""
+    header = {"op": op, "rid": 1, "dataset": dataset}
+    response, body = handle_frame(
+        engine, header, protocol.encode_body(value), protocol.CODEC_JSON
+    )
+    return response["ok"], protocol.decode_body(body, protocol.CODEC_JSON)
+
+
+@pytest.mark.parametrize("version", ["7", 2.5, True, -1, None], ids=repr)
+def test_attach_refuses_a_malformed_version_and_leaves_nothing_attached(version):
+    """The body comes from outside: a bad ``version`` must be refused *before*
+    the session exists, or the name stays wedged until the worker restarts."""
+    body = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"], "mutable": True}
+    with build_query_engine() as engine:
+        ok, error = _frame(engine, "attach", "d", {**body, "version": version})
+        assert not ok and error["type"] == "ProtocolError", error
+        assert "version" in error["message"]
+        assert engine.datasets() == []
+        # The corrected retry succeeds; a checkpointed baseline's version resumes.
+        ok, ack = _frame(engine, "attach", "d", {**body, "version": 6})
+        assert ok and ack["version"] == 6 and engine.datasets() == ["d"]
+        ok, answer = _frame(engine, "query", "d", {"kind": "list-membership", "query": 2})
+        assert ok and answer is True
+
+
+def test_merge_stats_recomputes_hit_rate_from_the_merged_counters():
+    """One worker built, the other loaded from the store: half of the
+    resolutions skipped a build, whoever answered first."""
+    def snapshot(**counters):
+        return {"dataset": "d", "version": 0, "mutable": False,
+                "kinds": {"k": SchemeStats(scheme="s", **counters).stats_snapshot()}}
+
+    built, loaded = snapshot(builds=1, queries=3), snapshot(store_hits=1, queries=2)
+    assert (built["kinds"]["k"]["hit_rate"], loaded["kinds"]["k"]["hit_rate"]) == (0.0, 1.0)
+    for first, second in ((built, loaded), (loaded, built)):
+        merged = {**first, "kinds": {"k": dict(first["kinds"]["k"])}}
+        merge_stats(merged, second)
+        kind = merged["kinds"]["k"]
+        assert (kind["builds"], kind["store_hits"], kind["queries"]) == (1, 1, 5)
+        assert kind["hit_rate"] == 0.5
+        assert kind["scheme"] == "s" and "shards" not in kind
+        # The front's formula is SchemeStats.hit_rate's, restated over the keys.
+        fields = {key: kind[key] for key in SchemeStats().stats_snapshot() if key != "hit_rate"}
+        assert SchemeStats(**fields).hit_rate == kind["hit_rate"]
+    idle = snapshot()
+    merge_stats(idle, snapshot())
+    assert idle["kinds"]["k"]["hit_rate"] == 0.0  # no resolutions: no division

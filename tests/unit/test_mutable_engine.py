@@ -29,7 +29,7 @@ from repro.graphs.graph import Digraph
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
 from repro.queries import membership_class, sorted_run_scheme
 from repro.service import ArtifactStore
-from repro.service.engine import QueryEngine, QueryRequest
+from repro.service.engine import QueryEngine
 
 
 def _insert(*row):
@@ -40,11 +40,11 @@ def _delete(*row):
     return TupleChange(ChangeKind.DELETE, tuple(row))
 
 
-def _open(engine, kind, data, name="live"):
+def _open(engine, kind, data, name="live", shards=1):
     """A warmed single-kind mutable session: the structure is materialized
     up front, so the first change batch already folds through the delta
     hook instead of deferring the build to the next read."""
-    return engine.attach(name, data, kinds=[kind], mutable=True).warm()
+    return engine.attach(name, data, kinds=[kind], shards=shards, mutable=True).warm()
 
 
 def _ask(ds, kind, query):
@@ -111,11 +111,11 @@ def _equivalence_check(engine, kind, ds, queries):
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_delta_equals_full_rebuild_membership(shards):
-    with build_query_engine(shards=shards) as engine:
+    with build_query_engine() as engine:
         kind = "list-membership"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(96, 3, 10)
-        ds = _open(engine, kind, data)
+        ds = _open(engine, kind, data, shards=shards)
         ds.apply_changes(
             [_insert(10**6), _insert(data[0]), _delete(data[1]), _delete(-1)]
         )
@@ -191,10 +191,10 @@ def test_delta_equals_full_rebuild_reachability():
 
 
 def test_sharded_fallback_rebuilds_only_touched_shards(tmp_path):
-    with build_query_engine(store=ArtifactStore(tmp_path), shards=8) as engine:
+    with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
         kind = "list-membership"
         data = tuple(range(256))
-        ds = _open(engine, kind, data)  # warmed: every shard hot
+        ds = _open(engine, kind, data, shards=8)  # warmed: every shard hot
         before = engine.stats().per_kind[kind]
         ds.apply_changes([_insert(100_000)])
         after = engine.stats().per_kind[kind]
@@ -400,11 +400,8 @@ def test_build_lock_map_stays_empty_under_churn():
         data = list(range(16))
         for round_number in range(25):
             engine.attach("churn", data, kinds=["list-membership"])
-            requests = [
-                QueryRequest("list-membership", dataset="churn", query=value)
-                for value in range(8)
-            ]
-            engine.execute_batch(requests)
+            pairs = [("list-membership", value) for value in range(8)]
+            assert engine.dataset("churn").query_batch(pairs) == [True] * 8
             data.append(100 + round_number)
             engine.detach("churn")
         assert engine._build_locks == {}

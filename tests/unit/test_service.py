@@ -12,65 +12,76 @@ import ast
 import json
 import random
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
-from repro.catalog import build_query_engine
+from repro.catalog import build_query_engine, build_registry
 from repro.core.cost import CostTracker
 from repro.core.errors import (
     ArtifactCorruptionError,
     ArtifactVersionError,
     ServiceError,
 )
-from repro.core.query import PiScheme
+from repro.core.query import PiScheme, state_codec
 from repro.queries import membership_class, sorted_run_scheme
 from repro.service.artifacts import FORMAT_VERSION, MAGIC, ArtifactKey, ArtifactStore
 from repro.service.cache import LRUArtifactCache
-from repro.service.engine import QueryEngine, QueryRequest, SchemeStats
+from repro.service.engine import QueryEngine, SchemeStats
 
+#: Every kind the catalog engine serves -- each one persisted, by name.
 MIXED_KINDS = (
-    "point-selection",
-    "range-selection",
+    "alternating-reachability",
+    "bds-order",
+    "cvp-factorized",
+    "dag-lca",
     "list-membership",
     "minimum-range-query",
-    "tree-lca",
-    "dag-lca",
+    "point-selection",
+    "range-selection",
     "reachability",
     "topk-threshold",
+    "tree-lca",
+    "vertex-cover-fixed-k",
 )
 
 
 def _ask(engine, kind, data, query, name="d"):
-    """Attach ``data`` under ``name`` on first use, then execute a named
-    request against it."""
+    """Attach ``data`` under ``name`` on first use, then ask the named
+    session."""
     if name not in engine.datasets():
         engine.attach(name, data, kinds=[kind])
-    return engine.execute(QueryRequest(kind, dataset=name, query=query))
+    return engine.dataset(name).query(kind, query)
 
 
 def _mixed_batch(engine, *, size=128, seed=11, per_kind=6):
-    """One attached dataset per kind (named after it), requests across all
-    of them, and the naive ground-truth answers."""
-    requests, expected = [], []
+    """One attached dataset per kind (named after it), ``(kind, query)``
+    pairs across all of them, and the naive ground-truth answers."""
+    pairs, expected = [], []
     for kind in MIXED_KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, per_kind)
         engine.attach(kind, data, kinds=[kind])
         for query in queries:
-            requests.append(QueryRequest(kind, dataset=kind, query=query))
+            pairs.append((kind, query))
             expected.append(query_class.pair_in_language(data, query))
-    return requests, expected
+    return pairs, expected
 
 
-def _race(engine, requests):
-    """Every request as its own ``Dataset.submit`` future: real threads on
-    the engine pool, so cold requests race each other on the build path."""
-    futures = [
-        engine.dataset(request.dataset).submit(request.kind, request.query)
-        for request in requests
-    ]
-    return [future.result(timeout=60) for future in futures]
+def _sequential(engine, pairs):
+    """Each pair through the session named after its kind, on this thread."""
+    return [engine.dataset(kind).query(kind, query) for kind, query in pairs]
+
+
+def _race(engine, pairs, workers=8):
+    """Every pair as its own task on test-owned threads, so cold queries
+    race each other on the build path."""
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(engine.dataset(kind).query, kind, query) for kind, query in pairs
+        ]
+        return [future.result(timeout=60) for future in futures]
 
 
 # -- LRU cache ---------------------------------------------------------------
@@ -295,28 +306,29 @@ def test_concurrent_batches_match_sequential(tmp_path):
     requests return the same answers as sequential execution, starting cold so
     concurrent misses race on the build path."""
     store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store, max_workers=8) as engine:
-        requests, expected = _mixed_batch(engine)
-        concurrent = _race(engine, requests)  # cold: builds race
-        sequential = engine.execute_batch(requests)
+    with build_query_engine(store=store) as engine:
+        assert tuple(engine.kinds()) == MIXED_KINDS
+        pairs, expected = _mixed_batch(engine)
+        concurrent = _race(engine, pairs)  # cold: builds race
+        sequential = _sequential(engine, pairs)
         assert concurrent == sequential == expected
         stats = engine.stats()
         # One build per (kind, dataset) pair despite the concurrent misses.
         for kind in MIXED_KINDS:
             assert stats.per_kind[kind].builds == 1
-            assert stats.per_kind[kind].queries == 2 * len(requests) // len(MIXED_KINDS)
-        assert stats.total_queries() == 2 * len(requests)
+            assert stats.per_kind[kind].queries == 2 * len(pairs) // len(MIXED_KINDS)
+        assert stats.total_queries() == 2 * len(pairs)
 
 
 def test_second_engine_serves_from_store_without_builds(tmp_path):
     store = ArtifactStore(tmp_path)
     with build_query_engine(store=store) as first:
-        requests, expected = _mixed_batch(first, size=96, seed=5)
-        assert first.execute_batch(requests) == expected
+        pairs, expected = _mixed_batch(first, size=96, seed=5)
+        assert _sequential(first, pairs) == expected
 
     with build_query_engine(store=store) as second:
-        requests, expected = _mixed_batch(second, size=96, seed=5)
-        assert second.execute_batch(requests) == expected
+        pairs, expected = _mixed_batch(second, size=96, seed=5)
+        assert _sequential(second, pairs) == expected
         stats = second.stats()
         assert sum(s.builds for s in stats.per_kind.values()) == 0
         assert sum(s.store_hits for s in stats.per_kind.values()) == len(MIXED_KINDS)
@@ -342,36 +354,31 @@ def test_engine_recovers_from_corrupt_artifact(tmp_path):
         assert store.get(key) is not None  # healthy artifact re-written
 
 
-def test_non_serializable_scheme_is_memory_cached_only(tmp_path):
-    store = ArtifactStore(tmp_path)
-    builds = []
-
-    def preprocess(data, tracker):
-        builds.append(1)
-        return set(data)
-
+def test_register_refuses_a_scheme_without_a_codec():
+    """A served kind is a Pi(D) that can be kept: no dump/load, no serving.
+    The refusal names where such a scheme belongs."""
     scheme = PiScheme(
         name="opaque-set",
-        preprocess=preprocess,
+        preprocess=lambda data, tracker: set(data),
         evaluate=lambda structure, query, tracker: query in structure,
     )
     assert not scheme.serializable
-    with QueryEngine(store=store) as engine:
-        engine.register("opaque", membership_class(), scheme)
-        data = (1, 2, 3)
-        assert _ask(engine, "opaque", data, 2) is True
-        assert _ask(engine, "opaque", data, 9) is False
-        assert len(builds) == 1  # memory cache reused; nothing hit the disk
-        assert list(store.keys()) == []
+    with QueryEngine() as engine:
+        with pytest.raises(ServiceError, match="no dump/load codec.*Figure 2 registry"):
+            engine.register("opaque", membership_class(), scheme)
+        scheme.dump = bytes  # half a codec is still none
+        with pytest.raises(ServiceError, match="no dump/load codec"):
+            engine.register("opaque", membership_class(), scheme)
+        assert engine.kinds() == []
 
 
 def test_engine_closed_rejects_work():
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
-    engine.attach("d", (1,))
+    ds = engine.attach("d", (1,))
     engine.close()
-    with pytest.raises(ServiceError, match="closed"):
-        engine.execute(QueryRequest("membership", dataset="d", query=1))
+    with pytest.raises(ServiceError):  # close detached it: UnknownDatasetError
+        ds.query("membership", 1)
     with pytest.raises(ServiceError, match="closed"):
         engine.attach("e", (1,))
 
@@ -447,8 +454,8 @@ def test_close_is_idempotent_and_reentrant():
     assert ds.query("membership", 2)
     engine.close()
     engine.close()  # second close: a no-op, not a double-teardown
-    with pytest.raises(ServiceError, match="closed"):
-        engine.execute(QueryRequest("membership", dataset="d", query=1))
+    with pytest.raises(ServiceError):
+        ds.query("membership", 1)
 
 
 def test_concurrent_closes_race_to_one_teardown():
@@ -473,49 +480,6 @@ def test_concurrent_closes_race_to_one_teardown():
     for thread in threads:
         thread.join()
     assert not failures
-
-
-def test_pending_submits_resolve_with_service_error_on_close():
-    """Futures still queued when close() lands never hang and never return
-    a fabricated answer: the pool drains them into UnknownDatasetError
-    (close detaches the session before the queued query runs)."""
-    import threading
-
-    release = threading.Event()
-    started = threading.Event()
-
-    def preprocess(data, tracker):
-        return set(data)
-
-    def evaluate(structure, query, tracker):
-        started.set()
-        release.wait(10)
-        return query in structure
-
-    engine = QueryEngine(max_workers=1)
-    engine.register(
-        "slow-membership",
-        membership_class(),
-        PiScheme(name="slow-set", preprocess=preprocess, evaluate=evaluate),
-    )
-    ds = engine.attach("d", (1, 2, 3), kinds=["slow-membership"])
-    blocker = ds.submit("slow-membership", 1)  # occupies the only worker
-    assert started.wait(10)
-    queued = [ds.submit("slow-membership", q) for q in (2, 3, 9)]
-
-    closer = threading.Thread(target=engine.close)
-    closer.start()
-    release.set()
-    closer.join(timeout=30)
-    assert not closer.is_alive()
-
-    assert blocker.result(timeout=10) is True  # already running: completes
-    for future in queued:
-        with pytest.raises(ServiceError):
-            future.result(timeout=10)
-    # And submitting after close is an explicit error, not a pool crash.
-    with pytest.raises(ServiceError):
-        ds.submit("slow-membership", 1)
 
 
 # -- structure-addressed artifacts (ISSUE 15) --------------------------------
@@ -608,13 +572,19 @@ def test_detach_evicts_a_shared_structure_once(monkeypatch):
         assert len(invalidated) == len(set(invalidated)) < len(engine.kinds())
 
 
+_SET_CODEC = state_codec(from_state=set, to_state=sorted)
+
+
 def _set_scheme(name, preprocess, **overrides):
-    return PiScheme(
-        name=name,
-        preprocess=preprocess,
-        evaluate=lambda structure, query, tracker: query in structure,
+    dump, load = _SET_CODEC
+    return PiScheme(**{
+        "name": name,
+        "preprocess": preprocess,
+        "evaluate": lambda structure, query, tracker: query in structure,
+        "dump": dump,
+        "load": load,
         **overrides,
-    )
+    })
 
 
 def test_register_refuses_one_structure_with_two_builders_or_layouts():
@@ -623,7 +593,7 @@ def test_register_refuses_one_structure_with_two_builders_or_layouts():
 
     engine = QueryEngine()
     engine.register("a", membership_class(), _set_scheme("set-a", build, structure="the-set"))
-    # Same structure, same builder, same (absent) codec, same version: shared.
+    # Same structure, same builder, same codec, same version: shared.
     engine.register("b", membership_class(), _set_scheme("set-b", build, structure="the-set"))
     ds = engine.attach("d", (1, 2, 3))
     assert ds.artifact_key("a") == ds.artifact_key("b")
@@ -645,7 +615,7 @@ def test_register_refuses_one_structure_with_two_builders_or_layouts():
         engine.register(
             "c",
             membership_class(),
-            _set_scheme("set-c", build, structure="the-set", dump=bytes, load=set),
+            _set_scheme("set-c", build, structure="the-set", dump=bytes, load=set),  # another codec
         )
     assert "c" not in engine.kinds()
     # The default structure is the scheme's own name: nothing is shared
@@ -678,3 +648,16 @@ def test_artifact_keys_are_constructed_in_one_place():
                     and node.func.id == "ArtifactKey"):
                 sites.append((path.relative_to(root).as_posix(), owners.get(id(node))))
     assert sites == [("engine.py", "_Registration.key")]
+
+
+def test_every_registered_scheme_is_serializable_and_controls_stay_certified_only():
+    """Registered == persisted: the two identity-Pi negative controls are in
+    the Figure 2 registry and not among the engine's kinds."""
+    registry = build_registry()
+    with build_query_engine() as engine:
+        assert tuple(engine.kinds()) == MIXED_KINDS
+        for kind in engine.kinds():
+            assert engine.registration(kind)[1].serializable, kind
+        for control in ("bds-order-trivial", "cvp-trivial"):
+            assert control in registry and control not in engine.kinds()
+            assert registry.get(control).serving_scheme() is None

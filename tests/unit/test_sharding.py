@@ -1,8 +1,8 @@
 """Unit tests for sharded Pi-structures (ISSUE 2).
 
 Covers the merge-operator algebra, the shard planner (policies, routing,
-content-addressed shard artifacts), engine integration (``shards=K``
-registration, shard statistics, concurrent scatter-gather), and shard-level
+content-addressed shard artifacts), engine integration (``attach(...,
+shards=K)``, shard statistics, concurrent scatter-gather), and shard-level
 invalidation: change batches must rebuild only the shards they touch.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -18,15 +19,7 @@ from repro.catalog import build_query_engine
 from repro.core.cost import CostTracker
 from repro.core.errors import ServiceError
 from repro.incremental.changes import ChangeKind, TupleChange
-from repro.queries import (
-    membership_class,
-    rmq_class,
-    sorted_run_scheme,
-    tree_lca_class,
-    euler_tour_scheme,
-)
 from repro.service.artifacts import ArtifactStore
-from repro.service.engine import QueryEngine, QueryRequest
 from repro.service.merge import (
     merge_sorted_desc,
     monoid_merge,
@@ -122,69 +115,80 @@ def test_merge_sorted_desc_is_a_kway_merge():
 
 
 def test_shards_require_a_shard_spec():
-    engine = QueryEngine()
-    with pytest.raises(ServiceError, match="no ShardSpec"):
-        engine.register("lca", tree_lca_class(), euler_tour_scheme(), shards=4)
-    with pytest.raises(ServiceError, match="shards must be"):
-        engine.register("m", membership_class(), sorted_run_scheme(), shards=0)
+    """K is said at attach and only shards the kinds that declare a spec."""
+    with build_query_engine() as engine:
+        with pytest.raises(ServiceError, match="shards must be"):
+            engine.attach("m", (1, 2), kinds=["list-membership"], shards=0)
+        query_class, _ = engine.registration("tree-lca")
+        tree, queries = query_class.sample_workload(32, 3, 4)
+        ds = engine.attach("lca", tree, kinds=["tree-lca"], shards=4)
+        assert ds.shards_for("tree-lca") == 1  # no spec: the monolithic path
+        assert [ds.query("tree-lca", q) for q in queries] == [
+            query_class.pair_in_language(tree, q) for q in queries
+        ]
+        stats = engine.stats().per_kind["tree-lca"]
+        assert stats.builds == 1 and stats.shard_builds == 0
 
 
 def test_shardable_kinds_lists_spec_carriers():
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         assert set(SHARDABLE_KINDS) <= set(engine.shardable_kinds())
-        for kind in SHARDABLE_KINDS:
-            assert engine.stats().per_kind[kind].shards == 4
-        # Kinds without a spec silently keep the monolithic path.
-        assert engine.stats().per_kind["tree-lca"].shards == 1
+        assert "tree-lca" not in engine.shardable_kinds()
+        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], shards=4)
+        assert ds.shards_for("list-membership") == 4
 
 
 # -- serving equivalence and statistics ----------------------------------------
 
 
-def _ask(engine, kind, data, query, name="d"):
-    """Attach ``data`` under ``name`` on first use, then execute a named
-    request against it."""
+def _ask(engine, kind, data, query, name="d", shards=4):
+    """Attach ``data`` under ``name`` (sharded) on first use, then ask the
+    named session."""
     if name not in engine.datasets():
-        engine.attach(name, data, kinds=[kind])
-    return engine.execute(QueryRequest(kind, dataset=name, query=query))
+        engine.attach(name, data, kinds=[kind], shards=shards)
+    return engine.dataset(name).query(kind, query)
 
 
 def _workloads(engine, *, size=96, seed=13, per_kind=8):
-    requests, expected = [], []
+    pairs, expected = [], []
     for kind in SHARDABLE_KINDS:
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(size, seed, per_kind)
-        engine.attach(kind, data, kinds=[kind])
+        engine.attach(kind, data, kinds=[kind], shards=4)
         for query in queries:
-            requests.append(QueryRequest(kind, dataset=kind, query=query))
+            pairs.append((kind, query))
             expected.append(query_class.pair_in_language(data, query))
-    return requests, expected
+    return pairs, expected
 
 
 def test_concurrent_sharded_batches_match_sequential(tmp_path):
-    """Cold concurrent scatter-gather: no deadlock between the serving pool
-    and the shard-build pool, answers identical to sequential and naive."""
+    """Cold concurrent scatter-gather: no deadlock between the callers'
+    threads and the shard-build pool, one build per shard artifact, answers
+    identical to sequential and naive."""
     store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store, shards=4, max_workers=6) as engine:
-        requests, expected = _workloads(engine)
-        futures = [
-            engine.dataset(request.dataset).submit(request.kind, request.query)
-            for request in requests
-        ]
-        concurrent = [future.result(timeout=60) for future in futures]
-        sequential = engine.execute_batch(requests)
+    with build_query_engine(store=store, max_workers=6) as engine:
+        pairs, expected = _workloads(engine)
+        with ThreadPoolExecutor(max_workers=6) as pool:  # test-owned threads
+            futures = [
+                pool.submit(engine.dataset(kind).query, kind, query)
+                for kind, query in pairs
+            ]
+            concurrent = [future.result(timeout=60) for future in futures]
+        sequential = [engine.dataset(kind).query(kind, query) for kind, query in pairs]
         assert concurrent == sequential == expected
+        for kind in SHARDABLE_KINDS:
+            stats = engine.stats().per_kind[kind]
+            assert stats.builds == 0 and 0 < stats.shard_builds <= 4, kind
 
 
 def test_shard_stats_track_builds_and_serve_time(tmp_path):
-    with build_query_engine(store=ArtifactStore(tmp_path), shards=4) as engine:
+    with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 7, 6)
         for query in queries:
             _ask(engine, kind, data, query)
         stats = engine.stats().per_kind[kind]
-        assert stats.shards == 4
         assert stats.shard_builds == 4  # one build per block, once
         assert stats.builds == 0  # the monolithic path never ran
         assert stats.queries == len(queries)
@@ -196,12 +200,12 @@ def test_shard_stats_track_builds_and_serve_time(tmp_path):
 def test_second_engine_serves_shards_from_store(tmp_path):
     store = ArtifactStore(tmp_path)
     kind = "topk-threshold"
-    with build_query_engine(store=store, shards=4) as first:
+    with build_query_engine(store=store) as first:
         query_class, _ = first.registration(kind)
         data, queries = query_class.sample_workload(64, 3, 6)
         expected = [_ask(first, kind, data, q) for q in queries]
 
-    with build_query_engine(store=store, shards=4) as second:
+    with build_query_engine(store=store) as second:
         got = [_ask(second, kind, data, q) for q in queries]
         assert got == expected
         stats = second.stats().per_kind[kind]
@@ -210,8 +214,8 @@ def test_second_engine_serves_shards_from_store(tmp_path):
 
 
 def test_routed_membership_probes_one_shard():
-    with build_query_engine(shards=4) as engine:
-        ds = engine.attach("d", tuple(range(256)), kinds=["list-membership"])
+    with build_query_engine() as engine:
+        ds = engine.attach("d", tuple(range(256)), kinds=["list-membership"], shards=4)
         ds.warm()  # builds all 4 buckets
         engine.reset_stats()
         assert ds.query("list-membership", 100) is True
@@ -222,15 +226,15 @@ def test_routed_membership_probes_one_shard():
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
-    """The planner's resolve() plus the sharded kernel's one() equals
-    execute() and stays statistics-neutral (shard_serve_seconds never exceeds
+    """The planner's resolve() plus the sharded kernel's one() equals the
+    session's query() and stays statistics-neutral (shard_serve_seconds never exceeds
     serve_seconds)."""
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 21, 6)
-        registration = engine._registration(kind)
-        ds = engine.attach("d", data, kinds=[kind])
+        ds = engine.attach("d", data, kinds=[kind], shards=4)
+        registration = ds.registration_for(kind)
         sharded = engine._planner.resolve(kind, registration, data, ds.fingerprint)
         assert sharded.built_count() == 4  # a full ShardedStructure
         kernel = ShardedKernel(engine, kind, registration)
@@ -243,10 +247,10 @@ def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
 
 
 def test_empty_shards_answer_correctly():
-    with build_query_engine(shards=8) as engine:
+    with build_query_engine() as engine:
         data = (5, 9)  # 8 buckets, at most 2 occupied
-        assert _ask(engine, "list-membership", data, 5) is True
-        assert _ask(engine, "list-membership", data, 6) is False
+        assert _ask(engine, "list-membership", data, 5, shards=8) is True
+        assert _ask(engine, "list-membership", data, 6, shards=8) is False
         assert engine.stats().per_kind["list-membership"].shard_builds <= 2
 
 
@@ -255,19 +259,19 @@ def test_numeric_alias_queries_route_like_they_compare():
     probe against int data must match the monolithic answer."""
     assert stable_bucket(1, 8) == stable_bucket(1.0, 8) == stable_bucket(True, 8)
     assert stable_bucket((1, 2), 8) == stable_bucket((1.0, 2.0), 8)
-    with build_query_engine(shards=4) as sharded, build_query_engine() as mono:
+    with build_query_engine() as sharded, build_query_engine() as mono:
         data = tuple(range(16))
         for probe in (1.0, True, 7, 7.0, 3.5):
             assert (
                 _ask(sharded, "list-membership", data, probe)
-                == _ask(mono, "list-membership", data, probe)
+                == _ask(mono, "list-membership", data, probe, shards=1)
             ), probe
 
 
 def test_sharded_rmq_rejects_malformed_windows_like_monolithic():
     from repro.core.errors import IndexError_
 
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         data = tuple(range(8))
         with pytest.raises(IndexError_, match="bad RMQ range"):
             _ask(engine, "minimum-range-query", data, (0, 100, 0))
@@ -276,7 +280,7 @@ def test_sharded_rmq_rejects_malformed_windows_like_monolithic():
 
 
 def test_sharded_topk_rejects_invalid_k_like_monolithic():
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         data = tuple((i, 100 - i) for i in range(16))
         with pytest.raises(ValueError, match="bad top-k"):
             _ask(engine, "topk-threshold", data, ((1, 1), 0, 5))
@@ -287,18 +291,18 @@ def test_sharded_topk_rejects_invalid_k_like_monolithic():
 
 def test_point_change_rebuilds_only_its_block():
     """Range policy: an in-place point write leaves K-1 block artifacts warm."""
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "minimum-range-query"
         query_class, scheme = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 11, 4)
-        before = engine.attach("before", data, kinds=[kind]).warm()
+        before = engine.attach("before", data, kinds=[kind], shards=4).warm()
         assert engine.stats().per_kind[kind].shard_builds == 4
 
         changed = list(data)
         changed[20] = changed[20] - 1000  # block 1 of 4 (offsets 16..31)
         changed = tuple(changed)
-        registration = engine._registration(kind)
-        after = engine.attach("after", changed, kinds=[kind])
+        registration = before.registration_for(kind)
+        after = engine.attach("after", changed, kinds=[kind], shards=4)
         old_plan = engine._planner.plan(kind, registration, data, before.fingerprint)
         new_plan = engine._planner.plan(kind, registration, changed, after.fingerprint)
         reused, rebuilt = plan_diff(old_plan, new_plan)
@@ -315,34 +319,34 @@ def test_point_change_rebuilds_only_its_block():
 
 def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
     """Hash policy: an incremental TupleChange batch routes to its buckets."""
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "point-selection"
         query_class, scheme = engine.registration(kind)
         data, _ = query_class.sample_workload(80, 5, 1)
-        ds = engine.attach("d", data, kinds=[kind]).warm()
+        ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         cold_builds = engine.stats().per_kind[kind].shard_builds
         assert cold_builds == 4
 
         row = (123456, 654321)
         changes = [TupleChange(ChangeKind.INSERT, row)]
-        registration = engine._registration(kind)
+        registration = ds.registration_for(kind)
         old_plan = engine._planner.plan(kind, registration, data, ds.fingerprint)
         predicted = touched_shards(old_plan, changes, scheme.sharding)
         assert len(predicted) == 1
 
         data.insert(row)
         ds.detach()  # in-place mutation contract: detach, re-attach
-        ds = engine.attach("d", data, kinds=[kind]).warm()
+        ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         stats = engine.stats().per_kind[kind]
         assert stats.shard_builds == cold_builds + len(predicted)
         assert ds.query(kind, ("a", 123456)) is True
 
 
 def test_touched_shards_degrades_to_all_without_locate():
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "minimum-range-query"
-        registration = engine._registration(kind)
         data = tuple(range(32))
+        registration = engine.attach("d", data, kinds=[kind], shards=4).registration_for(kind)
         plan = engine._planner.plan(kind, registration, data, dataset_fingerprint(data))
         spec = registration.scheme.sharding
         # An unroutable change (not an array position) is conservative.
@@ -350,7 +354,7 @@ def test_touched_shards_degrades_to_all_without_locate():
 
 
 def test_invalidate_drops_shard_plans_for_mutated_lists():
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "list-membership"
         data = [1, 2, 3]
         assert _ask(engine, kind, data, 4) is False
@@ -365,9 +369,9 @@ def test_invalidate_drops_shard_plans_for_mutated_lists():
 def test_sharded_mutable_session_accrues_shard_serve_seconds():
     """Scatter time is booked by the sharded kernel's settle, so a mutable
     session accrues it exactly like an immutable one (it used to stay 0)."""
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "list-membership"
-        ds = engine.attach("d", tuple(range(64)), kinds=[kind], mutable=True)
+        ds = engine.attach("d", tuple(range(64)), kinds=[kind], shards=4, mutable=True)
         assert ds.query(kind, 7) is True
         assert ds.query_tracked(kind, 7, CostTracker()) is True
         assert ds.query_batch([(kind, 7), (kind, 64)]) == [True, False]
@@ -379,11 +383,11 @@ def test_sharded_mutable_session_accrues_shard_serve_seconds():
 def test_tracked_sharded_queries_serve_from_captured_shards():
     """query_tracked evaluates over the plan's captured shard list: one cache
     probe per shard on first touch, then no probes and no plan-memo lookups."""
-    with build_query_engine(shards=4) as engine:
+    with build_query_engine() as engine:
         kind = "list-membership"
         data = tuple(range(0, 256, 2))
         query_class, _ = engine.registration(kind)
-        ds = engine.attach("d", data, kinds=[kind]).warm()
+        ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         engine.reset_stats()
         touched = set()
         for query in range(50):
@@ -443,9 +447,6 @@ def test_no_public_callable_takes_a_concurrent_flag():
     assert offenders == []
     with build_query_engine() as engine:
         ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"])
-        request = QueryRequest("list-membership", dataset="d", query=2)
         with pytest.raises(TypeError, match="concurrent"):
             ds.query_batch([("list-membership", 2)], concurrent=False)
-        with pytest.raises(TypeError, match="concurrent"):
-            engine.execute_batch([request], concurrent=False)
-        assert engine.execute_batch([request]) == [True]
+        assert ds.query_batch([("list-membership", 2)]) == [True]

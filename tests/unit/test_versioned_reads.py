@@ -22,7 +22,7 @@ import pytest
 
 from repro.catalog import build_query_engine
 from repro.core.errors import DeltaError
-from repro.core.query import PiScheme
+from repro.core.query import PiScheme, state_codec
 from repro.graphs.graph import Digraph
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
 from repro.service.engine import EngineStats, QueryEngine
@@ -232,7 +232,10 @@ def _boom_scheme() -> PiScheme:
     def evaluate(structure, query, tracker):
         raise RuntimeError("kernel boom")
 
-    return PiScheme(name="boom", preprocess=preprocess, evaluate=evaluate)
+    dump, load = state_codec(from_state=tuple, to_state=list)
+    return PiScheme(
+        name="boom", preprocess=preprocess, evaluate=evaluate, dump=dump, load=load
+    )
 
 
 def test_serve_errors_counted_for_mutable_sessions():
