@@ -1,64 +1,29 @@
-"""Graph substrate: numbered graphs, traversals (incl. BDS), SCC, generators."""
+"""Graph substrate: numbered graphs, traversals (incl. BDS), SCC, generators.
 
-from repro.graphs.alternating import (
-    AlternatingDigraph,
-    AlternatingReachabilityIndex,
-    alternating_reachable,
-    random_alternating_digraph,
-)
-from repro.graphs.generators import (
-    gnm_digraph,
-    gnm_graph,
-    layered_dag,
-    random_connected_graph,
-    random_dag,
-    random_tree,
-    random_vertex_pairs,
-    social_digraph,
-)
-from repro.graphs.graph import Digraph, Graph, permute_vertices, random_permutation
-from repro.graphs.scc import (
-    condensation,
-    is_dag,
-    strongly_connected_components,
-    topological_order,
-)
-from repro.graphs.traversal import (
-    bfs_order,
-    breadth_depth_search,
-    breadth_depth_search_reference,
-    dfs_order,
-    is_reachable,
-    reachable_from,
-    visit_position,
-)
+Names are resolved on first access (:mod:`repro._lazy`): importing one
+submodule loads that submodule, not its siblings.
+"""
 
-__all__ = [
-    "AlternatingDigraph",
-    "AlternatingReachabilityIndex",
-    "alternating_reachable",
-    "random_alternating_digraph",
-    "Digraph",
-    "Graph",
-    "permute_vertices",
-    "random_permutation",
-    "gnm_digraph",
-    "gnm_graph",
-    "layered_dag",
-    "random_connected_graph",
-    "random_dag",
-    "random_tree",
-    "random_vertex_pairs",
-    "social_digraph",
-    "condensation",
-    "is_dag",
-    "strongly_connected_components",
-    "topological_order",
-    "bfs_order",
-    "breadth_depth_search",
-    "breadth_depth_search_reference",
-    "dfs_order",
-    "is_reachable",
-    "reachable_from",
-    "visit_position",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.graphs.alternating": (
+        "AlternatingDigraph", "AlternatingReachabilityIndex",
+        "alternating_reachable", "random_alternating_digraph",
+    ),
+    "repro.graphs.generators": (
+        "gnm_digraph", "gnm_graph", "layered_dag", "random_connected_graph",
+        "random_dag", "random_tree", "random_vertex_pairs", "social_digraph",
+    ),
+    "repro.graphs.graph": (
+        "Digraph", "Graph", "permute_vertices", "random_permutation",
+    ),
+    "repro.graphs.scc": (
+        "condensation", "is_dag", "strongly_connected_components",
+        "topological_order",
+    ),
+    "repro.graphs.traversal": (
+        "bfs_order", "breadth_depth_search", "breadth_depth_search_reference",
+        "dfs_order", "is_reachable", "reachable_from", "visit_position",
+    ),
+})

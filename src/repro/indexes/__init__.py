@@ -11,29 +11,20 @@
 ``reachability``       transitive-closure index (Example 3)
 ``columns``            typed columns: the state layout of the array indexes
 =====================  ======================================================
+
+Names are resolved on first access (:mod:`repro._lazy`): importing one
+submodule loads that submodule, not its siblings.
 """
 
-from repro.indexes.btree import BPlusTree
-from repro.indexes.dag_lca import DagLCAIndex, naive_dag_lca
-from repro.indexes.euler_lca import EulerTourLCA, naive_tree_lca, tree_parents
-from repro.indexes.hash_index import HashIndex
-from repro.indexes.reachability import TransitiveClosureIndex
-from repro.indexes.rmq import FischerHeunRMQ
-from repro.indexes.sorted_run import KeyedRunIndex, SortedRunIndex
-from repro.indexes.sparse_table import SparseTable, naive_range_min
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BPlusTree",
-    "DagLCAIndex",
-    "naive_dag_lca",
-    "EulerTourLCA",
-    "naive_tree_lca",
-    "tree_parents",
-    "HashIndex",
-    "TransitiveClosureIndex",
-    "FischerHeunRMQ",
-    "KeyedRunIndex",
-    "SortedRunIndex",
-    "SparseTable",
-    "naive_range_min",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.indexes.btree": ("BPlusTree",),
+    "repro.indexes.dag_lca": ("DagLCAIndex", "naive_dag_lca"),
+    "repro.indexes.euler_lca": ("EulerTourLCA", "naive_tree_lca", "tree_parents"),
+    "repro.indexes.hash_index": ("HashIndex",),
+    "repro.indexes.reachability": ("TransitiveClosureIndex",),
+    "repro.indexes.rmq": ("FischerHeunRMQ",),
+    "repro.indexes.sorted_run": ("KeyedRunIndex", "SortedRunIndex"),
+    "repro.indexes.sparse_table": ("SparseTable", "naive_range_min"),
+})

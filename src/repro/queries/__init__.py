@@ -14,135 +14,49 @@
 ``agap``               extension: alternating reachability (P-complete)
 ``topk``               extension: Section 8(5), top-k via Fagin's TA [14]
 =====================  =====================================================
+
+Names are resolved on first access (:mod:`repro._lazy`): importing one
+submodule loads that submodule, not its siblings.
 """
 
-from repro.queries.agap import agap_class, agap_problem, winning_set_scheme
-from repro.queries.bds import (
-    bds_order,
-    bds_problem,
-    bds_query_class,
-    bds_trivial_query_class,
-    no_preprocessing_scheme,
-    position_dict_scheme,
-    position_index_scheme,
-    upsilon_bds,
-    upsilon_prime,
-)
-from repro.queries.cvp import (
-    cvp_factorized_class,
-    cvp_problem,
-    cvp_trivial_class,
-    gate_table_scheme,
-    reevaluate_scheme,
-    upsilon_cvp,
-    upsilon_zero,
-)
-from repro.queries.lca import (
-    dag_bitset_scheme,
-    dag_lca_class,
-    euler_tour_scheme,
-    tree_lca_class,
-)
-from repro.queries.membership import (
-    membership_class,
-    membership_factorization,
-    membership_problem,
-    membership_shard_spec,
-    sorted_run_scheme,
-)
-from repro.queries.reachability import (
-    closure_scheme,
-    nc_squaring_scheme,
-    reachability_class,
-)
-from repro.queries.rmq import (
-    fischer_heun_scheme,
-    rmq_class,
-    rmq_shard_spec,
-    sparse_table_scheme,
-)
-from repro.queries.sat import (
-    Formula,
-    sat_decide,
-    three_sat_problem,
-    three_sat_to_vertex_cover,
-)
-from repro.queries.selection import (
-    btree_point_scheme,
-    btree_range_scheme,
-    hash_point_scheme,
-    point_selection_class,
-    range_selection_class,
-    selection_shard_spec,
-)
-from repro.queries.strategies import compression_scheme, views_scheme
-from repro.queries.topk import (
-    TopKIndex,
-    threshold_algorithm_scheme,
-    topk_class,
-    topk_shard_spec,
-)
-from repro.queries.vertex_cover import (
-    K_MAX,
-    kernel_scheme,
-    vc_fixed_k_class,
-    vc_problem,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "agap_class",
-    "agap_problem",
-    "winning_set_scheme",
-    "TopKIndex",
-    "threshold_algorithm_scheme",
-    "topk_class",
-    "topk_shard_spec",
-    "bds_order",
-    "bds_problem",
-    "bds_query_class",
-    "bds_trivial_query_class",
-    "no_preprocessing_scheme",
-    "position_dict_scheme",
-    "position_index_scheme",
-    "upsilon_bds",
-    "upsilon_prime",
-    "cvp_factorized_class",
-    "cvp_problem",
-    "cvp_trivial_class",
-    "gate_table_scheme",
-    "reevaluate_scheme",
-    "upsilon_cvp",
-    "upsilon_zero",
-    "dag_bitset_scheme",
-    "dag_lca_class",
-    "euler_tour_scheme",
-    "tree_lca_class",
-    "membership_class",
-    "membership_factorization",
-    "membership_problem",
-    "membership_shard_spec",
-    "sorted_run_scheme",
-    "closure_scheme",
-    "nc_squaring_scheme",
-    "reachability_class",
-    "fischer_heun_scheme",
-    "rmq_class",
-    "rmq_shard_spec",
-    "sparse_table_scheme",
-    "Formula",
-    "sat_decide",
-    "three_sat_problem",
-    "three_sat_to_vertex_cover",
-    "btree_point_scheme",
-    "btree_range_scheme",
-    "hash_point_scheme",
-    "point_selection_class",
-    "range_selection_class",
-    "selection_shard_spec",
-    "compression_scheme",
-    "views_scheme",
-    "K_MAX",
-    "kernel_scheme",
-    "vc_fixed_k_class",
-    "vc_problem",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.queries.agap": ("agap_class", "agap_problem", "winning_set_scheme"),
+    "repro.queries.bds": (
+        "bds_order", "bds_problem", "bds_query_class", "bds_trivial_query_class",
+        "no_preprocessing_scheme", "position_dict_scheme", "position_index_scheme",
+        "upsilon_bds", "upsilon_prime",
+    ),
+    "repro.queries.cvp": (
+        "cvp_factorized_class", "cvp_problem", "cvp_trivial_class",
+        "gate_table_scheme", "reevaluate_scheme", "upsilon_cvp", "upsilon_zero",
+    ),
+    "repro.queries.lca": (
+        "dag_bitset_scheme", "dag_lca_class", "euler_tour_scheme", "tree_lca_class",
+    ),
+    "repro.queries.membership": (
+        "membership_class", "membership_factorization", "membership_problem",
+        "membership_shard_spec", "sorted_run_scheme",
+    ),
+    "repro.queries.reachability": (
+        "closure_scheme", "nc_squaring_scheme", "reachability_class",
+    ),
+    "repro.queries.rmq": (
+        "fischer_heun_scheme", "rmq_class", "rmq_shard_spec", "sparse_table_scheme",
+    ),
+    "repro.queries.sat": (
+        "Formula", "sat_decide", "three_sat_problem", "three_sat_to_vertex_cover",
+    ),
+    "repro.queries.selection": (
+        "btree_point_scheme", "btree_range_scheme", "hash_point_scheme",
+        "point_selection_class", "range_selection_class", "selection_shard_spec",
+    ),
+    "repro.queries.strategies": ("compression_scheme", "views_scheme"),
+    "repro.queries.topk": (
+        "TopKIndex", "threshold_algorithm_scheme", "topk_class", "topk_shard_spec",
+    ),
+    "repro.queries.vertex_cover": (
+        "K_MAX", "kernel_scheme", "vc_fixed_k_class", "vc_problem",
+    ),
+})

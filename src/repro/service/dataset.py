@@ -400,8 +400,8 @@ class Dataset:
 
     Attach-time options fix how each kind resolves:
 
-    * ``kinds`` restricts the served kinds (default: every kind registered
-      at attach time);
+    * ``kinds`` restricts the served kinds (default: every kind the engine
+      knows at attach time -- promised ones are resolved);
     * ``shards=K`` serves every kind whose scheme declares a
       :class:`~repro.service.merge.ShardSpec` from K shards (kinds without
       one keep the monolithic path);

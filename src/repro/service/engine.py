@@ -20,7 +20,11 @@ A served kind is a Pi(D) that can be kept: :meth:`QueryEngine.register`
 refuses a scheme without ``dump``/``load``, so "registered", "persisted"
 and "survives a restart" are one set.  Schemes whose Pi is the identity (the
 Figure 1 / Theorem 9 negative controls) stay certified in the Figure 2
-registry and are not served.
+registry and are not served.  A kind may also be *promised*
+(:meth:`QueryEngine.register_deferred`, what
+:func:`repro.catalog.build_query_engine` does for every catalog row): listed
+by name at once, imported and registered -- same checks -- by the first
+attach that names it, so a process pays only for the kinds it serves.
 
 Batches are answered inline on the calling thread, grouped per kind into
 ``answer_many`` kernel calls: every kernel is pure Python under the GIL, so
@@ -65,12 +69,13 @@ write-behind persistence.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import (
@@ -88,6 +93,8 @@ from repro.service.sharding import ShardPlanner
 from repro.storage.fingerprint import dataset_fingerprint
 
 __all__ = ["SchemeStats", "EngineStats", "QueryEngine"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -381,6 +388,10 @@ class QueryEngine:
         self._cache = LRUArtifactCache(cache_entries)
         self._cache.set_eviction_listener(self._on_cache_eviction)
         self._registrations: Dict[str, _Registration] = {}
+        #: kind -> (module, resolve): promised by :meth:`register_deferred`,
+        #: moved into ``_registrations`` by the first request that names it.
+        self._deferred: Dict[str, Tuple[str, Callable[[], Tuple[QueryClass, PiScheme]]]] = {}
+        self._registration_lock = threading.RLock()
         self._stats: Dict[str, SchemeStats] = {}
         self._stats_lock = threading.Lock()
         self._query_counters = _QueryCounterShards()
@@ -428,8 +439,37 @@ class QueryEngine:
             ``artifact_version`` is appended so layout changes never alias
             old artifacts.
         """
-        if kind in self._registrations:
+        with self._registration_lock:
+            self._claim_name(kind)
+            self._register(kind, query_class, scheme, params)
+
+    def register_deferred(
+        self,
+        kind: str,
+        module: str,
+        resolve: Callable[[], Tuple[QueryClass, PiScheme]],
+    ) -> None:
+        """Promise ``kind`` without importing what serves it.
+
+        :meth:`kinds` lists the name from now on; the first request that
+        names it (an ``attach``, :meth:`registration`,
+        :meth:`shardable_kinds`) calls ``resolve()`` -- which imports
+        ``module`` and returns the ``(query class, scheme)`` pair -- and
+        registers the pair under :meth:`register`'s checks, exactly once.  A
+        process therefore pays only for the kinds it serves.
+        """
+        with self._registration_lock:
+            self._claim_name(kind)
+            self._deferred[kind] = (module, resolve)
+
+    def _claim_name(self, kind: str) -> None:
+        if kind in self._registrations or kind in self._deferred:
             raise ServiceError(f"kind {kind!r} is already registered")
+
+    def _register(
+        self, kind: str, query_class: QueryClass, scheme: PiScheme, params: str = ""
+    ) -> None:
+        """:meth:`register` past the name check (registration lock held)."""
         if not scheme.serializable:
             raise ServiceError(
                 f"scheme {scheme.name!r} (kind {kind!r}) has no dump/load codec, "
@@ -450,8 +490,11 @@ class QueryEngine:
                     "artifact_version; share all three or name distinct structures"
                 )
         token = f"{params}|v{scheme.artifact_version}"
+        # Counters first: a reader that finds the registration (lock-free in
+        # ``_registration``) must find its statistics too.
+        with self._stats_lock:
+            self._stats[kind] = SchemeStats(scheme=scheme.name)
         self._registrations[kind] = _Registration(query_class, scheme, token)
-        self._stats[kind] = SchemeStats(scheme=scheme.name)
 
     @classmethod
     def from_registry(cls, registry: Any, **engine_kwargs: Any) -> "QueryEngine":
@@ -470,15 +513,17 @@ class QueryEngine:
         return engine
 
     def kinds(self) -> List[str]:
-        """Sorted names of every registered query kind."""
-        return sorted(self._registrations)
+        """Sorted names of every query kind, registered or promised."""
+        with self._registration_lock:
+            return sorted({*self._registrations, *self._deferred})
 
     def shardable_kinds(self) -> List[str]:
-        """Registered kinds whose scheme declares a ShardSpec (sorted)."""
+        """Kinds whose scheme declares a ShardSpec (sorted); asking resolves
+        every promised kind."""
         return sorted(
             kind
-            for kind, registration in self._registrations.items()
-            if registration.scheme.sharding is not None
+            for kind in self.kinds()
+            if self._registration(kind).scheme.sharding is not None
         )
 
     def registration(self, kind: str) -> Tuple[QueryClass, PiScheme]:
@@ -487,13 +532,36 @@ class QueryEngine:
         return registration.query_class, registration.scheme
 
     def _registration(self, kind: str) -> _Registration:
-        try:
-            return self._registrations[kind]
-        except KeyError as exc:
-            raise ServiceError(
-                f"no scheme registered for query kind {kind!r}; "
-                f"known kinds: {self.kinds()}"
-            ) from exc
+        registration = self._registrations.get(kind)
+        if registration is None:
+            with self._registration_lock:
+                if kind in self._deferred:
+                    self._resolve_deferred(kind)
+                registration = self._registrations.get(kind)
+            if registration is None:
+                raise self._unknown_kind(kind)
+        return registration
+
+    def _unknown_kind(self, kind: Any) -> ServiceError:
+        return ServiceError(
+            f"no scheme registered for query kind {kind!r}; "
+            f"known kinds: {self.kinds()}"
+        )
+
+    def _resolve_deferred(self, kind: str) -> None:
+        """Import and register a promised kind (registration lock held).  A
+        failed resolution leaves the promise in place: the error repeats
+        instead of turning into "no scheme registered"."""
+        started = time.perf_counter()
+        module, resolve = self._deferred[kind]
+        query_class, scheme = resolve()
+        self._register(kind, query_class, scheme)
+        del self._deferred[kind]
+        _log.debug(
+            "resolved kind %r from %s: scheme %r, structure %r, %.1f ms",
+            kind, module, scheme.name, scheme.structure,
+            (time.perf_counter() - started) * 1000.0,
+        )
 
     # -- dataset sessions ------------------------------------------------------
 
@@ -519,8 +587,10 @@ class QueryEngine:
             The request-addressable name; must be unused (detach first to
             re-attach).
         kinds:
-            Kinds the session serves; defaults to every kind registered at
-            attach time.
+            Kinds the session serves; defaults to every kind the engine
+            knows at attach time.  Each name must be one of :meth:`kinds`
+            (checked before any is resolved); naming a promised kind
+            (:meth:`register_deferred`) is what imports it.
         shards:
             ``K > 1`` serves every listed kind whose scheme declares a
             :class:`~repro.service.merge.ShardSpec` from K per-shard
@@ -537,6 +607,18 @@ class QueryEngine:
             raise ServiceError(f"attach needs a non-empty name, got {name!r}")
         if shards < 1:
             raise ServiceError(f"shards must be >= 1, got {shards}")
+        if kinds is not None:
+            # Outside input that decides what gets imported: refuse the whole
+            # list before any name in it is resolved.
+            known = self.kinds()
+            if isinstance(kinds, str) or not isinstance(kinds, Sequence):
+                raise ServiceError(
+                    f"attach kinds must be a sequence of kind names, "
+                    f"got {kinds!r}; known kinds: {known}"
+                )
+            for kind in kinds:
+                if kind not in known:
+                    raise self._unknown_kind(kind)
         with self._datasets_guard:
             if name in self._datasets:
                 raise ServiceError(f"dataset {name!r} is already attached")
@@ -791,7 +873,7 @@ class QueryEngine:
         watchers)."""
         self._planner.forget(fingerprint)
         # Kinds sharing a structure share a key: invalidate each key once.
-        for key in {r.key(fingerprint) for r in self._registrations.values()}:
+        for key in {r.key(fingerprint) for r in tuple(self._registrations.values())}:
             self._cache.invalidate(key)
             # A lock entry whose build is still in flight is owned by the
             # builder's own finally-pop; evicting here only matters for idle

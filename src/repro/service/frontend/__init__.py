@@ -18,11 +18,12 @@ share nothing in memory but everything on disk:
   :mod:`~repro.service.frontend.placement` (journals that rebuild a
   dataset elsewhere; the router and its breakers that pick a worker).
 * :mod:`~repro.service.frontend.workers` -- the worker process: one
-  full-catalog :class:`~repro.service.engine.QueryEngine` per process
-  over the *shared* :class:`~repro.service.artifacts.ArtifactStore`
-  directory.  Content addressing is the coherence protocol: the first
-  worker to attach a dataset builds and persists its Pi-structures, the
-  rest load the same bytes by key.
+  catalog-aware :class:`~repro.service.engine.QueryEngine` per process,
+  which loads a kind when an attach names it, over the *shared*
+  :class:`~repro.service.artifacts.ArtifactStore` directory.  Content
+  addressing is the coherence protocol: the first worker to attach a
+  dataset builds and persists its Pi-structures, the rest load the same
+  bytes by key.
 * :mod:`~repro.service.frontend.client` -- :class:`RemoteClient` /
   :class:`RemoteDataset`, the sync client whose sessions duck-type
   :class:`~repro.service.dataset.Dataset` so code written against a local

@@ -198,7 +198,7 @@ class RemoteClient:
         state = self._connection()
         state[2] += 1
         rid = state[2]
-        header: Dict[str, Any] = {"op": op, "rid": rid, "dataset": dataset}
+        header = protocol.request_header(op, rid, dataset, value)
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
         try:

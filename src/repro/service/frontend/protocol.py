@@ -16,7 +16,11 @@ the gateway never decodes the body: it relays the opaque body bytes to a
 worker process, which pays the decode cost in parallel with every other
 worker.  The header may carry one *optional* field, ``deadline_ms``: the
 request's remaining end-to-end budget in milliseconds at send time (a
-frame without it simply has no deadline).  Both sides speak exactly
+frame without it simply has no deadline).  An ``attach`` header also says
+``mutable`` (:func:`request_header`): the front homes a mutable dataset on
+one worker and replicates an immutable one, and decides that without
+parsing the payload; the worker refuses a body that disagrees with its
+header.  Both sides speak exactly
 ``PROTOCOL_VERSION``; a frame stamped with any other version -- v1
 included, which nothing emits any more -- is refused with a
 :class:`~repro.core.errors.ProtocolError` naming the version.  Frames whose
@@ -73,6 +77,7 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "MAX_FRAME_BYTES",
     "REQUEST_OPS",
+    "request_header",
     "encode_value",
     "decode_value",
     "encode_body",
@@ -108,6 +113,16 @@ REQUEST_OPS = frozenset(
     {"attach", "query", "query_batch", "apply_changes", "stats", "detach",
      "ping", "snapshot"}
 )
+
+
+def request_header(op: str, rid: int, dataset: Optional[str], value: Any) -> Dict[str, Any]:
+    """The routing header of one request: everything the front reads.  For
+    an ``attach`` that includes ``mutable``, copied from the body ``value``."""
+    header: Dict[str, Any] = {"op": op, "rid": rid, "dataset": dataset}
+    if op == "attach":
+        header["mutable"] = isinstance(value, dict) and bool(value.get("mutable"))
+    return header
+
 
 _CHANGE_TYPES: Dict[str, type] = {
     "TupleChange": TupleChange,

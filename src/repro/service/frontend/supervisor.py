@@ -418,7 +418,7 @@ class Supervisor:
         the supervisor's typed error, not a silent stall here.
         """
         body = protocol.encode_body(value, codec) if value is not None else b""
-        header: Dict[str, Any] = {"op": op, "rid": 0, "dataset": dataset}
+        header = protocol.request_header(op, 0, dataset, value)
         wait = timeout
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
@@ -541,9 +541,14 @@ class Supervisor:
             self._send(ticket, worker_id, now)
 
     def _submit_attach(self, header, body, codec, on_done, now) -> None:
-        params = protocol.decode_body(body, codec)
-        name = params["name"]
-        mutable = bool(params.get("mutable", False))
+        # Routed from the header alone: the body (O(|D|) to parse) stays
+        # opaque on this loop, and the worker holds the two to agree.
+        name, mutable = header.get("dataset"), header.get("mutable", False)
+        if not isinstance(name, str) or not name or not isinstance(mutable, bool):
+            raise ProtocolError(
+                "attach needs a dataset name (and a boolean mutable flag, if "
+                f"any) in the frame header, got {name!r} / {mutable!r}"
+            )
         targets = ([self._router.pick_home(self._datasets.values())] if mutable
                    else self._router.healthy())
         journal = Journal(name, header, body, codec, mutable=mutable,

@@ -1,11 +1,11 @@
 """Worker processes of the serving front: one ``QueryEngine`` each.
 
 A worker is a child process running :func:`worker_main`: it builds a
-full-catalog engine against the *shared* on-disk
-:class:`~repro.service.artifacts.ArtifactStore` directory, then serves its
-channel -- read a request frame, decode its body, serve it through the
-dataset-first engine surface, encode the response, write the response
-frame back.  Because artifacts are content-addressed, workers are
+catalog-aware engine that loads a kind when an attach names it, against the
+*shared* on-disk :class:`~repro.service.artifacts.ArtifactStore` directory,
+then serves its channel -- read a request frame, decode its body, serve it
+through the dataset-first engine surface, encode the response, write the
+response frame back.  Because artifacts are content-addressed, workers are
 cache-coherent for free: the first worker to attach a dataset builds and
 persists the Pi-structures, every later worker (and every restarted
 worker) loads the same bytes by key.  Nothing is shared in memory; the
@@ -142,6 +142,15 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
         if type(version) is not int or version < 0:
             raise ProtocolError(
                 f"attach version must be a non-negative int, got {version!r}"
+            )
+        # The front routed (and journalled) by the header without reading
+        # this body; both come from outside, so they must tell one story.
+        said = (params["name"], bool(params.get("mutable", False)))
+        routed = (name, header.get("mutable", False))
+        if said != routed:
+            raise ProtocolError(
+                f"attach body says (name, mutable) = {said!r} but the frame "
+                f"header says {routed!r}"
             )
         ds = engine.attach(
             params["name"],

@@ -1,18 +1,14 @@
-"""Relational storage substrate: schemas, relations, the catalog."""
+"""Relational storage substrate: schemas, relations, the catalog.
 
-from repro.storage.catalog import Database
-from repro.storage.fingerprint import canonical_bytes, dataset_fingerprint
-from repro.storage.relation import Relation, Row, uniform_int_relation
-from repro.storage.schema import Attribute, AttributeType, Schema
+Names are resolved on first access (:mod:`repro._lazy`): importing one
+submodule loads that submodule, not its siblings.
+"""
 
-__all__ = [
-    "Attribute",
-    "AttributeType",
-    "Database",
-    "Relation",
-    "Row",
-    "Schema",
-    "canonical_bytes",
-    "dataset_fingerprint",
-    "uniform_int_relation",
-]
+from repro._lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.storage.catalog": ("Database",),
+    "repro.storage.fingerprint": ("canonical_bytes", "dataset_fingerprint"),
+    "repro.storage.relation": ("Relation", "Row", "uniform_int_relation"),
+    "repro.storage.schema": ("Attribute", "AttributeType", "Schema"),
+})

@@ -129,7 +129,7 @@ class Pool:
             done.set()
 
         async def on_loop():
-            self.supervisor.submit({"op": op, "rid": rid, "dataset": dataset},
+            self.supervisor.submit(protocol.request_header(op, rid, dataset, value),
                                    body, CODEC, answered)
 
         self.supervisor.run(on_loop())
@@ -212,6 +212,42 @@ def test_refused_detach_of_a_homed_dataset_keeps_its_home(pool):
     for _ in range(4):                          # still routed home, never
         pool.submit("query", "m", {"kind": "k", "query": 1})   # round-robin
     assert pool.ops() == [["query"] * 4, []]
+
+
+# -- bugfix: the front routes an attach from its header, body unread -------------
+
+
+def test_attach_is_routed_from_the_header_without_decoding_its_body(pool, monkeypatch):
+    """The loop that owns every socket must not parse an O(|D|) payload to
+    read two fields the header already carries."""
+    def refuse(body, codec=CODEC):
+        raise AssertionError("the front decoded a request body")
+
+    monkeypatch.setattr(protocol, "decode_body", refuse)
+    pool.attach("d", mutable=False)             # replicated: both workers
+    pool.attach("m", mutable=True)              # homed: least-loaded worker
+    assert sorted(pool.supervisor._datasets) == ["d", "m"]
+    for _ in range(2):                          # homed, so never round-robin
+        pool.submit("query", "m", {"kind": "k", "query": 1})
+    assert pool.ops() == [["query", "query"], []]
+
+
+@pytest.mark.parametrize("header", [
+    {"op": "attach", "rid": 1},
+    {"op": "attach", "rid": 1, "dataset": None},
+    {"op": "attach", "rid": 1, "dataset": ""},
+    {"op": "attach", "rid": 1, "dataset": "d", "mutable": "yes"},
+], ids=repr)
+def test_attach_without_a_routable_header_is_refused_by_the_front(pool, header):
+    body = protocol.encode_body({"name": "d", "data": (1,), "mutable": False}, CODEC)
+
+    async def attach():
+        pool.supervisor.submit(header, body, CODEC, lambda *response: None)
+
+    with pytest.raises(ProtocolError, match="frame header"):
+        pool.supervisor.run(attach())
+    assert all(worker.idle() for worker in pool.workers)
+    assert not pool.supervisor._datasets
 
 
 # -- bugfix: a broadcast is admitted everywhere or nowhere -----------------------

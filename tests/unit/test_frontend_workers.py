@@ -1,10 +1,12 @@
-"""In-process tests of the worker's request handling (ISSUE 22 satellites).
+"""In-process tests of the worker's request handling.
 
 ``handle_frame`` is the whole worker minus its socket loop, so the protocol
 semantics are driven here without spawning anything.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -16,7 +18,7 @@ from repro.service.frontend.workers import handle_frame, merge_stats
 
 def _frame(engine, op, dataset, value):
     """One request through ``handle_frame``: ``(ok, decoded response body)``."""
-    header = {"op": op, "rid": 1, "dataset": dataset}
+    header = protocol.request_header(op, 1, dataset, value)
     response, body = handle_frame(
         engine, header, protocol.encode_body(value), protocol.CODEC_JSON
     )
@@ -38,6 +40,42 @@ def test_attach_refuses_a_malformed_version_and_leaves_nothing_attached(version)
         assert ok and ack["version"] == 6 and engine.datasets() == ["d"]
         ok, answer = _frame(engine, "query", "d", {"kind": "list-membership", "query": 2})
         assert ok and answer is True
+
+
+@pytest.mark.parametrize("header", [
+    {"dataset": "other"},                       # the front journalled another name
+    {"mutable": True},                          # ...or homed what the body replicates
+    {"dataset": None},
+], ids=repr)
+def test_attach_refuses_a_body_that_disagrees_with_its_header(header):
+    """The front routes by the header without reading the body, so a worker
+    must not attach under a name, or a mutability, the front did not route."""
+    value = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"]}
+    with build_query_engine() as engine:
+        request = {**protocol.request_header("attach", 1, "d", value), **header}
+        response, body = handle_frame(
+            engine, request, protocol.encode_body(value), protocol.CODEC_JSON)
+        error = protocol.decode_body(body, protocol.CODEC_JSON)
+        assert not response["ok"] and error["type"] == "ProtocolError", error
+        assert "header" in error["message"]
+        assert engine.datasets() == []
+        ok, ack = _frame(engine, "attach", "d", value)
+        assert ok and ack["mutable"] is False and engine.datasets() == ["d"]
+
+
+@pytest.mark.parametrize(
+    "kinds", ["list-membership", ["list-membership", "nope"], [["list-membership"]], 7, {}],
+    ids=repr)
+def test_attach_refuses_malformed_kinds_before_importing_any(kinds):
+    """``kinds`` decides what a worker imports: one bad name refuses the whole
+    list, resolves nothing and leaves no session."""
+    with build_query_engine() as engine:
+        before = set(sys.modules)
+        ok, error = _frame(engine, "attach", "d", {"name": "d", "data": (1, 2), "kinds": kinds})
+        assert not ok and error["type"] == "ServiceError", error
+        assert "known kinds" in error["message"] and "list-membership" in error["message"]
+        assert set(sys.modules) == before
+        assert engine.datasets() == [] and engine.stats().per_kind == {}
 
 
 def test_merge_stats_recomputes_hit_rate_from_the_merged_counters():

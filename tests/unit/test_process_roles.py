@@ -6,9 +6,10 @@ on ``sys.modules`` -- no clocks, no spawned front.  The three roles:
 * **front** (gateway + supervisor) relays opaque frames: no engine, dataset,
   index, query, catalog, workloads or numpy;
 * **client** additionally loads neither ``asyncio`` nor ``multiprocessing``;
-* **worker** hosts the full catalog but loads numpy only when a Boolean-
-  matrix reachability helper first runs, and never ``asyncio`` or the
-  gateway / client modules.
+* **worker** knows the whole catalog by name but imports a kind's modules
+  when an attach first names it: a counted ``repro.*`` closure at ready and
+  after serving two kinds, numpy only when a Boolean-matrix reachability
+  helper first runs, and never ``asyncio`` or the gateway / client modules.
 
 The second half pins the mechanism (``repro._lazy``): for every package whose
 re-exports are resolved on first access, the public surface is what an eager
@@ -81,36 +82,92 @@ def test_client_role_loads_no_engine_asyncio_or_multiprocessing():
                    forbidden) == set()
 
 
-def test_worker_role_loads_numpy_only_for_matrix_reachability():
-    out = _fresh("""
+#: What a worker serving ``list-membership`` and ``minimum-range-query`` must
+#: not have paid for: the other kinds, their substrates, the certifier.
+UNSERVED = (
+    *(f"repro.queries.{module}" for module in (
+        "selection", "topk", "cvp", "bds", "agap", "lca", "reachability",
+        "vertex_cover", "sat", "strategies")),
+    "repro.graphs", "repro.circuits", "repro.views", "repro.kernelization",
+    "repro.compression", "repro.reductions_zoo",
+    "repro.core.classes", "repro.core.tractability", "repro.core.fitting",
+    "repro.core.reductions",
+)
+
+
+def test_worker_role_pays_only_for_the_kinds_it_serves():
+    out = _fresh(f"""
 import sys
 import repro.service.frontend.workers
 from repro.catalog import build_query_engine
 
+def closure():
+    return sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+
 engine = build_query_engine()
+print(len(engine.kinds()), len(closure()),
+      *[m for m in closure() if m.startswith("repro.queries")])
+try:
+    engine.attach("bad", (1, 2), kinds=["list-membership", "nope"])
+except Exception as exc:
+    print(type(exc).__name__, len(closure()), engine.datasets())
 ints = engine.attach("ints", tuple(range(0, 128, 2)),
                      kinds=["list-membership", "minimum-range-query"])
 print(ints.query("list-membership", 6), ints.query("list-membership", 7),
       ints.query("minimum-range-query", (3, 9, 3)))
+print(len(closure()), *[m for m in {UNSERVED!r} if m in sys.modules])
 print(*[m for m in ("numpy", "asyncio", "repro.service.frontend.server",
                     "repro.service.frontend.client") if m in sys.modules])
+engine.close()
+""")
+    ready, refused, answers, served, early = out.splitlines()
+    kinds, at_ready, *kind_modules = ready.split()
+    assert int(kinds) == 12 and kind_modules == []  # all promised, none imported
+    assert int(at_ready) <= 30                      # 84 before kinds were deferred
+    assert refused == f"ServiceError {at_ready} []"  # a refused list imports nothing
+    assert answers == "True False True"
+    after_two_kinds, *unserved = served.split()
+    assert int(at_ready) < int(after_two_kinds) <= 45 and unserved == []
+    assert early == ""
 
+
+def test_worker_role_loads_numpy_only_for_matrix_reachability():
+    out = _fresh("""
+import sys
+import repro.service.frontend.workers
 from repro.queries import nc_squaring_scheme, reachability_class
 from repro.core.cost import CostTracker
 
+print("numpy" in sys.modules, "asyncio" in sys.modules)
 query_class, scheme = reachability_class(), nc_squaring_scheme()
 graph, queries = query_class.sample_workload(24, 5, 12)
 matrix = scheme.preprocess(graph, CostTracker())
 print(all(scheme.answer(matrix, q, CostTracker()) == query_class.pair_in_language(graph, q)
           for q in queries))
 print("numpy" in sys.modules, "asyncio" in sys.modules)
-engine.close()
 """)
-    answers, early, agrees, late = out.splitlines()
-    assert answers == "True False True"
-    assert early == ""  # full catalog + two served kinds: still none of them
-    assert agrees == "True"
-    assert late == "True False"  # numpy arrived on demand; asyncio never
+    assert out.splitlines() == ["False False", "True", "True False"]
+
+
+def test_importing_the_catalog_imports_no_kind():
+    assert _loaded("import repro.catalog", (
+        "repro.queries", "repro.reductions_zoo", "repro.core.classes",
+        "repro.core.tractability", "repro.core.query", "repro.service.engine")) == set()
+    assert _loaded("import repro.indexes.columns", (
+        "repro.indexes.btree", "repro.indexes.rmq", "repro.graphs", "repro.parallel",
+        "repro.core.cost")) == set()
+
+
+def test_reductions_zoo_stays_eager_because_a_name_shadows_its_submodule():
+    """``refactorize_cvp`` is both a submodule and the function it defines.
+    Under a PEP 562 hook, importing the submodule first binds the *module* on
+    the package and the hook never fires; the eager ``__init__`` rebinds the
+    name to the function.  It is off the serving path, so it stays eager."""
+    out = _fresh("import repro.reductions_zoo.refactorize_cvp\n"
+                 "from repro.reductions_zoo import refactorize_cvp\n"
+                 "import repro.reductions_zoo as zoo\n"
+                 "print(callable(refactorize_cvp), '__getattr__' in vars(zoo))")
+    assert out.split() == ["True", "False"]
 
 
 # -- the lazy packages offer the surface an eager __init__ would ---------------
@@ -121,6 +178,11 @@ LAZY_PACKAGES = (
     "repro.service",
     "repro.incremental",
     "repro.service.frontend",
+    "repro.queries",
+    "repro.indexes",
+    "repro.storage",
+    "repro.graphs",
+    "repro.parallel",
 )
 
 
