@@ -22,13 +22,15 @@ resolve to the leftmost minimum everywhere, matching
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.indexes import columns
 from repro.indexes.sparse_table import SparseTable, check_rmq_range
 
 __all__ = ["FischerHeunRMQ"]
+
+_SIGN_CHUNK = 64  # blocks per pass: each pass's lists then fit pymalloc's 512 B
 
 
 def _cartesian_signature(block: Sequence) -> str:
@@ -72,22 +74,41 @@ class FischerHeunRMQ:
         tracker = ensure_tracker(tracker)
         self._array = list(array)
         n = len(self._array)
-        self._block_size = max(1, int(math.log2(n)) // 4) if n >= 2 else 1
+        self._sign_blocks(max(1, int(math.log2(n)) // 4) if n >= 2 else 1, tracker)
 
-        # Per block: the absolute position of its minimum and the id of its
-        # in-block table (at most sum(Catalan(k), k <= b) signatures, far
-        # below n); the signature -> id dict serves signing, never a query.
-        self._tables: List[List[List[int]]] = []
-        self._table_ids: Dict[str, int] = {}
-        block_argmin: List[int] = []
-        block_table: List[int] = []
-        for start in range(0, n, self._block_size):
+    def _sign_blocks(self, b: int, tracker: CostTracker) -> None:
+        """Per block of ``b``: its minimum's position and its table's id.
+
+        Only ``a[i] > a[j]`` (i < j) is asked inside a block, so one bit per
+        pair fixes both: full blocks are coded a column at a time,
+        ``_SIGN_CHUNK`` per pass, and only a code's first block is signed.
+        """
+        array, n = self._array, len(self._array)
+        self._block_size, self._tables, self._table_ids = b, [], {}
+        pairs = [(i, j) for j in range(b) for i in range(j)]
+        ids, offsets = {}, {}
+        block_argmin, block_table = columns.positions((), n), columns.positions((), n)
+        full = n - n % b
+        for start in range(0, full, _SIGN_CHUNK * b):
+            stop = min(full, start + _SIGN_CHUNK * b)
+            cols = [array[start + offset : stop : b] for offset in range(b)]
+            codes = [0] * ((stop - start) // b)
+            for i, j in pairs:
+                codes = [c + c + 1 if x > y else c + c for c, x, y in zip(codes, cols[i], cols[j])]
+            fresh = sorted(set(codes).difference(ids), key=codes.index)
+            for code in fresh:
+                first = start + codes.index(code) * b
+                argmin, ids[code] = self._sign_block(first, tracker)
+                offsets[code] = argmin - first
+            tracker.tick(2 * b * (len(codes) - len(fresh)))
+            block_argmin.extend([s + offsets[c] for s, c in zip(range(start, stop, b), codes)])
+            block_table.extend(map(ids.__getitem__, codes))
+        for start in range(full, n, b):  # the short tail block, if any
             argmin, table_id = self._sign_block(start, tracker)
             block_argmin.append(argmin)
             block_table.append(table_id)
-        self._block_argmin = columns.positions(block_argmin, n)
-        self._block_table = columns.positions(block_table, n)
-        self._summary = SparseTable([self._array[p] for p in block_argmin], tracker)
+        self._block_argmin, self._block_table = block_argmin, block_table
+        self._summary = SparseTable([array[p] for p in block_argmin], tracker)
 
     def _sign_block(self, start: int, tracker: CostTracker) -> Tuple[int, int]:
         """(absolute argmin, in-block table id) of the block at ``start``,

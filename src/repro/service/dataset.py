@@ -53,6 +53,7 @@ it by name, and callers who want concurrency call it from their own threads.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from dataclasses import replace
@@ -88,6 +89,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.engine import QueryEngine, _Registration
 
 __all__ = ["Dataset"]
+
+_log = logging.getLogger(__name__)
 
 
 def _group_pairs(
@@ -475,6 +478,10 @@ class Dataset:
         return sorted(self._registrations)
 
     @property
+    def shards(self) -> int:
+        return self._shards
+
+    @property
     def mutable(self) -> bool:
         return self._mutable is not None
 
@@ -618,7 +625,7 @@ class Dataset:
             plan = _ShardedServe(engine, self, kind, registration, kernel, shard_plan)
         else:
             watch_key = self.artifact_key(kind)
-            structure = engine._resolve_by_key(kind, registration, watch_key, self._data)
+            structure = engine._resolve_by_key(kind, registration, watch_key, self._data)[0]
             plan = _ServePlan(engine, kind, kernel, structure)
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
@@ -832,20 +839,36 @@ class _MutableState:
         ordinary content-addressed artifacts, so warm cache/store resolution
         applies; later versions snapshot the working copy (one O(|D|) hash,
         paid at materialization, not per request).  Delta-capable monolithic
-        kinds are privatized (see :meth:`_build`), so in-place maintenance
-        never corrupts cache-shared structures.
+        kinds are privatized, both sides loading one blob (the bytes resolution
+        held, else one dump), so in-place maintenance never touches the cache's.
         """
         versions = self._versions
         with versions.writer_mutex:
             structure = versions.current.structures.get(kind)
             if structure is not None:
                 return structure
-            if versions.current.number == 0:
-                content, fingerprint = self._ds._data, self._ds._fingerprint
+            started = time.perf_counter()
+            content, fingerprint = self._ds._data, self._ds._fingerprint
+            if versions.current.number:
+                content = self._content.canonical()
+                fingerprint = dataset_fingerprint(content)
+            registration = self._ds.registration_for(kind)
+            scheme, dumps, loads = registration.scheme, 0, 0
+            if registration.shards > 1:
+                source, blob = "shards", None
+                structure = self._engine._planner.resolve(kind, registration, content, fingerprint)
             else:
-                content, fingerprint = self._content.canonical(), None
-            structure = self._build(kind, content, fingerprint)
-            versions.install(kind, structure, self._twin(kind, structure))
+                structure, source, blob = self._engine._resolve_by_key(
+                    kind, registration, registration.key(fingerprint), content)
+            twin = structure
+            if registration.shards == 1 and scheme.apply_delta is not None:
+                if blob is None:
+                    blob, dumps = scheme.dump(structure), 1
+                structure, twin, loads = scheme.load(blob), scheme.load(blob), 2
+            versions.install(kind, structure, twin)
+            _log.debug("materialized %r at v%d from %s: %d dump(s), %d load(s), %.1f ms",
+                       kind, versions.current.number, source, dumps, loads,
+                       (time.perf_counter() - started) * 1000.0)
             return structure
 
     def _twin(self, kind: str, structure: Any) -> Any:
@@ -862,20 +885,6 @@ class _MutableState:
         if registration.shards > 1 or scheme.apply_delta is None:
             return structure
         return scheme.load(scheme.dump(structure))
-
-    def _build(self, kind: str, content: Any, fingerprint: Optional[str]) -> Any:
-        engine = self._engine
-        registration = self._ds.registration_for(kind)
-        if fingerprint is None:
-            fingerprint = dataset_fingerprint(content)
-        if registration.shards > 1:
-            return engine._planner.resolve(kind, registration, content, fingerprint)
-        structure = engine._resolve_by_key(
-            kind, registration, registration.key(fingerprint), content
-        )
-        # Privatize through the codec: in-place delta maintenance must never
-        # touch a structure shared through the cache.
-        return self._twin(kind, structure)
 
     def _preprocess(self, kind: str, content: Any) -> Any:
         """A private in-memory build: no cache entry, no store artifact."""
@@ -1003,9 +1012,11 @@ class _MutableState:
                 fingerprint = None
                 for index, kind in enumerate(rebuild_kinds):
                     try:
-                        if self._ds.registration_for(kind).shards > 1:
+                        registration = self._ds.registration_for(kind)
+                        if registration.shards > 1:
                             fingerprint = fingerprint or dataset_fingerprint(canonical)
-                            fresh = self._build(kind, canonical, fingerprint)
+                            fresh = self._engine._planner.resolve(
+                                kind, registration, canonical, fingerprint)
                         else:
                             fresh = self._preprocess(kind, canonical)
                     except Exception as exc:

@@ -681,17 +681,17 @@ class QueryEngine:
 
     def _resolve_by_key(
         self, kind: str, registration: _Registration, key: ArtifactKey, content: Any
-    ) -> Any:
+    ) -> Tuple[Any, str, Optional[bytes]]:
         """Monolithic cache -> store -> build resolution for a known key.
 
         Shared by serve-plan capture and by mutable-session materialization
         (:mod:`repro.service.dataset`), so the probe / stat-bump / miss
-        sequence exists exactly once.
+        sequence exists exactly once (returns :meth:`_resolve_miss`'s triple).
         """
         structure = self._cache.get(key)
         if structure is not None:
             self._bump(kind, cache_hits=1)
-            return structure
+            return structure, "cache", None
         return self._resolve_miss(kind, registration, key, content)
 
     def _resolve_miss(
@@ -702,13 +702,13 @@ class QueryEngine:
         data: Any,
         *,
         shard: bool = False,
-    ) -> Any:
+    ) -> Tuple[Any, str, Optional[bytes]]:
         """Cache-miss path shared by monolithic and per-shard resolution.
 
         The caller has already probed the cache (and recorded the miss);
         this takes the per-key build lock, rechecks, then loads from the
         store or builds and persists.  ``shard=True`` routes the counters to
-        the ``shard_*`` statistics.
+        the ``shard_*`` statistics.  Returns (structure, cache|store|build, bytes held).
         """
         try:
             with self._build_lock(key):
@@ -718,8 +718,9 @@ class QueryEngine:
                 structure = self._cache.get(key, record=False)
                 if structure is not None:
                     self._bump(kind, **{("shard_cache_hits" if shard else "cache_hits"): 1})
-                    return structure
-                structure = self._load_from_store(kind, registration, key, shard=shard)
+                    return structure, "cache", None
+                structure, blob = self._load_from_store(kind, registration, key, shard=shard)
+                source = "store" if structure is not None else "build"
                 if structure is None:
                     started = time.perf_counter()
                     structure = registration.scheme.preprocess(data, CostTracker())
@@ -730,7 +731,8 @@ class QueryEngine:
                         self._bump(kind, builds=1, build_seconds=elapsed)
                     if self._store is not None:
                         try:
-                            self._store.put(key, registration.scheme.dump(structure))
+                            blob = registration.scheme.dump(structure)
+                            self._store.put(key, blob)
                         except OSError:
                             # Disk full / unwritable store: the build still
                             # serves from memory; only durability is lost,
@@ -745,7 +747,7 @@ class QueryEngine:
             # worst case one redundant build, never a wrong answer.
             with self._build_locks_guard:
                 self._build_locks.pop(key, None)
-        return structure
+        return structure, source, blob
 
     def _load_from_store(
         self,
@@ -754,9 +756,9 @@ class QueryEngine:
         key: ArtifactKey,
         *,
         shard: bool = False,
-    ) -> Optional[Any]:
+    ) -> Tuple[Optional[Any], Optional[bytes]]:
         if self._store is None:
-            return None
+            return None, None
         recovery = faults.policy()
         attempts = 1 + max(0, recovery.load_retries)
         for attempt in range(attempts):
@@ -775,14 +777,14 @@ class QueryEngine:
                     self._bump(kind, rebuild_retries=1)
                     continue
                 self._store.delete(key)
-                return None
+                return None, None
             except ArtifactError:
                 # Incompatible format/scheme version: never retryable --
                 # drop it and rebuild under the current version.
                 self._store.delete(key)
-                return None
+                return None, None
             if blob is None:
-                return None
+                return None, None
             if time.perf_counter() - started >= recovery.slow_load_seconds:
                 self._bump(kind, slow_loads=1)
             try:
@@ -792,10 +794,10 @@ class QueryEngine:
                 # file content itself is bad, so a re-read cannot help.
                 self._bump(kind, checksum_failures=1)
                 self._store.delete(key)
-                return None
+                return None, None
             self._bump(kind, **{("shard_store_hits" if shard else "store_hits"): 1})
-            return structure
-        return None
+            return structure, blob
+        return None, None
 
     # -- serve-plan invalidation -------------------------------------------------
 

@@ -21,11 +21,11 @@ breakers, the round-robin cursor and the restart schedule.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import WorkerFailedError
 from repro.service.faults import RecoveryPolicy
-from repro.service.frontend import protocol
 
 __all__ = ["Journal", "Router"]
 
@@ -101,19 +101,23 @@ class Journal:
         self.checkpointing = False
 
     def finish_checkpoint(self, ok: bool, body: bytes, codec: int) -> bool:
-        """The snapshot came back (or failed).  On success the attach
-        baseline becomes the snapshot content at the snapshot's version and
-        the journal is truncated; False leaves both as they were."""
+        """The snapshot came back (or failed).  On success the reply -- a whole
+        attach body, shape-checked by one ``json.loads`` on the loop owning
+        every socket -- becomes the attach baseline verbatim and the journal
+        is truncated; False leaves both as they were."""
         self.checkpointing = False
         if not ok:
             return False
         try:
-            snapshot = protocol.decode_body(body, codec)
-            params = protocol.decode_body(self.body, self.codec)
-            params["data"], params["version"] = snapshot["data"], snapshot["version"]
-            self.body = protocol.encode_body(params, self.codec)
-        except Exception:
+            reply = json.loads(body)
+            fields = dict(reply["v"]) if reply["$"] == "d" else {}
+            version = fields["version"]
+            if (fields["name"] != self.name or fields["mutable"] is not True
+                    or type(version) is not int or version < 0 or "data" not in fields):
+                return False
+        except (ValueError, KeyError, TypeError):
             return False
+        self.body, self.codec = body, codec
         self.batches.clear()
         return True
 

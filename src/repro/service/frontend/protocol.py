@@ -107,8 +107,8 @@ _PREFIX = struct.Struct(">2sBBHI")
 MAX_FRAME_BYTES = _PREFIX.size + 0xFFFF + 0xFFFFFFFF
 
 #: Every request op a frontend peer may send.  ``snapshot`` returns a
-#: dataset's current content + version; the supervisor uses it to
-#: checkpoint mutable-dataset journals (bounded re-home replay).
+#: dataset's attach body at its current content + version; the supervisor
+#: uses it to checkpoint mutable-dataset journals (bounded re-home replay).
 REQUEST_OPS = frozenset(
     {"attach", "query", "query_batch", "apply_changes", "stats", "detach",
      "ping", "snapshot"}

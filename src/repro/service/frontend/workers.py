@@ -188,7 +188,9 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     if op == "stats":
         return ds.stats()
     if op == "snapshot":
-        return {"data": ds.dataset(), "version": ds.version}
+        # A whole attach body: the front adopts it verbatim as a new baseline.
+        return {"name": ds.name, "data": ds.dataset(), "kinds": ds.kinds,
+                "shards": ds.shards, "mutable": ds.mutable, "version": ds.version}
     if op == "detach":
         ds.detach()
         return True

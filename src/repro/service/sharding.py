@@ -375,7 +375,7 @@ class ShardPlanner:
             position, planned, key = misses[0]
             structures[position] = engine._resolve_miss(
                 kind, registration, key, planned.piece.data, shard=True
-            )
+            )[0]
         elif misses:
             pool = self._ensure_pool()
             futures = [
@@ -393,7 +393,7 @@ class ShardPlanner:
                 for position, planned, key in misses
             ]
             for position, future in futures:
-                structures[position] = future.result()
+                structures[position] = future.result()[0]
         return structures
 
     def resolve(

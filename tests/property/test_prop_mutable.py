@@ -406,12 +406,14 @@ def _containers(structure):
 @given(st.lists(st.tuples(st.integers(0, 39), st.integers(-5, 5)), max_size=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
-    """The same hazard one layer down: ``_build`` and ``_twin`` privatise
-    through ``load(dump(...))``, so no list or typed column may be shared
-    between the cache-held structure, the published one and its offline
-    twin -- an aliased sparse-table level would be repaired twice, or under
-    a pinned reader.  Fischer--Heun folds each write in place; the sorted
-    run refuses a PointWrite and takes the rebuild path through ``_build``."""
+    """The same hazard one layer down: first touch (``_materialize``) decodes
+    the published structure and its offline twin from one blob, and a
+    rebuild is twinned through ``load(dump(...))`` (``_twin``), so no list or
+    typed column may be shared between the cache-held structure, the
+    published one and its offline twin -- an aliased sparse-table level
+    would be repaired twice, or under a pinned reader.  Fischer--Heun folds
+    each write in place; the sorted run refuses a PointWrite and takes the
+    rebuild path (``_preprocess``, then ``_twin``)."""
     with QueryEngine() as engine:
         engine.register("rmq", rmq_class(), fischer_heun_scheme())
         engine.register("members", membership_class(), sorted_run_scheme())

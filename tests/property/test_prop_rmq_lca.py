@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.cost import CostTracker
 from repro.graphs import Digraph, Graph
+from repro.indexes import rmq as rmq_module
 from repro.indexes import (
     DagLCAIndex,
     EulerTourLCA,
@@ -243,3 +244,52 @@ def test_early_exit_point_update_equals_rebuild(array, writes):
         )
         for low in range(n):
             assert fischer.argmin_fast(low, n - 1) == naive_range_min(array, low, n - 1)
+
+
+# -- column-at-a-time block signing ----------------------------------------------
+
+
+def _signed_block_at_a_time(array, b, tracker):
+    """The reference signer: one ``_sign_block`` call per block."""
+    rmq = FischerHeunRMQ.__new__(FischerHeunRMQ)
+    rmq._array, rmq._block_size, rmq._tables, rmq._table_ids = list(array), b, [], {}
+    signed = [rmq._sign_block(start, tracker) for start in range(0, len(array), b)]
+    rmq._block_argmin = columns.positions([argmin for argmin, _ in signed], len(array))
+    rmq._block_table = columns.positions([table for _, table in signed], len(array))
+    rmq._summary = SparseTable([array[argmin] for argmin, _ in signed], tracker)
+    return rmq
+
+
+@st.composite
+def tied_arrays(draw):
+    """0-600 values, nearly all in-block pairs tied ({0, 1, 2}) or wide."""
+    alphabet = draw(st.sampled_from([(0, 1, 2), tuple(_EDGES)]))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    return [rng.choice(alphabet) for _ in range(draw(st.integers(0, 600)))]
+
+
+@given(tied_arrays(), st.integers(1, 6), st.sampled_from([1, 3, 64]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_column_signing_equals_block_at_a_time(array, b, chunk, data):
+    """Same state bytes, charges and signatures as the per-block loop, for
+    block sizes the constructor reaches only at n >= 2^20 (b = 5, 6) and
+    across chunk boundaries; then point writes keep argmins leftmost."""
+    expected_tracker, tracker = CostTracker(), CostTracker()
+    expected = _signed_block_at_a_time(array, b, expected_tracker)
+    fischer = FischerHeunRMQ.__new__(FischerHeunRMQ)
+    fischer._array = list(array)
+    default, rmq_module._SIGN_CHUNK = rmq_module._SIGN_CHUNK, chunk
+    try:
+        fischer._sign_blocks(b, tracker)
+    finally:
+        rmq_module._SIGN_CHUNK = default
+    assert pickle.dumps(fischer.to_state()) == pickle.dumps(expected.to_state())
+    assert tracker.snapshot() == expected_tracker.snapshot()
+    assert fischer.distinct_signatures == expected.distinct_signatures
+    for _ in range(3 if array else 0):
+        position = data.draw(st.integers(0, len(array) - 1))
+        array[position] = data.draw(st.integers(-1, 3))
+        fischer.point_update(position, array[position])
+        low = data.draw(st.integers(0, len(array) - 1))
+        high = data.draw(st.integers(low, len(array) - 1))
+        assert fischer.argmin_fast(low, high) == naive_range_min(array, low, high)

@@ -204,6 +204,13 @@ def batch(n, **extra):
     return header, protocol.encode_body({"changes": [n]}, CODEC), CODEC
 
 
+def snapshot_reply(data, version, **fields):
+    """A worker's ``snapshot`` reply: the complete attach body."""
+    params = {"name": "d", "data": data, "kinds": ["list-membership"],
+              "shards": 1, "mutable": True, "version": version, **fields}
+    return protocol.encode_body(params, CODEC)
+
+
 def make_journal(checkpoint_every=2, **extra):
     header, body = attach_frame((1, 2, 3), **extra)
     return Journal("d", header, body, CODEC, mutable=True, home=0,
@@ -230,9 +237,9 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     # Acknowledged while the snapshot is outstanding: FIFO puts it *in*
     # the snapshot, and it must not trigger a second one.
     assert journal.record(*batch(3)) is None
-    snapshot = protocol.encode_body({"data": (1, 2, 3, 9), "version": 3}, CODEC)
+    snapshot = snapshot_reply((1, 2, 3, 9), 3)
     assert journal.finish_checkpoint(True, snapshot, CODEC) is True
-    assert journal.frames() == [(journal.header, journal.body, CODEC)]
+    assert journal.frames() == [(journal.header, snapshot, CODEC)]  # verbatim
     params = protocol.decode_body(journal.body, CODEC)
     assert params["data"] == (1, 2, 3, 9)           # the new baseline...
     assert params["version"] == 3                   # ...at the snapshot's version
@@ -251,6 +258,39 @@ def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
     assert journal.finish_checkpoint(ok, body, CODEC) is False
     assert [h["rid"] for h, _, _ in journal.frames()] == [7, 1, 2]
     assert journal.record(*batch(3)) is not None    # next ack asks again
+
+
+@pytest.mark.parametrize("body", [
+    snapshot_reply((1,), -1),
+    snapshot_reply((1,), True),
+    snapshot_reply((1,), 2, name="other"),
+    snapshot_reply((1,), 2, mutable=False),
+    protocol.encode_body({"name": "d", "mutable": True, "version": 2}, CODEC),
+    protocol.encode_body([("name", "d")], CODEC),
+], ids=["negative-version", "bool-version", "other-name", "immutable", "no-data",
+        "not-a-dict"])
+def test_checkpoint_refuses_a_reply_that_is_not_this_journals_attach_body(body):
+    journal = make_journal(checkpoint_every=1)
+    baseline = journal.body
+    assert journal.record(*batch(1)) is not None
+    assert journal.finish_checkpoint(True, body, CODEC) is False
+    assert journal.body == baseline and len(journal.batches) == 1
+
+
+def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
+    """The front's event loop owns every socket: adopting a 2^16-int
+    snapshot must cost one ``json.loads``, not a decode-patch-encode."""
+    reply = snapshot_reply(tuple(range(1 << 16)), 9)
+    journal = make_journal(checkpoint_every=1)
+    assert journal.record(*batch(1)) is not None
+
+    def refuse(value):
+        raise AssertionError("finish_checkpoint ran the tagged codec")
+
+    monkeypatch.setattr(protocol, "decode_value", refuse)
+    monkeypatch.setattr(protocol, "encode_value", refuse)
+    assert journal.finish_checkpoint(True, reply, CODEC) is True
+    assert journal.body is reply and journal.batches == []
 
 
 def test_losing_the_home_cancels_the_outstanding_snapshot():

@@ -100,3 +100,23 @@ def test_merge_stats_recomputes_hit_rate_from_the_merged_counters():
     idle = snapshot()
     merge_stats(idle, snapshot())
     assert idle["kinds"]["k"]["hit_rate"] == 0.0  # no resolutions: no division
+
+
+def test_snapshot_replies_with_an_attach_body_a_fresh_worker_accepts():
+    """The front adopts a ``snapshot`` reply verbatim as the attach frame it
+    replays on re-home, so the reply must be exactly such a body: same name,
+    kinds, shard count and mutability, the current content and version."""
+    from repro.incremental.changes import ChangeKind, TupleChange
+
+    body = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"],
+            "shards": 2, "mutable": True}
+    with build_query_engine() as engine:
+        assert _frame(engine, "attach", "d", body)[0]
+        change = TupleChange(ChangeKind.INSERT, (9,))
+        assert _frame(engine, "apply_changes", "d", {"changes": [change]})[0]
+        ok, snapshot = _frame(engine, "snapshot", "d", None)
+    assert ok and snapshot == {**body, "data": (1, 2, 3, 9), "version": 1}
+    with build_query_engine() as engine:
+        ok, ack = _frame(engine, "attach", "d", snapshot)
+        assert ok and ack["version"] == 1
+        assert _frame(engine, "query", "d", {"kind": "list-membership", "query": 9}) == (True, True)

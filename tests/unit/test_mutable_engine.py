@@ -19,7 +19,9 @@ evaluator are both pinned against the oracle.
 
 from __future__ import annotations
 
+import logging
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +29,12 @@ from repro.catalog import build_query_engine
 from repro.core.errors import DeltaError, ServiceError
 from repro.graphs.graph import Digraph
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
-from repro.queries import membership_class, sorted_run_scheme
+from repro.queries import (
+    fischer_heun_scheme,
+    membership_class,
+    rmq_class,
+    sorted_run_scheme,
+)
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine
 
@@ -551,3 +558,82 @@ def test_engine_close_surfaces_session_writebehind_error_and_still_closes(tmp_pa
         with pytest.raises(WriteBehindError):
             engine.close()
     assert engine._closed  # teardown completed before the error escaped
+
+
+# -- privatisation: both sides from one blob -----------------------------------
+
+
+def _counting_engine(store, counts):
+    """An engine serving ``rmq`` (Fischer--Heun, its codec wrapped in call
+    counters) and ``members`` (the sorted run)."""
+    scheme = fischer_heun_scheme()
+
+    def dump(structure):
+        counts["dump"] += 1
+        return scheme.dump(structure)
+
+    def load(blob):
+        counts["load"] += 1
+        return scheme.load(blob)
+
+    engine = QueryEngine(store=store)
+    engine.register("rmq", rmq_class(), replace(scheme, dump=dump, load=load))
+    engine.register("members", membership_class(), sorted_run_scheme())
+    return engine
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, stored):
+    """First touch of a mutable delta kind: one build, one dump at most (the
+    one the build persisted is reused), and exactly two loads -- the
+    published side and its offline twin -- none counted as a build or a
+    store hit; a restarted engine decodes the stored file and dumps nothing."""
+    data = tuple(range(64, 0, -1))
+    counts = {"dump": 0, "load": 0}
+    with _counting_engine(ArtifactStore(tmp_path) if stored else None, counts) as engine:
+        ds = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        assert _ask(ds, "rmq", (0, 63, 63)) is True
+        stats = engine.stats().per_kind["rmq"]
+        assert (stats.builds, stats.store_hits, stats.cache_hits) == (1, 0, 0)
+        assert counts == {"dump": 1, "load": 2}
+        versions = ds._mutable._versions
+        cached = engine._cache.get(ds.artifact_key("rmq"), record=False)
+        sides = [versions.current.structures["rmq"], versions.offline["rmq"], cached]
+        assert len({id(structure) for structure in sides}) == 3
+    if not stored:
+        return
+    counts.update(dump=0, load=0)
+    with _counting_engine(ArtifactStore(tmp_path), counts) as engine:
+        ds = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        assert _ask(ds, "rmq", (3, 63, 63)) is True
+        stats = engine.stats().per_kind["rmq"]
+        assert (stats.builds, stats.store_hits) == (0, 1)
+        assert counts == {"dump": 0, "load": 3}
+
+
+def test_each_mutable_materialization_emits_one_debug_record(tmp_path, caplog):
+    """Which structure got rebuilt, and why -- read from what the system
+    emits: kind, version, source, privatisation dumps / loads and ms."""
+    assert not logging.getLogger("repro.service.dataset").handlers
+    caplog.set_level(logging.DEBUG, logger="repro.service.dataset")
+    data = tuple(range(64, 0, -1))
+    with _counting_engine(ArtifactStore(tmp_path), {"dump": 0, "load": 0}) as engine:
+        live = engine.attach("live", data, kinds=["rmq", "members"], mutable=True)
+        assert live.query("rmq", (0, 63, 63)) is True
+        live.apply_changes([PointWrite(0, 0)])
+        assert live.query("members", 0) is True        # first touch at v1
+        other = engine.attach("other", data, kinds=["rmq"], mutable=True)
+        assert other.query("rmq", (0, 63, 63)) is True
+        live.detach()
+        other.detach()
+    with _counting_engine(ArtifactStore(tmp_path), {"dump": 0, "load": 0}) as engine:
+        assert engine.attach("again", data, kinds=["rmq"], mutable=True).query("rmq", (0, 1, 1))
+    records = [r for r in caplog.records if r.name == "repro.service.dataset"]
+    assert {r.levelno for r in records} == {logging.DEBUG}
+    assert [r.args[:5] for r in records] == [
+        ("rmq", 0, "build", 0, 2),      # the persisted dump is the blob
+        ("members", 1, "build", 0, 2),  # first touched after a batch: v1 content
+        ("rmq", 0, "cache", 1, 2),      # a cache hit holds no bytes: one dump
+        ("rmq", 0, "store", 0, 2),      # the file it read is the blob
+    ]
+    assert all(r.args[5] >= 0 for r in records)
