@@ -8,12 +8,18 @@ seconds instead of 1.9 days on the petabyte thought experiment.
 Design notes
 ------------
 * Order ``order`` bounds the number of keys per node; nodes split at
-  ``order`` keys and (except the root) rebalance below ``order // 2``.
+  ``order`` keys and (except the root) rebalance below ``order // 2``.  The
+  default, 64, is the widest node whose lists stay inside pymalloc's 512 B
+  small-object limit: 2^16 keys bulk-load into half the leaves of order 32
+  and one level less, while order 128's value lists spill to ``malloc``
+  (+1.9 MiB resident on the local-point yardstick).
 * Leaves hold runs, not a list per key: the distinct ``keys``, the payload
-  ``counts`` per key, and every payload in key order in one flat ``values``
-  list -- duplicates lengthen their key's run -- and are chained
-  left-to-right for range scans.  Maintenance moves offsets within one
-  leaf (at most ``order`` entries); the untracked kernels read ``keys`` only.
+  ``counts`` per key as a typed column (:func:`repro.indexes.columns.counts`:
+  a machine word per key, no boxed int, no entry for the collector to
+  visit), and every payload in key order in one flat ``values`` list --
+  duplicates lengthen their key's run -- and are chained left-to-right for
+  range scans.  Maintenance moves offsets within one leaf (at most ``order``
+  entries); the untracked kernels read ``keys`` only.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
 * One bulk loader serves :meth:`BPlusTree.from_columns` (argsort, count
@@ -31,19 +37,23 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
-from repro.indexes.columns import pack, pack_sorted, unpack
+from repro.indexes.columns import counts as count_column, is_counts, pack, pack_sorted, unpack
 
 __all__ = ["BPlusTree"]
+
+#: The default node width: the widest whose lists stay inside pymalloc.
+ORDER = 64
 
 
 class _Node:
     """An internal node is ``keys`` + ``children``; a leaf is ``keys``, the
-    parallel ``counts`` and the flat ``values`` run (``sum(counts)`` long)."""
+    parallel ``counts`` column and the flat ``values`` run (``sum(counts)``
+    long)."""
 
     __slots__ = ("leaf", "keys", "children", "counts", "values", "next")
 
@@ -51,7 +61,7 @@ class _Node:
         self.leaf = children is None
         self.keys: List[Any] = keys
         self.children: Optional[List["_Node"]] = children
-        self.counts: Optional[List[int]] = counts
+        self.counts: Optional[Sequence[int]] = counts
         self.values: Optional[List[Any]] = values
         self.next: Optional["_Node"] = None  # leaf chain
 
@@ -73,11 +83,11 @@ def _search_charge(node: _Node, tracker: CostTracker) -> None:
 class BPlusTree:
     """A B+-tree over totally ordered keys with duplicate support."""
 
-    def __init__(self, order: int = 32) -> None:
+    def __init__(self, order: int = ORDER) -> None:
         if order < 4:
             raise IndexError_("B+-tree order must be at least 4")
         self.order = order
-        self._root: _Node = _Node([], counts=[], values=[])
+        self._root: _Node = _Node([], counts=count_column(()), values=[])
         self._size = 0  # number of (key, payload) entries
 
     def __len__(self) -> int:
@@ -99,7 +109,7 @@ class BPlusTree:
         cls,
         entries: Iterable[Tuple[Any, Any]],
         *,
-        order: int = 32,
+        order: int = ORDER,
         tracker: Optional[CostTracker] = None,
     ) -> "BPlusTree":
         """:meth:`from_columns` over ``(key, payload)`` pairs."""
@@ -113,7 +123,7 @@ class BPlusTree:
         keys: Sequence[Any],
         payloads: Sequence[Any],
         *,
-        order: int = 32,
+        order: int = ORDER,
         tracker: Optional[CostTracker] = None,
     ) -> "BPlusTree":
         """PTIME preprocessing over a key column and its payload column: one
@@ -126,17 +136,23 @@ class BPlusTree:
         size = len(keys)
         ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
         by_key = sorted(range(size), key=keys.__getitem__)
-        # A dict keeps first-seen order, and the keys arrive sorted.
-        counts = Counter(map(keys.__getitem__, by_key))
         values = list(map(payloads.__getitem__, by_key))
-        return cls._bulk_load(order, list(counts), list(counts.values()), values)
+        # A dict keeps first-seen order, and the keys arrive sorted.
+        runs = Counter(map(keys.__getitem__, by_key))
+        del by_key
+        distinct, counts = list(runs), count_column(runs.values())
+        # No build temporary but the three columns outlives this line.
+        del runs
+        return cls._bulk_load(order, distinct, counts, values)
 
     @classmethod
     def _bulk_load(
-        cls, order: int, keys: List[Any], counts: List[int], values: List[Any]
+        cls, order: int, keys: List[Any], counts: Sequence[int], values: List[Any]
     ) -> "BPlusTree":
         """The one bulk loader: a tree over sorted distinct ``keys`` where
-        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``.
+        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``;
+        ``counts`` is a :func:`~repro.indexes.columns.counts` column, so each
+        leaf's slice of it is one too.
 
         O(n): leaves are cut from the runs, then each internal level groups
         the one below, using the smallest key of each right subtree as the
@@ -156,14 +172,13 @@ class BPlusTree:
 
         minimum = tree._min_keys()
         fill = max(minimum + 1, order // 2)
-        offsets = list(accumulate(counts, initial=0))
         level: List[_Node] = []
+        offset = 0
         for start, stop in cuts(len(keys), fill, minimum):
-            leaf = _Node(
-                keys[start:stop],
-                counts=counts[start:stop],
-                values=values[offsets[start] : offsets[stop]],
-            )
+            run = counts[start:stop]
+            end = offset + sum(run)
+            leaf = _Node(keys[start:stop], counts=run, values=values[offset:end])
+            offset = end
             if level:
                 level[-1].next = leaf
             level.append(leaf)
@@ -485,7 +500,7 @@ class BPlusTree:
         bottom-up in linear time).
         """
         keys: List[Any] = []
-        counts: List[int] = []
+        counts = count_column(())
         payloads: List[Any] = []
         for node in self._leaves():
             keys.extend(node.keys)
@@ -500,8 +515,12 @@ class BPlusTree:
 
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
-        """Rebuild from :meth:`to_state` output through the bulk loader."""
-        keys, counts, payloads = (unpack(state[name]) for name in ("keys", "counts", "payloads"))
+        """Rebuild from :meth:`to_state` output through the bulk loader, at
+        the stored ``order`` (a state written at another width loads at it)."""
+        # ``counts`` went through ``pack``, never the gap form: a packed
+        # column or a list, either of which the typed column copies directly.
+        counts = count_column(state["counts"])
+        keys, payloads = unpack(state["keys"]), unpack(state["payloads"])
         return cls._bulk_load(int(state["order"]), keys, counts, payloads)
 
     # -- invariants (used by property tests) ----------------------------------------
@@ -521,6 +540,7 @@ class BPlusTree:
                 if high is not None:
                     assert key < high, "separator invariant (high)"
             if node.leaf:
+                assert is_counts(node.counts), "counts is not the typed column"
                 assert len(node.keys) == len(node.counts)
                 assert all(count > 0 for count in node.counts), "empty payload run"
                 assert sum(node.counts) == len(node.values), "counts do not cover values"

@@ -7,17 +7,20 @@ machine word per entry, not a pointer to a boxed ``int`` -- in memory and in
 memory (``bisect`` and indexing are faster over a list), packed for
 ``to_state`` only when every element is a plain ``int`` in a machine word;
 a *sorted* run is stored as its first value plus its gaps when the gaps take
-a narrower word than the values do.
+a narrower word than the values do.  A *run-length* column (B+-tree leaf
+``counts``) is an ``array.array`` in memory too, typed by the longest list a
+count can measure, not by the largest count seen at build time.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from itertools import accumulate, islice
 from operator import sub
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["positions", "pack", "pack_sorted", "unpack"]
+__all__ = ["positions", "counts", "is_counts", "pack", "pack_sorted", "unpack"]
 
 
 def positions(entries: Iterable[int], bound: int) -> array:
@@ -27,6 +30,23 @@ def positions(entries: Iterable[int], bound: int) -> array:
         if bound <= 1 << 8 * array(code).itemsize:
             return array(code, entries)
     raise OverflowError(f"no machine word holds positions below {bound}")
+
+
+#: A count never exceeds the length of one list, so ``sys.maxsize`` bounds it.
+_COUNT_CODE = positions((), sys.maxsize + 1).typecode
+
+
+def counts(entries: Iterable[int]) -> array:
+    """A fresh run-length column, typed by the longest list, so ``insert``
+    can grow any run without an ``OverflowError``: ``'Q'`` on a 64-bit
+    build, a word per key and no boxed int.  The collector tracks the column
+    (a heap type) but visits none of its entries."""
+    return array(_COUNT_CODE, entries)
+
+
+def is_counts(column: Any) -> bool:
+    """Whether ``column`` is a :func:`counts` column."""
+    return isinstance(column, array) and column.typecode == _COUNT_CODE
 
 
 def _narrowest(values: Sequence[int], codes: str = "BbHhIiQq") -> Optional[array]:

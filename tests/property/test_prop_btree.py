@@ -204,3 +204,58 @@ def test_maintained_tree_round_trips_and_answers_like_a_scan(entries, order, ops
         assert clone.contains(low) == clone.contains_fast(low) == (low in present)
         naive = any(low <= key <= high for key in present)
         assert clone.range_nonempty(low, high) == clone.range_nonempty_fast(low, high) == naive
+
+
+# -- typed counts: every mutation path keeps the run-length column ------------
+
+# The smallest legal nodes and the default width; keys span three nodes' worth
+# of distinct values, so inserts split (from an empty tree at any width) and
+# the final drain borrows, merges and collapses the root.
+count_orders = st.sampled_from([4, 5, 6, 64, 64, 64])
+
+
+@st.composite
+def count_workloads(draw):
+    order = draw(count_orders)
+    key = st.integers(min_value=0, max_value=3 * order)
+    # Sized by the order (or empty), so a default-width tree has several leaves.
+    size = draw(st.one_of(st.just(0), st.integers(2 * order, 4 * order)))
+    entries = draw(st.lists(st.tuples(key, st.integers(0, 3)), min_size=size, max_size=size))
+    ops = draw(st.lists(st.tuples(st.sampled_from(["insert", "insert", "delete"]), key),
+                        max_size=2 * order + 40))
+    return order, draw(st.booleans()), entries, ops
+
+
+@given(count_workloads())
+@settings(max_examples=60, deadline=None)
+def test_counts_stay_the_typed_column_through_every_mutation_path(workload):
+    order, bulk, entries, ops = workload
+    if bulk:
+        keys, payloads = zip(*entries) if entries else ((), ())
+        tree = BPlusTree.from_columns(keys, payloads, order=order)
+    else:
+        tree = _insert_built(entries, order)
+    model = Counter(key for key, _ in entries)
+    tree.check_invariants()  # asserts every leaf's counts is the typed column
+
+    # One run past the largest count the build saw: no OverflowError.
+    hot = max(model, key=model.__getitem__, default=0)
+    for _ in range(max(model.values(), default=0) + 2):
+        tree.insert(hot, None)
+        model[hot] += 1
+    tree.check_invariants()
+
+    for op, key in ops:
+        if op == "insert":
+            tree.insert(key, None)
+            model[key] += 1
+        else:
+            assert tree.delete(key) == (model[key] > 0)
+            model[key] = max(model[key] - 1, 0)
+        tree.check_invariants()
+    assert tree.keys() == sorted(model.elements())
+
+    for key in sorted(model.elements()):  # drain: borrow, merge, root collapse
+        assert tree.delete(key)
+        tree.check_invariants()
+    assert len(tree) == 0 and tree.height == 1

@@ -180,6 +180,26 @@ class TestPayloadRuns:
             tree.check_invariants()
             assert tree.moved == {"split", "borrow-left", "borrow-right", "merge"}, (order, tree.moved)
 
+    def test_a_run_grows_past_any_build_time_count(self):
+        """Counts are typed by the longest list, not the build's largest run:
+        a 65 535-payload run (the top of a 16-bit word) keeps growing."""
+        n = (1 << 16) - 1
+        tree = BPlusTree.from_columns([7] * n + [9], [None] * (n + 1))
+        for _ in range(3):
+            tree.insert(7, "late")
+        tree.check_invariants()
+        assert tree._root.counts[0] == n + 3
+        assert tree.search(7)[-3:] == ["late"] * 3
+        state = tree.to_state()
+        assert list(state["counts"]) == [n + 3, 1]
+        BPlusTree.from_state(state).check_invariants()
+
+    def test_invariants_catch_a_plain_list_of_counts(self):
+        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
+        tree._root.counts = list(tree._root.counts)
+        with pytest.raises(AssertionError, match="typed column"):
+            tree.check_invariants()
+
     def test_search_returns_a_copy(self):
         tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
         tree.search(1).append("z")
@@ -194,20 +214,34 @@ class TestPayloadRuns:
 
 class TestCostShape:
     def test_probe_cost_logarithmic(self):
-        costs = {}
-        for exponent in (8, 12, 16):
-            n = 2**exponent
-            tree = BPlusTree.build([(i, None) for i in range(n)], order=32)
-            tracker = CostTracker()
-            tree.contains(n // 2, tracker)
-            costs[exponent] = tracker.depth
-        # Doubling the exponent should roughly double the probe cost,
-        # nowhere near the 256x of a scan.
-        assert costs[16] <= 3 * costs[8]
+        for order in (32, BPlusTree().order):
+            costs = {}
+            for exponent in (8, 12, 16):
+                n = 2**exponent
+                tree = BPlusTree.build([(i, None) for i in range(n)], order=order)
+                tracker = CostTracker()
+                tree.contains(n // 2, tracker)
+                costs[exponent] = tracker.depth
+            # Doubling the exponent should roughly double the probe cost,
+            # nowhere near the 256x of a scan.
+            assert costs[16] <= 3 * costs[8], (order, costs)
 
     def test_height_grows_slowly(self):
         tree = BPlusTree.build([(i, None) for i in range(10_000)], order=32)
         assert tree.height <= 4
+        assert BPlusTree.build([(i, None) for i in range(10_000)]).height <= 3
+
+    def test_default_width_halves_the_leaves_of_a_relation_column(self):
+        """A 2^16 column drawn like the yardstick's relation (uniform over
+        [0, 4n], ~57 800 distinct keys) bulk-loads into ~1 810 leaves of 32
+        keys and three levels; order 32 took 3 615 leaves and four."""
+        n = 1 << 16
+        rng = random.Random(2013)
+        keys = [rng.randint(0, 4 * n) for _ in range(n)]
+        tree = BPlusTree.from_columns(keys, range(n))
+        assert tree.order == 64
+        assert tree.height <= 3
+        assert sum(1 for _ in tree._leaves()) <= 1850
 
     def test_build_charge_is_n_log_n(self):
         # build = one sort + a linear bulk load: quadrupling n must grow the

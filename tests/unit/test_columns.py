@@ -7,8 +7,8 @@
 * layout floors: dumped bytes per item of the three array schemes, of the
   per-attribute B+-trees and of the top-k index at 2^14 (ISSUE 21: gap-coded
   sorted runs, no stored identity level or gathered values);
-* flat-leaf B+-trees (ISSUE 19): build and load allocate per leaf, not per
-  entry or per key, and the trees of one relation share their row-id ints;
+* flat-leaf B+-trees: build and load allocate per leaf, not per entry or
+  per key, and the trees of one relation share their row-id ints;
 * an artifact keyed by the previous layout of each bumped scheme, or written
   in the previous store format, is a miss that rebuilds.
 
@@ -24,6 +24,8 @@ import json
 import pickle
 import random
 import struct
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -78,6 +80,16 @@ def test_positions_always_copies():
     assert again == column and again is not column
     with pytest.raises(OverflowError):
         columns.positions([-1], 4)  # no sentinel survives in a position column
+
+
+def test_count_column_holds_any_list_length():
+    """A run can grow to the longest list, so the column is typed by
+    ``sys.maxsize``, not by the counts it starts with; a list is not one."""
+    column = columns.counts([1, 2])
+    column.append(sys.maxsize)
+    assert columns.is_counts(column) and columns.is_counts(column[1:])
+    assert not columns.is_counts([1, 2]) and not columns.is_counts(columns.pack([1, 2]))
+    assert list(columns.counts(columns.pack([3, 70000]))) == [3, 70000]
 
 
 @pytest.mark.parametrize(
@@ -194,14 +206,15 @@ def _tracked_objects_left_by(make):
 
 def test_btree_build_and_load_allocate_per_leaf_not_per_key():
     """The cyclic collector's work is the count of tracked containers a
-    build leaves behind: a node and three lists per leaf (parent: a tuple
-    per entry and a list per distinct key, 1.12 n)."""
+    build leaves behind: a node, two lists and a counts column per leaf of
+    ~32 keys, 0.115 n (order 32: 0.23 n; before flat leaves: a tuple per
+    entry and a list per distinct key, 1.12 n)."""
     keys, row_ids = _uniform(4 * N), list(range(N))
     built, tree = _tracked_objects_left_by(lambda: BPlusTree.from_columns(keys, row_ids))
-    assert 0 < built < N / 2, built / N
+    assert 0 < built < N / 6, built / N
     state = tree.to_state()
     loaded, clone = _tracked_objects_left_by(lambda: BPlusTree.from_state(state))
-    assert 0 < loaded < N / 2, loaded / N
+    assert 0 < loaded < N / 6, loaded / N
     assert list(clone.items()) == list(tree.items())
 
 
@@ -252,6 +265,50 @@ def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, 
         assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
         assert pickle.loads(store.get(stale)) == {"layout": "previous"}
         assert scheme.load(store.get(key)) is not None
+
+
+def test_order_32_relation_artifact_is_a_hit_that_answers_like_a_fresh_build(tmp_path):
+    """Widening the default node (32 -> 64) kept the B+-tree state layout, so
+    ``artifact_version`` stays 4: a ``btree-per-attribute`` file written at
+    order 32 is a store hit, loads at the order it stored, and answers
+    every query as a fresh default-width build does."""
+    query_class, scheme = point_selection_class(), btree_point_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    row_ids, value_columns = data.columns(CostTracker())
+    previous = {}  # the order-32 layout, written out column by column
+    for attribute, column in zip(data.schema.attribute_names(), value_columns):
+        by_key = sorted(range(len(column)), key=column.__getitem__)
+        runs = Counter(column[i] for i in by_key)
+        previous[attribute] = {
+            "order": 32,
+            "keys": columns.pack_sorted(list(runs)),
+            "counts": columns.pack(list(runs.values())),
+            "payloads": columns.pack([row_ids[i] for i in by_key]),
+        }
+    fresh = scheme.preprocess(data, CostTracker())
+    assert {tree.order for tree in fresh.values()} == {64}
+    assert pickle.loads(scheme.dump(fresh)) == {
+        attribute: {**state, "order": 64} for attribute, state in previous.items()
+    }
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        key = engine.attach("d", data).artifact_key("kind")
+    store.put(key, pickle.dumps(previous, protocol=4))
+    loaded = scheme.load(store.get(key))
+    for tree in loaded.values():
+        assert tree.order == 32 and tree.height >= 2
+        tree.check_invariants()
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        for query in queries:
+            expected = scheme.evaluate(fresh, query, CostTracker())
+            assert expected == query_class.pair_in_language(data, query)
+            assert ds.query("kind", query) == expected
+            assert scheme.evaluate(loaded, query, CostTracker()) == expected
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (0, 1, 0)
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import random
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -72,6 +73,26 @@ def test_stable_buckets_is_the_per_element_function(values):
         for value in values:
             pieces[stable_bucket(value, 4)].append(value)
         assert [piece.data for piece in _split_list(values, 4)] == list(map(tuple, pieces))
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4, 7])
+def test_split_list_pieces_are_the_per_element_loops(shards):
+    """The membership splitter's pieces -- and so their shard fingerprints --
+    are byte-identical to appending element by element into K buckets (kept
+    over one ``compress`` pass per bucket: at K = 4 and 2^16 ints the
+    passes cost 4.5-13 ms against the loop's 2.6 ms)."""
+    from repro.queries.membership import _generate_list, _split_list
+
+    data = _generate_list(3000, random.Random(shards)) + (0, -1, 1 << 40)
+    pieces = [[] for _ in range(shards)]
+    for value in data:
+        pieces[stable_bucket(value, shards)].append(value)
+    split = _split_list(data, shards)
+    assert [(piece.index, piece.count) for piece in split] == [(i, shards) for i in range(shards)]
+    assert [piece.data for piece in split] == list(map(tuple, pieces))
+    assert [dataset_fingerprint(piece.data) for piece in split] == [
+        dataset_fingerprint(tuple(piece)) for piece in pieces
+    ]
 
 
 def test_range_blocks_are_balanced_and_cover():
