@@ -85,12 +85,14 @@ class UnknownDatasetError(ServiceError):
 
 
 class InjectedFaultError(ReproError):
-    """Raised by an armed :class:`repro.service.faults.FaultPlan` at an
-    injection point whose mode is ``"raise"`` (a dead shard, a failing
-    delta apply).  Deliberately *outside* the ``ServiceError``/
-    ``ArtifactError`` branches: recovery code distinguishes injected
-    faults from genuine query errors (e.g. :class:`IndexError_`), which
-    must keep propagating unchanged."""
+    """The lost-shard signal: a per-shard evaluator that raises it marks
+    its shard as lost, and the scatter loop answers by the kind's merge
+    family (a union degrades explicitly, a monoid or k-way merge raises
+    :class:`ShardFailedError`).  The failure-model tests raise it from
+    wrapped evaluators.  Deliberately *outside* the ``ServiceError``/
+    ``ArtifactError`` branches: recovery code tells a lost shard from a
+    genuine query error (e.g. :class:`IndexError_`), which must keep
+    propagating unchanged."""
 
 
 class ShardFailedError(ServiceError):

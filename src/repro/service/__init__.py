@@ -97,11 +97,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "InjectedFaultError", "ShardFailedError", "WriteBehindError", "ProtocolError",
         "OverloadedError", "WorkerFailedError",
     ),
-    # fault injection (the failure model; see docs/architecture.md)
-    "repro.service.faults": (
-        "FaultSpec", "FaultClock", "FaultPlan", "RecoveryPolicy", "DegradedAnswer",
-        "SCENARIOS", "scenario", "install_fault_plan", "clear_fault_plan", "active_plan",
-    ),
+    # the failure model's product side (see docs/architecture.md)
+    "repro.service.faults": ("RecoveryPolicy", "DegradedAnswer"),
     "repro.catalog": ("build_query_engine",),
     "repro.service.frontend": (
         "ServingFront", "GatewayConfig", "Supervisor", "RemoteClient", "RemoteDataset",

@@ -48,7 +48,6 @@ from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.errors import ArtifactCorruptionError, ArtifactVersionError
-from repro.service import faults
 
 __all__ = ["ArtifactKey", "ArtifactStore", "MAGIC", "FORMAT_VERSION"]
 
@@ -115,7 +114,6 @@ class ArtifactStore:
 
     def put(self, key: ArtifactKey, payload: bytes) -> Path:
         """Persist ``payload`` under ``key`` atomically; returns the path."""
-        faults.on_store_write(key)
         header = dict(key.as_header())
         header["payload_len"] = len(payload)
         header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
@@ -157,7 +155,6 @@ class ArtifactStore:
             blob = path.read_bytes()
         except FileNotFoundError:
             return None
-        blob = faults.on_store_read(key, blob)
         header, payload = self._parse(blob, path)
         for field_name, expected in key.as_header().items():
             if header.get(field_name) != expected:

@@ -25,8 +25,6 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, Hashable, Optional
 
-from repro.service import faults
-
 __all__ = ["LRUArtifactCache", "CacheStats"]
 
 _MISS = object()
@@ -128,7 +126,6 @@ class LRUArtifactCache:
             self._entries[key] = value
         if evicted is not None:
             self._notify(evicted)
-        faults.on_cache_put(self, key)
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key``; returns True when an entry was actually removed."""
@@ -145,24 +142,6 @@ class LRUArtifactCache:
             self._entries.clear()
         for key in dropped:
             self._notify(key)
-
-    def force_evict(self, count: int) -> int:
-        """Evict up to ``count`` least-recently-used entries immediately.
-
-        The fault-injection "eviction storm" primitive (also usable for
-        memory-pressure shedding): entries leave through the same listener
-        path as capacity evictions, so serve-plan watchers race exactly as
-        they would under real pressure.  Returns how many were evicted.
-        """
-        dropped = []
-        with self._lock:
-            while self._entries and len(dropped) < count:
-                key, _ = self._entries.popitem(last=False)
-                self._evictions += 1
-                dropped.append(key)
-        for key in dropped:
-            self._notify(key)
-        return len(dropped)
 
     def __len__(self) -> int:
         with self._lock:

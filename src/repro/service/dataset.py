@@ -79,7 +79,6 @@ from repro.core.errors import (
 )
 from repro.core.query import PiScheme
 from repro.incremental.changes import ChangeLog
-from repro.service import faults
 from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures, advance_lineage
 from repro.service.sharding import ShardedKernel, ShardPlan
@@ -91,6 +90,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["Dataset"]
 
 _log = logging.getLogger(__name__)
+
+#: Store attempts per write-behind persist before the error is kept for
+#: ``flush()`` to raise.
+WRITEBEHIND_ATTEMPTS = 3
+#: Backoff after the first failed write-behind attempt (doubles each retry).
+WRITEBEHIND_BACKOFF_SECONDS = 0.02
 
 
 def _group_pairs(
@@ -979,7 +984,6 @@ class _MutableState:
                 if registration.shards == 1 and scheme.apply_delta is not None:
                     started = time.perf_counter()
                     try:
-                        faults.on_delta_apply(kind)
                         offline[kind] = scheme.apply_delta(
                             offline[kind], effective, self.tracker
                         )
@@ -1104,9 +1108,10 @@ class _MutableState:
         skipped because the newer batch queued its own task.
 
         Store failures (disk full, unwritable root) are retried with
-        backoff per the recovery policy; a terminal failure is recorded in
-        ``_persist_errors`` and raised by the next :meth:`flush` -- the
-        in-memory structure stays current either way, only durability lags.
+        doubling backoff, ``WRITEBEHIND_ATTEMPTS`` tries in all; a terminal
+        failure is recorded in ``_persist_errors`` and raised by the next
+        :meth:`flush` -- the in-memory structure stays current either way,
+        only durability lags.
         """
         slot = self._slot(kind)
         with self._versions.pinned() as version:
@@ -1118,9 +1123,8 @@ class _MutableState:
             registration = self._ds.registration_for(kind)
             payload = registration.scheme.dump(structure)
             key = registration.key(version.lineage)
-        recovery = faults.policy()
-        backoff = recovery.writebehind_backoff_seconds
-        attempts = max(1, recovery.writebehind_attempts)
+        backoff = WRITEBEHIND_BACKOFF_SECONDS
+        attempts = WRITEBEHIND_ATTEMPTS
         for attempt in range(attempts):
             try:
                 self._engine._store.put(key, payload)

@@ -85,7 +85,6 @@ from repro.core.errors import (
     UnknownDatasetError,
 )
 from repro.core.query import PiScheme, QueryClass
-from repro.service import faults
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from repro.service.cache import CacheStats, LRUArtifactCache
 from repro.service.dataset import Dataset
@@ -95,6 +94,12 @@ from repro.storage.fingerprint import dataset_fingerprint
 __all__ = ["SchemeStats", "EngineStats", "QueryEngine"]
 
 _log = logging.getLogger(__name__)
+
+#: Extra store reads after a corrupt one before the artifact is deleted and
+#: rebuilt from source.
+LOAD_RETRIES = 1
+#: A store read at least this slow counts as a ``slow_loads`` health event.
+SLOW_LOAD_SECONDS = 0.05
 
 
 @dataclass
@@ -132,14 +137,12 @@ class SchemeStats:
     # Zero on every happy path; each one is an observable recovery event.
     #: Store reads that failed integrity checks (bad checksum, truncation).
     checksum_failures: int = 0
-    #: Store reads slower than the recovery policy's slow-load threshold.
+    #: Store reads slower than ``SLOW_LOAD_SECONDS``.
     slow_loads: int = 0
     #: Extra load attempts made after a corrupt read before rebuilding.
     rebuild_retries: int = 0
     #: Scatter-gather answers served partial (union kinds, shards missing).
     degraded_answers: int = 0
-    #: Shard partials that exceeded the slow-shard threshold.
-    shard_timeouts: int = 0
     #: Shard partials lost to a fault on fail-fast (monoid/k-way) kinds.
     shard_failures: int = 0
     #: apply_changes batches whose structure was repaired by rebuild after
@@ -194,7 +197,6 @@ class EngineStats:
         "slow_loads",
         "rebuild_retries",
         "degraded_answers",
-        "shard_timeouts",
         "shard_failures",
         "write_rollbacks",
         "writebehind_retries",
@@ -759,19 +761,17 @@ class QueryEngine:
     ) -> Tuple[Optional[Any], Optional[bytes]]:
         if self._store is None:
             return None, None
-        recovery = faults.policy()
-        attempts = 1 + max(0, recovery.load_retries)
+        attempts = 1 + LOAD_RETRIES
         for attempt in range(attempts):
             started = time.perf_counter()
             try:
                 blob = self._store.get(key)
             except ArtifactCorruptionError:
                 # Checksum mismatch or truncation.  Retry the read first: a
-                # transiently bad read (torn page, racing writer) may clear,
-                # and with fault injection armed a bounded-retry recovery is
-                # exactly what the chaos suite asserts.  Only a persistently
-                # corrupt file is deleted -- rebuilding from source is
-                # always safe (artifacts are pure PTIME-recomputable caches).
+                # transiently bad read (torn page, racing writer) may clear.
+                # Only a persistently corrupt file is deleted -- rebuilding
+                # from source is always safe (artifacts are pure
+                # PTIME-recomputable caches).
                 self._bump(kind, checksum_failures=1)
                 if attempt + 1 < attempts:
                     self._bump(kind, rebuild_retries=1)
@@ -785,7 +785,7 @@ class QueryEngine:
                 return None, None
             if blob is None:
                 return None, None
-            if time.perf_counter() - started >= recovery.slow_load_seconds:
+            if time.perf_counter() - started >= SLOW_LOAD_SECONDS:
                 self._bump(kind, slow_loads=1)
             try:
                 structure = registration.scheme.load(blob)

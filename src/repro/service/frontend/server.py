@@ -300,7 +300,7 @@ class ServingFront:
     """Gateway + supervisor + N worker processes, one context manager.
 
     All constructor arguments forward to :class:`Supervisor` (pool shape,
-    shared ``store_root``, fault plan) and :class:`GatewayConfig`
+    shared ``store_root``, recovery policy) and :class:`GatewayConfig`
     (admission knobs).  ``address`` is the ``(host, port)`` the gateway
     actually bound -- port 0 picks a free one.
     """
@@ -314,8 +314,6 @@ class ServingFront:
         store_root: Optional[str] = None,
         config: Optional[GatewayConfig] = None,
         policy: Optional[Any] = None,
-        fault_plan: Optional[Any] = None,
-        fault_workers: Optional[Any] = None,
         hedge_delay_ms: Optional[float] = 50.0,
         journal_checkpoint_batches: Optional[int] = 64,
     ):
@@ -325,8 +323,6 @@ class ServingFront:
             workers,
             store_root=store_root,
             policy=policy,
-            fault_plan=fault_plan,
-            fault_workers=fault_workers,
             hedge_delay_ms=hedge_delay_ms,
             journal_checkpoint_batches=journal_checkpoint_batches,
         )

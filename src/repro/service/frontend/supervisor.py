@@ -27,9 +27,7 @@ table's retry path; in-flight writes surface
 :class:`~repro.core.errors.WorkerFailedError`; mutable datasets homed
 there are re-homed by replaying their journal onto a healthy worker (its
 channel is a byte stream, and the replay is written before any rerouted
-read); and the worker slot is restarted on the router's schedule.  Restarts
-never re-arm a fault plan: the ``dead-worker`` scenario models one crash
-event, not a crashing binary.
+read); and the worker slot is restarted on the router's schedule.
 
 *Graceful drain.*  :meth:`Supervisor.drain` marks a worker unroutable,
 waits for its in-flight work up to a deadline, then re-homes its mutable
@@ -57,7 +55,7 @@ import threading
 import time
 from functools import partial
 from typing import (
-    Any, Callable, Coroutine, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Coroutine, Dict, List, NamedTuple, Optional, Tuple,
 )
 
 from repro.core.errors import (
@@ -67,7 +65,7 @@ from repro.core.errors import (
     ServiceError,
     WorkerFailedError,
 )
-from repro.service.faults import DEFAULT_POLICY, FaultPlan, RecoveryPolicy
+from repro.service.faults import DEFAULT_POLICY, RecoveryPolicy
 from repro.service.frontend import protocol
 from repro.service.frontend.placement import Journal, Router
 from repro.service.frontend.tickets import (
@@ -129,12 +127,10 @@ class _WorkerHandle(NamedTuple):
 class Supervisor:
     """The multi-process worker pool behind the gateway.
 
-    ``fault_plan`` (a :class:`~repro.service.faults.FaultPlan` or the
-    picklable ``(specs, seed, policy, name)`` tuple) ships to the workers
-    named in ``fault_workers`` (default: all) and is rebuilt inside each,
-    giving every armed worker its own seeded clock; the plan's
-    :class:`~repro.service.faults.RecoveryPolicy` doubles as the restart
-    policy unless ``policy`` overrides it.
+    ``policy`` (a :class:`~repro.service.faults.RecoveryPolicy`) bounds
+    worker restarts, read retries and circuit breakers.  Each worker
+    process runs the module-level ``worker_main`` with settings
+    ``{"store_root": store_root}``.
 
     ``hedge_delay_ms`` (None disables) is how long an immutable read may
     sit unanswered before a duplicate races on a second worker;
@@ -149,19 +145,12 @@ class Supervisor:
         *,
         store_root: Optional[str] = None,
         policy: Optional[RecoveryPolicy] = None,
-        fault_plan: Optional[Any] = None,
-        fault_workers: Optional[Sequence[int]] = None,
         poll_seconds: float = 0.02,
         hedge_delay_ms: Optional[float] = 50.0,
         journal_checkpoint_batches: Optional[int] = 64,
     ):
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
-        if isinstance(fault_plan, FaultPlan):
-            if policy is None:
-                policy = fault_plan.policy
-            fault_plan = (fault_plan.specs, fault_plan.seed, fault_plan.policy,
-                          fault_plan.name)
         if hedge_delay_ms is not None and hedge_delay_ms < 0:
             raise ServiceError(f"hedge_delay_ms must be >= 0, got {hedge_delay_ms}")
         if journal_checkpoint_batches is not None and journal_checkpoint_batches < 1:
@@ -172,8 +161,6 @@ class Supervisor:
         policy = policy or DEFAULT_POLICY
         self._workers = workers
         self._store_root = store_root
-        self._fault_plan = fault_plan
-        self._fault_workers = fault_workers
         self._poll_seconds = poll_seconds
         self._checkpoint_batches = journal_checkpoint_batches
         # Retry jitter only perturbs *timing*, never answers; a fixed seed
@@ -263,7 +250,7 @@ class Supervisor:
         """Spawn the pool; it is ready once every worker answered a ping."""
         for _ in range(self._workers):
             worker_id = self._router.add_worker()
-            self._handles.append(await self._spawn(worker_id, with_plan=True))
+            self._handles.append(await self._spawn(worker_id))
         self._timer_task = asyncio.ensure_future(self._timer())
         ready = asyncio.get_running_loop().create_future()
         self._broadcast({"op": "ping", "rid": 0, "dataset": None}, b"",
@@ -275,14 +262,8 @@ class Supervisor:
             raise ServiceError(
                 f"worker pool not ready within {READY_TIMEOUT_SECONDS}s") from None
 
-    async def _spawn(self, worker_id: int, *, with_plan: bool) -> _WorkerHandle:
-        armed = with_plan and (
-            self._fault_workers is None or worker_id in self._fault_workers
-        )
-        settings = {
-            "store_root": self._store_root,
-            "fault_plan": self._fault_plan if armed else None,
-        }
+    async def _spawn(self, worker_id: int) -> _WorkerHandle:
+        settings = {"store_root": self._store_root}
         ours, theirs = socket.socketpair()
         try:
             process = self._ctx.Process(
@@ -726,7 +707,7 @@ class Supervisor:
 
     async def _restart(self, worker_id: int, now: float) -> None:
         try:
-            replacement = await self._spawn(worker_id, with_plan=False)
+            replacement = await self._spawn(worker_id)
         except Exception:
             self._router.restarted(worker_id, now, ok=False)
             return

@@ -27,7 +27,7 @@ thread, blocking reads, no ``asyncio``.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.core.errors import (
     DeadlineExceededError,
@@ -35,8 +35,7 @@ from repro.core.errors import (
     ReproError,
     ServiceError,
 )
-from repro.service import faults
-from repro.service.faults import DegradedAnswer, FaultPlan
+from repro.service.faults import DegradedAnswer
 from repro.service.frontend import protocol
 
 __all__ = ["handle_request", "handle_frame", "merge_stats", "worker_main"]
@@ -170,12 +169,9 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
         raise ProtocolError(f"op {op!r} requires a dataset in the frame header")
     ds = engine.dataset(name)
     if op == "query":
-        kind = params["kind"]
-        faults.on_worker_serve(kind)
-        return _coerce_answer(ds.query(kind, params["query"]))
+        return _coerce_answer(ds.query(params["kind"], params["query"]))
     if op == "query_batch":
         pairs = [(kind, query) for kind, query in params["pairs"]]
-        faults.on_worker_serve(pairs[0][0] if pairs else None)
         return _coerce_answer(ds.query_batch(pairs))
     if op == "apply_changes":
         log = ds.apply_changes(params["changes"])
@@ -203,8 +199,7 @@ def handle_frame(
     """Decode, serve, encode: one request frame -> one response frame.
 
     Library errors (and worker bugs) become structured error frames -- the
-    loop around this never dies on a bad request, only on a injected
-    ``worker.serve`` crash, which is the point of that scenario.
+    loop around this never dies on a bad request.
     """
     rid = header.get("rid")
     try:
@@ -235,26 +230,14 @@ def _build_engine(settings: Dict[str, Any]) -> Any:
     return build_query_engine(store=store)
 
 
-def _install_plan(plan_spec: Optional[Tuple[Any, ...]]) -> None:
-    if plan_spec is None:
-        return
-    specs, seed, policy, name = plan_spec
-    faults.install_fault_plan(
-        FaultPlan(specs, seed=seed, policy=policy, name=name)
-    )
-
-
 def worker_main(channel: Any, settings: Dict[str, Any]) -> None:  # pragma: no cover
     """Process entry point: build the engine, then serve ``channel`` (this
     worker's end of the supervisor's socketpair) until end-of-file.
 
-    ``settings`` is a picklable dict: ``store_root`` and optionally
-    ``fault_plan`` as a ``(specs, seed, policy, name)`` tuple --
-    :class:`~repro.service.faults.FaultPlan` itself holds a lock and does
-    not pickle, so it is rebuilt here, giving the worker its own seeded
-    clock.
+    ``settings`` is a picklable dict, ``{"store_root": ...}``.  Each
+    request frame goes through the module-level :func:`handle_frame`,
+    looked up per frame.
     """
-    _install_plan(settings.get("fault_plan"))
     engine = _build_engine(settings)
     try:
         with channel, channel.makefile("rb") as frames:

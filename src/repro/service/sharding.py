@@ -35,7 +35,6 @@ fact).
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -44,8 +43,8 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence,
 
 from repro.core.cost import NULL_TRACKER
 from repro.core.errors import InjectedFaultError, ShardFailedError
-from repro.service import faults
 from repro.service.artifacts import ArtifactKey
+from repro.service.faults import DegradedAnswer
 from repro.service.merge import MergeOperator, ShardPiece, ShardSpec
 from repro.storage.fingerprint import dataset_fingerprint
 
@@ -134,7 +133,7 @@ def _lost_shard_outcome(
     """
     if merge.name == "union":
         engine._bump(kind, degraded_answers=1)
-        return faults.DegradedAnswer(
+        return DegradedAnswer(
             bool(merge.combine(partials, effective_query)),
             reason=f"lost shard(s) {failed} during scatter-gather",
             failed_shards=failed,
@@ -157,7 +156,7 @@ class ShardedKernel:
     selects the untracked partials (the production path); any tracker
     selects the cost-charging evaluator the certifier measures.  Pure
     evaluation: nothing here touches the serving counters except the health
-    counters a lost or slow shard moves; callers time the call and report
+    counters a lost shard moves; callers time the call and report
     it through :attr:`settle`, which books scatter time as both
     ``serve_seconds`` and ``shard_serve_seconds``.
     """
@@ -192,11 +191,13 @@ class ShardedKernel:
 
         ``effective_query`` must already be rewritten (see :meth:`route`).
         ``None`` structures contribute the merge operator's ``empty``
-        partial.  A shard lost to an
-        :class:`~repro.core.errors.InjectedFaultError` mid-scatter goes
-        through :func:`_lost_shard_outcome`; every other exception (genuine
-        query errors, library bugs) keeps propagating unchanged -- misuse
-        must stay loud, not partial.
+        partial.  A shard whose evaluator raises
+        :class:`~repro.core.errors.InjectedFaultError` (the lost-shard
+        signal; the failure-model tests raise it from a wrapped per-shard
+        evaluator) goes through :func:`_lost_shard_outcome`, once the loop
+        has asked every routed shard; every other exception (genuine query
+        errors, library bugs) keeps propagating unchanged -- misuse must
+        stay loud, not partial.
         """
         merge = self._spec.merge
         merge_partial = merge.partial
@@ -204,9 +205,6 @@ class ShardedKernel:
         evaluate_fast = self._scheme.evaluate_fast if tracker is None else None
         charge = NULL_TRACKER if tracker is None else tracker
         planned = plan.planned
-        # The one hoisted fault guard of the serving stack: unarmed, a
-        # partial pays neither the hook call nor the slow-shard timer.
-        armed = faults._PLAN is not None
         partials: List[Any] = []
         failed: List[int] = []
         for position in positions:
@@ -217,9 +215,6 @@ class ShardedKernel:
                 )
                 continue
             try:
-                if armed:
-                    shard_started = time.perf_counter()
-                    faults.on_shard_partial(self._kind, position)
                 if merge_partial is not None:
                     value = merge_partial(
                         structure, effective_query, planned[position].piece.meta, charge
@@ -231,10 +226,6 @@ class ShardedKernel:
             except InjectedFaultError:
                 failed.append(position)
                 continue
-            if armed and (
-                time.perf_counter() - shard_started >= faults.policy().slow_shard_seconds
-            ):
-                self._engine._bump(self._kind, shard_timeouts=1)
             partials.append(value)
         if failed:
             return _lost_shard_outcome(

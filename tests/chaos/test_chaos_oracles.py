@@ -1,9 +1,9 @@
-"""Chaos soaks: fault plans interleaved with the PR 3 stateful oracles.
+"""Chaos soaks: seam-driven faults interleaved with the stateful oracles.
 
-The trust argument of the whole fault-injection subsystem: with a
-probability-thinned :class:`~repro.service.faults.FaultPlan` armed --
-corrupt reads, full disks, crashing ``apply_delta``, eviction storms --
-every answer a mutable session gives over a 520-step random walk -- through
+The trust argument of the failure model: with the in-process seams of
+``tests/fault_seams.py`` firing on probability-thinned schedules -- corrupt
+reads, full disks, crashing ``apply_delta``, eviction storms -- every
+answer a mutable session gives over a 520-step random walk -- through
 the untracked kernels (``query``) and the analytic evaluator
 (``query_tracked``) alike -- must still be **correct against a brute-force
 oracle**, explicitly marked degraded, or a loud
@@ -15,7 +15,7 @@ Two layers, mirroring ``tests/property/test_prop_mutable.py``:
   ``stable_seed`` + ``CHAOS_SEED``, so the CI chaos job replays three
   distinct fault schedules), and
 * a Hypothesis :class:`RuleBasedStateMachine` whose rules *arm and disarm
-  random scenarios mid-walk*, checking the oracle after every step.
+  random seams mid-walk*, checking the oracle after every step.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import random
 import tempfile
 
 import pytest
+from fault_seams import FaultyStore, Shots, failing, storm
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
@@ -46,10 +47,8 @@ from repro.queries import (
     threshold_algorithm_scheme,
     topk_class,
 )
-from repro.service import faults
-from repro.service.artifacts import ArtifactStore
+from repro.service import dataset as dataset_module
 from repro.service.engine import QueryEngine
-from repro.service.faults import FaultPlan, FaultSpec, RecoveryPolicy, scenario
 from repro.storage.relation import Relation
 from repro.storage.schema import AttributeType, Schema
 
@@ -60,13 +59,13 @@ CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 #: Matches the PR 3 acceptance bar: 500+ steps per kind, under faults.
 SOAK_STEPS = 520
 
-#: Millisecond-scale retries so injected failures cost time, not minutes.
-SOAK_POLICY = RecoveryPolicy(
-    writebehind_attempts=2,
-    writebehind_backoff_seconds=0.0005,
-    slow_shard_seconds=0.002,
-    slow_load_seconds=0.002,
-)
+
+@pytest.fixture(autouse=True)
+def _fast_writebehind(monkeypatch):
+    """Millisecond-scale retries so a full disk costs time, not minutes."""
+    monkeypatch.setattr(dataset_module, "WRITEBEHIND_ATTEMPTS", 2)
+    monkeypatch.setattr(dataset_module, "WRITEBEHIND_BACKOFF_SECONDS", 0.0005)
+
 
 MACHINE_SETTINGS = settings(
     max_examples=10,
@@ -103,187 +102,186 @@ def _topk_oracle(rows, weights, k, theta):
     return aggregates[min(k, len(aggregates)) - 1] >= theta
 
 
-def _chaos_plan(label: str) -> FaultPlan:
-    """The standard soak storm: every monolithic-path site, thinned so most
-    steps are clean and recovery interleaves with normal serving."""
-    return FaultPlan(
-        [
-            FaultSpec("store.read", "corrupt", times=None, probability=0.05),
-            FaultSpec("store.write", "disk-full", times=None, probability=0.05),
-            FaultSpec("mutable.delta", "raise", times=None, probability=0.08),
-            FaultSpec("cache.put", "evict-storm", times=None, probability=0.25, storm_size=2),
-        ],
-        seed=CHAOS_SEED,
-        policy=SOAK_POLICY,
-        name=f"chaos-soak-{label}",
-    )
+def _seams(engine, ds, kind):
+    """Fit every in-process seam a monolithic mutable session meets, all
+    disarmed: scenario name -> its :class:`Shots`."""
+    scheme = ds.registration_for(kind).scheme
+    deltas, evictions = Shots(), Shots()
+    scheme.apply_delta = failing(scheme.apply_delta, deltas, "apply_delta")
+    storm(engine._cache, evictions, size=2)
+    store = engine._store
+    return {
+        "corrupt-artifact": store.corrupt,
+        "disk-full-writebehind": store.full,
+        "failed-delta-apply": deltas,
+        "eviction-storm": evictions,
+    }
+
+
+#: The standard soak storm: every seam, thinned so most steps are clean and
+#: recovery interleaves with normal serving.
+SOAK_PROBABILITIES = {
+    "corrupt-artifact": 0.05,
+    "disk-full-writebehind": 0.05,
+    "failed-delta-apply": 0.08,
+    "eviction-storm": 0.25,
+}
 
 
 def _open(engine, kind, data):
-    """A warmed single-kind mutable session (materialized before any plan
-    is armed, so the first batch already folds through the delta hook)."""
-    return engine.attach("live", data, kinds=[kind], mutable=True).warm()
+    """A warmed single-kind mutable session with the soak storm armed
+    (materialized first, so the first batch already folds through the
+    delta hook): ``(session, the armed shots)``."""
+    ds = engine.attach("live", data, kinds=[kind], mutable=True).warm()
+    shots = _seams(engine, ds, kind)
+    for name, probability in SOAK_PROBABILITIES.items():
+        shots[name].arm(None, probability=probability,
+                        seed=stable_seed("chaos-soak", kind, name) + CHAOS_SEED)
+    return ds, list(shots.values())
 
 
 def _check(ds, kind, query, expected) -> None:
     """Correct, explicitly degraded, or loudly raised -- never silently wrong.
 
-    Each evaluator is judged on its own: under injection one may raise
-    while the other answers."""
+    Each evaluator is judged on its own: under faults one may raise while
+    the other answers."""
     for ask in (ds.query, ds.query_tracked):
         try:
             answer = ask(kind, query)
         except ReproError:
-            continue  # a loud failure is an allowed outcome under injection
+            continue  # a loud failure is an allowed outcome under faults
         if getattr(answer, "partial", False):
             continue  # explicitly marked degraded
         assert bool(answer) == bool(expected), (ask.__name__, kind, query)
 
 
-def _finish(engine, ds, plan) -> None:
-    """Disarm, then prove the stack healed: flush durably, faults fired."""
-    faults.clear_fault_plan()
+def _finish(engine, ds, shots) -> None:
+    """Disarm, then prove the stack healed: faults fired, flush durably."""
+    assert sum(shot.fired for shot in shots) > 0  # the walk met the storm
+    for shot in shots:
+        shot.arm(0)
     ds.flush()  # clean store: any stored write-behind error must clear
-    assert plan.fired_count() > 0  # the walk actually exercised the plan
     engine.close()
 
 
 def test_chaos_soak_membership(tmp_path):
     rng = random.Random(stable_seed("chaos-soak", "membership") + CHAOS_SEED)
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
+    engine = QueryEngine(store=FaultyStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
     oracle = [rng.randint(0, 30) for _ in range(16)]
-    ds = _open(engine, "membership", tuple(oracle))
-    plan = _chaos_plan("membership")
-    with plan.armed():
-        for _ in range(SOAK_STEPS):
-            value = rng.randint(-5, 30)
-            roll = rng.random()
-            if roll < 0.3:
-                ds.apply_changes([_insert(value)])
-                oracle.append(value)
-            elif roll < 0.5:
-                ds.apply_changes([_delete(value)])
-                if value in oracle:
-                    oracle.remove(value)
-            _check(ds, "membership", value, value in oracle)
-    _finish(engine, ds, plan)
+    ds, shots = _open(engine, "membership", tuple(oracle))
+    for _ in range(SOAK_STEPS):
+        value = rng.randint(-5, 30)
+        roll = rng.random()
+        if roll < 0.3:
+            ds.apply_changes([_insert(value)])
+            oracle.append(value)
+        elif roll < 0.5:
+            ds.apply_changes([_delete(value)])
+            if value in oracle:
+                oracle.remove(value)
+        _check(ds, "membership", value, value in oracle)
+    _finish(engine, ds, shots)
 
 
 def test_chaos_soak_selection(tmp_path):
     rng = random.Random(stable_seed("chaos-soak", "selection") + CHAOS_SEED)
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
+    engine = QueryEngine(store=FaultyStore(tmp_path))
     engine.register("point", point_selection_class(), btree_point_scheme())
     rows = [(rng.randint(0, 15), rng.randint(0, 15)) for _ in range(12)]
-    ds = _open(engine, "point", _relation_of(rows))
-    plan = _chaos_plan("selection")
-    with plan.armed():
-        for _ in range(SOAK_STEPS):
-            row = (rng.randint(0, 15), rng.randint(0, 15))
-            roll = rng.random()
-            if roll < 0.3:
-                ds.apply_changes([_insert(*row)])
-                rows.append(row)
-            elif roll < 0.5 and rows:
-                victim = rng.choice(rows) if rng.random() < 0.7 else row
-                ds.apply_changes([_delete(*victim)])
-                if victim in rows:
-                    rows.remove(victim)
-            attribute, position = rng.choice([("a", 0), ("b", 1)])
-            constant = rng.randint(0, 15)
-            _check(
-                ds,
-                "point",
-                (attribute, constant),
-                any(r[position] == constant for r in rows),
-            )
-    _finish(engine, ds, plan)
+    ds, shots = _open(engine, "point", _relation_of(rows))
+    for _ in range(SOAK_STEPS):
+        row = (rng.randint(0, 15), rng.randint(0, 15))
+        roll = rng.random()
+        if roll < 0.3:
+            ds.apply_changes([_insert(*row)])
+            rows.append(row)
+        elif roll < 0.5 and rows:
+            victim = rng.choice(rows) if rng.random() < 0.7 else row
+            ds.apply_changes([_delete(*victim)])
+            if victim in rows:
+                rows.remove(victim)
+        attribute, position = rng.choice([("a", 0), ("b", 1)])
+        constant = rng.randint(0, 15)
+        _check(
+            ds,
+            "point",
+            (attribute, constant),
+            any(r[position] == constant for r in rows),
+        )
+    _finish(engine, ds, shots)
 
 
 def test_chaos_soak_rmq(tmp_path):
     rng = random.Random(stable_seed("chaos-soak", "rmq") + CHAOS_SEED)
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
+    engine = QueryEngine(store=FaultyStore(tmp_path))
     engine.register("rmq", rmq_class(), fischer_heun_scheme())
     oracle = [rng.randint(-50, 50) for _ in range(24)]
-    ds = _open(engine, "rmq", tuple(oracle))
-    plan = _chaos_plan("rmq")
-    with plan.armed():
-        for _ in range(SOAK_STEPS):
-            if rng.random() < 0.5:
-                position = rng.randrange(len(oracle))
-                value = rng.randint(-50, 50)
-                ds.apply_changes([PointWrite(position, value)])
-                oracle[position] = value
-            i = rng.randrange(len(oracle))
-            j = rng.randrange(i, len(oracle))
-            p = rng.randrange(i, j + 1)
-            _check(ds, "rmq", (i, j, p), _rmq_oracle(oracle, i, j, p))
-    _finish(engine, ds, plan)
+    ds, shots = _open(engine, "rmq", tuple(oracle))
+    for _ in range(SOAK_STEPS):
+        if rng.random() < 0.5:
+            position = rng.randrange(len(oracle))
+            value = rng.randint(-50, 50)
+            ds.apply_changes([PointWrite(position, value)])
+            oracle[position] = value
+        i = rng.randrange(len(oracle))
+        j = rng.randrange(i, len(oracle))
+        p = rng.randrange(i, j + 1)
+        _check(ds, "rmq", (i, j, p), _rmq_oracle(oracle, i, j, p))
+    _finish(engine, ds, shots)
 
 
 def test_chaos_soak_topk(tmp_path):
     rng = random.Random(stable_seed("chaos-soak", "topk") + CHAOS_SEED)
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
+    engine = QueryEngine(store=FaultyStore(tmp_path))
     engine.register("topk", topk_class(), threshold_algorithm_scheme())
     rows = [(rng.randint(0, 20), rng.randint(0, 20)) for _ in range(10)]
-    ds = _open(engine, "topk", tuple(rows))
-    plan = _chaos_plan("topk")
-    with plan.armed():
-        for _ in range(SOAK_STEPS):
-            roll = rng.random()
-            if roll < 0.3:
-                row = (rng.randint(0, 20), rng.randint(0, 20))
-                ds.apply_changes([_insert(*row)])
-                rows.append(row)
-            elif roll < 0.5 and len(rows) > 1:
-                victim = rng.choice(rows)
-                ds.apply_changes([_delete(*victim)])
-                rows.remove(victim)
-            weights = (rng.randint(1, 3), rng.randint(1, 3))
-            k = rng.randint(1, 8)
-            theta = rng.randint(0, 120)
-            _check(ds, "topk", (weights, k, theta), _topk_oracle(rows, weights, k, theta))
-    _finish(engine, ds, plan)
+    ds, shots = _open(engine, "topk", tuple(rows))
+    for _ in range(SOAK_STEPS):
+        roll = rng.random()
+        if roll < 0.3:
+            row = (rng.randint(0, 20), rng.randint(0, 20))
+            ds.apply_changes([_insert(*row)])
+            rows.append(row)
+        elif roll < 0.5 and len(rows) > 1:
+            victim = rng.choice(rows)
+            ds.apply_changes([_delete(*victim)])
+            rows.remove(victim)
+        weights = (rng.randint(1, 3), rng.randint(1, 3))
+        k = rng.randint(1, 8)
+        theta = rng.randint(0, 120)
+        _check(ds, "topk", (weights, k, theta), _topk_oracle(rows, weights, k, theta))
+    _finish(engine, ds, shots)
 
 
 def test_chaos_soak_reachability(tmp_path):
     rng = random.Random(stable_seed("chaos-soak", "reachability") + CHAOS_SEED)
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
+    engine = QueryEngine(store=FaultyStore(tmp_path))
     engine.register("reach", reachability_class(), closure_scheme())
     n = 12
     oracle = Digraph(n, [(0, 1), (1, 2)])
-    ds = _open(engine, "reach", oracle)
-    plan = _chaos_plan("reachability")
-    with plan.armed():
-        for _ in range(SOAK_STEPS):
-            u, v = rng.randrange(n), rng.randrange(n)
-            roll = rng.random()
-            if roll < 0.35:
-                ds.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
-                oracle.add_edge(u, v)
-            elif roll < 0.45:
-                ds.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
-                oracle.remove_edge(u, v)
-            s, t = rng.randrange(n), rng.randrange(n)
-            _check(ds, "reach", (s, t), is_reachable(oracle, s, t))
-    _finish(engine, ds, plan)
+    ds, shots = _open(engine, "reach", oracle)
+    for _ in range(SOAK_STEPS):
+        u, v = rng.randrange(n), rng.randrange(n)
+        roll = rng.random()
+        if roll < 0.35:
+            ds.apply_changes([EdgeChange(ChangeKind.INSERT, u, v)])
+            oracle.add_edge(u, v)
+        elif roll < 0.45:
+            ds.apply_changes([EdgeChange(ChangeKind.DELETE, u, v)])
+            oracle.remove_edge(u, v)
+        s, t = rng.randrange(n), rng.randrange(n)
+        _check(ds, "reach", (s, t), is_reachable(oracle, s, t))
+    _finish(engine, ds, shots)
 
 
-# -- random fault plans interleaved with a stateful oracle ---------------------
-
-#: Scenarios a monolithic mutable session can meet (shard sites never fire).
-SESSION_SCENARIOS = (
-    "failed-delta-apply",
-    "disk-full-writebehind",
-    "corrupt-artifact",
-    "eviction-storm",
-)
+# -- random seams interleaved with a stateful oracle ---------------------------
 
 
 class ChaosMembershipMachine(RuleBasedStateMachine):
-    """The PR 3 membership oracle machine, with arm/disarm as *rules*.
+    """The membership oracle machine, with arm/disarm as *rules*.
 
-    Hypothesis interleaves inserts, deletes, probes and fault-plan changes
+    Hypothesis interleaves inserts, deletes, probes and arming of one seam
     in arbitrary orders; after every probe the answer must be correct
     against the shadow bag, explicitly degraded, or loudly raised.
     """
@@ -292,24 +290,26 @@ class ChaosMembershipMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        faults.clear_fault_plan()  # a prior failing example must not leak
         self._tmp = tempfile.TemporaryDirectory()
-        self.engine = QueryEngine(store=ArtifactStore(self._tmp.name))
+        self.engine = QueryEngine(store=FaultyStore(self._tmp.name))
         self.engine.register("membership", membership_class(), sorted_run_scheme())
         self.oracle = [3, 1, 4, 1, 5]
-        self.ds = _open(self.engine, "membership", tuple(self.oracle))
+        self.ds = self.engine.attach(
+            "live", tuple(self.oracle), kinds=["membership"], mutable=True).warm()
+        self.shots = _seams(self.engine, self.ds, "membership")
+        self.armed = None
 
-    @rule(name=st.sampled_from(SESSION_SCENARIOS), seed=st.integers(0, 999))
+    @rule(name=st.sampled_from(sorted(SOAK_PROBABILITIES)), seed=st.integers(0, 999))
     def arm(self, name, seed):
-        if faults.active_plan() is None:
-            plan = scenario(
-                name, seed=seed, times=None, probability=0.5, policy=SOAK_POLICY
-            )
-            faults.install_fault_plan(plan)
+        if self.armed is None:
+            self.shots[name].arm(None, probability=0.5, seed=seed)
+            self.armed = name
 
     @rule()
     def disarm(self):
-        faults.clear_fault_plan()
+        for shot in self.shots.values():
+            shot.arm(0)
+        self.armed = None
 
     @rule(value=values)
     def insert(self, value):
@@ -327,7 +327,7 @@ class ChaosMembershipMachine(RuleBasedStateMachine):
         _check(self.ds, "membership", value, value in self.oracle)
 
     def teardown(self):
-        faults.clear_fault_plan()
+        self.disarm()
         try:
             self.ds.detach()  # clean store: the final flush must succeed
             self.engine.close()

@@ -1,12 +1,13 @@
-"""Chaos suite: every registered fault scenario, pinned to its recovery.
+"""Chaos suite: the worker rows of the failure model, and the registry check.
 
-One test per :data:`repro.service.faults.SCENARIOS` entry.  Each test arms
-the scenario against a real serving stack, asserts the *defined* recovery
-behavior (the "Failure model" table in ``docs/architecture.md``), and
-asserts the exact health counters the scenario must move
-(``stats_snapshot()["health"]``).  A completeness test at the bottom keeps
-the registry and this file in lockstep: adding a scenario without pinning
-it here fails CI.
+The two worker scenarios need real processes: slot 0 of a spawned pool
+crashes or stalls through the seam in ``worker_seam.py``, and each test
+asserts the *defined* recovery behaviour (the "Failure model" table in
+``docs/architecture.md``) and the exact health counters it must move
+(``supervisor.health()``).  The in-process rows (store, shard, cache,
+delta) are tier-1, in ``tests/unit/test_failure_model.py``.  A completeness
+test at the bottom keeps :data:`fault_seams.SCENARIOS` and the pinning tests
+in lockstep: adding a scenario without pinning it fails CI.
 
 The suite is deselected from tier-1 by the ``chaos`` marker (see
 ``pyproject.toml``); the CI chaos job runs it under three fixed seeds via
@@ -15,313 +16,32 @@ The suite is deselected from tier-1 by the ``chaos`` marker (see
 
 from __future__ import annotations
 
+import ast
 import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
+from fault_seams import SCENARIOS
+from worker_seam import crash_slot_zero, stall_slot_zero
 
 from repro.catalog import build_query_engine
-from repro.core.errors import ShardFailedError, WriteBehindError
 from repro.incremental.changes import ChangeKind, TupleChange
-from repro.service import faults
-from repro.service.artifacts import ArtifactStore
-from repro.service.faults import (
-    SCENARIOS,
-    DegradedAnswer,
-    RecoveryPolicy,
-    scenario,
-)
+from repro.service.faults import RecoveryPolicy
 
 pytestmark = pytest.mark.chaos
 
 #: The CI chaos job sweeps this over three fixed seeds; locally it is 0.
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
-#: Fast backoffs/thresholds so retry loops resolve in milliseconds.
-FAST_POLICY = RecoveryPolicy(
-    writebehind_attempts=2,
-    writebehind_backoff_seconds=0.001,
-    slow_shard_seconds=0.005,
-    slow_load_seconds=0.005,
-)
-
-
-@pytest.fixture(autouse=True)
-def _always_disarm():
-    """No test may leak an armed plan into the next (or into teardown)."""
-    yield
-    faults.clear_fault_plan()
-
 
 def _insert(*row):
     return TupleChange(ChangeKind.INSERT, tuple(row))
 
 
-def _persisted_membership(tmp_path, data):
-    """Build and persist the list-membership artifact, then return a fresh
-    engine whose first query must come from the store."""
-    store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store) as warmup:
-        warmup.attach("d", data, kinds=["list-membership"]).warm()
-    return build_query_engine(store=store)
-
-
-# -- store.read ----------------------------------------------------------------
-
-
-def test_corrupt_artifact_recovers_by_bounded_retry(tmp_path):
-    """One corrupt read (default ``times=1``): the engine counts the
-    checksum failure, retries the read, and serves from the now-clean file
-    -- no rebuild, no deleted artifact."""
-    data = tuple(range(64))
-    with _persisted_membership(tmp_path, data) as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"])
-        with scenario("corrupt-artifact", seed=CHAOS_SEED).armed():
-            assert ds.query("list-membership", 7)
-            assert not ds.query("list-membership", 99)
-        health = engine.stats().health()
-        assert health["checksum_failures"] == 1
-        assert health["rebuild_retries"] == 1
-        stats = engine.stats().per_kind["list-membership"]
-        assert stats.store_hits == 1  # the retry read the clean file
-        assert stats.builds == 0  # recovery never fell back to a rebuild
-        assert engine._store.contains(ds.artifact_key("list-membership"))
-
-
-def test_corrupt_artifact_persistent_rebuilds_from_source(tmp_path):
-    """Every read corrupt (``times=None``): retries exhaust, the bad
-    artifact is deleted, and the structure rebuilds from source -- always
-    safe, artifacts are pure caches of PTIME-recomputable state."""
-    data = tuple(range(64))
-    with _persisted_membership(tmp_path, data) as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"])
-        with scenario("corrupt-artifact", seed=CHAOS_SEED, times=None).armed():
-            assert ds.query("list-membership", 7)
-        health = engine.stats().health()
-        assert health["checksum_failures"] == 2  # first read + one retry
-        assert health["rebuild_retries"] == 1
-        stats = engine.stats().per_kind["list-membership"]
-        assert stats.store_hits == 0
-        assert stats.builds == 1
-    # The rebuild re-persisted a clean artifact: a third engine store-hits.
-    with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
-        assert engine.attach("d", data, kinds=["list-membership"]).query(
-            "list-membership", 7
-        )
-        assert engine.stats().per_kind["list-membership"].store_hits == 1
-
-
-def test_truncate_artifact_detected_and_recovered(tmp_path):
-    """Truncation trips the length/checksum integrity checks -- the same
-    recovery family as bit rot: count, retry, serve."""
-    data = tuple(range(64))
-    with _persisted_membership(tmp_path, data) as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"])
-        with scenario("truncate-artifact", seed=CHAOS_SEED).armed():
-            assert ds.query("list-membership", 7)
-        health = engine.stats().health()
-        assert health["checksum_failures"] == 1
-        assert health["rebuild_retries"] == 1
-        assert engine.stats().per_kind["list-membership"].store_hits == 1
-
-
-def test_slow_artifact_read_counts_slow_loads(tmp_path):
-    """A slow read still serves correctly; the latency is observable as a
-    ``slow_loads`` tick instead of a silent stall."""
-    data = tuple(range(64))
-    with _persisted_membership(tmp_path, data) as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"])
-        plan = scenario("slow-artifact-read", seed=CHAOS_SEED, policy=FAST_POLICY)
-        with plan.armed():
-            assert ds.query("list-membership", 7)
-        assert plan.fired_count("store.read") == 1
-        health = engine.stats().health()
-        assert health["slow_loads"] >= 1
-        assert health["checksum_failures"] == 0
-        assert engine.stats().per_kind["list-membership"].store_hits == 1
-
-
-# -- shard.partial -------------------------------------------------------------
-
-
-def test_dead_shard_union_degrades_explicitly():
-    """Union-merge kinds answer from the surviving shards, but the answer
-    is a :class:`DegradedAnswer` -- partial, loud, never silently wrong."""
-    data = tuple(range(64))
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"], shards=3)
-        assert ds.query("list-membership", 7)  # warm all routed state
-        plan = scenario("dead-shard", kind="list-membership", seed=CHAOS_SEED)
-        with plan.armed():
-            answer = ds.query("list-membership", 7)
-        assert isinstance(answer, DegradedAnswer)
-        assert answer.partial is True
-        assert answer.failed_shards  # names which shard was lost
-        assert answer == answer or True  # int-compatible; never raises
-        health = engine.stats().health()
-        assert health["degraded_answers"] == 1
-        assert health["shard_failures"] == 0  # union never fails fast
-        # Disarmed, the same probe is whole again -- and unmarked.
-        recovered = ds.query("list-membership", 7)
-        assert recovered and not getattr(recovered, "partial", False)
-
-
-def test_dead_shard_monoid_fails_fast():
-    """Monoid-combine kinds (RMQ) cannot tolerate a missing partial: a lost
-    shard raises :class:`ShardFailedError` instead of guessing."""
-    data = tuple(range(48))
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["minimum-range-query"], shards=3)
-        assert ds.query("minimum-range-query", (0, 47, 0))  # warm
-        with scenario("dead-shard", kind="minimum-range-query", seed=CHAOS_SEED).armed():
-            with pytest.raises(ShardFailedError):
-                ds.query("minimum-range-query", (0, 47, 0))
-        health = engine.stats().health()
-        assert health["shard_failures"] == 1
-        assert health["degraded_answers"] == 0
-        assert ds.query("minimum-range-query", (0, 47, 0))  # recovered
-
-
-def test_dead_shard_kway_fails_fast():
-    """K-way-merge kinds (top-k) are fail-fast like monoids: a global
-    ranking cannot be cut down to the shards that answered."""
-    data = tuple((i, 100 - i) for i in range(16))  # every row aggregates to 100
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["topk-threshold"], shards=3)
-        assert ds.query("topk-threshold", ((1, 1), 3, 100))  # warm
-        with scenario("dead-shard", kind="topk-threshold", seed=CHAOS_SEED).armed():
-            with pytest.raises(ShardFailedError):
-                ds.query("topk-threshold", ((1, 1), 3, 100))
-        assert engine.stats().health()["shard_failures"] == 1
-        assert ds.query("topk-threshold", ((1, 1), 3, 100))
-
-
-def test_slow_shard_counts_timeouts_and_stays_correct():
-    data = tuple(range(64))
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"], shards=3)
-        assert ds.query("list-membership", 7)
-        plan = scenario(
-            "slow-shard", kind="list-membership", seed=CHAOS_SEED, policy=FAST_POLICY
-        )
-        with plan.armed():
-            answer = ds.query("list-membership", 7)
-        assert answer and not getattr(answer, "partial", False)
-        health = engine.stats().health()
-        assert health["shard_timeouts"] >= 1
-        assert health["degraded_answers"] == 0
-
-
-# -- cache.put -----------------------------------------------------------------
-
-
-def test_eviction_storm_never_changes_answers():
-    """Every cache insert force-evicts a batch of entries, racing the
-    serve-plan invalidation watchers.  Serving survives: structures
-    re-resolve through the ordinary layers and answers never change."""
-    data = tuple(range(64))
-    with build_query_engine(cache_entries=8) as engine:
-        ds = engine.attach(
-            "d", data, kinds=["list-membership", "minimum-range-query"]
-        )
-        expected_member = [(probe, probe in data) for probe in range(-4, 70, 7)]
-        plan = scenario("eviction-storm", seed=CHAOS_SEED, storm_size=2)
-        with plan.armed():
-            for _ in range(5):
-                for probe, expected in expected_member:
-                    assert ds.query("list-membership", probe) == expected
-                assert ds.query("minimum-range-query", (0, 63, 0))
-        assert plan.fired_count("cache.put") > 0
-        assert engine.stats().cache.evictions > 0
-        assert engine.stats().health()["cache_listener_errors"] == 0
-
-
-# -- mutable.delta -------------------------------------------------------------
-
-
-def test_failed_delta_apply_commits_batch_and_repairs():
-    """``apply_delta`` crashes mid-batch: the batch still commits (content
-    is the source of truth) and the structure is repaired by rebuild, so no
-    torn snapshot is ever published."""
-    with build_query_engine() as engine:
-        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
-        assert ds.query("list-membership", 2)  # materialize the structure
-        with scenario("failed-delta-apply", kind="list-membership", seed=CHAOS_SEED).armed():
-            ds.apply_changes([_insert(9)])
-            # The faulted batch is fully visible -- no torn state.
-            assert ds.query("list-membership", 9)
-            assert ds.query("list-membership", 2)
-        health = engine.stats().health()
-        assert health["write_rollbacks"] == 1
-        stats = engine.stats().per_kind["list-membership"]
-        assert stats.fallback_rebuilds == 1
-        assert stats.delta_batches == 0  # the crashed fold never counted
-        # Disarmed, the next batch folds in place again.
-        ds.apply_changes([_insert(11)])
-        assert ds.query("list-membership", 11)
-        assert engine.stats().per_kind["list-membership"].delta_batches == 1
-
-
-def test_failed_delta_apply_repair_is_visible_on_the_tracked_path():
-    """Same torn-batch guard through the analytic evaluator
-    (``query_tracked``), on a session warmed instead of first-queried."""
-    with build_query_engine() as engine:
-        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
-        ds.warm()
-        with scenario("failed-delta-apply", seed=CHAOS_SEED).armed():
-            ds.apply_changes([_insert(9)])
-            assert ds.query_tracked("list-membership", 9)
-        health = engine.stats().health()
-        assert health["write_rollbacks"] == 1
-        assert engine.stats().per_kind["list-membership"].fallback_rebuilds == 1
-
-
-# -- store.write ---------------------------------------------------------------
-
-
-def test_disk_full_writebehind_retries_then_flush_raises(tmp_path):
-    """Write-behind hits a full disk: retries with backoff, keeps serving
-    from memory, and ``flush()`` surfaces the terminal error instead of
-    silently leaving a stale artifact.  Clearing the fault heals."""
-    store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store) as engine:
-        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
-        assert ds.query("list-membership", 2)
-        plan = scenario(
-            "disk-full-writebehind", seed=CHAOS_SEED, times=None, policy=FAST_POLICY
-        )
-        with plan.armed():
-            ds.apply_changes([_insert(9)])
-            assert ds.query("list-membership", 9)  # memory stays current
-            with pytest.raises(WriteBehindError) as excinfo:
-                ds.flush()
-            assert isinstance(excinfo.value.__cause__, OSError)
-        health = engine.stats().health()
-        assert health["writebehind_retries"] >= 1
-        assert health["writebehind_failures"] >= 1
-        ds.flush()  # disk "freed": the sync re-persist succeeds and heals
-        assert ds.query("list-membership", 9)
-
-
-def test_disk_full_sync_build_serves_from_memory(tmp_path):
-    """A cold build whose synchronous persist fails still serves -- only
-    durability is lost, and ``persist_failures`` makes that observable."""
-    data = tuple(range(64))
-    store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store) as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"])
-        with scenario("disk-full-writebehind", seed=CHAOS_SEED, times=None).armed():
-            assert ds.query("list-membership", 7)
-            assert not ds.query("list-membership", 99)
-        health = engine.stats().health()
-        assert health["persist_failures"] == 1
-        assert not store.contains(ds.artifact_key("list-membership"))
-        assert engine.stats().per_kind["list-membership"].builds == 1
-
-
-# -- worker.serve --------------------------------------------------------------
+# -- worker processes ----------------------------------------------------------
 
 
 def _fast_worker_policy():
@@ -343,8 +63,8 @@ def _await_full_strength(supervisor, budget_seconds=10.0):
     return supervisor.health()
 
 
-def test_dead_worker_reads_retry_once_and_pool_restores(tmp_path):
-    """A worker killed mid-read (``worker.serve`` crash on worker 0): the
+def test_dead_worker_reads_retry_once_and_pool_restores(tmp_path, monkeypatch):
+    """A worker killed mid-read (slot 0 crashes on a read frame): the
     in-flight read is retried once on a healthy sibling -- every answer
     stays exactly right, no call errors -- and the slot restarts within the
     backoff budget, re-attaching the dataset from the supervisor's table."""
@@ -352,13 +72,11 @@ def test_dead_worker_reads_retry_once_and_pool_restores(tmp_path):
 
     data = tuple(range(64))
     expected = set(data)
-    plan = scenario("dead-worker", seed=CHAOS_SEED, after=2 + CHAOS_SEED % 3)
+    crash_slot_zero(monkeypatch, tmp_path / "crashed", after=2 + CHAOS_SEED % 3)
     supervisor = Supervisor(
         2,
-        store_root=str(tmp_path),
+        store_root=str(tmp_path / "store"),
         policy=_fast_worker_policy(),
-        fault_plan=plan,
-        fault_workers=(0,),
         poll_seconds=0.005,
     )
     supervisor.start()
@@ -389,20 +107,18 @@ def test_dead_worker_reads_retry_once_and_pool_restores(tmp_path):
         supervisor.close()
 
 
-def test_dead_worker_rehomes_mutable_dataset_with_its_journal(tmp_path):
+def test_dead_worker_rehomes_mutable_dataset_with_its_journal(tmp_path, monkeypatch):
     """The crashed worker *homed* a mutable dataset: the supervisor replays
     the attach frame plus every acknowledged change batch onto a healthy
     worker, so post-crash reads see all pre-crash writes."""
     from repro.service.frontend.supervisor import Supervisor
 
     data = tuple(range(32))
-    plan = scenario("dead-worker", seed=CHAOS_SEED, after=1)
+    crash_slot_zero(monkeypatch, tmp_path / "crashed", after=1)
     supervisor = Supervisor(
         2,
-        store_root=str(tmp_path),
+        store_root=str(tmp_path / "store"),
         policy=_fast_worker_policy(),
-        fault_plan=plan,
-        fault_workers=(0,),
         poll_seconds=0.005,
     )
     supervisor.start()
@@ -445,8 +161,8 @@ def test_dead_worker_rehomes_mutable_dataset_with_its_journal(tmp_path):
         supervisor.close()
 
 
-def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path):
-    """A persistently slow worker (``worker.serve`` slow on worker 0) under
+def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path, monkeypatch):
+    """A persistently slow worker (slot 0 stalls every read frame) under
     a per-request deadline: every read that lands on the slow copy surfaces
     a typed :class:`DeadlineExceededError` well inside the client timeout --
     never a silent stall -- and the breaker isolates the slow worker so the
@@ -457,14 +173,12 @@ def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path):
     data = tuple(range(64))
     expected = set(data)
     policy = RecoveryPolicy(
-        slow_worker_seconds=0.25,
         breaker_failure_threshold=3,
         breaker_reset_seconds=60.0,  # stays open for the whole test
     )
-    plan = scenario("slow-worker", seed=CHAOS_SEED, policy=policy)
+    stall_slot_zero(monkeypatch, 0.25)
     with ServingFront(
-        workers=2, store_root=str(tmp_path), fault_plan=plan,
-        fault_workers=(0,), hedge_delay_ms=None,
+        workers=2, store_root=str(tmp_path), policy=policy, hedge_delay_ms=None,
     ) as front:
         client = RemoteClient(*front.address, retry_budget=0)
         try:
@@ -499,10 +213,10 @@ def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path):
             client.close()
 
 
-def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path):
+def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path, monkeypatch):
     """The full breaker cycle: deadline expiries on the slow worker trip
     its breaker (closed -> open), traffic routes around it, and once the
-    injected slowness is exhausted a half-open probe re-admits the worker
+    stalls are spent a half-open probe re-admits the worker
     (open -> half_open -> closed)."""
     from repro.core.errors import DeadlineExceededError
     from repro.service.frontend import RemoteClient, ServingFront
@@ -510,16 +224,14 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path):
     data = tuple(range(64))
     expected = set(data)
     policy = RecoveryPolicy(
-        slow_worker_seconds=0.2,
         breaker_failure_threshold=3,
         breaker_reset_seconds=0.3,
     )
-    # Finite firings: after six slow serves worker 0 is fast again, so the
+    # Finite stalls: after six slow serves worker 0 is fast again, so the
     # half-open probe that lands there can succeed and close the breaker.
-    plan = scenario("slow-worker", seed=CHAOS_SEED, policy=policy, times=6)
+    stall_slot_zero(monkeypatch, 0.2, times=6)
     with ServingFront(
-        workers=2, store_root=str(tmp_path), fault_plan=plan,
-        fault_workers=(0,), hedge_delay_ms=None,
+        workers=2, store_root=str(tmp_path), policy=policy, hedge_delay_ms=None,
     ) as front:
         client = RemoteClient(*front.address, retry_budget=0)
         try:
@@ -556,7 +268,7 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path):
             client.close()
 
 
-def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path):
+def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path, monkeypatch):
     """With hedging on (and no deadline), reads stuck on the slow worker
     are raced against a healthy sibling after ``hedge_delay_ms``: the first
     answer wins, every answer stays exactly right, and the run finishes in
@@ -566,11 +278,9 @@ def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path):
     data = tuple(range(64))
     expected = set(data)
     slow = 0.4
-    policy = RecoveryPolicy(slow_worker_seconds=slow)
-    plan = scenario("slow-worker", seed=CHAOS_SEED, policy=policy)
+    stall_slot_zero(monkeypatch, slow)
     with ServingFront(
-        workers=2, store_root=str(tmp_path), fault_plan=plan,
-        fault_workers=(0,), hedge_delay_ms=25.0,
+        workers=2, store_root=str(tmp_path), hedge_delay_ms=25.0,
     ) as front:
         client = RemoteClient(*front.address)
         try:
@@ -591,13 +301,13 @@ def test_slow_worker_hedged_reads_keep_tail_bounded(tmp_path):
             # hedging that alone costs ~(count / 2) * slow seconds.
             assert elapsed < (count / 2) * slow
             # And the race caps each read, not just their sum: none waits
-            # out even half the injected delay.
+            # out even half the stall.
             assert slowest < 0.5 * slow
         finally:
             client.close()
 
 
-# -- no plan armed: the disturbance is a writer ----------------------------------
+# -- no fault: the disturbance is a writer --------------------------------------
 
 READ_TAIL_SIZE = 2**12
 READ_TAIL_OPS = 6000  # per thread: >= 10 samples beyond the pooled read p999
@@ -650,44 +360,62 @@ def test_writers_do_not_multiply_the_mutable_read_tail():
 
 # -- registry completeness -----------------------------------------------------
 
-#: scenario name -> the test(s) above that pin its recovery contract.
+#: scenario name -> the tests (``file::function`` under ``tests/``) that pin
+#: its recovery contract.
 PINNED = {
-    "dead-worker": (
-        test_dead_worker_reads_retry_once_and_pool_restores,
-        test_dead_worker_rehomes_mutable_dataset_with_its_journal,
-    ),
     "corrupt-artifact": (
-        test_corrupt_artifact_recovers_by_bounded_retry,
-        test_corrupt_artifact_persistent_rebuilds_from_source,
+        "unit/test_failure_model.py::test_corrupt_artifact_recovers_by_bounded_retry",
+        "unit/test_failure_model.py::test_corrupt_artifact_persistent_rebuilds_from_source",
     ),
-    "truncate-artifact": (test_truncate_artifact_detected_and_recovered,),
-    "slow-artifact-read": (test_slow_artifact_read_counts_slow_loads,),
-    "dead-shard": (
-        test_dead_shard_union_degrades_explicitly,
-        test_dead_shard_monoid_fails_fast,
-        test_dead_shard_kway_fails_fast,
+    "truncate-artifact": (
+        "unit/test_failure_model.py::test_truncate_artifact_detected_and_recovered",
     ),
-    "slow-shard": (test_slow_shard_counts_timeouts_and_stays_correct,),
-    "eviction-storm": (test_eviction_storm_never_changes_answers,),
-    "failed-delta-apply": (
-        test_failed_delta_apply_commits_batch_and_repairs,
-        test_failed_delta_apply_repair_is_visible_on_the_tracked_path,
-    ),
-    "slow-worker": (
-        test_slow_worker_expired_reads_surface_typed_deadline_errors,
-        test_slow_worker_breaker_opens_then_halfopen_probe_recloses,
-        test_slow_worker_hedged_reads_keep_tail_bounded,
+    "slow-artifact-read": (
+        "unit/test_failure_model.py::test_slow_artifact_read_counts_slow_loads",
     ),
     "disk-full-writebehind": (
-        test_disk_full_writebehind_retries_then_flush_raises,
-        test_disk_full_sync_build_serves_from_memory,
+        "unit/test_failure_model.py::test_disk_full_writebehind_retries_then_flush_raises",
+        "unit/test_failure_model.py::test_disk_full_sync_build_serves_from_memory",
+    ),
+    "dead-shard": (
+        "unit/test_failure_model.py::test_dead_shard_union_degrades_explicitly",
+        "unit/test_failure_model.py::test_dead_shard_monoid_fails_fast",
+        "unit/test_failure_model.py::test_dead_shard_kway_fails_fast",
+    ),
+    "slow-shard": (
+        "unit/test_failure_model.py::test_slow_shard_answer_stays_whole_and_correct",
+    ),
+    "eviction-storm": (
+        "unit/test_failure_model.py::test_eviction_storm_never_changes_answers",
+    ),
+    "failed-delta-apply": (
+        "unit/test_failure_model.py::test_failed_delta_apply_commits_batch_and_repairs",
+        "unit/test_failure_model.py::test_failed_delta_apply_repair_is_visible_on_the_tracked_path",
+    ),
+    "dead-worker": (
+        "chaos/test_chaos_scenarios.py::test_dead_worker_reads_retry_once_and_pool_restores",
+        "chaos/test_chaos_scenarios.py::test_dead_worker_rehomes_mutable_dataset_with_its_journal",
+    ),
+    "slow-worker": (
+        "chaos/test_chaos_scenarios.py::test_slow_worker_expired_reads_surface_typed_deadline_errors",
+        "chaos/test_chaos_scenarios.py::test_slow_worker_breaker_opens_then_halfopen_probe_recloses",
+        "chaos/test_chaos_scenarios.py::test_slow_worker_hedged_reads_keep_tail_bounded",
     ),
 }
 
 
 def test_every_registered_scenario_is_pinned():
-    """Adding a scenario to the registry without a chaos test fails here."""
+    """Adding a scenario to the registry without a test fails here, and so
+    does a pinned name that no longer is a test function."""
     assert set(PINNED) == set(SCENARIOS)
+    tests_root = Path(__file__).resolve().parents[1]
+    defined = {}
     for name, tests in PINNED.items():
         assert tests, name
-        assert all(callable(test) for test in tests), name
+        for test in tests:
+            path, function = test.split("::")
+            if path not in defined:
+                tree = ast.parse((tests_root / path).read_text())
+                defined[path] = {node.name for node in tree.body
+                                 if isinstance(node, ast.FunctionDef)}
+            assert function in defined[path], (name, test)

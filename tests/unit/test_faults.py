@@ -1,173 +1,33 @@
-"""Unit tests for the fault-injection plumbing (ISSUE 7 tentpole).
+"""Unit tests for :mod:`repro.service.faults`: product behaviour only.
 
-Tier-1 coverage of :mod:`repro.service.faults` itself -- spec validation,
-deterministic clocks, the scenario registry, arming semantics, and the
-:class:`DegradedAnswer` marker.  The *serving-stack* recovery behavior each
-scenario triggers lives in ``tests/chaos/`` (run with ``-m chaos``); these
-tests keep the subsystem's contracts pinned in the default suite.
+The module keeps the recovery policy the serving front reads and the
+:class:`DegradedAnswer` marker; no fault injector lives under ``src/``.
+The failure model's rows are driven through test-side seams
+(``tests/fault_seams.py``, ``tests/unit/test_failure_model.py`` and
+``tests/chaos/``).
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
-from repro.service import faults
-from repro.service.faults import (
-    SCENARIOS,
-    SITES,
-    DegradedAnswer,
-    FaultClock,
-    FaultPlan,
-    FaultSpec,
-    RecoveryPolicy,
-    scenario,
-)
+import repro
+from repro.service.faults import DegradedAnswer, RecoveryPolicy
 
+SRC = Path(repro.__file__).parent
+FRONTEND = SRC / "service" / "frontend"
 
-@pytest.fixture(autouse=True)
-def _always_disarm():
-    yield
-    faults.clear_fault_plan()
-
-
-# -- FaultSpec validation ------------------------------------------------------
-
-
-def test_spec_rejects_unknown_site_and_mismatched_mode():
-    with pytest.raises(ValueError, match="unknown fault site"):
-        FaultSpec("store.missing", "corrupt")
-    with pytest.raises(ValueError, match="not valid at site"):
-        FaultSpec("store.read", "disk-full")
-    with pytest.raises(ValueError, match="probability"):
-        FaultSpec("store.read", "corrupt", probability=1.5)
-
-
-def test_spec_matching_filters_kind_and_shard():
-    spec = FaultSpec("shard.partial", "raise", kind="membership", shard=2)
-    assert spec.matches("membership", 2)
-    assert not spec.matches("rmq", 2)
-    assert not spec.matches("membership", 0)
-    # None on either side means "no filter applies".
-    assert spec.matches(None, None)
-    assert FaultSpec("shard.partial", "raise").matches("anything", 7)
-
-
-def test_every_site_mode_pair_constructs():
-    for site, modes in SITES.items():
-        for mode in modes:
-            assert FaultSpec(site, mode).site == site
-
-
-# -- FaultClock determinism ----------------------------------------------------
-
-
-def test_clock_respects_after_times_and_probability_deterministically():
-    spec = FaultSpec("store.read", "corrupt", after=2, times=3)
-    clock = FaultClock(seed=7)
-    decisions = [clock.decide(0, spec) for _ in range(10)]
-    # Skips the first `after` invocations, then fires exactly `times`.
-    assert decisions == [False, False, True, True, True] + [False] * 5
-
-    thinned = FaultSpec("store.read", "corrupt", times=None, probability=0.4)
-
-    def schedule(seed):
-        clock = FaultClock(seed=seed)
-        return [clock.decide(0, thinned) for _ in range(50)]
-
-    schedule_a, schedule_b, schedule_c = schedule(11), schedule(11), schedule(12)
-    assert schedule_a == schedule_b  # same seed, same schedule
-    assert schedule_a != schedule_c  # a different seed reshuffles
-    assert 0 < sum(schedule_a) < 50  # thinning actually thins
-
-
-def test_clock_counts_specs_independently():
-    clock = FaultClock()
-    eager = FaultSpec("store.read", "corrupt", times=1)
-    assert clock.decide(0, eager) is True
-    assert clock.decide(0, eager) is False  # spent
-    assert clock.decide(1, eager) is True  # a different spec index is fresh
-    assert clock.fired(0) == 1 and clock.fired(1) == 1
-
-
-# -- plans, arming, and the registry -------------------------------------------
-
-
-def test_install_is_exclusive_and_clear_is_idempotent():
-    plan = scenario("corrupt-artifact")
-    faults.install_fault_plan(plan)
-    assert faults.active_plan() is plan
-    with pytest.raises(RuntimeError, match="already armed"):
-        faults.install_fault_plan(scenario("dead-shard"))
-    faults.clear_fault_plan()
-    faults.clear_fault_plan()  # idempotent
-    assert faults.active_plan() is None
-
-
-def test_armed_context_clears_even_on_error():
-    plan = scenario("eviction-storm")
-    with pytest.raises(RuntimeError, match="boom"):
-        with plan.armed():
-            assert faults.active_plan() is plan
-            raise RuntimeError("boom")
-    assert faults.active_plan() is None
-
-
-def test_policy_follows_the_armed_plan():
-    assert faults.policy() is faults.DEFAULT_POLICY
-    custom = RecoveryPolicy(load_retries=3)
-    with scenario("corrupt-artifact", policy=custom).armed():
-        assert faults.policy() is custom
-    assert faults.policy() is faults.DEFAULT_POLICY
-
-
-def test_scenario_overrides_replace_spec_fields():
-    plan = scenario("dead-shard", kind="membership", times=None, seed=5)
-    assert plan.name == "dead-shard"
-    assert plan.seed == 5
-    assert all(spec.kind == "membership" for spec in plan.specs)
-    assert all(spec.times is None for spec in plan.specs)
-    with pytest.raises(KeyError, match="unknown fault scenario"):
-        scenario("meteor-strike")
-    # Overrides are validated like hand-built specs.
-    with pytest.raises(ValueError, match="probability"):
-        scenario("dead-shard", probability=2.0)
-
-
-def test_registry_specs_all_target_known_sites():
-    for name, specs in SCENARIOS.items():
-        assert specs, name
-        for spec in specs:
-            assert spec.site in SITES
-            assert spec.mode in SITES[spec.site]
-
-
-def test_first_firing_and_fired_count_filter_by_site():
-    plan = FaultPlan(
-        [
-            FaultSpec("store.read", "corrupt", times=1),
-            FaultSpec("cache.put", "evict-storm", times=2),
-        ]
-    )
-    assert plan.first_firing("store.read").mode == "corrupt"
-    assert plan.first_firing("store.read") is None  # spent
-    assert plan.first_firing("cache.put").mode == "evict-storm"
-    assert plan.fired_count("store.read") == 1
-    assert plan.fired_count() == 2
-    assert plan.first_firing("mutable.delta") is None
-
-
-def test_disarmed_hooks_are_no_ops():
-    """The zero-overhead contract: with no plan armed every hook returns
-    without side effects, so serving code can guard on ``_PLAN is None``."""
-    assert faults.active_plan() is None
-    assert faults.on_store_read(None, b"payload") == b"payload"
-    faults.on_store_write(None)
-    faults.on_shard_partial("membership", 0)
-    faults.on_cache_put(None, None)
-    faults.on_delta_apply("membership")
-
-
-# -- DegradedAnswer ------------------------------------------------------------
+#: Fields the policy once accepted but only an armed fault plan ever read.
+GONE_FIELDS = ("load_retries", "writebehind_attempts", "writebehind_backoff_seconds",
+               "slow_shard_seconds", "slow_load_seconds", "slow_worker_seconds")
+FAULT_HOOKS = {"on_store_read", "on_store_write", "on_shard_partial", "on_cache_put",
+               "on_delta_apply", "on_worker_serve"}
+PLAN_SLOT = {"_PLAN", "active_plan", "install_fault_plan", "clear_fault_plan",
+             "FaultPlan", "FaultSpec", "FaultClock"}
 
 
 def test_degraded_answer_compares_like_bool_but_is_marked():
@@ -180,3 +40,59 @@ def test_degraded_answer_compares_like_bool_but_is_marked():
     assert "shard 1 lost" in repr(hit)
     # A plain bool carries no marker -- the attribute is the discriminator.
     assert not getattr(True, "partial", False)
+
+
+@pytest.mark.parametrize("name", GONE_FIELDS)
+def test_policy_refuses_the_fields_nothing_read(name):
+    """``Supervisor(policy=RecoveryPolicy(load_retries=...))`` used to
+    accept these and ignore them; now the policy itself refuses them."""
+    with pytest.raises(TypeError, match=name):
+        RecoveryPolicy(**{name: 1})
+
+
+def test_every_policy_field_is_read_by_the_front():
+    read = {
+        node.attr
+        for name in ("placement.py", "supervisor.py")
+        for node in ast.walk(ast.parse((FRONTEND / name).read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    fields = [field.name for field in dataclasses.fields(RecoveryPolicy)]
+    assert len(fields) == 6
+    assert [name for name in fields if name not in read] == []
+
+
+def test_no_fault_hook_or_plan_slot_in_the_product():
+    """Nothing under ``src/repro`` defines or calls a fault hook, names a
+    plan slot, or reads from ``faults`` more than the product types."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+                if (isinstance(node.value, ast.Name) and node.value.id == "faults"
+                        and name not in {"DegradedAnswer", "RecoveryPolicy",
+                                         "DEFAULT_POLICY"}):
+                    offenders.append((path.name, f"faults.{name}"))
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in FAULT_HOOKS | PLAN_SLOT:
+                offenders.append((path.name, name))
+    assert offenders == []
+
+
+def test_spawned_workers_receive_only_the_store_root():
+    tree = ast.parse((FRONTEND / "supervisor.py").read_text())
+    spawn = next(node for node in ast.walk(tree)
+                 if isinstance(node, ast.AsyncFunctionDef) and node.name == "_spawn")
+    settings = [node.value for node in ast.walk(spawn)
+                if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["settings"]]
+    assert len(settings) == 1 and isinstance(settings[0], ast.Dict)
+    assert [key.value for key in settings[0].keys] == ["store_root"]

@@ -407,10 +407,11 @@ def test_real_workers_exit_zero_on_close():
     supervisor.close()                          # idempotent
 
 
-# -- four knobs fewer ------------------------------------------------------------
+# -- six knobs fewer -------------------------------------------------------------
 
 REMOVED = {"engine_opts": {}, "start_method": "spawn",
-           "max_queue_per_worker": 16, "ready_timeout": 1.0}
+           "max_queue_per_worker": 16, "ready_timeout": 1.0,
+           "fault_plan": None, "fault_workers": (0,)}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -426,9 +427,9 @@ def test_constructor_parameter_counts():
                 if p != "self"]
 
     assert parameters(Supervisor) == [
-        "workers", "store_root", "policy", "fault_plan", "fault_workers",
+        "workers", "store_root", "policy",
         "poll_seconds", "hedge_delay_ms", "journal_checkpoint_batches"]
-    assert len(parameters(ServingFront)) == 10
+    assert len(parameters(ServingFront)) == 8
 
 
 # -- keep the split honest -------------------------------------------------------

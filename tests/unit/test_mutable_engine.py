@@ -489,25 +489,28 @@ def _break_store(store):
     return lambda: setattr(store, "put", original)
 
 
-def test_handle_flush_reraises_terminal_writebehind_error(tmp_path):
+def _fast_writebehind(monkeypatch, attempts):
+    """Fast retries: the broken store is the point, not the backoff."""
+    from repro.service import dataset as dataset_module
+
+    monkeypatch.setattr(dataset_module, "WRITEBEHIND_ATTEMPTS", attempts)
+    monkeypatch.setattr(dataset_module, "WRITEBEHIND_BACKOFF_SECONDS", 0.001)
+
+
+def test_handle_flush_reraises_terminal_writebehind_error(tmp_path, monkeypatch):
     """A dead store must not silently strand a dirty version: flush()
     raises WriteBehindError with the store failure as the cause, while the
     in-memory structure keeps serving the current version."""
     from repro.core.errors import WriteBehindError
-    from repro.service.faults import FaultPlan, RecoveryPolicy
 
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
     ds = _open(engine, "membership", (1, 2, 3))
     restore = _break_store(engine._store)
-    # Fast retries: the broken store is the point, not the backoff.
-    # An empty plan injects nothing; arming it just swaps in fast retries.
-    fast = FaultPlan([], policy=RecoveryPolicy(
-        writebehind_attempts=2, writebehind_backoff_seconds=0.001))
-    with fast.armed():
-        ds.apply_changes([_insert(9)])
-        with pytest.raises(WriteBehindError) as excinfo:
-            ds.flush()
+    _fast_writebehind(monkeypatch, 2)
+    ds.apply_changes([_insert(9)])
+    with pytest.raises(WriteBehindError) as excinfo:
+        ds.flush()
     assert isinstance(excinfo.value.__cause__, OSError)
     assert _ask(ds, "membership", 9)  # memory stays current; only durability lagged
     assert engine.stats().per_kind["membership"].writebehind_failures >= 1
@@ -517,20 +520,17 @@ def test_handle_flush_reraises_terminal_writebehind_error(tmp_path):
     engine.close()
 
 
-def test_handle_close_reraises_writebehind_error_but_still_detaches(tmp_path):
+def test_handle_close_reraises_writebehind_error_but_still_detaches(tmp_path, monkeypatch):
     from repro.core.errors import WriteBehindError
-    from repro.service.faults import FaultPlan, RecoveryPolicy
 
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
     ds = _open(engine, "membership", (1, 2, 3))
     _break_store(engine._store)
-    fast = FaultPlan([], policy=RecoveryPolicy(
-        writebehind_attempts=1, writebehind_backoff_seconds=0.001))
-    with fast.armed():
-        ds.apply_changes([_insert(9)])
-        with pytest.raises(WriteBehindError):
-            ds.detach()
+    _fast_writebehind(monkeypatch, 1)
+    ds.apply_changes([_insert(9)])
+    with pytest.raises(WriteBehindError):
+        ds.detach()
     assert ds.detached  # shutdown never wedges on a dead store
     with pytest.raises(ServiceError):
         ds.query("membership", 9)
@@ -538,25 +538,23 @@ def test_handle_close_reraises_writebehind_error_but_still_detaches(tmp_path):
     engine.close()  # the name was released: engine teardown is clean
 
 
-def test_engine_close_surfaces_session_writebehind_error_and_still_closes(tmp_path):
+def test_engine_close_surfaces_session_writebehind_error_and_still_closes(
+        tmp_path, monkeypatch):
     """Mutable Dataset sessions propagate the same way: detach-at-close
     flushes, and a terminal store failure escapes engine.close() *after*
     the full teardown finished."""
     from repro.core.errors import WriteBehindError
-    from repro.service.faults import FaultPlan, RecoveryPolicy
 
     engine = QueryEngine(store=ArtifactStore(tmp_path))
     engine.register("membership", membership_class(), sorted_run_scheme())
     ds = engine.attach("events", (1, 2, 3), kinds=["membership"], mutable=True)
     assert ds.query("membership", 2)
     _break_store(engine._store)
-    fast = FaultPlan([], policy=RecoveryPolicy(
-        writebehind_attempts=1, writebehind_backoff_seconds=0.001))
-    with fast.armed():
-        ds.apply_changes([_insert(9)])
-        assert ds.query("membership", 9)
-        with pytest.raises(WriteBehindError):
-            engine.close()
+    _fast_writebehind(monkeypatch, 1)
+    ds.apply_changes([_insert(9)])
+    assert ds.query("membership", 9)
+    with pytest.raises(WriteBehindError):
+        engine.close()
     assert engine._closed  # teardown completed before the error escaped
 
 

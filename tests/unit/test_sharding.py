@@ -8,11 +8,9 @@ invalidation: change batches must rebuild only the shards they touch.
 
 from __future__ import annotations
 
-import ast
 import inspect
 import random
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import pytest
 
@@ -419,27 +417,6 @@ def test_tracked_sharded_queries_serve_from_captured_shards():
         stats = engine.stats().per_kind[kind]
         assert 0 < stats.shard_cache_hits <= len(touched)
         assert stats.shard_builds == 0
-
-
-def _service_sources():
-    import repro.service
-
-    return sorted(Path(repro.service.__file__).parent.rglob("*.py"))
-
-
-def test_one_scatter_loop_holds_the_only_hot_fault_guard():
-    """on_shard_partial has one call site, and it is the only place outside
-    faults.py that tests whether a plan is armed."""
-    hook_calls, armed_tests = [], []
-    for path in _service_sources():
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "on_shard_partial"):
-                hook_calls.append(path.name)
-            if (isinstance(node, ast.Attribute) and node.attr == "_PLAN"
-                    and path.name != "faults.py"):
-                armed_tests.append(path.name)
-    assert hook_calls == armed_tests == ["sharding.py"]
 
 
 def test_planner_only_plans_and_builds():
