@@ -102,13 +102,6 @@ class ShardFailedError(ServiceError):
     explicit partial answer)."""
 
 
-class WriteBehindError(ServiceError):
-    """Raised by ``flush()``/``close()`` when write-behind persistence
-    exhausted its retries: the in-memory structure is current, but the
-    on-disk artifact is stale.  Carries the terminal store failure as
-    ``__cause__``."""
-
-
 class ProtocolError(ServiceError):
     """Raised by the serving front's wire protocol
     (:mod:`repro.service.frontend.protocol`) on malformed, oversized,

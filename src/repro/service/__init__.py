@@ -53,7 +53,7 @@ This package persists built structures and serves query batches against them:
     atomically published version records while change batches fold into
     the offline structure set through per-scheme ``apply_delta`` hooks in
     O(|CHANGED| * polylog) (falling back to touched-shard or full
-    rebuilds), with write-behind persistence of dirty artifacts.
+    rebuilds); versions after the first live in memory only.
 
 This module is also the *curated public surface*: everything a serving
 client needs -- the engine, the dataset-first session API, the error
@@ -94,7 +94,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.errors": (
         "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",
         "ArtifactCorruptionError", "ArtifactVersionError", "DeltaError",
-        "InjectedFaultError", "ShardFailedError", "WriteBehindError", "ProtocolError",
+        "InjectedFaultError", "ShardFailedError", "ProtocolError",
         "OverloadedError", "WorkerFailedError",
     ),
     # the failure model's product side (see docs/architecture.md)

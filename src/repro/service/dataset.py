@@ -24,8 +24,11 @@ fingerprints a payload **once**, registers a stable name, and returns a
   lock-free; see :class:`~repro.service.mutable.VersionedStructures`),
   routing each kind to its ``PiScheme.apply_delta`` hook (falling back to
   touched-shard or full rebuilds);
-* ``ds.detach()`` -- flushes dirty state and releases the name; further use
-  raises :class:`~repro.core.errors.UnknownDatasetError`.
+* ``ds.detach()`` -- releases the name; further use raises
+  :class:`~repro.core.errors.UnknownDatasetError`.
+
+A mutable session writes no artifact after version 0: later versions live in
+memory only, because nothing could compute their keys to read them back.
 
 One session dispatches to all three storage shapes from its attach-time
 options: monolithic, sharded (``shards=K``, said here and nowhere else),
@@ -71,16 +74,11 @@ from typing import (
 )
 
 from repro.core.cost import CostTracker, ensure_tracker
-from repro.core.errors import (
-    DeltaError,
-    ServiceError,
-    UnknownDatasetError,
-    WriteBehindError,
-)
+from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
 from repro.core.query import PiScheme
 from repro.incremental.changes import ChangeLog
 from repro.service.artifacts import ArtifactKey
-from repro.service.mutable import MutableContent, VersionedStructures, advance_lineage
+from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.sharding import ShardedKernel, ShardPlan
 from repro.storage.fingerprint import dataset_fingerprint
 
@@ -90,12 +88,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 __all__ = ["Dataset"]
 
 _log = logging.getLogger(__name__)
-
-#: Store attempts per write-behind persist before the error is kept for
-#: ``flush()`` to raise.
-WRITEBEHIND_ATTEMPTS = 3
-#: Backoff after the first failed write-behind attempt (doubles each retry).
-WRITEBEHIND_BACKOFF_SECONDS = 0.02
 
 
 def _group_pairs(
@@ -545,17 +537,14 @@ class Dataset:
             ) from None
 
     def artifact_key(self, kind: str) -> ArtifactKey:
-        """The artifact identity serving ``kind`` at the current version.
+        """The attach-time artifact identity of ``kind``.
 
-        Immutable sessions key by the attach-time fingerprint; mutable
-        sessions by the version lineage, so every applied batch addresses a
-        fresh artifact without an O(|D|) re-hash.  Kinds whose schemes
-        declare one ``structure`` share the key.
+        Keyed by the attach-time fingerprint for every session: a mutable
+        session's later versions live in memory only, so the store holds
+        nothing under any other key for it.  Kinds whose schemes declare one
+        ``structure`` share the key.
         """
-        fingerprint = self._fingerprint
-        if self._mutable is not None:
-            fingerprint = self._mutable._versions.current.lineage
-        return self.registration_for(kind).key(fingerprint)
+        return self.registration_for(kind).key(self._fingerprint)
 
     # -- serving ---------------------------------------------------------------
 
@@ -707,12 +696,6 @@ class Dataset:
             )
         return self._mutable.apply_changes(changes)
 
-    def flush(self) -> None:
-        """Write-behind barrier: returns with the current version durable
-        (no-op for immutable sessions)."""
-        if self._mutable is not None:
-            self._mutable.flush()
-
     def dataset(self) -> Any:
         """A consistent snapshot of the current content (the attach payload
         for immutable sessions)."""
@@ -742,7 +725,7 @@ class Dataset:
             self._plans.pop(kind, None)
 
     def _release(self) -> None:
-        """Flush dirty state and mark detached (engine-internal).
+        """Mark detached and drop the serve plans (engine-internal).
 
         The flag is set *before* the serve plans are dropped (both under the
         plan lock a racing :meth:`_build_plan` re-checks), so a query
@@ -755,11 +738,9 @@ class Dataset:
         self._detached = True
         with self._plans_lock:
             self._plans.clear()
-        if self._mutable is not None:
-            self._mutable.flush()
 
     def detach(self) -> None:
-        """Flush dirty state, release the name, evict cached structures.
+        """Release the name and evict cached structures.
 
         Idempotent.  Further queries or batches against this session raise
         :class:`~repro.core.errors.UnknownDatasetError`.
@@ -807,17 +788,7 @@ class _MutableState:
         self.tracker = CostTracker()
         self.log = ChangeLog()
         self._content = MutableContent(ds._data, self.tracker, self.log)
-        self._versions = VersionedStructures(ds._fingerprint)
-        # Write-behind bookkeeping is keyed by the attach-time artifact key
-        # (see _slot), not by kind: kinds that share a structure share each
-        # lineage artifact, which is dumped and put once per version.
-        self._persist_guard = threading.Lock()
-        self._persist_futures: Dict[ArtifactKey, Any] = {}
-        # slot -> (version, lineage key) of the newest put that landed.
-        self._persisted: Dict[ArtifactKey, Tuple[int, ArtifactKey]] = {}
-        # slot -> (kind, terminal store failure) from write-behind; surfaced
-        # (not swallowed) by the next flush()/detach.
-        self._persist_errors: Dict[ArtifactKey, Tuple[str, BaseException]] = {}
+        self._versions = VersionedStructures()
 
     @property
     def version(self) -> int:
@@ -1003,13 +974,11 @@ class _MutableState:
             for change in effective:
                 self._content.apply(change)
             number = versions.current.number + 1
-            lineage = advance_lineage(versions.current.lineage, number, effective)
             rebuilt: Dict[str, Any] = {}
             dropped: List[str] = []
             rebuild_error: Optional[BaseException] = None
             if rebuild_kinds:
-                # A monolithic rebuild stays in memory and is persisted to
-                # the session's lineage slot like a delta (a content-keyed
+                # A monolithic rebuild stays in memory (a content-keyed
                 # artifact per rebuilt version would never be read again);
                 # a sharded one reuses untouched shard artifacts by content.
                 canonical = self._content.canonical()
@@ -1031,7 +1000,7 @@ class _MutableState:
                         break
                     offline[kind] = fresh
                     rebuilt[kind] = fresh
-            versions.publish(number, lineage)
+            versions.publish(number)
             for kind, seconds in delta_kinds:
                 self._engine._bump(
                     kind,
@@ -1065,7 +1034,6 @@ class _MutableState:
                 retired[kind] = self._twin(kind, fresh)
             if rebuild_error is not None:
                 raise rebuild_error
-            self._schedule_persist([kind for kind, _seconds in delta_kinds] + list(rebuilt))
             screened = len(batch) - len(effective)
             self.log.record(
                 len(effective),
@@ -1076,102 +1044,3 @@ class _MutableState:
                 + (f", {screened} screened" if screened else ""),
             )
             return self.log
-
-    # -- write-behind persistence ----------------------------------------------
-
-    def _store_ready(self, kind: str) -> bool:
-        registration = self._ds.registration_for(kind)
-        return self._engine._store is not None and registration.shards == 1
-
-    def _slot(self, kind: str) -> ArtifactKey:
-        """``kind``'s artifact key at attach: stable across versions, equal
-        for exactly the kinds whose lineage artifacts are one file."""
-        return self._ds.registration_for(kind).key(self._ds._fingerprint)
-
-    def _schedule_persist(self, kinds: Iterable[str]) -> None:
-        """Queue one write-behind task per distinct artifact among ``kinds``."""
-        target = self._versions.current.number
-        slots = {self._slot(kind): kind for kind in kinds if self._store_ready(kind)}
-        if not slots:
-            return
-        pool = self._engine._ensure_persist_pool()
-        with self._persist_guard:
-            for slot, kind in slots.items():
-                self._persist_futures[slot] = pool.submit(self._persist, kind, target)
-
-    def _persist(self, kind: str, target: int) -> None:
-        """Dump ``kind``'s structure at version ``target`` if still current.
-
-        The dump runs with the version pinned exactly like a reader (writers drain pinned readers before
-        re-folding a retired structure, so the bytes are a consistent
-        snapshot), and the store write runs unpinned; a stale target is
-        skipped because the newer batch queued its own task.
-
-        Store failures (disk full, unwritable root) are retried with
-        doubling backoff, ``WRITEBEHIND_ATTEMPTS`` tries in all; a terminal
-        failure is recorded in ``_persist_errors`` and raised by the next
-        :meth:`flush` -- the in-memory structure stays current either way,
-        only durability lags.
-        """
-        slot = self._slot(kind)
-        with self._versions.pinned() as version:
-            if version.number != target or self._persisted.get(slot, (0,))[0] >= target:
-                return
-            structure = version.structures.get(kind)
-            if structure is None:
-                return
-            registration = self._ds.registration_for(kind)
-            payload = registration.scheme.dump(structure)
-            key = registration.key(version.lineage)
-        backoff = WRITEBEHIND_BACKOFF_SECONDS
-        attempts = WRITEBEHIND_ATTEMPTS
-        for attempt in range(attempts):
-            try:
-                self._engine._store.put(key, payload)
-                break
-            except Exception as exc:
-                if attempt + 1 < attempts:
-                    self._engine._bump(kind, writebehind_retries=1)
-                    time.sleep(backoff)
-                    backoff *= 2
-                    continue
-                self._engine._bump(kind, writebehind_failures=1)
-                with self._persist_guard:
-                    self._persist_errors[slot] = (kind, exc)
-                return
-        with self._persist_guard:
-            puts = (self._persisted.get(slot, (target, key)), (target, key))
-            older, newer = sorted(puts, key=lambda put: put[0])
-            self._persisted[slot] = newer
-            self._persist_errors.pop(slot, None)
-        # One lineage file per slot, not one per batch: nothing reads an older
-        # version's again.  The version-0 key is never in ``_persisted``.
-        if older[1] != newer[1]:
-            self._engine._store.delete(older[1])
-
-    def flush(self) -> None:
-        """Barrier: every delta-maintained kind durable at the current version.
-
-        Raises :class:`~repro.core.errors.WriteBehindError` (with the store
-        failure as ``__cause__``) when any kind's write-behind exhausted its
-        retries and a final synchronous attempt here still fails -- a stale
-        on-disk artifact is surfaced, never silently dropped.
-        """
-        with self._persist_guard:
-            futures = list(self._persist_futures.values())
-        for future in futures:
-            future.result()
-        current = self._versions.current
-        for kind in list(current.structures):
-            if self._store_ready(kind):
-                self._persist(kind, current.number)
-        with self._persist_guard:
-            errors = sorted(self._persist_errors.values(), key=lambda error: error[0])
-        if errors:
-            kind, cause = errors[0]
-            raise WriteBehindError(
-                f"write-behind persistence failed for kind(s) "
-                f"{[name for name, _ in errors]} of dataset {self._ds.name!r}; "
-                f"in-memory structures are current but on-disk artifacts are "
-                f"stale"
-            ) from cause

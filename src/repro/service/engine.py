@@ -51,8 +51,8 @@ in parallel and persisted independently -- and evaluation for the
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
 (one session, every kind, one published version pointer): change batches
 fold into the live structures via per-scheme ``apply_delta`` hooks (falling
-back to touched-shard or full rebuilds), with lock-free versioned reads and
-write-behind persistence.
+back to touched-shard or full rebuilds), with lock-free versioned reads;
+only the version-0 structures are persisted.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -73,7 +73,6 @@ import logging
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -148,10 +147,6 @@ class SchemeStats:
     #: apply_changes batches whose structure was repaired by rebuild after
     #: a mid-batch failure (the torn-snapshot guard).
     write_rollbacks: int = 0
-    #: Write-behind persistence attempts retried after a store failure.
-    writebehind_retries: int = 0
-    #: Write-behind persists that exhausted retries (flush() will raise).
-    writebehind_failures: int = 0
     #: Synchronous artifact writes that failed (structure served from
     #: memory; the store is stale or unwritable).
     persist_failures: int = 0
@@ -199,8 +194,6 @@ class EngineStats:
         "degraded_answers",
         "shard_failures",
         "write_rollbacks",
-        "writebehind_retries",
-        "writebehind_failures",
         "persist_failures",
         "serve_errors",
     )
@@ -410,8 +403,6 @@ class QueryEngine:
         self._datasets_guard = threading.Lock()
         self._max_workers = max(1, max_workers)
         self._planner = ShardPlanner(self, max_workers=self._max_workers)
-        self._pool_guard = threading.Lock()
-        self._persist_pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -640,7 +631,7 @@ class QueryEngine:
         return dataset
 
     def detach(self, name: str) -> None:
-        """Detach the named session: flush dirty state, evict its cached
+        """Detach the named session: evict its cached
         monolithic structures, shard plans and idle build locks, and release
         the name.  Raises :class:`~repro.core.errors.UnknownDatasetError`
         for names that are not attached."""
@@ -883,17 +874,6 @@ class QueryEngine:
             with self._build_locks_guard:
                 self._build_locks.pop(key, None)
 
-    def _ensure_persist_pool(self) -> ThreadPoolExecutor:
-        """The single-worker pool draining write-behind persists in order."""
-        with self._pool_guard:
-            if self._closed:
-                raise ServiceError("engine is closed")
-            if self._persist_pool is None:
-                self._persist_pool = ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="repro-persist"
-                )
-            return self._persist_pool
-
     # -- statistics and lifecycle ----------------------------------------------
 
     def _bump(self, kind: str, **deltas: Any) -> None:
@@ -928,25 +908,17 @@ class QueryEngine:
         self._query_counters.reset()
 
     def close(self) -> None:
-        """Detach attached datasets (flushing write-behind state), then shut
-        down the shard-build and persist pools; further work errors.
-
-        A session whose final flush fails (e.g.
-        :class:`~repro.core.errors.WriteBehindError` after a disk-full
-        write-behind) does not abort the shutdown: every dataset is still
-        detached and every pool torn down, then the first failure is
-        re-raised so the stale-artifact condition cannot pass silently.
+        """Detach attached datasets, then shut down the shard-build pool;
+        further work errors.
 
         Idempotent: a second ``close()`` (including a concurrent one, which
-        blocks until the first finishes) is a no-op, even when the first
-        raised -- teardown completes before the error is re-raised.  A
-        query a caller's thread starts after this lands on
+        blocks until the first finishes) is a no-op.  A query a caller's
+        thread starts after this lands on
         :class:`~repro.core.errors.UnknownDatasetError` (a
         :class:`~repro.core.errors.ServiceError`)."""
         with self._close_lock:
             if self._closed:
                 return
-            errors: List[BaseException] = []
             with self._datasets_guard:
                 names = list(self._datasets)
             for name in names:
@@ -954,16 +926,8 @@ class QueryEngine:
                     self.detach(name)
                 except UnknownDatasetError:  # pragma: no cover - concurrent detach
                     pass
-                except Exception as exc:
-                    errors.append(exc)
             self._closed = True
             self._planner.close()
-            with self._pool_guard:
-                if self._persist_pool is not None:
-                    self._persist_pool.shutdown(wait=True)
-                    self._persist_pool = None
-            if errors:
-                raise errors[0]
 
     def __enter__(self) -> "QueryEngine":
         return self

@@ -13,8 +13,7 @@ rebuild, degrade loudly, or re-home by replay (see ``docs/architecture.md``,
     ``partial`` instead of being silently wrong.
 
 The engine's own retry values are constants next to the code that uses
-them (``engine.LOAD_RETRIES``, ``engine.SLOW_LOAD_SECONDS``,
-``dataset.WRITEBEHIND_ATTEMPTS``, ``dataset.WRITEBEHIND_BACKOFF_SECONDS``).
+them (``engine.LOAD_RETRIES``, ``engine.SLOW_LOAD_SECONDS``).
 Nothing here causes a failure: the chaos suites drive every row of the
 failure model through test-side seams.
 

@@ -16,11 +16,7 @@ built on:
   block a reader), while writers serialize among themselves, fold each batch
   into an offline twin set, publish the new version pointer atomically, and
   re-apply the batch to the retired set -- delta cost is paid twice
-  (O(|CHANGED|) each), never an O(|D|) clone;
-* :func:`advance_lineage` -- the O(|CHANGED|) versioned-fingerprint chain
-  that gives every applied batch a distinct artifact identity without an
-  O(|D|) re-hash, over the canonical change encoding of
-  :func:`canonical_change_bytes` (stable across processes, unlike ``repr``).
+  (O(|CHANGED|) each), never an O(|D|) clone.
 
 ``ds.apply_changes(batch)`` routes a batch of
 :mod:`repro.incremental.changes` records to each served kind's
@@ -28,8 +24,9 @@ built on:
 O(|CHANGED| * polylog).  Schemes without a hook -- and sharded registrations
 -- fall back automatically to a rebuild through the engine, where
 content-addressed shard artifacts turn the rebuild into a
-touched-shards-only build.  Dirty structures are re-persisted
-asynchronously (write-behind); ``flush()``/``detach()`` force the write.
+touched-shards-only build.  A version's identity is its number: later
+versions live in memory only and write no artifact, because no lookup could
+compute a key for one.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -49,7 +46,6 @@ asynchronously (write-behind); ``flush()``/``detach()`` force the write.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 import weakref
@@ -70,8 +66,6 @@ from repro.incremental.changes import (
 __all__ = [
     "MutableContent",
     "VersionedStructures",
-    "advance_lineage",
-    "canonical_change_bytes",
 ]
 
 
@@ -175,7 +169,7 @@ class _ReadIndicator:
 
 
 class _Version:
-    """One published snapshot of a mutable dataset: structures + identity.
+    """One published snapshot of a mutable dataset: structures + number.
 
     Readers obtain the whole record with a single attribute load
     (:attr:`VersionedStructures.current`) and serve from ``structures``
@@ -185,12 +179,11 @@ class _Version:
     version observe identical answers for the new kind).
     """
 
-    __slots__ = ("structures", "number", "lineage")
+    __slots__ = ("structures", "number")
 
-    def __init__(self, structures: Dict[str, Any], number: int, lineage: str) -> None:
+    def __init__(self, structures: Dict[str, Any], number: int) -> None:
         self.structures = structures
         self.number = number
-        self.lineage = lineage
 
 
 class VersionedStructures:
@@ -228,9 +221,9 @@ class VersionedStructures:
 
     __slots__ = ("writer_mutex", "current", "offline", "_indicator")
 
-    def __init__(self, lineage: str) -> None:
+    def __init__(self) -> None:
         self.writer_mutex = threading.RLock()
-        self.current = _Version({}, 0, lineage)
+        self.current = _Version({}, 0)
         self.offline: Dict[str, Any] = {}
         self._indicator = _ReadIndicator()
 
@@ -262,7 +255,7 @@ class VersionedStructures:
 
     @contextmanager
     def pinned(self) -> Iterator[_Version]:
-        """Context-managed pin for cold paths (persist, resolve)."""
+        """Context-managed pin for cold paths (resolve)."""
         slot = self._indicator.slot()
         version = self.pin(slot)
         try:
@@ -282,7 +275,7 @@ class VersionedStructures:
         self.current.structures[kind] = published
         self.offline[kind] = offline
 
-    def publish(self, number: int, lineage: str) -> Dict[str, Any]:
+    def publish(self, number: int) -> Dict[str, Any]:
         """Atomically publish the offline set as version ``number``.
 
         One attribute store is the whole commit point: readers that load
@@ -291,7 +284,7 @@ class VersionedStructures:
         the caller must :meth:`drain` before mutating it.
         """
         retired = self.current.structures
-        self.current = _Version(self.offline, number, lineage)
+        self.current = _Version(self.offline, number)
         self.offline = retired
         return retired
 
@@ -300,83 +293,27 @@ class VersionedStructures:
         self._indicator.wait_until_drained(self.current.number)
 
 
-# -- lineage (versioned content identity) --------------------------------------
+# -- change validation (outside input) -----------------------------------------
+
+#: Change payload scalars: values whose meaning is their value in every
+#: process (never an identity-based repr or a hash-ordered iteration).
+_SCALARS = (type(None), bool, int, float, str, bytes)
 
 
-def _canonical_value_bytes(value: Any) -> bytes:
-    """A process-stable byte encoding of one change payload value.
-
-    Only value types whose ``repr`` is defined by the value (never by
-    identity or hash order) are accepted: numbers, strings, bytes, None,
-    and sequences of those.  Anything else -- a custom object whose default
-    repr embeds its memory address, a frozenset whose repr follows hash
-    order -- would make equal histories digest differently per process,
-    silently defeating the cross-worker artifact cache, so it is rejected
-    loudly instead.
-    """
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return repr(value).encode("utf-8")
-    if isinstance(value, (tuple, list)):
-        return b"(" + b",".join(_canonical_value_bytes(item) for item in value) + b")"
-    raise DeltaError(
-        f"change value {value!r} of type {type(value).__name__} has no "
-        f"canonical encoding for the lineage digest; use numbers, strings, "
-        f"bytes or tuples of those"
-    )
+def _plain(value: Any) -> bool:
+    """True for a scalar, or a tuple/list of plain values -- the change
+    payload vocabulary.  A type walk only: it builds nothing."""
+    if isinstance(value, _SCALARS):
+        return True
+    return isinstance(value, (tuple, list)) and all(_plain(item) for item in value)
 
 
-def canonical_change_bytes(change: Any) -> bytes:
-    """The canonical (process-stable) encoding of one change record.
-
-    :func:`advance_lineage` digests these bytes instead of ``repr(change)``:
-    a change type without a stable ``__repr__`` (the default object repr
-    embeds the memory address) used to give equal histories different
-    content identities per process.  Unknown record types raise
-    :class:`~repro.core.errors.DeltaError` -- rejected at batch validation,
-    before anything mutates.
-    """
-    if isinstance(change, TupleChange):
-        return (
-            b"tuple:"
-            + change.kind.value.encode("ascii")
-            + b":"
-            + _canonical_value_bytes(tuple(change.row))
-        )
-    if isinstance(change, EdgeChange):
-        return b"edge:%s:%d>%d" % (
-            change.kind.value.encode("ascii"),
-            change.source,
-            change.target,
-        )
-    if isinstance(change, PointWrite):
-        return b"point:%d=" % change.position + _canonical_value_bytes(change.value)
-    raise DeltaError(
-        f"unknown change record {type(change).__name__} has no canonical "
-        f"encoding for the lineage digest"
-    )
-
-
-def advance_lineage(lineage: str, version: int, effective: Sequence[Any]) -> str:
-    """Chain one applied batch into a versioned content identity.
-
-    Version 0 is the plain dataset fingerprint; each applied batch chains
-    the version counter *and the batch content* into the digest, in
-    O(|CHANGED|) instead of an O(|D|) re-hash.  Two histories over equal
-    base data share an identity exactly when their batches agree -- in which
-    case their structures encode the same logical dataset -- while divergent
-    histories can never clobber each other's persisted artifacts.
-
-    Batches are digested through :func:`canonical_change_bytes`, so the
-    identity is stable across processes and interpreter runs (``repr`` of a
-    change type without a stable ``__repr__`` is not).
-    """
-    digest = hashlib.sha256()
-    digest.update(lineage.encode("ascii"))
-    digest.update(f"|delta-v{version}|".encode("ascii"))
-    for change in effective:
-        digest.update(canonical_change_bytes(change))
-        digest.update(b"\x1f")
-    return digest.hexdigest()
+def _hashable(value: Any) -> bool:
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return True
 
 
 def _is_graph(data: Any) -> bool:
@@ -481,14 +418,29 @@ class MutableContent:
     def validate(self, batch: Sequence[Any]) -> None:
         """Reject malformed batches before anything mutates (batch atomicity).
 
-        Canonical-encodability is checked here too: a change whose payload
-        cannot be digested stably (see :func:`canonical_change_bytes`) must
-        be rejected *before* the working copy moves, not discovered when
-        :func:`advance_lineage` runs mid-commit.
+        Batches are outside input -- a wire client's JSON decodes to floats,
+        bools and lists -- so every field is type-checked here: a kind must
+        be a :class:`ChangeKind`, a position or vertex exactly an ``int``
+        (``True`` is refused), a payload value plain (see :func:`_plain`)
+        and an element hashable.  :meth:`screen` and :meth:`apply` then
+        cannot raise half-way through a batch.
         """
         for change in batch:
+            if isinstance(change, (TupleChange, EdgeChange)) and not isinstance(
+                change.kind, ChangeKind
+            ):
+                raise DeltaError(f"change kind {change.kind!r} is not a ChangeKind")
             if isinstance(change, TupleChange):
+                if _is_graph(self.working):
+                    raise DeltaError("TupleChange targets a graph dataset")
+                if not isinstance(change.row, (tuple, list)) or not _plain(change.row):
+                    raise DeltaError(
+                        f"row {change.row!r} is not a tuple of numbers, strings "
+                        f"or bytes"
+                    )
                 element = self.element(change.row)
+                if not _hashable(element):
+                    raise DeltaError(f"element {element!r} is not hashable")
                 if (
                     _is_relation(self.working)
                     and change.kind is ChangeKind.INSERT
@@ -506,6 +458,10 @@ class MutableContent:
             elif isinstance(change, EdgeChange):
                 if not _is_graph(self.working):
                     raise DeltaError("EdgeChange targets a non-graph dataset")
+                if type(change.source) is not int or type(change.target) is not int:
+                    raise DeltaError(
+                        f"edge ({change.source!r}, {change.target!r}) needs int vertices"
+                    )
                 n = self.working.n
                 if not (0 <= change.source < n and 0 <= change.target < n):
                     raise DeltaError(
@@ -514,20 +470,20 @@ class MutableContent:
             elif isinstance(change, PointWrite):
                 if _is_graph(self.working) or _is_relation(self.working):
                     raise DeltaError("PointWrite targets a non-positional dataset")
+                if type(change.position) is not int:
+                    raise DeltaError(f"point-write position {change.position!r} is not an int")
                 if not 0 <= change.position < len(self.working):
                     raise DeltaError(
                         f"point write at {change.position} outside "
                         f"[0, {len(self.working)})"
                     )
-                try:
-                    hash(change.value)
-                except TypeError as exc:
+                if not _plain(change.value) or not _hashable(change.value):
                     raise DeltaError(
-                        f"point-write value {change.value!r} is not hashable"
-                    ) from exc
+                        f"point-write value {change.value!r} is not a hashable "
+                        f"number, string, bytes or tuple of those"
+                    )
             else:
                 raise DeltaError(f"unknown change record {type(change).__name__}")
-            canonical_change_bytes(change)
 
     def screen(self, batch: Sequence[Any]) -> List[Any]:
         """Drop no-op deletes (absent elements/edges) and track the bag counts.

@@ -373,8 +373,7 @@ PINNED = {
     "slow-artifact-read": (
         "unit/test_failure_model.py::test_slow_artifact_read_counts_slow_loads",
     ),
-    "disk-full-writebehind": (
-        "unit/test_failure_model.py::test_disk_full_writebehind_retries_then_flush_raises",
+    "disk-full": (
         "unit/test_failure_model.py::test_disk_full_sync_build_serves_from_memory",
     ),
     "dead-shard": (

@@ -41,7 +41,7 @@ SCENARIOS: Dict[str, Tuple[str, str]] = {
     "corrupt-artifact": ("ArtifactStore.get", "FaultyStore.corrupt"),
     "truncate-artifact": ("ArtifactStore.get", "FaultyStore.truncate"),
     "slow-artifact-read": ("ArtifactStore.get", "FaultyStore.slow"),
-    "disk-full-writebehind": ("ArtifactStore.put", "FaultyStore.full"),
+    "disk-full": ("ArtifactStore.put", "FaultyStore.full"),
     "dead-shard": ("scatter-gather shard", "lose_shards"),
     "slow-shard": ("scatter-gather shard", "lose_shards(seconds=...)"),
     "eviction-storm": ("LRUArtifactCache.put", "storm"),

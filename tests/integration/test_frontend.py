@@ -28,8 +28,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import DeadlineExceededError, ProtocolError, UnknownDatasetError
-from repro.incremental.changes import ChangeKind, TupleChange
+from repro.core.errors import (
+    DeadlineExceededError,
+    DeltaError,
+    ProtocolError,
+    UnknownDatasetError,
+)
+from repro.incremental.changes import ChangeKind, PointWrite, TupleChange
 from repro.service.engine import SchemeStats
 from repro.service.frontend import RemoteClient, ServingFront, protocol
 
@@ -129,6 +134,17 @@ def test_mutable_dataset_is_homed_and_versioned(client):
     assert "frontend" in stats
     ds.detach()
     ds.detach()  # idempotent client-side
+
+
+def test_malformed_wire_change_is_refused_before_the_home_moves(client):
+    """JSON has no int/float split a client can rely on: a float position
+    reaches the home as a float and is refused whole, as a DeltaError."""
+    with client.attach("refused", (1, 2, 3), kinds=["list-membership"], mutable=True) as ds:
+        with pytest.raises(DeltaError):
+            ds.apply_changes([PointWrite(2, 9), PointWrite(1.5, 7)])
+        assert ds.dataset() == (1, 2, 3)
+        assert ds.query("list-membership", 9) is False
+        assert ds.apply_changes([TupleChange(ChangeKind.DELETE, (9,))])["version"] == 0
 
 
 def test_remote_errors_carry_their_classes(front, client):

@@ -14,9 +14,8 @@ import pytest
 from fault_seams import FaultyStore, Shots, failing, lose_shards, storm
 
 from repro.catalog import build_query_engine
-from repro.core.errors import ShardFailedError, WriteBehindError
+from repro.core.errors import ShardFailedError
 from repro.incremental.changes import ChangeKind, TupleChange
-from repro.service import dataset as dataset_module
 from repro.service import engine as engine_module
 from repro.service.artifacts import ArtifactStore
 from repro.service.faults import DegradedAnswer
@@ -262,30 +261,6 @@ def test_failed_delta_apply_repair_is_visible_on_the_tracked_path(monkeypatch):
 
 
 # -- store writes ------------------------------------------------------------------
-
-
-def test_disk_full_writebehind_retries_then_flush_raises(tmp_path, monkeypatch):
-    """Write-behind hits a full disk: retries with backoff, keeps serving
-    from memory, and ``flush()`` surfaces the terminal error instead of
-    silently leaving a stale artifact.  Freeing the disk heals."""
-    monkeypatch.setattr(dataset_module, "WRITEBEHIND_ATTEMPTS", 2)
-    monkeypatch.setattr(dataset_module, "WRITEBEHIND_BACKOFF_SECONDS", 0.001)
-    store = FaultyStore(tmp_path)
-    with build_query_engine(store=store) as engine:
-        ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
-        assert ds.query("list-membership", 2)
-        store.full.arm(times=None)
-        ds.apply_changes([_insert(9)])
-        assert ds.query("list-membership", 9)  # memory stays current
-        with pytest.raises(WriteBehindError) as excinfo:
-            ds.flush()
-        assert isinstance(excinfo.value.__cause__, OSError)
-        health = engine.stats().health()
-        assert health["writebehind_retries"] >= 1
-        assert health["writebehind_failures"] >= 1
-        store.full.arm(0)
-        ds.flush()  # disk freed: the sync re-persist succeeds and heals
-        assert ds.query("list-membership", 9)
 
 
 def test_disk_full_sync_build_serves_from_memory(tmp_path):

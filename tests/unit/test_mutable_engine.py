@@ -19,12 +19,15 @@ evaluator are both pinned against the oracle.
 
 from __future__ import annotations
 
+import ast
 import logging
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.catalog import build_query_engine
 from repro.core.errors import DeltaError, ServiceError
 from repro.graphs.graph import Digraph
@@ -37,6 +40,7 @@ from repro.queries import (
 )
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine
+from repro.storage.fingerprint import dataset_fingerprint
 
 
 def _insert(*row):
@@ -211,103 +215,94 @@ def test_sharded_fallback_rebuilds_only_touched_shards(tmp_path):
         assert _ask(ds, kind, 100_000) is True and _ask(ds, kind, 99_999) is False
 
 
-# -- versioning and write-behind persistence -----------------------------------
+# -- versioning; the store holds only keys some lookup asks for ---------------
 
 
-def test_versioned_write_behind_persistence(tmp_path):
-    store = ArtifactStore(tmp_path)
+class _RecordingStore(ArtifactStore):
+    """An artifact store that remembers every key ``put`` under."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.puts = []
+
+    def put(self, key, payload):
+        self.puts.append(key)
+        return super().put(key, payload)
+
+
+def test_delta_batches_and_monolithic_rebuilds_add_no_store_key(tmp_path):
+    """After materialisation a mutable session writes nothing: later
+    versions live in memory, since no lookup could compute their keys."""
+    store = _RecordingStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         ds = _open(engine, "membership", (1, 2, 3))
-        base_key = ds.artifact_key("membership")
-        assert ds.version == 0
-        ds.apply_changes([_insert(42)])
-        assert ds.version == 1
-        ds.flush()
-        key = ds.artifact_key("membership")
-        assert key != base_key  # version folded into the fingerprint
-        payload = store.get(key)
-        assert payload is not None
-        reloaded = sorted_run_scheme().load(payload)
-        assert reloaded.contains(42) and not reloaded.contains(43)
+        assert store.puts == [ds.artifact_key("membership")]  # version 0
+        keys = set(store.keys())
+        ds.apply_changes([_insert(9), _delete(1)])  # delta
+        ds.apply_changes([PointWrite(0, 50)])  # outside the hook: rebuild
+        stats = engine.stats().per_kind["membership"]
+        assert (stats.delta_batches, stats.fallback_rebuilds) == (1, 1)
+        assert set(store.keys()) == keys and len(store.puts) == 1
+        assert _ask(ds, "membership", 50) is True and _ask(ds, "membership", 2) is False
 
 
-def test_shared_structure_is_persisted_once_per_version(tmp_path):
-    """Point- and range-selection over one relation are one lineage
-    artifact: write-behind dumps and ``put``s it once per version, not once
-    per kind, and a failing store is still reported by ``flush()``."""
-    from repro.core.errors import WriteBehindError
-
-    store = ArtifactStore(tmp_path)
+def test_sharded_rebuild_adds_only_the_new_plans_shard_keys(tmp_path):
+    """A touched-shard rebuild writes content-keyed shard artifacts, which
+    re-planning the same content reads back: those are the only new keys."""
+    store = _RecordingStore(tmp_path)
     with build_query_engine(store=store) as engine:
-        kinds = ["point-selection", "range-selection"]
-        data, _ = engine.registration(kinds[0])[0].sample_workload(64, 5, 10)
-        ds = engine.attach("rel", data, kinds=kinds, mutable=True).warm()
-        assert ds.artifact_key(kinds[0]) == ds.artifact_key(kinds[1])
-        puts, real_put = [], store.put
-        store.put = lambda key, payload: (puts.append(key), real_put(key, payload))[1]
-        for version in (1, 2):
-            ds.apply_changes([_insert(7, version)])
-            ds.flush()
-            assert puts == [ds.artifact_key(kinds[0])], puts
-            assert store.get(puts.pop()) is not None
-        undo = _break_store(store)
-        ds.apply_changes([_insert(7, 3)])
-        with pytest.raises(WriteBehindError, match="selection") as excinfo:
-            ds.flush()
-        assert isinstance(excinfo.value.__cause__, OSError)
-        undo()
-        store.put = real_put
-        ds.flush()  # healed: the one shared artifact lands, the error clears
-        assert store.get(ds.artifact_key(kinds[1])) is not None
+        kind = "list-membership"
+        ds = _open(engine, kind, tuple(range(256)), shards=8)
+        keys = set(store.keys())
+        ds.apply_changes([_insert(100_000)])
+        content = ds.dataset()
+        registration = ds.registration_for(kind)
+        plan = engine._planner.plan(
+            kind, registration, content, dataset_fingerprint(content))
+        planned = {
+            engine._planner.shard_key(registration, plan, shard)
+            for shard in plan.planned
+        }
+        added = set(store.keys()) - keys
+        assert len(added) == 1 and added <= planned  # one touched shard
+        assert set(store.puts[-1:]) == added
 
 
-def test_write_behind_keeps_one_lineage_artifact_per_slot(tmp_path):
-    """Twenty flushed batches used to leave twenty-one O(|D|) files nothing
-    reads; each landed put now deletes the lineage file it superseded --
-    never version 0, the content-addressed key other sessions hit."""
-    store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store) as engine:
-        kind = "minimum-range-query"
-        ds = _open(engine, kind, tuple(range(64, 0, -1)))
-        base_key = ds.artifact_key(kind)
-        for version in range(1, 21):
-            ds.apply_changes([PointWrite(version, -version)])
-            ds.flush()
-            assert set(store.keys()) == {base_key, ds.artifact_key(kind)}
-        scheme = engine.registration(kind)[1]
-        current = scheme.load(store.get(ds.artifact_key(kind)))
-        assert current.argmin(0, 63) == 20
-        # Version 0 still serves a fresh session over the original content.
-        assert scheme.load(store.get(base_key)).argmin(0, 63) == 63
+def test_only_the_miss_path_puts_to_the_artifact_store():
+    """Every key written is one ``_load_from_store`` asks for: the one
+    ``ArtifactStore.put`` in ``src/repro`` is in ``QueryEngine._resolve_miss``."""
+    root = Path(repro.__file__).parent
+    sites = []
+    for path in sorted(root.rglob("*.py")):
+        sites.extend(
+            (path.relative_to(root).as_posix(), where)
+            for where in _store_put_sites(ast.parse(path.read_text()))
+        )
+    assert sites == [("service/engine.py", "QueryEngine._resolve_miss")]
 
 
-def test_fallback_rebuilds_leave_one_lineage_artifact(tmp_path):
-    """A fallback rebuild used to resolve by content: one artifact (and one
-    cache entry) per rebuilt version that nothing reads again.  It now builds
-    in memory and persists to the session's lineage slot like a delta, so k
-    rebuilds leave the store where one left it -- and the latest is loadable
-    by a process that never saw the session."""
-    store = ArtifactStore(tmp_path)
-    kind = "reachability"
-    with build_query_engine(store=store) as engine:
-        ds = _open(engine, kind, Digraph(8, [(0, 1), (1, 2)]))
-        base_key, counts = ds.artifact_key(kind), []
-        for vertex in range(3, 7):
-            ds.apply_changes([EdgeChange(ChangeKind.INSERT, 2, vertex)])  # delta
-            ds.apply_changes([EdgeChange(ChangeKind.DELETE, 2, vertex)])  # rebuild
-            ds.apply_changes([EdgeChange(ChangeKind.INSERT, vertex - 1, vertex)])
-            ds.flush()
-            counts.append(len(list(store.keys())))
-            assert set(store.keys()) == {base_key, ds.artifact_key(kind)}
-        assert engine.stats().per_kind[kind].fallback_rebuilds == 4
-        assert counts == [2, 2, 2, 2]
-        latest = ds.artifact_key(kind)
-        assert _ask(ds, kind, (0, 6)) is True and _ask(ds, kind, (6, 0)) is False
-    scheme = build_query_engine().registration(kind)[1]
-    restarted = scheme.load(ArtifactStore(tmp_path).get(latest))
-    assert scheme.answer(restarted, (0, 6)) is True
-    assert scheme.answer(restarted, (2, 0)) is False
+def _store_put_sites(tree):
+    """Qualified names of the functions holding a ``<...store...>.put(`` call."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "put"
+                and "store" in ast.unparse(child.func.value).lower()
+            ):
+                sites.append(".".join(scope))
+            visit(child, inner)
+
+    visit(tree, ())
+    return sites
+
 
 
 def test_resumed_session_counts_on_from_the_snapshot_version():
@@ -324,14 +319,15 @@ def test_resumed_session_counts_on_from_the_snapshot_version():
         assert ds.version == 5
 
 
-def test_close_flushes_and_detaches(tmp_path):
+def test_close_detaches_and_keeps_the_attach_artifact(tmp_path):
     store = ArtifactStore(tmp_path)
     engine = QueryEngine(store=store)
     engine.register("membership", membership_class(), sorted_run_scheme())
     ds = _open(engine, "membership", (1, 2, 3))
     ds.apply_changes([_insert(7)])
     key = ds.artifact_key("membership")
-    engine.close()  # detaches (and flushes) the session too
+    assert key.fingerprint == ds.fingerprint  # the attach-time key, at any version
+    engine.close()  # detaches the session too
     assert ds.detached
     assert store.get(key) is not None
     with pytest.raises(ServiceError, match="detached"):
@@ -433,29 +429,6 @@ def test_point_writes_keep_delete_screening_in_step():
         assert _ask(ds, "membership", 1) is False
 
 
-def test_divergent_histories_never_share_versioned_artifacts(tmp_path):
-    """Regression: two sessions over equal base data but different change
-    histories must persist under distinct keys (review finding)."""
-    store = ArtifactStore(tmp_path)
-    with QueryEngine(store=store) as engine:
-        engine.register("membership", membership_class(), sorted_run_scheme())
-        first = _open(engine, "membership", (1, 2, 3), name="first")
-        second = _open(engine, "membership", (1, 2, 3), name="second")
-        key_of = lambda ds: ds.artifact_key("membership")
-        assert key_of(first) == key_of(second)  # same v0 content
-        first.apply_changes([_insert(500)])
-        second.apply_changes([_insert(777)])
-        assert key_of(first) != key_of(second)
-        first.flush()
-        second.flush()
-        reloaded = sorted_run_scheme().load(store.get(key_of(first)))
-        assert reloaded.contains(500) and not reloaded.contains(777)
-        # Identical histories converge to the same key (safe overwrite).
-        third = _open(engine, "membership", (1, 2, 3), name="third")
-        third.apply_changes([_insert(500)])
-        assert key_of(third) == key_of(first)
-
-
 def test_changelog_counts_each_change_once():
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
@@ -475,87 +448,73 @@ def test_mutable_attach_unknown_kind_and_unsupported_data():
             engine.attach("d", {"a", "set"}, mutable=True)
 
 
-# -- write-behind failures surface loudly (ISSUE 7 satellite) ------------------
+# -- a refused batch moves nothing ---------------------------------------------
 
 
-def _break_store(store):
-    """Make every put fail like a full disk; returns the undo callable."""
-    original = store.put
-
-    def failing_put(key, payload):
-        raise OSError(28, "No space left on device (injected)")
-
-    store.put = failing_put
-    return lambda: setattr(store, "put", original)
+def _snapshot(ds):
+    data = ds.dataset()
+    content = sorted(data.edges()) if isinstance(data, Digraph) else data
+    return ds.version, content, +ds._mutable._content.counts
 
 
-def _fast_writebehind(monkeypatch, attempts):
-    """Fast retries: the broken store is the point, not the backoff."""
-    from repro.service import dataset as dataset_module
-
-    monkeypatch.setattr(dataset_module, "WRITEBEHIND_ATTEMPTS", attempts)
-    monkeypatch.setattr(dataset_module, "WRITEBEHIND_BACKOFF_SECONDS", 0.001)
-
-
-def test_handle_flush_reraises_terminal_writebehind_error(tmp_path, monkeypatch):
-    """A dead store must not silently strand a dirty version: flush()
-    raises WriteBehindError with the store failure as the cause, while the
-    in-memory structure keeps serving the current version."""
-    from repro.core.errors import WriteBehindError
-
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
-    engine.register("membership", membership_class(), sorted_run_scheme())
-    ds = _open(engine, "membership", (1, 2, 3))
-    restore = _break_store(engine._store)
-    _fast_writebehind(monkeypatch, 2)
-    ds.apply_changes([_insert(9)])
-    with pytest.raises(WriteBehindError) as excinfo:
-        ds.flush()
-    assert isinstance(excinfo.value.__cause__, OSError)
-    assert _ask(ds, "membership", 9)  # memory stays current; only durability lagged
-    assert engine.stats().per_kind["membership"].writebehind_failures >= 1
-    restore()
-    ds.flush()  # store healed: the stored error clears
-    ds.detach()
-    engine.close()
+def _refused(ds, batch):
+    """``batch`` is refused before anything moves: version, content and
+    bag counts are as they were."""
+    before = _snapshot(ds)
+    with pytest.raises(DeltaError):
+        ds.apply_changes(batch)
+    assert _snapshot(ds) == before
 
 
-def test_handle_close_reraises_writebehind_error_but_still_detaches(tmp_path, monkeypatch):
-    from repro.core.errors import WriteBehindError
-
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
-    engine.register("membership", membership_class(), sorted_run_scheme())
-    ds = _open(engine, "membership", (1, 2, 3))
-    _break_store(engine._store)
-    _fast_writebehind(monkeypatch, 1)
-    ds.apply_changes([_insert(9)])
-    with pytest.raises(WriteBehindError):
-        ds.detach()
-    assert ds.detached  # shutdown never wedges on a dead store
-    with pytest.raises(ServiceError):
-        ds.query("membership", 9)
-    assert engine.datasets() == []
-    engine.close()  # the name was released: engine teardown is clean
+def _reads_match_oracle(engine, ds, kind, queries):
+    query_class = engine.registration(kind)[0]
+    content = ds.dataset()
+    for query in queries:
+        assert _ask(ds, kind, query) == query_class.pair_in_language(content, query)
 
 
-def test_engine_close_surfaces_session_writebehind_error_and_still_closes(
-        tmp_path, monkeypatch):
-    """Mutable Dataset sessions propagate the same way: detach-at-close
-    flushes, and a terminal store failure escapes engine.close() *after*
-    the full teardown finished."""
-    from repro.core.errors import WriteBehindError
+def test_unhashable_element_is_refused_before_the_counts_move():
+    with QueryEngine() as engine:
+        engine.register("membership", membership_class(), sorted_run_scheme())
+        ds = _open(engine, "membership", (1, 2, 3))
+        _refused(ds, [_insert(9), TupleChange(ChangeKind.INSERT, ([4],))])
+        ds.apply_changes([_delete(9)])  # screens to a no-op: 9 was never added
+        assert ds.version == 0
+        _reads_match_oracle(engine, ds, "membership", range(10))
 
-    engine = QueryEngine(store=ArtifactStore(tmp_path))
-    engine.register("membership", membership_class(), sorted_run_scheme())
-    ds = engine.attach("events", (1, 2, 3), kinds=["membership"], mutable=True)
-    assert ds.query("membership", 2)
-    _break_store(engine._store)
-    _fast_writebehind(monkeypatch, 1)
-    ds.apply_changes([_insert(9)])
-    assert ds.query("membership", 9)
-    with pytest.raises(WriteBehindError):
-        engine.close()
-    assert engine._closed  # teardown completed before the error escaped
+
+def test_non_int_position_is_refused_before_the_counts_move():
+    with QueryEngine() as engine:
+        engine.register("membership", membership_class(), sorted_run_scheme())
+        ds = _open(engine, "membership", (1, 2, 3))
+        _refused(ds, [PointWrite(2, 9), PointWrite(1.5, 7)])
+        _refused(ds, [PointWrite(True, 7)])  # a bool is not a position
+        ds.apply_changes([_delete(9)])
+        assert ds.version == 0 and ds.dataset() == (1, 2, 3)
+        ds.apply_changes([PointWrite(1, 8)])
+        _reads_match_oracle(engine, ds, "membership", range(10))
+
+
+def test_malformed_graph_change_is_refused_before_the_edge_lands():
+    with build_query_engine() as engine:
+        kind = "reachability"
+        ds = _open(engine, kind, Digraph(4, [(0, 1)]))
+        _refused(ds, [EdgeChange(ChangeKind.INSERT, 1, 2), EdgeChange(ChangeKind.INSERT, 1.5, 2)])
+        _refused(ds, [EdgeChange(ChangeKind.INSERT, 2, True)])
+        _refused(ds, [EdgeChange(ChangeKind.INSERT, 1, 2), _insert(2)])  # a row, not an edge
+        ds.apply_changes([EdgeChange(ChangeKind.INSERT, 2, 3)])  # publishes no (1, 2)
+        assert sorted(ds.dataset().edges()) == [(0, 1), (2, 3)]
+        _reads_match_oracle(engine, ds, kind, [(u, v) for u in range(4) for v in range(4)])
+
+
+def test_change_kind_outside_the_enum_is_refused():
+    with build_query_engine() as engine:
+        ds = _open(engine, "list-membership", (1, 2, 3))
+        _refused(ds, [TupleChange("insert", (9,))])
+        graph = _open(engine, "reachability", Digraph(3, [(0, 1)]), name="graph")
+        _refused(graph, [EdgeChange("delete", 0, 1)])
+        _reads_match_oracle(engine, ds, "list-membership", range(10))
+        _reads_match_oracle(engine, graph, "reachability", [(0, 1), (1, 0)])
 
 
 # -- privatisation: both sides from one blob -----------------------------------

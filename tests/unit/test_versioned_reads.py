@@ -11,7 +11,7 @@ Headliners:
   and tracked) never waits on a ``Condition``; readers complete even while
   a writer holds the writer mutex.
 * Regression pins for two satellite bugfixes: invisible failed serves
-  (``serve_errors``) and the unstable ``repr``-based lineage digest.
+  (``serve_errors``) and change payloads outside the plain-value vocabulary.
 """
 
 from __future__ import annotations
@@ -21,12 +21,19 @@ import threading
 import pytest
 
 from repro.catalog import build_query_engine
+from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError
 from repro.core.query import PiScheme, state_codec
 from repro.graphs.graph import Digraph
-from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
+from repro.incremental.changes import (
+    ChangeKind,
+    ChangeLog,
+    EdgeChange,
+    PointWrite,
+    TupleChange,
+)
 from repro.service.engine import EngineStats, QueryEngine
-from repro.service.mutable import advance_lineage, canonical_change_bytes
+from repro.service.mutable import MutableContent
 from repro.queries import membership_class, sorted_run_scheme
 
 
@@ -277,57 +284,27 @@ def test_serve_errors_is_a_health_field():
     assert "serve_errors" in EngineStats.HEALTH_FIELDS
 
 
-# -- satellite: canonical (process-stable) lineage digests ---------------------
-
-
-def test_advance_lineage_digests_are_pinned():
-    """The canonical encoding is part of the artifact-identity contract:
-    these digests must never change across processes or releases (a change
-    silently orphans every persisted versioned artifact)."""
-    batch = [
-        TupleChange(ChangeKind.INSERT, (1, 2)),
-        TupleChange(ChangeKind.DELETE, ("x",)),
-        EdgeChange(ChangeKind.INSERT, 0, 7),
-        PointWrite(3, -5),
-    ]
-    assert [canonical_change_bytes(change) for change in batch] == [
-        b"tuple:insert:(1,2)",
-        b"tuple:delete:('x')",
-        b"edge:insert:0>7",
-        b"point:3=-5",
-    ]
-    assert (
-        advance_lineage("seed-fingerprint", 1, batch)
-        == "d4166d7cdf8975f45a8fa8ec6e5aac01b0053197d559eec59457f994667e06af"
-    )
-    assert (
-        advance_lineage("seed-fingerprint", 2, batch)
-        == "6613a3ca22c29cc51a88d559bad3c335cbad78857bde061d5a2c4e66b4414a94"
-    )
-    # Fresh-but-equal change records digest identically: identity (and
-    # memory address) must never leak into the content identity.
-    clone = [
-        TupleChange(ChangeKind.INSERT, (1, 2)),
-        TupleChange(ChangeKind.DELETE, ("x",)),
-        EdgeChange(ChangeKind.INSERT, 0, 7),
-        PointWrite(3, -5),
-    ]
-    assert advance_lineage("seed-fingerprint", 1, clone) == advance_lineage(
-        "seed-fingerprint", 1, batch
-    )
+# -- satellite: change payloads are plain values ------------------------------
 
 
 def test_lineage_rejects_unstable_change_values():
+    """Validation refuses payloads outside the change vocabulary (numbers,
+    strings, bytes, None and tuples/lists of those) and unknown records."""
+
     class Opaque:
         """Default repr embeds the memory address: unstable per process."""
 
-    with pytest.raises(DeltaError, match="canonical"):
-        canonical_change_bytes(PointWrite(0, Opaque()))
-    with pytest.raises(DeltaError, match="canonical"):
-        # frozenset repr follows hash order: unstable across processes.
-        canonical_change_bytes(PointWrite(0, frozenset({1, 2})))
-    with pytest.raises(DeltaError, match="canonical"):
-        canonical_change_bytes(object())  # unknown change record type
+    content = MutableContent((1, 2, 3), CostTracker(), ChangeLog())
+    for change in (
+        PointWrite(0, Opaque()),
+        PointWrite(0, frozenset({1, 2})),  # iteration follows hash order
+        TupleChange(ChangeKind.INSERT, (Opaque(),)),
+        object(),  # unknown change record type
+    ):
+        with pytest.raises(DeltaError):
+            content.validate([change])
+    content.validate([PointWrite(0, (1, "x", b"y", None, 2.5, True))])
+    assert content.working == [1, 2, 3]  # validation never mutates
 
 
 def test_unstable_change_rejected_before_anything_mutates():
@@ -342,16 +319,3 @@ def test_unstable_change_rejected_before_anything_mutates():
         assert ds.version == 0  # batch atomicity: nothing applied
         assert ds.query("membership", 1) is True
         assert ds.query_tracked("membership", 1) is True
-
-
-def test_equal_histories_share_versioned_identity():
-    fingerprints = []
-    for _ in range(2):
-        with QueryEngine() as engine:
-            engine.register("membership", membership_class(), sorted_run_scheme())
-            ds = engine.attach("events", (1, 2, 3), mutable=True).warm()
-            # Fresh change objects each round: equal histories must share
-            # the identity even though the records are distinct objects.
-            ds.apply_changes([_insert(9), _delete(1)])
-            fingerprints.append(ds.artifact_key("membership").fingerprint)
-    assert fingerprints[0] == fingerprints[1]
