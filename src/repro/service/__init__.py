@@ -34,10 +34,11 @@ This package persists built structures and serves query batches against them:
     combine, k-way merge) that schemes declare to become shardable.
 
 :mod:`repro.service.sharding`
-    :class:`ShardPlanner` -- partitions datasets into K shards, builds
-    per-shard Pi-structures in parallel and persists each as an independent
-    content-addressed artifact; ``ShardedKernel`` answers over the resolved
-    shards by scatter-gather.
+    :class:`ShardPlan` -- a dataset partitioned into K shards, each keyed by
+    its own content fingerprint, so the engine resolves (and persists) every
+    shard as an independent content-addressed artifact, building misses in
+    parallel; ``ShardedKernel`` answers over the resolved shards by
+    scatter-gather.
 
 :mod:`repro.service.frontend`
     The serving front: an asyncio TCP gateway (:class:`ServingFront`,
@@ -88,8 +89,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "range_blocks", "stable_bucket", "union_merge",
     ),
     "repro.service.sharding": (
-        "PlannedShard", "ShardedStructure", "ShardPlan", "ShardPlanner", "plan_diff",
-        "touched_shards",
+        "PlannedShard", "ShardedStructure", "ShardPlan", "plan_diff", "touched_shards",
     ),
     "repro.core.errors": (
         "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",

@@ -79,7 +79,7 @@ from repro.core.query import PiScheme
 from repro.incremental.changes import ChangeLog
 from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures
-from repro.service.sharding import ShardedKernel, ShardPlan
+from repro.service.sharding import ShardedKernel, ShardedStructure, ShardPlan, plan_shards
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -233,9 +233,10 @@ class _ShardedServe:
     exactly once per shard (accounted as shard build/hit, outside the serve
     timer), after which the steady-state path, tracked or not, is the
     kernel's route + scatter over the captured list, with no cache probes
-    and no locks.  Each captured shard key is registered with the engine's
-    plan watchers; evicting any of them drops this plan.  :meth:`resolve`
-    (``warm``) goes through the planner's accounted resolution instead.
+    and no locks.  :meth:`resolve` (``warm``) captures every shard still
+    missing into the same list, so a warmed plan probes nothing.  Each
+    captured shard key is registered with the engine's plan watchers;
+    evicting any of them drops this plan.
     """
 
     __slots__ = ("_engine", "_ds", "_kind", "_registration", "_kernel",
@@ -261,18 +262,12 @@ class _ShardedServe:
 
     def _capture(self, missing: Sequence[int]) -> None:
         """Resolve still-missing shard structures and watch their keys."""
-        planner = self._engine._planner
-        resolved = planner._resolve_positions(
-            self._kind, self._registration, self._plan, missing
-        )
+        engine, registration, plan = self._engine, self._registration, self._plan
+        resolved = engine._resolve_shards(self._kind, registration, plan, missing)
         for position in missing:
             self._structures[position] = resolved[position]
-            self._engine._watch_plan_key(
-                planner.shard_key(
-                    self._registration, self._plan, self._plan.planned[position]
-                ),
-                self._ds,
-                self._kind,
+            engine._watch_plan_key(
+                registration.shard_key(plan, plan.planned[position]), self._ds, self._kind
             )
 
     def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
@@ -301,11 +296,17 @@ class _ShardedServe:
         serve = self.serve
         return [serve(query) for query in queries]
 
-    def resolve(self) -> Any:
-        """Every shard structure, building misses in parallel."""
-        return self._engine._planner.resolve(
-            self._kind, self._registration, self._ds._data, self._ds._fingerprint
-        )
+    def resolve(self) -> ShardedStructure:
+        """Capture every shard still missing (misses build in parallel)."""
+        structures = self._structures
+        missing = [
+            position
+            for position, empty in enumerate(self._empty)
+            if not empty and structures[position] is None
+        ]
+        if missing:
+            self._capture(missing)
+        return ShardedStructure(self._plan, tuple(structures))
 
 
 class _MutableServe:
@@ -613,9 +614,7 @@ class Dataset:
         if self._mutable is not None:
             plan: Any = _MutableServe(engine, self._mutable, kind, kernel)
         elif sharded:
-            shard_plan = engine._planner.plan(
-                kind, registration, self._data, self._fingerprint
-            )
+            shard_plan = plan_shards(kind, registration, self._data)
             plan = _ShardedServe(engine, self, kind, registration, kernel, shard_plan)
         else:
             watch_key = self.artifact_key(kind)
@@ -826,16 +825,16 @@ class _MutableState:
             started = time.perf_counter()
             content, fingerprint = self._ds._data, self._ds._fingerprint
             if versions.current.number:
-                content = self._content.canonical()
-                fingerprint = dataset_fingerprint(content)
+                content, fingerprint = self._content.canonical(), None
             registration = self._ds.registration_for(kind)
             scheme, dumps, loads = registration.scheme, 0, 0
             if registration.shards > 1:
                 source, blob = "shards", None
-                structure = self._engine._planner.resolve(kind, registration, content, fingerprint)
+                structure = self._resolve_sharded(kind, content)
             else:
+                key = registration.key(fingerprint or dataset_fingerprint(content))
                 structure, source, blob = self._engine._resolve_by_key(
-                    kind, registration, registration.key(fingerprint), content)
+                    kind, registration, key, content)
             twin = structure
             if registration.shards == 1 and scheme.apply_delta is not None:
                 if blob is None:
@@ -846,6 +845,15 @@ class _MutableState:
                        kind, versions.current.number, source, dumps, loads,
                        (time.perf_counter() - started) * 1000.0)
             return structure
+
+    def _resolve_sharded(self, kind: str, content: Any) -> ShardedStructure:
+        """Every shard of ``content`` for ``kind``, through the engine's
+        layers: untouched shards of a changed content are cache/store hits."""
+        registration = self._ds.registration_for(kind)
+        plan = plan_shards(kind, registration, content)
+        return ShardedStructure(
+            plan, tuple(self._engine._resolve_shards(kind, registration, plan))
+        )
 
     def _twin(self, kind: str, structure: Any) -> Any:
         """The offline-side twin of a published structure for ``kind``.
@@ -982,14 +990,10 @@ class _MutableState:
                 # artifact per rebuilt version would never be read again);
                 # a sharded one reuses untouched shard artifacts by content.
                 canonical = self._content.canonical()
-                fingerprint = None
                 for index, kind in enumerate(rebuild_kinds):
                     try:
-                        registration = self._ds.registration_for(kind)
-                        if registration.shards > 1:
-                            fingerprint = fingerprint or dataset_fingerprint(canonical)
-                            fresh = self._engine._planner.resolve(
-                                kind, registration, canonical, fingerprint)
+                        if self._ds.registration_for(kind).shards > 1:
+                            fresh = self._resolve_sharded(kind, canonical)
                         else:
                             fresh = self._preprocess(kind, canonical)
                     except Exception as exc:

@@ -43,9 +43,10 @@ queries never reach this module's resolution layers.
 
 ``attach(..., shards=K)`` is the one place K is said: for every served kind
 whose scheme declares a :class:`~repro.service.merge.ShardSpec` it swaps
-monolithic resolution for the
-:class:`~repro.service.sharding.ShardPlanner` -- K per-shard structures built
-in parallel and persisted independently -- and evaluation for the
+monolithic resolution for :meth:`QueryEngine._resolve_shards` over a
+:func:`~repro.service.sharding.plan_shards` plan -- K per-shard structures
+through the same cache -> store -> build layers, misses built in parallel on
+the engine's shard-build pool -- and evaluation for the
 :class:`~repro.service.sharding.ShardedKernel`'s scatter-gather.
 
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
@@ -73,8 +74,9 @@ import logging
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import (
@@ -87,8 +89,10 @@ from repro.core.query import PiScheme, QueryClass
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from repro.service.cache import CacheStats, LRUArtifactCache
 from repro.service.dataset import Dataset
-from repro.service.sharding import ShardPlanner
 from repro.storage.fingerprint import dataset_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.sharding import PlannedShard, ShardPlan
 
 __all__ = ["SchemeStats", "EngineStats", "QueryEngine"]
 
@@ -248,6 +252,10 @@ class _Registration:
         Kinds whose schemes declare one ``structure`` share every artifact."""
         return ArtifactKey(fingerprint, self.scheme.structure, self.params + suffix)
 
+    def shard_key(self, plan: "ShardPlan", planned: "PlannedShard") -> ArtifactKey:
+        """One shard's identity: its content fingerprint + ``|s<id>/<K>``."""
+        return self.key(planned.fingerprint, f"|s{planned.piece.index}/{plan.shards}")
+
 
 class _ShardAnchor:
     """Thread-local sentinel whose death retires the thread's counter shard."""
@@ -369,7 +377,8 @@ class QueryEngine:
     cache_entries:
         Capacity of the in-process LRU artifact cache.
     max_workers:
-        Thread-pool width for parallel shard builds.
+        Width of the shard-build pool (created on the first parallel shard
+        build, shut down by :meth:`close`).
     """
 
     def __init__(
@@ -402,7 +411,8 @@ class QueryEngine:
         self._datasets: Dict[str, Dataset] = {}
         self._datasets_guard = threading.Lock()
         self._max_workers = max(1, max_workers)
-        self._planner = ShardPlanner(self, max_workers=self._max_workers)
+        self._shard_pool: Optional[ThreadPoolExecutor] = None
+        self._shard_pool_guard = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -488,22 +498,6 @@ class QueryEngine:
         with self._stats_lock:
             self._stats[kind] = SchemeStats(scheme=scheme.name)
         self._registrations[kind] = _Registration(query_class, scheme, token)
-
-    @classmethod
-    def from_registry(cls, registry: Any, **engine_kwargs: Any) -> "QueryEngine":
-        """An engine serving every servable entry of a Figure 2 registry.
-
-        Each :class:`~repro.core.classes.RegistryEntry` with a query class
-        and a *serializable* scheme is registered under the entry's name
-        with the first such scheme; entries without one (the negative
-        controls whose Pi is the identity) stay in the registry only.
-        """
-        engine = cls(**engine_kwargs)
-        for entry in registry.entries():
-            scheme = entry.serving_scheme()
-            if entry.query_class is not None and scheme is not None:
-                engine.register(entry.name, entry.query_class, scheme)
-        return engine
 
     def kinds(self) -> List[str]:
         """Sorted names of every query kind, registered or promised."""
@@ -598,8 +592,10 @@ class QueryEngine:
             raise ServiceError("engine is closed")
         if not isinstance(name, str) or not name:
             raise ServiceError(f"attach needs a non-empty name, got {name!r}")
-        if shards < 1:
-            raise ServiceError(f"shards must be >= 1, got {shards}")
+        # Over the wire ``shards`` is client JSON: a float, string or bool
+        # must be refused here, not fail every later query.
+        if type(shards) is not int or shards < 1:
+            raise ServiceError(f"shards must be an int >= 1, got {shards!r}")
         if kinds is not None:
             # Outside input that decides what gets imported: refuse the whole
             # list before any name in it is resolved.
@@ -631,9 +627,8 @@ class QueryEngine:
         return dataset
 
     def detach(self, name: str) -> None:
-        """Detach the named session: evict its cached
-        monolithic structures, shard plans and idle build locks, and release
-        the name.  Raises :class:`~repro.core.errors.UnknownDatasetError`
+        """Detach the named session: evict its cached monolithic structures
+        and release the name.  Raises :class:`~repro.core.errors.UnknownDatasetError`
         for names that are not attached."""
         with self._datasets_guard:
             dataset = self._datasets.pop(name, None)
@@ -665,13 +660,6 @@ class QueryEngine:
 
     # -- artifact resolution ---------------------------------------------------
 
-    def _build_lock(self, key: ArtifactKey) -> threading.Lock:
-        with self._build_locks_guard:
-            lock = self._build_locks.get(key)
-            if lock is None:
-                lock = self._build_locks[key] = threading.Lock()
-            return lock
-
     def _resolve_by_key(
         self, kind: str, registration: _Registration, key: ArtifactKey, content: Any
     ) -> Tuple[Any, str, Optional[bytes]]:
@@ -686,6 +674,59 @@ class QueryEngine:
             self._bump(kind, cache_hits=1)
             return structure, "cache", None
         return self._resolve_miss(kind, registration, key, content)
+
+    def _resolve_shards(
+        self,
+        kind: str,
+        registration: _Registration,
+        plan: "ShardPlan",
+        positions: Optional[Sequence[int]] = None,
+    ) -> List[Optional[Any]]:
+        """Per-shard twin of :meth:`_resolve_by_key`: a plan-length list with
+        the structures at ``positions`` (default all), ``None`` elsewhere and
+        for empty pieces.  Two or more misses build on the engine's own pool,
+        never a caller's (whose workers could all end up waiting on builds
+        it cannot schedule); build tasks submit nothing, so it cannot
+        deadlock against itself."""
+        planned = plan.planned
+        structures: List[Optional[Any]] = [None] * len(planned)
+        misses: List[Tuple[int, ArtifactKey]] = []
+        for position in range(len(planned)) if positions is None else positions:
+            shard = planned[position]
+            if shard.piece.is_empty():
+                continue
+            key = registration.shard_key(plan, shard)
+            structure = self._cache.get(key)
+            if structure is not None:
+                self._bump(kind, shard_cache_hits=1)
+                structures[position] = structure
+            else:
+                misses.append((position, key))
+        if len(misses) == 1:
+            position, key = misses[0]
+            structures[position] = self._resolve_miss(
+                kind, registration, key, planned[position].piece.data, shard=True
+            )[0]
+        elif misses:
+            with self._shard_pool_guard:
+                if self._closed:
+                    raise ServiceError("engine is closed")
+                if self._shard_pool is None:
+                    self._shard_pool = ThreadPoolExecutor(
+                        max_workers=self._max_workers,
+                        thread_name_prefix="repro-shard-build",
+                    )
+                pool = self._shard_pool
+            futures = [
+                (position, pool.submit(
+                    self._resolve_miss, kind, registration, key,
+                    planned[position].piece.data, shard=True,
+                ))
+                for position, key in misses
+            ]
+            for position, future in futures:
+                structures[position] = future.result()[0]
+        return structures
 
     def _resolve_miss(
         self,
@@ -703,8 +744,10 @@ class QueryEngine:
         store or builds and persists.  ``shard=True`` routes the counters to
         the ``shard_*`` statistics.  Returns (structure, cache|store|build, bytes held).
         """
+        with self._build_locks_guard:
+            lock = self._build_locks.setdefault(key, threading.Lock())
         try:
-            with self._build_lock(key):
+            with lock:
                 # Recheck without recording: this lookup was already counted
                 # as a miss above, and a hit here only means another thread
                 # finished the build first.
@@ -859,20 +902,14 @@ class QueryEngine:
             )
 
     def _evict_content(self, fingerprint: str) -> None:
-        """Evict every engine-side trace of one content identity: memoized
-        shard plans, cached monolithic structures for every registered kind,
-        and idle per-key build-lock entries.  Serve plans derived from this
-        content fall out through the cache eviction listener (keyed plan
-        watchers)."""
-        self._planner.forget(fingerprint)
+        """Evict one content identity's cached monolithic structures, for
+        every registered kind.  Serve plans derived from this content fall
+        out through the cache eviction listener (keyed plan watchers); the
+        build-lock map needs nothing, since :meth:`_resolve_miss` drops
+        every lock it takes."""
         # Kinds sharing a structure share a key: invalidate each key once.
         for key in {r.key(fingerprint) for r in tuple(self._registrations.values())}:
             self._cache.invalidate(key)
-            # A lock entry whose build is still in flight is owned by the
-            # builder's own finally-pop; evicting here only matters for idle
-            # entries, and double-pops are harmless (pop is idempotent).
-            with self._build_locks_guard:
-                self._build_locks.pop(key, None)
 
     # -- statistics and lifecycle ----------------------------------------------
 
@@ -927,7 +964,10 @@ class QueryEngine:
                 except UnknownDatasetError:  # pragma: no cover - concurrent detach
                     pass
             self._closed = True
-            self._planner.close()
+            with self._shard_pool_guard:
+                if self._shard_pool is not None:
+                    self._shard_pool.shutdown(wait=True)
+                    self._shard_pool = None
 
     def __enter__(self) -> "QueryEngine":
         return self

@@ -3,11 +3,12 @@
 :class:`RemoteClient` speaks the frame protocol over TCP with one
 connection *per calling thread* (thread-local sockets: N closed-loop
 caller threads each get their own pipelined-free, request-response
-stream).  :meth:`RemoteClient.attach` returns a :class:`RemoteDataset`
-that duck-types the local :class:`~repro.service.dataset.Dataset` session
-surface -- ``kinds`` / ``name`` / ``mutable`` / ``dataset()`` / ``query`` /
-``query_batch`` / ``apply_changes`` / ``stats`` / ``detach`` -- so code
-written against a local session runs against the front unchanged::
+stream, closed when its thread ends).  :meth:`RemoteClient.attach`
+returns a :class:`RemoteDataset` that duck-types the local
+:class:`~repro.service.dataset.Dataset` session surface -- ``kinds`` /
+``name`` / ``mutable`` / ``dataset()`` / ``query`` / ``query_batch`` /
+``apply_changes`` / ``stats`` / ``detach`` -- so code written against a
+local session runs against the front unchanged::
 
     client = RemoteClient(*front.address)
     ds = client.attach("events", data, kinds=["list-membership"], mutable=True)
@@ -43,6 +44,7 @@ import random
 import socket
 import threading
 import time
+import weakref
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.errors import (
@@ -57,6 +59,31 @@ __all__ = ["RemoteClient", "RemoteDataset"]
 
 #: Ops safe to resend: reads with no server-side effects.
 _IDEMPOTENT_OPS = frozenset({"ping", "query", "query_batch", "stats"})
+
+
+def _close_transport(sock: socket.socket, stream: Any) -> None:
+    for closable in (stream, sock):  # the stream flushes first...
+        try:
+            closable.close()
+        except OSError:  # ...and raises on a dead socket: go on, or
+            pass         # the socket's fd is never released
+
+
+class _Connection:
+    """One thread's socket, its stream and its request counter.
+
+    Only the owning thread's ``threading.local`` holds it strongly, so when
+    that thread ends the connection dies and :attr:`close` -- a finalizer,
+    also called directly to drop or shut it -- closes the socket.
+    """
+
+    __slots__ = ("sock", "stream", "rid", "close", "__weakref__")
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.stream = sock.makefile("rwb")
+        self.rid = 0
+        self.close = weakref.finalize(self, _close_transport, sock, self.stream)
 
 
 class RemoteClient:
@@ -89,7 +116,8 @@ class RemoteClient:
         self._rng = random.Random(0xC11E)
         self._local = threading.local()
         self._conns_lock = threading.Lock()
-        self._conns: List[socket.socket] = []
+        #: Every live thread's connection, for :meth:`close`.
+        self._conns: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
         self._errors_lock = threading.Lock()
         #: Transport/protocol failures observed by this client.  Zero on a
         #: healthy front: structured service errors do not count, and
@@ -106,32 +134,25 @@ class RemoteClient:
 
     # -- transport -------------------------------------------------------------
 
-    def _connection(self) -> Tuple[socket.socket, Any, int]:
-        state = getattr(self._local, "state", None)
-        if state is None:
+    def _connection(self) -> _Connection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
             sock = socket.create_connection(
                 (self._host, self._port), timeout=self._timeout
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            stream = sock.makefile("rwb")
-            state = [sock, stream, 0]
-            self._local.state = state
+            conn = self._local.conn = _Connection(sock)
             with self._conns_lock:
-                self._conns.append(sock)
-        return state
+                self._conns.add(conn)
+        return conn
 
     def _drop_connection(self) -> None:
-        state = getattr(self._local, "state", None)
-        if state is not None:
-            self._local.state = None
-            for closable in (state[1], state[0]):  # the stream flushes first
-                try:
-                    closable.close()
-                except OSError:  # ...and raises on a dead socket: go on, or
-                    pass         # the socket's fd is never released
+        conn = getattr(self._local, "conn", None)
+        if conn is not None:
+            self._local.conn = None
+            conn.close()
             with self._conns_lock:
-                if state[0] in self._conns:
-                    self._conns.remove(state[0])
+                self._conns.discard(conn)
 
     def _count_protocol_error(self) -> None:
         with self._errors_lock:
@@ -195,9 +216,9 @@ class RemoteClient:
         """One frame out, one frame back.  Raises ``ConnectionResetError``
         / ``BrokenPipeError`` raw (the caller decides whether a resend is
         safe); everything else surfaces as library errors."""
-        state = self._connection()
-        state[2] += 1
-        rid = state[2]
+        conn = self._connection()
+        conn.rid += 1
+        rid = conn.rid
         header = protocol.request_header(op, rid, dataset, value)
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
@@ -209,7 +230,7 @@ class RemoteClient:
         except ProtocolError:
             self._count_protocol_error()
             raise
-        sock, stream = state[0], state[1]
+        sock, stream = conn.sock, conn.stream
         # Bound the socket wait by the budget (plus slack for the typed
         # error frame to come back) so an expiry is never a 60s stall.
         if deadline_ms is not None:
@@ -284,11 +305,8 @@ class RemoteClient:
         with self._conns_lock:
             conns = list(self._conns)
             self._conns.clear()
-        for sock in conns:
-            try:
-                sock.close()
-            except OSError:  # pragma: no cover
-                pass
+        for conn in conns:
+            conn.close()
 
     def __enter__(self) -> "RemoteClient":
         return self
@@ -361,8 +379,10 @@ class RemoteDataset:
     def detach(self) -> None:
         if self._detached:
             return
-        self._detached = True
+        # Flag only once the front said yes: a refused detach (e.g.
+        # Overloaded) leaves the dataset served, so a retry must send again.
         self._client.request("detach", dataset=self._name)
+        self._detached = True
 
     def __enter__(self) -> "RemoteDataset":
         return self

@@ -1,14 +1,16 @@
 """Sharded Pi-structures: partitioned preprocessing with scatter-gather serving.
 
 A monolithic Pi-structure makes build cost and memory scale with a single
-process.  The :class:`ShardPlanner` instead partitions a dataset into K
-shards (policy declared per scheme via
-:class:`~repro.service.merge.ShardSpec`), builds one small Pi-structure per
-shard *in parallel* and persists each as an independent
-:class:`~repro.service.artifacts.ArtifactStore` artifact -- it plans and
-builds, nothing else.  Answering is the :class:`ShardedKernel`'s job: rewrite
-and route a query once, then one scatter loop over whatever resolved shard
-structures the caller holds, gathered through the scheme's merge operator.
+process.  :func:`plan_shards` instead partitions a dataset into K shards
+(policy declared per scheme via :class:`~repro.service.merge.ShardSpec`) --
+a pure function of (content, K).  The engine resolves each shard through
+the same cache -> store -> build layers as a monolithic structure
+(``QueryEngine._resolve_shards``, misses built *in parallel* on the
+engine's shard-build pool), so every shard is an independent
+:class:`~repro.service.artifacts.ArtifactStore` artifact.  Answering is the
+:class:`ShardedKernel`'s job: rewrite and route a query once, then one
+scatter loop over whatever resolved shard structures the caller holds,
+gathered through the scheme's merge operator.
 
 Shard artifacts are **content-addressed**: each is keyed by the shard's own
 dataset fingerprint plus ``(shard id, K, scheme, params)``.  That is what
@@ -27,23 +29,19 @@ fact).
     >>> _ = ds.warm()  # builds all four shards in parallel
     >>> engine.stats().per_kind["membership"].shard_builds
     4
-    >>> ds.query("membership", 17)  # routed: 1 probe
+    >>> ds.query("membership", 17)  # routed: one shard asked, no cache probe
     True
     >>> engine.close()
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cost import NULL_TRACKER
 from repro.core.errors import InjectedFaultError, ShardFailedError
-from repro.service.artifacts import ArtifactKey
 from repro.service.faults import DegradedAnswer
 from repro.service.merge import MergeOperator, ShardPiece, ShardSpec
 from repro.storage.fingerprint import dataset_fingerprint
@@ -56,7 +54,7 @@ __all__ = [
     "ShardPlan",
     "ShardedStructure",
     "ShardedKernel",
-    "ShardPlanner",
+    "plan_shards",
     "touched_shards",
     "plan_diff",
 ]
@@ -245,192 +243,26 @@ class ShardedKernel:
         return [one(sharded, query) for query in queries]
 
 
-class ShardPlanner:
-    """Plan and build sharded Pi-structures for a :class:`QueryEngine`.
+def plan_shards(kind: str, registration: "_Registration", data: Any) -> ShardPlan:
+    """The shard plan for (kind, data): the scheme's split plus one content
+    fingerprint per non-empty piece.
 
-    The planner is engine-internal (the engine constructs one and resolves
-    every session registration with ``shards > 1`` through it); it reuses the engine's
-    cache -> store -> build resolution per shard, so each shard artifact gets
-    the same corruption handling and double-checked build locking as a
-    monolithic artifact.  It never answers a query: evaluation over the
-    structures it resolves is :class:`ShardedKernel`.
-
-    Shard builds run on the planner's own pool, never on a caller's thread
-    pool: a caller's worker that waited on sibling tasks in its own pool
-    could deadlock once all workers wait on builds that cannot be scheduled.
-    Build tasks never submit further work, so the planner pool cannot
-    deadlock against itself.
+    A pure function of (content, K), so nothing memoizes it: re-planning
+    equal content yields equal fingerprints, which is what shard artifact
+    reuse (:meth:`~repro.service.engine._Registration.shard_key`) and
+    :func:`plan_diff` rely on.
     """
-
-    #: Bound on the (kind, dataset fingerprint, K) -> plan memo.
-    PLAN_MEMO_ENTRIES = 32
-
-    def __init__(self, engine: "QueryEngine", max_workers: int = 4):
-        self._engine = engine
-        self._max_workers = max(1, max_workers)
-        self._plans: "OrderedDict[Tuple[str, str, int], ShardPlan]" = OrderedDict()
-        self._plans_lock = threading.Lock()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_guard = threading.Lock()
-        self._closed = False
-
-    # -- planning --------------------------------------------------------------
-
-    def plan(
-        self,
-        kind: str,
-        registration: "_Registration",
-        data: Any,
-        data_fingerprint: str,
-    ) -> ShardPlan:
-        """The shard plan for (kind, data): split + per-shard fingerprints.
-
-        Plans are memoized by ``(kind, dataset fingerprint, K)`` -- content
-        addressed, so two objects with equal content share a plan and an
-        in-place mutation (new fingerprint) naturally misses.
-        """
-        memo_key = (kind, data_fingerprint, registration.shards)
-        with self._plans_lock:
-            plan = self._plans.get(memo_key)
-            if plan is not None:
-                self._plans.move_to_end(memo_key)
-                return plan
-        spec: ShardSpec = registration.scheme.sharding
-        pieces = spec.split(data, registration.shards)
-        planned = tuple(
-            PlannedShard(
-                piece=piece,
-                fingerprint="empty"
-                if piece.is_empty()
-                else dataset_fingerprint(piece.data),
-            )
-            for piece in pieces
+    spec: ShardSpec = registration.scheme.sharding
+    planned = tuple(
+        PlannedShard(
+            piece=piece,
+            fingerprint="empty" if piece.is_empty() else dataset_fingerprint(piece.data),
         )
-        plan = ShardPlan(
-            kind=kind,
-            shards=registration.shards,
-            policy=spec.policy,
-            planned=planned,
-        )
-        with self._plans_lock:
-            self._plans[memo_key] = plan
-            self._plans.move_to_end(memo_key)
-            while len(self._plans) > self.PLAN_MEMO_ENTRIES:
-                self._plans.popitem(last=False)
-        return plan
-
-    def forget(self, fingerprint: str) -> None:
-        """Drop memoized plans for a dataset fingerprint (after mutation)."""
-        with self._plans_lock:
-            stale = [key for key in self._plans if key[1] == fingerprint]
-            for key in stale:
-                del self._plans[key]
-
-    def shard_key(
-        self, registration: "_Registration", plan: ShardPlan, planned: PlannedShard
-    ) -> ArtifactKey:
-        """Artifact identity of one shard: content fingerprint + shard id."""
-        return registration.key(
-            planned.fingerprint, f"|s{planned.piece.index}/{plan.shards}"
-        )
-
-    # -- building --------------------------------------------------------------
-
-    def _resolve_positions(
-        self,
-        kind: str,
-        registration: "_Registration",
-        plan: ShardPlan,
-        positions: Iterable[int],
-    ) -> List[Optional[Any]]:
-        """Structures for the given plan positions (cache, store, or build).
-
-        Returns a plan-length list, ``None`` outside ``positions`` and for
-        empty pieces.  Misses are dispatched to the planner pool in parallel.
-        """
-        engine = self._engine
-        structures: List[Optional[Any]] = [None] * len(plan.planned)
-        misses: List[Tuple[int, PlannedShard, ArtifactKey]] = []
-        for position in positions:
-            planned = plan.planned[position]
-            if planned.piece.is_empty():
-                continue
-            key = self.shard_key(registration, plan, planned)
-            structure = engine._cache.get(key)
-            if structure is not None:
-                engine._bump(kind, shard_cache_hits=1)
-                structures[position] = structure
-            else:
-                misses.append((position, planned, key))
-        if len(misses) == 1:
-            position, planned, key = misses[0]
-            structures[position] = engine._resolve_miss(
-                kind, registration, key, planned.piece.data, shard=True
-            )[0]
-        elif misses:
-            pool = self._ensure_pool()
-            futures = [
-                (
-                    position,
-                    pool.submit(
-                        engine._resolve_miss,
-                        kind,
-                        registration,
-                        key,
-                        planned.piece.data,
-                        shard=True,
-                    ),
-                )
-                for position, planned, key in misses
-            ]
-            for position, future in futures:
-                structures[position] = future.result()[0]
-        return structures
-
-    def resolve(
-        self,
-        kind: str,
-        registration: "_Registration",
-        data: Any,
-        fingerprint: str,
-    ) -> ShardedStructure:
-        """All shard structures for (kind, data), building misses in parallel.
-
-        Warm path: one memoized plan lookup plus one cache probe per shard.
-        Cold path: every missing shard build is dispatched to the planner
-        pool (engine stats record per-shard build counts and seconds).
-
-        ``fingerprint`` is the dataset's content identity (an attached
-        :class:`~repro.service.dataset.Dataset` computes it once at attach).
-        """
-        plan = self.plan(kind, registration, data, fingerprint)
-        structures = self._resolve_positions(
-            kind, registration, plan, range(len(plan.planned))
-        )
-        return ShardedStructure(plan=plan, structures=tuple(structures))
-
-    # -- lifecycle -------------------------------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_guard:
-            if self._closed:
-                from repro.core.errors import ServiceError
-
-                raise ServiceError("engine is closed")
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._max_workers,
-                    thread_name_prefix="repro-shard-build",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the shard-build pool; further builds error (idempotent)."""
-        with self._pool_guard:
-            self._closed = True
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
+        for piece in spec.split(data, registration.shards)
+    )
+    return ShardPlan(
+        kind=kind, shards=registration.shards, policy=spec.policy, planned=planned
+    )
 
 
 def _change_item(change: Any) -> Any:

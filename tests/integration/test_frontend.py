@@ -15,6 +15,7 @@ dataset names so order does not matter.  The headline assertions:
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
@@ -31,12 +32,14 @@ import pytest
 from repro.core.errors import (
     DeadlineExceededError,
     DeltaError,
+    OverloadedError,
     ProtocolError,
+    ServiceError,
     UnknownDatasetError,
 )
 from repro.incremental.changes import ChangeKind, PointWrite, TupleChange
 from repro.service.engine import SchemeStats
-from repro.service.frontend import RemoteClient, ServingFront, protocol
+from repro.service.frontend import RemoteClient, RemoteDataset, ServingFront, protocol
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +223,53 @@ def test_deadline_travels_the_wire(client):
         assert ds.query("list-membership", 7) is True
 
 
+def test_wire_attach_refuses_a_float_shard_count(client):
+    """JSON gives a client no int/float split: ``shards=2.0`` reaches the
+    workers as a float and is refused whole, so the name stays free."""
+    data = tuple(range(64))
+    with pytest.raises(ServiceError, match="shards must be an int"):
+        client.attach("float-shards", data, kinds=["list-membership"], shards=2.0)
+    with client.attach("float-shards", data, kinds=["list-membership"], shards=2) as ds:
+        assert ds.query("list-membership", 7) is True
+
+
+def test_finished_threads_release_their_connections(front):
+    """Each calling thread gets its own connection; when the thread ends,
+    the connection closes and the client forgets it."""
+    with RemoteClient(*front.address) as remote:
+        assert remote.ping()
+        for _ in range(8):
+            worker = threading.Thread(target=remote.ping)
+            worker.start()
+            worker.join()
+        gc.collect()
+        assert len(remote._conns) <= 1  # the calling thread's own
+        assert remote.ping()
+
+
+def test_a_refused_remote_detach_can_be_retried():
+    """The session counts as detached only once the front acknowledged it:
+    a refused detach leaves the dataset served, so the next call resends."""
+
+    class RefusesOnce:
+        def __init__(self):
+            self.sent = []
+
+        def request(self, op, **kwargs):
+            self.sent.append(op)
+            if len(self.sent) == 1:
+                raise OverloadedError("front is full")
+            return True
+
+    stub = RefusesOnce()
+    ds = RemoteDataset(stub, "d", ["list-membership"], False, (1, 2))
+    with pytest.raises(OverloadedError):
+        ds.detach()
+    ds.detach()
+    ds.detach()  # acknowledged: idempotent from here on
+    assert stub.sent == ["detach", "detach"]
+
+
 def test_client_reconnects_transparently_for_idempotent_reads(front):
     """A broken socket under an idempotent read heals with one transparent
     reconnect (no error, no protocol_errors count); the same break under a
@@ -229,7 +279,7 @@ def test_client_reconnects_transparently_for_idempotent_reads(front):
         with remote.attach("reconn", data, kinds=["list-membership"],
                            mutable=True) as ds:
             assert ds.query("list-membership", 3) is True
-            broken = remote._local.state[0]
+            broken = remote._local.conn.sock
             broken.shutdown(socket.SHUT_RDWR)
             assert ds.query("list-membership", 3) is True
             assert remote.reconnects == 1
@@ -238,7 +288,7 @@ def test_client_reconnects_transparently_for_idempotent_reads(front):
             # closing its stream (which flushes) raised first.
             assert broken.fileno() == -1
 
-            remote._local.state[0].shutdown(socket.SHUT_RDWR)
+            remote._local.conn.sock.shutdown(socket.SHUT_RDWR)
             with pytest.raises(ProtocolError, match="connection"):
                 ds.apply_changes([TupleChange(ChangeKind.INSERT, (99,))])
             assert remote.protocol_errors == 1

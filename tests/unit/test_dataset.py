@@ -7,8 +7,7 @@ Headliners:
   delta-maintained kind at once, with answers equal to fresh immutable
   sessions over the same content;
 * ``test_invalidate_evicts_every_kind_in_one_call`` -- the multi-kind
-  content-eviction regression guard (cached structures, shard plans, build
-  locks);
+  content-eviction regression guard (the cached structure of every kind);
 * ``test_named_sessions_never_touch_the_memo`` -- the payload is hashed
   exactly once, at attach.
 """
@@ -87,6 +86,20 @@ def test_attach_validates_inputs():
         engine.attach("late", (1,))
     with pytest.raises(ServiceError, match="no kinds"):
         QueryEngine().attach("empty", (1,))
+
+
+def test_attach_refuses_a_shard_count_that_is_not_an_int():
+    """Over the wire ``shards`` is client JSON: a float, a string or a bool
+    is refused before any session exists (2.0 used to attach and then fail
+    every query; True served monolithic and reported ``shards == True``)."""
+    with build_query_engine() as engine:
+        for shards in (2.0, "2", True):
+            with pytest.raises(ServiceError, match="shards must be an int"):
+                engine.attach("d", tuple(range(64)), kinds=["list-membership"],
+                              shards=shards)
+            assert engine.datasets() == []
+        ds = engine.attach("d", tuple(range(64)), kinds=["list-membership"], shards=2)
+        assert ds.shards == 2 and ds.query("list-membership", 7) is True
 
 
 def test_detach_releases_the_name_and_poisons_the_session():
@@ -247,26 +260,20 @@ def test_named_sessions_never_touch_the_memo(monkeypatch):
 
 def test_invalidate_evicts_every_kind_in_one_call():
     """A dataset served under several kinds -- one of them sharded -- loses
-    *all* cached structures, shard plans, and build-lock entries in one
-    ``detach`` call, and re-attaching the mutated payload rebuilds."""
+    *all* cached monolithic structures in one ``detach`` call, and
+    re-attaching the mutated payload rebuilds."""
     engine = _two_shape_engine()
     data = list(range(48))
     ds = engine.attach("events", data, shards=4)
     ds.query("membership", 3)      # sharded resolve
     ds.query("rmq", (0, 9, 0))     # monolithic resolve
-    fingerprint = ds.fingerprint
     rmq_key = ds.artifact_key("rmq")
     assert engine._cache.get(rmq_key, record=False) is not None
-    assert any(key[1] == fingerprint for key in engine._planner._plans)
-    # Park an idle build-lock entry, as an interrupted resolve would.
-    engine._build_lock(rmq_key)
 
     data.append(999)
     ds.detach()
 
     assert engine._cache.get(rmq_key, record=False) is None
-    assert not any(key[1] == fingerprint for key in engine._planner._plans)
-    assert rmq_key not in engine._build_locks
     # And the next session really rebuilds from the new content.
     assert engine.attach("events", data).query("membership", 999) is True
     engine.close()
@@ -314,13 +321,10 @@ def test_detach_evicts_cached_structures_and_plans():
     data = tuple(range(48))
     ds = engine.attach("events", data, shards=4)
     ds.warm()
-    fingerprint = ds.fingerprint
     rmq_key = ds.artifact_key("rmq")
     assert engine._cache.get(rmq_key, record=False) is not None
-    assert any(key[1] == fingerprint for key in engine._planner._plans)
     ds.detach()
     assert engine._cache.get(rmq_key, record=False) is None
-    assert not any(key[1] == fingerprint for key in engine._planner._plans)
     engine.close()
 
 

@@ -8,8 +8,8 @@ Headliners:
 * ``test_delta_equals_full_rebuild_*`` -- after a change batch, the
   delta-maintained structure answers exactly like a from-scratch build over
   the post-batch dataset, for every delta-capable kind.
-* ``test_invalidate_evicts_build_locks`` -- the regression guard for the
-  per-key build-lock leak under attach/detach churn.
+* ``test_build_lock_map_stays_empty_under_churn`` -- the regression guard
+  for the per-key build-lock leak under attach/detach churn.
 
 Every dataset here is a mutable session
 (``engine.attach(name, data, kinds=[kind], mutable=True)``); reads assert
@@ -20,8 +20,10 @@ evaluator are both pinned against the oracle.
 from __future__ import annotations
 
 import ast
+import gc
 import logging
 import threading
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from repro.queries import (
 )
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine
-from repro.storage.fingerprint import dataset_fingerprint
+from repro.service.sharding import plan_shards
 
 
 def _insert(*row):
@@ -258,15 +260,29 @@ def test_sharded_rebuild_adds_only_the_new_plans_shard_keys(tmp_path):
         ds.apply_changes([_insert(100_000)])
         content = ds.dataset()
         registration = ds.registration_for(kind)
-        plan = engine._planner.plan(
-            kind, registration, content, dataset_fingerprint(content))
-        planned = {
-            engine._planner.shard_key(registration, plan, shard)
-            for shard in plan.planned
-        }
+        plan = plan_shards(kind, registration, content)
+        planned = {registration.shard_key(plan, shard) for shard in plan.planned}
         added = set(store.keys()) - keys
         assert len(added) == 1 and added <= planned  # one touched shard
         assert set(store.puts[-1:]) == added
+
+
+def test_superseded_shard_plans_are_freed():
+    """A shard plan is a pure function of (content, K) that nothing
+    memoizes: once later batches supersede a version and the session
+    detaches, no engine-side map keeps that version's plan -- or the shard
+    data its pieces carry -- alive."""
+    with build_query_engine() as engine:
+        kind = "list-membership"
+        ds = _open(engine, kind, tuple(range(256)), shards=4)
+        ds.apply_changes([_insert(1000)])
+        plan = weakref.ref(ds._mutable._versions.current.structures[kind].plan)
+        for value in range(1001, 1004):
+            ds.apply_changes([_insert(value)])
+        assert _ask(ds, kind, 1000) is True
+        ds.detach()
+        gc.collect()
+        assert plan() is None
 
 
 def test_only_the_miss_path_puts_to_the_artifact_store():
@@ -384,18 +400,6 @@ def test_handle_mutations_do_not_corrupt_engine_cache():
 
 
 # -- the build-lock leak regression (ISSUE 3 satellite fix) --------------------
-
-
-def test_invalidate_evicts_build_locks():
-    engine = QueryEngine()
-    engine.register("membership", membership_class(), sorted_run_scheme())
-    ds = engine.attach("d", [1, 2, 3])
-    key = ds.artifact_key("membership")
-    # Simulate a lock entry parked by an interrupted resolve.
-    engine._build_lock(key)
-    assert key in engine._build_locks
-    ds.detach()
-    assert key not in engine._build_locks
 
 
 def test_build_lock_map_stays_empty_under_churn():

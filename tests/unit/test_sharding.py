@@ -1,6 +1,6 @@
 """Unit tests for sharded Pi-structures (ISSUE 2).
 
-Covers the merge-operator algebra, the shard planner (policies, routing,
+Covers the merge-operator algebra, shard planning (policies, routing,
 content-addressed shard artifacts), engine integration (``attach(...,
 shards=K)``, shard statistics, concurrent scatter-gather), and shard-level
 invalidation: change batches must rebuild only the shards they touch.
@@ -27,7 +27,13 @@ from repro.service.merge import (
     stable_buckets,
     union_merge,
 )
-from repro.service.sharding import ShardedKernel, ShardPlanner, plan_diff, touched_shards
+from repro.service.sharding import (
+    ShardedKernel,
+    ShardedStructure,
+    plan_diff,
+    plan_shards,
+    touched_shards,
+)
 from repro.storage.fingerprint import dataset_fingerprint
 
 SHARDABLE_KINDS = (
@@ -233,28 +239,35 @@ def test_second_engine_serves_shards_from_store(tmp_path):
 
 
 def test_routed_membership_probes_one_shard():
+    kind, data = "list-membership", tuple(range(256))
     with build_query_engine() as engine:
-        ds = engine.attach("d", tuple(range(256)), kinds=["list-membership"], shards=4)
-        ds.warm()  # builds all 4 buckets
+        ds = engine.attach("d", data, kinds=[kind], shards=4)
+        ds.warm()  # builds all 4 buckets into the serve plan's own list
         engine.reset_stats()
-        assert ds.query("list-membership", 100) is True
-        stats = engine.stats().per_kind["list-membership"]
-        # Route-aware resolve: one cache probe, zero builds.
-        assert stats.shard_cache_hits == 1
-        assert stats.shard_builds == 0
+        assert ds.query(kind, 100) is True
+        stats = engine.stats().per_kind[kind]
+        # Warmed: the routed query asks its one bucket and probes nothing.
+        assert (stats.shard_cache_hits, stats.shard_store_hits, stats.shard_builds) == (0, 0, 0)
+    with build_query_engine() as engine:
+        cold = engine.attach("cold", data, kinds=[kind], shards=4)
+        assert cold.query(kind, 100) is True
+        # Cold: lazy routed capture builds only the bucket the query touches.
+        assert engine.stats().per_kind[kind].shard_builds == 1
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
-    """The planner's resolve() plus the sharded kernel's one() equals the
-    session's query() and stays statistics-neutral (shard_serve_seconds never exceeds
-    serve_seconds)."""
+    """The engine's per-shard resolution plus the sharded kernel's one()
+    equals the session's query() and stays statistics-neutral
+    (shard_serve_seconds never exceeds serve_seconds)."""
     with build_query_engine() as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 21, 6)
         ds = engine.attach("d", data, kinds=[kind], shards=4)
         registration = ds.registration_for(kind)
-        sharded = engine._planner.resolve(kind, registration, data, ds.fingerprint)
+        plan = plan_shards(kind, registration, data)
+        sharded = ShardedStructure(
+            plan, tuple(engine._resolve_shards(kind, registration, plan)))
         assert sharded.built_count() == 4  # a full ShardedStructure
         kernel = ShardedKernel(engine, kind, registration)
         for query in queries:
@@ -322,8 +335,8 @@ def test_point_change_rebuilds_only_its_block():
         changed = tuple(changed)
         registration = before.registration_for(kind)
         after = engine.attach("after", changed, kinds=[kind], shards=4)
-        old_plan = engine._planner.plan(kind, registration, data, before.fingerprint)
-        new_plan = engine._planner.plan(kind, registration, changed, after.fingerprint)
+        old_plan = plan_shards(kind, registration, data)
+        new_plan = plan_shards(kind, registration, changed)
         reused, rebuilt = plan_diff(old_plan, new_plan)
         assert rebuilt == {1} and reused == {0, 2, 3}
         # The spec's change router predicts the same shard.
@@ -349,7 +362,7 @@ def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
         row = (123456, 654321)
         changes = [TupleChange(ChangeKind.INSERT, row)]
         registration = ds.registration_for(kind)
-        old_plan = engine._planner.plan(kind, registration, data, ds.fingerprint)
+        old_plan = plan_shards(kind, registration, data)
         predicted = touched_shards(old_plan, changes, scheme.sharding)
         assert len(predicted) == 1
 
@@ -366,7 +379,7 @@ def test_touched_shards_degrades_to_all_without_locate():
         kind = "minimum-range-query"
         data = tuple(range(32))
         registration = engine.attach("d", data, kinds=[kind], shards=4).registration_for(kind)
-        plan = engine._planner.plan(kind, registration, data, dataset_fingerprint(data))
+        plan = plan_shards(kind, registration, data)
         spec = registration.scheme.sharding
         # An unroutable change (not an array position) is conservative.
         assert touched_shards(plan, ["not-a-position"], spec) == {0, 1, 2, 3}
@@ -400,8 +413,8 @@ def test_sharded_mutable_session_accrues_shard_serve_seconds():
 
 
 def test_tracked_sharded_queries_serve_from_captured_shards():
-    """query_tracked evaluates over the plan's captured shard list: one cache
-    probe per shard on first touch, then no probes and no plan-memo lookups."""
+    """query_tracked evaluates over the plan's captured shard list: after
+    warm() every shard is captured, so no query probes the cache."""
     with build_query_engine() as engine:
         kind = "list-membership"
         data = tuple(range(0, 256, 2))
@@ -415,14 +428,9 @@ def test_tracked_sharded_queries_serve_from_captured_shards():
             assert ds.query_tracked(kind, query, CostTracker()) == expected
             touched.add(stable_bucket(query, 4))
         stats = engine.stats().per_kind[kind]
-        assert 0 < stats.shard_cache_hits <= len(touched)
+        assert len(touched) == 4  # every shard was asked
+        assert stats.shard_cache_hits == 0
         assert stats.shard_builds == 0
-
-
-def test_planner_only_plans_and_builds():
-    public = {name for name, member in vars(ShardPlanner).items()
-              if callable(member) and not name.startswith("_")}
-    assert public == {"plan", "forget", "shard_key", "resolve", "close"}
 
 
 def test_no_public_callable_takes_a_concurrent_flag():
