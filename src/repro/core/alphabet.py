@@ -30,7 +30,7 @@ payloads, so that (a) tokens are parseable by scanning to the next ``;`` and
 
 from __future__ import annotations
 
-from typing import Any, Sequence, Tuple
+from typing import Any, Tuple
 
 from repro.core.errors import EncodingError
 
@@ -160,10 +160,3 @@ def decode_pair(text: str) -> Tuple[Any, Any]:
 def encoded_size(value: Any) -> int:
     """``|x|`` in the paper's sense: the length of the Sigma* encoding."""
     return len(encode(value))
-
-
-def sequence_of(value: Any) -> Sequence[Any]:
-    """Helper asserting a decoded value is a sequence, for typed decoders."""
-    if not isinstance(value, tuple):
-        raise EncodingError(f"expected a sequence, found {type(value).__name__}")
-    return value

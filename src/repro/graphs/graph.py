@@ -162,15 +162,6 @@ class Digraph(_BaseGraph):
             result.add_edge(v, u)
         return result
 
-    def out_neighbors(self, v: int) -> Sequence[int]:
-        return self.neighbors(v)
-
-    def in_degree_sequence(self) -> List[int]:
-        indeg = [0] * self.n
-        for _, v in self.edges():
-            indeg[v] += 1
-        return indeg
-
 
 def permute_vertices(graph: _BaseGraph, permutation: Sequence[int]) -> _BaseGraph:
     """Renumber vertices: new id of old vertex v is ``permutation[v]``.

@@ -99,13 +99,6 @@ class EulerTourLCA:
         tracker.tick(2)
         return self._tour[self._rmq.argmin(left, right, tracker)]
 
-    def depth_of(self, v: int) -> int:
-        depth = 0
-        while self.parent[v] != -1:
-            v = self.parent[v]
-            depth += 1
-        return depth
-
     def is_ancestor(self, u: int, v: int, tracker: Optional[CostTracker] = None) -> bool:
         """Is u an ancestor of v (reflexive)?  O(1) via one LCA query."""
         return self.lca(u, v, tracker) == u

@@ -88,10 +88,6 @@ def _route_element(element: int, pieces) -> List[int]:
     return [stable_bucket(element, len(pieces))]
 
 
-def _locate_element(element, pieces):
-    return stable_bucket(element, len(pieces))
-
-
 def membership_shard_spec() -> ShardSpec:
     """Union sharding for L1: hash-bucket the list, route e to its bucket.
 
@@ -100,11 +96,9 @@ def membership_shard_spec() -> ShardSpec:
     batches route to exactly one shard.
     """
     return ShardSpec(
-        policy="hash",
         split=_split_list,
         merge=union_merge(),
         route=_route_element,
-        locate=_locate_element,
     )
 
 

@@ -110,17 +110,6 @@ def _rmq_partial(index, query: RMQQuery, meta, tracker: CostTracker):
     return (index.value_at(local), meta["offset"] + local)
 
 
-def _locate_position(item, pieces):
-    """Route a changed array position to its block (non-int items unroutable)."""
-    if not isinstance(item, int):
-        return None
-    for position, piece in enumerate(pieces):
-        offset = piece.meta["offset"]
-        if offset <= item < offset + piece.meta["length"]:
-            return position
-    return None
-
-
 def rmq_shard_spec() -> ShardSpec:
     """Monoid-combine sharding for L2: fold (value, position) minima.
 
@@ -130,7 +119,6 @@ def rmq_shard_spec() -> ShardSpec:
     the gather answers "is p the leftmost argmin of A[i..j]?" exactly.
     """
     return ShardSpec(
-        policy="range",
         split=_split_array,
         merge=monoid_merge(
             _rmq_partial,
@@ -139,7 +127,6 @@ def rmq_shard_spec() -> ShardSpec:
             name="monoid[min,leftmost]",
         ),
         route=_route_window,
-        locate=_locate_position,
     )
 
 

@@ -25,7 +25,6 @@ from repro.indexes.hash_index import HashIndex
 from repro.service.merge import (
     ShardPiece,
     ShardSpec,
-    locate_by_content,
     stable_buckets,
     union_merge,
 )
@@ -136,10 +135,8 @@ def _split_relation(relation: Relation, shards: int) -> List[ShardPiece]:
 def selection_shard_spec() -> ShardSpec:
     """Union sharding for Example 1 / Section 4(1): exists-queries disjoin."""
     return ShardSpec(
-        policy="hash",
         split=_split_relation,
         merge=union_merge(),
-        locate=locate_by_content,
     )
 
 

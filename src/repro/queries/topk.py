@@ -34,7 +34,6 @@ from repro.service.merge import (
     ShardPiece,
     ShardSpec,
     kway_merge,
-    locate_by_content,
     merge_sorted_desc,
     stable_buckets,
 )
@@ -355,10 +354,8 @@ def topk_shard_spec() -> ShardSpec:
     aggregate -- and hence the Boolean theta comparison -- is exact.
     """
     return ShardSpec(
-        policy="hash",
         split=_split_table,
         merge=kway_merge(_topk_partial, _topk_finalize, name="kway[topk]"),
-        locate=locate_by_content,
     )
 
 

@@ -88,9 +88,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "MergeOperator", "ShardPiece", "ShardSpec", "kway_merge", "monoid_merge",
         "range_blocks", "stable_bucket", "union_merge",
     ),
-    "repro.service.sharding": (
-        "PlannedShard", "ShardedStructure", "ShardPlan", "plan_diff", "touched_shards",
-    ),
+    "repro.service.sharding": ("PlannedShard", "ShardedStructure", "ShardPlan"),
     "repro.core.errors": (
         "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",
         "ArtifactCorruptionError", "ArtifactVersionError", "DeltaError",

@@ -7,6 +7,11 @@ structures here are polynomial-size by construction and the engine's working
 set is a handful of (dataset, scheme) pairs.  Sharded kinds cache one entry
 per shard, so hot shards of a cold dataset still serve from memory.
 
+The cache only deduplicates loads and builds across sessions and kinds: a
+session's serve plan keeps the structures it captured until the session
+detaches, so nothing listens to evictions and an evicted entry is simply
+dropped from here.
+
     >>> from repro.service.cache import LRUArtifactCache
     >>> cache = LRUArtifactCache(capacity=2)
     >>> cache.put("pi-structure-key", [1, 2, 3])
@@ -23,7 +28,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, Hashable, Optional
+from typing import Any, Dict, Hashable, Optional
 
 __all__ = ["LRUArtifactCache", "CacheStats"]
 
@@ -39,8 +44,6 @@ class CacheStats:
     evictions: int
     entries: int
     capacity: int
-    #: Eviction-listener callbacks that raised (and were contained).
-    listener_errors: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -66,30 +69,6 @@ class LRUArtifactCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-        self._listener_errors = 0
-        self._eviction_listener: Optional[Callable[[Hashable], None]] = None
-
-    def set_eviction_listener(self, listener: Optional[Callable[[Hashable], None]]) -> None:
-        """Register a callback fired (outside the cache lock) whenever an
-        entry leaves the cache -- capacity eviction, :meth:`invalidate`, or
-        :meth:`clear`.  The engine uses it to invalidate serve plans that
-        captured a structure reference, so a dropped entry cannot stay
-        pinned by a hot-path plan."""
-        self._eviction_listener = listener
-
-    def _notify(self, key: Hashable) -> None:
-        # Always called *outside* the cache lock, and never allowed to
-        # raise: a broken listener must not poison callers of put/
-        # invalidate/clear, nor abort notification of the remaining keys
-        # in a clear().  Failures are counted, not propagated.
-        listener = self._eviction_listener
-        if listener is None:
-            return
-        try:
-            listener(key)
-        except Exception:
-            with self._lock:
-                self._listener_errors += 1
 
     def get(self, key: Hashable, *, record: bool = True) -> Optional[Any]:
         """The cached structure, refreshed to most-recent, or None.
@@ -114,34 +93,25 @@ class LRUArtifactCache:
 
         Returns nothing; eviction is recorded in :meth:`stats`.
         """
-        evicted = None
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._entries[key] = value
                 return
             if len(self._entries) >= self.capacity:
-                evicted, _ = self._entries.popitem(last=False)
+                self._entries.popitem(last=False)
                 self._evictions += 1
             self._entries[key] = value
-        if evicted is not None:
-            self._notify(evicted)
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop ``key``; returns True when an entry was actually removed."""
         with self._lock:
-            removed = self._entries.pop(key, _MISS) is not _MISS
-        if removed:
-            self._notify(key)
-        return removed
+            return self._entries.pop(key, _MISS) is not _MISS
 
     def clear(self) -> None:
         """Drop every entry (counters are kept; they are cumulative)."""
         with self._lock:
-            dropped = list(self._entries)
             self._entries.clear()
-        for key in dropped:
-            self._notify(key)
 
     def __len__(self) -> int:
         with self._lock:
@@ -160,5 +130,4 @@ class LRUArtifactCache:
                 evictions=self._evictions,
                 entries=len(self._entries),
                 capacity=self.capacity,
-                listener_errors=self._listener_errors,
             )

@@ -164,9 +164,9 @@ class _ServePlan:
     (resolution was paid at plan build and is accounted as build/hit, never
     serve) and record on the engine's lock-free counters.
     :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
-    structure.  The engine's keyed plan watchers drop the plan if its
-    structure is ever evicted, so a plan cannot pin or outlive a dropped
-    structure.
+    structure.  The plan owns what it captured: it keeps the structure
+    until the session detaches, whatever the engine's LRU cache evicts (the
+    cache only deduplicates loads and builds across sessions).
     """
 
     __slots__ = ("_engine", "_kind", "_kernel", "_structure", "answer", "answer_many")
@@ -234,25 +234,23 @@ class _ShardedServe:
     timer), after which the steady-state path, tracked or not, is the
     kernel's route + scatter over the captured list, with no cache probes
     and no locks.  :meth:`resolve` (``warm``) captures every shard still
-    missing into the same list, so a warmed plan probes nothing.  Each
-    captured shard key is registered with the engine's plan watchers;
-    evicting any of them drops this plan.
+    missing into the same list, so a warmed plan probes nothing.  Like
+    :class:`_ServePlan`, the plan keeps every shard it captured until the
+    session detaches; cache evictions do not touch it.
     """
 
-    __slots__ = ("_engine", "_ds", "_kind", "_registration", "_kernel",
+    __slots__ = ("_engine", "_kind", "_registration", "_kernel",
                  "_plan", "_structures", "_empty")
 
     def __init__(
         self,
         engine: "QueryEngine",
-        ds: "Dataset",
         kind: str,
         registration: "_Registration",
         kernel: ShardedKernel,
         shard_plan: ShardPlan,
     ) -> None:
         self._engine = engine
-        self._ds = ds
         self._kind = kind
         self._registration = registration
         self._kernel = kernel
@@ -261,14 +259,12 @@ class _ShardedServe:
         self._empty = [piece.is_empty() for piece in shard_plan.pieces]
 
     def _capture(self, missing: Sequence[int]) -> None:
-        """Resolve still-missing shard structures and watch their keys."""
-        engine, registration, plan = self._engine, self._registration, self._plan
-        resolved = engine._resolve_shards(self._kind, registration, plan, missing)
+        """Resolve still-missing shard structures into the captured list."""
+        resolved = self._engine._resolve_shards(
+            self._kind, self._registration, self._plan, missing
+        )
         for position in missing:
             self._structures[position] = resolved[position]
-            engine._watch_plan_key(
-                registration.shard_key(plan, plan.planned[position]), self._ds, self._kind
-            )
 
     def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
         kernel = self._kernel
@@ -610,15 +606,14 @@ class Dataset:
         kernel = (ShardedKernel if sharded else _MonolithicKernel)(
             engine, kind, registration
         )
-        watch_key: Optional[ArtifactKey] = None
         if self._mutable is not None:
             plan: Any = _MutableServe(engine, self._mutable, kind, kernel)
         elif sharded:
             shard_plan = plan_shards(kind, registration, self._data)
-            plan = _ShardedServe(engine, self, kind, registration, kernel, shard_plan)
+            plan = _ShardedServe(engine, kind, registration, kernel, shard_plan)
         else:
-            watch_key = self.artifact_key(kind)
-            structure = engine._resolve_by_key(kind, registration, watch_key, self._data)[0]
+            key = self.artifact_key(kind)
+            structure = engine._resolve_by_key(kind, registration, key, self._data)[0]
             plan = _ServePlan(engine, kind, kernel, structure)
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
@@ -626,12 +621,6 @@ class Dataset:
             # the flag, so re-checking here closes the race.
             if not self._detached:
                 self._plans[kind] = plan
-        if watch_key is not None:
-            # Register *after* installing: if the structure was evicted
-            # while this plan was built, the watcher fires right here and
-            # removes the just-installed plan (sharded plans register per
-            # shard as structures are captured; mutable plans hold none).
-            engine._watch_plan_key(watch_key, self, kind)
         return plan
 
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
@@ -711,17 +700,6 @@ class Dataset:
             )
         if self._engine._closed:
             raise ServiceError("engine is closed")
-
-    def _drop_plan(self, kind: str) -> None:
-        """Release one cached serve plan (engine-internal).
-
-        Fired by the engine's keyed plan watchers when a structure the plan
-        captured is evicted, so even a session that is never queried again
-        frees its reference; live sessions transparently rebuild on their
-        next query.
-        """
-        with self._plans_lock:
-            self._plans.pop(kind, None)
 
     def _release(self) -> None:
         """Mark detached and drop the serve plans (engine-internal).

@@ -207,17 +207,14 @@ class EngineStats:
 
         All-zero means no recovery machinery has run since the last reset;
         any nonzero value names exactly which degradation happened (see the
-        "Failure model" table in ``docs/architecture.md``).  Includes the
-        cache's contained listener errors.
+        "Failure model" table in ``docs/architecture.md``).
         """
-        rollup = {
+        return {
             field_name: sum(
                 getattr(stats, field_name) for stats in self.per_kind.values()
             )
             for field_name in self.HEALTH_FIELDS
         }
-        rollup["cache_listener_errors"] = self.cache.listener_errors
-        return rollup
 
     def stats_snapshot(self) -> Dict[str, Any]:
         """The whole snapshot as one plain JSON-serializable dict.
@@ -375,7 +372,9 @@ class QueryEngine:
         Optional :class:`~repro.service.artifacts.ArtifactStore` for durable
         artifacts; without one, structures live in the memory cache only.
     cache_entries:
-        Capacity of the in-process LRU artifact cache.
+        Capacity of the in-process LRU artifact cache.  It bounds only what
+        the cache holds: a structure an attached session's serve plan
+        captured lives until that session detaches.
     max_workers:
         Width of the shard-build pool (created on the first parallel shard
         build, shut down by :meth:`close`).
@@ -390,7 +389,6 @@ class QueryEngine:
     ):
         self._store = store
         self._cache = LRUArtifactCache(cache_entries)
-        self._cache.set_eviction_listener(self._on_cache_eviction)
         self._registrations: Dict[str, _Registration] = {}
         #: kind -> (module, resolve): promised by :meth:`register_deferred`,
         #: moved into ``_registrations`` by the first request that names it.
@@ -399,13 +397,6 @@ class QueryEngine:
         self._stats: Dict[str, SchemeStats] = {}
         self._stats_lock = threading.Lock()
         self._query_counters = _QueryCounterShards()
-        #: key -> [(weakref(Dataset), kind)]: which sessions' serve plans
-        #: hold the structure cached under each artifact key.  Evicting a
-        #: key fires exactly those plans (keyed invalidation) -- unrelated
-        #: sessions keep their steady-state fast path, and no plan can pin
-        #: or outlive a structure the engine dropped.
-        self._plan_watchers: Dict[ArtifactKey, List[Tuple[Any, str]]] = {}
-        self._plan_watchers_lock = threading.Lock()
         self._build_locks: Dict[ArtifactKey, threading.Lock] = {}
         self._build_locks_guard = threading.Lock()
         self._datasets: Dict[str, Dataset] = {}
@@ -833,41 +824,6 @@ class QueryEngine:
             return structure, blob
         return None, None
 
-    # -- serve-plan invalidation -------------------------------------------------
-
-    def _watch_plan_key(self, key: ArtifactKey, dataset: Dataset, kind: str) -> None:
-        """Register a session's serve plan as holding the structure at ``key``.
-
-        Must be called *after* the plan is installed on the session: the
-        trailing cache re-probe closes the build/evict race -- if the key
-        was evicted while the plan was being assembled, the watcher just
-        registered is fired immediately, dropping the freshly installed
-        plan instead of letting an idle session pin an evicted structure.
-        """
-        with self._plan_watchers_lock:
-            watchers = self._plan_watchers.setdefault(key, [])
-            watchers[:] = [entry for entry in watchers if entry[0]() is not None]
-            watchers.append((weakref.ref(dataset), kind))
-        if self._cache.get(key, record=False) is None:
-            self._drop_plans_watching(key)
-
-    def _drop_plans_watching(self, key: ArtifactKey) -> None:
-        """Drop exactly the serve plans that captured the structure at
-        ``key`` (keyed invalidation: unrelated sessions are untouched, and
-        idle sessions release their references eagerly -- the plans are
-        removed, not merely marked stale)."""
-        with self._plan_watchers_lock:
-            watchers = self._plan_watchers.pop(key, ())
-        for ref, kind in watchers:
-            dataset = ref()
-            if dataset is not None:
-                dataset._drop_plan(kind)
-
-    def _on_cache_eviction(self, key: Any) -> None:
-        """Cache listener: an evicted structure must not stay pinned by a
-        session's serve plan."""
-        self._drop_plans_watching(key)
-
     # -- hot-path statistics -----------------------------------------------------
 
     def _count_serve(
@@ -903,10 +859,9 @@ class QueryEngine:
 
     def _evict_content(self, fingerprint: str) -> None:
         """Evict one content identity's cached monolithic structures, for
-        every registered kind.  Serve plans derived from this content fall
-        out through the cache eviction listener (keyed plan watchers); the
-        build-lock map needs nothing, since :meth:`_resolve_miss` drops
-        every lock it takes."""
+        every registered kind.  The detached session's serve plans went with
+        :meth:`Dataset._release`; the build-lock map needs nothing, since
+        :meth:`_resolve_miss` drops every lock it takes."""
         # Kinds sharing a structure share a key: invalidate each key once.
         for key in {r.key(fingerprint) for r in tuple(self._registrations.values())}:
             self._cache.invalidate(key)

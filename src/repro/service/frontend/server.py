@@ -78,6 +78,27 @@ class _Admission:
         self.pending = 0
 
 
+def _header_problem(header: Dict[str, Any]) -> Optional[str]:
+    """Why a request header is refused before admission, or None.
+
+    Runs before any header value is hashed or compared, so a wire value of
+    the wrong type is a :class:`~repro.core.errors.ProtocolError`, never a
+    ``TypeError`` inside the gateway.
+    """
+    op = header.get("op")
+    if not isinstance(op, str) or op not in protocol.REQUEST_OPS:
+        return f"unknown op {op!r}"
+    dataset = header.get("dataset")
+    if dataset is not None and not isinstance(dataset, str):
+        return f"dataset must be a string, got {type(dataset).__name__}"
+    deadline_ms = header.get("deadline_ms")
+    if deadline_ms is not None and (
+        isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float))
+    ):
+        return f"deadline_ms must be a number, got {type(deadline_ms).__name__}"
+    return None
+
+
 class Gateway:
     """Frame relay with admission control over a supervisor backend.
 
@@ -127,28 +148,18 @@ class Gateway:
                 header, body, codec = frame
                 arrival = time.monotonic()
                 self.counters["frames"] += 1
-                op = header.get("op")
                 rid = header.get("rid")
-                if op not in protocol.REQUEST_OPS:
+                problem = _header_problem(header)
+                if problem is not None:
+                    # The frame itself was well formed: refuse it and keep
+                    # the connection.
                     self.counters["protocol_errors"] += 1
                     await self._write_error(
-                        writer, write_lock, rid, codec,
-                        ProtocolError(f"unknown op {op!r}"),
+                        writer, write_lock, rid, codec, ProtocolError(problem)
                     )
                     continue
+                op = header["op"]
                 deadline_ms = header.get("deadline_ms")
-                if deadline_ms is not None and not isinstance(
-                    deadline_ms, (int, float)
-                ):
-                    self.counters["protocol_errors"] += 1
-                    await self._write_error(
-                        writer, write_lock, rid, codec,
-                        ProtocolError(
-                            f"deadline_ms must be a number, "
-                            f"got {type(deadline_ms).__name__}"
-                        ),
-                    )
-                    continue
                 if deadline_ms is not None and deadline_ms <= 0:
                     # Already expired on arrival: shed before admission,
                     # the cheapest point to refuse doomed work.
@@ -264,6 +275,12 @@ class Gateway:
                     pass
         finally:
             state.pending -= 1
+            # Idle: nothing holds or awaits this state's permits, so drop
+            # it -- the map stays as large as the datasets in flight, not
+            # every name ever sent.
+            dataset = header.get("dataset")
+            if state.pending == 0 and self._admission.get(dataset) is state:
+                del self._admission[dataset]
 
     async def _dispatch(self, header: Dict[str, Any], body: bytes,
                         codec: int) -> Tuple[Dict[str, Any], bytes, int]:

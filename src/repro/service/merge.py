@@ -20,8 +20,8 @@ Three merge families cover every shardable case study:
     Order-sensitive queries (top-k): each shard emits its local top-k
     candidates as a sorted run and the gather k-way merges the runs.
 
-A scheme opts into sharding by attaching a :class:`ShardSpec` (partition
-policy + split function + merge operator + optional query router) to
+A scheme opts into sharding by attaching a :class:`ShardSpec` (split
+function + merge operator + optional query router) to
 ``PiScheme.sharding``; see :mod:`repro.queries.membership` for the simplest
 example and :mod:`repro.service.sharding` for the planner that consumes it.
 
@@ -51,7 +51,6 @@ __all__ = [
     "kway_merge",
     "stable_bucket",
     "stable_buckets",
-    "locate_by_content",
     "range_blocks",
 ]
 
@@ -233,7 +232,7 @@ def stable_bucket(value: Any, buckets: int) -> int:
     -- like :func:`repro.core.query.stable_seed`, deliberately *not* Python's
     process-salted ``hash`` -- so the same element lands in the same shard in
     every process, which is what makes shard artifacts shareable across
-    processes and change batches routable to shards.
+    processes, and a change batch alter only the shards its items hash to.
     """
     if buckets < 1:
         raise ValueError("bucket count must be at least 1")
@@ -248,20 +247,6 @@ def stable_buckets(values: Sequence[Any], buckets: int) -> List[int]:
         crcs = map(zlib.crc32, map(str.encode, map(repr, values)))
         return [crc % buckets for crc in crcs]
     return [stable_bucket(value, buckets) for value in values]
-
-
-def locate_by_content(item: Any, pieces: Sequence["ShardPiece"]) -> Optional[int]:
-    """Route a row-shaped changed item to its hash bucket, or None.
-
-    The shared ``ShardSpec.locate`` implementation for hash-partitioned
-    row/tuple datasets (selection relations, top-k score tables); items that
-    cannot be viewed as a tuple are unroutable (the caller degrades to
-    "all shards").
-    """
-    try:
-        return stable_bucket(tuple(item), len(pieces))
-    except TypeError:
-        return None
 
 
 def range_blocks(length: int, shards: int) -> List[tuple]:
@@ -290,31 +275,25 @@ def range_blocks(length: int, shards: int) -> List[tuple]:
 class ShardSpec:
     """A scheme's declaration of how its datasets shard and its answers merge.
 
+    Which shards a change batch rebuilds is not declared here: shard
+    artifacts are keyed by each piece's content, so after a change only the
+    pieces whose content differs miss the cache and the store.
+
     Parameters
     ----------
-    policy:
-        Default partition policy, ``"hash"`` (content buckets; enables
-        routing point lookups and change batches to single shards) or
-        ``"range"`` (contiguous blocks; preserves positional structure for
-        offset-based queries like RMQ).
     split:
-        ``(data, K) -> [ShardPiece]``.  Hash policies return exactly K
-        pieces with ``piece.index`` equal to its position (possibly empty
-        pieces) so routers can index by bucket; range policies may omit
-        empty blocks.
+        ``(data, K) -> [ShardPiece]``.  Hash splits (content buckets) return
+        exactly K pieces with ``piece.index`` equal to its position
+        (possibly empty pieces) so routers can index by bucket; range splits
+        (contiguous blocks, preserving positional structure for offset-based
+        queries like RMQ) may omit empty blocks.
     merge:
         The :class:`MergeOperator` gathering per-shard partials.
     route:
         Optional scatter pruner ``(query, pieces) -> positions`` limiting
         which shards a query touches (``None`` = broadcast to all).
-    locate:
-        Optional change router ``(changed item, pieces) -> position`` used by
-        shard-level invalidation to predict which shard a change batch
-        touches; ``None``/unknown items fall back to "all shards".
     """
 
-    policy: str
     split: Callable[[Any, int], List[ShardPiece]]
     merge: MergeOperator
     route: Optional[Callable[[Any, Sequence[ShardPiece]], Sequence[int]]] = None
-    locate: Optional[Callable[[Any, Sequence[ShardPiece]], Optional[int]]] = None

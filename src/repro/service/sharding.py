@@ -2,7 +2,7 @@
 
 A monolithic Pi-structure makes build cost and memory scale with a single
 process.  :func:`plan_shards` instead partitions a dataset into K shards
-(policy declared per scheme via :class:`~repro.service.merge.ShardSpec`) --
+(split declared per scheme via :class:`~repro.service.merge.ShardSpec`) --
 a pure function of (content, K).  The engine resolves each shard through
 the same cache -> store -> build layers as a monolithic structure
 (``QueryEngine._resolve_shards``, misses built *in parallel* on the
@@ -17,9 +17,8 @@ dataset fingerprint plus ``(shard id, K, scheme, params)``.  That is what
 makes shard-level invalidation automatic -- after an
 :mod:`repro.incremental` change batch mutates a dataset, re-planning yields
 identical fingerprints for every untouched shard, so their artifacts are
-cache/store hits and only the touched shards pay a rebuild
-(:func:`touched_shards` predicts which, :func:`plan_diff` verifies after the
-fact).
+cache/store hits and only the touched shards pay a rebuild.  No router
+predicts which shards a change touches: the content key decides.
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import NULL_TRACKER
 from repro.core.errors import InjectedFaultError, ShardFailedError
@@ -55,8 +54,6 @@ __all__ = [
     "ShardedStructure",
     "ShardedKernel",
     "plan_shards",
-    "touched_shards",
-    "plan_diff",
 ]
 
 
@@ -74,22 +71,17 @@ class ShardPlan:
 
     ``planned`` is ordered; merge routers address shards by *position* in
     this sequence.  The plan is pure data -- re-planning the same content
-    yields the same fingerprints, which is what shard artifact reuse and
-    :func:`plan_diff` rely on.
+    yields the same fingerprints, which is what shard artifact reuse relies
+    on.
     """
 
     kind: str
     shards: int
-    policy: str
     planned: Tuple[PlannedShard, ...]
-
-    def fingerprints(self) -> Tuple[str, ...]:
-        """Per-shard content fingerprints, in plan order."""
-        return tuple(planned.fingerprint for planned in self.planned)
 
     @cached_property
     def pieces(self) -> Tuple[ShardPiece, ...]:
-        """The pieces in plan order -- what merge routers and locators take."""
+        """The pieces in plan order -- what merge routers take."""
         return tuple(planned.piece for planned in self.planned)
 
 
@@ -104,10 +96,6 @@ class ShardedStructure:
 
     plan: ShardPlan
     structures: Tuple[Optional[Any], ...]
-
-    def built_count(self) -> int:
-        """Number of shards holding a live structure."""
-        return sum(1 for structure in self.structures if structure is not None)
 
 
 def _lost_shard_outcome(
@@ -249,8 +237,7 @@ def plan_shards(kind: str, registration: "_Registration", data: Any) -> ShardPla
 
     A pure function of (content, K), so nothing memoizes it: re-planning
     equal content yields equal fingerprints, which is what shard artifact
-    reuse (:meth:`~repro.service.engine._Registration.shard_key`) and
-    :func:`plan_diff` rely on.
+    reuse (:meth:`~repro.service.engine._Registration.shard_key`) relies on.
     """
     spec: ShardSpec = registration.scheme.sharding
     planned = tuple(
@@ -260,60 +247,4 @@ def plan_shards(kind: str, registration: "_Registration", data: Any) -> ShardPla
         )
         for piece in spec.split(data, registration.shards)
     )
-    return ShardPlan(
-        kind=kind, shards=registration.shards, policy=spec.policy, planned=planned
-    )
-
-
-def _change_item(change: Any) -> Any:
-    """The shard-routable payload of one incremental change record."""
-    from repro.incremental.changes import EdgeChange, TupleChange
-
-    if isinstance(change, TupleChange):
-        return change.row
-    if isinstance(change, EdgeChange):
-        return (change.source, change.target)
-    return change
-
-
-def touched_shards(plan: ShardPlan, changes: Iterable[Any], spec: ShardSpec) -> Set[int]:
-    """Plan positions a change batch touches (shard-level invalidation).
-
-    Accepts :class:`~repro.incremental.changes.TupleChange` /
-    :class:`~repro.incremental.changes.EdgeChange` records or raw changed
-    items, routes each through ``spec.locate``, and returns the set of plan
-    positions whose shard must be rebuilt.  Any change the spec cannot
-    locate degrades conservatively to "all shards".
-    """
-    pieces = plan.pieces
-    everything = set(range(len(pieces)))
-    if spec.locate is None:
-        return everything
-    touched: Set[int] = set()
-    for change in changes:
-        position = spec.locate(_change_item(change), pieces)
-        if position is None:
-            return everything
-        touched.add(position)
-    return touched
-
-
-def plan_diff(old: ShardPlan, new: ShardPlan) -> Tuple[Set[int], Set[int]]:
-    """``(reused, rebuilt)`` plan positions between two plans of the same kind.
-
-    A shard is *reused* when a shard with the same id carries the same
-    content fingerprint in both plans (its artifact resolves warm); anything
-    else in the new plan is *rebuilt*.  Used by tests and the sharding
-    benchmark to verify that change batches only rebuild touched shards.
-    """
-    old_by_id: Dict[int, str] = {
-        planned.piece.index: planned.fingerprint for planned in old.planned
-    }
-    reused: Set[int] = set()
-    rebuilt: Set[int] = set()
-    for position, planned in enumerate(new.planned):
-        if old_by_id.get(planned.piece.index) == planned.fingerprint:
-            reused.add(position)
-        else:
-            rebuilt.add(position)
-    return reused, rebuilt
+    return ShardPlan(kind=kind, shards=registration.shards, planned=planned)

@@ -86,9 +86,6 @@ class Schema:
         for attribute, value in zip(self.attributes, row):
             attribute.type.validate(value)
 
-    def project_positions(self, attributes: Sequence[str]) -> Tuple[int, ...]:
-        return tuple(self.position_of(a) for a in attributes)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Schema):
             return NotImplemented

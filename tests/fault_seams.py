@@ -128,8 +128,8 @@ class FaultyStore(ArtifactStore):
 
 def storm(cache: Any, shots: Shots, *, size: int = 4) -> None:
     """Wrap ``cache.put`` (on the instance): after each fired insert, the
-    ``size`` earliest other keys still cached are invalidated, racing the
-    engine's serve-plan watchers the way capacity evictions do."""
+    ``size`` earliest other keys still cached are invalidated, the way
+    capacity evictions drop entries under live serve plans."""
     put = cache.put
     inserted: List[Any] = []
 

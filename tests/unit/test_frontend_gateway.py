@@ -10,8 +10,10 @@ so these tests pin the *admission* semantics in isolation:
   more than ``max_inflight`` requests at once),
 * per-dataset isolation: one saturated dataset does not shed another's
   traffic,
-* protocol violations (unknown op, bad magic, oversized frame) answer
-  structurally instead of silently dropping the connection.
+* protocol violations (unknown op, mistyped header fields, bad magic,
+  oversized frame) answer structurally instead of silently dropping the
+  connection,
+* the admission map holds only datasets with requests in flight.
 """
 
 from __future__ import annotations
@@ -315,6 +317,51 @@ def test_non_numeric_deadline_is_a_protocol_error():
             assert "deadline_ms" in payload["message"]
         assert gateway.counters["protocol_errors"] == 1
         assert backend.headers == []
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("op", ["query"]),
+        ("dataset", [1, 2]),
+        ("dataset", {"a": 1}),
+        ("deadline_ms", True),
+    ],
+)
+def test_mistyped_header_field_is_a_protocol_error(field, value):
+    """Header fields are type-checked before admission hashes or compares
+    them: an error frame comes back, the backend sees nothing, and the same
+    connection then serves a valid frame."""
+    backend = _RecordingEchoBackend()
+    with serving(backend) as gateway:
+        with raw_connection(gateway) as stream:
+            header = {"op": "query", "rid": 1, "dataset": "d", field: value}
+            stream.write(protocol.pack_frame(header, {"kind": "k", "query": 1}))
+            stream.flush()
+            rheader, payload = _recv_error(stream)
+            assert rheader["rid"] == 1
+            assert payload["type"] == "ProtocolError"
+            assert backend.headers == []
+            _send(stream, "ping", 2, "")
+            frame = protocol.read_frame(stream)
+            assert frame is not None and frame[0]["ok"] is True
+        assert gateway.counters["protocol_errors"] == 1
+        assert [h["op"] for h in backend.headers] == ["ping"]
+
+
+def test_admission_map_forgets_idle_datasets():
+    """One admission entry per dataset in flight, not per name ever sent."""
+    with serving(_EchoBackend()) as gateway:
+        with raw_connection(gateway) as stream:
+            for rid in range(50):
+                _send(stream, "query", rid, f"d{rid}", {"kind": "k", "query": rid})
+                frame = protocol.read_frame(stream)
+                assert frame is not None and frame[0]["ok"] is True
+        # The entry goes after the answer is written: poll briefly.
+        deadline = time.monotonic() + 1
+        while gateway._admission and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert gateway._admission == {}
 
 
 def test_clean_disconnect_is_not_a_protocol_error():

@@ -1,7 +1,8 @@
 """Unit tests for the serving hot path (ISSUE 5).
 
-Covers the serve-plan fast path and its invalidation story (detach /
-cache eviction / apply_changes), the vectorized and chunked
+Covers the serve-plan fast path and its ownership story (a plan keeps what
+it captured until detach, whatever the cache evicts; apply_changes
+republishes mutable versions), the vectorized and chunked
 batch paths, the sharded per-thread query counters, and the
 query-racing-``detach`` regression: a query a caller's thread runs after
 detach must raise :class:`~repro.core.errors.UnknownDatasetError` cleanly,
@@ -134,20 +135,58 @@ def test_plan_is_cached_after_first_query_and_dropped_on_detach():
             ds.query("membership", 5)
 
 
-def test_eviction_drops_exactly_the_watching_plans():
-    """Keyed plan invalidation: evicting one structure drops the plans that
-    captured it -- eagerly, so even sessions never queried again release
-    their references -- while unrelated sessions keep their fast path."""
-    engine = _flat_engine(cache_entries=1)
-    ds = engine.attach("events", (5, 1, 4), kinds=["membership"])
-    assert ds.query("membership", 5) is True
-    assert "membership" in ds._plans
-    ds2 = engine.attach("arrays", (3, 1, 2), kinds=["rmq"])
-    assert ds2.query("rmq", (0, 2, 1)) is True  # evicts the membership build
-    assert ds._plans == {}  # dropped eagerly, not just marked stale
-    assert ds.query("membership", 1) is True  # rebuilt transparently
-    assert "membership" in ds._plans
-    engine.close()
+def test_live_plan_keeps_its_structure_through_evictions():
+    """A serve plan owns what it captured: evicting its structure from the
+    LRU leaves the plan in place, and its next query builds nothing."""
+    with _flat_engine(cache_entries=1) as engine:
+        ds = engine.attach("events", (5, 1, 4), kinds=["membership"])
+        assert ds.query("membership", 5) is True
+        plan = ds._plans["membership"]
+        ds2 = engine.attach("arrays", (3, 1, 2), kinds=["rmq"])
+        assert ds2.query("rmq", (0, 2, 1)) is True  # evicts the membership build
+        assert engine.stats().cache.evictions == 1
+        assert ds._plans["membership"] is plan
+        assert ds.query("membership", 1) is True
+        assert engine.stats().per_kind["membership"].builds == 1
+
+
+def test_live_sessions_past_cache_capacity_build_once_each():
+    """More live structures than ``cache_entries`` still serve from their
+    plans: 10 sessions over an 8-entry cache, queried round-robin, build
+    10 times -- not once per query as the LRU thrashes."""
+    with build_query_engine(cache_entries=8) as engine:
+        sessions = [
+            engine.attach(f"s{i}", tuple(range(i, i + 64)), kinds=["list-membership"])
+            for i in range(10)
+        ]
+        for _round in range(4):
+            for i, ds in enumerate(sessions):
+                assert ds.query("list-membership", i + 5) is True
+        stats = engine.stats()
+        assert stats.cache.evictions > 0
+        assert stats.per_kind["list-membership"].builds == 10
+
+
+def test_mutable_sharded_writes_cost_a_neighbour_no_rebuild():
+    """Fallback rebuilds of a mutable sharded session fill the shared LRU
+    past capacity; a warmed neighbour's plan keeps serving without a
+    rebuild."""
+    with build_query_engine() as engine:
+        rmq = engine.attach(
+            "array", tuple(range(256, 0, -1)), kinds=["minimum-range-query"]
+        ).warm()
+        events = engine.attach(
+            "events", tuple(range(4096)), kinds=["list-membership"],
+            shards=4, mutable=True,
+        )
+        assert events.query("list-membership", 7) is True
+        for value in range(80):
+            events.apply_changes([TupleChange(ChangeKind.INSERT, (10_000 + value,))])
+        assert events.query("list-membership", 10_079) is True
+        assert rmq.query("minimum-range-query", (0, 255, 255)) is True
+        stats = engine.stats()
+        assert stats.cache.evictions > 0
+        assert stats.per_kind["minimum-range-query"].builds == 1
 
 
 def test_eviction_of_unrelated_keys_spares_other_sessions_plans():
@@ -319,49 +358,6 @@ def test_stats_fold_across_threads_and_reset():
         assert ds.stats()["kinds"]["membership"]["queries"] == 1
 
 
-# -- eviction-listener hardening (ISSUE 7 satellite) ---------------------------
-
-
-def test_raising_eviction_listener_cannot_poison_cache_or_skip_keys():
-    """A listener that raises is contained: the cache lock stays healthy,
-    every evicted key is still notified (clear() reaches all of them), and
-    the failures are counted instead of propagated."""
-    from repro.service.cache import LRUArtifactCache
-
-    notified = []
-
-    def bad_listener(key):
-        notified.append(key)
-        raise RuntimeError(f"listener crashed on {key!r}")
-
-    cache = LRUArtifactCache(capacity=2)
-    cache.set_eviction_listener(bad_listener)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.put("c", 3)  # evicts "a"; the listener raises -- contained
-    assert notified == ["a"]
-    assert cache.get("c") == 3  # the lock survived: cache still usable
-    assert cache.invalidate("b") is True  # raises again -- still contained
-    cache.put("d", 4)
-    cache.clear()  # both remaining keys notified despite every call raising
-    assert sorted(notified) == ["a", "b", "c", "d"]
-    assert cache.stats().listener_errors == 4
-    cache.put("e", 5)  # and the cache keeps working after all of it
-    assert cache.get("e") == 5
-
-
-def test_listener_errors_surface_in_engine_health_rollup():
-    with _flat_engine(cache_entries=1) as engine:
-        engine._cache.set_eviction_listener(
-            lambda key: (_ for _ in ()).throw(RuntimeError("boom"))
-        )
-        data = tuple(range(32))
-        engine.attach("a", data, kinds=["membership"]).query("membership", 1)
-        engine.attach("b", tuple(range(16)), kinds=["rmq"]).query("rmq", (0, 3, 0))
-        health = engine.stats().stats_snapshot()["health"]
-        assert health["cache_listener_errors"] >= 1
-
-
 # -- stats shape under concurrency (ISSUE 7 satellite) -------------------------
 
 
@@ -369,7 +365,7 @@ def test_stats_snapshot_shape_stays_stable_under_concurrent_readers_and_writer()
     """``Dataset.stats()`` / ``stats_snapshot()`` keep their documented dict
     shape while reader threads hammer them against one mutating writer --
     no KeyError/RuntimeError out of half-updated counter state."""
-    health_keys = set(EngineStats.HEALTH_FIELDS) | {"cache_listener_errors"}
+    health_keys = set(EngineStats.HEALTH_FIELDS)
     with _flat_engine(max_workers=2) as engine:
         ds = engine.attach("events", (1, 2, 3), kinds=["membership"], mutable=True)
         ds.query("membership", 1)

@@ -17,7 +17,6 @@ import pytest
 from repro.catalog import build_query_engine
 from repro.core.cost import CostTracker
 from repro.core.errors import ServiceError
-from repro.incremental.changes import ChangeKind, TupleChange
 from repro.service.artifacts import ArtifactStore
 from repro.service.merge import (
     merge_sorted_desc,
@@ -27,13 +26,7 @@ from repro.service.merge import (
     stable_buckets,
     union_merge,
 )
-from repro.service.sharding import (
-    ShardedKernel,
-    ShardedStructure,
-    plan_diff,
-    plan_shards,
-    touched_shards,
-)
+from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
 from repro.storage.fingerprint import dataset_fingerprint
 
 SHARDABLE_KINDS = (
@@ -268,7 +261,7 @@ def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
         plan = plan_shards(kind, registration, data)
         sharded = ShardedStructure(
             plan, tuple(engine._resolve_shards(kind, registration, plan)))
-        assert sharded.built_count() == 4  # a full ShardedStructure
+        assert None not in sharded.structures  # a full ShardedStructure
         kernel = ShardedKernel(engine, kind, registration)
         for query in queries:
             assert kernel.one(sharded, query) == _ask(engine, kind, data, query)
@@ -322,10 +315,10 @@ def test_sharded_topk_rejects_invalid_k_like_monolithic():
 
 
 def test_point_change_rebuilds_only_its_block():
-    """Range policy: an in-place point write leaves K-1 block artifacts warm."""
+    """Range split: an in-place point write leaves K-1 block artifacts warm."""
     with build_query_engine() as engine:
         kind = "minimum-range-query"
-        query_class, scheme = engine.registration(kind)
+        query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 11, 4)
         before = engine.attach("before", data, kinds=[kind], shards=4).warm()
         assert engine.stats().per_kind[kind].shard_builds == 4
@@ -333,15 +326,7 @@ def test_point_change_rebuilds_only_its_block():
         changed = list(data)
         changed[20] = changed[20] - 1000  # block 1 of 4 (offsets 16..31)
         changed = tuple(changed)
-        registration = before.registration_for(kind)
         after = engine.attach("after", changed, kinds=[kind], shards=4)
-        old_plan = plan_shards(kind, registration, data)
-        new_plan = plan_shards(kind, registration, changed)
-        reused, rebuilt = plan_diff(old_plan, new_plan)
-        assert rebuilt == {1} and reused == {0, 2, 3}
-        # The spec's change router predicts the same shard.
-        assert touched_shards(old_plan, [20], scheme.sharding) == {1}
-
         after.warm()
         assert engine.stats().per_kind[kind].shard_builds == 5  # one rebuild, not four
         for query in queries:
@@ -350,39 +335,22 @@ def test_point_change_rebuilds_only_its_block():
 
 
 def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
-    """Hash policy: an incremental TupleChange batch routes to its buckets."""
+    """Hash split: an inserted row changes only its bucket's content key."""
     with build_query_engine() as engine:
         kind = "point-selection"
-        query_class, scheme = engine.registration(kind)
+        query_class, _ = engine.registration(kind)
         data, _ = query_class.sample_workload(80, 5, 1)
         ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         cold_builds = engine.stats().per_kind[kind].shard_builds
         assert cold_builds == 4
 
         row = (123456, 654321)
-        changes = [TupleChange(ChangeKind.INSERT, row)]
-        registration = ds.registration_for(kind)
-        old_plan = plan_shards(kind, registration, data)
-        predicted = touched_shards(old_plan, changes, scheme.sharding)
-        assert len(predicted) == 1
-
         data.insert(row)
         ds.detach()  # in-place mutation contract: detach, re-attach
         ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         stats = engine.stats().per_kind[kind]
-        assert stats.shard_builds == cold_builds + len(predicted)
+        assert stats.shard_builds == cold_builds + 1
         assert ds.query(kind, ("a", 123456)) is True
-
-
-def test_touched_shards_degrades_to_all_without_locate():
-    with build_query_engine() as engine:
-        kind = "minimum-range-query"
-        data = tuple(range(32))
-        registration = engine.attach("d", data, kinds=[kind], shards=4).registration_for(kind)
-        plan = plan_shards(kind, registration, data)
-        spec = registration.scheme.sharding
-        # An unroutable change (not an array position) is conservative.
-        assert touched_shards(plan, ["not-a-position"], spec) == {0, 1, 2, 3}
 
 
 def test_invalidate_drops_shard_plans_for_mutated_lists():
