@@ -37,8 +37,8 @@ This package persists built structures and serves query batches against them:
     :class:`ShardPlan` -- a dataset partitioned into K shards, each keyed by
     its own content fingerprint, so the engine resolves (and persists) every
     shard as an independent content-addressed artifact, building misses in
-    parallel; ``ShardedKernel`` answers over the resolved shards by
-    scatter-gather.
+    parallel; a session's serve plan resolves every shard once, when it is
+    built, and ``ShardedKernel`` answers over them by scatter-gather.
 
 :mod:`repro.service.frontend`
     The serving front: an asyncio TCP gateway (:class:`ServingFront`,

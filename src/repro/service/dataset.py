@@ -37,10 +37,11 @@ implementation per shape -- a kernel over an already-resolved structure:
 :class:`_MonolithicKernel` here,
 :class:`~repro.service.sharding.ShardedKernel` for scatter-gather.
 :meth:`Dataset._build_plan` is the only place on the read path that tests
-the shape: it picks the kernel and one of three plan classes, which differ
-only in *where the structure comes from* -- captured at plan build, captured
-per shard as routed queries touch it, or pinned per call from a mutable
-session's published version.
+the shape: it picks the kernel and one of two plan classes, which differ
+only in *where the structure comes from* -- resolved once through
+:meth:`Dataset._resolve` when an immutable plan is built (a sharded kind's
+whole shard plan), or pinned per call from a mutable session's published
+version.
 The session is also the one thing to ask: ``engine.dataset(name)`` returns
 it by name, and callers who want concurrency call it from their own threads.
 
@@ -75,11 +76,10 @@ from typing import (
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
-from repro.core.query import PiScheme
 from repro.incremental.changes import ChangeLog
 from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures
-from repro.service.sharding import ShardedKernel, ShardedStructure, ShardPlan, plan_shards
+from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -109,20 +109,10 @@ def _group_pairs(
     return groups
 
 
-def _bind_fast(scheme: PiScheme, structure: Any) -> Tuple[Callable, Callable]:
-    """``(answer_one, answer_many)`` bound to one resolved structure.
-
-    When the scheme has no query rewriting, the callables bind the untracked
-    kernels directly (one C-level partial call per query); otherwise they go
-    through :meth:`~repro.core.query.PiScheme.answer_fast` /
-    :meth:`~repro.core.query.PiScheme.answer_many`, which apply the rewrite.
-    """
-    if scheme.rewrite_query is None and scheme.evaluate_fast is not None:
-        answer_one = partial(scheme.evaluate_fast, structure)
-        if scheme.evaluate_many is not None:
-            return answer_one, partial(scheme.evaluate_many, structure)
-        return answer_one, partial(scheme.answer_many, structure)
-    return partial(scheme.answer_fast, structure), partial(scheme.answer_many, structure)
+def _folds_in_place(registration: "_Registration") -> bool:
+    """Whether a mutable session folds change batches into this kind's
+    structure in place: delta-capable monolithic kinds only."""
+    return registration.shards == 1 and registration.scheme.apply_delta is not None
 
 
 class _MonolithicKernel:
@@ -131,7 +121,8 @@ class _MonolithicKernel:
     The kernel seam every storage shape shares
     (:class:`~repro.service.sharding.ShardedKernel` is the sharded one): a
     plan decides only *where the structure comes from*, then answers through
-    ``one(structure, query, tracker=None)`` / ``many(structure, queries)``.
+    ``one(structure, query, tracker=None)`` / ``many(structure, queries)``,
+    or binds both to one structure with :meth:`bind`.
     Here those are the scheme's own entry points -- ``tracker is None``
     selects the untracked ``answer_fast``, any tracker the cost-charging
     ``answer``.  Pure evaluation: callers time the call and report it
@@ -154,16 +145,34 @@ class _MonolithicKernel:
             return self.scheme.answer_fast(structure, query)
         return self.scheme.answer(structure, query, tracker)
 
+    def bind(self, structure: Any) -> Tuple[Callable, Callable]:
+        """``(answer_one, answer_many)`` bound to one resolved structure.
+
+        When the scheme has no query rewriting, the callables bind the
+        untracked kernels directly (one C-level partial call per query);
+        otherwise they go through :meth:`~repro.core.query.PiScheme.answer_fast`
+        / :meth:`~repro.core.query.PiScheme.answer_many`, which apply the
+        rewrite.
+        """
+        scheme = self.scheme
+        if scheme.rewrite_query is None and scheme.evaluate_fast is not None:
+            answer_one = partial(scheme.evaluate_fast, structure)
+            if scheme.evaluate_many is not None:
+                return answer_one, partial(scheme.evaluate_many, structure)
+            return answer_one, partial(scheme.answer_many, structure)
+        return partial(scheme.answer_fast, structure), partial(scheme.answer_many, structure)
+
 
 class _ServePlan:
-    """A (session, kind) hot-path binding: resolution captured once.
+    """An immutable (session, kind) hot-path binding: resolution captured once.
 
-    ``answer``/``answer_many`` are the untracked kernels bound to the
-    resolved structure (binding is what capture means for a monolithic
-    kind); :meth:`serve`/:meth:`serve_many` time *only* the kernel call
-    (resolution was paid at plan build and is accounted as build/hit, never
-    serve) and record on the engine's lock-free counters.
-    :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
+    The plan of every immutable kind: ``answer``/``answer_many`` are the
+    kernel's untracked evaluators bound to the structure resolved at plan
+    build (a sharded kind's whole
+    :class:`~repro.service.sharding.ShardedStructure`).
+    :meth:`serve`/:meth:`serve_many` time *only* the kernel call (resolution
+    is accounted as build/hit, never serve) and report through the kernel's
+    ``settle``.  :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
     structure.  The plan owns what it captured: it keeps the structure
     until the session detaches, whatever the engine's LRU cache evicts (the
     cache only deduplicates loads and builds across sessions).
@@ -171,14 +180,12 @@ class _ServePlan:
 
     __slots__ = ("_engine", "_kind", "_kernel", "_structure", "answer", "answer_many")
 
-    def __init__(
-        self, engine: "QueryEngine", kind: str, kernel: _MonolithicKernel, structure: Any
-    ) -> None:
+    def __init__(self, engine: "QueryEngine", kind: str, kernel: Any, structure: Any) -> None:
         self._engine = engine
         self._kind = kind
         self._kernel = kernel
         self._structure = structure
-        self.answer, self.answer_many = _bind_fast(kernel.scheme, structure)
+        self.answer, self.answer_many = kernel.bind(structure)
 
     def resolve(self) -> Any:
         """The structure this plan captured at build."""
@@ -194,9 +201,7 @@ class _ServePlan:
             # exception.
             self._engine._bump(self._kind, serve_errors=1)
             raise
-        self._engine._count_serve(
-            self._kind, queries=1, serve_seconds=time.perf_counter() - started
-        )
+        self._kernel.settle(1, time.perf_counter() - started)
         return answer
 
     def serve_many(self, queries: Sequence[Any]) -> List[bool]:
@@ -206,11 +211,7 @@ class _ServePlan:
         except Exception:
             self._engine._bump(self._kind, serve_errors=len(queries))
             raise
-        self._engine._count_serve(
-            self._kind,
-            queries=len(queries),
-            serve_seconds=time.perf_counter() - started,
-        )
+        self._kernel.settle(len(queries), time.perf_counter() - started)
         return answers
 
     def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
@@ -222,87 +223,6 @@ class _ServePlan:
             raise
         self._kernel.settle(1, time.perf_counter() - started)
         return answer
-
-
-class _ShardedServe:
-    """The serve plan of a sharded kind: plan + lazily captured structures.
-
-    Routing is preserved (a membership probe still scatters to one hash
-    bucket), so structures are captured per shard *as routed queries touch
-    them* -- resolution goes through the engine's ordinary per-shard layers
-    exactly once per shard (accounted as shard build/hit, outside the serve
-    timer), after which the steady-state path, tracked or not, is the
-    kernel's route + scatter over the captured list, with no cache probes
-    and no locks.  :meth:`resolve` (``warm``) captures every shard still
-    missing into the same list, so a warmed plan probes nothing.  Like
-    :class:`_ServePlan`, the plan keeps every shard it captured until the
-    session detaches; cache evictions do not touch it.
-    """
-
-    __slots__ = ("_engine", "_kind", "_registration", "_kernel",
-                 "_plan", "_structures", "_empty")
-
-    def __init__(
-        self,
-        engine: "QueryEngine",
-        kind: str,
-        registration: "_Registration",
-        kernel: ShardedKernel,
-        shard_plan: ShardPlan,
-    ) -> None:
-        self._engine = engine
-        self._kind = kind
-        self._registration = registration
-        self._kernel = kernel
-        self._plan = shard_plan
-        self._structures: List[Optional[Any]] = [None] * len(shard_plan.planned)
-        self._empty = [piece.is_empty() for piece in shard_plan.pieces]
-
-    def _capture(self, missing: Sequence[int]) -> None:
-        """Resolve still-missing shard structures into the captured list."""
-        resolved = self._engine._resolve_shards(
-            self._kind, self._registration, self._plan, missing
-        )
-        for position in missing:
-            self._structures[position] = resolved[position]
-
-    def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
-        kernel = self._kernel
-        effective, positions = kernel.route(self._plan, query)
-        structures = self._structures
-        missing = [
-            position
-            for position in positions
-            if structures[position] is None and not self._empty[position]
-        ]
-        if missing:
-            self._capture(missing)
-        started = time.perf_counter()
-        try:
-            answer = kernel.scatter(self._plan, structures, positions, effective, tracker)
-        except Exception:
-            self._engine._bump(self._kind, serve_errors=1)
-            raise
-        kernel.settle(1, time.perf_counter() - started)
-        return answer
-
-    serve_tracked = serve
-
-    def serve_many(self, queries: Sequence[Any]) -> List[bool]:
-        serve = self.serve
-        return [serve(query) for query in queries]
-
-    def resolve(self) -> ShardedStructure:
-        """Capture every shard still missing (misses build in parallel)."""
-        structures = self._structures
-        missing = [
-            position
-            for position, empty in enumerate(self._empty)
-            if not empty and structures[position] is None
-        ]
-        if missing:
-            self._capture(missing)
-        return ShardedStructure(self._plan, tuple(structures))
 
 
 class _MutableServe:
@@ -550,11 +470,11 @@ class Dataset:
 
         Steady state is the hot path: one serve-plan dict hit plus one
         untracked kernel call (the plan captured the registration and the
-        resolved structure at first use).  The first query per kind -- and
-        any query after a plan invalidation -- walks the engine's ordinary
-        artifact layers (cache -> store -> build) with the precomputed
-        identity; mutable sessions answer lock-free against the latest
-        published (fully-applied) version.
+        resolved structure at first use).  The first query per kind walks
+        the engine's ordinary artifact layers (cache -> store -> build; every
+        shard of a sharded kind) with the precomputed identity; mutable
+        sessions answer lock-free against the latest published
+        (fully-applied) version.
         """
         plan = self._plans.get(kind)
         if plan is None:
@@ -596,24 +516,20 @@ class Dataset:
         or sharded: *how* an answer is evaluated) and the plan class (*where*
         the structure comes from).
 
-        Monolithic resolution happens exactly once, here, through the
-        accounted engine layers (cache -> store -> build); sharded and
-        mutable plans capture structures lazily as queries touch them.
+        An immutable kind resolves exactly once, here, through
+        :meth:`_resolve` (every shard of a sharded kind, misses built in
+        parallel); a mutable plan pins a published version per call and
+        materializes a kind on first touch.
         """
         engine = self._engine
         registration = self.registration_for(kind)
-        sharded = registration.shards > 1
-        kernel = (ShardedKernel if sharded else _MonolithicKernel)(
+        kernel = (ShardedKernel if registration.shards > 1 else _MonolithicKernel)(
             engine, kind, registration
         )
         if self._mutable is not None:
             plan: Any = _MutableServe(engine, self._mutable, kind, kernel)
-        elif sharded:
-            shard_plan = plan_shards(kind, registration, self._data)
-            plan = _ShardedServe(engine, kind, registration, kernel, shard_plan)
         else:
-            key = self.artifact_key(kind)
-            structure = engine._resolve_by_key(kind, registration, key, self._data)[0]
+            structure = self._resolve(kind, self._data, self._fingerprint)[0]
             plan = _ServePlan(engine, kind, kernel, structure)
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
@@ -622,6 +538,25 @@ class Dataset:
             if not self._detached:
                 self._plans[kind] = plan
         return plan
+
+    def _resolve(
+        self, kind: str, content: Any, fingerprint: Optional[str] = None
+    ) -> Tuple[Any, str, Optional[bytes]]:
+        """``(structure, source, blob)`` serving ``kind`` over ``content``:
+        the one resolution per storage shape, through the engine's layers
+        (cache -> store -> build).  A monolithic kind resolves by artifact key
+        (an O(|D|) hash unless ``fingerprint`` is given); a sharded kind as a
+        :class:`~repro.service.sharding.ShardedStructure` of every shard,
+        misses built in parallel (source ``"shards"``, no blob).
+        """
+        engine = self._engine
+        registration = self.registration_for(kind)
+        if registration.shards > 1:
+            plan = plan_shards(kind, registration, content)
+            structures = tuple(engine._resolve_shards(kind, registration, plan))
+            return ShardedStructure(plan, structures), "shards", None
+        key = registration.key(fingerprint or dataset_fingerprint(content))
+        return engine._resolve_by_key(kind, registration, key, content)
 
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.
@@ -806,15 +741,9 @@ class _MutableState:
                 content, fingerprint = self._content.canonical(), None
             registration = self._ds.registration_for(kind)
             scheme, dumps, loads = registration.scheme, 0, 0
-            if registration.shards > 1:
-                source, blob = "shards", None
-                structure = self._resolve_sharded(kind, content)
-            else:
-                key = registration.key(fingerprint or dataset_fingerprint(content))
-                structure, source, blob = self._engine._resolve_by_key(
-                    kind, registration, key, content)
+            structure, source, blob = self._ds._resolve(kind, content, fingerprint)
             twin = structure
-            if registration.shards == 1 and scheme.apply_delta is not None:
+            if _folds_in_place(registration):
                 if blob is None:
                     blob, dumps = scheme.dump(structure), 1
                 structure, twin, loads = scheme.load(blob), scheme.load(blob), 2
@@ -823,15 +752,6 @@ class _MutableState:
                        kind, versions.current.number, source, dumps, loads,
                        (time.perf_counter() - started) * 1000.0)
             return structure
-
-    def _resolve_sharded(self, kind: str, content: Any) -> ShardedStructure:
-        """Every shard of ``content`` for ``kind``, through the engine's
-        layers: untouched shards of a changed content are cache/store hits."""
-        registration = self._ds.registration_for(kind)
-        plan = plan_shards(kind, registration, content)
-        return ShardedStructure(
-            plan, tuple(self._engine._resolve_shards(kind, registration, plan))
-        )
 
     def _twin(self, kind: str, structure: Any) -> Any:
         """The offline-side twin of a published structure for ``kind``.
@@ -843,9 +763,9 @@ class _MutableState:
         mutates it in place.
         """
         registration = self._ds.registration_for(kind)
-        scheme = registration.scheme
-        if registration.shards > 1 or scheme.apply_delta is None:
+        if not _folds_in_place(registration):
             return structure
+        scheme = registration.scheme
         return scheme.load(scheme.dump(structure))
 
     def _preprocess(self, kind: str, content: Any) -> Any:
@@ -937,11 +857,10 @@ class _MutableState:
             torn_kinds: List[str] = []
             for kind in sorted(offline):
                 registration = self._ds.registration_for(kind)
-                scheme = registration.scheme
-                if registration.shards == 1 and scheme.apply_delta is not None:
+                if _folds_in_place(registration):
                     started = time.perf_counter()
                     try:
-                        offline[kind] = scheme.apply_delta(
+                        offline[kind] = registration.scheme.apply_delta(
                             offline[kind], effective, self.tracker
                         )
                         delta_kinds.append((kind, time.perf_counter() - started))
@@ -971,7 +890,7 @@ class _MutableState:
                 for index, kind in enumerate(rebuild_kinds):
                     try:
                         if self._ds.registration_for(kind).shards > 1:
-                            fresh = self._resolve_sharded(kind, canonical)
+                            fresh = self._ds._resolve(kind, canonical)[0]
                         else:
                             fresh = self._preprocess(kind, canonical)
                     except Exception as exc:

@@ -45,8 +45,9 @@ queries never reach this module's resolution layers.
 whose scheme declares a :class:`~repro.service.merge.ShardSpec` it swaps
 monolithic resolution for :meth:`QueryEngine._resolve_shards` over a
 :func:`~repro.service.sharding.plan_shards` plan -- K per-shard structures
-through the same cache -> store -> build layers, misses built in parallel on
-the engine's shard-build pool -- and evaluation for the
+through the same cache -> store -> build layers, all resolved once when the
+session's serve plan is built, misses in parallel on the engine's
+shard-build pool -- and evaluation for the
 :class:`~repro.service.sharding.ShardedKernel`'s scatter-gather.
 
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
@@ -656,9 +657,9 @@ class QueryEngine:
     ) -> Tuple[Any, str, Optional[bytes]]:
         """Monolithic cache -> store -> build resolution for a known key.
 
-        Shared by serve-plan capture and by mutable-session materialization
-        (:mod:`repro.service.dataset`), so the probe / stat-bump / miss
-        sequence exists exactly once (returns :meth:`_resolve_miss`'s triple).
+        Called only by ``Dataset._resolve`` (:mod:`repro.service.dataset`),
+        so the probe / stat-bump / miss sequence exists exactly once (returns
+        :meth:`_resolve_miss`'s triple).
         """
         structure = self._cache.get(key)
         if structure is not None:
@@ -671,19 +672,16 @@ class QueryEngine:
         kind: str,
         registration: _Registration,
         plan: "ShardPlan",
-        positions: Optional[Sequence[int]] = None,
     ) -> List[Optional[Any]]:
         """Per-shard twin of :meth:`_resolve_by_key`: a plan-length list with
-        the structures at ``positions`` (default all), ``None`` elsewhere and
-        for empty pieces.  Two or more misses build on the engine's own pool,
-        never a caller's (whose workers could all end up waiting on builds
-        it cannot schedule); build tasks submit nothing, so it cannot
-        deadlock against itself."""
+        every shard's structure, ``None`` for empty pieces.  Two or more
+        misses build on the engine's own pool, never a caller's (whose
+        workers could all end up waiting on builds it cannot schedule);
+        build tasks submit nothing, so it cannot deadlock against itself."""
         planned = plan.planned
         structures: List[Optional[Any]] = [None] * len(planned)
         misses: List[Tuple[int, ArtifactKey]] = []
-        for position in range(len(planned)) if positions is None else positions:
-            shard = planned[position]
+        for position, shard in enumerate(planned):
             if shard.piece.is_empty():
                 continue
             key = registration.shard_key(plan, shard)

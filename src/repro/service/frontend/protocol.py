@@ -252,10 +252,16 @@ def _dumps(obj: Any, codec: int) -> bytes:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
 
 
+def _refuse_constant(name: str) -> Any:
+    # json.loads accepts NaN / Infinity / -Infinity, which _dumps refuses to
+    # write: decode only what the encoder can produce.
+    raise ProtocolError(f"non-finite number {name} is not valid JSON")
+
+
 def _loads(raw: bytes, codec: int) -> Any:
     _check_codec(codec)
     try:
-        return json.loads(raw.decode("utf-8"))
+        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
 

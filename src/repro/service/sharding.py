@@ -7,10 +7,11 @@ a pure function of (content, K).  The engine resolves each shard through
 the same cache -> store -> build layers as a monolithic structure
 (``QueryEngine._resolve_shards``, misses built *in parallel* on the
 engine's shard-build pool), so every shard is an independent
-:class:`~repro.service.artifacts.ArtifactStore` artifact.  Answering is the
-:class:`ShardedKernel`'s job: rewrite and route a query once, then one
-scatter loop over whatever resolved shard structures the caller holds,
-gathered through the scheme's merge operator.
+:class:`~repro.service.artifacts.ArtifactStore` artifact.  A session's
+serve plan resolves every shard once, when the plan is built.  Answering is
+the :class:`ShardedKernel`'s job: rewrite and route a query once, then one
+scatter loop over the resolved :class:`ShardedStructure`, gathered through
+the scheme's merge operator.
 
 Shard artifacts are **content-addressed**: each is keyed by the shard's own
 dataset fingerprint plus ``(shard id, K, scheme, params)``.  That is what
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Any, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import NULL_TRACKER
 from repro.core.errors import InjectedFaultError, ShardFailedError
@@ -136,9 +137,10 @@ class ShardedKernel:
 
     The sharded counterpart of calling ``scheme.answer_fast`` / ``answer`` /
     ``answer_many`` on a monolithic structure: an answer is a function of
-    *(structures, query)* and nothing else, so every serve plan -- lazily
-    captured shards, or a :class:`ShardedStructure` pinned from a mutable
-    version -- evaluates through this one object.  ``tracker is None``
+    *(structures, query)* and nothing else, so every serve plan -- the
+    :class:`ShardedStructure` an immutable plan resolved at build (through
+    :meth:`bind`), or one pinned from a mutable version -- evaluates
+    through this one object.  ``tracker is None``
     selects the untracked partials (the production path); any tracker
     selects the cost-charging evaluator the certifier measures.  Pure
     evaluation: nothing here touches the serving counters except the health
@@ -156,28 +158,12 @@ class ShardedKernel:
         self._spec = registration.scheme.sharding
         self.settle = partial(engine._count_serve, kind, sharded=True)
 
-    def route(self, plan: ShardPlan, query: Any) -> Tuple[Any, Sequence[int]]:
-        """``(rewritten query, plan positions it scatters to)``."""
-        rewrite = self._scheme.rewrite_query
-        effective = query if rewrite is None else rewrite(query)
-        route = self._spec.route
-        if route is None:
-            return effective, range(len(plan.planned))
-        return effective, list(route(effective, plan.pieces))
+    def one(self, sharded: ShardedStructure, query: Any, tracker: Any = None) -> bool:
+        """Answer one query: rewrite and route it once, then evaluate one
+        partial per routed shard and gather them.
 
-    def scatter(
-        self,
-        plan: ShardPlan,
-        structures: Sequence[Optional[Any]],
-        positions: Iterable[int],
-        effective_query: Any,
-        tracker: Any = None,
-    ) -> bool:
-        """Evaluate one partial per routed position and gather them.
-
-        ``effective_query`` must already be rewritten (see :meth:`route`).
-        ``None`` structures contribute the merge operator's ``empty``
-        partial.  A shard whose evaluator raises
+        ``None`` structures (empty pieces) contribute the merge operator's
+        ``empty`` partial.  A shard whose evaluator raises
         :class:`~repro.core.errors.InjectedFaultError` (the lost-shard
         signal; the failure-model tests raise it from a wrapped per-shard
         evaluator) goes through :func:`_lost_shard_outcome`, once the loop
@@ -185,7 +171,15 @@ class ShardedKernel:
         errors, library bugs) keeps propagating unchanged -- misuse must
         stay loud, not partial.
         """
-        merge = self._spec.merge
+        plan, structures = sharded.plan, sharded.structures
+        rewrite = self._scheme.rewrite_query
+        effective_query = query if rewrite is None else rewrite(query)
+        spec = self._spec
+        positions = (
+            range(len(structures)) if spec.route is None
+            else spec.route(effective_query, plan.pieces)
+        )
+        merge = spec.merge
         merge_partial = merge.partial
         evaluate = self._scheme.evaluate
         evaluate_fast = self._scheme.evaluate_fast if tracker is None else None
@@ -219,16 +213,15 @@ class ShardedKernel:
             )
         return bool(merge.combine(partials, effective_query))
 
-    def one(self, sharded: ShardedStructure, query: Any, tracker: Any = None) -> bool:
-        """Answer one query: rewrite + route once, then :meth:`scatter`."""
-        plan = sharded.plan
-        effective, positions = self.route(plan, query)
-        return self.scatter(plan, sharded.structures, positions, effective, tracker)
-
     def many(self, sharded: ShardedStructure, queries: Sequence[Any]) -> List[bool]:
         """Untracked answers for a same-kind group, in input order."""
         one = self.one
         return [one(sharded, query) for query in queries]
+
+    def bind(self, sharded: ShardedStructure) -> Tuple[Callable, Callable]:
+        """``(answer_one, answer_many)`` bound to one resolved
+        :class:`ShardedStructure` -- what an immutable serve plan calls."""
+        return partial(self.one, sharded), partial(self.many, sharded)
 
 
 def plan_shards(kind: str, registration: "_Registration", data: Any) -> ShardPlan:

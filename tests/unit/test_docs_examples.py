@@ -70,3 +70,82 @@ def test_every_cited_repository_path_exists():
                 if not (any(REPO_ROOT.glob(cited)) or any(source.parent.glob(cited))):
                     dangling.append(f"{source.relative_to(REPO_ROOT)}:{number}: {cited}")
     assert not dangling, "\n".join(dangling)
+
+
+#: A backticked span or a parenthesis, in reading order.
+_MAP_TOKEN = re.compile(r"`([^`]+)`|([()])")
+_IDENTIFIER = re.compile(r"[A-Za-z_][\w.]*")
+
+
+def _expand(path: str) -> list:
+    """``a/{b,c}.py`` -> ``[a/b.py, a/c.py]``; anything else as is."""
+    group = re.search(r"\{([^{}]*)\}", path)
+    if group is None:
+        return [path]
+    return [
+        expanded
+        for choice in group.group(1).split(",")
+        for expanded in _expand(path[: group.start()] + choice + path[group.end():])
+    ]
+
+
+def _paper_map_claims(cell: str):
+    """``(path, identifier)`` for every backticked identifier inside the
+    parentheses that directly follow a single ``.py`` path; a path nested
+    in those parentheses owns the identifiers after it."""
+    owners: list = []  # per open parenthesis: the .py path it belongs to
+    last_path, last_end = None, 0
+    for match in _MAP_TOKEN.finditer(cell):
+        span, paren = match.groups()
+        if paren == "(":
+            follows = last_path is not None and not cell[last_end:match.start()].strip()
+            owners.append(last_path if follows else None)
+        elif paren == ")":
+            if owners:
+                owners.pop()
+        elif "/" in span:
+            single = span.endswith(".py") and not re.search(r"[{*]", span)
+            if owners:
+                owners[-1] = span if single else None
+            last_path, last_end = (span if single else None), match.end()
+            continue
+        elif owners and owners[-1] is not None and _IDENTIFIER.fullmatch(span):
+            yield owners[-1], span
+        last_path = None
+
+
+def _repo_matches(path: str) -> list:
+    """Files or directories ``path`` names, read from the repo root,
+    ``src/`` or ``src/repro/`` (how paper_map.md abbreviates them)."""
+    return [
+        match
+        for base in (REPO_ROOT, REPO_ROOT / "src", REPO_ROOT / "src" / "repro")
+        for expanded in _expand(path)
+        for match in base.glob(expanded.rstrip("/"))
+    ]
+
+
+def test_paper_map_names_only_code_that_exists():
+    """Every path in a paper_map.md table exists, and every identifier it
+    cites in parentheses after a ``.py`` path is a word of that file."""
+    text = (REPO_ROOT / "docs" / "paper_map.md").read_text(encoding="utf-8")
+    checked, stale = 0, []
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.startswith("|"):
+            continue
+        for cell in line.strip("|").split("|"):
+            for span in re.findall(r"`([^`]+)`", cell):
+                if "/" in span and " " not in span:
+                    checked += 1
+                    if not _repo_matches(span):
+                        stale.append(f"paper_map.md:{number}: no path {span}")
+            for path, identifier in _paper_map_claims(cell):
+                checked += 1
+                sources = _repo_matches(path)  # none: reported as a path above
+                words = {word for source in sources
+                         for word in re.findall(r"\w+", source.read_text(encoding="utf-8"))}
+                missing = [part for part in identifier.split(".") if part not in words]
+                if missing:
+                    stale.append(f"paper_map.md:{number}: {path} has no {identifier}")
+    assert checked > 100  # the parser still finds the tables
+    assert not stale, "\n".join(stale)

@@ -26,7 +26,7 @@ import time
 
 import pytest
 
-from repro.core.errors import UnknownDatasetError
+from repro.core.errors import ProtocolError, UnknownDatasetError
 from repro.service.frontend import protocol
 from repro.service.frontend.server import Gateway, GatewayConfig
 
@@ -347,6 +347,31 @@ def test_mistyped_header_field_is_a_protocol_error(field, value):
             assert frame is not None and frame[0]["ok"] is True
         assert gateway.counters["protocol_errors"] == 1
         assert [h["op"] for h in backend.headers] == ["ping"]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_literal_is_a_protocol_error(literal):
+    """The decoder reads only what the encoder can write: a header carrying
+    a non-finite literal takes the malformed-frame path instead of reaching
+    admission or the backend."""
+    backend = _RecordingEchoBackend()
+    raw = ('{"op":"query","rid":1,"dataset":"d","deadline_ms":%s}' % literal).encode()
+    body = protocol.encode_body({"kind": "k", "query": 1})
+    with serving(backend) as gateway:
+        with raw_connection(gateway) as stream:
+            stream.write(
+                protocol._PREFIX.pack(protocol.MAGIC, protocol.PROTOCOL_VERSION,
+                                      protocol.CODEC_JSON, len(raw), len(body))
+                + raw + body
+            )
+            stream.flush()
+            _, payload = _recv_error(stream)
+            assert payload["type"] == "ProtocolError"
+            assert protocol.read_frame(stream) is None
+        assert gateway.counters["protocol_errors"] == 1
+        assert backend.headers == []
+    with pytest.raises(ProtocolError):
+        protocol.decode_body(b'{"$":"l","v":[%s]}' % literal.encode())
 
 
 def test_admission_map_forgets_idle_datasets():

@@ -210,13 +210,14 @@ def test_query_tracked_runs_the_analytic_evaluator_on_mutable_sessions():
 
 
 def test_serve_seconds_excludes_first_touch_build_time():
-    """Lazy resolution inside the serve plans (cold shards, mutable first
-    touch) must land in build counters, never in serve_seconds."""
+    """Resolution on a plan's first query (a sharded plan's every shard,
+    mutable first touch) must land in build counters, never in
+    serve_seconds."""
     with _flat_engine() as engine:
         # 2^16 values: a shard build (~1 ms) dwarfs one probe (~1 us) even
         # when a scheduler hiccup lands on the probe.
         ds = engine.attach("events", tuple(range(1 << 16)), kinds=["membership"], shards=4)
-        assert ds.query("membership", 17) is True  # builds its routed shard
+        assert ds.query("membership", 17) is True  # builds every shard
         stats = ds.stats()["kinds"]["membership"]
         assert stats["shard_build_seconds"] > 0
         assert stats["serve_seconds"] < stats["shard_build_seconds"]

@@ -244,8 +244,36 @@ def test_routed_membership_probes_one_shard():
     with build_query_engine() as engine:
         cold = engine.attach("cold", data, kinds=[kind], shards=4)
         assert cold.query(kind, 100) is True
-        # Cold: lazy routed capture builds only the bucket the query touches.
-        assert engine.stats().per_kind[kind].shard_builds == 1
+        # Cold: the first query resolves the whole shard plan, like warm().
+        assert engine.stats().per_kind[kind].shard_builds == 4
+        engine.reset_stats()
+        probes = {stable_bucket(value, 4): value for value in data}
+        assert sorted(probes) == [0, 1, 2, 3]
+        for value in probes.values():
+            assert cold.query(kind, value) is True
+        stats = engine.stats().per_kind[kind]
+        # One probe into each bucket: no build, no cache probe.
+        assert (stats.shard_cache_hits, stats.shard_builds, stats.queries) == (0, 0, 4)
+
+
+def test_sharded_plan_resolves_every_shard_once_at_build():
+    """After one cold query the serve plan holds one ShardedStructure with
+    every non-empty shard resolved; resolve() returns that same object."""
+    with build_query_engine() as engine:
+        kind = "list-membership"
+        ds = engine.attach("d", (1, 2, 3, 5, 8, 13), kinds=[kind], shards=4)
+        assert ds.query(kind, 5) is True
+        built = engine.stats().per_kind[kind].shard_builds
+        plan = ds._plan(kind)
+        sharded = plan.resolve()
+        assert plan.resolve() is sharded
+        non_empty = [
+            structure
+            for shard, structure in zip(sharded.plan.planned, sharded.structures)
+            if not shard.piece.is_empty()
+        ]
+        assert None not in non_empty
+        assert built == len(non_empty)  # all built by the first query
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():

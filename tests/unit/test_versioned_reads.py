@@ -280,6 +280,27 @@ def test_serve_errors_counted_for_immutable_plans_and_handles():
         ds.detach()
 
 
+@pytest.mark.parametrize("shards, mutable", [(1, False), (4, False), (1, True), (4, True)])
+def test_serve_errors_counted_for_every_storage_shape(shards, mutable):
+    """A malformed query that fails while being routed or evaluated is
+    counted on every shape: single, tracked and batch serves alike."""
+    from repro.core.errors import IndexError_
+
+    kind, bad = "minimum-range-query", (5, 2, 3)
+    with build_query_engine() as engine:
+        ds = engine.attach(
+            "d", tuple(range(64)), kinds=[kind], shards=shards, mutable=mutable
+        )
+        with pytest.raises(IndexError_):
+            ds.query(kind, bad)
+        with pytest.raises(IndexError_):
+            ds.query_tracked(kind, bad, CostTracker())
+        with pytest.raises(IndexError_):
+            ds.query_batch([(kind, (0, 3, 1)), (kind, (2, 9, 4)), (kind, bad)])
+        stats = engine.stats().per_kind[kind]
+        assert (stats.serve_errors, stats.queries) == (5, 0)
+
+
 def test_serve_errors_is_a_health_field():
     assert "serve_errors" in EngineStats.HEALTH_FIELDS
 
