@@ -84,24 +84,6 @@ class UnknownDatasetError(ServiceError):
     ``except ServiceError`` handlers keep catching it."""
 
 
-class InjectedFaultError(ReproError):
-    """The lost-shard signal: a per-shard evaluator that raises it marks
-    its shard as lost, and the scatter loop answers by the kind's merge
-    family (a union degrades explicitly, a monoid or k-way merge raises
-    :class:`ShardFailedError`).  The failure-model tests raise it from
-    wrapped evaluators.  Deliberately *outside* the ``ServiceError``/
-    ``ArtifactError`` branches: recovery code tells a lost shard from a
-    genuine query error (e.g. :class:`IndexError_`), which must keep
-    propagating unchanged."""
-
-
-class ShardFailedError(ServiceError):
-    """Raised when scatter-gather loses a shard and the kind's merge
-    family cannot tolerate a missing partial (monoid combine and k-way
-    merge need *every* shard; only union kinds may degrade to an
-    explicit partial answer)."""
-
-
 class ProtocolError(ServiceError):
     """Raised by the serving front's wire protocol
     (:mod:`repro.service.frontend.protocol`) on malformed, oversized,

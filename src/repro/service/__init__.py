@@ -92,11 +92,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.errors": (
         "ReproError", "ServiceError", "UnknownDatasetError", "ArtifactError",
         "ArtifactCorruptionError", "ArtifactVersionError", "DeltaError",
-        "InjectedFaultError", "ShardFailedError", "ProtocolError",
+        "ProtocolError",
         "OverloadedError", "WorkerFailedError",
     ),
     # the failure model's product side (see docs/architecture.md)
-    "repro.service.faults": ("RecoveryPolicy", "DegradedAnswer"),
+    "repro.service.faults": ("RecoveryPolicy",),
     "repro.catalog": ("build_query_engine",),
     "repro.service.frontend": (
         "ServingFront", "GatewayConfig", "Supervisor", "RemoteClient", "RemoteDataset",

@@ -145,10 +145,6 @@ class SchemeStats:
     slow_loads: int = 0
     #: Extra load attempts made after a corrupt read before rebuilding.
     rebuild_retries: int = 0
-    #: Scatter-gather answers served partial (union kinds, shards missing).
-    degraded_answers: int = 0
-    #: Shard partials lost to a fault on fail-fast (monoid/k-way) kinds.
-    shard_failures: int = 0
     #: apply_changes batches whose structure was repaired by rebuild after
     #: a mid-batch failure (the torn-snapshot guard).
     write_rollbacks: int = 0
@@ -196,8 +192,6 @@ class EngineStats:
         "checksum_failures",
         "slow_loads",
         "rebuild_retries",
-        "degraded_answers",
-        "shard_failures",
         "write_rollbacks",
         "persist_failures",
         "serve_errors",

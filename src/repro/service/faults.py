@@ -1,26 +1,25 @@
-"""The failure model's product side: the recovery policy and the degraded answer.
+"""The failure model's product side: the serving front's recovery policy.
 
 Π(D) is a deterministic PTIME function of D, so a stored artifact is a pure
 cache and every recovery is ordinary serving behaviour -- retry the read,
-rebuild, degrade loudly, or re-home by replay (see ``docs/architecture.md``,
-"Failure model").  Two of its pieces are types a caller can meet:
+rebuild, or re-home by replay (see ``docs/architecture.md``, "Failure
+model").  An answer is exactly the naive one or an exception: nothing here
+marks an answer partial.
 
 :class:`RecoveryPolicy`
     The serving front's recovery budget: worker restarts, read retries and
     circuit breakers.
-:class:`DegradedAnswer`
-    A scatter-gather answer served from the shards that responded, marked
-    ``partial`` instead of being silently wrong.
 
 The engine's own retry values are constants next to the code that uses
 them (``engine.LOAD_RETRIES``, ``engine.SLOW_LOAD_SECONDS``).
 Nothing here causes a failure: the chaos suites drive every row of the
-failure model through test-side seams.
+failure model through test-side seams.  :class:`DegradedAnswer` is not
+part of the serving surface; nothing under ``src/`` constructs it.
 
     >>> from repro.service.faults import DegradedAnswer
     >>> answer = DegradedAnswer(False, failed_shards=(2,))
-    >>> answer == False, answer.partial, answer.failed_shards
-    (True, True, (2,))
+    >>> answer == False, type(answer) is bool
+    (True, False)
 """
 
 from __future__ import annotations
@@ -58,13 +57,13 @@ DEFAULT_POLICY = RecoveryPolicy()
 
 
 class DegradedAnswer(int):
-    """A boolean answer explicitly marked partial.
+    """An answer that equals a bool but is not one.
 
-    Subclasses ``int`` so it compares equal to the plain ``True``/``False``
-    every caller already handles (``DegradedAnswer(False, ...) == False``),
-    while carrying ``partial=True`` plus the failed shards for callers that
-    check.  Answers are *never* silently wrong: a degraded union answer of
-    ``False`` means "not found in the shards that responded".
+    Nothing under ``src/`` constructs it: a served answer is always a plain
+    ``bool``.  It stays only because the yardstick's own tests import it as
+    the value a load driver must count as a failed op -- it compares equal
+    to ``True``/``False`` (``DegradedAnswer(False, ...) == False``) while
+    its type, ``partial`` flag and ``failed_shards`` say otherwise.
     """
 
     partial = True

@@ -30,9 +30,9 @@ serve.
 
 Bodies are encoded through a small tagged codec (:func:`encode_value` /
 :func:`decode_value`) that round-trips everything the serving surface
-speaks -- tuples vs lists, sets, bytes, the change dataclasses of
-:mod:`repro.incremental.changes` and
-:class:`~repro.service.faults.DegradedAnswer` -- as JSON.  The codec byte
+speaks -- tuples vs lists, sets, bytes and the change dataclasses of
+:mod:`repro.incremental.changes` -- as JSON.  An answer is a plain
+``bool`` (or a list of them), which JSON carries as is.  The codec byte
 stays in the prefix so a second codec would not need a new frame layout,
 but exactly one is spoken: a frame or call naming any other byte gets a
 structured :class:`~repro.core.errors.ProtocolError` back that names it.
@@ -57,6 +57,7 @@ from __future__ import annotations
 import base64
 import io
 import json
+import math
 import struct
 from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
 
@@ -68,7 +69,6 @@ from repro.incremental.changes import (
     PointWrite,
     TupleChange,
 )
-from repro.service.faults import DegradedAnswer
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -140,13 +140,6 @@ _CHANGE_TYPES: Dict[str, type] = {
 
 def encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
-        if isinstance(value, DegradedAnswer):
-            return {
-                "$": "deg",
-                "v": bool(value),
-                "reason": value.reason,
-                "shards": list(value.failed_shards),
-            }
         return value
     if isinstance(value, tuple):
         return {"$": "t", "v": [encode_value(item) for item in value]}
@@ -189,7 +182,7 @@ def encode_value(value: Any) -> Any:
         }
     raise ProtocolError(
         f"cannot encode {type(value).__name__} for the wire; supported: "
-        "scalars, tuple/list/dict/set/bytes, change objects, DegradedAnswer"
+        "scalars, tuple/list/dict/set/bytes, change objects"
     )
 
 
@@ -216,12 +209,6 @@ def decode_value(value: Any) -> Any:
         return base64.b64decode(value["v"])
     if tag == "ck":
         return ChangeKind(value["v"])
-    if tag == "deg":
-        return DegradedAnswer(
-            bool(value["v"]),
-            reason=value.get("reason", "shard failure"),
-            failed_shards=tuple(value.get("shards", ())),
-        )
     if tag == "c":
         cls = _CHANGE_TYPES.get(value.get("c"))
         fields = value.get("v", {})
@@ -258,10 +245,20 @@ def _refuse_constant(name: str) -> Any:
     raise ProtocolError(f"non-finite number {name} is not valid JSON")
 
 
+def _finite_float(literal: str) -> float:
+    # A literal such as 1e999 overflows to inf without reaching
+    # parse_constant; refuse it for the same reason.
+    value = float(literal)
+    if math.isinf(value):
+        raise ProtocolError(f"number {literal} overflows a float")
+    return value
+
+
 def _loads(raw: bytes, codec: int) -> Any:
     _check_codec(codec)
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
+        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant,
+                          parse_float=_finite_float)
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
 

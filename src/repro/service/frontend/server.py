@@ -37,6 +37,7 @@ thread between its socket and its worker's channel -- behind a context manager::
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
@@ -92,11 +93,15 @@ def _header_problem(header: Dict[str, Any]) -> Optional[str]:
     if dataset is not None and not isinstance(dataset, str):
         return f"dataset must be a string, got {type(dataset).__name__}"
     deadline_ms = header.get("deadline_ms")
-    if deadline_ms is not None and (
-        isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float))
-    ):
+    if deadline_ms is None:
+        return None
+    if isinstance(deadline_ms, bool) or not isinstance(deadline_ms, (int, float)):
         return f"deadline_ms must be a number, got {type(deadline_ms).__name__}"
-    return None
+    try:
+        finite = math.isfinite(deadline_ms)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    return None if finite else "deadline_ms must be a finite number"
 
 
 class Gateway:

@@ -35,7 +35,6 @@ from repro.core.errors import (
     ReproError,
     ServiceError,
 )
-from repro.service.faults import DegradedAnswer
 from repro.service.frontend import protocol
 
 __all__ = ["handle_request", "handle_frame", "merge_stats", "worker_main"]
@@ -103,27 +102,6 @@ def check_deadline(header: Dict[str, Any]) -> None:
     )
 
 
-def _coerce_answer(answer: Any) -> Any:
-    """Kernel answers can be numpy truthiness; the wire speaks bool.
-
-    :class:`~repro.service.faults.DegradedAnswer` passes through unchanged
-    -- its ``partial``/``reason`` payload is exactly what must survive the
-    wire.
-    """
-    if isinstance(answer, DegradedAnswer):
-        return answer
-    if isinstance(answer, (list, tuple)):
-        return [_coerce_answer(item) for item in answer]
-    if isinstance(answer, bool) or answer is None:
-        return answer
-    if isinstance(answer, (int, float, str)):
-        return answer
-    try:
-        return bool(answer)
-    except Exception as exc:  # pragma: no cover - defensive
-        raise ProtocolError(f"unencodable answer {type(answer).__name__}") from exc
-
-
 def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     """Serve one decoded request against ``engine``; raises on error.
 
@@ -169,10 +147,10 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
         raise ProtocolError(f"op {op!r} requires a dataset in the frame header")
     ds = engine.dataset(name)
     if op == "query":
-        return _coerce_answer(ds.query(params["kind"], params["query"]))
+        return ds.query(params["kind"], params["query"])
     if op == "query_batch":
         pairs = [(kind, query) for kind, query in params["pairs"]]
-        return _coerce_answer(ds.query_batch(pairs))
+        return ds.query_batch(pairs)
     if op == "apply_changes":
         log = ds.apply_changes(params["changes"])
         return {

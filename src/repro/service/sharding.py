@@ -41,9 +41,7 @@ from functools import cached_property, partial
 from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import NULL_TRACKER
-from repro.core.errors import InjectedFaultError, ShardFailedError
-from repro.service.faults import DegradedAnswer
-from repro.service.merge import MergeOperator, ShardPiece, ShardSpec
+from repro.service.merge import ShardPiece, ShardSpec
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -99,39 +97,6 @@ class ShardedStructure:
     structures: Tuple[Optional[Any], ...]
 
 
-def _lost_shard_outcome(
-    merge: MergeOperator,
-    partials: List[Any],
-    effective_query: Any,
-    failed: List[int],
-    engine: "QueryEngine",
-    kind: str,
-):
-    """The per-kind partial-result-or-fail-fast policy, applied after a
-    scatter lost one or more shards.
-
-    Union kinds tolerate missing partials: ``any`` over the shards that
-    responded is never silently wrong (``True`` is definitely correct;
-    ``False`` means "not found in the responding shards" and is returned
-    as an explicit :class:`~repro.service.faults.DegradedAnswer` with
-    ``partial=True``).  Monoid-combine and k-way kinds need *every* shard
-    for a correct answer, so they fail fast with
-    :class:`~repro.core.errors.ShardFailedError`.
-    """
-    if merge.name == "union":
-        engine._bump(kind, degraded_answers=1)
-        return DegradedAnswer(
-            bool(merge.combine(partials, effective_query)),
-            reason=f"lost shard(s) {failed} during scatter-gather",
-            failed_shards=failed,
-        )
-    engine._bump(kind, shard_failures=len(failed))
-    raise ShardFailedError(
-        f"scatter-gather for {kind} lost shard(s) {failed}; "
-        f"merge family {merge.name!r} cannot tolerate a missing partial"
-    )
-
-
 class ShardedKernel:
     """Evaluation of one sharded kind over already-resolved shard structures.
 
@@ -143,17 +108,14 @@ class ShardedKernel:
     through this one object.  ``tracker is None``
     selects the untracked partials (the production path); any tracker
     selects the cost-charging evaluator the certifier measures.  Pure
-    evaluation: nothing here touches the serving counters except the health
-    counters a lost shard moves; callers time the call and report
-    it through :attr:`settle`, which books scatter time as both
+    evaluation: nothing here touches a counter; callers time the call and
+    report it through :attr:`settle`, which books scatter time as both
     ``serve_seconds`` and ``shard_serve_seconds``.
     """
 
-    __slots__ = ("_engine", "_kind", "_scheme", "_spec", "settle")
+    __slots__ = ("_scheme", "_spec", "settle")
 
     def __init__(self, engine: "QueryEngine", kind: str, registration: "_Registration"):
-        self._engine = engine
-        self._kind = kind
         self._scheme = registration.scheme
         self._spec = registration.scheme.sharding
         self.settle = partial(engine._count_serve, kind, sharded=True)
@@ -163,13 +125,9 @@ class ShardedKernel:
         partial per routed shard and gather them.
 
         ``None`` structures (empty pieces) contribute the merge operator's
-        ``empty`` partial.  A shard whose evaluator raises
-        :class:`~repro.core.errors.InjectedFaultError` (the lost-shard
-        signal; the failure-model tests raise it from a wrapped per-shard
-        evaluator) goes through :func:`_lost_shard_outcome`, once the loop
-        has asked every routed shard; every other exception (genuine query
-        errors, library bugs) keeps propagating unchanged -- misuse must
-        stay loud, not partial.
+        ``empty`` partial.  A shard whose evaluator raises fails the whole
+        answer: the exception propagates unchanged, exactly as a monolithic
+        kernel's would, so an answer is the naive one or an exception.
         """
         plan, structures = sharded.plan, sharded.structures
         rewrite = self._scheme.rewrite_query
@@ -186,31 +144,20 @@ class ShardedKernel:
         charge = NULL_TRACKER if tracker is None else tracker
         planned = plan.planned
         partials: List[Any] = []
-        failed: List[int] = []
         for position in positions:
             structure = structures[position]
             if structure is None:
                 partials.append(
                     merge.empty(effective_query) if merge.empty is not None else None
                 )
-                continue
-            try:
-                if merge_partial is not None:
-                    value = merge_partial(
-                        structure, effective_query, planned[position].piece.meta, charge
-                    )
-                elif evaluate_fast is not None:
-                    value = bool(evaluate_fast(structure, effective_query))
-                else:
-                    value = bool(evaluate(structure, effective_query, charge))
-            except InjectedFaultError:
-                failed.append(position)
-                continue
-            partials.append(value)
-        if failed:
-            return _lost_shard_outcome(
-                merge, partials, effective_query, failed, self._engine, self._kind
-            )
+            elif merge_partial is not None:
+                partials.append(merge_partial(
+                    structure, effective_query, planned[position].piece.meta, charge
+                ))
+            elif evaluate_fast is not None:
+                partials.append(bool(evaluate_fast(structure, effective_query)))
+            else:
+                partials.append(bool(evaluate(structure, effective_query, charge)))
         return bool(merge.combine(partials, effective_query))
 
     def many(self, sharded: ShardedStructure, queries: Sequence[Any]) -> List[bool]:

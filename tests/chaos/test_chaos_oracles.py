@@ -6,8 +6,8 @@ reads, full disks, crashing ``apply_delta``, eviction storms -- every
 answer a mutable session gives over a 520-step random walk -- through
 the untracked kernels (``query``) and the analytic evaluator
 (``query_tracked``) alike -- must still be **correct against a brute-force
-oracle**, explicitly marked degraded, or a loud
-:class:`~repro.core.errors.ReproError`.  Never silently wrong.
+oracle** or a loud :class:`~repro.core.errors.ReproError`.  Never silently
+wrong.
 
 Two layers, mirroring ``tests/property/test_prop_mutable.py``:
 
@@ -133,7 +133,7 @@ def _open(engine, kind, data):
 
 
 def _check(ds, kind, query, expected) -> None:
-    """Correct, explicitly degraded, or loudly raised -- never silently wrong.
+    """Correct or loudly raised -- never silently wrong.
 
     Each evaluator is judged on its own: under faults one may raise while
     the other answers."""
@@ -142,9 +142,7 @@ def _check(ds, kind, query, expected) -> None:
             answer = ask(kind, query)
         except ReproError:
             continue  # a loud failure is an allowed outcome under faults
-        if getattr(answer, "partial", False):
-            continue  # explicitly marked degraded
-        assert bool(answer) == bool(expected), (ask.__name__, kind, query)
+        assert answer is bool(expected), (ask.__name__, kind, query)
 
 
 def _finish(engine, shots) -> None:
@@ -274,7 +272,7 @@ class ChaosMembershipMachine(RuleBasedStateMachine):
 
     Hypothesis interleaves inserts, deletes, probes and arming of one seam
     in arbitrary orders; after every probe the answer must be correct
-    against the shadow bag, explicitly degraded, or loudly raised.
+    against the shadow bag or loudly raised.
     """
 
     values = st.integers(min_value=-8, max_value=24)

@@ -377,9 +377,7 @@ PINNED = {
         "unit/test_failure_model.py::test_disk_full_sync_build_serves_from_memory",
     ),
     "dead-shard": (
-        "unit/test_failure_model.py::test_dead_shard_union_degrades_explicitly",
-        "unit/test_failure_model.py::test_dead_shard_monoid_fails_fast",
-        "unit/test_failure_model.py::test_dead_shard_kway_fails_fast",
+        "unit/test_failure_model.py::test_dead_shard_raises_and_is_counted",
     ),
     "slow-shard": (
         "unit/test_failure_model.py::test_slow_shard_answer_stays_whole_and_correct",

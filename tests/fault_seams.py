@@ -13,7 +13,7 @@ objects the serving stack already takes or attributes it already reads.
 * **delta** -- :func:`failing`: a wrapped ``apply_delta`` set on the
   session's scheme (``PiScheme`` is a plain dataclass).
 * **shard** -- :func:`lose_shards`: a wrapped per-shard evaluator that
-  raises :class:`~repro.core.errors.InjectedFaultError` (or stalls).
+  raises :class:`InjectedFault` (or stalls).
 * **worker** -- ``tests/chaos/worker_seam.py``: a wrapped
   ``supervisor.worker_main`` that patches ``workers.handle_frame`` in the
   child.
@@ -32,7 +32,6 @@ import time
 from dataclasses import replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.errors import InjectedFaultError
 from repro.service.artifacts import ArtifactStore
 
 #: scenario -> (where it fails, the seam that makes it fail).  Adding a row
@@ -49,6 +48,12 @@ SCENARIOS: Dict[str, Tuple[str, str]] = {
     "dead-worker": ("worker process", "worker_seam.crash_slot_zero"),
     "slow-worker": ("worker process", "worker_seam.stall_slot_zero"),
 }
+
+
+class InjectedFault(Exception):
+    """What a fired seam raises: deliberately no ``ReproError``, so the
+    product handles it exactly like any other exception a kernel or hook
+    raises."""
 
 
 class Shots:
@@ -145,11 +150,11 @@ def storm(cache: Any, shots: Shots, *, size: int = 4) -> None:
 
 
 def failing(function: Callable[..., Any], shots: Shots, label: str) -> Callable[..., Any]:
-    """``function``, raising :class:`InjectedFaultError` on fired calls."""
+    """``function``, raising :class:`InjectedFault` on fired calls."""
 
     def wrapped(*args: Any) -> Any:
         if shots():
-            raise InjectedFaultError(f"{label} failed on cue")
+            raise InjectedFault(f"{label} failed on cue")
         return function(*args)
 
     return wrapped
@@ -167,7 +172,7 @@ def _stalling(function: Callable[..., Any], shots: Shots, seconds: float) -> Cal
 def lose_shards(monkeypatch: Any, scheme: Any, shots: Shots, *,
                 seconds: Optional[float] = None) -> None:
     """Wrap the per-shard evaluator the scatter loop calls for ``scheme``:
-    a fired call raises :class:`InjectedFaultError` (a lost shard) or, with
+    a fired call raises :class:`InjectedFault` (a lost shard) or, with
     ``seconds``, sleeps before answering (a slow one).
 
     Union kinds evaluate each shard with the scheme's own evaluators;

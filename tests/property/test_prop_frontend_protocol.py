@@ -3,9 +3,9 @@
 Three families of properties:
 
 * **value round-trip**: every value the serving surface speaks -- nested
-  containers, bytes, change objects, :class:`DegradedAnswer` -- survives
+  containers, bytes, change objects -- survives
   ``decode_body(encode_body(v))`` with *exact* types (tuple stays tuple,
-  set stays set, a degraded answer keeps its reason and shard list);
+  set stays set);
 * **frame round-trip**: ``unpack_frame(pack_frame(...))`` returns the
   header and body unchanged, for request, response and error frames, and
   streams of concatenated frames parse one by one off a blocking reader;
@@ -32,7 +32,6 @@ from repro.core.errors import (
     WorkerFailedError,
 )
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
-from repro.service.faults import DegradedAnswer
 from repro.service.frontend import protocol
 
 #: Every codec the format speaks.
@@ -63,17 +62,8 @@ changes = (
     | st.builds(PointWrite, st.integers(0, 100), scalars)
 )
 
-degraded = st.builds(
-    lambda v, reason, shards: DegradedAnswer(
-        v, reason=reason, failed_shards=tuple(shards)
-    ),
-    st.booleans(),
-    st.text(min_size=1, max_size=16),
-    st.lists(st.integers(0, 16), max_size=4),
-)
-
 wire_values = st.recursive(
-    scalars | st.binary(max_size=24) | changes | degraded,
+    scalars | st.binary(max_size=24) | changes,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
@@ -87,13 +77,7 @@ wire_values = st.recursive(
 
 def assert_wire_equal(decoded, original):
     """Equality plus *type* fidelity: `==` alone would let a tuple pass as
-    a list and a DegradedAnswer pass as a bool."""
-    if isinstance(original, DegradedAnswer):
-        assert isinstance(decoded, DegradedAnswer)
-        assert bool(decoded) == bool(original)
-        assert decoded.reason == original.reason
-        assert decoded.failed_shards == original.failed_shards
-        return
+    a list."""
     if isinstance(original, bool) or original is None:
         assert decoded is original
         return

@@ -1,12 +1,14 @@
 """Property tests: the untracked fast path answers exactly like the tracked
 path (ISSUE 5).
 
-The hot-path contract: for every servable kind, on shards 1 and 4, immutable
-and mutable sessions, the serve-plan fast path (``Dataset.query`` /
-``query_batch`` -> untracked kernels) returns answers identical to the
-analytic tracked path (``Dataset.query_tracked`` -> cost-charging
-``evaluate``) and to the naive reference semantics -- including right after
-``apply_changes``, where stale serve plans would be the failure mode.
+The hot-path contract: for every served kind (immutable sessions) and every
+shardable kind (mutable sessions), on shards 1 and 4, the serve-plan fast
+path (``Dataset.query`` / ``query_batch`` -> untracked kernels) returns
+answers identical to the analytic tracked path (``Dataset.query_tracked``
+-> cost-charging ``evaluate``) and to the naive reference semantics --
+including right after ``apply_changes``, where stale serve plans would be
+the failure mode.  Every answer is exactly a ``bool``: ``==`` alone would
+pass a value that merely compares equal to one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from repro.catalog import build_query_engine
 from repro.core.cost import CostTracker
 from repro.incremental.changes import ChangeKind, PointWrite, TupleChange
 
-#: The five servable kinds (they all declare ShardSpecs and fast kernels).
+#: The five shardable kinds (they all declare ShardSpecs and fast kernels).
 _KINDS = build_query_engine().shardable_kinds()
 
 
@@ -68,8 +70,10 @@ def _change_batch(kind: str, data, rng: random.Random):
     shards=st.sampled_from([1, 4]),
 )
 def test_fast_path_equals_tracked_path_immutable(size, seed, shards):
+    """Every served kind; ``shards=4`` keeps a kind without a ShardSpec
+    monolithic."""
     with build_query_engine() as engine:
-        for kind in _KINDS:
+        for kind in engine.kinds():
             query_class, _ = engine.registration(kind)
             data, queries = query_class.sample_workload(size, seed, 6)
             ds = engine.attach(f"{kind}-ds", data, kinds=[kind], shards=shards)
@@ -81,6 +85,7 @@ def test_fast_path_equals_tracked_path_immutable(size, seed, shards):
             batched = ds.query_batch([(kind, query) for query in queries])
             naive = [query_class.pair_in_language(data, query) for query in queries]
             assert fast == again == tracked == batched == naive, (kind, shards)
+            assert {type(a) for a in fast + again + tracked + batched} == {bool}, kind
 
 
 @settings(
@@ -122,4 +127,5 @@ def test_fast_path_equals_tracked_path_mutable_across_batches(size, seed, shards
                     shards,
                     round_number,
                 )
+                assert {type(a) for a in fast + tracked + batched} == {bool}, kind
                 ds.apply_changes(_change_batch(kind, snapshot, rng))

@@ -11,14 +11,12 @@ keeps :data:`fault_seams.SCENARIOS` and the pinning tests in lockstep.
 from __future__ import annotations
 
 import pytest
-from fault_seams import FaultyStore, Shots, failing, lose_shards, storm
+from fault_seams import FaultyStore, InjectedFault, Shots, failing, lose_shards, storm
 
 from repro.catalog import build_query_engine
-from repro.core.errors import ShardFailedError
 from repro.incremental.changes import ChangeKind, TupleChange
 from repro.service import engine as engine_module
 from repro.service.artifacts import ArtifactStore
-from repro.service.faults import DegradedAnswer
 
 
 def _insert(*row):
@@ -119,60 +117,25 @@ def test_slow_artifact_read_counts_slow_loads(tmp_path, monkeypatch):
 # -- scatter-gather shards ---------------------------------------------------------
 
 
-def test_dead_shard_union_degrades_explicitly(monkeypatch):
-    """Union-merge kinds answer from the surviving shards, but the answer
-    is a :class:`DegradedAnswer` -- partial, loud, never silently wrong."""
-    data = tuple(range(64))
+@pytest.mark.parametrize("kind, data, query", [
+    ("list-membership", tuple(range(64)), 7),
+    ("minimum-range-query", tuple(range(48)), (0, 47, 0)),
+    ("topk-threshold", tuple((i, 100 - i) for i in range(16)), ((1, 1), 3, 100)),
+], ids=["union", "monoid", "kway"])
+def test_dead_shard_raises_and_is_counted(monkeypatch, kind, data, query):
+    """A shard whose evaluator raises fails the answer like any kernel that
+    raises, whatever the merge family: the caller sees the exception
+    unchanged, ``serve_errors`` counts it, and the next query is whole."""
     with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["list-membership"], shards=3)
+        ds = engine.attach("d", data, kinds=[kind], shards=3)
         lost = Shots()
-        lose_shards(monkeypatch, _scheme(ds, "list-membership"), lost)
-        assert ds.query("list-membership", 7)  # warm all routed state
+        lose_shards(monkeypatch, _scheme(ds, kind), lost)
+        assert ds.query(kind, query) is True  # warm
         lost.arm()
-        answer = ds.query("list-membership", 7)
-        assert isinstance(answer, DegradedAnswer)
-        assert answer.partial is True
-        assert answer.failed_shards  # names which shard was lost
-        health = engine.stats().health()
-        assert health["degraded_answers"] == 1
-        assert health["shard_failures"] == 0  # union never fails fast
-        # Past the fault, the same probe is whole again -- and unmarked.
-        recovered = ds.query("list-membership", 7)
-        assert recovered and not getattr(recovered, "partial", False)
-
-
-def test_dead_shard_monoid_fails_fast(monkeypatch):
-    """Monoid-combine kinds (RMQ) cannot tolerate a missing partial: a lost
-    shard raises :class:`ShardFailedError` instead of guessing."""
-    data = tuple(range(48))
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["minimum-range-query"], shards=3)
-        lost = Shots()
-        lose_shards(monkeypatch, _scheme(ds, "minimum-range-query"), lost)
-        assert ds.query("minimum-range-query", (0, 47, 0))  # warm
-        lost.arm()
-        with pytest.raises(ShardFailedError):
-            ds.query("minimum-range-query", (0, 47, 0))
-        health = engine.stats().health()
-        assert health["shard_failures"] == 1
-        assert health["degraded_answers"] == 0
-        assert ds.query("minimum-range-query", (0, 47, 0))  # recovered
-
-
-def test_dead_shard_kway_fails_fast(monkeypatch):
-    """K-way-merge kinds (top-k) are fail-fast like monoids: a global
-    ranking cannot be cut down to the shards that answered."""
-    data = tuple((i, 100 - i) for i in range(16))  # every row aggregates to 100
-    with build_query_engine() as engine:
-        ds = engine.attach("d", data, kinds=["topk-threshold"], shards=3)
-        lost = Shots()
-        lose_shards(monkeypatch, _scheme(ds, "topk-threshold"), lost)
-        assert ds.query("topk-threshold", ((1, 1), 3, 100))  # warm
-        lost.arm()
-        with pytest.raises(ShardFailedError):
-            ds.query("topk-threshold", ((1, 1), 3, 100))
-        assert engine.stats().health()["shard_failures"] == 1
-        assert ds.query("topk-threshold", ((1, 1), 3, 100))
+        with pytest.raises(InjectedFault):
+            ds.query(kind, query)
+        assert engine.stats().health()["serve_errors"] == 1
+        assert ds.query(kind, query) is True
 
 
 def test_slow_shard_answer_stays_whole_and_correct(monkeypatch):
@@ -188,9 +151,7 @@ def test_slow_shard_answer_stays_whole_and_correct(monkeypatch):
         assert slow.fired == 1
         assert answer is True
         assert not ds.query("list-membership", 99)
-        health = engine.stats().health()
-        assert health["degraded_answers"] == 0
-        assert health["shard_failures"] == 0
+        assert engine.stats().health()["serve_errors"] == 0
 
 
 # -- cache inserts -----------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Unit tests for :mod:`repro.service.faults`: product behaviour only.
 
 The module keeps the recovery policy the serving front reads and the
-:class:`DegradedAnswer` marker; no fault injector lives under ``src/``.
+:class:`DegradedAnswer` type the yardstick's tests import; no fault
+injector, and no reaction to an injected fault, lives under ``src/``.
 The failure model's rows are driven through test-side seams
 (``tests/fault_seams.py``, ``tests/unit/test_failure_model.py`` and
 ``tests/chaos/``).
@@ -28,6 +29,10 @@ FAULT_HOOKS = {"on_store_read", "on_store_write", "on_shard_partial", "on_cache_
                "on_delta_apply", "on_worker_serve"}
 PLAN_SLOT = {"_PLAN", "active_plan", "install_fault_plan", "clear_fault_plan",
              "FaultPlan", "FaultSpec", "FaultClock"}
+#: The product's old reaction to a lost shard: its signal, its error, its
+#: policy and the worker's coercion of the degraded answer it produced.
+LOST_SHARD = {"InjectedFaultError", "ShardFailedError", "_lost_shard_outcome",
+              "_coerce_answer"}
 
 
 def test_degraded_answer_compares_like_bool_but_is_marked():
@@ -64,11 +69,12 @@ def test_every_policy_field_is_read_by_the_front():
 
 def test_no_fault_hook_or_plan_slot_in_the_product():
     """Nothing under ``src/repro`` defines or calls a fault hook, names a
-    plan slot, or reads from ``faults`` more than the product types."""
+    plan slot or the lost-shard policy, reads from ``faults`` more than the
+    product types, or names ``DegradedAnswer`` outside ``faults.py``."""
     offenders = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 name = node.name
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -82,7 +88,8 @@ def test_no_fault_hook_or_plan_slot_in_the_product():
                 name = node.name
             else:
                 continue
-            if name in FAULT_HOOKS | PLAN_SLOT:
+            if name in FAULT_HOOKS | PLAN_SLOT | LOST_SHARD or (
+                    name == "DegradedAnswer" and path.name != "faults.py"):
                 offenders.append((path.name, name))
     assert offenders == []
 

@@ -326,6 +326,7 @@ def test_non_numeric_deadline_is_a_protocol_error():
         ("dataset", [1, 2]),
         ("dataset", {"a": 1}),
         ("deadline_ms", True),
+        pytest.param("deadline_ms", 10**400, id="deadline_ms-overflows-float"),
     ],
 )
 def test_mistyped_header_field_is_a_protocol_error(field, value):
@@ -349,11 +350,11 @@ def test_mistyped_header_field_is_a_protocol_error(field, value):
         assert [h["op"] for h in backend.headers] == ["ping"]
 
 
-@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
 def test_non_finite_json_literal_is_a_protocol_error(literal):
     """The decoder reads only what the encoder can write: a header carrying
-    a non-finite literal takes the malformed-frame path instead of reaching
-    admission or the backend."""
+    a non-finite literal, or one that overflows a float, takes the
+    malformed-frame path instead of reaching admission or the backend."""
     backend = _RecordingEchoBackend()
     raw = ('{"op":"query","rid":1,"dataset":"d","deadline_ms":%s}' % literal).encode()
     body = protocol.encode_body({"kind": "k", "query": 1})
