@@ -13,17 +13,23 @@ Design notes
   small-object limit: 2^16 keys bulk-load into half the leaves of order 32
   and one level less, while order 128's value lists spill to ``malloc``
   (+1.9 MiB resident on the local-point yardstick).
-* Leaves hold runs, not a list per key: the distinct ``keys``, the payload
+* Leaves hold runs, not a list per key: the distinct ``keys``, the entry
   ``counts`` per key as a typed column (:func:`repro.indexes.columns.counts`:
   a machine word per key, no boxed int, no entry for the collector to
   visit), and every payload in key order in one flat ``values`` list --
   duplicates lengthen their key's run -- and are chained left-to-right for
   range scans.  Maintenance moves offsets within one leaf (at most ``order``
   entries); the untracked kernels read ``keys`` only.
+* A *counted* tree (:meth:`BPlusTree.from_keys`) indexes a value multiset:
+  its leaves have no ``values`` (``None``), every payload is ``None`` and
+  ``counts`` alone says how many there are.  It behaves exactly like the
+  tree :meth:`BPlusTree.from_columns` builds over ``[None] * n`` payloads,
+  and refuses any other payload.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
-* One bulk loader serves :meth:`BPlusTree.from_columns` (argsort, count
-  duplicates) and :meth:`BPlusTree.from_state`, allocating per leaf, never
+* One bulk loader serves :meth:`BPlusTree.from_keys` (sort, count runs),
+  :meth:`BPlusTree.from_columns` (argsort, count duplicates) and
+  :meth:`BPlusTree.from_state`, allocating per leaf, never
   per entry or per key; ``insert`` and full deletion with
   borrow-from-sibling and merge rebalancing remain for the
   incremental-preprocessing case study (Section 4(7)).
@@ -37,7 +43,8 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat
+from operator import ne, sub
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
@@ -53,7 +60,7 @@ ORDER = 64
 class _Node:
     """An internal node is ``keys`` + ``children``; a leaf is ``keys``, the
     parallel ``counts`` column and the flat ``values`` run (``sum(counts)``
-    long)."""
+    long, or ``None`` in a counted tree)."""
 
     __slots__ = ("leaf", "keys", "children", "counts", "values", "next")
 
@@ -146,13 +153,46 @@ class BPlusTree:
         return cls._bulk_load(order, distinct, counts, values)
 
     @classmethod
+    def from_keys(
+        cls,
+        keys: Sequence[Any],
+        *,
+        order: int = ORDER,
+        tracker: Optional[CostTracker] = None,
+    ) -> "BPlusTree":
+        """PTIME preprocessing over a key column alone -- the value multiset
+        a Boolean selection needs: one plain sort, the distinct keys with
+        their run lengths, and a bulk load of a counted tree.
+
+        Charges what :meth:`from_columns` does, ``n * (1 + ceil(log2 n))``.
+        """
+        size = len(keys)
+        ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
+        ordered = sorted(keys)
+        # A run starts where a key differs from its predecessor; each pass
+        # over the sorted run is a C-level map or compress.
+        starts = list(
+            compress(range(size), chain((True,), map(ne, ordered, islice(ordered, 1, None))))
+        )
+        distinct = list(map(ordered.__getitem__, starts))
+        del ordered
+        starts.append(size)
+        counts = count_column(map(sub, islice(starts, 1, None), starts))
+        return cls._bulk_load(order, distinct, counts)
+
+    @classmethod
     def _bulk_load(
-        cls, order: int, keys: List[Any], counts: Sequence[int], values: List[Any]
+        cls,
+        order: int,
+        keys: List[Any],
+        counts: Sequence[int],
+        values: Optional[List[Any]] = None,
     ) -> "BPlusTree":
         """The one bulk loader: a tree over sorted distinct ``keys`` where
-        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``;
-        ``counts`` is a :func:`~repro.indexes.columns.counts` column, so each
-        leaf's slice of it is one too.
+        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``
+        (a counted tree when ``values`` is None); ``counts`` is a
+        :func:`~repro.indexes.columns.counts` column, so each leaf's slice of
+        it is one too.
 
         O(n): leaves are cut from the runs, then each internal level groups
         the one below, using the smallest key of each right subtree as the
@@ -161,6 +201,8 @@ class BPlusTree:
         cut at roughly half capacity.
         """
         tree = cls(order=order)
+        if values is None:
+            tree._root.values = None
         if not keys:
             return tree
 
@@ -176,9 +218,11 @@ class BPlusTree:
         offset = 0
         for start, stop in cuts(len(keys), fill, minimum):
             run = counts[start:stop]
-            end = offset + sum(run)
-            leaf = _Node(keys[start:stop], counts=run, values=values[offset:end])
-            offset = end
+            leaf = _Node(keys[start:stop], counts=run)
+            if values is not None:
+                end = offset + sum(run)
+                leaf.values = values[offset:end]
+                offset = end
             if level:
                 level[-1].next = leaf
             level.append(leaf)
@@ -192,7 +236,7 @@ class BPlusTree:
                 parent_lows.append(lows[start])
             level, lows = parents, parent_lows
         tree._root = level[0]
-        tree._size = len(values)
+        tree._size = sum(counts)
         return tree
 
     # -- point operations ---------------------------------------------------------
@@ -212,15 +256,18 @@ class BPlusTree:
     def insert(self, key: Any, payload: Any, tracker: Optional[CostTracker] = None) -> None:
         tracker = ensure_tracker(tracker)
         leaf, path = self._descend(key, tracker)
+        if leaf.values is None and payload is not None:
+            raise IndexError_(f"a counted B+-tree holds no payloads, got {payload!r}")
         position = bisect.bisect_left(leaf.keys, key)
-        start = leaf.offset(position)
-        if position < len(leaf.keys) and leaf.keys[position] == key:
-            leaf.values.insert(start + leaf.counts[position], payload)
+        found = position < len(leaf.keys) and leaf.keys[position] == key
+        if leaf.values is not None:
+            # After the key's run when it has one, else where it goes.
+            leaf.values.insert(leaf.offset(position + found), payload)
+        if found:
             leaf.counts[position] += 1
         else:
             leaf.keys.insert(position, key)
             leaf.counts.insert(position, 1)
-            leaf.values.insert(start, payload)
         self._size += 1
         # Split back up the path while nodes overflow.
         node = leaf
@@ -241,11 +288,12 @@ class BPlusTree:
         """Split an overflowing node; returns (right sibling, separator key)."""
         middle = len(node.keys) // 2
         if node.leaf:
-            cut = node.offset(middle)
-            sibling = _Node(
-                node.keys[middle:], counts=node.counts[middle:], values=node.values[cut:]
-            )
-            del node.keys[middle:], node.counts[middle:], node.values[cut:]
+            sibling = _Node(node.keys[middle:], counts=node.counts[middle:])
+            if node.values is not None:
+                cut = node.offset(middle)
+                sibling.values = node.values[cut:]
+                del node.values[cut:]
+            del node.keys[middle:], node.counts[middle:]
             sibling.next = node.next
             node.next = sibling
             separator = sibling.keys[0]
@@ -261,6 +309,8 @@ class BPlusTree:
         leaf, _ = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
         if position < len(leaf.keys) and leaf.keys[position] == key:
+            if leaf.values is None:
+                return [None] * leaf.counts[position]
             start = leaf.offset(position)
             return leaf.values[start : start + leaf.counts[position]]
         return []
@@ -323,8 +373,11 @@ class BPlusTree:
                 if key > high:
                     return
                 stop = start + node.counts[position]
-                for payload in node.values[start:stop]:
-                    yield key, payload
+                if node.values is None:
+                    yield from repeat((key, None), stop - start)
+                else:
+                    for payload in node.values[start:stop]:
+                        yield key, payload
                 position, start = position + 1, stop
             node = node.next
             position = start = 0
@@ -353,6 +406,10 @@ class BPlusTree:
         tracker.tick(1)
         return leaf.keys[position] <= high
 
+    def _counted(self) -> bool:
+        """Whether the leaves hold counts only (every payload ``None``)."""
+        return next(self._leaves()).values is None
+
     def _leaves(self) -> Iterator[_Node]:
         node: Optional[_Node] = self._root
         while not node.leaf:
@@ -365,7 +422,7 @@ class BPlusTree:
         """All (key, payload) pairs in key order (no cost; testing helper)."""
         for node in self._leaves():
             key_per_value = chain.from_iterable(map(repeat, node.keys, node.counts))
-            yield from zip(key_per_value, node.values)
+            yield from zip(key_per_value, repeat(None) if node.values is None else node.values)
 
     def keys(self) -> List[Any]:
         return [key for key, _ in self.items()]
@@ -381,23 +438,27 @@ class BPlusTree:
         """Remove one entry under ``key``.
 
         With ``payload=None`` any one payload for the key is removed;
-        otherwise only a matching payload.  Returns False when nothing
-        matched.  Rebalances by borrowing from or merging with siblings.
+        otherwise only a matching payload (never, in a counted tree).
+        Returns False when nothing matched.  Rebalances by borrowing from or
+        merging with siblings.
         """
         tracker = ensure_tracker(tracker)
         leaf, path = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
         if position >= len(leaf.keys) or leaf.keys[position] != key:
             return False
-        start = leaf.offset(position)
-        stop = start + leaf.counts[position]
-        if payload is None:
-            del leaf.values[stop - 1]
-        else:
-            try:
-                del leaf.values[leaf.values.index(payload, start, stop)]
-            except ValueError:
-                return False
+        if leaf.values is not None:
+            start = leaf.offset(position)
+            stop = start + leaf.counts[position]
+            if payload is None:
+                del leaf.values[stop - 1]
+            else:
+                try:
+                    del leaf.values[leaf.values.index(payload, start, stop)]
+                except ValueError:
+                    return False
+        elif payload is not None:
+            return False
         self._size -= 1
         leaf.counts[position] -= 1
         if leaf.counts[position]:
@@ -436,11 +497,12 @@ class BPlusTree:
             left = parent.children[child_index - 1]
             if len(left.keys) > minimum:
                 if node.leaf:
-                    cut = len(left.values) - left.counts[-1]
+                    if node.values is not None:
+                        cut = len(left.values) - left.counts[-1]
+                        node.values[:0] = left.values[cut:]
+                        del left.values[cut:]
                     node.keys.insert(0, left.keys.pop())
                     node.counts.insert(0, left.counts.pop())
-                    node.values[:0] = left.values[cut:]
-                    del left.values[cut:]
                     parent.keys[child_index - 1] = node.keys[0]
                 else:
                     node.keys.insert(0, parent.keys[child_index - 1])
@@ -452,11 +514,12 @@ class BPlusTree:
             right = parent.children[child_index + 1]
             if len(right.keys) > minimum:
                 if node.leaf:
-                    cut = right.counts[0]
+                    if node.values is not None:
+                        cut = right.counts[0]
+                        node.values.extend(right.values[:cut])
+                        del right.values[:cut]
                     node.keys.append(right.keys.pop(0))
                     node.counts.append(right.counts.pop(0))
-                    node.values.extend(right.values[:cut])
-                    del right.values[:cut]
                     parent.keys[child_index] = right.keys[0]
                 else:
                     node.keys.append(parent.keys[child_index])
@@ -477,7 +540,8 @@ class BPlusTree:
         if left.leaf:
             left.keys.extend(right.keys)
             left.counts.extend(right.counts)
-            left.values.extend(right.values)
+            if left.values is not None:
+                left.values.extend(right.values)
             left.next = right.next
         else:
             left.keys.append(separator)
@@ -491,13 +555,13 @@ class BPlusTree:
     def to_state(self) -> dict:
         """Plain-data snapshot for artifact persistence.
 
-        The leaf chain concatenates into the three columns a leaf already
-        holds a slice of: the distinct ``keys`` in order, the payload
-        ``counts`` per key, and every payload in key order in ``payloads``
-        -- each packed to machine words when it is a plain-int run, the keys
-        (a sorted run) gap-coded.  The
-        internal structure is *not* stored (:meth:`from_state` rebuilds it
-        bottom-up in linear time).
+        The leaf chain concatenates into the columns a leaf already holds a
+        slice of: the distinct ``keys`` in order, the entry ``counts`` per
+        key, and -- unless the tree is counted -- every payload in key order
+        in ``payloads``; each packed to machine words when it is a plain-int
+        run, the keys (a sorted run) gap-coded.  The internal structure is
+        *not* stored (:meth:`from_state` rebuilds it bottom-up in linear
+        time).
         """
         keys: List[Any] = []
         counts = count_column(())
@@ -505,29 +569,31 @@ class BPlusTree:
         for node in self._leaves():
             keys.extend(node.keys)
             counts.extend(node.counts)
-            payloads.extend(node.values)
-        return {
-            "order": self.order,
-            "keys": pack_sorted(keys),
-            "counts": pack(counts),
-            "payloads": pack(payloads),
-        }
+            payloads.extend(node.values or ())
+        state = {"order": self.order, "keys": pack_sorted(keys), "counts": pack(counts)}
+        if not self._counted():
+            state["payloads"] = pack(payloads)
+        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
         """Rebuild from :meth:`to_state` output through the bulk loader, at
-        the stored ``order`` (a state written at another width loads at it)."""
+        the stored ``order`` (a state written at another width loads at it);
+        a state without ``payloads`` is a counted tree."""
         # ``counts`` went through ``pack``, never the gap form: a packed
         # column or a list, either of which the typed column copies directly.
         counts = count_column(state["counts"])
-        keys, payloads = unpack(state["keys"]), unpack(state["payloads"])
-        return cls._bulk_load(int(state["order"]), keys, counts, payloads)
+        payloads = state.get("payloads")
+        if payloads is not None:
+            payloads = unpack(payloads)
+        return cls._bulk_load(int(state["order"]), unpack(state["keys"]), counts, payloads)
 
     # -- invariants (used by property tests) ----------------------------------------
 
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
         minimum = self._min_keys()
+        counted = self._counted()
 
         def walk(node: _Node, low: Any, high: Any, depth: int) -> int:
             assert len(node.keys) < self.order, "node overflow"
@@ -543,7 +609,9 @@ class BPlusTree:
                 assert is_counts(node.counts), "counts is not the typed column"
                 assert len(node.keys) == len(node.counts)
                 assert all(count > 0 for count in node.counts), "empty payload run"
-                assert sum(node.counts) == len(node.values), "counts do not cover values"
+                assert (node.values is None) == counted, "counted and payload leaves mixed"
+                if not counted:
+                    assert sum(node.counts) == len(node.values), "counts do not cover values"
                 return depth
             assert len(node.children) == len(node.keys) + 1
             depths = set()

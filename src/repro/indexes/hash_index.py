@@ -7,7 +7,7 @@ O(log n) tree probes and O(n) scans.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
@@ -37,16 +37,15 @@ class HashIndex:
         return index
 
     @classmethod
-    def from_columns(
+    def from_keys(
         cls,
         keys: Sequence[Hashable],
-        payloads: Sequence[Any],
         *,
         tracker: Optional[CostTracker] = None,
     ) -> "HashIndex":
-        """:meth:`build` over a key column and its payload column (the
+        """:meth:`build` over a key column, every payload ``None`` (the
         B+-tree's bulk signature, so per-attribute schemes treat both alike)."""
-        return cls.build(zip(keys, payloads), tracker)
+        return cls.build(zip(keys, repeat(None)), tracker)
 
     def insert(self, key: Hashable, payload: Any, tracker: Optional[CostTracker] = None) -> None:
         ensure_tracker(tracker).tick(1)

@@ -144,7 +144,8 @@ def _per_attribute(index_class) -> tuple:
     """``(preprocess, dump, load)`` of one ``index_class`` per attribute."""
 
     def preprocess(relation: Relation, tracker: CostTracker) -> dict:
-        """One index per attribute over ``(value column, row ids)``.
+        """One index per attribute over its value column: the queries are
+        Boolean, so the value multiset is all an index needs -- no row ids.
 
         The relation is read once as columns; the tracker is still charged
         one scan per attribute, as the per-attribute scans this replaces
@@ -152,11 +153,11 @@ def _per_attribute(index_class) -> tuple:
         """
         attributes = relation.schema.attribute_names()
         with tracker.measure() as scan:
-            row_ids, columns = relation.columns(tracker)
+            columns = relation.columns(tracker)
         for _ in attributes[1:]:
             tracker.charge(scan.cost)
         return {
-            attribute: index_class.from_columns(column, row_ids, tracker=tracker)
+            attribute: index_class.from_keys(column, tracker=tracker)
             for attribute, column in zip(attributes, columns)
         }
 
@@ -171,7 +172,7 @@ def _per_attribute(index_class) -> tuple:
 #: 4(1)): one structure name, builder, codec and layout version, so one
 #: artifact per relation serves point and range selection.
 _BTREES = _per_attribute(BPlusTree)
-_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=4)
+_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=5)
 
 
 def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
@@ -179,12 +180,13 @@ def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
 
     One O(log n) (B+-tree) or O(1) expected (hash) update per attribute per
     change -- the textbook index maintenance of
-    :mod:`repro.incremental.inc_selection`, applied to the serving structure.
-    The per-attribute indexes store one payload per row occurrence, so the
+    :mod:`repro.incremental.inc_selection`, applied to the serving structure:
+    an insert adds one to its value's count, a delete takes one off.  The
+    per-attribute indexes count every row occurrence of a value, so the
     caller must only send DELETE changes for rows that are actually live
     (:class:`~repro.service.mutable.MutableContent` screens deletes
-    against its working dataset); a delete of a phantom row would strip a
-    payload that another live row still accounts for.
+    against its working dataset); a delete of a phantom row would lower a
+    count that another live row still accounts for.
     """
     arity = len(indexes)
     for change in changes:
@@ -261,5 +263,5 @@ def hash_point_scheme() -> PiScheme:
     """Hash-index alternative: O(1) expected point probes."""
     return _selection_scheme(
         "hash-point", "hash index per attribute; O(1) expected probes",
-        _per_attribute(HashIndex), _point, _point_fast, artifact_version=2,
+        _per_attribute(HashIndex), _point, _point_fast, artifact_version=3,
     )

@@ -46,6 +46,7 @@ compute a key for one.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 import weakref
@@ -422,9 +423,11 @@ class MutableContent:
         bools and lists -- so every field is type-checked here: a kind must
         be a :class:`ChangeKind`, a position or vertex exactly an ``int``
         (``True`` is refused), a payload value plain (see :func:`_plain`)
-        and an element hashable.  :meth:`screen` and :meth:`apply` then
-        cannot raise half-way through a batch.
+        and an element hashable; a value added to flat content must order
+        against it (see :meth:`_refuse_unordered`).  :meth:`screen` and
+        :meth:`apply` then cannot raise half-way through a batch.
         """
+        added: List[Any] = []  # the values this batch adds to flat content
         for change in batch:
             if isinstance(change, (TupleChange, EdgeChange)) and not isinstance(
                 change.kind, ChangeKind
@@ -455,6 +458,8 @@ class MutableContent:
                         raise DeltaError(
                             f"row arity {len(tuple(element))} != dataset arity {arity}"
                         )
+                elif not self.row_shaped and change.kind is ChangeKind.INSERT:
+                    added.append(element)
             elif isinstance(change, EdgeChange):
                 if not _is_graph(self.working):
                     raise DeltaError("EdgeChange targets a non-graph dataset")
@@ -482,8 +487,33 @@ class MutableContent:
                         f"point-write value {change.value!r} is not a hashable "
                         f"number, string, bytes or tuple of those"
                     )
+                if not self.row_shaped:
+                    added.append(change.value)
             else:
                 raise DeltaError(f"unknown change record {type(change).__name__}")
+        self._refuse_unordered(added)
+
+    def _refuse_unordered(self, values: List[Any]) -> None:
+        """Refuse a float NaN, or a value ``<`` cannot order against the flat
+        content (its first element, else the batch's first value).
+
+        The kinds over flat content sort it or compare its elements: a
+        TypeError there would come after the version moved, and a NaN --
+        unequal to everything, itself included -- breaks a sorted run's
+        binary search silently.
+        """
+        if not values:
+            return
+        reference = self.working[0] if self.working else values[0]
+        for value in values:
+            if isinstance(value, float) and math.isnan(value):
+                raise DeltaError(f"value {value!r} has no place in any order")
+            try:
+                value < reference
+            except TypeError:
+                raise DeltaError(
+                    f"value {value!r} does not order against {reference!r}"
+                ) from None
 
     def screen(self, batch: Sequence[Any]) -> List[Any]:
         """Drop no-op deletes (absent elements/edges) and track the bag counts.

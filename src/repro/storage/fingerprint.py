@@ -83,8 +83,7 @@ def dataset_fingerprint(data: Any) -> str:
         for attribute in data.schema.attributes:
             _frame(digest, b"T", attribute.name.encode("utf-8"))
             _frame(digest, b"T", attribute.type.value.encode("utf-8"))
-        _row_ids, columns = data.columns()
-        for column in columns:
+        for column in data.columns():
             _column(digest, column)
     elif isinstance(data, (list, tuple)):
         _column(digest, data)

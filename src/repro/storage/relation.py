@@ -99,22 +99,16 @@ class Relation:
         position = self.schema.position_of(attribute)
         return [row[position] for _, row in self.scan(tracker)]
 
-    def columns(
-        self, tracker: Optional[CostTracker] = None
-    ) -> Tuple[List[int], List[List[Any]]]:
-        """The live rows as columns, from one read: their row ids, and one
-        value list per attribute in schema order.
+    def columns(self, tracker: Optional[CostTracker] = None) -> List[List[Any]]:
+        """The live rows as columns, from one read: one value list per
+        attribute in schema order.
 
         Charges one unit per slot inspected, like :meth:`scan`, in a single
         tick: the bulk path of set-up (fingerprint, per-attribute builds).
         """
         ensure_tracker(tracker).tick(len(self._rows))
-        if self._live == len(self._rows):
-            row_ids, rows = list(range(self._live)), self._rows
-        else:
-            row_ids = [row_id for row_id, row in enumerate(self._rows) if row is not None]
-            rows = self.rows()
-        return row_ids, [[row[p] for row in rows] for p in range(self.schema.arity)]
+        rows = self._rows if self._live == len(self._rows) else self.rows()
+        return [[row[p] for row in rows] for p in range(self.schema.arity)]
 
     def value(self, row: Row, attribute: str) -> Any:
         """``t[A]`` -- the attribute value of a row."""

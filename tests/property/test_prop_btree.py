@@ -2,9 +2,11 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import IndexError_
 from repro.indexes.btree import BPlusTree
 
 keys = st.integers(min_value=-100, max_value=100)
@@ -133,6 +135,62 @@ def test_bulk_built_tree_survives_interleaved_maintenance(entries, order, ops):
     tree.check_invariants()
     assert tree.keys() == sorted(model.elements())
     assert len(tree) == sum(model.values())
+
+
+# -- counted trees: from_keys is from_columns over None payloads ---------------
+
+counted_operations = st.lists(
+    st.tuples(st.sampled_from(["insert", "insert", "delete", "delete-payload"]), dup_keys),
+    max_size=200,
+)
+windows = st.lists(st.tuples(dup_keys, st.integers(0, 6)), max_size=20)
+
+
+def _observed(tree, windows):
+    """Everything a caller can read of ``tree``, untracked probes included."""
+    return (
+        list(tree.items()),
+        len(tree),
+        [tree.search(key) for key in range(-13, 14)],
+        [list(tree.range_iter(low, low + span)) for low, span in windows],
+        [(tree.contains(low), tree.contains_fast(low)) for low, _ in windows],
+        [
+            (tree.range_nonempty(low, low + span), tree.range_nonempty_fast(low, low + span))
+            for low, span in windows
+        ],
+    )
+
+
+@given(st.one_of(st.lists(dup_keys, max_size=400), st.lists(keys, max_size=400)),
+       bulk_orders, counted_operations, windows)
+@settings(max_examples=120, deadline=None)
+def test_counted_tree_is_the_tree_of_none_payloads(key_list, order, ops, windows):
+    counted = BPlusTree.from_keys(key_list, order=order)
+    reference = BPlusTree.from_columns(key_list, [None] * len(key_list), order=order)
+    for op, key in ops:
+        if op == "insert":
+            counted.insert(key, None)
+            reference.insert(key, None)
+        else:
+            payload = "row" if op == "delete-payload" else None
+            assert counted.delete(key, payload) == reference.delete(key, payload)
+    counted.check_invariants()
+    observed = _observed(counted, windows)
+    assert observed == _observed(reference, windows)
+
+    state = counted.to_state()
+    assert state == {name: column for name, column in reference.to_state().items()
+                     if name != "payloads"}
+    clone = BPlusTree.from_state(state)
+    clone.check_invariants()
+    assert clone.order == order and clone.to_state() == state
+    assert _observed(clone, windows) == observed
+
+    # A payload other than None is refused before the tree moves.
+    with pytest.raises(IndexError_):
+        counted.insert(0, "row")
+    counted.check_invariants()
+    assert _observed(counted, windows) == observed
 
 
 # -- flat leaves: multi-payload runs under every maintenance path --------------

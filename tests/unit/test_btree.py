@@ -250,8 +250,12 @@ class TestCostShape:
         for exponent in (12, 14):
             rng = random.Random(exponent)
             n = 2**exponent
+            keys = [rng.randrange(4 * n) for _ in range(n)]
             tracker = CostTracker()
-            BPlusTree.build([(rng.randrange(4 * n), i) for i in range(n)], tracker=tracker)
+            BPlusTree.build(zip(keys, range(n)), tracker=tracker)
             charges[exponent] = tracker.work
             assert tracker.depth == tracker.work  # sequential preprocessing
+            counted = CostTracker()  # a counted tree is charged the same
+            BPlusTree.from_keys(keys, tracker=counted)
+            assert (counted.work, counted.depth) == (tracker.work, tracker.depth)
         assert 4.0 <= charges[14] / charges[12] <= 5.5

@@ -8,7 +8,7 @@
   per-attribute B+-trees and of the top-k index at 2^14 (ISSUE 21: gap-coded
   sorted runs, no stored identity level or gathered values);
 * flat-leaf B+-trees: build and load allocate per leaf, not per entry or
-  per key, and the trees of one relation share their row-id ints;
+  per key, and the trees of one relation hold counts, not row ids;
 * an artifact keyed by the previous layout of each bumped scheme, or written
   in the previous store format, is a miss that rebuilds.
 
@@ -168,16 +168,16 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
 
 
 def test_relation_artifact_bytes_per_item_floor():
-    """Two trees over 2^14 rows with values below 2^16: per tree ~0.885 n
-    distinct keys as 'B' gaps and their counts in 'B', n row ids in 'H' (a
-    value of 2^16 or more no longer widens the stored keys)."""
+    """Two counted trees over 2^14 rows with values below 2^16: per tree
+    ~0.885 n distinct keys as 'B' gaps and their counts in 'B', no row ids
+    (a value of 2^16 or more no longer widens the stored keys)."""
     scheme = btree_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 7.6, len(dumped) / N  # parent: 9.316 (PR 18: 14.8)
+    assert len(dumped) / N <= 3.55, len(dumped) / N  # parent: 7.549 (PR 18: 14.8)
     wide = uniform_int_relation(N, random.Random(17), value_range=(1 << 20, (1 << 20) + 4 * N))
     dumped = scheme.dump(scheme.preprocess(wide, CostTracker()))
-    assert len(dumped) / N <= 7.6, len(dumped) / N  # parent: 12.9
+    assert len(dumped) / N <= 3.55, len(dumped) / N  # parent: 7.550 (PR 18: 12.9)
 
 
 def test_topk_artifact_bytes_per_item_floor():
@@ -218,13 +218,17 @@ def test_btree_build_and_load_allocate_per_leaf_not_per_key():
     assert list(clone.items()) == list(tree.items())
 
 
-def test_trees_of_one_relation_share_their_row_id_objects():
-    """One row-id list feeds every attribute's tree: a fresh ``range`` per
-    attribute would box every id above the small-int cache once per tree."""
+def test_selection_trees_hold_counts_not_row_ids():
+    """The selection queries are Boolean, so each attribute's tree indexes
+    its value multiset: the state has no ``payloads`` column and no leaf
+    holds a payload list -- only the keys and how often each occurs."""
     relation = uniform_int_relation(1 << 10, random.Random(17))
-    first, second = btree_point_scheme().preprocess(relation, CostTracker()).values()
-    ids = [{payload: id(payload) for _, payload in tree.items()} for tree in (first, second)]
-    assert ids[0] == ids[1] and len(ids[0]) == 1 << 10
+    trees = btree_point_scheme().preprocess(relation, CostTracker())
+    for attribute, tree in trees.items():
+        assert set(tree.to_state()) == {"order", "keys", "counts"}
+        assert all(leaf.values is None for leaf in tree._leaves())
+        assert Counter(tree.keys()) == Counter(relation.column(attribute))
+        tree.check_invariants()
 
 
 # -- versioning ----------------------------------------------------------------
@@ -237,9 +241,9 @@ def test_trees_of_one_relation_share_their_row_id_objects():
         (rmq_class, fischer_heun_scheme, 3),
         (rmq_class, sparse_table_scheme, 3),
         (tree_lca_class, euler_tour_scheme, 3),
-        (point_selection_class, btree_point_scheme, 4),
-        (range_selection_class, btree_range_scheme, 4),
-        (point_selection_class, hash_point_scheme, 2),
+        (point_selection_class, btree_point_scheme, 5),
+        (range_selection_class, btree_range_scheme, 5),
+        (point_selection_class, hash_point_scheme, 3),
         (topk_class, threshold_algorithm_scheme, 3),
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",
@@ -267,48 +271,46 @@ def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, 
         assert scheme.load(store.get(key)) is not None
 
 
-def test_order_32_relation_artifact_is_a_hit_that_answers_like_a_fresh_build(tmp_path):
-    """Widening the default node (32 -> 64) kept the B+-tree state layout, so
-    ``artifact_version`` stays 4: a ``btree-per-attribute`` file written at
-    order 32 is a store hit, loads at the order it stored, and answers
-    every query as a fresh default-width build does."""
+def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Counted trees bumped ``btree-per-attribute`` to v5: a v4 file -- every
+    row id stored as a payload -- under the previous key is never opened;
+    the engine builds once and answers as a fresh build and the oracle do."""
     query_class, scheme = point_selection_class(), btree_point_scheme()
     data, queries = query_class.sample_workload(600, 3, 60)
-    row_ids, value_columns = data.columns(CostTracker())
-    previous = {}  # the order-32 layout, written out column by column
-    for attribute, column in zip(data.schema.attribute_names(), value_columns):
+    previous = {}  # the v4 layout, written out column by column
+    for attribute, column in zip(data.schema.attribute_names(), data.columns()):
         by_key = sorted(range(len(column)), key=column.__getitem__)
         runs = Counter(column[i] for i in by_key)
         previous[attribute] = {
-            "order": 32,
+            "order": 64,
             "keys": columns.pack_sorted(list(runs)),
             "counts": columns.pack(list(runs.values())),
-            "payloads": columns.pack([row_ids[i] for i in by_key]),
+            "payloads": columns.pack(by_key),
         }
     fresh = scheme.preprocess(data, CostTracker())
-    assert {tree.order for tree in fresh.values()} == {64}
     assert pickle.loads(scheme.dump(fresh)) == {
-        attribute: {**state, "order": 64} for attribute, state in previous.items()
+        attribute: {name: column for name, column in state.items() if name != "payloads"}
+        for attribute, state in previous.items()
     }
+    blob = pickle.dumps(previous, protocol=4)
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
-        key = engine.attach("d", data).artifact_key("kind")
-    store.put(key, pickle.dumps(previous, protocol=4))
-    loaded = scheme.load(store.get(key))
-    for tree in loaded.values():
-        assert tree.order == 32 and tree.height >= 2
-        tree.check_invariants()
-    with QueryEngine(store=store) as engine:
-        engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        assert key.params.endswith("|v5")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "4")
+        store.put(stale, blob)
         for query in queries:
             expected = scheme.evaluate(fresh, query, CostTracker())
             assert expected == query_class.pair_in_language(data, query)
             assert ds.query("kind", query) == expected
-            assert scheme.evaluate(loaded, query, CostTracker()) == expected
         stats = engine.stats().per_kind["kind"]
-        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (0, 1, 0)
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+    assert store.get(stale) == blob
+    for tree in scheme.load(store.get(key)).values():
+        assert "payloads" not in tree.to_state()
+        tree.check_invariants()
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):

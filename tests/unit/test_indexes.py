@@ -75,8 +75,10 @@ class TestHashIndex:
         """The B+-tree's build signature and state columns, so the
         per-attribute schemes treat both index classes alike."""
         tracker = CostTracker()
-        index = HashIndex.from_columns([5, 3, 5, 9], [0, 1, 2, 3], tracker=tracker)
+        keys = HashIndex.from_keys([5, 3, 5, 9], tracker=tracker)
         assert tracker.work == 4  # one O(1) expected insert per entry
+        assert keys.search(5) == [None, None] and len(keys) == 4
+        index = HashIndex.build(zip([5, 3, 5, 9], [0, 1, 2, 3]))
         state = index.to_state()
         assert {name: list(column) for name, column in state.items()} == {
             "keys": [5, 3, 9], "counts": [2, 1, 1], "payloads": [0, 2, 1, 3]}

@@ -511,6 +511,42 @@ def test_malformed_graph_change_is_refused_before_the_edge_lands():
         _reads_match_oracle(engine, ds, kind, [(u, v) for u in range(4) for v in range(4)])
 
 
+def test_unorderable_value_is_refused_before_the_version_moves():
+    """A value ``<`` cannot order against flat content used to raise a
+    TypeError from the delta hook after the version moved, leaving every
+    later read and write of the session raising."""
+    with build_query_engine() as engine:
+        members = _open(engine, "list-membership", (1, 5, 9))
+        _refused(members, [_insert(7), _insert("x")])
+        _reads_match_oracle(engine, members, "list-membership", range(11))
+        members.apply_changes([_insert(7)])
+        assert members.version == 1
+        _reads_match_oracle(engine, members, "list-membership", range(11))
+
+        kind = "minimum-range-query"
+        data, queries = engine.registration(kind)[0].sample_workload(40, 5, 12)
+        rmq = _open(engine, kind, data, name="rmq")
+        _refused(rmq, [PointWrite(0, 2), PointWrite(5, "x")])
+        _reads_match_oracle(engine, rmq, kind, queries)
+        rmq.apply_changes([PointWrite(5, -1)])
+        assert rmq.version == 1
+        _reads_match_oracle(engine, rmq, kind, queries)
+
+
+def test_nan_is_refused_before_it_hides_a_member():
+    """A NaN in a sorted run breaks its binary search: inserting NaN and 3
+    used to publish a version on which 3 was not found."""
+    nan = float("nan")
+    with build_query_engine() as engine:
+        ds = engine.attach("live", (1, 5, 9), kinds=["list-membership"], mutable=True)
+        _refused(ds, [_insert(nan), _insert(3)])
+        _refused(ds, [PointWrite(0, nan)])
+        _reads_match_oracle(engine, ds, "list-membership", range(11))
+        ds.apply_changes([_insert(3)])
+        assert ds.version == 1 and _ask(ds, "list-membership", 3) is True
+        _reads_match_oracle(engine, ds, "list-membership", range(11))
+
+
 def test_change_kind_outside_the_enum_is_refused():
     with build_query_engine() as engine:
         ds = _open(engine, "list-membership", (1, 2, 3))

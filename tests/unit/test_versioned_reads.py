@@ -324,8 +324,11 @@ def test_lineage_rejects_unstable_change_values():
     ):
         with pytest.raises(DeltaError):
             content.validate([change])
-    content.validate([PointWrite(0, (1, "x", b"y", None, 2.5, True))])
+    content.validate([PointWrite(0, 2.5), PointWrite(1, True)])  # numbers order against ints
     assert content.working == [1, 2, 3]  # validation never mutates
+    # A flat value must also order against flat content; rows hold any plain tuple.
+    rows = MutableContent([(0, "a", b"a", None, 0.5, False)], CostTracker(), ChangeLog())
+    rows.validate([PointWrite(0, (1, "x", b"y", None, 2.5, True))])
 
 
 def test_unstable_change_rejected_before_anything_mutates():
