@@ -23,7 +23,7 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.core.alphabet": (
-        "encode", "decode", "encode_pair", "decode_pair", "encoded_size",
+        "encode", "decode", "encode_pair", "decode_pair",
     ),
     "repro.core.cost": (
         "Cost", "CostTracker", "NullTracker", "NULL_TRACKER", "ensure_tracker",

@@ -156,7 +156,3 @@ def decode_pair(text: str) -> Tuple[Any, Any]:
         raise EncodingError("pair string contains more than one '#' delimiter")
     return decode(left), decode(right)
 
-
-def encoded_size(value: Any) -> int:
-    """``|x|`` in the paper's sense: the length of the Sigma* encoding."""
-    return len(encode(value))

@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "random_dag", "random_tree", "random_vertex_pairs", "social_digraph",
     ),
     "repro.graphs.graph": (
-        "Digraph", "Graph", "permute_vertices", "random_permutation",
+        "Digraph", "Graph", "permute_vertices",
     ),
     "repro.graphs.scc": (
         "condensation", "is_dag", "strongly_connected_components",

@@ -8,7 +8,6 @@ numbering" is a plain left-to-right sweep.
 
 from __future__ import annotations
 
-import random
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core import alphabet
@@ -176,8 +175,3 @@ def permute_vertices(graph: _BaseGraph, permutation: Sequence[int]) -> _BaseGrap
         result.add_edge(permutation[u], permutation[v])
     return result
 
-
-def random_permutation(n: int, rng: random.Random) -> List[int]:
-    permutation = list(range(n))
-    rng.shuffle(permutation)
-    return permutation

@@ -36,12 +36,13 @@ and mutable.  *How* an answer is evaluated has one
 implementation per shape -- a kernel over an already-resolved structure:
 :class:`_MonolithicKernel` here,
 :class:`~repro.service.sharding.ShardedKernel` for scatter-gather.
-:meth:`Dataset._build_plan` is the only place on the read path that tests
-the shape: it picks the kernel and one of two plan classes, which differ
-only in *where the structure comes from* -- resolved once through
-:meth:`Dataset._resolve` when an immutable plan is built (a sharded kind's
-whole shard plan), or pinned per call from a mutable session's published
-version.
+Every answer goes through one plan class, :class:`_ServePlan`: a kind's
+kernel bound to one structure by :meth:`Dataset._bind`, the one place on
+the read path that tests the shape.  An immutable session keeps one plan
+per kind, resolved through :meth:`Dataset._resolve` when it is built (a
+sharded kind's whole shard plan).  A mutable session's published version
+is a dict of such plans, one per materialized kind: a read pins the
+version, serves through its plan and releases it.
 The session is also the one thing to ask: ``engine.dataset(name)`` returns
 it by name, and callers who want concurrency call it from their own threads.
 
@@ -60,14 +61,17 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -120,22 +124,21 @@ class _MonolithicKernel:
 
     The kernel seam every storage shape shares
     (:class:`~repro.service.sharding.ShardedKernel` is the sharded one): a
-    plan decides only *where the structure comes from*, then answers through
-    ``one(structure, query, tracker=None)`` / ``many(structure, queries)``,
-    or binds both to one structure with :meth:`bind`.
+    :class:`_ServePlan` binds the untracked evaluators to one structure with
+    :meth:`bind` and answers tracked queries through
+    ``one(structure, query, tracker)``.
     Here those are the scheme's own entry points -- ``tracker is None``
     selects the untracked ``answer_fast``, any tracker the cost-charging
     ``answer``.  Pure evaluation: callers time the call and report it
     through :attr:`settle`.
     """
 
-    __slots__ = ("scheme", "many", "settle")
+    __slots__ = ("scheme", "settle")
 
     def __init__(
         self, engine: "QueryEngine", kind: str, registration: "_Registration"
     ) -> None:
         self.scheme = registration.scheme
-        self.many = registration.scheme.answer_many
         self.settle = partial(engine._count_serve, kind)
 
     def one(
@@ -164,17 +167,20 @@ class _MonolithicKernel:
 
 
 class _ServePlan:
-    """An immutable (session, kind) hot-path binding: resolution captured once.
+    """A (kind, structure) hot-path binding: the one plan class.
 
-    The plan of every immutable kind: ``answer``/``answer_many`` are the
-    kernel's untracked evaluators bound to the structure resolved at plan
-    build (a sharded kind's whole
-    :class:`~repro.service.sharding.ShardedStructure`).
-    :meth:`serve`/:meth:`serve_many` time *only* the kernel call (resolution
-    is accounted as build/hit, never serve) and report through the kernel's
-    ``settle``.  :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
+    ``answer``/``answer_many`` are the kernel's untracked evaluators bound
+    to one resolved structure (a sharded kind's whole
+    :class:`~repro.service.sharding.ShardedStructure`).  An immutable
+    session keeps one plan per kind; a mutable session's published version
+    holds one per materialized kind, each bound to that left-right side's
+    structure, so a fold in place is served at once and a rebuild installs
+    a new plan.  :meth:`serve`/:meth:`serve_many` time *only* the kernel
+    call (resolution and first-touch builds are accounted as build/hit,
+    never serve) and report through the kernel's ``settle``.
+    :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
     structure.  The plan owns what it captured: it keeps the structure
-    until the session detaches, whatever the engine's LRU cache evicts (the
+    until its session detaches, whatever the engine's LRU cache evicts (the
     cache only deduplicates loads and builds across sessions).
     """
 
@@ -225,87 +231,6 @@ class _ServePlan:
         return answer
 
 
-class _MutableServe:
-    """The serve plan of a mutable session's kind: lock-free versioned reads.
-
-    The plan binds the session state and the kind's kernel, **not** a
-    structure: every answer pins the state's current published
-    :class:`~repro.service.mutable._Version` record -- one attribute load
-    plus a per-thread announce slot, no shared lock of any kind -- and
-    evaluates the kernel over the kind's structure out of it, so delta
-    maintenance and fallback rebuilds are picked up without any plan
-    invalidation.  A mutable answer is the immutable answer at a pinned
-    content version: the plan never looks at the storage shape.  A writer
-    can never block a read; batch atomicity lives in
-    ``_MutableState.query_batch`` (one pin across every kind group).
-    First-touch materialization happens before the serve timer starts, so
-    build cost never leaks into ``serve_seconds``.
-
-    Without a ``tracker`` the kernel's untracked production path answers;
-    with one, its analytic cost-charging evaluator runs over the same
-    pinned structure -- the tracked path of :meth:`Dataset.query_tracked`.
-    """
-
-    __slots__ = ("_engine", "_state", "_kind", "_kernel")
-
-    def __init__(
-        self, engine: "QueryEngine", state: "_MutableState", kind: str, kernel: Any
-    ) -> None:
-        self._engine = engine
-        self._state = state
-        self._kind = kind
-        self._kernel = kernel
-
-    def serve(self, query: Any, tracker: Optional[CostTracker] = None) -> bool:
-        state = self._state
-        versions = state._versions
-        slot = versions.slot()
-        version = versions.pin(slot)
-        try:
-            state._ds._check_attached()
-            structure = version.structures.get(self._kind)
-            while structure is None:
-                # First touch (or a failed repair dropped the kind): go
-                # idle -- materialization takes the writer mutex, and an
-                # announced reader must never block on it -- then re-pin.
-                versions.release(slot)
-                state._materialize(self._kind)
-                version = versions.pin(slot)
-                structure = version.structures.get(self._kind)
-            started = time.perf_counter()
-            try:
-                answer = self._kernel.one(structure, query, tracker)
-            except Exception:
-                self._engine._bump(self._kind, serve_errors=1)
-                raise
-            elapsed = time.perf_counter() - started
-        finally:
-            versions.release(slot)
-        self._kernel.settle(1, elapsed)
-        return answer
-
-    serve_tracked = serve
-
-    def resolve(self) -> Any:
-        """The structure serving the kind at the current version.
-
-        Pins the published version like any reader; first touch goes idle
-        and materializes under the writer mutex.
-        """
-        state = self._state
-        with state._versions.pinned() as version:
-            state._ds._check_attached()
-            structure = version.structures.get(self._kind)
-            if structure is not None:
-                return structure
-        return state._materialize(self._kind)
-
-    # No serve_many here: mutable batches never reach the per-kind plans --
-    # Dataset.query_batch routes the whole batch to _MutableState.query_batch,
-    # which pins one version record across *every* kind group (batch
-    # atomicity is a whole-batch property, not a per-group one).
-
-
 class Dataset:
     """One attached dataset, addressable by name, serving every kind.
 
@@ -348,10 +273,11 @@ class Dataset:
         self._fingerprint = fingerprint
         self._shards = shards
         self._detached = False
-        #: Per-kind serve plans: registration, resolved structure reference
-        #: and bound kernel captured once, so the steady-state query path is
-        #: one dict hit plus one kernel call.
-        self._plans: Dict[str, Any] = {}
+        #: An immutable session's serve plans, one per kind, captured on first
+        #: use, so the steady-state query path is one dict hit plus one kernel
+        #: call.  A mutable session leaves it empty: its plans live in its
+        #: published versions.
+        self._plans: Dict[str, _ServePlan] = {}
         self._plans_lock = threading.Lock()
         served = tuple(kinds) if kinds is not None else tuple(engine.kinds())
         if not served:
@@ -473,11 +399,13 @@ class Dataset:
         resolved structure at first use).  The first query per kind walks
         the engine's ordinary artifact layers (cache -> store -> build; every
         shard of a sharded kind) with the precomputed identity; mutable
-        sessions answer lock-free against the latest published
+        sessions answer lock-free through the plan of the latest published
         (fully-applied) version.
         """
         plan = self._plans.get(kind)
         if plan is None:
+            if self._mutable is not None:
+                return self._mutable.query(kind, query)
             self._check_attached()
             plan = self._build_plan(kind)
         return plan.serve(query)
@@ -499,38 +427,36 @@ class Dataset:
         # stack a None tracker selects the untracked kernels (the fast
         # path), and this method's contract is the analytic evaluator even
         # when the caller does not care about the charges.
-        return self._plan(kind).serve_tracked(query, ensure_tracker(tracker))
+        with self._plans_for((kind,)) as plans:
+            return plans[kind].serve_tracked(query, ensure_tracker(tracker))
 
-    def _plan(self, kind: str) -> Any:
-        """The cached serve plan for ``kind``, captured on first use.
-        (:meth:`query` inlines this lookup: it is the hot path.)"""
+    def _plans_for(self, kinds: Iterable[str]) -> ContextManager[Dict[str, _ServePlan]]:
+        """A context holding one serve plan per kind in ``kinds``.
+
+        An immutable session's own plans (captured on first use); a mutable
+        session's are one published version's, pinned until the context
+        exits, so every answer inside it sees that one version.
+        """
+        if self._mutable is not None:
+            return self._mutable.pinned_plans(kinds)
+        return nullcontext({kind: self._plan(kind) for kind in kinds})
+
+    def _plan(self, kind: str) -> _ServePlan:
+        """An immutable session's serve plan for ``kind``, captured on first
+        use.  (:meth:`query` inlines this lookup: it is the hot path.)"""
         plan = self._plans.get(kind)
         if plan is None:
             self._check_attached()
             plan = self._build_plan(kind)
         return plan
 
-    def _build_plan(self, kind: str) -> Any:
-        """Capture the serve plan for ``kind`` -- the one place on the read
-        path that tests the storage shape: it picks the kernel (monolithic
-        or sharded: *how* an answer is evaluated) and the plan class (*where*
-        the structure comes from).
-
-        An immutable kind resolves exactly once, here, through
-        :meth:`_resolve` (every shard of a sharded kind, misses built in
-        parallel); a mutable plan pins a published version per call and
-        materializes a kind on first touch.
+    def _build_plan(self, kind: str) -> _ServePlan:
+        """Capture an immutable session's serve plan for ``kind``: the kind
+        resolves exactly once, here, through :meth:`_resolve` (every shard of
+        a sharded kind, misses built in parallel), and :meth:`_bind` binds
+        the result.
         """
-        engine = self._engine
-        registration = self.registration_for(kind)
-        kernel = (ShardedKernel if registration.shards > 1 else _MonolithicKernel)(
-            engine, kind, registration
-        )
-        if self._mutable is not None:
-            plan: Any = _MutableServe(engine, self._mutable, kind, kernel)
-        else:
-            structure = self._resolve(kind, self._data, self._fingerprint)[0]
-            plan = _ServePlan(engine, kind, kernel, structure)
+        plan = self._bind(kind, self._resolve(kind, self._data, self._fingerprint)[0])
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
             # release path cleared the dict under this lock *after* setting
@@ -538,6 +464,18 @@ class Dataset:
             if not self._detached:
                 self._plans[kind] = plan
         return plan
+
+    def _bind(self, kind: str, structure: Any) -> _ServePlan:
+        """The serve plan of ``kind`` over ``structure`` -- the one place on
+        the read path that tests the storage shape: it picks the kernel
+        (monolithic or sharded), *how* an answer is evaluated.  Immutable
+        plans and every side of a mutable version are bound here.
+        """
+        registration = self.registration_for(kind)
+        kernel = (ShardedKernel if registration.shards > 1 else _MonolithicKernel)(
+            self._engine, kind, registration
+        )
+        return _ServePlan(self._engine, kind, kernel, structure)
 
     def _resolve(
         self, kind: str, content: Any, fingerprint: Optional[str] = None
@@ -564,19 +502,19 @@ class Dataset:
         The batch is **vectorized**: queries are grouped by kind and each
         group runs through one ``answer_many`` kernel call instead of one
         dispatch per query, inline on the calling thread.  Mutable sessions
-        pin one published version record across every group, so the whole
-        batch reflects one version (the batch-atomic snapshot guarantee --
-        one pointer read, not a lock).
+        serve every group from the plans of one pinned published version,
+        so the whole batch reflects one version (the batch-atomic snapshot
+        guarantee -- one pointer read, not a lock).
         """
         pairs = [self._as_pair(item) for item in requests]
         self._check_attached()
-        if self._mutable is not None:
-            return self._mutable.query_batch(pairs)
+        groups = _group_pairs(pairs)
         answers: List[bool] = [False] * len(pairs)
-        for kind, (positions, queries) in _group_pairs(pairs).items():
-            group_answers = self._plan(kind).serve_many(queries)
-            for position, answer in zip(positions, group_answers):
-                answers[position] = answer
+        with self._plans_for(groups) as plans:
+            for kind, (positions, queries) in groups.items():
+                group_answers = plans[kind].serve_many(queries)
+                for position, answer in zip(positions, group_answers):
+                    answers[position] = answer
         return answers
 
     def warm(self, kinds: Optional[Sequence[str]] = None) -> "Dataset":
@@ -586,9 +524,8 @@ class Dataset:
         chains: ``ds = engine.attach("events", data).warm()``.
         """
         self._check_attached()
-        for kind in self.kinds if kinds is None else kinds:
-            self._plan(kind).resolve()
-        return self
+        with self._plans_for(self.kinds if kinds is None else kinds):
+            return self
 
     def _as_pair(self, item: Any) -> Tuple[str, Any]:
         if isinstance(item, tuple) and len(item) == 2:
@@ -643,13 +580,17 @@ class Dataset:
         plan lock a racing :meth:`_build_plan` re-checks), so a query
         that runs after detach can never re-install a plan and serve
         a released session -- it lands on :meth:`_check_attached` and raises
-        :class:`~repro.core.errors.UnknownDatasetError` cleanly.
+        :class:`~repro.core.errors.UnknownDatasetError` cleanly.  A mutable
+        session drops both left-right sides the same way (see
+        :meth:`_MutableState.release`).
         """
         if self._detached:
             return
         self._detached = True
         with self._plans_lock:
             self._plans.clear()
+        if self._mutable is not None:
+            self._mutable.release()
 
     def detach(self) -> None:
         """Release the name and evict cached structures.
@@ -683,15 +624,15 @@ class _MutableState:
     One :class:`~repro.service.mutable.MutableContent` working copy, one
     :class:`~repro.service.mutable.VersionedStructures`
     (left-right versioned publication: lock-free readers, writer-only
-    mutex), and one lazily materialized structure **per served kind, per
+    mutex), and one lazily materialized serve plan **per served kind, per
     left-right side**.  A change batch validates once, screens once, then
-    maintains every materialized structure against the offline side --
+    maintains every materialized kind against the offline side --
     delta-capable monolithic kinds in place through ``apply_delta``,
     everything else by rebuilding from the post-batch content (sharded
-    kinds reuse untouched shard artifacts) -- publishes the new version
-    with one atomic pointer store, and re-applies to the retired side.
-    Kinds never queried stay unmaterialized and cost nothing until first
-    use, at which point they build from the *current* content.
+    kinds reuse untouched shard artifacts) under a new plan -- publishes
+    the new version with one atomic pointer store, and re-applies to the
+    retired side.  Kinds never queried stay unmaterialized and cost nothing
+    until first use, at which point they build from the *current* content.
     """
 
     def __init__(self, ds: Dataset) -> None:
@@ -710,18 +651,66 @@ class _MutableState:
         with self._versions.writer_mutex:
             return self._content.canonical()
 
-    # -- structures ------------------------------------------------------------
+    # -- serving ---------------------------------------------------------------
 
-    def _materialize(self, kind: str) -> Any:
+    def query(self, kind: str, query: Any) -> bool:
+        """One answer at the published version: pin, serve through the
+        kind's plan, release -- no shared lock, so a writer never blocks it.
+
+        First touch goes idle -- materialization takes the writer mutex,
+        which an announced reader must never block on -- then re-pins; the
+        build runs before the plan's serve timer starts.
+        """
+        versions = self._versions
+        slot = versions.slot()
+        try:
+            while True:
+                version = versions.pin(slot)
+                self._ds._check_attached()
+                plan = version.plans.get(kind)
+                if plan is not None:
+                    return plan.serve(query)
+                versions.release(slot)
+                self._materialize(kind)
+        finally:
+            versions.release(slot)
+
+    @contextmanager
+    def pinned_plans(self, kinds: Iterable[str]) -> Iterator[Dict[str, _ServePlan]]:
+        """The plans of ``kinds`` at one published version, pinned until the
+        context exits: one pin across every kind makes a batch atomic
+        against writers.  Missing kinds materialize while idle, as in
+        :meth:`query`.
+        """
+        kinds = tuple(kinds)
+        versions = self._versions
+        slot = versions.slot()
+        try:
+            while True:
+                version = versions.pin(slot)
+                self._ds._check_attached()
+                missing = [kind for kind in kinds if kind not in version.plans]
+                if not missing:
+                    break
+                versions.release(slot)
+                for kind in missing:
+                    self._materialize(kind)
+            yield {kind: version.plans[kind] for kind in kinds}
+        finally:
+            versions.release(slot)
+
+    # -- plans -----------------------------------------------------------------
+
+    def _materialize(self, kind: str) -> None:
         """First-touch build of ``kind`` from the *current* content.
 
         Runs under the writer mutex (callers must hold no announce slot:
         a pinned reader blocking here would deadlock a draining writer) and
-        installs the structure into **both** left-right sides -- the
-        published side in place (readers on any live version observe the
-        kind appear with identical answers; the content did not change) and
-        the offline side as a private twin, so the next batch can fold into
-        it without touching what readers see.
+        installs a plan into **both** left-right sides -- the published side
+        in place (readers on any live version observe the kind appear with
+        identical answers; the content did not change) and the offline side,
+        bound to a private twin when the kind folds in place, so the next
+        batch can fold into it without touching what readers see.
 
         At version 0 the session's attach-time fingerprint addresses the
         ordinary content-addressed artifacts, so warm cache/store resolution
@@ -732,14 +721,14 @@ class _MutableState:
         """
         versions = self._versions
         with versions.writer_mutex:
-            structure = versions.current.structures.get(kind)
-            if structure is not None:
-                return structure
+            self._ds._check_attached()
+            if kind in versions.current.plans:
+                return
+            registration = self._ds.registration_for(kind)
             started = time.perf_counter()
             content, fingerprint = self._ds._data, self._ds._fingerprint
             if versions.current.number:
                 content, fingerprint = self._content.canonical(), None
-            registration = self._ds.registration_for(kind)
             scheme, dumps, loads = registration.scheme, 0, 0
             structure, source, blob = self._ds._resolve(kind, content, fingerprint)
             twin = structure
@@ -747,26 +736,37 @@ class _MutableState:
                 if blob is None:
                     blob, dumps = scheme.dump(structure), 1
                 structure, twin, loads = scheme.load(blob), scheme.load(blob), 2
-            versions.install(kind, structure, twin)
+            plan = self._ds._bind(kind, structure)
+            twin_plan = plan if twin is structure else self._ds._bind(kind, twin)
+            versions.install(kind, plan, twin_plan)
             _log.debug("materialized %r at v%d from %s: %d dump(s), %d load(s), %.1f ms",
                        kind, versions.current.number, source, dumps, loads,
                        (time.perf_counter() - started) * 1000.0)
-            return structure
 
-    def _twin(self, kind: str, structure: Any) -> Any:
-        """The offline-side twin of a published structure for ``kind``.
+    def _twin(self, kind: str, plan: _ServePlan) -> _ServePlan:
+        """The offline-side plan mirroring a published ``plan`` for ``kind``.
 
         Only delta-capable monolithic kinds are mutated in place, so only
         they need a second instance -- a codec round trip (privatization,
-        not a cache miss: it is not counted as a build).  Everything else
-        shares one instance across both left-right sides because nothing
-        mutates it in place.
+        not a cache miss: it is not counted as a build) under a plan of its
+        own.  Everything else shares one plan across both left-right sides
+        because nothing mutates its structure in place.
         """
         registration = self._ds.registration_for(kind)
         if not _folds_in_place(registration):
-            return structure
+            return plan
         scheme = registration.scheme
-        return scheme.load(scheme.dump(structure))
+        return self._ds._bind(kind, scheme.load(scheme.dump(plan.resolve())))
+
+    def _fold(self, kind: str, plan: _ServePlan, changes: Sequence[Any]) -> _ServePlan:
+        """Fold ``changes`` into ``plan``'s structure through ``apply_delta``:
+        the same plan when the hook folded in place, else a plan over the
+        structure it returned."""
+        structure = plan.resolve()
+        folded = self._ds.registration_for(kind).scheme.apply_delta(
+            structure, changes, self.tracker
+        )
+        return plan if folded is structure else self._ds._bind(kind, folded)
 
     def _preprocess(self, kind: str, content: Any) -> Any:
         """A private in-memory build: no cache entry, no store artifact."""
@@ -775,64 +775,31 @@ class _MutableState:
         self._engine._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
         return structure
 
-    # -- serving ---------------------------------------------------------------
-
-    def query_batch(self, pairs: Sequence[Tuple[str, Any]]) -> List[bool]:
-        """All pairs against one pinned version: every answer sees one state.
-
-        The batch is grouped by kind and each group runs through one
-        ``answer_many`` kernel call -- vectorized like the immutable batch
-        path, but with **one** version record pinned across every group, so
-        the whole batch is atomic against writers (one pointer read, not a
-        lock).  Kinds not yet materialized are built first while idle:
-        materialization takes the writer mutex, which an announced reader
-        must never block on.
-        """
-        versions = self._versions
-        groups = _group_pairs(pairs)
-        kernels = {kind: self._ds._plan(kind)._kernel for kind in groups}
-        slot = versions.slot()
-        version = versions.pin(slot)
-        try:
-            self._ds._check_attached()
-            while any(version.structures.get(kind) is None for kind in groups):
-                versions.release(slot)
-                for kind in groups:
-                    if versions.current.structures.get(kind) is None:
-                        self._materialize(kind)
-                version = versions.pin(slot)
-            answers: List[bool] = [False] * len(pairs)
-            for kind, (positions, queries) in groups.items():
-                kernel = kernels[kind]
-                started = time.perf_counter()
-                try:
-                    group_answers = kernel.many(version.structures[kind], queries)
-                except Exception:
-                    self._engine._bump(kind, serve_errors=len(queries))
-                    raise
-                kernel.settle(len(queries), time.perf_counter() - started)
-                for position, answer in zip(positions, group_answers):
-                    answers[position] = answer
-            return answers
-        finally:
-            versions.release(slot)
+    def release(self) -> None:
+        """Drop both left-right sides: a detached session frees its
+        structures.  Under the writer mutex, after the session flag is set,
+        so no batch or first touch is mid-flight; a reader still pinned to
+        the old version answers from it, and a later one raises
+        :class:`~repro.core.errors.UnknownDatasetError`."""
+        with self._versions.writer_mutex:
+            self._versions.clear()
 
     # -- mutation --------------------------------------------------------------
 
     def apply_changes(self, changes: Iterable[Any]) -> ChangeLog:
         """Apply one batch to every materialized kind; left-right publish.
 
-        Phase 1 runs entirely against the **offline** structure set, which
+        Phase 1 runs entirely against the **offline** plan set, which
         no reader can see: delta-capable monolithic kinds fold in place
         through ``apply_delta`` (a mid-fold crash marks the kind torn --
         the torn instance is replaced by the rebuild below, so a torn fold
         can never be published), everything else rebuilds from the
-        post-batch content.  The new version is then published with one
-        atomic pointer store; readers pinned to the retired version are
-        drained, and phase 2 brings the retired set up to date (the same
-        delta re-applied, or the rebuilt structure twinned), making it the
-        next offline set.  Delta cost is paid twice -- O(|CHANGED|) each --
-        never an O(|D|) clone.
+        post-batch content under a new plan.  The new version is then
+        published with one atomic pointer store; readers pinned to the
+        retired version are drained, and phase 2 brings the retired set up
+        to date (the same delta re-applied, or the rebuilt plan twinned),
+        making it the next offline set.  Delta cost is paid twice --
+        O(|CHANGED|) each -- never an O(|D|) clone.
 
         A rebuild failure drops the failing kind *and every kind not yet
         rebuilt* from both sides (their pre-batch structures are stale and
@@ -856,13 +823,10 @@ class _MutableState:
             rebuild_kinds: List[str] = []
             torn_kinds: List[str] = []
             for kind in sorted(offline):
-                registration = self._ds.registration_for(kind)
-                if _folds_in_place(registration):
+                if _folds_in_place(self._ds.registration_for(kind)):
                     started = time.perf_counter()
                     try:
-                        offline[kind] = registration.scheme.apply_delta(
-                            offline[kind], effective, self.tracker
-                        )
+                        offline[kind] = self._fold(kind, offline[kind], effective)
                         delta_kinds.append((kind, time.perf_counter() - started))
                         continue
                     except DeltaError:
@@ -879,7 +843,7 @@ class _MutableState:
             for change in effective:
                 self._content.apply(change)
             number = versions.current.number + 1
-            rebuilt: Dict[str, Any] = {}
+            rebuilt: Dict[str, _ServePlan] = {}
             dropped: List[str] = []
             rebuild_error: Optional[BaseException] = None
             if rebuild_kinds:
@@ -899,8 +863,7 @@ class _MutableState:
                             offline.pop(late, None)
                         rebuild_error = exc
                         break
-                    offline[kind] = fresh
-                    rebuilt[kind] = fresh
+                    offline[kind] = rebuilt[kind] = self._ds._bind(kind, fresh)
             versions.publish(number)
             for kind, seconds in delta_kinds:
                 self._engine._bump(
@@ -920,19 +883,16 @@ class _MutableState:
             for late in dropped:
                 retired.pop(late, None)
             for kind, _seconds in delta_kinds:
-                scheme = self._ds.registration_for(kind).scheme
                 try:
-                    retired[kind] = scheme.apply_delta(
-                        retired[kind], effective, self.tracker
-                    )
+                    retired[kind] = self._fold(kind, retired[kind], effective)
                 except Exception:
                     # The published side is intact and current; repair the
                     # mirror from it so the next batch folds into a correct
                     # twin.  Loud in the counters, invisible to readers.
-                    retired[kind] = self._twin(kind, versions.current.structures[kind])
+                    retired[kind] = self._twin(kind, versions.current.plans[kind])
                     self._engine._bump(kind, write_rollbacks=1)
-            for kind, fresh in rebuilt.items():
-                retired[kind] = self._twin(kind, fresh)
+            for kind, fresh_plan in rebuilt.items():
+                retired[kind] = self._twin(kind, fresh_plan)
             if rebuild_error is not None:
                 raise rebuild_error
             screened = len(batch) - len(effective)

@@ -11,12 +11,14 @@ built on:
 * :class:`MutableContent` -- the private working copy of a dataset plus the
   bag bookkeeping (validation, no-op screening, change application);
 * :class:`VersionedStructures` -- left-right versioned snapshot publication:
-  readers pin the current :class:`_Version` record with a single attribute
-  load and serve **lock-free** (no latch, no Condition -- a writer can never
-  block a reader), while writers serialize among themselves, fold each batch
-  into an offline twin set, publish the new version pointer atomically, and
-  re-apply the batch to the retired set -- delta cost is paid twice
-  (O(|CHANGED|) each), never an O(|D|) clone.
+  readers pin the current :class:`_Version` record -- one serve plan per
+  materialized kind, the same plan class an immutable session serves
+  through -- with a single attribute load and serve **lock-free** (no latch,
+  no Condition -- a writer can never block a reader), while writers
+  serialize among themselves, fold each batch into an offline twin set,
+  publish the new version pointer atomically, and re-apply the batch to the
+  retired set -- delta cost is paid twice (O(|CHANGED|) each), never an
+  O(|D|) clone.
 
 ``ds.apply_changes(batch)`` routes a batch of
 :mod:`repro.incremental.changes` records to each served kind's
@@ -51,8 +53,7 @@ import threading
 import time
 import weakref
 from collections import Counter
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError, SchemaError, ServiceError
@@ -170,20 +171,22 @@ class _ReadIndicator:
 
 
 class _Version:
-    """One published snapshot of a mutable dataset: structures + number.
+    """One published snapshot of a mutable dataset: serve plans + number.
 
-    Readers obtain the whole record with a single attribute load
-    (:attr:`VersionedStructures.current`) and serve from ``structures``
-    without further coordination.  After publication a record only ever
-    gains newly materialized kinds (GIL-atomic dict stores under the writer
-    mutex; both sides receive the same first-touch build, so readers on any
-    version observe identical answers for the new kind).
+    ``plans`` maps each materialized kind to the serve plan bound to this
+    side's structure -- a version is an immutable dataset, served by the
+    same plan class as one.  Readers obtain the whole record with a single
+    attribute load (:attr:`VersionedStructures.current`) and serve through
+    ``plans`` without further coordination.  After publication a record
+    only ever gains newly materialized kinds (GIL-atomic dict stores under
+    the writer mutex; both sides receive the same first-touch build, so
+    readers on any version observe identical answers for the new kind).
     """
 
-    __slots__ = ("structures", "number")
+    __slots__ = ("plans", "number")
 
-    def __init__(self, structures: Dict[str, Any], number: int) -> None:
-        self.structures = structures
+    def __init__(self, plans: Dict[str, Any], number: int) -> None:
+        self.plans = plans
         self.number = number
 
 
@@ -209,11 +212,12 @@ class VersionedStructures:
       the next offline set.  Delta cost is paid twice -- O(|CHANGED|) each
       time -- never an O(|D|) snapshot clone.
 
-    The two structure dicts alternate between the published and offline
-    roles forever.  Delta-capable monolithic kinds hold *twin instances*
-    (in-place maintenance on one side must never touch the other); kinds
-    that rebuild instead of folding (sharded, no ``apply_delta``) share one
-    instance across both sides because nothing mutates it in place.
+    The two plan dicts (kind -> serve plan) alternate between the published
+    and offline roles forever.  Delta-capable monolithic kinds hold *twin
+    instances*, each under its own plan (in-place maintenance on one side
+    must never touch the other); kinds that rebuild instead of folding
+    (sharded, no ``apply_delta``) share one plan across both sides because
+    nothing mutates its structure in place.
 
     Deadlock rule: a thread must be idle (slot released) before taking
     :attr:`writer_mutex` -- writers drain inside the mutex, so an announced
@@ -254,44 +258,43 @@ class VersionedStructures:
         """Go idle (idempotent; always reached via ``finally``)."""
         slot[0] = _IDLE
 
-    @contextmanager
-    def pinned(self) -> Iterator[_Version]:
-        """Context-managed pin for cold paths (resolve)."""
-        slot = self._indicator.slot()
-        version = self.pin(slot)
-        try:
-            yield version
-        finally:
-            slot[0] = _IDLE
-
     # -- writer protocol (writer_mutex held) -----------------------------------
 
     def install(self, kind: str, published: Any, offline: Any) -> None:
-        """First-touch materialization: both sides gain ``kind`` in place.
+        """First-touch materialization: both sides gain a plan for ``kind``
+        in place.
 
         No version bump -- the content did not change, only a structure was
         built for it -- so readers pinned to any live version observe the
         kind appear with identical answers.
         """
-        self.current.structures[kind] = published
+        self.current.plans[kind] = published
         self.offline[kind] = offline
 
-    def publish(self, number: int) -> Dict[str, Any]:
+    def publish(self, number: int) -> None:
         """Atomically publish the offline set as version ``number``.
 
         One attribute store is the whole commit point: readers that load
-        :attr:`current` after it serve the new version.  Returns the
-        retired structure dict (also installed as the new :attr:`offline`);
-        the caller must :meth:`drain` before mutating it.
+        :attr:`current` after it serve the new version.  The retired plan
+        dict becomes the new :attr:`offline`; the caller must :meth:`drain`
+        before mutating it.
         """
-        retired = self.current.structures
+        retired = self.current.plans
         self.current = _Version(self.offline, number)
         self.offline = retired
-        return retired
 
     def drain(self) -> None:
         """Wait until no reader is still pinned below the current version."""
         self._indicator.wait_until_drained(self.current.number)
+
+    def clear(self) -> None:
+        """Drop every kind from both sides (a detached session's release).
+
+        The published record is replaced, not emptied in place, so a reader
+        still pinned to it answers from the version it pinned.
+        """
+        self.current = _Version({}, self.current.number)
+        self.offline = {}
 
 
 # -- change validation (outside input) -----------------------------------------

@@ -1,4 +1,4 @@
-"""Relational storage substrate: schemas, relations, the catalog.
+"""Relational storage substrate: schemas, relations, content fingerprints.
 
 Names are resolved on first access (:mod:`repro._lazy`): importing one
 submodule loads that submodule, not its siblings.
@@ -7,7 +7,6 @@ submodule loads that submodule, not its siblings.
 from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "repro.storage.catalog": ("Database",),
     "repro.storage.fingerprint": ("canonical_bytes", "dataset_fingerprint"),
     "repro.storage.relation": ("Relation", "Row", "uniform_int_relation"),
     "repro.storage.schema": ("Attribute", "AttributeType", "Schema"),

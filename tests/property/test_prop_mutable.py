@@ -333,8 +333,8 @@ def _trees(ds, kind):
     versions = ds._mutable._versions
     return [
         tree
-        for side in (versions.current.structures, versions.offline)
-        for tree in side[kind].values()
+        for side in (versions.current.plans, versions.offline)
+        for tree in side[kind].resolve().values()
     ]
 
 
@@ -426,8 +426,8 @@ def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
                 array_data[write[0]] = write[1]
             versions = ds._mutable._versions
             held = [
-                side[kind]
-                for side in (versions.current.structures, versions.offline)
+                side[kind].resolve()
+                for side in (versions.current.plans, versions.offline)
                 for kind in ("rmq", "members")
             ] + list(engine._cache._entries.values())
             owned = [_containers(structure) for structure in held]

@@ -84,7 +84,3 @@ class TestMalformedInput:
     def test_decode_rejects_garbage(self, text):
         with pytest.raises(EncodingError):
             alphabet.decode(text)
-
-    def test_encoded_size_matches_length(self):
-        value = (1, "abc", None)
-        assert alphabet.encoded_size(value) == len(alphabet.encode(value))

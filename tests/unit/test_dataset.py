@@ -14,7 +14,11 @@ Headliners:
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -326,6 +330,66 @@ def test_detach_evicts_cached_structures_and_plans():
     ds.detach()
     assert engine._cache.get(rmq_key, record=False) is None
     engine.close()
+
+
+@pytest.mark.parametrize("mutable", [False, True], ids=["immutable", "mutable"])
+def test_detach_frees_the_session_structures(mutable):
+    """Detach frees every structure the session served from while the caller
+    still holds the session: the immutable plan's, and both left-right sides
+    of a mutable one."""
+    kind = "list-membership"
+    with build_query_engine() as engine:
+        ds = engine.attach("events", tuple(range(4096)), kinds=[kind], mutable=mutable)
+        assert ds.warm().query(kind, 7) is True
+        if mutable:
+            versions = ds._mutable._versions
+            sides = [versions.current.plans[kind], versions.offline[kind]]
+        else:
+            sides = [ds._plan(kind)]
+        refs = [weakref.ref(plan.resolve()) for plan in sides]
+        del sides
+        ds.detach()
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * len(refs)
+        with pytest.raises(UnknownDatasetError):
+            ds.query(kind, 7)
+
+
+def test_mutable_reads_racing_detach_answer_or_raise_the_session_error():
+    """A read racing detach answers from the version it pinned or raises
+    UnknownDatasetError -- never a KeyError out of the released sides.
+    Four readers on a short switch interval, so detach lands mid-read."""
+    readers, interval = 4, sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _flat_engine() as engine:
+            for _ in range(5):
+                ds = engine.attach("events", tuple(range(128)), mutable=True).warm()
+                requests = [("membership", 5), ("rmq", (0, 9, 0)), ("membership", 999)]
+                outcomes = []
+
+                def reader():
+                    try:
+                        while True:
+                            outcomes.append(ds.query_batch(requests))
+                            outcomes.append([ds.query("rmq", (0, 9, 0))])
+                    except UnknownDatasetError as exc:
+                        outcomes.append(exc)
+
+                threads = [threading.Thread(target=reader) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                ds.detach()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                errors = [o for o in outcomes if isinstance(o, UnknownDatasetError)]
+                assert len(errors) == readers  # no reader died of anything else
+                assert all(
+                    o in ([True, True, False], [True]) for o in outcomes if o not in errors
+                )
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # -- mutable sessions ----------------------------------------------------------

@@ -203,6 +203,32 @@ def test_delta_equals_full_rebuild_reachability():
         assert engine.stats().per_kind[kind].fallback_rebuilds == 1
 
 
+def test_a_delta_hook_returning_a_fresh_structure_is_served():
+    """``apply_delta`` is typed ``-> structure``: a hook may fold into a new
+    object and leave its argument as it was.  Over batches that let both
+    left-right sides serve in turn, the fast, tracked and batched paths all
+    answer from what the hook returned, never from the stale argument."""
+    base = sorted_run_scheme()
+
+    def fold_a_copy(structure, changes, tracker):
+        return base.apply_delta(base.load(base.dump(structure)), changes, tracker)
+
+    query_class = membership_class()
+    with QueryEngine() as engine:
+        engine.register("membership", query_class, replace(base, apply_delta=fold_a_copy))
+        ds = _open(engine, "membership", (5, 1, 4))
+        content = [5, 1, 4]
+        for value in (9, 12, 20, 33):
+            ds.apply_changes([_insert(value), _delete(content[0])])
+            content = content[1:] + [value]
+            probes = [5, 1, 4, 9, 12, 20, 33, -1]
+            expected = [query_class.pair_in_language(tuple(content), q) for q in probes]
+            assert [_ask(ds, "membership", q) for q in probes] == expected
+            assert ds.query_batch([("membership", q) for q in probes]) == expected
+        stats = engine.stats().per_kind["membership"]
+        assert (stats.delta_batches, stats.fallback_rebuilds) == (4, 0)
+
+
 def test_sharded_fallback_rebuilds_only_touched_shards(tmp_path):
     with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
         kind = "list-membership"
@@ -276,7 +302,7 @@ def test_superseded_shard_plans_are_freed():
         kind = "list-membership"
         ds = _open(engine, kind, tuple(range(256)), shards=4)
         ds.apply_changes([_insert(1000)])
-        plan = weakref.ref(ds._mutable._versions.current.structures[kind].plan)
+        plan = weakref.ref(ds._mutable._versions.current.plans[kind].resolve().plan)
         for value in range(1001, 1004):
             ds.apply_changes([_insert(value)])
         assert _ask(ds, kind, 1000) is True
@@ -595,7 +621,8 @@ def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, s
         assert counts == {"dump": 1, "load": 2}
         versions = ds._mutable._versions
         cached = engine._cache.get(ds.artifact_key("rmq"), record=False)
-        sides = [versions.current.structures["rmq"], versions.offline["rmq"], cached]
+        sides = [side["rmq"].resolve() for side in (versions.current.plans, versions.offline)]
+        sides.append(cached)
         assert len({id(structure) for structure in sides}) == 3
     if not stored:
         return

@@ -8,7 +8,6 @@ from repro.core.cost import CostTracker
 from repro.core.errors import SchemaError
 from repro.storage import (
     AttributeType,
-    Database,
     Relation,
     Schema,
     uniform_int_relation,
@@ -111,45 +110,3 @@ class TestRelation:
         second = uniform_int_relation(50, random.Random(1))
         assert first.rows() == second.rows()
         assert len(first) == 50
-
-
-class TestDatabase:
-    def test_create_and_lookup(self):
-        db = Database()
-        relation = uniform_int_relation(5, random.Random(2), name="T")
-        db.create(relation)
-        assert db.relation("T") is relation
-        assert list(db.relation_names()) == ["T"]
-
-    def test_duplicate_relation_rejected(self):
-        db = Database()
-        db.create(uniform_int_relation(1, random.Random(3), name="T"))
-        with pytest.raises(SchemaError):
-            db.create(uniform_int_relation(1, random.Random(4), name="T"))
-
-    def test_missing_relation_raises(self):
-        with pytest.raises(SchemaError):
-            Database().relation("nope")
-
-    def test_index_attachment(self):
-        db = Database()
-        db.create(uniform_int_relation(5, random.Random(5), name="T"))
-        db.attach_index("T", "a", "btree", object())
-        assert db.index("T", "a", "btree") is not None
-        assert db.maybe_index("T", "b", "btree") is None
-        with pytest.raises(SchemaError):
-            db.attach_index("T", "a", "btree", object())  # duplicate
-        with pytest.raises(SchemaError):
-            db.attach_index("T", "zzz", "btree", object())  # bad attribute
-        with pytest.raises(SchemaError):
-            db.index("T", "a", "hash")  # wrong kind
-
-    def test_drop_removes_indexes(self):
-        db = Database()
-        db.create(uniform_int_relation(5, random.Random(6), name="T"))
-        db.attach_index("T", "a", "btree", object())
-        db.drop("T")
-        assert list(db.relation_names()) == []
-        assert list(db.index_keys()) == []
-        with pytest.raises(SchemaError):
-            db.drop("T")
