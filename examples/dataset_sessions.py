@@ -64,8 +64,8 @@ def main() -> None:
 
     membership_stats = ds.stats()["kinds"]["list-membership"]
     print(
-        f"shard_builds={membership_stats['shard_builds']} "
-        f"builds={membership_stats['builds']}"
+        f"shards={ds.shards_for('list-membership')} "
+        f"builds={membership_stats['builds']} (one per shard)"
     )
     engine.close()
 

@@ -27,8 +27,10 @@ fingerprints a payload **once**, registers a stable name, and returns a
 * ``ds.detach()`` -- releases the name; further use raises
   :class:`~repro.core.errors.UnknownDatasetError`.
 
-A mutable session writes no artifact after version 0: later versions live in
-memory only, because nothing could compute their keys to read them back.
+A mutable session's monolithic kinds write no artifact after version 0:
+later versions live in memory only, because nothing could compute their keys
+to read them back.  A sharded kind is the exception: its rebuild after a
+batch still caches and stores every touched shard by content (ROADMAP item 8).
 
 One session dispatches to all three storage shapes from its attach-time
 options: monolithic, sharded (``shards=K``, said here and nowhere else),
@@ -129,17 +131,13 @@ class _MonolithicKernel:
     ``one(structure, query, tracker)``.
     Here those are the scheme's own entry points -- ``tracker is None``
     selects the untracked ``answer_fast``, any tracker the cost-charging
-    ``answer``.  Pure evaluation: callers time the call and report it
-    through :attr:`settle`.
+    ``answer``.  Pure evaluation: the plan times the call and counts it.
     """
 
-    __slots__ = ("scheme", "settle")
+    __slots__ = ("scheme",)
 
-    def __init__(
-        self, engine: "QueryEngine", kind: str, registration: "_Registration"
-    ) -> None:
+    def __init__(self, registration: "_Registration") -> None:
         self.scheme = registration.scheme
-        self.settle = partial(engine._count_serve, kind)
 
     def one(
         self, structure: Any, query: Any, tracker: Optional[CostTracker] = None
@@ -177,20 +175,24 @@ class _ServePlan:
     structure, so a fold in place is served at once and a rebuild installs
     a new plan.  :meth:`serve`/:meth:`serve_many` time *only* the kernel
     call (resolution and first-touch builds are accounted as build/hit,
-    never serve) and report through the kernel's ``settle``.
+    never serve) and count it through ``engine._count_serve``, one way for
+    every storage shape.
     :meth:`serve_tracked` runs the kernel's analytic evaluator over the same
     structure.  The plan owns what it captured: it keeps the structure
     until its session detaches, whatever the engine's LRU cache evicts (the
     cache only deduplicates loads and builds across sessions).
     """
 
-    __slots__ = ("_engine", "_kind", "_kernel", "_structure", "answer", "answer_many")
+    __slots__ = (
+        "_engine", "_kind", "_kernel", "_structure", "_settle", "answer", "answer_many",
+    )
 
     def __init__(self, engine: "QueryEngine", kind: str, kernel: Any, structure: Any) -> None:
         self._engine = engine
         self._kind = kind
         self._kernel = kernel
         self._structure = structure
+        self._settle = partial(engine._count_serve, kind)
         self.answer, self.answer_many = kernel.bind(structure)
 
     def resolve(self) -> Any:
@@ -207,7 +209,7 @@ class _ServePlan:
             # exception.
             self._engine._bump(self._kind, serve_errors=1)
             raise
-        self._kernel.settle(1, time.perf_counter() - started)
+        self._settle(1, time.perf_counter() - started)
         return answer
 
     def serve_many(self, queries: Sequence[Any]) -> List[bool]:
@@ -217,7 +219,7 @@ class _ServePlan:
         except Exception:
             self._engine._bump(self._kind, serve_errors=len(queries))
             raise
-        self._kernel.settle(len(queries), time.perf_counter() - started)
+        self._settle(len(queries), time.perf_counter() - started)
         return answers
 
     def serve_tracked(self, query: Any, tracker: CostTracker) -> bool:
@@ -227,7 +229,7 @@ class _ServePlan:
         except Exception:
             self._engine._bump(self._kind, serve_errors=1)
             raise
-        self._kernel.settle(1, time.perf_counter() - started)
+        self._settle(1, time.perf_counter() - started)
         return answer
 
 
@@ -453,8 +455,7 @@ class Dataset:
     def _build_plan(self, kind: str) -> _ServePlan:
         """Capture an immutable session's serve plan for ``kind``: the kind
         resolves exactly once, here, through :meth:`_resolve` (every shard of
-        a sharded kind, misses built in parallel), and :meth:`_bind` binds
-        the result.
+        a sharded kind), and :meth:`_bind` binds the result.
         """
         plan = self._bind(kind, self._resolve(kind, self._data, self._fingerprint)[0])
         with self._plans_lock:
@@ -472,9 +473,7 @@ class Dataset:
         plans and every side of a mutable version are bound here.
         """
         registration = self.registration_for(kind)
-        kernel = (ShardedKernel if registration.shards > 1 else _MonolithicKernel)(
-            self._engine, kind, registration
-        )
+        kernel = (ShardedKernel if registration.shards > 1 else _MonolithicKernel)(registration)
         return _ServePlan(self._engine, kind, kernel, structure)
 
     def _resolve(
@@ -485,13 +484,19 @@ class Dataset:
         (cache -> store -> build).  A monolithic kind resolves by artifact key
         (an O(|D|) hash unless ``fingerprint`` is given); a sharded kind as a
         :class:`~repro.service.sharding.ShardedStructure` of every shard,
-        misses built in parallel (source ``"shards"``, no blob).
+        each non-empty one resolved by its own key in plan order on this
+        thread (source ``"shards"``, no blob).
         """
         engine = self._engine
         registration = self.registration_for(kind)
         if registration.shards > 1:
             plan = plan_shards(kind, registration, content)
-            structures = tuple(engine._resolve_shards(kind, registration, plan))
+            structures = tuple(
+                None if shard.piece.is_empty() else engine._resolve_by_key(
+                    kind, registration, registration.shard_key(plan, shard), shard.piece.data
+                )[0]
+                for shard in plan.planned
+            )
             return ShardedStructure(plan, structures), "shards", None
         key = registration.key(fingerprint or dataset_fingerprint(content))
         return engine._resolve_by_key(kind, registration, key, content)

@@ -42,19 +42,19 @@ whether a kind is served monolithic, sharded or mutable -- so steady-state
 queries never reach this module's resolution layers.
 
 ``attach(..., shards=K)`` is the one place K is said: for every served kind
-whose scheme declares a :class:`~repro.service.merge.ShardSpec` it swaps
-monolithic resolution for :meth:`QueryEngine._resolve_shards` over a
-:func:`~repro.service.sharding.plan_shards` plan -- K per-shard structures
-through the same cache -> store -> build layers, all resolved once when the
-session's serve plan is built, misses in parallel on the engine's
-shard-build pool -- and evaluation for the
+whose scheme declares a :class:`~repro.service.merge.ShardSpec` the session
+resolves a :func:`~repro.service.sharding.plan_shards` plan -- each of its K
+per-shard structures through :meth:`QueryEngine._resolve_by_key`, the same
+cache -> store -> build layers and the same counters as a monolithic
+structure, in plan order on the calling thread -- and evaluates through the
 :class:`~repro.service.sharding.ShardedKernel`'s scatter-gather.
 
 Datasets that *mutate* are served through ``attach(..., mutable=True)``
 (one session, every kind, one published version pointer): change batches
 fold into the live structures via per-scheme ``apply_delta`` hooks (falling
-back to touched-shard or full rebuilds), with lock-free versioned reads;
-only the version-0 structures are persisted.
+back to touched-shard or full rebuilds), with lock-free versioned reads.  A
+monolithic kind persists only its version-0 structure; a sharded rebuild
+still caches and stores every touched shard (ROADMAP item 8).
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -74,10 +74,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker
 from repro.core.errors import (
@@ -90,6 +88,7 @@ from repro.core.query import PiScheme, QueryClass
 from repro.service.artifacts import ArtifactKey, ArtifactStore
 from repro.service.cache import CacheStats, LRUArtifactCache
 from repro.service.dataset import Dataset
+from repro.service.mutable import retire_on_thread_exit
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -110,13 +109,10 @@ SLOW_LOAD_SECONDS = 0.05
 class SchemeStats:
     """Serving counters for one registered kind.
 
-    The plain counters (``builds``, ``cache_hits``, ``store_hits``) count
-    monolithic artifact resolutions; the ``shard_*`` counters count
-    *per-shard* resolutions for datasets served sharded (a single cold
-    sharded resolve bumps ``shard_builds`` once per non-empty shard).
-    ``shard_serve_seconds`` accumulates scatter-gather time, already included
-    in ``serve_seconds``.  The ``delta_*`` counters track the mutable-dataset
-    write path (:mod:`repro.service.mutable`): batches folded in place by the
+    ``builds``, ``cache_hits`` and ``store_hits`` count artifact
+    resolutions, a shard's like any other (a cold sharded resolve bumps
+    ``builds`` once per non-empty shard).  The ``delta_*`` counters track
+    the mutable-dataset write path (:mod:`repro.service.mutable`): batches folded in place by the
     scheme's ``apply_delta`` hook versus ``fallback_rebuilds`` that resolved
     the post-batch content from scratch.
     """
@@ -128,11 +124,6 @@ class SchemeStats:
     builds: int = 0
     build_seconds: float = 0.0
     serve_seconds: float = 0.0
-    shard_builds: int = 0
-    shard_cache_hits: int = 0
-    shard_store_hits: int = 0
-    shard_build_seconds: float = 0.0
-    shard_serve_seconds: float = 0.0
     delta_batches: int = 0
     delta_changes: int = 0
     delta_seconds: float = 0.0
@@ -158,9 +149,9 @@ class SchemeStats:
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of artifact resolutions (monolithic or shard) that skipped a build."""
-        hits = self.cache_hits + self.store_hits + self.shard_cache_hits + self.shard_store_hits
-        resolutions = hits + self.builds + self.shard_builds
+        """Fraction of artifact resolutions that skipped a build."""
+        hits = self.cache_hits + self.store_hits
+        resolutions = hits + self.builds
         if not resolutions:
             return 0.0
         return hits / resolutions
@@ -249,24 +240,12 @@ class _Registration:
         return self.key(planned.fingerprint, f"|s{planned.piece.index}/{plan.shards}")
 
 
-class _ShardAnchor:
-    """Thread-local sentinel whose death retires the thread's counter shard."""
-
-    __slots__ = ("__weakref__",)
-
-
-def _retire_counter_shard(counter_ref: "weakref.ref", shard: Dict[str, List[float]]) -> None:
-    """Finalizer target for a thread's counter shard.
-
-    Module-level on purpose: a bound-method callback would root the whole
-    counter (and through it the engine's statistics) in weakref's global
-    registry until the owning *thread* exits.  With only a weak reference
-    here, dropping the engine frees the counter immediately; the finalizer
-    then retires into nothing.
-    """
-    counter = counter_ref()
-    if counter is not None:
-        counter._retire(shard)
+def _add_into(totals: Dict[str, List[float]], slots: Iterable[Tuple[str, List[float]]]) -> None:
+    """Add ``(kind, [queries, serve_seconds])`` slots into ``totals``."""
+    for kind, (queries, serve_seconds) in slots:
+        total = totals.setdefault(kind, [0, 0.0])
+        total[0] += queries
+        total[1] += serve_seconds
 
 
 class _QueryCounterShards:
@@ -275,18 +254,19 @@ class _QueryCounterShards:
     The per-query hot path used to take the engine-wide statistics lock for
     every answer (``_bump``) -- a measurable constant on a microsecond-scale
     serve, and a contention point under concurrent batches.  Here each
-    serving thread owns a private ``kind -> [queries, serve_seconds,
-    shard_serve_seconds]`` slot; increments touch only thread-local state
-    (no lock), and :meth:`fold` sums every thread's slots when
+    serving thread owns a private ``kind -> [queries, serve_seconds]``
+    slot; increments touch only thread-local state (no lock), and
+    :meth:`fold` sums every thread's slots when
     ``QueryEngine.stats()`` snapshots.  Slot *creation* is serialized so the
     fold can iterate each shard dict safely; folds may observe an increment
     a hair late, which is inherent to any relaxed counter snapshot.
 
-    Thread lifecycle: a shard is anchored to a thread-local sentinel whose
-    finalizer folds the dead thread's counts into a ``_retired``
-    accumulator and removes the shard from the live list -- a long-lived
-    engine serving thread-per-request traffic stays bounded by its *live*
-    threads, not by every thread it has ever seen.
+    Thread lifecycle: a shard is retired when its thread exits
+    (:func:`~repro.service.mutable.retire_on_thread_exit`), folding the dead
+    thread's counts into a ``_retired`` accumulator and removing the shard
+    from the live list -- a long-lived engine serving thread-per-request
+    traffic stays bounded by its *live* threads, not by every thread it has
+    ever seen.
     """
 
     __slots__ = ("_local", "_shards", "_retired", "_lock", "__weakref__")
@@ -301,10 +281,9 @@ class _QueryCounterShards:
         shard = getattr(self._local, "shard", None)
         if shard is None:
             shard = self._local.shard = {}
-            anchor = self._local.anchor = _ShardAnchor()
             # The finalizer keeps `shard` alive until the owning thread
             # dies, then folds its counts into the retired accumulator.
-            weakref.finalize(anchor, _retire_counter_shard, weakref.ref(self), shard)
+            retire_on_thread_exit(self._local, self, shard)
             with self._lock:
                 self._shards.append(shard)
         slot = shard.get(kind)
@@ -312,7 +291,7 @@ class _QueryCounterShards:
             # Serialize dict *growth* (never the increments) so a concurrent
             # fold iterating this shard cannot see a mid-resize dict.
             with self._lock:
-                slot = shard.setdefault(kind, [0, 0.0, 0.0])
+                slot = shard.setdefault(kind, [0, 0.0])
         return slot
 
     def _retire(self, shard: Dict[str, List[float]]) -> None:
@@ -321,14 +300,7 @@ class _QueryCounterShards:
                 self._shards.remove(shard)
             except ValueError:  # pragma: no cover - double finalize guard
                 return
-            for kind, slot in shard.items():
-                total = self._retired.get(kind)
-                if total is None:
-                    self._retired[kind] = [slot[0], slot[1], slot[2]]
-                else:
-                    total[0] += slot[0]
-                    total[1] += slot[1]
-                    total[2] += slot[2]
+            _add_into(self._retired, shard.items())
 
     def fold(self) -> Dict[str, List[float]]:
         """Sum of every live thread's slots plus retired threads', by kind."""
@@ -337,14 +309,7 @@ class _QueryCounterShards:
             shards.append(list(self._retired.items()))
         totals: Dict[str, List[float]] = {}
         for items in shards:
-            for kind, slot in items:
-                total = totals.get(kind)
-                if total is None:
-                    totals[kind] = [slot[0], slot[1], slot[2]]
-                else:
-                    total[0] += slot[0]
-                    total[1] += slot[1]
-                    total[2] += slot[2]
+            _add_into(totals, items)
         return totals
 
     def reset(self) -> None:
@@ -355,7 +320,6 @@ class _QueryCounterShards:
                 for slot in shard.values():
                     slot[0] = 0
                     slot[1] = 0.0
-                    slot[2] = 0.0
 
 
 class QueryEngine:
@@ -370,9 +334,6 @@ class QueryEngine:
         Capacity of the in-process LRU artifact cache.  It bounds only what
         the cache holds: a structure an attached session's serve plan
         captured lives until that session detaches.
-    max_workers:
-        Width of the shard-build pool (created on the first parallel shard
-        build, shut down by :meth:`close`).
     """
 
     def __init__(
@@ -380,7 +341,6 @@ class QueryEngine:
         *,
         store: Optional[ArtifactStore] = None,
         cache_entries: int = 64,
-        max_workers: int = 4,
     ):
         self._store = store
         self._cache = LRUArtifactCache(cache_entries)
@@ -396,9 +356,6 @@ class QueryEngine:
         self._build_locks_guard = threading.Lock()
         self._datasets: Dict[str, Dataset] = {}
         self._datasets_guard = threading.Lock()
-        self._max_workers = max(1, max_workers)
-        self._shard_pool: Optional[ThreadPoolExecutor] = None
-        self._shard_pool_guard = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -649,7 +606,8 @@ class QueryEngine:
     def _resolve_by_key(
         self, kind: str, registration: _Registration, key: ArtifactKey, content: Any
     ) -> Tuple[Any, str, Optional[bytes]]:
-        """Monolithic cache -> store -> build resolution for a known key.
+        """Cache -> store -> build resolution for a known key -- a monolithic
+        structure's or one shard's.
 
         Called only by ``Dataset._resolve`` (:mod:`repro.service.dataset`),
         so the probe / stat-bump / miss sequence exists exactly once (returns
@@ -661,71 +619,20 @@ class QueryEngine:
             return structure, "cache", None
         return self._resolve_miss(kind, registration, key, content)
 
-    def _resolve_shards(
-        self,
-        kind: str,
-        registration: _Registration,
-        plan: "ShardPlan",
-    ) -> List[Optional[Any]]:
-        """Per-shard twin of :meth:`_resolve_by_key`: a plan-length list with
-        every shard's structure, ``None`` for empty pieces.  Two or more
-        misses build on the engine's own pool, never a caller's (whose
-        workers could all end up waiting on builds it cannot schedule);
-        build tasks submit nothing, so it cannot deadlock against itself."""
-        planned = plan.planned
-        structures: List[Optional[Any]] = [None] * len(planned)
-        misses: List[Tuple[int, ArtifactKey]] = []
-        for position, shard in enumerate(planned):
-            if shard.piece.is_empty():
-                continue
-            key = registration.shard_key(plan, shard)
-            structure = self._cache.get(key)
-            if structure is not None:
-                self._bump(kind, shard_cache_hits=1)
-                structures[position] = structure
-            else:
-                misses.append((position, key))
-        if len(misses) == 1:
-            position, key = misses[0]
-            structures[position] = self._resolve_miss(
-                kind, registration, key, planned[position].piece.data, shard=True
-            )[0]
-        elif misses:
-            with self._shard_pool_guard:
-                if self._closed:
-                    raise ServiceError("engine is closed")
-                if self._shard_pool is None:
-                    self._shard_pool = ThreadPoolExecutor(
-                        max_workers=self._max_workers,
-                        thread_name_prefix="repro-shard-build",
-                    )
-                pool = self._shard_pool
-            futures = [
-                (position, pool.submit(
-                    self._resolve_miss, kind, registration, key,
-                    planned[position].piece.data, shard=True,
-                ))
-                for position, key in misses
-            ]
-            for position, future in futures:
-                structures[position] = future.result()[0]
-        return structures
-
     def _resolve_miss(
         self,
         kind: str,
         registration: _Registration,
         key: ArtifactKey,
         data: Any,
-        *,
-        shard: bool = False,
     ) -> Tuple[Any, str, Optional[bytes]]:
-        """Cache-miss path shared by monolithic and per-shard resolution.
+        """Cache-miss path of :meth:`_resolve_by_key`.
 
         The caller has already probed the cache (and recorded the miss);
         this takes the per-key build lock, rechecks, then loads from the
-        store or builds and persists.  ``shard=True`` routes the counters to
-        the ``shard_*`` statistics.  Returns (structure, cache|store|build, bytes held).
+        store or builds and persists.  It holds one build lock at a time,
+        so callers resolving several keys in any order cannot deadlock.
+        Returns (structure, cache|store|build, bytes held).
         """
         with self._build_locks_guard:
             lock = self._build_locks.setdefault(key, threading.Lock())
@@ -736,18 +643,14 @@ class QueryEngine:
                 # finished the build first.
                 structure = self._cache.get(key, record=False)
                 if structure is not None:
-                    self._bump(kind, **{("shard_cache_hits" if shard else "cache_hits"): 1})
+                    self._bump(kind, cache_hits=1)
                     return structure, "cache", None
-                structure, blob = self._load_from_store(kind, registration, key, shard=shard)
+                structure, blob = self._load_from_store(kind, registration, key)
                 source = "store" if structure is not None else "build"
                 if structure is None:
                     started = time.perf_counter()
                     structure = registration.scheme.preprocess(data, CostTracker())
-                    elapsed = time.perf_counter() - started
-                    if shard:
-                        self._bump(kind, shard_builds=1, shard_build_seconds=elapsed)
-                    else:
-                        self._bump(kind, builds=1, build_seconds=elapsed)
+                    self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
                     if self._store is not None:
                         try:
                             blob = registration.scheme.dump(structure)
@@ -769,12 +672,7 @@ class QueryEngine:
         return structure, source, blob
 
     def _load_from_store(
-        self,
-        kind: str,
-        registration: _Registration,
-        key: ArtifactKey,
-        *,
-        shard: bool = False,
+        self, kind: str, registration: _Registration, key: ArtifactKey
     ) -> Tuple[Optional[Any], Optional[bytes]]:
         if self._store is None:
             return None, None
@@ -812,29 +710,22 @@ class QueryEngine:
                 self._bump(kind, checksum_failures=1)
                 self._store.delete(key)
                 return None, None
-            self._bump(kind, **{("shard_store_hits" if shard else "store_hits"): 1})
+            self._bump(kind, store_hits=1)
             return structure, blob
         return None, None
 
     # -- hot-path statistics -----------------------------------------------------
 
-    def _count_serve(
-        self, kind: str, queries: int, serve_seconds: float, sharded: bool = False
-    ) -> None:
+    def _count_serve(self, kind: str, queries: int, serve_seconds: float) -> None:
         """Record served queries on the lock-free thread-local counters.
 
         The hot-path replacement for ``_bump(kind, queries=..., ...)``:
         every per-query statistic goes through here; ``_bump`` (lock-held)
         remains for rare events -- builds, hits, deltas, health counters.
-        ``sharded`` books the same seconds as scatter-gather time too, so
-        ``shard_serve_seconds`` is by construction included in
-        ``serve_seconds``.
         """
         slot = self._query_counters.slot(kind)
         slot[0] += queries
         slot[1] += serve_seconds
-        if sharded:
-            slot[2] += serve_seconds
 
     def _fingerprint_in_use(self, fingerprint: str) -> bool:
         """True while an *attached* session still serves this content.
@@ -869,19 +760,18 @@ class QueryEngine:
     def stats(self) -> EngineStats:
         """An immutable snapshot of per-kind and cache counters.
 
-        Per-query serving counters (``queries``, ``serve_seconds``,
-        ``shard_serve_seconds``) live on lock-free thread-local shards and
-        are folded into the snapshot here -- the read side pays the
-        aggregation so the serve side never takes a lock.
+        Per-query serving counters (``queries``, ``serve_seconds``) live on
+        lock-free thread-local shards and are folded into the snapshot here
+        -- the read side pays the aggregation so the serve side never takes
+        a lock.
         """
         with self._stats_lock:
             per_kind = {kind: replace(stats) for kind, stats in self._stats.items()}
-        for kind, (queries, serve_seconds, shard_serve) in self._query_counters.fold().items():
+        for kind, (queries, serve_seconds) in self._query_counters.fold().items():
             stats = per_kind.get(kind)
             if stats is not None:
                 stats.queries += int(queries)
                 stats.serve_seconds += serve_seconds
-                stats.shard_serve_seconds += shard_serve
         return EngineStats(per_kind=per_kind, cache=self._cache.stats())
 
     def reset_stats(self) -> None:
@@ -892,8 +782,7 @@ class QueryEngine:
         self._query_counters.reset()
 
     def close(self) -> None:
-        """Detach attached datasets, then shut down the shard-build pool;
-        further work errors.
+        """Detach attached datasets; further work errors.
 
         Idempotent: a second ``close()`` (including a concurrent one, which
         blocks until the first finishes) is a no-op.  A query a caller's
@@ -911,10 +800,6 @@ class QueryEngine:
                 except UnknownDatasetError:  # pragma: no cover - concurrent detach
                     pass
             self._closed = True
-            with self._shard_pool_guard:
-                if self._shard_pool is not None:
-                    self._shard_pool.shutdown(wait=True)
-                    self._shard_pool = None
 
     def __enter__(self) -> "QueryEngine":
         return self

@@ -42,8 +42,7 @@ __all__ = ["handle_request", "handle_frame", "merge_stats", "worker_main"]
 _MAX_KEYS = frozenset({"version"})
 #: The per-kind counters ``SchemeStats.hit_rate`` is a ratio of (the front
 #: does not import the engine, so the formula is restated over the keys).
-_HIT_KEYS = ("cache_hits", "store_hits", "shard_cache_hits", "shard_store_hits")
-_BUILD_KEYS = ("builds", "shard_builds")
+_HIT_KEYS = ("cache_hits", "store_hits")
 
 
 def merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
@@ -67,7 +66,7 @@ def merge_stats(base: Dict[str, Any], other: Dict[str, Any]) -> None:
                 base[key] = base[key] + value
     if "hit_rate" in base:
         hits = sum(base.get(key, 0) for key in _HIT_KEYS)
-        resolutions = hits + sum(base.get(key, 0) for key in _BUILD_KEYS)
+        resolutions = hits + base.get("builds", 0)
         base["hit_rate"] = hits / resolutions if resolutions else 0.0
 
 

@@ -26,9 +26,11 @@ built on:
 O(|CHANGED| * polylog).  Schemes without a hook -- and sharded registrations
 -- fall back automatically to a rebuild through the engine, where
 content-addressed shard artifacts turn the rebuild into a
-touched-shards-only build.  A version's identity is its number: later
-versions live in memory only and write no artifact, because no lookup could
-compute a key for one.
+touched-shards-only build.  A version's identity is its number: a
+monolithic kind's later versions live in memory only and write no artifact,
+because no lookup could compute a key for one.  A sharded kind's rebuild
+still puts every touched shard into the cache and the store, keyed by the
+shard's content (ROADMAP item 8).
 
     >>> from repro.queries import membership_class, sorted_run_scheme
     >>> from repro.service.engine import QueryEngine
@@ -77,22 +79,37 @@ __all__ = [
 _IDLE = -1
 
 
-class _SlotAnchor:
-    """Thread-local sentinel whose death retires the thread's read slot."""
+class _ThreadAnchor:
+    """Thread-local sentinel: it dies with the thread that owns it."""
 
     __slots__ = ("__weakref__",)
 
 
-def _retire_read_slot(indicator_ref: "weakref.ref", slot_id: int) -> None:
-    """Finalizer target for a thread's read slot.
+def _retire_token(owner_ref: "weakref.ref", token: Any) -> None:
+    """Finalizer target: ``owner._retire(token)`` if the owner still lives.
 
     Module-level on purpose: a bound-method callback would root the whole
-    indicator (and through it the dataset's structures) in weakref's global
-    registry until the owning *thread* exits.
+    owner (and through it the engine's statistics or a dataset's
+    structures) in weakref's global registry until the owning *thread*
+    exits.  With only a weak reference here, dropping the owner frees it at
+    once; the finalizer then retires into nothing.
     """
-    indicator = indicator_ref()
-    if indicator is not None:
-        indicator._retire(slot_id)
+    owner = owner_ref()
+    if owner is not None:
+        owner._retire(token)
+
+
+def retire_on_thread_exit(local: threading.local, owner: Any, token: Any) -> None:
+    """Call ``owner._retire(token)`` when the current thread exits.
+
+    The one thread-exit finalizer of the per-thread registries -- the
+    engine's query counter shards and a mutable session's read slots: an
+    anchor stored on ``local`` dies with the thread, and its finalizer
+    unregisters the thread's entry, so a registry serving
+    thread-per-request traffic stays bounded by its *live* threads.
+    """
+    anchor = local.anchor = _ThreadAnchor()
+    weakref.finalize(anchor, _retire_token, weakref.ref(owner), token)
 
 
 class _ReadIndicator:
@@ -112,11 +129,10 @@ class _ReadIndicator:
     pairing, so a reader either re-observes the new version and retries, or
     its announcement is visible to the writer's scan.
 
-    Slot lifecycle mirrors the engine's sharded query counters
-    (:class:`repro.service.engine._QueryCounterShards`): each slot is
-    anchored to a thread-local sentinel whose finalizer unregisters it when
-    the thread dies, so a long-lived dataset serving thread-per-request
-    traffic stays bounded by its *live* threads.
+    Slots retire like the engine's per-thread query counters
+    (:func:`retire_on_thread_exit`): a slot is unregistered when its thread
+    dies, so a long-lived dataset serving thread-per-request traffic stays
+    bounded by its *live* threads.
     """
 
     __slots__ = ("_local", "_slots", "_lock", "__weakref__")
@@ -133,11 +149,9 @@ class _ReadIndicator:
         except AttributeError:
             pass
         slot = [_IDLE]
-        anchor = _SlotAnchor()
-        weakref.finalize(anchor, _retire_read_slot, weakref.ref(self), id(slot))
+        retire_on_thread_exit(self._local, self, id(slot))
         with self._lock:
             self._slots[id(slot)] = slot
-        self._local.anchor = anchor
         self._local.slot = slot
         return slot
 

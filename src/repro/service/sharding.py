@@ -3,10 +3,10 @@
 A monolithic Pi-structure makes build cost and memory scale with a single
 process.  :func:`plan_shards` instead partitions a dataset into K shards
 (split declared per scheme via :class:`~repro.service.merge.ShardSpec`) --
-a pure function of (content, K).  The engine resolves each shard through
-the same cache -> store -> build layers as a monolithic structure
-(``QueryEngine._resolve_shards``, misses built *in parallel* on the
-engine's shard-build pool), so every shard is an independent
+a pure function of (content, K).  Each shard resolves through the same
+cache -> store -> build layers, and bumps the same counters, as a monolithic
+structure (``QueryEngine._resolve_by_key`` under the shard's own key, in
+plan order on the calling thread), so every shard is an independent
 :class:`~repro.service.artifacts.ArtifactStore` artifact.  A session's
 serve plan resolves every shard once, when the plan is built.  Answering is
 the :class:`ShardedKernel`'s job: rewrite and route a query once, then one
@@ -26,8 +26,8 @@ predicts which shards a change touches: the content key decides.
     >>> engine = QueryEngine()
     >>> engine.register("membership", membership_class(), sorted_run_scheme())
     >>> ds = engine.attach("numbers", tuple(range(100)), shards=4)
-    >>> _ = ds.warm()  # builds all four shards in parallel
-    >>> engine.stats().per_kind["membership"].shard_builds
+    >>> _ = ds.warm()  # builds all four shards, one build each
+    >>> engine.stats().per_kind["membership"].builds
     4
     >>> ds.query("membership", 17)  # routed: one shard asked, no cache probe
     True
@@ -45,7 +45,7 @@ from repro.service.merge import ShardPiece, ShardSpec
 from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.service.engine import QueryEngine, _Registration
+    from repro.service.engine import _Registration
 
 __all__ = [
     "PlannedShard",
@@ -102,23 +102,21 @@ class ShardedKernel:
 
     The sharded counterpart of calling ``scheme.answer_fast`` / ``answer`` /
     ``answer_many`` on a monolithic structure: an answer is a function of
-    *(structures, query)* and nothing else, so every serve plan -- the
-    :class:`ShardedStructure` an immutable plan resolved at build (through
-    :meth:`bind`), or one pinned from a mutable version -- evaluates
-    through this one object.  ``tracker is None``
-    selects the untracked partials (the production path); any tracker
-    selects the cost-charging evaluator the certifier measures.  Pure
-    evaluation: nothing here touches a counter; callers time the call and
-    report it through :attr:`settle`, which books scatter time as both
-    ``serve_seconds`` and ``shard_serve_seconds``.
+    *(structures, query)* and nothing else, so every serve plan -- an
+    immutable session's or a mutable version's, each bound to one
+    :class:`ShardedStructure` through :meth:`bind` -- evaluates through
+    this one object.  ``tracker is None`` selects the untracked partials
+    (the production path); any tracker selects the cost-charging evaluator
+    the certifier measures.  Pure evaluation: nothing here touches a
+    counter; the serve plan times the call and counts it as it counts a
+    monolithic one.
     """
 
-    __slots__ = ("_scheme", "_spec", "settle")
+    __slots__ = ("_scheme", "_spec")
 
-    def __init__(self, engine: "QueryEngine", kind: str, registration: "_Registration"):
+    def __init__(self, registration: "_Registration"):
         self._scheme = registration.scheme
         self._spec = registration.scheme.sharding
-        self.settle = partial(engine._count_serve, kind, sharded=True)
 
     def one(self, sharded: ShardedStructure, query: Any, tracker: Any = None) -> bool:
         """Answer one query: rewrite and route it once, then evaluate one
@@ -167,7 +165,7 @@ class ShardedKernel:
 
     def bind(self, sharded: ShardedStructure) -> Tuple[Callable, Callable]:
         """``(answer_one, answer_many)`` bound to one resolved
-        :class:`ShardedStructure` -- what an immutable serve plan calls."""
+        :class:`ShardedStructure` -- what a serve plan calls."""
         return partial(self.one, sharded), partial(self.many, sharded)
 
 

@@ -74,7 +74,7 @@ def test_concurrent_sharded_batch_equals_naive(size, seed, shards):
             ]
             assert [future.result(timeout=60) for future in futures] == naive
         for kind in _KINDS:
-            assert _ENGINE.stats().per_kind[kind].shard_builds <= shards, kind
+            assert _ENGINE.stats().per_kind[kind].builds <= shards, kind
     finally:
         for kind in _KINDS:
             _ENGINE.detach(kind)

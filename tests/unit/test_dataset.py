@@ -219,11 +219,13 @@ def test_attach_shard_override_serves_sharded_without_reregistering():
         ds = engine.attach("events", data, kinds=["membership"], shards=4)
         assert ds.shards_for("membership") == 4
         assert ds.query("membership", 17) is True
-        stats = engine.stats().per_kind["membership"]
-        assert stats.builds == 0 and stats.shard_builds >= 1
+        sharded_builds = engine.stats().per_kind["membership"].builds
+        assert sharded_builds >= 1
         # The same engine still serves the monolithic path for other sessions.
-        assert engine.attach("mono", data).query("membership", 17) is True
-        assert engine.stats().per_kind["membership"].builds == 1
+        mono = engine.attach("mono", data)
+        assert mono.shards_for("membership") == 1
+        assert mono.query("membership", 17) is True
+        assert engine.stats().per_kind["membership"].builds == sharded_builds + 1
 
 
 def test_shard_override_ignores_unshardable_kinds():

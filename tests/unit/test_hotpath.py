@@ -12,6 +12,7 @@ The engine has no serve pool: every concurrent test brings its own threads.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import threading
 import time
@@ -219,8 +220,8 @@ def test_serve_seconds_excludes_first_touch_build_time():
         ds = engine.attach("events", tuple(range(1 << 16)), kinds=["membership"], shards=4)
         assert ds.query("membership", 17) is True  # builds every shard
         stats = ds.stats()["kinds"]["membership"]
-        assert stats["shard_build_seconds"] > 0
-        assert stats["serve_seconds"] < stats["shard_build_seconds"]
+        assert stats["build_seconds"] > 0
+        assert stats["serve_seconds"] < stats["build_seconds"]
 
 
 def test_invalidate_spares_plans_of_attached_equal_content_sessions():
@@ -293,7 +294,7 @@ def test_query_batch_groups_by_kind_and_preserves_order():
 def test_mutable_query_batch_stays_batch_atomic_under_writes():
     """Grouped mutable batches still hold one latch: a concurrent writer can
     never tear a batch (all answers pre-batch or all post-batch)."""
-    engine = _flat_engine(max_workers=4)
+    engine = _flat_engine()
     ds = engine.attach("events", (1, 2, 3), mutable=True)
     ds.warm(["membership"])
     stop = threading.event = threading.Event()
@@ -335,7 +336,7 @@ def test_mutable_query_batch_stays_batch_atomic_under_writes():
 
 
 def test_stats_fold_across_threads_and_reset():
-    with _flat_engine(max_workers=4) as engine:
+    with _flat_engine() as engine:
         data = tuple(range(128))
         ds = engine.attach("events", data, kinds=["membership"])
         ds.warm()
@@ -359,6 +360,32 @@ def test_stats_fold_across_threads_and_reset():
         assert ds.stats()["kinds"]["membership"]["queries"] == 1
 
 
+def test_dead_threads_retire_their_counters_and_read_slots():
+    """Thread-per-request traffic: each short-lived thread leaves a counter
+    shard and a read slot behind, and both are retired when it exits --
+    the counts fold in (none lost), the registries keep live threads only."""
+    with _flat_engine() as engine:
+        fixed = engine.attach("fixed", tuple(range(64)), kinds=["membership"]).warm()
+        live = engine.attach("live", tuple(range(64)), kinds=["membership"], mutable=True)
+        live.warm()  # this thread's read slot: the one live reader left
+
+        def request(value):
+            assert fixed.query("membership", value) is True
+            assert live.query("membership", value) is True
+
+        for start in range(0, 200, 20):
+            threads = [threading.Thread(target=request, args=(value % 64,))
+                       for value in range(start, start + 20)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        gc.collect()
+        assert engine._query_counters._shards == []  # no dead thread's shard
+        assert engine.stats().per_kind["membership"].queries == 400
+        assert len(live._mutable._versions._indicator._slots) == 1
+
+
 # -- stats shape under concurrency (ISSUE 7 satellite) -------------------------
 
 
@@ -367,7 +394,7 @@ def test_stats_snapshot_shape_stays_stable_under_concurrent_readers_and_writer()
     shape while reader threads hammer them against one mutating writer --
     no KeyError/RuntimeError out of half-updated counter state."""
     health_keys = set(EngineStats.HEALTH_FIELDS)
-    with _flat_engine(max_workers=2) as engine:
+    with _flat_engine() as engine:
         ds = engine.attach("events", (1, 2, 3), kinds=["membership"], mutable=True)
         ds.query("membership", 1)
         failures = []

@@ -116,7 +116,8 @@ ints = engine.attach("ints", tuple(range(0, 128, 2)),
 print(ints.query("list-membership", 6), ints.query("list-membership", 7),
       ints.query("minimum-range-query", (3, 9, 3)))
 print(len(closure()), *[m for m in {UNSERVED!r} if m in sys.modules])
-print(*[m for m in ("numpy", "asyncio", "repro.service.frontend.server",
+print(*[m for m in ("numpy", "asyncio", "concurrent.futures",
+                    "repro.service.frontend.server",
                     "repro.service.frontend.client") if m in sys.modules])
 engine.close()
 """)

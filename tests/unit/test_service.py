@@ -508,7 +508,7 @@ def _resolutions(engine):
     per_kind = engine.stats().per_kind
     return {
         name: sum(getattr(per_kind[kind], name) for kind in SELECTION_KINDS)
-        for name in ("builds", "store_hits", "cache_hits", "shard_builds", "shard_store_hits")
+        for name in ("builds", "store_hits", "cache_hits")
     }
 
 
@@ -541,8 +541,9 @@ def test_selection_kinds_share_shard_artifacts(tmp_path):
     with build_query_engine(store=store) as engine:
         relation, triples = _selection_workload(engine)
         ds = engine.attach("rel", relation, kinds=list(SELECTION_KINDS), shards=4).warm()
+        assert all(ds.shards_for(kind) == 4 for kind in SELECTION_KINDS)
         counts = _resolutions(engine)
-        assert counts["builds"] == 0 and counts["shard_builds"] == 4
+        assert counts["builds"] == 4
         assert len(list(tmp_path.glob("*/*.pia"))) == 4
         for kind, query, expected in triples:
             assert ds.query(kind, query) == expected, (kind, query)
@@ -551,7 +552,7 @@ def test_selection_kinds_share_shard_artifacts(tmp_path):
     with build_query_engine(store=store) as second:
         second.attach("rel", relation, kinds=list(SELECTION_KINDS), shards=4).warm()
         counts = _resolutions(second)
-        assert counts["shard_builds"] == 0 and counts["shard_store_hits"] == 4
+        assert counts["builds"] == 0 and counts["store_hits"] == 4
 
 
 def test_detach_evicts_a_shared_structure_once(monkeypatch):

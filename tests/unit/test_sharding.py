@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import inspect
 import random
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -18,6 +19,7 @@ from repro.catalog import build_query_engine
 from repro.core.cost import CostTracker
 from repro.core.errors import ServiceError
 from repro.service.artifacts import ArtifactStore
+from repro.service.engine import QueryEngine
 from repro.service.merge import (
     merge_sorted_desc,
     monoid_merge,
@@ -26,7 +28,7 @@ from repro.service.merge import (
     stable_buckets,
     union_merge,
 )
-from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
+from repro.service.sharding import ShardedKernel, ShardedStructure
 from repro.storage.fingerprint import dataset_fingerprint
 
 SHARDABLE_KINDS = (
@@ -144,8 +146,8 @@ def test_shards_require_a_shard_spec():
         assert [ds.query("tree-lca", q) for q in queries] == [
             query_class.pair_in_language(tree, q) for q in queries
         ]
-        stats = engine.stats().per_kind["tree-lca"]
-        assert stats.builds == 1 and stats.shard_builds == 0
+        # One build: the sharded path would build one per shard.
+        assert engine.stats().per_kind["tree-lca"].builds == 1
 
 
 def test_shardable_kinds_lists_spec_carriers():
@@ -180,11 +182,11 @@ def _workloads(engine, *, size=96, seed=13, per_kind=8):
 
 
 def test_concurrent_sharded_batches_match_sequential(tmp_path):
-    """Cold concurrent scatter-gather: no deadlock between the callers'
-    threads and the shard-build pool, one build per shard artifact, answers
-    identical to sequential and naive."""
+    """Cold concurrent scatter-gather: callers' threads resolving the same
+    shard plans inline never deadlock on the per-key build locks, one build
+    per shard artifact, answers identical to sequential and naive."""
     store = ArtifactStore(tmp_path)
-    with build_query_engine(store=store, max_workers=6) as engine:
+    with build_query_engine(store=store) as engine:
         pairs, expected = _workloads(engine)
         with ThreadPoolExecutor(max_workers=6) as pool:  # test-owned threads
             futures = [
@@ -195,8 +197,8 @@ def test_concurrent_sharded_batches_match_sequential(tmp_path):
         sequential = [engine.dataset(kind).query(kind, query) for kind, query in pairs]
         assert concurrent == sequential == expected
         for kind in SHARDABLE_KINDS:
-            stats = engine.stats().per_kind[kind]
-            assert stats.builds == 0 and 0 < stats.shard_builds <= 4, kind
+            assert engine.dataset(kind).shards_for(kind) == 4, kind
+            assert 0 < engine.stats().per_kind[kind].builds <= 4, kind
 
 
 def test_shard_stats_track_builds_and_serve_time(tmp_path):
@@ -206,13 +208,12 @@ def test_shard_stats_track_builds_and_serve_time(tmp_path):
         data, queries = query_class.sample_workload(64, 7, 6)
         for query in queries:
             _ask(engine, kind, data, query)
+        assert engine.dataset("d").shards_for(kind) == 4
         stats = engine.stats().per_kind[kind]
-        assert stats.shard_builds == 4  # one build per block, once
-        assert stats.builds == 0  # the monolithic path never ran
+        assert stats.builds == 4  # one build per block, once
         assert stats.queries == len(queries)
-        assert stats.shard_build_seconds > 0
-        assert stats.shard_serve_seconds > 0
-        assert stats.serve_seconds >= stats.shard_serve_seconds
+        assert stats.build_seconds > 0
+        assert stats.serve_seconds > 0
 
 
 def test_second_engine_serves_shards_from_store(tmp_path):
@@ -227,8 +228,8 @@ def test_second_engine_serves_shards_from_store(tmp_path):
         got = [_ask(second, kind, data, q) for q in queries]
         assert got == expected
         stats = second.stats().per_kind[kind]
-        assert stats.shard_builds == 0
-        assert stats.shard_store_hits == 4  # every shard loaded, none rebuilt
+        assert stats.builds == 0
+        assert stats.store_hits == 4  # every shard loaded, none rebuilt
 
 
 def test_routed_membership_probes_one_shard():
@@ -240,12 +241,12 @@ def test_routed_membership_probes_one_shard():
         assert ds.query(kind, 100) is True
         stats = engine.stats().per_kind[kind]
         # Warmed: the routed query asks its one bucket and probes nothing.
-        assert (stats.shard_cache_hits, stats.shard_store_hits, stats.shard_builds) == (0, 0, 0)
+        assert (stats.cache_hits, stats.store_hits, stats.builds) == (0, 0, 0)
     with build_query_engine() as engine:
         cold = engine.attach("cold", data, kinds=[kind], shards=4)
         assert cold.query(kind, 100) is True
         # Cold: the first query resolves the whole shard plan, like warm().
-        assert engine.stats().per_kind[kind].shard_builds == 4
+        assert engine.stats().per_kind[kind].builds == 4
         engine.reset_stats()
         probes = {stable_bucket(value, 4): value for value in data}
         assert sorted(probes) == [0, 1, 2, 3]
@@ -253,7 +254,7 @@ def test_routed_membership_probes_one_shard():
             assert cold.query(kind, value) is True
         stats = engine.stats().per_kind[kind]
         # One probe into each bucket: no build, no cache probe.
-        assert (stats.shard_cache_hits, stats.shard_builds, stats.queries) == (0, 0, 4)
+        assert (stats.cache_hits, stats.builds, stats.queries) == (0, 0, 4)
 
 
 def test_sharded_plan_resolves_every_shard_once_at_build():
@@ -263,7 +264,7 @@ def test_sharded_plan_resolves_every_shard_once_at_build():
         kind = "list-membership"
         ds = engine.attach("d", (1, 2, 3, 5, 8, 13), kinds=[kind], shards=4)
         assert ds.query(kind, 5) is True
-        built = engine.stats().per_kind[kind].shard_builds
+        built = engine.stats().per_kind[kind].builds
         plan = ds._plan(kind)
         sharded = plan.resolve()
         assert plan.resolve() is sharded
@@ -277,26 +278,25 @@ def test_sharded_plan_resolves_every_shard_once_at_build():
 
 
 def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
-    """The engine's per-shard resolution plus the sharded kernel's one()
-    equals the session's query() and stays statistics-neutral
-    (shard_serve_seconds never exceeds serve_seconds)."""
+    """The session's per-shard resolution plus the sharded kernel's one()
+    equals the session's query(); resolution counts like any structure's,
+    and the kernel counts nothing."""
     with build_query_engine() as engine:
         kind = "minimum-range-query"
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 21, 6)
         ds = engine.attach("d", data, kinds=[kind], shards=4)
-        registration = ds.registration_for(kind)
-        plan = plan_shards(kind, registration, data)
-        sharded = ShardedStructure(
-            plan, tuple(engine._resolve_shards(kind, registration, plan)))
+        sharded, source, _ = ds._resolve(kind, data)
+        assert source == "shards" and isinstance(sharded, ShardedStructure)
         assert None not in sharded.structures  # a full ShardedStructure
-        kernel = ShardedKernel(engine, kind, registration)
+        kernel = ShardedKernel(ds.registration_for(kind))
         for query in queries:
             assert kernel.one(sharded, query) == _ask(engine, kind, data, query)
             assert kernel.one(sharded, query, CostTracker()) == kernel.one(sharded, query)
         stats = engine.stats().per_kind[kind]
         assert stats.queries == len(queries)  # one() bumped nothing
-        assert stats.serve_seconds >= stats.shard_serve_seconds
+        # _resolve built the four blocks; the plan's own resolve hit them.
+        assert (stats.builds, stats.cache_hits) == (4, 4)
 
 
 def test_empty_shards_answer_correctly():
@@ -304,7 +304,7 @@ def test_empty_shards_answer_correctly():
         data = (5, 9)  # 8 buckets, at most 2 occupied
         assert _ask(engine, "list-membership", data, 5, shards=8) is True
         assert _ask(engine, "list-membership", data, 6, shards=8) is False
-        assert engine.stats().per_kind["list-membership"].shard_builds <= 2
+        assert engine.stats().per_kind["list-membership"].builds <= 2
 
 
 def test_numeric_alias_queries_route_like_they_compare():
@@ -349,14 +349,14 @@ def test_point_change_rebuilds_only_its_block():
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(64, 11, 4)
         before = engine.attach("before", data, kinds=[kind], shards=4).warm()
-        assert engine.stats().per_kind[kind].shard_builds == 4
+        assert engine.stats().per_kind[kind].builds == 4
 
         changed = list(data)
         changed[20] = changed[20] - 1000  # block 1 of 4 (offsets 16..31)
         changed = tuple(changed)
         after = engine.attach("after", changed, kinds=[kind], shards=4)
         after.warm()
-        assert engine.stats().per_kind[kind].shard_builds == 5  # one rebuild, not four
+        assert engine.stats().per_kind[kind].builds == 5  # one rebuild, not four
         for query in queries:
             assert after.query(kind, query) == \
                 query_class.pair_in_language(changed, query)
@@ -369,7 +369,7 @@ def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
         query_class, _ = engine.registration(kind)
         data, _ = query_class.sample_workload(80, 5, 1)
         ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
-        cold_builds = engine.stats().per_kind[kind].shard_builds
+        cold_builds = engine.stats().per_kind[kind].builds
         assert cold_builds == 4
 
         row = (123456, 654321)
@@ -377,7 +377,7 @@ def test_tuple_change_batch_rebuilds_only_touched_relation_shards():
         ds.detach()  # in-place mutation contract: detach, re-attach
         ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
         stats = engine.stats().per_kind[kind]
-        assert stats.shard_builds == cold_builds + 1
+        assert stats.builds == cold_builds + 1
         assert ds.query(kind, ("a", 123456)) is True
 
 
@@ -394,9 +394,9 @@ def test_invalidate_drops_shard_plans_for_mutated_lists():
 # -- one kernel per storage shape (ISSUE 14) --------------------------------------
 
 
-def test_sharded_mutable_session_accrues_shard_serve_seconds():
-    """Scatter time is booked by the sharded kernel's settle, so a mutable
-    session accrues it exactly like an immutable one (it used to stay 0)."""
+def test_sharded_mutable_session_accrues_serve_seconds():
+    """Scatter time is booked by the serve plan, so a mutable session
+    accrues it exactly like an immutable one."""
     with build_query_engine() as engine:
         kind = "list-membership"
         ds = engine.attach("d", tuple(range(64)), kinds=[kind], shards=4, mutable=True)
@@ -405,7 +405,7 @@ def test_sharded_mutable_session_accrues_shard_serve_seconds():
         assert ds.query_batch([(kind, 7), (kind, 64)]) == [True, False]
         stats = engine.stats().per_kind[kind]
         assert stats.queries == 4
-        assert 0 < stats.shard_serve_seconds <= stats.serve_seconds
+        assert stats.serve_seconds > 0
 
 
 def test_tracked_sharded_queries_serve_from_captured_shards():
@@ -425,8 +425,8 @@ def test_tracked_sharded_queries_serve_from_captured_shards():
             touched.add(stable_bucket(query, 4))
         stats = engine.stats().per_kind[kind]
         assert len(touched) == 4  # every shard was asked
-        assert stats.shard_cache_hits == 0
-        assert stats.shard_builds == 0
+        assert stats.cache_hits == 0
+        assert stats.builds == 0
 
 
 def test_no_public_callable_takes_a_concurrent_flag():
@@ -452,3 +452,34 @@ def test_no_public_callable_takes_a_concurrent_flag():
         with pytest.raises(TypeError, match="concurrent"):
             ds.query_batch([("list-membership", 2)], concurrent=False)
         assert ds.query_batch([("list-membership", 2)]) == [True]
+
+
+def test_query_engine_takes_store_and_cache_entries_only():
+    """No shard-build pool, so nothing to size: the engine constructor
+    takes exactly ``store`` and ``cache_entries``."""
+    parameters = [p for p in inspect.signature(QueryEngine.__init__).parameters
+                  if p != "self"]
+    assert parameters == ["store", "cache_entries"]
+    with pytest.raises(TypeError, match="max_workers"):
+        QueryEngine(max_workers=4)
+
+
+def test_sharded_resolution_starts_no_thread(tmp_path):
+    """Cold builds and warm store loads of every shard run on the calling
+    thread: the engine starts no thread of its own."""
+    store = ArtifactStore(tmp_path)
+    data = tuple(range(512))
+    before = set(threading.enumerate())
+
+    def started():
+        return sorted(t.name for t in set(threading.enumerate()) - before)
+
+    with build_query_engine(store=store) as cold:
+        cold.attach("d", data, kinds=["list-membership"], shards=4).warm()
+        assert cold.stats().per_kind["list-membership"].builds == 4
+        assert started() == []
+    with build_query_engine(store=store) as warm:
+        ds = warm.attach("d", data, kinds=["list-membership"], shards=4).warm()
+        assert warm.stats().per_kind["list-membership"].store_hits == 4
+        assert ds.query("list-membership", 511) is True
+        assert started() == []
