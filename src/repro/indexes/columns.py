@@ -3,13 +3,15 @@
 *Position* tables (sparse-table levels, block argmins, Euler tours) hold
 indices below a bound fixed at build time, so they are ``array.array`` -- a
 machine word per entry, not a pointer to a boxed ``int`` -- in memory and in
-``to_state`` alike.  *Value* runs hold whatever the dataset holds: lists in
-memory (``bisect`` and indexing are faster over a list), packed for
-``to_state`` only when every element is a plain ``int`` in a machine word;
-a *sorted* run is stored as its first value plus its gaps when the gaps take
-a narrower word than the values do.  A *run-length* column (B+-tree leaf
-``counts``) is an ``array.array`` in memory too, typed by the longest list a
-count can measure, not by the largest count seen at build time.
+``to_state`` alike; an *id* column (Fischer--Heun's in-block table ids) is
+typed by how many ids a parameter lets exist rather than by n.  *Value*
+runs hold whatever the dataset holds: lists in memory (``bisect`` and
+indexing are faster over a list), packed for ``to_state`` only when every
+element is a plain ``int`` in a machine word; a *sorted* run is stored as
+its first value plus its gaps when the gaps take a narrower word than the
+values do.  A *run-length* column (B+-tree leaf ``counts``) is an
+``array.array`` in memory too, typed by the longest list a count can
+measure, not by the largest count seen at build time.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from itertools import accumulate, islice
 from operator import sub
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["positions", "counts", "is_counts", "pack", "pack_sorted", "unpack"]
+__all__ = ["positions", "ids", "counts", "is_counts", "pack", "pack_sorted", "unpack"]
 
 
 def positions(entries: Iterable[int], bound: int) -> array:
@@ -30,6 +32,12 @@ def positions(entries: Iterable[int], bound: int) -> array:
         if bound <= 1 << 8 * array(code).itemsize:
             return array(code, entries)
     raise OverflowError(f"no machine word holds positions below {bound}")
+
+
+def ids(entries: Iterable[int], bound: int) -> array:
+    """A fresh column for ids drawn from ``[0, bound)``: ``'B'`` up to 256,
+    else as :func:`positions`."""
+    return array("B", entries) if bound <= 1 << 8 else positions(entries, bound)
 
 
 #: A count never exceeds the length of one list, so ``sys.maxsize`` bounds it.

@@ -2,16 +2,21 @@
 
 The MRQ case study (paper, Section 4(3)) cites Fischer & Heun [18]: a static
 array can be preprocessed in linear time into a structure answering every
-range-minimum query in constant time.  This is the standard block
-decomposition:
+range-minimum query in constant time.  Three levels:
 
-* split A into blocks of b = max(1, floor(log2 n) / 4) elements;
-* a :class:`~repro.indexes.sparse_table.SparseTable` over the per-block
-  minima answers the block-aligned middle of any query;
-* within blocks, all blocks sharing a *Cartesian-tree signature* (the
-  push/pop sequence of the stack construction, a 2b-bit ballot string) have
-  identical argmin positions for every sub-range, so one lookup table per
-  distinct signature suffices.
+* **signed blocks** -- A splits into blocks of b = max(1, floor(log2 n) / 4)
+  elements.  All blocks sharing a *Cartesian-tree signature* (the push/pop
+  sequence of the stack construction, a 2b-bit ballot string) have identical
+  argmin positions for every sub-range, so one lookup table per distinct
+  signature answers inside a block;
+* **masked words** -- the block minima group into words of 16.  Block k
+  keeps a 16-bit *stack mask*: bit i is set iff minimum i of its word is
+  <= every later minimum of the word up to k (the Cartesian-tree stack after
+  pushing k, which pops strictly greater values), so the lowest set bit of
+  ``mask[r] >> l`` is the leftmost argmin of minima l..r of one word;
+* **a sparse table over the word minima** -- a
+  :class:`~repro.indexes.sparse_table.SparseTable` over n / 16b values
+  answers the whole words between.
 
 We store words, not bits: the O(n)-bit succinctness of [18] buys nothing for
 Pi-tractability (preprocessing stays PTIME, queries stay O(1)).  Ties
@@ -31,6 +36,7 @@ from repro.indexes.sparse_table import SparseTable, check_rmq_range
 __all__ = ["FischerHeunRMQ"]
 
 _SIGN_CHUNK = 64  # blocks per pass: each pass's lists then fit pymalloc's 512 B
+_WORD = 16  # block minima per stack mask
 
 
 def _cartesian_signature(block: Sequence) -> str:
@@ -67,6 +73,112 @@ def _in_block_table(block: Sequence) -> List[List[int]]:
     return table
 
 
+def _catalan(k: int) -> int:
+    return math.comb(2 * k, k) // (k + 1)
+
+
+def _table_bound(b: int, n: int) -> int:
+    """How many in-block tables blocks of ``b`` over n values can ever need:
+    one per Cartesian-tree shape of b nodes, plus one per shape of the short
+    tail block, if there is one (writes re-sign blocks, never resize them)."""
+    return _catalan(b) + (_catalan(n % b) if n % b else 0)
+
+
+def _stack_masks(word: Sequence, start: int = 0, mask: int = 0) -> List[int]:
+    """The stack masks of ``word[start:]``, continuing from ``mask`` (the
+    mask of ``word[start - 1]``; 0 at the word's start).  Each minimum pops
+    the strictly greater ones -- the stack's top is the mask's highest bit --
+    and pushes itself."""
+    masks = []
+    for offset in range(start, len(word)):
+        value = word[offset]
+        while mask:
+            top = mask.bit_length() - 1
+            if word[top] <= value:
+                break
+            mask ^= 1 << top
+        mask |= 1 << offset
+        masks.append(mask)
+    return masks
+
+
+class _MaskedMinima:
+    """Leftmost argmin over any run of block minima in O(1): a stack mask
+    per block inside words of ``_WORD`` minima, a sparse table across the
+    word minima -- O(n / b) words where a sparse table over every block
+    minimum takes O(n / b * log n).
+
+    It reads the structure's ``array`` and ``block_argmin`` (the same
+    objects, written in place by :meth:`FischerHeunRMQ.point_update`) and
+    holds only the masks, the word table and each word's argmin position.
+    """
+
+    def __init__(self, array: List, block_argmin, masks, levels=None, tracker=None):
+        """Over ``masks``; the word table is built, or restored from its
+        stored ``levels``.  Word minima and their positions are derived."""
+        self._array, self._block_argmin, self._masks = array, block_argmin, masks
+        words = range(0, len(masks), _WORD)
+        self._word_argmin = columns.positions(map(self._word_argmin_at, words), len(array))
+        minima = list(map(array.__getitem__, self._word_argmin))
+        if levels is None:
+            self._words = SparseTable(minima, tracker)
+        else:
+            self._words = SparseTable.from_state({"array": minima, "levels": levels})
+
+    @classmethod
+    def build(cls, array: List, block_argmin, tracker: CostTracker) -> "_MaskedMinima":
+        minima = list(map(array.__getitem__, block_argmin))
+        masks = columns.positions((), 1 << _WORD)
+        for base in range(0, len(minima), _WORD):
+            masks.extend(_stack_masks(minima[base : base + _WORD]))
+        tracker.tick(2 * len(minima))  # a push per minimum, at most one pop
+        return cls(array, block_argmin, masks, tracker=tracker)
+
+    def _word_argmin_at(self, base: int) -> int:
+        """Position of the leftmost minimum of the word starting at block
+        ``base``: the bottom of the stack after the word's last minimum."""
+        mask = self._masks[min(len(self._masks), base + _WORD) - 1]
+        return self._block_argmin[base + (mask & -mask).bit_length() - 1]
+
+    def argmin(self, first: int, last: int) -> int:
+        """Position of the leftmost minimum of blocks ``first..last``: the
+        part of the first word, the whole words between, the part of the
+        last word.  Positions increase in that order, so ``<`` keeps ties
+        leftmost."""
+        array, block_argmin, masks = self._array, self._block_argmin, self._masks
+        word, last_word = first // _WORD, last // _WORD
+        if word == last_word:
+            mask = masks[last] >> first % _WORD
+            return block_argmin[first + (mask & -mask).bit_length() - 1]
+        mask = masks[word * _WORD + _WORD - 1] >> first % _WORD
+        best = block_argmin[first + (mask & -mask).bit_length() - 1]
+        if word + 1 < last_word:
+            middle = self._word_argmin[self._words.argmin_fast(word + 1, last_word - 1)]
+            if array[middle] < array[best]:
+                best = middle
+        mask = masks[last]
+        right = block_argmin[last_word * _WORD + (mask & -mask).bit_length() - 1]
+        return right if array[right] < array[best] else best
+
+    def repair(self, block: int, tracker: CostTracker) -> None:
+        """Re-mask ``block``'s word from ``block`` on (the stacks before it
+        never saw it), in O(``_WORD``), then repair the word table."""
+        masks, base = self._masks, block - block % _WORD
+        stop = min(len(masks), base + _WORD)
+        minima = list(map(self._array.__getitem__, self._block_argmin[base:stop]))
+        below = masks[block - 1] if block > base else 0
+        masks[block:stop] = columns.positions(
+            _stack_masks(minima, block - base, below), 1 << _WORD
+        )
+        tracker.tick(2 * (stop - base))
+        word = block // _WORD
+        self._word_argmin[word] = position = self._word_argmin_at(base)
+        self._words.point_update(word, self._array[position], tracker)
+
+    def to_state(self) -> dict:
+        return {"masks": self._masks[:], "words": self._words.to_state()["levels"]}
+
+
 class FischerHeunRMQ:
     """O(1) range-minimum queries after linear preprocessing."""
 
@@ -87,7 +199,7 @@ class FischerHeunRMQ:
         self._block_size, self._tables, self._table_ids = b, [], {}
         pairs = [(i, j) for j in range(b) for i in range(j)]
         ids, offsets = {}, {}
-        block_argmin, block_table = columns.positions((), n), columns.positions((), n)
+        block_argmin, block_table = columns.positions((), n), columns.ids((), _table_bound(b, n))
         full = n - n % b
         for start in range(0, full, _SIGN_CHUNK * b):
             stop = min(full, start + _SIGN_CHUNK * b)
@@ -108,7 +220,7 @@ class FischerHeunRMQ:
             block_argmin.append(argmin)
             block_table.append(table_id)
         self._block_argmin, self._block_table = block_argmin, block_table
-        self._summary = SparseTable([array[p] for p in block_argmin], tracker)
+        self._summary = _MaskedMinima.build(array, block_argmin, tracker)
 
     def _sign_block(self, start: int, tracker: CostTracker) -> Tuple[int, int]:
         """(absolute argmin, in-block table id) of the block at ``start``,
@@ -139,58 +251,35 @@ class FischerHeunRMQ:
     def distinct_signatures(self) -> int:
         return len(self._tables)
 
-    def _block_query(self, block_index: int, left_offset: int, right_offset: int) -> int:
-        table = self._tables[self._block_table[block_index]]
-        return (
-            block_index * self._block_size
-            + table[left_offset][right_offset - left_offset]
-        )
-
     def argmin(self, low: int, high: int, tracker: Optional[CostTracker] = None) -> int:
-        """Leftmost position of min(A[low..high]); O(1) work and depth."""
+        """Leftmost position of min(A[low..high]); O(1) work and depth: a
+        window inside one block is one table lookup, any other is two, one
+        summary probe (three masks, one word-table probe) and four
+        comparisons."""
         tracker = ensure_tracker(tracker)
-        n = len(self._array)
-        check_rmq_range(low, high, n)
-        b = self._block_size
-        first_block, last_block = low // b, high // b
-        tracker.tick(4)
-        if first_block == last_block:
-            return self._block_query(first_block, low % b, high % b)
-
-        candidates: List[int] = [
-            self._block_query(first_block, low % b, min(n - 1, (first_block + 1) * b - 1) % b),
-            self._block_query(last_block, 0, high % b),
-        ]
-        if first_block + 1 <= last_block - 1:
-            middle_block = self._summary.argmin(first_block + 1, last_block - 1, tracker)
-            candidates.append(self._block_argmin[middle_block])
-
-        best = min(
-            candidates,
-            key=lambda position: (self._array[position], position),
-        )
-        tracker.tick(len(candidates))
-        return best
+        position = self.argmin_fast(low, high)
+        tracker.tick(4 if low // self._block_size == high // self._block_size else 14)
+        return position
 
     def argmin_fast(self, low: int, high: int) -> int:
-        """Untracked :meth:`argmin`: identical candidate logic, no charging."""
+        """Untracked :meth:`argmin`: the part of the first block, the whole
+        blocks between, the part of the last block.  Positions increase in
+        that order, so ``<`` keeps ties leftmost."""
         array = self._array
-        n = len(array)
-        check_rmq_range(low, high, n)
-        b = self._block_size
-        first_block, last_block = low // b, high // b
-        if first_block == last_block:
-            return self._block_query(first_block, low % b, high % b)
-        candidates = [
-            self._block_query(
-                first_block, low % b, min(n - 1, (first_block + 1) * b - 1) % b
-            ),
-            self._block_query(last_block, 0, high % b),
-        ]
-        if first_block + 1 <= last_block - 1:
-            middle_block = self._summary.argmin_fast(first_block + 1, last_block - 1)
-            candidates.append(self._block_argmin[middle_block])
-        return min(candidates, key=lambda position: (array[position], position))
+        check_rmq_range(low, high, len(array))
+        b, tables, table_of = self._block_size, self._tables, self._block_table
+        first, last = low // b, high // b
+        start = first * b
+        if first == last:
+            return start + tables[table_of[first]][low - start][high - low]
+        best = start + tables[table_of[first]][low - start][start + b - 1 - low]
+        if first + 1 < last:
+            middle = self._summary.argmin(first + 1, last - 1)
+            if array[middle] < array[best]:
+                best = middle
+        start = last * b
+        right = start + tables[table_of[last]][0][high - start]
+        return right if array[right] < array[best] else best
 
     def range_min(self, low: int, high: int, tracker: Optional[CostTracker] = None):
         return self._array[self.argmin(low, high, tracker)]
@@ -206,9 +295,10 @@ class FischerHeunRMQ:
 
         A point write lands in exactly one block: its Cartesian signature and
         argmin are recomputed in O(b) = O(log n), a missing lookup table is
-        materialized in O(b^2) = O(log^2 n), and the block-minima summary is
-        repaired through :meth:`SparseTable.point_update` (the windows the
-        write moved: a handful typically, O(n / b) for a new global minimum).
+        materialized in O(b^2) = O(log^2 n), the block's word is re-masked
+        in O(16), and the word table is repaired through
+        :meth:`SparseTable.point_update` (the windows the write moved: a
+        handful typically, O(n / 16b) for a new global minimum).
         Everything else -- every other block's signature and table -- is
         untouched, which is what makes this a |CHANGED|-bounded repair
         instead of the O(n) rebuild.
@@ -216,26 +306,26 @@ class FischerHeunRMQ:
         tracker = ensure_tracker(tracker)
         check_rmq_range(position, position, len(self._array))
         self._array[position] = value
-        block_index = position // self._block_size
-        argmin, table_id = self._sign_block(block_index * self._block_size, tracker)
-        self._block_argmin[block_index] = argmin
-        self._block_table[block_index] = table_id
-        self._summary.point_update(block_index, self._array[argmin], tracker)
+        block = position // self._block_size
+        argmin, table_id = self._sign_block(block * self._block_size, tracker)
+        self._block_argmin[block] = argmin
+        self._block_table[block] = table_id
+        self._summary.repair(block, tracker)
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
         """Plain-data snapshot: array, per-block columns, in-block tables by
-        signature (in id order) and the summary's levels (its values are a
-        gather of ``array`` through ``block_argmin``), so load restores O(1)
-        queries."""
+        signature (in id order), the stack masks and the word table's levels
+        (word minima and their positions are derived from the masks), so
+        load restores O(1) queries."""
         return {
             "array": columns.pack(self._array),
             "block_size": self._block_size,
             "block_argmin": self._block_argmin[:],
             "block_table": self._block_table[:],
             "tables": {sig: self._tables[i] for sig, i in self._table_ids.items()},
-            "summary": self._summary.to_state()["levels"],
+            **self._summary.to_state(),
         }
 
     @classmethod
@@ -245,9 +335,9 @@ class FischerHeunRMQ:
         n = len(rmq._array)
         rmq._block_size = int(state["block_size"])
         rmq._block_argmin = columns.positions(state["block_argmin"], n)
-        rmq._block_table = columns.positions(state["block_table"], n)
+        rmq._block_table = columns.ids(state["block_table"], _table_bound(rmq._block_size, n))
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
-        minima = list(map(rmq._array.__getitem__, rmq._block_argmin))
-        rmq._summary = SparseTable.from_state({"array": minima, "levels": state["summary"]})
+        masks = columns.positions(state["masks"], 1 << _WORD)
+        rmq._summary = _MaskedMinima(rmq._array, rmq._block_argmin, masks, state["words"])
         return rmq

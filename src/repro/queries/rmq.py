@@ -136,8 +136,9 @@ def _apply_array_delta(index, changes, tracker: CostTracker):
     Arrays keep their length under maintenance (L2 is defined over a static
     index space), so only :class:`~repro.incremental.changes.PointWrite`
     records are accepted; inserts/deletes fall back to a rebuild.  Both RMQ
-    structures repair locally -- one block re-signature plus a summary fix
-    for Fischer--Heun, the dyadic windows the write moved for the sparse table.
+    structures repair locally -- one block re-signature, one word re-mask and
+    a word-table fix for Fischer--Heun, the dyadic windows the write moved
+    for the sparse table.
     """
     size = len(index)
     for change in changes:
@@ -175,7 +176,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=3,  # v3: level 0 (and the summary's values) derived at load
+        artifact_version=4,  # v4: stack-masked words, not a sparse table over block minima
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

@@ -185,16 +185,27 @@ def test_euler_lca_state_round_trip(tree, data):
 @pytest.mark.parametrize("n,code", [(1 << 16, "H"), ((1 << 16) + 1, "I")])
 def test_position_columns_widen_past_65536(n, code):
     """A descending array makes every window's argmin its right end, so the
-    last position (n - 1 = 65 536 at the wider size) must be representable."""
+    last position (n - 1 = 65 536 at the wider size) must be representable.
+    Each column is typed by its own bound: positions by n, table ids by the
+    block shapes (at most 14 + 5 at b = 4: a byte), masks by their 16 bits."""
     descending = range(n, 0, -1)
     table = SparseTable(descending)
     assert {level.typecode for level in table._levels} == {code}
     assert table.argmin_fast(0, n - 1) == table.argmin(n - 2, n - 1) == n - 1
     fischer = FischerHeunRMQ(descending)
-    assert fischer._block_argmin.typecode == fischer._block_table.typecode == code
+    summary = fischer._summary
+    assert fischer._block_argmin.typecode == summary._word_argmin.typecode == code
+    assert (fischer._block_table.typecode, summary._masks.typecode) == ("B", "H")
     assert fischer.argmin_fast(0, n - 1) == fischer.argmin(n - 5, n - 1) == n - 1
     clone = FischerHeunRMQ.from_state(pickle.loads(pickle.dumps(fischer.to_state())))
-    assert clone._block_argmin.typecode == code and clone.argmin_fast(1, n - 1) == n - 1
+    assert clone._block_argmin.typecode == code and clone._block_table.typecode == "B"
+    assert clone.argmin_fast(1, n - 1) == n - 1
+    # Table ids widen past 255 with b, not n: Catalan(6) + Catalan(5) = 174
+    # ids fit a byte, Catalan(7) + Catalan(6) = 561 do not.
+    for b, ids in ((6, "B"), (7, "H")):
+        fischer = _signed(range(4 * b - 1, 0, -1), b)  # a tail of b - 1
+        clone = FischerHeunRMQ.from_state(pickle.loads(pickle.dumps(fischer.to_state())))
+        assert fischer._block_table.typecode == clone._block_table.typecode == ids
 
 
 @pytest.mark.parametrize("vertices,code", [(1 << 15, "H"), ((1 << 15) + 1, "I")])
@@ -236,7 +247,9 @@ def test_early_exit_point_update_equals_rebuild(array, writes):
         fischer.point_update(position, value)
         rebuilt = FischerHeunRMQ(array)
         assert sparse.to_state() == SparseTable(array).to_state()
-        assert fischer._summary.to_state() == rebuilt._summary.to_state()
+        assert pickle.dumps(fischer._summary.to_state()) == pickle.dumps(
+            rebuilt._summary.to_state()
+        )
         assert fischer._block_argmin == rebuilt._block_argmin
         assert tracker.work <= sum(
             min(position, n - (1 << k)) - max(0, position - (1 << k) + 1) + 1
@@ -249,14 +262,39 @@ def test_early_exit_point_update_equals_rebuild(array, writes):
 # -- column-at-a-time block signing ----------------------------------------------
 
 
+def _signed(array, b, tracker=None):
+    """A Fischer--Heun structure over ``array`` with blocks of ``b``, a size
+    the constructor picks only for some n (b = 3 needs n >= 4 096)."""
+    fischer = FischerHeunRMQ.__new__(FischerHeunRMQ)
+    fischer._array = list(array)
+    fischer._sign_blocks(b, tracker or CostTracker())
+    return fischer
+
+
+def _masks_by_definition(minima):
+    """Bit i of block k's mask: minimum i of k's word is <= every later
+    minimum of the word up to k."""
+    masks = []
+    for k in range(len(minima)):
+        base = k - k % 16
+        bits = [i - base for i in range(base, k + 1) if minima[i] <= min(minima[i : k + 1])]
+        masks.append(sum(1 << bit for bit in bits))
+    return masks
+
+
 def _signed_block_at_a_time(array, b, tracker):
-    """The reference signer: one ``_sign_block`` call per block."""
+    """The reference signer: one ``_sign_block`` call per block, each mask
+    from its definition, the same charge for the summary."""
     rmq = FischerHeunRMQ.__new__(FischerHeunRMQ)
     rmq._array, rmq._block_size, rmq._tables, rmq._table_ids = list(array), b, [], {}
     signed = [rmq._sign_block(start, tracker) for start in range(0, len(array), b)]
     rmq._block_argmin = columns.positions([argmin for argmin, _ in signed], len(array))
-    rmq._block_table = columns.positions([table for _, table in signed], len(array))
-    rmq._summary = SparseTable([array[argmin] for argmin, _ in signed], tracker)
+    bound = rmq_module._table_bound(b, len(array))
+    rmq._block_table = columns.ids([table for _, table in signed], bound)
+    minima = [array[argmin] for argmin, _ in signed]
+    tracker.tick(2 * len(minima))
+    masks = columns.positions(_masks_by_definition(minima), 1 << 16)
+    rmq._summary = rmq_module._MaskedMinima(rmq._array, rmq._block_argmin, masks, tracker=tracker)
     return rmq
 
 
@@ -276,11 +314,9 @@ def test_column_signing_equals_block_at_a_time(array, b, chunk, data):
     across chunk boundaries; then point writes keep argmins leftmost."""
     expected_tracker, tracker = CostTracker(), CostTracker()
     expected = _signed_block_at_a_time(array, b, expected_tracker)
-    fischer = FischerHeunRMQ.__new__(FischerHeunRMQ)
-    fischer._array = list(array)
     default, rmq_module._SIGN_CHUNK = rmq_module._SIGN_CHUNK, chunk
     try:
-        fischer._sign_blocks(b, tracker)
+        fischer = _signed(array, b, tracker)
     finally:
         rmq_module._SIGN_CHUNK = default
     assert pickle.dumps(fischer.to_state()) == pickle.dumps(expected.to_state())
@@ -293,3 +329,81 @@ def test_column_signing_equals_block_at_a_time(array, b, chunk, data):
         low = data.draw(st.integers(0, len(array) - 1))
         high = data.draw(st.integers(low, len(array) - 1))
         assert fischer.argmin_fast(low, high) == naive_range_min(array, low, high)
+
+
+# -- stack-masked words of block minima -------------------------------------------
+
+
+@st.composite
+def word_spanning_arrays(draw):
+    """(b, array) for b in {1, 2, 3}: 1-43 full words of 16 block minima
+    and a partial last word (n up to 2 109), values from {0, 1, 2} (ties
+    in nearly every window) or from [-n, n]."""
+    b = draw(st.integers(1, 3))
+    n = 16 * b * draw(st.integers(1, 43)) + draw(st.integers(1, 15 * b))
+    alphabet = draw(st.sampled_from([(0, 1, 2), tuple(range(-n, n + 1))]))
+    rng = random.Random(draw(st.integers(0, 2**30)))
+    return b, [rng.choice(alphabet) for _ in range(n)]
+
+
+@given(word_spanning_arrays())
+@settings(max_examples=60, deadline=None)
+def test_stack_masks_match_their_definition(case):
+    """Every block's mask is its word's stack by definition; each word's
+    argmin is the leftmost minimum of its blocks' minima, and the word
+    table is a sparse table over those minima."""
+    b, array = case
+    fischer = _signed(array, b)
+    summary = fischer._summary
+    minima = [array[p] for p in fischer._block_argmin]
+    assert list(summary._masks) == _masks_by_definition(minima)
+    bases = range(0, len(minima), 16)
+    assert list(summary._word_argmin) == [
+        fischer._block_argmin[naive_range_min(minima, base, min(base + 16, len(minima)) - 1)]
+        for base in bases
+    ]
+    words = [min(minima[base : base + 16]) for base in bases]
+    assert summary._words.to_state() == SparseTable(words).to_state()
+
+
+def _assert_answers(fischer, array, rng):
+    """fast == tracked == naive on random windows, the whole array and
+    windows that cross a word of block minima or end at its edge."""
+    n, span = len(array), 16 * fischer.block_size
+    windows = [(0, n - 1)]
+    for _ in range(40):
+        low = rng.randrange(n)
+        windows.append((low, rng.randrange(low, n)))
+        edge = rng.randrange(span, n, span) if n > span else n - 1
+        windows.append((max(0, edge - rng.randrange(1, 2 * span)), edge - 1))
+        windows.append((max(0, edge - rng.randrange(1, 2 * span)), min(n - 1, edge + rng.randrange(span))))
+    for low, high in windows:
+        expected = naive_range_min(array, low, high)
+        assert fischer.argmin_fast(low, high) == fischer.argmin(low, high) == expected, (low, high)
+
+
+@given(word_spanning_arrays(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_masked_words_answer_leftmost_through_point_writes(case, data):
+    """Point writes -- random ones, then a tie and a move of the minimum
+    across a word boundary -- keep every answer leftmost, the summary's
+    state bytes those of a rebuild and the table ids inside their bound."""
+    b, array = case
+    n, span = len(array), 16 * b
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    fischer = _signed(array, b)
+    _assert_answers(fischer, array, rng)
+    low, high = min(array) - 1, max(array) + 1
+    edge = span * data.draw(st.integers(1, (n - 1) // span))  # a word's first position
+    writes = [(rng.randrange(n), rng.choice(array)) for _ in range(3)]
+    writes += [(edge - 1, low), (edge, low), (edge - 1, high), (edge, high)]
+    for position, value in writes:
+        array[position] = value
+        fischer.point_update(position, value)
+        rebuilt = _signed(array, b)
+        assert pickle.dumps(fischer._summary.to_state()) == pickle.dumps(
+            rebuilt._summary.to_state()
+        )
+        assert fischer._block_argmin == rebuilt._block_argmin
+        assert fischer.distinct_signatures <= rmq_module._table_bound(b, n)
+        _assert_answers(fischer, array, rng)

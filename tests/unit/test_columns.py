@@ -34,6 +34,7 @@ import repro
 from repro.core.cost import CostTracker
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
+from repro.indexes.sparse_table import SparseTable
 from repro.queries import (
     btree_point_scheme,
     btree_range_scheme,
@@ -72,6 +73,12 @@ def _uniform(bound, count=N, seed=17):
 )
 def test_position_typecode_follows_the_bound(bound, code):
     assert columns.positions([], bound).typecode == code
+
+
+@pytest.mark.parametrize("bound,code", [(1, "B"), (1 << 8, "B"), ((1 << 8) + 1, "H"), ((1 << 16) + 1, "I")])
+def test_id_typecode_follows_the_bound(bound, code):
+    column = columns.ids([bound - 1], bound)
+    assert column.typecode == code and list(column) == [bound - 1]
 
 
 def test_positions_always_copies():
@@ -150,14 +157,15 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
     "make_scheme,ceiling",
     [
         (sorted_run_scheme, 1.02),  # parent: 2.006 (PR 16: 3.0)
-        (fischer_heun_scheme, 10.4),  # parent: 11.72 (PR 16: 18.8)
+        (fischer_heun_scheme, 3.98),  # parent: 10.37 (a sparse table over block minima)
         (sparse_table_scheme, 26.1),  # parent: 28.03 (PR 16: 41.9)
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table"],
 )
 def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
     """2^14 ints from [0, 4n): every value and position fits 'H', the sorted
-    run's gaps fit 'B'; no level 0, no summary values (n/3 blocks)."""
+    run's gaps fit 'B'; no level 0, no summary values (n/3 blocks, each with
+    a 'B' table id and an 'H' stack mask, a sparse table over n/48 words)."""
     scheme = make_scheme()
     data = tuple(_uniform(4 * N))
     dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
@@ -238,7 +246,7 @@ def test_selection_trees_hold_counts_not_row_ids():
     "make_class,make_scheme,version",
     [
         (membership_class, sorted_run_scheme, 3),
-        (rmq_class, fischer_heun_scheme, 3),
+        (rmq_class, fischer_heun_scheme, 4),
         (rmq_class, sparse_table_scheme, 3),
         (tree_lca_class, euler_tour_scheme, 3),
         (point_selection_class, btree_point_scheme, 5),
@@ -311,6 +319,39 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
     for tree in scheme.load(store.get(key)).values():
         assert "payloads" not in tree.to_state()
         tree.check_invariants()
+
+
+def test_v3_block_minima_table_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Stack-masked words bumped ``fischer-heun`` to v4: a v3 file -- a
+    sparse table over every block minimum, table ids typed by n -- under the
+    previous key is never opened; the engine builds once and answers as a
+    fresh build and the oracle do."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    fresh = scheme.preprocess(data, CostTracker())
+    state = fresh.to_state()
+    previous = {name: column for name, column in state.items() if name not in ("masks", "words")}
+    previous["block_table"] = columns.positions(state["block_table"], len(data))
+    minima = [data[position] for position in state["block_argmin"]]
+    previous["summary"] = SparseTable(minima).to_state()["levels"]
+    assert set(pickle.loads(scheme.dump(fresh))) == set(previous) - {"summary"} | {"masks", "words"}
+    blob = pickle.dumps(previous, protocol=4)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        assert key.params.endswith("|v4")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "3")
+        store.put(stale, blob)
+        for query in queries:
+            expected = scheme.evaluate(fresh, query, CostTracker())
+            assert expected == query_class.pair_in_language(data, query)
+            assert ds.query("kind", query) == expected
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+    assert store.get(stale) == blob
+    assert scheme.load(store.get(key)).to_state() == state
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):
