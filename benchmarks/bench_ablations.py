@@ -27,14 +27,14 @@ def test_abl_btree_order(benchmark, experiment_report):
     plateau that makes the choice a constant-factor one."""
     n = bench_size(15)
     rng = random.Random(SEED)
-    entries = [(rng.randrange(4 * n), i) for i in range(n)]
+    keys = [rng.randrange(4 * n) for _ in range(n)]
     probes = [rng.randrange(4 * n) for _ in range(64)]
 
     def run():
         rows = []
         for order in (8, 16, 32, 64, 128, 256):
             build_tracker = CostTracker()
-            tree = BPlusTree.build(entries, order=order, tracker=build_tracker)
+            tree = BPlusTree.from_keys(keys, order=order, tracker=build_tracker)
             probe_tracker = CostTracker()
             for probe in probes:
                 tree.contains(probe, probe_tracker)

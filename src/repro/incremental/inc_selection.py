@@ -10,18 +10,22 @@ versus Theta(|D| log |D|) for rebuild-from-scratch.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.cost import Cost, CostTracker, ensure_tracker
 from repro.incremental.changes import ChangeKind, ChangeLog, TupleChange
 from repro.indexes.btree import BPlusTree
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, Row
 
 __all__ = ["IncrementalSelectionIndex"]
 
 
 class IncrementalSelectionIndex:
-    """A relation + B+-tree pair maintained under tuple changes."""
+    """A relation + B+-tree pair maintained under tuple changes.
+
+    The tree indexes the attribute's value multiset; a ``row -> [row ids]``
+    map, built in the same scan, finds the relation slot a delete removes.
+    """
 
     def __init__(
         self,
@@ -33,10 +37,12 @@ class IncrementalSelectionIndex:
         self.relation = relation
         self.attribute = attribute
         self._position = relation.schema.position_of(attribute)
-        self._index = BPlusTree.build(
-            [(row[self._position], row_id) for row_id, row in relation.scan(tracker)],
-            tracker=tracker,
-        )
+        self._row_ids: Dict[Row, List[int]] = {}
+        keys = []
+        for row_id, row in relation.scan(tracker):
+            keys.append(row[self._position])
+            self._row_ids.setdefault(row, []).append(row_id)
+        self._index = BPlusTree.from_keys(keys, tracker=tracker)
         self.log = ChangeLog()
 
     # -- updates -----------------------------------------------------------------
@@ -46,18 +52,25 @@ class IncrementalSelectionIndex:
         tracker = ensure_tracker(tracker)
         key = change.row[self._position]
         if change.kind is ChangeKind.INSERT:
-            had_key = self._index.contains(key, tracker)
+            # The relation validates the row before the tree or the id map
+            # sees it: a refused row leaves all three as they were.
             row_id = self.relation.insert(change.row)
-            self._index.insert(key, row_id, tracker)
+            self._row_ids.setdefault(tuple(change.row), []).append(row_id)
+            had_key = self._index.contains(key, tracker)
+            self._index.insert(key, tracker)
             # Output (the Boolean answer for key) changes iff key was absent.
             self.log.record(1, 0 if had_key else 1)
         else:
-            row_id = self._find_row_id(change.row, tracker)
-            if row_id is None:
+            row = tuple(change.row)
+            tracker.tick(1)  # one O(1) expected probe of the row-id map
+            row_ids = self._row_ids.get(row)
+            if not row_ids:
                 self.log.record(1, 0)
                 return
-            self.relation.delete(row_id)
-            self._index.delete(key, row_id, tracker)
+            self.relation.delete(row_ids.pop())
+            if not row_ids:
+                del self._row_ids[row]
+            self._index.delete(key, tracker)
             still_there = self._index.contains(key, tracker)
             self.log.record(1, 0 if still_there else 1)
 
@@ -72,14 +85,6 @@ class IncrementalSelectionIndex:
             for change in changes:
                 self.apply(change, tracker)
         return measurement.cost
-
-    def _find_row_id(self, row, tracker: CostTracker) -> Optional[int]:
-        key = row[self._position]
-        for row_id in self._index.search(key, tracker):
-            tracker.tick(1)
-            if self.relation.fetch(row_id) == tuple(row):
-                return row_id
-        return None
 
     # -- queries ------------------------------------------------------------------
 
@@ -96,8 +101,5 @@ class IncrementalSelectionIndex:
         """Cost of preprocessing from scratch (what incrementality avoids)."""
         tracker = CostTracker()
         position = relation.schema.position_of(attribute)
-        BPlusTree.build(
-            [(row[position], row_id) for row_id, row in relation.scan(tracker)],
-            tracker=tracker,
-        )
+        BPlusTree.from_keys([row[position] for _, row in relation.scan(tracker)], tracker=tracker)
         return tracker.snapshot()

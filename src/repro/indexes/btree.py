@@ -11,25 +11,20 @@ Design notes
   ``order`` keys and (except the root) rebalance below ``order // 2``.  The
   default, 64, is the widest node whose lists stay inside pymalloc's 512 B
   small-object limit: 2^16 keys bulk-load into half the leaves of order 32
-  and one level less, while order 128's value lists spill to ``malloc``
+  and one level less, while order 128's key lists spill to ``malloc``
   (+1.9 MiB resident on the local-point yardstick).
-* Leaves hold runs, not a list per key: the distinct ``keys``, the entry
-  ``counts`` per key as a typed column (:func:`repro.indexes.columns.counts`:
-  a machine word per key, no boxed int, no entry for the collector to
-  visit), and every payload in key order in one flat ``values`` list --
-  duplicates lengthen their key's run -- and are chained left-to-right for
-  range scans.  Maintenance moves offsets within one leaf (at most ``order``
-  entries); the untracked kernels read ``keys`` only.
-* A *counted* tree (:meth:`BPlusTree.from_keys`) indexes a value multiset:
-  its leaves have no ``values`` (``None``), every payload is ``None`` and
-  ``counts`` alone says how many there are.  It behaves exactly like the
-  tree :meth:`BPlusTree.from_columns` builds over ``[None] * n`` payloads,
-  and refuses any other payload.
+* The tree indexes a value multiset -- the selection queries are Boolean,
+  so no row id is stored.  A leaf holds its distinct ``keys`` and their
+  occurrence ``counts`` as a typed column
+  (:func:`repro.indexes.columns.counts`: a machine word per key, no boxed
+  int, no entry for the collector to visit); a duplicate raises its key's
+  count, and a key leaves the tree when its count reaches zero.  Leaves are
+  chained left-to-right for range probes; the untracked kernels read
+  ``keys`` only.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
-* One bulk loader serves :meth:`BPlusTree.from_keys` (sort, count runs),
-  :meth:`BPlusTree.from_columns` (argsort, count duplicates) and
-  :meth:`BPlusTree.from_state`, allocating per leaf, never
+* One bulk loader serves :meth:`BPlusTree.from_keys` (sort, count runs)
+  and :meth:`BPlusTree.from_state`, allocating per leaf, never
   per entry or per key; ``insert`` and full deletion with
   borrow-from-sibling and merge rebalancing remain for the
   incremental-preprocessing case study (Section 4(7)).
@@ -42,10 +37,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import Counter
 from itertools import chain, compress, islice, repeat
 from operator import ne, sub
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
@@ -58,23 +52,17 @@ ORDER = 64
 
 
 class _Node:
-    """An internal node is ``keys`` + ``children``; a leaf is ``keys``, the
-    parallel ``counts`` column and the flat ``values`` run (``sum(counts)``
-    long, or ``None`` in a counted tree)."""
+    """An internal node is ``keys`` + ``children``; a leaf is ``keys`` and
+    the parallel ``counts`` column."""
 
-    __slots__ = ("leaf", "keys", "children", "counts", "values", "next")
+    __slots__ = ("leaf", "keys", "children", "counts", "next")
 
-    def __init__(self, keys, children=None, counts=None, values=None) -> None:
+    def __init__(self, keys, children=None, counts=None) -> None:
         self.leaf = children is None
         self.keys: List[Any] = keys
         self.children: Optional[List["_Node"]] = children
         self.counts: Optional[Sequence[int]] = counts
-        self.values: Optional[List[Any]] = values
         self.next: Optional["_Node"] = None  # leaf chain
-
-    def offset(self, position: int) -> int:
-        """Where the payloads of ``keys[position]`` start in ``values``."""
-        return sum(self.counts[:position])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "Leaf" if self.leaf else "Node"
@@ -94,8 +82,8 @@ class BPlusTree:
         if order < 4:
             raise IndexError_("B+-tree order must be at least 4")
         self.order = order
-        self._root: _Node = _Node([], counts=count_column(()), values=[])
-        self._size = 0  # number of (key, payload) entries
+        self._root: _Node = _Node([], counts=count_column(()))
+        self._size = 0  # number of key occurrences
 
     def __len__(self) -> int:
         return self._size
@@ -112,47 +100,6 @@ class BPlusTree:
     # -- bulk construction ------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        entries: Iterable[Tuple[Any, Any]],
-        *,
-        order: int = ORDER,
-        tracker: Optional[CostTracker] = None,
-    ) -> "BPlusTree":
-        """:meth:`from_columns` over ``(key, payload)`` pairs."""
-        pairs = list(entries)
-        keys, payloads = zip(*pairs) if pairs else ((), ())
-        return cls.from_columns(keys, payloads, order=order, tracker=tracker)
-
-    @classmethod
-    def from_columns(
-        cls,
-        keys: Sequence[Any],
-        payloads: Sequence[Any],
-        *,
-        order: int = ORDER,
-        tracker: Optional[CostTracker] = None,
-    ) -> "BPlusTree":
-        """PTIME preprocessing over a key column and its payload column: one
-        stable argsort by key (duplicates keep their input order, as repeated
-        :meth:`insert` leaves them), count the (hashable) keys, bulk-load.
-
-        Charges the sorting bound ``n * ceil(log2 n)`` plus ``n`` for the
-        linear passes: Theta(n log n) overall.
-        """
-        size = len(keys)
-        ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
-        by_key = sorted(range(size), key=keys.__getitem__)
-        values = list(map(payloads.__getitem__, by_key))
-        # A dict keeps first-seen order, and the keys arrive sorted.
-        runs = Counter(map(keys.__getitem__, by_key))
-        del by_key
-        distinct, counts = list(runs), count_column(runs.values())
-        # No build temporary but the three columns outlives this line.
-        del runs
-        return cls._bulk_load(order, distinct, counts, values)
-
-    @classmethod
     def from_keys(
         cls,
         keys: Sequence[Any],
@@ -164,7 +111,8 @@ class BPlusTree:
         a Boolean selection needs: one plain sort, the distinct keys with
         their run lengths, and a bulk load of a counted tree.
 
-        Charges what :meth:`from_columns` does, ``n * (1 + ceil(log2 n))``.
+        Charges the sorting bound ``n * ceil(log2 n)`` plus ``n`` for the
+        linear passes: Theta(n log n) overall.
         """
         size = len(keys)
         ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
@@ -181,16 +129,9 @@ class BPlusTree:
         return cls._bulk_load(order, distinct, counts)
 
     @classmethod
-    def _bulk_load(
-        cls,
-        order: int,
-        keys: List[Any],
-        counts: Sequence[int],
-        values: Optional[List[Any]] = None,
-    ) -> "BPlusTree":
+    def _bulk_load(cls, order: int, keys: List[Any], counts: Sequence[int]) -> "BPlusTree":
         """The one bulk loader: a tree over sorted distinct ``keys`` where
-        ``counts[i]`` consecutive entries of ``values`` belong to ``keys[i]``
-        (a counted tree when ``values`` is None); ``counts`` is a
+        ``keys[i]`` occurs ``counts[i]`` times; ``counts`` is a
         :func:`~repro.indexes.columns.counts` column, so each leaf's slice of
         it is one too.
 
@@ -201,8 +142,6 @@ class BPlusTree:
         cut at roughly half capacity.
         """
         tree = cls(order=order)
-        if values is None:
-            tree._root.values = None
         if not keys:
             return tree
 
@@ -215,14 +154,8 @@ class BPlusTree:
         minimum = tree._min_keys()
         fill = max(minimum + 1, order // 2)
         level: List[_Node] = []
-        offset = 0
         for start, stop in cuts(len(keys), fill, minimum):
-            run = counts[start:stop]
-            leaf = _Node(keys[start:stop], counts=run)
-            if values is not None:
-                end = offset + sum(run)
-                leaf.values = values[offset:end]
-                offset = end
+            leaf = _Node(keys[start:stop], counts=counts[start:stop])
             if level:
                 level[-1].next = leaf
             level.append(leaf)
@@ -253,17 +186,12 @@ class BPlusTree:
         _search_charge(node, tracker)
         return node, path
 
-    def insert(self, key: Any, payload: Any, tracker: Optional[CostTracker] = None) -> None:
+    def insert(self, key: Any, tracker: Optional[CostTracker] = None) -> None:
+        """Add one occurrence of ``key``."""
         tracker = ensure_tracker(tracker)
         leaf, path = self._descend(key, tracker)
-        if leaf.values is None and payload is not None:
-            raise IndexError_(f"a counted B+-tree holds no payloads, got {payload!r}")
         position = bisect.bisect_left(leaf.keys, key)
-        found = position < len(leaf.keys) and leaf.keys[position] == key
-        if leaf.values is not None:
-            # After the key's run when it has one, else where it goes.
-            leaf.values.insert(leaf.offset(position + found), payload)
-        if found:
+        if position < len(leaf.keys) and leaf.keys[position] == key:
             leaf.counts[position] += 1
         else:
             leaf.keys.insert(position, key)
@@ -289,10 +217,6 @@ class BPlusTree:
         middle = len(node.keys) // 2
         if node.leaf:
             sibling = _Node(node.keys[middle:], counts=node.counts[middle:])
-            if node.values is not None:
-                cut = node.offset(middle)
-                sibling.values = node.values[cut:]
-                del node.values[cut:]
             del node.keys[middle:], node.counts[middle:]
             sibling.next = node.next
             node.next = sibling
@@ -302,18 +226,6 @@ class BPlusTree:
             sibling = _Node(node.keys[middle + 1 :], children=node.children[middle + 1 :])
             del node.keys[middle:], node.children[middle + 1 :]
         return sibling, separator
-
-    def search(self, key: Any, tracker: Optional[CostTracker] = None) -> List[Any]:
-        """All payloads stored under ``key`` (empty list when absent)."""
-        tracker = ensure_tracker(tracker)
-        leaf, _ = self._descend(key, tracker)
-        position = bisect.bisect_left(leaf.keys, key)
-        if position < len(leaf.keys) and leaf.keys[position] == key:
-            if leaf.values is None:
-                return [None] * leaf.counts[position]
-            start = leaf.offset(position)
-            return leaf.values[start : start + leaf.counts[position]]
-        return []
 
     def contains(self, key: Any, tracker: Optional[CostTracker] = None) -> bool:
         """The Boolean point-selection query of Example 1: exists t[A] = c?"""
@@ -351,39 +263,6 @@ class BPlusTree:
 
     # -- range operations -----------------------------------------------------------
 
-    def range_iter(
-        self,
-        low: Any,
-        high: Any,
-        tracker: Optional[CostTracker] = None,
-    ) -> Iterator[Tuple[Any, Any]]:
-        """Yield (key, payload) with ``low <= key <= high`` in key order.
-
-        Costs O(log n + k) where k is the number of results.
-        """
-        tracker = ensure_tracker(tracker)
-        leaf, _ = self._descend(low, tracker)
-        position = bisect.bisect_left(leaf.keys, low)
-        start = leaf.offset(position)
-        node: Optional[_Node] = leaf
-        while node is not None:
-            while position < len(node.keys):
-                key = node.keys[position]
-                tracker.tick(1)
-                if key > high:
-                    return
-                stop = start + node.counts[position]
-                if node.values is None:
-                    yield from repeat((key, None), stop - start)
-                else:
-                    for payload in node.values[start:stop]:
-                        yield key, payload
-                position, start = position + 1, stop
-            node = node.next
-            position = start = 0
-            if node is not None:
-                tracker.tick(1)
-
     def range_nonempty(
         self,
         low: Any,
@@ -406,10 +285,6 @@ class BPlusTree:
         tracker.tick(1)
         return leaf.keys[position] <= high
 
-    def _counted(self) -> bool:
-        """Whether the leaves hold counts only (every payload ``None``)."""
-        return next(self._leaves()).values is None
-
     def _leaves(self) -> Iterator[_Node]:
         node: Optional[_Node] = self._root
         while not node.leaf:
@@ -418,46 +293,24 @@ class BPlusTree:
             yield node
             node = node.next
 
-    def items(self) -> Iterator[Tuple[Any, Any]]:
-        """All (key, payload) pairs in key order (no cost; testing helper)."""
-        for node in self._leaves():
-            key_per_value = chain.from_iterable(map(repeat, node.keys, node.counts))
-            yield from zip(key_per_value, repeat(None) if node.values is None else node.values)
-
     def keys(self) -> List[Any]:
-        return [key for key, _ in self.items()]
+        """Every key occurrence in order (no cost; testing helper)."""
+        keys: List[Any] = []
+        for node in self._leaves():
+            keys.extend(chain.from_iterable(map(repeat, node.keys, node.counts)))
+        return keys
 
     # -- deletion ---------------------------------------------------------------------
 
-    def delete(
-        self,
-        key: Any,
-        payload: Any = None,
-        tracker: Optional[CostTracker] = None,
-    ) -> bool:
-        """Remove one entry under ``key``.
+    def delete(self, key: Any, tracker: Optional[CostTracker] = None) -> bool:
+        """Remove one occurrence of ``key``; False when it has none.
 
-        With ``payload=None`` any one payload for the key is removed;
-        otherwise only a matching payload (never, in a counted tree).
-        Returns False when nothing matched.  Rebalances by borrowing from or
-        merging with siblings.
+        Rebalances by borrowing from or merging with siblings.
         """
         tracker = ensure_tracker(tracker)
         leaf, path = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
         if position >= len(leaf.keys) or leaf.keys[position] != key:
-            return False
-        if leaf.values is not None:
-            start = leaf.offset(position)
-            stop = start + leaf.counts[position]
-            if payload is None:
-                del leaf.values[stop - 1]
-            else:
-                try:
-                    del leaf.values[leaf.values.index(payload, start, stop)]
-                except ValueError:
-                    return False
-        elif payload is not None:
             return False
         self._size -= 1
         leaf.counts[position] -= 1
@@ -489,7 +342,7 @@ class BPlusTree:
             self._root = self._root.children[0]
 
     def _borrow(self, parent: _Node, child_index: int) -> bool:
-        """Try to borrow one entry from an adjacent richer sibling."""
+        """Try to borrow one key from an adjacent richer sibling."""
         node = parent.children[child_index]
         minimum = self._min_keys()
         # Borrow from the left sibling.
@@ -497,10 +350,6 @@ class BPlusTree:
             left = parent.children[child_index - 1]
             if len(left.keys) > minimum:
                 if node.leaf:
-                    if node.values is not None:
-                        cut = len(left.values) - left.counts[-1]
-                        node.values[:0] = left.values[cut:]
-                        del left.values[cut:]
                     node.keys.insert(0, left.keys.pop())
                     node.counts.insert(0, left.counts.pop())
                     parent.keys[child_index - 1] = node.keys[0]
@@ -514,10 +363,6 @@ class BPlusTree:
             right = parent.children[child_index + 1]
             if len(right.keys) > minimum:
                 if node.leaf:
-                    if node.values is not None:
-                        cut = right.counts[0]
-                        node.values.extend(right.values[:cut])
-                        del right.values[:cut]
                     node.keys.append(right.keys.pop(0))
                     node.counts.append(right.counts.pop(0))
                     parent.keys[child_index] = right.keys[0]
@@ -540,8 +385,6 @@ class BPlusTree:
         if left.leaf:
             left.keys.extend(right.keys)
             left.counts.extend(right.counts)
-            if left.values is not None:
-                left.values.extend(right.values)
             left.next = right.next
         else:
             left.keys.append(separator)
@@ -555,45 +398,34 @@ class BPlusTree:
     def to_state(self) -> dict:
         """Plain-data snapshot for artifact persistence.
 
-        The leaf chain concatenates into the columns a leaf already holds a
-        slice of: the distinct ``keys`` in order, the entry ``counts`` per
-        key, and -- unless the tree is counted -- every payload in key order
-        in ``payloads``; each packed to machine words when it is a plain-int
-        run, the keys (a sorted run) gap-coded.  The internal structure is
+        The leaf chain concatenates into the two columns a leaf already
+        holds a slice of: the distinct ``keys`` in order and the occurrence
+        ``counts`` per key, each packed to machine words when it is a
+        plain-int run, the keys (a sorted run) gap-coded.  The internal structure is
         *not* stored (:meth:`from_state` rebuilds it bottom-up in linear
         time).
         """
         keys: List[Any] = []
         counts = count_column(())
-        payloads: List[Any] = []
         for node in self._leaves():
             keys.extend(node.keys)
             counts.extend(node.counts)
-            payloads.extend(node.values or ())
-        state = {"order": self.order, "keys": pack_sorted(keys), "counts": pack(counts)}
-        if not self._counted():
-            state["payloads"] = pack(payloads)
-        return state
+        return {"order": self.order, "keys": pack_sorted(keys), "counts": pack(counts)}
 
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
         """Rebuild from :meth:`to_state` output through the bulk loader, at
-        the stored ``order`` (a state written at another width loads at it);
-        a state without ``payloads`` is a counted tree."""
+        the stored ``order`` (a state written at another width loads at it)."""
         # ``counts`` went through ``pack``, never the gap form: a packed
         # column or a list, either of which the typed column copies directly.
         counts = count_column(state["counts"])
-        payloads = state.get("payloads")
-        if payloads is not None:
-            payloads = unpack(payloads)
-        return cls._bulk_load(int(state["order"]), unpack(state["keys"]), counts, payloads)
+        return cls._bulk_load(int(state["order"]), unpack(state["keys"]), counts)
 
     # -- invariants (used by property tests) ----------------------------------------
 
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
         minimum = self._min_keys()
-        counted = self._counted()
 
         def walk(node: _Node, low: Any, high: Any, depth: int) -> int:
             assert len(node.keys) < self.order, "node overflow"
@@ -608,10 +440,7 @@ class BPlusTree:
             if node.leaf:
                 assert is_counts(node.counts), "counts is not the typed column"
                 assert len(node.keys) == len(node.counts)
-                assert all(count > 0 for count in node.counts), "empty payload run"
-                assert (node.values is None) == counted, "counted and payload leaves mixed"
-                if not counted:
-                    assert sum(node.counts) == len(node.values), "counts do not cover values"
+                assert all(count > 0 for count in node.counts), "key with no occurrence"
                 return depth
             assert len(node.children) == len(node.keys) + 1
             depths = set()
@@ -622,4 +451,4 @@ class BPlusTree:
             return depths.pop()
 
         walk(self._root, None, None, 0)
-        assert self._size == sum(1 for _ in self.items()), "size counter drift"
+        assert self._size == sum(sum(node.counts) for node in self._leaves()), "size counter drift"

@@ -2,13 +2,15 @@
 
 A dictionary-backed secondary index over one attribute.  Together with the
 B+-tree it lets the selection experiments contrast O(1) hash probes with
-O(log n) tree probes and O(n) scans.
+O(log n) tree probes and O(n) scans.  Like the tree it indexes the
+attribute's value multiset -- key -> occurrence count -- since the
+selection queries are Boolean.
 """
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
-from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, Hashable, Optional, Sequence
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.indexes.columns import pack, unpack
@@ -17,24 +19,11 @@ __all__ = ["HashIndex"]
 
 
 class HashIndex:
-    """Key -> list-of-payloads map with cost-charged probes."""
+    """Key -> occurrence-count map with cost-charged probes."""
 
     def __init__(self) -> None:
-        self._buckets: Dict[Hashable, List[Any]] = {}
+        self._counts: Dict[Hashable, int] = {}
         self._size = 0
-
-    @classmethod
-    def build(
-        cls,
-        entries: Iterable[Tuple[Hashable, Any]],
-        tracker: Optional[CostTracker] = None,
-    ) -> "HashIndex":
-        """PTIME preprocessing: one insert (O(1) expected) per entry."""
-        tracker = ensure_tracker(tracker)
-        index = cls()
-        for key, payload in entries:
-            index.insert(key, payload, tracker)
-        return index
 
     @classmethod
     def from_keys(
@@ -43,68 +32,60 @@ class HashIndex:
         *,
         tracker: Optional[CostTracker] = None,
     ) -> "HashIndex":
-        """:meth:`build` over a key column, every payload ``None`` (the
-        B+-tree's bulk signature, so per-attribute schemes treat both alike)."""
-        return cls.build(zip(keys, repeat(None)), tracker)
+        """PTIME preprocessing over a key column (the B+-tree's bulk
+        signature, so per-attribute schemes treat both alike): one O(1)
+        expected insert per key."""
+        ensure_tracker(tracker).tick(len(keys))
+        index = cls()
+        index._counts = dict(Counter(keys))
+        index._size = len(keys)
+        return index
 
-    def insert(self, key: Hashable, payload: Any, tracker: Optional[CostTracker] = None) -> None:
+    def insert(self, key: Hashable, tracker: Optional[CostTracker] = None) -> None:
+        """Add one occurrence of ``key``."""
         ensure_tracker(tracker).tick(1)
-        self._buckets.setdefault(key, []).append(payload)
+        self._counts[key] = self._counts.get(key, 0) + 1
         self._size += 1
 
-    def delete(self, key: Hashable, payload: Any = None, tracker: Optional[CostTracker] = None) -> bool:
+    def delete(self, key: Hashable, tracker: Optional[CostTracker] = None) -> bool:
+        """Remove one occurrence of ``key``; False when it has none."""
         ensure_tracker(tracker).tick(1)
-        bucket = self._buckets.get(key)
-        if not bucket:
+        count = self._counts.get(key)
+        if not count:
             return False
-        if payload is None:
-            bucket.pop()
+        if count == 1:
+            del self._counts[key]
         else:
-            try:
-                bucket.remove(payload)
-            except ValueError:
-                return False
-        if not bucket:
-            del self._buckets[key]
+            self._counts[key] = count - 1
         self._size -= 1
         return True
 
-    def search(self, key: Hashable, tracker: Optional[CostTracker] = None) -> List[Any]:
-        ensure_tracker(tracker).tick(1)
-        return list(self._buckets.get(key, ()))
-
     def contains(self, key: Hashable, tracker: Optional[CostTracker] = None) -> bool:
         ensure_tracker(tracker).tick(1)
-        return key in self._buckets
+        return key in self._counts
 
     def contains_fast(self, key: Hashable) -> bool:
         """Untracked :meth:`contains`: one C dict probe, no charging."""
-        return key in self._buckets
+        return key in self._counts
 
     def __len__(self) -> int:
         return self._size
 
     def distinct_keys(self) -> int:
-        return len(self._buckets)
+        return len(self._counts)
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot for artifact persistence: the B+-tree's three
-        columns (``keys``, payload ``counts`` per key, every payload in
-        ``payloads``), in bucket order."""
-        buckets = self._buckets.values()
-        return {
-            "keys": pack(list(self._buckets)),
-            "counts": pack(list(map(len, buckets))),
-            "payloads": pack(list(chain.from_iterable(buckets))),
-        }
+        """Plain-data snapshot for artifact persistence: the B+-tree's two
+        columns (``keys`` and the occurrence ``counts`` per key), in dict
+        order."""
+        return {"keys": pack(list(self._counts)), "counts": pack(list(self._counts.values()))}
 
     @classmethod
     def from_state(cls, state: dict) -> "HashIndex":
         index = cls()
-        run = iter(unpack(state["payloads"]))
-        for key, count in zip(unpack(state["keys"]), unpack(state["counts"])):
-            index._buckets[key] = list(islice(run, count))
-        index._size = len(state["payloads"])
+        counts = unpack(state["counts"])
+        index._counts = dict(zip(unpack(state["keys"]), counts))
+        index._size = sum(counts)
         return index

@@ -201,9 +201,9 @@ def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
         for position, index in enumerate(indexes.values()):
             key = change.row[position]
             if change.kind is ChangeKind.INSERT:
-                index.insert(key, None, tracker)
+                index.insert(key, tracker)
             else:
-                index.delete(key, None, tracker)
+                index.delete(key, tracker)
     return indexes
 
 
@@ -263,5 +263,5 @@ def hash_point_scheme() -> PiScheme:
     """Hash-index alternative: O(1) expected point probes."""
     return _selection_scheme(
         "hash-point", "hash index per attribute; O(1) expected probes",
-        _per_attribute(HashIndex), _point, _point_fast, artifact_version=3,
+        _per_attribute(HashIndex), _point, _point_fast, artifact_version=4,
     )

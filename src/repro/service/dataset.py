@@ -345,12 +345,15 @@ class Dataset:
                 versions.current.number = max(version, versions.current.number)
 
     def stats(self) -> Dict[str, Any]:
-        """This session's slice of the engine's counter snapshot.
+        """The engine-wide counters of the kinds this session serves.
 
         A plain JSON-serializable dict: the session identity (``dataset``,
-        ``version``, ``mutable``) plus ``kinds`` mapping each served kind to
-        its :meth:`~repro.service.engine.SchemeStats.stats_snapshot` dict.
-        The supported way to read serving counters for one session --
+        ``version``, ``mutable``) plus ``kinds`` mapping each kind this
+        session serves to its engine-wide
+        :meth:`~repro.service.engine.SchemeStats.stats_snapshot` dict.  The
+        counters are per kind, not per session: queries another session
+        sends to a kind this one also serves are counted here too.  The
+        supported way to read serving counters for one session's kinds --
         callers (examples, tests, a benchmark's per-run window) never
         reach into ``engine.stats().per_kind`` directly.
         """

@@ -52,17 +52,15 @@ class MaterializedView:
         tracker = ensure_tracker(tracker)
         self.definition = definition
         position = base.schema.position_of(definition.attribute)
-        self._rows = [
-            row
+        keys = [
+            row[position]
             for _, row in base.scan(tracker)
             if definition.low <= row[position] <= definition.high
         ]
-        self._index = BPlusTree.build(
-            [(row[position], row) for row in self._rows], tracker=tracker
-        )
+        self._index = BPlusTree.from_keys(keys, tracker=tracker)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._index)
 
     def point_nonempty(self, constant: Any, tracker: Optional[CostTracker] = None) -> bool:
         return self._index.contains(constant, ensure_tracker(tracker))

@@ -2,11 +2,9 @@
 
 from collections import Counter
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.errors import IndexError_
 from repro.indexes.btree import BPlusTree
 
 keys = st.integers(min_value=-100, max_value=100)
@@ -22,7 +20,7 @@ operations = st.lists(
 @given(st.lists(keys, max_size=300), orders)
 @settings(max_examples=60)
 def test_build_matches_sorted_input(key_list, order):
-    tree = BPlusTree.build([(k, None) for k in key_list], order=order)
+    tree = BPlusTree.from_keys(key_list, order=order)
     assert tree.keys() == sorted(key_list)
     tree.check_invariants()
 
@@ -34,7 +32,7 @@ def test_interleaved_operations_match_multiset_model(ops, order):
     model: Counter = Counter()
     for op, key in ops:
         if op == "insert":
-            tree.insert(key, None)
+            tree.insert(key)
             model[key] += 1
         else:
             deleted = tree.delete(key)
@@ -54,43 +52,46 @@ def test_interleaved_operations_match_multiset_model(ops, order):
 def test_range_queries_match_filter(key_list, low, high, order):
     if low > high:
         low, high = high, low
-    tree = BPlusTree.build([(k, k) for k in key_list], order=order)
-    expected = sorted(k for k in key_list if low <= k <= high)
-    assert [k for k, _ in tree.range_iter(low, high)] == expected
-    assert tree.range_nonempty(low, high) == bool(expected)
+    tree = BPlusTree.from_keys(key_list, order=order)
+    expected = any(low <= k <= high for k in key_list)
+    assert tree.range_nonempty(low, high) == expected
+    assert tree.range_nonempty_fast(low, high) == expected
 
 
-# -- bulk loading (build and from_state share one loader) ----------------------
+# -- bulk loading (from_keys and from_state share one loader) ------------------
 
 # A narrow key domain makes heavy duplicates the common case; orders span the
 # smallest legal node up to twice the serving default.
 dup_keys = st.integers(min_value=-12, max_value=12)
 bulk_orders = st.integers(min_value=4, max_value=64)
-bulk_entries = st.one_of(
+bulk_keys = st.one_of(
     st.just([]),
-    st.lists(st.tuples(dup_keys, st.integers(0, 5)), min_size=1, max_size=1),
-    st.lists(st.tuples(dup_keys, st.integers(0, 5)), max_size=400),
-    st.lists(st.tuples(keys, st.integers(0, 5)), max_size=400),
+    st.lists(dup_keys, min_size=1, max_size=1),
+    st.lists(dup_keys, max_size=400),
+    st.lists(keys, max_size=400),
 )
 
 
-def _insert_built(entries, order):
+def _insert_built(key_list, order):
     tree = BPlusTree(order=order)
-    for key, payload in entries:
-        tree.insert(key, payload)
+    for key in key_list:
+        tree.insert(key)
     return tree
 
 
-@given(bulk_entries, bulk_orders, st.lists(st.tuples(keys, st.integers(0, 30)), max_size=40))
+def _runs(tree):
+    """``(key, count)`` per distinct key, in leaf order."""
+    return [pair for leaf in tree._leaves() for pair in zip(leaf.keys, leaf.counts)]
+
+
+@given(bulk_keys, bulk_orders, st.lists(st.tuples(keys, st.integers(0, 30)), max_size=40))
 @settings(max_examples=120, deadline=None)
-def test_bulk_build_equals_insert_build(entries, order, probes):
-    bulk = BPlusTree.build(entries, order=order)
+def test_bulk_build_equals_insert_build(key_list, order, probes):
+    bulk = BPlusTree.from_keys(key_list, order=order)
     bulk.check_invariants()
-    inserted = _insert_built(entries, order)
-    # Same pairs in the same order: the sort is stable, so payloads under a
-    # duplicate key keep their input order exactly as repeated inserts do.
-    assert list(bulk.items()) == list(inserted.items())
-    assert len(bulk) == len(inserted) == len(entries)
+    inserted = _insert_built(key_list, order)
+    assert _runs(bulk) == _runs(inserted) == sorted(Counter(key_list).items())
+    assert len(bulk) == len(inserted) == len(key_list)
     for low, span in probes:
         high = low + span
         expected = inserted.contains(low)
@@ -100,32 +101,34 @@ def test_bulk_build_equals_insert_build(entries, order, probes):
         assert bulk.range_nonempty_fast(low, high) == expected
 
 
-@given(bulk_entries, bulk_orders)
+@given(bulk_keys, bulk_orders)
 @settings(max_examples=120, deadline=None)
-def test_bulk_built_tree_round_trips_through_flat_state(entries, order):
-    tree = BPlusTree.build(entries, order=order)
+def test_bulk_built_tree_round_trips_through_flat_state(key_list, order):
+    tree = BPlusTree.from_keys(key_list, order=order)
     state = tree.to_state()
-    assert set(state) == {"order", "keys", "counts", "payloads"}
+    assert set(state) == {"order", "keys", "counts"}
     assert len(state["keys"]) == len(state["counts"])
-    assert sum(state["counts"]) == len(state["payloads"]) == len(entries)
+    assert sum(state["counts"]) == len(key_list)
     clone = BPlusTree.from_state(state)
     clone.check_invariants()
     assert clone.order == tree.order
-    assert list(clone.items()) == list(tree.items())
+    assert _runs(clone) == _runs(tree)
     assert clone.to_state() == state
-    # The clone owns its payload lists: folding into it never reaches back.
-    clone.insert(0, "private")
-    assert list(tree.items()) == list(BPlusTree.from_state(state).items())
+    # The clone owns its key and count columns: folding into it never
+    # reaches back.
+    for key in (0, *key_list[:3]):
+        clone.insert(key)
+    assert _runs(tree) == _runs(BPlusTree.from_state(state))
 
 
-@given(bulk_entries, bulk_orders, operations)
+@given(bulk_keys, bulk_orders, operations)
 @settings(max_examples=80, deadline=None)
-def test_bulk_built_tree_survives_interleaved_maintenance(entries, order, ops):
-    tree = BPlusTree.build([(key, None) for key, _ in entries], order=order)
-    model: Counter = Counter(key for key, _ in entries)
+def test_bulk_built_tree_survives_interleaved_maintenance(key_list, order, ops):
+    tree = BPlusTree.from_keys(key_list, order=order)
+    model: Counter = Counter(key_list)
     for op, key in ops:
         if op == "insert":
-            tree.insert(key, None)
+            tree.insert(key)
             model[key] += 1
         else:
             deleted = tree.delete(key)
@@ -137,130 +140,70 @@ def test_bulk_built_tree_survives_interleaved_maintenance(entries, order, ops):
     assert len(tree) == sum(model.values())
 
 
-# -- counted trees: from_keys is from_columns over None payloads ---------------
+# -- flat leaves: counts of several under every maintenance path ---------------
 
-counted_operations = st.lists(
-    st.tuples(st.sampled_from(["insert", "insert", "delete", "delete-payload"]), dup_keys),
-    max_size=200,
-)
-windows = st.lists(st.tuples(dup_keys, st.integers(0, 6)), max_size=20)
-
-
-def _observed(tree, windows):
-    """Everything a caller can read of ``tree``, untracked probes included."""
-    return (
-        list(tree.items()),
-        len(tree),
-        [tree.search(key) for key in range(-13, 14)],
-        [list(tree.range_iter(low, low + span)) for low, span in windows],
-        [(tree.contains(low), tree.contains_fast(low)) for low, _ in windows],
-        [
-            (tree.range_nonempty(low, low + span), tree.range_nonempty_fast(low, low + span))
-            for low, span in windows
-        ],
-    )
-
-
-@given(st.one_of(st.lists(dup_keys, max_size=400), st.lists(keys, max_size=400)),
-       bulk_orders, counted_operations, windows)
-@settings(max_examples=120, deadline=None)
-def test_counted_tree_is_the_tree_of_none_payloads(key_list, order, ops, windows):
-    counted = BPlusTree.from_keys(key_list, order=order)
-    reference = BPlusTree.from_columns(key_list, [None] * len(key_list), order=order)
-    for op, key in ops:
-        if op == "insert":
-            counted.insert(key, None)
-            reference.insert(key, None)
-        else:
-            payload = "row" if op == "delete-payload" else None
-            assert counted.delete(key, payload) == reference.delete(key, payload)
-    counted.check_invariants()
-    observed = _observed(counted, windows)
-    assert observed == _observed(reference, windows)
-
-    state = counted.to_state()
-    assert state == {name: column for name, column in reference.to_state().items()
-                     if name != "payloads"}
-    clone = BPlusTree.from_state(state)
-    clone.check_invariants()
-    assert clone.order == order and clone.to_state() == state
-    assert _observed(clone, windows) == observed
-
-    # A payload other than None is refused before the tree moves.
-    with pytest.raises(IndexError_):
-        counted.insert(0, "row")
-    counted.check_invariants()
-    assert _observed(counted, windows) == observed
-
-
-# -- flat leaves: multi-payload runs under every maintenance path --------------
-
-# At most eight distinct keys and the smallest legal nodes: most keys own a
-# run of several payloads, and those runs are what _split, _borrow (from
-# either side) and _merge have to carry across leaves in one piece.
+# At most eight distinct keys and the smallest legal nodes: most keys occur
+# several times, and those counts are what _split, _borrow (from either side)
+# and _merge have to carry across leaves with their key.
 run_keys = st.integers(min_value=0, max_value=7)
 run_orders = st.integers(min_value=4, max_value=6)
 run_operations = st.lists(
-    st.tuples(st.sampled_from(["insert", "insert", "pop", "remove"]), run_keys, st.integers(0, 3)),
+    st.tuples(st.sampled_from(["insert", "insert", "delete"]), run_keys),
     max_size=200,
 )
 
 
-def _maintained(entries, order, ops):
-    """A tree bulk-built over ``entries`` (keys folded into eight) and then
-    driven through ``ops`` beside a ``key -> [payloads]`` model; returns the
-    tree, the model and the ``items()`` the model predicts."""
-    entries = [(key % 8, payload) for key, payload in entries]
-    tree = BPlusTree.build(entries, order=order)
-    model: dict = {}
-    for key, payload in entries:
-        model.setdefault(key, []).append(payload)
-    for op, key, payload in ops:
-        run = model.setdefault(key, [])
+def _maintained(key_list, order, ops):
+    """A tree bulk-built over ``key_list`` (folded into eight keys) and then
+    driven through ``ops`` beside a ``Counter`` model; returns the tree and
+    the model."""
+    key_list = [key % 8 for key in key_list]
+    tree = BPlusTree.from_keys(key_list, order=order)
+    model = Counter(key_list)
+    for op, key in ops:
         if op == "insert":
-            tree.insert(key, payload)
-            run.append(payload)
-        elif op == "pop":
-            assert tree.delete(key) == bool(run)
-            if run:
-                run.pop()
+            tree.insert(key)
+            model[key] += 1
         else:
-            assert tree.delete(key, payload) == (payload in run)
-            if payload in run:
-                run.remove(payload)  # that payload and only it, first match
-    return tree, model, [(key, payload) for key in sorted(model) for payload in model[key]]
+            assert tree.delete(key) == (model[key] > 0)
+            model[key] = max(model[key] - 1, 0)
+    return tree, +model
 
 
-@given(bulk_entries, run_orders, run_operations)
+@given(bulk_keys, run_orders, run_operations, st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_payload_runs_survive_every_maintenance_path(entries, order, ops):
-    tree, model, expected = _maintained(entries, order, ops)
+def test_payload_runs_survive_every_maintenance_path(key_list, order, ops, descending):
+    tree, model = _maintained(key_list, order, ops)
     tree.check_invariants()
-    assert list(tree.items()) == expected
-    assert len(tree) == len(expected)
+    assert _runs(tree) == sorted(model.items())
+    assert len(tree) == sum(model.values())
     for key in range(-1, 9):
-        found = tree.search(key)
-        assert found == model.get(key, [])
-        found.append("mutated")  # a copy: the tree does not see this
-        assert tree.search(key) == model.get(key, [])
-        assert tree.contains(key) == tree.contains_fast(key) == bool(model.get(key))
-    assert list(tree.range_iter(2, 5)) == [pair for pair in expected if 2 <= pair[0] <= 5]
+        assert tree.contains(key) == tree.contains_fast(key) == (key in model)
+    naive = any(2 <= key <= 5 for key in model)
+    assert tree.range_nonempty(2, 5) == tree.range_nonempty_fast(2, 5) == naive
+    # Drain from one end: each emptied leaf borrows its neighbour's nearest
+    # key -- with that key's whole count -- or merges into it.
+    for key in sorted(model.elements(), reverse=descending):
+        assert tree.delete(key)
+        model[key] -= 1
+        assert _runs(tree) == sorted((+model).items())
+    tree.check_invariants()
+    assert len(tree) == 0
 
 
-@given(bulk_entries, run_orders, run_operations, st.lists(st.tuples(run_keys, st.integers(0, 4))))
+@given(bulk_keys, run_orders, run_operations, st.lists(st.tuples(run_keys, st.integers(0, 4))))
 @settings(max_examples=100, deadline=None)
-def test_maintained_tree_round_trips_and_answers_like_a_scan(entries, order, ops, probes):
-    tree, model, expected = _maintained(entries, order, ops)
+def test_maintained_tree_round_trips_and_answers_like_a_scan(key_list, order, ops, probes):
+    tree, model = _maintained(key_list, order, ops)
     state = tree.to_state()
     clone = BPlusTree.from_state(state)
     clone.check_invariants()
     assert clone.to_state() == state
-    assert list(clone.items()) == expected
-    present = {key for key, _ in expected}
+    assert _runs(clone) == sorted(model.items())
     for low, span in probes:
         high = low + span
-        assert clone.contains(low) == clone.contains_fast(low) == (low in present)
-        naive = any(low <= key <= high for key in present)
+        assert clone.contains(low) == clone.contains_fast(low) == (low in model)
+        naive = any(low <= key <= high for key in model)
         assert clone.range_nonempty(low, high) == clone.range_nonempty_fast(low, high) == naive
 
 
@@ -278,34 +221,33 @@ def count_workloads(draw):
     key = st.integers(min_value=0, max_value=3 * order)
     # Sized by the order (or empty), so a default-width tree has several leaves.
     size = draw(st.one_of(st.just(0), st.integers(2 * order, 4 * order)))
-    entries = draw(st.lists(st.tuples(key, st.integers(0, 3)), min_size=size, max_size=size))
+    key_list = draw(st.lists(key, min_size=size, max_size=size))
     ops = draw(st.lists(st.tuples(st.sampled_from(["insert", "insert", "delete"]), key),
                         max_size=2 * order + 40))
-    return order, draw(st.booleans()), entries, ops
+    return order, draw(st.booleans()), key_list, ops
 
 
 @given(count_workloads())
 @settings(max_examples=60, deadline=None)
 def test_counts_stay_the_typed_column_through_every_mutation_path(workload):
-    order, bulk, entries, ops = workload
+    order, bulk, key_list, ops = workload
     if bulk:
-        keys, payloads = zip(*entries) if entries else ((), ())
-        tree = BPlusTree.from_columns(keys, payloads, order=order)
+        tree = BPlusTree.from_keys(key_list, order=order)
     else:
-        tree = _insert_built(entries, order)
-    model = Counter(key for key, _ in entries)
+        tree = _insert_built(key_list, order)
+    model = Counter(key_list)
     tree.check_invariants()  # asserts every leaf's counts is the typed column
 
     # One run past the largest count the build saw: no OverflowError.
     hot = max(model, key=model.__getitem__, default=0)
     for _ in range(max(model.values(), default=0) + 2):
-        tree.insert(hot, None)
+        tree.insert(hot)
         model[hot] += 1
     tree.check_invariants()
 
     for op, key in ops:
         if op == "insert":
-            tree.insert(key, None)
+            tree.insert(key)
             model[key] += 1
         else:
             assert tree.delete(key) == (model[key] > 0)

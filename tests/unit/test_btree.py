@@ -1,6 +1,7 @@
 """Unit tests for the B+-tree (repro.indexes.btree)."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,29 +19,33 @@ class TestBasics:
         tree = BPlusTree()
         assert len(tree) == 0
         assert not tree.contains(5)
-        assert tree.search(5) == []
-        assert list(tree.items()) == []
+        assert not tree.delete(5)
+        assert tree.keys() == []
         tree.check_invariants()
 
     def test_single_insert(self):
         tree = BPlusTree()
-        tree.insert(10, "a")
+        tree.insert(10)
         assert tree.contains(10)
-        assert tree.search(10) == ["a"]
+        assert tree.keys() == [10]
         assert len(tree) == 1
 
     def test_duplicate_keys_accumulate_payloads(self):
+        """A duplicate raises its key's count; it is not a second key."""
         tree = BPlusTree()
-        tree.insert(7, "x")
-        tree.insert(7, "y")
-        assert sorted(tree.search(7)) == ["x", "y"]
+        tree.insert(7)
+        tree.insert(7)
+        assert tree.keys() == [7, 7]
+        assert tree._root.keys == [7] and list(tree._root.counts) == [2]
         assert len(tree) == 2
         tree.check_invariants()
 
     def test_build_classmethod(self):
-        tree = BPlusTree.build([(i, i * 10) for i in range(100)], order=8)
+        keys = [i % 37 for i in range(100)]
+        tree = BPlusTree.from_keys(keys, order=8)
         assert len(tree) == 100
-        assert tree.search(42) == [420]
+        assert Counter(tree.keys()) == Counter(keys)
+        assert tree.contains(36) and not tree.contains(37)
         tree.check_invariants()
 
 
@@ -48,20 +53,26 @@ class TestOrderedBehaviour:
     def test_items_sorted(self):
         rng = random.Random(1)
         keys = [rng.randrange(1000) for _ in range(500)]
-        tree = BPlusTree.build([(k, None) for k in keys], order=6)
+        tree = BPlusTree.from_keys(keys, order=6)
         assert tree.keys() == sorted(keys)
 
     def test_range_iter(self):
-        tree = BPlusTree.build([(i, str(i)) for i in range(0, 100, 3)], order=5)
-        got = [k for k, _ in tree.range_iter(10, 40)]
-        assert got == [k for k in range(0, 100, 3) if 10 <= k <= 40]
+        """Every window over a sparse run answers like a filter of it."""
+        keys = list(range(0, 100, 3))
+        tree = BPlusTree.from_keys(keys, order=5)
+        for low in range(-2, 103):
+            for high in range(low, low + 5):
+                expected = any(low <= key <= high for key in keys)
+                assert tree.range_nonempty(low, high) == expected, (low, high)
+                assert tree.range_nonempty_fast(low, high) == expected, (low, high)
 
     def test_range_iter_empty_window(self):
-        tree = BPlusTree.build([(i * 10, None) for i in range(10)], order=5)
-        assert list(tree.range_iter(41, 49)) == []
+        tree = BPlusTree.from_keys([i * 10 for i in range(10)], order=5)
+        assert not tree.range_nonempty(41, 49)
+        assert not tree.range_nonempty_fast(41, 49)
 
     def test_range_nonempty(self):
-        tree = BPlusTree.build([(i * 10, None) for i in range(10)], order=5)
+        tree = BPlusTree.from_keys([i * 10 for i in range(10)], order=5)
         assert tree.range_nonempty(35, 50)
         assert not tree.range_nonempty(41, 49)
         assert tree.range_nonempty(0, 0)
@@ -69,30 +80,25 @@ class TestOrderedBehaviour:
 
     def test_range_nonempty_past_leaf_end(self):
         # low larger than every key in its leaf but a later leaf qualifies.
-        tree = BPlusTree.build([(i, None) for i in range(64)], order=4)
+        tree = BPlusTree.from_keys(list(range(64)), order=4)
         assert tree.range_nonempty(62.5, 70)
         assert not tree.range_nonempty(63.5, 70)
 
 
 class TestDeletion:
     def test_delete_missing_returns_false(self):
-        tree = BPlusTree.build([(1, "a")])
+        tree = BPlusTree.from_keys([1])
         assert not tree.delete(2)
-        assert not tree.delete(1, payload="zzz")
         assert len(tree) == 1
-
-    def test_delete_specific_payload(self):
-        tree = BPlusTree()
-        tree.insert(5, "a")
-        tree.insert(5, "b")
-        assert tree.delete(5, payload="a")
-        assert tree.search(5) == ["b"]
+        assert tree.delete(1)
+        assert not tree.delete(1)
+        assert len(tree) == 0
 
     def test_delete_everything_random_order(self):
         rng = random.Random(2)
         keys = list(range(300))
         rng.shuffle(keys)
-        tree = BPlusTree.build([(k, k) for k in keys], order=6)
+        tree = BPlusTree.from_keys(keys, order=6)
         rng.shuffle(keys)
         for key in keys:
             assert tree.delete(key), key
@@ -102,25 +108,26 @@ class TestDeletion:
     def test_interleaved_inserts_and_deletes(self):
         rng = random.Random(3)
         tree = BPlusTree(order=5)
-        model = {}
+        model = Counter()
         for step in range(2000):
             key = rng.randrange(120)
             if rng.random() < 0.55:
-                tree.insert(key, step)
-                model.setdefault(key, []).append(step)
+                tree.insert(key)
+                model[key] += 1
             else:
-                expected = bool(model.get(key))
+                expected = model[key] > 0
                 assert tree.delete(key) == expected
                 if expected:
-                    model[key].pop()
+                    model[key] -= 1
             if step % 200 == 0:
                 tree.check_invariants()
+        assert tree.keys() == sorted(model.elements())
         for key in range(120):
-            assert sorted(tree.search(key)) == sorted(model.get(key, []))
+            assert tree.contains(key) == (model[key] > 0)
 
 
 class _TracedTree(BPlusTree):
-    """Records which maintenance paths moved a run of several payloads."""
+    """Records which maintenance paths moved a key of count > 1."""
 
     def __init__(self, order):
         super().__init__(order=order)
@@ -151,64 +158,49 @@ class _TracedTree(BPlusTree):
 
 
 class TestPayloadRuns:
+    """A key's run is its occurrence count: maintenance moves it whole."""
+
     def test_runs_cross_split_borrow_and_merge_in_one_piece(self):
         """Eight keys, tiny nodes, 4 000 steps: every maintenance path carries
-        a multi-payload run at least once, and the tree stays the model."""
+        a key of count > 1 at least once, and the tree stays the model."""
         for order in (4, 5, 6):
             rng = random.Random(order)
-            tree, model, growing = _TracedTree(order), {}, True
+            tree, model, growing = _TracedTree(order), Counter(), True
             for step in range(4000):
                 key = rng.randrange(8)
-                run = model.setdefault(key, [])
                 # Grow to 40 entries, drain to none, again: keys appear in
                 # full leaves (splits) and vanish from thin ones (borrow, merge).
                 growing = len(tree) < 40 if growing else len(tree) == 0
                 if rng.random() < (0.8 if growing else 0.2):
-                    tree.insert(key, step)
-                    run.append(step)
-                elif run and rng.random() < 0.5:
-                    victim = rng.choice(run)
-                    assert tree.delete(key, victim)
-                    run.remove(victim)
+                    tree.insert(key)
+                    model[key] += 1
                 else:
-                    assert tree.delete(key) == bool(run)
-                    if run:
-                        run.pop()
+                    assert tree.delete(key) == (model[key] > 0)
+                    model[key] = max(model[key] - 1, 0)
                 if step % 97 == 0:
                     tree.check_invariants()
-                    assert list(tree.items()) == [(k, p) for k in sorted(model) for p in model[k]]
+                    assert tree.keys() == sorted(model.elements())
             tree.check_invariants()
             assert tree.moved == {"split", "borrow-left", "borrow-right", "merge"}, (order, tree.moved)
 
     def test_a_run_grows_past_any_build_time_count(self):
         """Counts are typed by the longest list, not the build's largest run:
-        a 65 535-payload run (the top of a 16-bit word) keeps growing."""
+        a key of count 65 535 (the top of a 16-bit word) keeps growing."""
         n = (1 << 16) - 1
-        tree = BPlusTree.from_columns([7] * n + [9], [None] * (n + 1))
+        tree = BPlusTree.from_keys([7] * n + [9])
         for _ in range(3):
-            tree.insert(7, "late")
+            tree.insert(7)
         tree.check_invariants()
         assert tree._root.counts[0] == n + 3
-        assert tree.search(7)[-3:] == ["late"] * 3
+        assert Counter(tree.keys()) == {7: n + 3, 9: 1}
         state = tree.to_state()
         assert list(state["counts"]) == [n + 3, 1]
         BPlusTree.from_state(state).check_invariants()
 
     def test_invariants_catch_a_plain_list_of_counts(self):
-        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
+        tree = BPlusTree.from_keys([1, 1, 2])
         tree._root.counts = list(tree._root.counts)
         with pytest.raises(AssertionError, match="typed column"):
-            tree.check_invariants()
-
-    def test_search_returns_a_copy(self):
-        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
-        tree.search(1).append("z")
-        assert tree.search(1) == ["a", "b"] and len(tree) == 3
-
-    def test_invariants_catch_counts_that_do_not_cover_values(self):
-        tree = BPlusTree.build([(1, "a"), (1, "b"), (2, "c")])
-        tree._root.values.append("orphan")
-        with pytest.raises(AssertionError, match="counts do not cover values"):
             tree.check_invariants()
 
 
@@ -218,7 +210,7 @@ class TestCostShape:
             costs = {}
             for exponent in (8, 12, 16):
                 n = 2**exponent
-                tree = BPlusTree.build([(i, None) for i in range(n)], order=order)
+                tree = BPlusTree.from_keys(range(n), order=order)
                 tracker = CostTracker()
                 tree.contains(n // 2, tracker)
                 costs[exponent] = tracker.depth
@@ -227,9 +219,9 @@ class TestCostShape:
             assert costs[16] <= 3 * costs[8], (order, costs)
 
     def test_height_grows_slowly(self):
-        tree = BPlusTree.build([(i, None) for i in range(10_000)], order=32)
+        tree = BPlusTree.from_keys(range(10_000), order=32)
         assert tree.height <= 4
-        assert BPlusTree.build([(i, None) for i in range(10_000)]).height <= 3
+        assert BPlusTree.from_keys(range(10_000)).height <= 3
 
     def test_default_width_halves_the_leaves_of_a_relation_column(self):
         """A 2^16 column drawn like the yardstick's relation (uniform over
@@ -238,7 +230,7 @@ class TestCostShape:
         n = 1 << 16
         rng = random.Random(2013)
         keys = [rng.randint(0, 4 * n) for _ in range(n)]
-        tree = BPlusTree.from_columns(keys, range(n))
+        tree = BPlusTree.from_keys(keys)
         assert tree.order == 64
         assert tree.height <= 3
         assert sum(1 for _ in tree._leaves()) <= 1850
@@ -252,10 +244,7 @@ class TestCostShape:
             n = 2**exponent
             keys = [rng.randrange(4 * n) for _ in range(n)]
             tracker = CostTracker()
-            BPlusTree.build(zip(keys, range(n)), tracker=tracker)
+            BPlusTree.from_keys(keys, tracker=tracker)
             charges[exponent] = tracker.work
             assert tracker.depth == tracker.work  # sequential preprocessing
-            counted = CostTracker()  # a counted tree is charged the same
-            BPlusTree.from_keys(keys, tracker=counted)
-            assert (counted.work, counted.depth) == (tracker.work, tracker.depth)
         assert 4.0 <= charges[14] / charges[12] <= 5.5

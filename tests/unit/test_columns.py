@@ -188,6 +188,16 @@ def test_relation_artifact_bytes_per_item_floor():
     assert len(dumped) / N <= 3.55, len(dumped) / N  # parent: 7.550 (PR 18: 12.9)
 
 
+def test_hash_point_artifact_bytes_per_item_ceiling():
+    """Two hash indexes over 2^14 rows with values below 2^16: per attribute
+    the distinct keys in 'H' (bucket order, not sorted) and their counts in
+    'B' -- no payload column."""
+    scheme = hash_point_scheme()
+    relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
+    dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
+    assert len(dumped) / N <= 5.32, len(dumped) / N  # parent: 7.317 (a None per row)
+
+
 def test_topk_artifact_bytes_per_item_floor():
     """2^14 rows of two scores in [0, 1000]: ids as 'B' gaps, two score
     columns and two sorted id lists in 'H' (parent: a pickled (id, row)
@@ -217,24 +227,23 @@ def test_btree_build_and_load_allocate_per_leaf_not_per_key():
     build leaves behind: a node, two lists and a counts column per leaf of
     ~32 keys, 0.115 n (order 32: 0.23 n; before flat leaves: a tuple per
     entry and a list per distinct key, 1.12 n)."""
-    keys, row_ids = _uniform(4 * N), list(range(N))
-    built, tree = _tracked_objects_left_by(lambda: BPlusTree.from_columns(keys, row_ids))
+    keys = _uniform(4 * N)
+    built, tree = _tracked_objects_left_by(lambda: BPlusTree.from_keys(keys))
     assert 0 < built < N / 6, built / N
     state = tree.to_state()
     loaded, clone = _tracked_objects_left_by(lambda: BPlusTree.from_state(state))
     assert 0 < loaded < N / 6, loaded / N
-    assert list(clone.items()) == list(tree.items())
+    assert Counter(clone.keys()) == Counter(tree.keys()) == Counter(keys)
 
 
 def test_selection_trees_hold_counts_not_row_ids():
     """The selection queries are Boolean, so each attribute's tree indexes
-    its value multiset: the state has no ``payloads`` column and no leaf
-    holds a payload list -- only the keys and how often each occurs."""
+    its value multiset: the state has no ``payloads`` column -- only the
+    keys and how often each occurs."""
     relation = uniform_int_relation(1 << 10, random.Random(17))
     trees = btree_point_scheme().preprocess(relation, CostTracker())
     for attribute, tree in trees.items():
         assert set(tree.to_state()) == {"order", "keys", "counts"}
-        assert all(leaf.values is None for leaf in tree._leaves())
         assert Counter(tree.keys()) == Counter(relation.column(attribute))
         tree.check_invariants()
 
@@ -251,7 +260,7 @@ def test_selection_trees_hold_counts_not_row_ids():
         (tree_lca_class, euler_tour_scheme, 3),
         (point_selection_class, btree_point_scheme, 5),
         (range_selection_class, btree_range_scheme, 5),
-        (point_selection_class, hash_point_scheme, 3),
+        (point_selection_class, hash_point_scheme, 4),
         (topk_class, threshold_algorithm_scheme, 3),
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",

@@ -1,11 +1,12 @@
 """Unit tests for bounded incremental evaluation (Section 4(7))."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.cost import CostTracker
-from repro.core.errors import GraphError
+from repro.core.errors import GraphError, SchemaError
 from repro.incremental import (
     ChangeKind,
     ChangeLog,
@@ -86,6 +87,61 @@ class TestIncrementalSelection:
                     model[key] -= 1
             probe = rng.randrange(70)
             assert index.point_nonempty(probe) == bool(model.get(probe))
+
+    def test_duplicates_phantom_deletes_and_refused_inserts(self):
+        """A stream of duplicate rows, deletes of a row that shares a live
+        key but is not itself live, and rows the schema refuses.  After every
+        step the answers equal a relation scan, the live rows equal the model
+        multiset, and the row-id map names exactly the live slots; a refused
+        insert leaves the relation, the tree and the map as they were."""
+        rng = random.Random(73)
+        relation = uniform_int_relation(40, rng, value_range=(0, 6))
+        index = IncrementalSelectionIndex(relation, "a")
+        model = Counter(relation.rows())
+
+        def snapshot():
+            return (relation._rows[:], index._index.keys(),
+                    {row: ids[:] for row, ids in index._row_ids.items()})
+
+        refusals = [(1, "x"), ("x", 1), (1,), (1, 2, 3)]
+        for step in range(600):
+            live = sorted(model.elements())
+            roll = rng.random()
+            if roll < 0.3 and live:  # a duplicate of a live row
+                row = rng.choice(live)
+                index.apply(TupleChange(ChangeKind.INSERT, row))
+                model[row] += 1
+            elif roll < 0.5:
+                row = (rng.randrange(8), rng.randrange(8))
+                index.apply(TupleChange(ChangeKind.INSERT, row))
+                model[row] += 1
+            elif roll < 0.75 and live:
+                row = rng.choice(live)
+                index.apply(TupleChange(ChangeKind.DELETE, row))
+                model[row] -= 1
+            elif roll < 0.92 and live:  # a live key, a row that is not live
+                key = rng.choice(live)[0]
+                row = next((key, b) for b in range(100, 200) if model[(key, b)] == 0)
+                before = snapshot()
+                index.apply(TupleChange(ChangeKind.DELETE, row))
+                assert snapshot() == before
+            else:
+                before = snapshot()
+                with pytest.raises(SchemaError):
+                    index.apply(TupleChange(ChangeKind.INSERT, rng.choice(refusals)))
+                assert snapshot() == before
+            model = +model
+            assert Counter(relation.rows()) == model
+            slots = {}
+            for row_id, row in relation.scan():
+                slots.setdefault(row, []).append(row_id)
+            assert {row: sorted(ids) for row, ids in index._row_ids.items()} == slots
+            for low in range(-1, 9):
+                for high in (low, low + 2):
+                    hit = relation.exists(lambda row: row[0] == low)
+                    assert index.point_nonempty(low) == hit
+                    hit = relation.exists(lambda row: low <= row[0] <= high)
+                    assert index.range_nonempty(low, high) == hit
 
 
 class TestIncrementalClosure:

@@ -1,6 +1,7 @@
 """Unit tests for sorted runs, hash index, sparse table, Fischer--Heun RMQ."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -55,43 +56,63 @@ class TestKeyedRun:
 
 class TestHashIndex:
     def test_build_and_search(self):
-        index = HashIndex.build([(1, "a"), (1, "b"), (2, "c")])
-        assert sorted(index.search(1)) == ["a", "b"]
+        index = HashIndex.from_keys([1, 1, 2])
+        assert index.contains(1) and index.contains_fast(1)
         assert index.contains(2)
-        assert not index.contains(3)
+        assert not index.contains(3) and not index.contains_fast(3)
         assert len(index) == 3
         assert index.distinct_keys() == 2
 
     def test_delete(self):
-        index = HashIndex.build([(1, "a"), (1, "b")])
-        assert index.delete(1, "a")
-        assert index.search(1) == ["b"]
-        assert not index.delete(1, "zz")
+        index = HashIndex.from_keys([1, 1])
+        assert index.delete(1)
+        assert index.contains(1) and len(index) == 1
         assert index.delete(1)
         assert not index.contains(1)
         assert not index.delete(1)
+        assert len(index) == 0 and index.distinct_keys() == 0
 
     def test_column_build_and_three_column_state(self):
-        """The B+-tree's build signature and state columns, so the
+        """The B+-tree's build signature and its two state columns, so the
         per-attribute schemes treat both index classes alike."""
         tracker = CostTracker()
-        keys = HashIndex.from_keys([5, 3, 5, 9], tracker=tracker)
+        index = HashIndex.from_keys([5, 3, 5, 9], tracker=tracker)
         assert tracker.work == 4  # one O(1) expected insert per entry
-        assert keys.search(5) == [None, None] and len(keys) == 4
-        index = HashIndex.build(zip([5, 3, 5, 9], [0, 1, 2, 3]))
+        assert len(index) == 4
         state = index.to_state()
         assert {name: list(column) for name, column in state.items()} == {
-            "keys": [5, 3, 9], "counts": [2, 1, 1], "payloads": [0, 2, 1, 3]}
+            "keys": [5, 3, 9], "counts": [2, 1, 1]}
         assert all(hasattr(column, "typecode") for column in state.values())
         clone = HashIndex.from_state(state)
         assert clone.to_state() == state and len(clone) == 4
-        assert clone.search(5) == [0, 2] and clone.search(4) == []
-        clone.insert(5, 7)  # private buckets: the source index is untouched
-        assert index.search(5) == [0, 2]
+        clone.insert(5)  # a private map: the source index is untouched
+        assert index.to_state() == state
         assert HashIndex.from_state(HashIndex().to_state()).to_state() == HashIndex().to_state()
 
+    def test_maintenance_matches_a_counter_model(self):
+        """Random inserts and deletes: tracked == untracked == the model,
+        through the state at every step."""
+        rng = random.Random(7)
+        index, model = HashIndex(), Counter()
+        for _ in range(600):
+            key = rng.randrange(12)
+            if rng.random() < 0.55:
+                index.insert(key)
+                model[key] += 1
+            else:
+                assert index.delete(key) == (model[key] > 0)
+                model[key] = max(model[key] - 1, 0)
+            model = +model
+            clone = HashIndex.from_state(index.to_state())
+            for probe in range(13):
+                expected = probe in model
+                assert index.contains(probe) == index.contains_fast(probe) == expected
+                assert clone.contains_fast(probe) == expected
+            assert len(index) == len(clone) == sum(model.values())
+            assert index.distinct_keys() == len(model)
+
     def test_probe_cost_constant(self):
-        index = HashIndex.build([(i, None) for i in range(100_000)])
+        index = HashIndex.from_keys(range(100_000))
         tracker = CostTracker()
         index.contains(54321, tracker)
         assert tracker.depth == 1

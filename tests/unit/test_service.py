@@ -279,6 +279,19 @@ def test_dataset_stats_is_the_sessions_slice():
         assert json.loads(json.dumps(stats)) == stats
 
 
+def test_dataset_stats_counts_every_session_of_a_kind():
+    """The counters are the engine's per kind, not the session's: two
+    sessions serving one kind report the same counts, whichever asked."""
+    with build_query_engine() as engine:
+        a = engine.attach("a", tuple(range(32)), kinds=["list-membership"])
+        b = engine.attach("b", tuple(range(64)), kinds=["list-membership"])
+        for value in range(5):
+            b.query("list-membership", value)
+        counters = a.stats()["kinds"]["list-membership"]
+        assert counters["queries"] == 5
+        assert counters == b.stats()["kinds"]["list-membership"]
+
+
 def test_engine_stats_snapshot_shape():
     with build_query_engine() as engine:
         ds = engine.attach("events", tuple(range(32)), kinds=["list-membership"])
