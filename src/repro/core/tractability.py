@@ -14,6 +14,10 @@ the claim the only way an implementation can -- empirically:
    time in the work--depth model) per query must classify as CONSTANT or
    POLYLOG in the data size, and the evaluation *work* must stay polynomial.
 
+Alongside, for a scheme with a codec, the size of Pi(D) at rest -- the bytes
+its ``dump`` emits -- is recorded per size and fitted, exactly: bytes are
+counts that repeat for a seed, untouched by host noise.
+
 The result is a :class:`Certificate`, the object every case-study test and
 the Figure 2 registry consume.
 """
@@ -47,6 +51,8 @@ class SizeSample:
     max_eval_work: int
     naive_mean_work: Optional[float]
     all_correct: bool
+    #: ``len(scheme.dump(Pi(D)))``; None for a scheme with no codec.
+    artifact_bytes: Optional[int] = None
 
 
 @dataclass
@@ -68,6 +74,13 @@ class Certificate:
         return self.preprocessing_fit.exponent <= MAX_PREPROCESSING_EXPONENT
 
     @property
+    def artifact_fit(self) -> Optional[Fit]:
+        """Power law of Pi(D)'s bytes at rest in |D|; None without a codec."""
+        if any(s.artifact_bytes is None for s in self.samples):
+            return None
+        return fit_power([s.size for s in self.samples], [s.artifact_bytes for s in self.samples])
+
+    @property
     def is_pi_tractable(self) -> bool:
         """The empirical verdict: the scheme witnesses Definition 1."""
         return (
@@ -87,6 +100,13 @@ class Certificate:
         ]
         if self.naive_work is not None:
             lines.append(f"  naive eval work (baseline)     : {self.naive_work.describe()}")
+        artifact_fit = self.artifact_fit
+        if artifact_fit is not None:
+            first, last = self.samples[0], self.samples[-1]
+            lines.append(
+                f"  Pi(D) bytes / |D| at rest      : {first.artifact_bytes / first.size:.2f}"
+                f" -> {last.artifact_bytes / last.size:.2f} (~n^{artifact_fit.exponent:.2f})"
+            )
         lines.append(f"  Pi-tractable                   : {self.is_pi_tractable}")
         return "\n".join(lines)
 
@@ -147,6 +167,7 @@ def certify(
                 if compare_naive
                 else None,
                 all_correct=all_correct,
+                artifact_bytes=len(scheme.dump(preprocessed)) if scheme.serializable else None,
             )
         )
 

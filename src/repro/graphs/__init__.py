@@ -12,7 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "alternating_reachable", "random_alternating_digraph",
     ),
     "repro.graphs.generators": (
-        "gnm_digraph", "gnm_graph", "layered_dag", "random_connected_graph",
+        "gnm_digraph", "gnm_graph", "random_connected_graph",
         "random_dag", "random_tree", "random_vertex_pairs", "social_digraph",
     ),
     "repro.graphs.graph": (

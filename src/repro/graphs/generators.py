@@ -17,7 +17,6 @@ __all__ = [
     "random_connected_graph",
     "random_tree",
     "random_dag",
-    "layered_dag",
     "social_digraph",
 ]
 
@@ -88,27 +87,6 @@ def random_connected_graph(n: int, extra_edges: int, rng: random.Random) -> Grap
 def random_dag(n: int, m: int, rng: random.Random) -> Digraph:
     """A DAG with edges oriented low-to-high vertex number."""
     return gnm_digraph(n, m, rng, allow_cycles=False)
-
-
-def layered_dag(
-    layers: int,
-    width: int,
-    rng: random.Random,
-    *,
-    fanin: int = 2,
-) -> Digraph:
-    """A layered DAG: every non-source vertex draws ``fanin`` predecessors
-    from the previous layer.  Mirrors layered Boolean circuits."""
-    n = layers * width
-    graph = Digraph(n)
-    for layer in range(1, layers):
-        for slot in range(width):
-            vertex = layer * width + slot
-            for _ in range(fanin):
-                predecessor = (layer - 1) * width + rng.randrange(width)
-                if not graph.has_edge(predecessor, vertex):
-                    graph.add_edge(predecessor, vertex)
-    return graph
 
 
 def social_digraph(

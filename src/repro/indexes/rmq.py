@@ -8,7 +8,8 @@ range-minimum query in constant time.  Three levels:
   elements.  All blocks sharing a *Cartesian-tree signature* (the push/pop
   sequence of the stack construction, a 2b-bit ballot string) have identical
   argmin positions for every sub-range, so one lookup table per distinct
-  signature answers inside a block;
+  signature answers inside a block, and its last entry for the whole block
+  is where the block's minimum sits;
 * **masked words** -- the block minima group into words of 16.  Block k
   keeps a 16-bit *stack mask*: bit i is set iff minimum i of its word is
   <= every later minimum of the word up to k (the Cartesian-tree stack after
@@ -17,6 +18,10 @@ range-minimum query in constant time.  Three levels:
 * **a sparse table over the word minima** -- a
   :class:`~repro.indexes.sparse_table.SparseTable` over n / 16b values
   answers the whole words between.
+
+What is stored is the array, one table id per block, the tables and the
+masks: the block minima are the tables' answers, and the word table is
+rebuilt on load from the n / 16b word minima, in O(n).
 
 We store words, not bits: the O(n)-bit succinctness of [18] buys nothing for
 Pi-tractability (preprocessing stays PTIME, queries stay O(1)).  Ties
@@ -27,7 +32,7 @@ resolve to the leftmost minimum everywhere, matching
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.indexes import columns
@@ -108,56 +113,65 @@ class _MaskedMinima:
     word minima -- O(n / b) words where a sparse table over every block
     minimum takes O(n / b * log n).
 
-    It reads the structure's ``array`` and ``block_argmin`` (the same
-    objects, written in place by :meth:`FischerHeunRMQ.point_update`) and
-    holds only the masks, the word table and each word's argmin position.
+    It reads the structure's ``array``, block size, ``block_table`` and
+    ``last`` (the same objects, written in place by
+    :meth:`FischerHeunRMQ.point_update`): block k's minimum sits at
+    ``k * b + last[block_table[k]]``.  It holds the masks, each word's
+    argmin position and the word table; only the masks are stored.
     """
 
-    def __init__(self, array: List, block_argmin, masks, levels=None, tracker=None):
-        """Over ``masks``; the word table is built, or restored from its
-        stored ``levels``.  Word minima and their positions are derived."""
-        self._array, self._block_argmin, self._masks = array, block_argmin, masks
+    def __init__(self, rmq: "FischerHeunRMQ", masks, tracker=None):
+        """Over ``masks``; word minima, their positions and the word table
+        are derived."""
+        self._array, self._b = rmq._array, rmq._block_size
+        self._table_of, self._last, self._masks = rmq._block_table, rmq._last, masks
         words = range(0, len(masks), _WORD)
-        self._word_argmin = columns.positions(map(self._word_argmin_at, words), len(array))
-        minima = list(map(array.__getitem__, self._word_argmin))
-        if levels is None:
-            self._words = SparseTable(minima, tracker)
-        else:
-            self._words = SparseTable.from_state({"array": minima, "levels": levels})
+        self._word_argmin = columns.positions(map(self._word_argmin_at, words), len(self._array))
+        self._words = SparseTable(list(map(self._array.__getitem__, self._word_argmin)), tracker)
 
     @classmethod
-    def build(cls, array: List, block_argmin, tracker: CostTracker) -> "_MaskedMinima":
-        minima = list(map(array.__getitem__, block_argmin))
+    def build(cls, rmq: "FischerHeunRMQ", tracker: CostTracker) -> "_MaskedMinima":
+        b, offsets, array = rmq._block_size, rmq._last, rmq._array
+        minima = [array[k * b + offsets[t]] for k, t in enumerate(rmq._block_table)]
         masks = columns.positions((), 1 << _WORD)
         for base in range(0, len(minima), _WORD):
             masks.extend(_stack_masks(minima[base : base + _WORD]))
         tracker.tick(2 * len(minima))  # a push per minimum, at most one pop
-        return cls(array, block_argmin, masks, tracker=tracker)
+        return cls(rmq, masks, tracker)
+
+    def _position(self, block: int) -> int:
+        """Position of ``block``'s minimum: its table's whole-block answer."""
+        return block * self._b + self._last[self._table_of[block]]
 
     def _word_argmin_at(self, base: int) -> int:
         """Position of the leftmost minimum of the word starting at block
         ``base``: the bottom of the stack after the word's last minimum."""
         mask = self._masks[min(len(self._masks), base + _WORD) - 1]
-        return self._block_argmin[base + (mask & -mask).bit_length() - 1]
+        return self._position(base + (mask & -mask).bit_length() - 1)
 
     def argmin(self, first: int, last: int) -> int:
         """Position of the leftmost minimum of blocks ``first..last``: the
         part of the first word, the whole words between, the part of the
         last word.  Positions increase in that order, so ``<`` keeps ties
         leftmost."""
-        array, block_argmin, masks = self._array, self._block_argmin, self._masks
+        array, b, table_of, offsets, masks = (
+            self._array, self._b, self._table_of, self._last, self._masks
+        )
         word, last_word = first // _WORD, last // _WORD
         if word == last_word:
             mask = masks[last] >> first % _WORD
-            return block_argmin[first + (mask & -mask).bit_length() - 1]
+            block = first + (mask & -mask).bit_length() - 1
+            return block * b + offsets[table_of[block]]
         mask = masks[word * _WORD + _WORD - 1] >> first % _WORD
-        best = block_argmin[first + (mask & -mask).bit_length() - 1]
+        block = first + (mask & -mask).bit_length() - 1
+        best = block * b + offsets[table_of[block]]
         if word + 1 < last_word:
             middle = self._word_argmin[self._words.argmin_fast(word + 1, last_word - 1)]
             if array[middle] < array[best]:
                 best = middle
         mask = masks[last]
-        right = block_argmin[last_word * _WORD + (mask & -mask).bit_length() - 1]
+        block = last_word * _WORD + (mask & -mask).bit_length() - 1
+        right = block * b + offsets[table_of[block]]
         return right if array[right] < array[best] else best
 
     def repair(self, block: int, tracker: CostTracker) -> None:
@@ -165,7 +179,7 @@ class _MaskedMinima:
         never saw it), in O(``_WORD``), then repair the word table."""
         masks, base = self._masks, block - block % _WORD
         stop = min(len(masks), base + _WORD)
-        minima = list(map(self._array.__getitem__, self._block_argmin[base:stop]))
+        minima = [self._array[self._position(k)] for k in range(base, stop)]
         below = masks[block - 1] if block > base else 0
         masks[block:stop] = columns.positions(
             _stack_masks(minima, block - base, below), 1 << _WORD
@@ -176,7 +190,7 @@ class _MaskedMinima:
         self._words.point_update(word, self._array[position], tracker)
 
     def to_state(self) -> dict:
-        return {"masks": self._masks[:], "words": self._words.to_state()["levels"]}
+        return {"masks": self._masks[:]}
 
 
 class FischerHeunRMQ:
@@ -189,17 +203,16 @@ class FischerHeunRMQ:
         self._sign_blocks(max(1, int(math.log2(n)) // 4) if n >= 2 else 1, tracker)
 
     def _sign_blocks(self, b: int, tracker: CostTracker) -> None:
-        """Per block of ``b``: its minimum's position and its table's id.
+        """Per block of ``b``: its in-block table's id.
 
         Only ``a[i] > a[j]`` (i < j) is asked inside a block, so one bit per
-        pair fixes both: full blocks are coded a column at a time,
+        pair fixes the table: full blocks are coded a column at a time,
         ``_SIGN_CHUNK`` per pass, and only a code's first block is signed.
         """
         array, n = self._array, len(self._array)
-        self._block_size, self._tables, self._table_ids = b, [], {}
+        self._block_size, self._tables, self._last, self._table_ids = b, [], [], {}
         pairs = [(i, j) for j in range(b) for i in range(j)]
-        ids, offsets = {}, {}
-        block_argmin, block_table = columns.positions((), n), columns.ids((), _table_bound(b, n))
+        ids, block_table = {}, columns.ids((), _table_bound(b, n))
         full = n - n % b
         for start in range(0, full, _SIGN_CHUNK * b):
             stop = min(full, start + _SIGN_CHUNK * b)
@@ -209,36 +222,28 @@ class FischerHeunRMQ:
                 codes = [c + c + 1 if x > y else c + c for c, x, y in zip(codes, cols[i], cols[j])]
             fresh = sorted(set(codes).difference(ids), key=codes.index)
             for code in fresh:
-                first = start + codes.index(code) * b
-                argmin, ids[code] = self._sign_block(first, tracker)
-                offsets[code] = argmin - first
+                ids[code] = self._sign_block(start + codes.index(code) * b, tracker)
             tracker.tick(2 * b * (len(codes) - len(fresh)))
-            block_argmin.extend([s + offsets[c] for s, c in zip(range(start, stop, b), codes)])
             block_table.extend(map(ids.__getitem__, codes))
-        for start in range(full, n, b):  # the short tail block, if any
-            argmin, table_id = self._sign_block(start, tracker)
-            block_argmin.append(argmin)
-            block_table.append(table_id)
-        self._block_argmin, self._block_table = block_argmin, block_table
-        self._summary = _MaskedMinima.build(array, block_argmin, tracker)
+        block_table.extend(self._sign_block(start, tracker) for start in range(full, n, b))
+        self._block_table = block_table
+        self._summary = _MaskedMinima.build(self, tracker)
 
-    def _sign_block(self, start: int, tracker: CostTracker) -> Tuple[int, int]:
-        """(absolute argmin, in-block table id) of the block at ``start``,
-        materializing the table of a signature not seen before."""
+    def _sign_block(self, start: int, tracker: CostTracker) -> int:
+        """In-block table id of the block at ``start``, materializing the
+        table of a signature not seen before (and, in ``_last``, its
+        whole-block argmin offset)."""
         block = self._array[start : start + self._block_size]
-        tracker.tick(len(block))
-        best = 0
-        for offset in range(1, len(block)):
-            if block[offset] < block[best]:
-                best = offset
         signature = _cartesian_signature(block)
-        tracker.tick(len(block))
+        tracker.tick(2 * len(block))  # a push per value, at most one pop
         table_id = self._table_ids.get(signature)
         if table_id is None:
             table_id = self._table_ids[signature] = len(self._tables)
-            self._tables.append(_in_block_table(block))
+            table = _in_block_table(block)
+            self._tables.append(table)
+            self._last.append(table[0][-1])
             tracker.tick(len(block) ** 2)
-        return start + best, table_id
+        return table_id
 
     def __len__(self) -> int:
         return len(self._array)
@@ -307,22 +312,19 @@ class FischerHeunRMQ:
         check_rmq_range(position, position, len(self._array))
         self._array[position] = value
         block = position // self._block_size
-        argmin, table_id = self._sign_block(block * self._block_size, tracker)
-        self._block_argmin[block] = argmin
-        self._block_table[block] = table_id
+        self._block_table[block] = self._sign_block(block * self._block_size, tracker)
         self._summary.repair(block, tracker)
 
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:
-        """Plain-data snapshot: array, per-block columns, in-block tables by
-        signature (in id order), the stack masks and the word table's levels
-        (word minima and their positions are derived from the masks), so
-        load restores O(1) queries."""
+        """Plain-data snapshot: array, block size, each block's table id,
+        in-block tables by signature (in id order) and the stack masks.
+        Block minima are their tables' answers, and load rebuilds the word
+        table over the word minima, so it restores O(1) queries."""
         return {
             "array": columns.pack(self._array),
             "block_size": self._block_size,
-            "block_argmin": self._block_argmin[:],
             "block_table": self._block_table[:],
             "tables": {sig: self._tables[i] for sig, i in self._table_ids.items()},
             **self._summary.to_state(),
@@ -334,10 +336,9 @@ class FischerHeunRMQ:
         rmq._array = columns.unpack(state["array"])
         n = len(rmq._array)
         rmq._block_size = int(state["block_size"])
-        rmq._block_argmin = columns.positions(state["block_argmin"], n)
         rmq._block_table = columns.ids(state["block_table"], _table_bound(rmq._block_size, n))
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
-        masks = columns.positions(state["masks"], 1 << _WORD)
-        rmq._summary = _MaskedMinima(rmq._array, rmq._block_argmin, masks, state["words"])
+        rmq._last = [table[0][-1] for table in rmq._tables]
+        rmq._summary = _MaskedMinima(rmq, columns.positions(state["masks"], 1 << _WORD))
         return rmq

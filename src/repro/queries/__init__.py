@@ -24,13 +24,13 @@ from repro._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.queries.agap": ("agap_class", "agap_problem", "winning_set_scheme"),
     "repro.queries.bds": (
-        "bds_order", "bds_problem", "bds_query_class", "bds_trivial_query_class",
+        "bds_problem", "bds_query_class", "bds_trivial_query_class",
         "no_preprocessing_scheme", "position_dict_scheme", "position_index_scheme",
         "upsilon_bds", "upsilon_prime",
     ),
     "repro.queries.cvp": (
         "cvp_factorized_class", "cvp_problem", "cvp_trivial_class",
-        "gate_table_scheme", "reevaluate_scheme", "upsilon_cvp", "upsilon_zero",
+        "gate_table_scheme", "reevaluate_scheme", "upsilon_cvp",
     ),
     "repro.queries.lca": (
         "dag_bitset_scheme", "dag_lca_class", "euler_tour_scheme", "tree_lca_class",

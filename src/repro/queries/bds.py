@@ -31,7 +31,6 @@ from repro.graphs.traversal import breadth_depth_search, visit_position
 from repro.indexes.sorted_run import KeyedRunIndex
 
 __all__ = [
-    "bds_order",
     "bds_query_class",
     "bds_problem",
     "upsilon_bds",
@@ -43,11 +42,6 @@ __all__ = [
 
 BDSInstance = Tuple[Graph, Tuple[int, int]]
 OrderQuery = Tuple[int, int]
-
-
-def bds_order(graph: Graph, tracker: CostTracker | None = None) -> List[int]:
-    """The list M of Example 5: vertices in BDS visit order."""
-    return breadth_depth_search(graph, tracker=tracker)
 
 
 def _generate_graph(size: int, rng: random.Random) -> Graph:

@@ -24,7 +24,7 @@ from repro.circuits.circuit import Circuit
 from repro.circuits.eval import evaluate_all
 from repro.circuits.generators import deep_chain_circuit, random_circuit, random_inputs
 from repro.core.cost import CostTracker
-from repro.core.factorization import EMPTY_DATA, Factorization
+from repro.core.factorization import Factorization
 from repro.core.language import DecisionProblem
 from repro.core.query import PiScheme, QueryClass, state_codec
 
@@ -36,7 +36,6 @@ __all__ = [
     "gate_table_scheme",
     "reevaluate_scheme",
     "upsilon_cvp",
-    "upsilon_zero",
 ]
 
 #: Data part under Upsilon_CVP: the circuit together with its input bits.
@@ -190,15 +189,4 @@ def upsilon_cvp() -> Factorization:
         pi2=lambda instance: instance[2],
         rho=lambda data, gate: (data[0], data[1], gate),
         description="circuit and inputs as data, output gate as query",
-    )
-
-
-def upsilon_zero() -> Factorization:
-    """Theorem 9's fixed factorization: pi1 = epsilon, pi2 = the instance."""
-    return Factorization(
-        name="Upsilon_0[CVP]",
-        pi1=lambda instance: EMPTY_DATA,
-        pi2=lambda instance: instance,
-        rho=lambda data, query: query,
-        description="empty data part; preprocessing cannot help (Theorem 9)",
     )

@@ -176,7 +176,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=4,  # v4: stack-masked words, not a sparse table over block minima
+        artifact_version=5,  # v5: no block-argmin column and no stored word table
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

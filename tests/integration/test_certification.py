@@ -66,6 +66,28 @@ class TestPositiveCertification:
         assert "preprocessing work" in text
 
 
+class TestArtifactBytes:
+    """The size of Pi(D) at rest: the bytes ``dump`` emits per size, exact
+    for a seed, fitted like the costs."""
+
+    def test_fischer_heun_reports_bytes_per_item_falling_with_d(self):
+        certificate = certify(rmq_class(), fischer_heun_scheme(), sizes=SIZES)
+        assert [s.artifact_bytes for s in certificate.samples] == [695, 1116, 2015, 3807, 7391]
+        assert round(certificate.artifact_fit.exponent, 2) == 0.86
+        assert "Pi(D) bytes / |D|" in certificate.summary()
+        assert ": 5.43 -> 3.61 (~n^0.86)" in certificate.summary()
+
+    def test_a_scheme_with_no_codec_reports_none(self):
+        scheme = no_preprocessing_scheme()
+        assert not scheme.serializable
+        certificate = certify(
+            bds_trivial_query_class(), scheme, sizes=SMALL, queries_per_size=6
+        )
+        assert [s.artifact_bytes for s in certificate.samples] == [None] * len(SMALL)
+        assert certificate.artifact_fit is None
+        assert "Pi(D) bytes" not in certificate.summary()
+
+
 class TestNegativeCertification:
     """The paper's impossibility results, as measured failures."""
 

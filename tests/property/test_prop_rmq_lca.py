@@ -194,11 +194,13 @@ def test_position_columns_widen_past_65536(n, code):
     assert table.argmin_fast(0, n - 1) == table.argmin(n - 2, n - 1) == n - 1
     fischer = FischerHeunRMQ(descending)
     summary = fischer._summary
-    assert fischer._block_argmin.typecode == summary._word_argmin.typecode == code
+    assert summary._word_argmin.typecode == code
     assert (fischer._block_table.typecode, summary._masks.typecode) == ("B", "H")
     assert fischer.argmin_fast(0, n - 1) == fischer.argmin(n - 5, n - 1) == n - 1
     clone = FischerHeunRMQ.from_state(pickle.loads(pickle.dumps(fischer.to_state())))
-    assert clone._block_argmin.typecode == code and clone._block_table.typecode == "B"
+    assert clone._summary._word_argmin.typecode == code
+    assert (clone._block_table.typecode, clone._summary._masks.typecode) == ("B", "H")
+    assert clone._summary._word_argmin == summary._word_argmin
     assert clone.argmin_fast(1, n - 1) == n - 1
     # Table ids widen past 255 with b, not n: Catalan(6) + Catalan(5) = 174
     # ids fit a byte, Catalan(7) + Catalan(6) = 561 do not.
@@ -220,6 +222,19 @@ def test_first_occurrence_column_widens_with_the_tour(vertices, code):
     clone = EulerTourLCA.from_state(pickle.loads(pickle.dumps(index.to_state())))
     assert clone._first.typecode == code and clone.to_state() == index.to_state()
     assert clone.lca(vertices - 1, vertices - 2) == vertices - 2
+
+
+def _assert_summary_rebuilt(fischer, rebuilt):
+    """The repaired summary is the one a build derives: the stored masks,
+    each block's minimum position and, in memory only, each word's argmin
+    and the word table's levels (table ids may differ: they number
+    signatures in the order they were first seen)."""
+    summary, expected = fischer._summary, rebuilt._summary
+    assert pickle.dumps(summary.to_state()) == pickle.dumps(expected.to_state())
+    blocks = range(len(fischer._block_table))
+    assert list(map(summary._position, blocks)) == list(map(expected._position, blocks))
+    assert summary._word_argmin == expected._word_argmin
+    assert summary._words.to_state() == expected._words.to_state()
 
 
 updates = st.lists(
@@ -247,10 +262,7 @@ def test_early_exit_point_update_equals_rebuild(array, writes):
         fischer.point_update(position, value)
         rebuilt = FischerHeunRMQ(array)
         assert sparse.to_state() == SparseTable(array).to_state()
-        assert pickle.dumps(fischer._summary.to_state()) == pickle.dumps(
-            rebuilt._summary.to_state()
-        )
-        assert fischer._block_argmin == rebuilt._block_argmin
+        _assert_summary_rebuilt(fischer, rebuilt)
         assert tracker.work <= sum(
             min(position, n - (1 << k)) - max(0, position - (1 << k) + 1) + 1
             for k in range(1, len(sparse._levels))
@@ -286,15 +298,14 @@ def _signed_block_at_a_time(array, b, tracker):
     """The reference signer: one ``_sign_block`` call per block, each mask
     from its definition, the same charge for the summary."""
     rmq = FischerHeunRMQ.__new__(FischerHeunRMQ)
-    rmq._array, rmq._block_size, rmq._tables, rmq._table_ids = list(array), b, [], {}
+    rmq._array, rmq._block_size = list(array), b
+    rmq._tables, rmq._last, rmq._table_ids = [], [], {}
     signed = [rmq._sign_block(start, tracker) for start in range(0, len(array), b)]
-    rmq._block_argmin = columns.positions([argmin for argmin, _ in signed], len(array))
-    bound = rmq_module._table_bound(b, len(array))
-    rmq._block_table = columns.ids([table for _, table in signed], bound)
-    minima = [array[argmin] for argmin, _ in signed]
+    rmq._block_table = columns.ids(signed, rmq_module._table_bound(b, len(array)))
+    minima = [min(array[start : start + b]) for start in range(0, len(array), b)]
     tracker.tick(2 * len(minima))
     masks = columns.positions(_masks_by_definition(minima), 1 << 16)
-    rmq._summary = rmq_module._MaskedMinima(rmq._array, rmq._block_argmin, masks, tracker=tracker)
+    rmq._summary = rmq_module._MaskedMinima(rmq, masks, tracker)
     return rmq
 
 
@@ -355,11 +366,14 @@ def test_stack_masks_match_their_definition(case):
     b, array = case
     fischer = _signed(array, b)
     summary = fischer._summary
-    minima = [array[p] for p in fischer._block_argmin]
+    starts = range(0, len(array), b)
+    block_argmin = [naive_range_min(array, start, min(start + b, len(array)) - 1) for start in starts]
+    assert [summary._position(k) for k in range(len(starts))] == block_argmin
+    minima = [array[p] for p in block_argmin]
     assert list(summary._masks) == _masks_by_definition(minima)
     bases = range(0, len(minima), 16)
     assert list(summary._word_argmin) == [
-        fischer._block_argmin[naive_range_min(minima, base, min(base + 16, len(minima)) - 1)]
+        block_argmin[naive_range_min(minima, base, min(base + 16, len(minima)) - 1)]
         for base in bases
     ]
     words = [min(minima[base : base + 16]) for base in bases]
@@ -401,9 +415,6 @@ def test_masked_words_answer_leftmost_through_point_writes(case, data):
         array[position] = value
         fischer.point_update(position, value)
         rebuilt = _signed(array, b)
-        assert pickle.dumps(fischer._summary.to_state()) == pickle.dumps(
-            rebuilt._summary.to_state()
-        )
-        assert fischer._block_argmin == rebuilt._block_argmin
+        _assert_summary_rebuilt(fischer, rebuilt)
         assert fischer.distinct_signatures <= rmq_module._table_bound(b, n)
         _assert_answers(fischer, array, rng)

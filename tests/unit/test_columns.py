@@ -34,7 +34,7 @@ import repro
 from repro.core.cost import CostTracker
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
-from repro.indexes.sparse_table import SparseTable
+from repro.indexes.sparse_table import SparseTable, naive_range_min
 from repro.queries import (
     btree_point_scheme,
     btree_range_scheme,
@@ -157,7 +157,7 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
     "make_scheme,ceiling",
     [
         (sorted_run_scheme, 1.02),  # parent: 2.006 (PR 16: 3.0)
-        (fischer_heun_scheme, 3.98),  # parent: 10.37 (a sparse table over block minima)
+        (fischer_heun_scheme, 3.03),  # parent: 3.98 (a block-argmin column, a stored word table)
         (sparse_table_scheme, 26.1),  # parent: 28.03 (PR 16: 41.9)
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table"],
@@ -165,7 +165,7 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
 def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
     """2^14 ints from [0, 4n): every value and position fits 'H', the sorted
     run's gaps fit 'B'; no level 0, no summary values (n/3 blocks, each with
-    a 'B' table id and an 'H' stack mask, a sparse table over n/48 words)."""
+    a 'B' table id and an 'H' stack mask; no argmin column, no word table)."""
     scheme = make_scheme()
     data = tuple(_uniform(4 * N))
     dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
@@ -255,7 +255,7 @@ def test_selection_trees_hold_counts_not_row_ids():
     "make_class,make_scheme,version",
     [
         (membership_class, sorted_run_scheme, 3),
-        (rmq_class, fischer_heun_scheme, 4),
+        (rmq_class, fischer_heun_scheme, 5),
         (rmq_class, sparse_table_scheme, 3),
         (tree_lca_class, euler_tour_scheme, 3),
         (point_selection_class, btree_point_scheme, 5),
@@ -330,28 +330,29 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         tree.check_invariants()
 
 
-def test_v3_block_minima_table_artifact_is_a_version_miss_that_rebuilds(tmp_path):
-    """Stack-masked words bumped ``fischer-heun`` to v4: a v3 file -- a
-    sparse table over every block minimum, table ids typed by n -- under the
-    previous key is never opened; the engine builds once and answers as a
-    fresh build and the oracle do."""
-    query_class, scheme = rmq_class(), fischer_heun_scheme()
-    data, queries = query_class.sample_workload(600, 3, 60)
-    fresh = scheme.preprocess(data, CostTracker())
-    state = fresh.to_state()
-    previous = {name: column for name, column in state.items() if name not in ("masks", "words")}
-    previous["block_table"] = columns.positions(state["block_table"], len(data))
-    minima = [data[position] for position in state["block_argmin"]]
-    previous["summary"] = SparseTable(minima).to_state()["levels"]
-    assert set(pickle.loads(scheme.dump(fresh))) == set(previous) - {"summary"} | {"masks", "words"}
-    blob = pickle.dumps(previous, protocol=4)
+def _fischer_heun_previous_layout(data, state):
+    """The columns v3 and v4 share: v5's but the masks, and each block's
+    argmin, computed from the data, not from the structure."""
+    n, b = len(data), state["block_size"]
+    previous = {name: column for name, column in state.items() if name != "masks"}
+    starts = range(0, n, b)
+    previous["block_argmin"] = columns.positions(
+        [naive_range_min(data, start, min(start + b, n) - 1) for start in starts], n
+    )
+    return previous
+
+
+def _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, version, blob):
+    """``blob`` under ``fischer-heun``'s v``version`` key is never opened; the
+    engine builds once and answers as a fresh build and the oracle do."""
+    query_class, fresh = rmq_class(), scheme.preprocess(data, CostTracker())
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v4")
-        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "3")
+        assert key.params.endswith("|v5")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version))
         store.put(stale, blob)
         for query in queries:
             expected = scheme.evaluate(fresh, query, CostTracker())
@@ -360,7 +361,37 @@ def test_v3_block_minima_table_artifact_is_a_version_miss_that_rebuilds(tmp_path
         stats = engine.stats().per_kind["kind"]
         assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
     assert store.get(stale) == blob
-    assert scheme.load(store.get(key)).to_state() == state
+    assert scheme.load(store.get(key)).to_state() == fresh.to_state()
+
+
+def test_v3_block_minima_table_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """A v3 ``fischer-heun`` file -- a sparse table over every block
+    minimum, table ids typed by n -- is a version miss that rebuilds."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    state = scheme.preprocess(data, CostTracker()).to_state()
+    previous = _fischer_heun_previous_layout(data, state)
+    previous["block_table"] = columns.positions(state["block_table"], len(data))
+    minima = [data[p] for p in previous["block_argmin"]]
+    previous["summary"] = SparseTable(minima).to_state()["levels"]
+    blob = pickle.dumps(previous, protocol=4)
+    _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 3, blob)
+
+
+def test_v4_block_argmin_and_word_table_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Dropping the block-argmin column and the stored word table bumped
+    ``fischer-heun`` to v5: a v4 file -- both of them beside the masks --
+    under the previous key is never opened, and one build happens."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    state = scheme.preprocess(data, CostTracker()).to_state()
+    previous = _fischer_heun_previous_layout(data, state)
+    minima = [data[p] for p in previous["block_argmin"]]
+    words = [min(minima[base : base + 16]) for base in range(0, len(minima), 16)]
+    previous.update(masks=state["masks"], words=SparseTable(words).to_state()["levels"])
+    assert set(state) == set(previous) - {"block_argmin", "words"}
+    blob = pickle.dumps(previous, protocol=4)
+    _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 4, blob)
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):
