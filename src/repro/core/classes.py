@@ -179,8 +179,9 @@ def figure2_report(registry: Registry) -> str:
         "Figure 2 (executable): PiT0Q <= PiTQ = P (query classes);"
         " PiTP = P (decision problems)",
         "",
-        f"{'entry':34s} {'NC':>3s} {'PiT0Q':>6s} {'PiTP/PiTQ':>10s} {'P':>3s} {'NPC':>4s}  evidence",
-        "-" * 100,
+        f"{'entry':34s} {'NC':>3s} {'PiT0Q':>6s} {'PiTP/PiTQ':>10s} {'P':>3s} {'NPC':>4s}"
+        f"  {'Pi size':17s} evidence",
+        "-" * 118,
     ]
 
     def mark(entry: RegistryEntry, membership: Membership) -> str:
@@ -207,16 +208,18 @@ def figure2_report(registry: Registry) -> str:
             )
         if Membership.NP_COMPLETE in entry.claims:
             evidence_bits.append("hardness marker")
+        # The size of Pi(D) at rest, from the first certificate with a codec.
+        size = next(filter(None, (c.describe_size() for c in entry.certificates)), "-")
         lines.append(
             f"{entry.name:34s} {mark(entry, Membership.NC):>3s} "
             f"{mark(entry, Membership.PI_T0Q):>6s} {made:>10s} "
             f"{mark(entry, Membership.P):>3s} "
-            f"{mark(entry, Membership.NP_COMPLETE):>4s}  "
+            f"{mark(entry, Membership.NP_COMPLETE):>4s}  {size:17s} "
             f"{', '.join(evidence_bits) or '-'}"
         )
 
     violations = registry.check_containments()
-    lines.append("-" * 100)
+    lines.append("-" * 118)
     if violations:
         lines.append("CONTAINMENT VIOLATIONS:")
         lines.extend(f"  - {violation}" for violation in violations)

@@ -15,7 +15,8 @@ the claim the only way an implementation can -- empirically:
    POLYLOG in the data size, and the evaluation *work* must stay polynomial.
 
 Alongside, for a scheme with a codec, the size of Pi(D) at rest -- the bytes
-its ``dump`` emits -- is recorded per size and fitted, exactly: bytes are
+its ``dump`` emits -- is recorded per size and classified like a cost curve
+(CONSTANT / POLYLOG / POLYNOMIAL, with the fitted power), exactly: bytes are
 counts that repeat for a seed, untouched by host noise.
 
 The result is a :class:`Certificate`, the object every case-study test and
@@ -74,11 +75,21 @@ class Certificate:
         return self.preprocessing_fit.exponent <= MAX_PREPROCESSING_EXPONENT
 
     @property
-    def artifact_fit(self) -> Optional[Fit]:
-        """Power law of Pi(D)'s bytes at rest in |D|; None without a codec."""
+    def artifact_size(self) -> Optional[ScalingVerdict]:
+        """The size verdict: Pi(D)'s bytes at rest against |D|, classified,
+        its ``power`` the fitted law; None without a codec."""
         if any(s.artifact_bytes is None for s in self.samples):
             return None
-        return fit_power([s.size for s in self.samples], [s.artifact_bytes for s in self.samples])
+        return classify_scaling(
+            [s.size for s in self.samples], [s.artifact_bytes for s in self.samples]
+        )
+
+    def describe_size(self) -> Optional[str]:
+        """The size verdict with its fitted power, e.g. ``poly(n) ~n^0.86``
+        (every size linear or worse is POLYNOMIAL, so the kind alone cannot
+        tell n^0.8 from n^1.8); None without a codec."""
+        size = self.artifact_size
+        return None if size is None else f"{size.kind.value} ~n^{size.power.exponent:.2f}"
 
     @property
     def is_pi_tractable(self) -> bool:
@@ -100,13 +111,14 @@ class Certificate:
         ]
         if self.naive_work is not None:
             lines.append(f"  naive eval work (baseline)     : {self.naive_work.describe()}")
-        artifact_fit = self.artifact_fit
-        if artifact_fit is not None:
+        size = self.artifact_size
+        if size is not None:
             first, last = self.samples[0], self.samples[-1]
             lines.append(
                 f"  Pi(D) bytes / |D| at rest      : {first.artifact_bytes / first.size:.2f}"
-                f" -> {last.artifact_bytes / last.size:.2f} (~n^{artifact_fit.exponent:.2f})"
+                f" -> {last.artifact_bytes / last.size:.2f} (~n^{size.power.exponent:.2f})"
             )
+            lines.append(f"  Pi(D) size                     : {self.describe_size()}")
         lines.append(f"  Pi-tractable                   : {self.is_pi_tractable}")
         return "\n".join(lines)
 

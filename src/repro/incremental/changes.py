@@ -9,10 +9,15 @@ cost a function of |CHANGED| alone, independent of |D|.
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, List, Tuple
+from typing import Any, Deque, Tuple
 
-__all__ = ["ChangeKind", "TupleChange", "EdgeChange", "PointWrite", "ChangeLog"]
+__all__ = ["ChangeKind", "TupleChange", "EdgeChange", "PointWrite", "ChangeLog", "MAX_DETAILS"]
+
+#: How many recent notes a :class:`ChangeLog` keeps: a session's log lives as
+#: long as the session (on the wire, the worker), so older notes are dropped.
+MAX_DETAILS = 64
 
 
 class ChangeKind(enum.Enum):
@@ -52,11 +57,12 @@ class PointWrite:
 
 @dataclass
 class ChangeLog:
-    """Accounting of |dD| and |dO| across a batch of updates."""
+    """Accounting of |dD| and |dO| across a batch of updates; the counts
+    cover every change, ``details`` only the last :data:`MAX_DETAILS` notes."""
 
     input_changes: int = 0
     output_changes: int = 0
-    details: List[str] = field(default_factory=list)
+    details: Deque[str] = field(default_factory=lambda: deque(maxlen=MAX_DETAILS))
 
     def record(self, input_delta: int, output_delta: int, note: str = "") -> None:
         self.input_changes += input_delta

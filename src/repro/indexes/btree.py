@@ -416,9 +416,7 @@ class BPlusTree:
     def from_state(cls, state: dict) -> "BPlusTree":
         """Rebuild from :meth:`to_state` output through the bulk loader, at
         the stored ``order`` (a state written at another width loads at it)."""
-        # ``counts`` went through ``pack``, never the gap form: a packed
-        # column or a list, either of which the typed column copies directly.
-        counts = count_column(state["counts"])
+        counts = count_column(unpack(state["counts"]))
         return cls._bulk_load(int(state["order"]), unpack(state["keys"]), counts)
 
     # -- invariants (used by property tests) ----------------------------------------

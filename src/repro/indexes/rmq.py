@@ -23,8 +23,10 @@ What is stored is the array, one table id per block, the tables and the
 masks: the block minima are the tables' answers, and the word table is
 rebuilt on load from the n / 16b word minima, in O(n).
 
-We store words, not bits: the O(n)-bit succinctness of [18] buys nothing for
-Pi-tractability (preprocessing stays PTIME, queries stay O(1)).  Ties
+The structure is words, not bits: the O(n)-bit succinctness of [18] buys
+nothing for Pi-tractability (preprocessing stays PTIME, queries stay O(1)).
+That is about the succinct structure, not its value column: at rest the
+array takes the bits its largest value needs (``columns.pack``).  Ties
 resolve to the leftmost minimum everywhere, matching
 :func:`repro.indexes.sparse_table.naive_range_min`.
 """

@@ -203,6 +203,7 @@ def position_index_scheme() -> PiScheme:
         description="binary search on the visit-order list M (Example 5)",
         dump=dump,
         load=load,
+        artifact_version=2,  # v2: sub-word columns (indexes/columns.pack)
         evaluate_fast=evaluate_fast,
     )
 

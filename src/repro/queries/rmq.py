@@ -176,7 +176,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=5,  # v5: no block-argmin column and no stored word table
+        artifact_version=6,  # v6: sub-word value column (indexes/columns.pack)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,
@@ -205,7 +205,7 @@ def sparse_table_scheme() -> PiScheme:
         description="dyadic-window sparse table (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=3,  # v3: level 0 derived at load
+        artifact_version=4,  # v4: sub-word value column (indexes/columns.pack)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

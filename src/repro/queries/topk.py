@@ -465,8 +465,9 @@ def threshold_algorithm_scheme() -> PiScheme:
         description="TA with early termination over sorted score lists [14]",
         dump=dump,
         load=load,
-        # v2: rows became id-keyed (delta maintenance); v3: typed columns.
-        artifact_version=3,
+        # v2: rows became id-keyed (delta maintenance); v3: typed columns;
+        # v4: sub-word columns.
+        artifact_version=4,
         sharding=topk_shard_spec(),
         apply_delta=_apply_table_delta,
         evaluate_fast=evaluate_fast,

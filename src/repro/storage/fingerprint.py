@@ -10,10 +10,11 @@ little-endian length, body`` -- and each form has its own tags, so no two
 forms can collide:
 
 * a flat ``list`` / ``tuple`` is one **column**: ``P`` + the typecode
-  :func:`repro.indexes.columns.pack` chose, the element count and the
-  little-endian machine words -- or, when ``pack`` declines (strings, bools,
-  ``None``, nested rows, ints beyond 64 bits, the empty run), ``S`` and the
-  Sigma* rendering *of that column*;
+  :func:`repro.indexes.columns.words` chose, the element count and the
+  little-endian machine words (never the sub-word form ``pack`` stores, so
+  no artifact key moves when that form does) -- or, when ``words``
+  declines (strings, bools, ``None``, nested rows, ints beyond 64 bits,
+  the empty run), ``S`` and the Sigma* rendering *of that column*;
 * a :class:`~repro.storage.relation.Relation` is ``R`` and the schema name,
   a ``T`` frame for each attribute's name and for its type (UTF-8), then
   one column per attribute over the live rows (tombstones do not count: a
@@ -36,7 +37,7 @@ from typing import Any
 
 from repro.core import alphabet
 from repro.core.errors import EncodingError
-from repro.indexes.columns import pack
+from repro.indexes.columns import words
 from repro.storage.relation import Relation
 
 __all__ = ["dataset_fingerprint", "canonical_bytes"]
@@ -65,8 +66,8 @@ def _frame(digest: Any, tag: bytes, body: Any) -> None:
 
 
 def _column(digest: Any, values: Any) -> None:
-    column = pack(values)
-    if isinstance(column, list):  # pack declined: not a run of machine words
+    column = words(values)
+    if isinstance(column, list):  # words declined: not a run of machine words
         _frame(digest, b"S", canonical_bytes(values))
         return
     if sys.byteorder == "big":

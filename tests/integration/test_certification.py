@@ -9,7 +9,7 @@ The two directions that make certification meaningful:
 
 import pytest
 
-from repro.core import ScalingKind, certify
+from repro.core import Membership, Registry, RegistryEntry, ScalingKind, certify, figure2_report
 from repro.core.errors import CertificationError
 from repro.queries import (
     bds_query_class,
@@ -73,9 +73,13 @@ class TestArtifactBytes:
     def test_fischer_heun_reports_bytes_per_item_falling_with_d(self):
         certificate = certify(rmq_class(), fischer_heun_scheme(), sizes=SIZES)
         assert [s.artifact_bytes for s in certificate.samples] == [695, 1116, 2015, 3807, 7391]
-        assert round(certificate.artifact_fit.exponent, 2) == 0.86
+        size = certificate.artifact_size
+        assert round(size.power.exponent, 2) == 0.86
+        assert size.kind is ScalingKind.POLYNOMIAL  # 695 -> 7 391 B: past the CONSTANT ratio
+        assert certificate.describe_size() == "poly(n) ~n^0.86"
         assert "Pi(D) bytes / |D|" in certificate.summary()
         assert ": 5.43 -> 3.61 (~n^0.86)" in certificate.summary()
+        assert "Pi(D) size                     : poly(n) ~n^0.86" in certificate.summary()
 
     def test_a_scheme_with_no_codec_reports_none(self):
         scheme = no_preprocessing_scheme()
@@ -84,8 +88,25 @@ class TestArtifactBytes:
             bds_trivial_query_class(), scheme, sizes=SMALL, queries_per_size=6
         )
         assert [s.artifact_bytes for s in certificate.samples] == [None] * len(SMALL)
-        assert certificate.artifact_fit is None
+        assert certificate.artifact_size is None and certificate.describe_size() is None
         assert "Pi(D) bytes" not in certificate.summary()
+        assert "Pi(D) size" not in certificate.summary()
+
+
+    def test_figure2_report_has_a_pi_size_column(self):
+        """The registry shows each entry's size verdict; an entry whose
+        certificates have no codec shows none."""
+        claims = {Membership.P, Membership.PI_T0Q, Membership.PI_TQ}
+        registry = Registry()
+        registry.add(RegistryEntry("rmq", set(claims), certificates=[
+            certify(rmq_class(), fischer_heun_scheme(), sizes=SIZES)]))
+        registry.add(RegistryEntry("no-codec", set(claims), certificates=[
+            certify(bds_trivial_query_class(), no_preprocessing_scheme(), sizes=SMALL,
+                    queries_per_size=6)]))
+        rows = {line.split()[0]: line for line in figure2_report(registry).splitlines() if line}
+        assert "Pi size" in rows["entry"]
+        assert "poly(n) ~n^0.86" in rows["rmq"]
+        assert rows["no-codec"].split()[6] == "-"  # after the five claim marks
 
 
 class TestNegativeCertification:

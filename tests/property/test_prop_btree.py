@@ -5,6 +5,7 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
 
 keys = st.integers(min_value=-100, max_value=100)
@@ -107,8 +108,13 @@ def test_bulk_built_tree_round_trips_through_flat_state(key_list, order):
     tree = BPlusTree.from_keys(key_list, order=order)
     state = tree.to_state()
     assert set(state) == {"order", "keys", "counts"}
-    assert len(state["keys"]) == len(state["counts"])
-    assert sum(state["counts"]) == len(key_list)
+    keys, counts = columns.unpack(state["keys"]), columns.unpack(state["counts"])
+    assert len(keys) == len(counts) and sum(counts) == len(key_list)
+    # The counts at rest take the bits of the largest count: below 16, one
+    # sub-byte plane of at most 4 bits per key and no whole byte.
+    assert state["counts"] == columns.pack(counts)
+    if 0 < max(counts, default=0) < 16:
+        assert isinstance(state["counts"], bytes) and state["counts"][0] <= 4
     clone = BPlusTree.from_state(state)
     clone.check_invariants()
     assert clone.order == tree.order

@@ -1,9 +1,16 @@
 """Property tests for the at-rest state layout (ISSUE 21).
 
-* the sorted-run form (``columns.pack_sorted``): first value plus gaps in
-  the narrowest unsigned typecode, taken exactly when the run is plain-int,
-  non-decreasing and the gaps are strictly narrower than ``pack``'s answer,
-  otherwise ``pack``'s answer itself -- so it is never wider than ``pack``;
+* the sub-word form (``columns.pack``): a non-negative plain-int run comes
+  back type-exact from the bits its largest value needs -- whole byte lanes
+  plus one 1-, 2- or 4-bit plane -- for every width 1-64 and lengths on
+  both sides of the plane's padding; it is never wider than the machine
+  word ``columns.words`` picks, and negative, bool and float runs keep
+  exactly that word (or list) form;
+* the sorted-run form (``columns.pack_sorted``): first value plus gaps,
+  taken exactly when the run is plain-int, non-decreasing and the gaps
+  take a strictly narrower unsigned word than the values, the gaps then in
+  ``pack``'s form; otherwise ``pack``'s answer itself -- so it is never
+  wider than ``pack``;
 * every kind the catalog engine serves (each has ``dump``/``load``): the
   state is a fixed point of the round trip, and tracked == fast == batched
   == naive afterwards.
@@ -40,23 +47,48 @@ def sorted_runs(draw):
     return list(accumulate(gaps, initial=first))
 
 
+def _bits(column):
+    """Bits per value of an at-rest column: the sub-word form's header byte,
+    else the machine word's."""
+    return column[0] if isinstance(column, bytes) else 8 * column.itemsize
+
+
+def _expected_bits(values):
+    """The format's promise for a non-negative int run, from its largest
+    value alone: ``w // 8`` lanes plus a 1/2/4-bit plane for ``w % 8`` of
+    1/2/3-4 (5-7: one more lane); the word when that is no narrower, or
+    when every value is zero."""
+    word = columns.words(values)
+    w = max(values).bit_length()
+    lanes, rest = divmod(w, 8)
+    bits = 8 * lanes + next(b for b in (0, 1, 2, 4, 8) if rest <= b)
+    return bits if 0 < bits < 8 * word.itemsize else 8 * word.itemsize
+
+
+def _same(stored, expected):
+    """Equal, and of one form: ``array == array`` ignores the typecode."""
+    assert type(stored) is type(expected) and stored == expected
+    assert getattr(stored, "typecode", None) == getattr(expected, "typecode", None)
+
+
 def _check_form(values):
-    plain = columns.pack(values)
+    plain = columns.words(values)
     stored = columns.pack_sorted(values)
     restored = columns.unpack(stored)
     assert restored == values and list(map(type, restored)) == list(map(type, values))
     gaps = [after - before for before, after in zip(values, values[1:])]
-    narrowest = columns.pack(gaps)  # signed or a list when a gap is negative / too wide
+    narrowest = columns.words(gaps)  # signed or a list when a gap is negative / too wide
     taken = (
         isinstance(plain, array) and isinstance(narrowest, array)
         and narrowest.typecode.isupper() and narrowest.itemsize < plain.itemsize
     )
     if taken:
         first, column = stored
-        assert (first, column) == (values[0], narrowest) and type(first) is int
+        assert first == values[0] and type(first) is int
+        _same(column, columns.pack(gaps))
+        assert _bits(column) < _bits(columns.pack(values))
     else:
-        assert type(stored) is type(plain) and stored == plain
-        assert getattr(stored, "typecode", None) == getattr(plain, "typecode", None)
+        _same(stored, columns.pack(values))
     return taken
 
 
@@ -66,15 +98,22 @@ def test_sorted_run_form_round_trips_and_is_never_wider_than_pack(values):
     _check_form(values)
 
 
+#: Bits per gap at rest: an all-zero run and a run exactly a word wide keep
+#: the word; 9 and 17 bits are one and two lanes plus a 1-bit plane.
+GAP_BITS = {0: 8, 255: 8, 256: 9, 65_535: 16, 65_536: 17}
+
+
 @pytest.mark.parametrize(
     "gap,code", [(0, "B"), (255, "B"), (256, "H"), (65_535, "H"), (65_536, "I")]
 )
 @pytest.mark.parametrize("first", [-(1 << 40), 1 << 40])
 def test_gap_typecode_boundaries(first, gap, code):
-    """A 41-bit first value makes ``pack`` answer 8 bytes: the gap decides."""
+    """A 41-bit first value makes ``words`` answer 8 bytes: the gap's word
+    decides the form, and its largest value the bits it takes at rest."""
     values = [first, first + gap, first + 2 * gap]
     assert _check_form(values)
-    assert columns.pack_sorted(values)[1].typecode == code
+    assert columns.words([gap, gap]).typecode == code
+    assert _bits(columns.pack_sorted(values)[1]) == GAP_BITS[gap]
 
 
 @pytest.mark.parametrize(
@@ -92,7 +131,74 @@ def test_everything_else_is_exactly_packs_answer(values):
 
 
 def test_a_negative_first_value_keeps_the_gap_form():
-    assert columns.pack_sorted([-70_000, -69_999, -69_990]) == (-70_000, array("B", [1, 9]))
+    """Gaps 1 and 9 need 4 bits: no lane, one 4-bit plane byte ``0x91``
+    (slot 0 in the low nibble), after the header ``(4 bits, 0 padding)``."""
+    assert columns.pack_sorted([-70_000, -69_999, -69_990]) == (-70_000, b"\x04\x00\x91")
+
+
+# -- the sub-word form ---------------------------------------------------------
+
+
+@st.composite
+def runs_of_width(draw):
+    """A non-negative run whose largest value is exactly ``w`` bits wide, at
+    a length on either side of every plane's padding (a multiple of 8 and
+    its neighbours included)."""
+    w = draw(st.integers(1, 64))
+    count = draw(st.one_of(st.integers(1, 17), st.sampled_from([31, 32, 33, 255, 256, 257])))
+    values = draw(st.lists(st.integers(0, (1 << w) - 1), min_size=count, max_size=count))
+    values[draw(st.integers(0, count - 1))] = (1 << w) - 1
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=runs_of_width())
+def test_the_sub_word_form_round_trips_type_exact_and_takes_the_promised_bits(values):
+    stored = columns.pack(values)
+    restored = columns.unpack(stored)
+    assert restored == values and all(type(value) is int for value in restored)
+    assert _bits(stored) == _expected_bits(values)
+    word = columns.words(values)
+    if _bits(stored) == 8 * word.itemsize:
+        _same(stored, word)  # no narrower: the word itself
+    else:
+        # Two header bytes, a byte per value per lane, then the plane: the
+        # last plane byte is padded when the count is not a multiple of
+        # the values one byte holds.
+        lanes, plane_bits = divmod(stored[0], 8)
+        per_byte = 8 // plane_bits if plane_bits else 0
+        plane_bytes = -(-len(values) // per_byte) if per_byte else 0
+        assert len(stored) == 2 + lanes * len(values) + plane_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.one_of(runs_of_width(), st.lists(WORD, min_size=1, max_size=40)))
+def test_the_packed_form_is_never_wider_than_the_word_column(values):
+    stored, word = columns.pack(values), columns.words(values)
+    assert _bits(stored) <= 8 * word.itemsize
+    assert (len(stored) if isinstance(stored, bytes) else len(stored) * stored.itemsize) <= (
+        2 + len(word) * word.itemsize
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(WORD, min_size=1, max_size=40).filter(lambda run: min(run) < 0),
+        st.lists(st.booleans(), max_size=40),
+        st.lists(st.floats(allow_nan=False), max_size=40),
+        st.lists(st.integers(0, 3) | st.booleans(), max_size=40).filter(
+            lambda run: bool in set(map(type, run))
+        ),
+    )
+)
+def test_negative_bool_and_float_runs_keep_their_word_form(values):
+    _same(columns.pack(values), columns.words(values))
+    sorted_values = sorted(values)
+    expected = columns.words(sorted_values)
+    stored = columns.pack_sorted(sorted_values)
+    if not isinstance(stored, tuple):
+        _same(stored, expected)
 
 
 # -- every served kind is a persisted kind -------------------------------------

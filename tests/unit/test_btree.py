@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.cost import CostTracker
 from repro.core.errors import IndexError_
+from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
 
 
@@ -194,7 +195,8 @@ class TestPayloadRuns:
         assert tree._root.counts[0] == n + 3
         assert Counter(tree.keys()) == {7: n + 3, 9: 1}
         state = tree.to_state()
-        assert list(state["counts"]) == [n + 3, 1]
+        assert columns.unpack(state["counts"]) == [n + 3, 1]
+        assert state["counts"][0] == 17  # at rest: two byte lanes and a 1-bit plane
         BPlusTree.from_state(state).check_invariants()
 
     def test_invariants_catch_a_plain_list_of_counts(self):

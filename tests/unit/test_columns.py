@@ -2,8 +2,10 @@
 
 * ``indexes/columns.py`` picks typecodes -- and is the only module that does;
 * packing never loses to pickle on the int ranges the yardstick stores
-  (``store_bytes_per_item`` has bound 0), and the one range where a pickled
-  list wins by a fraction of a byte is pinned, not hidden;
+  (``store_bytes_per_item`` has bound 0), a non-negative run takes the bits
+  its largest value needs (byte lanes plus one sub-byte plane), and the one
+  range where a pickled list still wins by a fraction of a byte -- signed
+  runs past 32 bits, which keep the machine word -- is pinned, not hidden;
 * layout floors: dumped bytes per item of the three array schemes, of the
   per-attribute B+-trees and of the top-k index at 2^14 (ISSUE 21: gap-coded
   sorted runs, no stored identity level or gathered values);
@@ -25,6 +27,7 @@ import pickle
 import random
 import struct
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -36,6 +39,7 @@ from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
 from repro.indexes.sparse_table import SparseTable, naive_range_min
 from repro.queries import (
+    bds_query_class,
     btree_point_scheme,
     btree_range_scheme,
     euler_tour_scheme,
@@ -43,6 +47,7 @@ from repro.queries import (
     hash_point_scheme,
     membership_class,
     point_selection_class,
+    position_index_scheme,
     range_selection_class,
     rmq_class,
     sorted_run_scheme,
@@ -96,7 +101,9 @@ def test_count_column_holds_any_list_length():
     column.append(sys.maxsize)
     assert columns.is_counts(column) and columns.is_counts(column[1:])
     assert not columns.is_counts([1, 2]) and not columns.is_counts(columns.pack([1, 2]))
-    assert list(columns.counts(columns.pack([3, 70000]))) == [3, 70000]
+    assert list(columns.counts(columns.words([3, 70000]))) == [3, 70000]
+    # At rest the counts are a 17-bit sub-word form, read back through unpack.
+    assert list(columns.counts(columns.unpack(columns.pack([3, 70000])))) == [3, 70000]
 
 
 @pytest.mark.parametrize(
@@ -109,8 +116,16 @@ def test_count_column_holds_any_list_length():
     ],
 )
 def test_pack_picks_the_narrowest_code_unsigned_first(values, code):
+    """``words`` picks the code; at rest a non-negative run whose largest
+    value is not exactly a word wide takes that value's bits (9, 17, 33:
+    whole lanes and a 1-bit plane), and every other run keeps the word."""
+    assert columns.words(values).typecode == code
     packed = columns.pack(values)
-    assert packed.typecode == code
+    bits = max(values).bit_length()
+    if code.isupper() and bits != 8 * array(code).itemsize:
+        assert packed[0] == bits and bits % 8 == 1
+    else:
+        assert packed.typecode == code
     assert columns.unpack(packed) == values
 
 
@@ -141,13 +156,19 @@ def test_packed_run_never_loses_to_a_pickled_list(bits, width):
 
 
 def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
-    """The crossover, pinned: above 2^32 the narrowest code is 8 bytes
-    while pickle's LONG1 averages just under 8 for 40-bit values."""
-    values = _uniform(1 << 40)
+    """The crossover, pinned: a signed run past 2^32 keeps its 8-byte word
+    while pickle's LONG1 averages under 8 for 40-bit magnitudes; 40-bit
+    non-negative values take five byte lanes and beat pickle by ~2.5."""
+    values = [value - (1 << 40) for value in _uniform(1 << 41)]
     packed = len(pickle.dumps(columns.pack(values), protocol=4)) / N
     pickled = len(pickle.dumps(values, protocol=4)) / N
     assert 8.0 <= packed <= 8.02
     assert 0.0 < packed - pickled < 1.0, (packed, pickled)
+    values = _uniform(1 << 40)
+    packed = len(pickle.dumps(columns.pack(values), protocol=4)) / N
+    pickled = len(pickle.dumps(values, protocol=4)) / N
+    assert 5.0 <= packed <= 5.01
+    assert 2.0 < pickled - packed < 3.0, (packed, pickled)
 
 
 # -- layout floors -------------------------------------------------------------
@@ -177,36 +198,38 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
 
 def test_relation_artifact_bytes_per_item_floor():
     """Two counted trees over 2^14 rows with values below 2^16: per tree
-    ~0.885 n distinct keys as 'B' gaps and their counts in 'B', no row ids
-    (a value of 2^16 or more no longer widens the stored keys)."""
+    ~0.885 n distinct keys as 'B' gaps and their counts (all below 16) in a
+    4-bit plane, no row ids (a value of 2^16 or more no longer widens the
+    stored keys)."""
     scheme = btree_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 3.55, len(dumped) / N  # parent: 7.549 (PR 18: 14.8)
+    assert len(dumped) / N <= 2.67, len(dumped) / N  # parent: 3.546 (counts in 'B')
     wide = uniform_int_relation(N, random.Random(17), value_range=(1 << 20, (1 << 20) + 4 * N))
     dumped = scheme.dump(scheme.preprocess(wide, CostTracker()))
-    assert len(dumped) / N <= 3.55, len(dumped) / N  # parent: 7.550 (PR 18: 12.9)
+    assert len(dumped) / N <= 2.67, len(dumped) / N  # parent: 3.546 (counts in 'B')
 
 
 def test_hash_point_artifact_bytes_per_item_ceiling():
     """Two hash indexes over 2^14 rows with values below 2^16: per attribute
     the distinct keys in 'H' (bucket order, not sorted) and their counts in
-    'B' -- no payload column."""
+    a 4-bit plane -- no payload column."""
     scheme = hash_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 5.32, len(dumped) / N  # parent: 7.317 (a None per row)
+    assert len(dumped) / N <= 4.43, len(dumped) / N  # parent: 5.312 (counts in 'B')
 
 
 def test_topk_artifact_bytes_per_item_floor():
     """2^14 rows of two scores in [0, 1000]: ids as 'B' gaps, two score
-    columns and two sorted id lists in 'H' (parent: a pickled (id, row)
-    list and two pickled (score, id) lists)."""
+    columns of 10 bits (a lane and a 2-bit plane) and two sorted id lists
+    in 'H' (before typed columns: a pickled (id, row) list and two pickled
+    (score, id) lists)."""
     scheme = threshold_algorithm_scheme()
     rng = random.Random(17)
     table = tuple((rng.randrange(1001), rng.randrange(1001)) for _ in range(N))
     dumped = scheme.dump(scheme.preprocess(table, CostTracker()))
-    assert len(dumped) / N <= 9.1, len(dumped) / N  # parent: 27.93
+    assert len(dumped) / N <= 6.65, len(dumped) / N  # parent: 9.014 (scores in 'H')
 
 
 def _tracked_objects_left_by(make):
@@ -254,17 +277,19 @@ def test_selection_trees_hold_counts_not_row_ids():
 @pytest.mark.parametrize(
     "make_class,make_scheme,version",
     [
-        (membership_class, sorted_run_scheme, 3),
-        (rmq_class, fischer_heun_scheme, 5),
-        (rmq_class, sparse_table_scheme, 3),
-        (tree_lca_class, euler_tour_scheme, 3),
-        (point_selection_class, btree_point_scheme, 5),
-        (range_selection_class, btree_range_scheme, 5),
-        (point_selection_class, hash_point_scheme, 4),
-        (topk_class, threshold_algorithm_scheme, 3),
+        (membership_class, sorted_run_scheme, 4),
+        (rmq_class, fischer_heun_scheme, 6),
+        (rmq_class, sparse_table_scheme, 4),
+        (tree_lca_class, euler_tour_scheme, 4),
+        (point_selection_class, btree_point_scheme, 6),
+        (range_selection_class, btree_range_scheme, 6),
+        (point_selection_class, hash_point_scheme, 5),
+        (topk_class, threshold_algorithm_scheme, 4),
+        (bds_query_class, position_index_scheme, 2),
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",
-         "btree-point", "btree-range", "hash-point", "threshold-algorithm"],
+         "btree-point", "btree-range", "hash-point", "threshold-algorithm",
+         "bds-position-run"],
 )
 def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, version):
     """Every scheme whose layout changed bumped ``artifact_version``: a file
@@ -315,7 +340,7 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v5")
+        assert key.params.endswith("|v6")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "4")
         store.put(stale, blob)
         for query in queries:
@@ -351,7 +376,7 @@ def _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, versio
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v5")
+        assert key.params.endswith(f"|v{scheme.artifact_version}")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version))
         store.put(stale, blob)
         for query in queries:
@@ -392,6 +417,63 @@ def test_v4_block_argmin_and_word_table_artifact_is_a_version_miss_that_rebuilds
     assert set(state) == set(previous) - {"block_argmin", "words"}
     blob = pickle.dumps(previous, protocol=4)
     _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 4, blob)
+
+
+def _word_form(column):
+    """A value column as v5 stored it: the machine word ``words`` picks (a
+    sorted run's gaps too), not the sub-word form."""
+    if isinstance(column, tuple):
+        first, gaps = column
+        return first, columns.words(columns.unpack(gaps))
+    return columns.words(columns.unpack(column))
+
+
+def test_v5_word_value_column_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Sub-word value columns bumped ``fischer-heun`` to v6: a v5 file --
+    the array in its 'H' word, not one byte lane and a 4-bit plane --
+    under the previous key is never opened, and one build happens."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    data = tuple(value + len(data) for value in data)  # non-negative, below 2^11
+    state = scheme.preprocess(data, CostTracker()).to_state()
+    previous = {**state, "array": columns.words(data)}
+    assert previous["array"].typecode == "H" and state["array"][0] == 12
+    blob = pickle.dumps(previous, protocol=4)
+    _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 5, blob)
+
+
+def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Sub-word columns bumped ``btree-per-attribute`` to v6: a v5 file --
+    each tree's counts and key gaps in machine words -- under the previous
+    key is never opened; the engine builds once and answers as a fresh
+    build and the oracle do."""
+    query_class, scheme = point_selection_class(), btree_point_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    fresh = scheme.preprocess(data, CostTracker())
+    current = pickle.loads(scheme.dump(fresh))
+    previous = {
+        attribute: {name: column if name == "order" else _word_form(column)
+                    for name, column in state.items()}
+        for attribute, state in current.items()
+    }
+    assert previous != current
+    blob = pickle.dumps(previous, protocol=4)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        assert key.params.endswith("|v6")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "5")
+        store.put(stale, blob)
+        for query in queries:
+            expected = scheme.evaluate(fresh, query, CostTracker())
+            assert expected == query_class.pair_in_language(data, query)
+            assert ds.query("kind", query) == expected
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+    assert store.get(stale) == blob
+    assert pickle.loads(store.get(key)) == current
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):

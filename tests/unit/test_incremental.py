@@ -25,7 +25,7 @@ class TestChangeLog:
         assert log.input_changes == 3
         assert log.output_changes == 5
         assert log.changed == 8
-        assert log.details == ["a"]
+        assert list(log.details) == ["a"]
 
 
 class TestIncrementalSelection:

@@ -13,6 +13,7 @@ from repro.indexes import (
     KeyedRunIndex,
     SortedRunIndex,
     SparseTable,
+    columns,
     naive_range_min,
 )
 
@@ -80,9 +81,11 @@ class TestHashIndex:
         assert tracker.work == 4  # one O(1) expected insert per entry
         assert len(index) == 4
         state = index.to_state()
-        assert {name: list(column) for name, column in state.items()} == {
+        assert {name: columns.unpack(column) for name, column in state.items()} == {
             "keys": [5, 3, 9], "counts": [2, 1, 1]}
-        assert all(hasattr(column, "typecode") for column in state.values())
+        # At rest each takes the bits its largest value needs: a 4-bit plane
+        # of keys, a 2-bit plane of counts.
+        assert {name: column[0] for name, column in state.items()} == {"keys": 4, "counts": 2}
         clone = HashIndex.from_state(state)
         assert clone.to_state() == state and len(clone) == 4
         clone.insert(5)  # a private map: the source index is untouched

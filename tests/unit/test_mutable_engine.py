@@ -33,7 +33,7 @@ import repro
 from repro.catalog import build_query_engine
 from repro.core.errors import DeltaError, ServiceError
 from repro.graphs.graph import Digraph
-from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
+from repro.incremental.changes import MAX_DETAILS, ChangeKind, EdgeChange, PointWrite, TupleChange
 from repro.queries import (
     fischer_heun_scheme,
     membership_class,
@@ -165,6 +165,21 @@ def test_delta_equals_full_rebuild_rmq():
         extra = [(0, len(data) - 1, 0), (1, 50, 41)]
         _equivalence_check(engine, kind, ds, list(queries) + extra)
         assert engine.stats().per_kind[kind].delta_batches == 1
+
+
+def test_the_change_log_counts_every_batch_but_keeps_only_recent_notes():
+    """A session's log lives as long as the session (on the wire, the
+    worker): 1 000 single-write batches count 1 000 input changes, while
+    the notes stay at most ``MAX_DETAILS``, the newest last."""
+    with QueryEngine() as engine:
+        engine.register("rmq", rmq_class(), fischer_heun_scheme())
+        ds = _open(engine, "rmq", tuple(range(64)))
+        for step in range(1000):
+            log = ds.apply_changes([PointWrite(step % 64, -step - 1)])
+        assert log.input_changes == 1000
+        assert 0 < len(log.details) <= MAX_DETAILS
+        assert log.details[-1].startswith("v1000:")
+        assert ds.query("rmq", (0, 63, 999 % 64)) is True
 
 
 def test_delta_equals_full_rebuild_topk():
