@@ -25,8 +25,8 @@ rebuilt on load from the n / 16b word minima, in O(n).
 
 The structure is words, not bits: the O(n)-bit succinctness of [18] buys
 nothing for Pi-tractability (preprocessing stays PTIME, queries stay O(1)).
-That is about the succinct structure, not its value column: at rest the
-array takes the bits its largest value needs (``columns.pack``).  Ties
+That is about the succinct structure, not its columns: at rest the array
+and the table ids take the bits their values need (``columns.pack``).  Ties
 resolve to the leftmost minimum everywhere, matching
 :func:`repro.indexes.sparse_table.naive_range_min`.
 """
@@ -327,7 +327,7 @@ class FischerHeunRMQ:
         return {
             "array": columns.pack(self._array),
             "block_size": self._block_size,
-            "block_table": self._block_table[:],
+            "block_table": columns.pack(self._block_table),
             "tables": {sig: self._tables[i] for sig, i in self._table_ids.items()},
             **self._summary.to_state(),
         }
@@ -338,7 +338,8 @@ class FischerHeunRMQ:
         rmq._array = columns.unpack(state["array"])
         n = len(rmq._array)
         rmq._block_size = int(state["block_size"])
-        rmq._block_table = columns.ids(state["block_table"], _table_bound(rmq._block_size, n))
+        bound = _table_bound(rmq._block_size, n)
+        rmq._block_table = columns.ids(columns.unpack(state["block_table"]), bound)
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
         rmq._last = [table[0][-1] for table in rmq._tables]

@@ -203,7 +203,7 @@ def position_index_scheme() -> PiScheme:
         description="binary search on the visit-order list M (Example 5)",
         dump=dump,
         load=load,
-        artifact_version=2,  # v2: sub-word columns (indexes/columns.pack)
+        artifact_version=3,  # v3: patched byte columns (indexes/columns.pack)
         evaluate_fast=evaluate_fast,
     )
 

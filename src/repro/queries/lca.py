@@ -125,7 +125,7 @@ def euler_tour_scheme() -> PiScheme:
         description="Euler tour + sparse-table RMQ (O(1) LCA)",
         dump=dump,
         load=load,
-        artifact_version=4,  # v4: sub-word depth column (indexes/columns.pack)
+        artifact_version=5,  # v5: patched byte columns (indexes/columns.pack)
     )
 
 

@@ -140,7 +140,7 @@ def sorted_run_scheme() -> PiScheme:
         description="sort M, then O(log|M|) binary search (Section 4(2))",
         dump=dump,
         load=load,
-        artifact_version=4,  # v4: sub-word gaps (indexes/columns.pack_sorted)
+        artifact_version=5,  # v5: patched gaps (indexes/columns.pack_sorted)
         sharding=membership_shard_spec(),
         apply_delta=_apply_list_delta,
         evaluate_fast=SortedRunIndex.contains_fast,

@@ -176,7 +176,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=6,  # v6: sub-word value column (indexes/columns.pack)
+        artifact_version=7,  # v7: patched byte columns, the table ids packed (indexes/columns.pack)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,
@@ -205,7 +205,7 @@ def sparse_table_scheme() -> PiScheme:
         description="dyadic-window sparse table (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=4,  # v4: sub-word value column (indexes/columns.pack)
+        artifact_version=5,  # v5: patched byte columns (indexes/columns.pack)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

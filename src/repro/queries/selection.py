@@ -172,7 +172,7 @@ def _per_attribute(index_class) -> tuple:
 #: 4(1)): one structure name, builder, codec and layout version, so one
 #: artifact per relation serves point and range selection.
 _BTREES = _per_attribute(BPlusTree)
-_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=6)  # v6: sub-word columns
+_SHARED_BTREES = dict(structure="btree-per-attribute", artifact_version=7)  # v7: patched byte columns
 
 
 def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
@@ -263,5 +263,5 @@ def hash_point_scheme() -> PiScheme:
     """Hash-index alternative: O(1) expected point probes."""
     return _selection_scheme(
         "hash-point", "hash index per attribute; O(1) expected probes",
-        _per_attribute(HashIndex), _point, _point_fast, artifact_version=5,  # v5: sub-word columns
+        _per_attribute(HashIndex), _point, _point_fast, artifact_version=6,  # v6: patched byte columns
     )

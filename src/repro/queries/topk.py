@@ -466,8 +466,8 @@ def threshold_algorithm_scheme() -> PiScheme:
         dump=dump,
         load=load,
         # v2: rows became id-keyed (delta maintenance); v3: typed columns;
-        # v4: sub-word columns.
-        artifact_version=4,
+        # v4: sub-word columns; v5: patched byte columns.
+        artifact_version=5,
         sharding=topk_shard_spec(),
         apply_delta=_apply_table_delta,
         evaluate_fast=evaluate_fast,

@@ -1,16 +1,22 @@
 """Property tests for the at-rest state layout (ISSUE 21).
 
-* the sub-word form (``columns.pack``): a non-negative plain-int run comes
+* the lane form (``columns.pack``): a non-negative plain-int run comes
   back type-exact from the bits its largest value needs -- whole byte lanes
   plus one 1-, 2- or 4-bit plane -- for every width 1-64 and lengths on
   both sides of the plane's padding; it is never wider than the machine
   word ``columns.words`` picks, and negative, bool and float runs keep
   exactly that word (or list) form;
+* the patched form: a run whose word is a byte may instead be a 0/1/2/4-bit
+  plane around its minimum plus an exception list -- only when that is
+  strictly smaller than the lane form, so ``pack`` is never wider than
+  it; every candidate width round-trips type-exact, and so do the
+  adversarial runs (every value an exception, none, one huge outlier, all
+  equal);
 * the sorted-run form (``columns.pack_sorted``): first value plus gaps,
-  taken exactly when the run is plain-int, non-decreasing and the gaps
-  take a strictly narrower unsigned word than the values, the gaps then in
-  ``pack``'s form; otherwise ``pack``'s answer itself -- so it is never
-  wider than ``pack``;
+  taken exactly when the run is plain-int, non-decreasing and the gaps at
+  rest plus a word for the first value are strictly smaller than ``pack``'s
+  answer, the gaps then in ``pack``'s form; otherwise ``pack``'s answer
+  itself -- so it is never wider than ``pack``;
 * every kind the catalog engine serves (each has ``dump``/``load``): the
   state is a fixed point of the round trip, and tracked == fast == batched
   == naive afterwards.
@@ -48,9 +54,25 @@ def sorted_runs(draw):
 
 
 def _bits(column):
-    """Bits per value of an at-rest column: the sub-word form's header byte,
-    else the machine word's."""
+    """Bits per value of an at-rest column that is not patched: the lane
+    form's header byte, else the machine word's."""
+    assert not _patched(column)
     return column[0] if isinstance(column, bytes) else 8 * column.itemsize
+
+
+def _patched(column):
+    return isinstance(column, bytes) and column[0] >= 0x80
+
+
+def _nbytes(column):
+    """Payload bytes of an at-rest column."""
+    return len(column) if isinstance(column, bytes) else len(column) * column.itemsize
+
+
+def _lane_form(values):
+    """The form a non-negative run took before patching existed: its word,
+    shrunk to byte lanes and one plane when that is narrower."""
+    return columns._lanes(columns.words(values))
 
 
 def _expected_bits(values):
@@ -78,15 +100,16 @@ def _check_form(values):
     assert restored == values and list(map(type, restored)) == list(map(type, values))
     gaps = [after - before for before, after in zip(values, values[1:])]
     narrowest = columns.words(gaps)  # signed or a list when a gap is negative / too wide
+    ends = columns.words([values[0], values[-1]]) if values else None
     taken = (
         isinstance(plain, array) and isinstance(narrowest, array)
-        and narrowest.typecode.isupper() and narrowest.itemsize < plain.itemsize
+        and narrowest.typecode.isupper()
+        and _nbytes(columns.pack(gaps)) + ends.itemsize < _nbytes(columns.pack(values))
     )
     if taken:
         first, column = stored
         assert first == values[0] and type(first) is int
         _same(column, columns.pack(gaps))
-        assert _bits(column) < _bits(columns.pack(values))
     else:
         _same(stored, columns.pack(values))
     return taken
@@ -136,7 +159,7 @@ def test_a_negative_first_value_keeps_the_gap_form():
     assert columns.pack_sorted([-70_000, -69_999, -69_990]) == (-70_000, b"\x04\x00\x91")
 
 
-# -- the sub-word form ---------------------------------------------------------
+# -- the lane form -------------------------------------------------------------
 
 
 @st.composite
@@ -157,6 +180,11 @@ def test_the_sub_word_form_round_trips_type_exact_and_takes_the_promised_bits(va
     stored = columns.pack(values)
     restored = columns.unpack(stored)
     assert restored == values and all(type(value) is int for value in restored)
+    if _patched(stored):  # a byte run, strictly smaller than its lane form
+        assert columns.words(values).typecode == "B"
+        assert _nbytes(stored) < _nbytes(_lane_form(values))
+        stored = _lane_form(values)
+        assert columns.unpack(stored) == values
     assert _bits(stored) == _expected_bits(values)
     word = columns.words(values)
     if _bits(stored) == 8 * word.itemsize:
@@ -175,7 +203,8 @@ def test_the_sub_word_form_round_trips_type_exact_and_takes_the_promised_bits(va
 @given(values=st.one_of(runs_of_width(), st.lists(WORD, min_size=1, max_size=40)))
 def test_the_packed_form_is_never_wider_than_the_word_column(values):
     stored, word = columns.pack(values), columns.words(values)
-    assert _bits(stored) <= 8 * word.itemsize
+    if not _patched(stored):
+        assert _bits(stored) <= 8 * word.itemsize
     assert (len(stored) if isinstance(stored, bytes) else len(stored) * stored.itemsize) <= (
         2 + len(word) * word.itemsize
     )
@@ -199,6 +228,89 @@ def test_negative_bool_and_float_runs_keep_their_word_form(values):
     stored = columns.pack_sorted(sorted_values)
     if not isinstance(stored, tuple):
         _same(stored, expected)
+
+
+# -- the patched form ----------------------------------------------------------
+
+
+@st.composite
+def byte_runs(draw):
+    """Byte-valued runs packed around a floor, plus a few outliers anywhere
+    in [0, 256): the shapes of gaps, counts and ids."""
+    count = draw(st.one_of(st.integers(1, 40), st.sampled_from([255, 256, 257, 1000])))
+    floor = draw(st.integers(0, 255))
+    spread = draw(st.sampled_from([1, 2, 3, 4, 16, 17, 256]))
+    body = st.integers(floor, min(255, floor + spread - 1))
+    values = draw(st.lists(body, min_size=count, max_size=count))
+    for _ in range(draw(st.integers(0, 5))):
+        values[draw(st.integers(0, count - 1))] = draw(st.integers(0, 255))
+    return values
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=byte_runs())
+def test_the_patched_form_round_trips_type_exact_and_is_never_wider(values):
+    """``pack`` keeps the strictly smallest form, so it is never wider than
+    the lane form the run took before; a patched run comes back exactly."""
+    stored = columns.pack(values)
+    restored = columns.unpack(stored)
+    assert restored == values and all(type(value) is int for value in restored)
+    assert _nbytes(stored) <= _nbytes(_lane_form(values))
+    if _patched(stored):
+        assert _nbytes(stored) < _nbytes(_lane_form(values))
+        assert stored[0] in (0x80, 0x81, 0x82, 0x84) and stored[1] == min(values)
+    else:
+        _same(stored, _lane_form(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=byte_runs(), w=st.sampled_from([0, 1, 2, 4]))
+def test_every_candidate_width_round_trips(values, w):
+    """Each plane width ``pack`` weighs decodes to the run it encoded,
+    whichever of them wins -- the exception list runs from empty to every
+    value but the minimum."""
+    raw = bytes(values)
+    patched = columns._patch(raw, min(values), w)
+    assert patched[0] == 0x80 | w
+    assert columns.unpack(patched) == values
+
+
+ADVERSARIAL = {
+    "all equal": [7] * 300,
+    "all zero": [0] * 300,
+    "no exception": [200 + i % 16 for i in range(300)],
+    "one huge outlier": [1] * 150 + [255] + [1] * 149,
+    "every value an exception": [0, *([255] * 299)],
+    "alternating extremes": [0, 255] * 150,
+    "outliers at both ends": [255, *([3] * 298), 254],
+}
+
+
+@pytest.mark.parametrize("values", ADVERSARIAL.values(), ids=ADVERSARIAL.keys())
+def test_adversarial_runs_round_trip(values):
+    stored = columns.pack(values)
+    assert columns.unpack(stored) == values
+    assert _nbytes(stored) <= _nbytes(_lane_form(values))
+    for w in (0, 1, 2, 4):
+        assert columns.unpack(columns._patch(bytes(values), min(values), w)) == values
+
+
+def test_an_all_equal_run_is_a_header():
+    """``w = 0``: no plane, no exception -- five bytes for any count below
+    256, and a zero run no longer keeps its 'B' word."""
+    assert columns.pack([7] * 200) == bytes((0x80, 7, 1, 200, 0))
+    assert columns.pack([0] * 200) == bytes((0x80, 0, 1, 200, 0))
+
+
+def test_one_outlier_no_longer_widens_a_run():
+    """299 ones and one 255: the lane form needs a whole byte per value;
+    patched it is a 0-bit plane around 1 -- two-byte counts of 300 values
+    and 1 exception -- then the exception's position gap and high part."""
+    values = ADVERSARIAL["one huge outlier"]
+    assert _nbytes(_lane_form(values)) == 300
+    stored = columns.pack(values)
+    assert stored[:7] == bytes((0x80, 1, 2, 44, 1, 1, 0))  # 300 = 0x012c
+    assert stored[7:] == bytes((8, 0, 151, 8, 0, 254))  # gap 151, high part 254: a lane each
 
 
 # -- every served kind is a persisted kind -------------------------------------

@@ -139,10 +139,15 @@ def test_pack_unpack_is_the_identity_with_types(values):
     else:
         # At rest: w // 8 byte lanes of the largest value's w bits, plus a
         # 1/2/4-bit plane for w % 8 of 1/2/3-4 (5-7: one more lane) --
-        # unless the run is signed or that is no narrower than the word.
+        # unless the run is signed or that is no narrower than the word --
+        # or, for a byte run, a patched plane when that is smaller still.
         lanes, rest = divmod(max(values).bit_length(), 8)
         bits = 8 * lanes + next(b for b in (0, 1, 2, 4, 8) if rest <= b)
-        if min(values) < 0 or not 0 < bits < 8 * width:
+        lane_form = columns._lanes(columns.words(values))
+        if isinstance(packed, bytes) and packed[0] & 0x80:
+            assert width == 1 and min(values) >= 0
+            assert len(packed) < (len(lane_form) if isinstance(lane_form, bytes) else width * len(values))
+        elif min(values) < 0 or not 0 < bits < 8 * width:
             assert packed.itemsize == width
         else:
             assert packed[0] == bits

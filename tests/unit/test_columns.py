@@ -6,6 +6,10 @@
   its largest value needs (byte lanes plus one sub-byte plane), and the one
   range where a pickled list still wins by a fraction of a byte -- signed
   runs past 32 bits, which keep the machine word -- is pinned, not hidden;
+* a byte run may instead be patched around its outliers: the layout is
+  pinned, a patched column no ``pack`` wrote raises ``ValueError`` (and an
+  artifact holding one, checksum and all, is a checksum failure that
+  rebuilds), and a byte-valued sorted run may take the gap form;
 * layout floors: dumped bytes per item of the three array schemes, of the
   per-attribute B+-trees and of the top-k index at 2^14 (ISSUE 21: gap-coded
   sorted runs, no stored identity level or gathered values);
@@ -35,6 +39,7 @@ import pytest
 
 import repro
 from repro.core.cost import CostTracker
+from repro.graphs.graph import Graph
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
 from repro.indexes.sparse_table import SparseTable, naive_range_min
@@ -140,6 +145,97 @@ def test_pack_falls_back_to_a_list_copy(values):
     assert packed == values and list(map(type, packed)) == list(map(type, values))
 
 
+# -- the patched form ----------------------------------------------------------
+
+#: Seven 3s, a 20, four 3s: a 0-bit plane around 3 and one exception --
+#: position 7, so gap 8 from position -1 (a 4-bit lane form), high part 17
+#: (a byte lane) -- 11 bytes against the 'B' word's 12.
+OUTLIER = [3] * 7 + [20] + [3] * 4
+OUTLIER_PACKED = bytes((0x80, 3, 1, 12, 1)) + bytes((4, 1, 8)) + bytes((8, 0, 17))
+
+#: Twelve values in [200, 216): a 4-bit plane around 200, no exception.
+BAND = [200 + (5 * i) % 16 for i in range(12)]
+
+
+def test_the_patched_layout_is_pinned():
+    """``0x80 | w``, the reference, the byte width of the two counts, the
+    value count, the exception count, the plane, then the position gaps and
+    the high parts in the lane form."""
+    assert columns.pack(OUTLIER) == OUTLIER_PACKED
+    band = columns.pack(BAND)
+    assert band[:5] == bytes((0x84, 200, 1, 12, 0)) and len(band) == 5 + 6
+    assert columns.unpack(OUTLIER_PACKED) == OUTLIER and columns.unpack(band) == BAND
+
+
+def _outlier_column(k, gaps, highs, count=12):
+    """``OUTLIER``'s header around its own lists."""
+    return bytes((0x80, 3, 1, count, k)) + gaps + highs
+
+
+@pytest.mark.parametrize(
+    "packed,reason",
+    [
+        (_outlier_column(1, b"\x04\x01\x0d", b"\x08\x00\x11"), "exception position 12 of 12"),
+        (_outlier_column(1, b"\x08\x00\xff", b"\x08\x00\x11"), "exception position 254 of 12"),
+        (_outlier_column(2, b"\x04\x00\x08", b"\x08\x00\x11\x11"), "not ascending"),
+        (_outlier_column(1, b"\x04\x01\x08", b"\x08\x00\x00"), "high part is 0"),
+        (_outlier_column(1, b"\x04\x01\x08", b"\x08\x00\xfd"), "byte must be in range"),
+        (_outlier_column(2, b"\x04\x01\x08", b"\x08\x00\x11"), "cut short"),
+        (_outlier_column(1, b"\x03\x01\x08", b"\x08\x00\x11"), "no lane form"),
+        (OUTLIER_PACKED + b"\x00", "length disagrees"),
+        (OUTLIER_PACKED[:-1], "cut short"),
+        (bytes((0x84, 200, 1, 14, 0)) + columns.pack(BAND)[5:], "plane is shorter than the count"),
+        (bytes((0x84, 200, 1, 10, 0)) + columns.pack(BAND)[5:], "length disagrees"),
+        (bytes((0x84, 250, 1, 2, 0, 0xFF)), "past a byte"),
+        (bytes((0x83, 0, 1, 0, 0)), "no plane is 3 bits wide"),
+        (bytes((0x80, 0)), "header is cut short"),
+    ],
+    ids=["gap past the end", "wide gap past the end", "repeated position", "zero high part",
+         "exception past a byte", "second exception missing", "bad lane header",
+         "trailing byte", "truncated", "plane short of the count", "plane past the count",
+         "plane value past a byte", "three-bit plane", "no header"],
+)
+def test_a_malformed_patched_column_raises(packed, reason):
+    """Never a wrong list: a patched column no ``pack`` could have written
+    is a ``ValueError``."""
+    with pytest.raises(ValueError, match=reason):
+        columns.unpack(packed)
+    with pytest.raises(ValueError, match=reason):
+        columns.unpack((0, packed))  # as a sorted run's gaps
+
+
+@pytest.mark.parametrize(
+    "packed,reason",
+    [
+        (b"", "header is cut short"),
+        (b"\x04", "header is cut short"),
+        (b"\x00\x00", "no lane form has header 0"),
+        (b"\x48\x00" + bytes(9), "no lane form has header 72"),
+        (b"\x0c\x05\x01\x02", "fit no count"),
+        (b"\x0c\x00\x01\x02\x03\x04", "fit no count"),
+    ],
+    ids=["empty", "one byte", "all-zero header", "nine lanes", "negative count",
+         "a lane and a plane of no count"],
+)
+def test_a_malformed_lane_form_raises(packed, reason):
+    """The lane form refuses what no ``pack`` wrote just as the patched
+    form does: a ``ValueError``, not an arithmetic or lookup error."""
+    with pytest.raises(ValueError, match=reason):
+        columns.unpack(packed)
+
+
+def test_a_byte_valued_sorted_run_may_take_the_gap_form():
+    """2^12 sorted values from [0, 200): the values need a whole byte each,
+    their gaps (mostly 0, at most a few) a narrow patched plane -- the
+    smallest form wins even though the ends fit a byte."""
+    values = sorted(_uniform(200, count=1 << 12))
+    stored = columns.pack_sorted(values)
+    assert columns.words(values).typecode == "B"
+    first, gaps = stored
+    assert first == values[0] and len(gaps) + 1 < len(columns.pack(values))
+    assert columns.unpack(stored) == values
+
+
 # -- packing against pickle ----------------------------------------------------
 
 
@@ -177,16 +273,18 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
 @pytest.mark.parametrize(
     "make_scheme,ceiling",
     [
-        (sorted_run_scheme, 1.02),  # parent: 2.006 (PR 16: 3.0)
-        (fischer_heun_scheme, 3.03),  # parent: 3.98 (a block-argmin column, a stored word table)
+        (sorted_run_scheme, 0.54),  # parent: 1.006 (gaps in a 'B' lane; 3.0 as plain words)
+        (fischer_heun_scheme, 2.84),  # parent: 3.022 (table ids in a 'B' word)
         (sparse_table_scheme, 26.1),  # parent: 28.03 (PR 16: 41.9)
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table"],
 )
 def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
     """2^14 ints from [0, 4n): every value and position fits 'H', the sorted
-    run's gaps fit 'B'; no level 0, no summary values (n/3 blocks, each with
-    a 'B' table id and an 'H' stack mask; no argmin column, no word table)."""
+    run's gaps fit 'B' and are patched (a 4-bit plane, the rare wider gap
+    an exception); no level 0, no summary values (n/3 blocks, each with a
+    table id -- a 4-bit plane -- and an 'H' stack mask; no argmin column, no
+    word table)."""
     scheme = make_scheme()
     data = tuple(_uniform(4 * N))
     dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
@@ -198,38 +296,39 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
 
 def test_relation_artifact_bytes_per_item_floor():
     """Two counted trees over 2^14 rows with values below 2^16: per tree
-    ~0.885 n distinct keys as 'B' gaps and their counts (all below 16) in a
-    4-bit plane, no row ids (a value of 2^16 or more no longer widens the
+    ~0.885 n distinct keys as patched gaps (a 4-bit plane and the rare
+    wider gap) and their counts -- nearly all 1 -- as a patched plane
+    around 1, no row ids (a value of 2^16 or more no longer widens the
     stored keys)."""
     scheme = btree_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 2.67, len(dumped) / N  # parent: 3.546 (counts in 'B')
+    assert len(dumped) / N <= 1.19, len(dumped) / N  # parent: 2.661 (lane-form gaps and counts)
     wide = uniform_int_relation(N, random.Random(17), value_range=(1 << 20, (1 << 20) + 4 * N))
     dumped = scheme.dump(scheme.preprocess(wide, CostTracker()))
-    assert len(dumped) / N <= 2.67, len(dumped) / N  # parent: 3.546 (counts in 'B')
+    assert len(dumped) / N <= 1.19, len(dumped) / N  # parent: 2.661 (lane-form gaps and counts)
 
 
 def test_hash_point_artifact_bytes_per_item_ceiling():
     """Two hash indexes over 2^14 rows with values below 2^16: per attribute
-    the distinct keys in 'H' (bucket order, not sorted) and their counts in
-    a 4-bit plane -- no payload column."""
+    the distinct keys in 'H' (bucket order, not sorted) and their counts
+    patched around 1 -- no payload column."""
     scheme = hash_point_scheme()
     relation = uniform_int_relation(N, random.Random(17), value_range=(0, 4 * N - 1))
     dumped = scheme.dump(scheme.preprocess(relation, CostTracker()))
-    assert len(dumped) / N <= 4.43, len(dumped) / N  # parent: 5.312 (counts in 'B')
+    assert len(dumped) / N <= 3.80, len(dumped) / N  # parent: 4.427 (counts in a 4-bit plane)
 
 
 def test_topk_artifact_bytes_per_item_floor():
-    """2^14 rows of two scores in [0, 1000]: ids as 'B' gaps, two score
-    columns of 10 bits (a lane and a 2-bit plane) and two sorted id lists
-    in 'H' (before typed columns: a pickled (id, row) list and two pickled
-    (score, id) lists)."""
+    """2^14 rows of two scores in [0, 1000]: ids as gaps (all 1: a patched
+    header), two score columns of 10 bits (a lane and a 2-bit plane) and
+    two sorted id lists in 'H' (before typed columns: a pickled (id, row)
+    list and two pickled (score, id) lists)."""
     scheme = threshold_algorithm_scheme()
     rng = random.Random(17)
     table = tuple((rng.randrange(1001), rng.randrange(1001)) for _ in range(N))
     dumped = scheme.dump(scheme.preprocess(table, CostTracker()))
-    assert len(dumped) / N <= 6.65, len(dumped) / N  # parent: 9.014 (scores in 'H')
+    assert len(dumped) / N <= 6.52, len(dumped) / N  # parent: 6.637 (ids as 'B' gaps)
 
 
 def _tracked_objects_left_by(make):
@@ -277,15 +376,15 @@ def test_selection_trees_hold_counts_not_row_ids():
 @pytest.mark.parametrize(
     "make_class,make_scheme,version",
     [
-        (membership_class, sorted_run_scheme, 4),
-        (rmq_class, fischer_heun_scheme, 6),
-        (rmq_class, sparse_table_scheme, 4),
-        (tree_lca_class, euler_tour_scheme, 4),
-        (point_selection_class, btree_point_scheme, 6),
-        (range_selection_class, btree_range_scheme, 6),
-        (point_selection_class, hash_point_scheme, 5),
-        (topk_class, threshold_algorithm_scheme, 4),
-        (bds_query_class, position_index_scheme, 2),
+        (membership_class, sorted_run_scheme, 5),
+        (rmq_class, fischer_heun_scheme, 7),
+        (rmq_class, sparse_table_scheme, 5),
+        (tree_lca_class, euler_tour_scheme, 5),
+        (point_selection_class, btree_point_scheme, 7),
+        (range_selection_class, btree_range_scheme, 7),
+        (point_selection_class, hash_point_scheme, 6),
+        (topk_class, threshold_algorithm_scheme, 5),
+        (bds_query_class, position_index_scheme, 3),
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table", "euler-tour-rmq",
          "btree-point", "btree-range", "hash-point", "threshold-algorithm",
@@ -340,7 +439,7 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v6")
+        assert key.params.endswith("|v7")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "4")
         store.put(stale, blob)
         for query in queries:
@@ -355,11 +454,18 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         tree.check_invariants()
 
 
+def _raw_table_ids(state):
+    """Fischer-Heun's table ids as v3-v6 stored them: the id column itself,
+    not packed."""
+    return columns.words(columns.unpack(state["block_table"]))
+
+
 def _fischer_heun_previous_layout(data, state):
     """The columns v3 and v4 share: v5's but the masks, and each block's
     argmin, computed from the data, not from the structure."""
     n, b = len(data), state["block_size"]
     previous = {name: column for name, column in state.items() if name != "masks"}
+    previous["block_table"] = _raw_table_ids(state)
     starts = range(0, n, b)
     previous["block_argmin"] = columns.positions(
         [naive_range_min(data, start, min(start + b, n) - 1) for start in starts], n
@@ -396,7 +502,7 @@ def test_v3_block_minima_table_artifact_is_a_version_miss_that_rebuilds(tmp_path
     data, queries = query_class.sample_workload(600, 3, 60)
     state = scheme.preprocess(data, CostTracker()).to_state()
     previous = _fischer_heun_previous_layout(data, state)
-    previous["block_table"] = columns.positions(state["block_table"], len(data))
+    previous["block_table"] = columns.positions(columns.unpack(state["block_table"]), len(data))
     minima = [data[p] for p in previous["block_argmin"]]
     previous["summary"] = SparseTable(minima).to_state()["levels"]
     blob = pickle.dumps(previous, protocol=4)
@@ -436,7 +542,7 @@ def test_v5_word_value_column_artifact_is_a_version_miss_that_rebuilds(tmp_path)
     data, queries = query_class.sample_workload(600, 3, 60)
     data = tuple(value + len(data) for value in data)  # non-negative, below 2^11
     state = scheme.preprocess(data, CostTracker()).to_state()
-    previous = {**state, "array": columns.words(data)}
+    previous = {**state, "array": columns.words(data), "block_table": _raw_table_ids(state)}
     assert previous["array"].typecode == "H" and state["array"][0] == 12
     blob = pickle.dumps(previous, protocol=4)
     _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 5, blob)
@@ -444,9 +550,9 @@ def test_v5_word_value_column_artifact_is_a_version_miss_that_rebuilds(tmp_path)
 
 def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
     """Sub-word columns bumped ``btree-per-attribute`` to v6: a v5 file --
-    each tree's counts and key gaps in machine words -- under the previous
-    key is never opened; the engine builds once and answers as a fresh
-    build and the oracle do."""
+    each tree's counts and key gaps in machine words -- under its key is
+    never opened; the engine builds once and answers as a fresh build and
+    the oracle do."""
     query_class, scheme = point_selection_class(), btree_point_scheme()
     data, queries = query_class.sample_workload(600, 3, 60)
     fresh = scheme.preprocess(data, CostTracker())
@@ -463,7 +569,7 @@ def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
-        assert key.params.endswith("|v6")
+        assert key.params.endswith("|v7")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "5")
         store.put(stale, blob)
         for query in queries:
@@ -474,6 +580,120 @@ def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
         assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
     assert store.get(stale) == blob
     assert pickle.loads(store.get(key)) == current
+
+
+def _previous_sorted_form(values):
+    """``pack_sorted`` before patched planes: gaps only when the run's ends
+    take more than a byte and the gaps a narrower unsigned word."""
+    ends = columns.words([values[0], values[-1]])
+    gaps = columns.words([after - before for before, after in zip(values, values[1:])])
+    if ends.itemsize > 1 and gaps and gaps.typecode.isupper() and gaps.itemsize < ends.itemsize:
+        return values[0], columns._lanes(gaps)
+    return columns._lanes(columns.words(values))
+
+
+def _lane_layout(state):
+    """A dumped state as the previous layout wrote it: no patched column,
+    byte-valued sorted runs never gap-coded and Fischer-Heun's table ids
+    not packed."""
+    if isinstance(state, dict):
+        return {name: _raw_table_ids(state) if name == "block_table" else _lane_layout(column)
+                for name, column in state.items()}
+    if isinstance(state, list):
+        return [_lane_layout(column) for column in state]
+    if isinstance(state, tuple) and len(state) == 2 and type(state[0]) is int:
+        return _previous_sorted_form(columns.unpack(state))  # a gap-coded sorted run
+    if isinstance(state, bytes) and state[0] & 0x80:
+        return columns._lanes(columns.words(columns.unpack(state)))
+    return state
+
+
+def _star_with_a_tail(n=600, tail=20):
+    """Depths mostly 1 and a few up to ``tail``: an Euler tour whose depth
+    column is a byte run with rare outliers."""
+    edges = [(0, v) for v in range(1, n - tail)]
+    edges += [(v, v + 1) for v in range(n - tail - 1, n - 1)]
+    return Graph(n, edges)
+
+
+#: Each bumped scheme with data on which its dump holds a patched column.
+PATCHED_LAYOUTS = {
+    "sort+binary-search": (membership_class, sorted_run_scheme, 5, None),
+    "fischer-heun": (rmq_class, fischer_heun_scheme, 7, None),
+    "sparse-table": (rmq_class, sparse_table_scheme, 5,
+                     lambda rng: tuple(255 if i % 97 == 0 else rng.randrange(4) for i in range(600))),
+    "euler-tour-rmq": (tree_lca_class, euler_tour_scheme, 5, lambda rng: _star_with_a_tail()),
+    "btree-point": (point_selection_class, btree_point_scheme, 7, None),
+    "hash-point": (point_selection_class, hash_point_scheme, 6, None),
+    "threshold-algorithm": (topk_class, threshold_algorithm_scheme, 5, None),
+    "bds-position-run": (bds_query_class, position_index_scheme, 3, None),
+}
+
+
+@pytest.mark.parametrize("name", PATCHED_LAYOUTS)
+def test_lane_form_artifact_is_a_version_miss_that_rebuilds(tmp_path, name):
+    """Patched byte columns bumped every scheme that packs a column: a file
+    in the previous layout -- lane forms only -- under the previous key is
+    never opened; the engine builds once and answers as a fresh build and
+    the oracle do."""
+    make_class, make_scheme, version, make_data = PATCHED_LAYOUTS[name]
+    query_class, scheme = make_class(), make_scheme()
+    assert scheme.artifact_version == version
+    data, queries = query_class.sample_workload(600, 3, 60)
+    if make_data is not None:
+        rng = random.Random(3)
+        data = make_data(rng)
+        queries = query_class.generate_queries(data, rng, 60)
+    fresh = scheme.preprocess(data, CostTracker())
+    current = pickle.loads(scheme.dump(fresh))
+    previous = _lane_layout(current)
+    assert previous != current  # the data really takes a patched column
+    blob = pickle.dumps(previous, protocol=4)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        key = ds.artifact_key("kind")
+        assert key.params.endswith(f"|v{version}")
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version - 1))
+        store.put(stale, blob)
+        for query in queries:
+            expected = scheme.evaluate(fresh, query, CostTracker())
+            assert expected == query_class.pair_in_language(data, query)
+            assert ds.query("kind", query) == expected
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 0)
+    assert store.get(stale) == blob
+    assert pickle.loads(store.get(key)) == current
+
+
+def test_tampered_patched_column_is_a_checksum_failure_that_rebuilds(tmp_path):
+    """A patched column that its own checksum vouches for but that no
+    ``pack`` wrote -- one byte too many -- raises in ``load``: the engine
+    counts it in ``checksum_failures``, rebuilds, answers correctly and
+    writes a healthy file back."""
+    query_class, scheme = membership_class(), sorted_run_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        key = engine.attach("d", data).artifact_key("kind")
+        engine.dataset("d").query("kind", queries[0])
+    healthy = store.get(key)
+    first, gaps = pickle.loads(healthy)["run"]
+    assert gaps[0] & 0x80  # the gaps are patched
+    tampered = pickle.dumps({"run": (first, gaps + b"\x00")}, protocol=4)
+    with pytest.raises(ValueError):
+        scheme.load(tampered)
+    store.put(key, tampered)  # re-checksummed: the container is sound
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        for query in queries:
+            assert ds.query("kind", query) == query_class.pair_in_language(data, query)
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 1)
+    assert store.get(key) == healthy
 
 
 def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):
