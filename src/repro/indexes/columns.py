@@ -12,12 +12,14 @@ time.
 *Value* runs hold whatever the dataset holds: lists in memory (``bisect``
 and indexing are faster over a list).  :func:`words` puts a plain-``int``
 run in the narrowest machine word that holds it -- the form the dataset
-fingerprint hashes.  At rest (:func:`pack`, for ``to_state``) a
-non-negative run takes the bits its largest value needs, not the next
-word: with ``w = max.bit_length()`` it is ``w // 8`` whole little-endian
-byte *lanes* (lane j holds byte j of every value) plus, when ``w % 8`` is
-1, 2 or 3-4, one sub-byte *plane* of 1, 2 or 4 bits per value (``w % 8``
-of 5 or more takes one more whole lane instead).  That *lane form* is a
+fingerprint hashes; a typed integer column narrows without a type scan,
+an unsigned one by its byte lanes, so no entry is boxed.  At rest
+(:func:`pack`, for ``to_state``) a non-negative run takes the bits its
+largest value needs, not the next word: with ``w = max.bit_length()``
+it is ``w // 8`` whole little-endian byte *lanes* (lane j holds byte j
+of every value) plus, when ``w % 8`` is 1, 2 or 3-4, one sub-byte
+*plane* of 1, 2 or 4 bits per value (``w % 8`` of 5 or more takes one
+more whole lane instead).  That *lane form* is a
 ``bytes``: a header byte holding the bits each value takes (``8 * lanes +
 plane bits``), a byte counting the plane's padding slots, the lanes one
 after another, then the plane.  It is taken only when it is strictly
@@ -52,7 +54,8 @@ from itertools import accumulate, islice
 from operator import sub
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["positions", "ids", "counts", "is_counts", "words", "pack", "pack_sorted", "unpack"]
+__all__ = ["positions", "ids", "counts", "is_counts", "words", "little_endian",
+           "from_little_endian", "pack", "pack_sorted", "unpack"]
 
 Packed = Union[array, bytes, List[Any]]
 
@@ -100,17 +103,69 @@ def _narrowest(values: Sequence[int], codes: str = "BbHhIiQq") -> Optional[array
     return None
 
 
+#: The integer typecodes; upper case is unsigned.
+_INT_CODES = "bBhHiIlLqQ"
+
+
 def words(values: Sequence[Any]) -> Union[array, List[Any]]:
-    """``values`` in the narrowest typecode that holds them, else a list copy.
+    """``values`` in the narrowest typecode that holds them (always a fresh
+    column), else a list copy.
 
     Only plain ``int`` runs are packed (``True``, a float or an int beyond
     64 bits would not come back as the object that went in), unsigned before
     signed: pickle spends 3 bytes on an int below 2^16, so ``'i'`` where
-    ``'H'`` fits would *grow* the artifact.
+    ``'H'`` fits would *grow* the artifact.  A typed integer ``array`` needs
+    no type scan, and an unsigned one narrows by its byte lanes, boxing no
+    entry.
     """
+    if isinstance(values, array) and values.typecode in _INT_CODES:
+        if not values:
+            return []
+        return _narrowest(values) if values.typecode.islower() else _narrow_unsigned(values)
     if values and set(map(type, values)) == {int}:
         return _narrowest(values) or list(values)
     return list(values)
+
+
+def little_endian(column: array) -> bytes:
+    """``column``'s machine words as little-endian bytes, whatever the host."""
+    if sys.byteorder == "big":
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _from_little_endian(code: str, raw: bytes) -> array:
+    """The ``code`` column whose little-endian bytes are ``raw``."""
+    column = array(code)
+    column.frombytes(raw)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column
+
+
+def from_little_endian(raw: bytes, bound: int) -> array:
+    """The :func:`positions` column for ``bound`` whose little-endian bytes
+    are ``raw``: :func:`little_endian`'s inverse."""
+    return _from_little_endian(positions((), bound).typecode, raw)
+
+
+def _narrow_unsigned(column: array) -> array:
+    """An unsigned ``column`` (not empty) in the first of ``B H I Q`` that
+    holds it: its top lanes that are all zero are dropped, a strided slice
+    per lane kept."""
+    size, raw, zero = column.itemsize, little_endian(column), bytes(len(column))
+    width = size
+    while width > 1 and raw[width - 1 :: size] == zero:
+        width -= 1
+    code = _UNSIGNED[width]
+    narrow = array(code).itemsize
+    if narrow == size:
+        return _from_little_endian(code, raw)
+    kept = bytearray(narrow * len(column))  # lanes past ``width`` stay zero
+    for lane in range(width):
+        kept[lane::narrow] = raw[lane::size]
+    return _from_little_endian(code, kept)
 
 
 # -- the lane form -------------------------------------------------------------
@@ -169,11 +224,7 @@ def _lanes(column: array, narrower: bool = True) -> Packed:
     ``column`` itself), or -- without ``narrower``, for a column that is not
     all zero -- always."""
     size, count = column.itemsize, len(column)
-    le = column
-    if sys.byteorder == "big":
-        le = array(column.typecode, column)
-        le.byteswap()
-    raw = le.tobytes()
+    raw = little_endian(column)
     lanes, bits = size, 0
     while lanes and not bits:  # down to the top lane that is not all zero
         lanes -= 1
@@ -216,11 +267,7 @@ def _from_lanes(packed: bytes, count: int) -> array:
         raw[lane::size] = packed[2 + lane * count : 2 + (lane + 1) * count]
     if bits:
         raw[lanes::size] = _unplane(packed[2 + lanes * count :], bits, count)
-    column = array(code)
-    column.frombytes(raw)
-    if sys.byteorder == "big":
-        column.byteswap()
-    return column
+    return _from_little_endian(code, raw)
 
 
 def _lane_header(header: int) -> Tuple[int, int]:

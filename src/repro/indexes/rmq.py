@@ -19,16 +19,18 @@ range-minimum query in constant time.  Three levels:
   :class:`~repro.indexes.sparse_table.SparseTable` over n / 16b values
   answers the whole words between.
 
-What is stored is the array, one table id per block, the tables and the
-masks: the block minima are the tables' answers, and the word table is
-rebuilt on load from the n / 16b word minima, in O(n).
+What is stored is the array, one table id per block, the tables and one
+byte per block that rebuilds its mask from the previous block's (a *cut*:
+how far below its own bit the mask keeps the previous one): the block
+minima are the tables' answers, and the word table is rebuilt on load
+from the n / 16b word minima, in O(n).
 
 The structure is words, not bits: the O(n)-bit succinctness of [18] buys
 nothing for Pi-tractability (preprocessing stays PTIME, queries stay O(1)).
-That is about the succinct structure, not its columns: at rest the array
-and the table ids take the bits their values need (``columns.pack``).  Ties
-resolve to the leftmost minimum everywhere, matching
-:func:`repro.indexes.sparse_table.naive_range_min`.
+That is about the succinct structure, not its columns: at rest the array,
+the table ids and the cuts take the bits their values need
+(``columns.pack``).  Ties resolve to the leftmost minimum everywhere,
+matching :func:`repro.indexes.sparse_table.naive_range_min`.
 """
 
 from __future__ import annotations
@@ -44,6 +46,38 @@ __all__ = ["FischerHeunRMQ"]
 
 _SIGN_CHUNK = 64  # blocks per pass: each pass's lists then fit pymalloc's 512 B
 _WORD = 16  # block minima per stack mask
+
+# A stack mask at rest is one *cut* per block (``_MaskedMinima.to_state``),
+# coded and decoded a slot at a time across all words on the masks' two
+# little-endian byte lanes, through these ``bytes.translate`` tables.
+
+#: ``_KEEP_LOW[slot][cut]`` / ``_KEEP_HIGH[slot][cut]``: the low / high byte
+#: of ``(1 << (slot - cut)) - 1``, the previous mask's bits that the block
+#: at ``slot`` keeps (0 past ``cut = slot``).
+_KEEP = [[(1 << (slot - cut)) - 1 for cut in range(slot + 1)] for slot in range(_WORD)]
+_KEEP_LOW = [bytes(keep & 0xFF for keep in row).ljust(256, b"\0") for row in _KEEP]
+_KEEP_HIGH = [bytes(keep >> 8 for keep in row).ljust(256, b"\0") for row in _KEEP]
+
+#: A low byte's bit length, and a high byte's in the upper nibble: OR-ed,
+#: they name a 16-bit value's bit length w, which ``_CUT[slot]`` turns
+#: into ``slot - w`` (0 where no mask of that slot can land).
+_WIDTH_LOW = bytes(byte.bit_length() for byte in range(256))
+_WIDTH_HIGH = bytes(byte.bit_length() << 4 for byte in range(256))
+_WIDTH = [8 + (both >> 4) if both >> 4 else both for both in range(256)]
+_CUT = [bytes(max(0, slot - width) for width in _WIDTH) for slot in range(_WORD)]
+
+
+def _int(lane: bytes) -> int:
+    return int.from_bytes(lane, "little")
+
+
+def _lane(value: int, count: int) -> bytes:
+    return value.to_bytes(count, "little")
+
+
+def _each(byte: int, count: int) -> int:
+    """``byte`` in each of ``count`` lane places, as one int."""
+    return _int(bytes((byte,)) * count)
 
 
 def _cartesian_signature(block: Sequence) -> str:
@@ -119,7 +153,8 @@ class _MaskedMinima:
     ``last`` (the same objects, written in place by
     :meth:`FischerHeunRMQ.point_update`): block k's minimum sits at
     ``k * b + last[block_table[k]]``.  It holds the masks, each word's
-    argmin position and the word table; only the masks are stored.
+    argmin position and the word table; only the masks are stored, as
+    cuts (:meth:`to_state`).
     """
 
     def __init__(self, rmq: "FischerHeunRMQ", masks, tracker=None):
@@ -192,7 +227,44 @@ class _MaskedMinima:
         self._words.point_update(word, self._array[position], tracker)
 
     def to_state(self) -> dict:
-        return {"masks": self._masks[:]}
+        """The masks as one *cut* per block, a byte column: the block at
+        ``slot`` of its word keeps the previous mask's bits below ``slot -
+        cut`` and adds its own, so ``cut = slot - (mask ^ 1 << slot)
+        .bit_length()`` -- 0 when it popped nothing, ``slot`` when it
+        popped all."""
+        raw, cuts = columns.little_endian(self._masks), bytearray(len(self._masks))
+        for slot in range(1, _WORD):  # slot 0's cut is always 0
+            low, high = raw[2 * slot :: 2 * _WORD], raw[2 * slot + 1 :: 2 * _WORD]
+            count, own = len(low), 1 << slot
+            low = _lane(_int(low) ^ _each(own & 0xFF, count), count).translate(_WIDTH_LOW)
+            high = _lane(_int(high) ^ _each(own >> 8, count), count).translate(_WIDTH_HIGH)
+            cuts[slot::_WORD] = _lane(_int(low) | _int(high), count).translate(_CUT[slot])
+        return {"cuts": columns.pack(columns.ids(cuts, _WORD))}
+
+    @classmethod
+    def from_state(cls, rmq: "FischerHeunRMQ", state: dict) -> "_MaskedMinima":
+        """Rebuild the masks from :meth:`to_state`'s cuts a slot at a time
+        across all words, ``mask = previous & ((1 << (slot - cut)) - 1) |
+        1 << slot``; ``ValueError`` for a cut past its slot or a column
+        that is not one cut per block."""
+        cuts = bytes(columns.unpack(state["cuts"]))  # ValueError past a byte
+        blocks = len(rmq._block_table)
+        if len(cuts) != blocks:
+            raise ValueError(f"stack masks: {len(cuts)} cuts for {blocks} blocks")
+        raw, count = bytearray(2 * blocks), len(cuts[0::_WORD])
+        low, high = b"\1" * count, bytes(count)  # slot 0's mask is its own bit
+        raw[0 :: 2 * _WORD] = low
+        for slot in range(1, _WORD):
+            cut = cuts[slot::_WORD]
+            count, own = len(cut), 1 << slot
+            if count and max(cut) > slot:
+                raise ValueError(f"stack masks: a cut of {max(cut)} at slot {slot}")
+            low = _lane(_int(low[:count]) & _int(cut.translate(_KEEP_LOW[slot]))
+                        | _each(own & 0xFF, count), count)
+            high = _lane(_int(high[:count]) & _int(cut.translate(_KEEP_HIGH[slot]))
+                         | _each(own >> 8, count), count)
+            raw[2 * slot :: 2 * _WORD], raw[2 * slot + 1 :: 2 * _WORD] = low, high
+        return cls(rmq, columns.from_little_endian(raw, 1 << _WORD))
 
 
 class FischerHeunRMQ:
@@ -321,7 +393,8 @@ class FischerHeunRMQ:
 
     def to_state(self) -> dict:
         """Plain-data snapshot: array, block size, each block's table id,
-        in-block tables by signature (in id order) and the stack masks.
+        in-block tables by signature (in id order) and each stack mask's
+        cut.
         Block minima are their tables' answers, and load rebuilds the word
         table over the word minima, so it restores O(1) queries."""
         return {
@@ -343,5 +416,5 @@ class FischerHeunRMQ:
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
         rmq._last = [table[0][-1] for table in rmq._tables]
-        rmq._summary = _MaskedMinima(rmq, columns.positions(state["masks"], 1 << _WORD))
+        rmq._summary = _MaskedMinima.from_state(rmq, state)
         return rmq

@@ -176,7 +176,7 @@ def fischer_heun_scheme() -> PiScheme:
         description="block decomposition + Cartesian signatures (O(1) query)",
         dump=dump,
         load=load,
-        artifact_version=7,  # v7: patched byte columns, the table ids packed (indexes/columns.pack)
+        artifact_version=8,  # v8: each stack mask stored as a one-byte cut (indexes/rmq.py)
         sharding=rmq_shard_spec(),
         apply_delta=_apply_array_delta,
         evaluate_fast=evaluate_fast,

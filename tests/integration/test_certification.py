@@ -72,14 +72,14 @@ class TestArtifactBytes:
 
     def test_fischer_heun_reports_bytes_per_item_falling_with_d(self):
         certificate = certify(rmq_class(), fischer_heun_scheme(), sizes=SIZES)
-        assert [s.artifact_bytes for s in certificate.samples] == [557, 991, 1775, 3343, 6479]
+        assert [s.artifact_bytes for s in certificate.samples] == [348, 773, 1355, 2523, 4852]
         size = certificate.artifact_size
-        assert round(size.power.exponent, 2) == 0.88
-        assert size.kind is ScalingKind.POLYNOMIAL  # 557 -> 6 479 B: past the CONSTANT ratio
-        assert certificate.describe_size() == "poly(n) ~n^0.88"
+        assert round(size.power.exponent, 2) == 0.93
+        assert size.kind is ScalingKind.POLYNOMIAL  # 348 -> 4 852 B: past the CONSTANT ratio
+        assert certificate.describe_size() == "poly(n) ~n^0.93"
         assert "Pi(D) bytes / |D|" in certificate.summary()
-        assert ": 4.35 -> 3.16 (~n^0.88)" in certificate.summary()
-        assert "Pi(D) size                     : poly(n) ~n^0.88" in certificate.summary()
+        assert ": 2.72 -> 2.37 (~n^0.93)" in certificate.summary()
+        assert "Pi(D) size                     : poly(n) ~n^0.93" in certificate.summary()
 
     def test_a_scheme_with_no_codec_reports_none(self):
         scheme = no_preprocessing_scheme()
@@ -105,7 +105,7 @@ class TestArtifactBytes:
                     queries_per_size=6)]))
         rows = {line.split()[0]: line for line in figure2_report(registry).splitlines() if line}
         assert "Pi size" in rows["entry"]
-        assert "poly(n) ~n^0.88" in rows["rmq"]
+        assert "poly(n) ~n^0.93" in rows["rmq"]
         assert rows["no-codec"].split()[6] == "-"  # after the five claim marks
 
 

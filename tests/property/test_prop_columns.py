@@ -5,7 +5,8 @@
   plus one 1-, 2- or 4-bit plane -- for every width 1-64 and lengths on
   both sides of the plane's padding; it is never wider than the machine
   word ``columns.words`` picks, and negative, bool and float runs keep
-  exactly that word (or list) form;
+  exactly that word (or list) form; a typed integer column packs byte
+  for byte as the list of its values does;
 * the patched form: a run whose word is a byte may instead be a 0/1/2/4-bit
   plane around its minimum plus an exception list -- only when that is
   strictly smaller than the lane form, so ``pack`` is never wider than
@@ -27,6 +28,7 @@ No clocks: widths are item sizes, answers are Booleans.
 from __future__ import annotations
 
 import pickle
+import random
 from array import array
 from itertools import accumulate
 
@@ -208,6 +210,28 @@ def test_the_packed_form_is_never_wider_than_the_word_column(values):
     assert (len(stored) if isinstance(stored, bytes) else len(stored) * stored.itemsize) <= (
         2 + len(word) * word.itemsize
     )
+
+
+@pytest.mark.parametrize("code", "bBhHiIlLqQ")
+def test_a_typed_column_packs_byte_for_byte_as_its_value_list(code):
+    """``words`` narrows a typed integer column without boxing it, to the
+    very column -- typecode and entries, a fresh one -- that the list of
+    its values gets, so ``pack`` writes the same bytes: every width, runs
+    with and without negatives, lengths across the planes' padding."""
+    rng, bits = random.Random(code), 8 * array(code).itemsize
+    for w in range(bits + 1):
+        for count in (1, 7, 8, 33, 257):
+            for low in ((0, -(1 << w)) if code.islower() and w < bits else (0,)):
+                high = (1 << min(w, bits - code.islower())) - 1
+                values = [rng.randint(low, high) for _ in range(count)]
+                values[rng.randrange(count)] = high
+                values[rng.randrange(count)] = low
+                column = array(code, values)
+                word = columns.words(column)
+                _same(word, columns.words(values))
+                assert word is not column
+                assert pickle.dumps(columns.pack(column)) == pickle.dumps(columns.pack(values))
+    _same(columns.words(array(code)), [])
 
 
 @settings(max_examples=200, deadline=None)

@@ -431,3 +431,70 @@ def test_masked_words_answer_leftmost_through_point_writes(case, data):
         _assert_summary_rebuilt(fischer, rebuilt)
         assert fischer.distinct_signatures <= rmq_module._table_bound(b, n)
         _assert_answers(fischer, array, rng)
+
+
+# -- stack masks at rest: one cut per block ---------------------------------------
+
+SHAPES = {
+    "ascending": lambda n, rng: list(range(n)),
+    "descending": lambda n, rng: list(range(n, 0, -1)),
+    "constant": lambda n, rng: [7] * n,
+    "alternating": lambda n, rng: [i % 2 for i in range(n)],
+    "random": lambda n, rng: [rng.randint(-n, n) for _ in range(n)],
+}
+
+
+def _loaded(fischer):
+    """``fischer`` through its state's bytes, as a store hands it back."""
+    return FischerHeunRMQ.from_state(pickle.loads(pickle.dumps(fischer.to_state())))
+
+
+def _assert_loads_as_built(array, b, rng):
+    """The loaded masks are the build's, and point writes on the loaded
+    structure repair it to what a rebuild derives."""
+    fischer = _signed(array, b)
+    loaded = _loaded(fischer)
+    assert loaded._summary._masks.typecode == "H"
+    assert loaded._summary._masks == fischer._summary._masks
+    _assert_summary_rebuilt(loaded, fischer)
+    array = list(array)
+    for _ in range(4):
+        position = rng.randrange(len(array))
+        array[position] = rng.randint(-len(array) - 1, len(array) + 1)
+        loaded.point_update(position, array[position])
+        _assert_summary_rebuilt(loaded, _signed(array, b))
+    for low in range(0, len(array), max(1, len(array) // 8)):
+        high = len(array) - 1
+        assert loaded.argmin_fast(low, high) == naive_range_min(array, low, high)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_loaded_masks_equal_a_fresh_build(shape, b):
+    """Ascending, descending, constant, alternating and random data, for
+    n of 1 and 2, fewer than 16 blocks, whole words and a partial last
+    word (n mod 16b != 0)."""
+    rng = random.Random(b)
+    for n in (1, 2, 15 * b - 1, 16 * b, 48 * b, 80 * b + 7, 640 * b + b + 1):
+        _assert_loads_as_built(SHAPES[shape](n, rng), b, rng)
+
+
+@given(word_spanning_arrays(), st.integers(0, 2**30))
+@settings(max_examples=60, deadline=None)
+def test_cut_round_trip_keeps_every_mask(case, seed):
+    """Random and heavily tied words: the cut column decodes to the very
+    masks the build made, and writes on the loaded structure repair it to
+    a rebuild's summary."""
+    b, array = case
+    _assert_loads_as_built(array, b, random.Random(seed))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tiny_arrays_load_as_built(n):
+    """The constructor's own block size for n of 1 and 2, descending: the
+    second block pops the first, a cut of its whole slot."""
+    fischer = FischerHeunRMQ(list(range(n, 0, -1)))
+    loaded = _loaded(fischer)
+    assert list(loaded._summary._masks) == list(fischer._summary._masks) == [1, 2][:n]
+    assert columns.unpack(fischer.to_state()["cuts"]) == [0, 1][:n]
+    assert loaded.argmin_fast(0, n - 1) == n - 1

@@ -25,7 +25,7 @@ GOLDEN = {
     "btree-range": (7, "19405aa6eccfa92897a571ab7da3618dd7cb184d82e4d7d7234033370b889e13"),
     "hash-point": (6, "1c8e2c566b638b66016bf8020c93fd288c16ef6a98c0a04198e8bc5cf6ae8706"),
     "sort+binary-search": (5, "140a074f7ca374e63cf688fde96066c23c35e495159a8ee26443d2e0a295dcca"),
-    "fischer-heun": (7, "9f0708c00296da6a6da51a44f121e22557ebeaa62ea15c9a83c610d75b8a6c2f"),
+    "fischer-heun": (8, "133fcb42691417ce448b4eabecc0f933ef3fed18e32b9441b278eedaf057e263"),
     "sparse-table": (5, "c0f15646681d25d40c2003f75fbc3f09f47f1b71a7ecb6ed49da960a2f1efb9a"),
     "euler-tour-rmq": (5, "25ef4368346f12b011b39aa6238dd71bbd158a247cae7d78d03507e657f963f6"),
     "dag-lca-bitset": (1, "b800dfef207f1bca60fe04031e8cdfedc37db4968b5339e9a2552abc19b47959"),

@@ -42,6 +42,7 @@ from repro.core.cost import CostTracker
 from repro.graphs.graph import Graph
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
+from repro.indexes.rmq import FischerHeunRMQ
 from repro.indexes.sparse_table import SparseTable, naive_range_min
 from repro.queries import (
     bds_query_class,
@@ -274,7 +275,7 @@ def test_beyond_int32_a_pickled_list_wins_by_under_a_byte():
     "make_scheme,ceiling",
     [
         (sorted_run_scheme, 0.54),  # parent: 1.006 (gaps in a 'B' lane; 3.0 as plain words)
-        (fischer_heun_scheme, 2.84),  # parent: 3.022 (table ids in a 'B' word)
+        (fischer_heun_scheme, 2.31),  # parent: 2.84 (a 16-bit stack mask per block)
         (sparse_table_scheme, 26.1),  # parent: 28.03 (PR 16: 41.9)
     ],
     ids=["sort+binary-search", "fischer-heun", "sparse-table"],
@@ -283,8 +284,8 @@ def test_dumped_bytes_per_item_floor(make_scheme, ceiling):
     """2^14 ints from [0, 4n): every value and position fits 'H', the sorted
     run's gaps fit 'B' and are patched (a 4-bit plane, the rare wider gap
     an exception); no level 0, no summary values (n/3 blocks, each with a
-    table id -- a 4-bit plane -- and an 'H' stack mask; no argmin column, no
-    word table)."""
+    table id -- a 4-bit plane -- and a stack mask cut -- a patched 1-bit
+    plane; no argmin column, no word table)."""
     scheme = make_scheme()
     data = tuple(_uniform(4 * N))
     dumped = scheme.dump(scheme.preprocess(data, CostTracker()))
@@ -377,7 +378,7 @@ def test_selection_trees_hold_counts_not_row_ids():
     "make_class,make_scheme,version",
     [
         (membership_class, sorted_run_scheme, 5),
-        (rmq_class, fischer_heun_scheme, 7),
+        (rmq_class, fischer_heun_scheme, 8),
         (rmq_class, sparse_table_scheme, 5),
         (tree_lca_class, euler_tour_scheme, 5),
         (point_selection_class, btree_point_scheme, 7),
@@ -460,11 +461,24 @@ def _raw_table_ids(state):
     return columns.words(columns.unpack(state["block_table"]))
 
 
+def _mask_words(state):
+    """Fischer-Heun's stack masks as v4-v7 stored them: the 'H' column
+    itself, not a cut per block."""
+    return FischerHeunRMQ.from_state(state)._summary._masks
+
+
+def _word_mask_layout(state):
+    """A v8 state with its cuts swapped for the v7 mask words."""
+    previous = {name: column for name, column in state.items() if name != "cuts"}
+    previous["masks"] = _mask_words(state)
+    return previous
+
+
 def _fischer_heun_previous_layout(data, state):
     """The columns v3 and v4 share: v5's but the masks, and each block's
     argmin, computed from the data, not from the structure."""
     n, b = len(data), state["block_size"]
-    previous = {name: column for name, column in state.items() if name != "masks"}
+    previous = {name: column for name, column in state.items() if name != "cuts"}
     previous["block_table"] = _raw_table_ids(state)
     starts = range(0, n, b)
     previous["block_argmin"] = columns.positions(
@@ -519,8 +533,8 @@ def test_v4_block_argmin_and_word_table_artifact_is_a_version_miss_that_rebuilds
     previous = _fischer_heun_previous_layout(data, state)
     minima = [data[p] for p in previous["block_argmin"]]
     words = [min(minima[base : base + 16]) for base in range(0, len(minima), 16)]
-    previous.update(masks=state["masks"], words=SparseTable(words).to_state()["levels"])
-    assert set(state) == set(previous) - {"block_argmin", "words"}
+    previous.update(masks=_mask_words(state), words=SparseTable(words).to_state()["levels"])
+    assert set(state) - {"cuts"} == set(previous) - {"block_argmin", "words", "masks"}
     blob = pickle.dumps(previous, protocol=4)
     _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 4, blob)
 
@@ -542,10 +556,24 @@ def test_v5_word_value_column_artifact_is_a_version_miss_that_rebuilds(tmp_path)
     data, queries = query_class.sample_workload(600, 3, 60)
     data = tuple(value + len(data) for value in data)  # non-negative, below 2^11
     state = scheme.preprocess(data, CostTracker()).to_state()
-    previous = {**state, "array": columns.words(data), "block_table": _raw_table_ids(state)}
+    previous = {**_word_mask_layout(state), "array": columns.words(data),
+                "block_table": _raw_table_ids(state)}
     assert previous["array"].typecode == "H" and state["array"][0] == 12
     blob = pickle.dumps(previous, protocol=4)
     _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 5, blob)
+
+
+def test_v7_word_mask_artifact_is_a_version_miss_that_rebuilds(tmp_path):
+    """Storing each stack mask as a one-byte cut bumped ``fischer-heun`` to
+    v8: a v7 file -- the masks as the 'H' column itself -- under the
+    previous key is never opened, and one build happens."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    state = scheme.preprocess(data, CostTracker()).to_state()
+    previous = _word_mask_layout(state)
+    assert previous["masks"].typecode == "H" and len(previous["masks"]) == len(data) // 2
+    blob = pickle.dumps(previous, protocol=4)
+    _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, 7, blob)
 
 
 def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
@@ -595,7 +623,9 @@ def _previous_sorted_form(values):
 def _lane_layout(state):
     """A dumped state as the previous layout wrote it: no patched column,
     byte-valued sorted runs never gap-coded and Fischer-Heun's table ids
-    not packed."""
+    not packed (and its masks the 'H' column, not cuts)."""
+    if isinstance(state, dict) and "cuts" in state:
+        state = _word_mask_layout(state)
     if isinstance(state, dict):
         return {name: _raw_table_ids(state) if name == "block_table" else _lane_layout(column)
                 for name, column in state.items()}
@@ -616,27 +646,28 @@ def _star_with_a_tail(n=600, tail=20):
     return Graph(n, edges)
 
 
-#: Each bumped scheme with data on which its dump holds a patched column.
+#: Each bumped scheme with data on which its dump holds a patched column:
+#: its version now and the last version that wrote lane forms only.
 PATCHED_LAYOUTS = {
-    "sort+binary-search": (membership_class, sorted_run_scheme, 5, None),
-    "fischer-heun": (rmq_class, fischer_heun_scheme, 7, None),
-    "sparse-table": (rmq_class, sparse_table_scheme, 5,
+    "sort+binary-search": (membership_class, sorted_run_scheme, 5, 4, None),
+    "fischer-heun": (rmq_class, fischer_heun_scheme, 8, 6, None),
+    "sparse-table": (rmq_class, sparse_table_scheme, 5, 4,
                      lambda rng: tuple(255 if i % 97 == 0 else rng.randrange(4) for i in range(600))),
-    "euler-tour-rmq": (tree_lca_class, euler_tour_scheme, 5, lambda rng: _star_with_a_tail()),
-    "btree-point": (point_selection_class, btree_point_scheme, 7, None),
-    "hash-point": (point_selection_class, hash_point_scheme, 6, None),
-    "threshold-algorithm": (topk_class, threshold_algorithm_scheme, 5, None),
-    "bds-position-run": (bds_query_class, position_index_scheme, 3, None),
+    "euler-tour-rmq": (tree_lca_class, euler_tour_scheme, 5, 4, lambda rng: _star_with_a_tail()),
+    "btree-point": (point_selection_class, btree_point_scheme, 7, 6, None),
+    "hash-point": (point_selection_class, hash_point_scheme, 6, 5, None),
+    "threshold-algorithm": (topk_class, threshold_algorithm_scheme, 5, 4, None),
+    "bds-position-run": (bds_query_class, position_index_scheme, 3, 2, None),
 }
 
 
 @pytest.mark.parametrize("name", PATCHED_LAYOUTS)
 def test_lane_form_artifact_is_a_version_miss_that_rebuilds(tmp_path, name):
     """Patched byte columns bumped every scheme that packs a column: a file
-    in the previous layout -- lane forms only -- under the previous key is
-    never opened; the engine builds once and answers as a fresh build and
-    the oracle do."""
-    make_class, make_scheme, version, make_data = PATCHED_LAYOUTS[name]
+    in the layout before them -- lane forms only -- under that layout's key
+    is never opened; the engine builds once and answers as a fresh build
+    and the oracle do."""
+    make_class, make_scheme, version, lane_version, make_data = PATCHED_LAYOUTS[name]
     query_class, scheme = make_class(), make_scheme()
     assert scheme.artifact_version == version
     data, queries = query_class.sample_workload(600, 3, 60)
@@ -655,7 +686,7 @@ def test_lane_form_artifact_is_a_version_miss_that_rebuilds(tmp_path, name):
         ds = engine.attach("d", data)
         key = ds.artifact_key("kind")
         assert key.params.endswith(f"|v{version}")
-        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version - 1))
+        stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(lane_version))
         store.put(stale, blob)
         for query in queries:
             expected = scheme.evaluate(fresh, query, CostTracker())
@@ -683,6 +714,53 @@ def test_tampered_patched_column_is_a_checksum_failure_that_rebuilds(tmp_path):
     first, gaps = pickle.loads(healthy)["run"]
     assert gaps[0] & 0x80  # the gaps are patched
     tampered = pickle.dumps({"run": (first, gaps + b"\x00")}, protocol=4)
+    with pytest.raises(ValueError):
+        scheme.load(tampered)
+    store.put(key, tampered)  # re-checksummed: the container is sound
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        ds = engine.attach("d", data)
+        for query in queries:
+            assert ds.query("kind", query) == query_class.pair_in_language(data, query)
+        stats = engine.stats().per_kind["kind"]
+        assert (stats.builds, stats.store_hits, stats.checksum_failures) == (1, 0, 1)
+    assert store.get(key) == healthy
+
+
+def _cut_past_its_slot(cuts):
+    """Block 3 -- slot 3 of the first word -- cuts 4 bits: more than the
+    stack below it holds."""
+    cuts = columns.unpack(cuts)
+    cuts[3] = 4
+    return columns.pack(cuts)
+
+
+#: Cut columns that no ``to_state`` wrote, each from a healthy one.
+CUT_TAMPERS = {
+    "cut-past-its-slot": _cut_past_its_slot,
+    "one-cut-short": lambda cuts: columns.pack(columns.unpack(cuts)[:-1]),
+    "one-cut-too-many": lambda cuts: columns.pack(columns.unpack(cuts) + [0]),
+    "malformed-header": lambda cuts: bytes((0x83,)) + cuts[1:],  # a 3-bit patched plane
+}
+
+
+@pytest.mark.parametrize("tamper", CUT_TAMPERS)
+def test_tampered_stack_mask_cuts_are_a_checksum_failure_that_rebuilds(tmp_path, tamper):
+    """A ``fischer-heun`` file whose checksum vouches for a cut column that
+    no ``to_state`` wrote raises ``ValueError`` in ``load``: the engine
+    counts it in ``checksum_failures``, rebuilds, answers correctly and
+    writes a healthy file back."""
+    query_class, scheme = rmq_class(), fischer_heun_scheme()
+    data, queries = query_class.sample_workload(600, 3, 60)
+    store = ArtifactStore(tmp_path)
+    with QueryEngine(store=store) as engine:
+        engine.register("kind", query_class, scheme)
+        key = engine.attach("d", data).artifact_key("kind")
+        engine.dataset("d").query("kind", queries[0])
+    healthy = store.get(key)
+    state = pickle.loads(healthy)
+    assert isinstance(state["cuts"], bytes)
+    tampered = pickle.dumps({**state, "cuts": CUT_TAMPERS[tamper](state["cuts"])}, protocol=4)
     with pytest.raises(ValueError):
         scheme.load(tampered)
     store.put(key, tampered)  # re-checksummed: the container is sound
