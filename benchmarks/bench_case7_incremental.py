@@ -4,19 +4,23 @@ Paper claims: incremental cost should be analysed against
 |CHANGED| = |dD| + |dO| [35] and, for bounded algorithms, be independent of
 |D|.  Series: (a) incremental index maintenance vs rebuild across |D|
 with |dD| fixed; (b) incremental transitive closure cost against |CHANGED|.
+
+Both series measure the hooks mutable sessions run, reached through the
+catalog: ``point-selection``'s served scheme (the ``btree-per-attribute``
+structure) folds a batch through ``apply_delta`` and rebuilds through
+``preprocess``; ``reachability``'s ``closure_scheme`` builds the
+:class:`~repro.indexes.TransitiveClosureIndex` whose ``insert_edge`` returns
+the new-pair count.
 """
 
 import random
 
 from conftest import bench_size, bench_sizes, format_table
 
+from repro.catalog import CATALOG
 from repro.core import CostTracker
-from repro.incremental import (
-    ChangeKind,
-    IncrementalSelectionIndex,
-    IncrementalTransitiveClosure,
-    TupleChange,
-)
+from repro.graphs import Digraph
+from repro.incremental import ChangeKind, TupleChange
 from repro.storage.relation import uniform_int_relation
 
 SIZES = bench_sizes(9, 14)
@@ -24,20 +28,29 @@ SEED = 20130826
 BATCH = 16
 
 
+def served_scheme(kind):
+    """The scheme the engine serves ``kind`` with."""
+    return next(row for row in CATALOG if row.name == kind).serving()[1]
+
+
 def test_c7_shape_bounded_index_maintenance(benchmark, experiment_report):
     def run():
+        scheme = served_scheme("point-selection")
         rows = []
         for size in SIZES:
             rng = random.Random(SEED + size)
             relation = uniform_int_relation(size, rng, value_range=(0, 10**9))
-            index = IncrementalSelectionIndex(relation, "a")
-            tracker = CostTracker()
+            indexes = scheme.preprocess(relation, CostTracker())
             batch = [
                 TupleChange(ChangeKind.INSERT, (2_000_000_000 + i, 0))
                 for i in range(BATCH)
             ]
-            incremental = index.apply_batch(batch, tracker)
-            rebuild = IncrementalSelectionIndex.rebuild_cost(index.relation, "a")
+            incremental = CostTracker()
+            scheme.apply_delta(indexes, batch, incremental)
+            for change in batch:
+                relation.insert(change.row)
+            rebuild = CostTracker()
+            scheme.preprocess(relation, rebuild)
             rows.append(
                 (
                     size,
@@ -63,18 +76,19 @@ def test_c7_shape_bounded_index_maintenance(benchmark, experiment_report):
 def test_c7_shape_closure_cost_tracks_changed(benchmark, experiment_report):
     def run():
         rng = random.Random(SEED)
-        closure = IncrementalTransitiveClosure(256)
+        closure = served_scheme("reachability").preprocess(Digraph(256), CostTracker())
         buckets = {}  # |CHANGED| decade -> (total work, count)
         for _ in range(500):
             u, v = rng.randrange(256), rng.randrange(256)
             if u == v:
                 continue
-            before = closure.log.changed
-            cost = closure.insert_edge(u, v, CostTracker())
-            delta = closure.log.changed - before
+            tracker = CostTracker()
+            # |CHANGED| = one edge plus the pairs it makes reachable (every
+            # component is one vertex: the build starts edgeless).
+            delta = 1 + closure.insert_edge(u, v, tracker)
             decade = len(str(max(delta, 1)))
             work, count = buckets.get(decade, (0, 0))
-            buckets[decade] = (work + cost.work, count + 1)
+            buckets[decade] = (work + tracker.work, count + 1)
         return [
             (f"10^{decade - 1}..10^{decade}", count, work // max(count, 1))
             for decade, (work, count) in sorted(buckets.items())
@@ -93,18 +107,21 @@ def test_c7_shape_closure_cost_tracks_changed(benchmark, experiment_report):
 
 
 def test_c7_wallclock_incremental_insert(benchmark):
+    scheme = served_scheme("point-selection")
     rng = random.Random(SEED)
     relation = uniform_int_relation(bench_size(12), rng, value_range=(0, 10**9))
-    index = IncrementalSelectionIndex(relation, "a")
+    indexes = scheme.preprocess(relation, CostTracker())
     counter = iter(range(10**9))
 
     def insert_one():
-        index.apply(TupleChange(ChangeKind.INSERT, (3_000_000_000 + next(counter), 0)))
+        change = TupleChange(ChangeKind.INSERT, (3_000_000_000 + next(counter), 0))
+        scheme.apply_delta(indexes, [change], CostTracker())
 
     benchmark(insert_one)
 
 
 def test_c7_wallclock_rebuild(benchmark):
+    scheme = served_scheme("point-selection")
     rng = random.Random(SEED)
     relation = uniform_int_relation(bench_size(12), rng, value_range=(0, 10**9))
-    benchmark(lambda: IncrementalSelectionIndex(relation, "a"))
+    benchmark(lambda: scheme.preprocess(relation, CostTracker()))

@@ -13,8 +13,12 @@ executable library:
 * :mod:`repro.queries` -- the paper's case studies wired into the framework
   (selection, list membership, RMQ, LCA, reachability, BDS, CVP, vertex
   cover);
-* :mod:`repro.compression`, :mod:`repro.views`, :mod:`repro.incremental`,
-  :mod:`repro.kernelization` -- the preprocessing strategies of Section 4;
+* :mod:`repro.compression`, :mod:`repro.views`, :mod:`repro.kernelization`
+  -- the preprocessing strategies of Section 4; strategy (7) is the
+  ``apply_delta`` hook of each delta-capable scheme (for instance
+  ``selection._apply_relation_delta`` and
+  ``TransitiveClosureIndex.insert_edge``) over the change records of
+  :mod:`repro.incremental`;
 * :mod:`repro.reductions_zoo` -- concrete reductions, including every
   registered problem to BDS (Theorem 5 / Corollary 6);
 * :mod:`repro.catalog` -- builds the default registry of everything above.

@@ -1,8 +1,11 @@
-"""Bounded incremental evaluation and preprocessing (paper, Section 4(7)).
+"""The change records of bounded incremental evaluation (paper, Section 4(7)).
 
-Names are resolved on first access (:mod:`repro._lazy`): the wire protocol
-imports the change types of :mod:`~repro.incremental.changes` without loading
-the incremental indexes.
+Maintenance itself is the ``apply_delta`` hook of each delta-capable scheme,
+run by mutable sessions (:mod:`repro.service.mutable`): for instance
+``repro.queries.selection._apply_relation_delta`` over the per-attribute
+indexes and
+:meth:`~repro.indexes.reachability.TransitiveClosureIndex.insert_edge` for
+the closure.  Names are resolved on first access (:mod:`repro._lazy`).
 """
 
 from repro._lazy import lazy_exports
@@ -11,6 +14,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.incremental.changes": (
         "ChangeKind", "ChangeLog", "EdgeChange", "PointWrite", "TupleChange",
     ),
-    "repro.incremental.inc_selection": ("IncrementalSelectionIndex",),
-    "repro.incremental.inc_reachability": ("IncrementalTransitiveClosure",),
 })

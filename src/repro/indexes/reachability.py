@@ -17,7 +17,7 @@ cross-checking against the NC matrix-squaring evaluator in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import GraphError
@@ -28,6 +28,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["TransitiveClosureIndex"]
+
+
+def _members(bits: int) -> Iterator[int]:
+    """The positions of ``bits``' set bits, lowest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 class TransitiveClosureIndex:
@@ -51,6 +59,7 @@ class TransitiveClosureIndex:
             closure[component] = bits
         self._closure = closure
         self._dag_size = dag.n
+        self._ancestors: Optional[List[int]] = None  # see insert_edge
 
     def reachable(self, source: int, target: int, tracker: Optional[CostTracker] = None) -> bool:
         """``source ->* target``; one bit probe, O(1)."""
@@ -75,41 +84,66 @@ class TransitiveClosureIndex:
     # -- delta maintenance (paper, Section 4(7)) ------------------------------
 
     def insert_edge(self, source: int, target: int, tracker: Optional[CostTracker] = None) -> int:
-        """Fold edge ``(source, target)`` into the closure; returns new pairs.
+        """Fold edge ``(source, target)`` into the closure; returns the number
+        of component pairs that become reachable.
 
-        Italiano-style incremental maintenance at component granularity: the
-        new reachable pairs are exactly ``ancestors(source) x
-        descendants(target)``, so every component whose closure contains
-        ``source``'s component ORs in ``target``'s descendant bitset.  A
+        Italiano-style maintenance at component granularity: the new pairs
+        are exactly ``ancestors(source) x descendants(target)``.  A component
+        that reaches ``source``'s component gains something iff it does not
+        yet reach ``target``'s, so one AND-NOT of two ancestor bitsets names
+        exactly the components that OR in ``target``'s descendant bitset; each
+        then joins the ancestor sets of the components it now reaches.  A
         cycle-creating edge is handled without recomputing SCCs -- the
         component partition just stays finer than the true SCCs, which never
-        changes vertex-level reachability.  Work is one bit probe per
-        component plus one word-OR per changed word (the |dO| part of
-        |CHANGED|), versus the full condensation sweep of a rebuild.
+        changes vertex-level reachability.  The count is of component pairs:
+        it equals the new vertex pairs while every component is one vertex
+        (an index built over an edgeless graph stays so), and is smaller once
+        one holds more.
+
+        Cost: a redundant edge pays its one bit probe.  Otherwise the AND-NOT
+        pays one unit per 64 components, as a build's bitset OR does, and
+        every gained pair two (its closure bit, its ancestor bit) -- the |dO|
+        part of |CHANGED| -- never a visit to a component that gains nothing.
+        The ancestor sets are not part of :meth:`to_state`: the first
+        non-redundant insert on a built or loaded index derives them, one
+        unit per reachable component pair.
         """
         tracker = ensure_tracker(tracker)
         if not (0 <= source < self.n and 0 <= target < self.n):
             raise GraphError(f"vertex out of range: {source}, {target}")
         source_component = self._component_of[source]
         target_component = self._component_of[target]
+        closure = self._closure
         tracker.tick(1)
-        if self._closure[source_component] >> target_component & 1:
+        if closure[source_component] >> target_component & 1:
             return 0
-        gain = self._closure[target_component]
+        if self._ancestors is None:
+            self._ancestors = self._derive_ancestors(tracker)
+        ancestors = self._ancestors
+        gain = closure[target_component]
+        affected = ancestors[source_component] & ~ancestors[target_component]
+        tracker.tick(max(1, self._dag_size // 64))
         new_pairs = 0
-        for component in range(self._dag_size):
-            if self._closure[component] >> source_component & 1:
-                gained = gain & ~self._closure[component]
-                if gained:
-                    self._closure[component] |= gained
-                    gained_count = gained.bit_count()
-                    new_pairs += gained_count
-                    tracker.tick(gained_count)
-                else:
-                    tracker.tick(1)
-            else:
-                tracker.tick(1)
+        for component in _members(affected):
+            gained = gain & ~closure[component]
+            closure[component] |= gained
+            bit = 1 << component
+            for reached in _members(gained):
+                ancestors[reached] |= bit
+            gained_count = gained.bit_count()
+            new_pairs += gained_count
+            tracker.tick(2 * gained_count)
         return new_pairs
+
+    def _derive_ancestors(self, tracker: CostTracker) -> List[int]:
+        """Per component, the bitset of components that reach it (reflexive)."""
+        ancestors = [0] * self._dag_size
+        for component, bits in enumerate(self._closure):
+            bit = 1 << component
+            for reached in _members(bits):
+                ancestors[reached] |= bit
+            tracker.tick(bits.bit_count())
+        return ancestors
 
     def descendants(self, source: int) -> List[int]:
         """All vertices reachable from ``source`` (reflexive)."""
@@ -126,16 +160,11 @@ class TransitiveClosureIndex:
         component_sizes = [0] * self._dag_size
         for component in self._component_of:
             component_sizes[component] += 1
-        total = 0
-        for component, bits in enumerate(self._closure):
-            reachable_vertices = 0
-            remaining = bits
-            while remaining:
-                low = remaining & -remaining
-                reachable_vertices += component_sizes[low.bit_length() - 1]
-                remaining ^= low
-            total += component_sizes[component] * reachable_vertices
-        return total
+        return sum(
+            component_sizes[component]
+            * sum(component_sizes[reached] for reached in _members(bits))
+            for component, bits in enumerate(self._closure)
+        )
 
     # -- serialization --------------------------------------------------------
 
@@ -155,6 +184,7 @@ class TransitiveClosureIndex:
         index._component_of = list(state["component_of"])
         index._closure = list(state["closure"])
         index._dag_size = int(state["dag_size"])
+        index._ancestors = None
         return index
 
     def as_matrix(self) -> np.ndarray:

@@ -179,9 +179,9 @@ def _apply_relation_delta(indexes: dict, changes, tracker: CostTracker) -> dict:
     """Fold a TupleChange batch into the per-attribute indexes (Section 4(7)).
 
     One O(log n) (B+-tree) or O(1) expected (hash) update per attribute per
-    change -- the textbook index maintenance of
-    :mod:`repro.incremental.inc_selection`, applied to the serving structure:
-    an insert adds one to its value's count, a delete takes one off.  The
+    change -- textbook index maintenance, bounded by |dD| up to the index's
+    logarithmic factor where a rebuild costs Theta(|D| log |D|): an insert
+    adds one to its value's count, a delete takes one off.  The
     per-attribute indexes count every row occurrence of a value, so the
     caller must only send DELETE changes for rows that are actually live
     (:class:`~repro.service.mutable.MutableContent` screens deletes

@@ -9,8 +9,11 @@ concrete query classes of this package:
   answers on the compressed graph only;
 * strategy (6) -> an alternative Pi-scheme for range selection that answers
   from materialized views only (using the query-rewriting lambda);
-* strategy (7) is about maintenance rather than answering and lives in
-  :mod:`repro.incremental`; its boundedness experiment is
+* strategy (7) is about maintenance rather than answering: it is the
+  ``apply_delta`` hook of the served schemes
+  (:func:`repro.queries.selection._apply_relation_delta`,
+  :meth:`repro.indexes.reachability.TransitiveClosureIndex.insert_edge`),
+  and its boundedness experiment is
   ``benchmarks/bench_case7_incremental.py``.
 """
 

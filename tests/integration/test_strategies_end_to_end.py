@@ -9,15 +9,11 @@ import random
 
 import pytest
 
+from repro.catalog import CATALOG, build_query_engine
 from repro.compression import LosslessCompressedGraph, ReachabilityPreservingCompression
 from repro.core import CostTracker
-from repro.graphs import is_reachable, social_digraph
-from repro.incremental import (
-    ChangeKind,
-    IncrementalSelectionIndex,
-    IncrementalTransitiveClosure,
-    TupleChange,
-)
+from repro.graphs import Digraph, is_reachable, social_digraph
+from repro.incremental import ChangeKind, EdgeChange, TupleChange
 from repro.indexes import TransitiveClosureIndex
 from repro.queries import range_selection_class, views_scheme
 from repro.storage.relation import uniform_int_relation
@@ -83,51 +79,72 @@ class TestViewsEndToEnd:
         assert tracker.work < len(data) // 10
 
 
+def _served_scheme(kind):
+    return next(row for row in CATALOG if row.name == kind).serving()[1]
+
+
 class TestIncrementalPreprocessing:
     """Section 4(7) + Section 1's incremental-preprocessing remark:
-    maintain Pi(D) under dD instead of re-running Pi."""
+    maintain Pi(D) under dD instead of re-running Pi -- through the
+    ``apply_delta`` hooks of the served schemes."""
 
     def test_index_stays_consistent_with_recomputation(self):
         rng = random.Random(204)
         relation = uniform_int_relation(300, rng, value_range=(0, 120))
-        incremental = IncrementalSelectionIndex(relation, "a")
-        for step in range(120):
-            key = rng.randrange(140)
-            incremental.apply(TupleChange(ChangeKind.INSERT, (key, step)))
-        # Compare against an index rebuilt from the updated relation.
-        rebuilt = IncrementalSelectionIndex(incremental.relation, "a")
-        for probe in range(0, 140, 3):
-            assert incremental.point_nonempty(probe) == rebuilt.point_nonempty(probe)
+        with build_query_engine() as engine:
+            live = engine.attach(
+                "live", relation, kinds=["point-selection"], mutable=True
+            ).warm()
+            for step in range(120):
+                key = rng.randrange(140)
+                live.apply_changes([TupleChange(ChangeKind.INSERT, (key, step))])
+            # Compare against an index rebuilt from the updated relation.
+            rebuilt = engine.attach("rebuilt", live.dataset(), kinds=["point-selection"])
+            assert engine.stats().per_kind["point-selection"].delta_batches == 120
+            for probe in range(0, 140, 3):
+                query = ("a", probe)
+                assert live.query("point-selection", query) == rebuilt.query(
+                    "point-selection", query
+                )
 
     def test_incremental_beats_recompute_for_small_deltas(self):
-        closure = IncrementalTransitiveClosure(150)
+        scheme = _served_scheme("reachability")
+        graph = Digraph(150)
+        closure = scheme.preprocess(Digraph(150), CostTracker())
         rng = random.Random(205)
         for _ in range(200):
             u, v = rng.randrange(150), rng.randrange(150)
             if u != v:
-                closure.insert_edge(u, v)
-        tracker = CostTracker()
-        incremental_cost = closure.insert_edge(0, 149, tracker)
-        recompute = closure.recompute_cost()
-        assert incremental_cost.work < recompute.work
+                graph.add_edge(u, v)
+                scheme.apply_delta(closure, [EdgeChange(ChangeKind.INSERT, u, v)], CostTracker())
+        incremental = CostTracker()
+        scheme.apply_delta(closure, [EdgeChange(ChangeKind.INSERT, 0, 149)], incremental)
+        graph.add_edge(0, 149)
+        recompute = CostTracker()
+        scheme.preprocess(graph, recompute)
+        assert incremental.work < recompute.work
 
     def test_boundedness_cost_scales_with_changed_not_data(self):
         # Same |dD| against two very different |D|: incremental cost must be
         # within a modest factor, while rebuild costs diverge ~20x.
+        scheme = _served_scheme("point-selection")
         costs = {}
         rebuilds = {}
         for n in (200, 4000):
             rng = random.Random(n)
             relation = uniform_int_relation(n, rng, value_range=(0, 10**9))
-            index = IncrementalSelectionIndex(relation, "a")
-            tracker = CostTracker()
+            indexes = scheme.preprocess(relation, CostTracker())
             batch = [
                 TupleChange(ChangeKind.INSERT, (2_000_000_000 + i, 0))
                 for i in range(8)
             ]
-            costs[n] = index.apply_batch(batch, tracker).work
-            rebuilds[n] = IncrementalSelectionIndex.rebuild_cost(
-                index.relation, "a"
-            ).work
+            tracker = CostTracker()
+            scheme.apply_delta(indexes, batch, tracker)
+            costs[n] = tracker.work
+            for change in batch:
+                relation.insert(change.row)
+            rebuild = CostTracker()
+            scheme.preprocess(relation, rebuild)
+            rebuilds[n] = rebuild.work
         assert rebuilds[4000] > 15 * rebuilds[200]
         assert costs[4000] < 3 * costs[200]

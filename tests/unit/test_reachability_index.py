@@ -82,3 +82,48 @@ class TestClosureIndex:
         index = TransitiveClosureIndex(Digraph(2))
         with pytest.raises(GraphError):
             index.reachable(0, 5)
+
+
+class TestInsertEdge:
+    """The served delta hook (``closure_scheme``'s ``apply_delta``)."""
+
+    def test_redundant_edge_costs_one_probe(self):
+        graph = Digraph(5)
+        graph.add_edge(0, 1)
+        graph.add_edge(1, 2)
+        index = TransitiveClosureIndex(graph)
+        for source, target in ((0, 2), (0, 1), (3, 3)):
+            tracker = CostTracker()
+            assert index.insert_edge(source, target, tracker) == 0
+            assert tracker.work == 1
+
+    def test_out_of_range_vertex_raises(self):
+        index = TransitiveClosureIndex(Digraph(3))
+        for source, target in ((0, 3), (3, 0), (-1, 1)):
+            with pytest.raises(GraphError):
+                index.insert_edge(source, target)
+        assert index.reachable_pair_count() == 3
+
+    def test_returns_new_vertex_pairs_while_components_are_single_vertices(self):
+        """From an edgeless build every component is one vertex, so the
+        returned component-pair count is the vertex-pair count's growth."""
+        rng = random.Random(34)
+        graph = Digraph(30)
+        index = TransitiveClosureIndex(graph)
+        for _ in range(120):
+            u, v = rng.randrange(30), rng.randrange(30)
+            before = index.reachable_pair_count()
+            new_pairs = index.insert_edge(u, v)
+            graph.add_edge(u, v)
+            assert new_pairs == index.reachable_pair_count() - before
+            assert (index.as_matrix() == TransitiveClosureIndex(graph).as_matrix()).all()
+
+    def test_returns_component_pairs_when_a_component_holds_several_vertices(self):
+        graph = Digraph(4)
+        graph.add_edge(0, 1)
+        graph.add_edge(1, 0)  # {0, 1} is one component
+        index = TransitiveClosureIndex(graph)
+        before = index.reachable_pair_count()
+        # {0, 1} -> {2}: one component pair, two vertex pairs.
+        assert index.insert_edge(1, 2) == 1
+        assert index.reachable_pair_count() == before + 2
