@@ -206,11 +206,6 @@ class PiScheme:
         """True when the preprocessed structure can round-trip through bytes."""
         return self.dump is not None and self.load is not None
 
-    @property
-    def supports_delta(self) -> bool:
-        """True when built structures can be maintained under change batches."""
-        return self.apply_delta is not None
-
     def answer(
         self,
         preprocessed: Any,

@@ -12,6 +12,6 @@ from repro._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.incremental.changes": (
-        "ChangeKind", "ChangeLog", "EdgeChange", "PointWrite", "TupleChange",
+        "ChangeKind", "EdgeChange", "PointWrite", "TupleChange",
     ),
 })

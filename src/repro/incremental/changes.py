@@ -1,23 +1,21 @@
 """Change representations for incremental evaluation (paper, Section 4(7)).
 
 Incremental algorithms are analysed against |CHANGED| = |dD| + |dO| [35]:
-the size of the input change plus the size of the output change.  The
-:class:`ChangeLog` accumulates both so experiments can test *boundedness* --
-cost a function of |CHANGED| alone, independent of |D|.
+the size of the input change plus the size of the output change.  These
+records are dD; a scheme's ``apply_delta`` hook folds them into its
+structure.  Case study C7 (``benchmarks/bench_case7_incremental.py``) is
+what charges those hooks against |CHANGED| to test *boundedness* -- cost a
+function of |CHANGED| alone, independent of |D|.  A served write
+acknowledges only the version it published.
 """
 
 from __future__ import annotations
 
 import enum
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, Tuple
+from dataclasses import dataclass
+from typing import Any, Tuple
 
-__all__ = ["ChangeKind", "TupleChange", "EdgeChange", "PointWrite", "ChangeLog", "MAX_DETAILS"]
-
-#: How many recent notes a :class:`ChangeLog` keeps: a session's log lives as
-#: long as the session (on the wire, the worker), so older notes are dropped.
-MAX_DETAILS = 64
+__all__ = ["ChangeKind", "TupleChange", "EdgeChange", "PointWrite"]
 
 
 class ChangeKind(enum.Enum):
@@ -53,24 +51,3 @@ class PointWrite:
 
     position: int
     value: Any
-
-
-@dataclass
-class ChangeLog:
-    """Accounting of |dD| and |dO| across a batch of updates; the counts
-    cover every change, ``details`` only the last :data:`MAX_DETAILS` notes."""
-
-    input_changes: int = 0
-    output_changes: int = 0
-    details: Deque[str] = field(default_factory=lambda: deque(maxlen=MAX_DETAILS))
-
-    def record(self, input_delta: int, output_delta: int, note: str = "") -> None:
-        self.input_changes += input_delta
-        self.output_changes += output_delta
-        if note:
-            self.details.append(note)
-
-    @property
-    def changed(self) -> int:
-        """|CHANGED| = |dD| + |dO| (Ramalingam & Reps [35])."""
-        return self.input_changes + self.output_changes

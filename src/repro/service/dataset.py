@@ -23,7 +23,7 @@ fingerprints a payload **once**, registers a stable name, and returns a
   writer mutex and one atomically published version pointer (readers are
   lock-free; see :class:`~repro.service.mutable.VersionedStructures`),
   routing each kind to its ``PiScheme.apply_delta`` hook (falling back to
-  touched-shard or full rebuilds);
+  touched-shard or full rebuilds), and acknowledges ``{"version": n}``;
 * ``ds.detach()`` -- releases the name; further use raises
   :class:`~repro.core.errors.UnknownDatasetError`.
 
@@ -80,9 +80,8 @@ from typing import (
     Tuple,
 )
 
-from repro.core.cost import CostTracker, ensure_tracker
+from repro.core.cost import NULL_TRACKER, CostTracker, ensure_tracker
 from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
-from repro.incremental.changes import ChangeLog
 from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
@@ -544,7 +543,7 @@ class Dataset:
 
     # -- mutation --------------------------------------------------------------
 
-    def apply_changes(self, changes: Iterable[Any]) -> ChangeLog:
+    def apply_changes(self, changes: Iterable[Any]) -> Dict[str, int]:
         """Apply one change batch atomically across every served kind.
 
         Only valid for sessions attached ``mutable=True``.  Each served kind
@@ -555,6 +554,11 @@ class Dataset:
         rebuild).  Readers never observe an intermediate state: every
         maintenance step runs against the offline structure set, and the
         new version becomes visible through one atomic pointer store.
+
+        Returns the acknowledgement ``{"version": n}``, the version the batch
+        published -- the unchanged version when every change screened to a
+        no-op.  A :class:`~repro.service.frontend.client.RemoteDataset`
+        returns the same dict, so neither surface claims a |CHANGED| count.
         """
         self._check_attached()
         if self._mutable is None:
@@ -646,9 +650,7 @@ class _MutableState:
     def __init__(self, ds: Dataset) -> None:
         self._ds = ds
         self._engine = ds._engine
-        self.tracker = CostTracker()
-        self.log = ChangeLog()
-        self._content = MutableContent(ds._data, self.tracker, self.log)
+        self._content = MutableContent(ds._data)
         self._versions = VersionedStructures()
 
     @property
@@ -772,14 +774,14 @@ class _MutableState:
         structure it returned."""
         structure = plan.resolve()
         folded = self._ds.registration_for(kind).scheme.apply_delta(
-            structure, changes, self.tracker
+            structure, changes, NULL_TRACKER
         )
         return plan if folded is structure else self._ds._bind(kind, folded)
 
     def _preprocess(self, kind: str, content: Any) -> Any:
         """A private in-memory build: no cache entry, no store artifact."""
         started = time.perf_counter()
-        structure = self._ds.registration_for(kind).scheme.preprocess(content, self.tracker)
+        structure = self._ds.registration_for(kind).scheme.preprocess(content, NULL_TRACKER)
         self._engine._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
         return structure
 
@@ -794,7 +796,7 @@ class _MutableState:
 
     # -- mutation --------------------------------------------------------------
 
-    def apply_changes(self, changes: Iterable[Any]) -> ChangeLog:
+    def apply_changes(self, changes: Iterable[Any]) -> Dict[str, int]:
         """Apply one batch to every materialized kind; left-right publish.
 
         Phase 1 runs entirely against the **offline** plan set, which
@@ -824,8 +826,7 @@ class _MutableState:
             self._content.validate(batch)
             effective = self._content.screen(batch)
             if not effective:
-                self.log.record(0, 0, "batch screened to no-ops")
-                return self.log
+                return {"version": versions.current.number}
             offline = versions.offline
             delta_kinds: List[Tuple[str, float]] = []  # (kind, apply seconds)
             rebuild_kinds: List[str] = []
@@ -903,13 +904,4 @@ class _MutableState:
                 retired[kind] = self._twin(kind, fresh_plan)
             if rebuild_error is not None:
                 raise rebuild_error
-            screened = len(batch) - len(effective)
-            self.log.record(
-                len(effective),
-                0,
-                f"v{number}: {len(effective)} change(s); "
-                f"delta={sorted(kind for kind, _ in delta_kinds)} "
-                f"rebuild={sorted(rebuild_kinds)}"
-                + (f", {screened} screened" if screened else ""),
-            )
-            return self.log
+            return {"version": number}

@@ -77,7 +77,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.cost import CostTracker
+from repro.core.cost import NULL_TRACKER
 from repro.core.errors import (
     ArtifactCorruptionError,
     ArtifactError,
@@ -649,7 +649,7 @@ class QueryEngine:
                 source = "store" if structure is not None else "build"
                 if structure is None:
                     started = time.perf_counter()
-                    structure = registration.scheme.preprocess(data, CostTracker())
+                    structure = registration.scheme.preprocess(data, NULL_TRACKER)
                     self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
                     if self._store is not None:
                         try:

@@ -8,7 +8,9 @@ returns a :class:`RemoteDataset` that duck-types the local
 :class:`~repro.service.dataset.Dataset` session surface -- ``kinds`` /
 ``name`` / ``mutable`` / ``dataset()`` / ``query`` / ``query_batch`` /
 ``apply_changes`` / ``stats`` / ``detach`` -- so code written against a
-local session runs against the front unchanged::
+local session runs against the front unchanged.  A write acknowledges
+what a local one does, ``{"version": n}``: the version it published,
+which keeps counting across a re-home::
 
     client = RemoteClient(*front.address)
     ds = client.attach("events", data, kinds=["list-membership"], mutable=True)

@@ -151,13 +151,7 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
         pairs = [(kind, query) for kind, query in params["pairs"]]
         return ds.query_batch(pairs)
     if op == "apply_changes":
-        log = ds.apply_changes(params["changes"])
-        return {
-            "version": ds.version,
-            "changed": log.changed,
-            "input_changes": log.input_changes,
-            "output_changes": log.output_changes,
-        }
+        return ds.apply_changes(params["changes"])
     if op == "stats":
         return ds.stats()
     if op == "snapshot":

@@ -57,15 +57,8 @@ import weakref
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError, SchemaError, ServiceError
-from repro.incremental.changes import (
-    ChangeKind,
-    ChangeLog,
-    EdgeChange,
-    PointWrite,
-    TupleChange,
-)
+from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
 
 __all__ = [
     "MutableContent",
@@ -351,16 +344,16 @@ class MutableContent:
     validation and no-op screening O(1) per change.  The mutable
     :class:`~repro.service.dataset.Dataset` sessions delegate here, so the
     change semantics (atomic validation, phantom-delete screening, working
-    application order) are defined exactly once.
+    application order) are defined exactly once.  It keeps no cost ledger
+    and no change log: a screened no-op is dropped, and the one fact a
+    batch acknowledges is the version its session publishes.
 
     Not thread-safe on its own: callers mutate it only under their
     :class:`VersionedStructures` writer mutex.  Readers never touch the
     content -- they serve from published structure snapshots.
     """
 
-    def __init__(self, data: Any, tracker: CostTracker, log: ChangeLog) -> None:
-        self.tracker = tracker
-        self.log = log
+    def __init__(self, data: Any) -> None:
         self.working, self.row_shaped = self._copy_dataset(data)
         self.counts: Counter = self._initial_counts()
         self.row_ids = self._initial_row_ids()
@@ -402,7 +395,7 @@ class MutableContent:
         if not _is_relation(self.working):
             return None
         row_ids: dict = {}
-        for row_id, row in self.working.scan(self.tracker):
+        for row_id, row in self.working.scan():
             row_ids.setdefault(row, []).append(row_id)
         return row_ids
 
@@ -547,16 +540,12 @@ class MutableContent:
                 element = self.element(change.row)
                 if change.kind is ChangeKind.DELETE:
                     if not self.counts[element]:
-                        self.log.record(1, 0, f"no-op delete {element!r}")
                         continue
                     self.counts[element] -= 1
                 else:
                     self.counts[element] += 1
             elif isinstance(change, EdgeChange) and change.kind is ChangeKind.DELETE:
                 if not self.working.has_edge(change.source, change.target):
-                    self.log.record(
-                        1, 0, f"no-op delete edge ({change.source}, {change.target})"
-                    )
                     continue
             elif isinstance(change, PointWrite):
                 # An overwrite swaps one element of the bag for another; the

@@ -125,11 +125,10 @@ def test_mutable_dataset_is_homed_and_versioned(client):
     assert ds.mutable is True
     assert ds.query("list-membership", 99) is False
     ack = ds.apply_changes([TupleChange(ChangeKind.INSERT, (99,))])
-    assert ack["version"] == 1
-    assert ack["changed"] == 1
+    assert ack == {"version": 1}
     assert ds.query("list-membership", 99) is True
     ack = ds.apply_changes([TupleChange(ChangeKind.DELETE, (7,))])
-    assert ack["version"] == 2
+    assert ack == {"version": 2}
     assert ds.query("list-membership", 7) is False
     stats = ds.stats()
     assert stats["mutable"] is True
@@ -334,7 +333,7 @@ def test_journal_checkpoints_and_drain_rehomes(tmp_path):
             for value in range(100, 105):
                 assert ds.query("list-membership", value) is True
             ack = ds.apply_changes([TupleChange(ChangeKind.INSERT, (200,))])
-            assert ack["version"] == 6
+            assert ack == {"version": 6}
             assert ds.query("list-membership", 200) is True
 
 

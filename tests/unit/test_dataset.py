@@ -548,7 +548,7 @@ def test_mutable_session_with_non_serializable_delta_scheme():
         evaluate=base.evaluate,
         apply_delta=base.apply_delta,
     )
-    assert scheme.supports_delta and not scheme.serializable
+    assert scheme.apply_delta is not None and not scheme.serializable
     with QueryEngine() as engine:
         with pytest.raises(ServiceError, match="no dump/load codec"):
             engine.register("membership", membership_class(), scheme)

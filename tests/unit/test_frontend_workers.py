@@ -120,3 +120,29 @@ def test_snapshot_replies_with_an_attach_body_a_fresh_worker_accepts():
         ok, ack = _frame(engine, "attach", "d", snapshot)
         assert ok and ack["version"] == 1
         assert _frame(engine, "query", "d", {"kind": "list-membership", "query": 9}) == (True, True)
+
+
+def test_a_write_acks_the_version_a_local_session_acks_across_a_rehome():
+    """A worker forwards the session's acknowledgement verbatim: after an
+    attach that resumes a checkpointed baseline at version 6, the wire and a
+    local session resumed at the same version ack each batch with the same
+    ``{"version": n}`` -- a screened batch with the unchanged one."""
+    from repro.incremental.changes import ChangeKind, TupleChange
+
+    body = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"],
+            "mutable": True, "version": 6}
+    batches = [
+        [TupleChange(ChangeKind.INSERT, (9,))],
+        [TupleChange(ChangeKind.DELETE, (42,))],  # screened to nothing
+        [TupleChange(ChangeKind.DELETE, (9,)), TupleChange(ChangeKind.DELETE, (43,))],
+    ]
+    with build_query_engine() as engine:
+        assert _frame(engine, "attach", "d", body)[0]
+        wire = [_frame(engine, "apply_changes", "d", {"changes": batch})
+                for batch in batches]
+    with build_query_engine() as engine:
+        local = engine.attach("d", (1, 2, 3), kinds=["list-membership"], mutable=True)
+        local.resume_at(6)
+        acks = [local.apply_changes(batch) for batch in batches]
+    assert acks == [{"version": 7}, {"version": 7}, {"version": 8}]
+    assert wire == [(True, ack) for ack in acks]

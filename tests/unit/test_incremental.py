@@ -16,8 +16,10 @@ from repro.catalog import CATALOG, build_query_engine
 from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError, GraphError
 from repro.graphs import Digraph
-from repro.incremental import ChangeKind, ChangeLog, TupleChange
+from repro.incremental import ChangeKind, TupleChange
 from repro.indexes import TransitiveClosureIndex
+from repro.service.frontend import protocol
+from repro.service.frontend.workers import handle_frame
 from repro.storage.relation import uniform_int_relation
 
 KINDS = ("point-selection", "range-selection")
@@ -55,14 +57,19 @@ def _range(ds, low, high):
 
 
 class TestChangeLog:
-    def test_changed_is_sum(self):
-        log = ChangeLog()
-        log.record(2, 5, "a")
-        log.record(1, 0)
-        assert log.input_changes == 3
-        assert log.output_changes == 5
-        assert log.changed == 8
-        assert list(log.details) == ["a"]
+    def test_changed_is_sum(self, engine):
+        """A write acknowledges the version it published and nothing else:
+        no |CHANGED| = |dD| + |dO| is claimed, locally or over the wire."""
+        relation = uniform_int_relation(50, random.Random(3), value_range=(0, 20))
+        ack = _session(engine, relation).apply_changes([_insert(900, 1)])
+        assert ack == {"version": 1}
+        value = {"changes": [_insert(900, 1), _delete(901, 1)]}
+        header = protocol.request_header("apply_changes", 1, "live", value)
+        response, body = handle_frame(
+            engine, header, protocol.encode_body(value), protocol.CODEC_JSON
+        )
+        assert response["ok"]
+        assert protocol.decode_body(body, protocol.CODEC_JSON) == {"version": 2}
 
 
 class TestIncrementalSelection:
@@ -89,15 +96,16 @@ class TestIncrementalSelection:
         assert ds.version == version
 
     def test_log_counts_output_changes(self, ds):
-        # The session logs |dD|; the output change is the answer flip of the
-        # point query on the written key: the first row turns it true (dO=1),
-        # the second row of the same key leaves it true (dO=0).
+        # A write acknowledges its version only; the output change is the
+        # answer flip of the point query on the written key: the first row
+        # turns it true (dO=1), the second row of the same key leaves it
+        # true (dO=0).
         flips = 0
         for row in ((50000, 1), (50000, 2)):
             before = _point(ds, 50000)
-            log = ds.apply_changes([_insert(*row)])
+            ack = ds.apply_changes([_insert(*row)])
             flips += _point(ds, 50000) != before
-        assert log.input_changes == 2
+        assert ack == {"version": 2} and ds.version == 2
         assert flips == 1
 
     def test_batch_cost_bounded_by_changes_not_data(self):

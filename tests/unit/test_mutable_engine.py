@@ -31,9 +31,10 @@ import pytest
 
 import repro
 from repro.catalog import build_query_engine
+from repro.core.cost import CostTracker
 from repro.core.errors import DeltaError, ServiceError
 from repro.graphs.graph import Digraph
-from repro.incremental.changes import MAX_DETAILS, ChangeKind, EdgeChange, PointWrite, TupleChange
+from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
 from repro.queries import (
     fischer_heun_scheme,
     membership_class,
@@ -168,17 +169,15 @@ def test_delta_equals_full_rebuild_rmq():
 
 
 def test_the_change_log_counts_every_batch_but_keeps_only_recent_notes():
-    """A session's log lives as long as the session (on the wire, the
-    worker): 1 000 single-write batches count 1 000 input changes, while
-    the notes stay at most ``MAX_DETAILS``, the newest last."""
+    """A session lives as long as its worker, and keeps no log that grows
+    with it: the 1 000th single-write batch acknowledges its version and
+    nothing else."""
     with QueryEngine() as engine:
         engine.register("rmq", rmq_class(), fischer_heun_scheme())
         ds = _open(engine, "rmq", tuple(range(64)))
         for step in range(1000):
-            log = ds.apply_changes([PointWrite(step % 64, -step - 1)])
-        assert log.input_changes == 1000
-        assert 0 < len(log.details) <= MAX_DETAILS
-        assert log.details[-1].startswith("v1000:")
+            ack = ds.apply_changes([PointWrite(step % 64, -step - 1)])
+        assert ack == {"version": 1000}
         assert ds.query("rmq", (0, 63, 999 % 64)) is True
 
 
@@ -493,13 +492,52 @@ def test_point_writes_keep_delete_screening_in_step():
 
 
 def test_changelog_counts_each_change_once():
+    """A fully screened batch publishes nothing and acks the unchanged
+    version; a partly screened one publishes exactly one new version."""
     with QueryEngine() as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         ds = _open(engine, "membership", (1, 2, 3))
-        log = ds.apply_changes([_delete(42)])  # fully screened
-        assert log.input_changes == 1
-        log = ds.apply_changes([_insert(5), _delete(43)])  # partially screened
-        assert log.input_changes == 3
+        assert ds.apply_changes([_delete(42)]) == {"version": 0}  # fully screened
+        assert ds.apply_changes([_insert(5), _delete(43)]) == {"version": 1}  # partly
+        assert ds.apply_changes([_delete(44)]) == {"version": 1}
+        assert ds.version == 1 and ds.dataset() == (1, 2, 3, 5)
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
+@pytest.mark.parametrize("shards", [1, 4])
+def test_the_served_path_constructs_no_cost_tracker(monkeypatch, tmp_path, shards, stored):
+    """Serving keeps no cost ledger: attach, warm, reads and a write that
+    both folds a delta and falls back to a rebuild construct no
+    ``CostTracker``, while the analytic twin still charges the one a
+    caller passes."""
+    constructed = []
+    init = CostTracker.__init__
+
+    def spy(self):
+        constructed.append(type(self).__name__)
+        init(self)
+
+    monkeypatch.setattr(CostTracker, "__init__", spy)
+    rmq = fischer_heun_scheme()
+    rmq.sharding = None  # monolithic under any shard count: folds in place
+    store = ArtifactStore(str(tmp_path)) if stored else None
+    with QueryEngine(store=store) as engine:
+        engine.register("membership", membership_class(), sorted_run_scheme())
+        engine.register("rmq", rmq_class(), rmq)
+        ds = engine.attach("live", tuple(range(256)), shards=shards, mutable=True).warm()
+        assert ds.query("membership", 7) is True
+        assert ds.query_batch([("membership", -1), ("rmq", (0, 255, 0))]) == [False, True]
+        # A PointWrite: the RMQ folds it, the membership run rebuilds.
+        assert ds.apply_changes([PointWrite(9, -1)]) == {"version": 1}
+        assert ds.query("rmq", (0, 255, 9)) is True
+        assert ds.query_batch([("membership", -1), ("membership", 9)]) == [True, False]
+        per_kind = engine.stats().per_kind
+        assert per_kind["rmq"].delta_batches == 1
+        assert per_kind["membership"].fallback_rebuilds == 1
+        assert constructed == []
+        tracker = CostTracker()
+        assert ds.query_tracked("rmq", (0, 255, 9), tracker) is True
+        assert tracker.work > 0
 
 
 def test_mutable_attach_unknown_kind_and_unsupported_data():

@@ -27,7 +27,6 @@ from repro.core.query import PiScheme, state_codec
 from repro.graphs.graph import Digraph
 from repro.incremental.changes import (
     ChangeKind,
-    ChangeLog,
     EdgeChange,
     PointWrite,
     TupleChange,
@@ -315,7 +314,7 @@ def test_lineage_rejects_unstable_change_values():
     class Opaque:
         """Default repr embeds the memory address: unstable per process."""
 
-    content = MutableContent((1, 2, 3), CostTracker(), ChangeLog())
+    content = MutableContent((1, 2, 3))
     for change in (
         PointWrite(0, Opaque()),
         PointWrite(0, frozenset({1, 2})),  # iteration follows hash order
@@ -327,7 +326,7 @@ def test_lineage_rejects_unstable_change_values():
     content.validate([PointWrite(0, 2.5), PointWrite(1, True)])  # numbers order against ints
     assert content.working == [1, 2, 3]  # validation never mutates
     # A flat value must also order against flat content; rows hold any plain tuple.
-    rows = MutableContent([(0, "a", b"a", None, 0.5, False)], CostTracker(), ChangeLog())
+    rows = MutableContent([(0, "a", b"a", None, 0.5, False)])
     rows.validate([PointWrite(0, (1, "x", b"y", None, 2.5, True))])
 
 
