@@ -383,16 +383,6 @@ class Dataset:
                 f"served kinds: {self.kinds}"
             ) from None
 
-    def artifact_key(self, kind: str) -> ArtifactKey:
-        """The attach-time artifact identity of ``kind``.
-
-        Keyed by the attach-time fingerprint for every session: a mutable
-        session's later versions live in memory only, so the store holds
-        nothing under any other key for it.  Kinds whose schemes declare one
-        ``structure`` share the key.
-        """
-        return self.registration_for(kind).key(self._fingerprint)
-
     # -- serving ---------------------------------------------------------------
 
     def query(self, kind: str, query: Any) -> bool:
@@ -480,14 +470,14 @@ class Dataset:
 
     def _resolve(
         self, kind: str, content: Any, fingerprint: Optional[str] = None
-    ) -> Tuple[Any, str, Optional[bytes]]:
-        """``(structure, source, blob)`` serving ``kind`` over ``content``:
+    ) -> Tuple[Any, str]:
+        """``(structure, source)`` serving ``kind`` over ``content``:
         the one resolution per storage shape, through the engine's layers
         (cache -> store -> build).  A monolithic kind resolves by artifact key
         (an O(|D|) hash unless ``fingerprint`` is given); a sharded kind as a
         :class:`~repro.service.sharding.ShardedStructure` of every shard,
         each non-empty one resolved by its own key in plan order on this
-        thread (source ``"shards"``, no blob).
+        thread (source ``"shards"``).
         """
         engine = self._engine
         registration = self.registration_for(kind)
@@ -499,7 +489,7 @@ class Dataset:
                 )[0]
                 for shard in plan.planned
             )
-            return ShardedStructure(plan, structures), "shards", None
+            return ShardedStructure(plan, structures), "shards"
         key = registration.key(fingerprint or dataset_fingerprint(content))
         return engine._resolve_by_key(kind, registration, key, content)
 
@@ -637,7 +627,8 @@ class _MutableState:
     :class:`~repro.service.mutable.VersionedStructures`
     (left-right versioned publication: lock-free readers, writer-only
     mutex), and one lazily materialized serve plan **per served kind, per
-    left-right side**.  A change batch validates once, screens once, then
+    left-right side**.  A change batch validates once, folds into the
+    working copy in one pass that drops its no-op deletes, then
     maintains every materialized kind against the offline side --
     delta-capable monolithic kinds in place through ``apply_delta``,
     everything else by rebuilding from the post-batch content (sharded
@@ -652,6 +643,8 @@ class _MutableState:
         self._engine = ds._engine
         self._content = MutableContent(ds._data)
         self._versions = VersionedStructures()
+        #: key -> bytes a first touch held, kept until the next batch (see _private_pair)
+        self._blobs: Dict[ArtifactKey, bytes] = {}
 
     @property
     def version(self) -> int:
@@ -725,33 +718,63 @@ class _MutableState:
         At version 0 the session's attach-time fingerprint addresses the
         ordinary content-addressed artifacts, so warm cache/store resolution
         applies; later versions snapshot the working copy (one O(|D|) hash,
-        paid at materialization, not per request).  Delta-capable monolithic
-        kinds are privatized, both sides loading one blob (the bytes resolution
-        held, else one dump), so in-place maintenance never touches the cache's.
+        paid at materialization, not per request).  A kind that folds in
+        place takes its two instances from :meth:`_private_pair`.
         """
         versions = self._versions
         with versions.writer_mutex:
             self._ds._check_attached()
             if kind in versions.current.plans:
                 return
-            registration = self._ds.registration_for(kind)
             started = time.perf_counter()
             content, fingerprint = self._ds._data, self._ds._fingerprint
             if versions.current.number:
                 content, fingerprint = self._content.canonical(), None
-            scheme, dumps, loads = registration.scheme, 0, 0
-            structure, source, blob = self._ds._resolve(kind, content, fingerprint)
-            twin = structure
-            if _folds_in_place(registration):
-                if blob is None:
-                    blob, dumps = scheme.dump(structure), 1
-                structure, twin, loads = scheme.load(blob), scheme.load(blob), 2
-            plan = self._ds._bind(kind, structure)
-            twin_plan = plan if twin is structure else self._ds._bind(kind, twin)
+            dumps = loads = 0
+            if _folds_in_place(self._ds.registration_for(kind)):
+                structure, twin, source, dumps, loads = self._private_pair(
+                    kind, content, fingerprint
+                )
+                plan, twin_plan = self._ds._bind(kind, structure), self._ds._bind(kind, twin)
+            else:
+                structure, source = self._ds._resolve(kind, content, fingerprint)
+                plan = twin_plan = self._ds._bind(kind, structure)
             versions.install(kind, plan, twin_plan)
             _log.debug("materialized %r at v%d from %s: %d dump(s), %d load(s), %.1f ms",
                        kind, versions.current.number, source, dumps, loads,
                        (time.perf_counter() - started) * 1000.0)
+
+    def _private_pair(
+        self, kind: str, content: Any, fingerprint: Optional[str]
+    ) -> Tuple[Any, Any, str, int, int]:
+        """``(published, twin, source, dumps, loads)``: two instances of a
+        delta kind that no other session holds.
+
+        A cache miss publishes what the engine's store-or-build step made
+        (under the per-key build lock; persisted, never cached) and loads
+        the twin from the bytes it held (a build with no store dumps once).
+        A cache hit is shared: both sides load one dump of it.  The session
+        keeps the bytes until its next batch, so a kind sharing the
+        structure (point and range selection) loads both sides from them.
+        """
+        registration = self._ds.registration_for(kind)
+        scheme, engine = registration.scheme, self._engine
+        key = registration.key(fingerprint or dataset_fingerprint(content))
+        blob = self._blobs.get(key)
+        if blob is not None:
+            return scheme.load(blob), scheme.load(blob), "session", 0, 2
+        cached = engine._cache.get(key)
+        if cached is not None:
+            engine._bump(kind, cache_hits=1)
+            blob = self._blobs[key] = scheme.dump(cached)
+            return scheme.load(blob), scheme.load(blob), "cache", 1, 2
+        with engine._build_lock(key):
+            structure, source, blob = engine._store_or_build(kind, registration, key, content)
+        dumps = 0
+        if blob is None:
+            blob, dumps = scheme.dump(structure), 1
+        self._blobs[key] = blob
+        return structure, scheme.load(blob), source, dumps, 1
 
     def _twin(self, kind: str, plan: _ServePlan) -> _ServePlan:
         """The offline-side plan mirroring a published ``plan`` for ``kind``.
@@ -793,6 +816,7 @@ class _MutableState:
         :class:`~repro.core.errors.UnknownDatasetError`."""
         with self._versions.writer_mutex:
             self._versions.clear()
+            self._blobs.clear()
 
     # -- mutation --------------------------------------------------------------
 
@@ -824,7 +848,7 @@ class _MutableState:
         with versions.writer_mutex:
             self._ds._check_attached()
             self._content.validate(batch)
-            effective = self._content.screen(batch)
+            effective = self._content.apply(batch)
             if not effective:
                 return {"version": versions.current.number}
             offline = versions.offline
@@ -849,8 +873,6 @@ class _MutableState:
                         # below replaces the torn twin before publication.
                         torn_kinds.append(kind)
                 rebuild_kinds.append(kind)
-            for change in effective:
-                self._content.apply(change)
             number = versions.current.number + 1
             rebuilt: Dict[str, _ServePlan] = {}
             dropped: List[str] = []
@@ -874,6 +896,7 @@ class _MutableState:
                         break
                     offline[kind] = rebuilt[kind] = self._ds._bind(kind, fresh)
             versions.publish(number)
+            self._blobs.clear()
             for kind, seconds in delta_kinds:
                 self._engine._bump(
                     kind,

@@ -8,8 +8,8 @@ function of the change, not of |D|.  This module provides the write
 machinery the mutable :class:`~repro.service.dataset.Dataset` sessions are
 built on:
 
-* :class:`MutableContent` -- the private working copy of a dataset plus the
-  bag bookkeeping (validation, no-op screening, change application);
+* :class:`MutableContent` -- the private working copy of a dataset
+  (validation, and change application that drops no-op deletes);
 * :class:`VersionedStructures` -- left-right versioned snapshot publication:
   readers pin the current :class:`_Version` record -- one serve plan per
   materialized kind, the same plan class an immutable session serves
@@ -54,7 +54,6 @@ import math
 import threading
 import time
 import weakref
-from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import DeltaError, SchemaError, ServiceError
@@ -340,10 +339,10 @@ class MutableContent:
 
     Owns a private mutable copy of the dataset (list / relation / graph) --
     the caller's object is never touched, and a fallback rebuild always has
-    the post-batch content -- plus the bag bookkeeping that makes batch
-    validation and no-op screening O(1) per change.  The mutable
+    the post-batch content.  The copy screens its own phantom deletes (see
+    :meth:`apply`), so no bag counter is kept beside it.  The mutable
     :class:`~repro.service.dataset.Dataset` sessions delegate here, so the
-    change semantics (atomic validation, phantom-delete screening, working
+    change semantics (atomic validation, phantom-delete screening,
     application order) are defined exactly once.  It keeps no cost ledger
     and no change log: a screened no-op is dropped, and the one fact a
     batch acknowledges is the version its session publishes.
@@ -355,8 +354,12 @@ class MutableContent:
 
     def __init__(self, data: Any) -> None:
         self.working, self.row_shaped = self._copy_dataset(data)
-        self.counts: Counter = self._initial_counts()
-        self.row_ids = self._initial_row_ids()
+        #: A relation's live row -> row-id list: a delete is a lookup, not a scan.
+        self.row_ids: Optional[dict] = None
+        if _is_relation(self.working):
+            self.row_ids = {}
+            for row_id, row in self.working.scan():
+                self.row_ids.setdefault(row, []).append(row_id)
 
     # -- working copies --------------------------------------------------------
 
@@ -374,30 +377,14 @@ class MutableContent:
         if _is_graph(data):
             return type(data)(data.n, data.edges()), False
         if isinstance(data, (tuple, list)):
-            working = list(data)
-            row_shaped = bool(working) and isinstance(working[0], (tuple, list))
-            return working, row_shaped
+            row_shaped = bool(data) and isinstance(data[0], (tuple, list))
+            # Rows are tuples, as ``element`` makes them: a delete must find
+            # the row it names.
+            return list(map(tuple, data) if row_shaped else data), row_shaped
         raise ServiceError(
             f"mutable serving supports sequence, relation and graph datasets; "
             f"got {type(data).__name__}"
         )
-
-    def _initial_counts(self) -> Counter:
-        if _is_relation(self.working):
-            return Counter(self.working.rows())
-        if _is_graph(self.working):
-            return Counter()
-        return Counter(self.working)
-
-    def _initial_row_ids(self) -> Optional[dict]:
-        """Live row -> row-id list for relations, so deletes are O(1) lookups
-        instead of an O(|D|) scan on the write path."""
-        if not _is_relation(self.working):
-            return None
-        row_ids: dict = {}
-        for row_id, row in self.working.scan():
-            row_ids.setdefault(row, []).append(row_id)
-        return row_ids
 
     def element(self, row: Sequence[Any]) -> Any:
         """The dataset element a ``TupleChange.row`` denotes."""
@@ -415,14 +402,9 @@ class MutableContent:
         Always a new object, so a rebuilt structure can never alias the
         mutated working copy.
         """
-        if _is_relation(self.working):
-            copy = type(self.working)(self.working.schema)
-            for row in self.working.rows():
-                copy.insert(row)
-            return copy
-        if _is_graph(self.working):
-            return type(self.working)(self.working.n, self.working.edges())
-        return tuple(self.working)
+        if isinstance(self.working, list):
+            return tuple(self.working)
+        return self._copy_dataset(self.working)[0]
 
     # -- batch processing ------------------------------------------------------
 
@@ -433,11 +415,18 @@ class MutableContent:
         bools and lists -- so every field is type-checked here: a kind must
         be a :class:`ChangeKind`, a position or vertex exactly an ``int``
         (``True`` is refused), a payload value plain (see :func:`_plain`)
-        and an element hashable; a value added to flat content must order
-        against it (see :meth:`_refuse_unordered`).  :meth:`screen` and
-        :meth:`apply` then cannot raise half-way through a batch.
+        and an element hashable; a row's arity is the schema's or the first
+        element's, and a value added to flat content must order against it
+        (see :meth:`_refuse_unordered`).  :meth:`apply` then cannot raise
+        half-way through a batch.
         """
         added: List[Any] = []  # the values this batch adds to flat content
+        # The least length flat content can have at each change: counting
+        # every delete as taking effect keeps a later point write in range.
+        length = len(self.working) if isinstance(self.working, list) else 0
+        arity = self.working.schema.arity if _is_relation(self.working) else (
+            len(self.working[0]) if self.row_shaped and self.working else None
+        )
         for change in batch:
             if isinstance(change, (TupleChange, EdgeChange)) and not isinstance(
                 change.kind, ChangeKind
@@ -462,14 +451,11 @@ class MutableContent:
                         self.working.schema.validate_row(tuple(change.row))
                     except SchemaError as exc:
                         raise DeltaError(f"bad row {change.row!r}: {exc}") from exc
-                elif self.row_shaped and self.counts:
-                    arity = len(next(iter(self.counts)))
-                    if len(tuple(element)) != arity:
-                        raise DeltaError(
-                            f"row arity {len(tuple(element))} != dataset arity {arity}"
-                        )
+                elif arity is not None and len(element) != arity:
+                    raise DeltaError(f"row arity {len(element)} != dataset arity {arity}")
                 elif not self.row_shaped and change.kind is ChangeKind.INSERT:
                     added.append(element)
+                length += 1 if change.kind is ChangeKind.INSERT else -1
             elif isinstance(change, EdgeChange):
                 if not _is_graph(self.working):
                     raise DeltaError("EdgeChange targets a non-graph dataset")
@@ -487,10 +473,9 @@ class MutableContent:
                     raise DeltaError("PointWrite targets a non-positional dataset")
                 if type(change.position) is not int:
                     raise DeltaError(f"point-write position {change.position!r} is not an int")
-                if not 0 <= change.position < len(self.working):
+                if not 0 <= change.position < length:
                     raise DeltaError(
-                        f"point write at {change.position} outside "
-                        f"[0, {len(self.working)})"
+                        f"point write at {change.position} outside [0, {length})"
                     )
                 if not _plain(change.value) or not _hashable(change.value):
                     raise DeltaError(
@@ -525,58 +510,42 @@ class MutableContent:
                     f"value {value!r} does not order against {reference!r}"
                 ) from None
 
-    def screen(self, batch: Sequence[Any]) -> List[Any]:
-        """Drop no-op deletes (absent elements/edges) and track the bag counts.
+    def apply(self, batch: Sequence[Any]) -> List[Any]:
+        """Fold a validated batch into the working copy, in order; return the
+        changes that took effect.
 
-        Phantom deletes must never reach a delta hook: the per-attribute
-        selection indexes, for instance, would strip a payload a live row
-        still accounts for.  The element counter makes the check O(1) per
-        change.
+        A delete with nothing to remove is dropped: a flat element
+        ``list.remove`` cannot find (one scan per delete), a relation row
+        with no live id, an edge ``remove_edge`` does not hold.  Each change
+        sees every earlier one of its batch.  Phantom deletes must never
+        reach a delta hook: the per-attribute selection indexes, for
+        instance, would strip a payload a live row still accounts for.
         """
-        effective: List[Any] = []
-        overlay: dict = {}  # PointWrite positions already seen in this batch
+        working, effective = self.working, []
         for change in batch:
             if isinstance(change, TupleChange):
                 element = self.element(change.row)
-                if change.kind is ChangeKind.DELETE:
-                    if not self.counts[element]:
-                        continue
-                    self.counts[element] -= 1
+                if self.row_ids is not None:
+                    if change.kind is ChangeKind.INSERT:
+                        self.row_ids.setdefault(element, []).append(working.insert(element))
+                    else:
+                        live = self.row_ids.get(element)
+                        if not live:
+                            continue
+                        working.delete(live.pop())
+                elif change.kind is ChangeKind.INSERT:
+                    working.append(element)
                 else:
-                    self.counts[element] += 1
-            elif isinstance(change, EdgeChange) and change.kind is ChangeKind.DELETE:
-                if not self.working.has_edge(change.source, change.target):
+                    try:
+                        working.remove(element)
+                    except ValueError:
+                        continue
+            elif isinstance(change, EdgeChange):
+                if change.kind is ChangeKind.INSERT:
+                    working.add_edge(change.source, change.target)
+                elif not working.remove_edge(change.source, change.target):
                     continue
-            elif isinstance(change, PointWrite):
-                # An overwrite swaps one element of the bag for another; the
-                # overlay keeps repeated writes to one slot in step before
-                # the working copy itself is updated.
-                old = overlay.get(change.position, self.working[change.position])
-                self.counts[old] -= 1
-                self.counts[change.value] += 1
-                overlay[change.position] = change.value
+            else:  # PointWrite
+                working[change.position] = change.value
             effective.append(change)
         return effective
-
-    def apply(self, change: Any) -> None:
-        """Fold one (validated, screened) change into the working dataset."""
-        if isinstance(change, TupleChange):
-            element = self.element(change.row)
-            if _is_relation(self.working):
-                if change.kind is ChangeKind.INSERT:
-                    row_id = self.working.insert(element)
-                    self.row_ids.setdefault(element, []).append(row_id)
-                else:
-                    # Screened: the element is live, so the id map has it.
-                    self.working.delete(self.row_ids[element].pop())
-            elif change.kind is ChangeKind.INSERT:
-                self.working.append(element)
-            else:
-                self.working.remove(element)
-        elif isinstance(change, EdgeChange):
-            if change.kind is ChangeKind.INSERT:
-                self.working.add_edge(change.source, change.target)
-            else:
-                self.working.remove_edge(change.source, change.target)
-        else:  # PointWrite
-            self.working[change.position] = change.value

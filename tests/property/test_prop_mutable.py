@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.core.errors import DeltaError
 from repro.core.query import stable_seed
 from repro.graphs.graph import Digraph
 from repro.graphs.traversal import is_reachable
@@ -45,6 +47,7 @@ from repro.queries import (
     topk_class,
 )
 from repro.service.engine import QueryEngine
+from repro.service.mutable import MutableContent
 from repro.storage.relation import Relation
 from repro.storage.schema import AttributeType, Schema
 
@@ -355,16 +358,19 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
     """Point and range selection share one immutable artifact, so a mutable
     session must privatise per kind: were any tree aliased across kinds (or
     sides), one batch would fold into it twice and the answers would drift
-    from the naive evaluation -- the double-fold hazard."""
+    from the naive evaluation -- the double-fold hazard.  The second kind
+    decodes its sides from the bytes the first one's build held: one build,
+    and no cache entry for either."""
     with QueryEngine() as engine:
         point_class, range_class = point_selection_class(), range_selection_class()
         engine.register("point", point_class, btree_point_scheme())
         engine.register("range", range_class, btree_range_scheme())
         ds = _open(engine, _relation_of([(1, 2), (3, 4), (3, 9), (3, 9)]), "point", "range")
-        assert ds.artifact_key("point") == ds.artifact_key("range")
+        key = ds.registration_for("point").key(ds.fingerprint)
+        assert key == ds.registration_for("range").key(ds.fingerprint)
         stats = engine.stats().per_kind
         assert stats["point"].builds + stats["range"].builds == 1
-        cached = engine._cache.get(ds.artifact_key("point"), record=False)
+        assert engine._cache.get(key, record=False) is None
         for batch in [[]] + batches:
             if batch:
                 ds.apply_changes(
@@ -372,7 +378,6 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
                 )
             trees = _trees(ds, "point") + _trees(ds, "range")
             assert len({id(tree) for tree in trees}) == len(trees) == 8
-            assert all(tree is not shared for tree in trees for shared in cached.values())
             content = ds.dataset()
             for attribute in ("a", "b"):
                 for constant in range(0, 10):
@@ -381,8 +386,7 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
                     window = (attribute, constant, constant + 2)
                     expected = range_class.pair_in_language(content, window)
                     assert _ask(ds, "range", window) == expected
-        # The cache-shared artifact never saw a fold: it still is version 0.
-        assert sorted(cached["a"].keys()) == [1, 3, 3, 3]
+        assert len(engine._cache) == 0
 
 
 def _containers(structure):
@@ -406,12 +410,12 @@ def _containers(structure):
 @given(st.lists(st.tuples(st.integers(0, 39), st.integers(-5, 5)), max_size=8))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
-    """The same hazard one layer down: first touch (``_materialize``) decodes
-    the published structure and its offline twin from one blob, and a
-    rebuild is twinned through ``load(dump(...))`` (``_twin``), so no list or
-    typed column may be shared between the cache-held structure, the
-    published one and its offline twin -- an aliased sparse-table level
-    would be repaired twice, or under a pinned reader.  Fischer--Heun folds
+    """The same hazard one layer down: first touch (``_private_pair``)
+    publishes its build and decodes the offline twin from the bytes it held,
+    and a rebuild is twinned through ``load(dump(...))`` (``_twin``), so no
+    list or typed column may be shared between the published structure and
+    its offline twin -- an aliased sparse-table level would be repaired
+    twice, or under a pinned reader -- and neither kind has a cache entry.  Fischer--Heun folds
     each write in place; the sorted run refuses a PointWrite and takes the
     rebuild path (``_preprocess``, then ``_twin``)."""
     with QueryEngine() as engine:
@@ -419,7 +423,7 @@ def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
         engine.register("members", membership_class(), sorted_run_scheme())
         array_data = list(range(40, 0, -1))
         ds = _open(engine, tuple(array_data), "rmq", "members")
-        original = engine._cache.get(ds.artifact_key("rmq"), record=False)
+        assert len(engine._cache) == 0
         for write in [None] + writes:
             if write is not None:
                 ds.apply_changes([PointWrite(*write)])
@@ -429,18 +433,104 @@ def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
                 side[kind].resolve()
                 for side in (versions.current.plans, versions.offline)
                 for kind in ("rmq", "members")
-            ] + list(engine._cache._entries.values())
+            ]
             owned = [_containers(structure) for structure in held]
             assert all(owned) and sum(map(len, owned)) == len(set().union(*owned))
             for low in range(0, 40, 7):
                 leftmost = min(range(low, 40), key=lambda k: (array_data[k], k))
                 assert _ask(ds, "rmq", (low, 39, leftmost)) is True
             assert _ask(ds, "members", array_data[3]) is True
-        # The cache-shared structure never saw a fold: it still is version 0.
-        assert original.argmin_fast(0, 39) == 39 and original.value_at(0) == 40
+        assert len(engine._cache) == 0
         stats = engine.stats().per_kind
         assert stats["rmq"].fallback_rebuilds == 0
         assert stats["members"].fallback_rebuilds == stats["rmq"].delta_batches
+
+
+# -- the working copy screens its own no-op deletes ----------------------------
+
+small = st.integers(0, 3)
+contents = {
+    "flat": st.lists(small, max_size=6),
+    "rows": st.lists(st.tuples(small, small), min_size=1, max_size=6).flatmap(
+        lambda rows: st.sampled_from([rows, [list(row) for row in rows]])
+    ),
+    "relation": st.lists(st.tuples(small, small), max_size=6).map(_relation_of),
+    "graph": st.lists(st.tuples(small, small), max_size=6).map(lambda es: Digraph(4, es)),
+}
+
+
+def _changes(shape):
+    """Inserts, deletes (phantom and repeated ones among them: the values
+    are few) and, on sequences, point writes -- in range or not."""
+    kind = st.sampled_from([ChangeKind.INSERT, ChangeKind.DELETE])
+    if shape == "graph":
+        return st.builds(EdgeChange, kind, small, small)
+    row = st.tuples(small) if shape == "flat" else st.tuples(small, small)
+    change = st.builds(TupleChange, kind, row)
+    if shape == "relation":
+        return change
+    value = small if shape == "flat" else st.tuples(small, small)
+    return st.one_of(change, st.builds(PointWrite, st.integers(0, 4), value))
+
+
+def _bag(working):
+    if isinstance(working, Relation):
+        return Counter(working.rows())
+    if isinstance(working, Digraph):
+        return Counter(working.edges())
+    return Counter(working)
+
+
+def _counter_takes(bag, shadow, change):
+    """The bag-counter model of one change: does it take effect?  ``bag``
+    counts elements (a graph holds an edge at most once); ``shadow`` is the
+    sequence a point write reads its old value from."""
+    if isinstance(change, PointWrite):
+        bag[shadow[change.position]] -= 1
+        bag[change.value] += 1
+        shadow[change.position] = change.value
+        return True
+    if isinstance(change, EdgeChange):
+        element = (change.source, change.target)
+    else:
+        element = change.row[0] if len(change.row) == 1 else change.row
+    if change.kind is ChangeKind.INSERT:
+        bag[element] = 1 if isinstance(change, EdgeChange) else bag[element] + 1
+        if shadow is not None:
+            shadow.append(element)
+        return True
+    if not bag[element]:
+        return False
+    bag[element] -= 1
+    if shadow is not None:
+        shadow.remove(element)
+    return True
+
+
+@pytest.mark.parametrize("shape", sorted(contents))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_one_pass_apply_matches_a_bag_counter(shape, data):
+    """``MutableContent.apply`` screens and applies in one pass against the
+    working copy; a bag counter kept beside it decides the same: the same
+    changes take effect, the same bag remains, and a refused batch moves
+    nothing."""
+    initial = data.draw(contents[shape])
+    content = MutableContent(initial)
+    bag = _bag(content.working)
+    shadow = list(content.working) if isinstance(content.working, list) else None
+    for batch in data.draw(st.lists(st.lists(_changes(shape), max_size=6), max_size=6)):
+        before = _bag(content.working)
+        try:
+            content.validate(batch)
+        except DeltaError:
+            assert _bag(content.working) == before
+            continue
+        expected = [change for change in batch if _counter_takes(bag, shadow, change)]
+        assert content.apply(batch) == expected
+        assert _bag(content.working) == +bag
+        if shadow is not None:
+            assert content.working == shadow
 
 
 # -- deterministic 500+-step soaks ---------------------------------------------

@@ -401,7 +401,7 @@ def test_v1_artifact_is_a_miss_that_rebuilds(tmp_path, make_class, make_scheme, 
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         assert key.params.endswith(f"|v{version}")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version - 1))
         store.put(stale, pickle.dumps({"layout": "previous"}))
@@ -439,7 +439,7 @@ def test_v4_payload_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         assert key.params.endswith("|v7")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "4")
         store.put(stale, blob)
@@ -495,7 +495,7 @@ def _assert_previous_layout_never_opened(tmp_path, scheme, data, queries, versio
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         assert key.params.endswith(f"|v{scheme.artifact_version}")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(version))
         store.put(stale, blob)
@@ -596,7 +596,7 @@ def test_v5_word_relation_artifact_is_a_version_miss_that_rebuilds(tmp_path):
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         assert key.params.endswith("|v7")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + "5")
         store.put(stale, blob)
@@ -684,7 +684,7 @@ def test_lane_form_artifact_is_a_version_miss_that_rebuilds(tmp_path, name):
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         assert key.params.endswith(f"|v{version}")
         stale = ArtifactKey(key.fingerprint, key.scheme, key.params[:-1] + str(lane_version))
         store.put(stale, blob)
@@ -708,7 +708,8 @@ def test_tampered_patched_column_is_a_checksum_failure_that_rebuilds(tmp_path):
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
-        key = engine.attach("d", data).artifact_key("kind")
+        ds = engine.attach("d", data)
+        key = ds.registration_for("kind").key(ds.fingerprint)
         engine.dataset("d").query("kind", queries[0])
     healthy = store.get(key)
     first, gaps = pickle.loads(healthy)["run"]
@@ -755,7 +756,8 @@ def test_tampered_stack_mask_cuts_are_a_checksum_failure_that_rebuilds(tmp_path,
     store = ArtifactStore(tmp_path)
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
-        key = engine.attach("d", data).artifact_key("kind")
+        ds = engine.attach("d", data)
+        key = ds.registration_for("kind").key(ds.fingerprint)
         engine.dataset("d").query("kind", queries[0])
     healthy = store.get(key)
     state = pickle.loads(healthy)
@@ -784,7 +786,7 @@ def test_v1_format_file_is_a_version_miss_that_rebuilds(tmp_path):
     with QueryEngine(store=store) as engine:
         engine.register("kind", query_class, scheme)
         ds = engine.attach("d", data)
-        key = ds.artifact_key("kind")
+        key = ds.registration_for("kind").key(ds.fingerprint)
         payload = b"not a pickle: loading this would raise"
         header = json.dumps(
             {**key.as_header(), "payload_len": len(payload),

@@ -273,7 +273,7 @@ def test_invalidate_evicts_every_kind_in_one_call():
     ds = engine.attach("events", data, shards=4)
     ds.query("membership", 3)      # sharded resolve
     ds.query("rmq", (0, 9, 0))     # monolithic resolve
-    rmq_key = ds.artifact_key("rmq")
+    rmq_key = ds.registration_for("rmq").key(ds.fingerprint)
     assert engine._cache.get(rmq_key, record=False) is not None
 
     data.append(999)
@@ -302,7 +302,8 @@ def test_detach_spares_content_shared_with_another_session():
         # serve plan keeps answering; no rebuild, no spurious miss).
         assert stats.builds == 1 and stats.cache_hits >= 1
         second.detach()  # last holder: now the content really evicts
-        assert engine._cache.get(second.artifact_key("membership"), record=False) is None
+        key = second.registration_for("membership").key(second.fingerprint)
+        assert engine._cache.get(key, record=False) is None
 
 
 def test_invalidate_spares_content_shared_with_a_named_session():
@@ -327,7 +328,7 @@ def test_detach_evicts_cached_structures_and_plans():
     data = tuple(range(48))
     ds = engine.attach("events", data, shards=4)
     ds.warm()
-    rmq_key = ds.artifact_key("rmq")
+    rmq_key = ds.registration_for("rmq").key(ds.fingerprint)
     assert engine._cache.get(rmq_key, record=False) is not None
     ds.detach()
     assert engine._cache.get(rmq_key, record=False) is None
@@ -454,8 +455,9 @@ def test_one_session_serves_sharded_and_mutable_delta_kinds(tmp_path):
     # The delta-maintained rmq structure lives in memory; the store keeps
     # the version-0 artifact under the attach-time key and nothing newer.
     store = engine._store
-    assert store.get(ds.artifact_key("rmq")) is not None
-    assert ds.artifact_key("rmq").fingerprint == ds.fingerprint
+    rmq_key = ds.registration_for("rmq").key(ds.fingerprint)
+    assert store.get(rmq_key) is not None
+    assert rmq_key.fingerprint == ds.fingerprint
 
     engine.close()
     legacy.close()
@@ -536,8 +538,8 @@ def test_mutable_session_reuses_cache_shared_structures_safely():
 
 def test_mutable_session_with_non_serializable_delta_scheme():
     """There is no build-it-twice arm: a delta scheme without a codec is
-    refused at ``register``; with one, the session's private copies are
-    codec round trips and the cached build is never folded into."""
+    refused at ``register``; with one, the session's twin is a codec round
+    trip of its one build, and the cache holds neither side."""
     from repro.core.query import PiScheme, state_codec
     from repro.indexes.sorted_run import SortedRunIndex
 
@@ -560,8 +562,14 @@ def test_mutable_session_with_non_serializable_delta_scheme():
         assert ds.query("membership", 9) is True
         stats = engine.stats().per_kind["membership"]
         assert stats.delta_batches == 1 and stats.builds == 1
-        cached = engine._cache.get(ds.registration_for("membership").key(ds.fingerprint))
-        assert cached.values() == [1, 4, 5]  # privatized: the fold never reached it
+        key = ds.registration_for("membership").key(ds.fingerprint)
+        assert engine._cache.get(key, record=False) is None
+        versions = ds._mutable._versions
+        published, twin = (
+            side["membership"].resolve() for side in (versions.current.plans, versions.offline)
+        )
+        assert published is not twin
+        assert published.values() == twin.values() == [1, 4, 5, 9]  # each folded once
 
 
 def test_build_query_engine_attach_round_trip():

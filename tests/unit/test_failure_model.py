@@ -55,7 +55,8 @@ def test_corrupt_artifact_recovers_by_bounded_retry(tmp_path):
         stats = engine.stats().per_kind["list-membership"]
         assert stats.store_hits == 1  # the retry read the clean file
         assert stats.builds == 0  # recovery never fell back to a rebuild
-        assert store.contains(ds.artifact_key("list-membership"))
+        key = ds.registration_for("list-membership").key(ds.fingerprint)
+        assert store.contains(key)
 
 
 def test_corrupt_artifact_persistent_rebuilds_from_source(tmp_path):
@@ -236,5 +237,6 @@ def test_disk_full_sync_build_serves_from_memory(tmp_path):
         assert not ds.query("list-membership", 99)
         health = engine.stats().health()
         assert health["persist_failures"] == 1
-        assert not store.contains(ds.artifact_key("list-membership"))
+        key = ds.registration_for("list-membership").key(ds.fingerprint)
+        assert not store.contains(key)
         assert engine.stats().per_kind["list-membership"].builds == 1

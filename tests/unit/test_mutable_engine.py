@@ -279,7 +279,8 @@ def test_delta_batches_and_monolithic_rebuilds_add_no_store_key(tmp_path):
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
         ds = _open(engine, "membership", (1, 2, 3))
-        assert store.puts == [ds.artifact_key("membership")]  # version 0
+        # version 0
+        assert store.puts == [ds.registration_for("membership").key(ds.fingerprint)]
         keys = set(store.keys())
         ds.apply_changes([_insert(9), _delete(1)])  # delta
         ds.apply_changes([PointWrite(0, 50)])  # outside the hook: rebuild
@@ -345,7 +346,8 @@ def test_superseded_shard_plans_are_freed():
 
 def test_only_the_miss_path_puts_to_the_artifact_store():
     """Every key written is one ``_load_from_store`` asks for: the one
-    ``ArtifactStore.put`` in ``src/repro`` is in ``QueryEngine._resolve_miss``."""
+    ``ArtifactStore.put`` in ``src/repro`` is in the inside of the miss path,
+    ``QueryEngine._store_or_build``."""
     root = Path(repro.__file__).parent
     sites = []
     for path in sorted(root.rglob("*.py")):
@@ -353,7 +355,7 @@ def test_only_the_miss_path_puts_to_the_artifact_store():
             (path.relative_to(root).as_posix(), where)
             for where in _store_put_sites(ast.parse(path.read_text()))
         )
-    assert sites == [("service/engine.py", "QueryEngine._resolve_miss")]
+    assert sites == [("service/engine.py", "QueryEngine._store_or_build")]
 
 
 def _store_put_sites(tree):
@@ -399,7 +401,7 @@ def test_close_detaches_and_keeps_the_attach_artifact(tmp_path):
     engine.register("membership", membership_class(), sorted_run_scheme())
     ds = _open(engine, "membership", (1, 2, 3))
     ds.apply_changes([_insert(7)])
-    key = ds.artifact_key("membership")
+    key = ds.registration_for("membership").key(ds.fingerprint)
     assert key.fingerprint == ds.fingerprint  # the attach-time key, at any version
     engine.close()  # detaches the session too
     assert ds.detached
@@ -555,12 +557,12 @@ def test_mutable_attach_unknown_kind_and_unsupported_data():
 def _snapshot(ds):
     data = ds.dataset()
     content = sorted(data.edges()) if isinstance(data, Digraph) else data
-    return ds.version, content, +ds._mutable._content.counts
+    return ds.version, content
 
 
 def _refused(ds, batch):
-    """``batch`` is refused before anything moves: version, content and
-    bag counts are as they were."""
+    """``batch`` is refused before anything moves: version and content
+    are as they were."""
     before = _snapshot(ds)
     with pytest.raises(DeltaError):
         ds.apply_changes(batch)
@@ -594,6 +596,20 @@ def test_non_int_position_is_refused_before_the_counts_move():
         assert ds.version == 0 and ds.dataset() == (1, 2, 3)
         ds.apply_changes([PointWrite(1, 8)])
         _reads_match_oracle(engine, ds, "membership", range(10))
+
+
+def test_point_write_past_a_delete_of_its_batch_is_refused():
+    """A point write must stay in range even if every earlier delete of its
+    batch takes effect: one that fell past the shortened sequence raised
+    mid-batch, leaving the working copy ahead of the served structures."""
+    with build_query_engine() as engine:
+        ds = _open(engine, "list-membership", (5, 3, 1, 4))
+        _refused(ds, [_delete(5), PointWrite(3, 9)])
+        _refused(ds, [_delete(7), PointWrite(3, 9)])  # a phantom delete counts too
+        _reads_match_oracle(engine, ds, "list-membership", range(10))
+        ds.apply_changes([_delete(5), PointWrite(2, 9)])
+        assert ds.version == 1 and ds.dataset() == (3, 1, 9)
+        _reads_match_oracle(engine, ds, "list-membership", range(10))
 
 
 def test_malformed_graph_change_is_refused_before_the_edge_lands():
@@ -654,34 +670,80 @@ def test_change_kind_outside_the_enum_is_refused():
         _reads_match_oracle(engine, graph, "reachability", [(0, 1), (1, 0)])
 
 
-# -- privatisation: both sides from one blob -----------------------------------
+# -- privatisation: one build published, one load for the twin ----------------
 
 
 def _counting_engine(store, counts):
-    """An engine serving ``rmq`` (Fischer--Heun, its codec wrapped in call
-    counters) and ``members`` (the sorted run)."""
+    """An engine serving ``rmq`` (Fischer--Heun, each scheme entry point
+    ``counts`` names wrapped in a call counter) and ``members`` (the sorted
+    run)."""
     scheme = fischer_heun_scheme()
 
-    def dump(structure):
-        counts["dump"] += 1
-        return scheme.dump(structure)
+    def counted(name):
+        call = getattr(scheme, name)
 
-    def load(blob):
-        counts["load"] += 1
-        return scheme.load(blob)
+        def counting(*args):
+            counts[name] += 1
+            return call(*args)
+
+        return counting
 
     engine = QueryEngine(store=store)
-    engine.register("rmq", rmq_class(), replace(scheme, dump=dump, load=load))
+    engine.register("rmq", rmq_class(), replace(scheme, **{name: counted(name) for name in counts}))
     engine.register("members", membership_class(), sorted_run_scheme())
     return engine
 
 
+@pytest.mark.parametrize("store", ["none", "empty", "populated"])
+def test_first_touch_of_a_delta_kind_is_one_resolution_and_one_load(tmp_path, store):
+    """A mutable session's first touch publishes what its store load or
+    build produced and loads the offline twin once from the bytes that
+    resolution held: one ``load`` beyond a store read, a build only on an
+    empty store, at most one ``dump``, and no engine-cache entry."""
+    data = tuple(range(64, 0, -1))
+    if store == "populated":
+        with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
+            engine.attach("warm", data, kinds=["rmq"]).warm()
+    counts = {"preprocess": 0, "dump": 0, "load": 0}
+    root = None if store == "none" else ArtifactStore(tmp_path)
+    with _counting_engine(root, counts) as engine:
+        ds = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        assert _ask(ds, "rmq", (0, 63, 63)) is True
+        store_hits = engine.stats().per_kind["rmq"].store_hits
+        assert store_hits == (store == "populated")
+        assert counts["load"] == 1 + store_hits
+        assert counts["preprocess"] == (store != "populated")
+        assert counts["dump"] <= 1
+        key = ds.registration_for("rmq").key(ds.fingerprint)
+        assert engine._cache.get(key, record=False) is None
+
+
+def test_an_immutable_session_after_a_mutable_one_reads_the_store(tmp_path):
+    """The mutable session persisted its build but cached nothing: an
+    immutable session on the same content resolves as a store hit and keeps
+    answering version 0 while the mutable one writes."""
+    data = tuple(range(64, 0, -1))
+    with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
+        live = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        assert _ask(live, "rmq", (0, 63, 63)) is True
+        frozen = engine.attach("frozen", data, kinds=["rmq"])
+        assert _ask(frozen, "rmq", (0, 63, 63)) is True
+        stats = engine.stats().per_kind["rmq"]
+        assert (stats.builds, stats.store_hits, stats.cache_hits) == (1, 1, 0)
+        live.apply_changes([PointWrite(10, -1)])
+        assert _ask(live, "rmq", (0, 63, 10)) is True
+        assert _ask(frozen, "rmq", (0, 63, 63)) is True
+        assert frozen.dataset() == data
+
+
 @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
 def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, stored):
-    """First touch of a mutable delta kind: one build, one dump at most (the
-    one the build persisted is reused), and exactly two loads -- the
-    published side and its offline twin -- none counted as a build or a
-    store hit; a restarted engine decodes the stored file and dumps nothing."""
+    """First touch of a mutable delta kind: one build, published as it is,
+    one dump at most (the one the build persisted is reused) and one load --
+    the offline twin -- counted as neither a build nor a store hit, and no
+    side in the engine cache; a restarted engine publishes what it decoded
+    from the stored file, loads the twin from the same bytes and dumps
+    nothing."""
     data = tuple(range(64, 0, -1))
     counts = {"dump": 0, "load": 0}
     with _counting_engine(ArtifactStore(tmp_path) if stored else None, counts) as engine:
@@ -689,12 +751,10 @@ def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, s
         assert _ask(ds, "rmq", (0, 63, 63)) is True
         stats = engine.stats().per_kind["rmq"]
         assert (stats.builds, stats.store_hits, stats.cache_hits) == (1, 0, 0)
-        assert counts == {"dump": 1, "load": 2}
+        assert counts == {"dump": 1, "load": 1}
         versions = ds._mutable._versions
-        cached = engine._cache.get(ds.artifact_key("rmq"), record=False)
         sides = [side["rmq"].resolve() for side in (versions.current.plans, versions.offline)]
-        sides.append(cached)
-        assert len({id(structure) for structure in sides}) == 3
+        assert sides[0] is not sides[1] and len(engine._cache) == 0
     if not stored:
         return
     counts.update(dump=0, load=0)
@@ -703,7 +763,7 @@ def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, s
         assert _ask(ds, "rmq", (3, 63, 63)) is True
         stats = engine.stats().per_kind["rmq"]
         assert (stats.builds, stats.store_hits) == (0, 1)
-        assert counts == {"dump": 0, "load": 3}
+        assert counts == {"dump": 0, "load": 2}
 
 
 def test_each_mutable_materialization_emits_one_debug_record(tmp_path, caplog):
@@ -712,23 +772,28 @@ def test_each_mutable_materialization_emits_one_debug_record(tmp_path, caplog):
     assert not logging.getLogger("repro.service.dataset").handlers
     caplog.set_level(logging.DEBUG, logger="repro.service.dataset")
     data = tuple(range(64, 0, -1))
-    with _counting_engine(ArtifactStore(tmp_path), {"dump": 0, "load": 0}) as engine:
+    with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
         live = engine.attach("live", data, kinds=["rmq", "members"], mutable=True)
         assert live.query("rmq", (0, 63, 63)) is True
         live.apply_changes([PointWrite(0, 0)])
         assert live.query("members", 0) is True        # first touch at v1
         other = engine.attach("other", data, kinds=["rmq"], mutable=True)
         assert other.query("rmq", (0, 63, 63)) is True
-        live.detach()
-        other.detach()
-    with _counting_engine(ArtifactStore(tmp_path), {"dump": 0, "load": 0}) as engine:
+        frozen = engine.attach("frozen", data, kinds=["rmq"])  # fills the cache
+        assert frozen.query("rmq", (0, 63, 63)) is True
+        third = engine.attach("third", data, kinds=["rmq"], mutable=True)
+        assert third.query("rmq", (0, 63, 63)) is True
+        for session in (live, other, frozen, third):
+            session.detach()
+    with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
         assert engine.attach("again", data, kinds=["rmq"], mutable=True).query("rmq", (0, 1, 1))
     records = [r for r in caplog.records if r.name == "repro.service.dataset"]
     assert {r.levelno for r in records} == {logging.DEBUG}
     assert [r.args[:5] for r in records] == [
-        ("rmq", 0, "build", 0, 2),      # the persisted dump is the blob
-        ("members", 1, "build", 0, 2),  # first touched after a batch: v1 content
-        ("rmq", 0, "cache", 1, 2),      # a cache hit holds no bytes: one dump
-        ("rmq", 0, "store", 0, 2),      # the file it read is the blob
+        ("rmq", 0, "build", 0, 1),      # the persisted dump is the blob
+        ("members", 1, "build", 0, 1),  # first touched after a batch: v1 content
+        ("rmq", 0, "store", 0, 1),      # no cache entry: the file it read
+        ("rmq", 0, "cache", 1, 2),      # a cache hit is shared: one dump, two loads
+        ("rmq", 0, "store", 0, 1),      # restarted: the file it read is the blob
     ]
     assert all(r.args[5] >= 0 for r in records)

@@ -212,6 +212,11 @@ def test_store_rejects_key_mismatch(tmp_path):
         store.get(other)
 
 
+def _session_key(ds, kind):
+    """The attach-time artifact key a session resolves ``kind`` under."""
+    return ds.registration_for(kind).key(ds.fingerprint)
+
+
 def test_scheme_artifact_version_changes_artifact_identity():
     # One engine per layout: two versions of one structure cannot be
     # registered side by side (see the structure-sharing tests below).
@@ -221,7 +226,7 @@ def test_scheme_artifact_version_changes_artifact_identity():
         scheme.artifact_version = version
         engine = QueryEngine()
         engine.register("m", membership_class(), scheme)
-        keys.append(engine.attach("d", (3, 1, 2)).artifact_key("m"))
+        keys.append(_session_key(engine.attach("d", (3, 1, 2)), "m"))
     assert keys[0] != keys[1]
     assert keys[0].fingerprint == keys[1].fingerprint
     assert keys[0].scheme == keys[1].scheme
@@ -352,7 +357,7 @@ def test_engine_recovers_from_corrupt_artifact(tmp_path):
     data = tuple(range(64))
     with QueryEngine(store=store) as engine:
         engine.register("membership", membership_class(), sorted_run_scheme())
-        key = engine.attach("d", data).warm().artifact_key("membership")
+        key = _session_key(engine.attach("d", data).warm(), "membership")
         path = store._path(key)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01
@@ -400,10 +405,10 @@ def test_fingerprint_memo_is_content_based():
     """Artifact identity is a function of content, never of object identity."""
     engine = QueryEngine()
     engine.register("membership", membership_class(), sorted_run_scheme())
-    left = engine.attach("left", (1, 2, 3)).artifact_key("membership")
-    right = engine.attach("right", tuple([1, 2, 3])).artifact_key("membership")
+    left = _session_key(engine.attach("left", (1, 2, 3)), "membership")
+    right = _session_key(engine.attach("right", tuple([1, 2, 3])), "membership")
     assert left == right  # distinct objects, equal content
-    assert left != engine.attach("other", (1, 2, 4)).artifact_key("membership")
+    assert left != _session_key(engine.attach("other", (1, 2, 4)), "membership")
 
 
 def test_invalidate_after_in_place_mutation():
@@ -530,7 +535,7 @@ def test_selection_kinds_share_one_build_and_one_artifact(tmp_path):
     with build_query_engine(store=store) as first:
         relation, triples = _selection_workload(first)
         ds = first.attach("rel", relation, kinds=list(SELECTION_KINDS)).warm()
-        assert ds.artifact_key("point-selection") == ds.artifact_key("range-selection")
+        assert _session_key(ds, "point-selection") == _session_key(ds, "range-selection")
         counts = _resolutions(first)
         assert (counts["builds"], counts["cache_hits"], counts["store_hits"]) == (1, 1, 0)
         assert len(list(tmp_path.glob("*/*.pia"))) == 1
@@ -572,7 +577,7 @@ def test_detach_evicts_a_shared_structure_once(monkeypatch):
     with build_query_engine() as engine:
         relation, _ = _selection_workload(engine, size=64)
         ds = engine.attach("rel", relation, kinds=list(SELECTION_KINDS)).warm()
-        key = ds.artifact_key("point-selection")
+        key = _session_key(ds, "point-selection")
         invalidated = []
         invalidate = engine._cache.invalidate
         monkeypatch.setattr(
@@ -610,8 +615,8 @@ def test_register_refuses_one_structure_with_two_builders_or_layouts():
     # Same structure, same builder, same codec, same version: shared.
     engine.register("b", membership_class(), _set_scheme("set-b", build, structure="the-set"))
     ds = engine.attach("d", (1, 2, 3))
-    assert ds.artifact_key("a") == ds.artifact_key("b")
-    assert ds.artifact_key("a").scheme == "the-set"
+    assert _session_key(ds, "a") == _session_key(ds, "b")
+    assert _session_key(ds, "a").scheme == "the-set"
 
     with pytest.raises(ServiceError, match="claim structure 'the-set'"):
         engine.register(
@@ -636,7 +641,7 @@ def test_register_refuses_one_structure_with_two_builders_or_layouts():
     # (or refused) unless a scheme says so.
     assert _set_scheme("plain", build).structure == "plain"
     engine.register("c", membership_class(), _set_scheme("set-c", build))
-    assert ds.artifact_key("a") != engine.attach("e", (1, 2, 3)).artifact_key("c")
+    assert _session_key(ds, "a") != _session_key(engine.attach("e", (1, 2, 3)), "c")
     engine.close()
 
 

@@ -286,7 +286,7 @@ def test_resolve_then_answer_matches_execute_and_keeps_stats_invariant():
         query_class, _ = engine.registration(kind)
         data, queries = query_class.sample_workload(48, 21, 6)
         ds = engine.attach("d", data, kinds=[kind], shards=4)
-        sharded, source, _ = ds._resolve(kind, data)
+        sharded, source = ds._resolve(kind, data)
         assert source == "shards" and isinstance(sharded, ShardedStructure)
         assert None not in sharded.structures  # a full ShardedStructure
         kernel = ShardedKernel(ds.registration_for(kind))
