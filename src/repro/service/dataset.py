@@ -82,7 +82,6 @@ from typing import (
 
 from repro.core.cost import NULL_TRACKER, CostTracker, ensure_tracker
 from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
-from repro.service.artifacts import ArtifactKey
 from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
 from repro.storage.fingerprint import dataset_fingerprint
@@ -491,7 +490,7 @@ class Dataset:
             )
             return ShardedStructure(plan, structures), "shards"
         key = registration.key(fingerprint or dataset_fingerprint(content))
-        return engine._resolve_by_key(kind, registration, key, content)
+        return engine._resolve_by_key(kind, registration, key, content)[:2]
 
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.
@@ -643,8 +642,6 @@ class _MutableState:
         self._engine = ds._engine
         self._content = MutableContent(ds._data)
         self._versions = VersionedStructures()
-        #: key -> bytes a first touch held, kept until the next batch (see _private_pair)
-        self._blobs: Dict[ArtifactKey, bytes] = {}
 
     @property
     def version(self) -> int:
@@ -750,31 +747,32 @@ class _MutableState:
         """``(published, twin, source, dumps, loads)``: two instances of a
         delta kind that no other session holds.
 
-        A cache miss publishes what the engine's store-or-build step made
-        (under the per-key build lock; persisted, never cached) and loads
-        the twin from the bytes it held (a build with no store dumps once).
-        A cache hit is shared: both sides load one dump of it.  The session
-        keeps the bytes until its next batch, so a kind sharing the
-        structure (point and range selection) loads both sides from them.
+        A structure held elsewhere is shared, so both sides load one dump of
+        it: a kind this session already serves over the same structure
+        (point and range selection), else an engine-cache hit.  Otherwise
+        the engine resolves without caching; the store load or build is
+        published, and the twin loads from the bytes it held (a build with
+        no store dumps once).
         """
         registration = self._ds.registration_for(kind)
-        scheme, engine = registration.scheme, self._engine
-        key = registration.key(fingerprint or dataset_fingerprint(content))
-        blob = self._blobs.get(key)
-        if blob is not None:
-            return scheme.load(blob), scheme.load(blob), "session", 0, 2
-        cached = engine._cache.get(key)
-        if cached is not None:
-            engine._bump(kind, cache_hits=1)
-            blob = self._blobs[key] = scheme.dump(cached)
-            return scheme.load(blob), scheme.load(blob), "cache", 1, 2
-        with engine._build_lock(key):
-            structure, source, blob = engine._store_or_build(kind, registration, key, content)
-        dumps = 0
-        if blob is None:
-            blob, dumps = scheme.dump(structure), 1
-        self._blobs[key] = blob
-        return structure, scheme.load(blob), source, dumps, 1
+        scheme = registration.scheme
+        for other, plan in self._versions.current.plans.items():
+            shared = self._ds.registration_for(other)
+            if _folds_in_place(shared) and shared.key("") == registration.key(""):
+                structure, source = plan.resolve(), "session"
+                break
+        else:
+            key = registration.key(fingerprint or dataset_fingerprint(content))
+            structure, source, blob = self._engine._resolve_by_key(
+                kind, registration, key, content, fill_cache=False
+            )
+            if source != "cache":
+                dumps = 0
+                if blob is None:
+                    blob, dumps = scheme.dump(structure), 1
+                return structure, scheme.load(blob), source, dumps, 1
+        blob = scheme.dump(structure)
+        return scheme.load(blob), scheme.load(blob), source, 1, 2
 
     def _twin(self, kind: str, plan: _ServePlan) -> _ServePlan:
         """The offline-side plan mirroring a published ``plan`` for ``kind``.
@@ -816,7 +814,6 @@ class _MutableState:
         :class:`~repro.core.errors.UnknownDatasetError`."""
         with self._versions.writer_mutex:
             self._versions.clear()
-            self._blobs.clear()
 
     # -- mutation --------------------------------------------------------------
 
@@ -896,7 +893,6 @@ class _MutableState:
                         break
                     offline[kind] = rebuilt[kind] = self._ds._bind(kind, fresh)
             versions.publish(number)
-            self._blobs.clear()
             for kind, seconds in delta_kinds:
                 self._engine._bump(
                     kind,

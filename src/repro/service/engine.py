@@ -74,11 +74,8 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
-from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cost import NULL_TRACKER
 from repro.core.errors import (
@@ -607,72 +604,78 @@ class QueryEngine:
     # -- artifact resolution ---------------------------------------------------
 
     def _resolve_by_key(
-        self, kind: str, registration: _Registration, key: ArtifactKey, content: Any
-    ) -> Tuple[Any, str]:
+        self, kind: str, registration: _Registration, key: ArtifactKey, content: Any,
+        fill_cache: bool = True,
+    ) -> Tuple[Any, str, Optional[bytes]]:
         """Cache -> store -> build resolution for a known key -- a monolithic
         structure's or one shard's.
 
-        Called only by ``Dataset._resolve`` (:mod:`repro.service.dataset`),
-        so the probe / stat-bump / miss sequence exists exactly once.  A miss
-        takes the per-key build lock, rechecks, then resolves through
-        :meth:`_store_or_build` and fills the cache.  Returns (structure,
-        cache|store|build).
+        Called only by ``Dataset._resolve`` and, with ``fill_cache=False``
+        for a structure it will fold into, a mutable session's
+        ``_MutableState._private_pair`` (:mod:`repro.service.dataset`), so
+        the probe / stat-bump / miss sequence exists exactly once (returns
+        :meth:`_resolve_miss`'s triple).
         """
         structure = self._cache.get(key)
-        if structure is None:
-            with self._build_lock(key):
-                # Recheck without recording: this lookup was already counted
-                # as a miss above, and a hit here only means another thread
-                # finished the build first.
-                structure = self._cache.get(key, record=False)
-                if structure is None:
-                    structure, source, _blob = self._store_or_build(
-                        kind, registration, key, content
-                    )
-                    self._cache.put(key, structure)
-                    return structure, source
-        self._bump(kind, cache_hits=1)
-        return structure, "cache"
+        if structure is not None:
+            self._bump(kind, cache_hits=1)
+            return structure, "cache", None
+        return self._resolve_miss(kind, registration, key, content, fill_cache)
 
-    @contextmanager
-    def _build_lock(self, key: ArtifactKey) -> Iterator[None]:
-        """Hold ``key``'s build lock (one at a time: callers resolving several
-        keys in any order cannot deadlock).  The lock leaves the map on exit,
-        so the map stays bounded by in-flight builds; a thread still blocked
-        on it serializes against its cohort, and a later misser finds the
-        cache populated on recheck -- worst case one redundant build."""
+    def _resolve_miss(
+        self,
+        kind: str,
+        registration: _Registration,
+        key: ArtifactKey,
+        data: Any,
+        fill_cache: bool,
+    ) -> Tuple[Any, str, Optional[bytes]]:
+        """Cache-miss path of :meth:`_resolve_by_key`.
+
+        The caller has already probed the cache (and recorded the miss);
+        this takes the per-key build lock, rechecks, then loads from the
+        store or builds and persists, and caches the result if
+        ``fill_cache``.  It holds one build lock at a time, so callers
+        resolving several keys in any order cannot deadlock.  Returns
+        (structure, cache|store|build, bytes held).
+        """
         with self._build_locks_guard:
             lock = self._build_locks.setdefault(key, threading.Lock())
         try:
             with lock:
-                yield
+                # Recheck without recording: this lookup was already counted
+                # as a miss above, and a hit here only means another thread
+                # finished the build first.
+                structure = self._cache.get(key, record=False)
+                if structure is not None:
+                    self._bump(kind, cache_hits=1)
+                    return structure, "cache", None
+                structure, blob = self._load_from_store(kind, registration, key)
+                source = "store" if structure is not None else "build"
+                if structure is None:
+                    started = time.perf_counter()
+                    structure = registration.scheme.preprocess(data, NULL_TRACKER)
+                    self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
+                    if self._store is not None:
+                        try:
+                            blob = registration.scheme.dump(structure)
+                            self._store.put(key, blob)
+                        except OSError:
+                            # Disk full / unwritable store: the build still
+                            # serves from memory; only durability is lost,
+                            # and the counter makes that observable.
+                            self._bump(kind, persist_failures=1)
+                if fill_cache:
+                    self._cache.put(key, structure)
         finally:
+            # Drop the per-key lock so the map stays bounded by in-flight
+            # builds, not by every key ever seen.  A thread still blocked on
+            # the dropped lock serializes against its cohort; a later misser
+            # gets a fresh lock and finds the cache populated on recheck --
+            # worst case one redundant build, never a wrong answer.
             with self._build_locks_guard:
                 self._build_locks.pop(key, None)
-
-    def _store_or_build(
-        self, kind: str, registration: _Registration, key: ArtifactKey, data: Any
-    ) -> Tuple[Any, str, Optional[bytes]]:
-        """The miss path's inside: a store load, else a build that is
-        persisted.  It never touches the cache, so a mutable session calls it
-        directly (under :meth:`_build_lock`) for a structure of its own.
-        Returns (structure, store|build, bytes held)."""
-        structure, blob = self._load_from_store(kind, registration, key)
-        if structure is not None:
-            return structure, "store", blob
-        started = time.perf_counter()
-        structure = registration.scheme.preprocess(data, NULL_TRACKER)
-        self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
-        if self._store is not None:
-            try:
-                blob = registration.scheme.dump(structure)
-                self._store.put(key, blob)
-            except OSError:
-                # Disk full / unwritable store: the build still serves from
-                # memory; only durability is lost, and the counter makes
-                # that observable.
-                self._bump(kind, persist_failures=1)
-        return structure, "build", blob
+        return structure, source, blob
 
     def _load_from_store(
         self, kind: str, registration: _Registration, key: ArtifactKey
@@ -747,7 +750,7 @@ class QueryEngine:
         """Evict one content identity's cached monolithic structures, for
         every registered kind.  The detached session's serve plans went with
         :meth:`Dataset._release`; the build-lock map needs nothing, since
-        :meth:`_build_lock` drops every lock it takes."""
+        :meth:`_resolve_miss` drops every lock it takes."""
         # Kinds sharing a structure share a key: invalidate each key once.
         for key in {r.key(fingerprint) for r in tuple(self._registrations.values())}:
             self._cache.invalidate(key)

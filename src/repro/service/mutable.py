@@ -416,14 +416,15 @@ class MutableContent:
         be a :class:`ChangeKind`, a position or vertex exactly an ``int``
         (``True`` is refused), a payload value plain (see :func:`_plain`)
         and an element hashable; a row's arity is the schema's or the first
-        element's, and a value added to flat content must order against it
-        (see :meth:`_refuse_unordered`).  :meth:`apply` then cannot raise
-        half-way through a batch.
+        element's, a point write's position is in range of what the earlier
+        changes of its batch leave, and a value added to flat content must
+        order against it (see :meth:`_refuse_unordered`).  :meth:`apply`
+        then cannot raise half-way through a batch.
         """
         added: List[Any] = []  # the values this batch adds to flat content
-        # The least length flat content can have at each change: counting
-        # every delete as taking effect keeps a later point write in range.
+        # The most a sequence can hold at each change: deletes only shorten it.
         length = len(self.working) if isinstance(self.working, list) else 0
+        deleted = shortened = False  # a delete; a point write after one
         arity = self.working.schema.arity if _is_relation(self.working) else (
             len(self.working[0]) if self.row_shaped and self.working else None
         )
@@ -455,7 +456,10 @@ class MutableContent:
                     raise DeltaError(f"row arity {len(element)} != dataset arity {arity}")
                 elif not self.row_shaped and change.kind is ChangeKind.INSERT:
                     added.append(element)
-                length += 1 if change.kind is ChangeKind.INSERT else -1
+                if change.kind is ChangeKind.INSERT:
+                    length += 1
+                else:
+                    deleted = True
             elif isinstance(change, EdgeChange):
                 if not _is_graph(self.working):
                     raise DeltaError("EdgeChange targets a non-graph dataset")
@@ -484,9 +488,18 @@ class MutableContent:
                     )
                 if not self.row_shaped:
                     added.append(change.value)
+                shortened = shortened or deleted
             else:
                 raise DeltaError(f"unknown change record {type(change).__name__}")
         self._refuse_unordered(added)
+        if shortened:
+            # Whether a delete takes effect depends on every change before it:
+            # a dry run on a copy finds the length each point write meets.
+            trial = list(self.working)
+            for change in batch:
+                if isinstance(change, PointWrite) and change.position >= len(trial):
+                    raise DeltaError(f"point write at {change.position} outside [0, {len(trial)})")
+                self._take(trial, change)
 
     def _refuse_unordered(self, values: List[Any]) -> None:
         """Refuse a float NaN, or a value ``<`` cannot order against the flat
@@ -515,37 +528,40 @@ class MutableContent:
         changes that took effect.
 
         A delete with nothing to remove is dropped: a flat element
-        ``list.remove`` cannot find (one scan per delete), a relation row
-        with no live id, an edge ``remove_edge`` does not hold.  Each change
-        sees every earlier one of its batch.  Phantom deletes must never
-        reach a delta hook: the per-attribute selection indexes, for
-        instance, would strip a payload a live row still accounts for.
+        ``list.remove`` cannot find (one scan per delete, a whole one when
+        the element is absent), a relation row with no live id, an edge
+        ``remove_edge`` does not hold.  Each change sees every earlier one
+        of its batch.  Phantom deletes must never reach a delta hook: the
+        per-attribute selection indexes, for instance, would strip a payload
+        a live row still accounts for.
         """
-        working, effective = self.working, []
-        for change in batch:
-            if isinstance(change, TupleChange):
-                element = self.element(change.row)
-                if self.row_ids is not None:
-                    if change.kind is ChangeKind.INSERT:
-                        self.row_ids.setdefault(element, []).append(working.insert(element))
-                    else:
-                        live = self.row_ids.get(element)
-                        if not live:
-                            continue
-                        working.delete(live.pop())
-                elif change.kind is ChangeKind.INSERT:
-                    working.append(element)
-                else:
-                    try:
-                        working.remove(element)
-                    except ValueError:
-                        continue
-            elif isinstance(change, EdgeChange):
+        return [change for change in batch if self._take(self.working, change)]
+
+    def _take(self, working: Any, change: Any) -> bool:
+        """Fold one change into ``working`` (the working copy, or the copy
+        :meth:`validate` dry-runs a batch on); False if nothing was removed."""
+        if isinstance(change, TupleChange):
+            element = self.element(change.row)
+            if self.row_ids is not None:
                 if change.kind is ChangeKind.INSERT:
-                    working.add_edge(change.source, change.target)
-                elif not working.remove_edge(change.source, change.target):
-                    continue
-            else:  # PointWrite
-                working[change.position] = change.value
-            effective.append(change)
-        return effective
+                    self.row_ids.setdefault(element, []).append(working.insert(element))
+                    return True
+                live = self.row_ids.get(element)
+                if not live:
+                    return False
+                working.delete(live.pop())
+            elif change.kind is ChangeKind.INSERT:
+                working.append(element)
+            else:
+                try:
+                    working.remove(element)
+                except ValueError:
+                    return False
+        elif isinstance(change, EdgeChange):
+            if change.kind is ChangeKind.INSERT:
+                working.add_edge(change.source, change.target)
+            else:
+                return working.remove_edge(change.source, change.target)
+        else:  # PointWrite
+            working[change.position] = change.value
+        return True

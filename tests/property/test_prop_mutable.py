@@ -359,8 +359,8 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
     session must privatise per kind: were any tree aliased across kinds (or
     sides), one batch would fold into it twice and the answers would drift
     from the naive evaluation -- the double-fold hazard.  The second kind
-    decodes its sides from the bytes the first one's build held: one build,
-    and no cache entry for either."""
+    loads its sides from one dump of the first one's published trees: one
+    build, and no cache entry for either."""
     with QueryEngine() as engine:
         point_class, range_class = point_selection_class(), range_selection_class()
         engine.register("point", point_class, btree_point_scheme())
@@ -388,6 +388,30 @@ def test_mutable_selection_kinds_fold_into_private_structures(batches):
                     assert _ask(ds, "range", window) == expected
         assert len(engine._cache) == 0
 
+
+
+def test_a_kind_first_touched_after_a_batch_copies_the_structure_it_shares():
+    """A selection kind first touched after a batch loads both sides from
+    one dump of the other selection kind's published trees: still one build
+    for the session, no artifact for the batch's version, and answers over
+    the post-batch content."""
+    with QueryEngine() as engine:
+        point_class, range_class = point_selection_class(), range_selection_class()
+        engine.register("point", point_class, btree_point_scheme())
+        engine.register("range", range_class, btree_range_scheme())
+        ds = engine.attach(
+            "live", _relation_of([(1, 2), (3, 4)]), kinds=["point", "range"], mutable=True
+        )
+        assert _ask(ds, "point", ("a", 1)) is True
+        ds.apply_changes([_insert(5, 6), _delete(1, 2)])
+        content = ds.dataset()
+        for constant in range(8):
+            window = ("a", constant, constant + 1)
+            assert _ask(ds, "range", window) == range_class.pair_in_language(content, window)
+        stats = engine.stats().per_kind
+        assert stats["point"].builds + stats["range"].builds == 1
+        trees = _trees(ds, "point") + _trees(ds, "range")
+        assert len({id(tree) for tree in trees}) == len(trees) == 8
 
 def _containers(structure):
     """``id`` of every list, dict and typed column reachable from a structure."""
@@ -484,7 +508,8 @@ def _bag(working):
 def _counter_takes(bag, shadow, change):
     """The bag-counter model of one change: does it take effect?  ``bag``
     counts elements (a graph holds an edge at most once); ``shadow`` is the
-    sequence a point write reads its old value from."""
+    sequence a point write reads its old value from (IndexError: the write
+    falls past its end)."""
     if isinstance(change, PointWrite):
         bag[shadow[change.position]] -= 1
         bag[change.value] += 1
@@ -513,20 +538,28 @@ def _counter_takes(bag, shadow, change):
 def test_one_pass_apply_matches_a_bag_counter(shape, data):
     """``MutableContent.apply`` screens and applies in one pass against the
     working copy; a bag counter kept beside it decides the same: the same
-    changes take effect, the same bag remains, and a refused batch moves
-    nothing."""
+    changes take effect, the same bag remains, ``validate`` refuses exactly
+    the batches with a point write past the end the model reaches, and a
+    refused batch moves nothing."""
     initial = data.draw(contents[shape])
     content = MutableContent(initial)
     bag = _bag(content.working)
     shadow = list(content.working) if isinstance(content.working, list) else None
     for batch in data.draw(st.lists(st.lists(_changes(shape), max_size=6), max_size=6)):
         before = _bag(content.working)
+        trial = Counter(bag), None if shadow is None else list(shadow)
+        try:
+            expected = [change for change in batch if _counter_takes(*trial, change)]
+        except IndexError:
+            expected = None
         try:
             content.validate(batch)
         except DeltaError:
+            assert expected is None
             assert _bag(content.working) == before
             continue
-        expected = [change for change in batch if _counter_takes(bag, shadow, change)]
+        assert expected is not None
+        bag, shadow = trial
         assert content.apply(batch) == expected
         assert _bag(content.working) == +bag
         if shadow is not None:

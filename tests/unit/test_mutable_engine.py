@@ -23,6 +23,7 @@ import ast
 import gc
 import logging
 import threading
+import time
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -31,7 +32,7 @@ import pytest
 
 import repro
 from repro.catalog import build_query_engine
-from repro.core.cost import CostTracker
+from repro.core.cost import NULL_TRACKER, CostTracker
 from repro.core.errors import DeltaError, ServiceError
 from repro.graphs.graph import Digraph
 from repro.incremental.changes import ChangeKind, EdgeChange, PointWrite, TupleChange
@@ -346,8 +347,7 @@ def test_superseded_shard_plans_are_freed():
 
 def test_only_the_miss_path_puts_to_the_artifact_store():
     """Every key written is one ``_load_from_store`` asks for: the one
-    ``ArtifactStore.put`` in ``src/repro`` is in the inside of the miss path,
-    ``QueryEngine._store_or_build``."""
+    ``ArtifactStore.put`` in ``src/repro`` is in ``QueryEngine._resolve_miss``."""
     root = Path(repro.__file__).parent
     sites = []
     for path in sorted(root.rglob("*.py")):
@@ -355,7 +355,7 @@ def test_only_the_miss_path_puts_to_the_artifact_store():
             (path.relative_to(root).as_posix(), where)
             for where in _store_put_sites(ast.parse(path.read_text()))
         )
-    assert sites == [("service/engine.py", "QueryEngine._store_or_build")]
+    assert sites == [("service/engine.py", "QueryEngine._resolve_miss")]
 
 
 def _store_put_sites(tree):
@@ -599,16 +599,21 @@ def test_non_int_position_is_refused_before_the_counts_move():
 
 
 def test_point_write_past_a_delete_of_its_batch_is_refused():
-    """A point write must stay in range even if every earlier delete of its
-    batch takes effect: one that fell past the shortened sequence raised
-    mid-batch, leaving the working copy ahead of the served structures."""
+    """A point write must stay in range of what the earlier deletes of its
+    batch leave: one that fell past the shortened sequence raised mid-batch,
+    leaving the working copy ahead of the served structures.  The bound is
+    exact -- a delete that finds nothing shortens nothing."""
     with build_query_engine() as engine:
         ds = _open(engine, "list-membership", (5, 3, 1, 4))
         _refused(ds, [_delete(5), PointWrite(3, 9)])
-        _refused(ds, [_delete(7), PointWrite(3, 9)])  # a phantom delete counts too
+        _refused(ds, [PointWrite(0, 7), _delete(7), PointWrite(3, 9)])
         _reads_match_oracle(engine, ds, "list-membership", range(10))
-        ds.apply_changes([_delete(5), PointWrite(2, 9)])
-        assert ds.version == 1 and ds.dataset() == (3, 1, 9)
+        ds.apply_changes([_delete(7), PointWrite(3, 9)])  # 7 is not there
+        assert ds.version == 1 and ds.dataset() == (5, 3, 1, 9)
+        ds.apply_changes([PointWrite(0, 8), _delete(5), PointWrite(3, 2)])  # 5 was overwritten
+        assert ds.version == 2 and ds.dataset() == (8, 3, 1, 2)
+        ds.apply_changes([_delete(8), PointWrite(2, 9)])
+        assert ds.version == 3 and ds.dataset() == (3, 1, 9)
         _reads_match_oracle(engine, ds, "list-membership", range(10))
 
 
@@ -734,6 +739,36 @@ def test_an_immutable_session_after_a_mutable_one_reads_the_store(tmp_path):
         assert _ask(live, "rmq", (0, 63, 10)) is True
         assert _ask(frozen, "rmq", (0, 63, 63)) is True
         assert frozen.dataset() == data
+
+
+def test_a_first_touch_waiting_on_the_build_lock_takes_what_was_cached_meanwhile():
+    """A mutable session's miss rechecks the engine cache under the per-key
+    build lock: a structure another session cached while it waited is
+    privatised (one dump, two loads), not built a second time."""
+    data = tuple(range(64, 0, -1))
+    counts = {"preprocess": 0, "dump": 0, "load": 0}
+    with _counting_engine(None, counts) as engine:
+        ds = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        registration = ds.registration_for("rmq")
+        key = registration.key(ds.fingerprint)
+        toucher = threading.Thread(target=_ask, args=(ds, "rmq", (0, 63, 63)))
+        with engine._build_locks_guard:
+            lock = engine._build_locks.setdefault(key, threading.Lock())
+        with lock:
+            toucher.start()
+            deadline = time.monotonic() + 10
+            while engine._cache.stats().misses == 0 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            cached = registration.scheme.preprocess(data, NULL_TRACKER)
+            engine._cache.put(key, cached)
+        toucher.join(timeout=10)
+        assert counts == {"preprocess": 1, "dump": 1, "load": 2}  # one build: the cached one
+        stats = engine.stats().per_kind["rmq"]
+        assert (stats.builds, stats.cache_hits) == (0, 1)
+        versions = ds._mutable._versions
+        sides = [side["rmq"].resolve() for side in (versions.current.plans, versions.offline)]
+        assert all(side is not cached for side in sides) and sides[0] is not sides[1]
+        assert _ask(ds, "rmq", (0, 63, 63)) is True
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
