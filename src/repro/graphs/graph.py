@@ -28,7 +28,6 @@ class _BaseGraph:
             raise GraphError("vertex count must be non-negative")
         self.n = n
         self._adj: List[List[int]] = [[] for _ in range(n)]
-        self._edge_count = 0
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -36,23 +35,26 @@ class _BaseGraph:
         if not 0 <= v < self.n:
             raise GraphError(f"vertex {v} out of range [0, {self.n})")
 
-    def add_edge(self, u: int, v: int) -> None:
+    def add_edge(self, u: int, v: int) -> bool:
+        """Add edge ``(u, v)``; returns whether one was added (False for an
+        edge already present)."""
         self._check_vertex(u)
         self._check_vertex(v)
-        self._insert_sorted(self._adj[u], v)
-        if not self.directed and u != v:
+        added = self._insert_sorted(self._adj[u], v)
+        if added and not self.directed and u != v:
             self._insert_sorted(self._adj[v], u)
-        self._edge_count += 1
+        return added
 
     @staticmethod
-    def _insert_sorted(adjacency: List[int], v: int) -> None:
-        """Insert keeping the list sorted; ignore duplicate edges."""
+    def _insert_sorted(adjacency: List[int], v: int) -> bool:
+        """Insert keeping the list sorted; False for a duplicate edge."""
         import bisect
 
         position = bisect.bisect_left(adjacency, v)
         if position < len(adjacency) and adjacency[position] == v:
-            return
+            return False
         adjacency.insert(position, v)
+        return True
 
     @staticmethod
     def _remove_sorted(adjacency: List[int], v: int) -> bool:
@@ -75,10 +77,8 @@ class _BaseGraph:
         self._check_vertex(u)
         self._check_vertex(v)
         removed = self._remove_sorted(self._adj[u], v)
-        if removed:
-            if not self.directed and u != v:
-                self._remove_sorted(self._adj[v], u)
-            self._edge_count -= 1
+        if removed and not self.directed and u != v:
+            self._remove_sorted(self._adj[v], u)
         return removed
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -393,6 +393,24 @@ class BPlusTree:
         parent.keys.pop(left_index)
         parent.children.pop(left_index + 1)
 
+    def _columns(self) -> Tuple[List[Any], Sequence[int]]:
+        """The leaf chain as two columns: distinct keys in order, and the
+        occurrence count of each (a :func:`~repro.indexes.columns.counts`
+        column)."""
+        keys: List[Any] = []
+        counts = count_column(())
+        for node in self._leaves():
+            keys.extend(node.keys)
+            counts.extend(node.counts)
+        return keys, counts
+
+    def __deepcopy__(self, memo: dict) -> "BPlusTree":
+        """A private copy: one leaf walk into the bulk loader, as
+        :meth:`from_state` loads, without the pack and unpack -- every node,
+        list and column is new, the keys are shared.  (The stdlib walk
+        would recurse along the leaf chain.)"""
+        return self._bulk_load(self.order, *self._columns())
+
     # -- serialization ----------------------------------------------------------------
 
     def to_state(self) -> dict:
@@ -405,11 +423,7 @@ class BPlusTree:
         *not* stored (:meth:`from_state` rebuilds it bottom-up in linear
         time).
         """
-        keys: List[Any] = []
-        counts = count_column(())
-        for node in self._leaves():
-            keys.extend(node.keys)
-            counts.extend(node.counts)
+        keys, counts = self._columns()
         return {"order": self.order, "keys": pack_sorted(keys), "counts": pack(counts)}
 
     @classmethod

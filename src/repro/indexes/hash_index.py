@@ -74,6 +74,12 @@ class HashIndex:
     def distinct_keys(self) -> int:
         return len(self._counts)
 
+    def __deepcopy__(self, memo: dict) -> "HashIndex":
+        """A private copy: a new map over the same keys and counts."""
+        index = type(self)()
+        index._counts, index._size = dict(self._counts), self._size
+        return index
+
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:

@@ -166,6 +166,14 @@ class TransitiveClosureIndex:
             for component, bits in enumerate(self._closure)
         )
 
+    def __deepcopy__(self, memo: dict) -> "TransitiveClosureIndex":
+        """A private copy: new lists over the same (immutable) bitsets."""
+        index = type(self).__new__(type(self))
+        index.n, index._dag_size = self.n, self._dag_size
+        index._component_of, index._closure = self._component_of[:], self._closure[:]
+        index._ancestors = None if self._ancestors is None else self._ancestors[:]
+        return index
+
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:

@@ -35,6 +35,7 @@ matching :func:`repro.indexes.sparse_table.naive_range_min`.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import List, Optional, Sequence
 
@@ -226,6 +227,16 @@ class _MaskedMinima:
         self._word_argmin[word] = position = self._word_argmin_at(base)
         self._words.point_update(word, self._array[position], tracker)
 
+    def copy_for(self, rmq: "FischerHeunRMQ") -> "_MaskedMinima":
+        """A private copy reading ``rmq``'s columns (a copy of the structure
+        this one reads), as :meth:`from_state` binds a loaded one."""
+        summary = _MaskedMinima.__new__(_MaskedMinima)
+        summary._array, summary._b = rmq._array, rmq._block_size
+        summary._table_of, summary._last = rmq._block_table, rmq._last
+        summary._masks, summary._word_argmin = self._masks[:], self._word_argmin[:]
+        summary._words = copy.deepcopy(self._words)
+        return summary
+
     def to_state(self) -> dict:
         """The masks as one *cut* per block, a byte column: the block at
         ``slot`` of its word keeps the previous mask's bits below ``slot -
@@ -388,6 +399,17 @@ class FischerHeunRMQ:
         block = position // self._block_size
         self._block_table[block] = self._sign_block(block * self._block_size, tracker)
         self._summary.repair(block, tracker)
+
+    def __deepcopy__(self, memo: dict) -> "FischerHeunRMQ":
+        """A private copy: every list, column and dict is new, the values
+        in them are shared, and the summary reads the copy's columns."""
+        rmq = type(self).__new__(type(self))
+        rmq._array, rmq._block_size = self._array[:], self._block_size
+        rmq._block_table, rmq._last = self._block_table[:], self._last[:]
+        rmq._tables = [[row[:] for row in table] for table in self._tables]
+        rmq._table_ids = dict(self._table_ids)
+        rmq._summary = self._summary.copy_for(rmq)
+        return rmq
 
     # -- serialization --------------------------------------------------------
 

@@ -102,6 +102,12 @@ class SortedRunIndex(Generic[K]):
             return True
         return False
 
+    def __deepcopy__(self, memo: dict) -> "SortedRunIndex":
+        """A private copy: a new run over the same (immutable) elements."""
+        index = type(self).__new__(type(self))
+        index._run = self._run[:]
+        return index
+
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:

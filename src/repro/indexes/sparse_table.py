@@ -135,6 +135,13 @@ class SparseTable:
             if low > high:
                 return
 
+    def __deepcopy__(self, memo: dict) -> "SparseTable":
+        """A private copy: a new value list and new level columns."""
+        table = type(self).__new__(type(self))
+        table._array = self._array[:]
+        table._levels = [level[:] for level in self._levels]
+        return table
+
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:

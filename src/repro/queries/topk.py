@@ -144,6 +144,16 @@ class TopKIndex:
             tracker.tick(cost)
         return True
 
+    def __deepcopy__(self, memo: dict) -> "TopKIndex":
+        """A private copy: new dicts and lists, the row and entry tuples in
+        them shared."""
+        index = type(self).__new__(type(self))
+        index.arity, index._next_id = self.arity, self._next_id
+        index.rows = dict(self.rows)
+        index.sorted_lists = [entries[:] for entries in self.sorted_lists]
+        index._ids_by_row = {row: ids[:] for row, ids in self._ids_by_row.items()}
+        return index
+
     # -- serialization --------------------------------------------------------
 
     def to_state(self) -> dict:

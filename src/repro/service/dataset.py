@@ -60,6 +60,7 @@ it by name, and callers who want concurrency call it from their own threads.
 
 from __future__ import annotations
 
+import copy
 import logging
 import threading
 import time
@@ -84,7 +85,6 @@ from repro.core.cost import NULL_TRACKER, CostTracker, ensure_tracker
 from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
 from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
-from repro.storage.fingerprint import dataset_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.engine import QueryEngine, _Registration
@@ -448,7 +448,7 @@ class Dataset:
         resolves exactly once, here, through :meth:`_resolve` (every shard of
         a sharded kind), and :meth:`_bind` binds the result.
         """
-        plan = self._bind(kind, self._resolve(kind, self._data, self._fingerprint)[0])
+        plan = self._bind(kind, self._resolve(kind)[0])
         with self._plans_lock:
             # A session detached mid-build must not cache a live plan: the
             # release path cleared the dict under this lock *after* setting
@@ -468,12 +468,15 @@ class Dataset:
         return _ServePlan(self._engine, kind, kernel, structure)
 
     def _resolve(
-        self, kind: str, content: Any, fingerprint: Optional[str] = None
+        self, kind: str, content: Any = None, fill_cache: bool = True
     ) -> Tuple[Any, str]:
-        """``(structure, source)`` serving ``kind`` over ``content``:
-        the one resolution per storage shape, through the engine's layers
-        (cache -> store -> build).  A monolithic kind resolves by artifact key
-        (an O(|D|) hash unless ``fingerprint`` is given); a sharded kind as a
+        """``(structure, source)`` serving ``kind``: the one resolution per
+        storage shape, through the engine's layers (cache -> store -> build).
+        A monolithic kind resolves the attach payload by its attach-time
+        artifact key (no hash), and leaves the engine cache as it was with
+        ``fill_cache=False`` (a structure a mutable session folds into); a
+        sharded kind resolves ``content`` (default: the attach payload; a
+        mutable session's post-batch content) as a
         :class:`~repro.service.sharding.ShardedStructure` of every shard,
         each non-empty one resolved by its own key in plan order on this
         thread (source ``"shards"``).
@@ -481,7 +484,7 @@ class Dataset:
         engine = self._engine
         registration = self.registration_for(kind)
         if registration.shards > 1:
-            plan = plan_shards(kind, registration, content)
+            plan = plan_shards(kind, registration, self._data if content is None else content)
             structures = tuple(
                 None if shard.piece.is_empty() else engine._resolve_by_key(
                     kind, registration, registration.shard_key(plan, shard), shard.piece.data
@@ -489,8 +492,8 @@ class Dataset:
                 for shard in plan.planned
             )
             return ShardedStructure(plan, structures), "shards"
-        key = registration.key(fingerprint or dataset_fingerprint(content))
-        return engine._resolve_by_key(kind, registration, key, content)[:2]
+        key = registration.key(self._fingerprint)
+        return engine._resolve_by_key(kind, registration, key, self._data, fill_cache)
 
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.
@@ -627,7 +630,7 @@ class _MutableState:
     (left-right versioned publication: lock-free readers, writer-only
     mutex), and one lazily materialized serve plan **per served kind, per
     left-right side**.  A change batch validates once, folds into the
-    working copy in one pass that drops its no-op deletes, then
+    working copy in one pass that drops its no-op changes, then
     maintains every materialized kind against the offline side --
     delta-capable monolithic kinds in place through ``apply_delta``,
     everything else by rebuilding from the post-batch content (sharded
@@ -642,6 +645,9 @@ class _MutableState:
         self._engine = ds._engine
         self._content = MutableContent(ds._data)
         self._versions = VersionedStructures()
+        #: Whether a batch took effect: until one does, the working copy is
+        #: the attach payload and its fingerprint addresses the artifacts.
+        self._changed = False
 
     @property
     def version(self) -> int:
@@ -712,11 +718,13 @@ class _MutableState:
         bound to a private twin when the kind folds in place, so the next
         batch can fold into it without touching what readers see.
 
-        At version 0 the session's attach-time fingerprint addresses the
-        ordinary content-addressed artifacts, so warm cache/store resolution
-        applies; later versions snapshot the working copy (one O(|D|) hash,
-        paid at materialization, not per request).  A kind that folds in
-        place takes its two instances from :meth:`_private_pair`.
+        Before the first effective batch the session's attach-time
+        fingerprint addresses the ordinary content-addressed artifacts, so
+        warm cache/store resolution applies.  After it, a monolithic kind
+        builds privately from the working copy (no hash, no store, no cache
+        entry), and a sharded one resolves shard by shard by content
+        (:meth:`_resolve`).  A kind that folds in place takes its two
+        instances from :meth:`_private_pair`.
         """
         versions = self._versions
         with versions.writer_mutex:
@@ -724,70 +732,55 @@ class _MutableState:
             if kind in versions.current.plans:
                 return
             started = time.perf_counter()
-            content, fingerprint = self._ds._data, self._ds._fingerprint
-            if versions.current.number:
-                content, fingerprint = self._content.canonical(), None
-            dumps = loads = 0
+            copies = 0
             if _folds_in_place(self._ds.registration_for(kind)):
-                structure, twin, source, dumps, loads = self._private_pair(
-                    kind, content, fingerprint
-                )
+                structure, twin, source, copies = self._private_pair(kind)
                 plan, twin_plan = self._ds._bind(kind, structure), self._ds._bind(kind, twin)
             else:
-                structure, source = self._ds._resolve(kind, content, fingerprint)
+                structure, source = self._resolve(kind)
                 plan = twin_plan = self._ds._bind(kind, structure)
             versions.install(kind, plan, twin_plan)
-            _log.debug("materialized %r at v%d from %s: %d dump(s), %d load(s), %.1f ms",
-                       kind, versions.current.number, source, dumps, loads,
+            _log.debug("materialized %r at v%d from %s: %d deep copies, %.1f ms",
+                       kind, versions.current.number, source, copies,
                        (time.perf_counter() - started) * 1000.0)
 
-    def _private_pair(
-        self, kind: str, content: Any, fingerprint: Optional[str]
-    ) -> Tuple[Any, Any, str, int, int]:
-        """``(published, twin, source, dumps, loads)``: two instances of a
-        delta kind that no other session holds.
+    def _private_pair(self, kind: str) -> Tuple[Any, Any, str, int]:
+        """``(published, twin, source, copies)``: two instances of a delta
+        kind that no other session holds, privatised by deep copy (every
+        container is new, the values in them are shared).
 
-        A structure held elsewhere is shared, so both sides load one dump of
+        A structure held elsewhere is shared, so both sides are copies of
         it: a kind this session already serves over the same structure
         (point and range selection), else an engine-cache hit.  Otherwise
-        the engine resolves without caching; the store load or build is
-        published, and the twin loads from the bytes it held (a build with
-        no store dumps once).
+        the structure is this session's own -- resolved by the engine
+        without caching (store load, or build and persist) before the first
+        batch, built privately after it -- and is published; the twin is
+        its one copy.
         """
         registration = self._ds.registration_for(kind)
-        scheme = registration.scheme
         for other, plan in self._versions.current.plans.items():
             shared = self._ds.registration_for(other)
             if _folds_in_place(shared) and shared.key("") == registration.key(""):
                 structure, source = plan.resolve(), "session"
                 break
         else:
-            key = registration.key(fingerprint or dataset_fingerprint(content))
-            structure, source, blob = self._engine._resolve_by_key(
-                kind, registration, key, content, fill_cache=False
-            )
+            structure, source = self._resolve(kind, fill_cache=False)
             if source != "cache":
-                dumps = 0
-                if blob is None:
-                    blob, dumps = scheme.dump(structure), 1
-                return structure, scheme.load(blob), source, dumps, 1
-        blob = scheme.dump(structure)
-        return scheme.load(blob), scheme.load(blob), source, 1, 2
+                return structure, copy.deepcopy(structure), source, 1
+        return copy.deepcopy(structure), copy.deepcopy(structure), source, 2
 
     def _twin(self, kind: str, plan: _ServePlan) -> _ServePlan:
         """The offline-side plan mirroring a published ``plan`` for ``kind``.
 
         Only delta-capable monolithic kinds are mutated in place, so only
-        they need a second instance -- a codec round trip (privatization,
-        not a cache miss: it is not counted as a build) under a plan of its
-        own.  Everything else shares one plan across both left-right sides
-        because nothing mutates its structure in place.
+        they need a second instance -- privatised by deep copy, values
+        shared (not a cache miss: it is not counted as a build) -- under a
+        plan of its own.  Everything else shares one plan across both
+        left-right sides because nothing mutates its structure in place.
         """
-        registration = self._ds.registration_for(kind)
-        if not _folds_in_place(registration):
+        if not _folds_in_place(self._ds.registration_for(kind)):
             return plan
-        scheme = registration.scheme
-        return self._ds._bind(kind, scheme.load(scheme.dump(plan.resolve())))
+        return self._ds._bind(kind, copy.deepcopy(plan.resolve()))
 
     def _fold(self, kind: str, plan: _ServePlan, changes: Sequence[Any]) -> _ServePlan:
         """Fold ``changes`` into ``plan``'s structure through ``apply_delta``:
@@ -799,12 +792,29 @@ class _MutableState:
         )
         return plan if folded is structure else self._ds._bind(kind, folded)
 
-    def _preprocess(self, kind: str, content: Any) -> Any:
-        """A private in-memory build: no cache entry, no store artifact."""
+    def _resolve(self, kind: str, fill_cache: bool = True) -> Tuple[Any, str]:
+        """``(structure, source)`` of ``kind`` over the current content: the
+        attach-time resolution (:meth:`Dataset._resolve`) until a batch takes
+        effect, then :meth:`_rebuild` over the working copy."""
+        if self._changed:
+            return self._rebuild(kind, self._content.canonical())
+        return self._ds._resolve(kind, fill_cache=fill_cache)
+
+    def _rebuild(self, kind: str, content: Any) -> Tuple[Any, str]:
+        """``(structure, source)`` of ``kind`` over post-batch ``content``.
+
+        A monolithic kind builds in memory only: no hash, no cache entry and
+        no store artifact (a content-keyed artifact per version would never
+        be read again).  A sharded kind resolves through the engine by shard
+        content, so untouched shards are cache or store hits.
+        """
+        registration = self._ds.registration_for(kind)
+        if registration.shards > 1:
+            return self._ds._resolve(kind, content)
         started = time.perf_counter()
-        structure = self._ds.registration_for(kind).scheme.preprocess(content, NULL_TRACKER)
+        structure = registration.scheme.preprocess(content, NULL_TRACKER)
         self._engine._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
-        return structure
+        return structure, "build"
 
     def release(self) -> None:
         """Drop both left-right sides: a detached session frees its
@@ -848,6 +858,7 @@ class _MutableState:
             effective = self._content.apply(batch)
             if not effective:
                 return {"version": versions.current.number}
+            self._changed = True
             offline = versions.offline
             delta_kinds: List[Tuple[str, float]] = []  # (kind, apply seconds)
             rebuild_kinds: List[str] = []
@@ -875,16 +886,10 @@ class _MutableState:
             dropped: List[str] = []
             rebuild_error: Optional[BaseException] = None
             if rebuild_kinds:
-                # A monolithic rebuild stays in memory (a content-keyed
-                # artifact per rebuilt version would never be read again);
-                # a sharded one reuses untouched shard artifacts by content.
                 canonical = self._content.canonical()
                 for index, kind in enumerate(rebuild_kinds):
                     try:
-                        if self._ds.registration_for(kind).shards > 1:
-                            fresh = self._ds._resolve(kind, canonical)[0]
-                        else:
-                            fresh = self._preprocess(kind, canonical)
+                        fresh = self._rebuild(kind, canonical)[0]
                     except Exception as exc:
                         dropped = rebuild_kinds[index:]
                         for late in dropped:

@@ -606,20 +606,19 @@ class QueryEngine:
     def _resolve_by_key(
         self, kind: str, registration: _Registration, key: ArtifactKey, content: Any,
         fill_cache: bool = True,
-    ) -> Tuple[Any, str, Optional[bytes]]:
+    ) -> Tuple[Any, str]:
         """Cache -> store -> build resolution for a known key -- a monolithic
-        structure's or one shard's.
+        structure's or one shard's: ``(structure, cache|store|build)``.
 
         Called only by ``Dataset._resolve`` and, with ``fill_cache=False``
         for a structure it will fold into, a mutable session's
         ``_MutableState._private_pair`` (:mod:`repro.service.dataset`), so
-        the probe / stat-bump / miss sequence exists exactly once (returns
-        :meth:`_resolve_miss`'s triple).
+        the probe / stat-bump / miss sequence exists exactly once.
         """
         structure = self._cache.get(key)
         if structure is not None:
             self._bump(kind, cache_hits=1)
-            return structure, "cache", None
+            return structure, "cache"
         return self._resolve_miss(kind, registration, key, content, fill_cache)
 
     def _resolve_miss(
@@ -629,7 +628,7 @@ class QueryEngine:
         key: ArtifactKey,
         data: Any,
         fill_cache: bool,
-    ) -> Tuple[Any, str, Optional[bytes]]:
+    ) -> Tuple[Any, str]:
         """Cache-miss path of :meth:`_resolve_by_key`.
 
         The caller has already probed the cache (and recorded the miss);
@@ -637,7 +636,7 @@ class QueryEngine:
         store or builds and persists, and caches the result if
         ``fill_cache``.  It holds one build lock at a time, so callers
         resolving several keys in any order cannot deadlock.  Returns
-        (structure, cache|store|build, bytes held).
+        (structure, cache|store|build).
         """
         with self._build_locks_guard:
             lock = self._build_locks.setdefault(key, threading.Lock())
@@ -649,8 +648,8 @@ class QueryEngine:
                 structure = self._cache.get(key, record=False)
                 if structure is not None:
                     self._bump(kind, cache_hits=1)
-                    return structure, "cache", None
-                structure, blob = self._load_from_store(kind, registration, key)
+                    return structure, "cache"
+                structure = self._load_from_store(kind, registration, key)
                 source = "store" if structure is not None else "build"
                 if structure is None:
                     started = time.perf_counter()
@@ -658,8 +657,7 @@ class QueryEngine:
                     self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
                     if self._store is not None:
                         try:
-                            blob = registration.scheme.dump(structure)
-                            self._store.put(key, blob)
+                            self._store.put(key, registration.scheme.dump(structure))
                         except OSError:
                             # Disk full / unwritable store: the build still
                             # serves from memory; only durability is lost,
@@ -675,13 +673,13 @@ class QueryEngine:
             # worst case one redundant build, never a wrong answer.
             with self._build_locks_guard:
                 self._build_locks.pop(key, None)
-        return structure, source, blob
+        return structure, source
 
     def _load_from_store(
         self, kind: str, registration: _Registration, key: ArtifactKey
-    ) -> Tuple[Optional[Any], Optional[bytes]]:
+    ) -> Optional[Any]:
         if self._store is None:
-            return None, None
+            return None
         attempts = 1 + LOAD_RETRIES
         for attempt in range(attempts):
             started = time.perf_counter()
@@ -698,14 +696,14 @@ class QueryEngine:
                     self._bump(kind, rebuild_retries=1)
                     continue
                 self._store.delete(key)
-                return None, None
+                return None
             except ArtifactError:
                 # Incompatible format/scheme version: never retryable --
                 # drop it and rebuild under the current version.
                 self._store.delete(key)
-                return None, None
+                return None
             if blob is None:
-                return None, None
+                return None
             if time.perf_counter() - started >= SLOW_LOAD_SECONDS:
                 self._bump(kind, slow_loads=1)
             try:
@@ -715,10 +713,10 @@ class QueryEngine:
                 # file content itself is bad, so a re-read cannot help.
                 self._bump(kind, checksum_failures=1)
                 self._store.delete(key)
-                return None, None
+                return None
             self._bump(kind, store_hits=1)
-            return structure, blob
-        return None, None
+            return structure
+        return None
 
     # -- hot-path statistics -----------------------------------------------------
 

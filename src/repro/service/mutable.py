@@ -9,7 +9,7 @@ machinery the mutable :class:`~repro.service.dataset.Dataset` sessions are
 built on:
 
 * :class:`MutableContent` -- the private working copy of a dataset
-  (validation, and change application that drops no-op deletes);
+  (validation, and change application that drops no-op changes);
 * :class:`VersionedStructures` -- left-right versioned snapshot publication:
   readers pin the current :class:`_Version` record -- one serve plan per
   materialized kind, the same plan class an immutable session serves
@@ -339,8 +339,9 @@ class MutableContent:
 
     Owns a private mutable copy of the dataset (list / relation / graph) --
     the caller's object is never touched, and a fallback rebuild always has
-    the post-batch content.  The copy screens its own phantom deletes (see
-    :meth:`apply`), so no bag counter is kept beside it.  The mutable
+    the post-batch content.  The copy screens its own phantom deletes and
+    duplicate edge inserts (see :meth:`apply`), so no bag counter is kept
+    beside it.  The mutable
     :class:`~repro.service.dataset.Dataset` sessions delegate here, so the
     change semantics (atomic validation, phantom-delete screening,
     application order) are defined exactly once.  It keeps no cost ledger
@@ -527,19 +528,20 @@ class MutableContent:
         """Fold a validated batch into the working copy, in order; return the
         changes that took effect.
 
-        A delete with nothing to remove is dropped: a flat element
+        A change that changes nothing is dropped: a flat element
         ``list.remove`` cannot find (one scan per delete, a whole one when
         the element is absent), a relation row with no live id, an edge
-        ``remove_edge`` does not hold.  Each change sees every earlier one
-        of its batch.  Phantom deletes must never reach a delta hook: the
-        per-attribute selection indexes, for instance, would strip a payload
-        a live row still accounts for.
+        ``remove_edge`` does not hold, an edge insert the graph already
+        holds.  Each change sees every earlier one of its batch.  Phantom
+        deletes must never reach a delta hook: the per-attribute selection
+        indexes, for instance, would strip a payload a live row still
+        accounts for.
         """
         return [change for change in batch if self._take(self.working, change)]
 
     def _take(self, working: Any, change: Any) -> bool:
         """Fold one change into ``working`` (the working copy, or the copy
-        :meth:`validate` dry-runs a batch on); False if nothing was removed."""
+        :meth:`validate` dry-runs a batch on); False if it changed nothing."""
         if isinstance(change, TupleChange):
             element = self.element(change.row)
             if self.row_ids is not None:
@@ -559,9 +561,8 @@ class MutableContent:
                     return False
         elif isinstance(change, EdgeChange):
             if change.kind is ChangeKind.INSERT:
-                working.add_edge(change.source, change.target)
-            else:
-                return working.remove_edge(change.source, change.target)
+                return working.add_edge(change.source, change.target)
+            return working.remove_edge(change.source, change.target)
         else:  # PointWrite
             working[change.position] = change.value
         return True

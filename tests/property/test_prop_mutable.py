@@ -435,13 +435,13 @@ def _containers(structure):
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_mutable_array_kinds_share_no_column_across_sides_or_cache(writes):
     """The same hazard one layer down: first touch (``_private_pair``)
-    publishes its build and decodes the offline twin from the bytes it held,
-    and a rebuild is twinned through ``load(dump(...))`` (``_twin``), so no
-    list or typed column may be shared between the published structure and
-    its offline twin -- an aliased sparse-table level would be repaired
-    twice, or under a pinned reader -- and neither kind has a cache entry.  Fischer--Heun folds
-    each write in place; the sorted run refuses a PointWrite and takes the
-    rebuild path (``_preprocess``, then ``_twin``)."""
+    publishes its build and deep-copies the offline twin from it, and a
+    rebuild is twinned by deep copy too (``_twin``), so no list or typed
+    column may be shared between the published structure and its offline
+    twin -- an aliased sparse-table level would be repaired twice, or under
+    a pinned reader -- and neither kind has a cache entry.  Fischer--Heun
+    folds each write in place; the sorted run refuses a PointWrite and takes
+    the rebuild path (``_rebuild``, then ``_twin``)."""
     with QueryEngine() as engine:
         engine.register("rmq", rmq_class(), fischer_heun_scheme())
         engine.register("members", membership_class(), sorted_run_scheme())
@@ -520,7 +520,9 @@ def _counter_takes(bag, shadow, change):
     else:
         element = change.row[0] if len(change.row) == 1 else change.row
     if change.kind is ChangeKind.INSERT:
-        bag[element] = 1 if isinstance(change, EdgeChange) else bag[element] + 1
+        if isinstance(change, EdgeChange) and bag[element]:
+            return False  # a graph holds an edge at most once
+        bag[element] += 1
         if shadow is not None:
             shadow.append(element)
         return True

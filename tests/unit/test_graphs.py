@@ -49,6 +49,17 @@ class TestGraphBasics:
         graph.add_edge(0, 1)
         assert graph.edge_count == 1
 
+    @pytest.mark.parametrize("graph_class", [Graph, Digraph])
+    def test_add_edge_reports_whether_it_added(self, graph_class):
+        """``add_edge`` answers like ``remove_edge``: False for an edge the
+        graph already holds (an undirected edge in either orientation)."""
+        graph = graph_class(3, [(0, 1)])
+        assert graph.add_edge(0, 1) is False
+        assert graph.add_edge(1, 0) is (graph_class is Digraph)
+        assert graph.add_edge(1, 2) is True and graph.add_edge(1, 2) is False
+        assert graph.edge_count == len(list(graph.edges())) == 2 + (graph_class is Digraph)
+        assert graph.remove_edge(1, 2) is True and graph.add_edge(1, 2) is True
+
     def test_neighbors_sorted(self):
         graph = Graph(5)
         for v in (4, 1, 3):

@@ -42,6 +42,7 @@ from repro.queries import (
     rmq_class,
     sorted_run_scheme,
 )
+from repro.queries.reachability import closure_scheme, reachability_class
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine
 from repro.service.sharding import plan_shards
@@ -262,11 +263,15 @@ def test_sharded_fallback_rebuilds_only_touched_shards(tmp_path):
 
 
 class _RecordingStore(ArtifactStore):
-    """An artifact store that remembers every key ``put`` under."""
+    """An artifact store that remembers every key ``get`` and ``put`` ask for."""
 
     def __init__(self, root):
         super().__init__(root)
-        self.puts = []
+        self.gets, self.puts = [], []
+
+    def get(self, key):
+        self.gets.append(key)
+        return super().get(key)
 
     def put(self, key, payload):
         self.puts.append(key)
@@ -410,6 +415,26 @@ def test_close_detaches_and_keeps_the_attach_artifact(tmp_path):
         ds.query("membership", 7)
     with pytest.raises(ServiceError, match="detached"):
         ds.apply_changes([_insert(8)])
+
+
+def test_a_duplicate_edge_insert_is_a_noop_the_delta_hook_never_sees():
+    """An edge insert the graph already holds changes nothing: a batch of
+    them keeps its version, and a mixed batch passes only the new edge on."""
+    seen = []
+    scheme = closure_scheme()
+
+    def recording(index, changes, tracker):
+        seen.append(list(changes))
+        return scheme.apply_delta(index, changes, tracker)
+
+    with QueryEngine() as engine:
+        engine.register("reach", reachability_class(), replace(scheme, apply_delta=recording))
+        ds = _open(engine, "reach", Digraph(4, [(0, 1), (1, 2)]))
+        assert ds.apply_changes([EdgeChange(ChangeKind.INSERT, 0, 1)]) == {"version": 0}
+        assert seen == [] and engine.stats().per_kind["reach"].delta_batches == 0
+        ds.apply_changes([EdgeChange(ChangeKind.INSERT, 1, 2), EdgeChange(ChangeKind.INSERT, 2, 3)])
+        assert ds.version == 1 and _ask(ds, "reach", (0, 3)) is True
+        assert seen == [[EdgeChange(ChangeKind.INSERT, 2, 3)]] * 2  # both sides, once each
 
 
 def test_noop_and_malformed_batches_are_atomic():
@@ -701,10 +726,10 @@ def _counting_engine(store, counts):
 
 @pytest.mark.parametrize("store", ["none", "empty", "populated"])
 def test_first_touch_of_a_delta_kind_is_one_resolution_and_one_load(tmp_path, store):
-    """A mutable session's first touch publishes what its store load or
-    build produced and loads the offline twin once from the bytes that
-    resolution held: one ``load`` beyond a store read, a build only on an
-    empty store, at most one ``dump``, and no engine-cache entry."""
+    """A mutable session's first touch publishes what its one resolution
+    produced and deep-copies the offline twin from it: the only ``load`` is
+    the store read, a build only on an empty store, a ``dump`` only to
+    persist that build, and no engine-cache entry."""
     data = tuple(range(64, 0, -1))
     if store == "populated":
         with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
@@ -716,11 +741,59 @@ def test_first_touch_of_a_delta_kind_is_one_resolution_and_one_load(tmp_path, st
         assert _ask(ds, "rmq", (0, 63, 63)) is True
         store_hits = engine.stats().per_kind["rmq"].store_hits
         assert store_hits == (store == "populated")
-        assert counts["load"] == 1 + store_hits
-        assert counts["preprocess"] == (store != "populated")
-        assert counts["dump"] <= 1
+        assert counts == {
+            "preprocess": int(store != "populated"),
+            "dump": int(store == "empty"),
+            "load": store_hits,
+        }
         key = ds.registration_for("rmq").key(ds.fingerprint)
         assert engine._cache.get(key, record=False) is None
+
+
+def _spy_fingerprints(monkeypatch):
+    """The data of every ``dataset_fingerprint`` call, through any module
+    that imported it."""
+    hashed = []
+    for module in (repro.storage.fingerprint, repro.service.engine,
+                   repro.service.dataset, repro.service.sharding):
+        real = getattr(module, "dataset_fingerprint", None)
+        if real is not None:
+
+            def spy(data, real=real):
+                hashed.append(data)
+                return real(data)
+
+            monkeypatch.setattr(module, "dataset_fingerprint", spy)
+    return hashed
+
+
+def test_a_kind_first_touched_after_a_batch_builds_privately(tmp_path, monkeypatch):
+    """A monolithic kind first touched after a batch builds from the working
+    copy in memory, as a rebuild does: no fingerprint of the working copy, no
+    store probe or put, no cache entry (later versions write no artifact),
+    and a delta kind's twin is a copy of the build."""
+    data = tuple(range(64, 0, -1))
+    store = _RecordingStore(tmp_path)
+    with _counting_engine(store, {}) as engine:
+        plain = replace(sorted_run_scheme(), structure="sorted-run-no-delta", apply_delta=None)
+        engine.register("plain", membership_class(), plain)
+        ds = engine.attach("live", data, kinds=["rmq", "members", "plain"], mutable=True)
+        assert _ask(ds, "rmq", (0, 63, 63)) is True
+        ds.apply_changes([PointWrite(0, 0)])
+        traffic = len(store.gets), len(store.puts), len(engine._cache)
+        hashed = _spy_fingerprints(monkeypatch)
+        for kind in ("members", "plain"):
+            assert _ask(ds, kind, 0) is True and _ask(ds, kind, 64) is False
+            stats = engine.stats().per_kind[kind]
+            assert (stats.builds, stats.store_hits, stats.cache_hits) == (1, 0, 0)
+        assert hashed == []
+        assert (len(store.gets), len(store.puts), len(engine._cache)) == traffic
+        versions = ds._mutable._versions
+        sides = [side["members"].resolve() for side in (versions.current.plans, versions.offline)]
+        assert sides[0]._run == sides[1]._run and sides[0]._run is not sides[1]._run
+        ds.apply_changes([_insert(99)])
+        assert _ask(ds, "members", 99) is True and _ask(ds, "plain", 99) is True
+        assert engine.stats().per_kind["members"].delta_batches == 1
 
 
 def test_an_immutable_session_after_a_mutable_one_reads_the_store(tmp_path):
@@ -744,7 +817,7 @@ def test_an_immutable_session_after_a_mutable_one_reads_the_store(tmp_path):
 def test_a_first_touch_waiting_on_the_build_lock_takes_what_was_cached_meanwhile():
     """A mutable session's miss rechecks the engine cache under the per-key
     build lock: a structure another session cached while it waited is
-    privatised (one dump, two loads), not built a second time."""
+    privatised (two deep copies), not built a second time."""
     data = tuple(range(64, 0, -1))
     counts = {"preprocess": 0, "dump": 0, "load": 0}
     with _counting_engine(None, counts) as engine:
@@ -762,7 +835,7 @@ def test_a_first_touch_waiting_on_the_build_lock_takes_what_was_cached_meanwhile
             cached = registration.scheme.preprocess(data, NULL_TRACKER)
             engine._cache.put(key, cached)
         toucher.join(timeout=10)
-        assert counts == {"preprocess": 1, "dump": 1, "load": 2}  # one build: the cached one
+        assert counts == {"preprocess": 1, "dump": 0, "load": 0}  # one build: the cached one
         stats = engine.stats().per_kind["rmq"]
         assert (stats.builds, stats.cache_hits) == (0, 1)
         versions = ds._mutable._versions
@@ -772,13 +845,12 @@ def test_a_first_touch_waiting_on_the_build_lock_takes_what_was_cached_meanwhile
 
 
 @pytest.mark.parametrize("stored", [False, True], ids=["no-store", "store"])
-def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, stored):
+def test_materializing_a_delta_kind_copies_the_published_side(tmp_path, stored):
     """First touch of a mutable delta kind: one build, published as it is,
-    one dump at most (the one the build persisted is reused) and one load --
-    the offline twin -- counted as neither a build nor a store hit, and no
-    side in the engine cache; a restarted engine publishes what it decoded
-    from the stored file, loads the twin from the same bytes and dumps
-    nothing."""
+    a dump only to persist it, and the offline twin a deep copy of it --
+    counted as neither a build nor a store hit, and no side in the engine
+    cache; a restarted engine publishes what it decoded from the stored
+    file, copies the twin from it and dumps nothing."""
     data = tuple(range(64, 0, -1))
     counts = {"dump": 0, "load": 0}
     with _counting_engine(ArtifactStore(tmp_path) if stored else None, counts) as engine:
@@ -786,7 +858,7 @@ def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, s
         assert _ask(ds, "rmq", (0, 63, 63)) is True
         stats = engine.stats().per_kind["rmq"]
         assert (stats.builds, stats.store_hits, stats.cache_hits) == (1, 0, 0)
-        assert counts == {"dump": 1, "load": 1}
+        assert counts == {"dump": int(stored), "load": 0}
         versions = ds._mutable._versions
         sides = [side["rmq"].resolve() for side in (versions.current.plans, versions.offline)]
         assert sides[0] is not sides[1] and len(engine._cache) == 0
@@ -798,12 +870,12 @@ def test_materializing_a_delta_kind_decodes_both_sides_from_one_blob(tmp_path, s
         assert _ask(ds, "rmq", (3, 63, 63)) is True
         stats = engine.stats().per_kind["rmq"]
         assert (stats.builds, stats.store_hits) == (0, 1)
-        assert counts == {"dump": 0, "load": 2}
+        assert counts == {"dump": 0, "load": 1}
 
 
 def test_each_mutable_materialization_emits_one_debug_record(tmp_path, caplog):
     """Which structure got rebuilt, and why -- read from what the system
-    emits: kind, version, source, privatisation dumps / loads and ms."""
+    emits: kind, version, source, privatising deep copies and ms."""
     assert not logging.getLogger("repro.service.dataset").handlers
     caplog.set_level(logging.DEBUG, logger="repro.service.dataset")
     data = tuple(range(64, 0, -1))
@@ -824,11 +896,11 @@ def test_each_mutable_materialization_emits_one_debug_record(tmp_path, caplog):
         assert engine.attach("again", data, kinds=["rmq"], mutable=True).query("rmq", (0, 1, 1))
     records = [r for r in caplog.records if r.name == "repro.service.dataset"]
     assert {r.levelno for r in records} == {logging.DEBUG}
-    assert [r.args[:5] for r in records] == [
-        ("rmq", 0, "build", 0, 1),      # the persisted dump is the blob
-        ("members", 1, "build", 0, 1),  # first touched after a batch: v1 content
-        ("rmq", 0, "store", 0, 1),      # no cache entry: the file it read
-        ("rmq", 0, "cache", 1, 2),      # a cache hit is shared: one dump, two loads
-        ("rmq", 0, "store", 0, 1),      # restarted: the file it read is the blob
+    assert [r.args[:4] for r in records] == [
+        ("rmq", 0, "build", 1),      # published as built, the twin its copy
+        ("members", 1, "build", 1),  # first touched after a batch: a private build
+        ("rmq", 0, "store", 1),      # no cache entry: the file it read
+        ("rmq", 0, "cache", 2),      # a cache hit is shared: both sides are copies
+        ("rmq", 0, "store", 1),      # restarted: the file it read
     ]
-    assert all(r.args[5] >= 0 for r in records)
+    assert all(r.args[4] >= 0 for r in records)
