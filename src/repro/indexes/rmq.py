@@ -230,7 +230,7 @@ class _MaskedMinima:
     def copy_for(self, rmq: "FischerHeunRMQ") -> "_MaskedMinima":
         """A private copy reading ``rmq``'s columns (a copy of the structure
         this one reads), as :meth:`from_state` binds a loaded one."""
-        summary = _MaskedMinima.__new__(_MaskedMinima)
+        summary = type(self).__new__(type(self))
         summary._array, summary._b = rmq._array, rmq._block_size
         summary._table_of, summary._last = rmq._block_table, rmq._last
         summary._masks, summary._word_argmin = self._masks[:], self._word_argmin[:]
