@@ -796,6 +796,26 @@ def test_a_kind_first_touched_after_a_batch_builds_privately(tmp_path, monkeypat
         assert engine.stats().per_kind["members"].delta_batches == 1
 
 
+def test_a_resumed_session_before_its_first_batch_reads_the_attach_artifact(
+    tmp_path, monkeypatch
+):
+    """A re-homed session starts at its snapshot's version but still holds
+    the attach payload: until a batch takes effect its first touch resolves
+    by the attach fingerprint (a store hit), hashing nothing."""
+    data = tuple(range(64, 0, -1))
+    with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
+        engine.attach("warm", data, kinds=["rmq"]).warm()
+    with _counting_engine(ArtifactStore(tmp_path), {}) as engine:
+        ds = engine.attach("live", data, kinds=["rmq"], mutable=True)
+        ds.resume_at(4)
+        hashed = _spy_fingerprints(monkeypatch)
+        assert _ask(ds, "rmq", (0, 63, 63)) is True
+        stats = engine.stats().per_kind["rmq"]
+        assert (stats.builds, stats.store_hits, hashed) == (0, 1, [])
+        assert ds.apply_changes([PointWrite(63, 99)]) == {"version": 5}
+        assert _ask(ds, "rmq", (0, 63, 62)) is True
+
+
 def test_an_immutable_session_after_a_mutable_one_reads_the_store(tmp_path):
     """The mutable session persisted its build but cached nothing: an
     immutable session on the same content resolves as a store hit and keeps
