@@ -44,18 +44,24 @@ strided slices, ``bytes.translate``, ``bytes.split``, substring searches
 and big-int ORs and popcounts: no Python loop runs per element, only the
 patch loop that writes each exception back.  A patched column that no
 :func:`pack` can have written is a ``ValueError``, never a wrong list.
+
+The same lanes hash a plain-``int`` run for the shard partition rule
+(:func:`repro.service.merge.stable_bucket`): :func:`word_crc_buckets`
+takes the CRC-32 of every value's 8-byte word with a ``translate`` per
+byte lane, its tables built on first use.
 """
 
 from __future__ import annotations
 
 import sys
+import zlib
 from array import array
 from itertools import accumulate, islice
 from operator import sub
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["positions", "ids", "counts", "is_counts", "words", "little_endian",
-           "from_little_endian", "pack", "pack_sorted", "unpack"]
+           "from_little_endian", "pack", "pack_sorted", "unpack", "word_crc_buckets"]
 
 Packed = Union[array, bytes, List[Any]]
 
@@ -511,3 +517,82 @@ def unpack(column: Union[Tuple[int, Packed], Packed]) -> List[Any]:
     if isinstance(column, bytes):
         column = _from_bytes(column)
     return list(column)
+
+
+# -- CRC-32 of 8-byte words ----------------------------------------------------
+
+#: Values per :func:`word_crc_buckets` pass, so each pass's lanes and big
+#: ints stay a few KiB (one pass over all 2^16 values cost +0.3 MiB RSS).
+_CRC_CHUNK = 1 << 12
+
+#: ``_CRC_TABLES[code][lane][j]``: byte ``j`` of each byte's share in the
+#: CRC-32 of a ``code`` column's words, built by :func:`_crc_tables`.
+_CRC_TABLES: Dict[str, List[List[bytes]]] = {}
+
+
+def _crc_tables(code: str) -> List[List[bytes]]:
+    """The ``translate`` tables of :func:`word_crc_buckets` for a ``code``
+    column, built from ``zlib.crc32`` on first use (not at import).
+
+    For 8-byte messages CRC-32 is affine over GF(2): ``crc32(m)`` is
+    ``crc32(0^8)`` XOR each byte's share ``crc32(m_i at i) ^ crc32(0^8)``,
+    and the shares of several bytes XOR to the share of the message that
+    holds them all.  Lane 0's tables carry the constant.  The lanes above
+    the word are zero (a zero byte's share is 0) or, in a signed word, the
+    sign byte, whose shares are folded into the top lane's tables.
+    """
+    tables = _CRC_TABLES.get(code)
+    if tables is None:
+        size, zero = array(code).itemsize, zlib.crc32(bytes(8))
+        shares = []
+        for lane in range(size):
+            messages = bytearray(8 * 256)  # message b holds byte b at ``lane``
+            messages[lane::8] = _ALL
+            base = zero if lane else 0  # lane 0 keeps the constant crc32(0^8)
+            shares.append([zlib.crc32(messages[at : at + 8]) ^ base for at in range(0, 8 * 256, 8)])
+        if code.islower():  # the lanes above are 0xFF where the top lane's sign bit is set
+            fill = zlib.crc32(bytes(size) + b"\xff" * (8 - size)) ^ zero
+            shares[-1][0x80:] = [part ^ fill for part in shares[-1][0x80:]]
+        tables = [[raw[j::4] for j in range(4)]
+                  for raw in (little_endian(array(_UNSIGNED[4], lane)) for lane in shares)]
+        _CRC_TABLES[code] = tables
+    return tables
+
+
+def word_crc_buckets(values: Sequence[int], buckets: int) -> List[int]:
+    """``zlib.crc32((v % 2**64).to_bytes(8, "little")) % buckets`` for each
+    ``v`` of a plain-``int`` run, in order; ``buckets`` is at least 1.
+
+    Each pass takes :data:`_CRC_CHUNK` values in the narrowest word that
+    holds them (reduced mod ``2**64`` first when no word does) and XORs,
+    per CRC byte, one ``translate`` of each byte lane (:func:`_crc_tables`)
+    as a big int: no Python loop runs per value.  When ``buckets`` divides
+    256 the bucket is CRC byte 0's residue, so one CRC byte and one more
+    ``translate`` give it; else the four bytes are read back as words and
+    reduced one by one.
+    """
+    low = bytes(byte % buckets for byte in range(256)) if 256 % buckets == 0 else None
+    out: List[int] = []
+    for start in range(0, len(values), _CRC_CHUNK):
+        chunk = values[start : start + _CRC_CHUNK]
+        column = _narrowest(chunk)
+        if column is None:  # a value past 64 bits, or 2**63 or more beside a negative
+            column = array("Q", [value % 2**64 for value in chunk])
+        size, count = column.itemsize, len(column)
+        raw = little_endian(column)
+        lanes = [raw[lane::size] for lane in range(size)]
+        tables = _crc_tables(column.typecode)
+        planes = []
+        for j in range(1 if low else 4):
+            crc = 0
+            for lane, table in zip(lanes, tables):
+                crc ^= int.from_bytes(lane.translate(table[j]), "little")
+            planes.append(crc.to_bytes(count, "little"))
+        if low:
+            out += planes[0].translate(low)
+            continue
+        crcs = bytearray(4 * count)
+        for j, plane in enumerate(planes):
+            crcs[j::4] = plane
+        out += [crc % buckets for crc in _from_little_endian(_UNSIGNED[4], crcs)]
+    return out

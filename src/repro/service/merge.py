@@ -25,22 +25,35 @@ function + merge operator + optional query router) to
 ``PiScheme.sharding``; see :mod:`repro.queries.membership` for the simplest
 example and :mod:`repro.service.sharding` for the planner that consumes it.
 
+Hash splits share one partition rule, :func:`stable_bucket`.  An integer's
+bucket is the CRC-32 of its 8-byte little-endian word (``v mod 2**64``)
+modulo K; any other value's is the CRC-32 of its canonical ``repr``.  The
+integer rule is one C call per value, and it is exact in bulk: for a fixed
+8-byte length CRC-32 is affine over GF(2), so a whole column's CRCs are a
+constant XOR one table share per byte, a ``bytes.translate`` per byte lane
+(:func:`stable_buckets`).  Shard artifacts are keyed by content, so a shard
+written under an earlier rule is simply a miss.
+
     >>> from repro.service.merge import union_merge, stable_bucket
     >>> union_merge().combine([False, True, False], None)
     True
     >>> stable_bucket("some row", 4) == stable_bucket("some row", 4)
+    True
+    >>> stable_bucket(1, 4) == stable_bucket(1.0, 4) == stable_bucket(True, 4)
     True
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 import zlib
 from dataclasses import dataclass
 from itertools import islice
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.core.cost import CostTracker
+from repro.indexes import columns
 
 __all__ = [
     "ShardPiece",
@@ -209,43 +222,60 @@ def merge_sorted_desc(runs: Sequence[Sequence[Any]], count: int) -> List[Any]:
 def _canonical(value: Any) -> Any:
     """Collapse ==-equal numeric aliases to one representative.
 
-    Hash routing buckets by ``repr``, but the structures themselves compare
-    with ``==`` -- and ``1 == 1.0 == True`` while their reprs differ.  Bools
-    and integer-valued floats therefore canonicalize to ``int`` (recursively
-    through tuples/lists, for row-shaped items) so equal values always land
-    in the same bucket.  Over-merging distinct values is harmless; splitting
-    equal values would break the K-vs-1 equivalence contract.
+    The structures compare with ``==``, and ``1 == 1.0 == True ==
+    numpy.int64(1)`` while their types and reprs differ.  Every
+    ``numbers.Integral`` (bools, ``IntEnum`` members, numpy integers) and
+    every integer-valued float therefore canonicalizes to ``int``
+    (recursively through tuples/lists, for row-shaped items) so equal values
+    always land in the same bucket.  Over-merging distinct values is
+    harmless; splitting equal values would break the K-vs-1 equivalence
+    contract.
     """
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
+    if type(value) is int or isinstance(value, str):
+        return value
     if isinstance(value, (tuple, list)):
-        return tuple(_canonical(item) for item in value)
-    return value
+        return tuple(map(_canonical, value))
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else value
+    if isinstance(value, int):  # bools, IntEnum members
+        return int(value)
+    # Any other Integral (numpy's) registered through ``numbers``, so it is
+    # imported already; a worker's boot does not pay for importing it here.
+    numbers = sys.modules.get("numbers")
+    return int(value) if numbers and isinstance(value, numbers.Integral) else value
 
 
 def stable_bucket(value: Any, buckets: int) -> int:
     """Run-independent hash partition of ``value`` into ``[0, buckets)``.
 
-    Uses CRC-32 of ``repr`` of the :func:`canonicalized <_canonical>` value
-    -- like :func:`repro.core.query.stable_seed`, deliberately *not* Python's
-    process-salted ``hash`` -- so the same element lands in the same shard in
+    An integer (after :func:`_canonical`) hashes as its 8-byte word:
+    ``zlib.crc32((v % 2**64).to_bytes(8, "little")) % buckets``, one C call.
+    Anything else hashes as ``zlib.crc32(repr(_canonical(value)))``.  Like
+    :func:`repro.core.query.stable_seed` this is deliberately *not* Python's
+    process-salted ``hash``, so the same element lands in the same shard in
     every process, which is what makes shard artifacts shareable across
     processes, and a change batch alter only the shards its items hash to.
     """
     if buckets < 1:
         raise ValueError("bucket count must be at least 1")
-    return zlib.crc32(repr(_canonical(value)).encode("utf-8")) % buckets
+    if type(value) is not int:
+        value = _canonical(value)
+        if type(value) is not int:
+            return zlib.crc32(repr(value).encode("utf-8")) % buckets
+    return zlib.crc32((value % 2**64).to_bytes(8, "little")) % buckets
 
 
 def stable_buckets(values: Sequence[Any], buckets: int) -> List[int]:
-    """:func:`stable_bucket` of every element, in order: a plain-``int`` run
-    goes through one ``map`` chain of the same function (``repr`` ->
-    ``encode`` -> ``crc32`` -> ``%``), anything else through a call each."""
-    if buckets >= 1 and set(map(type, values)) == {int}:
-        crcs = map(zlib.crc32, map(str.encode, map(repr, values)))
-        return [crc % buckets for crc in crcs]
+    """:func:`stable_bucket` of every element, in order.
+
+    A plain-``int`` run goes through :func:`columns.word_crc_buckets
+    <repro.indexes.columns.word_crc_buckets>`, which computes the same CRCs
+    for a whole column at once; anything else goes through a call each.
+    """
+    if buckets < 1:
+        raise ValueError("bucket count must be at least 1")
+    if set(map(type, values)) == {int}:
+        return columns.word_crc_buckets(values, buckets)
     return [stable_bucket(value, buckets) for value in values]
 
 

@@ -8,9 +8,13 @@ invalidation: change batches must rebuild only the shards they touch.
 
 from __future__ import annotations
 
+import enum
 import inspect
+import itertools
 import random
 import threading
+import zlib
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -52,26 +56,65 @@ def test_stable_bucket_is_deterministic_and_bounded():
         stable_bucket(1, 0)
 
 
+#: One ``columns.word_crc_buckets`` pass, in values.
+CHUNK = 1 << 12
+
+
 @pytest.mark.parametrize(
     "values",
     [
-        tuple(range(-300, 300)) + (1 << 70, -(1 << 70)),  # plain ints: the map chain
+        tuple(range(-300, 300)) + (1 << 70, -(1 << 70)),  # plain ints past 64 bits
         (1, True, 2.0, 3.5), ((1, 2), (1.0, 2.0), [3]), ("x", None, 7), (),
+        (-(1 << 63), (1 << 63) - 1, 0, -1, 1 << 62),  # int64 extremes: 'q'
+        (1 << 63, (1 << 64) - 1, 1 << 64, 5),  # past int64, and past 64 bits
+        (1 << 63, -1, 3),  # no 64-bit word holds both ends
+        tuple(range(-128, 128)),  # 'b'
+        tuple(range(-(1 << 15), 1 << 15, 97)),  # 'h'
+        tuple(range(-(1 << 31), 1 << 31, (1 << 22) + 7)),  # 'i'
+        tuple(range(-CHUNK, CHUNK + 5)) + (1 << 40, 1 << 64),  # three passes, the last past 64 bits
     ],
-    ids=["ints", "int-likes", "rows", "mixed", "empty"],
+    ids=["ints", "int-likes", "rows", "mixed", "empty", "int64-extremes", "past-int64",
+         "no-word", "signed-b", "signed-h", "signed-i", "chunks"],
 )
 def test_stable_buckets_is_the_per_element_function(values):
     """Identical pieces whichever path buckets them, for every splitter."""
     from repro.queries.membership import _split_list
 
-    assert stable_buckets(values, 4) == [stable_bucket(value, 4) for value in values]
+    for shards in (1, 2, 3, 4, 7, 256, 257, 1000):
+        assert stable_buckets(values, shards) == [stable_bucket(value, shards) for value in values]
     with pytest.raises(ValueError):
-        stable_buckets(values or (1,), 0)
+        stable_buckets(values, 0)
     if values and set(map(type, values)) == {int}:
         pieces = [[] for _ in range(4)]
         for value in values:
             pieces[stable_bucket(value, 4)].append(value)
         assert [piece.data for piece in _split_list(values, 4)] == list(map(tuple, pieces))
+
+
+def test_an_int_buckets_by_the_crc_of_its_8_byte_word():
+    """The partition rule for integers, pinned: shard keys follow from it."""
+    rng = random.Random(7)
+    values = [0, 1, -1, 255, 256, -(1 << 63), (1 << 64) - 1, 1 << 64, -(1 << 70)]
+    values += [rng.randrange(-(1 << 66), 1 << 66) for _ in range(500)]
+    runs = (values, [value % 2**64 for value in values], [value >> 40 for value in values])
+    for run, shards in itertools.product(runs, (1, 2, 4, 7, 1000)):
+        expected = [zlib.crc32((value % 2**64).to_bytes(8, "little")) % shards for value in run]
+        assert [stable_bucket(value, shards) for value in run] == expected
+        assert stable_buckets(run, shards) == expected
+
+
+@pytest.mark.parametrize(
+    "values",
+    [range(1 << 16), range(0, 64 << 16, 64), range(0, 1 << 48, 1 << 32)],
+    ids=["sequential", "stride-64", "multiples-of-2^32"],
+)
+def test_int_buckets_are_balanced(values):
+    """Regular integer runs spread within 5 % of n / K over every bucket."""
+    for shards in (2, 4, 7):
+        sizes = Counter(stable_buckets(values, shards))
+        assert sorted(sizes) == list(range(shards))
+        fair = len(values) / shards
+        assert all(abs(size - fair) <= 0.05 * fair for size in sizes.values()), (shards, sizes)
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4, 7])
@@ -319,6 +362,37 @@ def test_numeric_alias_queries_route_like_they_compare():
                 _ask(sharded, "list-membership", data, probe)
                 == _ask(mono, "list-membership", data, probe, shards=1)
             ), probe
+
+
+class _Small(enum.IntEnum):
+    ELEVEN = 11
+    TWELVE = 12
+    SIXTY = 60
+
+
+def test_integer_likes_route_like_the_ints_they_equal():
+    """numpy integers, ``IntEnum`` members and bools equal plain ints, so a
+    sharded membership session must answer every probe as the monolithic
+    one does, whichever side holds the integer-like."""
+    import numpy as np
+
+    datasets = {
+        "numpy": np.arange(0, 200, 3),
+        "intenum": tuple(range(0, 200, 7)) + tuple(_Small),
+        "bool": (True, 5, 9, 40),
+        "plain": tuple(range(0, 200, 5)),
+    }
+    probes = list(range(-2, 202)) + list(np.arange(0, 200, 3)) + list(_Small) + [True, False]
+    for name, data in datasets.items():
+        with build_query_engine() as engine:
+            mono = engine.attach(f"{name}-1", data, kinds=["list-membership"], shards=1)
+            for shards in (2, 4, 7):
+                sharded = engine.attach(f"{name}-{shards}", data, kinds=["list-membership"],
+                                        shards=shards)
+                for probe in probes:
+                    assert sharded.query("list-membership", probe) == mono.query(
+                        "list-membership", probe
+                    ), (name, shards, probe)
 
 
 def test_sharded_rmq_rejects_malformed_windows_like_monolithic():
