@@ -55,13 +55,18 @@ class SortedRunIndex(Generic[K]):
     # -- untracked serving kernels ---------------------------------------------
 
     def contains_fast(self, key: K) -> bool:
-        """Untracked :meth:`contains`: one C ``bisect`` probe, no charging."""
+        """Untracked :meth:`contains`: one C ``bisect`` probe, no charging.
+
+        The serve plans bind this kernel directly, so it answers a plain
+        ``bool`` itself: a run built from numpy ints compares to ``numpy.bool``.
+        """
         run = self._run
         position = binary_search_untracked(run, key)
-        return position < len(run) and run[position] == key
+        return position < len(run) and bool(run[position] == key)
 
     def contains_many(self, keys: Sequence[K]) -> List[bool]:
-        """Untracked batch membership: locals hoisted, one bisect per key."""
+        """Untracked batch membership: locals hoisted, one bisect per key,
+        each answer a plain ``bool`` (see :meth:`contains_fast`)."""
         run = self._run
         n = len(run)
         search = binary_search_untracked
@@ -69,7 +74,7 @@ class SortedRunIndex(Generic[K]):
         append = answers.append
         for key in keys:
             position = search(run, key)
-            append(position < n and run[position] == key)
+            append(position < n and bool(run[position] == key))
         return answers
 
     def values(self) -> List[K]:

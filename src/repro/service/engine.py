@@ -175,7 +175,7 @@ class EngineStats:
     cache: CacheStats
 
     def total_queries(self) -> int:
-        """Queries answered across every registered kind since the last reset."""
+        """Queries answered across every registered kind since the engine started."""
         return sum(stats.queries for stats in self.per_kind.values())
 
     #: The SchemeStats fields folded into the ``health`` rollup.
@@ -191,7 +191,7 @@ class EngineStats:
     def health(self) -> Dict[str, int]:
         """The failure-model counters summed across kinds.
 
-        All-zero means no recovery machinery has run since the last reset;
+        All-zero means no recovery machinery has run since the engine started;
         any nonzero value names exactly which degradation happened (see the
         "Failure model" table in ``docs/architecture.md``).
         """
@@ -311,15 +311,6 @@ class _QueryCounterShards:
         for items in shards:
             _add_into(totals, items)
         return totals
-
-    def reset(self) -> None:
-        """Zero every slot in place (concurrent increments may survive)."""
-        with self._lock:
-            self._retired.clear()
-            for shard in self._shards:
-                for slot in shard.values():
-                    slot[0] = 0
-                    slot[1] = 0.0
 
 
 class QueryEngine:
@@ -777,13 +768,6 @@ class QueryEngine:
                 stats.queries += int(queries)
                 stats.serve_seconds += serve_seconds
         return EngineStats(per_kind=per_kind, cache=self._cache.stats())
-
-    def reset_stats(self) -> None:
-        """Zero the per-kind counters (cache counters are cumulative)."""
-        with self._stats_lock:
-            for kind, stats in self._stats.items():
-                self._stats[kind] = SchemeStats(scheme=stats.scheme)
-        self._query_counters.reset()
 
     def close(self) -> None:
         """Detach attached datasets; further work errors.

@@ -12,7 +12,10 @@ only there, so no stale replica can ever serve a read -- and a
 the attach frame plus every *acknowledged* change batch.  Because
 Pi(D) is a deterministic function of D, replaying those frames onto any
 worker reproduces the dataset; that is the whole re-home story, after a
-crash, a restart or a drain alike.
+crash, a restart or a drain alike.  A frame here is ``(header, body)``:
+the body's codec byte is read and written only by
+:mod:`~repro.service.frontend.protocol`, and the supervisor's loop never
+parses a body -- a checkpoint is adopted on its reply's header.
 
 *Worker choice.*  The :class:`Router` owns everything that decides which
 worker gets a frame: per-slot health and draining flags, circuit
@@ -21,7 +24,6 @@ breakers, the round-robin cursor and the restart schedule.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import WorkerFailedError
@@ -29,7 +31,7 @@ from repro.service.faults import RecoveryPolicy
 
 __all__ = ["Journal", "Router"]
 
-Frame = Tuple[Dict[str, Any], bytes, int]
+Frame = Tuple[Dict[str, Any], bytes]
 
 
 def _strip_deadline(header: Dict[str, Any]) -> Dict[str, Any]:
@@ -59,16 +61,15 @@ class Journal:
     reader both records and finishes, in the order the worker answered.
     """
 
-    __slots__ = ("name", "header", "body", "codec", "mutable", "home",
+    __slots__ = ("name", "header", "body", "mutable", "home",
                  "batches", "checkpointing", "_checkpoint_every")
 
-    def __init__(self, name: str, header: Dict[str, Any], body: bytes,
-                 codec: int, *, mutable: bool, home: Optional[int],
+    def __init__(self, name: str, header: Dict[str, Any], body: bytes, *,
+                 mutable: bool, home: Optional[int],
                  checkpoint_every: Optional[int]):
         self.name = name
         self.header = _strip_deadline(header)
         self.body = body
-        self.codec = codec
         self.mutable = mutable
         #: worker id homing a mutable dataset; None for immutable (served
         #: everywhere) or an orphaned mutable awaiting a healthy worker.
@@ -79,12 +80,11 @@ class Journal:
         self.checkpointing = False
         self._checkpoint_every = checkpoint_every
 
-    def record(self, header: Dict[str, Any], body: bytes,
-               codec: int) -> Optional[Dict[str, Any]]:
+    def record(self, header: Dict[str, Any], body: bytes) -> Optional[Dict[str, Any]]:
         """Append one acknowledged change batch.  When that makes a
         checkpoint due, marks one outstanding and returns the ``snapshot``
         request header to send to the home worker."""
-        self.batches.append((_strip_deadline(header), body, codec))
+        self.batches.append((_strip_deadline(header), body))
         if (self._checkpoint_every is None or self.checkpointing
                 or len(self.batches) < self._checkpoint_every):
             return None
@@ -93,31 +93,29 @@ class Journal:
 
     def frames(self) -> List[Frame]:
         """Replay order: the attach frame, then every recorded batch."""
-        return [(self.header, self.body, self.codec)] + self.batches
+        return [(self.header, self.body)] + self.batches
 
     def home_lost(self) -> None:
         """The home worker died, and any outstanding snapshot with it."""
         self.home = None
         self.checkpointing = False
 
-    def finish_checkpoint(self, ok: bool, body: bytes, codec: int) -> bool:
-        """The snapshot came back (or failed).  On success the reply -- a whole
-        attach body, shape-checked by one ``json.loads`` on the loop owning
-        every socket -- becomes the attach baseline verbatim and the journal
-        is truncated; False leaves both as they were."""
+    def finish_checkpoint(self, ok: bool, header: Dict[str, Any], body: bytes) -> bool:
+        """The snapshot came back (or failed).  The worker stamps the reply's
+        header with the ``name``, ``version`` and ``mutable`` of the attach
+        body it encoded; when they are this journal's and the body is not
+        empty, the body becomes the attach baseline verbatim and the journal
+        is truncated.  False leaves both as they were.  The body is never
+        parsed here: the loop owning every socket pays O(1), not O(|D|), and
+        the worker a replay reaches still refuses a body that disagrees with
+        its attach header."""
         self.checkpointing = False
-        if not ok:
+        version = header.get("version")
+        if (not ok or not body or header.get("name") != self.name
+                or header.get("mutable") is not True
+                or type(version) is not int or version < 0):
             return False
-        try:
-            reply = json.loads(body)
-            fields = dict(reply["v"]) if reply["$"] == "d" else {}
-            version = fields["version"]
-            if (fields["name"] != self.name or fields["mutable"] is not True
-                    or type(version) is not int or version < 0 or "data" not in fields):
-                return False
-        except (ValueError, KeyError, TypeError):
-            return False
-        self.body, self.codec = body, codec
+        self.body = body
         self.batches.clear()
         return True
 

@@ -4,7 +4,9 @@ The :class:`Gateway` is deliberately thin: it reads length-prefixed
 frames, admits or sheds them, and relays the *opaque* body bytes to the
 backend (a :class:`~repro.service.frontend.supervisor.Supervisor`) -- it
 never decodes a request body, so frame decode cost lands on the worker
-processes, in parallel.
+processes, in parallel.  Past the frame reader a frame is ``(header,
+body)``: the prefix's codec byte is read and written only by
+:mod:`~repro.service.frontend.protocol`.
 
 Admission control and backpressure, per dataset:
 
@@ -107,9 +109,10 @@ def _header_problem(header: Dict[str, Any]) -> Optional[str]:
 class Gateway:
     """Frame relay with admission control over a supervisor backend.
 
-    The backend contract is three methods -- ``submit(header, body, codec,
-    on_done)`` (called on the gateway's event loop; ``on_done`` fires on
-    it, during the call or later), ``health()`` and ``close()`` -- which is
+    The backend contract is three methods -- ``submit(header, body,
+    on_done)`` (called on the gateway's event loop; ``on_done(header,
+    body)`` fires on it, during the call or later), ``health()`` and
+    ``close()`` -- which is
     exactly the :class:`Supervisor` surface, and small enough that
     backpressure tests plug in a stub that never answers.
     """
@@ -146,11 +149,11 @@ class Gateway:
                     # A malformed or oversized frame poisons the stream
                     # position: answer structurally, then hang up.
                     self.counters["protocol_errors"] += 1
-                    await self._write_error(writer, write_lock, None, None, exc)
+                    await self._write_error(writer, write_lock, None, exc)
                     break
                 if frame is None:
                     break
-                header, body, codec = frame
+                header, body, _ = frame
                 arrival = time.monotonic()
                 self.counters["frames"] += 1
                 rid = header.get("rid")
@@ -160,7 +163,7 @@ class Gateway:
                     # the connection.
                     self.counters["protocol_errors"] += 1
                     await self._write_error(
-                        writer, write_lock, rid, codec, ProtocolError(problem)
+                        writer, write_lock, rid, ProtocolError(problem)
                     )
                     continue
                 op = header["op"]
@@ -170,7 +173,7 @@ class Gateway:
                     # the cheapest point to refuse doomed work.
                     self.counters["deadline_expired"] += 1
                     await self._write_error(
-                        writer, write_lock, rid, codec,
+                        writer, write_lock, rid,
                         DeadlineExceededError(
                             f"request {op!r} arrived with an exhausted "
                             f"budget ({deadline_ms} ms remaining)",
@@ -185,7 +188,7 @@ class Gateway:
                 if state.pending >= limit:
                     self.counters["overloaded_rejections"] += 1
                     await self._write_error(
-                        writer, write_lock, rid, codec,
+                        writer, write_lock, rid,
                         OverloadedError(
                             f"dataset {header.get('dataset')!r} at admission "
                             f"limit ({limit} pending); back off and retry"
@@ -194,8 +197,8 @@ class Gateway:
                     continue
                 state.pending += 1
                 asyncio.ensure_future(
-                    self._process(state, header, body, codec, writer,
-                                  write_lock, arrival)
+                    self._process(state, header, body, writer, write_lock,
+                                  arrival)
                 )
         except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
             pass
@@ -216,7 +219,7 @@ class Gateway:
         return state
 
     async def _process(self, state: _Admission, header: Dict[str, Any],
-                       body: bytes, codec: int, writer: asyncio.StreamWriter,
+                       body: bytes, writer: asyncio.StreamWriter,
                        write_lock: asyncio.Lock,
                        arrival: Optional[float] = None) -> None:
         deadline_ms = header.get("deadline_ms")
@@ -224,7 +227,7 @@ class Gateway:
         async def shed_expired(waited_ms: float) -> None:
             self.counters["deadline_expired"] += 1
             await self._write_error(
-                writer, write_lock, header.get("rid"), codec,
+                writer, write_lock, header.get("rid"),
                 DeadlineExceededError(
                     f"request {header.get('op')!r} expired waiting for "
                     f"an admission permit",
@@ -261,10 +264,10 @@ class Gateway:
                         return
                     header["deadline_ms"] = remaining
                 try:
-                    rheader, rbody, rcodec = await self._dispatch(header, body, codec)
+                    rheader, rbody = await self._dispatch(header, body)
                 except ReproError as exc:
                     await self._write_error(
-                        writer, write_lock, header.get("rid"), codec, exc
+                        writer, write_lock, header.get("rid"), exc
                     )
                     return
             finally:
@@ -272,7 +275,7 @@ class Gateway:
             async with write_lock:
                 try:
                     writer.write(protocol.pack_frame(
-                        rheader, body_bytes=rbody, codec=rcodec,
+                        rheader, body_bytes=rbody,
                         max_frame_bytes=self.config.max_frame_bytes,
                     ))
                     await writer.drain()
@@ -287,27 +290,26 @@ class Gateway:
             if state.pending == 0 and self._admission.get(dataset) is state:
                 del self._admission[dataset]
 
-    async def _dispatch(self, header: Dict[str, Any], body: bytes,
-                        codec: int) -> Tuple[Dict[str, Any], bytes, int]:
-        future: "asyncio.Future[Tuple[Dict[str, Any], bytes, int]]" = (
+    async def _dispatch(self, header: Dict[str, Any],
+                        body: bytes) -> Tuple[Dict[str, Any], bytes]:
+        future: "asyncio.Future[Tuple[Dict[str, Any], bytes]]" = (
             asyncio.get_running_loop().create_future())
 
         def on_done(*response: Any) -> None:
             if not future.done():  # the waiter may have been cancelled
                 future.set_result(response)
 
-        self._backend.submit(header, body, codec, on_done)
+        self._backend.submit(header, body, on_done)
         return await future
 
     async def _write_error(self, writer: asyncio.StreamWriter,
                            write_lock: asyncio.Lock, rid: Any,
-                           codec: Optional[int], exc: BaseException) -> None:
-        codec = protocol.CODEC_JSON if codec is None else codec
+                           exc: BaseException) -> None:
         header = {"rid": rid, "ok": False, "op": None}
-        body = protocol.encode_body(protocol.error_payload(exc), codec)
+        body = protocol.encode_body(protocol.error_payload(exc))
         async with write_lock:
             try:
-                writer.write(protocol.pack_frame(header, body_bytes=body, codec=codec))
+                writer.write(protocol.pack_frame(header, body_bytes=body))
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):  # pragma: no cover
                 pass

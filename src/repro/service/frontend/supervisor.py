@@ -18,8 +18,12 @@ other thread uses ``start`` / ``call`` / ``health`` / ``drain`` /
 *The channel.*  Both directions of a worker's ``socket.socketpair()`` carry
 the client's own wire format (:mod:`~repro.service.frontend.protocol`):
 body bytes untouched, the small header re-packed with the attempt id as
-``rid`` (the client's is restored on the way back).  "Ready" is the first
-internal ``ping`` a worker answers, "stop" is a half-close, and
+``rid`` (the client's is restored on the way back).  Past the frame reader
+a frame is ``(header, body)`` -- the codec byte is read and written only
+by ``protocol`` -- and the loop decides from headers alone: an attach is
+routed by its header, a ``snapshot`` reply is adopted by the ``name`` /
+``version`` / ``mutable`` its worker stamps on the header.  "Ready" is the
+first internal ``ping`` a worker answers, "stop" is a half-close, and
 end-of-file (or a torn frame) is the crash signal.
 
 *Crash recovery.*  When a worker dies: its in-flight reads enter the
@@ -83,7 +87,7 @@ MAX_QUEUE_PER_WORKER = 2048
 #: How long :meth:`Supervisor.start` waits for every worker's engine.
 READY_TIMEOUT_SECONDS = 120.0
 
-_Response = Tuple[Dict[str, Any], bytes, int]
+_Response = Tuple[Dict[str, Any], bytes]
 
 
 def _resolving(future: "asyncio.Future[_Response]") -> OnDone:
@@ -104,8 +108,8 @@ class _Broadcast:
         self._combine = combine
         self._responses: List[_Response] = []
 
-    def collect(self, header: Dict[str, Any], body: bytes, codec: int) -> None:
-        self._responses.append((header, body, codec))
+    def collect(self, header: Dict[str, Any], body: bytes) -> None:
+        self._responses.append((header, body))
         if len(self._responses) < self._expected:
             return
         errors = [r for r in self._responses if not r[0].get("ok")]
@@ -254,8 +258,8 @@ class Supervisor:
         self._timer_task = asyncio.ensure_future(self._timer())
         ready = asyncio.get_running_loop().create_future()
         self._broadcast({"op": "ping", "rid": 0, "dataset": None}, b"",
-                        protocol.CODEC_JSON, self._router.healthy(),
-                        _resolving(ready), time.monotonic())
+                        self._router.healthy(), _resolving(ready),
+                        time.monotonic())
         try:
             await asyncio.wait_for(ready, READY_TIMEOUT_SECONDS)
         except asyncio.TimeoutError:
@@ -327,14 +331,8 @@ class Supervisor:
 
     # -- request submission ----------------------------------------------------
 
-    def submit(
-        self,
-        header: Dict[str, Any],
-        body: bytes,
-        codec: int,
-        on_done: OnDone,
-    ) -> None:
-        """Route one request; ``on_done(header, body, codec)`` fires exactly
+    def submit(self, header: Dict[str, Any], body: bytes, on_done: OnDone) -> None:
+        """Route one request; ``on_done(header, body)`` fires exactly
         once.  Loop-only, ``on_done`` included: the gateway calls it on the
         front's loop, other threads go through :meth:`call` or :meth:`run`.
 
@@ -360,7 +358,7 @@ class Supervisor:
         if self._closed:
             raise ServiceError("serving front is closed")
         if op == "attach":
-            self._submit_attach(header, body, codec, on_done, now)
+            self._submit_attach(header, body, on_done, now)
             return
         journal = self._datasets.get(name)
         replicated = journal is None or not journal.mutable
@@ -369,10 +367,10 @@ class Supervisor:
             targets = (self._router.healthy() if replicated
                        else [self._router.route(journal, now)])
             self._broadcast(
-                header, body, codec, targets, on_done, now,
+                header, body, targets, on_done, now,
                 combine=self._combine_stats if op == "stats" else None)
         else:
-            ticket = self._table.open(header, body, codec, on_done, now,
+            ticket = self._table.open(header, body, on_done, now,
                                       replicated=replicated)
             self._send(ticket, self._router.route(journal, now), now)
         # Only now that the detach is on its way: a refused detach must
@@ -386,7 +384,6 @@ class Supervisor:
         *,
         dataset: Optional[str] = None,
         value: Any = None,
-        codec: int = protocol.CODEC_JSON,
         timeout: float = 60.0,
         deadline_ms: Optional[float] = None,
     ) -> Any:
@@ -398,7 +395,7 @@ class Supervisor:
         is clamped to slightly past the budget so an expiry surfaces as
         the supervisor's typed error, not a silent stall here.
         """
-        body = protocol.encode_body(value, codec) if value is not None else b""
+        body = protocol.encode_body(value) if value is not None else b""
         header = protocol.request_header(op, 0, dataset, value)
         wait = timeout
         if deadline_ms is not None:
@@ -407,11 +404,11 @@ class Supervisor:
 
         async def exchange() -> _Response:
             response = asyncio.get_running_loop().create_future()
-            self.submit(header, body, codec, _resolving(response))
+            self.submit(header, body, _resolving(response))
             return await asyncio.wait_for(response, wait)
 
         try:
-            rheader, rbody, rcodec = self.run(exchange())
+            rheader, rbody = self.run(exchange())
         except asyncio.TimeoutError:
             raise DeadlineExceededError(
                 f"no response to {op!r} within {wait}s",
@@ -420,7 +417,7 @@ class Supervisor:
                 budget_ms=deadline_ms if deadline_ms is not None
                 else timeout * 1000.0,
             ) from None
-        payload = protocol.decode_body(rbody, rcodec) if rbody else None
+        payload = protocol.decode_body(rbody) if rbody else None
         if rheader.get("ok"):
             return payload
         protocol.raise_remote(payload)
@@ -471,7 +468,7 @@ class Supervisor:
             try:
                 self._send_internal(
                     worker_id, {"op": "detach", "rid": 0, "dataset": name},
-                    b"", journal.codec, self._replay_done, now)
+                    b"", self._replay_done, now)
             except OverloadedError:
                 pass
         return {
@@ -496,19 +493,19 @@ class Supervisor:
         try:
             frame = protocol.pack_frame(
                 {**ticket.header, "rid": attempt.rid}, body_bytes=ticket.body,
-                codec=ticket.codec, max_frame_bytes=protocol.MAX_FRAME_BYTES)
+                max_frame_bytes=protocol.MAX_FRAME_BYTES)
         except (ProtocolError, ValueError) as exc:
             # A header past u16 once stamped, or a NaN budget.
             self._table.forget(attempt)
             raise ProtocolError(f"cannot relay {ticket.op!r} frame: {exc}") from exc
         self._handles[worker_id].writer.write(frame)
 
-    def _send_internal(self, worker_id, header, body, codec, on_done, now) -> None:
+    def _send_internal(self, worker_id, header, body, on_done, now) -> None:
         """A supervisor-originated frame (ping, replay, snapshot, cleanup)."""
-        ticket = self._table.open(header, body, codec, on_done, now, internal=True)
+        ticket = self._table.open(header, body, on_done, now, internal=True)
         self._send(ticket, worker_id, now)
 
-    def _broadcast(self, header, body, codec, targets, on_done, now,
+    def _broadcast(self, header, body, targets, on_done, now,
                    combine=None) -> None:
         """All-or-nothing: every target has room before the first write, so
         no sub-request is ever left behind a broadcast that cannot finish."""
@@ -518,10 +515,10 @@ class Supervisor:
             self._table.check_room(worker_id)
         broadcast = _Broadcast(len(targets), on_done, combine)
         for worker_id in targets:
-            ticket = self._table.open(header, body, codec, broadcast.collect, now)
+            ticket = self._table.open(header, body, broadcast.collect, now)
             self._send(ticket, worker_id, now)
 
-    def _submit_attach(self, header, body, codec, on_done, now) -> None:
+    def _submit_attach(self, header, body, on_done, now) -> None:
         # Routed from the header alone: the body (O(|D|) to parse) stays
         # opaque on this loop, and the worker holds the two to agree.
         name, mutable = header.get("dataset"), header.get("mutable", False)
@@ -532,28 +529,27 @@ class Supervisor:
             )
         targets = ([self._router.pick_home(self._datasets.values())] if mutable
                    else self._router.healthy())
-        journal = Journal(name, header, body, codec, mutable=mutable,
+        journal = Journal(name, header, body, mutable=mutable,
                           home=targets[0] if mutable else None,
                           checkpoint_every=self._checkpoint_batches)
 
-        def record_then_done(rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
+        def record_then_done(rheader: Dict[str, Any], rbody: bytes) -> None:
             if rheader.get("ok"):
                 self._datasets[name] = journal
-            on_done(rheader, rbody, rcodec)
+            on_done(rheader, rbody)
 
-        self._broadcast(header, body, codec, targets, record_then_done, now)
+        self._broadcast(header, body, targets, record_then_done, now)
 
     def _replay(self, journal: Journal, worker_id: int, now: float) -> None:
         """Rebuild ``journal``'s dataset on ``worker_id``: the one place
         attach + journal frames are written for replay."""
-        for header, body, codec in journal.frames():
+        for header, body in journal.frames():
             try:
-                self._send_internal(worker_id, header, body, codec,
-                                    self._replay_done, now)
+                self._send_internal(worker_id, header, body, self._replay_done, now)
             except OverloadedError:
                 self._counters["replay_errors"] += 1
 
-    def _replay_done(self, rheader: Dict[str, Any], rbody: bytes, rcodec: int) -> None:
+    def _replay_done(self, rheader: Dict[str, Any], rbody: bytes) -> None:
         if not rheader.get("ok"):
             self._counters["replay_errors"] += 1
 
@@ -573,13 +569,13 @@ class Supervisor:
         """Merge the workers' stats and fold in the pool's health counters,
         so one remote ``stats()`` shows engine counters *and* the
         supervision story (``worker_restarts``, retries, re-homes, breakers)."""
-        header, body, codec = responses[0]
-        merged = protocol.decode_body(body, codec)
-        for _, other_body, other_codec in responses[1:]:
-            merge_stats(merged, protocol.decode_body(other_body, other_codec))
+        header, body = responses[0]
+        merged = protocol.decode_body(body)
+        for _, other_body in responses[1:]:
+            merge_stats(merged, protocol.decode_body(other_body))
         if isinstance(merged, dict):
             merged["frontend"] = self.health()
-        return header, protocol.encode_body(merged, codec), codec
+        return header, protocol.encode_body(merged)
 
     # -- the channel readers: responses and crashes ----------------------------
 
@@ -592,13 +588,14 @@ class Supervisor:
                     reader, max_frame_bytes=protocol.MAX_FRAME_BYTES)
                 if frame is None:
                     break
-                self._on_response(time.monotonic(), worker_id, *frame)
+                header, body, _ = frame
+                self._on_response(time.monotonic(), worker_id, header, body)
         except (ProtocolError, OSError):
             pass  # a torn frame or a reset: it died mid-write
         if not self._closed:
             self._on_crash(worker_id, time.monotonic())
 
-    def _on_response(self, now, worker_id, rheader, rbody, rcodec) -> None:
+    def _on_response(self, now, worker_id, rheader, rbody) -> None:
         # Only a frame the live incarnation of its worker still owed
         # comes back non-None: a crash forgets all the dead one held.
         attempt = self._table.respond(rheader.get("rid"))
@@ -618,7 +615,7 @@ class Supervisor:
             self._counters["hedge_wins"] += 1
         if ok and ticket.op == "apply_changes" and not ticket.internal:
             self._journal(ticket, now)
-        ticket.on_done(rheader, rbody, rcodec)
+        ticket.on_done(rheader, rbody)
 
     def _journal(self, ticket: Ticket, now: float) -> None:
         """A client write was acknowledged: record it, and ask the home
@@ -626,26 +623,26 @@ class Supervisor:
         journal = self._datasets.get(ticket.dataset)
         if journal is None or not journal.mutable:
             return
-        snapshot_header = journal.record(ticket.header, ticket.body, ticket.codec)
+        snapshot_header = journal.record(ticket.header, ticket.body)
         if snapshot_header is None:
             return
         try:
             self._send_internal(
-                journal.home, snapshot_header, b"", journal.codec,
+                journal.home, snapshot_header, b"",
                 partial(self._checkpoint_done, journal.name), now)
         except OverloadedError:
             journal.checkpointing = False
             self._counters["journal_checkpoint_failures"] += 1
 
     def _checkpoint_done(self, name: str, rheader: Dict[str, Any],
-                         rbody: bytes, rcodec: int) -> None:
+                         rbody: bytes) -> None:
         """Completion of a snapshot request: let the journal swap its
         baseline and truncate.  Runs in the home's reader task, which also
         records its batches -- the one order the :class:`Journal` needs."""
         journal = self._datasets.get(name)
         if journal is None or not journal.mutable:
             return
-        saved = journal.finish_checkpoint(rheader.get("ok"), rbody, rcodec)
+        saved = journal.finish_checkpoint(rheader.get("ok"), rheader, rbody)
         self._counters["journal_checkpoints" if saved
                        else "journal_checkpoint_failures"] += 1
 
@@ -728,5 +725,4 @@ class Supervisor:
 
     def _deliver_error(self, ticket: Ticket, error: BaseException) -> None:
         header = {"rid": ticket.header.get("rid"), "ok": False, "op": ticket.op}
-        body = protocol.encode_body(protocol.error_payload(error), ticket.codec)
-        ticket.on_done(header, body, ticket.codec)
+        ticket.on_done(header, protocol.encode_body(protocol.error_payload(error)))

@@ -54,7 +54,7 @@ READ_OPS = frozenset({"query", "query_batch", "ping"})
 #: the only ops eligible for hedging.
 _HEDGE_OPS = frozenset({"query", "query_batch"})
 
-OnDone = Callable[[Dict[str, Any], bytes, int], None]
+OnDone = Callable[[Dict[str, Any], bytes], None]
 
 
 def stamp_deadline(header: Dict[str, Any], now: float) -> None:
@@ -77,14 +77,13 @@ def stamp_deadline(header: Dict[str, Any], now: float) -> None:
 class Ticket:
     """One client-visible request: answered exactly once."""
 
-    __slots__ = ("header", "body", "codec", "on_done", "op", "dataset",
+    __slots__ = ("header", "body", "on_done", "op", "dataset",
                  "internal", "retryable", "hedgeable", "deadline_at",
                  "opened_at", "retries", "settled", "workers")
 
-    def __init__(self, header, body, codec, on_done, now, *, internal, hedgeable):
+    def __init__(self, header, body, on_done, now, *, internal, hedgeable):
         self.header = header
         self.body = body
-        self.codec = codec
         self.on_done = on_done
         self.op = header.get("op")
         self.dataset = header.get("dataset")
@@ -139,14 +138,14 @@ class RequestTable:
                 f"({self._capacity} requests deep)"
             )
 
-    def open(self, header: Dict[str, Any], body: bytes, codec: int,
-             on_done: OnDone, now: float, *, replicated: bool = False,
+    def open(self, header: Dict[str, Any], body: bytes, on_done: OnDone,
+             now: float, *, replicated: bool = False,
              internal: bool = False) -> Ticket:
         """A new ticket.  ``replicated`` says every worker serves the
         dataset identically, which is what makes a read hedgeable."""
         hedgeable = (replicated and self._hedge_delay is not None
                      and header.get("op") in _HEDGE_OPS)
-        return Ticket(header, body, codec, on_done, now,
+        return Ticket(header, body, on_done, now,
                       internal=internal, hedgeable=hedgeable)
 
     def send(self, ticket: Ticket, worker_id: int, now: float, *,

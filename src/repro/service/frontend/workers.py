@@ -155,7 +155,8 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     if op == "stats":
         return ds.stats()
     if op == "snapshot":
-        # A whole attach body: the front adopts it verbatim as a new baseline.
+        # A whole attach body: the front adopts it verbatim as a new baseline
+        # (by the name / version / mutable handle_frame copies to the header).
         return {"name": ds.name, "data": ds.dataset(), "kinds": ds.kinds,
                 "shards": ds.shards, "mutable": ds.mutable, "version": ds.version}
     if op == "detach":
@@ -178,6 +179,10 @@ def handle_frame(
         params = protocol.decode_body(body, codec) if body else None
         value = handle_request(engine, header, params)
         response_header = {"rid": rid, "ok": True, "op": header.get("op")}
+        if response_header["op"] == "snapshot":
+            # The front adopts the body by these fields, never parsing it.
+            response_header.update(name=value["name"], version=value["version"],
+                                   mutable=value["mutable"])
         return response_header, protocol.encode_body(value, codec)
     except ReproError as exc:
         payload = protocol.error_payload(exc)

@@ -73,7 +73,7 @@ class RequestTableMachine(RuleBasedStateMachine):
         def on_done(*_response):
             self.delivered[index] += 1
 
-        ticket = self.table.open(header, b"", 0, on_done, self.now,
+        ticket = self.table.open(header, b"", on_done, self.now,
                                  replicated=replicated)
         if worker not in self.alive:
             del self.delivered[index]        # refused synchronously: no ticket

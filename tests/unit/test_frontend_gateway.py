@@ -37,7 +37,7 @@ class _BlackHoleBackend:
     def __init__(self):
         self.submitted = []
 
-    def submit(self, header, body, codec, on_done):
+    def submit(self, header, body, on_done):
         self.submitted.append((header, on_done))
 
     def health(self):
@@ -50,9 +50,9 @@ class _BlackHoleBackend:
 class _EchoBackend:
     """Answers every request immediately with an ok frame."""
 
-    def submit(self, header, body, codec, on_done):
+    def submit(self, header, body, on_done):
         rheader = {"rid": header.get("rid"), "ok": True, "op": header.get("op")}
-        on_done(rheader, protocol.encode_body("pong", codec), codec)
+        on_done(rheader, protocol.encode_body("pong"))
 
     def health(self):
         return {}
@@ -65,7 +65,7 @@ class _RaisingBackend:
     """Raises synchronously from submit, like the supervisor does for an
     unknown dataset or a full worker queue."""
 
-    def submit(self, header, body, codec, on_done):
+    def submit(self, header, body, on_done):
         raise UnknownDatasetError(f"no dataset {header.get('dataset')!r}")
 
     def health(self):
@@ -235,9 +235,9 @@ class _RecordingEchoBackend(_EchoBackend):
     def __init__(self):
         self.headers = []
 
-    def submit(self, header, body, codec, on_done):
+    def submit(self, header, body, on_done):
         self.headers.append(dict(header))
-        super().submit(header, body, codec, on_done)
+        super().submit(header, body, on_done)
 
 
 def _send_with_deadline(stream, op, rid, dataset, deadline_ms, value=None):

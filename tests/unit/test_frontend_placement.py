@@ -7,6 +7,8 @@ restart schedule, and that a checkpoint truncates exactly the batches
 its snapshot contains.
 """
 
+import json
+
 import pytest
 
 from repro.core.errors import WorkerFailedError
@@ -127,7 +129,7 @@ def test_hedge_target_is_a_different_closed_dispatchable_worker_or_none():
 
 
 def journal(name, *, home, mutable=True):
-    return Journal(name, {"op": "attach"}, b"", CODEC, mutable=mutable,
+    return Journal(name, {"op": "attach"}, b"", mutable=mutable,
                    home=home, checkpoint_every=None)
 
 
@@ -201,19 +203,25 @@ def attach_frame(data, **extra):
 
 def batch(n, **extra):
     header = {"op": "apply_changes", "rid": n, "dataset": "d", **extra}
-    return header, protocol.encode_body({"changes": [n]}, CODEC), CODEC
+    return header, protocol.encode_body({"changes": [n]}, CODEC)
 
 
-def snapshot_reply(data, version, **fields):
-    """A worker's ``snapshot`` reply: the complete attach body."""
+def snapshot_reply(data, version):
+    """A worker's ``snapshot`` reply: the complete attach body, and a
+    header stamped with its name, version and mutability."""
     params = {"name": "d", "data": data, "kinds": ["list-membership"],
-              "shards": 1, "mutable": True, "version": version, **fields}
-    return protocol.encode_body(params, CODEC)
+              "shards": 1, "mutable": True, "version": version}
+    return stamp(version=version), protocol.encode_body(params, CODEC)
+
+
+def stamp(**fields):
+    return {"rid": 0, "ok": True, "op": "snapshot", "name": "d",
+            "mutable": True, "version": 2, **fields}
 
 
 def make_journal(checkpoint_every=2, **extra):
     header, body = attach_frame((1, 2, 3), **extra)
-    return Journal("d", header, body, CODEC, mutable=True, home=0,
+    return Journal("d", header, body, mutable=True, home=0,
                    checkpoint_every=checkpoint_every)
 
 
@@ -222,10 +230,10 @@ def test_replay_order_is_attach_then_batches_and_carries_no_deadline():
     journal.record(*batch(1, deadline_ms=20, deadline_mono=99.0))
     journal.record(*batch(2))
     frames = journal.frames()
-    assert [h["op"] for h, _, _ in frames] == ["attach", "apply_changes",
-                                               "apply_changes"]
-    assert [h["rid"] for h, _, _ in frames] == [7, 1, 2]
-    for header, _, _ in frames:
+    assert [h["op"] for h, _ in frames] == ["attach", "apply_changes",
+                                            "apply_changes"]
+    assert [h["rid"] for h, _ in frames] == [7, 1, 2]
+    for header, _ in frames:
         assert not any(key.startswith("deadline_") for key in header)
 
 
@@ -237,9 +245,9 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     # Acknowledged while the snapshot is outstanding: FIFO puts it *in*
     # the snapshot, and it must not trigger a second one.
     assert journal.record(*batch(3)) is None
-    snapshot = snapshot_reply((1, 2, 3, 9), 3)
-    assert journal.finish_checkpoint(True, snapshot, CODEC) is True
-    assert journal.frames() == [(journal.header, snapshot, CODEC)]  # verbatim
+    header, snapshot = snapshot_reply((1, 2, 3, 9), 3)
+    assert journal.finish_checkpoint(True, header, snapshot) is True
+    assert journal.frames() == [(journal.header, snapshot)]  # verbatim
     params = protocol.decode_body(journal.body, CODEC)
     assert params["data"] == (1, 2, 3, 9)           # the new baseline...
     assert params["version"] == 3                   # ...at the snapshot's version
@@ -247,49 +255,53 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     # ...and every later batch is kept, in order, behind it.
     assert journal.record(*batch(4)) is None
     assert journal.record(*batch(5)) is not None
-    assert [h["rid"] for h, _, _ in journal.frames()] == [7, 4, 5]
+    assert [h["rid"] for h, _ in journal.frames()] == [7, 4, 5]
 
 
 @pytest.mark.parametrize("ok, body", [(False, b""), (True, b"not a body")])
 def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
+    """A failed reply, or one whose header carries no snapshot stamp."""
     journal = make_journal(checkpoint_every=2)
     journal.record(*batch(1))
     assert journal.record(*batch(2)) is not None
-    assert journal.finish_checkpoint(ok, body, CODEC) is False
-    assert [h["rid"] for h, _, _ in journal.frames()] == [7, 1, 2]
+    header = {"rid": 0, "ok": ok, "op": "snapshot"}
+    assert journal.finish_checkpoint(ok, header, body) is False
+    assert [h["rid"] for h, _ in journal.frames()] == [7, 1, 2]
     assert journal.record(*batch(3)) is not None    # next ack asks again
 
 
-@pytest.mark.parametrize("body", [
-    snapshot_reply((1,), -1),
-    snapshot_reply((1,), True),
-    snapshot_reply((1,), 2, name="other"),
-    snapshot_reply((1,), 2, mutable=False),
-    protocol.encode_body({"name": "d", "mutable": True, "version": 2}, CODEC),
-    protocol.encode_body([("name", "d")], CODEC),
-], ids=["negative-version", "bool-version", "other-name", "immutable", "no-data",
-        "not-a-dict"])
-def test_checkpoint_refuses_a_reply_that_is_not_this_journals_attach_body(body):
+@pytest.mark.parametrize("header, body", [
+    (stamp(version=-1), b"{}"),
+    (stamp(version=True), b"{}"),
+    (stamp(name="other"), b"{}"),
+    (stamp(mutable=False), b"{}"),
+    ({"rid": 0, "ok": True, "op": "snapshot"}, b"{}"),
+    (stamp(), b""),
+], ids=["negative-version", "bool-version", "other-name", "immutable",
+        "missing-fields", "empty-body"])
+def test_checkpoint_refuses_a_reply_that_is_not_this_journals_attach_body(header, body):
     journal = make_journal(checkpoint_every=1)
     baseline = journal.body
     assert journal.record(*batch(1)) is not None
-    assert journal.finish_checkpoint(True, body, CODEC) is False
+    assert journal.finish_checkpoint(True, header, body) is False
     assert journal.body == baseline and len(journal.batches) == 1
 
 
 def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
     """The front's event loop owns every socket: adopting a 2^16-int
-    snapshot must cost one ``json.loads``, not a decode-patch-encode."""
-    reply = snapshot_reply(tuple(range(1 << 16)), 9)
+    snapshot reads its header and parses nothing -- no ``json.loads``, no
+    decode-patch-encode."""
+    header, reply = snapshot_reply(tuple(range(1 << 16)), 9)
     journal = make_journal(checkpoint_every=1)
     assert journal.record(*batch(1)) is not None
 
-    def refuse(value):
-        raise AssertionError("finish_checkpoint ran the tagged codec")
+    def refuse(*args, **kwargs):
+        raise AssertionError("finish_checkpoint parsed the snapshot body")
 
+    monkeypatch.setattr(json, "loads", refuse)
     monkeypatch.setattr(protocol, "decode_value", refuse)
     monkeypatch.setattr(protocol, "encode_value", refuse)
-    assert journal.finish_checkpoint(True, reply, CODEC) is True
+    assert journal.finish_checkpoint(True, header, reply) is True
     assert journal.body is reply and journal.batches == []
 
 

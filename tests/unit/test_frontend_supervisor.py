@@ -10,7 +10,8 @@ exercised end to end -- nothing is spawned and nothing sleeps.  ``submit``
 is loop-only, so the tests drive it through ``Supervisor.run``.
 
 Also here: the AST checks that hold the design (the pure pieces import no
-clock, thread, process or queue; ``supervisor.py`` reads the clock only at
+clock, thread, process or queue; ``placement.py`` imports no ``json``; no
+front function takes a ``codec``; ``supervisor.py`` reads the clock only at
 its entry points; no queue, lock or liveness poll came back) and the
 constructor surface after the four knobs went.
 """
@@ -130,7 +131,7 @@ class Pool:
 
         async def on_loop():
             self.supervisor.submit(protocol.request_header(op, rid, dataset, value),
-                                   body, CODEC, answered)
+                                   body, answered)
 
         self.supervisor.run(on_loop())
         return done
@@ -242,7 +243,7 @@ def test_attach_without_a_routable_header_is_refused_by_the_front(pool, header):
     body = protocol.encode_body({"name": "d", "data": (1,), "mutable": False}, CODEC)
 
     async def attach():
-        pool.supervisor.submit(header, body, CODEC, lambda *response: None)
+        pool.supervisor.submit(header, body, lambda *response: None)
 
     with pytest.raises(ProtocolError, match="frame header"):
         pool.supervisor.run(attach())
@@ -279,7 +280,7 @@ def test_broadcast_onto_a_full_inbox_enqueues_nothing_anywhere(pool):
 def test_a_header_that_cannot_be_relayed_is_refused_and_owed_by_nobody(pool):
     async def nan_budget():
         pool.supervisor.submit({"op": "ping", "rid": 1, "dataset": None,
-                                "deadline_ms": float("nan")}, b"", CODEC,
+                                "deadline_ms": float("nan")}, b"",
                                lambda *response: None)
 
     for _ in range(8):                          # twice the capacity
@@ -296,7 +297,7 @@ def test_close_answers_everything_in_flight_exactly_once(pool):
     answers = []
     for query in range(5):
         pool.submit("query", "d", rid=query,
-                    on_done=lambda header, body, codec: answers.append(header))
+                    on_done=lambda header, body: answers.append(header))
     pool.close()
     assert sorted(header["rid"] for header in answers) == [0, 1, 2, 3, 4]
     assert not any(header["ok"] for header in answers)
@@ -312,9 +313,9 @@ def test_stats_merges_workers_and_carries_the_pool_health(pool):
         worker.answer(frame, {"dataset": "d", "queries": 10 + worker_id,
                               "version": worker_id})
     assert done.wait(5)
-    (header, body, codec), = box
+    (header, body), = box
     assert header["rid"] == 9                   # the caller's id, not the attempt's
-    stats = protocol.decode_body(body, codec)
+    stats = protocol.decode_body(body)
     assert stats["queries"] == 21 and stats["version"] == 1
     assert stats["frontend"]["healthy_workers"] == 2
 
@@ -332,8 +333,8 @@ def crash_holding_a_write(pool, die):
     frame, = pool.workers[0].take()
     die(pool.workers[0], frame)
     assert done.wait(5), "the dead worker's write was never answered"
-    (header, body, codec), = box
-    return header, protocol.decode_body(body, codec)
+    (header, body), = box
+    return header, protocol.decode_body(body)
 
 
 def test_end_of_file_on_a_channel_is_the_crash_signal(monkeypatch):
@@ -456,6 +457,24 @@ def test_pure_pieces_import_no_clock_thread_process_or_queue(name):
 def functions(tree):
     return [node for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_journals_parse_no_snapshot():
+    """A checkpoint is adopted on its reply's header: placement cannot
+    run ``json.loads`` over an O(|D|) body on the loop owning every socket."""
+    assert "json" not in set(imported_modules("placement"))
+
+
+@pytest.mark.parametrize("name", ["supervisor", "tickets", "placement", "server"])
+def test_no_front_function_takes_a_codec(name):
+    """The codec byte is read and written at the frame layer (``protocol``);
+    past the frame reader a frame is ``(header, body)``."""
+    tree = ast.parse((FRONTEND / f"{name}.py").read_text())
+    taking = [function.name for function in functions(tree)
+              if "codec" in {arg.arg for arg in (
+                  function.args.posonlyargs + function.args.args
+                  + function.args.kwonlyargs)}]
+    assert taking == []
 
 
 def test_supervisor_reads_the_clock_only_at_its_entry_points():

@@ -23,7 +23,7 @@ def open_ticket(table, op="query", now=0.0, deadline_mono=None, **flags):
     header = {"op": op, "rid": 1, "dataset": "d"}
     if deadline_mono is not None:
         header.update(deadline_ms=50, deadline_mono=deadline_mono)
-    return table.open(header, b"", 0, lambda *response: None, now, **flags)
+    return table.open(header, b"", lambda *response: None, now, **flags)
 
 
 # -- settle once -----------------------------------------------------------------

@@ -122,6 +122,35 @@ def test_snapshot_replies_with_an_attach_body_a_fresh_worker_accepts():
         assert _frame(engine, "query", "d", {"kind": "list-membership", "query": 9}) == (True, True)
 
 
+def test_a_snapshot_reply_header_carries_its_bodys_name_version_and_mutability():
+    """The front adopts a checkpoint by its reply's header without parsing
+    the body, so the header must describe the body exactly -- after writes,
+    and after an attach that resumed a checkpointed version."""
+    from repro.incremental.changes import ChangeKind, TupleChange
+
+    def snapshot(engine):
+        header = protocol.request_header("snapshot", 1, "d", None)
+        response, body = handle_frame(engine, header, b"", protocol.CODEC_JSON)
+        params = protocol.decode_body(body, protocol.CODEC_JSON)
+        assert response["ok"] and body
+        assert ({key: response[key] for key in ("name", "version", "mutable")}
+                == {key: params[key] for key in ("name", "version", "mutable")})
+        return response
+
+    for resumed in (None, 6):
+        body = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"],
+                "mutable": True}
+        if resumed is not None:
+            body["version"] = resumed
+        with build_query_engine() as engine:
+            assert _frame(engine, "attach", "d", body)[0]
+            assert snapshot(engine)["version"] == (resumed or 0)
+            for value in (7, 8, 9):
+                change = TupleChange(ChangeKind.INSERT, (value,))
+                assert _frame(engine, "apply_changes", "d", {"changes": [change]})[0]
+            assert snapshot(engine)["version"] == (resumed or 0) + 3
+
+
 def test_a_write_acks_the_version_a_local_session_acks_across_a_rehome():
     """A worker forwards the session's acknowledgement verbatim: after an
     attach that resumes a checkpointed baseline at version 6, the wire and a

@@ -280,24 +280,27 @@ def test_routed_membership_probes_one_shard():
     with build_query_engine() as engine:
         ds = engine.attach("d", data, kinds=[kind], shards=4)
         ds.warm()  # builds all 4 buckets into the serve plan's own list
-        engine.reset_stats()
+        before = engine.stats().per_kind[kind]
         assert ds.query(kind, 100) is True
-        stats = engine.stats().per_kind[kind]
+        after = engine.stats().per_kind[kind]
         # Warmed: the routed query asks its one bucket and probes nothing.
-        assert (stats.cache_hits, stats.store_hits, stats.builds) == (0, 0, 0)
+        assert (after.cache_hits - before.cache_hits,
+                after.store_hits - before.store_hits,
+                after.builds - before.builds) == (0, 0, 0)
     with build_query_engine() as engine:
         cold = engine.attach("cold", data, kinds=[kind], shards=4)
         assert cold.query(kind, 100) is True
         # Cold: the first query resolves the whole shard plan, like warm().
-        assert engine.stats().per_kind[kind].builds == 4
-        engine.reset_stats()
+        before = engine.stats().per_kind[kind]
+        assert before.builds == 4
         probes = {stable_bucket(value, 4): value for value in data}
         assert sorted(probes) == [0, 1, 2, 3]
         for value in probes.values():
             assert cold.query(kind, value) is True
-        stats = engine.stats().per_kind[kind]
+        after = engine.stats().per_kind[kind]
         # One probe into each bucket: no build, no cache probe.
-        assert (stats.cache_hits, stats.builds, stats.queries) == (0, 0, 4)
+        assert (after.cache_hits - before.cache_hits, after.builds - before.builds,
+                after.queries - before.queries) == (0, 0, 4)
 
 
 def test_sharded_plan_resolves_every_shard_once_at_build():
@@ -490,17 +493,17 @@ def test_tracked_sharded_queries_serve_from_captured_shards():
         data = tuple(range(0, 256, 2))
         query_class, _ = engine.registration(kind)
         ds = engine.attach("d", data, kinds=[kind], shards=4).warm()
-        engine.reset_stats()
+        before = engine.stats().per_kind[kind]
         touched = set()
         for query in range(50):
             expected = query_class.pair_in_language(data, query)
             assert ds.query(kind, query) == expected
             assert ds.query_tracked(kind, query, CostTracker()) == expected
             touched.add(stable_bucket(query, 4))
-        stats = engine.stats().per_kind[kind]
+        after = engine.stats().per_kind[kind]
         assert len(touched) == 4  # every shard was asked
-        assert stats.cache_hits == 0
-        assert stats.builds == 0
+        assert after.cache_hits - before.cache_hits == 0
+        assert after.builds - before.builds == 0
 
 
 def test_no_public_callable_takes_a_concurrent_flag():
