@@ -51,22 +51,24 @@ class Journal:
     """One attached dataset as the supervisor knows it: the frames that
     rebuild it on a fresh worker.
 
-    The journal is bounded: after ``checkpoint_every`` acknowledged
-    batches the supervisor snapshots the home worker's current content
-    (``snapshot`` op) and :meth:`finish_checkpoint` swaps it in as the new
-    attach baseline and truncates the replayed entries.  The home worker's
-    channel is a byte stream, which makes the truncation exact: every batch
-    acknowledged before the snapshot response is *in* the snapshot, every
-    later batch is recorded after the truncation -- the channel's one
-    reader both records and finishes, in the order the worker answered.
+    The journal is bounded: once the body bytes of the acknowledged
+    batches reach the baseline's -- from there a replay ships more than a
+    snapshot would -- the supervisor snapshots the home worker's current
+    content (``snapshot`` op) and :meth:`finish_checkpoint` swaps it in as
+    the new attach baseline and truncates the replayed entries.  A snapshot
+    then costs at most one batch body per acknowledged change, amortised,
+    at any |D|; a replay stays O(|D|).  The home worker's channel is a byte
+    stream, which makes the truncation exact: every batch acknowledged
+    before the snapshot response is *in* the snapshot, every later batch is
+    recorded after the truncation -- the channel's one reader both records
+    and finishes, in the order the worker answered.
     """
 
     __slots__ = ("name", "header", "body", "mutable", "home",
-                 "batches", "checkpointing", "_checkpoint_every")
+                 "batches", "checkpointing", "_batch_bytes")
 
     def __init__(self, name: str, header: Dict[str, Any], body: bytes, *,
-                 mutable: bool, home: Optional[int],
-                 checkpoint_every: Optional[int]):
+                 mutable: bool, home: Optional[int]):
         self.name = name
         self.header = _strip_deadline(header)
         self.body = body
@@ -78,15 +80,16 @@ class Journal:
         self.batches: List[Frame] = []
         #: a snapshot request is outstanding; suppresses re-triggering.
         self.checkpointing = False
-        self._checkpoint_every = checkpoint_every
+        #: body bytes of ``batches``, against the baseline's ``len(body)``.
+        self._batch_bytes = 0
 
     def record(self, header: Dict[str, Any], body: bytes) -> Optional[Dict[str, Any]]:
         """Append one acknowledged change batch.  When that makes a
         checkpoint due, marks one outstanding and returns the ``snapshot``
         request header to send to the home worker."""
         self.batches.append((_strip_deadline(header), body))
-        if (self._checkpoint_every is None or self.checkpointing
-                or len(self.batches) < self._checkpoint_every):
+        self._batch_bytes += len(body)
+        if self.checkpointing or self._batch_bytes < len(self.body):
             return None
         self.checkpointing = True
         return {"op": "snapshot", "rid": 0, "dataset": self.name}
@@ -100,23 +103,24 @@ class Journal:
         self.home = None
         self.checkpointing = False
 
-    def finish_checkpoint(self, ok: bool, header: Dict[str, Any], body: bytes) -> bool:
-        """The snapshot came back (or failed).  The worker stamps the reply's
-        header with the ``name``, ``version`` and ``mutable`` of the attach
-        body it encoded; when they are this journal's and the body is not
-        empty, the body becomes the attach baseline verbatim and the journal
-        is truncated.  False leaves both as they were.  The body is never
-        parsed here: the loop owning every socket pays O(1), not O(|D|), and
-        the worker a replay reaches still refuses a body that disagrees with
-        its attach header."""
+    def finish_checkpoint(self, header: Dict[str, Any], body: bytes) -> bool:
+        """The snapshot came back (or failed).  The worker stamps an ``ok``
+        reply's header with the ``name``, ``version`` and ``mutable`` of the
+        attach body it encoded; when they are this journal's and the body is
+        not empty, the body becomes the attach baseline verbatim and the
+        journal is truncated.  False leaves both as they were, so the next
+        recorded batch asks again.  The body is never parsed here: the loop
+        owning every socket pays O(1), not O(|D|), and the worker a replay
+        reaches still refuses a body that disagrees with its attach header."""
         self.checkpointing = False
         version = header.get("version")
-        if (not ok or not body or header.get("name") != self.name
+        if (not header.get("ok") or not body or header.get("name") != self.name
                 or header.get("mutable") is not True
                 or type(version) is not int or version < 0):
             return False
         self.body = body
         self.batches.clear()
+        self._batch_bytes = 0
         return True
 
 

@@ -52,7 +52,7 @@ from repro.core.errors import (
     ServiceError,
 )
 from repro.service.frontend import protocol
-from repro.service.frontend.supervisor import Supervisor
+from repro.service.frontend.supervisor import Supervisor, resolving
 
 __all__ = ["GatewayConfig", "Gateway", "ServingFront"]
 
@@ -294,12 +294,7 @@ class Gateway:
                         body: bytes) -> Tuple[Dict[str, Any], bytes]:
         future: "asyncio.Future[Tuple[Dict[str, Any], bytes]]" = (
             asyncio.get_running_loop().create_future())
-
-        def on_done(*response: Any) -> None:
-            if not future.done():  # the waiter may have been cancelled
-                future.set_result(response)
-
-        self._backend.submit(header, body, on_done)
+        self._backend.submit(header, body, resolving(future))
         return await future
 
     async def _write_error(self, writer: asyncio.StreamWriter,
@@ -325,8 +320,10 @@ class ServingFront:
 
     All constructor arguments forward to :class:`Supervisor` (pool shape,
     shared ``store_root``, recovery policy) and :class:`GatewayConfig`
-    (admission knobs).  ``address`` is the ``(host, port)`` the gateway
-    actually bound -- port 0 picks a free one.
+    (admission knobs).  No knob sets a mutable dataset's checkpoints: one
+    is taken once its journaled batches' bytes reach its baseline's.
+    ``address`` is the ``(host, port)`` the gateway actually bound -- port
+    0 picks a free one.
     """
 
     def __init__(
@@ -339,7 +336,6 @@ class ServingFront:
         config: Optional[GatewayConfig] = None,
         policy: Optional[Any] = None,
         hedge_delay_ms: Optional[float] = 50.0,
-        journal_checkpoint_batches: Optional[int] = 64,
     ):
         self._host = host
         self._port = port
@@ -348,7 +344,6 @@ class ServingFront:
             store_root=store_root,
             policy=policy,
             hedge_delay_ms=hedge_delay_ms,
-            journal_checkpoint_batches=journal_checkpoint_batches,
         )
         self.gateway = Gateway(self.supervisor, config)
         self._running = False

@@ -90,7 +90,7 @@ READY_TIMEOUT_SECONDS = 120.0
 _Response = Tuple[Dict[str, Any], bytes]
 
 
-def _resolving(future: "asyncio.Future[_Response]") -> OnDone:
+def resolving(future: "asyncio.Future[_Response]") -> OnDone:
     """An ``on_done`` that resolves ``future``, unless its waiter gave up."""
     def on_done(*response: Any) -> None:
         if not future.done():
@@ -138,9 +138,10 @@ class Supervisor:
 
     ``hedge_delay_ms`` (None disables) is how long an immutable read may
     sit unanswered before a duplicate races on a second worker;
-    ``journal_checkpoint_batches`` (None disables) bounds the mutable
-    journal between checkpoints; ``poll_seconds`` paces the timer that
-    sweeps deadlines, hedges, retries and restarts.
+    ``poll_seconds`` paces the timer that sweeps deadlines, hedges, retries
+    and restarts.  A mutable dataset's journal is checkpointed once its
+    batches' body bytes reach its baseline's (see
+    :class:`~repro.service.frontend.placement.Journal`).
     """
 
     def __init__(
@@ -151,22 +152,15 @@ class Supervisor:
         policy: Optional[RecoveryPolicy] = None,
         poll_seconds: float = 0.02,
         hedge_delay_ms: Optional[float] = 50.0,
-        journal_checkpoint_batches: Optional[int] = 64,
     ):
         if workers < 1:
             raise ServiceError(f"need at least one worker, got {workers}")
         if hedge_delay_ms is not None and hedge_delay_ms < 0:
             raise ServiceError(f"hedge_delay_ms must be >= 0, got {hedge_delay_ms}")
-        if journal_checkpoint_batches is not None and journal_checkpoint_batches < 1:
-            raise ServiceError(
-                f"journal_checkpoint_batches must be >= 1, "
-                f"got {journal_checkpoint_batches}"
-            )
         policy = policy or DEFAULT_POLICY
         self._workers = workers
         self._store_root = store_root
         self._poll_seconds = poll_seconds
-        self._checkpoint_batches = journal_checkpoint_batches
         # Retry jitter only perturbs *timing*, never answers; a fixed seed
         # keeps chaos runs reproducible.
         self._jitter = random.Random(0x5EED)
@@ -258,7 +252,7 @@ class Supervisor:
         self._timer_task = asyncio.ensure_future(self._timer())
         ready = asyncio.get_running_loop().create_future()
         self._broadcast({"op": "ping", "rid": 0, "dataset": None}, b"",
-                        self._router.healthy(), _resolving(ready),
+                        self._router.healthy(), resolving(ready),
                         time.monotonic())
         try:
             await asyncio.wait_for(ready, READY_TIMEOUT_SECONDS)
@@ -404,7 +398,7 @@ class Supervisor:
 
         async def exchange() -> _Response:
             response = asyncio.get_running_loop().create_future()
-            self.submit(header, body, _resolving(response))
+            self.submit(header, body, resolving(response))
             return await asyncio.wait_for(response, wait)
 
         try:
@@ -530,8 +524,7 @@ class Supervisor:
         targets = ([self._router.pick_home(self._datasets.values())] if mutable
                    else self._router.healthy())
         journal = Journal(name, header, body, mutable=mutable,
-                          home=targets[0] if mutable else None,
-                          checkpoint_every=self._checkpoint_batches)
+                          home=targets[0] if mutable else None)
 
         def record_then_done(rheader: Dict[str, Any], rbody: bytes) -> None:
             if rheader.get("ok"):
@@ -642,7 +635,7 @@ class Supervisor:
         journal = self._datasets.get(name)
         if journal is None or not journal.mutable:
             return
-        saved = journal.finish_checkpoint(rheader.get("ok"), rheader, rbody)
+        saved = journal.finish_checkpoint(rheader, rbody)
         self._counters["journal_checkpoints" if saved
                        else "journal_checkpoint_failures"] += 1
 

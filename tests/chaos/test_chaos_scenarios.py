@@ -1,6 +1,6 @@
 """Chaos suite: the worker rows of the failure model, and the registry check.
 
-The two worker scenarios need real processes: slot 0 of a spawned pool
+The worker scenarios need real processes: slot 0 of a spawned pool
 crashes or stalls through the seam in ``worker_seam.py``, and each test
 asserts the *defined* recovery behaviour (the "Failure model" table in
 ``docs/architecture.md``) and the exact health counters it must move
@@ -157,6 +157,84 @@ def test_dead_worker_rehomes_mutable_dataset_with_its_journal(tmp_path, monkeypa
         stats = supervisor.call("stats", dataset="mut")
         assert stats["version"] == 2
         assert stats["frontend"]["worker_restarts"] >= 1
+    finally:
+        supervisor.close()
+
+
+def test_dead_home_replays_a_long_journal_it_never_checkpointed(tmp_path, monkeypatch):
+    """The home dies holding a long journal that has not reached its first
+    checkpoint -- batches whose bytes fall just short of the baseline's.
+    The re-home replays the attach frame plus every one of them, so every
+    acknowledged write is present, every read equals the naive answer on
+    the acknowledged content, and the version counts on from the last ack."""
+    from repro.queries import membership_class
+    from repro.service.frontend import protocol
+    from repro.service.frontend.supervisor import Supervisor
+
+    rng = random.Random(CHAOS_SEED)
+    data = tuple(range(0, 8192, 2))
+    attach = {"name": "long", "data": data, "kinds": ["list-membership"],
+              "shards": 1, "mutable": True}
+    crash_slot_zero(monkeypatch, tmp_path / "crashed")
+    supervisor = Supervisor(
+        2,
+        store_root=str(tmp_path / "store"),
+        policy=_fast_worker_policy(),
+        poll_seconds=0.005,
+    )
+    supervisor.start()
+    try:
+        supervisor.call("attach", dataset="long", value=attach)
+        baseline = len(protocol.encode_body(attach))
+        content, journaled, version = set(data), 0, 0
+        while True:
+            after, changes = set(content), []
+            while len(changes) < 4:
+                if rng.random() < 0.25:
+                    value = rng.choice(sorted(after))
+                    changes.append(TupleChange(ChangeKind.DELETE, (value,)))
+                    after.discard(value)
+                else:
+                    value = 2 * rng.randrange(4096, 1 << 19) + 1
+                    if value not in after:
+                        changes.append(_insert(value))
+                        after.add(value)
+            journaled += len(protocol.encode_body({"changes": changes}))
+            if journaled >= baseline:
+                break  # this batch would make a checkpoint due: never sent
+            ack = supervisor.call("apply_changes", dataset="long",
+                                  value={"changes": changes})
+            version += 1
+            assert ack == {"version": version}
+            content = after
+        assert version >= 40
+        assert supervisor.health()["journal_checkpoints"] == 0
+
+        naive = membership_class()
+        members = tuple(sorted(content))
+        # The first read on the home (slot 0) kills it; its retry, and
+        # every later read, is served from the replayed journal.
+        touched = sorted(content.symmetric_difference(data))
+        for query in touched + rng.sample(range(-8, 1 << 20), 24):
+            answer = supervisor.call(
+                "query", dataset="long",
+                value={"kind": "list-membership", "query": query},
+            )
+            assert answer is naive.pair_in_language(members, query), query
+        health = _await_full_strength(supervisor)
+        assert health["crashes_detected"] == 1
+        assert health["rehomed_datasets"] == 1
+        assert health["retried_requests"] >= 1
+        assert health["replay_errors"] == 0
+        assert health["failed_requests"] == 0
+        assert health["journal_checkpoints"] == 0
+        ack = supervisor.call("apply_changes", dataset="long",
+                              value={"changes": [_insert(3)]})
+        assert ack == {"version": version + 1}
+        assert supervisor.call(
+            "query", dataset="long",
+            value={"kind": "list-membership", "query": 3},
+        ) is True
     finally:
         supervisor.close()
 
@@ -392,6 +470,9 @@ PINNED = {
     "dead-worker": (
         "chaos/test_chaos_scenarios.py::test_dead_worker_reads_retry_once_and_pool_restores",
         "chaos/test_chaos_scenarios.py::test_dead_worker_rehomes_mutable_dataset_with_its_journal",
+    ),
+    "crash-before-checkpoint": (
+        "chaos/test_chaos_scenarios.py::test_dead_home_replays_a_long_journal_it_never_checkpointed",
     ),
     "slow-worker": (
         "chaos/test_chaos_scenarios.py::test_slow_worker_expired_reads_surface_typed_deadline_errors",

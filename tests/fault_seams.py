@@ -46,6 +46,7 @@ SCENARIOS: Dict[str, Tuple[str, str]] = {
     "eviction-storm": ("LRUArtifactCache.put", "storm"),
     "failed-delta-apply": ("PiScheme.apply_delta", "failing"),
     "dead-worker": ("worker process", "worker_seam.crash_slot_zero"),
+    "crash-before-checkpoint": ("worker process", "worker_seam.crash_slot_zero"),
     "slow-worker": ("worker process", "worker_seam.stall_slot_zero"),
 }
 

@@ -296,14 +296,16 @@ def test_client_reconnects_transparently_for_idempotent_reads(front):
 
 
 def test_journal_checkpoints_and_drain_rehomes(tmp_path):
-    """Satellite pair on a dedicated front: after N acked write batches the
-    supervisor swaps the mutable dataset's snapshot in as its attach baseline
-    and truncates its journal; ``drain`` then re-homes the dataset onto the
-    sibling worker with every write intact."""
-    with ServingFront(workers=2, store_root=str(tmp_path),
-                      journal_checkpoint_batches=2) as serving:
+    """Satellite pair on a dedicated front: once the acked write batches'
+    bytes reach the baseline's, the supervisor swaps the mutable dataset's
+    snapshot in as its attach baseline and truncates its journal; ``drain``
+    then re-homes the dataset onto the sibling worker with every write
+    intact."""
+    with ServingFront(workers=2, store_root=str(tmp_path)) as serving:
         with RemoteClient(*serving.address) as remote:
-            ds = remote.attach("mutchk", tuple(range(32)),
+            # A baseline so small that two one-row batches outweigh it
+            # (~140 B against ~119 B a batch), and the ~160 B snapshots too.
+            ds = remote.attach("mutchk", tuple(range(4)),
                                kinds=["list-membership"], mutable=True)
             for value in range(100, 105):
                 ds.apply_changes([TupleChange(ChangeKind.INSERT, (value,))])

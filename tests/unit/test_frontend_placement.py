@@ -12,6 +12,8 @@ import json
 import pytest
 
 from repro.core.errors import WorkerFailedError
+from repro.core.fitting import ScalingKind, classify_scaling
+from repro.incremental.changes import ChangeKind, TupleChange
 from repro.service.faults import RecoveryPolicy
 from repro.service.frontend import protocol
 from repro.service.frontend.placement import Journal, Router
@@ -129,8 +131,7 @@ def test_hedge_target_is_a_different_closed_dispatchable_worker_or_none():
 
 
 def journal(name, *, home, mutable=True):
-    return Journal(name, {"op": "attach"}, b"", mutable=mutable,
-                   home=home, checkpoint_every=None)
+    return Journal(name, {"op": "attach"}, b"", mutable=mutable, home=home)
 
 
 def test_pick_home_takes_the_least_loaded_dispatchable_worker():
@@ -201,9 +202,13 @@ def attach_frame(data, **extra):
     return header, protocol.encode_body(params, CODEC)
 
 
-def batch(n, **extra):
+def batch(n, changes=1, **extra):
+    """An acknowledged ``apply_changes`` frame: ``changes`` one-row inserts
+    of ``n``.  One of them weighs just under :func:`make_journal`'s
+    baseline, so two outweigh it; ``changes=2`` outweighs it alone."""
     header = {"op": "apply_changes", "rid": n, "dataset": "d", **extra}
-    return header, protocol.encode_body({"changes": [n]}, CODEC)
+    inserts = [TupleChange(ChangeKind.INSERT, (n,))] * changes
+    return header, protocol.encode_body({"changes": inserts}, CODEC)
 
 
 def snapshot_reply(data, version):
@@ -219,14 +224,13 @@ def stamp(**fields):
             "mutable": True, "version": 2, **fields}
 
 
-def make_journal(checkpoint_every=2, **extra):
+def make_journal(**extra):
     header, body = attach_frame((1, 2, 3), **extra)
-    return Journal("d", header, body, mutable=True, home=0,
-                   checkpoint_every=checkpoint_every)
+    return Journal("d", header, body, mutable=True, home=0)
 
 
 def test_replay_order_is_attach_then_batches_and_carries_no_deadline():
-    journal = make_journal(None, deadline_ms=50, deadline_mono=123.4)
+    journal = make_journal(deadline_ms=50, deadline_mono=123.4)
     journal.record(*batch(1, deadline_ms=20, deadline_mono=99.0))
     journal.record(*batch(2))
     frames = journal.frames()
@@ -238,7 +242,9 @@ def test_replay_order_is_attach_then_batches_and_carries_no_deadline():
 
 
 def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
-    journal = make_journal(checkpoint_every=2)
+    journal = make_journal()
+    # Due once the batches' bytes reach the baseline's: here, at the second.
+    assert len(batch(1)[1]) < len(journal.body) <= 2 * len(batch(1)[1])
     assert journal.record(*batch(1)) is None
     request = journal.record(*batch(2))
     assert request == {"op": "snapshot", "rid": 0, "dataset": "d"}
@@ -246,13 +252,15 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     # the snapshot, and it must not trigger a second one.
     assert journal.record(*batch(3)) is None
     header, snapshot = snapshot_reply((1, 2, 3, 9), 3)
-    assert journal.finish_checkpoint(True, header, snapshot) is True
+    assert journal.finish_checkpoint(header, snapshot) is True
     assert journal.frames() == [(journal.header, snapshot)]  # verbatim
     params = protocol.decode_body(journal.body, CODEC)
     assert params["data"] == (1, 2, 3, 9)           # the new baseline...
     assert params["version"] == 3                   # ...at the snapshot's version
     assert params["kinds"] == ["list-membership"] and params["mutable"] is True
-    # ...and every later batch is kept, in order, behind it.
+    # ...and every later batch is kept, in order, behind it, weighed
+    # against the new baseline from zero: two outweigh it again.
+    assert len(batch(4)[1]) < len(snapshot) <= 2 * len(batch(4)[1])
     assert journal.record(*batch(4)) is None
     assert journal.record(*batch(5)) is not None
     assert [h["rid"] for h, _ in journal.frames()] == [7, 4, 5]
@@ -261,11 +269,11 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
 @pytest.mark.parametrize("ok, body", [(False, b""), (True, b"not a body")])
 def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
     """A failed reply, or one whose header carries no snapshot stamp."""
-    journal = make_journal(checkpoint_every=2)
+    journal = make_journal()
     journal.record(*batch(1))
     assert journal.record(*batch(2)) is not None
     header = {"rid": 0, "ok": ok, "op": "snapshot"}
-    assert journal.finish_checkpoint(ok, header, body) is False
+    assert journal.finish_checkpoint(header, body) is False
     assert [h["rid"] for h, _ in journal.frames()] == [7, 1, 2]
     assert journal.record(*batch(3)) is not None    # next ack asks again
 
@@ -277,13 +285,14 @@ def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
     (stamp(mutable=False), b"{}"),
     ({"rid": 0, "ok": True, "op": "snapshot"}, b"{}"),
     (stamp(), b""),
+    (stamp(ok=False), b"{}"),
 ], ids=["negative-version", "bool-version", "other-name", "immutable",
-        "missing-fields", "empty-body"])
+        "missing-fields", "empty-body", "not-ok"])
 def test_checkpoint_refuses_a_reply_that_is_not_this_journals_attach_body(header, body):
-    journal = make_journal(checkpoint_every=1)
+    journal = make_journal()
     baseline = journal.body
-    assert journal.record(*batch(1)) is not None
-    assert journal.finish_checkpoint(True, header, body) is False
+    assert journal.record(*batch(1, changes=2)) is not None
+    assert journal.finish_checkpoint(header, body) is False
     assert journal.body == baseline and len(journal.batches) == 1
 
 
@@ -292,8 +301,8 @@ def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
     snapshot reads its header and parses nothing -- no ``json.loads``, no
     decode-patch-encode."""
     header, reply = snapshot_reply(tuple(range(1 << 16)), 9)
-    journal = make_journal(checkpoint_every=1)
-    assert journal.record(*batch(1)) is not None
+    journal = make_journal()
+    assert journal.record(*batch(1, changes=2)) is not None
 
     def refuse(*args, **kwargs):
         raise AssertionError("finish_checkpoint parsed the snapshot body")
@@ -301,13 +310,55 @@ def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
     monkeypatch.setattr(json, "loads", refuse)
     monkeypatch.setattr(protocol, "decode_value", refuse)
     monkeypatch.setattr(protocol, "encode_value", refuse)
-    assert journal.finish_checkpoint(True, header, reply) is True
+    assert journal.finish_checkpoint(header, reply) is True
     assert journal.body is reply and journal.batches == []
 
 
 def test_losing_the_home_cancels_the_outstanding_snapshot():
-    journal = make_journal(checkpoint_every=1)
-    assert journal.record(*batch(1)) is not None
+    journal = make_journal()
+    assert journal.record(*batch(1, changes=2)) is not None
     journal.home_lost()
     assert journal.home is None and not journal.checkpointing
     assert journal.record(*batch(2)) is not None
+
+
+#: Batches of 4 one-row inserts per |D|, as ``wire-mixed-rw`` writes them.
+SCALING_BATCHES = 4096
+
+
+def test_snapshot_bytes_per_acked_change_stay_constant_across_sizes():
+    """ROADMAP 13(c): at |D| = 2^12..2^16, feed real 4-change
+    ``apply_changes`` bodies and adopt every requested snapshot at full
+    size.  Snapshot bytes per acknowledged change must not grow with |D|
+    (a fixed batch count makes them linear in it), and, telescoped over
+    the run, the snapshots weigh at most the batches plus the baseline's
+    growth: each was requested once the batches outweighed the last one."""
+    sizes = [1 << k for k in range(12, 17)]
+    per_change, overweight = [], {}
+    for n in sizes:
+        content = list(range(n))
+        header, body = attach_frame(tuple(content))
+        journal = Journal("d", header, body, mutable=True, home=0)
+        batch_bytes = snapshot_bytes = 0
+        for version in range(1, SCALING_BATCHES + 1):
+            values = [8 * n + 4 * version + i for i in range(4)]
+            content.extend(values)
+            changes = [TupleChange(ChangeKind.INSERT, (v,)) for v in values]
+            write = protocol.encode_body({"changes": changes}, CODEC)
+            batch_bytes += len(write)
+            if journal.record({"op": "apply_changes", "rid": version,
+                               "dataset": "d"}, write) is None:
+                continue
+            reply_header, reply = snapshot_reply(tuple(content), version)
+            assert journal.finish_checkpoint(reply_header, reply) is True
+            snapshot_bytes += len(reply)
+        assert snapshot_bytes > 0, f"no checkpoint at |D| = {n}"
+        per_change.append(snapshot_bytes / (4 * SCALING_BATCHES))
+        growth = len(journal.body) - len(body)
+        if snapshot_bytes > batch_bytes + growth:
+            overweight[n] = (snapshot_bytes, batch_bytes, growth)
+    verdict = classify_scaling(sizes, per_change)
+    assert verdict.kind is ScalingKind.CONSTANT, (
+        f"snapshot bytes per acked change {per_change} at |D| = {sizes}: "
+        f"{verdict.kind.name}")
+    assert overweight == {}, "|D| -> (snapshot, batch, growth) bytes"

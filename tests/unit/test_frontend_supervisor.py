@@ -408,11 +408,12 @@ def test_real_workers_exit_zero_on_close():
     supervisor.close()                          # idempotent
 
 
-# -- six knobs fewer -------------------------------------------------------------
+# -- seven knobs fewer -----------------------------------------------------------
 
 REMOVED = {"engine_opts": {}, "start_method": "spawn",
            "max_queue_per_worker": 16, "ready_timeout": 1.0,
-           "fault_plan": None, "fault_workers": (0,)}
+           "fault_plan": None, "fault_workers": (0,),
+           "journal_checkpoint_batches": 64}
 
 
 @pytest.mark.parametrize("name", sorted(REMOVED))
@@ -428,9 +429,8 @@ def test_constructor_parameter_counts():
                 if p != "self"]
 
     assert parameters(Supervisor) == [
-        "workers", "store_root", "policy",
-        "poll_seconds", "hedge_delay_ms", "journal_checkpoint_batches"]
-    assert len(parameters(ServingFront)) == 8
+        "workers", "store_root", "policy", "poll_seconds", "hedge_delay_ms"]
+    assert len(parameters(ServingFront)) == 7
 
 
 # -- keep the split honest -------------------------------------------------------
