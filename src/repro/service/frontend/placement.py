@@ -9,8 +9,8 @@ load, not a rebuild) and reads round-robin across healthy workers.
 Mutable datasets are **homed** on exactly one worker -- versions advance
 only there, so no stale replica can ever serve a read -- and a
 :class:`Journal` keeps what it takes to rebuild the dataset elsewhere:
-the attach frame plus every *acknowledged* change batch.  Because
-Pi(D) is a deterministic function of D, replaying those frames onto any
+the attach frame plus the body of every *acknowledged* change batch.
+Because Pi(D) is a deterministic function of D, replaying those onto any
 worker reproduces the dataset; that is the whole re-home story, after a
 crash, a restart or a drain alike.  A frame here is ``(header, body)``:
 the body's codec byte is read and written only by
@@ -28,23 +28,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.errors import WorkerFailedError
 from repro.service.faults import RecoveryPolicy
+from repro.service.frontend import protocol
 
 __all__ = ["Journal", "Router"]
 
 Frame = Tuple[Dict[str, Any], bytes]
-
-
-def _strip_deadline(header: Dict[str, Any]) -> Dict[str, Any]:
-    """A copy of ``header`` without deadline fields, for durable frames.
-
-    Attach records and journal entries are replayed arbitrarily later (on
-    re-home, restart, or drain); a deadline frozen into them would make
-    every replay arrive already expired.
-    """
-    if "deadline_ms" in header or "deadline_mono" in header:
-        return {k: v for k, v in header.items()
-                if k not in ("deadline_ms", "deadline_mono")}
-    return header
 
 
 class Journal:
@@ -57,7 +45,8 @@ class Journal:
     content (``snapshot`` op) and :meth:`finish_checkpoint` swaps it in as
     the new attach baseline and truncates the replayed entries.  A snapshot
     then costs at most one batch body per acknowledged change, amortised,
-    at any |D|; a replay stays O(|D|).  The home worker's channel is a byte
+    at any |D|; a replay stays O(|D|) bytes in two frames, however many
+    batches it holds (:meth:`frames`).  The home worker's channel is a byte
     stream, which makes the truncation exact: every batch acknowledged
     before the snapshot response is *in* the snapshot, every later batch is
     recorded after the truncation -- the channel's one reader both records
@@ -70,33 +59,47 @@ class Journal:
     def __init__(self, name: str, header: Dict[str, Any], body: bytes, *,
                  mutable: bool, home: Optional[int]):
         self.name = name
-        self.header = _strip_deadline(header)
+        #: replayed arbitrarily later (re-home, restart, drain): a deadline
+        #: frozen into it would make every replay arrive already expired.
+        self.header = {key: value for key, value in header.items()
+                       if key not in ("deadline_ms", "deadline_mono")}
         self.body = body
         self.mutable = mutable
         #: worker id homing a mutable dataset; None for immutable (served
         #: everywhere) or an orphaned mutable awaiting a healthy worker.
         self.home = home
-        #: acknowledged apply_changes frames since the attach baseline.
-        self.batches: List[Frame] = []
+        #: bodies of the acknowledged apply_changes since the baseline.
+        self.batches: List[bytes] = []
         #: a snapshot request is outstanding; suppresses re-triggering.
         self.checkpointing = False
         #: body bytes of ``batches``, against the baseline's ``len(body)``.
         self._batch_bytes = 0
 
-    def record(self, header: Dict[str, Any], body: bytes) -> Optional[Dict[str, Any]]:
-        """Append one acknowledged change batch.  When that makes a
-        checkpoint due, marks one outstanding and returns the ``snapshot``
-        request header to send to the home worker."""
-        self.batches.append((_strip_deadline(header), body))
+    def record(self, body: bytes) -> Optional[Dict[str, Any]]:
+        """Append the body of one acknowledged change batch.  When that
+        makes a checkpoint due, marks one outstanding and returns the
+        ``snapshot`` request header to send to the home worker."""
+        self.batches.append(body)
         self._batch_bytes += len(body)
-        if self.checkpointing or self._batch_bytes < len(self.body):
+        return None if self._batch_bytes < len(self.body) else self.checkpoint()
+
+    def checkpoint(self) -> Optional[Dict[str, Any]]:
+        """Mark a snapshot outstanding and return its request header for the
+        home worker; None when one already is, or no batch is left to fold."""
+        if self.checkpointing or not self.batches:
             return None
         self.checkpointing = True
         return {"op": "snapshot", "rid": 0, "dataset": self.name}
 
     def frames(self) -> List[Frame]:
-        """Replay order: the attach frame, then every recorded batch."""
-        return [(self.header, self.body)] + self.batches
+        """The replay: the attach frame, then every recorded batch in one
+        ``replay`` frame -- the worker applies them in order, each as its
+        own batch -- so a journal of any length needs room for two frames."""
+        if not self.batches:
+            return [(self.header, self.body)]
+        return [(self.header, self.body),
+                ({"op": "replay", "rid": 0, "dataset": self.name},
+                 protocol.join_bodies(self.batches))]
 
     def home_lost(self) -> None:
         """The home worker died, and any outstanding snapshot with it."""

@@ -59,7 +59,7 @@ import io
 import json
 import math
 import struct
-from typing import Any, BinaryIO, Callable, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.core import errors as _errors
 from repro.core.errors import ProtocolError
@@ -82,6 +82,7 @@ __all__ = [
     "decode_value",
     "encode_body",
     "decode_body",
+    "join_bodies",
     "pack_frame",
     "unpack_frame",
     "read_frame",
@@ -109,6 +110,8 @@ MAX_FRAME_BYTES = _PREFIX.size + 0xFFFF + 0xFFFFFFFF
 #: Every request op a frontend peer may send.  ``snapshot`` returns a
 #: dataset's attach body at its current content + version; the supervisor
 #: uses it to checkpoint mutable-dataset journals (bounded re-home replay).
+#: The supervisor's own ``replay`` op (a journal's batches in one frame) is
+#: not among them: from a peer it would change a dataset behind its journal.
 REQUEST_OPS = frozenset(
     {"attach", "query", "query_batch", "apply_changes", "stats", "detach",
      "ping", "snapshot"}
@@ -269,6 +272,12 @@ def encode_body(value: Any, codec: int = CODEC_JSON) -> bytes:
 
 def decode_body(body: bytes, codec: int = CODEC_JSON) -> Any:
     return decode_value(_loads(body, codec))
+
+
+def join_bodies(bodies: Sequence[bytes]) -> bytes:
+    """The body of the list of ``bodies``' values, spliced byte for byte:
+    many bodies ride one frame and none of them is decoded to get there."""
+    return b'{"$":"l","v":[' + b",".join(bodies) + b"]}"
 
 
 # -- frame packing -------------------------------------------------------------

@@ -34,10 +34,12 @@ channel is a byte stream, and the replay is written before any rerouted
 read); and the worker slot is restarted on the router's schedule.
 
 *Graceful drain.*  :meth:`Supervisor.drain` marks a worker unroutable,
-waits for its in-flight work up to a deadline, then re-homes its mutable
-datasets through the same replay path used after a crash (skipping --
-and reporting -- any dataset that still has an unacknowledged write on
-the old home).  :meth:`Supervisor.undrain` returns the slot to rotation.
+asks it to snapshot each mutable dataset it homes, waits for its
+in-flight work (those snapshots included) up to a deadline, then re-homes
+its mutable datasets through the same replay path used after a crash --
+an attach frame, when the snapshot folded the journal -- skipping and
+reporting any dataset that still has an unacknowledged write on the old
+home.  :meth:`Supervisor.undrain` returns the slot to rotation.
 
 Health counters (``health()``): ``worker_restarts``, ``crashes_detected``,
 ``retried_requests``, ``failed_requests``, ``rehomed_datasets``,
@@ -428,20 +430,28 @@ class Supervisor:
     def drain(self, worker_id: int, *, timeout: float = 5.0) -> Dict[str, Any]:
         """Gracefully take ``worker_id`` out of rotation.
 
-        Stops new dispatch immediately, waits up to ``timeout`` seconds
-        for the frames it still owes, then re-homes mutable datasets homed
-        there via the attach+journal replay path.  Datasets with an
-        unacknowledged write still on the old home are *not* re-homed
-        (replaying around an unacknowledged write could diverge from what
-        the client was told); they are reported under ``"skipped"`` and
-        stay routable on the draining worker until :meth:`undrain` or a
-        later :meth:`drain`.
+        Stops new dispatch immediately, asks it for a snapshot of each
+        mutable dataset it homes, waits up to ``timeout`` seconds for the
+        frames it still owes, then re-homes those datasets via the
+        attach+journal replay path -- the attach frame alone when the
+        snapshot came back in time.  Datasets with an unacknowledged write
+        still on the old home are *not* re-homed (replaying around an
+        unacknowledged write could diverge from what the client was told);
+        they are reported under ``"skipped"`` and stay routable on the
+        draining worker until :meth:`undrain` or a later :meth:`drain`.
         """
         return self.run(self._drain(worker_id, timeout))
 
     async def _drain(self, worker_id: int, timeout: float) -> Dict[str, Any]:
         self._set_draining(worker_id, True)
-        deadline = time.monotonic() + timeout
+        now = time.monotonic()
+        # A planned move: while the home is up, fold each journal into a
+        # snapshot baseline (awaited below with the rest of its frames), so
+        # the re-home replays an attach frame, not every batch.
+        for journal in self._datasets.values():
+            if journal.mutable and journal.home == worker_id:
+                self._checkpoint(journal, journal.checkpoint(), now)
+        deadline = now + timeout
         while self._table.load(worker_id) and time.monotonic() < deadline:
             await asyncio.sleep(min(self._poll_seconds, 0.01))
         rehomed: List[str] = []
@@ -533,14 +543,20 @@ class Supervisor:
 
         self._broadcast(header, body, targets, record_then_done, now)
 
-    def _replay(self, journal: Journal, worker_id: int, now: float) -> None:
-        """Rebuild ``journal``'s dataset on ``worker_id``: the one place
-        attach + journal frames are written for replay."""
-        for header, body in journal.frames():
-            try:
-                self._send_internal(worker_id, header, body, self._replay_done, now)
-            except OverloadedError:
-                self._counters["replay_errors"] += 1
+    def _replay(self, journal: Journal, worker_id: int, now: float) -> bool:
+        """Rebuild ``journal``'s dataset on ``worker_id``: the one place its
+        frames are written.  All or none -- a replay short of a frame would
+        serve less than was acknowledged -- so False, nothing written, when
+        the channel has no room for them."""
+        frames = journal.frames()
+        try:
+            self._table.check_room(worker_id, len(frames))
+        except OverloadedError:
+            self._counters["replay_errors"] += 1
+            return False
+        for header, body in frames:
+            self._send_internal(worker_id, header, body, self._replay_done, now)
+        return True
 
     def _replay_done(self, rheader: Dict[str, Any], rbody: bytes) -> None:
         if not rheader.get("ok"):
@@ -548,14 +564,17 @@ class Supervisor:
 
     def _rehome(self, journal: Journal, now: float) -> bool:
         """Move a mutable dataset to the least-loaded dispatchable worker;
-        False when there is none.  The replay is written to the new home's
-        channel here and now, ahead of any read rerouted to it."""
+        False, its home unchanged, when there is none or it has no room for
+        the replay.  The replay is written to the new home's channel here
+        and now, ahead of any read rerouted to it."""
         try:
-            journal.home = self._router.pick_home(self._datasets.values())
+            home = self._router.pick_home(self._datasets.values())
         except WorkerFailedError:
             return False
+        if not self._replay(journal, home, now):
+            return False
+        journal.home = home
         self._counters["rehomed_datasets"] += 1
-        self._replay(journal, journal.home, now)
         return True
 
     def _combine_stats(self, responses: List[_Response]) -> _Response:
@@ -614,28 +633,34 @@ class Supervisor:
         """A client write was acknowledged: record it, and ask the home
         (which just answered, so it is up) for a snapshot when one is due."""
         journal = self._datasets.get(ticket.dataset)
-        if journal is None or not journal.mutable:
-            return
-        snapshot_header = journal.record(ticket.header, ticket.body)
+        if journal is not None and journal.mutable:
+            self._checkpoint(journal, journal.record(ticket.body), now)
+
+    def _checkpoint(self, journal: Journal,
+                    snapshot_header: Optional[Dict[str, Any]], now: float) -> None:
+        """Send the home the ``snapshot`` request the journal asked for, if any."""
         if snapshot_header is None:
             return
         try:
             self._send_internal(
                 journal.home, snapshot_header, b"",
-                partial(self._checkpoint_done, journal.name), now)
+                partial(self._checkpoint_done, journal.name, journal.home), now)
         except OverloadedError:
             journal.checkpointing = False
             self._counters["journal_checkpoint_failures"] += 1
 
-    def _checkpoint_done(self, name: str, rheader: Dict[str, Any],
+    def _checkpoint_done(self, name: str, home: int, rheader: Dict[str, Any],
                          rbody: bytes) -> None:
         """Completion of a snapshot request: let the journal swap its
         baseline and truncate.  Runs in the home's reader task, which also
-        records its batches -- the one order the :class:`Journal` needs."""
+        records its batches -- the one order the :class:`Journal` needs.  A
+        reply from a home the dataset has left since (a drain that timed
+        out) is refused: batches acknowledged by the new home are not in it."""
         journal = self._datasets.get(name)
         if journal is None or not journal.mutable:
             return
-        saved = journal.finish_checkpoint(rheader, rbody)
+        saved = journal.finish_checkpoint(
+            rheader if journal.home == home else {"ok": False}, rbody)
         self._counters["journal_checkpoints" if saved
                        else "journal_checkpoint_failures"] += 1
 

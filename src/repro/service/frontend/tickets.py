@@ -131,8 +131,8 @@ class RequestTable:
         holding -- an upper bound on what its channel buffers."""
         return self._load.get(worker_id, 0)
 
-    def check_room(self, worker_id: int) -> None:
-        if self.load(worker_id) >= self._capacity:
+    def check_room(self, worker_id: int, frames: int = 1) -> None:
+        if self.load(worker_id) + frames > self._capacity:
             raise OverloadedError(
                 f"worker {worker_id} queue is full "
                 f"({self._capacity} requests deep)"

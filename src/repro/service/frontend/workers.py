@@ -152,6 +152,13 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
         return ds.query_batch(pairs)
     if op == "apply_changes":
         return ds.apply_changes(params["changes"])
+    if op == "replay":
+        # A re-home's journal in one frame (placement.Journal.frames): each
+        # acknowledged batch applied as its own, so versions count as they did.
+        ack = {"version": ds.version}
+        for batch in params:
+            ack = ds.apply_changes(batch["changes"])
+        return ack
     if op == "stats":
         return ds.stats()
     if op == "snapshot":

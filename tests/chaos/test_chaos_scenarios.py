@@ -162,17 +162,19 @@ def test_dead_worker_rehomes_mutable_dataset_with_its_journal(tmp_path, monkeypa
 
 
 def test_dead_home_replays_a_long_journal_it_never_checkpointed(tmp_path, monkeypatch):
-    """The home dies holding a long journal that has not reached its first
-    checkpoint -- batches whose bytes fall just short of the baseline's.
-    The re-home replays the attach frame plus every one of them, so every
-    acknowledged write is present, every read equals the naive answer on
-    the acknowledged content, and the version counts on from the last ack."""
+    """The home dies holding a journal that has not reached its first
+    checkpoint yet holds more batches than a worker owes frames at most
+    (``MAX_QUEUE_PER_WORKER``): one-row batches whose bytes fall short of a
+    2^16-int baseline's.  The re-home replays the attach frame and every
+    one of them, so every acknowledged write is present, every read equals
+    the naive answer on the acknowledged content, and the version counts
+    on from the last ack."""
     from repro.queries import membership_class
     from repro.service.frontend import protocol
-    from repro.service.frontend.supervisor import Supervisor
+    from repro.service.frontend.supervisor import MAX_QUEUE_PER_WORKER, Supervisor
 
     rng = random.Random(CHAOS_SEED)
-    data = tuple(range(0, 8192, 2))
+    data = tuple(range(0, 1 << 17, 2))
     attach = {"name": "long", "data": data, "kinds": ["list-membership"],
               "shards": 1, "mutable": True}
     crash_slot_zero(monkeypatch, tmp_path / "crashed")
@@ -186,41 +188,45 @@ def test_dead_home_replays_a_long_journal_it_never_checkpointed(tmp_path, monkey
     try:
         supervisor.call("attach", dataset="long", value=attach)
         baseline = len(protocol.encode_body(attach))
-        content, journaled, version = set(data), 0, 0
-        while True:
-            after, changes = set(content), []
-            while len(changes) < 4:
-                if rng.random() < 0.25:
-                    value = rng.choice(sorted(after))
-                    changes.append(TupleChange(ChangeKind.DELETE, (value,)))
-                    after.discard(value)
-                else:
-                    value = 2 * rng.randrange(4096, 1 << 19) + 1
-                    if value not in after:
-                        changes.append(_insert(value))
-                        after.add(value)
-            journaled += len(protocol.encode_body({"changes": changes}))
-            if journaled >= baseline:
-                break  # this batch would make a checkpoint due: never sent
-            ack = supervisor.call("apply_changes", dataset="long",
-                                  value={"changes": changes})
-            version += 1
+        content, present, journaled = set(data), list(data), 0
+        writes = MAX_QUEUE_PER_WORKER + 256
+        for version in range(1, writes + 1):
+            if rng.random() < 0.25:             # delete a present baseline value
+                slot = rng.randrange(len(present))
+                present[slot], present[-1] = present[-1], present[slot]
+                value = present.pop()
+                change = TupleChange(ChangeKind.DELETE, (value,))
+                content.discard(value)
+            else:                               # insert a fresh odd value
+                value = 2 * rng.randrange(1 << 16, 1 << 19) + 1
+                while value in content:
+                    value += 2
+                change = _insert(value)
+                content.add(value)
+            batch = {"changes": [change]}
+            journaled += len(protocol.encode_body(batch))
+            ack = supervisor.call("apply_changes", dataset="long", value=batch)
             assert ack == {"version": version}
-            content = after
-        assert version >= 40
+        assert journaled < baseline             # so no checkpoint was due
         assert supervisor.health()["journal_checkpoints"] == 0
 
-        naive = membership_class()
-        members = tuple(sorted(content))
-        # The first read on the home (slot 0) kills it; its retry, and
-        # every later read, is served from the replayed journal.
+        # The first read on the home (slot 0) kills it; its retry is served
+        # from the replayed journal.  Every touched value and random probes
+        # against the acknowledged content, a sample against the naive
+        # evaluation itself (a linear scan of 2^16 values per query).
         touched = sorted(content.symmetric_difference(data))
-        for query in touched + rng.sample(range(-8, 1 << 20), 24):
-            answer = supervisor.call(
+        probes = touched + rng.sample(range(-8, 1 << 20), 64)
+        answers = supervisor.call(
+            "query_batch", dataset="long",
+            value={"pairs": [["list-membership", query] for query in probes]},
+        )
+        assert answers == [query in content for query in probes]
+        naive, members = membership_class(), tuple(sorted(content))
+        for query in rng.sample(touched, 12) + probes[-12:]:
+            assert supervisor.call(
                 "query", dataset="long",
                 value={"kind": "list-membership", "query": query},
-            )
-            assert answer is naive.pair_in_language(members, query), query
+            ) is naive.pair_in_language(members, query), query
         health = _await_full_strength(supervisor)
         assert health["crashes_detected"] == 1
         assert health["rehomed_datasets"] == 1
@@ -230,7 +236,7 @@ def test_dead_home_replays_a_long_journal_it_never_checkpointed(tmp_path, monkey
         assert health["journal_checkpoints"] == 0
         ack = supervisor.call("apply_changes", dataset="long",
                               value={"changes": [_insert(3)]})
-        assert ack == {"version": version + 1}
+        assert ack == {"version": writes + 1}
         assert supervisor.call(
             "query", dataset="long",
             value={"kind": "list-membership", "query": 3},

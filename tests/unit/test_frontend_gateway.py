@@ -173,16 +173,19 @@ def test_admission_is_per_dataset():
 def test_unknown_op_answers_and_keeps_the_connection():
     with serving(_EchoBackend()) as gateway:
         with raw_connection(gateway) as stream:
-            _send(stream, "shutdown", 1, "d")
-            header, payload = _recv_error(stream)
-            assert payload["type"] == "ProtocolError"
-            assert "unknown op" in payload["message"]
+            # ``replay`` is the supervisor's own op: from a client it would
+            # change a homed dataset behind its journal.
+            for rid, op in enumerate(("shutdown", "replay"), 1):
+                _send(stream, op, rid, "d")
+                header, payload = _recv_error(stream)
+                assert payload["type"] == "ProtocolError"
+                assert f"unknown op {op!r}" in payload["message"]
             # The stream position is intact: the next request still serves.
-            _send(stream, "ping", 2, "")
+            _send(stream, "ping", 3, "")
             frame = protocol.read_frame(stream)
             assert frame is not None and frame[0]["ok"] is True
-        assert gateway.counters["protocol_errors"] == 1
-        assert gateway.counters["frames"] == 2
+        assert gateway.counters["protocol_errors"] == 2
+        assert gateway.counters["frames"] == 3
 
 
 def test_malformed_frame_answers_then_hangs_up():

@@ -202,13 +202,25 @@ def attach_frame(data, **extra):
     return header, protocol.encode_body(params, CODEC)
 
 
-def batch(n, changes=1, **extra):
-    """An acknowledged ``apply_changes`` frame: ``changes`` one-row inserts
+def batch(n, changes=1):
+    """An acknowledged ``apply_changes`` body: ``changes`` one-row inserts
     of ``n``.  One of them weighs just under :func:`make_journal`'s
     baseline, so two outweigh it; ``changes=2`` outweighs it alone."""
-    header = {"op": "apply_changes", "rid": n, "dataset": "d", **extra}
     inserts = [TupleChange(ChangeKind.INSERT, (n,))] * changes
-    return header, protocol.encode_body({"changes": inserts}, CODEC)
+    return protocol.encode_body({"changes": inserts}, CODEC)
+
+
+def replayed(journal):
+    """The batches a replay of ``journal`` applies after its attach frame,
+    each as the value its first change inserts."""
+    attach, *rest = journal.frames()
+    assert attach == (journal.header, journal.body)
+    if not rest:
+        return []
+    (header, body), = rest
+    assert header == {"op": "replay", "rid": 0, "dataset": "d"}
+    return [params["changes"][0].row[0]
+            for params in protocol.decode_body(body, CODEC)]
 
 
 def snapshot_reply(data, version):
@@ -230,27 +242,33 @@ def make_journal(**extra):
 
 
 def test_replay_order_is_attach_then_batches_and_carries_no_deadline():
+    """The attach frame, then every batch in order in one ``replay`` frame
+    whose body is the batches' own bodies, spliced undecoded."""
     journal = make_journal(deadline_ms=50, deadline_mono=123.4)
-    journal.record(*batch(1, deadline_ms=20, deadline_mono=99.0))
-    journal.record(*batch(2))
+    assert replayed(journal) == []                  # the attach alone
+    journal.record(batch(1))
+    journal.record(batch(2, changes=2))
     frames = journal.frames()
-    assert [h["op"] for h, _ in frames] == ["attach", "apply_changes",
-                                            "apply_changes"]
-    assert [h["rid"] for h, _ in frames] == [7, 1, 2]
+    assert [h["op"] for h, _ in frames] == ["attach", "replay"]
+    assert [h["rid"] for h, _ in frames] == [7, 0]
     for header, _ in frames:
         assert not any(key.startswith("deadline_") for key in header)
+    assert frames[1][1] == protocol.join_bodies([batch(1), batch(2, changes=2)])
+    assert protocol.decode_body(frames[1][1], CODEC) == [
+        protocol.decode_body(batch(1), CODEC),
+        protocol.decode_body(batch(2, changes=2), CODEC)]
 
 
 def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     journal = make_journal()
     # Due once the batches' bytes reach the baseline's: here, at the second.
-    assert len(batch(1)[1]) < len(journal.body) <= 2 * len(batch(1)[1])
-    assert journal.record(*batch(1)) is None
-    request = journal.record(*batch(2))
+    assert len(batch(1)) < len(journal.body) <= 2 * len(batch(1))
+    assert journal.record(batch(1)) is None
+    request = journal.record(batch(2))
     assert request == {"op": "snapshot", "rid": 0, "dataset": "d"}
     # Acknowledged while the snapshot is outstanding: FIFO puts it *in*
     # the snapshot, and it must not trigger a second one.
-    assert journal.record(*batch(3)) is None
+    assert journal.record(batch(3)) is None
     header, snapshot = snapshot_reply((1, 2, 3, 9), 3)
     assert journal.finish_checkpoint(header, snapshot) is True
     assert journal.frames() == [(journal.header, snapshot)]  # verbatim
@@ -260,22 +278,22 @@ def test_checkpoint_truncates_exactly_what_the_snapshot_contains():
     assert params["kinds"] == ["list-membership"] and params["mutable"] is True
     # ...and every later batch is kept, in order, behind it, weighed
     # against the new baseline from zero: two outweigh it again.
-    assert len(batch(4)[1]) < len(snapshot) <= 2 * len(batch(4)[1])
-    assert journal.record(*batch(4)) is None
-    assert journal.record(*batch(5)) is not None
-    assert [h["rid"] for h, _ in journal.frames()] == [7, 4, 5]
+    assert len(batch(4)) < len(snapshot) <= 2 * len(batch(4))
+    assert journal.record(batch(4)) is None
+    assert journal.record(batch(5)) is not None
+    assert replayed(journal) == [4, 5]
 
 
 @pytest.mark.parametrize("ok, body", [(False, b""), (True, b"not a body")])
 def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
     """A failed reply, or one whose header carries no snapshot stamp."""
     journal = make_journal()
-    journal.record(*batch(1))
-    assert journal.record(*batch(2)) is not None
+    journal.record(batch(1))
+    assert journal.record(batch(2)) is not None
     header = {"rid": 0, "ok": ok, "op": "snapshot"}
     assert journal.finish_checkpoint(header, body) is False
-    assert [h["rid"] for h, _ in journal.frames()] == [7, 1, 2]
-    assert journal.record(*batch(3)) is not None    # next ack asks again
+    assert replayed(journal) == [1, 2]
+    assert journal.record(batch(3)) is not None    # next ack asks again
 
 
 @pytest.mark.parametrize("header, body", [
@@ -291,7 +309,7 @@ def test_failed_checkpoint_keeps_every_batch_and_rearms(ok, body):
 def test_checkpoint_refuses_a_reply_that_is_not_this_journals_attach_body(header, body):
     journal = make_journal()
     baseline = journal.body
-    assert journal.record(*batch(1, changes=2)) is not None
+    assert journal.record(batch(1, changes=2)) is not None
     assert journal.finish_checkpoint(header, body) is False
     assert journal.body == baseline and len(journal.batches) == 1
 
@@ -302,7 +320,7 @@ def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
     decode-patch-encode."""
     header, reply = snapshot_reply(tuple(range(1 << 16)), 9)
     journal = make_journal()
-    assert journal.record(*batch(1, changes=2)) is not None
+    assert journal.record(batch(1, changes=2)) is not None
 
     def refuse(*args, **kwargs):
         raise AssertionError("finish_checkpoint parsed the snapshot body")
@@ -316,10 +334,10 @@ def test_checkpoint_never_tag_decodes_or_re_encodes_on_the_loop(monkeypatch):
 
 def test_losing_the_home_cancels_the_outstanding_snapshot():
     journal = make_journal()
-    assert journal.record(*batch(1, changes=2)) is not None
+    assert journal.record(batch(1, changes=2)) is not None
     journal.home_lost()
     assert journal.home is None and not journal.checkpointing
-    assert journal.record(*batch(2)) is not None
+    assert journal.record(batch(2)) is not None
 
 
 #: Batches of 4 one-row inserts per |D|, as ``wire-mixed-rw`` writes them.
@@ -346,8 +364,7 @@ def test_snapshot_bytes_per_acked_change_stay_constant_across_sizes():
             changes = [TupleChange(ChangeKind.INSERT, (v,)) for v in values]
             write = protocol.encode_body({"changes": changes}, CODEC)
             batch_bytes += len(write)
-            if journal.record({"op": "apply_changes", "rid": version,
-                               "dataset": "d"}, write) is None:
+            if journal.record(write) is None:
                 continue
             reply_header, reply = snapshot_reply(tuple(content), version)
             assert journal.finish_checkpoint(reply_header, reply) is True

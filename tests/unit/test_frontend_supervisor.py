@@ -26,7 +26,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.errors import OverloadedError, ProtocolError, ServiceError
+from repro.core.errors import (
+    OverloadedError, ProtocolError, ServiceError, WorkerFailedError,
+)
+from repro.incremental.changes import ChangeKind, TupleChange
 from repro.service.frontend import ServingFront, Supervisor, protocol
 from repro.service.frontend import supervisor as supervisor_module
 from repro.service.frontend.workers import worker_main
@@ -350,6 +353,141 @@ def test_end_of_file_on_a_channel_is_the_crash_signal(monkeypatch):
         assert [h["op"] for h, _, _ in pool.workers[1].take()] == ["attach"]
     finally:
         pool.close()
+
+
+def acked_journal(pool, name, writes):
+    """Attach mutable ``name`` (a baseline that ``writes`` one-row batches
+    do not outweigh, so no checkpoint is due) and ack ``writes`` batches
+    on its home; returns their bodies' values."""
+    done = pool.submit("attach", name, {"name": name, "data": tuple(range(1000)),
+                                        "mutable": True})
+    pool.answer_all()
+    assert done.wait(5)
+    home = pool.workers[pool.supervisor._datasets[name].home]
+    acked = []
+    for version in range(1, writes + 1):
+        value = {"changes": [TupleChange(ChangeKind.INSERT, (version,))]}
+        done = pool.submit("apply_changes", name, value)
+        frame, = home.take()
+        home.answer(frame, {"version": version})
+        assert done.wait(5)
+        acked.append(value)
+    return acked
+
+
+def test_journals_longer_than_a_channel_holds_rehome_whole(monkeypatch):
+    """Two datasets die with their home, each journaling more batches than
+    the sibling has room for frames: each replays as its attach frame plus
+    one ``replay`` frame carrying every acknowledged batch, in order."""
+    pool = Pool(monkeypatch, capacity=4, poll_seconds=60)
+    try:
+        acked = {"a": acked_journal(pool, "a", 10)}        # worker 0
+        pool.attach("pad", mutable=True)                    # worker 1
+        acked["c"] = acked_journal(pool, "c", 10)           # worker 0
+        pool.workers[0].close()
+        frames = [pool.workers[1].read() for _ in range(4)]
+        ops = [(header["op"], header["dataset"]) for header, _, _ in frames]
+        assert ops == [("attach", "a"), ("replay", "a"),
+                       ("attach", "c"), ("replay", "c")]
+        for header, body, codec in frames[1::2]:
+            assert protocol.decode_body(body, codec) == acked[header["dataset"]]
+        health = pool.supervisor.health()
+        assert health["rehomed_datasets"] == 2 and health["replay_errors"] == 0
+        assert health["journal_checkpoints"] == 0
+    finally:
+        pool.close()
+
+
+def test_a_replay_with_no_room_writes_nothing_and_leaves_the_dataset_unhomed(
+        monkeypatch):
+    """All or none: a sibling with room for one frame gets neither of the
+    two a journal needs -- half a replay would serve less than was
+    acknowledged -- and reads of the dataset fail loudly until a home has
+    room for all of it."""
+    pool = Pool(monkeypatch, capacity=4, poll_seconds=60)
+    try:
+        acked_journal(pool, "a", 1)                         # worker 0
+        pool.attach("b", mutable=True)                      # worker 1
+        for query in range(3):                              # worker 1 owes 3
+            pool.submit("query", "b", {"kind": "k", "query": query})
+        write = pool.submit("apply_changes", "a", {"changes": []})
+        assert pool.ops() == [["apply_changes"], ["query"] * 3]
+        pool.workers[0].close()
+        assert write.wait(5), "the dead home's write was never answered"
+        health = pool.supervisor.health()
+        assert health["crashes_detected"] == 1
+        assert health["replay_errors"] == 1 and health["rehomed_datasets"] == 0
+        assert pool.workers[1].idle()                       # no frame of "a"
+        assert pool.supervisor._datasets["a"].home is None
+        with pytest.raises(WorkerFailedError, match="not yet re-homed"):
+            pool.submit("query", "a", {"kind": "k", "query": 1})
+    finally:
+        pool.close()
+
+
+def answer_snapshot(worker, frame, version):
+    """Reply to a ``snapshot`` request as a worker does: the attach body,
+    its name, version and mutability stamped on the header."""
+    header, _body, codec = frame
+    assert header["op"] == "snapshot"
+    value = {"name": header["dataset"], "data": (7, 8, 9), "mutable": True,
+             "version": version}
+    worker.channel.sendall(protocol.pack_frame(
+        {"rid": header["rid"], "ok": True, "op": "snapshot",
+         "name": header["dataset"], "version": version, "mutable": True},
+        value, codec=codec))
+    return protocol.encode_body(value, codec)
+
+
+def drain_in_background(pool, worker_id, timeout):
+    report = []
+    thread = threading.Thread(target=lambda: report.append(
+        pool.supervisor.drain(worker_id, timeout=timeout)))
+    thread.start()
+    return thread, report
+
+
+def test_drain_folds_the_journal_into_a_snapshot_before_rehoming(pool):
+    """A planned move asks the live home for a snapshot first, so the
+    sibling receives one attach frame of the current content -- no replay
+    of the batches, which reads would otherwise wait behind."""
+    acked_journal(pool, "a", 3)                             # worker 0
+    thread, report = drain_in_background(pool, 0, timeout=5)
+    snapshot = answer_snapshot(pool.workers[0], pool.workers[0].read(), 3)
+    thread.join(10)
+    assert report[0]["rehomed"] == ["a"]
+    (header, body, _), = [pool.workers[1].read()]
+    assert (header["op"], header["dataset"], body) == ("attach", "a", snapshot)
+    assert pool.workers[1].idle()                           # no replay frame
+    assert pool.workers[0].read()[0]["op"] == "detach"      # the stale copy
+    health = pool.supervisor.health()
+    assert health["journal_checkpoints"] == 1 and health["rehomed_datasets"] == 1
+
+
+def test_a_snapshot_from_a_home_the_dataset_left_is_refused(pool):
+    """A drain that times out re-homes with the snapshot still owed.  When
+    the old home answers it at last, the batches the new home acknowledged
+    meanwhile are not in it: adopting it would drop them from the journal."""
+    acked_journal(pool, "a", 3)                             # worker 0
+    thread, report = drain_in_background(pool, 0, timeout=0.05)
+    stale = pool.workers[0].read()                          # left unanswered
+    thread.join(10)
+    assert report[0]["rehomed"] == ["a"]
+    assert [h["op"] for h, _, _ in pool.workers[1].take()] == ["attach", "replay"]
+    done = pool.submit("apply_changes", "a", {"changes": []})
+    pool.workers[1].answer(pool.workers[1].read(), {"version": 4})
+    assert done.wait(5)
+    answer_snapshot(pool.workers[0], stale, 3)
+    done = pool.submit("stats", None)       # broadcast: answered after it
+    for worker in pool.workers:
+        for frame in worker.take():
+            worker.answer(frame, {})
+    assert done.wait(5)
+    journal = pool.supervisor._datasets["a"]
+    assert len(journal.batches) == 4 and not journal.checkpointing
+    health = pool.supervisor.health()
+    assert health["journal_checkpoints"] == 0
+    assert health["journal_checkpoint_failures"] == 1
 
 
 def test_a_truncated_frame_is_a_crash_not_a_hang(monkeypatch):

@@ -175,3 +175,33 @@ def test_a_write_acks_the_version_a_local_session_acks_across_a_rehome():
         acks = [local.apply_changes(batch) for batch in batches]
     assert acks == [{"version": 7}, {"version": 7}, {"version": 8}]
     assert wire == [(True, ack) for ack in acks]
+
+
+def test_a_replay_frame_applies_each_batch_as_its_own():
+    """A re-home sends a journal's batches as one ``replay`` frame, their
+    bodies spliced undecoded: the worker must reach the content *and* the
+    version the batches reached one frame at a time -- a screened batch
+    keeps the version, so a merged batch would not."""
+    from repro.incremental.changes import ChangeKind, TupleChange
+
+    body = {"name": "d", "data": (1, 2, 3), "kinds": ["list-membership"],
+            "mutable": True, "version": 6}
+    batches = [
+        {"changes": [TupleChange(ChangeKind.INSERT, (9,))]},
+        {"changes": [TupleChange(ChangeKind.DELETE, (42,))]},  # screened
+        {"changes": [TupleChange(ChangeKind.DELETE, (1,))]},
+    ]
+    joined = protocol.join_bodies([protocol.encode_body(b) for b in batches])
+    with build_query_engine() as engine:
+        assert _frame(engine, "attach", "d", body)[0]
+        response, ack = handle_frame(
+            engine, protocol.request_header("replay", 1, "d", None), joined,
+            protocol.CODEC_JSON)
+        assert response["ok"], protocol.decode_body(ack, protocol.CODEC_JSON)
+        assert protocol.decode_body(ack, protocol.CODEC_JSON) == {"version": 8}
+        for query, member in ((9, True), (1, False), (2, True)):
+            assert _frame(engine, "query", "d",
+                          {"kind": "list-membership", "query": query}) == (True, member)
+        change = TupleChange(ChangeKind.INSERT, (5,))
+        assert _frame(engine, "apply_changes", "d",
+                      {"changes": [change]}) == (True, {"version": 9})
