@@ -19,6 +19,13 @@ range-minimum query in constant time.  Three levels:
   :class:`~repro.indexes.sparse_table.SparseTable` over n / 16b values
   answers the whole words between.
 
+Preprocessing is linear, and its per-block work runs at C speed: a pass
+of a few thousand full blocks is coded by one comparison bit plane per
+in-block pair (``bytes(map(gt, ...))``), OR-ed into one code per block, and
+only each code's first block is signed in Python.  The stack masks then
+come from one pass over all block minima, word by word, each word's stack
+starting empty -- the pass a point write re-masks its word with.
+
 What is stored is the array, one table id per block, the tables and one
 byte per block that rebuilds its mask from the previous block's (a *cut*:
 how far below its own bit the mask keeps the previous one): the block
@@ -37,7 +44,8 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import List, Optional, Sequence
+from operator import gt, truth
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.indexes import columns
@@ -45,8 +53,11 @@ from repro.indexes.sparse_table import SparseTable, check_rmq_range
 
 __all__ = ["FischerHeunRMQ"]
 
-_SIGN_CHUNK = 64  # blocks per pass: each pass's lists then fit pymalloc's 512 B
+#: Blocks per signing pass: a pass holds b columns of this many values and a
+#: code of at most 8 bytes per block, a few hundred kB whatever n is.
+_SIGN_CHUNK = 4096
 _WORD = 16  # block minima per stack mask
+_TRUTH = bytes(range(2)).ljust(256, b"\1")  # an answer's byte -> its truth
 
 # A stack mask at rest is one *cut* per block (``_MaskedMinima.to_state``),
 # coded and decoded a slot at a time across all words on the masks' two
@@ -126,21 +137,37 @@ def _table_bound(b: int, n: int) -> int:
     return _catalan(b) + (_catalan(n % b) if n % b else 0)
 
 
-def _stack_masks(word: Sequence, start: int = 0, mask: int = 0) -> List[int]:
-    """The stack masks of ``word[start:]``, continuing from ``mask`` (the
-    mask of ``word[start - 1]``; 0 at the word's start).  Each minimum pops
-    the strictly greater ones -- the stack's top is the mask's highest bit --
-    and pushes itself."""
-    masks = []
-    for offset in range(start, len(word)):
-        value = word[offset]
-        while mask:
-            top = mask.bit_length() - 1
-            if word[top] <= value:
-                break
-            mask ^= 1 << top
-        mask |= 1 << offset
-        masks.append(mask)
+def _plane(left: Sequence, right: Sequence) -> bytes:
+    """Byte k is 1 iff ``left[k] > right[k]`` is true, else 0.  An answer
+    that is an int past 1 is folded to 1; one that ``bytes`` refuses -- a
+    ``numpy.bool``, an int past a byte -- sends the plane through ``truth``."""
+    try:
+        return bytes(map(gt, left, right)).translate(_TRUTH)
+    except (TypeError, ValueError):
+        return bytes(map(truth, map(gt, left, right)))
+
+
+def _stack_masks(minima: Sequence, first: int = 0, mask: int = 0) -> Sequence[int]:
+    """The stack masks of ``minima[first:]``, in words of ``_WORD`` from
+    ``minima[0]``, continuing from ``mask`` (the mask of ``minima[first -
+    1]``); each later word's stack starts empty.  Each minimum pops the
+    strictly greater ones of its word -- the stack's top is the mask's
+    highest bit -- and pushes itself.  Each mask goes straight into the
+    typed column: a list of them would box every one at once."""
+    masks = columns.positions((), 1 << _WORD)
+    start = first % _WORD
+    for base in range(first - start, len(minima), _WORD):
+        word = minima[base : base + _WORD]
+        for slot in range(start, len(word)):
+            value = word[slot]
+            while mask:
+                top = mask.bit_length() - 1
+                if word[top] <= value:
+                    break
+                mask ^= 1 << top
+            mask |= 1 << slot
+            masks.append(mask)
+        start = mask = 0
     return masks
 
 
@@ -163,29 +190,35 @@ class _MaskedMinima:
         are derived."""
         self._array, self._b = rmq._array, rmq._block_size
         self._table_of, self._last, self._masks = rmq._block_table, rmq._last, masks
-        words = range(0, len(masks), _WORD)
-        self._word_argmin = columns.positions(map(self._word_argmin_at, words), len(self._array))
+        argmins = self._word_argmins(0, len(masks))
+        self._word_argmin = columns.positions(argmins, len(self._array))
         self._words = SparseTable(list(map(self._array.__getitem__, self._word_argmin)), tracker)
 
     @classmethod
     def build(cls, rmq: "FischerHeunRMQ", tracker: CostTracker) -> "_MaskedMinima":
-        b, offsets, array = rmq._block_size, rmq._last, rmq._array
-        minima = [array[k * b + offsets[t]] for k, t in enumerate(rmq._block_table)]
-        masks = columns.positions((), 1 << _WORD)
-        for base in range(0, len(minima), _WORD):
-            masks.extend(_stack_masks(minima[base : base + _WORD]))
+        """Over the block minima, block k's at ``k * b + last[table]``, all
+        masked in one pass."""
+        b, offsets, array, table_of = rmq._block_size, rmq._last, rmq._array, rmq._block_table
+        starts = range(0, len(table_of) * b, b)
+        minima = [array[start + offsets[t]] for start, t in zip(starts, table_of)]
         tracker.tick(2 * len(minima))  # a push per minimum, at most one pop
-        return cls(rmq, masks, tracker)
+        return cls(rmq, _stack_masks(minima), tracker)
 
     def _position(self, block: int) -> int:
         """Position of ``block``'s minimum: its table's whole-block answer."""
         return block * self._b + self._last[self._table_of[block]]
 
-    def _word_argmin_at(self, base: int) -> int:
-        """Position of the leftmost minimum of the word starting at block
-        ``base``: the bottom of the stack after the word's last minimum."""
-        mask = self._masks[min(len(self._masks), base + _WORD) - 1]
-        return self._position(base + (mask & -mask).bit_length() - 1)
+    def _word_argmins(self, start: int, stop: int) -> Iterator[int]:
+        """Positions of the leftmost minima of the words over blocks
+        ``start..stop - 1`` (``start`` a word's first block): the bottom of
+        each word's stack after its last minimum."""
+        masks, b, offsets, table_of = self._masks, self._b, self._last, self._table_of
+        ends = masks[start + _WORD - 1 : stop : _WORD]
+        if (stop - start) % _WORD:
+            ends.append(masks[stop - 1])
+        bases = range(start, stop, _WORD)
+        blocks = (base + (mask & -mask).bit_length() - 1 for base, mask in zip(bases, ends))
+        return (block * b + offsets[table_of[block]] for block in blocks)
 
     def argmin(self, first: int, last: int) -> int:
         """Position of the leftmost minimum of blocks ``first..last``: the
@@ -219,12 +252,10 @@ class _MaskedMinima:
         stop = min(len(masks), base + _WORD)
         minima = [self._array[self._position(k)] for k in range(base, stop)]
         below = masks[block - 1] if block > base else 0
-        masks[block:stop] = columns.positions(
-            _stack_masks(minima, block - base, below), 1 << _WORD
-        )
+        masks[block:stop] = _stack_masks(minima, block - base, below)
         tracker.tick(2 * (stop - base))
         word = block // _WORD
-        self._word_argmin[word] = position = self._word_argmin_at(base)
+        self._word_argmin[word] = position = next(self._word_argmins(base, stop))
         self._words.point_update(word, self._array[position], tracker)
 
     def copy_for(self, rmq: "FischerHeunRMQ") -> "_MaskedMinima":
@@ -291,8 +322,12 @@ class FischerHeunRMQ:
         """Per block of ``b``: its in-block table's id.
 
         Only ``a[i] > a[j]`` (i < j) is asked inside a block, so one bit per
-        pair fixes the table: full blocks are coded a column at a time,
-        ``_SIGN_CHUNK`` per pass, and only a code's first block is signed.
+        pair fixes the table.  The full blocks of a pass (``_SIGN_CHUNK`` of
+        them) are coded at once as comparison bit planes: one
+        :func:`_plane` per pair, shifted into the block's lane of one int
+        -- a byte per block up to b = 4's six pairs, then the narrowest
+        machine word that holds the pairs -- and only a code's first block
+        is signed.
         """
         array, n = self._array, len(self._array)
         self._block_size, self._tables, self._last, self._table_ids = b, [], [], {}
@@ -302,13 +337,17 @@ class FischerHeunRMQ:
         for start in range(0, full, _SIGN_CHUNK * b):
             stop = min(full, start + _SIGN_CHUNK * b)
             cols = [array[start + offset : stop : b] for offset in range(b)]
-            codes = [0] * ((stop - start) // b)
+            codes = columns.ids((), 1 << len(pairs))
+            width, count = codes.itemsize, (stop - start) // b
+            lanes, plane = 0, bytearray(width * count)
             for i, j in pairs:
-                codes = [c + c + 1 if x > y else c + c for c, x, y in zip(codes, cols[i], cols[j])]
+                plane[::width] = _plane(cols[i], cols[j])
+                lanes = lanes << 1 | int.from_bytes(plane, "little")
+            codes.frombytes(lanes.to_bytes(width * count, "little"))  # either order keeps codes apart
             fresh = sorted(set(codes).difference(ids), key=codes.index)
             for code in fresh:
                 ids[code] = self._sign_block(start + codes.index(code) * b, tracker)
-            tracker.tick(2 * b * (len(codes) - len(fresh)))
+            tracker.tick(2 * b * (count - len(fresh)))
             block_table.extend(map(ids.__getitem__, codes))
         block_table.extend(self._sign_block(start, tracker) for start in range(full, n, b))
         self._block_table = block_table

@@ -132,6 +132,23 @@ _CHANGE_TYPES: Dict[str, type] = {
     "EdgeChange": EdgeChange,
     "PointWrite": PointWrite,
 }
+_CHANGE_KINDS: Dict[str, ChangeKind] = {kind.value: kind for kind in ChangeKind}
+
+#: The types that pass the codec untouched, exactly: a run of only these is
+#: carried or rebuilt in one pass (a subclass -- an ``IntEnum``, a numpy
+#: float -- goes item by item, as it always did).
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+
+def _scalar_run(items: Any) -> bool:
+    return set(map(type, items)) <= _SCALARS
+
+
+def _change_kind(value: Any) -> ChangeKind:
+    try:
+        return _CHANGE_KINDS[value]
+    except (KeyError, TypeError):
+        return ChangeKind(value)  # raises the ValueError it always did
 
 
 # -- tagged value codec --------------------------------------------------------
@@ -144,10 +161,11 @@ _CHANGE_TYPES: Dict[str, type] = {
 def encode_value(value: Any) -> Any:
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, tuple):
-        return {"$": "t", "v": [encode_value(item) for item in value]}
-    if isinstance(value, list):
-        return {"$": "l", "v": [encode_value(item) for item in value]}
+    if isinstance(value, (tuple, list)):
+        tag = "t" if isinstance(value, tuple) else "l"
+        if _scalar_run(value):
+            return {"$": tag, "v": list(value)}
+        return {"$": tag, "v": [encode_value(item) for item in value]}
     if isinstance(value, dict):
         return {
             "$": "d",
@@ -199,9 +217,11 @@ def decode_value(value: Any) -> Any:
         raise ProtocolError(f"undecodable wire value of type {type(value).__name__}")
     tag = value.get("$")
     if tag == "t":
-        return tuple(decode_value(item) for item in value["v"])
+        items = value["v"]
+        return tuple(items if _scalar_run(items) else map(decode_value, items))
     if tag == "l":
-        return [decode_value(item) for item in value["v"]]
+        items = value["v"]
+        return list(items if _scalar_run(items) else map(decode_value, items))
     if tag == "d":
         return {decode_value(k): decode_value(v) for k, v in value["v"]}
     if tag == "s":
@@ -211,15 +231,15 @@ def decode_value(value: Any) -> Any:
     if tag == "b":
         return base64.b64decode(value["v"])
     if tag == "ck":
-        return ChangeKind(value["v"])
+        return _change_kind(value["v"])
     if tag == "c":
         cls = _CHANGE_TYPES.get(value.get("c"))
         fields = value.get("v", {})
         if cls is TupleChange:
-            return TupleChange(ChangeKind(fields["kind"]), decode_value(fields["row"]))
+            return TupleChange(_change_kind(fields["kind"]), decode_value(fields["row"]))
         if cls is EdgeChange:
             return EdgeChange(
-                ChangeKind(fields["kind"]), fields["source"], fields["target"]
+                _change_kind(fields["kind"]), fields["source"], fields["target"]
             )
         if cls is PointWrite:
             return PointWrite(fields["position"], decode_value(fields["value"]))
@@ -257,11 +277,15 @@ def _finite_float(literal: str) -> float:
     return value
 
 
+#: One decoder for every frame, as ``json.loads`` shares its default one:
+#: called with hooks, ``json.loads`` builds a new decoder per document.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
 def _loads(raw: bytes, codec: int) -> Any:
     _check_codec(codec)
     try:
-        return json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant,
-                          parse_float=_finite_float)
+        return _DECODER.decode(raw.decode("utf-8"))
     except Exception as exc:
         raise ProtocolError(f"undecodable frame payload: {exc}") from exc
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,3 +269,29 @@ def test_counts_stay_the_typed_column_through_every_mutation_path(workload):
         assert tree.delete(key)
         tree.check_invariants()
     assert len(tree) == 0 and tree.height == 1
+
+
+@st.composite
+def run_columns(draw):
+    """A key column with duplicates: ints, strings, or numpy ints (whose
+    ``!=`` answers ``numpy.bool``)."""
+    kind = draw(st.sampled_from(["int", "str", "numpy"]))
+    if kind == "str":
+        return draw(st.lists(st.text("ab", max_size=3), max_size=200))
+    values = draw(st.lists(st.integers(-20, 20), max_size=200))
+    if kind == "numpy":
+        numpy = pytest.importorskip("numpy")
+        return list(numpy.array(values, dtype=numpy.int64))
+    return values
+
+
+@given(run_columns(), orders)
+@settings(max_examples=120, deadline=None)
+def test_bulk_build_runs_equal_the_multiset(key_list, order):
+    """``from_keys`` finds each distinct key and its count, by ``!=``'s
+    truth: the columns and state bytes of a bulk load over the multiset."""
+    runs = sorted(Counter(key_list).items())
+    distinct, counts = [key for key, _ in runs], columns.counts(count for _, count in runs)
+    tree = BPlusTree.from_keys(key_list, order=order)
+    assert tree._columns() == (distinct, counts)
+    assert tree.to_state() == BPlusTree._bulk_load(order, distinct, counts).to_state()

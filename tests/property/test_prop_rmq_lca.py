@@ -355,6 +355,60 @@ def test_column_signing_equals_block_at_a_time(array, b, chunk, data):
         assert fischer.argmin_fast(low, high) == naive_range_min(array, low, high)
 
 
+def _assert_signs_as_block_at_a_time(array, b):
+    """The default passes give the reference signer's state bytes, charges
+    and signature count."""
+    expected_tracker, tracker = CostTracker(), CostTracker()
+    expected = _signed_block_at_a_time(array, b, expected_tracker)
+    fischer = _signed(array, b, tracker)
+    assert pickle.dumps(fischer.to_state()) == pickle.dumps(expected.to_state())
+    assert tracker.snapshot() == expected_tracker.snapshot()
+    assert fischer.distinct_signatures == expected.distinct_signatures
+    return fischer
+
+
+@pytest.mark.parametrize("b", [1, 3, 4, 5, 6])
+@pytest.mark.parametrize("alphabet", [(0, 1, 2), range(-(2**31), 2**31)], ids=["ties", "wide"])
+def test_default_passes_sign_as_block_at_a_time_at_scale(b, alphabet):
+    """2^14 values: several full passes and a last short one at b = 1, one
+    pass and a short tail block at b = 5 and 6 (byte lanes to b = 4, then
+    two-byte ones)."""
+    rng = random.Random(b)
+    _assert_signs_as_block_at_a_time([rng.choice(alphabet) for _ in range(1 << 14)], b)
+
+
+class _LoudInt(int):
+    """An int whose ``>`` answers, for true, itself times ``scale`` -- a
+    true answer of 1 or 2 over {0, 1, 2} at scale 1, up to 400 at scale
+    200 -- not ``True``."""
+
+    def __new__(cls, value, scale):
+        number = super().__new__(cls, value)
+        number.scale = scale
+        return number
+
+    def __gt__(self, other):
+        return int(self) * self.scale if int(self) > int(other) else 0
+
+
+@pytest.mark.parametrize("b", [1, 4, 5])
+def test_comparisons_that_answer_no_bool_sign_by_their_truth(b):
+    """numpy ints answer ``numpy.bool``, which ``bytes`` refuses, and other
+    answers may be ints past 1 or past a byte: each signs as the same
+    values as plain ints."""
+    numpy = pytest.importorskip("numpy")
+    values = numpy.random.default_rng(b).integers(0, 3, 1 << 12)
+    plain = _signed([int(value) for value in values], b)
+    with pytest.raises(TypeError):
+        bytes([values[0] > values[1]])
+    loud = [[_LoudInt(value, scale) for value in values] for scale in (1, 200)]
+    for array in [list(values), *loud]:
+        fischer = _assert_signs_as_block_at_a_time(array, b)
+        assert fischer._block_table == plain._block_table
+        assert fischer._tables == plain._tables
+        assert fischer._summary._masks == plain._summary._masks
+
+
 # -- stack-masked words of block minima -------------------------------------------
 
 
