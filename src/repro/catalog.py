@@ -74,10 +74,8 @@ class CatalogRow:
         return getattr(import_module(module or self.module), name)()
 
     def serving(self) -> Tuple["QueryClass", "PiScheme"]:
-        """``(query class, scheme)`` as the engine serves them: the first
-        serializable scheme, exactly
-        :meth:`~repro.core.classes.RegistryEntry.serving_scheme`'s choice,
-        constructing no scheme past it."""
+        """``(query class, scheme)`` as the engine serves them: the row's
+        first serializable scheme, constructing no scheme past it."""
         scheme = None
         for factory in self.schemes:
             scheme = self.make(factory)

@@ -7,7 +7,6 @@ from repro.circuits.generators import (
     layered_circuit,
     random_circuit,
     random_inputs,
-    random_monotone_circuit,
 )
 from repro.circuits.transform import dual_rail_inputs, to_monotone_dual_rail
 
@@ -23,7 +22,6 @@ __all__ = [
     "layered_circuit",
     "random_circuit",
     "random_inputs",
-    "random_monotone_circuit",
     "dual_rail_inputs",
     "to_monotone_dual_rail",
 ]

@@ -14,7 +14,6 @@ from repro.circuits.circuit import Circuit, Gate, GateOp
 
 __all__ = [
     "random_circuit",
-    "random_monotone_circuit",
     "layered_circuit",
     "deep_chain_circuit",
     "random_inputs",
@@ -49,11 +48,6 @@ def random_circuit(
         args = tuple(rng.randrange(len(gates)) for _ in range(op.arity))
         gates.append(Gate(op, args=args))
     return Circuit(n_inputs, gates)
-
-
-def random_monotone_circuit(n_inputs: int, n_gates: int, rng: random.Random) -> Circuit:
-    """AND/OR-only random circuit (the domain of the CVP -> BDS gadget)."""
-    return random_circuit(n_inputs, n_gates, rng, ops=_MONOTONE_OPS)
 
 
 def layered_circuit(

@@ -1,13 +1,15 @@
-"""Circuit transformations: dual-rail monotonization and relabeling.
+"""Circuit transformations: dual-rail monotonization.
 
-The CVP -> BDS gadget reduction (:mod:`repro.reductions_zoo.cvp_to_bds`)
-operates on monotone circuits; :func:`to_monotone_dual_rail` lifts it to
-general circuits.  The construction is the standard dual-rail trick: every
-gate g is replaced by a pair (g+, g-) computing g and NOT g, with De Morgan
-swapping AND/OR on the negative rail.  Negated inputs become *fresh inputs*
-(positions n..2n-1), so the transformed circuit is monotone and evaluates
-correctly when fed ``inputs + [not b for b in inputs]``.  Every step is a
-local rewrite -- an NC function in the paper's sense.
+Gadget reductions from CVP (such as CVP -> BDS) are usually stated for
+monotone circuits; :func:`to_monotone_dual_rail` lifts such a reduction to
+general circuits.  The repository has no such gadget: Theorem 5 is shown by
+:mod:`repro.reductions_zoo.to_bds`'s solve-and-emit reduction, and this
+module is checked on its own.  The construction is the standard dual-rail
+trick: every gate g is replaced by a pair (g+, g-) computing g and NOT g,
+with De Morgan swapping AND/OR on the negative rail.  Negated inputs become
+*fresh inputs* (positions n..2n-1), so the transformed circuit is monotone
+and evaluates correctly when fed ``inputs + [not b for b in inputs]``.
+Every step is a local rewrite -- an NC function in the paper's sense.
 """
 
 from __future__ import annotations

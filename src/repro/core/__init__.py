@@ -32,7 +32,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Fit", "ScalingKind", "ScalingVerdict", "classify_scaling", "fit_power",
         "fit_polylog",
     ),
-    "repro.core.query": ("QueryClass", "PiScheme", "default_sizes"),
+    "repro.core.query": ("QueryClass", "PiScheme"),
     "repro.core.language": (
         "PairLanguage", "DecisionProblem", "pair_language_of", "decision_problem_of",
     ),

@@ -58,18 +58,6 @@ class RegistryEntry:
     paper_reference: str = ""
     notes: str = ""
 
-    @property
-    def certified(self) -> bool:
-        """At least one certificate was measured for this entry."""
-        return bool(self.certificates)
-
-    def serving_scheme(self) -> Optional[PiScheme]:
-        """The scheme a query engine serves this entry with: the first
-        *serializable* one (its Pi(D) can be kept in the store and survive
-        the process), or ``None`` -- the entry is certified here, not served.
-        """
-        return next((scheme for scheme in self.schemes if scheme.serializable), None)
-
     def evidence_gaps(self) -> List[str]:
         """Claims whose supporting evidence is *failing* or contradictory.
 

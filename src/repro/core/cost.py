@@ -54,10 +54,6 @@ class Cost:
         """Sequential composition: work and depth both add."""
         return Cost(self.work + other.work, self.depth + other.depth)
 
-    def beside(self, other: "Cost") -> "Cost":
-        """Parallel composition: work adds, depth takes the maximum."""
-        return Cost(self.work + other.work, max(self.depth, other.depth))
-
     def __add__(self, other: "Cost") -> "Cost":
         return self.then(other)
 
@@ -132,10 +128,6 @@ class CostTracker:
     def snapshot(self) -> Cost:
         """The cost accumulated so far."""
         return Cost(self.work, self.depth)
-
-    def reset(self) -> None:
-        self.work = 0
-        self.depth = 0
 
     @contextmanager
     def measure(self) -> Iterator["_Measurement"]:

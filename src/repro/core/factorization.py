@@ -80,10 +80,6 @@ class Factorization:
         for instance in instances:
             self.check_round_trip(instance)
 
-    def data_size(self, data: Any) -> int:
-        """``|pi1(x)|`` -- encoded length of the data part."""
-        return len(self.encode_data(data))
-
     def pair_language(self, problem: DecisionProblem) -> PairLanguage:
         """``S(L, Upsilon)`` with membership via Proposition 1."""
 

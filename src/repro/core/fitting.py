@@ -66,13 +66,6 @@ class Fit:
     exponent: float
     r2: float
 
-    def predict(self, n: float) -> float:
-        if self.model == "power":
-            return self.scale * n**self.exponent
-        if self.model == "polylog":
-            return self.scale * math.log2(n) ** self.exponent
-        raise ValueError(f"unknown model {self.model!r}")
-
 
 @dataclass(frozen=True)
 class ScalingVerdict:

@@ -49,10 +49,6 @@ class PairLanguage:
     def member(self, data: Any, query: Any, tracker: Optional[CostTracker] = None) -> bool:
         return bool(self.contains(data, query, ensure_tracker(tracker)))
 
-    def encoded_pair(self, data: Any, query: Any) -> str:
-        """The raw-string pair; data and query encodings joined by '#'."""
-        return self.encode_data(data) + alphabet.PAIR_DELIMITER + self.encode_query(query)
-
 
 @dataclass
 class DecisionProblem:
@@ -81,9 +77,6 @@ class DecisionProblem:
 
     def member(self, instance: Any, tracker: Optional[CostTracker] = None) -> bool:
         return bool(self.contains(instance, ensure_tracker(tracker)))
-
-    def instance_size(self, instance: Any) -> int:
-        return len(self.encode_instance(instance))
 
     def sample_instances(self, size: int, seed: int, count: int) -> List[Any]:
         from repro.core.query import stable_seed

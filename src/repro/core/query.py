@@ -27,7 +27,7 @@ from typing import Any, Callable, List, Optional, Sequence
 from repro.core import alphabet
 from repro.core.cost import CostTracker
 
-__all__ = ["QueryClass", "PiScheme", "default_sizes", "stable_seed", "state_codec"]
+__all__ = ["QueryClass", "PiScheme", "stable_seed", "state_codec"]
 
 
 def stable_seed(*parts: Any) -> int:
@@ -41,13 +41,6 @@ def stable_seed(*parts: Any) -> int:
 Evaluator = Callable[[Any, Any, CostTracker], bool]
 #: Preprocessor signature: (data, tracker) -> preprocessed structure
 Preprocessor = Callable[[Any, CostTracker], Any]
-
-
-def default_sizes(small: bool = False) -> List[int]:
-    """The geometric size sweep used by certification and benchmarks."""
-    if small:
-        return [2**k for k in range(8, 13)]
-    return [2**k for k in range(10, 17)]
 
 
 @dataclass

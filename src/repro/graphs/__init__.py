@@ -15,15 +15,13 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "gnm_digraph", "gnm_graph", "random_connected_graph",
         "random_dag", "random_tree", "random_vertex_pairs", "social_digraph",
     ),
-    "repro.graphs.graph": (
-        "Digraph", "Graph", "permute_vertices",
-    ),
+    "repro.graphs.graph": ("Digraph", "Graph"),
     "repro.graphs.scc": (
         "condensation", "is_dag", "strongly_connected_components",
         "topological_order",
     ),
     "repro.graphs.traversal": (
         "bfs_order", "breadth_depth_search", "breadth_depth_search_reference",
-        "dfs_order", "is_reachable", "reachable_from", "visit_position",
+        "is_reachable", "reachable_from", "visit_position",
     ),
 })

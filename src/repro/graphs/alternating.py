@@ -47,9 +47,6 @@ class AlternatingDigraph:
     def n(self) -> int:
         return self.graph.n
 
-    def successors(self, vertex: int) -> Sequence[int]:
-        return self.graph.neighbors(vertex)
-
     def is_universal(self, vertex: int) -> bool:
         return self.universal[vertex]
 

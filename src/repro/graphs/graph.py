@@ -95,9 +95,6 @@ class _BaseGraph:
         self._check_vertex(v)
         return self._adj[v]
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[Edge]:
         """Each edge once: (u <= v) for undirected, (u, v) for directed."""
         for u in range(self.n):
@@ -108,9 +105,6 @@ class _BaseGraph:
     @property
     def edge_count(self) -> int:
         return sum(1 for _ in self.edges())
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     # -- Sigma* view ------------------------------------------------------------
 
@@ -160,18 +154,3 @@ class Digraph(_BaseGraph):
         for u, v in self.edges():
             result.add_edge(v, u)
         return result
-
-
-def permute_vertices(graph: _BaseGraph, permutation: Sequence[int]) -> _BaseGraph:
-    """Renumber vertices: new id of old vertex v is ``permutation[v]``.
-
-    Renumbering changes BDS visit order (the search is *induced by* the
-    numbering), which the Figure 1 experiments exercise.
-    """
-    if sorted(permutation) != list(range(graph.n)):
-        raise GraphError("permutation must be a bijection on the vertex set")
-    result: _BaseGraph = Digraph(graph.n) if graph.directed else Graph(graph.n)
-    for u, v in graph.edges():
-        result.add_edge(permutation[u], permutation[v])
-    return result
-

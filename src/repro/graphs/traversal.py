@@ -24,7 +24,6 @@ from repro.graphs.graph import _BaseGraph
 
 __all__ = [
     "bfs_order",
-    "dfs_order",
     "breadth_depth_search",
     "breadth_depth_search_reference",
     "reachable_from",
@@ -140,31 +139,6 @@ def bfs_order(
                 visited[neighbor] = True
                 order.append(neighbor)
                 queue.append(neighbor)
-    return order
-
-
-def dfs_order(
-    graph: _BaseGraph,
-    start: int = 0,
-    tracker: Optional[CostTracker] = None,
-) -> List[int]:
-    """Iterative lexicographic DFS preorder from ``start``."""
-    tracker = ensure_tracker(tracker)
-    graph.neighbors(start)  # vertex check
-    visited = [False] * graph.n
-    order: List[int] = []
-    stack: List[int] = [start]
-    while stack:
-        node = stack.pop()
-        tracker.tick(1)
-        if visited[node]:
-            continue
-        visited[node] = True
-        order.append(node)
-        for neighbor in reversed(graph.neighbors(node)):
-            tracker.tick(1)
-            if not visited[neighbor]:
-                stack.append(neighbor)
     return order
 
 

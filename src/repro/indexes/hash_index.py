@@ -71,9 +71,6 @@ class HashIndex:
     def __len__(self) -> int:
         return self._size
 
-    def distinct_keys(self) -> int:
-        return len(self._counts)
-
     def __deepcopy__(self, memo: dict) -> "HashIndex":
         """A private copy: a new map over the same keys and counts."""
         index = type(self)()

@@ -145,15 +145,6 @@ class TransitiveClosureIndex:
             tracker.tick(bits.bit_count())
         return ancestors
 
-    def descendants(self, source: int) -> List[int]:
-        """All vertices reachable from ``source`` (reflexive)."""
-        bits = self._closure[self._component_of[source]]
-        return [
-            vertex
-            for vertex in range(self.n)
-            if bits & (1 << self._component_of[vertex])
-        ]
-
     def reachable_pair_count(self) -> int:
         """Number of ordered reachable vertex pairs (reflexive); an
         equivalence check used by the compression case study."""

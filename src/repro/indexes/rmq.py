@@ -373,10 +373,6 @@ class FischerHeunRMQ:
         return len(self._array)
 
     @property
-    def block_size(self) -> int:
-        return self._block_size
-
-    @property
     def distinct_signatures(self) -> int:
         return len(self._tables)
 

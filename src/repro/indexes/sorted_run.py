@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Any, Generic, List, Optional, Sequence, Tuple, TypeVar
+from typing import Generic, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.indexes import columns
@@ -47,10 +47,6 @@ class SortedRunIndex(Generic[K]):
         position = parallel_binary_search(self._run, key, tracker)
         tracker.tick(1)
         return position < len(self._run) and self._run[position] == key
-
-    def rank(self, key: K, tracker: Optional[CostTracker] = None) -> int:
-        """Number of elements strictly below ``key``."""
-        return parallel_binary_search(self._run, key, ensure_tracker(tracker))
 
     # -- untracked serving kernels ---------------------------------------------
 

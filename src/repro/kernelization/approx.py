@@ -72,9 +72,3 @@ class ApproximateVertexCoverOracle:
         """
         ensure_tracker(tracker).tick(1)
         return self.lower_bound <= budget
-
-    def certified_cover_within(self, budget: int) -> Optional[List[int]]:
-        """The explicit witness cover when it fits ``2 * budget``."""
-        if self.upper_bound <= 2 * budget:
-            return list(self.cover)
-        return None

@@ -10,8 +10,10 @@ P-completeness.  Two executable specimens are provided:
     decides the instance and emits the vertex pair (1, 2) for yes and (2, 1)
     for no.  For sources in NC, deciding *is* an NC function and this is
     literally the Theorem 5 construction; for harder sources it is still a
-    correct many-one reduction, merely a PTIME one -- the genuinely-NC gadget
-    for the P-complete case lives in :mod:`repro.reductions_zoo.cvp_to_bds`.
+    correct many-one reduction, merely a PTIME one.  The repository has no
+    genuinely-NC gadget for the P-complete case (CVP -> BDS); the
+    monotone dual-rail transform such a gadget would start from is
+    :func:`repro.circuits.transform.to_monotone_dual_rail`.
 
 :func:`refactorize_to_bds`
     The Figure 1 move as a reduction: the *trivially factorized* BDS query
@@ -23,10 +25,10 @@ P-completeness.  Two executable specimens are provided:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Tuple
+from typing import Any, Tuple
 
 from repro.core.cost import NULL_TRACKER
-from repro.core.factorization import EMPTY_DATA, Factorization, identity_factorization
+from repro.core.factorization import Factorization, identity_factorization
 from repro.core.language import DecisionProblem, decision_problem_of
 from repro.core.query import QueryClass
 from repro.core.reductions import NCFactorReduction

@@ -326,10 +326,6 @@ class Dataset:
         return self._mutable is not None
 
     @property
-    def detached(self) -> bool:
-        return self._detached
-
-    @property
     def version(self) -> int:
         """Monotonic count of applied change batches (0 when immutable)."""
         return 0 if self._mutable is None else self._mutable.version

@@ -389,11 +389,10 @@ class QueryEngine:
         """Promise ``kind`` without importing what serves it.
 
         :meth:`kinds` lists the name from now on; the first request that
-        names it (an ``attach``, :meth:`registration`,
-        :meth:`shardable_kinds`) calls ``resolve()`` -- which imports
-        ``module`` and returns the ``(query class, scheme)`` pair -- and
-        registers the pair under :meth:`register`'s checks, exactly once.  A
-        process therefore pays only for the kinds it serves.
+        names it (an ``attach``, :meth:`registration`) calls ``resolve()``
+        -- which imports ``module`` and returns the ``(query class, scheme)``
+        pair -- and registers the pair under :meth:`register`'s checks,
+        exactly once.  A process therefore pays only for the kinds it serves.
         """
         with self._registration_lock:
             self._claim_name(kind)
@@ -437,15 +436,6 @@ class QueryEngine:
         """Sorted names of every query kind, registered or promised."""
         with self._registration_lock:
             return sorted({*self._registrations, *self._deferred})
-
-    def shardable_kinds(self) -> List[str]:
-        """Kinds whose scheme declares a ShardSpec (sorted); asking resolves
-        every promised kind."""
-        return sorted(
-            kind
-            for kind in self.kinds()
-            if self._registration(kind).scheme.sharding is not None
-        )
 
     def registration(self, kind: str) -> Tuple[QueryClass, PiScheme]:
         """The ``(query class, scheme)`` pair registered under ``kind``."""

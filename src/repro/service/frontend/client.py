@@ -24,9 +24,9 @@ in ``client.protocol_errors``, which CI's frontend smoke asserts stays 0.
 Resilience (idempotent reads only -- ``ping`` / ``query`` /
 ``query_batch`` / ``stats``):
 
-* a ``deadline_ms`` budget (client-wide default, per-dataset via
-  :meth:`RemoteDataset.set_deadline`, or per-request) rides the frame
-  header end to end and bounds the local socket wait;
+* a ``deadline_ms`` budget (client-wide, ``RemoteClient(deadline_ms=)``,
+  or per call, :meth:`RemoteClient.request`) rides the frame header end
+  to end and bounds the local socket wait;
 * ``Overloaded`` / ``WorkerFailed`` responses are retried with jittered
   exponential backoff up to ``retry_budget`` attempts (counted in
   ``client.retries``), never past the deadline;
@@ -61,6 +61,8 @@ __all__ = ["RemoteClient", "RemoteDataset"]
 
 #: Ops safe to resend: reads with no server-side effects.
 _IDEMPOTENT_OPS = frozenset({"ping", "query", "query_batch", "stats"})
+#: The first retry's backoff; each later one doubles it, jittered.
+_RETRY_BACKOFF_SECONDS = 0.01
 
 
 def _close_transport(sock: socket.socket, stream: Any) -> None:
@@ -98,21 +100,17 @@ class RemoteClient:
         *,
         codec: Optional[int] = None,
         timeout: float = 60.0,
-        max_frame_bytes: int = protocol.DEFAULT_MAX_FRAME_BYTES,
         deadline_ms: Optional[float] = None,
         retry_budget: int = 2,
-        retry_backoff_seconds: float = 0.01,
     ):
         self._host = host
         self._port = port
         self._codec = protocol.CODEC_JSON if codec is None else codec
         self._timeout = timeout
-        self._max_frame_bytes = max_frame_bytes
         #: Default end-to-end budget attached to every request; None means
         #: no deadline unless the call site provides one.
         self._deadline_ms = deadline_ms
         self._retry_budget = retry_budget
-        self._retry_backoff = retry_backoff_seconds
         # Jitter perturbs retry *timing* only; fixed seed keeps runs
         # reproducible.
         self._rng = random.Random(0xC11E)
@@ -129,10 +127,6 @@ class RemoteClient:
         self.retries = 0
         #: Broken sockets transparently re-dialed for idempotent reads.
         self.reconnects = 0
-
-    def set_deadline(self, deadline_ms: Optional[float]) -> None:
-        """Set (or clear, with None) the client-wide default budget."""
-        self._deadline_ms = deadline_ms
 
     # -- transport -------------------------------------------------------------
 
@@ -205,7 +199,7 @@ class RemoteClient:
                 if not idempotent or attempt >= self._retry_budget:
                     raise
                 attempt += 1
-                backoff = self._retry_backoff * (2 ** (attempt - 1))
+                backoff = _RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
                 backoff *= 0.5 + self._rng.random()
                 if remaining is not None:
                     backoff = min(backoff, max(0.0, remaining / 1000.0))
@@ -225,10 +219,7 @@ class RemoteClient:
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
         try:
-            frame = protocol.pack_frame(
-                header, value, codec=self._codec,
-                max_frame_bytes=self._max_frame_bytes,
-            )
+            frame = protocol.pack_frame(header, value, codec=self._codec)
         except ProtocolError:
             self._count_protocol_error()
             raise
@@ -242,9 +233,7 @@ class RemoteClient:
         try:
             stream.write(frame)
             stream.flush()
-            response = protocol.read_frame(
-                stream, max_frame_bytes=self._max_frame_bytes
-            )
+            response = protocol.read_frame(stream)
         except ProtocolError:
             self._count_protocol_error()
             self._drop_connection()
@@ -274,9 +263,6 @@ class RemoteClient:
         protocol.raise_remote(payload)
 
     # -- the op surface --------------------------------------------------------
-
-    def ping(self) -> bool:
-        return self.request("ping", dataset="") == "pong"
 
     def attach(
         self,
@@ -332,12 +318,6 @@ class RemoteDataset:
         self._mutable = mutable
         self._data = data
         self._detached = False
-        self._deadline_ms: Optional[float] = None
-
-    def set_deadline(self, deadline_ms: Optional[float]) -> None:
-        """Attach a ``deadline_ms`` budget to every request of this
-        session (None clears it; the client-wide default still applies)."""
-        self._deadline_ms = deadline_ms
 
     @property
     def name(self) -> str:
@@ -357,26 +337,22 @@ class RemoteDataset:
     def query(self, kind: str, query: Any) -> Any:
         return self._client.request(
             "query", dataset=self._name, value={"kind": kind, "query": query},
-            deadline_ms=self._deadline_ms,
         )
 
     def query_batch(self, pairs: Iterable[Tuple[str, Any]]) -> List[Any]:
         return self._client.request(
             "query_batch", dataset=self._name,
             value={"pairs": [tuple(pair) for pair in pairs]},
-            deadline_ms=self._deadline_ms,
         )
 
     def apply_changes(self, changes: Iterable[Any]) -> Dict[str, Any]:
         return self._client.request(
             "apply_changes", dataset=self._name,
             value={"changes": list(changes)},
-            deadline_ms=self._deadline_ms,
         )
 
     def stats(self) -> Dict[str, Any]:
-        return self._client.request("stats", dataset=self._name,
-                                    deadline_ms=self._deadline_ms)
+        return self._client.request("stats", dataset=self._name)
 
     def detach(self) -> None:
         if self._detached:
@@ -391,4 +367,3 @@ class RemoteDataset:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.detach()
-

@@ -43,9 +43,6 @@ class Relation:
         self._live += 1
         return len(self._rows) - 1
 
-    def insert_many(self, rows: Sequence[Sequence[Any]]) -> List[int]:
-        return [self.insert(row) for row in rows]
-
     def delete(self, row_id: int) -> Row:
         """Tombstone a row; returns the removed row."""
         row = self.fetch(row_id)
@@ -70,14 +67,6 @@ class Relation:
             tracker.tick(1)
             if row is not None:
                 yield row_id, row
-
-    def select(
-        self,
-        predicate: Callable[[Row], bool],
-        tracker: Optional[CostTracker] = None,
-    ) -> List[Row]:
-        """sigma_predicate(D) by scan."""
-        return [row for _, row in self.scan(tracker) if predicate(row)]
 
     def exists(
         self,

@@ -70,9 +70,6 @@ class Schema:
                 f"schema {self.name!r} has no attribute {attribute!r}"
             ) from exc
 
-    def has_attribute(self, attribute: str) -> bool:
-        return attribute in self._positions
-
     def attribute_names(self) -> Tuple[str, ...]:
         return tuple(a.name for a in self.attributes)
 

@@ -30,14 +30,8 @@ class ViewDefinition:
     low: Any
     high: Any
 
-    def covers_point(self, constant: Any) -> bool:
-        return self.low <= constant <= self.high
-
     def overlaps_range(self, low: Any, high: Any) -> bool:
         return not (high < self.low or low > self.high)
-
-    def contains_range(self, low: Any, high: Any) -> bool:
-        return self.low <= low and high <= self.high
 
 
 class MaterializedView:
@@ -61,9 +55,6 @@ class MaterializedView:
 
     def __len__(self) -> int:
         return len(self._index)
-
-    def point_nonempty(self, constant: Any, tracker: Optional[CostTracker] = None) -> bool:
-        return self._index.contains(constant, ensure_tracker(tracker))
 
     def range_nonempty(self, low: Any, high: Any, tracker: Optional[CostTracker] = None) -> bool:
         return self._index.range_nonempty(low, high, ensure_tracker(tracker))

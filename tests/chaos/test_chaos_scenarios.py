@@ -252,7 +252,7 @@ def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path, monke
     never a silent stall -- and the breaker isolates the slow worker so the
     healthy sibling keeps answering exactly right."""
     from repro.core.errors import DeadlineExceededError
-    from repro.service.frontend import RemoteClient, ServingFront
+    from repro.service.frontend import RemoteClient, RemoteDataset, ServingFront
 
     data = tuple(range(64))
     expected = set(data)
@@ -265,9 +265,12 @@ def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path, monke
         workers=2, store_root=str(tmp_path), policy=policy, hedge_delay_ms=None,
     ) as front:
         client = RemoteClient(*front.address, retry_budget=0)
+        # A budget is client-wide: the reads go through a second client
+        # that carries it, so the attach runs unbudgeted.
+        budgeted = RemoteClient(*front.address, retry_budget=0, deadline_ms=80.0)
         try:
-            ds = client.attach("d", data, kinds=["list-membership"])
-            ds.set_deadline(80.0)
+            client.attach("d", data, kinds=["list-membership"])
+            ds = RemoteDataset(budgeted, "d", ["list-membership"], False, data)
             expired = served = 0
             for query in range(16):
                 start = time.monotonic()
@@ -294,6 +297,7 @@ def test_slow_worker_expired_reads_surface_typed_deadline_errors(tmp_path, monke
             assert health["breakers"]["1"] == "closed"
             assert health["breaker_opened"] == 1
         finally:
+            budgeted.close()
             client.close()
 
 
@@ -303,7 +307,7 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path, monkey
     stalls are spent a half-open probe re-admits the worker
     (open -> half_open -> closed)."""
     from repro.core.errors import DeadlineExceededError
-    from repro.service.frontend import RemoteClient, ServingFront
+    from repro.service.frontend import RemoteClient, RemoteDataset, ServingFront
 
     data = tuple(range(64))
     expected = set(data)
@@ -318,13 +322,14 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path, monkey
         workers=2, store_root=str(tmp_path), policy=policy, hedge_delay_ms=None,
     ) as front:
         client = RemoteClient(*front.address, retry_budget=0)
+        budgeted = RemoteClient(*front.address, retry_budget=0, deadline_ms=60.0)
         try:
             ds = client.attach("d", data, kinds=["list-membership"])
-            ds.set_deadline(60.0)
+            tight = RemoteDataset(budgeted, "d", ["list-membership"], False, data)
             expired = 0
             for query in range(16):
                 try:
-                    answer = ds.query("list-membership", query)
+                    answer = tight.query("list-membership", query)
                 except DeadlineExceededError:
                     expired += 1
                 else:
@@ -335,8 +340,7 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path, monkey
             assert health["breaker_opened"] == 1
             # Past the reset window, traffic itself probes and re-admits.
             time.sleep(policy.breaker_reset_seconds + 0.1)
-            ds.set_deadline(None)
-            for query in range(12):
+            for query in range(12):  # the unbudgeted client
                 assert ds.query("list-membership", query) is True
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
@@ -349,6 +353,7 @@ def test_slow_worker_breaker_opens_then_halfopen_probe_recloses(tmp_path, monkey
             assert health["breaker_probes"] >= 1
             assert health["breaker_closed"] >= 1
         finally:
+            budgeted.close()
             client.close()
 
 

@@ -84,8 +84,12 @@ def test_thread_census_of_a_started_front(front):
         assert [_proc_status(child.pid, "Threads") for child in workers] == ["1", "1"]
 
 
+def _ping(remote):
+    return remote.request("ping", dataset="") == "pong"
+
+
 def test_ping_and_full_immutable_surface(client):
-    assert client.ping()
+    assert _ping(client)
     data = tuple(range(128))
     with client.attach("imm", data, kinds=["list-membership", "minimum-range-query"]) as ds:
         assert ds.name == "imm"
@@ -166,7 +170,7 @@ def test_remote_errors_carry_their_classes(front, client):
     # Structured errors do not poison the connection or count as
     # protocol errors client-side... except the unknown op above, which
     # is itself a ProtocolError raised from a *structured* frame.
-    assert client.ping()
+    assert _ping(client)
     assert client.protocol_errors == 0
 
 
@@ -205,21 +209,26 @@ def test_reader_and_writer_threads_share_a_mutable_remote_dataset(client):
     assert client.protocol_errors == 0
 
 
-def test_deadline_travels_the_wire(client):
-    """A generous budget never interferes; an impossible one surfaces as a
-    typed :class:`DeadlineExceededError` carrying the request identity --
-    from whichever layer (gateway, supervisor, worker) shed it first."""
+def test_deadline_travels_the_wire(front, client):
+    """A budget is client-wide (``RemoteClient(deadline_ms=)``), so each
+    budget gets its own client over the one attached dataset.  A generous
+    budget never interferes; an impossible one surfaces as a typed
+    :class:`DeadlineExceededError` carrying the request identity -- from
+    whichever layer (client, gateway, supervisor, worker) shed it first;
+    no budget answers."""
     data = tuple(range(32))
     with client.attach("dl", data, kinds=["list-membership"]) as ds:
-        ds.set_deadline(10_000.0)
-        assert ds.query("list-membership", 7) is True
-        ds.set_deadline(0.001)  # sub-microsecond: expires in flight
-        with pytest.raises(DeadlineExceededError) as excinfo:
-            ds.query("list-membership", 7)
+        with RemoteClient(*front.address, deadline_ms=10_000.0) as generous:
+            session = RemoteDataset(generous, "dl", ds.kinds, False, data)
+            assert session.query("list-membership", 7) is True
+        # sub-microsecond: expires in flight
+        with RemoteClient(*front.address, deadline_ms=0.001) as impossible:
+            session = RemoteDataset(impossible, "dl", ds.kinds, False, data)
+            with pytest.raises(DeadlineExceededError) as excinfo:
+                session.query("list-membership", 7)
         assert excinfo.value.op == "query"
         assert excinfo.value.dataset == "dl"
-        ds.set_deadline(None)
-        assert ds.query("list-membership", 7) is True
+        assert ds.query("list-membership", 7) is True  # no budget
 
 
 def test_wire_attach_refuses_a_float_shard_count(client):
@@ -236,14 +245,14 @@ def test_finished_threads_release_their_connections(front):
     """Each calling thread gets its own connection; when the thread ends,
     the connection closes and the client forgets it."""
     with RemoteClient(*front.address) as remote:
-        assert remote.ping()
+        assert _ping(remote)
         for _ in range(8):
-            worker = threading.Thread(target=remote.ping)
+            worker = threading.Thread(target=_ping, args=(remote,))
             worker.start()
             worker.join()
         gc.collect()
         assert len(remote._conns) <= 1  # the calling thread's own
-        assert remote.ping()
+        assert _ping(remote)
 
 
 def test_a_refused_remote_detach_can_be_retried():

@@ -16,11 +16,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
+from helpers import shardable_kinds
 
 #: The five servable kinds with a ShardSpec (point/range selection, list
 #: membership, minimum range query, top-k) -- the same set the engine
 #: benchmarks serve.
-_KINDS = build_query_engine().shardable_kinds()
+_KINDS = shardable_kinds(build_query_engine())
 
 
 def test_the_five_servable_kinds_are_served():

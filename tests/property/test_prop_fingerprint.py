@@ -52,7 +52,7 @@ def relations(draw):
     schema = Schema(draw(st.sampled_from(["R", "S"])), list(zip(names, types)))
     relation = Relation(schema)
     row = st.tuples(*(_DOMAINS[kind] for kind in types))
-    inserted = relation.insert_many(draw(st.lists(row, max_size=5)))
+    inserted = [relation.insert(r) for r in draw(st.lists(row, max_size=5))]
     for row_id in draw(st.sets(st.sampled_from(inserted))) if inserted else ():
         relation.delete(row_id)
     return relation
@@ -60,7 +60,8 @@ def relations(draw):
 
 def _compacted(relation, schema=None, skip=0):
     copy = Relation(schema or relation.schema)
-    copy.insert_many(relation.rows()[skip:])
+    for row in relation.rows()[skip:]:
+        copy.insert(row)
     return copy
 
 
@@ -122,7 +123,8 @@ def test_near_misses_differ():
 def test_deleted_rows_do_not_count():
     schema = Schema("R", [("a", AttributeType.INT), ("b", AttributeType.STR)])
     relation = Relation(schema)
-    relation.insert_many([(1, "x"), (2, "y"), (3, "z")])
+    for row in [(1, "x"), (2, "y"), (3, "z")]:
+        relation.insert(row)
     before = dataset_fingerprint(relation)
     relation.delete(1)
     assert dataset_fingerprint(relation) == dataset_fingerprint(_compacted(relation)) != before
@@ -144,7 +146,8 @@ def test_the_canonical_form_is_the_documented_one():
     assert dataset_fingerprint([]) == digest(b"list\x00", b"S", u64(3), b"l0:")
     assert dataset_fingerprint(["a", None]) == digest(b"list\x00", b"S", u64(8), b"l2:sa;n;")
     relation = Relation(Schema("R", [("a", AttributeType.INT), ("b", AttributeType.BOOL)]))
-    relation.insert_many([(7, True), (9, False)])
+    for row in [(7, True), (9, False)]:
+        relation.insert(row)
     assert dataset_fingerprint(relation) == digest(
         b"Relation\x00", b"R", u64(1), b"R",
         *(b"T" + u64(len(text)) + text for text in (b"a", b"int", b"b", b"bool")),
@@ -157,7 +160,8 @@ def test_machine_word_datasets_never_reach_the_sigma_star_renderer(monkeypatch):
     """What the yardstick attaches -- an int tuple, an int relation -- is
     hashed as columns; the Sigma* codec is off the attach path."""
     relation = Relation(Schema("R", [("a", AttributeType.INT), ("b", AttributeType.INT)]))
-    relation.insert_many([(i, 4 * i) for i in range(100)])
+    for i in range(100):
+        relation.insert((i, 4 * i))
     expected = dataset_fingerprint(relation), dataset_fingerprint(tuple(range(100)))
 
     def refuse(value):
@@ -172,7 +176,8 @@ from repro.storage.fingerprint import dataset_fingerprint
 from repro.storage.relation import Relation
 from repro.storage.schema import AttributeType, Schema
 relation = Relation(Schema("R", [("a", AttributeType.INT), ("b", AttributeType.STR)]))
-relation.insert_many([(1, "x"), (1 << 40, "y;"), (-3, "")])
+for row in [(1, "x"), (1 << 40, "y;"), (-3, "")]:
+    relation.insert(row)
 relation.delete(1)
 digests = [
     dataset_fingerprint(dataset)

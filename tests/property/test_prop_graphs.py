@@ -12,9 +12,9 @@ from repro.graphs import (
     breadth_depth_search,
     breadth_depth_search_reference,
     is_reachable,
-    permute_vertices,
     strongly_connected_components,
 )
+from helpers import permute_vertices
 from repro.indexes import TransitiveClosureIndex
 
 

@@ -21,9 +21,10 @@ from hypothesis import strategies as st
 from repro.catalog import build_query_engine
 from repro.core.cost import CostTracker
 from repro.incremental.changes import ChangeKind, PointWrite, TupleChange
+from helpers import shardable_kinds
 
 #: The five shardable kinds (they all declare ShardSpecs and fast kernels).
-_KINDS = build_query_engine().shardable_kinds()
+_KINDS = shardable_kinds(build_query_engine())
 
 
 def _change_batch(kind: str, data, rng: random.Random):

@@ -450,7 +450,7 @@ def test_stack_masks_match_their_definition(case):
 def _assert_answers(fischer, array, rng):
     """fast == tracked == naive on random windows, the whole array and
     windows that cross a word of block minima or end at its edge."""
-    n, span = len(array), 16 * fischer.block_size
+    n, span = len(array), 16 * fischer.to_state()["block_size"]
     windows = [(0, n - 1)]
     for _ in range(40):
         low = rng.randrange(n)

@@ -16,12 +16,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import build_query_engine
+from helpers import shardable_kinds
 
 #: One engine shared across hypothesis examples to keep the test fast --
 #: K is said per attach; each example attaches its datasets and detaches
 #: them again (``with engine.attach(...)``).
 _ENGINE = build_query_engine()
-_KINDS = _ENGINE.shardable_kinds()
+_KINDS = shardable_kinds(_ENGINE)
 
 
 @settings(

@@ -141,8 +141,10 @@ class TestApproximateVC:
         graph.add_edge(0, 1)
         graph.add_edge(2, 3)
         oracle = ApproximateVertexCoverOracle(graph)
-        assert oracle.certified_cover_within(2) == oracle.cover
-        assert oracle.certified_cover_within(1) is None
+        # The witness cover fits a budget of 2 (size <= 2 * 2), not of 1.
+        assert oracle.cover == [0, 1, 2, 3]
+        assert oracle.upper_bound <= 2 * 2
+        assert oracle.upper_bound > 2 * 1
 
     def test_query_cost_constant(self):
         rng = random.Random(606)

@@ -16,7 +16,6 @@ from repro.circuits import (
     layered_circuit,
     random_circuit,
     random_inputs,
-    random_monotone_circuit,
     to_monotone_dual_rail,
 )
 from repro.core.cost import CostTracker
@@ -152,7 +151,7 @@ class TestStructure:
 
     def test_monotone_flag(self):
         rng = random.Random(44)
-        assert random_monotone_circuit(3, 20, rng).is_monotone
+        assert layered_circuit(3, 4, 5, rng, monotone=True).is_monotone
         assert not xor_circuit().is_monotone
 
 

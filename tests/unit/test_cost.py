@@ -8,7 +8,9 @@ class TestCost:
         assert Cost(3, 2).then(Cost(4, 5)) == Cost(7, 7)
 
     def test_beside_sums_work_maxes_depth(self):
-        assert Cost(3, 2).beside(Cost(4, 5)) == Cost(7, 5)
+        tracker = CostTracker()
+        tracker.parallel([Cost(3, 2), Cost(4, 5)], overhead=0)
+        assert tracker.snapshot() == Cost(7, 5)
 
     def test_add_operator_is_sequential(self):
         assert Cost(1, 1) + Cost(2, 2) == Cost(3, 3)
@@ -56,10 +58,11 @@ class TestCostTracker:
         assert tracker.snapshot() == Cost(12, 12)
 
     def test_reset(self):
+        # A branch starts from zero whatever its parent has charged.
         tracker = CostTracker()
         tracker.tick(5)
-        tracker.reset()
-        assert tracker.snapshot() == Cost(0, 0)
+        assert tracker.fork().snapshot() == Cost(0, 0)
+        assert tracker.snapshot() == Cost(5, 5)
 
 
 class TestNullTracker:

@@ -112,8 +112,8 @@ def test_detach_releases_the_name_and_poisons_the_session():
         ds = engine.attach("events", data)
         assert ds.query("membership", 5) is True
         ds.detach()
-        assert ds.detached and engine.datasets() == []
-        with pytest.raises(UnknownDatasetError):
+        assert engine.datasets() == []
+        with pytest.raises(UnknownDatasetError, match="detached"):
             ds.query("membership", 5)
         with pytest.raises(UnknownDatasetError):
             ds.query_batch([("membership", 5)])
@@ -131,15 +131,16 @@ def test_dataset_is_a_context_manager():
     with _flat_engine() as engine:
         with engine.attach("events", (1, 2, 3)) as ds:
             assert ds.query("membership", 2) is True
-        assert ds.detached and engine.datasets() == []
+        assert engine.datasets() == []
+        with pytest.raises(UnknownDatasetError, match="detached"):
+            ds.query("membership", 2)
 
 
 def test_engine_close_detaches_sessions():
     engine = _flat_engine()
     ds = engine.attach("events", (1, 2, 3))
     engine.close()
-    assert ds.detached
-    with pytest.raises(UnknownDatasetError):
+    with pytest.raises(UnknownDatasetError, match="detached"):
         ds.query("membership", 1)
 
 

@@ -38,7 +38,10 @@ def test_every_row_defers_to_what_the_registry_would_serve():
         assert engine.stats().per_kind == {}        # listing resolved nothing
         for row in CATALOG:
             entry = registry.get(row.name)
-            expected = entry.serving_scheme() if entry.query_class is not None else None
+            # The engine serves an entry's first serializable scheme.
+            expected = next(
+                (scheme for scheme in entry.schemes if scheme.serializable), None
+            ) if entry.query_class is not None else None
             assert row.served == (expected is not None), row.name
             if not row.served:
                 assert row.name in NEGATIVE_CONTROLS or entry.query_class is None

@@ -83,7 +83,7 @@ class TestPairLanguages:
 
     def test_encoded_pair_has_single_delimiter(self):
         language = pair_language_of(membership_class())
-        text = language.encoded_pair((1, 2), 1)
+        text = language.encode_data((1, 2)) + "#" + language.encode_query(1)
         assert text.count("#") == 1
 
 
@@ -107,6 +107,10 @@ class TestDecisionProblemOf:
             )
 
     def test_instance_size_is_encoded_length(self):
-        problem = decision_problem_of(membership_class())
-        instance = problem.generate(16, random.Random(6))
-        assert problem.instance_size(instance) == len(problem.encode_instance(instance))
+        query_class = membership_class()
+        problem = decision_problem_of(query_class)
+        data, query = instance = problem.generate(16, random.Random(6))
+        # |x| for x = D#Q: the data's encoding, the delimiter, the query's.
+        assert len(problem.encode_instance(instance)) == (
+            len(query_class.encode_data(data)) + 1
+            + len(query_class.encode_query(query)))

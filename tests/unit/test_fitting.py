@@ -30,7 +30,7 @@ class TestFits:
 
     def test_predict(self):
         fit = fit_power(SIZES, [n for n in SIZES])
-        assert fit.predict(1000) == pytest.approx(1000, rel=0.05)
+        assert fit.scale * 1000**fit.exponent == pytest.approx(1000, rel=0.05)
 
 
 class TestClassification:

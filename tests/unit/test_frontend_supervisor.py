@@ -30,7 +30,7 @@ from repro.core.errors import (
     OverloadedError, ProtocolError, ServiceError, WorkerFailedError,
 )
 from repro.incremental.changes import ChangeKind, TupleChange
-from repro.service.frontend import ServingFront, Supervisor, protocol
+from repro.service.frontend import RemoteClient, ServingFront, Supervisor, protocol
 from repro.service.frontend import supervisor as supervisor_module
 from repro.service.frontend.workers import worker_main
 
@@ -569,6 +569,14 @@ def test_constructor_parameter_counts():
     assert parameters(Supervisor) == [
         "workers", "store_root", "policy", "poll_seconds", "hedge_delay_ms"]
     assert len(parameters(ServingFront)) == 7
+
+
+def test_remote_client_parameters():
+    """A budget is set on the client or per request; the frame limit and
+    the retry backoff are constants of the client module."""
+    assert [p for p in inspect.signature(RemoteClient.__init__).parameters
+            if p != "self"] == [
+        "host", "port", "codec", "timeout", "deadline_ms", "retry_budget"]
 
 
 # -- keep the split honest -------------------------------------------------------

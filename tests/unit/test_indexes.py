@@ -16,6 +16,7 @@ from repro.indexes import (
     columns,
     naive_range_min,
 )
+from repro.parallel.primitives import parallel_binary_search
 
 
 class TestSortedRun:
@@ -31,10 +32,13 @@ class TestSortedRun:
         assert not index.contains(1)
 
     def test_rank(self):
+        # ``contains`` probes the rank of its key: the slot of the first
+        # element not below it.
         index = SortedRunIndex([10, 20, 30])
-        assert index.rank(5) == 0
-        assert index.rank(20) == 1
-        assert index.rank(99) == 3
+        ranks = [parallel_binary_search(index.values(), key, CostTracker())
+                 for key in (5, 20, 99)]
+        assert ranks == [0, 1, 3]
+        assert [index.contains(key) for key in (5, 20, 99)] == [False, True, False]
 
     def test_query_cost_logarithmic(self):
         big = SortedRunIndex(list(range(1 << 16)))
@@ -62,7 +66,7 @@ class TestHashIndex:
         assert index.contains(2)
         assert not index.contains(3) and not index.contains_fast(3)
         assert len(index) == 3
-        assert index.distinct_keys() == 2
+        assert len(columns.unpack(index.to_state()["keys"])) == 2
 
     def test_delete(self):
         index = HashIndex.from_keys([1, 1])
@@ -71,7 +75,7 @@ class TestHashIndex:
         assert index.delete(1)
         assert not index.contains(1)
         assert not index.delete(1)
-        assert len(index) == 0 and index.distinct_keys() == 0
+        assert len(index) == 0 and columns.unpack(index.to_state()["keys"]) == []
 
     def test_column_build_and_three_column_state(self):
         """The B+-tree's build signature and its two state columns, so the
@@ -112,7 +116,7 @@ class TestHashIndex:
                 assert index.contains(probe) == index.contains_fast(probe) == expected
                 assert clone.contains_fast(probe) == expected
             assert len(index) == len(clone) == sum(model.values())
-            assert index.distinct_keys() == len(model)
+            assert len(columns.unpack(index.to_state()["keys"])) == len(model)
 
     def test_probe_cost_constant(self):
         index = HashIndex.from_keys(range(100_000))
@@ -179,8 +183,9 @@ class TestFischerHeun:
         # A long repetitive array has far fewer signatures than blocks.
         array = [1, 2, 3, 0] * 256
         rmq = FischerHeunRMQ(array)
-        if rmq.block_size > 1:
-            block_count = (len(array) + rmq.block_size - 1) // rmq.block_size
+        block_size = rmq.to_state()["block_size"]
+        if block_size > 1:
+            block_count = (len(array) + block_size - 1) // block_size
             assert rmq.distinct_signatures < block_count
 
     def test_bad_range_raises(self):

@@ -409,7 +409,6 @@ def test_close_detaches_and_keeps_the_attach_artifact(tmp_path):
     key = ds.registration_for("membership").key(ds.fingerprint)
     assert key.fingerprint == ds.fingerprint  # the attach-time key, at any version
     engine.close()  # detaches the session too
-    assert ds.detached
     assert store.get(key) is not None
     with pytest.raises(ServiceError, match="detached"):
         ds.query("membership", 7)

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from repro.core import CostTracker, PiScheme
-from repro.core.query import Workload, default_sizes, stable_seed
+from repro.catalog import CERTIFICATION_SIZES, SMALL_SIZES
+from repro.core.query import Workload, stable_seed
 from repro.queries import membership_class, point_selection_class
 
 
@@ -25,9 +26,11 @@ class TestStableSeed:
 
 class TestDefaultSizes:
     def test_geometric(self):
-        sizes = default_sizes()
-        assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
-        assert len(default_sizes(small=True)) < len(sizes)
+        # The sweeps certification runs: doubling sizes, the small one for
+        # the rows whose naive baseline is slow.
+        for sizes in (CERTIFICATION_SIZES, SMALL_SIZES):
+            assert all(b == 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert max(SMALL_SIZES) < max(CERTIFICATION_SIZES)
 
 
 class TestRewriteQuery:

@@ -45,8 +45,9 @@ class TestClosureIndex:
         graph.add_edge(0, 1)
         graph.add_edge(1, 2)
         index = TransitiveClosureIndex(graph)
-        assert index.descendants(0) == [0, 1, 2]
-        assert index.descendants(3) == [3]
+        # The descendants of u are the v with reachable(u, v), u included.
+        assert [v for v in range(4) if index.reachable(0, v)] == [0, 1, 2]
+        assert [v for v in range(4) if index.reachable(3, v)] == [3]
 
     def test_reachable_pair_count(self):
         graph = Digraph(3)

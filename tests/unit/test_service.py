@@ -680,4 +680,5 @@ def test_every_registered_scheme_is_serializable_and_controls_stay_certified_onl
             assert engine.registration(kind)[1].serializable, kind
         for control in ("bds-order-trivial", "cvp-trivial"):
             assert control in registry and control not in engine.kinds()
-            assert registry.get(control).serving_scheme() is None
+            assert not any(scheme.serializable
+                           for scheme in registry.get(control).schemes)

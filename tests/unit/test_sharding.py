@@ -34,6 +34,7 @@ from repro.service.merge import (
 )
 from repro.service.sharding import ShardedKernel, ShardedStructure
 from repro.storage.fingerprint import dataset_fingerprint
+from helpers import shardable_kinds
 
 SHARDABLE_KINDS = (
     "point-selection",
@@ -195,8 +196,8 @@ def test_shards_require_a_shard_spec():
 
 def test_shardable_kinds_lists_spec_carriers():
     with build_query_engine() as engine:
-        assert set(SHARDABLE_KINDS) <= set(engine.shardable_kinds())
-        assert "tree-lca" not in engine.shardable_kinds()
+        assert set(SHARDABLE_KINDS) <= set(shardable_kinds(engine))
+        assert "tree-lca" not in shardable_kinds(engine)
         ds = engine.attach("d", (1, 2, 3), kinds=["list-membership"], shards=4)
         assert ds.shards_for("list-membership") == 4
 

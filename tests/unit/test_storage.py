@@ -19,7 +19,9 @@ class TestSchema:
         schema = Schema("R", [("a", AttributeType.INT), ("b", AttributeType.STR)])
         assert schema.arity == 2
         assert schema.position_of("b") == 1
-        assert schema.has_attribute("a") and not schema.has_attribute("z")
+        assert schema.position_of("a") == 0
+        with pytest.raises(SchemaError):
+            schema.position_of("z")
         assert schema.attribute_names() == ("a", "b")
 
     def test_duplicate_attributes_rejected(self):
@@ -52,7 +54,8 @@ class TestRelation:
     def relation(self):
         schema = Schema("R", [("a", AttributeType.INT), ("b", AttributeType.INT)])
         relation = Relation(schema)
-        relation.insert_many([(1, 10), (2, 20), (3, 30)])
+        assert [relation.insert(row) for row in [(1, 10), (2, 20), (3, 30)]] == [
+            0, 1, 2]
         return relation
 
     def test_insert_and_len(self, relation):
@@ -78,7 +81,8 @@ class TestRelation:
         assert tracker.work == 3
 
     def test_select_and_exists(self, relation):
-        assert relation.select(lambda row: row[0] >= 2) == [(2, 20), (3, 30)]
+        selected = [row for _, row in relation.scan() if row[0] >= 2]
+        assert selected == [(2, 20), (3, 30)]
         assert relation.exists(lambda row: row[1] == 20)
         assert not relation.exists(lambda row: row[1] == 99)
 

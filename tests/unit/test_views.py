@@ -25,12 +25,11 @@ def relation():
 class TestViewDefinition:
     def test_coverage_predicates(self):
         definition = ViewDefinition("v", "a", 10, 19)
-        assert definition.covers_point(10) and definition.covers_point(19)
-        assert not definition.covers_point(20)
+        # A point is covered when the one-point range [c, c] overlaps.
+        assert definition.overlaps_range(10, 10) and definition.overlaps_range(19, 19)
+        assert not definition.overlaps_range(20, 20)
         assert definition.overlaps_range(15, 30)
         assert not definition.overlaps_range(20, 30)
-        assert definition.contains_range(11, 18)
-        assert not definition.contains_range(5, 18)
 
 
 class TestMaterializedView:
@@ -43,8 +42,9 @@ class TestMaterializedView:
     def test_point_probe(self, relation):
         view = MaterializedView(ViewDefinition("v", "a", 0, 499), relation)
         present = set(relation.column("a"))
-        assert view.point_nonempty(next(iter(present)))
-        assert not view.point_nonempty(9999)
+        constant = next(iter(present))
+        assert view.range_nonempty(constant, constant)
+        assert not view.range_nonempty(9999, 9999)
 
 
 class TestViewSet:
@@ -83,7 +83,7 @@ class TestRewriting:
         assert len(rewritten.probes) == 1
         view, low, high = rewritten.probes[0]
         assert low == high == 123
-        assert view.definition.covers_point(123)
+        assert view.definition.overlaps_range(123, 123)
 
     def test_range_rewrite_clips_probes(self, relation):
         views = ViewSet.partition(relation, "a", (0, 499), 10)
