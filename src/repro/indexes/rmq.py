@@ -179,7 +179,8 @@ class _MaskedMinima:
 
     It reads the structure's ``array``, block size, ``block_table`` and
     ``last`` (the same objects, written in place by
-    :meth:`FischerHeunRMQ.point_update`): block k's minimum sits at
+    :meth:`FischerHeunRMQ.point_update`, which re-binds ``array`` when a
+    write re-types it): block k's minimum sits at
     ``k * b + last[block_table[k]]``.  It holds the masks, each word's
     argmin position and the word table; only the masks are stored, as
     cuts (:meth:`to_state`).
@@ -289,7 +290,7 @@ class _MaskedMinima:
         across all words, ``mask = previous & ((1 << (slot - cut)) - 1) |
         1 << slot``; ``ValueError`` for a cut past its slot or a column
         that is not one cut per block."""
-        cuts = bytes(columns.unpack(state["cuts"]))  # ValueError past a byte
+        cuts = bytes(columns.unpack_words(state["cuts"]))  # one cut a byte, or a length misfit
         blocks = len(rmq._block_table)
         if len(cuts) != blocks:
             raise ValueError(f"stack masks: {len(cuts)} cuts for {blocks} blocks")
@@ -430,6 +431,7 @@ class FischerHeunRMQ:
         """
         tracker = ensure_tracker(tracker)
         check_rmq_range(position, position, len(self._array))
+        self._array = self._summary._array = columns.holding(self._array, value)
         self._array[position] = value
         block = position // self._block_size
         self._block_table[block] = self._sign_block(block * self._block_size, tracker)
@@ -465,11 +467,11 @@ class FischerHeunRMQ:
     @classmethod
     def from_state(cls, state: dict) -> "FischerHeunRMQ":
         rmq = cls.__new__(cls)
-        rmq._array = columns.unpack(state["array"])
+        rmq._array = columns.unpack_words(state["array"])
         n = len(rmq._array)
         rmq._block_size = int(state["block_size"])
         bound = _table_bound(rmq._block_size, n)
-        rmq._block_table = columns.ids(columns.unpack(state["block_table"]), bound)
+        rmq._block_table = columns.ids(columns.unpack_words(state["block_table"]), bound)
         rmq._table_ids = {signature: i for i, signature in enumerate(state["tables"])}
         rmq._tables = [[list(row) for row in table] for table in state["tables"].values()]
         rmq._last = [table[0][-1] for table in rmq._tables]

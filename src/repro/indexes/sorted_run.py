@@ -88,6 +88,7 @@ class SortedRunIndex(Generic[K]):
         """
         tracker = ensure_tracker(tracker)
         tracker.tick(max(1, math.ceil(math.log2(max(len(self._run), 2)))))
+        self._run = columns.holding(self._run, key)
         bisect.insort(self._run, key)
 
     def delete_value(self, key: K, tracker: Optional[CostTracker] = None) -> bool:
@@ -119,7 +120,7 @@ class SortedRunIndex(Generic[K]):
     @classmethod
     def from_state(cls, state: dict) -> "SortedRunIndex":
         index = cls.__new__(cls)
-        index._run = columns.unpack(state["run"])
+        index._run = columns.unpack_words(state["run"])
         return index
 
 

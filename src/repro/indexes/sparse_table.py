@@ -39,8 +39,9 @@ def _derive(values: Sequence, lefts: Sequence[int], rights: Sequence[int]) -> li
 
 
 class SparseTable:
-    """Positions-of-minima sparse table over a static array: the values stay
-    a list, every level is a typed column (:mod:`repro.indexes.columns`)."""
+    """Positions-of-minima sparse table over a static array: the values are
+    a list after a build and their machine word after a load, every level
+    is a typed column (:mod:`repro.indexes.columns`)."""
 
     def __init__(self, array: Sequence, tracker: Optional[CostTracker] = None):
         tracker = ensure_tracker(tracker)
@@ -105,9 +106,9 @@ class SparseTable:
         per window re-derived -- few typically, O(n) for a new global minimum.
         """
         tracker = ensure_tracker(tracker)
-        values = self._array
-        n = len(values)
+        n = len(self._array)
         check_rmq_range(position, position, n)
+        values = self._array = columns.holding(self._array, value)
         old, values[position] = values[position], value
         if old == value:
             return
@@ -154,7 +155,7 @@ class SparseTable:
     @classmethod
     def from_state(cls, state: dict) -> "SparseTable":
         table = cls.__new__(cls)
-        table._array = columns.unpack(state["array"])
+        table._array = columns.unpack_words(state["array"])
         n = len(table._array)
         levels = (list(range(n)), *state["levels"])
         table._levels = [columns.positions(level, n) for level in levels]
