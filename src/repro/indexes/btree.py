@@ -21,12 +21,20 @@ Design notes
   count, and a key leaves the tree when its count reaches zero.  Leaves are
   chained left-to-right for range probes; the untracked kernels read
   ``keys`` only.
+* The counts word is the tree's, not the leaf's: every leaf counts in one
+  unsigned word, the narrowest that holds the largest count when the tree
+  is bulk-loaded -- a byte per key when no key occurs 256 times.  An
+  ``insert`` that would overflow it re-types every leaf at once
+  (:meth:`BPlusTree._widen`, at most three times in a tree's life), so a
+  split, borrow, merge or leaf walk never meets two words in one
+  ``array`` operation.
 * Internal separator invariant: ``children[i]`` holds keys < ``keys[i]``,
   ``children[i+1]`` holds keys >= ``keys[i]``.
-* One bulk loader serves :meth:`BPlusTree.from_keys` (sort, count runs)
-  and :meth:`BPlusTree.from_state`, allocating per leaf, never
-  per entry or per key; ``insert`` and full deletion with
-  borrow-from-sibling and merge rebalancing remain for the
+* One bulk loader serves :meth:`BPlusTree.from_keys` (sort, then one
+  C-level ``Counter`` pass that yields the distinct keys in order with
+  their counts -- no run-start list) and :meth:`BPlusTree.from_state`,
+  allocating per leaf, never per entry or per key; ``insert`` and full
+  deletion with borrow-from-sibling and merge rebalancing remain for the
   incremental-preprocessing case study (Section 4(7)).
 * Every node visit charges ``1 + ceil(log2(#keys))`` cost units (binary
   search within the node), so a root-to-leaf probe costs Theta(log n) --
@@ -37,13 +45,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from itertools import chain, compress, islice, repeat
-from operator import ne, sub
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from collections import Counter
+from itertools import chain, repeat
+from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.cost import CostTracker, ensure_tracker
 from repro.core.errors import IndexError_
-from repro.indexes.columns import counts as count_column, is_counts, pack, pack_sorted, unpack
+from repro.indexes.columns import (
+    counts as count_column, counts_holding, is_counts, pack, pack_sorted, unpack, unpack_words,
+)
 
 __all__ = ["BPlusTree"]
 
@@ -108,32 +118,27 @@ class BPlusTree:
         tracker: Optional[CostTracker] = None,
     ) -> "BPlusTree":
         """PTIME preprocessing over a key column alone -- the value multiset
-        a Boolean selection needs: one plain sort, the distinct keys with
-        their run lengths, and a bulk load of a counted tree.
+        a Boolean selection needs: one plain sort, one counting pass over
+        it, and a bulk load of a counted tree.
 
         Charges the sorting bound ``n * ceil(log2 n)`` plus ``n`` for the
         linear passes: Theta(n log n) overall.
         """
         size = len(keys)
         ensure_tracker(tracker).tick(size * (1 + math.ceil(math.log2(max(size, 1)))))
-        ordered = sorted(keys)
-        # A run starts where a key differs from its predecessor; each pass
-        # over the sorted run is a C-level map or compress.
-        starts = list(
-            compress(range(size), chain((True,), map(ne, ordered, islice(ordered, 1, None))))
-        )
-        distinct = list(map(ordered.__getitem__, starts))
-        del ordered
-        starts.append(size)
-        counts = count_column(map(sub, islice(starts, 1, None), starts))
-        return cls._bulk_load(order, distinct, counts)
+        # One C-level pass over the sorted keys: a dict keeps insertion
+        # order, so its keys are the distinct keys in order and its values
+        # their run lengths.  The sorted copy is dropped as the dict is made.
+        runs = Counter(sorted(keys))
+        return cls._bulk_load(order, list(runs), runs.values())
 
     @classmethod
-    def _bulk_load(cls, order: int, keys: List[Any], counts: Sequence[int]) -> "BPlusTree":
+    def _bulk_load(cls, order: int, keys: List[Any], counts: Iterable[int]) -> "BPlusTree":
         """The one bulk loader: a tree over sorted distinct ``keys`` where
-        ``keys[i]`` occurs ``counts[i]`` times; ``counts`` is a
-        :func:`~repro.indexes.columns.counts` column, so each leaf's slice of
-        it is one too.
+        ``keys[i]`` occurs ``counts[i]`` times.  ``counts`` goes into one
+        :func:`~repro.indexes.columns.counts` column, the narrowest word
+        that holds it, so each leaf's slice of it is one too, in the tree's
+        one word.
 
         O(n): leaves are cut from the runs, then each internal level groups
         the one below, using the smallest key of each right subtree as the
@@ -144,6 +149,7 @@ class BPlusTree:
         tree = cls(order=order)
         if not keys:
             return tree
+        counts = count_column(counts)
 
         def cuts(count: int, width: int, minimum: int) -> List[Tuple[int, int]]:
             bounds = list(range(0, count, width)) + [count]
@@ -192,7 +198,11 @@ class BPlusTree:
         leaf, path = self._descend(key, tracker)
         position = bisect.bisect_left(leaf.keys, key)
         if position < len(leaf.keys) and leaf.keys[position] == key:
-            leaf.counts[position] += 1
+            try:
+                leaf.counts[position] += 1
+            except OverflowError:  # the tree's word is full: widen every leaf
+                self._widen(leaf.counts[position] + 1)
+                leaf.counts[position] += 1
         else:
             leaf.keys.insert(position, key)
             leaf.counts.insert(position, 1)
@@ -211,6 +221,12 @@ class BPlusTree:
                 self._root = _Node([separator], children=[node, sibling])
                 tracker.tick(1)
                 break
+
+    def _widen(self, count: int) -> None:
+        """Re-type every leaf's counts to the narrowest word that holds
+        ``count`` -- all leaves at once, so they keep sharing one word."""
+        for leaf in self._leaves():
+            leaf.counts = counts_holding(leaf.counts, count)
 
     def _split(self, node: _Node) -> Tuple[_Node, Any]:
         """Split an overflowing node; returns (right sibling, separator key)."""
@@ -396,10 +412,11 @@ class BPlusTree:
     def _columns(self) -> Tuple[List[Any], Sequence[int]]:
         """The leaf chain as two columns: distinct keys in order, and the
         occurrence count of each (a :func:`~repro.indexes.columns.counts`
-        column)."""
-        keys: List[Any] = []
-        counts = count_column(())
-        for node in self._leaves():
+        column in the tree's word)."""
+        leaves = self._leaves()
+        first = next(leaves)
+        keys, counts = first.keys[:], first.counts[:]
+        for node in leaves:
             keys.extend(node.keys)
             counts.extend(node.counts)
         return keys, counts
@@ -407,8 +424,9 @@ class BPlusTree:
     def __deepcopy__(self, memo: dict) -> "BPlusTree":
         """A private copy: one leaf walk into the bulk loader, as
         :meth:`from_state` loads, without the pack and unpack -- every node,
-        list and column is new, the keys are shared.  (The stdlib walk
-        would recurse along the leaf chain.)"""
+        list and column is new, the keys are shared, and the counts are
+        back in the narrowest word.  (The stdlib walk would recurse along
+        the leaf chain.)"""
         return self._bulk_load(self.order, *self._columns())
 
     # -- serialization ----------------------------------------------------------------
@@ -429,8 +447,9 @@ class BPlusTree:
     @classmethod
     def from_state(cls, state: dict) -> "BPlusTree":
         """Rebuild from :meth:`to_state` output through the bulk loader, at
-        the stored ``order`` (a state written at another width loads at it)."""
-        counts = count_column(unpack(state["counts"]))
+        the stored ``order`` (a state written at another width loads at it).
+        The counts decode straight into their word, boxing no count."""
+        counts = unpack_words(state["counts"])
         return cls._bulk_load(int(state["order"]), unpack(state["keys"]), counts)
 
     # -- invariants (used by property tests) ----------------------------------------
@@ -438,6 +457,7 @@ class BPlusTree:
     def check_invariants(self) -> None:
         """Raise AssertionError if any structural invariant is violated."""
         minimum = self._min_keys()
+        words = set()  # every leaf's counts word: one per tree
 
         def walk(node: _Node, low: Any, high: Any, depth: int) -> int:
             assert len(node.keys) < self.order, "node overflow"
@@ -451,6 +471,7 @@ class BPlusTree:
                     assert key < high, "separator invariant (high)"
             if node.leaf:
                 assert is_counts(node.counts), "counts is not the typed column"
+                words.add(node.counts.typecode)
                 assert len(node.keys) == len(node.counts)
                 assert all(count > 0 for count in node.counts), "key with no occurrence"
                 return depth
@@ -463,4 +484,5 @@ class BPlusTree:
             return depths.pop()
 
         walk(self._root, None, None, 0)
+        assert len(words) == 1, f"leaves count in several words {words}"
         assert self._size == sum(sum(node.counts) for node in self._leaves()), "size counter drift"

@@ -5,9 +5,11 @@ bound fixed at build time, so they are ``array.array`` -- a machine word per
 entry, not a pointer to a boxed ``int`` -- in memory and in ``to_state``
 alike; an *id* column (Fischer--Heun's in-block table ids) is typed by how
 many ids a parameter lets exist rather than by n.  A *run-length* column
-(B+-tree leaf ``counts``) is an ``array.array`` in memory too, typed by the
-longest list a count can measure, not by the largest count seen at build
-time.
+(B+-tree leaf ``counts``) is an ``array.array`` in memory too, in the
+narrowest unsigned word that holds its counts -- a byte per key when, as
+almost always, every count is below 256; a count that outgrows the word
+re-types the column once (:func:`counts_holding`), as :func:`holding`
+does for a value run.
 
 A *value* run holds the objects its producer already has.  A build has
 D's own ints, so it keeps the list that shares them (``bisect`` and
@@ -68,7 +70,7 @@ from itertools import accumulate, islice
 from operator import sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-__all__ = ["positions", "ids", "counts", "is_counts", "words", "little_endian",
+__all__ = ["positions", "ids", "counts", "is_counts", "counts_holding", "words", "little_endian",
            "from_little_endian", "pack", "pack_sorted", "unpack", "unpack_words", "holding",
            "word_crc_buckets"]
 
@@ -90,21 +92,43 @@ def ids(entries: Iterable[int], bound: int) -> array:
     return array("B", entries) if bound <= 1 << 8 else positions(entries, bound)
 
 
-#: A count never exceeds the length of one list, so ``sys.maxsize`` bounds it.
-_COUNT_CODE = positions((), sys.maxsize + 1).typecode
+#: The run-length words, narrowest first (unsigned: a count is positive).
+_COUNT_CODES = "BHIQ"
 
 
 def counts(entries: Iterable[int]) -> array:
-    """A fresh run-length column, typed by the longest list, so ``insert``
-    can grow any run without an ``OverflowError``: ``'Q'`` on a 64-bit
-    build, a word per key and no boxed int.  The collector tracks the column
-    (a heap type) but visits none of its entries."""
-    return array(_COUNT_CODE, entries)
+    """A fresh run-length column in the narrowest unsigned word that holds
+    every entry (``'B'`` when there is none), no boxed int per key.  An
+    unsigned integer column narrows by its byte lanes, and an iterator is
+    read once.  The collector tracks the column (a heap type) but visits
+    none of its entries."""
+    if isinstance(entries, array) and entries and entries.typecode in _COUNT_CODES:
+        return _narrow_unsigned(entries)
+    if iter(entries) is entries:  # an iterator: materialise it for the retries
+        entries = list(entries)
+    try:  # one C pass (``array("B", ints)`` parses each int: 3x slower); ``iter``
+        # reads a signed or wide array by value, not as its buffer
+        return array("B", bytes(iter(entries)))
+    except ValueError:  # ``bytes`` takes only [0, 256): a count past a byte
+        column = _narrowest(entries, _COUNT_CODES[1:])
+    if column is None:
+        raise OverflowError("no unsigned machine word holds these counts")
+    return column
 
 
 def is_counts(column: Any) -> bool:
-    """Whether ``column`` is a :func:`counts` column."""
-    return isinstance(column, array) and column.typecode == _COUNT_CODE
+    """Whether ``column`` is a :func:`counts` column (an unsigned word)."""
+    return isinstance(column, array) and column.typecode in _COUNT_CODES
+
+
+def counts_holding(column: array, count: int) -> array:
+    """The :func:`counts` ``column`` if its word holds ``count``, else a
+    copy in the narrowest wider word that does -- so a column is re-typed
+    at most three times however its runs grow."""
+    for code in _COUNT_CODES[_COUNT_CODES.index(column.typecode) :]:
+        if count < 1 << 8 * array(code).itemsize:
+            return column if code == column.typecode else array(code, column)
+    raise OverflowError(f"no unsigned machine word holds the count {count}")
 
 
 def _narrowest(values: Sequence[int], codes: str = "BbHhIiQq") -> Optional[array]:

@@ -1,11 +1,14 @@
 """Property tests: the B+-tree behaves like a sorted multiset of keys."""
 
+import copy
+from array import array
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.query import state_codec
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
 
@@ -295,3 +298,96 @@ def test_bulk_build_runs_equal_the_multiset(key_list, order):
     tree = BPlusTree.from_keys(key_list, order=order)
     assert tree._columns() == (distinct, counts)
     assert tree.to_state() == BPlusTree._bulk_load(order, distinct, counts).to_state()
+
+
+# -- count words: every count write against a Counter model --------------------
+
+# A tree counts in one unsigned word, the narrowest that holds its largest
+# count when it is built.  Counts start beside the edges of 'B' and 'H' (and
+# past them), so single inserts cross 255 and 65 535 and deletes come back.
+edge_counts = st.sampled_from([253, 254, 255, 256, 65_533, 65_534, 65_535, 65_536])
+word_orders = st.sampled_from([4, 5, 6, 64])
+dump_tree, load_tree = state_codec(BPlusTree.from_state)
+
+
+def _word_for(count: int) -> str:
+    """The narrowest unsigned machine word that holds ``count``."""
+    return next(code for code in "BHIQ" if count < 1 << 8 * array(code).itemsize)
+
+
+def _words(tree):
+    return {leaf.counts.typecode for leaf in tree._leaves()}
+
+
+def _same_as_model(tree, model):
+    tree.check_invariants()  # one word for every leaf, each count positive
+    assert _runs(tree) == sorted((+model).items())
+    assert len(tree) == sum(model.values())
+
+
+def _built_like_model(tree, model):
+    """A bulk-loaded tree: the model's runs, in the narrowest word."""
+    _same_as_model(tree, model)
+    assert _words(tree) == {_word_for(max(model.values(), default=0))}
+
+
+@st.composite
+def count_word_workloads(draw):
+    order = draw(word_orders)
+    span = draw(st.integers(1, 3 * order))  # distinct small keys: 1 .. span
+    small = draw(st.lists(st.integers(1, span), max_size=4 * order))
+    hot = draw(st.lists(st.tuples(st.integers(0, span + 1), edge_counts), max_size=2,
+                        unique_by=lambda pair: pair[0]))
+    key = st.one_of(st.integers(0, span + 1), st.sampled_from([key for key, _ in hot] or [0]))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.sampled_from(["insert", "delete"]), key, st.integers(1, 4)),
+        st.tuples(st.sampled_from(["copy", "reload"]), st.just(0), st.just(1)),
+    ), max_size=40))
+    return order, small, hot, ops
+
+
+@given(count_word_workloads(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_count_write_matches_a_counter_and_keeps_one_narrow_word(workload, drain_up):
+    order, small, hot, ops = workload
+    model = Counter(small)
+    key_list = list(small)
+    for key, count in hot:
+        model[key] += count
+        key_list += [key] * count
+    tree = BPlusTree.from_keys(key_list, order=order)
+    _built_like_model(tree, model)
+    peak = max(model.values(), default=0)  # the largest count since the last bulk load
+
+    for op, key, times in ops:
+        if op == "insert":  # a count past its word re-types every leaf at once
+            for _ in range(times):
+                tree.insert(key)
+                model[key] += 1
+                peak = max(peak, model[key])
+            _same_as_model(tree, model)
+            assert _words(tree) == {_word_for(peak)}  # wide enough, and no wider
+        elif op == "delete":
+            for _ in range(times):
+                assert tree.delete(key) == (model[key] > 0)
+                model[key] = max(model[key] - 1, 0)
+            _same_as_model(tree, model)
+        elif op == "copy":  # a private copy is a bulk load: narrow again
+            original = tree
+            tree = copy.deepcopy(original)
+            _built_like_model(tree, model)
+            peak = max(model.values(), default=0)
+            assert all(a.counts is not b.counts for a, b in zip(original._leaves(), tree._leaves()))
+        else:  # the artifact round trip, byte for byte
+            blob = dump_tree(tree)
+            tree = load_tree(blob)
+            _built_like_model(tree, model)
+            peak = max(model.values(), default=0)
+            assert dump_tree(tree) == blob
+
+    # Drain the small keys from one end: leaves carrying the hot counts are
+    # borrowed from and merged into until they share the root.
+    for key in sorted((key for key in model if model[key] < 253), reverse=drain_up):
+        for _ in range(model.pop(key)):
+            assert tree.delete(key)
+        _same_as_model(tree, model)

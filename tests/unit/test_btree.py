@@ -1,6 +1,8 @@
 """Unit tests for the B+-tree (repro.indexes.btree)."""
 
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ from repro.core.cost import CostTracker
 from repro.core.errors import IndexError_
 from repro.indexes import columns
 from repro.indexes.btree import BPlusTree
+from repro.storage.relation import uniform_int_relation
 
 
 class TestBasics:
@@ -204,6 +207,23 @@ class TestPayloadRuns:
         tree._root.counts = list(tree._root.counts)
         with pytest.raises(AssertionError, match="typed column"):
             tree.check_invariants()
+
+
+class TestBuildFootprint:
+    def test_a_build_retains_its_leaves_and_a_byte_per_count(self):
+        """At 2**16 rows of a uniform relation (seed 0) one ``from_keys``
+        retained 1.38 MiB while it counted in 8-byte words after a boxed run
+        start per row; one ``Counter`` pass and byte counts retain ~0.99."""
+        column = uniform_int_relation(1 << 16, random.Random(0)).columns(CostTracker())[0]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = BPlusTree.from_keys(column)
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained <= 1.1 * 2**20, retained
+        assert {leaf.counts.typecode for leaf in tree._leaves()} == {"B"}
 
 
 class TestCostShape:

@@ -101,13 +101,32 @@ def test_positions_always_copies():
 
 
 def test_count_column_holds_any_list_length():
-    """A run can grow to the longest list, so the column is typed by
-    ``sys.maxsize``, not by the counts it starts with; a list is not one."""
+    """A column starts in the narrowest unsigned word its counts need and
+    is re-typed, a word at a time, until it holds the longest list's count;
+    a list is not one."""
     column = columns.counts([1, 2])
+    assert column.typecode == "B" and columns.counts(()).typecode == "B"
+    assert columns.counts_holding(column, 255) is column
+    for count, code in ((256, "H"), (1 << 16, "I"), (sys.maxsize, "Q")):
+        column = columns.counts_holding(column, count)
+        assert column.typecode == code and list(column) == [1, 2]
     column.append(sys.maxsize)
+    assert columns.counts_holding(column, sys.maxsize) is column
+    with pytest.raises(OverflowError):
+        columns.counts_holding(column, 1 << 64)
     assert columns.is_counts(column) and columns.is_counts(column[1:])
     assert not columns.is_counts([1, 2]) and not columns.is_counts(columns.pack([1, 2]))
-    assert list(columns.counts(columns.words([3, 70000]))) == [3, 70000]
+    assert not columns.is_counts(columns.words([-1, 2]))  # signed: not a count word
+    wide = columns.counts(columns.words([3, 70000]))
+    assert wide.typecode == "I" and list(wide) == [3, 70000]
+    # An unsigned column narrows by its byte lanes; an iterator is read once.
+    assert columns.counts(array("Q", [3, 255])).typecode == "B"
+    assert columns.counts(iter([1, 300, 2])) == array("H", [1, 300, 2])
+    wide = columns.counts(array("i", [1, 2, 300]))  # read by value, not as its buffer
+    assert wide.typecode == "H" and list(wide) == [1, 2, 300]
+    for negative in ([-1], array("b", [-1])):
+        with pytest.raises(OverflowError):
+            columns.counts(negative)
     # At rest the counts are a 17-bit sub-word form, read back through unpack.
     assert list(columns.counts(columns.unpack(columns.pack([3, 70000])))) == [3, 70000]
 

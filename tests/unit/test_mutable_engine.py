@@ -158,6 +158,35 @@ def test_delta_equals_full_rebuild_selection():
             assert stats.delta_batches == 1 and stats.fallback_rebuilds == 0
 
 
+def test_a_selection_count_past_a_byte_is_served_like_a_scan():
+    """One value's count climbs past 255 and back down through
+    ``apply_changes``: each attribute's B+-tree re-types its counts word
+    mid-session, a batch that deletes every other row merges the other
+    leaves into the re-typed one, and after every batch the fast, tracked
+    and naive answers agree.  Every batch folds through the delta hook."""
+    with build_query_engine() as engine:
+        for kind in ("point-selection", "range-selection"):
+            query_class, _ = engine.registration(kind)
+            data, queries = query_class.sample_workload(512, 5, 10)
+            ds = _open(engine, kind, data, name=kind)
+            hot = max(value for row in data.rows() for value in row) + 1
+            if kind == "point-selection":
+                probes = [("a", hot), ("b", hot), ("a", hot + 1)]
+            else:
+                probes = [("a", hot, hot), ("b", hot - 1, hot + 1), ("a", hot + 1, hot + 9)]
+            batches = ([[_insert(hot, hot)] * 100] * 3 + [[_delete(*row) for row in data.rows()]]
+                       + [[_delete(hot, hot)] * 150] * 2)
+            for batch in batches:
+                ds.apply_changes(batch)
+                snapshot = ds.dataset()
+                for query in list(queries) + probes:
+                    expected = query_class.pair_in_language(snapshot, query)
+                    assert _ask(ds, kind, query) == expected, (kind, query)
+            stats = engine.stats().per_kind[kind]
+            assert stats.delta_batches == len(batches) and stats.fallback_rebuilds == 0
+            assert ds.query(kind, probes[0]) is False  # 300 inserted, 300 deleted
+
+
 def test_delta_equals_full_rebuild_rmq():
     with build_query_engine() as engine:
         kind = "minimum-range-query"
