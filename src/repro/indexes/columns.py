@@ -24,6 +24,7 @@ A write the word cannot hold re-types the column once (:func:`holding`).
 holds it -- the form the dataset fingerprint hashes; a typed integer
 column narrows without a type scan, an unsigned one by its byte lanes, so
 no entry is boxed.  At rest
+
 (:func:`pack`, for ``to_state``) a non-negative run takes the bits its
 largest value needs, not the next word: with ``w = max.bit_length()``
 it is ``w // 8`` whole little-endian byte *lanes* (lane j holds byte j
@@ -55,6 +56,10 @@ and big-int ORs and popcounts: no Python loop runs per element, only the
 patch loop that writes each exception back.  A patched column that no
 :func:`pack` can have written is a ``ValueError``, never a wrong list.
 
+A :func:`pack` column travels the wire as its :func:`wire_form` -- a
+typecode and little-endian words, or ``"*"`` and the bytes form -- and
+:func:`from_wire_form` reads it back into machine words.
+
 The same lanes hash a plain-``int`` run for the shard partition rule
 (:func:`repro.service.merge.stable_bucket`): :func:`word_crc_buckets`
 takes the CRC-32 of every value's 8-byte word with a ``translate`` per
@@ -71,8 +76,8 @@ from operator import sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["positions", "ids", "counts", "is_counts", "counts_holding", "words", "little_endian",
-           "from_little_endian", "pack", "pack_sorted", "unpack", "unpack_words", "holding",
-           "word_crc_buckets"]
+           "from_little_endian", "pack", "pack_sorted", "unpack", "unpack_words", "wire_form",
+           "from_wire_form", "holding", "word_crc_buckets"]
 
 Packed = Union[array, bytes, List[Any]]
 
@@ -420,9 +425,12 @@ def _patch(raw: bytes, ref: int, w: int, marks: bytes = b"") -> bytes:
     return b"".join(parts)
 
 
-def _from_patched(packed: bytes) -> bytearray:
+def _from_patched(packed: bytes, most: Optional[int] = None) -> bytearray:
     """The values a :func:`_patch` form encoded, a byte each; ``ValueError``
-    for a form :func:`_patch` cannot have written, never a wrong value."""
+    for a form :func:`_patch` cannot have written, never a wrong value, and
+    -- before anything is allocated -- for one of more than ``most`` values
+    (a width-0 plane takes no byte per value, so only its header bounds
+    its count)."""
     if len(packed) < 3:
         raise ValueError("patched column: the header is cut short")
     w, ref, width = packed[0] ^ _PATCHED, packed[1], packed[2]
@@ -431,6 +439,7 @@ def _from_patched(packed: bytes) -> bytearray:
     at = 3 + 2 * width
     count = int.from_bytes(packed[3 : 3 + width], "little")
     k = int.from_bytes(packed[3 + width : at], "little")
+    _check_count(count, most)
     end = at + (count * w + 7) // 8
     if end > len(packed):
         raise ValueError("patched column: the plane is shorter than the count")
@@ -457,12 +466,12 @@ def _from_patched(packed: bytes) -> bytearray:
     return values
 
 
-def _from_bytes(packed: bytes) -> Union[array, bytearray]:
+def _from_bytes(packed: bytes, most: Optional[int] = None) -> Union[array, bytearray]:
     """The values of a lane form or a patched form (``list`` of it is the
     value list; a running sum reads it as it is); ``ValueError`` for bytes
-    that are neither."""
+    that are neither, or that hold more than ``most`` values."""
     if packed and packed[0] & _PATCHED:
-        return _from_patched(packed)
+        return _from_patched(packed, most)
     if len(packed) < 2:
         raise ValueError("lane form: the header is cut short")
     lanes, bits = _lane_header(packed[0])
@@ -470,9 +479,17 @@ def _from_bytes(packed: bytes) -> Union[array, bytearray]:
     per = 8 // bits if bits else 0
     # body = lanes * count + (count + pad) / per bytes
     count = (body * per - pad) // (lanes * per + 1) if bits else body // lanes
-    if count < 0 or 2 + lanes * count + (count * bits + 7) // 8 != len(packed):
+    if count < 0 or 2 + lanes * count + (count * bits + 7) // 8 != len(packed) or (
+            bits and pad != -count % per):
         raise ValueError(f"lane form: {len(packed)} bytes fit no count")
+    _check_count(count, most)
     return _from_lanes(packed, count)
+
+
+def _check_count(count: int, most: Optional[int]) -> None:
+    """``ValueError`` when a column's ``count`` values are more than ``most``."""
+    if most is not None and count > most:
+        raise ValueError(f"a column of {count} values, more than the {most} allowed")
 
 
 # -- the at-rest forms ---------------------------------------------------------
@@ -581,6 +598,36 @@ def unpack_words(column: Union[Tuple[int, Packed], Packed]) -> Union[array, List
     if isinstance(column, bytes):
         column = _from_bytes(column)
         return column if isinstance(column, array) else array("B", column)
+    return column
+
+
+#: The code :func:`wire_form` gives a column held in its bytes form.
+_BYTES_FORM = "*"
+
+
+def wire_form(column: Union[array, bytes]) -> Tuple[str, bytes]:
+    """A :func:`pack` column that is not a list, as ``(code, raw)``: its
+    typecode and its little-endian words, or ``"*"`` and its bytes form."""
+    if isinstance(column, bytes):
+        return _BYTES_FORM, column
+    return column.typecode, little_endian(column)
+
+
+def from_wire_form(code: str, raw: bytes, most: Optional[int] = None) -> array:
+    """The machine-word column of a :func:`wire_form`, which must be in the
+    word :func:`words` picks for its values (so it hashes like them);
+    ``ValueError`` for a form that no :func:`pack` column has, and -- before
+    anything is allocated -- for one of more than ``most`` values."""
+    if code == _BYTES_FORM:
+        column = _from_bytes(raw, most)
+        column = column if isinstance(column, array) else array("B", column)
+    elif code in _INT_CODES and not len(raw) % array(code).itemsize:
+        _check_count(len(raw) // array(code).itemsize, most)
+        column = _from_little_endian(code, raw)
+    else:
+        raise ValueError(f"{len(raw)} bytes are no column of typecode {code!r}")
+    if column and words(column).typecode != column.typecode:
+        raise ValueError(f"a {column.typecode!r} column whose values a narrower word holds")
     return column
 
 

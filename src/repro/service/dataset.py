@@ -85,6 +85,7 @@ from repro.core.cost import NULL_TRACKER, CostTracker, ensure_tracker
 from repro.core.errors import DeltaError, ServiceError, UnknownDatasetError
 from repro.service.mutable import MutableContent, VersionedStructures
 from repro.service.sharding import ShardedKernel, ShardedStructure, plan_shards
+from repro.storage.packed import materialize
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.service.engine import QueryEngine, _Registration
@@ -303,8 +304,9 @@ class Dataset:
     @property
     def data(self) -> Any:
         """The attached payload object (treated as immutable while served,
-        unless the session was attached ``mutable=True``)."""
-        return self._data
+        unless the session was attached ``mutable=True``); a packed run's
+        tuple or list, built on first use."""
+        return materialize(self._data)
 
     @property
     def fingerprint(self) -> str:
@@ -480,7 +482,7 @@ class Dataset:
         engine = self._engine
         registration = self.registration_for(kind)
         if registration.shards > 1:
-            plan = plan_shards(kind, registration, self._data if content is None else content)
+            plan = plan_shards(kind, registration, self.data if content is None else content)
             structures = tuple(
                 None if shard.piece.is_empty() else engine._resolve_by_key(
                     kind, registration, registration.shard_key(plan, shard), shard.piece.data
@@ -558,7 +560,7 @@ class Dataset:
 
     def dataset(self) -> Any:
         """A consistent snapshot of the current content (the attach payload
-        for immutable sessions)."""
+        for immutable sessions, as attached: a packed run stays packed)."""
         if self._mutable is None:
             return self._data
         return self._mutable.snapshot()
@@ -639,7 +641,7 @@ class _MutableState:
     def __init__(self, ds: Dataset) -> None:
         self._ds = ds
         self._engine = ds._engine
-        self._content = MutableContent(ds._data)
+        self._content = MutableContent(ds.data)
         self._versions = VersionedStructures()
         #: Whether a batch took effect: until one does, the working copy is
         #: the attach payload and its fingerprint addresses the artifacts.

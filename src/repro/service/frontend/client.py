@@ -219,7 +219,9 @@ class RemoteClient:
         if deadline_ms is not None:
             header["deadline_ms"] = deadline_ms
         try:
-            frame = protocol.pack_frame(header, value, codec=self._codec)
+            encode = protocol.encode_attach if op == "attach" else protocol.encode_body
+            frame = protocol.pack_frame(header, body_bytes=encode(value, self._codec),
+                                        codec=self._codec)
         except ProtocolError:
             self._count_protocol_error()
             raise
@@ -274,7 +276,9 @@ class RemoteClient:
         mutable: bool = False,
     ) -> "RemoteDataset":
         """Attach ``data`` on the front (every worker for immutable data,
-        one home worker for mutable) and return the session facade."""
+        one home worker for mutable) and return the session facade.  A
+        tuple or list of plain ints travels as one packed column
+        (:func:`~repro.service.frontend.protocol.encode_attach`)."""
         ack = self.request(
             "attach",
             dataset=name,

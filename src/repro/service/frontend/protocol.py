@@ -8,7 +8,8 @@ One frame on the wire::
     hlen     u16 BE    header byte length
     blen     u32 BE    body byte length
     header   hlen bytes   codec-encoded *plain* dict (op, rid, dataset, ok)
-    body     blen bytes   codec-encoded *tagged* value (params / answer / error)
+    body     blen bytes   codec-encoded *tagged* value (params / answer / error),
+                          or a packed attach body (below)
 
 The header carries only what the gateway needs to route and admit a
 request -- the op name, the client's request id and the dataset name -- so
@@ -21,8 +22,8 @@ frame without it simply has no deadline).  An ``attach`` header also says
 one worker and replicates an immutable one, and decides that without
 parsing the payload; the worker refuses a body that disagrees with its
 header.  Both sides speak exactly
-``PROTOCOL_VERSION``; a frame stamped with any other version -- v1
-included, which nothing emits any more -- is refused with a
+``PROTOCOL_VERSION`` (3: packed attach bodies; 2 added ``deadline_ms``); a
+frame stamped with any other version is refused with a
 :class:`~repro.core.errors.ProtocolError` naming the version.  Frames whose
 total size exceeds ``max_frame_bytes`` are rejected with the same error
 *before* the body is read: the gateway refuses to buffer what it will not
@@ -32,10 +33,41 @@ Bodies are encoded through a small tagged codec (:func:`encode_value` /
 :func:`decode_value`) that round-trips everything the serving surface
 speaks -- tuples vs lists, sets, bytes and the change dataclasses of
 :mod:`repro.incremental.changes` -- as JSON.  An answer is a plain
-``bool`` (or a list of them), which JSON carries as is.  The codec byte
-stays in the prefix so a second codec would not need a new frame layout,
-but exactly one is spoken: a frame or call naming any other byte gets a
-structured :class:`~repro.core.errors.ProtocolError` back that names it.
+``bool`` (or a list of them), which JSON carries as is.  A value JSON
+cannot carry (a NaN or an infinite float, in a body or a header) is a
+:class:`~repro.core.errors.ProtocolError` naming it, on either side.  The
+codec byte stays in the prefix so a second codec would not need a new
+frame layout, but exactly one is spoken: a frame or call naming any other
+byte gets a structured :class:`~repro.core.errors.ProtocolError` back that
+names it.
+
+An attach body -- a client's ``attach`` request, and a worker's
+``snapshot`` reply, which the front adopts verbatim as the attach it
+replays on a re-home -- is written by :func:`encode_attach`.  When its
+``data`` is a tuple or list of plain ints (exact ``int``, all held by one
+64-bit word: no ``bool``, ``IntEnum`` or numpy int), the run travels as
+one packed column under the body tag ``0x00``, which no JSON text starts
+with::
+
+    tag      u8        0x00
+    kind     1 byte    b"t" (tuple) or b"l" (list)
+    code     1 byte    the column's typecode, or b"*" for the bytes form
+    jlen     u32 BE    byte length of the JSON that follows
+    fields   jlen bytes   the tagged dict of every other field
+    column   the rest  :func:`repro.indexes.columns.pack`'s column: its
+                       bytes form, or its machine words little-endian
+
+Every other body is tagged JSON, as before; the form follows the payload's
+type, with no option and no size threshold.  :func:`decode_body` rebuilds
+the tuple or list; a worker decodes with ``keep_packed=True`` and gets a
+:class:`~repro.storage.packed.PackedRun`, which its engine fingerprints
+without boxing a value and materializes only to build.  A column is
+refused as a :class:`~repro.core.errors.ProtocolError` unless it is in
+the word :func:`repro.indexes.columns.words` picks for its values (so it
+hashes like them) and declares at most :data:`MAX_PACKED_VALUES` values,
+which is checked before anything is allocated.  The column codec
+is imported by the first packed body a process writes or reads, so the
+front, which relays attach bodies unread, never loads it.
 
 Errors travel as structured frames: ``{"type": <exception class name>,
 "message": ...}`` with ``ok=False`` in the header.  :func:`raise_remote`
@@ -50,6 +82,9 @@ raised as exactly that class client-side; unknown names degrade to
     >>> header, body, codec = protocol.unpack_frame(raw)
     >>> header["op"], protocol.decode_body(body, codec)["query"]
     ('query', 7)
+    >>> body = protocol.encode_attach({"name": "d", "data": tuple(range(1000))})
+    >>> len(body) < 1000, protocol.decode_body(body)["data"] == tuple(range(1000))
+    (True, True)
 """
 
 from __future__ import annotations
@@ -75,31 +110,40 @@ __all__ = [
     "MAGIC",
     "CODEC_JSON",
     "DEFAULT_MAX_FRAME_BYTES",
+    "MAX_PACKED_VALUES",
     "MAX_FRAME_BYTES",
     "REQUEST_OPS",
     "request_header",
     "encode_value",
     "decode_value",
     "encode_body",
+    "encode_attach",
     "decode_body",
     "join_bodies",
     "pack_frame",
     "unpack_frame",
     "read_frame",
     "read_frame_async",
+    "bound_reads",
     "error_payload",
     "raise_remote",
 ]
 
 MAGIC = b"PF"
-#: The one version this side emits and accepts (2 = optional ``deadline_ms``
-#: header field).
-PROTOCOL_VERSION = 2
+#: The one version this side emits and accepts (3 = packed attach bodies;
+#: 2 added the optional ``deadline_ms`` header field).
+PROTOCOL_VERSION = 3
 CODEC_JSON = 0
 #: 8 MiB: comfortably holds a 2^16-element attach payload or a
 #: multi-thousand-query batch, small enough that one bad peer cannot make
 #: the gateway buffer unboundedly.
 DEFAULT_MAX_FRAME_BYTES = 8 * 1024 * 1024
+#: The most values a packed attach run may decode to: what a JSON attach in
+#: a default-size frame carries (a digit and a comma each).  A packed column
+#: declares its count in a few bytes -- a width-0 patched plane takes none
+#: per value -- so a worker checks the count before it allocates, and one
+#: small frame cannot make every worker fill gigabytes.
+MAX_PACKED_VALUES = DEFAULT_MAX_FRAME_BYTES // 2
 
 _PREFIX = struct.Struct(">2sBBHI")
 #: The largest frame the format can express: the ceiling between the
@@ -259,7 +303,19 @@ def _check_codec(codec: int) -> None:
 
 def _dumps(obj: Any, codec: int) -> bytes:
     _check_codec(codec)
-    return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    try:
+        return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
+    except ValueError:  # the one value JSON refuses: a non-finite float
+        raise ProtocolError(
+            f"non-finite number {_non_finite(obj)!r} is not valid JSON") from None
+
+
+def _non_finite(obj: Any) -> Optional[float]:
+    """The first NaN or infinite float in an encoded value, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else obj
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return next((found for found in map(_non_finite, items) if found is not None), None)
 
 
 def _refuse_constant(name: str) -> Any:
@@ -294,8 +350,50 @@ def encode_body(value: Any, codec: int = CODEC_JSON) -> bytes:
     return _dumps(encode_value(value), codec)
 
 
-def decode_body(body: bytes, codec: int = CODEC_JSON) -> Any:
-    return decode_value(_loads(body, codec))
+#: A packed attach body's head: the tag, the run's kind and typecode, and
+#: the byte length of the JSON fields before the column.
+_PACKED = struct.Struct(">cccI")
+_PACKED_TAG = b"\x00"  # no JSON text starts with it
+_KINDS = {b"t": tuple, b"l": list}
+
+
+def encode_attach(value: Any, codec: int = CODEC_JSON) -> bytes:
+    """An attach body (a request's, or a ``snapshot`` reply's): its ``data``
+    as one packed column when that is a run of plain ints (or a worker's
+    :class:`~repro.storage.packed.PackedRun`), else :func:`encode_body`."""
+    from repro.storage.packed import PackedRun
+
+    run = PackedRun.of(value.get("data")) if isinstance(value, dict) else None
+    if run is None:
+        return encode_body(value, codec)
+    fields = _dumps(encode_value({k: v for k, v in value.items() if k != "data"}), codec)
+    kind = b"t" if run.kind is tuple else b"l"
+    head = _PACKED.pack(_PACKED_TAG, kind, run.code.encode("ascii"), len(fields))
+    return head + fields + run.raw
+
+
+def decode_body(body: bytes, codec: int = CODEC_JSON, *, keep_packed: bool = False) -> Any:
+    """The value of a body.  A packed attach body's run comes back as the
+    tuple or list it encodes, or, with ``keep_packed``, as its
+    :class:`~repro.storage.packed.PackedRun`, no value boxed."""
+    if body[:1] != _PACKED_TAG:
+        return decode_value(_loads(body, codec))
+    from repro.storage.packed import PackedRun
+
+    if len(body) < _PACKED.size:
+        raise ProtocolError("packed attach body: its head is cut short")
+    _, kind, code, size = _PACKED.unpack_from(body)
+    end = _PACKED.size + size
+    if kind not in _KINDS or end > len(body):
+        raise ProtocolError(
+            f"packed attach body: kind {kind!r} with {size} bytes of fields "
+            f"in a {len(body)}-byte body")
+    value = decode_value(_loads(body[_PACKED.size : end], codec))
+    if not isinstance(value, dict) or "data" in value:
+        raise ProtocolError("packed attach body: its fields are not a mapping without data")
+    run = PackedRun(_KINDS[kind], code.decode("latin-1"), body[end:], MAX_PACKED_VALUES)
+    value["data"] = run if keep_packed else run.values()
+    return value
 
 
 def join_bodies(bodies: Sequence[bytes]) -> bytes:
@@ -412,6 +510,25 @@ def read_frame(
         return _read_frame(stream.read, max_frame_bytes)
     except EOFError:
         return None
+
+
+#: The most bytes one read of an asyncio stream asks its socket for.  The
+#: selector transport asks for 256 KiB, a fresh ``bytes`` per read, and glibc
+#: serves a block that size by ``mmap`` -- an ``mmap``, a ``munmap`` and page
+#: faults per frame -- until a larger block has been freed, which raises its
+#: threshold.  So a front's cost per request hung on the largest frame it
+#: had read: a 431 kB JSON attach made every later read cheap, a 148 kB
+#: packed one did not (``wire-point`` front CPU ~160 vs ~110 us per read).
+#: 64 KiB is below glibc's default threshold of 128 KiB.
+READ_CHUNK_BYTES = 64 * 1024
+
+
+def bound_reads(writer: Any) -> None:
+    """Cap each read of ``writer``'s transport at :data:`READ_CHUNK_BYTES`,
+    where the transport has that knob (asyncio's selector transports)."""
+    transport = writer.transport
+    if hasattr(transport, "max_size"):
+        transport.max_size = READ_CHUNK_BYTES
 
 
 async def read_frame_async(

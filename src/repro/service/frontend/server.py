@@ -138,6 +138,7 @@ class Gateway:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         self.counters["connections"] += 1
+        protocol.bound_reads(writer)
         write_lock = asyncio.Lock()
         try:
             while True:

@@ -281,6 +281,7 @@ class Supervisor:
             # end-of-file never arrives here when the worker dies.
             theirs.close()
         reader, writer = await asyncio.open_connection(sock=ours)
+        protocol.bound_reads(writer)
         return _WorkerHandle(process, writer, asyncio.ensure_future(
             self._read_channel(worker_id, reader)))
 
@@ -498,7 +499,7 @@ class Supervisor:
             frame = protocol.pack_frame(
                 {**ticket.header, "rid": attempt.rid}, body_bytes=ticket.body,
                 max_frame_bytes=protocol.MAX_FRAME_BYTES)
-        except (ProtocolError, ValueError) as exc:
+        except ProtocolError as exc:
             # A header past u16 once stamped, or a NaN budget.
             self._table.forget(attempt)
             raise ProtocolError(f"cannot relay {ticket.op!r} frame: {exc}") from exc

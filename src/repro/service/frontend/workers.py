@@ -5,7 +5,9 @@ catalog-aware engine that loads a kind when an attach names it, against the
 *shared* on-disk :class:`~repro.service.artifacts.ArtifactStore` directory,
 then serves its channel -- read a request frame, decode its body, serve it
 through the dataset-first engine surface, encode the response, write the
-response frame back.  Because artifacts are content-addressed, workers are
+response frame back.  An attach's packed run stays a
+:class:`~repro.storage.packed.PackedRun`: a worker that loads Pi(D) from
+the store never boxes D.  Because artifacts are content-addressed, workers are
 cache-coherent for free: the first worker to attach a dataset builds and
 persists the Pi-structures, every later worker (and every restarted
 worker) loads the same bytes by key.  Nothing is shared in memory; the
@@ -164,6 +166,7 @@ def handle_request(engine: Any, header: Dict[str, Any], params: Any) -> Any:
     if op == "snapshot":
         # A whole attach body: the front adopts it verbatim as a new baseline
         # (by the name / version / mutable handle_frame copies to the header).
+        # An immutable session's payload is as attached: a packed run stays so.
         return {"name": ds.name, "data": ds.dataset(), "kinds": ds.kinds,
                 "shards": ds.shards, "mutable": ds.mutable, "version": ds.version}
     if op == "detach":
@@ -183,13 +186,15 @@ def handle_frame(
     rid = header.get("rid")
     try:
         check_deadline(header)
-        params = protocol.decode_body(body, codec) if body else None
+        # A packed run stays packed: a worker that loads Pi(D) never boxes D.
+        params = protocol.decode_body(body, codec, keep_packed=True) if body else None
         value = handle_request(engine, header, params)
         response_header = {"rid": rid, "ok": True, "op": header.get("op")}
         if response_header["op"] == "snapshot":
             # The front adopts the body by these fields, never parsing it.
             response_header.update(name=value["name"], version=value["version"],
                                    mutable=value["mutable"])
+            return response_header, protocol.encode_attach(value, codec)
         return response_header, protocol.encode_body(value, codec)
     except ReproError as exc:
         payload = protocol.error_payload(exc)

@@ -14,7 +14,9 @@ forms can collide:
   little-endian machine words (never the sub-word form ``pack`` stores, so
   no artifact key moves when that form does) -- or, when ``words``
   declines (strings, bools, ``None``, nested rows, ints beyond 64 bits,
-  the empty run), ``S`` and the Sigma* rendering *of that column*;
+  the empty run), ``S`` and the Sigma* rendering *of that column*.  A
+  :class:`~repro.storage.packed.PackedRun` hashes as the tuple or list it
+  encodes, from the machine words it decodes to: no value is boxed;
 * a :class:`~repro.storage.relation.Relation` is ``R`` and the schema name,
   a ``T`` frame for each attribute's name and for its type (UTF-8), then
   one column per attribute over the live rows (tombstones do not count: a
@@ -38,6 +40,7 @@ from typing import Any
 from repro.core import alphabet
 from repro.core.errors import EncodingError
 from repro.indexes.columns import words
+from repro.storage.packed import PackedRun
 from repro.storage.relation import Relation
 
 __all__ = ["dataset_fingerprint", "canonical_bytes"]
@@ -70,6 +73,11 @@ def _column(digest: Any, values: Any) -> None:
     if isinstance(column, list):  # words declined: not a run of machine words
         _frame(digest, b"S", canonical_bytes(values))
         return
+    _words(digest, column)
+
+
+def _words(digest: Any, column: Any) -> None:
+    """The ``P`` frame of a fresh column in :func:`words`' typecode."""
     if sys.byteorder == "big":
         column.byteswap()
     _frame(digest, b"P" + column.typecode.encode("ascii"), column)
@@ -78,8 +86,15 @@ def _column(digest: Any, values: Any) -> None:
 def dataset_fingerprint(data: Any) -> str:
     """SHA-256 hex digest identifying a dataset's content and type."""
     digest = hashlib.sha256()
-    digest.update(type(data).__name__.encode("ascii", "replace") + b"\x00")
-    if isinstance(data, Relation):
+    kind = data.kind if isinstance(data, PackedRun) else type(data)
+    digest.update(kind.__name__.encode("ascii", "replace") + b"\x00")
+    if isinstance(data, PackedRun):
+        # Its words are the ones ``words`` picks for the values: no value is boxed.
+        if data:
+            _words(digest, data.words())
+        else:
+            _column(digest, data.values())
+    elif isinstance(data, Relation):
         _frame(digest, b"R", data.schema.name.encode("utf-8"))
         for attribute in data.schema.attributes:
             _frame(digest, b"T", attribute.name.encode("utf-8"))

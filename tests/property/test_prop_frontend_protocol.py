@@ -274,7 +274,7 @@ def test_v1_frames_are_refused_naming_the_version(rid, value):
     """Nothing emits v1 any more: a frame that differs from a valid one only
     in its version byte is a ``ProtocolError`` that says which version."""
     raw = protocol.pack_frame({"op": "query", "rid": rid, "dataset": "d"}, value)
-    assert raw[2] == protocol.PROTOCOL_VERSION == 2
+    assert raw[2] == protocol.PROTOCOL_VERSION == 3
     with pytest.raises(ProtocolError, match="unsupported protocol version 1;"):
         protocol.unpack_frame(raw[:2] + bytes([1]) + raw[3:])
 

@@ -66,3 +66,19 @@ def test_change_kinds_decode_by_value_and_refuse_unknown_ones():
     for kind in ("upsert", ["insert"]):
         with pytest.raises(ValueError):
             protocol.decode_value({"$": "ck", "v": kind})
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_body_value_is_a_protocol_error_naming_it(number):
+    """The encoder refuses what the decoder refuses, with the same error
+    class: ``json``'s bare ``ValueError`` never escapes the codec."""
+    for value in ({"kind": "k", "query": number}, {"pairs": [("k", (1, number))]}):
+        with pytest.raises(ProtocolError, match=f"non-finite number {number!r}"):
+            protocol.encode_body(value)
+
+
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), float("-inf")])
+def test_a_non_finite_header_value_is_a_protocol_error_naming_it(number):
+    header = {"op": "query", "rid": 1, "dataset": "d", "deadline_ms": number}
+    with pytest.raises(ProtocolError, match=f"non-finite number {number!r}"):
+        protocol.pack_frame(header, {"kind": "k", "query": 1})

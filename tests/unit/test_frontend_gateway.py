@@ -170,6 +170,26 @@ def test_admission_is_per_dataset():
         assert gateway.counters["overloaded_rejections"] == 1
 
 
+def test_every_client_connection_reads_in_bounded_chunks(monkeypatch):
+    """asyncio's default 256 KiB read is a fresh block per frame that glibc
+    maps and unmaps unless a larger one was freed first, so the front's
+    cost per request would hang on the largest frame it had read."""
+    sizes = []
+    bound = protocol.bound_reads
+
+    def spy(writer):
+        bound(writer)
+        sizes.append(writer.transport.max_size)
+
+    monkeypatch.setattr(protocol, "bound_reads", spy)
+    with serving(_EchoBackend()) as gateway:
+        for _ in range(2):
+            with raw_connection(gateway) as stream:
+                _send(stream, "ping", 1, "")
+                assert protocol.read_frame(stream)[0]["ok"] is True
+    assert sizes == [protocol.READ_CHUNK_BYTES] * 2
+
+
 def test_unknown_op_answers_and_keeps_the_connection():
     with serving(_EchoBackend()) as gateway:
         with raw_connection(gateway) as stream:

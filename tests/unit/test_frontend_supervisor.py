@@ -218,6 +218,16 @@ def test_refused_detach_of_a_homed_dataset_keeps_its_home(pool):
     assert pool.ops() == [["query"] * 4, []]
 
 
+# -- each read of a worker channel asks for at most READ_CHUNK_BYTES -------------
+
+
+def test_every_worker_channel_reads_in_bounded_chunks(pool):
+    """asyncio's default 256 KiB read is a fresh block per frame that glibc
+    maps and unmaps unless a larger one was freed first."""
+    assert [handle.writer.transport.max_size for handle in pool.supervisor._handles] == [
+        protocol.READ_CHUNK_BYTES] * 2
+
+
 # -- bugfix: the front routes an attach from its header, body unread -------------
 
 
