@@ -11,14 +11,17 @@ almost always, every count is below 256; a count that outgrows the word
 re-types the column once (:func:`counts_holding`), as :func:`holding`
 does for a value run.
 
-A *value* run holds the objects its producer already has.  A build has
-D's own ints, so it keeps the list that shares them (``bisect`` and
-indexing are faster over a list); a store load has only bytes, so
-:func:`unpack_words` decodes the run straight into its machine word, and
-the loaded structure does not hold D a second time.  Reading a word
-boxes it, so a loaded membership probe costs ~0.17 us more (580 -> 750 ns
-at 2^16) and a Fischer--Heun ``argmin_fast`` ~0.1 us (1.57 -> 1.69 us).
-A write the word cannot hold re-types the column once (:func:`holding`).
+A *value* run holds the objects its producer already has.  A build
+handed a tuple or list has D's own ints, so it keeps the list that shares
+them (``bisect`` and indexing are faster over a list).  A build handed
+D's machine words (a wire worker's packed attach) keeps them in the word
+:func:`words` picks (:func:`value_run`, :func:`sorted_run`), and a store
+load, which has only bytes, decodes the run straight into that word
+(:func:`unpack_words`): neither holds D a second time as boxed ints.
+Reading a word boxes it, so a loaded membership probe costs ~0.17 us
+more (580 -> 750 ns at 2^16) and a Fischer--Heun ``argmin_fast`` ~0.1 us
+(1.57 -> 1.69 us).  A write the word cannot hold re-types the column once
+(:func:`holding`).
 
 :func:`words` puts a plain-``int`` run in the narrowest machine word that
 holds it -- the form the dataset fingerprint hashes; a typed integer
@@ -76,8 +79,8 @@ from operator import sub
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = ["positions", "ids", "counts", "is_counts", "counts_holding", "words", "little_endian",
-           "from_little_endian", "pack", "pack_sorted", "unpack", "unpack_words", "wire_form",
-           "from_wire_form", "holding", "word_crc_buckets"]
+           "from_little_endian", "pack", "pack_sorted", "unpack", "unpack_words", "value_run",
+           "sorted_run", "wire_form", "from_wire_form", "holding", "word_crc_buckets"]
 
 Packed = Union[array, bytes, List[Any]]
 
@@ -599,6 +602,22 @@ def unpack_words(column: Union[Tuple[int, Packed], Packed]) -> Union[array, List
         column = _from_bytes(column)
         return column if isinstance(column, array) else array("B", column)
     return column
+
+
+def value_run(values: Sequence[Any]) -> Union[array, List[Any]]:
+    """A structure's own copy of a value run: a typed integer column in the
+    word :func:`words` picks (the form :func:`unpack_words` loads), boxing
+    no value; a tuple or list as a list sharing its objects."""
+    return words(values) if isinstance(values, array) else list(values)
+
+
+def sorted_run(values: Sequence[Any]) -> Union[array, List[Any]]:
+    """:func:`value_run` of ``sorted(values)``: a typed integer column's
+    run is in the word its two ends fix, which is :func:`words`' pick."""
+    run = sorted(values)
+    if run and isinstance(values, array) and values.typecode in _INT_CODES:
+        return array(_narrowest((run[0], run[-1])).typecode, run)
+    return run
 
 
 #: The code :func:`wire_form` gives a column held in its bytes form.

@@ -315,7 +315,7 @@ class FischerHeunRMQ:
 
     def __init__(self, array: Sequence, tracker: Optional[CostTracker] = None):
         tracker = ensure_tracker(tracker)
-        self._array = list(array)
+        self._array = columns.value_run(array)  # a typed column stays in machine words
         n = len(self._array)
         self._sign_blocks(max(1, int(math.log2(n)) // 4) if n >= 2 else 1, tracker)
 

@@ -36,7 +36,8 @@ class SortedRunIndex(Generic[K]):
         n = len(values)
         if n > 1:
             tracker.tick(n * math.ceil(math.log2(n)))
-        self._run: List[K] = sorted(values)
+        # D's machine words (a wire worker's packed attach) stay machine words.
+        self._run: List[K] = columns.sorted_run(values)
 
     def __len__(self) -> int:
         return len(self._run)

@@ -40,12 +40,13 @@ def _derive(values: Sequence, lefts: Sequence[int], rights: Sequence[int]) -> li
 
 class SparseTable:
     """Positions-of-minima sparse table over a static array: the values are
-    a list after a build and their machine word after a load, every level
-    is a typed column (:mod:`repro.indexes.columns`)."""
+    a list after a build from a tuple or list and their machine word after
+    a load or a build from a typed column, every level is a typed column
+    (:mod:`repro.indexes.columns`)."""
 
     def __init__(self, array: Sequence, tracker: Optional[CostTracker] = None):
         tracker = ensure_tracker(tracker)
-        self._array = values = list(array)
+        self._array = values = columns.value_run(array)
         n = len(values)
         # Derived level over level as plain lists (probing a typed column
         # boxes an int each time), stored as columns.

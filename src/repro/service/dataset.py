@@ -491,7 +491,10 @@ class Dataset:
             )
             return ShardedStructure(plan, structures), "shards"
         key = registration.key(self._fingerprint)
-        return engine._resolve_by_key(kind, registration, key, self._data, fill_cache)
+        # A mutable session boxed a packed payload for its working copy, so
+        # its build shares those ints; an immutable one builds from the words.
+        data = self.data if self.mutable else self._data
+        return engine._resolve_by_key(kind, registration, key, data, fill_cache)
 
     def query_batch(self, requests: Iterable[Any]) -> List[bool]:
         """Answer a batch of ``(kind, query)`` pairs; answers match input order.

@@ -90,7 +90,7 @@ from repro.service.cache import CacheStats, LRUArtifactCache
 from repro.service.dataset import Dataset
 from repro.service.mutable import retire_on_thread_exit
 from repro.storage.fingerprint import dataset_fingerprint
-from repro.storage.packed import materialize
+from repro.storage.packed import PackedRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.sharding import PlannedShard, ShardPlan
@@ -493,7 +493,9 @@ class QueryEngine:
         ``engine.dataset(name)`` hands out again) reuses that identity, so
         the steady-state serving path never hashes the payload again.  A
         :class:`~repro.storage.packed.PackedRun` (a wire worker's attach)
-        hashes as the run it encodes and is boxed only by a build.
+        hashes as the run it encodes, and an immutable session's build reads
+        its machine words; only a sharded split, a mutable session and
+        ``Dataset.data`` box it.
 
         Parameters
         ----------
@@ -637,7 +639,9 @@ class QueryEngine:
                 source = "store" if structure is not None else "build"
                 if structure is None:
                     started = time.perf_counter()
-                    structure = registration.scheme.preprocess(materialize(data), NULL_TRACKER)
+                    if isinstance(data, PackedRun):  # built from its machine words, boxing none
+                        data = data.words()
+                    structure = registration.scheme.preprocess(data, NULL_TRACKER)
                     self._bump(kind, builds=1, build_seconds=time.perf_counter() - started)
                     if self._store is not None:
                         try:

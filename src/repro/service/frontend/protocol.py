@@ -60,8 +60,9 @@ with::
 Every other body is tagged JSON, as before; the form follows the payload's
 type, with no option and no size threshold.  :func:`decode_body` rebuilds
 the tuple or list; a worker decodes with ``keep_packed=True`` and gets a
-:class:`~repro.storage.packed.PackedRun`, which its engine fingerprints
-without boxing a value and materializes only to build.  A column is
+:class:`~repro.storage.packed.PackedRun`, which its engine fingerprints,
+and builds from for an immutable session, without boxing a value (only a
+sharded split, a mutable session and ``Dataset.data`` materialize it).  A column is
 refused as a :class:`~repro.core.errors.ProtocolError` unless it is in
 the word :func:`repro.indexes.columns.words` picks for its values (so it
 hashes like them) and declares at most :data:`MAX_PACKED_VALUES` values,

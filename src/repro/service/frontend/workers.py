@@ -6,9 +6,12 @@ catalog-aware engine that loads a kind when an attach names it, against the
 then serves its channel -- read a request frame, decode its body, serve it
 through the dataset-first engine surface, encode the response, write the
 response frame back.  An attach's packed run stays a
-:class:`~repro.storage.packed.PackedRun`: a worker that loads Pi(D) from
-the store never boxes D.  Because artifacts are content-addressed, workers are
-cache-coherent for free: the first worker to attach a dataset builds and
+:class:`~repro.storage.packed.PackedRun`: a worker serving an immutable
+unsharded session never boxes D, whether it loads Pi(D) from the store or
+builds it from the run's machine words (a sharded split, a mutable
+session and ``Dataset.data`` still do).  Because artifacts are
+content-addressed, workers are cache-coherent for free: the first worker
+to attach a dataset builds and
 persists the Pi-structures, every later worker (and every restarted
 worker) loads the same bytes by key.  Nothing is shared in memory; the
 store directory *is* the coherence protocol.
@@ -186,7 +189,7 @@ def handle_frame(
     rid = header.get("rid")
     try:
         check_deadline(header)
-        # A packed run stays packed: a worker that loads Pi(D) never boxes D.
+        # A packed run stays packed: loading or building Pi(D) boxes no value of D.
         params = protocol.decode_body(body, codec, keep_packed=True) if body else None
         value = handle_request(engine, header, params)
         response_header = {"rid": rid, "ok": True, "op": header.get("op")}

@@ -355,6 +355,9 @@ class MutableContent:
 
     def __init__(self, data: Any) -> None:
         self.working, self.row_shaped = self._copy_dataset(data)
+        #: A sequence snapshot's type, the payload's own (a list stays a list),
+        #: so an unwritten session's snapshot fingerprints like its payload.
+        self.sequence_type = list if isinstance(data, list) else tuple
         #: A relation's live row -> row-id list: a delete is a lookup, not a scan.
         self.row_ids: Optional[dict] = None
         if _is_relation(self.working):
@@ -404,7 +407,7 @@ class MutableContent:
         mutated working copy.
         """
         if isinstance(self.working, list):
-            return tuple(self.working)
+            return self.sequence_type(self.working)
         return self._copy_dataset(self.working)[0]
 
     # -- batch processing ------------------------------------------------------

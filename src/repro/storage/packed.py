@@ -1,17 +1,22 @@
 """A run of plain ints held packed: one column, boxed only by code that reads it.
 
-Every answer reads Pi(D), not D.  A wire worker that finds Pi(D) in the
-artifact store never reads D's values, so an attach that crossed the wire
-as one packed column (:mod:`repro.service.frontend.protocol`) reaches the
+Every answer reads Pi(D), not D.  An attach that crossed the wire as one
+packed column (:mod:`repro.service.frontend.protocol`) reaches a worker's
 engine as a :class:`PackedRun` -- the column's bytes and the sequence type
 they stand for -- and stays that way:
 
 * :func:`~repro.storage.fingerprint.dataset_fingerprint` hashes the machine
   words :func:`~repro.indexes.columns.unpack_words` decodes, boxing no
   value, and gets the digest of the tuple or list the run encodes;
-* :func:`materialize` builds that tuple or list once, for the code that
-  needs values -- a build, a sharded split, a mutable session's working
-  copy, ``Dataset.data`` -- and every later caller shares it.
+* an immutable session's build is handed those machine words
+  (:meth:`PackedRun.words`), which the flat int structures keep as typed
+  columns, as a store load does -- so a worker serving an immutable
+  unsharded session boxes no value of D, whether it builds Pi(D) or loads
+  it;
+* :func:`materialize` builds the tuple or list once, for the code that
+  still needs boxed values -- a sharded split, a mutable session's working
+  copy (whose builds share its ints), ``Dataset.data`` -- and every later
+  caller shares it.
 
 A plain int is an exact ``int`` that one machine word holds: a ``bool``, an
 ``IntEnum``, a numpy int or an int past 64 bits is not, and a run holding
@@ -83,5 +88,7 @@ class PackedRun:
 
 def materialize(data: Any) -> Any:
     """``data``'s values: a :class:`PackedRun`'s tuple or list, anything
-    else as it is."""
+    else as it is.  ``Dataset.data`` calls it, for a sharded split, a
+    mutable session's working copy and builds, and its own readers; an
+    immutable session's build reads the run's machine words instead."""
     return data.values() if isinstance(data, PackedRun) else data

@@ -496,7 +496,7 @@ def test_mutable_session_does_not_touch_the_caller_object():
         ds = engine.attach("events", payload, kinds=["membership"], mutable=True)
         ds.apply_changes([_insert(9)])
         assert payload == [3, 1, 4]
-        assert ds.dataset() == (3, 1, 4, 9)
+        assert ds.dataset() == [3, 1, 4, 9]  # a list payload snapshots as a list
 
 
 def test_mutable_warm_materializes_under_the_latch():

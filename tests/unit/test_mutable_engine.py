@@ -46,6 +46,7 @@ from repro.queries.reachability import closure_scheme, reachability_class
 from repro.service import ArtifactStore
 from repro.service.engine import QueryEngine
 from repro.service.sharding import plan_shards
+from repro.storage.fingerprint import dataset_fingerprint
 
 
 def _insert(*row):
@@ -488,11 +489,35 @@ def test_mutable_attach_leaves_caller_object_untouched():
         ds = _open(engine, "membership", data)
         ds.apply_changes([_insert(4), _delete(1)])
         assert data == [1, 2, 3]
-        assert ds.dataset() == (2, 3, 4)
+        assert ds.dataset() == [2, 3, 4]  # a list payload snapshots as a list
         # An immutable session over the original data is unaffected.
         frozen = engine.attach("frozen", data)
         assert frozen.query("membership", 1) is True
         assert frozen.query("membership", 4) is False
+
+
+@pytest.mark.parametrize("payload", [[3, 1, 2], (3, 1, 2), [], ()], ids=repr)
+def test_an_unwritten_session_snapshots_as_the_sequence_it_was_attached_as(payload):
+    """A checkpoint re-homes a mutable session from its snapshot, so an
+    unwritten one must fingerprint like its payload: a list stays a list."""
+    with build_query_engine() as engine:
+        ds = engine.attach("d", payload, kinds=["list-membership"], mutable=True)
+        snapshot = ds.dataset()
+    assert type(snapshot) is type(payload) and snapshot == payload
+    assert dataset_fingerprint(snapshot) == dataset_fingerprint(payload) == ds.fingerprint
+
+
+def test_a_session_reattached_from_a_list_snapshot_loads_from_the_store(tmp_path):
+    payload = [3, 1, 2]
+    with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
+        ds = engine.attach("d", payload, kinds=["list-membership"], mutable=True)
+        assert ds.query("list-membership", 1) is True
+        snapshot = ds.dataset()
+    with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
+        ds = engine.attach("d", snapshot, kinds=["list-membership"], mutable=True)
+        assert ds.query("list-membership", 1) is True
+        counters = engine.stats().per_kind["list-membership"]
+        assert (counters.builds, counters.store_hits) == (0, 1)
 
 
 def test_handle_mutations_do_not_corrupt_engine_cache():

@@ -1,5 +1,6 @@
-"""A flat int attach travels as one packed column, and a worker boxes it
-only when it must build.
+"""A flat int attach travels as one packed column, and no worker boxes it
+unless it splits shards, keeps a mutable working copy or reads
+``Dataset.data``.
 
 * what packs: a tuple or list of plain ints (exact ``int``, one 64-bit word
   holds them all) round-trips with its exact type through one packed body;
@@ -8,10 +9,14 @@ only when it must build.
 * the packed form a worker keeps fingerprints like the tuple or list it
   encodes, so no artifact key moves (the pinned digests of
   ``test_fingerprint.py`` included);
-* a worker serving an immutable packed dataset from the store never
-  materializes it (a spy and ``tracemalloc``, in process, through
+* a worker serving an immutable packed dataset never materializes it,
+  whether it builds Pi(D) from the run's machine words or loads it from the
+  store (a spy and ``tracemalloc``, in process, through
   ``workers.handle_frame``), and a 2^16-int attach body stays under
   200 000 bytes;
+* a build from the run's machine words dumps the bytes of the build from
+  its tuple, holds the columns a load holds, and answers like the naive
+  evaluation;
 * remote ``list-membership`` and ``minimum-range-query`` answers equal the
   naive evaluation after a packed attach, and after a checkpoint re-home of
   a mutable packed dataset.
@@ -30,10 +35,13 @@ import numpy as np
 import pytest
 
 from repro.catalog import build_query_engine
+from repro.core.cost import NULL_TRACKER, CostTracker
 from repro.core.errors import ProtocolError
 from repro.incremental.changes import ChangeKind, TupleChange
 from repro.indexes import columns
 from repro.queries import membership_class, rmq_class
+from repro.queries.membership import sorted_run_scheme
+from repro.queries.rmq import fischer_heun_scheme, sparse_table_scheme
 from repro.service.artifacts import ArtifactStore
 from repro.service.frontend import RemoteClient, ServingFront, protocol
 from repro.service.frontend.workers import handle_frame
@@ -230,7 +238,21 @@ def _serve(engine, name, data, probes):
             for kind, query in probes]
 
 
-def test_a_worker_that_loads_from_the_store_never_boxes_the_run(tmp_path, monkeypatch):
+def _traced(step):
+    """``step()``'s result and the bytes ``tracemalloc`` still traces once
+    it returns, that result held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = step()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_no_worker_boxes_the_run_whether_it_builds_or_loads(tmp_path, monkeypatch):
     rng = random.Random(7)
     data = tuple(rng.randrange(1 << 18) for _ in range(1 << 16))
     assert len(protocol.encode_attach(_attach(data))) <= 200_000  # 431 039 B as JSON
@@ -242,36 +264,85 @@ def test_a_worker_that_loads_from_the_store_never_boxes_the_run(tmp_path, monkey
     boxed = []
     values = PackedRun.values
 
-    def spy(run):  # counts the calls that box, not the ones that share
-        if run._values is None:
-            boxed.append(len(run.raw))
+    def spy(run):  # every call, whether it boxes or shares what an earlier one boxed
+        boxed.append(len(run.raw))
         return values(run)
 
     monkeypatch.setattr(PackedRun, "values", spy)
-    with build_query_engine(store=ArtifactStore(tmp_path)) as builder:
-        _serve(builder, "small", small, probes[:2])
-        boxed.clear()
-        assert _serve(builder, "d", data, probes) == expected
-        assert len(boxed) == 1                      # the first build boxes it, for both kinds
-    boxed.clear()
-    with build_query_engine(store=ArtifactStore(tmp_path)) as loader:
-        _serve(loader, "small", small, probes[:2])  # the load path's code, first
-        gc.collect()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            assert _serve(loader, "d", data, probes) == expected
-            gc.collect()
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
-        assert boxed == []
-        counters = loader.dataset("d").stats()["kinds"]
-        # Engine-wide per kind: "small" loaded only its membership structure.
-        assert [(counters[kind]["builds"], counters[kind]["store_hits"]) for kind in KINDS] == [
-            (0, 2), (0, 1)]
-    # The boxed tuple alone would be 2^16 * 36 B = 2.25 MiB.
-    assert retained < 1.25 * 2**20, retained
+    retained = {}
+    for role, counts in [("builder", [(2, 0), (1, 0)]), ("loader", [(0, 2), (0, 1)])]:
+        with build_query_engine(store=ArtifactStore(tmp_path)) as engine:
+            _serve(engine, role, small, probes[:2])  # this path's code, first
+            answers, retained[role] = _traced(lambda: _serve(engine, "d", data, probes))
+            assert answers == expected
+            assert boxed == [], role
+            counters = engine.dataset("d").stats()["kinds"]
+            # Engine-wide per kind: the small session resolved its membership structure only.
+            assert [(counters[kind]["builds"], counters[kind]["store_hits"])
+                    for kind in KINDS] == counts, role
+    # The boxed tuple alone would be 2^16 * 36 B = 2.25 MiB; a builder that
+    # boxed it kept that and a list per structure over its ints (~3.3 MiB).
+    assert retained["loader"] < 1.25 * 2**20, retained
+    assert retained["builder"] < 1.25 * 2**20, retained
+
+
+#: The schemes a flat int attach builds, by the column that holds D's values.
+WORD_SCHEMES = [
+    (sorted_run_scheme, membership_class, lambda index: index._run),
+    (fischer_heun_scheme, rmq_class, lambda index: index._array),
+    (sparse_table_scheme, rmq_class, lambda index: index._array),
+]
+
+
+def _forms(structure):
+    """Every attribute of ``structure`` and of the index objects it holds,
+    by path: an ``array``'s typecode, a list of arrays' typecodes, else the
+    value's type name."""
+    forms, todo = {}, [("", structure)]
+    while todo:
+        path, held = todo.pop()
+        for name, value in vars(held).items():
+            if isinstance(value, array):
+                forms[path + name] = value.typecode
+            elif isinstance(value, list) and value and isinstance(value[0], array):
+                forms[path + name] = [column.typecode for column in value]
+            elif type(value).__module__.startswith("repro.indexes"):
+                todo.append((f"{path}{name}.", value))
+            else:
+                forms[path + name] = type(value).__name__
+    return forms
+
+
+@pytest.mark.parametrize("make, query_class, column", WORD_SCHEMES,
+                         ids=["sorted-run", "fischer-heun", "sparse-table"])
+@pytest.mark.parametrize("values, code", PACKED, ids=lambda v: str(v)[:24])
+def test_a_build_from_the_runs_words_is_the_build_from_its_tuple(make, query_class, column,
+                                                                 values, code):
+    """What a building worker hands ``preprocess`` dumps the very bytes of
+    the tuple's build, holds the columns a load of them holds, and answers
+    fast == tracked == naive."""
+    scheme, oracle = make(), query_class()
+    words = PackedRun.of(values).words()
+    built = scheme.preprocess(words, NULL_TRACKER)
+    blob = scheme.dump(built)
+    assert blob == scheme.dump(scheme.preprocess(values, NULL_TRACKER))
+    loaded = scheme.load(blob)
+    assert _forms(built) == _forms(loaded)
+    held = column(built)
+    if code is None:
+        assert held == []
+    else:
+        assert isinstance(held, array) and held.typecode == code
+        assert held is not words                    # the structure's own copy
+    rng = random.Random(len(values))
+    if oracle.name == "list-membership":
+        queries = list(values[:40]) + [-1, 1 << 64, -(1 << 63) - 1, 12345]
+    else:
+        queries = oracle.generate_queries(values, rng, 40) if values else []
+    for query in queries:
+        naive = oracle.pair_in_language(values, query)
+        assert scheme.evaluate_fast(built, query) is naive, query
+        assert scheme.evaluate(built, query, CostTracker()) is naive, query
 
 
 @pytest.mark.parametrize("shards, mutable", [(1, False), (4, False), (1, True), (4, True)])
@@ -298,6 +369,26 @@ def test_every_storage_shape_serves_a_packed_attach(shards, mutable):
                 (membership if kind == "list-membership" else rmq).pair_in_language(
                     tuple(content), query)
                 for kind, query in probes]
+
+
+@pytest.mark.parametrize("mutable, decodes", [(False, 2), (True, 0)])
+def test_only_an_immutable_session_builds_from_the_runs_words(monkeypatch, mutable, decodes):
+    """A mutable session boxed the run for its working copy at attach, so
+    its builds share those ints instead of decoding the words again."""
+    decoded = []
+    words = PackedRun.words
+
+    def spy(run):
+        decoded.append(len(run.raw))
+        return words(run)
+
+    body = protocol.encode_attach(_attach(tuple(range(500)), mutable))
+    pairs = [("list-membership", 7), ("minimum-range-query", (0, 9, 0))]
+    with build_query_engine() as engine:
+        _frame(engine, "d", "attach", {"mutable": mutable}, body)
+        monkeypatch.setattr(PackedRun, "words", spy)
+        assert _frame(engine, "d", "query_batch", {"pairs": pairs}) == [True, True]
+    assert len(decoded) == decodes
 
 
 def test_remote_answers_match_the_naive_ones_after_a_packed_attach_and_a_rehome(tmp_path):
